@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-sim bench-scaling bench-detect bench-shadow bench-fleet bench-repair bench-proto bench-filter fleet-sim stress-multiqueue stress-stream stress-filter serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership
+.PHONY: all build vet test race bench bench-sim bench-scaling bench-detect bench-shadow bench-repair bench-proto bench-filter bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership
 
 all: build vet test
 
@@ -82,13 +82,16 @@ bench:
 bench-scaling:
 	$(GO) run ./cmd/benchtab -scaling -o BENCH_scaling.json
 
-# Warp-vectorized interpreter A/B: gpusim microbenchmarks (warp stepping
-# and log emission, both dispatch paths, with allocation counts), then
-# the suite-wide artifact (BENCH_sim.json) gated on report equality and
-# the 1.5x suite speedup floor.
+# Interpreter microbenchmarks: warp stepping and log emission, with
+# allocation counts.
 bench-sim:
 	$(GO) test -bench='BenchmarkWarpStep|BenchmarkLogEmission' -benchmem -run=^$$ ./internal/gpusim/
-	$(GO) run ./cmd/benchtab -sim -min-speedup 1.5 -o BENCH_sim.json
+
+# The end-to-end benchmark (BENCHMARK.json) is a module of its own, so
+# the root build and test never compile it: vet it and run its smoke
+# test against this tree.
+bench-e2e-smoke:
+	cd benchmarks/e2e && $(GO) vet . && $(GO) test .
 
 # Coalesced-span shadow fast path A/B: core microbenchmarks (ns per warp
 # access and allocations, span vs per-cell, including the read-inflation
@@ -110,12 +113,6 @@ bench-shadow:
 # (concurrent claim/inflate traffic at 4 queues).
 stress-ownership:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestOwnershipEquivalence|TestBoundedShadowEquivalence' ./internal/bugsuite/
-
-# Fleet warm-routing A/B in the deterministic cluster simulator:
-# BENCH_fleet.json (warm hit rate + jobs/sec, ring vs random, at
-# N ∈ {1,2,4,8}), gated on the N=4 hit-rate gain over random placement.
-bench-fleet:
-	$(GO) run ./cmd/benchtab -fleet -min-hit-gain 1.05 -o BENCH_fleet.json
 
 # The cluster-simulator determinism smoke, under the Go race detector:
 # each scenario runs twice at a fixed seed and fails unless both passes
@@ -165,4 +162,4 @@ stress-multiqueue:
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321
 
-ci: build vet fmt-check test race vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter fleet-sim
+ci: build vet fmt-check test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter fleet-sim

@@ -43,15 +43,7 @@ func remoteRun(o runOpts, baseURL, apiKey string, stream bool) error {
 		Block:     o.block,
 		MaxInstrs: o.budget,
 		WarpSize:  o.warpsize,
-		Config: server.ConfigJSON{
-			Queues:         o.queues,
-			Granularity:    o.gran,
-			FullVC:         o.fullvc,
-			StaticPrune:    o.staticPrune,
-			Ownership:      o.ownership,
-			ShadowCapBytes: o.shadowCap,
-			ProducerFilter: o.producerFilter,
-		},
+		Config:    o.config(),
 	}
 	if o.ptxPath != "" {
 		src, err := os.ReadFile(o.ptxPath)
@@ -207,15 +199,7 @@ func streamRun(req server.JobRequest, baseURL, apiKey string, verbose bool) erro
 		WarpSize:  req.WarpSize,
 		MaxInstrs: req.MaxInstrs,
 		Buffers:   req.Buffers,
-		Config: wire.ConfigSpec{
-			Queues:         req.Config.Queues,
-			Granularity:    req.Config.Granularity,
-			FullVC:         req.Config.FullVC,
-			StaticPrune:    req.Config.StaticPrune,
-			Ownership:      req.Config.Ownership,
-			ShadowCapBytes: req.Config.ShadowCapBytes,
-			ProducerFilter: req.Config.ProducerFilter,
-		},
+		Config:    req.Config,
 	}
 	if err := c.Launch(spec); err != nil {
 		return fmt.Errorf("launch: %w", err)

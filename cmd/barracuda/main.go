@@ -91,12 +91,18 @@ type runOpts struct {
 	budget                                       uint64
 }
 
-func run(o runOpts) error {
-	cfg := detector.Config{
+// config is the detector configuration the flags select, for local and
+// remote runs alike.
+func (o runOpts) config() detector.Config {
+	return detector.Config{
 		Queues: o.queues, Granularity: o.gran, FullVC: o.fullvc, StaticPrune: o.staticPrune,
 		Ownership: o.ownership, ShadowCapBytes: o.shadowCap,
 		ProducerFilter: o.producerFilter,
 	}
+}
+
+func run(o runOpts) error {
+	cfg := o.config()
 
 	var (
 		s   *detector.Session

@@ -1,6 +1,10 @@
 package main
 
-import "runtime"
+import (
+	"runtime"
+
+	"barracuda/internal/detector"
+)
 
 // BenchEnv is the host and detector-knob context embedded (flattened)
 // in every BENCH_*.json artifact, so perf trajectories across PRs
@@ -10,12 +14,10 @@ type BenchEnv struct {
 	NumCPU     int `json:"num_cpu"`
 	GOMAXPROCS int `json:"gomaxprocs"`
 
-	// Detector knobs in effect for the artifact's headline runs. Zero
-	// values are the defaults (ownership tier off, shadow unbounded,
-	// producer filter off).
-	Ownership      bool  `json:"ownership"`
-	ShadowCapBytes int64 `json:"shadow_cap_bytes"`
-	ProducerFilter bool  `json:"producer_filter"`
+	// Detector knobs in effect for the artifact's headline runs, under
+	// detector.Config's own JSON names. Zero values are the defaults and
+	// are omitted.
+	detector.Config
 }
 
 // benchEnv snapshots the host environment with default knob settings.

@@ -15,11 +15,6 @@
 // every width that the canonical race report matches the 1-queue run,
 // and writes BENCH_scaling.json.
 //
-// With -sim it A/B-benchmarks the warp-vectorized interpreter (warp-major
-// dispatch, static-uniformity scalarization, pooled launch state) against
-// the legacy lane-major interpreter over the suite, verifying that both
-// paths produce canonically identical reports, and writes BENCH_sim.json.
-//
 // With -detect it A/B-benchmarks the coalesced-span shadow fast path (one
 // region-locked span operation per uniform warp access) against the
 // per-cell baseline over synthetic coalesced, strided and divergent
@@ -32,13 +27,6 @@
 // and contended mixes, and drains a page sweep under a shadow byte cap
 // a quarter of its unbounded footprint, verifying the cap holds. Writes
 // BENCH_shadow.json.
-//
-// With -fleet it runs the deterministic cluster simulator at N ∈
-// {1,2,4,8} workers under identical zipf traffic, comparing cache-affine
-// ring routing against the seeded-random baseline (warm hit rate and
-// jobs/sec on the virtual clock), and writes BENCH_fleet.json. The run
-// fails if ring routing does not beat random on hit rate at N=4, if any
-// job is lost, or if replaying a scenario changes its schedule digest.
 //
 // With -filter it A/B-benchmarks producer-side epoch filtering (the
 // per-warp interval filter cache plus the static log-once tier) against
@@ -74,15 +62,12 @@ func main() {
 		serverB  = flag.Bool("server", false, "benchmark the detection service (cold vs warm cache) instead")
 		staticB  = flag.Bool("static", false, "benchmark the static instrumentation pruner instead")
 		scalingB = flag.Bool("scaling", false, "benchmark detection throughput vs queue count instead")
-		simB     = flag.Bool("sim", false, "benchmark the warp-vectorized interpreter against the lane-major baseline instead")
 		detectB  = flag.Bool("detect", false, "benchmark the coalesced-span shadow fast path against the per-cell baseline instead")
 		shadowB  = flag.Bool("shadow", false, "benchmark the adaptive ownership tier and the memory-bounded shadow instead")
-		fleetB   = flag.Bool("fleet", false, "benchmark fleet warm routing against random placement in the cluster simulator instead")
 		protoB   = flag.Bool("proto", false, "benchmark the binary streaming protocol against JSON submit+poll (bytes on wire, time-to-first-race) instead")
 		repairB  = flag.Bool("repair", false, "benchmark verified repair synthesis (cold vs memoized warm) instead")
 		filterB  = flag.Bool("filter", false, "benchmark producer-side epoch filtering against the unfiltered capture path instead")
-		minSpeed = flag.Float64("min-speedup", 0, "with -sim, -detect, -shadow, -repair or -filter: fail unless the speedup reaches this factor")
-		minGain  = flag.Float64("min-hit-gain", 0, "with -fleet: fail unless ring/random hit-rate gain at N=4 reaches this factor")
+		minSpeed = flag.Float64("min-speedup", 0, "with -detect, -shadow, -proto, -repair or -filter: fail unless the speedup reaches this factor")
 		jobs     = flag.Int("jobs", 32, "jobs per phase for -server and -repair")
 		workers  = flag.Int("workers", 4, "detection workers for -server")
 		out      = flag.String("o", "", "output artifact path (default BENCH_server.json / BENCH_static.json / BENCH_scaling.json)")
@@ -108,18 +93,6 @@ func main() {
 			path = "BENCH_scaling.json"
 		}
 		if err := runScalingBench(path); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *simB {
-		runtime.GOMAXPROCS(runtime.NumCPU())
-		path := *out
-		if path == "" {
-			path = "BENCH_sim.json"
-		}
-		if err := runSimBench(path, *minSpeed); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab:", err)
 			os.Exit(1)
 		}
@@ -156,17 +129,6 @@ func main() {
 			path = "BENCH_proto.json"
 		}
 		if err := runProtoBench(*jobs, *workers, *minSpeed, path); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetB {
-		path := *out
-		if path == "" {
-			path = "BENCH_fleet.json"
-		}
-		if err := runFleetBench(path, *minGain); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab:", err)
 			os.Exit(1)
 		}

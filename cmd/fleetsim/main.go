@@ -10,7 +10,6 @@
 //
 //	fleetsim -nodes 4 -jobs 50000 -traffic zipf -seed 42
 //	fleetsim -nodes 8 -jobs 100000 -traffic mixed -crash 2@0.3 -hbloss 0.05
-//	fleetsim -nodes 4 -jobs 20000 -random          # A/B: random routing
 //
 // By default the scenario is run twice and the run fails unless both
 // passes produce identical schedule digests and zero lost jobs — the
@@ -43,7 +42,6 @@ func main() {
 		crash     = flag.String("crash", "", "kill k nodes at a fraction of the traffic horizon, e.g. 2@0.3")
 		slow      = flag.String("slow", "", "slow nodes, e.g. 1:4,3:2 (node index:service multiplier)")
 		zipfs     = flag.Float64("zipfs", 1.2, "zipf skew exponent (>1)")
-		random    = flag.Bool("random", false, "random routing instead of cache-affine ring (A/B baseline)")
 		nospill   = flag.Bool("nospill", false, "disable batch spill-to-idle (max affinity, more queueing)")
 		repeat    = flag.Int("repeat", 2, "runs of the same scenario; digests must match")
 		allowLost = flag.Bool("allow-lost", false, "do not fail the run on lost jobs")
@@ -55,7 +53,7 @@ func main() {
 		Seed: *seed, Nodes: *nodes, Capacity: *capacity, Jobs: *jobs,
 		Traffic: *traffic, Keys: *keys, CacheSlots: *cache, ZipfS: *zipfs,
 		InteractiveFrac: *inter, ArrivalRate: *rate,
-		HeartbeatLossP: *hbloss, RandomRouting: *random, NoSpill: *nospill,
+		HeartbeatLossP: *hbloss, NoSpill: *nospill,
 	}
 	var err error
 	if cfg.Crashes, err = parseCrash(*crash, *nodes, *jobs, *rate, *capacity); err != nil {
@@ -90,8 +88,8 @@ func main() {
 		enc.SetIndent("", "  ")
 		enc.Encode(first)
 	} else {
-		fmt.Printf("fleetsim: %d nodes × %d slots, %d jobs, %s traffic, routing=%s\n",
-			first.Nodes, *capacity, first.Jobs, first.Traffic, first.Routing)
+		fmt.Printf("fleetsim: %d nodes × %d slots, %d jobs, %s traffic\n",
+			first.Nodes, *capacity, first.Jobs, first.Traffic)
 		fmt.Printf("  completed %d / lost %d, retries %d, requeued %d, queue-jumps %d, spills %d\n",
 			first.Completed, first.Lost, first.Retries, first.Requeued, first.QueueJumps, first.Spills)
 		fmt.Printf("  warm hit rate %.1f%%, primary-routing %.1f%%, %.0f jobs/virtual-sec (makespan %.0f ms)\n",

@@ -25,30 +25,23 @@ func TestFilterBenchmarkEquivalence(t *testing.T) {
 		t.Run(b.Name, func(t *testing.T) {
 			for _, ws := range warpSizes {
 				for _, q := range queueCounts {
-					type run struct {
-						digest string
-						seen   uint64
+					base := defaultBaseline(t, b, ws, q)
+					s, launch, err := session(b, detector.Config{Queues: q, ProducerFilter: true})
+					if err != nil {
+						t.Fatal(err)
 					}
-					runs := map[bool]run{}
-					for _, filter := range []bool{false, true} {
-						s, launch, err := session(b, detector.Config{Queues: q, ProducerFilter: filter})
-						if err != nil {
-							t.Fatal(err)
-						}
-						launch.WarpSize = ws
-						res, err := s.Detect("main", launch)
-						if err != nil {
-							t.Fatalf("detect (ws=%d q=%d filter=%v): %v", ws, q, filter, err)
-						}
-						runs[filter] = run{res.Report.CanonicalDigest(), res.Report.RecordsSeen}
+					launch.WarpSize = ws
+					res, err := s.Detect("main", launch)
+					if err != nil {
+						t.Fatalf("filtered detect (ws=%d q=%d): %v", ws, q, err)
 					}
-					if runs[false].digest != runs[true].digest {
+					if got := res.Report.CanonicalDigest(); got != base.digest {
 						t.Errorf("canonical digest diverged (ws=%d q=%d):\n--- baseline ---\n%s--- filtered ---\n%s",
-							ws, q, runs[false].digest, runs[true].digest)
+							ws, q, base.digest, got)
 					}
-					if runs[false].seen != runs[true].seen {
+					if res.Report.RecordsSeen != base.seen {
 						t.Errorf("RecordsSeen diverged (ws=%d q=%d): baseline %d, filtered %d",
-							ws, q, runs[false].seen, runs[true].seen)
+							ws, q, base.seen, res.Report.RecordsSeen)
 					}
 				}
 			}

@@ -54,12 +54,9 @@ func TestBoundedShadowSoak(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			free, err := Detect(b, detector.Config{Queues: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p := free.Report.Shadow.PeakResidentBytes; p > maxUnboundedPeak {
-				maxUnboundedPeak = p
+			free := defaultBaseline(t, b, 0, 1)
+			if free.peak > maxUnboundedPeak {
+				maxUnboundedPeak = free.peak
 			}
 
 			bound, err := Detect(b, detector.Config{Queues: 1, ShadowCapBytes: capBytes})
@@ -83,21 +80,17 @@ func TestBoundedShadowSoak(t *testing.T) {
 					bound.Report.PrecisionDegraded, sh.PrecisionDegraded)
 			}
 			if sh.LiveEvictions == 0 {
-				if free.Report.CanonicalDigest() != bound.Report.CanonicalDigest() {
+				if got := bound.Report.CanonicalDigest(); got != free.digest {
 					t.Errorf("no live state was discarded, yet reports diverged:\n--- unbounded ---\n%s--- bounded ---\n%s",
-						free.Report.CanonicalDigest(), bound.Report.CanonicalDigest())
+						free.digest, got)
 				}
 				return
 			}
 			// Live evictions: the bounded run may miss races whose epochs
 			// were discarded, but every race it does report must be one
 			// the unbounded run reports too.
-			seen := map[string]bool{}
-			for _, rc := range free.Report.Races {
-				seen[fmt.Sprintf("%+v", rc)] = true
-			}
 			for _, rc := range bound.Report.Races {
-				if !seen[fmt.Sprintf("%+v", rc)] {
+				if !free.races[fmt.Sprintf("%+v", rc)] {
 					t.Errorf("bounded run invented a race the unbounded run never saw: %+v", rc)
 				}
 			}

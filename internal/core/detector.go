@@ -157,7 +157,7 @@ type Options struct {
 	FullVC bool
 	// PerCellShadow disables the coalesced-span fast path, forcing every
 	// warp access down the per-cell shadow loop — the A/B baseline for
-	// the span optimization (pattern of gpusim's LaneMajor knob).
+	// the span optimization.
 	PerCellShadow bool
 	// Ownership enables the exclusive-ownership fast tier (owned.go):
 	// regions touched by a single warp or block skip the epoch checks

@@ -24,47 +24,42 @@ import (
 	"barracuda/internal/trace"
 )
 
-// Config tunes the pipeline.
+// Config tunes the pipeline. It is the one definition of the detector's
+// knobs: the JSON job API (server.JobRequest.Config) and the binary
+// protocol (wire.LaunchSpec.Config) carry this struct directly, the JSON
+// tags are the API's field names, and Validate owns every field's range.
 type Config struct {
 	// Queues is the number of GPU→CPU event queues (and host detector
 	// threads). 1 (the default) gives deterministic detection; the
 	// paper finds ~1.1–1.5 queues per SM optimal for throughput.
-	Queues int
+	Queues int `json:"queues,omitempty"`
 	// QueueCap is the per-queue capacity in records (default 4096).
-	QueueCap int
+	QueueCap int `json:"queue_cap,omitempty"`
 	// Granularity is the shadow-memory granularity in bytes (default 1).
-	Granularity int
+	Granularity int `json:"granularity,omitempty"`
 	// MaxRaces bounds distinct race reports (default 1024).
-	MaxRaces int
+	MaxRaces int `json:"max_races,omitempty"`
 	// FullVC selects the uncompressed vector-clock ablation detector.
-	FullVC bool
+	FullVC bool `json:"full_vc,omitempty"`
 	// NoPrune disables the instrumentation pruning optimization.
-	NoPrune bool
+	NoPrune bool `json:"no_prune,omitempty"`
 	// StaticPrune enables the inter-block static pruner (package
 	// staticanalysis): provably redundant or thread-private accesses
 	// are never logged. Race reports are unchanged; log volume drops.
 	// Mutually exclusive with NoPrune.
-	StaticPrune bool
+	StaticPrune bool `json:"static_prune,omitempty"`
 	// NoSameValueFilter disables the intra-warp same-value write filter.
-	NoSameValueFilter bool
+	NoSameValueFilter bool `json:"no_same_value_filter,omitempty"`
 	// PerCellShadow disables the coalesced-span shadow fast path: every
 	// warp access takes the per-cell loop. The A/B baseline for the span
 	// optimization; race reports are identical either way.
-	PerCellShadow bool
+	PerCellShadow bool `json:"per_cell_shadow,omitempty"`
 	// Ownership enables the exclusive-ownership shadow tier: regions
 	// touched by a single warp (or, across barriers, a single block)
 	// skip the epoch checks entirely until a second owner appears. Race
 	// reports are identical either way. Requires the span fast path, so
 	// it is mutually exclusive with FullVC and PerCellShadow.
-	Ownership bool
-	// ProducerFilter enables the simulator's producer-side epoch filter:
-	// per-warp caches suppress provably redundant global-space access
-	// records before they reach the queues, with suppressed counts
-	// reconciled so reports and canonical digests are byte-identical to
-	// an unfiltered run (see gpusim/filter.go for the soundness gates).
-	// False preserves the unfiltered emission path verbatim as the A/B
-	// baseline. Mutually exclusive with FullVC.
-	ProducerFilter bool
+	Ownership bool `json:"ownership,omitempty"`
 	// ShadowCapBytes bounds resident shadow memory (global pages plus
 	// shared slabs) to this many bytes: shared slabs are compacted at
 	// fully-converged block barriers (losslessly), and past the cap the
@@ -72,25 +67,50 @@ type Config struct {
 	// PrecisionDegraded when an eviction discarded live metadata. 0
 	// means unbounded. Requires the span fast path, so it is mutually
 	// exclusive with FullVC and PerCellShadow.
-	ShadowCapBytes int64
+	ShadowCapBytes int64 `json:"shadow_cap_bytes,omitempty"`
+	// ProducerFilter enables the simulator's producer-side epoch filter:
+	// per-warp caches suppress provably redundant global-space access
+	// records before they reach the queues, with suppressed counts
+	// reconciled so reports and canonical digests are byte-identical to
+	// an unfiltered run (see gpusim/filter.go for the soundness gates).
+	// False preserves the unfiltered emission path verbatim as the A/B
+	// baseline. Mutually exclusive with FullVC.
+	ProducerFilter bool `json:"producer_filter,omitempty"`
 }
 
+// Upper bounds of the sized knobs. Each one sizes an allocation made
+// before the job runs, so an unchecked request could exhaust the process:
+// Queues×QueueCap records of ring buffer (~0.5 KiB each) and one detector
+// goroutine per queue, MaxRaces report slots (and the streaming
+// protocol's race channel), and a shadow cell that must fit the 64 KiB
+// shadow page.
+const (
+	BoundQueues      = 64      // the paper's optimum is 1.1–1.5 queues per SM
+	BoundQueueCap    = 1 << 16 // records per queue; the default is 4096
+	BoundGranularity = 1 << 16 // bytes per shadow cell: one cell per shadow page
+	BoundMaxRaces    = 1 << 16 // distinct race reports; the default is 1024
+)
+
 // Validate rejects nonsensical configurations. Zero values select
-// defaults (see withDefaults); negative values are configuration errors,
-// reported descriptively rather than silently clamped so that callers —
-// in particular the barracudad job API — can surface them to users.
+// defaults (see WithDefaults); values outside [0, bound] are configuration
+// errors, reported descriptively rather than silently clamped so that
+// callers — in particular the barracudad job API — can surface them to
+// users. Every consumer of outside input calls it before sizing anything
+// from a field.
 func (c Config) Validate() error {
-	if c.Queues < 0 {
-		return fmt.Errorf("detector: Queues must be >= 0 (0 selects the default of 1 queue), got %d", c.Queues)
-	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf("detector: QueueCap must be >= 0 (0 selects the default of 4096 records), got %d", c.QueueCap)
-	}
-	if c.Granularity < 0 {
-		return fmt.Errorf("detector: Granularity must be >= 0 (0 selects byte granularity), got %d", c.Granularity)
-	}
-	if c.MaxRaces < 0 {
-		return fmt.Errorf("detector: MaxRaces must be >= 0 (0 selects the default of 1024), got %d", c.MaxRaces)
+	for _, f := range []struct {
+		name     string
+		v, bound int
+		zero     string
+	}{
+		{"Queues", c.Queues, BoundQueues, "the default of 1 queue"},
+		{"QueueCap", c.QueueCap, BoundQueueCap, "the default of 4096 records"},
+		{"Granularity", c.Granularity, BoundGranularity, "byte granularity"},
+		{"MaxRaces", c.MaxRaces, BoundMaxRaces, "the default of 1024"},
+	} {
+		if f.v < 0 || f.v > f.bound {
+			return fmt.Errorf("detector: %s must be in [0, %d] (0 selects %s), got %d", f.name, f.bound, f.zero, f.v)
+		}
 	}
 	if c.NoPrune && c.StaticPrune {
 		return fmt.Errorf("detector: NoPrune and StaticPrune are mutually exclusive: the static pruner subsumes the intra-block optimization NoPrune disables")
@@ -116,7 +136,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the effective configuration: every zero-valued
+// sized knob replaced by its default. Two configs that run identically
+// compare (and hash, see server.CacheKey) equal after it.
+func (c Config) WithDefaults() Config {
 	if c.Queues <= 0 {
 		c.Queues = 1
 	}
@@ -126,7 +149,23 @@ func (c Config) withDefaults() Config {
 	if c.Granularity <= 0 {
 		c.Granularity = 1
 	}
+	if c.MaxRaces <= 0 {
+		c.MaxRaces = 1024
+	}
 	return c
+}
+
+// coreOptions is the one hand-off of the host-side knobs to package core.
+func (c Config) coreOptions() core.Options {
+	return core.Options{
+		Granularity:       c.Granularity,
+		MaxRaces:          c.MaxRaces,
+		NoSameValueFilter: c.NoSameValueFilter,
+		FullVC:            c.FullVC,
+		PerCellShadow:     c.PerCellShadow,
+		Ownership:         c.Ownership,
+		ShadowCapBytes:    c.ShadowCapBytes,
+	}
 }
 
 // Session is one device with a module loaded natively and instrumented.
@@ -156,7 +195,7 @@ func Open(m *ptx.Module, cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	res, err := instrument.Instrument(m, instrument.Options{NoPrune: cfg.NoPrune, StaticPrune: cfg.StaticPrune})
 	if err != nil {
 		return nil, err
@@ -312,16 +351,9 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 		return nil, fmt.Errorf("detector: unknown kernel %q", kernelName)
 	}
 
-	det := core.New(geo, sharedBytes, core.Options{
-		Granularity:       s.cfg.Granularity,
-		MaxRaces:          s.cfg.MaxRaces,
-		NoSameValueFilter: s.cfg.NoSameValueFilter,
-		FullVC:            s.cfg.FullVC,
-		PerCellShadow:     s.cfg.PerCellShadow,
-		Ownership:         s.cfg.Ownership,
-		ShadowCapBytes:    s.cfg.ShadowCapBytes,
-		OnRace:            onRace,
-	})
+	opts := s.cfg.coreOptions()
+	opts.OnRace = onRace
+	det := core.New(geo, sharedBytes, opts)
 	set := logging.NewSet(s.cfg.Queues, s.cfg.QueueCap)
 
 	var wg sync.WaitGroup

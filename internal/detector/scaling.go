@@ -86,16 +86,8 @@ func Replay(cap *Capture, cfg Config) (*ReplayResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	det := core.New(cap.Geo, cap.SharedBytes, core.Options{
-		Granularity:       cfg.Granularity,
-		MaxRaces:          cfg.MaxRaces,
-		NoSameValueFilter: cfg.NoSameValueFilter,
-		FullVC:            cfg.FullVC,
-		PerCellShadow:     cfg.PerCellShadow,
-		Ownership:         cfg.Ownership,
-		ShadowCapBytes:    cfg.ShadowCapBytes,
-	})
+	cfg = cfg.WithDefaults()
+	det := core.New(cap.Geo, cap.SharedBytes, cfg.coreOptions())
 	set := logging.NewSet(cfg.Queues, cfg.QueueCap)
 
 	// Partition the stream by queue, preserving per-queue order — the

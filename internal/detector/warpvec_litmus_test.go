@@ -1,8 +1,11 @@
 package detector
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"barracuda/internal/gpusim"
@@ -23,7 +26,7 @@ type litmusCase struct {
 // least: inter-block fences, spin-wait loops on flags, atomics used for
 // synchronization, and block barriers with partial warps — the shapes
 // where sync-record Seq stamping and warp-level broadcast must agree
-// exactly between the lane-major and warp-major interpreters.
+// exactly with the recorded per-lane interpreter.
 func litmusCorpus() []litmusCase {
 	return []litmusCase{
 		{
@@ -152,10 +155,9 @@ DONE:
 	}
 }
 
-// litmusRun runs one case with an explicit interpreter path and warp size
-// and returns the comparable outcome string (canonical digest + ordered
-// races) and stats.
-func litmusRun(lc litmusCase, ws int, laneMajor bool) (string, gpusim.Stats, error) {
+// litmusRun runs one case at an explicit warp size and returns the
+// comparable outcome string (canonical digest + ordered races) and stats.
+func litmusRun(lc litmusCase, ws int) (string, gpusim.Stats, error) {
 	s, err := OpenPTX(lc.ptx, Config{})
 	if err != nil {
 		return "", gpusim.Stats{}, err
@@ -172,7 +174,6 @@ func litmusRun(lc litmusCase, ws int, laneMajor bool) (string, gpusim.Stats, err
 		Grid: lc.grid, Block: lc.block, Args: args,
 		MaxWarpInstrs: 1 << 18,
 		WarpSize:      ws,
-		LaneMajor:     laneMajor,
 	})
 	if err != nil {
 		if errors.Is(err, gpusim.ErrStepBudget) {
@@ -187,28 +188,51 @@ func litmusRun(lc litmusCase, ws int, laneMajor bool) (string, gpusim.Stats, err
 	return out, res.SimStats, nil
 }
 
-// TestWarpVectorizedLitmusEquivalence asserts the warp-major interpreter
-// reproduces the lane-major baseline on the litmus corpus: identical
-// canonical digests, race sets, and launch stats, at the default warp
-// width and at warp size 7 (partial warps everywhere).
+// TestWarpVectorizedLitmusEquivalence asserts the interpreter reproduces
+// testdata/warpvec_litmus_lanemajor.json — the per-lane interpreter's
+// outputs on the litmus corpus, recorded at commit 53f9fb5 (see
+// bugsuite/testdata/README.md) — bit for bit: identical canonical digests,
+// race sets, and launch stats, at the default warp width and at warp size
+// 7 (partial warps everywhere).
 func TestWarpVectorizedLitmusEquivalence(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "warpvec_litmus_lanemajor.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []struct {
+		Case    string       `json:"case"`
+		WS      int          `json:"ws"`
+		Outcome string       `json:"outcome"`
+		Stats   gpusim.Stats `json:"stats"`
+	}
+	if err := json.Unmarshal(raw, &entries); err != nil {
+		t.Fatal(err)
+	}
+	type recorded struct {
+		outcome string
+		stats   gpusim.Stats
+	}
+	golden := make(map[string]recorded, len(entries))
+	for _, e := range entries {
+		golden[fmt.Sprintf("%s/%d", e.Case, e.WS)] = recorded{e.Outcome, e.Stats}
+	}
 	for _, lc := range litmusCorpus() {
 		lc := lc
 		t.Run(lc.name, func(t *testing.T) {
 			for _, ws := range []int{0, 7} {
-				lane, lst, err := litmusRun(lc, ws, true)
+				want, ok := golden[fmt.Sprintf("%s/%d", lc.name, ws)]
+				if !ok {
+					t.Fatalf("no golden entry at ws=%d", ws)
+				}
+				got, st, err := litmusRun(lc, ws)
 				if err != nil {
-					t.Fatalf("lane-major (ws=%d): %v", ws, err)
+					t.Fatalf("ws=%d: %v", ws, err)
 				}
-				warp, wst, err := litmusRun(lc, ws, false)
-				if err != nil {
-					t.Fatalf("warp-major (ws=%d): %v", ws, err)
+				if got != want.outcome {
+					t.Errorf("outcome diverged (ws=%d):\n--- golden ---\n%s--- got ---\n%s", ws, want.outcome, got)
 				}
-				if lane != warp {
-					t.Errorf("outcome diverged (ws=%d):\n--- lane-major ---\n%s--- warp-major ---\n%s", ws, lane, warp)
-				}
-				if lst != wst {
-					t.Errorf("stats diverged (ws=%d):\nlane-major: %+v\nwarp-major: %+v", ws, lst, wst)
+				if st != want.stats {
+					t.Errorf("stats diverged (ws=%d):\ngolden: %+v\ngot:    %+v", ws, want.stats, st)
 				}
 			}
 		})

@@ -19,7 +19,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -78,25 +77,11 @@ type Options struct {
 	// (defaults 5s / 15s).
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	// RandomRouting replaces cache-affine ring routing with seeded
-	// random placement over eligible nodes. It exists purely as the
-	// honest A/B baseline for measuring what warm routing buys
-	// (benchtab -fleet); never enable it in production.
-	RandomRouting bool
-	// RandSeed seeds the RandomRouting picker (deterministic baseline).
-	RandSeed int64
 	// NoSpill disables batch spill-to-idle: by default a batch job
 	// whose warm primary is saturated may run cold on a completely idle
 	// successor rather than queue (trading one cache miss for
 	// utilization). Interactive jobs always take the first free slot.
 	NoSpill bool
-	// JSONForward forces coordinator→worker forwarding over the JSON
-	// /jobs API instead of the binary streaming protocol. It exists as
-	// the honest A/B baseline for measuring what frame forwarding buys
-	// (benchtab -proto); stream forwarding already falls back to JSON
-	// per job when a worker refuses the upgrade or the job shape only
-	// the JSON surface expresses (benchmark modules, repair loops).
-	JSONForward bool
 }
 
 func (o Options) withDefaults() Options {
@@ -145,7 +130,6 @@ type Coordinator struct {
 
 	ring *Ring
 	reg  *Registry
-	rnd  *rand.Rand // RandomRouting baseline only
 
 	interQ  []*Job // interactive FIFO
 	batchQ  []*Job // batch FIFO
@@ -162,7 +146,6 @@ func NewCoordinator(opt Options) *Coordinator {
 		opt:      opt,
 		ring:     NewRing(opt.Replicas),
 		reg:      NewRegistry(opt.SuspectAfter, opt.DeadAfter),
-		rnd:      rand.New(rand.NewSource(opt.RandSeed)),
 		inflight: make(map[string]map[string]*Job),
 	}
 }
@@ -445,9 +428,6 @@ func batchCap(capacity int) int {
 // work), not excluded by this job's failure history, with a free slot
 // for the job's class.
 func (c *Coordinator) routeLocked(j *Job) (node string, spill bool) {
-	if c.opt.RandomRouting {
-		return c.routeRandomLocked(j), false
-	}
 	seq := c.ring.Sequence(j.Key)
 	if j.Class == server.ClassInteractive {
 		// Latency first: the first healthy node with any free slot.
@@ -487,31 +467,6 @@ func (c *Coordinator) routeLocked(j *Job) (node string, spill bool) {
 		}
 	}
 	return "", false
-}
-
-// routeRandomLocked is the A/B baseline: a seeded-random pick over the
-// same eligibility and capacity rules, with no affinity.
-func (c *Coordinator) routeRandomLocked(j *Job) string {
-	var candidates []string
-	for _, n := range c.ring.Nodes() {
-		if !c.eligibleLocked(j, n) {
-			continue
-		}
-		if j.Class == server.ClassInteractive {
-			if c.freeSlotsLocked(n) > 0 {
-				candidates = append(candidates, n)
-			}
-		} else {
-			info, _ := c.reg.Get(n)
-			if len(c.inflight[n]) < batchCap(info.Capacity) {
-				candidates = append(candidates, n)
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		return ""
-	}
-	return candidates[c.rnd.Intn(len(candidates))]
 }
 
 func (c *Coordinator) eligibleLocked(j *Job, node string) bool {

@@ -344,34 +344,3 @@ func TestBatchSpillToIdle(t *testing.T) {
 		t.Fatal("NoSpill coordinator spilled anyway")
 	}
 }
-
-func TestRandomRoutingDeterministicPerSeed(t *testing.T) {
-	place := func(seed int64) []string {
-		f := newFakeFleet(t, Options{RandomRouting: true, RandSeed: seed}, 4, 2)
-		var out []string
-		for i := 0; i < 40; i++ {
-			id := fmt.Sprintf("j-%d", i)
-			f.submit(id, fmt.Sprintf("key-%d", i%8), server.ClassBatch)
-			out = append(out, f.onjob[id])
-			f.complete(id)
-		}
-		return out
-	}
-	a, b := place(7), place(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at job %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	c := place(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical placements (suspicious)")
-	}
-}

@@ -96,14 +96,13 @@ type FleetMetricsJSON struct {
 // ones re-route to the next ring successor with the failed node
 // excluded.
 type HTTPCoordinator struct {
-	core        *Coordinator
-	mux         *http.ServeMux
-	client      *http.Client
-	start       time.Time
-	maxJobs     int
-	jsonForward bool
+	core    *Coordinator
+	mux     *http.ServeMux
+	client  *http.Client
+	start   time.Time
+	maxJobs int
 
-	// Forward-path census for the JSON-vs-stream A/B (benchtab -proto).
+	// Forward-path census: how many assignments rode each transport.
 	streamFwds atomic.Int64
 	jsonFwds   atomic.Int64
 
@@ -166,14 +165,13 @@ func (p *proxyJob) terminal() bool {
 func NewHTTPCoordinator(opt Options) *HTTPCoordinator {
 	opt = opt.withDefaults()
 	h := &HTTPCoordinator{
-		core:        NewCoordinator(opt),
-		mux:         http.NewServeMux(),
-		client:      &http.Client{Timeout: 30 * time.Second},
-		start:       time.Now(),
-		maxJobs:     opt.MaxJobs,
-		jsonForward: opt.JSONForward,
-		jobs:        make(map[string]*proxyJob),
-		quit:        make(chan struct{}),
+		core:    NewCoordinator(opt),
+		mux:     http.NewServeMux(),
+		client:  &http.Client{Timeout: 30 * time.Second},
+		start:   time.Now(),
+		maxJobs: opt.MaxJobs,
+		jobs:    make(map[string]*proxyJob),
+		quit:    make(chan struct{}),
 	}
 	h.mux.HandleFunc("POST /fleet/join", h.handleJoin)
 	h.mux.HandleFunc("POST /fleet/heartbeat", h.handleHeartbeat)
@@ -244,7 +242,7 @@ func (h *HTTPCoordinator) forward(a Assignment) {
 	pj.mu.Unlock()
 
 	req := pj.fjRequest()
-	if !h.jsonForward && h.streamForward(a, pj, node, req) {
+	if h.streamForward(a, pj, node, req) {
 		h.streamFwds.Add(1)
 		return
 	}
@@ -490,7 +488,7 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Bench != "" {
 		src = bench.ByName(req.Bench).PTX()
 	}
-	key := server.CacheKey(src, req.Config.Detector())
+	key := server.CacheKey(src, req.Config)
 
 	h.mu.Lock()
 	h.nextID++

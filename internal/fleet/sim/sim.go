@@ -74,9 +74,6 @@ type Config struct {
 	Crashes []Crash
 	// SlowFactor scales a node's service time (index → multiplier >1).
 	SlowFactor map[int]float64
-	// RandomRouting switches the coordinator to the seeded-random
-	// placement baseline (the A/B control for warm routing).
-	RandomRouting bool
 	// NoSpill disables batch spill-to-idle (see fleet.Options.NoSpill):
 	// batch jobs then always wait for their warm primary, trading queue
 	// delay for maximum cache affinity.
@@ -151,7 +148,6 @@ type Result struct {
 	Jobs      int    `json:"jobs"`
 	Traffic   string `json:"traffic"`
 	Seed      int64  `json:"seed"`
-	Routing   string `json:"routing"` // "ring" | "random"
 	Submitted int    `json:"submitted"`
 	Completed int    `json:"completed"`
 	// Lost = submitted − completed: permanently failed or stranded
@@ -343,13 +339,11 @@ func Run(cfg Config) (Result, error) {
 		svc: rand.New(rand.NewSource(cfg.Seed + 2)),
 		flt: rand.New(rand.NewSource(cfg.Seed + 3)),
 		coord: fleet.NewCoordinator(fleet.Options{
-			Replicas:      cfg.Replicas,
-			MaxAttempts:   cfg.MaxAttempts,
-			SuspectAfter:  msDur(cfg.SuspectAfterMS),
-			DeadAfter:     msDur(cfg.DeadAfterMS),
-			RandomRouting: cfg.RandomRouting,
-			NoSpill:       cfg.NoSpill,
-			RandSeed:      cfg.Seed + 4,
+			Replicas:     cfg.Replicas,
+			MaxAttempts:  cfg.MaxAttempts,
+			SuspectAfter: msDur(cfg.SuspectAfterMS),
+			DeadAfter:    msDur(cfg.DeadAfterMS),
+			NoSpill:      cfg.NoSpill,
 		}),
 		workers: make(map[string]*worker, cfg.Nodes),
 		specs:   make(map[string]*spec, cfg.Jobs),
@@ -400,15 +394,11 @@ func Run(cfg Config) (Result, error) {
 
 	res := Result{
 		Nodes: cfg.Nodes, Jobs: cfg.Jobs, Traffic: cfg.Traffic, Seed: cfg.Seed,
-		Routing:            "ring",
 		Submitted:          s.arrived,
 		Completed:          s.done,
 		Lost:               s.arrived - s.done,
 		ExcludedViolations: s.excludedViolations,
 		WallMS:             float64(time.Since(start).Microseconds()) / 1000,
-	}
-	if cfg.RandomRouting {
-		res.Routing = "random"
 	}
 	st := s.coord.Stats()
 	res.Retries = st.Retries

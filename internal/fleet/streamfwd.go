@@ -23,10 +23,9 @@ import (
 //     moment the job finishes, instead of at the next long-poll
 //     boundary.
 //
-// The JSON path remains both the A/B baseline (Options.JSONForward) and
-// the automatic fallback for workers that refuse the upgrade and for
-// job shapes only the JSON surface expresses (benchmark modules, repair
-// loops).
+// The JSON path remains the automatic fallback for workers that refuse
+// the upgrade and for job shapes only the JSON surface expresses
+// (benchmark modules, repair loops, oversize modules).
 
 // streamable reports whether a job can travel the wire protocol at all.
 // Bench jobs resolve their module worker-side and repair jobs return a
@@ -47,20 +46,7 @@ func launchSpec(req server.JobRequest) wire.LaunchSpec {
 		TimeoutMS: req.TimeoutMS,
 		MaxInstrs: req.MaxInstrs,
 		Buffers:   req.Buffers,
-		Config: wire.ConfigSpec{
-			Queues:            req.Config.Queues,
-			QueueCap:          req.Config.QueueCap,
-			Granularity:       req.Config.Granularity,
-			MaxRaces:          req.Config.MaxRaces,
-			ShadowCapBytes:    req.Config.ShadowCapBytes,
-			FullVC:            req.Config.FullVC,
-			NoPrune:           req.Config.NoPrune,
-			StaticPrune:       req.Config.StaticPrune,
-			NoSameValueFilter: req.Config.NoSameValueFilter,
-			PerCellShadow:     req.Config.PerCellShadow,
-			Ownership:         req.Config.Ownership,
-			ProducerFilter:    req.Config.ProducerFilter,
-		},
+		Config:    req.Config,
 	}
 }
 

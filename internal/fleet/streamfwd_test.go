@@ -57,38 +57,6 @@ func TestStreamForwardWarmRepeat(t *testing.T) {
 	}
 }
 
-// TestJSONForwardBaseline pins the A/B switch: with JSONForward set the
-// coordinator never opens a stream.
-func TestJSONForwardBaseline(t *testing.T) {
-	f := &testFleet{t: t}
-	f.coord = NewHTTPCoordinator(Options{
-		SuspectAfter: 400 * time.Millisecond,
-		DeadAfter:    1200 * time.Millisecond,
-		JSONForward:  true,
-	})
-	f.coordTS = httptest.NewServer(f.coord.Handler())
-	t.Cleanup(func() {
-		f.coordTS.Close()
-		f.coord.Close()
-	})
-	f.addWorker("w-json")
-	f.waitNodes(1)
-
-	code, info, errj := f.submit(racyJob())
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %+v", code, errj)
-	}
-	if done := f.wait(info.ID); done.Status != server.StatusDone {
-		t.Fatalf("job: %+v", done)
-	}
-	if n := f.coord.streamFwds.Load(); n != 0 {
-		t.Fatalf("JSONForward coordinator opened %d streams", n)
-	}
-	if n := f.coord.jsonFwds.Load(); n == 0 {
-		t.Fatal("no JSON forward recorded")
-	}
-}
-
 // TestStreamForwardFallbackOldWorker: a worker whose /v1/stream does
 // not exist (pre-protocol daemon) still gets jobs — the refused upgrade
 // drops that forward to the JSON path.

@@ -14,10 +14,6 @@ package gpusim
 // serializes jobs per entry) — but if a caller violates that, the loser of
 // the swap simply sees nil and allocates fresh state instead of corrupting
 // a shared arena.
-//
-// The LaneMajor A/B baseline path does not use the arena, so allocs/launch
-// comparisons in BENCH_sim.json measure the pooled fast path against the
-// original allocation behavior.
 type launchArena struct {
 	// Geometry key: a pooled block is only reusable when the launch shape
 	// that produced it matches.
@@ -32,11 +28,8 @@ type launchArena struct {
 }
 
 // acquireArena takes ownership of the kernel's arena, replacing it when the
-// launch geometry changed. Returns nil in lane-major mode.
+// launch geometry changed.
 func (e *engine) acquireArena() *launchArena {
-	if e.laneMajor {
-		return nil
-	}
 	ar := e.lk.arena.Swap(nil)
 	if ar == nil ||
 		ar.ws != e.ws || ar.wpb != e.wpb || ar.bsz != e.bsz ||
@@ -49,16 +42,6 @@ func (e *engine) acquireArena() *launchArena {
 		}
 	}
 	return ar
-}
-
-// releaseArena hands the arena back to the kernel for the next launch.
-func (e *engine) releaseArena(ar *launchArena) {
-	if ar == nil {
-		return
-	}
-	ar.resident = ar.resident[:0]
-	ar.order = ar.order[:0]
-	e.lk.arena.Store(ar)
 }
 
 // takeBlock pops a pooled block and resets it for a new block index, or

@@ -104,24 +104,13 @@ func benchLaunch(b *testing.B, src string, cfg LaunchConfig) {
 	}
 }
 
-// BenchmarkWarpStep measures pure interpreter stepping (no sink attached)
-// on the warp-major fast path and the legacy lane-major baseline.
+// BenchmarkWarpStep measures pure interpreter stepping (no sink attached).
 func BenchmarkWarpStep(b *testing.B) {
-	b.Run("warp-major", func(b *testing.B) {
-		benchLaunch(b, stepSrc, LaunchConfig{})
-	})
-	b.Run("lane-major", func(b *testing.B) {
-		benchLaunch(b, stepSrc, LaunchConfig{LaneMajor: true})
-	})
+	benchLaunch(b, stepSrc, LaunchConfig{})
 }
 
 // BenchmarkLogEmission measures record emission through a discarding sink,
 // including the If/Else/Fi divergence events the detector consumes.
 func BenchmarkLogEmission(b *testing.B) {
-	b.Run("warp-major", func(b *testing.B) {
-		benchLaunch(b, logSrc, LaunchConfig{Sink: &discardSink{}, EmitBranchEvents: true})
-	})
-	b.Run("lane-major", func(b *testing.B) {
-		benchLaunch(b, logSrc, LaunchConfig{Sink: &discardSink{}, EmitBranchEvents: true, LaneMajor: true})
-	})
+	benchLaunch(b, logSrc, LaunchConfig{Sink: &discardSink{}, EmitBranchEvents: true})
 }

@@ -41,12 +41,6 @@ type LaunchConfig struct {
 	// latent bugs in code that assumes 32-thread lockstep.
 	WarpSize int
 
-	// LaneMajor selects the legacy lane-major interpreter (per-lane opcode
-	// dispatch, no launch-state pooling) instead of the warp-major fast
-	// path. Kept as the A/B baseline for BENCH_sim.json; both paths are
-	// report- and stats-equivalent.
-	LaneMajor bool
-
 	// ProducerFilter enables the producer-side epoch filter: each warp
 	// keeps a small direct-mapped cache of recently emitted global-space
 	// access records and suppresses a record when an equivalent one was
@@ -54,9 +48,8 @@ type LaunchConfig struct {
 	// interval with no intervening global interference (see filter.go for
 	// the exact validity conditions). Suppressed counts are reconciled via
 	// trace.OpFlush records so detector statistics and canonical digests
-	// are byte-identical to an unfiltered run. Only active on the
-	// warp-major path with a Sink and EmitBranchEvents set; ignored
-	// otherwise.
+	// are byte-identical to an unfiltered run. Only active with a Sink
+	// and EmitBranchEvents set; ignored otherwise.
 	ProducerFilter bool
 
 	// FilterGranularity is the detector's shadow granularity in bytes,
@@ -140,21 +133,20 @@ type blockState struct {
 }
 
 type engine struct {
-	mod       *Module
-	lk        *loadedKernel
-	code      []cInstr
-	dev       *Device
-	cfg       LaunchConfig
-	grid      Dim3
-	block     Dim3
-	bsz       int // threads per block
-	wpb       int // warps per block
-	ws        int // warp width (lanes per warp)
-	rng       *rand.Rand
-	laneMajor bool // run the legacy per-lane dispatch path (A/B baseline)
-	stats     Stats
-	rec       logging.Record // scratch record
-	syncSeq   uint64         // global ordering for synchronization records
+	mod     *Module
+	lk      *loadedKernel
+	code    []cInstr
+	dev     *Device
+	cfg     LaunchConfig
+	grid    Dim3
+	block   Dim3
+	bsz     int // threads per block
+	wpb     int // warps per block
+	ws      int // warp width (lanes per warp)
+	rng     *rand.Rand
+	stats   Stats
+	rec     logging.Record // scratch record
+	syncSeq uint64         // global ordering for synchronization records
 
 	// Producer-side filter (see filter.go).
 	filtOn       bool
@@ -199,9 +191,7 @@ func (mod *Module) Launch(name string, cfg LaunchConfig) (Stats, error) {
 		return Stats{}, fmt.Errorf("gpusim: warp size %d out of range [2,32]", e.ws)
 	}
 	e.wpb = (e.bsz + e.ws - 1) / e.ws
-	e.laneMajor = cfg.LaneMajor
-	e.filtOn = cfg.ProducerFilter && !e.laneMajor &&
-		cfg.Sink != nil && cfg.EmitBranchEvents
+	e.filtOn = cfg.ProducerFilter && cfg.Sink != nil && cfg.EmitBranchEvents
 	e.fGran = uint64(cfg.FilterGranularity)
 	if e.fGran == 0 {
 		e.fGran = 1
@@ -216,10 +206,8 @@ func (mod *Module) Launch(name string, cfg LaunchConfig) (Stats, error) {
 }
 
 func (e *engine) newBlock(ar *launchArena, idx int) *blockState {
-	if ar != nil {
-		if blk, ok := ar.takeBlock(e, idx); ok {
-			return blk
-		}
+	if blk, ok := ar.takeBlock(e, idx); ok {
+		return blk
 	}
 	blk := &blockState{
 		idx:    idx,
@@ -266,20 +254,11 @@ func (e *engine) run() error {
 		maxRes = nBlocks
 	}
 	ar := e.acquireArena()
-	var resident []*blockState
-	var order []*warpState
-	if ar != nil {
-		resident, order = ar.resident[:0], ar.order[:0]
-	} else {
-		resident = make([]*blockState, 0, maxRes)
-		order = make([]*warpState, 0, maxRes*e.wpb)
-	}
+	resident, order := ar.resident[:0], ar.order[:0]
 	defer func() {
-		if ar != nil {
-			// Keep the (possibly grown) scratch slices for the next launch.
-			ar.resident, ar.order = resident[:0], order[:0]
-			e.releaseArena(ar)
-		}
+		// Keep the (possibly grown) scratch slices for the next launch.
+		ar.resident, ar.order = resident[:0], order[:0]
+		e.lk.arena.Store(ar)
 	}()
 	nextBlock := 0
 	for len(resident) < maxRes {
@@ -324,9 +303,7 @@ func (e *engine) run() error {
 				keep = append(keep, blk)
 				continue
 			}
-			if ar != nil {
-				ar.free = append(ar.free, blk)
-			}
+			ar.free = append(ar.free, blk)
 			if nextBlock < nBlocks {
 				keep = append(keep, e.newBlock(ar, nextBlock))
 				nextBlock++

@@ -47,7 +47,8 @@ type loadedKernel struct {
 }
 
 // LoadModule prepares a parsed PTX module for execution on the device,
-// allocating module-level globals and building per-kernel CFGs.
+// allocating module-level globals, building per-kernel CFGs and checking
+// every instruction's operand shape, so a malformed one is a load error.
 func (d *Device) LoadModule(m *ptx.Module) (*Module, error) {
 	mod := &Module{
 		Dev:     d,
@@ -170,7 +171,62 @@ func prepareKernel(k *ptx.Kernel) (*loadedKernel, error) {
 		loff += s.Size
 	}
 	lk.localBytes = loff
+	for _, in := range cfg.Instrs {
+		if err := lk.checkShape(in); err != nil {
+			return nil, fmt.Errorf("gpusim: %s line %d: %w", k.Name, in.Line, err)
+		}
+	}
 	return lk, nil
+}
+
+// checkShape is the one place operand arity is enforced: it rejects, at
+// load time, any instruction with fewer operands than its handler indexes
+// or a destination the handler cannot write, so no handler bounds-checks
+// at run time and malformed PTX costs an error, never a panic.
+func (lk *loadedKernel) checkShape(in *ptx.Instr) error {
+	var nargs int // source operands the handler reads
+	dst := true   // writes a destination register
+	switch in.Op {
+	case ptx.OpMov, ptx.OpCvta, ptx.OpCvt, ptx.OpNot, ptx.OpNeg:
+		nargs = 1
+	case ptx.OpLd:
+		nargs = max(in.Vec, 1) // ld.vN: N-1 further destinations, then the address
+	case ptx.OpSt:
+		nargs, dst = max(in.Vec, 1)+1, false
+	case ptx.OpSelp, ptx.OpMad:
+		nargs = 3
+	case ptx.OpSetp, ptx.OpAdd, ptx.OpSub, ptx.OpMul, ptx.OpDiv, ptx.OpRem, ptx.OpMin, ptx.OpMax,
+		ptx.OpAnd, ptx.OpOr, ptx.OpXor, ptx.OpShl, ptx.OpShr:
+		nargs = 2
+	case ptx.OpAtom, ptx.OpRed:
+		nargs, dst = 2, in.HasDst // atom's result register is optional, red has none
+		if in.Atom == ptx.AtomCas {
+			nargs = 3
+		}
+	default:
+		return nil
+	}
+	if dst && !in.HasDst {
+		return fmt.Errorf("%v: missing destination operand", in.Op)
+	}
+	if len(in.Args) < nargs {
+		return fmt.Errorf("%v: want at least %d source operands, got %d", in.Op, nargs, len(in.Args))
+	}
+	// setp writes the predicate file, everything else the general one.
+	writable := func(o ptx.Operand) bool {
+		_, isPred := lk.predIdx[o.Reg]
+		return o.Kind == ptx.OpndReg && isPred == (in.Op == ptx.OpSetp)
+	}
+	ok := !dst || writable(in.Dst)
+	if in.Op == ptx.OpLd {
+		for i := 0; i < in.Vec-1; i++ {
+			ok = ok && writable(in.Args[i])
+		}
+	}
+	if !ok {
+		return fmt.Errorf("%v: destination is not a register of the file the instruction writes", in.Op)
+	}
+	return nil
 }
 
 // isPredName reports whether a register name is conventionally a predicate

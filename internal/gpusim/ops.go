@@ -66,7 +66,8 @@ type cInstr struct {
 }
 
 // compile lowers a loaded kernel's instructions into executable form,
-// resolving registers, labels and symbols. The result is cached.
+// resolving registers, labels and symbols. The result is cached. Operand
+// shapes were checked when the kernel was loaded (loadedKernel.checkShape).
 func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 	if lk.code != nil {
 		return lk.code, nil
@@ -406,33 +407,13 @@ func (e *engine) stepWarp(w *warpState) error {
 		top.pc++
 		return nil
 	case ptx.OpLog:
-		var err error
-		if e.laneMajor {
-			err = e.execLogLaneMajor(w, ci, exec)
-		} else {
-			err = e.execLog(w, ci, exec)
-		}
-		if err != nil {
+		if err := e.execLog(w, ci, exec); err != nil {
 			return e.execError(pc, "%v", err)
 		}
 		top.pc++
 		return nil
 	}
 
-	if e.laneMajor {
-		// A/B reference path: per-lane dispatch, exactly the pre-warp-major
-		// interpreter shape.
-		for lane := 0; lane < e.ws; lane++ {
-			if exec&(1<<uint(lane)) == 0 {
-				continue
-			}
-			if err := e.execLane(w, ci, lane); err != nil {
-				return e.execError(pc, "lane %d: %v", lane, err)
-			}
-		}
-		top.pc++
-		return nil
-	}
 	if exec != 0 {
 		if ci.uniform {
 			if err := e.execUniform(w, ci, exec); err != nil {
@@ -570,68 +551,6 @@ func (e *engine) execLog(w *warpState, ci *cInstr, exec uint32) error {
 	return nil
 }
 
-// execLogLaneMajor is the pre-template _log emission path, kept verbatim as
-// the LaneMajor A/B baseline.
-func (e *engine) execLogLaneMajor(w *warpState, ci *cInstr, exec uint32) error {
-	if e.cfg.Sink == nil || exec == 0 {
-		return nil
-	}
-	k := trace.FromLogKind(ci.in.LogK)
-	switch k {
-	case trace.OpIf, trace.OpElse, trace.OpFi:
-		return nil
-	case trace.OpBar:
-		e.rec = logging.Record{
-			Warp:  uint32(w.gwid),
-			Block: uint32(w.blk.idx),
-			Op:    trace.OpBar,
-			Mask:  exec,
-			PC:    uint32(ci.in.Line),
-		}
-		e.cfg.Sink.Emit(&e.rec)
-		e.stats.Records++
-		return nil
-	}
-	if len(ci.args) == 0 || ci.args[0].kind != ptx.OpndMem {
-		return fmt.Errorf("_log.%v without address operand", ci.in.LogK)
-	}
-	e.rec = logging.Record{
-		Warp:  uint32(w.gwid),
-		Block: uint32(w.blk.idx),
-		Op:    k,
-		Size:  uint8(ci.in.AccSz),
-		Mask:  exec,
-		PC:    uint32(ci.in.Line),
-	}
-	if k.IsSync() {
-		e.syncSeq++
-		e.rec.Seq = e.syncSeq
-	}
-	switch ci.in.Space {
-	case ptx.SpaceShared:
-		e.rec.Space = logging.SpaceShared
-	case ptx.SpaceLocal:
-		e.rec.Space = logging.SpaceLocal
-	default:
-		e.rec.Space = logging.SpaceGlobal
-	}
-	// The optional second operand is the value being stored (write
-	// records), used by the same-value intra-warp race filter.
-	hasVal := len(ci.args) > 1
-	for lane := 0; lane < e.ws; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
-		}
-		e.rec.Addrs[lane] = e.laneAddr(w, lane, &ci.args[0])
-		if hasVal {
-			e.rec.Vals[lane] = e.val(w, lane, &ci.args[1])
-		}
-	}
-	e.cfg.Sink.Emit(&e.rec)
-	e.stats.Records++
-	return nil
-}
-
 // loadSpace reads size bytes from the instruction's memory space for a
 // given lane (local memory is lane-private).
 func (e *engine) loadSpace(w *warpState, lane int, space ptx.Space, addr uint64, size int) (uint64, error) {
@@ -684,85 +603,46 @@ func (e *engine) localBuf(w *warpState, lane int, addr uint64, size int) ([]byte
 	return w.local[base+addr:], nil
 }
 
-// execLane executes one scalar instruction for one lane.
+// execLane executes, for one lane, the shapes that have no warp handler
+// (selectHandler routes them through execLaneLoop): vector loads and
+// stores, atomics and reductions, and float neg. Operand counts were
+// checked by checkShape at load time.
 func (e *engine) execLane(w *warpState, ci *cInstr, lane int) error {
 	in := ci.in
 	t := in.Type
 	size := ci.size
 	switch ci.op {
-	case ptx.OpMov, ptx.OpCvta:
-		if t.Float() {
-			e.setRegRaw(w, lane, ci.dst.reg, fbits(e.fval(w, lane, &ci.args[0], t), t))
-		} else {
-			e.setRegRaw(w, lane, ci.dst.reg, e.val(w, lane, &ci.args[0]))
-		}
-
 	case ptx.OpLd:
-		if in.Space == ptx.SpaceParam {
-			a := &ci.args[0]
-			if a.symK != symParam {
-				return fmt.Errorf("ld.param with non-parameter operand")
+		// ld.vN {d0..dN-1}, [addr]: dst plus Vec-1 leading args are
+		// destinations; the address operand follows them.
+		addr := e.laneAddr(w, lane, &ci.args[in.Vec-1])
+		for i := 0; i < in.Vec; i++ {
+			v, err := e.loadSpace(w, lane, in.Space, addr+uint64(i*size), size)
+			if err != nil {
+				return err
 			}
-			e.setRegRaw(w, lane, ci.dst.reg, e.cfg.Args[a.symAddr])
-			return nil
-		}
-		if in.Vec > 1 {
-			// ld.vN {d0..dN-1}, [addr]: dst plus Vec-1 leading args are
-			// destinations; the address operand follows them.
-			if len(ci.args) < in.Vec {
-				return fmt.Errorf("vector load needs %d operands", in.Vec)
+			if t.Signed() {
+				v = uint64(signExt(v, size))
 			}
-			addr := e.laneAddr(w, lane, &ci.args[in.Vec-1])
-			for i := 0; i < in.Vec; i++ {
-				v, err := e.loadSpace(w, lane, in.Space, addr+uint64(i*size), size)
-				if err != nil {
-					return err
-				}
-				if t.Signed() {
-					v = uint64(signExt(v, size))
-				}
-				dst := ci.dst.reg
-				if i > 0 {
-					dst = ci.args[i-1].reg
-				}
-				e.setRegRaw(w, lane, dst, v)
+			dst := ci.dst.reg
+			if i > 0 {
+				dst = ci.args[i-1].reg
 			}
-			return nil
+			e.setRegRaw(w, lane, dst, v)
 		}
-		addr := e.laneAddr(w, lane, &ci.args[0])
-		v, err := e.loadSpace(w, lane, in.Space, addr, size)
-		if err != nil {
-			return err
-		}
-		if t.Signed() {
-			v = uint64(signExt(v, size))
-		}
-		e.setRegRaw(w, lane, ci.dst.reg, v)
 
 	case ptx.OpSt:
-		if in.Vec > 1 {
-			// st.vN [addr], {v0..vN-1}
-			if len(ci.args) < in.Vec+1 {
-				return fmt.Errorf("vector store needs %d operands", in.Vec+1)
-			}
-			addr := e.laneAddr(w, lane, &ci.args[0])
-			for i := 0; i < in.Vec; i++ {
-				v := e.val(w, lane, &ci.args[1+i])
-				if t.Float() && ci.args[1+i].kind == ptx.OpndFImm {
-					v = fbits(ci.args[1+i].f, t)
-				}
-				if err := e.storeSpace(w, lane, in.Space, addr+uint64(i*size), size, truncTo(v, size)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		// st.vN [addr], {v0..vN-1}
 		addr := e.laneAddr(w, lane, &ci.args[0])
-		v := e.val(w, lane, &ci.args[1])
-		if t.Float() && ci.args[1].kind == ptx.OpndFImm {
-			v = fbits(ci.args[1].f, t)
+		for i := 0; i < in.Vec; i++ {
+			v := e.val(w, lane, &ci.args[1+i])
+			if t.Float() && ci.args[1+i].kind == ptx.OpndFImm {
+				v = fbits(ci.args[1+i].f, t)
+			}
+			if err := e.storeSpace(w, lane, in.Space, addr+uint64(i*size), size, truncTo(v, size)); err != nil {
+				return err
+			}
 		}
-		return e.storeSpace(w, lane, in.Space, addr, size, truncTo(v, size))
 
 	case ptx.OpAtom, ptx.OpRed:
 		addr := e.laneAddr(w, lane, &ci.args[0])
@@ -783,197 +663,12 @@ func (e *engine) execLane(w *warpState, ci *cInstr, lane int) error {
 			e.setRegRaw(w, lane, ci.dst.reg, old)
 		}
 
-	case ptx.OpSetp:
-		a := &ci.args[0]
-		bop := &ci.args[1]
-		var r bool
-		if t.Float() {
-			r = cmpFloat(in.Cmp, e.fval(w, lane, a, t), e.fval(w, lane, bop, t))
-		} else {
-			r = cmpInt(in.Cmp, t, size, e.val(w, lane, a), e.val(w, lane, bop))
-		}
-		e.setPred(w, lane, ci.dst.reg, r)
-
-	case ptx.OpSelp:
-		cond := ci.args[2]
-		var take bool
-		if cond.isPred {
-			take = e.pred(w, lane, cond.reg)
-		} else {
-			take = e.val(w, lane, &cond) != 0
-		}
-		if take {
-			e.setRegRaw(w, lane, ci.dst.reg, truncTo(e.val(w, lane, &ci.args[0]), size))
-		} else {
-			e.setRegRaw(w, lane, ci.dst.reg, truncTo(e.val(w, lane, &ci.args[1]), size))
-		}
-
-	case ptx.OpCvt:
-		e.setRegRaw(w, lane, ci.dst.reg, convert(e, w, lane, ci))
-
-	case ptx.OpNot:
-		v := e.val(w, lane, &ci.args[0])
-		e.setRegRaw(w, lane, ci.dst.reg, truncTo(^v, size))
-
 	case ptx.OpNeg:
-		if t.Float() {
-			e.setRegRaw(w, lane, ci.dst.reg, fbits(-e.fval(w, lane, &ci.args[0], t), t))
-		} else {
-			v := e.val(w, lane, &ci.args[0])
-			e.setRegRaw(w, lane, ci.dst.reg, truncTo(-v, size))
-		}
+		e.setRegRaw(w, lane, ci.dst.reg, fbits(-e.fval(w, lane, &ci.args[0], t), t))
 
-	default:
-		return e.execArith(w, ci, lane)
-	}
-	return nil
-}
-
-// execArith handles the two/three-operand arithmetic core.
-func (e *engine) execArith(w *warpState, ci *cInstr, lane int) error {
-	in := ci.in
-	t := in.Type
-	size := ci.size
-	if t.Float() {
-		a := e.fval(w, lane, &ci.args[0], t)
-		b := e.fval(w, lane, &ci.args[1], t)
-		var r float64
-		switch ci.op {
-		case ptx.OpAdd:
-			r = a + b
-		case ptx.OpSub:
-			r = a - b
-		case ptx.OpMul:
-			r = a * b
-		case ptx.OpDiv:
-			r = a / b
-		case ptx.OpMin:
-			r = math.Min(a, b)
-		case ptx.OpMax:
-			r = math.Max(a, b)
-		case ptx.OpMad:
-			r = a*b + e.fval(w, lane, &ci.args[2], t)
-		default:
-			return fmt.Errorf("unsupported float op %v", ci.op)
-		}
-		e.setRegRaw(w, lane, ci.dst.reg, fbits(r, t))
-		return nil
-	}
-
-	a := truncTo(e.val(w, lane, &ci.args[0]), size)
-	b := truncTo(e.val(w, lane, &ci.args[1]), size)
-	var r uint64
-	switch ci.op {
-	case ptx.OpAdd:
-		r = a + b
-	case ptx.OpSub:
-		r = a - b
-	case ptx.OpAnd:
-		r = a & b
-	case ptx.OpOr:
-		r = a | b
-	case ptx.OpXor:
-		r = a ^ b
-	case ptx.OpShl:
-		if b >= uint64(8*size) {
-			r = 0
-		} else {
-			r = a << b
-		}
-	case ptx.OpShr:
-		if t.Signed() {
-			sh := b
-			if sh >= uint64(8*size) {
-				sh = uint64(8*size) - 1
-			}
-			r = uint64(signExt(a, size) >> sh)
-		} else if b >= uint64(8*size) {
-			r = 0
-		} else {
-			r = a >> b
-		}
-	case ptx.OpMin:
-		if t.Signed() {
-			if signExt(a, size) < signExt(b, size) {
-				r = a
-			} else {
-				r = b
-			}
-		} else if a < b {
-			r = a
-		} else {
-			r = b
-		}
-	case ptx.OpMax:
-		if t.Signed() {
-			if signExt(a, size) > signExt(b, size) {
-				r = a
-			} else {
-				r = b
-			}
-		} else if a > b {
-			r = a
-		} else {
-			r = b
-		}
-	case ptx.OpMul:
-		switch {
-		case in.Wide:
-			if t.Signed() {
-				r = uint64(signExt(a, size) * signExt(b, size))
-			} else {
-				r = a * b
-			}
-			// result is 2*size wide; no truncation to size
-			e.setRegRaw(w, lane, ci.dst.reg, truncTo(r, 2*size))
-			return nil
-		case in.Hi:
-			if size == 4 {
-				full := a * b
-				if t.Signed() {
-					full = uint64(signExt(a, size) * signExt(b, size))
-				}
-				r = full >> 32
-			} else {
-				hi, _ := bits.Mul64(a, b)
-				r = hi
-			}
-		default: // .lo or unmarked
-			r = a * b
-		}
-	case ptx.OpMad:
-		c := truncTo(e.val(w, lane, &ci.args[2]), size)
-		if in.Wide {
-			var p uint64
-			if t.Signed() {
-				p = uint64(signExt(a, size) * signExt(b, size))
-			} else {
-				p = a * b
-			}
-			e.setRegRaw(w, lane, ci.dst.reg, truncTo(p+e.val(w, lane, &ci.args[2]), 2*size))
-			return nil
-		}
-		r = a*b + c
-	case ptx.OpDiv:
-		if b == 0 {
-			r = 0 // PTX leaves integer division by zero unspecified
-		} else if t.Signed() {
-			r = uint64(signExt(a, size) / signExt(b, size))
-		} else {
-			r = a / b
-		}
-	case ptx.OpRem:
-		if b == 0 {
-			r = 0
-		} else if t.Signed() {
-			r = uint64(signExt(a, size) % signExt(b, size))
-		} else {
-			r = a % b
-		}
 	default:
 		return fmt.Errorf("unsupported op %v", ci.op)
 	}
-	e.setRegRaw(w, lane, ci.dst.reg, truncTo(r, size))
 	return nil
 }
 
@@ -1041,43 +736,6 @@ func bitsToF(v uint64, t ptx.Type) float64 {
 	return math.Float64frombits(v)
 }
 
-func cmpInt(op ptx.CmpOp, t ptx.Type, size int, a, b uint64) bool {
-	a, b = truncTo(a, size), truncTo(b, size)
-	if t.Signed() {
-		x, y := signExt(a, size), signExt(b, size)
-		switch op {
-		case ptx.CmpEQ:
-			return x == y
-		case ptx.CmpNE:
-			return x != y
-		case ptx.CmpLT:
-			return x < y
-		case ptx.CmpLE:
-			return x <= y
-		case ptx.CmpGT:
-			return x > y
-		case ptx.CmpGE:
-			return x >= y
-		}
-		return false
-	}
-	switch op {
-	case ptx.CmpEQ:
-		return a == b
-	case ptx.CmpNE:
-		return a != b
-	case ptx.CmpLT:
-		return a < b
-	case ptx.CmpLE:
-		return a <= b
-	case ptx.CmpGT:
-		return a > b
-	case ptx.CmpGE:
-		return a >= b
-	}
-	return false
-}
-
 func cmpFloat(op ptx.CmpOp, a, b float64) bool {
 	switch op {
 	case ptx.CmpEQ:
@@ -1094,30 +752,4 @@ func cmpFloat(op ptx.CmpOp, a, b float64) bool {
 		return a >= b
 	}
 	return false
-}
-
-// convert implements cvt.<dtype>.<stype>.
-func convert(e *engine, w *warpState, lane int, ci *cInstr) uint64 {
-	dt, st := ci.in.Type, ci.in.Src
-	v := e.val(w, lane, &ci.args[0])
-	switch {
-	case dt.Float() && st.Float():
-		return fbits(bitsToF(v, st), dt)
-	case dt.Float():
-		if st.Signed() {
-			return fbits(float64(signExt(v, st.Size())), dt)
-		}
-		return fbits(float64(truncTo(v, st.Size())), dt)
-	case st.Float():
-		f := bitsToF(v, st)
-		if dt.Signed() {
-			return truncTo(uint64(int64(f)), dt.Size())
-		}
-		return truncTo(uint64(int64(f)), dt.Size())
-	default:
-		if st.Signed() {
-			return truncTo(uint64(signExt(v, st.Size())), dt.Size())
-		}
-		return truncTo(truncTo(v, st.Size()), dt.Size())
-	}
 }

@@ -16,19 +16,18 @@ import (
 // shapes, constants) into closures at compile time and iterate only the
 // active lanes of the exec mask.
 //
-// Equivalence contract: every handler must produce bit-identical register,
-// predicate and memory effects — and identical error text — to the
-// lane-major reference path (execLane/execArith), which is kept intact and
-// selectable via LaunchConfig.LaneMajor for A/B measurement. The
-// equivalence suite in the bug-suite and litmus tests enforces this over
-// report digests, race sets and Stats counters.
+// The handlers are the only definition of each opcode. Their contract is
+// pinned by goldens recorded from the per-lane interpreter they replaced:
+// the bug-suite and litmus equivalence tests compare report digests, race
+// sets, Stats counters and launch-error text against
+// bugsuite/testdata/warpvec_lanemajor.json and
+// detector/testdata/warpvec_litmus_lanemajor.json bit for bit.
 
 // warpHandler executes one compiled instruction for all active lanes.
 type warpHandler func(e *engine, w *warpState, ci *cInstr, exec uint32) error
 
-// execLaneLoop is the generic fallback: per-lane reference execution with
-// bit-iteration over the active mask. Used for rare or complex shapes
-// (vector memory ops, atomics, unusual operand patterns).
+// execLaneLoop is the handler of the shapes execLane implements per lane
+// (vector memory ops, atomics, float neg), bit-iterating the active mask.
 func execLaneLoop(e *engine, w *warpState, ci *cInstr, exec uint32) error {
 	for m := exec; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
@@ -39,16 +38,16 @@ func execLaneLoop(e *engine, w *warpState, ci *cInstr, exec uint32) error {
 	return nil
 }
 
-// execUniform executes a statically warp-uniform instruction once (on the
-// first active lane, via the reference interpreter) and broadcasts the
+// execUniform executes a statically warp-uniform instruction once (its
+// handler on a one-lane mask, the first active lane) and broadcasts the
 // destination to the remaining active lanes. Soundness comes from the
 // staticanalysis warp-uniformity facts: every input holds the same value
 // in every lane, and the ops admitted by scalarizableOp are deterministic,
 // so running one lane computes what all lanes would.
 func (e *engine) execUniform(w *warpState, ci *cInstr, exec uint32) error {
 	first := bits.TrailingZeros32(exec)
-	if err := e.execLane(w, ci, first); err != nil {
-		return fmt.Errorf("lane %d: %v", first, err)
+	if err := ci.fn(e, w, ci, 1<<uint(first)); err != nil {
+		return err
 	}
 	rest := exec &^ (1 << uint(first))
 	if rest == 0 {
@@ -127,74 +126,46 @@ func fetcher(o cOperand) (fn fetchFn, c uint64, isConst bool) {
 }
 
 // selectHandler picks the warp-major handler for a compiled instruction.
-// Shapes the specialized makers cannot prove well-formed at compile time
-// fall back to the per-lane reference loop, preserving runtime behavior
-// (including panics/errors) exactly.
+// checkShape has already rejected under-arity instructions, so the makers
+// index their operands freely.
 func selectHandler(ci *cInstr) warpHandler {
 	t := ci.in.Type
 	switch ci.op {
 	case ptx.OpMov, ptx.OpCvta:
-		if len(ci.args) < 1 {
-			return execLaneLoop
-		}
 		return makeMov(ci)
 	case ptx.OpLd:
-		if len(ci.args) < 1 {
-			return execLaneLoop
-		}
 		return makeLd(ci)
 	case ptx.OpSt:
-		if len(ci.args) < 2 || ci.in.Vec > 1 {
+		if ci.in.Vec > 1 {
 			return execLaneLoop
 		}
 		return makeSt(ci)
 	case ptx.OpSetp:
-		if len(ci.args) < 2 {
-			return execLaneLoop
-		}
 		return makeSetp(ci)
 	case ptx.OpSelp:
-		if len(ci.args) < 3 {
-			return execLaneLoop
-		}
 		return makeSelp(ci)
 	case ptx.OpCvt:
-		if len(ci.args) < 1 {
-			return execLaneLoop
-		}
 		return makeCvt(ci)
 	case ptx.OpNot:
-		if len(ci.args) < 1 || t.Float() {
-			return execLaneLoop
-		}
 		size := ci.size
 		return makeIntUn(ci, func(v uint64) uint64 { return truncTo(^v, size) })
 	case ptx.OpNeg:
-		if len(ci.args) < 1 || t.Float() {
+		if t.Float() {
 			return execLaneLoop
 		}
 		size := ci.size
 		return makeIntUn(ci, func(v uint64) uint64 { return truncTo(-v, size) })
 	case ptx.OpMad:
-		if len(ci.args) < 3 {
-			return execLaneLoop
-		}
 		if t.Float() {
 			return makeFloatArith(ci)
 		}
 		return makeIntTri(ci, intMadOp(ci))
 	case ptx.OpAdd, ptx.OpSub, ptx.OpMul, ptx.OpDiv, ptx.OpRem, ptx.OpMin, ptx.OpMax,
 		ptx.OpAnd, ptx.OpOr, ptx.OpXor, ptx.OpShl, ptx.OpShr:
-		if len(ci.args) < 2 {
-			return execLaneLoop
-		}
 		if t.Float() {
 			return makeFloatArith(ci)
 		}
-		if sf := intBinOp(ci); sf != nil {
-			return makeIntBin(ci, sf)
-		}
-		return execLaneLoop
+		return makeIntBin(ci, intBinOp(ci))
 	}
 	return execLaneLoop
 }
@@ -245,8 +216,8 @@ func makeMov(ci *cInstr) warpHandler {
 	}
 }
 
-// constMovBits evaluates a constant mov source to the exact bits the
-// reference path would store.
+// constMovBits evaluates a constant mov source to the bits stored: float
+// types re-encode through fval/fbits, integer types store the raw operand.
 func constMovBits(a cOperand, t ptx.Type) (uint64, bool) {
 	switch a.kind {
 	case ptx.OpndImm, ptx.OpndFImm:
@@ -267,7 +238,7 @@ func constMovBits(a cOperand, t ptx.Type) (uint64, bool) {
 }
 
 // makeLd handles scalar loads with the space decision hoisted to compile
-// time. Vector loads fall back to the reference loop.
+// time. Vector loads go through execLane.
 func makeLd(ci *cInstr) warpHandler {
 	in := ci.in
 	if in.Vec > 1 {
@@ -398,8 +369,8 @@ func makeSetp(ci *cInstr) warpHandler {
 	}
 }
 
-// intCmpFunc bakes the comparison op, signedness and width into a closure
-// with cmpInt's exact semantics (inputs truncated, then sign-extended).
+// intCmpFunc bakes the comparison op, signedness and width into a closure:
+// inputs are truncated to the operand width, then sign-extended if signed.
 func intCmpFunc(op ptx.CmpOp, t ptx.Type, size int) func(a, b uint64) bool {
 	if t.Signed() {
 		cmp := func(x, y int64) bool { return false }
@@ -504,7 +475,7 @@ func makeCvt(ci *cInstr) warpHandler {
 	}
 }
 
-// cvtFunc bakes convert's four-way type dispatch into a closure.
+// cvtFunc bakes cvt.<dtype>.<stype>'s four-way type dispatch into a closure.
 func cvtFunc(dt, st ptx.Type) func(v uint64) uint64 {
 	dsz, ssz := dt.Size(), st.Size()
 	switch {
@@ -650,10 +621,9 @@ func makeIntTri(ci *cInstr, sf func(a, b, c uint64) uint64) warpHandler {
 	}
 }
 
-// intBinOp compiles a two-input integer op into a scalar function with
-// execArith's exact semantics: both inputs truncated to the operand width
-// first, the result truncated to the store width. Returns nil for shapes
-// the reference path would reject (caller falls back).
+// intBinOp compiles a two-input integer op into a scalar function: both
+// inputs truncated to the operand width first, the result truncated to the
+// store width (2*size for mul.wide).
 func intBinOp(ci *cInstr) func(a, b uint64) uint64 {
 	in := ci.in
 	size := ci.size
@@ -798,11 +768,11 @@ func intBinOp(ci *cInstr) func(a, b uint64) uint64 {
 			return truncTo(a%b, size)
 		}
 	}
-	return nil
+	panic("gpusim: intBinOp on " + ci.op.String()) // selectHandler passes only the ops above
 }
 
 // intMadOp compiles mad: inputs arrive raw; the wide form adds the raw
-// third operand (matching execArith exactly), the narrow form truncates it.
+// third operand, the narrow form truncates it.
 func intMadOp(ci *cInstr) func(a, b, c uint64) uint64 {
 	in := ci.in
 	size := ci.size
@@ -824,8 +794,7 @@ func intMadOp(ci *cInstr) func(a, b, c uint64) uint64 {
 }
 
 // makeFloatArith covers the float add/sub/mul/div/min/max/mad core; other
-// float ops fall back to the reference loop (which reports them as
-// unsupported, matching lane-major behavior).
+// float-typed binary ops are reported as unsupported when executed.
 func makeFloatArith(ci *cInstr) warpHandler {
 	t := ci.in.Type
 	d := ci.dst.reg
@@ -846,7 +815,9 @@ func makeFloatArith(ci *cInstr) warpHandler {
 	case ptx.OpMad:
 		ff = func(a, b, c float64) float64 { return a*b + c }
 	default:
-		return execLaneLoop
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			return fmt.Errorf("lane %d: unsupported float op %v", bits.TrailingZeros32(exec), ci.op)
+		}
 	}
 	isMad := ci.op == ptx.OpMad
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {

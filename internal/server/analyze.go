@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"barracuda/internal/bench"
+	"barracuda/internal/detector"
 	"barracuda/internal/instrument"
 	"barracuda/internal/staticanalysis"
 )
@@ -15,9 +16,9 @@ import (
 // used for session caching (the same warm entry later serves detection
 // jobs); the analysis itself is configuration-independent.
 type AnalyzeRequest struct {
-	PTX    string     `json:"ptx,omitempty"`
-	Bench  string     `json:"bench,omitempty"`
-	Config ConfigJSON `json:"config"`
+	PTX    string          `json:"ptx,omitempty"`
+	Bench  string          `json:"bench,omitempty"`
+	Config detector.Config `json:"config"`
 }
 
 // Validate checks the payload shape; the server maps errors to 400.
@@ -32,7 +33,7 @@ func (r *AnalyzeRequest) Validate() error {
 	if r.Bench != "" && bench.ByName(r.Bench) == nil {
 		return fmt.Errorf("analyze: field \"bench\": unknown benchmark %q", r.Bench)
 	}
-	if err := r.Config.Detector().Validate(); err != nil {
+	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("analyze: field \"config\": %w", err)
 	}
 	return nil
@@ -97,7 +98,7 @@ func (s *Scheduler) Analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
 	if req.Bench != "" {
 		src = bench.ByName(req.Bench).PTX()
 	}
-	lease, _, err := s.cache.Acquire(src, req.Config.Detector())
+	lease, _, err := s.cache.Acquire(src, req.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"barracuda/internal/detector"
 )
 
 // divergentSrc has a bar.sync reachable only under a tid-dependent guard.
@@ -114,7 +116,7 @@ func TestAnalyzeRejectsBadPayloads(t *testing.T) {
 		{}, // neither ptx nor bench
 		{PTX: racySrc, Bench: "lockhashtable"},
 		{Bench: "no-such-bench"},
-		{PTX: racySrc, Config: ConfigJSON{NoPrune: true, StaticPrune: true}},
+		{PTX: racySrc, Config: detector.Config{NoPrune: true, StaticPrune: true}},
 		{PTX: "not ptx at all"},
 	} {
 		code, _, errj := postAnalyze(t, ts, req)

@@ -24,40 +24,6 @@ import (
 	"barracuda/internal/vc"
 )
 
-// ConfigJSON is the wire form of detector.Config.
-type ConfigJSON struct {
-	Queues            int   `json:"queues,omitempty"`
-	QueueCap          int   `json:"queue_cap,omitempty"`
-	Granularity       int   `json:"granularity,omitempty"`
-	MaxRaces          int   `json:"max_races,omitempty"`
-	FullVC            bool  `json:"full_vc,omitempty"`
-	NoPrune           bool  `json:"no_prune,omitempty"`
-	StaticPrune       bool  `json:"static_prune,omitempty"`
-	NoSameValueFilter bool  `json:"no_same_value_filter,omitempty"`
-	PerCellShadow     bool  `json:"per_cell_shadow,omitempty"`
-	Ownership         bool  `json:"ownership,omitempty"`
-	ShadowCapBytes    int64 `json:"shadow_cap_bytes,omitempty"`
-	ProducerFilter    bool  `json:"producer_filter,omitempty"`
-}
-
-// Detector converts to the internal config.
-func (c ConfigJSON) Detector() detector.Config {
-	return detector.Config{
-		Queues:            c.Queues,
-		QueueCap:          c.QueueCap,
-		Granularity:       c.Granularity,
-		MaxRaces:          c.MaxRaces,
-		FullVC:            c.FullVC,
-		NoPrune:           c.NoPrune,
-		StaticPrune:       c.StaticPrune,
-		NoSameValueFilter: c.NoSameValueFilter,
-		PerCellShadow:     c.PerCellShadow,
-		Ownership:         c.Ownership,
-		ShadowCapBytes:    c.ShadowCapBytes,
-		ProducerFilter:    c.ProducerFilter,
-	}
-}
-
 // JobRequest is one detection job submission (POST /jobs). Exactly one
 // of PTX or Bench selects the module; for Bench jobs the kernel, launch
 // geometry and buffers default to the benchmark's own.
@@ -75,8 +41,9 @@ type JobRequest struct {
 	// Buffers are byte sizes of zeroed global buffers allocated (or
 	// reused, for cached modules) and passed as u64 kernel arguments.
 	Buffers []int `json:"buffers,omitempty"`
-	// Config tunes the detector.
-	Config ConfigJSON `json:"config"`
+	// Config tunes the detector; its JSON field names are
+	// detector.Config's tags.
+	Config detector.Config `json:"config"`
 	// TimeoutMS is the per-job wall-clock budget (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxInstrs is the dynamic warp-instruction budget (0 = server
@@ -152,7 +119,7 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 	if maxBufferBytes > 0 && total > maxBufferBytes {
 		return fmt.Errorf("job: field \"buffers\": total %d bytes exceeds the server limit %d", total, maxBufferBytes)
 	}
-	if err := r.Config.Detector().Validate(); err != nil {
+	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("job: field \"config\": %w", err)
 	}
 	return nil

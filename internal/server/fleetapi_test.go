@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"barracuda/internal/detector"
 )
 
 // The satellite contract for the fleet PR: every non-2xx response
@@ -42,7 +44,7 @@ func TestValidationErrorsCarryCodeAndFieldName(t *testing.T) {
 		{"bad warp size", JobRequest{PTX: racySrc, WarpSize: 64}, `"warp_size"`},
 		{"bad class", JobRequest{PTX: racySrc, Class: "urgent"}, `"class"`},
 		{"negative buffer", JobRequest{PTX: racySrc, Buffers: []int{8, -4}}, `"buffers[1]"`},
-		{"bad config", JobRequest{PTX: racySrc, Config: ConfigJSON{Queues: -1}}, `"config"`},
+		{"bad config", JobRequest{PTX: racySrc, Config: detector.Config{Queues: -1}}, `"config"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, errj := postJob(t, ts, tc.req)

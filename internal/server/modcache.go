@@ -75,14 +75,14 @@ func NewModCache(max int) *ModCache {
 	}
 }
 
-// CacheKey returns the content address of a (source, config) pair.
+// CacheKey returns the content address of a (source, config) pair. It
+// hashes the defaulted struct whole, so a config that spells a default
+// out shares an entry with one that leaves it zero, and a field added to
+// detector.Config is covered without a change here.
 func CacheKey(src string, cfg detector.Config) string {
 	h := sha256.New()
 	h.Write([]byte(src))
-	fmt.Fprintf(h, "\x00%d|%d|%d|%d|%t|%t|%t|%t|%t|%t|%d|%t",
-		cfg.Queues, cfg.QueueCap, cfg.Granularity, cfg.MaxRaces,
-		cfg.FullVC, cfg.NoPrune, cfg.NoSameValueFilter, cfg.StaticPrune,
-		cfg.PerCellShadow, cfg.Ownership, cfg.ShadowCapBytes, cfg.ProducerFilter)
+	fmt.Fprintf(h, "\x00%+v", cfg.WithDefaults())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

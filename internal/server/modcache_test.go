@@ -26,6 +26,10 @@ func TestCacheKeyDistinguishesSourceAndConfig(t *testing.T) {
 	if CacheKey(racySrc, detector.Config{ProducerFilter: true}) == base {
 		t.Error("key ignores producer filter")
 	}
+	// Spelling the defaults out runs the same session: same entry.
+	if CacheKey(racySrc, detector.Config{Queues: 1, QueueCap: 4096, Granularity: 1}) != base {
+		t.Error("key distinguishes explicit defaults from zero values")
+	}
 }
 
 func TestCacheHitReusesSessionAndBuffers(t *testing.T) {

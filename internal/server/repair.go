@@ -14,13 +14,13 @@ import (
 // /v1/analyze, the result is memoized on the module-cache entry, so a
 // warm repeat is a pure lookup.
 type RepairRequest struct {
-	PTX     string     `json:"ptx,omitempty"`
-	Bench   string     `json:"bench,omitempty"`
-	Kernel  string     `json:"kernel,omitempty"` // default: the module's first kernel
-	Grid    int        `json:"grid,omitempty"`
-	Block   int        `json:"block,omitempty"`
-	Buffers []int      `json:"buffers,omitempty"`
-	Config  ConfigJSON `json:"config"`
+	PTX     string          `json:"ptx,omitempty"`
+	Bench   string          `json:"bench,omitempty"`
+	Kernel  string          `json:"kernel,omitempty"` // default: the module's first kernel
+	Grid    int             `json:"grid,omitempty"`
+	Block   int             `json:"block,omitempty"`
+	Buffers []int           `json:"buffers,omitempty"`
+	Config  detector.Config `json:"config"`
 	// MaxInstrs bounds each verification launch (0 = server default);
 	// always enforced so a deadlocking patch cannot pin the handler.
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
@@ -62,7 +62,7 @@ func (r *RepairRequest) Validate(maxBufferBytes int64) error {
 	if maxBufferBytes > 0 && total > maxBufferBytes {
 		return fmt.Errorf("repair: field \"buffers\": total %d bytes exceeds the server limit %d", total, maxBufferBytes)
 	}
-	if err := r.Config.Detector().Validate(); err != nil {
+	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("repair: field \"config\": %w", err)
 	}
 	return nil
@@ -139,7 +139,7 @@ func (s *Scheduler) Repair(req RepairRequest) (*RepairResponse, error) {
 	if req.Bench != "" {
 		src = bench.ByName(req.Bench).PTX()
 	}
-	lease, _, err := s.cache.Acquire(src, req.Config.Detector())
+	lease, _, err := s.cache.Acquire(src, req.Config)
 	if err != nil {
 		return nil, err
 	}

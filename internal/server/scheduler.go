@@ -283,7 +283,7 @@ func (s *Scheduler) SubmitTenant(req JobRequest, tenant string, onRace func(core
 		grid:     req.Grid,
 		block:    req.Block,
 		buffers:  req.Buffers,
-		cfg:      req.Config.Detector(),
+		cfg:      req.Config,
 		timeout:  s.opts.DefaultTimeout,
 		budget:   s.opts.DefaultMaxInstrs,
 		status:   StatusQueued,

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"barracuda/internal/detector"
 )
 
 const racySrc = `.visible .entry k(.param .u64 out)
@@ -177,11 +179,11 @@ func TestInvalidPayloadsReturn400(t *testing.T) {
 		{Bench: "no-such-benchmark"},  // unknown bench
 		{PTX: racySrc, Grid: -1},      // negative geometry
 		{PTX: racySrc, TimeoutMS: -5}, // negative timeout
-		{PTX: racySrc, Config: ConfigJSON{Queues: -2}},      // invalid detector config
-		{PTX: racySrc, Config: ConfigJSON{MaxRaces: -1}},    // invalid detector config
-		{PTX: racySrc, Config: ConfigJSON{Granularity: -4}}, // invalid detector config
-		{PTX: racySrc, Buffers: []int{-8}},                  // negative buffer
-		{PTX: racySrc, WarpSize: 64},                        // out-of-range warp
+		{PTX: racySrc, Config: detector.Config{Queues: -2}},      // invalid detector config
+		{PTX: racySrc, Config: detector.Config{MaxRaces: -1}},    // invalid detector config
+		{PTX: racySrc, Config: detector.Config{Granularity: -4}}, // invalid detector config
+		{PTX: racySrc, Buffers: []int{-8}},                       // negative buffer
+		{PTX: racySrc, WarpSize: 64},                             // out-of-range warp
 	}
 	for i, req := range cases {
 		code, _, errj := postJob(t, ts, req)

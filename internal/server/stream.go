@@ -276,29 +276,16 @@ func (st *stream) launch(p []byte) error {
 		TimeoutMS: spec.TimeoutMS,
 		MaxInstrs: spec.MaxInstrs,
 		WarpSize:  spec.WarpSize,
-		Config: ConfigJSON{
-			Queues:            spec.Config.Queues,
-			QueueCap:          spec.Config.QueueCap,
-			Granularity:       spec.Config.Granularity,
-			MaxRaces:          spec.Config.MaxRaces,
-			FullVC:            spec.Config.FullVC,
-			NoPrune:           spec.Config.NoPrune,
-			StaticPrune:       spec.Config.StaticPrune,
-			NoSameValueFilter: spec.Config.NoSameValueFilter,
-			PerCellShadow:     spec.Config.PerCellShadow,
-			Ownership:         spec.Config.Ownership,
-			ShadowCapBytes:    spec.Config.ShadowCapBytes,
-			ProducerFilter:    spec.Config.ProducerFilter,
-		},
+		Config:    spec.Config,
 	}
-	// Buffer to the race cap so the observer can never block the
-	// detection worker: the detector fires at most MaxRaces new static
-	// races per run.
-	capRaces := spec.Config.MaxRaces
-	if capRaces <= 0 {
-		capRaces = 1024
+	// Validate before sizing anything from the request: raceCh below is
+	// allocated from MaxRaces. It is buffered to the race cap so the
+	// observer can never block the detection worker: the detector fires
+	// at most MaxRaces new static races per run.
+	if err := req.Validate(st.sched.opts.MaxBufferBytes); err != nil {
+		return st.reject(spec.Seq, wire.CodeInvalidArgument, err.Error(), 0)
 	}
-	raceCh := make(chan core.Race, capRaces)
+	raceCh := make(chan core.Race, req.Config.WithDefaults().MaxRaces)
 	onRace := func(r core.Race) {
 		select {
 		case raceCh <- r:

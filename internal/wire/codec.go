@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"barracuda/internal/core"
+	"barracuda/internal/detector"
 	"barracuda/internal/logging"
 	"barracuda/internal/trace"
 	"barracuda/internal/vc"
@@ -205,24 +206,8 @@ func DecodeModState(p []byte) (ModState, error) {
 
 // ---- launches -------------------------------------------------------
 
-// ConfigSpec is the detector configuration of one launch, mirroring the
-// JSON API's config object field for field (the flag bits cover the
-// booleans).
-type ConfigSpec struct {
-	Queues            int
-	QueueCap          int
-	Granularity       int
-	MaxRaces          int
-	ShadowCapBytes    int64
-	FullVC            bool
-	NoPrune           bool
-	StaticPrune       bool
-	NoSameValueFilter bool
-	PerCellShadow     bool
-	Ownership         bool
-	ProducerFilter    bool
-}
-
+// The detector configuration of one launch travels as detector.Config
+// itself: one flag byte for the booleans, then the sized knobs.
 const (
 	cfgFullVC = 1 << iota
 	cfgNoPrune
@@ -233,7 +218,7 @@ const (
 	cfgProducerFilter
 )
 
-func appendConfig(b []byte, c ConfigSpec) []byte {
+func appendConfig(b []byte, c detector.Config) []byte {
 	var flags byte
 	if c.FullVC {
 		flags |= cfgFullVC
@@ -264,9 +249,9 @@ func appendConfig(b []byte, c ConfigSpec) []byte {
 	return appendZigzag(b, c.ShadowCapBytes)
 }
 
-func (d *dec) config() ConfigSpec {
+func (d *dec) config() detector.Config {
 	flags := d.byte()
-	return ConfigSpec{
+	return detector.Config{
 		FullVC:            flags&cfgFullVC != 0,
 		NoPrune:           flags&cfgNoPrune != 0,
 		StaticPrune:       flags&cfgStaticPrune != 0,
@@ -294,7 +279,7 @@ type LaunchSpec struct {
 	TimeoutMS int64
 	MaxInstrs uint64
 	Buffers   []int
-	Config    ConfigSpec
+	Config    detector.Config
 }
 
 // EncodeLaunch renders a LaunchSpec payload.

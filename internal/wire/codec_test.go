@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"barracuda/internal/core"
+	"barracuda/internal/detector"
 	"barracuda/internal/logging"
 	"barracuda/internal/trace"
 	"barracuda/internal/vc"
@@ -56,7 +58,7 @@ func TestLaunchRoundTrip(t *testing.T) {
 		TimeoutMS: 30000,
 		MaxInstrs: 1 << 24,
 		Buffers:   []int{4096, 0, 65536},
-		Config: ConfigSpec{
+		Config: detector.Config{
 			Queues:         4,
 			QueueCap:       1024,
 			Granularity:    4,
@@ -73,6 +75,46 @@ func TestLaunchRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("got %+v\nwant %+v", out, in)
+	}
+}
+
+// TestLaunchGoldenBytes pins the LAUNCH payload layout with every knob
+// set. The hex was produced by EncodeLaunch at commit 53f9fb5, when the
+// config travelled as a wire-private struct; a daemon and a client built
+// either side of that change must keep understanding each other.
+func TestLaunchGoldenBytes(t *testing.T) {
+	const golden = "2a016b08800220b0ea0180808008038020008080047f0480080480048080808008"
+	in := LaunchSpec{
+		Seq:       42,
+		Kernel:    "k",
+		Grid:      8,
+		Block:     256,
+		WarpSize:  32,
+		TimeoutMS: 30000,
+		MaxInstrs: 1 << 24,
+		Buffers:   []int{4096, 0, 65536},
+		Config: detector.Config{
+			Queues:            4,
+			QueueCap:          1024,
+			Granularity:       4,
+			MaxRaces:          512,
+			ShadowCapBytes:    1 << 30,
+			FullVC:            true,
+			NoPrune:           true,
+			StaticPrune:       true,
+			NoSameValueFilter: true,
+			PerCellShadow:     true,
+			Ownership:         true,
+			ProducerFilter:    true,
+		},
+	}
+	if got := hex.EncodeToString(EncodeLaunch(in)); got != golden {
+		t.Fatalf("LAUNCH bytes moved:\n got %s\nwant %s", got, golden)
+	}
+	raw, _ := hex.DecodeString(golden)
+	out, err := DecodeLaunch(raw)
+	if err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoding the golden bytes: got %+v, %v\nwant %+v", out, err, in)
 	}
 }
 
