@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-sim bench-scaling bench-detect bench-shadow bench-repair bench-proto bench-filter bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership
+.PHONY: all build vet test race bench bench-sim bench-scaling bench-detect bench-shadow bench-repair bench-proto bench-filter bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership stress-refine
 
 all: build vet test
 
@@ -114,6 +114,18 @@ bench-shadow:
 stress-ownership:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestOwnershipEquivalence|TestBoundedShadowEquivalence' ./internal/bugsuite/
 
+# The per-region-granule correctness stress: the recorded per-byte
+# outcomes (bug suite and mixed-width programs, Granularity 1/2/4), the
+# refinement unit and property tests, and — repeated, with real
+# parallelism, under the Go race detector — blocks on four detector
+# threads issuing word and byte accesses to the same shadow page.
+stress-refine:
+	$(GO) test -race -run 'TestGranuleGoldenEquivalence|TestSubword' ./internal/bugsuite/
+	$(GO) test -race -run 'TestRefine|TestRegionGranulePerMode' ./internal/shadow/
+	$(GO) test -race -run 'TestRefine|TestReportWeight' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestSubwordQueuesStress' ./internal/bugsuite/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestRefineConcurrentWorkers' ./internal/core/
+
 # The cluster-simulator determinism smoke, under the Go race detector:
 # each scenario runs twice at a fixed seed and fails unless both passes
 # produce identical schedule and report digests with zero lost jobs —
@@ -162,4 +174,4 @@ stress-multiqueue:
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321
 
-ci: build vet fmt-check test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter fleet-sim
+ci: build vet fmt-check test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter stress-refine fleet-sim

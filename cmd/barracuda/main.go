@@ -45,7 +45,7 @@ func main() {
 		block     = flag.Int("block", 32, "block size in threads (1-D)")
 		bufs      = flag.String("bufs", "", "comma-separated byte sizes of zeroed global buffers passed as u64 args")
 		queues    = flag.Int("queues", 1, "number of logging queues / detector threads")
-		gran      = flag.Int("granularity", 1, "shadow-memory bytes per cell")
+		gran      = flag.Int("granularity", 1, "finest shadow-memory bytes per cell, a power of two (pages start at one cell per 4-byte word and refine on the first sub-word access)")
 		fullvc    = flag.Bool("fullvc", false, "use the uncompressed vector-clock baseline")
 		budget    = flag.Uint64("budget", 1<<24, "dynamic warp-instruction budget (0 = unlimited)")
 		warpsize  = flag.Int("warpsize", 0, "simulated warp width (0 = the architecture's 32); smaller widths expose latent warp-size bugs")
@@ -54,7 +54,7 @@ func main() {
 		ownership = flag.Bool("ownership", false, "enable the exclusive-ownership shadow fast path (requires span mode)")
 		prodFilt  = flag.Bool("producer-filter", false, "suppress redundant access records at the simulator (producer-side epoch filtering; reports stay byte-identical)")
 		shadowCap = flag.Int64("shadow-cap", 0, "bound resident shadow memory to this many bytes via LRU eviction (0 = unbounded; evicting live state is reported as degraded precision)")
-		verbose   = flag.Bool("v", false, "print per-race dynamic counts and PTVC format stats")
+		verbose   = flag.Bool("v", false, "print per-race dynamic counts, PTVC format stats and shadow granule stats")
 		serverURL = flag.String("server", "", "submit to a barracudad daemon or fleet coordinator at this base URL instead of running locally")
 		streamF   = flag.Bool("stream", false, "with -server: use the binary streaming protocol (races print as they are found)")
 		apiKey    = flag.String("api-key", "", "with -server: tenant key for rate limiting and accounting")
@@ -221,6 +221,9 @@ func printResult(kernel string, res *detector.Result, verbose bool) error {
 				fmt.Printf("PTVC %s: %d group(s)\n", f, n)
 			}
 		}
+		sh := rep.Shadow
+		fmt.Printf("shadow: %d word-granular region(s), %d at the configured granularity, %d refinement(s), peak %d bytes\n",
+			sh.WordRegions, sh.ByteRegions, sh.Refinements, sh.PeakResidentBytes)
 	}
 	if rep.RaceCount() > 0 || len(rep.Divergences) > 0 {
 		os.Exit(2)

@@ -1,0 +1,116 @@
+package bugsuite
+
+import (
+	"testing"
+
+	"barracuda/internal/detector"
+)
+
+// subwordConfigs are the shadow configurations the mixed-width programs
+// must agree under: span mode (word-granular regions that refine), with
+// and without the ownership tier and a byte cap, and the two lock-free
+// modes whose cells are byte-sized from the start.
+var subwordConfigs = []detector.Config{
+	{},
+	{Ownership: true},
+	{ShadowCapBytes: 64 << 20},
+	{Ownership: true, ShadowCapBytes: 64 << 20},
+	{PerCellShadow: true},
+	{FullVC: true},
+}
+
+// TestSubwordVerdicts: every mixed-width program gets its hand-written
+// verdict under every shadow configuration.
+func TestSubwordVerdicts(t *testing.T) {
+	for _, tc := range SubwordTests() {
+		tc := tc
+		t.Run(tc.Name, func(t *testing.T) {
+			for _, cfg := range subwordConfigs {
+				v, err := RunBarracudaWith(tc, cfg)
+				if err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				if !tc.Expect.Correct(v) {
+					t.Errorf("%+v: verdict %v, want %v", cfg, v, tc.Expect)
+				}
+			}
+		})
+	}
+}
+
+// TestSubwordRefines pins who refines: every mixed-width program does in
+// span mode (that is what they are for) and never in the lock-free
+// modes, and of the 66 paper programs only gl-partial-overlap-racy (a
+// misaligned word store) does — the rest contain nothing but whole-word
+// accesses, so their whole shadow stays word-granular.
+func TestSubwordRefines(t *testing.T) {
+	refinements := func(tc *Test, cfg detector.Config) uint64 {
+		t.Helper()
+		s, err := detector.OpenPTX(tc.PTX, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		launch, err := tc.launch(s.Dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Detect(tc.Kernel, launch)
+		if err != nil {
+			return 0 // hangs and launch errors: nothing to count
+		}
+		sh := res.Report.Shadow
+		if cfg == (detector.Config{}) && sh.WordRegions+sh.ByteRegions != sh.GlobalPages+sh.SharedBlocks {
+			t.Errorf("%s: %d word + %d byte regions, but %d pages + %d slabs",
+				tc.Name, sh.WordRegions, sh.ByteRegions, sh.GlobalPages, sh.SharedBlocks)
+		}
+		return sh.Refinements
+	}
+	for _, tc := range SubwordTests() {
+		if n := refinements(tc, detector.Config{}); n == 0 {
+			t.Errorf("%s: no region refined under the default configuration", tc.Name)
+		}
+		if n := refinements(tc, detector.Config{PerCellShadow: true}); n != 0 {
+			t.Errorf("%s: %d refinements under PerCellShadow, whose cells start byte-sized", tc.Name, n)
+		}
+	}
+	for _, tc := range Tests() {
+		n := refinements(tc, detector.Config{})
+		if want := tc.Name == "gl-partial-overlap-racy"; want != (n != 0) {
+			t.Errorf("%s: %d refinements, want refined = %v", tc.Name, n, want)
+		}
+	}
+}
+
+// TestSubwordQueuesStress runs the mixed-width programs on four queues,
+// repeatedly: blocks on different detector threads issue word and byte
+// accesses to the same shadow page, so one thread refines the page while
+// the others are resolving, locking and indexing it. The canonical
+// digest must match the single-queue run every time; under -race (CI)
+// this is also the data-race check of the refinement protocol.
+func TestSubwordQueuesStress(t *testing.T) {
+	rounds := 20
+	if testing.Short() {
+		rounds = 5
+	}
+	for _, tc := range SubwordTests() {
+		tc := tc
+		t.Run(tc.Name, func(t *testing.T) {
+			for _, cfg := range []detector.Config{{}, {Ownership: true}, {Ownership: true, ShadowCapBytes: 64 << 20}} {
+				base, err := adaptiveRun(tc, 0, 1, cfg.Ownership, cfg.ShadowCapBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < rounds; i++ {
+					got, err := adaptiveRun(tc, 0, 4, cfg.Ownership, cfg.ShadowCapBytes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.digest != base.digest {
+						t.Fatalf("%+v round %d: canonical digest diverged at 4 queues:\n--- 1 queue ---\n%s--- 4 queues ---\n%s",
+							cfg, i, base.digest, got.digest)
+					}
+				}
+			}
+		})
+	}
+}

@@ -19,11 +19,12 @@
 // NewWorker and deliver records through Worker.Handle, keeping all
 // records of one thread block on the same worker (the block-to-queue
 // affinity of package logging guarantees this). Per-warp and per-block
-// state is block-affine; shadow cells use per-location spinlocks; and
-// per-record statistics (record count, same-value filter count, PTVC
-// format histogram) live in per-worker shards merged lazily by Report
-// and FormatHistogram — so the per-record fast path of a memory access
-// acquires no mutex at all. Only the rare events (a detected race, a
+// state is block-affine; shadow cells are guarded by their region's
+// spinlock (by per-location spinlocks in the FullVC and PerCellShadow
+// ablation modes); and per-record statistics (record count, same-value
+// filter count, PTVC format histogram) live in per-worker shards merged
+// lazily by Report and FormatHistogram — so the per-record fast path of
+// a memory access acquires no mutex at all. Only the rare events (a detected race, a
 // barrier divergence) take the report mutex. Detector.Handle remains as
 // a worker-less convenience for tests and single-consumer callers; it is
 // safe for concurrent use but skips the worker-private caches.
@@ -145,7 +146,9 @@ func (r *Report) CountKind(k RaceKind) int {
 
 // Options tunes the detector.
 type Options struct {
-	// Granularity is the shadow bytes per cell (default 1).
+	// Granularity is the finest shadow bytes per cell (default 1). In
+	// span mode regions start at one cell per 4-byte word and refine to
+	// it on the first sub-word access; reports are the same either way.
 	Granularity int
 	// MaxRaces bounds the number of distinct races recorded (default
 	// 1024; 0 means the default).
@@ -437,7 +440,8 @@ func ordered(g *ptvc.Group, tid vc.TID, e vc.Epoch) bool {
 // lane of a warp-level memory record, followed by ENDINSN. This is the
 // per-record fast path: no mutex is acquired anywhere on it — stats go
 // to the worker's shard, shadow lookups go through the worker's span
-// cache over the lock-free page table, and cells use CAS spinlocks.
+// cache over the lock-free page table, and cells are guarded by their
+// region's CAS spinlock.
 func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 	g := w.warp(int(r.Warp)).top()
 	w.hist[g.Format()].Add(1)
@@ -446,23 +450,30 @@ func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 		if w.caching {
 			span = &w.span
 		}
-		d.forEachLaneCell(span, r, func(lane int, tid vc.TID, c *shadow.Cell) {
-			switch r.Op {
-			case trace.OpRead:
-				d.applyRead(c, g, tid, r, lane)
-			case trace.OpWrite:
-				d.applyWrite(c, g, tid, r, lane, false, w)
-			case trace.OpAtom:
-				d.applyAtomic(c, g, tid, r, lane)
-			}
+		d.forEachLaneCell(span, r, func(lane int, tid vc.TID, c *shadow.Cell, weight int) {
+			d.apply(c, g, tid, r, lane, weight, w)
 		})
 	}
 	g.EndInstr()
 }
 
-func (d *Detector) applyRead(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane int) {
+// apply runs the record's READ*/WRITE*/ATOM* rule for one lane on one
+// cell. weight is the number of configured-granule cells the cell stands
+// for (shadow.Memory.Weight): every check on it counts that many times.
+func (d *Detector) apply(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
+	switch r.Op {
+	case trace.OpRead:
+		d.applyRead(c, g, tid, r, lane, weight)
+	case trace.OpWrite:
+		d.applyWrite(c, g, tid, r, lane, weight, w)
+	case trace.OpAtom:
+		d.applyAtomic(c, g, tid, r, lane, weight)
+	}
+}
+
+func (d *Detector) applyRead(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
 	if !ordered(g, tid, c.W) {
-		d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false)
+		d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, weight)
 	}
 	if c.ReadShared {
 		// READSHARED: concurrent readers use the sparse read clock.
@@ -482,7 +493,7 @@ func (d *Detector) applyRead(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *loggi
 	c.ReadPC = r.PC
 }
 
-func (d *Detector) applyWrite(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane int, atomic bool, w *Worker) {
+func (d *Detector) applyWrite(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
 	if !ordered(g, tid, c.W) {
 		// Same-instruction intra-warp write-write: filter when the
 		// lanes stored the same value (§3.3.1).
@@ -492,33 +503,29 @@ func (d *Detector) applyWrite(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logg
 			prevLane := d.geo.LaneOf(c.W.T)
 			if r.Mask&(1<<uint(prevLane)) != 0 && r.Vals[prevLane] == r.Vals[lane] {
 				filtered = true
-				w.sameValue.Add(1)
+				w.sameValue.Add(uint64(weight))
 			}
 		}
 		if !filtered {
-			d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr)
+			d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr, weight)
 		}
 	}
-	d.checkReaders(c, g, tid, r, lane)
+	d.checkReaders(c, g, tid, r, lane, weight)
 	c.W = vc.Epoch{T: tid, C: g.L}
-	c.Atomic = atomic
+	c.Atomic = false
 	c.WritePC = r.PC
 	c.ClearReads()
 }
 
-func (d *Detector) applyAtomic(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane int) {
-	if c.Atomic {
-		// ATOMEXCL/ATOMSHARED: atomic-to-atomic needs no write check —
-		// atomics do not race with each other (nor synchronize).
-		d.checkReaders(c, g, tid, r, lane)
-	} else {
-		// INITATOM*: the previous write was non-atomic; PTX gives no
-		// atomicity guarantee against normal stores.
-		if !ordered(g, tid, c.W) {
-			d.report(tid, r, lane, true, c.W.T, c.WritePC, true, false, false)
-		}
-		d.checkReaders(c, g, tid, r, lane)
+func (d *Detector) applyAtomic(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+	// ATOMEXCL/ATOMSHARED: atomic-to-atomic needs no write check —
+	// atomics do not race with each other (nor synchronize). INITATOM*:
+	// the previous write was non-atomic; PTX gives no atomicity
+	// guarantee against normal stores.
+	if !c.Atomic && !ordered(g, tid, c.W) {
+		d.report(tid, r, lane, true, c.W.T, c.WritePC, true, false, false, weight)
 	}
+	d.checkReaders(c, g, tid, r, lane, weight)
 	c.W = vc.Epoch{T: tid, C: g.L}
 	c.Atomic = true
 	c.WritePC = r.PC
@@ -529,17 +536,17 @@ func (d *Detector) applyAtomic(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *log
 // write/atomic. Readers are visited in TID order: the first racing
 // reader becomes the race's reported representative, and map iteration
 // order would make that attribution flap from run to run.
-func (d *Detector) checkReaders(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane int) {
+func (d *Detector) checkReaders(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
 	if c.ReadShared {
 		for _, u := range sortedReaders(c.Readers) {
 			if !ordered(g, tid, vc.Epoch{T: u, C: c.Readers[u]}) {
-				d.report(tid, r, lane, true, u, c.ReadPC, false, false, false)
+				d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, weight)
 			}
 		}
 		return
 	}
 	if !ordered(g, tid, c.R) {
-		d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false)
+		d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false, weight)
 	}
 }
 
@@ -715,9 +722,14 @@ func (d *Detector) handleFi(r *logging.Record, wk *Worker) {
 	w.top().Merge(firstDone, second)
 }
 
-// report records one dynamic race, deduplicating into static races.
+// report records weight dynamic occurrences of one race, deduplicating
+// into static races. weight is the number of configured-granule cells
+// the checked cell stands for: the per-byte detector would have made
+// this very report once per byte cell of the word, back to back, so the
+// first occurrence discovers the race (OnRace sees Count 1, MaxRaces
+// drops it or not) and the rest only count.
 func (d *Detector) report(tid vc.TID, r *logging.Record,
-	lane int, curWrite bool, prevTID vc.TID, prevPC uint32, prevWrite, prevAtomic, sameInstr bool) {
+	lane int, curWrite bool, prevTID vc.TID, prevPC uint32, prevWrite, prevAtomic, sameInstr bool, weight int) {
 
 	kind := InterBlock
 	switch {
@@ -734,7 +746,7 @@ func (d *Detector) report(tid vc.TID, r *logging.Record,
 	d.repMu.Lock()
 	defer d.repMu.Unlock()
 	if rc := d.races[key]; rc != nil {
-		rc.Count++
+		rc.Count += weight
 		return
 	}
 	if len(d.races) >= d.opts.MaxRaces {
@@ -758,6 +770,7 @@ func (d *Detector) report(tid vc.TID, r *logging.Record,
 	if d.opts.OnRace != nil {
 		d.opts.OnRace(*rc)
 	}
+	rc.Count = weight
 }
 
 // Report snapshots the detector's findings, with races ordered by source

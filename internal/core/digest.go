@@ -116,3 +116,30 @@ func (r *Report) CanonicalDigest() string {
 	lines = append(lines, fmt.Sprintf("records=%d", r.RecordsSeen))
 	return strings.Join(lines, "\n") + "\n"
 }
+
+// ExactText renders every field of a race on one line: String's kind,
+// space, address and both sides, plus the block, the same-instruction
+// flag and the dynamic count.
+func (r Race) ExactText() string {
+	return fmt.Sprintf("%s block=%d sameInstr=%v count=%d", r.String(), r.Block, r.SameInstr, r.Count)
+}
+
+// ExactText renders everything a single-queue run determines about a
+// report, one item per line: every race in full (sorted, because Report
+// orders ties by map iteration), the barrier divergences in discovery
+// order, and the record and same-value counters. Where CanonicalDigest
+// is the projection that survives any queue count, this is the whole
+// report; the recorded goldens (internal/bugsuite/testdata/README.md)
+// compare it byte for byte.
+func (r *Report) ExactText() string {
+	lines := make([]string, 0, len(r.Races))
+	for _, rc := range r.Races {
+		lines = append(lines, rc.ExactText())
+	}
+	sort.Strings(lines)
+	for _, d := range r.Divergences {
+		lines = append(lines, fmt.Sprintf("%+v", d))
+	}
+	lines = append(lines, fmt.Sprintf("records=%d samevalue=%d", r.RecordsSeen, r.SameValueGag))
+	return strings.Join(lines, "\n") + "\n"
+}

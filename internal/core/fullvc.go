@@ -134,12 +134,14 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 	// joinFork every lane's own clock component differs, so a warp access
 	// is not expressible as a single (warp, mask, clock) layer. It shares
 	// the per-lane cell iteration with the epoch detector's fallback path.
-	d.forEachLaneCell(nil, r, func(lane int, tid vc.TID, c *shadow.Cell) {
+	// Its shadow is the lock-free table, every cell at the configured
+	// granularity, so the visit weight is always 1.
+	d.forEachLaneCell(nil, r, func(lane int, tid vc.TID, c *shadow.Cell, _ int) {
 		myClock := s.clocks[tid].Get(tid)
 		switch r.Op {
 		case trace.OpRead:
 			if !s.ordered(tid, c.W) {
-				d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false)
+				d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, 1)
 			}
 			if c.ReadShared {
 				c.Readers[tid] = myClock
@@ -166,7 +168,7 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 					}
 				}
 				if !filtered {
-					d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr)
+					d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr, 1)
 				}
 			}
 			if c.ReadShared {
@@ -174,11 +176,11 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 				// reported representative reader deterministic.
 				for _, u := range sortedReaders(c.Readers) {
 					if !s.ordered(tid, vc.Epoch{T: u, C: c.Readers[u]}) {
-						d.report(tid, r, lane, true, u, c.ReadPC, false, false, false)
+						d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, 1)
 					}
 				}
 			} else if !s.ordered(tid, c.R) {
-				d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false)
+				d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false, 1)
 			}
 			c.W = vc.Epoch{T: tid, C: myClock}
 			c.Atomic = atomic

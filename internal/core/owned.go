@@ -171,26 +171,23 @@ func (d *Detector) trackOwner(reg *shadow.Region, r *logging.Record, g *ptvc.Gro
 // ownedCoalesced handles a coalesced record over one region: the span
 // store of spanRun with every check removed.
 func (d *Detector) ownedCoalesced(r *logging.Record, g *ptvc.Group, sc *shadow.SpanCache, blk int32) bool {
-	gran := d.mem.Granularity()
-	size := int(r.Size)
-	if gran > 1 && (r.Base%uint64(gran) != 0 || size%gran != 0) {
-		return false // lanes could share cells (isolation condition 3)
+	if !d.lanesOwnCells(r) {
+		return false // isolation condition 3
 	}
+	size := int(r.Size)
 	n := bits.OnesCount32(r.Mask) * size
 	if r.Space == logging.SpaceGlobal && r.Base/shadow.PageBytes != (r.Base+uint64(n)-1)/shadow.PageBytes {
 		return false // page-crossing runs: the span path's business
 	}
-	reg, lo := d.mem.RegionFor(sc, r.Space, blk, r.Base)
-	if r.Space == logging.SpaceShared && uint64(lo) != r.Base/uint64(gran) {
-		return false // out of the slab; per-cell clamping semantics win
-	}
-	hi := lo + n/gran
-	if hi > len(reg.Cells()) {
-		return false
-	}
-	runMask := r.Mask
+	reg, off := d.mem.RegionFor(sc, r.Space, blk, r.Base)
 	reg.Lock()
 	defer reg.Unlock()
+	d.mem.Fit(reg, shadow.WordShaped(r.Base, size), off+uint64(n))
+	lo, hi := reg.CellRange(off, n)
+	if hi > len(reg.Cells()) {
+		return false // out of the slab; per-cell clamping semantics win
+	}
+	runMask := r.Mask
 	if !d.ownedValidate(reg, r, g) {
 		return false
 	}
@@ -217,13 +214,15 @@ func (d *Detector) ownedCoalesced(r *logging.Record, g *ptvc.Group, sc *shadow.S
 // ownedLanes handles a non-coalesced record whose lanes all land in one
 // region with strictly ascending, pairwise-disjoint cell ranges: one
 // region lock and raw per-cell stores, instead of the per-lane
-// SpanCached loop with per-cell spinlocks and epoch checks.
+// SpanCached loop with epoch checks.
 func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanCache, blk int32, ws int) bool {
-	gran := uint64(d.mem.Granularity())
+	// Lock-free pass: one region, no lane crossing a page, and whether
+	// every lane is whole words (a word-granular region can stay so).
 	var reg *shadow.Region
-	var los, his [logging.WarpWidth]int
+	var offs [logging.WarpWidth]uint64
 	nl := 0
-	prevHi := 0
+	whole := true
+	var maxEnd uint64
 	for lane := 0; lane < ws; lane++ {
 		if r.Mask&(1<<uint(lane)) == 0 {
 			continue
@@ -233,24 +232,15 @@ func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanC
 		if r.Space == logging.SpaceGlobal && addr/shadow.PageBytes != end/shadow.PageBytes {
 			return false
 		}
-		rg, lo := d.mem.RegionFor(sc, r.Space, blk, addr)
+		rg, off := d.mem.RegionFor(sc, r.Space, blk, addr)
 		if reg == nil {
 			reg = rg
 		} else if rg != reg {
 			return false // lanes span regions
 		}
-		if r.Space == logging.SpaceShared && uint64(lo) != addr/gran {
-			return false // clamped: out of the slab
-		}
-		hi := lo + int(end/gran-addr/gran) + 1
-		if hi > len(rg.Cells()) {
-			return false
-		}
-		if lo < prevHi {
-			return false // overlapping or unsorted lanes (condition 3)
-		}
-		prevHi = hi
-		los[nl], his[nl] = lo, hi
+		whole = whole && shadow.WordShaped(addr, int(r.Size))
+		maxEnd = max(maxEnd, off+uint64(r.Size))
+		offs[nl] = off
 		nl++
 	}
 	if reg == nil {
@@ -258,6 +248,22 @@ func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanC
 	}
 	reg.Lock()
 	defer reg.Unlock()
+	// Cell indices depend on the region's granule, so they are computed
+	// under its lock, after the one refinement this record can cause.
+	d.mem.Fit(reg, whole, maxEnd)
+	var los, his [logging.WarpWidth]int
+	prevHi := 0
+	for i := 0; i < nl; i++ {
+		lo, hi := reg.CellRange(offs[i], int(r.Size))
+		if hi > len(reg.Cells()) {
+			return false // out of the slab; per-cell clamping semantics win
+		}
+		if lo < prevHi {
+			return false // overlapping or unsorted lanes (condition 3)
+		}
+		prevHi = hi
+		los[i], his[i] = lo, hi
+	}
 	if !d.ownedValidate(reg, r, g) {
 		return false
 	}
@@ -282,12 +288,9 @@ func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanC
 }
 
 // ownedRankCells is the raw-store twin of spanPerCell: same cells, same
-// order, no checks (they provably pass) and no per-cell spinlocks (the
-// region lock already serializes every record-path access in span mode,
-// the same argument shadow.materialize relies on).
+// order, no checks (they provably pass), under the same region lock.
 func (d *Detector) ownedRankCells(r *logging.Record, g *ptvc.Group, reg *shadow.Region, lo int, runMask uint32) {
-	gran := d.mem.Granularity()
-	cellsPerLane := int(r.Size) / gran
+	cellsPerLane := int(r.Size) / reg.Gran()
 	cells := reg.Cells()
 	idx := lo
 	for rm := runMask; rm != 0; rm &= rm - 1 {

@@ -11,11 +11,13 @@ import (
 )
 
 // forEachLaneCell visits every shadow cell of every active lane of a
-// memory record, with the cell locked — the per-cell iteration shared by
-// the epoch detector's fallback path and the full-VC ablation. Addresses
-// go through LaneAddr so coalesced records that crossed the compact wire
-// (no address array) resolve identically.
-func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visit func(lane int, tid vc.TID, c *shadow.Cell)) {
+// memory record, with the cell's guarding lock held — the per-cell
+// iteration shared by the epoch detector's fallback path and the full-VC
+// ablation. weight is shadow.Memory.Weight of the cell's region (1 in
+// the lock-free modes). Addresses go through LaneAddr so coalesced
+// records that crossed the compact wire (no address array) resolve
+// identically.
+func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visit func(lane int, tid vc.TID, c *shadow.Cell, weight int)) {
 	blk := int32(-1)
 	if r.Space == logging.SpaceShared {
 		blk = int32(r.Block)
@@ -25,8 +27,8 @@ func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visi
 			continue
 		}
 		tid := d.geo.TIDOf(int(r.Warp), lane)
-		d.mem.SpanCached(sc, r.Space, blk, r.LaneAddr(lane), int(r.Size), func(c *shadow.Cell) {
-			visit(lane, tid, c)
+		d.mem.SpanCached(sc, r.Space, blk, r.LaneAddr(lane), int(r.Size), func(c *shadow.Cell, weight int) {
+			visit(lane, tid, c, weight)
 		})
 	}
 }
@@ -48,10 +50,7 @@ func (d *Detector) trySpan(r *logging.Record, g *ptvc.Group, w *Worker) bool {
 	if r.Space != logging.SpaceGlobal && r.Space != logging.SpaceShared {
 		return false
 	}
-	gran := d.mem.Granularity()
-	if gran > 1 && (r.Base%uint64(gran) != 0 || int(r.Size)%gran != 0) {
-		// Lanes could share cells; only the per-cell rules (and the
-		// same-value filter) handle that exactly.
+	if !d.lanesOwnCells(r) {
 		return false
 	}
 	ws := d.geo.WarpSize
@@ -78,12 +77,20 @@ func (d *Detector) trySpan(r *logging.Record, g *ptvc.Group, w *Worker) bool {
 		})
 }
 
-// spanRun processes one region-contiguous part of a coalesced record
-// under the region lock.
-func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo, hi, byteOff int) {
-	reg.Lock()
-	defer reg.Unlock()
+// lanesOwnCells reports whether the lanes of a coalesced record are
+// guaranteed pairwise-disjoint cells at the finest granule: with a
+// configured granularity above one byte, an unaligned base or lane size
+// lets neighbouring lanes share a cell, and only the per-cell rules (and
+// the same-value filter) handle that exactly.
+func (d *Detector) lanesOwnCells(r *logging.Record) bool {
+	gran := d.mem.Granularity()
+	return gran == 1 || (r.Base%uint64(gran) == 0 && int(r.Size)%gran == 0)
+}
 
+// spanRun processes one region-contiguous part of a coalesced record;
+// SpanRuns hands the region over locked and fitted to the record, with
+// [lo, hi) at the region's own granule.
+func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo, hi, byteOff int) {
 	// Keep the ownership facts alive for traffic that bypassed the
 	// ownership fast path (diverged groups, clock bounds not provably
 	// below the barrier): every store below carries clock g.L under
@@ -92,7 +99,7 @@ func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *sha
 		d.trackOwner(reg, r, g)
 	}
 
-	nRanks := (hi - lo) * d.mem.Granularity() / int(r.Size)
+	nRanks := (hi - lo) * reg.Gran() / int(r.Size)
 	runMask := spanRunMask(r.Mask, byteOff/int(r.Size), nRanks)
 
 	exact, overlap := reg.FindSpan(lo, hi)
@@ -114,7 +121,7 @@ func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *sha
 	// write leaves behind.
 	reg.DemoteOverlapping(d.mem, lo, hi)
 	reg.SetTouched()
-	d.spanPerCell(r, g, w, reg, lo, byteOff, runMask)
+	d.spanPerCell(r, g, w, reg, lo, runMask)
 	if r.Op != trace.OpRead {
 		s := shadow.SpanSum{Lo: lo, Hi: hi}
 		d.spanWriteLayer(&s, r, g, runMask)
@@ -210,28 +217,19 @@ func (d *Detector) spanWriteLayer(s *shadow.SpanSum, r *logging.Record, g *ptvc.
 
 // spanPerCell replays the exact per-cell rules for one region run: the
 // same lanes, cells, visit order and callbacks as the legacy path, under
-// the already-held region lock.
-func (d *Detector) spanPerCell(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo, byteOff int, runMask uint32) {
-	gran := d.mem.Granularity()
-	cellsPerLane := int(r.Size) / gran
+// the already-held region lock (which is all that guards a span-mode
+// cell).
+func (d *Detector) spanPerCell(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo int, runMask uint32) {
+	cellsPerLane := int(r.Size) / reg.Gran()
+	weight := d.mem.Weight(reg)
 	cells := reg.Cells()
 	idx := lo
 	for rm := runMask; rm != 0; rm &= rm - 1 {
 		lane := bits.TrailingZeros32(rm)
 		tid := d.geo.TIDOf(int(r.Warp), lane)
 		for k := 0; k < cellsPerLane; k++ {
-			c := &cells[idx]
+			d.apply(&cells[idx], g, tid, r, lane, weight, w)
 			idx++
-			c.Lock()
-			switch r.Op {
-			case trace.OpRead:
-				d.applyRead(c, g, tid, r, lane)
-			case trace.OpWrite:
-				d.applyWrite(c, g, tid, r, lane, false, w)
-			case trace.OpAtom:
-				d.applyAtomic(c, g, tid, r, lane)
-			}
-			c.Unlock()
 		}
 	}
 }

@@ -35,7 +35,12 @@ type Config struct {
 	Queues int `json:"queues,omitempty"`
 	// QueueCap is the per-queue capacity in records (default 4096).
 	QueueCap int `json:"queue_cap,omitempty"`
-	// Granularity is the shadow-memory granularity in bytes (default 1).
+	// Granularity is the finest shadow-memory granule in bytes, a power
+	// of two (default 1: byte-exact reports). The shadow keeps one cell
+	// per 4-byte word where every access is made of whole words and
+	// refines a page to this granule on its first sub-word access, so
+	// values below 4 cost nothing on word-only code; 4 and above trade
+	// precision for speed.
 	Granularity int `json:"granularity,omitempty"`
 	// MaxRaces bounds distinct race reports (default 1024).
 	MaxRaces int `json:"max_races,omitempty"`
@@ -111,6 +116,9 @@ func (c Config) Validate() error {
 		if f.v < 0 || f.v > f.bound {
 			return fmt.Errorf("detector: %s must be in [0, %d] (0 selects %s), got %d", f.name, f.bound, f.zero, f.v)
 		}
+	}
+	if c.Granularity&(c.Granularity-1) != 0 {
+		return fmt.Errorf("detector: Granularity must be a power of two (shadow cells tile the 64 KiB shadow page), got %d", c.Granularity)
 	}
 	if c.NoPrune && c.StaticPrune {
 		return fmt.Errorf("detector: NoPrune and StaticPrune are mutually exclusive: the static pruner subsumes the intra-block optimization NoPrune disables")
@@ -249,7 +257,13 @@ type Result struct {
 	// "90% of the time" measurement).
 	Formats    map[ptvc.Format]int
 	FormatHist map[ptvc.Format]uint64
-	Duration   time.Duration
+	// Duration is the wall time of the detection run: building the
+	// detector state and the queue rings, the instrumented launch, and
+	// draining the queues — everything detection costs on top of the
+	// session, the window the end-to-end benchmark times from outside.
+	// The shadow pages (allocated lazily by the detector threads) and the
+	// equally large queue rings (allocated up front) both count.
+	Duration time.Duration
 }
 
 // routeSink routes records to their block's queue.
@@ -351,6 +365,7 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 		return nil, fmt.Errorf("detector: unknown kernel %q", kernelName)
 	}
 
+	start := time.Now()
 	opts := s.cfg.coreOptions()
 	opts.OnRace = onRace
 	det := core.New(geo, sharedBytes, opts)
@@ -366,7 +381,6 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 	launch.EmitBranchEvents = true
 	launch.ProducerFilter = s.cfg.ProducerFilter
 	launch.FilterGranularity = s.cfg.Granularity
-	start := time.Now()
 	stats, err := s.Instr.Launch(kernelName, launch)
 	set.CloseAll()
 	wg.Wait()

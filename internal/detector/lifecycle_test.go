@@ -24,6 +24,10 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 		{Config{QueueCap: 1 << 50}, "QueueCap"},
 		{Config{Granularity: 1 << 40}, "Granularity"},
 		{Config{MaxRaces: 1 << 50}, "MaxRaces"},
+		// In range but not a power of two: cells would not tile the 64 KiB
+		// shadow page, and the page's last bytes indexed past its cells.
+		{Config{Granularity: 3}, "Granularity"},
+		{Config{Granularity: 48}, "Granularity"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

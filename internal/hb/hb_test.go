@@ -171,8 +171,12 @@ func TestSharedSpaceBlockPrivate(t *testing.T) {
 // --- Theorem 1 (empirical): detector verdict == definition verdict ----
 
 // genStream mirrors the well-formed random stream generator used in the
-// core tests.
-func genStream(r *rand.Rand, n int) []*logging.Record {
+// core tests. With subword set, accesses to the location shared across
+// warps are 1, 2 or 4 bytes wide at any offset inside (or straddling the
+// end of) its word, so whether two of them conflict depends on their byte
+// ranges — and the detector's shadow page, word-granular until the first
+// such access, has to refine to bytes to agree with the definition.
+func genStream(r *rand.Rand, n int, subword bool) []*logging.Record {
 	var out []*logging.Record
 	depth := make([]int, 4)
 	elseDone := make([]bool, 4)
@@ -194,7 +198,14 @@ func genStream(r *rand.Rand, n int) []*logging.Record {
 				if r.Intn(3) != 0 {
 					kind = trace.OpRead
 				}
-				out = append(out, mkRec(kind, w, cur, 0x100, uint32(r.Intn(30))))
+				rec := mkRec(kind, w, cur, 0x100, uint32(r.Intn(30)))
+				if subword && r.Intn(2) == 0 {
+					rec.Size = 1 << uint(r.Intn(3))
+					for lane := range rec.Addrs {
+						rec.Addrs[lane] = 0x100 + uint64(r.Intn(4))
+					}
+				}
+				out = append(out, rec)
 			} else {
 				// Lane-private strided addresses within a warp-private
 				// region: never conflicting.
@@ -254,32 +265,40 @@ func onesCount(m uint32) int {
 }
 
 func TestTheorem1Agreement(t *testing.T) {
-	agreeRacy, agreeClean := 0, 0
-	for seed := int64(0); seed < 60; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		stream := genStream(r, 60)
-		det := core.New(testGeo(), 256, core.Options{NoSameValueFilter: true})
-		ref := New(testGeo())
-		for _, rc := range stream {
-			cp1, cp2 := *rc, *rc
-			det.Handle(&cp1)
-			ref.Handle(&cp2)
+	for _, subword := range []bool{false, true} {
+		agreeRacy, agreeClean := 0, 0
+		var refined uint64
+		for seed := int64(0); seed < 60; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			stream := genStream(r, 60, subword)
+			det := core.New(testGeo(), 256, core.Options{NoSameValueFilter: true})
+			ref := New(testGeo())
+			for _, rc := range stream {
+				cp1, cp2 := *rc, *rc
+				det.Handle(&cp1)
+				ref.Handle(&cp2)
+			}
+			rep := det.Report()
+			dv := rep.HasRaces()
+			rv := ref.HasRaces()
+			if dv != rv {
+				t.Fatalf("subword=%v seed %d: detector=%v reference=%v\nref races: %v\ndet races: %v",
+					subword, seed, dv, rv, ref.Races(), rep.Races)
+			}
+			if dv {
+				agreeRacy++
+			} else {
+				agreeClean++
+			}
+			refined += rep.Shadow.Refinements
 		}
-		dv := det.Report().HasRaces()
-		rv := ref.HasRaces()
-		if dv != rv {
-			t.Fatalf("seed %d: detector=%v reference=%v\nref races: %v\ndet races: %v",
-				seed, dv, rv, ref.Races(), det.Report().Races)
+		// The generator must exercise both verdicts for the test to mean
+		// anything — and the sub-word streams must actually refine pages.
+		if agreeRacy == 0 || agreeClean == 0 {
+			t.Fatalf("subword=%v: degenerate coverage: racy=%d clean=%d", subword, agreeRacy, agreeClean)
 		}
-		if dv {
-			agreeRacy++
-		} else {
-			agreeClean++
+		if subword != (refined > 0) {
+			t.Fatalf("subword=%v: %d shadow refinements", subword, refined)
 		}
-	}
-	// The generator must exercise both verdicts for the test to mean
-	// anything.
-	if agreeRacy == 0 || agreeClean == 0 {
-		t.Fatalf("degenerate coverage: racy=%d clean=%d", agreeRacy, agreeClean)
 	}
 }

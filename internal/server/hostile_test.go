@@ -75,10 +75,11 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 }
 
 // TestOversizedConfigRejected: knob values far above detector.Config's
-// bounds are refused as invalid_argument on both transports before they
+// bounds — and a granularity inside them that does not tile the shadow
+// page — are refused as invalid_argument on both transports before they
 // size a queue ring, a race channel or a shadow page — each of these
-// used to reach make() and take the process down — and the daemon serves
-// the next job.
+// used to reach make(), or index past a page's cells, and take the
+// process down — and the daemon serves the next job.
 func TestOversizedConfigRejected(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
 	want := racyDigest(t)
@@ -89,14 +90,15 @@ func TestOversizedConfigRejected(t *testing.T) {
 	const huge = 1 << 50
 	seq := uint64(0)
 	for name, cfg := range map[string]detector.Config{
-		"queues":      {Queues: huge},
-		"queue_cap":   {QueueCap: huge},
-		"max_races":   {MaxRaces: huge},
-		"granularity": {Granularity: huge},
+		"queues":                           {Queues: huge},
+		"queue_cap":                        {QueueCap: huge},
+		"max_races":                        {MaxRaces: huge},
+		"granularity":                      {Granularity: huge},
+		"granularity (not a power of two)": {Granularity: 3},
 	} {
 		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Config: cfg})
 		if code != http.StatusBadRequest || errj.Code != CodeInvalidArgument {
-			t.Errorf("POST /jobs with %s=%d: %d %+v, want 400 invalid_argument", name, huge, code, errj)
+			t.Errorf("POST /jobs with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
 		}
 		seq++
 		if err := c.Launch(wire.LaunchSpec{Seq: seq, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}, Config: cfg}); err != nil {
@@ -104,7 +106,7 @@ func TestOversizedConfigRejected(t *testing.T) {
 		}
 		_, _, rejects := collect(t, c, 1)
 		if len(rejects) != 1 || rejects[0].Seq != seq || rejects[0].Code != wire.CodeInvalidArgument {
-			t.Errorf("/v1/stream with %s=%d: rejects %+v, want one invalid_argument", name, huge, rejects)
+			t.Errorf("/v1/stream with bad %s: rejects %+v, want one invalid_argument", name, rejects)
 		}
 	}
 

@@ -302,10 +302,10 @@ func (m *Memory) evictCandidates() []evictCand {
 	return out
 }
 
-// dropRegion unpublishes a region from its owning map, bumps the
-// generation (stale SpanCache pointers must not resolve to it), and
-// releases its resident accounting. Returns false if the region was
-// already gone.
+// dropRegion unpublishes a region (locked by the caller) from its owning
+// map, bumps the generation (stale SpanCache pointers must not resolve to
+// it), and releases its resident accounting. Returns false if the region
+// was already gone.
 func (m *Memory) dropRegion(victim *Region, pageID uint64, block int32, isShared bool) bool {
 	if isShared {
 		m.sharedMu.Lock()
@@ -339,9 +339,20 @@ func (m *Memory) dropRegion(victim *Region, pageID uint64, block int32, isShared
 		s.pages.Store(&next)
 		s.mu.Unlock()
 	}
-	m.gen.Add(1)
-	m.resident.Add(-victim.RegionBytes())
+	m.release(victim)
 	return true
+}
+
+// release drops an unpublished region (locked by the caller) from the
+// generation, resident and granule accounting; it returns the bytes freed.
+func (m *Memory) release(r *Region) int64 {
+	n := r.RegionBytes()
+	m.gen.Add(1)
+	m.resident.Add(-n)
+	if r.gran != m.granularity {
+		m.wordRegions.Add(-1)
+	}
+	return n
 }
 
 // CompactSharedSlab drops a block's shared slab entirely — the
@@ -370,9 +381,9 @@ func (m *Memory) CompactSharedSlab(block int32) int64 {
 	}
 	m.sharedPtr.Store(&next)
 	m.sharedMu.Unlock()
-	n := r.RegionBytes()
-	m.gen.Add(1)
-	m.resident.Add(-n)
+	r.Lock()
+	n := m.release(r)
+	r.Unlock()
 	m.compactions.Add(1)
 	m.compactedBytes.Add(n)
 	return n
@@ -386,6 +397,13 @@ type MemStats struct {
 	ResidentBytes     int64 `json:"resident_bytes"`
 	PeakResidentBytes int64 `json:"peak_resident_bytes"`
 	CapBytes          int64 `json:"cap_bytes,omitempty"`
+
+	// Per-region granule: live regions still at the word granule (one
+	// cell per 4 bytes) and at the configured Granularity, and how many
+	// were refined from the first to the second by a sub-word access.
+	WordRegions int    `json:"word_regions,omitempty"`
+	ByteRegions int    `json:"byte_regions,omitempty"`
+	Refinements uint64 `json:"refinements,omitempty"`
 
 	// Ownership tier.
 	Claims     uint64 `json:"ownership_claims,omitempty"`
@@ -408,6 +426,8 @@ func (m *Memory) Stats() MemStats {
 		ResidentBytes:     m.resident.Load(),
 		PeakResidentBytes: m.peakResident.Load(),
 		CapBytes:          m.capBytes,
+		WordRegions:       int(m.wordRegions.Load()),
+		Refinements:       m.refinements.Load(),
 		Claims:            m.ownClaims.Load(),
 		Promotions:        m.ownPromotions.Load(),
 		Inflations:        m.ownInflations.Load(),
@@ -426,6 +446,7 @@ func (m *Memory) Stats() MemStats {
 	if bm := m.sharedPtr.Load(); bm != nil {
 		st.SharedBlocks = len(*bm)
 	}
+	st.ByteRegions = max(0, st.GlobalPages+st.SharedBlocks-st.WordRegions)
 	m.syncMu.Lock()
 	st.SyncLocs = len(m.syncs)
 	m.syncMu.Unlock()

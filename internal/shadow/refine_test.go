@@ -1,0 +1,239 @@
+package shadow
+
+import (
+	"testing"
+
+	"barracuda/internal/logging"
+	"barracuda/internal/vc"
+)
+
+// globalRegion resolves the global region covering addr.
+func globalRegion(m *Memory, addr uint64) *Region {
+	r, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, addr)
+	return r
+}
+
+// TestRefineReplicatesCells: refinement must hand every byte cell of a
+// word the word cell's exact metadata — epochs, PCs, the atomic bit and
+// a PRIVATE copy of an inflated read map — rescale the summaries' cell
+// ranges, and move the accounting; and it must happen exactly once.
+func TestRefineReplicatesCells(t *testing.T) {
+	geo := spanTestGeo()
+	m := New(1, 0)
+	m.EnableSpans(geo)
+
+	// Word 25 (bytes 100..103): a write epoch, then two unordered readers.
+	visits := 0
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 100, 4, func(c *Cell, weight int) {
+		visits++
+		if weight != 4 {
+			t.Errorf("word-cell weight = %d, want 4", weight)
+		}
+		c.W = vc.Epoch{T: 3, C: 9}
+		c.WritePC = 11
+		c.Atomic = true
+		c.R = vc.Epoch{T: 5, C: 2}
+		c.InflateReads()
+		c.Readers[6] = 4
+		c.ReadPC = 12
+	})
+	if visits != 1 {
+		t.Fatalf("aligned word access visited %d cells, want 1", visits)
+	}
+	reg := globalRegion(m, 0)
+	reg.Lock()
+	if reg.Gran() != 4 || len(reg.Cells()) != PageBytes/4 {
+		t.Fatalf("fresh page: granule %d, %d cells; want 4, %d", reg.Gran(), len(reg.Cells()), PageBytes/4)
+	}
+	// A summary over words [64, 96): 32 lanes of 4 bytes.
+	reg.Install(SpanSum{Lo: 64, Hi: 96, W: SpanLayer{Warp: 1, Mask: ^uint32(0), Clock: 7, PC: 8, Size: 4}})
+	reg.Unlock()
+	if st := m.Stats(); st.WordRegions != 1 || st.ByteRegions != 0 || st.Refinements != 0 ||
+		st.ResidentBytes != int64(PageBytes/4)*cellBytes {
+		t.Fatalf("stats before refinement: %+v", st)
+	}
+
+	// The first sub-word access: one byte of an unrelated word.
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 2001, 1, func(c *Cell, weight int) {
+		if weight != 1 {
+			t.Errorf("refined-cell weight = %d, want 1", weight)
+		}
+	})
+	reg.Lock()
+	defer reg.Unlock()
+	if reg.Gran() != 1 || len(reg.Cells()) != PageBytes {
+		t.Fatalf("refined page: granule %d, %d cells; want 1, %d", reg.Gran(), len(reg.Cells()), PageBytes)
+	}
+	cells := reg.Cells()
+	for b := 100; b < 104; b++ {
+		c := &cells[b]
+		if c.W != (vc.Epoch{T: 3, C: 9}) || c.WritePC != 11 || !c.Atomic || c.ReadPC != 12 ||
+			!c.ReadShared || len(c.Readers) != 2 || c.Readers[5] != 2 || c.Readers[6] != 4 {
+			t.Errorf("byte %d: %+v, want the word cell's metadata", b, c)
+		}
+	}
+	cells[100].Readers[99] = 1
+	if _, shared := cells[101].Readers[99]; shared {
+		t.Error("byte cells of one word share a read map; refinement must deep-copy it")
+	}
+	if c := &cells[99]; !c.W.IsZero() || c.ReadShared {
+		t.Errorf("byte 99 (the word before) picked up state: %+v", c)
+	}
+	if sums := reg.Sums(); len(sums) != 1 || sums[0].Lo != 256 || sums[0].Hi != 384 {
+		t.Fatalf("summary range after refinement: %+v, want [256, 384)", sums)
+	}
+	// Demotion after refinement lays the lanes out per byte.
+	reg.DemoteOverlapping(m, 256, 384)
+	for _, b := range []int{256, 259, 260, 383} {
+		want := vc.Epoch{T: geo.TIDOf(1, (b-256)/4), C: 7}
+		if cells[b].W != want || cells[b].WritePC != 8 {
+			t.Errorf("byte %d after demotion: W=%+v pc=%d, want %+v pc=8", b, cells[b].W, cells[b].WritePC, want)
+		}
+	}
+	if st := m.Stats(); st.WordRegions != 0 || st.ByteRegions != 1 || st.Refinements != 1 ||
+		st.ResidentBytes != int64(PageBytes)*cellBytes || st.PeakResidentBytes != st.ResidentBytes {
+		t.Fatalf("stats after refinement: %+v", st)
+	}
+}
+
+// TestRefineSharedSlabClamp: a word-granular slab holds whole in-slab
+// words only. A whole-word access past them refines the slab, and from
+// then on out-of-slab bytes clamp to the slab's extra last cell, one
+// visit per byte — the very cell sequence of the lock-free walk.
+func TestRefineSharedSlabClamp(t *testing.T) {
+	const shBytes = 10
+	walk := func(m *Memory, addr uint64, size int) []int {
+		reg, _ := m.RegionFor(nil, logging.SpaceShared, 0, 0)
+		var idx []int
+		m.SpanCached(nil, logging.SpaceShared, 0, addr, size, func(c *Cell, _ int) {
+			for i := range reg.Cells() {
+				if c == &reg.Cells()[i] {
+					idx = append(idx, i)
+				}
+			}
+		})
+		return idx
+	}
+	m := New(1, shBytes)
+	m.EnableSpans(spanTestGeo())
+	reg, _ := m.RegionFor(nil, logging.SpaceShared, 0, 0)
+	if reg.Gran() != 4 || len(reg.Cells()) != 2 {
+		t.Fatalf("fresh slab: granule %d, %d cells; want 4, 2", reg.Gran(), len(reg.Cells()))
+	}
+	if got := walk(m, 4, 4); len(got) != 1 || got[0] != 1 || reg.Gran() != 4 {
+		t.Fatalf("in-slab word: cells %v at granule %d, want [1] at 4", got, reg.Gran())
+	}
+	flat := New(1, shBytes) // lock-free table: byte cells from the start
+	for _, a := range []struct {
+		addr uint64
+		size int
+	}{{8, 4}, {4, 4}, {9, 2}, {40, 4}} {
+		got, want := walk(m, a.addr, a.size), walk(flat, a.addr, a.size)
+		if reg.Gran() != 1 || len(reg.Cells()) != shBytes+1 {
+			t.Fatalf("after [%d,+%d): granule %d, %d cells; want 1, %d", a.addr, a.size, reg.Gran(), len(reg.Cells()), shBytes+1)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("[%d,+%d): visited %v, lock-free walk %v", a.addr, a.size, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("[%d,+%d): visited %v, lock-free walk %v", a.addr, a.size, got, want)
+			}
+		}
+	}
+	if st := m.Stats(); st.Refinements != 1 || st.ResidentBytes != (shBytes+1)*cellBytes {
+		t.Fatalf("stats: %+v", st)
+	}
+	// A summary may cover the clamp cell (address shBytes maps to it
+	// naturally); an access far past the slab clamps onto that cell and
+	// must demote the summary before observing it.
+	reg.Lock()
+	reg.Install(SpanSum{Lo: shBytes - 1, Hi: shBytes + 1, W: SpanLayer{Warp: 1, Mask: 3, Clock: 5, PC: 6, Size: 1}})
+	reg.Unlock()
+	m.SpanCached(nil, logging.SpaceShared, 0, 500, 1, func(c *Cell, _ int) {
+		if c.W.C != 5 || c.WritePC != 6 {
+			t.Errorf("clamp cell observed before its summary was demoted: %+v", c)
+		}
+	})
+	if len(reg.Sums()) != 0 {
+		t.Error("summary over the clamp cell survived an out-of-slab access")
+	}
+
+	// A slab with no whole word has nothing to be word-granular about.
+	tiny := New(1, 3)
+	tiny.EnableSpans(spanTestGeo())
+	if r, _ := tiny.RegionFor(nil, logging.SpaceShared, 0, 0); r.Gran() != 1 || len(r.Cells()) != 4 {
+		t.Fatalf("3-byte slab: granule %d, %d cells; want 1, 4", r.Gran(), len(r.Cells()))
+	}
+}
+
+// TestRegionGranulePerMode: which regions start word-granular. Only span
+// mode has the region lock a refinement needs, and only a granularity
+// below the word has anything to refine to.
+func TestRegionGranulePerMode(t *testing.T) {
+	for _, tc := range []struct {
+		gran      int
+		spans     bool
+		wantGran  int
+		wantCells int
+		weight    int
+	}{
+		{1, true, 4, PageBytes / 4, 4},
+		{2, true, 4, PageBytes / 4, 2},
+		{4, true, 4, PageBytes / 4, 1},
+		{8, true, 8, PageBytes / 8, 1},
+		{3, true, 3, PageBytes / 3, 1}, // does not divide the word (core-level callers only)
+		{1, false, 1, PageBytes, 1},
+		{2, false, 2, PageBytes / 2, 1},
+	} {
+		m := New(tc.gran, 0)
+		if tc.spans {
+			m.EnableSpans(spanTestGeo())
+		}
+		r := globalRegion(m, 0)
+		if r.Gran() != tc.wantGran || len(r.Cells()) != tc.wantCells || m.Weight(r) != tc.weight {
+			t.Errorf("granularity %d spans=%v: granule %d, %d cells, weight %d; want %d, %d, %d",
+				tc.gran, tc.spans, r.Gran(), len(r.Cells()), m.Weight(r), tc.wantGran, tc.wantCells, tc.weight)
+		}
+		// A sub-word access refines to the configured granularity, never below.
+		m.SpanCached(nil, logging.SpaceGlobal, -1, 6, 1, func(*Cell, int) {})
+		if r.Gran() != tc.gran || m.Weight(r) != 1 {
+			t.Errorf("granularity %d spans=%v: granule %d after a byte access, want %d", tc.gran, tc.spans, r.Gran(), tc.gran)
+		}
+		want := uint64(0)
+		if tc.wantGran != tc.gran {
+			want = 1
+		}
+		if got := m.Stats().Refinements; got != want {
+			t.Errorf("granularity %d spans=%v: %d refinements, want %d", tc.gran, tc.spans, got, want)
+		}
+	}
+}
+
+// TestRefineUnderCap: refining quadruples a region's footprint, so in
+// bounded mode it must make room first — evicting colder regions, never
+// itself (its lock is held) — and leave the accounting exact.
+func TestRefineUnderCap(t *testing.T) {
+	m := New(1, 0)
+	m.EnableSpans(spanTestGeo())
+	wordPage := int64(PageBytes/4) * cellBytes
+	m.SetCapBytes(5 * wordPage) // one refined page (4) + one word page
+	for p := uint64(0); p < 5; p++ {
+		globalRegion(m, p*PageBytes)
+	}
+	hot := globalRegion(m, 4*PageBytes)
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 4*PageBytes+1, 1, func(*Cell, int) {})
+	st := m.Stats()
+	if hot.Gran() != 1 || st.Refinements != 1 {
+		t.Fatalf("hot page not refined: granule %d, %+v", hot.Gran(), st)
+	}
+	if st.Evictions != 3 || st.GlobalPages != 2 || st.WordRegions != 1 || st.ByteRegions != 1 {
+		t.Fatalf("want 3 cold word pages evicted, leaving one word and one refined page: %+v", st)
+	}
+	if st.ResidentBytes != 5*wordPage || st.ResidentBytes > m.CapBytes() {
+		t.Fatalf("resident %d, want exactly the cap %d", st.ResidentBytes, m.CapBytes())
+	}
+	if again := globalRegion(m, 4*PageBytes); again != hot {
+		t.Fatal("the refining page evicted itself")
+	}
+}

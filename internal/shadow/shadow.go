@@ -6,8 +6,12 @@
 // Global-memory shadow is allocated on demand through a page table,
 // because global allocations can occur while a kernel runs; shared-memory
 // shadow is small and keyed by thread block. Metadata granularity is one
-// byte by default, for generality — most CUDA code accesses memory at 4-
-// byte granularity, and a coarser setting trades precision for speed.
+// byte by default, for generality — but most CUDA code accesses memory at
+// 4-byte granularity, so in span mode the granule is a property of each
+// Region: a page or slab starts with one cell per aligned 4-byte word and
+// is refined to the configured granularity, once, by the first access
+// that is not made of whole words (see refine). Reports stay byte-exact
+// either way.
 //
 // The page table is built for many concurrent detector threads: it is a
 // fixed array of stripes, each holding an atomically-published immutable
@@ -30,13 +34,15 @@ import (
 )
 
 // Cell is the metadata for one shadow location. Access it only while
-// holding its lock (the per-location spinlock of the paper).
+// holding the lock that guards it: in span mode (the default) that is the
+// owning Region's lock, and the cell's own spinlock is unused; in the two
+// lock-free-table ablation modes (FullVC, PerCellShadow) it is the cell's
+// spinlock, the per-location lock of the paper.
 type Cell struct {
 	// lock is a CAS spinlock (0 free, 1 held) rather than a sync.Mutex:
-	// cells are the per-record fast path of the detector, and the paper
-	// prescribes a per-location spinlock. Contention is near zero (two
-	// detector threads must touch the same location at the same moment),
-	// so the uncontended single-CAS cost is what matters.
+	// the paper prescribes a per-location spinlock. Contention is near
+	// zero (two detector threads must touch the same location at the same
+	// moment), so the uncontended single-CAS cost is what matters.
 	lock atomic.Uint32
 
 	// W is the epoch of the most recent write; Atomic records whether
@@ -105,6 +111,17 @@ const pageBits = 16
 // can detect page-crossing accesses without resolving both ends.
 const PageBytes = 1 << pageBits
 
+// wordGranule is the granule span-mode regions start at: one cell per
+// aligned 4-byte word, the access size of nearly all CUDA code (§4.3.3).
+const wordGranule = 4
+
+// WordShaped reports whether the size-byte access at addr is made of
+// whole aligned words — the only kind of access a word-granular region
+// can take without being refined.
+func WordShaped(addr uint64, size int) bool {
+	return (addr|uint64(size))&(wordGranule-1) == 0
+}
+
 // pageStripes is the fixed stripe count of the global page table. Power
 // of two so stripe selection is a mask; 64 stripes keep the per-stripe
 // copy-on-write maps tiny and allocation contention negligible.
@@ -127,6 +144,9 @@ type blockMap map[int32]*Region
 // Memory is the shadow of one device: a striped page table for global
 // memory plus per-block shared-memory shadows.
 type Memory struct {
+	// granularity is the configured bytes per cell: the granule of every
+	// region in the lock-free modes, and the finest granule — the one a
+	// word-granular region refines to — in span mode.
 	granularity int
 
 	stripes [pageStripes]stripe
@@ -166,6 +186,11 @@ type Memory struct {
 	compactedBytes atomic.Int64
 	degraded       atomic.Bool
 
+	// Per-region granule (see refine): live regions still at the word
+	// granule, and how many were refined.
+	wordRegions atomic.Int64
+	refinements atomic.Uint64
+
 	syncMu sync.Mutex
 	syncs  map[Key]*SyncLoc
 }
@@ -178,9 +203,9 @@ type Key struct {
 	Addr  uint64
 }
 
-// New creates a shadow memory. granularity is the bytes covered per cell
-// (1 for full generality, 4 when all accesses are word-aligned);
-// sharedBytes is the per-block shared-memory size to preallocate.
+// New creates a shadow memory. granularity is the finest bytes covered
+// per cell (1 for full generality; 4 and above trade precision for
+// speed); sharedBytes is the per-block shared-memory size to preallocate.
 func New(granularity int, sharedBytes int64) *Memory {
 	if granularity < 1 {
 		granularity = 1
@@ -192,8 +217,45 @@ func New(granularity int, sharedBytes int64) *Memory {
 	}
 }
 
-// Granularity returns the bytes covered per cell.
+// Granularity returns the configured (finest) bytes covered per cell. A
+// span-mode region may currently be coarser; see Region.Gran.
 func (m *Memory) Granularity() int { return m.granularity }
+
+// allocGranule returns the granule new regions start at: the word, when
+// the region lock of span mode makes a later refinement possible and the
+// configured granule divides it; the configured granule otherwise.
+func (m *Memory) allocGranule() int {
+	if m.spans && m.granularity < wordGranule && wordGranule%m.granularity == 0 {
+		return wordGranule
+	}
+	return m.granularity
+}
+
+// newRegion builds a region covering bytes bytes of device memory. A
+// shared slab (clamp set) carries one extra cell at the configured
+// granule, the one out-of-slab addresses clamp to; at the word granule it
+// holds whole in-slab words only, and anything past them refines it.
+func (m *Memory) newRegion(bytes int64, clamp bool) *Region {
+	r := &Region{gran: m.granularity, fineCells: int(bytes / int64(m.granularity))}
+	if clamp {
+		r.fineCells++
+	}
+	n := r.fineCells
+	if g := m.allocGranule(); g != r.gran && bytes >= int64(g) {
+		r.gran, n = g, int(bytes/int64(g))
+	}
+	m.makeRoom(int64(n) * cellBytes)
+	r.cells = make([]Cell, n)
+	return r
+}
+
+// publish accounts a region that won its allocation race.
+func (m *Memory) publish(r *Region) {
+	m.addResident(r.RegionBytes())
+	if r.gran != m.granularity {
+		m.wordRegions.Add(1)
+	}
+}
 
 // EnableSpans switches the shadow into coalesced-span mode: uniform-span
 // summaries may be installed per region (see span.go), and every
@@ -249,11 +311,11 @@ func (m *Memory) globalPage(pageID uint64) *Region {
 			return p
 		}
 	}
-	// Bounded mode: make room BEFORE taking the stripe lock, so the
-	// evictor (which republishes victim stripes under their own locks)
-	// never runs inside one — the lock order is evictMu → stripe.mu.
-	ncells := (1 << pageBits) / m.granularity
-	m.makeRoom(int64(ncells) * cellBytes)
+	// Bounded mode: make room (inside newRegion) BEFORE taking the stripe
+	// lock, so the evictor (which republishes victim stripes under their
+	// own locks) never runs inside one — the lock order is evictMu →
+	// stripe.mu.
+	p := m.newRegion(PageBytes, false)
 	// Double-checked allocation: re-load under the stripe lock, then
 	// publish a copied map so readers never see a map being written.
 	s.mu.Lock()
@@ -264,8 +326,7 @@ func (m *Memory) globalPage(pageID uint64) *Region {
 			return p
 		}
 	}
-	p := &Region{cells: make([]Cell, ncells)}
-	m.addResident(p.RegionBytes())
+	m.publish(p)
 	next := make(pageMap, 1)
 	if old != nil {
 		next = make(pageMap, len(*old)+1)
@@ -286,8 +347,7 @@ func (m *Memory) sharedSlab(block int32) *Region {
 			return r
 		}
 	}
-	n := m.shSize/int64(m.granularity) + 1
-	m.makeRoom(n * cellBytes)
+	r := m.newRegion(m.shSize, true)
 	m.sharedMu.Lock()
 	defer m.sharedMu.Unlock()
 	old := m.sharedPtr.Load()
@@ -296,8 +356,7 @@ func (m *Memory) sharedSlab(block int32) *Region {
 			return r
 		}
 	}
-	r := &Region{cells: make([]Cell, n)}
-	m.addResident(r.RegionBytes())
+	m.publish(r)
 	next := make(blockMap, 1)
 	if old != nil {
 		next = make(blockMap, len(*old)+1)
@@ -311,36 +370,40 @@ func (m *Memory) sharedSlab(block int32) *Region {
 }
 
 // CellFor returns the cell covering (space, block, addr), allocating
-// shadow pages on demand. Callers lock the cell before use. In span
-// mode any summary covering the cell is demoted first; CellFor is then
-// only race-free against concurrent span traffic on other regions, so
-// concurrent production code must go through SpanCached instead.
+// shadow pages on demand: the inspection entry point of tests and tools.
+// In the lock-free modes callers lock the cell before use. In span mode
+// any summary covering the cell is demoted first and the cell handed
+// out is the region's current one — a word cell while the region is
+// word-granular — guarded by the region lock, which CellFor has already
+// released; it is therefore only race-free against concurrent span
+// traffic on other regions, and concurrent production code must go
+// through SpanCached instead.
 func (m *Memory) CellFor(space logging.SpaceID, block int32, addr uint64) *Cell {
-	reg, idx := m.regionCached(nil, space, block, addr)
-	if m.spans {
-		reg.Lock()
-		reg.demoteOverlapping(m, idx, idx+1)
-		reg.markLive()
-		// The accessing warp is unknown on this path, so the only safe
-		// ownership transition is straight to shared.
-		reg.inflateOwner(m)
-		reg.Unlock()
+	reg, off := m.RegionFor(nil, space, block, addr)
+	if !m.spans {
+		return &reg.cells[reg.index(off)]
 	}
+	reg.Lock()
+	defer reg.Unlock()
+	idx := reg.index(off)
+	reg.demoteOverlapping(m, idx, idx+1)
+	reg.markLive()
+	// The accessing warp is unknown on this path, so the only safe
+	// ownership transition is straight to shared.
+	reg.inflateOwner(m)
 	return &reg.cells[idx]
 }
 
-// regionCached resolves the region and in-region cell index covering
-// one address, consulting and refreshing the worker's cache when one is
-// supplied. Shared-memory indices clamp to the slab (out-of-bounds
-// shared accesses are the simulator's problem).
-func (m *Memory) regionCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) (*Region, int) {
+// RegionFor resolves the region covering one address and the address's
+// byte offset within it, consulting and refreshing the worker's cache
+// when one is supplied — the region-granular lookup every path builds
+// on. The offset is all a caller may compute without the region lock: in
+// span mode the cell index depends on the region's granule, which a
+// concurrent refinement changes, so indices come from Region.CellRange
+// under that lock.
+func (m *Memory) RegionFor(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) (*Region, uint64) {
 	if space == logging.SpaceShared {
-		reg := m.sharedRegion(sc, block)
-		idx := addr / uint64(m.granularity)
-		if idx >= uint64(len(reg.cells)) {
-			idx = uint64(len(reg.cells)) - 1
-		}
-		return reg, int(idx)
+		return m.sharedRegion(sc, block), addr
 	}
 	m.validateCache(sc)
 	pageID := addr >> pageBits
@@ -357,83 +420,73 @@ func (m *Memory) regionCached(sc *SpanCache, space logging.SpaceID, block int32,
 	if m.capBytes > 0 {
 		m.stamp(reg)
 	}
-	return reg, int((addr & (1<<pageBits - 1)) / uint64(m.granularity))
+	return reg, addr & (PageBytes - 1)
 }
 
-// RegionFor resolves the region and in-region cell index covering one
-// address through the worker cache — the region-granular lookup the
-// core's ownership fast path builds on. Shared-memory indices clamp to
-// the slab exactly like the per-cell path; callers that must reject
-// out-of-slab addresses compare the returned index against addr /
-// granularity.
-func (m *Memory) RegionFor(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) (*Region, int) {
-	return m.regionCached(sc, space, block, addr)
-}
-
-// cellCached resolves one cell through the worker cache (legacy path;
-// does not demote summaries).
+// cellCached resolves one cell through the worker cache: the lock-free
+// modes' lookup, where every region keeps the configured granule.
+// Shared-memory indices clamp to the slab (out-of-bounds shared accesses
+// are the simulator's problem).
 func (m *Memory) cellCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) *Cell {
-	reg, idx := m.regionCached(sc, space, block, addr)
-	return &reg.cells[idx]
+	reg, off := m.RegionFor(sc, space, block, addr)
+	return &reg.cells[reg.index(off)]
 }
 
 // Span visits every cell covering [addr, addr+size) in (space, block),
-// invoking fn with each cell locked.
-func (m *Memory) Span(space logging.SpaceID, block int32, addr uint64, size int, fn func(*Cell)) {
+// invoking fn with each cell's guarding lock held.
+func (m *Memory) Span(space logging.SpaceID, block int32, addr uint64, size int, fn func(c *Cell, weight int)) {
 	m.SpanCached(nil, space, block, addr, size, fn)
 }
 
 // SpanCached is Span with a worker-private lookup cache; sc may be nil.
+// weight is the number of configured-granule cells the visited cell
+// stands for: 1, except on a word-granular region, where one visit
+// replaces weight visits to cells that provably hold identical metadata.
 //
-// In span mode the visit additionally holds the current region's lock
-// and demotes every uniform-span summary the span overlaps before any
-// cell is observed, preserving exact per-cell semantics; with spans
+// In span mode the visit holds the current region's lock — and no cell
+// lock: every record-path access to the region's cells holds that same
+// lock — refines the region first if the access is not made of whole
+// words, and demotes every uniform-span summary the span overlaps before
+// any cell is observed, preserving exact per-cell semantics; with spans
 // disabled the loop is the original lock-free-table walk, byte for byte.
-func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64, size int, fn func(*Cell)) {
+func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64, size int, fn func(c *Cell, weight int)) {
 	if size < 1 {
 		size = 1
 	}
-	step := uint64(m.granularity)
-	first := addr / step * step
 	end := addr + uint64(size)
 	if !m.spans {
-		for a := first; a < end; a += step {
+		step := uint64(m.granularity)
+		for a := addr / step * step; a < end; a += step {
 			c := m.cellCached(sc, space, block, a)
 			c.Lock()
-			fn(c)
+			fn(c, 1)
 			c.Unlock()
 		}
 		return
 	}
-	var cur *Region
-	for a := first; a < end; a += step {
-		reg, idx := m.regionCached(sc, space, block, a)
-		if reg != cur {
-			if cur != nil {
-				cur.Unlock()
-			}
-			cur = reg
-			cur.Lock()
-			// Demote everything this span will touch within the region.
-			stop := regionEnd(space, a)
-			if end < stop {
-				stop = end
-			}
-			last := idx + int((stop-a-1)/step)
-			if last >= len(reg.cells) {
-				last = len(reg.cells) - 1
-			}
-			reg.demoteOverlapping(m, idx, last+1)
-			reg.markLive()
-			reg.inflateOwner(m)
+	whole := WordShaped(addr, size)
+	for a := addr; a < end; {
+		reg, off := m.RegionFor(sc, space, block, a)
+		stop := regionEnd(space, a)
+		if end < stop {
+			stop = end
 		}
-		c := &reg.cells[idx]
-		c.Lock()
-		fn(c)
-		c.Unlock()
-	}
-	if cur != nil {
-		cur.Unlock()
+		n := int(stop - a)
+		reg.Lock()
+		m.Fit(reg, whole, off+uint64(n))
+		lo, hi := reg.CellRange(off, n)
+		// Out-of-slab shared cells clamp to the slab's last cell, one
+		// visit per granule step, exactly like the lock-free walk.
+		last := len(reg.cells) - 1
+		reg.demoteOverlapping(m, min(lo, last), min(hi, last+1))
+		reg.markLive()
+		reg.inflateOwner(m)
+		weight := m.Weight(reg)
+		for idx := lo; idx < hi; idx++ {
+			fn(&reg.cells[min(idx, last)], weight)
+		}
+		reg.Unlock()
+		a = stop
 	}
 }
 

@@ -64,7 +64,7 @@ func TestPageAllocationOnDemand(t *testing.T) {
 func TestSpanVisitsEachByte(t *testing.T) {
 	m := New(1, 0)
 	var visited []*Cell
-	m.Span(logging.SpaceGlobal, -1, 0x10000, 4, func(c *Cell) {
+	m.Span(logging.SpaceGlobal, -1, 0x10000, 4, func(c *Cell, _ int) {
 		visited = append(visited, c)
 	})
 	if len(visited) != 4 {
@@ -83,7 +83,7 @@ func TestSpanGranularityAligned(t *testing.T) {
 	m := New(4, 0)
 	count := 0
 	// An unaligned 4-byte access spanning two words visits both cells.
-	m.Span(logging.SpaceGlobal, -1, 0x10002, 4, func(c *Cell) { count++ })
+	m.Span(logging.SpaceGlobal, -1, 0x10002, 4, func(*Cell, int) { count++ })
 	if count != 2 {
 		t.Errorf("span visited %d cells, want 2", count)
 	}

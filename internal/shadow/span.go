@@ -20,6 +20,7 @@
 package shadow
 
 import (
+	"maps"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -60,6 +61,14 @@ type SpanSum struct {
 // be installed, answered and demoted without per-cell locking.
 type Region struct {
 	cells []Cell
+
+	// gran is the bytes covered per cell. In the lock-free modes it is
+	// the configured granularity for good; in span mode a region starts
+	// word-granular and refine lowers it to the configured granularity,
+	// once, under lock — so cell indices are computed under lock too.
+	// fineCells is the cell count at the configured granularity.
+	gran      int
+	fineCells int
 
 	// lock is a CAS spinlock with the same shape as Cell's: region
 	// critical sections are a summary lookup plus a handful of epoch
@@ -119,6 +128,84 @@ func (r *Region) Unlock() { r.lock.Store(0) }
 // Cells exposes the region's cell slab (callers hold the region lock in
 // span mode).
 func (r *Region) Cells() []Cell { return r.cells }
+
+// Gran returns the bytes each of the region's cells covers right now
+// (callers hold the region lock in span mode).
+func (r *Region) Gran() int { return r.gran }
+
+// index returns the cell covering byte offset off of the region, clamped
+// to the last cell.
+func (r *Region) index(off uint64) int {
+	idx := off / uint64(r.gran)
+	if idx >= uint64(len(r.cells)) {
+		idx = uint64(len(r.cells)) - 1
+	}
+	return int(idx)
+}
+
+// CellRange maps the byte range [off, off+n) of the region onto its cell
+// indices [lo, hi) at the current granule, unclamped: hi > len(Cells())
+// means the range runs past the region. Call with the region locked,
+// after Fit.
+func (r *Region) CellRange(off uint64, n int) (lo, hi int) {
+	g := uint64(r.gran)
+	return int(off / g), int((off+uint64(n)-1)/g) + 1
+}
+
+// Weight returns how many configured-granule cells one cell of the
+// region stands for: 1 once refined, word/granularity while the region
+// is word-granular. A race found (or a same-value write filtered) on a
+// word cell is what each of its weight byte cells would have found, so
+// reports and counters scale by it.
+func (m *Memory) Weight(r *Region) int { return r.gran / m.granularity }
+
+// Fit readies a locked region for an access whose last byte offset is
+// end-1: a word-granular region stays so only if the access is made of
+// whole aligned words (whole) that all lie inside its word cells;
+// otherwise it is refined to the configured granularity first.
+func (m *Memory) Fit(r *Region, whole bool, end uint64) {
+	if r.gran != m.granularity && (!whole || end > uint64(len(r.cells)*r.gran)) {
+		m.refine(r)
+	}
+}
+
+// refine splits a word-granular region into cells of the configured
+// granularity (region lock held) — the compressed/inflated duality of
+// InflateReads and span demotion once more, one level up. While a region
+// is word-granular every access to it covered whole words, so the
+// granularity-sized cells of one word would have seen the same accesses
+// in the same order and hold identical metadata: the word cell IS each
+// of them. Refinement therefore replicates every word cell (epochs, PCs,
+// atomic bit, a private copy of an inflated read map) into its cells and
+// rescales the summaries' cell ranges; a shared slab also gains the
+// clamp cell it was allocated without. It never runs backwards.
+func (m *Memory) refine(r *Region) {
+	k := m.Weight(r)
+	m.makeRoom(int64(r.fineCells-len(r.cells)) * cellBytes)
+	cells := make([]Cell, r.fineCells)
+	if r.touched {
+		for i := range r.cells {
+			src := &r.cells[i]
+			for j := i * k; j < (i+1)*k; j++ {
+				dst := &cells[j]
+				dst.W, dst.Atomic, dst.WritePC = src.W, src.Atomic, src.WritePC
+				dst.R, dst.ReadShared, dst.ReadPC = src.R, src.ReadShared, src.ReadPC
+				if src.Readers != nil {
+					dst.Readers = maps.Clone(src.Readers)
+				}
+			}
+		}
+	}
+	for i := range r.sums {
+		r.sums[i].Lo *= k
+		r.sums[i].Hi *= k
+	}
+	m.addResident(int64(len(cells)-len(r.cells)) * cellBytes)
+	r.cells = cells
+	r.gran = m.granularity
+	m.wordRegions.Add(-1)
+	m.refinements.Add(1)
+}
 
 // Touched reports whether any cell outside the summaries may be nonzero.
 func (r *Region) Touched() bool { return r.touched }
@@ -208,7 +295,7 @@ func LaneAt(mask uint32, rank int) int {
 // locks are not taken because span mode routes every record-path cell
 // access through that same region lock.
 func (m *Memory) materialize(reg *Region, s *SpanSum) {
-	gran := m.granularity
+	gran := reg.gran
 	for idx := s.Lo; idx < s.Hi; idx++ {
 		c := &reg.cells[idx]
 		off := (idx - s.Lo) * gran
@@ -235,27 +322,31 @@ func (m *Memory) materialize(reg *Region, s *SpanSum) {
 	}
 }
 
-// SpanRuns splits the byte range [addr, addr+n) of (space, block) into
-// per-region cell runs and invokes fn once per run with the region, the
-// cell range [lo, hi) and the byte offset of the run within the whole
-// span. Regions are handed over unlocked; fn locks. It returns false —
-// without invoking fn at all — when the range cannot go down the span
-// fast path: a shared range outside the slab (the per-cell path's
-// clamping semantics must win), a granularity that does not tile pages,
-// or a region boundary that would split one lane's size-byte access.
+// SpanRuns splits the byte range [addr, addr+n) of (space, block) — a
+// coalesced access of size-byte lanes — into per-region cell runs and
+// invokes fn once per run with the region LOCKED and fitted to the
+// access (refined first unless the lanes are whole words), the cell
+// range [lo, hi) at the region's granule, and the byte offset of the run
+// within the whole span. It returns false — without invoking fn at all
+// — when the range cannot go down the span fast path: a shared range
+// outside the slab (the per-cell path's clamping semantics must win), a
+// granularity that does not tile pages, or a region boundary that would
+// split one lane's size-byte access.
 func (m *Memory) SpanRuns(sc *SpanCache, space logging.SpaceID, block int32, addr uint64, n, size int, fn func(reg *Region, lo, hi, byteOff int)) bool {
-	gran := uint64(m.granularity)
+	whole := WordShaped(addr, size)
 	if space == logging.SpaceShared {
 		reg := m.sharedRegion(sc, block)
-		lo := addr / gran
-		last := (addr + uint64(n) - 1) / gran
-		if last >= uint64(len(reg.cells)) {
+		reg.Lock()
+		defer reg.Unlock()
+		m.Fit(reg, whole, addr+uint64(n))
+		lo, hi := reg.CellRange(addr, n)
+		if hi > len(reg.cells) {
 			return false
 		}
-		fn(reg, int(lo), int(last)+1, 0)
+		fn(reg, lo, hi, 0)
 		return true
 	}
-	if (1<<pageBits)%gran != 0 {
+	if PageBytes%uint64(m.granularity) != 0 {
 		return false
 	}
 	end := addr + uint64(n)
@@ -276,8 +367,12 @@ func (m *Memory) SpanRuns(sc *SpanCache, space logging.SpaceID, block int32, add
 		if stop > end {
 			stop = end
 		}
-		reg, lo := m.regionCached(sc, space, block, a)
-		fn(reg, lo, lo+int((stop-a-1)/gran)+1, int(a-addr))
+		reg, off := m.RegionFor(sc, space, block, a)
+		reg.Lock()
+		m.Fit(reg, whole, off+(stop-a))
+		lo, hi := reg.CellRange(off, int(stop-a))
+		fn(reg, lo, hi, int(a-addr))
+		reg.Unlock()
 		a = stop
 	}
 	return true

@@ -12,7 +12,10 @@ func spanTestGeo() ptvc.Geometry {
 	return ptvc.Geometry{WarpSize: 32, BlockSize: 64, Blocks: 4}
 }
 
-// region grabs the global region covering addr through SpanRuns.
+// region grabs the global region covering addr through SpanRuns — which
+// fits it to a coalesced access of size-byte lanes, so a size that is
+// not a whole number of words hands back a refined region — and the
+// first cell index of the range at the region's granule.
 func region(t *testing.T, m *Memory, addr uint64, n, size int) (*Region, int) {
 	t.Helper()
 	var reg *Region
@@ -77,7 +80,7 @@ func TestMaterializeAbsentLayersZero(t *testing.T) {
 	geo := spanTestGeo()
 	m := New(1, 0)
 	m.EnableSpans(geo)
-	reg, lo := region(t, m, 0, 64, 4)
+	reg, lo := region(t, m, 0, 64, 2) // 2-byte lanes: byte cells
 
 	reg.Lock()
 	c0 := &reg.Cells()[lo]
@@ -109,7 +112,8 @@ func TestMaterializeAbsentLayersZero(t *testing.T) {
 // TestSpanCachedDemotesOverlap: the per-cell fallback path (SpanCached
 // in spans mode) must demote any overlapping summary before handing
 // cells to the callback, so per-cell rules never observe summarized
-// state.
+// state. The page is word-granular (byte granularity, whole-word
+// accesses only), so the 4-byte access is one visit that stands for four.
 func TestSpanCachedDemotesOverlap(t *testing.T) {
 	geo := spanTestGeo()
 	m := New(1, 0)
@@ -118,17 +122,20 @@ func TestSpanCachedDemotesOverlap(t *testing.T) {
 
 	reg.Lock()
 	reg.Install(SpanSum{
-		Lo: lo, Hi: lo + 128,
+		Lo: lo, Hi: lo + 32,
 		W: SpanLayer{Warp: 0, Mask: ^uint32(0), Clock: 3, PC: 4, Size: 4},
 	})
 	reg.Unlock()
 
 	var seen []vc.Epoch
-	m.SpanCached(nil, logging.SpaceGlobal, -1, 300, 4, func(c *Cell) {
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 300, 4, func(c *Cell, weight int) {
+		if weight != 4 {
+			t.Errorf("visit weight = %d, want 4 (one word cell for four byte cells)", weight)
+		}
 		seen = append(seen, c.W)
 	})
-	if len(seen) != 4 {
-		t.Fatalf("visited %d cells, want 4", len(seen))
+	if len(seen) != 1 {
+		t.Fatalf("visited %d cells, want 1 word cell", len(seen))
 	}
 	rank := (300 - 256) / 4
 	want := vc.Epoch{T: geo.TIDOf(0, rank), C: 3}
@@ -162,8 +169,9 @@ func TestSpanRunsBoundaries(t *testing.T) {
 	if runs[0].off != 0 || runs[1].off != 64 {
 		t.Errorf("byte offsets = %d, %d; want 0, 64", runs[0].off, runs[1].off)
 	}
-	if runs[0].hi-runs[0].lo != 64 || runs[1].hi-runs[1].lo != 64 {
-		t.Errorf("run lengths = %d, %d; want 64, 64", runs[0].hi-runs[0].lo, runs[1].hi-runs[1].lo)
+	// Whole-word lanes leave both pages word-granular: 64 bytes = 16 cells.
+	if runs[0].hi-runs[0].lo != 16 || runs[1].hi-runs[1].lo != 16 {
+		t.Errorf("run lengths = %d, %d; want 16, 16", runs[0].hi-runs[0].lo, runs[1].hi-runs[1].lo)
 	}
 
 	// addr 65534, size 4: the boundary falls inside lane 0's access.

@@ -35,7 +35,7 @@ func TestSpanCacheCrossesPages(t *testing.T) {
 	var sc SpanCache
 	boundary := uint64(1<<pageBits) - 2
 	var visited []*Cell
-	m.SpanCached(&sc, logging.SpaceGlobal, -1, boundary, 4, func(c *Cell) {
+	m.SpanCached(&sc, logging.SpaceGlobal, -1, boundary, 4, func(c *Cell, _ int) {
 		visited = append(visited, c)
 	})
 	if len(visited) != 4 {
