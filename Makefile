@@ -164,12 +164,18 @@ stress-stream:
 	$(GO) test -run 'FuzzFrames|TestDecodeMalformedPayloads|TestRaceStreamRoundTrip|TestSummaryRoundTrip|TestRecordBatchRoundTrip' ./internal/wire/
 	$(GO) test -race -run TestStreamJSONEquivalence ./internal/server/
 
-# The multi-queue determinism stress: the 66-program bug suite at 4
-# queues vs 1 queue, repeated, with real parallelism and under the Go
-# race detector.
+# The multi-queue stress, with real parallelism and under the Go race
+# detector: the transport's one-producer-per-queue stresses (Queues 1 and
+# 4, two-record rings, every wire form), the round-trip fuzz seeds, the
+# 66-program bug suite at 4 queues vs 1 queue, and the reports at QueueCap
+# 1/64/4096 (the ring size moves when the producer blocks, never what is
+# reported).
 stress-multiqueue:
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConcurrentProducers|TestDequeueBatchConcurrentProducers|TestStress|TestQueueBackpressure|TestWorstCaseThroughSmallestRing' ./internal/logging/
+	$(GO) test -run 'FuzzQueueRoundTrip|TestQueueRoundTripProperty|TestWrapAtEveryOffset' ./internal/logging/
 	GOMAXPROCS=4 $(GO) test -count=5 -run TestMultiQueueReportEquivalence ./internal/bugsuite/
-	GOMAXPROCS=4 $(GO) test -race -count=2 -run TestMultiQueueReportEquivalence ./internal/bugsuite/
+	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'TestMultiQueueReportEquivalence|TestBackpressureEquivalence' ./internal/bugsuite/
+	GOMAXPROCS=4 $(GO) test -race -run TestSameValueGoldenEquivalence ./internal/detector/
 
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321

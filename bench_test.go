@@ -28,6 +28,7 @@ import (
 	"barracuda/internal/logging"
 	"barracuda/internal/memmodel"
 	"barracuda/internal/ptx"
+	"barracuda/internal/trace"
 )
 
 // fig10Set is the subset of benchmarks exercised per-iteration in the
@@ -161,28 +162,39 @@ func BenchmarkQueueScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkQueueThroughput pushes the suite's dominant record — a
+// full-warp strided write, header only on the wire — through one queue
+// with a batched consumer on the other side.
 func BenchmarkQueueThroughput(b *testing.B) {
 	q := logging.NewQueue(4096)
 	done := make(chan struct{})
 	go func() {
-		var r logging.Record
+		defer close(done)
+		buf := make([]logging.Record, 256)
+		var bo logging.Backoff
 		for {
-			q.Dequeue(&r)
-			if r.Op == 0 && r.PC == ^uint32(0) {
-				close(done)
+			n := q.DequeueBatch(buf)
+			if n == 0 {
+				bo.Wait()
+				continue
+			}
+			bo.Reset()
+			if buf[n-1].Op == trace.OpEnd {
 				return
 			}
 		}
 	}()
-	var rec logging.Record
+	rec := logging.Record{
+		Op: trace.OpWrite, Size: 4, Mask: 0xffffffff,
+		Flags: logging.FlagStrided, Base: 0x10000, Stride: 640,
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec.PC = uint32(i)
 		q.Enqueue(&rec)
 	}
 	b.StopTimer()
-	rec.PC = ^uint32(0)
-	q.Enqueue(&rec)
+	q.Enqueue(&logging.Record{Op: trace.OpEnd})
 	<-done
 }
 

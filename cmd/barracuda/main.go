@@ -24,6 +24,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"barracuda/internal/bench"
 	"barracuda/internal/detector"
@@ -224,6 +225,10 @@ func printResult(kernel string, res *detector.Result, verbose bool) error {
 		sh := rep.Shadow
 		fmt.Printf("shadow: %d word-granular region(s), %d at the configured granularity, %d refinement(s), peak %d bytes\n",
 			sh.WordRegions, sh.ByteRegions, sh.Refinements, sh.PeakResidentBytes)
+		tr := res.Transport
+		fmt.Printf("transport: %d record(s) in %d bytes: %d coalesced, %d strided, %d irregular, %d with values; ring full %d time(s), producer blocked %v; %d empty poll(s)\n",
+			tr.Records, tr.Bytes, tr.Coalesced, tr.Strided, tr.Irregular, tr.WithVals,
+			tr.FullWaits, tr.Blocked.Round(time.Microsecond), tr.EmptyPolls)
 	}
 	if rep.RaceCount() > 0 || len(rep.Divergences) > 0 {
 		os.Exit(2)

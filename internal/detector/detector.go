@@ -264,6 +264,10 @@ type Result struct {
 	// The shadow pages (allocated lazily by the detector threads) and the
 	// equally large queue rings (allocated up front) both count.
 	Duration time.Duration
+	// Transport is the queues' census: records and ring bytes enqueued,
+	// how many travelled in each wire form, and how often either side
+	// found the ring full or empty.
+	Transport logging.Counters
 }
 
 // routeSink routes records to their block's queue.
@@ -370,6 +374,7 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 	opts.OnRace = onRace
 	det := core.New(geo, sharedBytes, opts)
 	set := logging.NewSet(s.cfg.Queues, s.cfg.QueueCap)
+	set.SetGranularity(s.cfg.Granularity)
 
 	var wg sync.WaitGroup
 	for _, q := range set.Queues {
@@ -394,6 +399,7 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 		Formats:    det.FormatStats(),
 		FormatHist: det.FormatHistogram(),
 		Duration:   dur,
+		Transport:  set.Counters(),
 	}, nil
 }
 

@@ -89,6 +89,7 @@ func Replay(cap *Capture, cfg Config) (*ReplayResult, error) {
 	cfg = cfg.WithDefaults()
 	det := core.New(cap.Geo, cap.SharedBytes, cfg.coreOptions())
 	set := logging.NewSet(cfg.Queues, cfg.QueueCap)
+	set.SetGranularity(cfg.Granularity)
 
 	// Partition the stream by queue, preserving per-queue order — the
 	// same order routeSink would have produced.

@@ -353,12 +353,7 @@ func (e *engine) emitBranch(w *warpState, kind trace.OpKind, mask uint32) {
 		// caches before the event reaches the detector.
 		e.filterBump(w)
 	}
-	e.rec = logging.Record{
-		Warp:  uint32(w.gwid),
-		Block: uint32(w.blk.idx),
-		Op:    kind,
-		Mask:  mask,
-	}
+	header(&e.rec, w.gwid, w.blk.idx, kind, mask)
 	e.cfg.Sink.Emit(&e.rec)
 	e.stats.Records++
 }
@@ -391,11 +386,7 @@ func (e *engine) parkAtBarrier(w *warpState) {
 				e.filterBump(o)
 			}
 		}
-		e.rec = logging.Record{
-			Block: uint32(w.blk.idx),
-			Op:    trace.OpBarRel,
-			Mask:  arrived,
-		}
+		header(&e.rec, 0, w.blk.idx, trace.OpBarRel, arrived)
 		e.cfg.Sink.Emit(&e.rec)
 		e.stats.Records++
 	}

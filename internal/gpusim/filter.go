@@ -93,12 +93,8 @@ func (e *engine) filterFlush(w *warpState) {
 	if w.fpend == 0 {
 		return
 	}
-	e.frec = logging.Record{
-		Warp:  uint32(w.gwid),
-		Block: uint32(w.blk.idx),
-		Op:    trace.OpFlush,
-		Seq:   w.fpend,
-	}
+	header(&e.frec, w.gwid, w.blk.idx, trace.OpFlush, 0)
+	e.frec.Seq = w.fpend
 	w.fpend = 0
 	e.cfg.Sink.Emit(&e.frec)
 	e.stats.Records++
@@ -146,10 +142,10 @@ func (e *engine) filterProbe(w *warpState, rec *logging.Record, base uint64, bca
 	return false
 }
 
-// execLogFiltered is the ProducerFilter variant of execLog. The fill logic
-// mirrors execLog exactly; the additions are the static log-once elision
-// before the record is built, the dynamic cache probe before Emit, and the
-// generation/epoch bookkeeping around sync edges.
+// execLogFiltered is the ProducerFilter variant of execLog, around the
+// same header and fill helpers: the additions are the static log-once
+// elision before the record is built, the dynamic cache probe before Emit,
+// and the generation/epoch bookkeeping around sync edges.
 func (e *engine) execLogFiltered(w *warpState, ci *cInstr, exec uint32) error {
 	if ci.logOnce >= 0 && w.fonce != nil {
 		s := &w.fonce[ci.logOnce]
@@ -164,11 +160,7 @@ func (e *engine) execLogFiltered(w *warpState, ci *cInstr, exec uint32) error {
 			return nil
 		}
 	}
-	rec := &e.rec
-	*rec = *ci.logTmpl
-	rec.Warp = uint32(w.gwid)
-	rec.Block = uint32(w.blk.idx)
-	rec.Mask = exec
+	rec := e.logHeader(w, ci, exec)
 	if ci.logBar {
 		e.filterBump(w) // the coming block-wide join changes the clock
 		e.cfg.Sink.Emit(rec)
@@ -183,54 +175,10 @@ func (e *engine) execLogFiltered(w *warpState, ci *cInstr, exec uint32) error {
 		e.syncSeq++
 		rec.Seq = e.syncSeq
 	}
-	a0 := &ci.args[0]
-	var bcast bool
-	var bcastAddr uint64
-	if ci.uniform {
-		first := bits.TrailingZeros32(exec)
-		addr := e.laneAddr(w, first, a0)
-		var v uint64
-		if ci.logVal {
-			v = e.val(w, first, &ci.args[1])
-		}
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			rec.Addrs[lane] = addr
-			if ci.logVal {
-				rec.Vals[lane] = v
-			}
-		}
-		if exec&(exec-1) == 0 && !ci.logSync && rec.Size != 0 {
-			rec.Flags = logging.FlagCoalesced
-			rec.Base = addr
-		} else {
-			bcast, bcastAddr = true, addr
-		}
-	} else {
-		coal := true
-		first := true
-		var base, next uint64
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			a := e.laneAddr(w, lane, a0)
-			rec.Addrs[lane] = a
-			if ci.logVal {
-				rec.Vals[lane] = e.val(w, lane, &ci.args[1])
-			}
-			switch {
-			case first:
-				base, next, first = a, a+uint64(rec.Size), false
-			case a == next:
-				next += uint64(rec.Size)
-			default:
-				coal = false
-			}
-		}
-		if coal && !ci.logSync && rec.Size != 0 {
-			rec.Flags = logging.FlagCoalesced
-			rec.Base = base
-		}
-	}
+	e.fillLog(w, ci, exec, rec)
+	// A statically uniform site that is not a single (coalesced) lane is a
+	// broadcast: every lane accesses the first lane's address.
+	bcast := ci.uniform && !rec.Coalesced()
 	if rec.Op == trace.OpAtom {
 		// Atomics mutate cells, clear reader sets, and (per the interval
 		// contract) count as sync edges: never suppressed, always bump.
@@ -242,22 +190,17 @@ func (e *engine) execLogFiltered(w *warpState, ci *cInstr, exec uint32) error {
 		switch rec.Op {
 		case trace.OpRead:
 			switch {
-			case rec.Flags&logging.FlagCoalesced != 0:
+			case rec.Coalesced():
 				suppressible, base = true, rec.Base
 			case bcast:
-				suppressible, base = true, bcastAddr
+				suppressible, base = true, rec.Addrs[bits.TrailingZeros32(exec)]
 			}
 		case trace.OpWrite:
-			if rec.Flags&logging.FlagCoalesced != 0 {
-				single := exec&(exec-1) == 0
-				sz := uint64(rec.Size)
-				// Multi-lane writes must provably keep lanes on disjoint
-				// shadow cells or intra-record same-value accounting could
-				// drift: stride == size with the granularity dividing both
-				// the element size and the base address.
-				if single || (e.fGran <= sz && sz%e.fGran == 0 && rec.Base%e.fGran == 0) {
-					suppressible, base = true, rec.Base
-				}
+			// Multi-lane writes must provably keep lanes on disjoint shadow
+			// cells or intra-record same-value accounting could drift.
+			if rec.Coalesced() && (exec&(exec-1) == 0 ||
+				!logging.LanesMayShareCell(rec.Base, int64(rec.Size), rec.Size, e.fGran)) {
+				suppressible, base = true, rec.Base
 			}
 		}
 		if suppressible && e.filterProbe(w, rec, base, bcast) {

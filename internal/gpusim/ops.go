@@ -54,9 +54,10 @@ type cInstr struct {
 	fn      warpHandler // per-opcode warp-level handler
 	uniform bool        // all inputs warp-uniform: execute once, broadcast
 
-	// _log record template, precomputed so execLog only fills the
+	// _log record header, precomputed so execLog only fills the
 	// launch-dependent fields (warp, block, mask, addresses, values).
-	logTmpl   *logging.Record
+	logOp     trace.OpKind
+	logSpace  logging.SpaceID
 	logSkip   bool // If/Else/Fi marker: runtime no-op
 	logBar    bool // barrier record (no address payload)
 	logSync   bool // acquire/release record: stamp the global Seq
@@ -140,31 +141,26 @@ func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 // prepLog precomputes the launch-invariant part of a _log record.
 func prepLog(ci *cInstr) {
 	ci.logOnce = -1
-	k := trace.FromLogKind(ci.in.LogK)
-	switch k {
+	ci.logOp = trace.FromLogKind(ci.in.LogK)
+	switch ci.logOp {
 	case trace.OpIf, trace.OpElse, trace.OpFi:
 		ci.logSkip = true
 		return
-	}
-	rec := &logging.Record{Op: k, PC: uint32(ci.in.Line)}
-	if k == trace.OpBar {
+	case trace.OpBar:
 		ci.logBar = true
-		ci.logTmpl = rec
 		return
 	}
-	rec.Size = uint8(ci.in.AccSz)
 	switch ci.in.Space {
 	case ptx.SpaceShared:
-		rec.Space = logging.SpaceShared
+		ci.logSpace = logging.SpaceShared
 	case ptx.SpaceLocal:
-		rec.Space = logging.SpaceLocal
+		ci.logSpace = logging.SpaceLocal
 	default:
-		rec.Space = logging.SpaceGlobal
+		ci.logSpace = logging.SpaceGlobal
 	}
-	ci.logSync = k.IsSync()
+	ci.logSync = ci.logOp.IsSync()
 	ci.logVal = len(ci.args) > 1
 	ci.logAddrOK = len(ci.args) > 0 && ci.args[0].kind == ptx.OpndMem
-	ci.logTmpl = rec
 }
 
 func (mod *Module) compileOperand(lk *loadedKernel, in *ptx.Instr, o ptx.Operand) (cOperand, error) {
@@ -465,26 +461,101 @@ func (e *engine) execBranch(w *warpState, top *stackEntry, ci *cInstr, eff uint3
 	return nil
 }
 
-// execLog emits a warp-level record for a `_log.*` pseudo-instruction using
-// the record template precomputed at compile time; only the warp, block,
-// mask, addresses and values are filled at runtime. When the site's address
-// inputs are warp-uniform the address is computed once and broadcast.
-// If/Else/Fi markers are no-ops at runtime: the semantic divergence events
-// are emitted by the SIMT stack machinery, which knows the actual masks.
+// header starts a new record in rec: every header field is written, so
+// nothing of the record that last used the buffer shows through. Addrs
+// and Vals are left alone — only a memory record's active lanes mean
+// anything, and fillLog rewrites exactly those.
+func header(rec *logging.Record, warp, block int, op trace.OpKind, mask uint32) {
+	rec.Warp, rec.Block = uint32(warp), uint32(block)
+	rec.Op, rec.Space, rec.Size, rec.Flags = op, 0, 0, 0
+	rec.Mask, rec.PC = mask, 0
+	rec.Base, rec.Stride, rec.Seq = 0, 0, 0
+}
+
+// logHeader starts the record of a `_log.*` site in e.rec.
+func (e *engine) logHeader(w *warpState, ci *cInstr, exec uint32) *logging.Record {
+	rec := &e.rec
+	header(rec, w.gwid, w.blk.idx, ci.logOp, exec)
+	rec.PC = uint32(ci.in.Line)
+	if !ci.logBar {
+		rec.Space, rec.Size = ci.logSpace, uint8(ci.in.AccSz)
+	}
+	return rec
+}
+
+// fillLog computes the active lanes' addresses and stored values into rec
+// and, in the loop that fills Addrs, recognises the compact form they
+// follow — what logging.Record.Classify would find in the filled record.
+// When the site's address inputs are warp-uniform the address is computed
+// once and broadcast: a stride-0 record.
+func (e *engine) fillLog(w *warpState, ci *cInstr, exec uint32, rec *logging.Record) {
+	a0 := &ci.args[0]
+	first := bits.TrailingZeros32(exec)
+	base := e.laneAddr(w, first, a0)
+	// ragged and bent turn nonzero at the first lane off the coalesced
+	// (base + rank*Size) and the strided (base + lanes*stride) form.
+	var stride int64
+	var ragged, bent uint64
+	if ci.uniform {
+		for m := exec; m != 0; m &= m - 1 {
+			rec.Addrs[bits.TrailingZeros32(m)] = base
+		}
+		ragged = uint64(exec & (exec - 1)) // coalesced only when alone
+	} else {
+		if rest := exec & (exec - 1); rest != 0 {
+			second := bits.TrailingZeros32(rest)
+			stride = int64(e.laneAddr(w, second, a0)-base) / int64(second-first)
+		}
+		next, size := base, uint64(rec.Size)
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			a := e.laneAddr(w, lane, a0)
+			rec.Addrs[lane] = a
+			ragged |= a ^ next
+			next += size
+			bent |= a ^ (base + uint64(int64(lane-first)*stride))
+		}
+	}
+	switch {
+	case ci.logSync || rec.Size == 0:
+		// Only plain accesses with a size span shadow cells.
+	case ragged == 0:
+		rec.Flags, rec.Base = logging.FlagCoalesced, base
+	case bent == 0:
+		rec.Flags, rec.Base, rec.Stride = logging.FlagStrided, base, stride
+	}
+	if !ci.logVal {
+		return
+	}
+	a1 := &ci.args[1]
+	if ci.uniform {
+		v := e.val(w, first, a1)
+		for m := exec; m != 0; m &= m - 1 {
+			rec.Vals[bits.TrailingZeros32(m)] = v
+		}
+		return
+	}
+	for m := exec; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		rec.Vals[lane] = e.val(w, lane, a1)
+	}
+}
+
+// execLog emits a warp-level record for a `_log.*` pseudo-instruction:
+// the header precomputed at compile time plus the warp, block, mask,
+// addresses and values filled at runtime. If/Else/Fi markers are no-ops
+// at runtime: the semantic divergence events are emitted by the SIMT
+// stack machinery, which knows the actual masks.
 func (e *engine) execLog(w *warpState, ci *cInstr, exec uint32) error {
 	if ci.logSkip || e.cfg.Sink == nil || exec == 0 {
 		return nil
 	}
 	if e.filtOn {
 		// The filtered path is a separate function so that with the filter
-		// off this emission path stays byte-for-byte the A/B baseline.
+		// off this emission path stays the A/B baseline.
 		return e.execLogFiltered(w, ci, exec)
 	}
-	rec := &e.rec
-	*rec = *ci.logTmpl
-	rec.Warp = uint32(w.gwid)
-	rec.Block = uint32(w.blk.idx)
-	rec.Mask = exec
+	rec := e.logHeader(w, ci, exec)
 	if ci.logBar {
 		e.cfg.Sink.Emit(rec)
 		e.stats.Records++
@@ -497,55 +568,7 @@ func (e *engine) execLog(w *warpState, ci *cInstr, exec uint32) error {
 		e.syncSeq++
 		rec.Seq = e.syncSeq
 	}
-	a0 := &ci.args[0]
-	if ci.uniform {
-		first := bits.TrailingZeros32(exec)
-		addr := e.laneAddr(w, first, a0)
-		var v uint64
-		if ci.logVal {
-			v = e.val(w, first, &ci.args[1])
-		}
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			rec.Addrs[lane] = addr
-			if ci.logVal {
-				rec.Vals[lane] = v
-			}
-		}
-		// A broadcast address is stride-0, coalesced only in the
-		// degenerate single-lane case.
-		if exec&(exec-1) == 0 && !ci.logSync && rec.Size != 0 {
-			rec.Flags = logging.FlagCoalesced
-			rec.Base = addr
-		}
-	} else {
-		// Classify while filling: a contiguous ascending run over the
-		// active lanes with stride == Size gets the compact coalesced
-		// encoding, so the transport can skip the address array.
-		coal := true
-		first := true
-		var base, next uint64
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			a := e.laneAddr(w, lane, a0)
-			rec.Addrs[lane] = a
-			if ci.logVal {
-				rec.Vals[lane] = e.val(w, lane, &ci.args[1])
-			}
-			switch {
-			case first:
-				base, next, first = a, a+uint64(rec.Size), false
-			case a == next:
-				next += uint64(rec.Size)
-			default:
-				coal = false
-			}
-		}
-		if coal && !ci.logSync && rec.Size != 0 {
-			rec.Flags = logging.FlagCoalesced
-			rec.Base = base
-		}
-	}
+	e.fillLog(w, ci, exec, rec)
 	e.cfg.Sink.Emit(rec)
 	e.stats.Records++
 	return nil

@@ -1,7 +1,6 @@
 package logging
 
 import (
-	"sync"
 	"testing"
 
 	"barracuda/internal/trace"
@@ -65,29 +64,32 @@ func TestDequeueBatchSmallerThanPending(t *testing.T) {
 }
 
 func TestDequeueBatchWrapAround(t *testing.T) {
-	q := NewQueue(4) // capacity 4: batches must cross the ring boundary
+	q := NewQueue(2) // two worst-case records: batches must cross the ring's end
 	buf := make([]Record, 4)
 	next := uint32(0)
-	for round := 0; round < 8; round++ {
-		// Stagger fills so the read head sits at every phase of the ring.
+	for round := 0; round < 100; round++ {
+		// Three irregular reads of 7, 8 and 9 lanes: 42 words a round
+		// against a 140-word ring, so the read position visits every phase.
 		fill := 3
 		for i := 0; i < fill; i++ {
-			q.Enqueue(&Record{PC: next + uint32(i)})
+			r := Record{PC: next + uint32(i), Op: trace.OpRead, Mask: 1<<uint(7+i) - 1}
+			r.Addrs[6] = uint64(r.PC)
+			q.Enqueue(&r)
 		}
 		n := q.DequeueBatch(buf)
 		if n != fill {
 			t.Fatalf("round %d: DequeueBatch = %d, want %d", round, n, fill)
 		}
 		for i := 0; i < n; i++ {
-			if buf[i].PC != next+uint32(i) {
-				t.Fatalf("round %d: record %d has PC %d, want %d (wraparound corrupted order)",
-					round, i, buf[i].PC, next+uint32(i))
+			if want := next + uint32(i); buf[i].PC != want || buf[i].Addrs[6] != uint64(want) {
+				t.Fatalf("round %d: record %d has PC %d addr %d, want %d (wraparound corrupted order)",
+					round, i, buf[i].PC, buf[i].Addrs[6], want)
 			}
 		}
 		next += uint32(fill)
 	}
-	if q.Pending() != 0 {
-		t.Errorf("Pending = %d after drain", q.Pending())
+	if p := pending(q); p != 0 {
+		t.Errorf("pending = %d bytes after drain", p)
 	}
 }
 
@@ -125,19 +127,20 @@ func TestDequeueBatchInterleavedOpEnd(t *testing.T) {
 	}
 }
 
-func TestDequeueBatchMixedWithTryDequeue(t *testing.T) {
+// TestDequeueBatchMixedSizes: a one-record batch and a large batch share
+// one read head.
+func TestDequeueBatchMixedSizes(t *testing.T) {
 	q := NewQueue(8)
 	for i := 0; i < 6; i++ {
 		q.Enqueue(&Record{PC: uint32(i)})
 	}
-	var r Record
-	if !q.TryDequeue(&r) || r.PC != 0 {
-		t.Fatalf("TryDequeue = %v PC=%d", r, r.PC)
+	if r := drain1(t, q); r.PC != 0 {
+		t.Fatalf("first record has PC %d", r.PC)
 	}
 	buf := make([]Record, 8)
 	n := q.DequeueBatch(buf)
 	if n != 5 {
-		t.Fatalf("DequeueBatch after TryDequeue = %d, want 5", n)
+		t.Fatalf("DequeueBatch after a one-record batch = %d, want 5", n)
 	}
 	for i := 0; i < n; i++ {
 		if buf[i].PC != uint32(i+1) {
@@ -146,43 +149,10 @@ func TestDequeueBatchMixedWithTryDequeue(t *testing.T) {
 	}
 }
 
+// TestDequeueBatchConcurrentProducers: four queues, each with its own
+// producer, drained in batches larger than a ring can ever fill.
 func TestDequeueBatchConcurrentProducers(t *testing.T) {
-	q := NewQueue(64)
-	const producers = 4
-	const perProducer = 2000
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				q.Enqueue(&Record{Warp: uint32(p), PC: uint32(i)})
-			}
-		}(p)
-	}
-	next := make([]uint32, producers)
-	buf := make([]Record, 32)
-	var bo Backoff
-	for drained := 0; drained < producers*perProducer; {
-		n := q.DequeueBatch(buf)
-		if n == 0 {
-			bo.Wait()
-			continue
-		}
-		bo.Reset()
-		for i := 0; i < n; i++ {
-			r := &buf[i]
-			if r.PC != next[r.Warp] {
-				t.Fatalf("producer %d out of order: got PC %d, want %d", r.Warp, r.PC, next[r.Warp])
-			}
-			next[r.Warp]++
-		}
-		drained += n
-	}
-	wg.Wait()
-	if q.Pending() != 0 {
-		t.Errorf("Pending = %d after drain", q.Pending())
-	}
+	runOneProducerPerQueue(t, 4, 8, 6000, 512)
 }
 
 func TestBackoffResets(t *testing.T) {

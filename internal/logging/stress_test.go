@@ -1,140 +1,70 @@
 package logging
 
 import (
-	"sync"
 	"testing"
 
 	"barracuda/internal/trace"
 )
 
 // TestStressMultiQueueWraparound is the go test -race stress for the
-// concurrent core of the transport: many producer "warps" fan records
-// out across a multi-queue Set through tiny rings (forcing the virtual
-// indices far past wraparound and exercising the full-queue
-// backpressure spin), while one consumer goroutine per queue — the
-// paper's detector-thread arrangement — drains and validates per-block
-// FIFO order.
+// concurrent core of the transport: one producer and one consumer per
+// queue of a multi-queue Set — the paper's arrangement, a DMA engine and
+// a detector thread per queue — through the smallest rings there are,
+// forcing the virtual indices far past wraparound and exercising the
+// full-ring wait, with records of every length so they straddle the end
+// of the ring at arbitrary offsets.
 func TestStressMultiQueueWraparound(t *testing.T) {
-	const (
-		queues    = 3
-		queueCap  = 8 // rounds to 8 slots: thousands of wraps below
-		producers = 8
-		blocks    = 12
-		perBlock  = 2000
-	)
-	set := NewSet(queues, queueCap)
-
-	// Consumers: per-queue FIFO order must hold per block; values are
-	// compared against a per-block sequence counter.
-	type seen struct {
-		mu   sync.Mutex
-		next map[uint32]uint64
-		n    int
-	}
-	results := make([]*seen, queues)
-	var consumers sync.WaitGroup
-	for qi, q := range set.Queues {
-		results[qi] = &seen{next: make(map[uint32]uint64)}
-		consumers.Add(1)
-		go func(q *Queue, s *seen) {
-			defer consumers.Done()
-			var r Record
-			for {
-				q.Dequeue(&r)
-				if r.Op == trace.OpEnd {
-					return
-				}
-				s.mu.Lock()
-				if want := s.next[r.Block]; r.Addrs[0] != want {
-					t.Errorf("queue: block %d out of order: got %d, want %d", r.Block, r.Addrs[0], want)
-				}
-				s.next[r.Block]++
-				s.n++
-				s.mu.Unlock()
-			}
-		}(q, results[qi])
-	}
-
-	// Producers: each block's records are produced by exactly one
-	// producer (as on a real GPU, where a block's warps share an SM and
-	// the instrumentation serializes its queue writes per warp); blocks
-	// are spread over producers and queues by the Set's affinity rule.
-	var producersWG sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		producersWG.Add(1)
-		go func(p int) {
-			defer producersWG.Done()
-			var r Record
-			for b := p; b < blocks; b += producers {
-				r.Block = uint32(b)
-				r.Warp = uint32(p)
-				r.Op = trace.OpWrite
-				for i := 0; i < perBlock; i++ {
-					r.Addrs[0] = uint64(i)
-					set.ForBlock(b).Enqueue(&r)
-				}
-			}
-		}(p)
-	}
-	producersWG.Wait()
-	set.CloseAll()
-	consumers.Wait()
-
-	total := 0
-	for _, s := range results {
-		total += s.n
-	}
-	if want := blocks * perBlock; total != want {
-		t.Fatalf("consumed %d records, want %d", total, want)
-	}
-	// Every ring must have wrapped many times over.
+	const perQueue = 8000
+	set := runOneProducerPerQueue(t, 3, 1, perQueue, 16)
 	for qi, q := range set.Queues {
 		w, _, _ := q.Stats()
-		if w <= uint64(q.Cap()) {
-			t.Errorf("queue %d: write head %d never wrapped (cap %d)", qi, w, q.Cap())
+		if ring := uint64(8 * len(q.buf)); w <= 100*ring {
+			t.Errorf("queue %d: write head %d wrapped fewer than 100 times (ring %d)", qi, w, ring)
+		}
+		if c := counters(q); c.Records != perQueue+1 || c.FullWaits == 0 {
+			t.Errorf("queue %d: counters %+v, want %d records and full-ring waits", qi, c, perQueue+1)
 		}
 	}
 }
 
-// TestStressInterleavedProducersOneBlock hammers a single tiny queue
-// with many producers writing the same block — maximal contention on
-// the write head, the commit index and the backpressure spin.
+// TestStressInterleavedProducersOneBlock is one block's queue under one
+// producer that interleaves the records of sixteen warps, as the
+// simulator's scheduler does: per-warp order must survive the ring,
+// whatever the batch boundaries.
 func TestStressInterleavedProducersOneBlock(t *testing.T) {
 	const (
-		producers = 16
-		each      = 5000
+		warps = 16
+		each  = 5000
 	)
 	q := NewQueue(4)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var r Record
-			r.Op = trace.OpWrite
-			r.Warp = uint32(p)
-			for i := 0; i < each; i++ {
-				r.Addrs[0] = uint64(p)<<32 | uint64(i)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var r Record
+		r.Op, r.Size = trace.OpWrite, 4
+		for i := 0; i < each; i++ {
+			for wp := 0; wp < warps; wp++ {
+				r.Warp, r.Mask = uint32(wp), 1<<uint(wp)|1
+				r.Addrs[0], r.Addrs[wp] = uint64(i), uint64(i)
 				q.Enqueue(&r)
 			}
-		}(p)
-	}
-
-	perProducer := make(map[uint32]uint64)
-	got := 0
-	var r Record
-	for got < producers*each {
-		q.Dequeue(&r)
-		// Per-producer order must survive arbitrary interleaving.
-		p, i := r.Warp, r.Addrs[0]&0xffffffff
-		if want := perProducer[p]; i != want {
-			t.Fatalf("producer %d out of order: got %d, want %d", p, i, want)
 		}
-		perProducer[p]++
-		got++
+		q.Enqueue(&Record{Op: trace.OpEnd})
+	}()
+	next := make([]uint64, warps)
+	consume(q, 7, func(r *Record) {
+		if got := r.Addrs[r.Warp]; got != next[r.Warp] || r.Addrs[0] != got {
+			t.Fatalf("warp %d out of order: got %d, want %d", r.Warp, got, next[r.Warp])
+		}
+		next[r.Warp]++
+	})
+	<-done
+	for wp, n := range next {
+		if n != each {
+			t.Errorf("warp %d: %d records, want %d", wp, n, each)
+		}
 	}
-	wg.Wait()
-	if q.Pending() != 0 {
-		t.Errorf("pending = %d after drain", q.Pending())
+	if p := pending(q); p != 0 {
+		t.Errorf("pending = %d bytes after drain", p)
 	}
 }

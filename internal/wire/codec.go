@@ -660,8 +660,9 @@ func (s Summary) Report() *core.Report {
 // The record codec serializes logging.Record batches — the capture
 // streams behind detector.Capture/Replay and the fleet's future record
 // shipping — with the same wire discipline the in-process transport
-// uses: coalesced records ship header-only (address array reconstructed
-// from Base+Mask+Size, values only for writes), and everything varies
+// used before it learnt the strided form: coalesced records ship
+// header-only (address array reconstructed from Base+Mask+Size, values
+// only for writes), strided ones as per-lane addresses, and everything varies
 // as deltas (PC deltas between consecutive records, address deltas
 // between consecutive lanes of one record's span).
 
@@ -675,6 +676,16 @@ func (s Summary) Report() *core.Report {
 // correctness contract.
 func CanonicalRecord(r logging.Record) logging.Record {
 	out := r
+	if r.Flags&logging.FlagStrided != 0 {
+		// The codec predates the strided form and has no field for the
+		// stride: a strided record travels as its per-lane addresses.
+		out.Flags, out.Base, out.Stride = r.Flags&^logging.FlagStrided, 0, 0
+		for m := r.Mask; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			out.Addrs[lane] = r.LaneAddr(lane)
+		}
+		r = out
+	}
 	if r.Coalesced() {
 		out.Addrs = [logging.WarpWidth]uint64{}
 		if r.Op != trace.OpWrite {
@@ -700,7 +711,7 @@ func EncodeRecords(dst []byte, recs []logging.Record) []byte {
 	var prevAddr int64
 	for i := range recs {
 		r := &recs[i]
-		b = append(b, byte(r.Op), byte(r.Space), r.Size, r.Flags)
+		b = append(b, byte(r.Op), byte(r.Space), r.Size, r.Flags&^logging.FlagStrided)
 		b = appendUvarint(b, uint64(r.Mask))
 		b = appendZigzag(b, int64(r.Warp)-prevWarp)
 		b = appendZigzag(b, int64(r.Block)-prevBlock)
@@ -716,7 +727,7 @@ func EncodeRecords(dst []byte, recs []logging.Record) []byte {
 			last := prevAddr
 			for m := r.Mask; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m)
-				a := int64(r.Addrs[lane])
+				a := int64(r.LaneAddr(lane))
 				b = appendZigzag(b, a-last)
 				last = a
 			}
@@ -752,7 +763,7 @@ func DecodeRecords(p []byte) ([]logging.Record, error) {
 		r.Op = trace.OpKind(d.byte())
 		r.Space = logging.SpaceID(d.byte())
 		r.Size = d.byte()
-		r.Flags = d.byte()
+		r.Flags = d.byte() &^ logging.FlagStrided
 		r.Mask = uint32(d.uvarint())
 		prevWarp += d.zigzag()
 		prevBlock += d.zigzag()

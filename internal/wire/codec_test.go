@@ -224,7 +224,12 @@ func randomRecord(rng *rand.Rand) logging.Record {
 	if r.Mask == 0 {
 		r.Mask = 1
 	}
-	if rng.Intn(2) == 0 {
+	if rng.Intn(3) == 0 {
+		// Strided: travels as per-lane addresses (see CanonicalRecord).
+		r.Flags = logging.FlagStrided
+		r.Base = uint64(rng.Intn(1 << 24))
+		r.Stride = int64(rng.Intn(4096)) - 1024
+	} else if rng.Intn(2) == 0 {
 		// Coalesced: header-only on the wire, addresses via LaneAddr.
 		r.Flags = logging.FlagCoalesced
 		r.Base = uint64(rng.Intn(1<<24)) &^ 7
