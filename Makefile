@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-sim bench-scaling bench-detect bench-shadow bench-repair bench-proto bench-filter bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership stress-refine
+.PHONY: all build vet test race bench bench-sim bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership stress-refine
 
 all: build vet test
 
@@ -54,12 +54,6 @@ vet-fix-smoke: build
 	@rm -f vet-fix.out
 	@echo "vet-fix-smoke: $(words $(FIXABLE)) fixable repaired, $(words $(UNFIXABLE)) unrepairable declined"
 
-# Verified-repair throughput artifact (BENCH_repair.json): repairs/sec
-# cold (full synthesis + dynamic verification per distinct module) vs
-# warm (memoized on the module-cache entry), gated on a 2x warm speedup.
-bench-repair:
-	$(GO) run ./cmd/benchtab -repair -jobs 16 -min-speedup 2.0 -o BENCH_repair.json
-
 # Tier-1 verification: the full suite, plus the same suite under the Go
 # race detector (the transport and server are concurrency-heavy).
 test:
@@ -68,19 +62,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Micro/macro benchmarks plus the detection-service throughput artifact
-# (BENCH_server.json: jobs/sec with cold vs warm module cache) and the
-# static-pruner artifact (BENCH_static.json: instrumented fractions and
-# detection throughput, pruned vs unpruned).
+# Every Go microbenchmark in the tree. The perf record that gates a PR
+# is the end-to-end benchmark: bash benchmarks/e2e/run.sh (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-	$(GO) run ./cmd/benchtab -server -jobs 32 -workers 4 -o BENCH_server.json
-	$(GO) run ./cmd/benchtab -static -o BENCH_static.json
-
-# Detection throughput vs queue count (capture/replay, widths 1/2/4/8),
-# asserting the determinism contract at every width.
-bench-scaling:
-	$(GO) run ./cmd/benchtab -scaling -o BENCH_scaling.json
 
 # Interpreter microbenchmarks: warp stepping and log emission, with
 # allocation counts.
@@ -92,21 +77,6 @@ bench-sim:
 # test against this tree.
 bench-e2e-smoke:
 	cd benchmarks/e2e && $(GO) vet . && $(GO) test .
-
-# Coalesced-span shadow fast path A/B: core microbenchmarks (ns per warp
-# access and allocations, span vs per-cell, including the read-inflation
-# worst case), then the mix-level artifact (BENCH_detect.json) gated on
-# canonical-digest equality and the 2x coalesced speedup floor.
-bench-detect:
-	$(GO) test -bench=BenchmarkWarpAccess -benchmem -run=^$$ ./internal/core/
-	$(GO) run ./cmd/benchtab -detect -min-speedup 2.0 -o BENCH_detect.json
-
-# Adaptive-shadow A/B: the exclusive-ownership tier vs the span baseline
-# over private/block-owned/contended mixes, plus the bounded page sweep
-# (BENCH_shadow.json), gated on canonical-digest equality, the cap
-# holding, and the 1.3x private-mix speedup floor.
-bench-shadow:
-	$(GO) run ./cmd/benchtab -shadow -min-speedup 1.3 -o BENCH_shadow.json
 
 # The adaptive-shadow correctness stress: ownership and bounded-shadow
 # equivalence over the 66-program bug suite under the Go race detector
@@ -134,13 +104,6 @@ fleet-sim:
 	$(GO) run -race ./cmd/fleetsim -nodes 4 -jobs 20000 -seed 42 -repeat 2
 	$(GO) run -race ./cmd/fleetsim -nodes 8 -jobs 20000 -seed 42 -traffic mixed -crash 2@0.3 -hbloss 0.05 -repeat 2
 
-# Producer-side epoch filtering A/B: loop-heavy, barrier-dense and
-# adversarial no-repeat mixes, full live detections with the filter off
-# vs on (BENCH_filter.json) — gated on canonical-digest and record-count
-# equality on every run and a 1.5x floor on the loop-heavy speedup.
-bench-filter:
-	$(GO) run ./cmd/benchtab -filter -min-speedup 1.5 -o BENCH_filter.json
-
 # The producer-filter correctness stress: filtered-vs-unfiltered report
 # equivalence over the 66-program bug suite (sequential and randomized
 # schedules), the benchmark suite, and the record-batch codec fuzz
@@ -149,13 +112,6 @@ stress-filter:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestProducerFilter' ./internal/bugsuite/ ./internal/detector/ ./internal/server/
 	$(GO) test -run 'TestFilterBenchmarkEquivalence' ./internal/bench/
 	$(GO) test -run 'FuzzRecords|TestRecordSeedsRoundTrip' ./internal/wire/
-
-# Streaming-protocol A/B: JSON submit+poll vs the binary wire protocol
-# on bytes-on-wire, time-to-first-race and jobs/sec, cold and warm, at
-# three report sizes (BENCH_proto.json) — gated on stream-vs-JSON
-# report digest identity and a 1.3x floor on every headline factor.
-bench-proto:
-	$(GO) run ./cmd/benchtab -proto -jobs 16 -workers 2 -min-speedup 1.3 -o BENCH_proto.json
 
 # The streaming-protocol correctness stress: frame-decoder fuzz corpus
 # regression, then stream-vs-JSON report equivalence over the

@@ -129,27 +129,3 @@ func TestGenerateSpecVariants(t *testing.T) {
 		}
 	}
 }
-
-func TestScalingExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full suite at several queue widths")
-	}
-	points, err := Scaling(ScalingOptions{Widths: []int{1, 2}, Repeats: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 || points[0].Queues != 1 || points[1].Queues != 2 {
-		t.Fatalf("points = %+v, want widths 1 and 2", points)
-	}
-	for _, p := range points {
-		if !p.RacesEqual {
-			t.Errorf("queues=%d: report diverged from the 1-queue baseline", p.Queues)
-		}
-		if p.Records == 0 || p.RecordsPerSec <= 0 {
-			t.Errorf("queues=%d: empty measurement: %+v", p.Queues, p)
-		}
-	}
-	if points[0].Speedup != 1 || points[0].Efficiency != 1 {
-		t.Errorf("baseline point not normalized: %+v", points[0])
-	}
-}

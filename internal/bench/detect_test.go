@@ -6,30 +6,6 @@ import (
 	"barracuda/internal/detector"
 )
 
-// TestDetectBenchSmoke: the A/B experiment runs, every mix's reports
-// are identical between the span fast path and the per-cell baseline,
-// and the coalesced mix is not slower under spans.
-func TestDetectBenchSmoke(t *testing.T) {
-	res, err := DetectBench(DetectOptions{Repeats: 2, Iters: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("expected 3 mixes, got %d", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if !p.DigestsEqual {
-			t.Errorf("mix %s: reports diverged between span and per-cell paths", p.Mix)
-		}
-		if p.Records == 0 || p.CellNS == 0 || p.SpanNS == 0 {
-			t.Errorf("mix %s: empty measurement: %+v", p.Mix, p)
-		}
-	}
-	if res.CoalescedSpeedup < 1.0 {
-		t.Errorf("coalesced mix slower under spans: speedup %.2f < 1.0", res.CoalescedSpeedup)
-	}
-}
-
 // TestSpanReplayEquivalence is the benchmark-suite half of the span
 // correctness contract (the bug-suite half lives in
 // internal/bugsuite/span_test.go): every Table 1 benchmark's captured

@@ -7,30 +7,38 @@ import (
 
 	"barracuda/internal/detector"
 	"barracuda/internal/gpusim"
+	"barracuda/internal/shadow"
 )
+
+// adaptiveResult is a run's comparable outcome plus the shadow's own
+// counters, which differ between configurations by design.
+type adaptiveResult struct {
+	warpvecResult
+	shadow shadow.MemStats
+}
 
 // adaptiveRun executes one suite test with the adaptive-shadow knobs
 // set: the exclusive-ownership fast path and/or a shadow byte cap.
-func adaptiveRun(tc *Test, ws, queues int, ownership bool, capBytes int64) (warpvecResult, error) {
+func adaptiveRun(tc *Test, ws, queues int, ownership bool, capBytes int64) (adaptiveResult, error) {
 	s, err := detector.OpenPTX(tc.PTX, detector.Config{
 		Queues:         queues,
 		Ownership:      ownership,
 		ShadowCapBytes: capBytes,
 	})
 	if err != nil {
-		return warpvecResult{}, err
+		return adaptiveResult{}, err
 	}
 	launch, err := tc.launch(s.Dev)
 	if err != nil {
-		return warpvecResult{}, err
+		return adaptiveResult{}, err
 	}
 	launch.WarpSize = ws
 	res, err := s.Detect(tc.Kernel, launch)
 	if err != nil {
 		if errors.Is(err, gpusim.ErrStepBudget) {
-			return warpvecResult{digest: "HANG\n"}, nil
+			return adaptiveResult{warpvecResult: warpvecResult{digest: "HANG\n"}}, nil
 		}
-		return warpvecResult{digest: "ERROR: " + err.Error() + "\n"}, nil
+		return adaptiveResult{warpvecResult: warpvecResult{digest: "ERROR: " + err.Error() + "\n"}}, nil
 	}
 	var races string
 	for _, rc := range res.Report.Races {
@@ -39,10 +47,13 @@ func adaptiveRun(tc *Test, ws, queues int, ownership bool, capBytes int64) (warp
 	if res.Report.PrecisionDegraded {
 		races += "PRECISION DEGRADED\n"
 	}
-	return warpvecResult{
-		digest: res.Report.CanonicalDigest(),
-		races:  races,
-		stats:  res.SimStats,
+	return adaptiveResult{
+		warpvecResult: warpvecResult{
+			digest: res.Report.CanonicalDigest(),
+			races:  races,
+			stats:  res.SimStats,
+		},
+		shadow: res.Report.Shadow,
 	}, nil
 }
 
@@ -50,8 +61,9 @@ func adaptiveRun(tc *Test, ws, queues int, ownership bool, capBytes int64) (warp
 // the span baseline at one (warp size, queue count) point: identical
 // canonical digests always, byte-identical race lists at one queue, and
 // no PrecisionDegraded report (the cap, when set, is generous enough
-// that compaction alone keeps residency below it).
-func adaptiveCompare(t *testing.T, tc *Test, ws, queues int, ownership bool, capBytes int64) {
+// that compaction alone keeps residency below it). It returns the
+// adaptive run's shadow counters.
+func adaptiveCompare(t *testing.T, tc *Test, ws, queues int, ownership bool, capBytes int64) shadow.MemStats {
 	t.Helper()
 	base, err := adaptiveRun(tc, ws, queues, false, 0)
 	if err != nil {
@@ -73,6 +85,7 @@ func adaptiveCompare(t *testing.T, tc *Test, ws, queues int, ownership bool, cap
 		t.Errorf("launch stats diverged (ws=%d queues=%d ownership=%t cap=%d):\nbaseline: %+v\nadaptive: %+v",
 			ws, queues, ownership, capBytes, base.stats, adapt.stats)
 	}
+	return adapt.shadow
 }
 
 // TestOwnershipEquivalence is the correctness contract of the
@@ -83,19 +96,36 @@ func adaptiveCompare(t *testing.T, tc *Test, ws, queues int, ownership bool, cap
 // partial masks and mid-warp divergence, where the ownership tier must
 // bail to the slow path without corrupting its facts; four queues put
 // concurrent claim/inflate traffic on shared regions.
+//
+// Equivalence alone would pass with the tier dead, so the suite as a
+// whole must also engage it: summed over the programs at one queue and
+// the full warp size, regions are claimed, records are answered on the
+// owned fast path, warp owners are promoted to block owners, and
+// contended regions inflate.
 func TestOwnershipEquivalence(t *testing.T) {
 	queueCounts := []int{1, 4}
 	if testing.Short() {
 		queueCounts = []int{1}
 	}
+	var engaged shadow.MemStats
 	for _, tc := range Tests() {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, q := range queueCounts {
-				adaptiveCompare(t, tc, 0, q, true, 0)
+				sh := adaptiveCompare(t, tc, 0, q, true, 0)
+				if q == 1 {
+					engaged.Claims += sh.Claims
+					engaged.OwnedFast += sh.OwnedFast
+					engaged.Promotions += sh.Promotions
+					engaged.Inflations += sh.Inflations
+				}
 				adaptiveCompare(t, tc, 5, q, true, 0)
 			}
 		})
+	}
+	if engaged.Claims == 0 || engaged.OwnedFast == 0 || engaged.Promotions == 0 || engaged.Inflations == 0 {
+		t.Errorf("ownership tier did not engage across the suite: claims %d, owned-fast %d, promotions %d, inflations %d",
+			engaged.Claims, engaged.OwnedFast, engaged.Promotions, engaged.Inflations)
 	}
 }
 

@@ -52,7 +52,7 @@ import (
 // another queue between any two lanes — so SameValueGag stays in the
 // human-readable report but out of the digest.
 //
-// The multi-queue stress test and the -scaling benchmark compare
+// The multi-queue stress test and every equivalence suite compare
 // reports through this digest.
 func (r *Report) CanonicalDigest() string {
 	type side struct {

@@ -16,8 +16,9 @@ func benchGeo() ptvc.Geometry {
 
 // benchRecords builds a short cyclic stream of warp memory records for
 // one warp over its own address window, alternating reads and writes.
-// pattern selects the per-lane layout (see bench.DetectBench for the
-// full-stream experiment these mirror).
+// pattern selects the per-lane layout: coalesced (consecutive 4-byte
+// words), strided (8-byte lane stride) or divergent (random mask and
+// addresses).
 func benchRecords(pattern string) []logging.Record {
 	const instrs = 8
 	recs := make([]logging.Record, 0, instrs)

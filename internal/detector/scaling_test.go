@@ -46,8 +46,8 @@ func TestCaptureReplayMatchesDetect(t *testing.T) {
 	}
 }
 
-// TestReplayWidthsAgree: one captured stream replayed at every -scaling
-// queue width must produce identical canonical reports. Exercises both
+// TestReplayWidthsAgree: one captured stream replayed at queue widths
+// 1, 2, 4 and 8 must produce identical canonical reports. Exercises both
 // digest tiers: racyAllWriteSrc is a many-writer global race
 // (structural tier), the barrier-free shared kernel an intra-block
 // shared race (exact tier).

@@ -370,6 +370,14 @@ func (c *Coordinator) InFlight() int {
 	return n
 }
 
+// Routable returns the number of nodes on the ring: registered, not
+// draining, not evicted.
+func (c *Coordinator) Routable() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ring.Len()
+}
+
 // evictNodeLocked pulls a node out of the ring and requeues its
 // in-flight jobs at the front of their class queues with the node
 // excluded, preserving their original relative order.

@@ -461,7 +461,7 @@ func (h *HTTPCoordinator) handleHealthz(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"uptime_ms": float64(time.Since(h.start).Microseconds()) / 1000,
-		"nodes":     h.core.ring.Len(),
+		"nodes":     h.core.Routable(),
 	})
 }
 

@@ -495,3 +495,44 @@ func TestFleetHeartbeatUnknownNode(t *testing.T) {
 		t.Fatalf("code %q, want not_found", errj.Code)
 	}
 }
+
+// TestFleetHealthzDuringMembershipChurn reads /healthz while workers
+// join and leave: the node count is ring state, which Join and Leave
+// mutate under the coordinator's lock. Meaningful under -race.
+func TestFleetHealthzDuringMembershipChurn(t *testing.T) {
+	coord := NewHTTPCoordinator(Options{})
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() { ts.Close(); coord.Close() })
+
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; i < 200; i++ {
+			id := fmt.Sprintf("w-%02d", i%4)
+			coord.Core().Join(id, "http://127.0.0.1:0", 1, time.Now())
+			coord.Core().Leave(id)
+		}
+	}()
+	for {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hz struct {
+			Nodes int `json:"nodes"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&hz)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hz.Nodes > 1 {
+			t.Fatalf("healthz nodes = %d with at most one worker joined", hz.Nodes)
+		}
+		select {
+		case <-churned:
+			return
+		default:
+		}
+	}
+}

@@ -113,9 +113,6 @@ func (d *Device) MustAlloc(n int) uint64 {
 	return a
 }
 
-// AllocBytes returns the total bytes allocated so far.
-func (d *Device) AllocBytes() int64 { return int64(d.next - GlobalBase) }
-
 // ensure grows the backing store to cover addresses below end.
 func (d *Device) ensure(end uint64) {
 	need := int(end - GlobalBase)

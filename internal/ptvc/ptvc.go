@@ -382,12 +382,6 @@ func (g *Group) Merge(first, second *Group) {
 	g.compress()
 }
 
-// ElseJoin merges a completed first path's knowledge that is not captured
-// by the stack structure (acquired Ext entries do NOT transfer: the else
-// path is concurrent with the then path). Nothing to do — present for
-// symmetry and documentation.
-func (g *Group) ElseJoin(_ *Group) {}
-
 // Barrier implements the block-wide BAR rule for this warp: every thread
 // in the block synchronizes; m is the maximum local clock across the
 // block's warps. All lanes jump to m+1 and the block clock becomes m.

@@ -313,14 +313,6 @@ func MemReg(reg string, off int64) Operand {
 	return Operand{Kind: OpndMem, BaseReg: reg, Off: off}
 }
 
-// MemSym constructs a [sym+off] memory operand.
-func MemSym(sym string, off int64) Operand {
-	return Operand{Kind: OpndMem, BaseSym: sym, Off: off}
-}
-
-// SymOp constructs a symbol-reference operand.
-func SymOp(name string) Operand { return Operand{Kind: OpndSym, Sym: name} }
-
 // LabelOp constructs a label-reference operand.
 func LabelOp(name string) Operand { return Operand{Kind: OpndLabel, Sym: name} }
 

@@ -28,15 +28,6 @@ func ParseKernel(src string) (*Kernel, error) {
 	return m.Kernels[0], nil
 }
 
-// MustParse parses src and panics on error; for tests and embedded kernels.
-func MustParse(src string) *Module {
-	m, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 type parser struct {
 	lex *lexer
 	tok token

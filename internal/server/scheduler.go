@@ -256,21 +256,17 @@ func (s *Scheduler) Options() SchedulerOptions { return s.opts }
 // success, ErrQueueFull under backpressure, and a descriptive error for
 // invalid payloads (mapped to 400 by the HTTP layer).
 func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
-	return s.SubmitObserved(req, nil)
+	return s.SubmitTenant(req, "", nil)
 }
 
-// SubmitObserved is Submit with an incremental race observer: onRace is
-// invoked once per new static race at the moment of discovery, from a
-// detection worker goroutine. The streaming API uses it to push FRace
-// frames before the job completes; it must not block (the stream layer
-// hands it a buffered channel sized to the race cap).
-func (s *Scheduler) SubmitObserved(req JobRequest, onRace func(core.Race)) (*Job, error) {
-	return s.SubmitTenant(req, "", onRace)
-}
-
-// SubmitTenant is SubmitObserved with a tenant identity: the job is
-// admitted into that tenant's weighted-round-robin bucket, so one
-// tenant's backlog cannot starve another's submissions.
+// SubmitTenant is Submit with a tenant identity and an incremental race
+// observer. The job is admitted into that tenant's weighted-round-robin
+// bucket, so one tenant's backlog cannot starve another's submissions.
+// onRace, when non-nil, is invoked once per new static race at the
+// moment of discovery, from a detection worker goroutine. The streaming
+// API uses it to push FRace frames before the job completes; it must
+// not block (the stream layer hands it a buffered channel sized to the
+// race cap).
 func (s *Scheduler) SubmitTenant(req JobRequest, tenant string, onRace func(core.Race)) (*Job, error) {
 	if err := req.Validate(s.opts.MaxBufferBytes); err != nil {
 		return nil, err

@@ -171,9 +171,6 @@ func (m *Memory) EnableOwnership() {
 	m.owned = true
 }
 
-// OwnershipEnabled reports whether ownership tracking is on.
-func (m *Memory) OwnershipEnabled() bool { return m.owned }
-
 // NoteOwnedFast counts one record fully handled by the ownership fast
 // path.
 func (m *Memory) NoteOwnedFast() { m.ownFast.Add(1) }

@@ -268,9 +268,6 @@ func (m *Memory) EnableSpans(geo ptvc.Geometry) {
 	m.geo = geo
 }
 
-// SpansEnabled reports whether coalesced-span mode is on.
-func (m *Memory) SpansEnabled() bool { return m.spans }
-
 // SpanCache is one detector worker's private lookup cache: the last
 // global page and the last shared-block slab it resolved. GPU warps
 // overwhelmingly access runs of nearby addresses, so almost every lookup
