@@ -86,12 +86,13 @@ stress-ownership:
 
 # The per-region-granule correctness stress: the recorded per-byte
 # outcomes (bug suite and mixed-width programs, Granularity 1/2/4), the
-# refinement unit and property tests, and — repeated, with real
-# parallelism, under the Go race detector — blocks on four detector
-# threads issuing word and byte accesses to the same shadow page.
+# refinement unit and property tests, the cell-layout contract and the
+# record-level walk's equivalence with one walk per lane, and — repeated,
+# with real parallelism, under the Go race detector — blocks on four
+# detector threads issuing word and byte accesses to the same shadow page.
 stress-refine:
 	$(GO) test -race -run 'TestGranuleGoldenEquivalence|TestSubword' ./internal/bugsuite/
-	$(GO) test -race -run 'TestRefine|TestRegionGranulePerMode' ./internal/shadow/
+	$(GO) test -race -run 'TestRefine|TestRegionGranulePerMode|TestCellLayout|TestVisitLanesEquivalence|TestReadTableConcurrentInflation' ./internal/shadow/
 	$(GO) test -race -run 'TestRefine|TestReportWeight' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestSubwordQueuesStress' ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestRefineConcurrentWorkers' ./internal/core/
@@ -125,13 +126,15 @@ stress-stream:
 # 4, two-record rings, every wire form), the round-trip fuzz seeds, the
 # 66-program bug suite at 4 queues vs 1 queue, and the reports at QueueCap
 # 1/64/4096 (the ring size moves when the producer blocks, never what is
-# reported).
+# reported), and four detector threads holding page locks across the lanes
+# of records that interleave over the same three pages.
 stress-multiqueue:
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConcurrentProducers|TestDequeueBatchConcurrentProducers|TestStress|TestQueueBackpressure|TestWorstCaseThroughSmallestRing' ./internal/logging/
 	$(GO) test -run 'FuzzQueueRoundTrip|TestQueueRoundTripProperty|TestWrapAtEveryOffset' ./internal/logging/
 	GOMAXPROCS=4 $(GO) test -count=5 -run TestMultiQueueReportEquivalence ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'TestMultiQueueReportEquivalence|TestBackpressureEquivalence' ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -run TestSameValueGoldenEquivalence ./internal/detector/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run TestStridedLockHoldStress ./internal/core/
 
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321

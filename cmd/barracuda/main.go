@@ -223,8 +223,8 @@ func printResult(kernel string, res *detector.Result, verbose bool) error {
 			}
 		}
 		sh := rep.Shadow
-		fmt.Printf("shadow: %d word-granular region(s), %d at the configured granularity, %d refinement(s), peak %d bytes\n",
-			sh.WordRegions, sh.ByteRegions, sh.Refinements, sh.PeakResidentBytes)
+		fmt.Printf("shadow: %d word-granular region(s), %d at the configured granularity, %d refinement(s), peak %d bytes, %d-byte cells, %d read map(s) inflated\n",
+			sh.WordRegions, sh.ByteRegions, sh.Refinements, sh.PeakResidentBytes, sh.CellBytes, sh.ReadInflations)
 		tr := res.Transport
 		fmt.Printf("transport: %d record(s) in %d bytes: %d coalesced, %d strided, %d irregular, %d with values; ring full %d time(s), producer blocked %v; %d empty poll(s)\n",
 			tr.Records, tr.Bytes, tr.Coalesced, tr.Strided, tr.Irregular, tr.WithVals,

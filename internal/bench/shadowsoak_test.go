@@ -47,7 +47,7 @@ func TestBoundedShadowSoak(t *testing.T) {
 		// the package's default test timeout.
 		t.Skip("deterministic single-queue soak skipped under -race")
 	}
-	// 21 word-granular pages (768 KiB each); the suite's programs never
+	// 32 word-granular pages (512 KiB each); the suite's programs never
 	// make a sub-word access, so none is ever refined.
 	const capBytes = int64(16 << 20)
 	slack := maxRegionBytes(t)

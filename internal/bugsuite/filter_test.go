@@ -104,7 +104,9 @@ func filterCompare(t *testing.T, tc *Test, ws, queues int, seed int64) {
 		t.Errorf("RecordsSeen diverged (%s): baseline %d, filtered %d (flush reconciliation broken)",
 			ctx, base.seen, filt.seen)
 	}
-	if base.gag != filt.gag {
+	// Across queues the same-value count on a global word is
+	// schedule-dependent (core/digest.go), like the race set above.
+	if queues == 1 && base.gag != filt.gag {
 		t.Errorf("SameValueGag diverged (%s): baseline %d, filtered %d", ctx, base.gag, filt.gag)
 	}
 	if base.formats != filt.formats {

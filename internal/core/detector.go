@@ -450,50 +450,50 @@ func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 		if w.caching {
 			span = &w.span
 		}
-		d.forEachLaneCell(span, r, func(lane int, tid vc.TID, c *shadow.Cell, weight int) {
-			d.apply(c, g, tid, r, lane, weight, w)
+		tid0 := d.geo.TIDOf(int(r.Warp), 0)
+		d.forEachLaneCell(span, r, func(lane int, reg *shadow.Region, idx, weight int) {
+			d.apply(reg, idx, g, tid0+vc.TID(lane), r, lane, weight, w)
 		})
 	}
 	g.EndInstr()
 }
 
-// apply runs the record's READ*/WRITE*/ATOM* rule for one lane on one
-// cell. weight is the number of configured-granule cells the cell stands
-// for (shadow.Memory.Weight): every check on it counts that many times.
-func (d *Detector) apply(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
+// apply runs the record's READ*/WRITE*/ATOM* rule for one lane on cell
+// idx of reg, whose guarding lock the caller holds. weight is the number
+// of configured-granule cells the cell stands for (shadow.Memory.Weight):
+// every check on it counts that many times.
+func (d *Detector) apply(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
 	switch r.Op {
 	case trace.OpRead:
-		d.applyRead(c, g, tid, r, lane, weight)
+		d.applyRead(reg, idx, g, tid, r, lane, weight)
 	case trace.OpWrite:
-		d.applyWrite(c, g, tid, r, lane, weight, w)
+		d.applyWrite(reg, idx, g, tid, r, lane, weight, w)
 	case trace.OpAtom:
-		d.applyAtomic(c, g, tid, r, lane, weight)
+		d.applyAtomic(reg, idx, g, tid, r, lane, weight)
 	}
 }
 
-func (d *Detector) applyRead(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+func (d *Detector) applyRead(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+	c := &reg.Cells()[idx]
 	if !ordered(g, tid, c.W) {
 		d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, weight)
 	}
-	if c.ReadShared {
+	c.ReadPC = r.PC
+	switch {
+	case c.ReadShared:
 		// READSHARED: concurrent readers use the sparse read clock.
-		c.Readers[tid] = g.L
-		c.ReadPC = r.PC
-		return
-	}
-	if ordered(g, tid, c.R) {
+		reg.Readers(idx)[tid] = g.L
+	case ordered(g, tid, c.R):
 		// READEXCL: totally-ordered reads stay an epoch.
 		c.R = vc.Epoch{T: tid, C: g.L}
-		c.ReadPC = r.PC
-		return
+	default:
+		// READINFLATE: first concurrent read inflates to a read map.
+		d.mem.InflateReads(reg, idx)[tid] = g.L
 	}
-	// READINFLATE: first concurrent read inflates to a read map.
-	c.InflateReads()
-	c.Readers[tid] = g.L
-	c.ReadPC = r.PC
 }
 
-func (d *Detector) applyWrite(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
+func (d *Detector) applyWrite(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
+	c := &reg.Cells()[idx]
 	if !ordered(g, tid, c.W) {
 		// Same-instruction intra-warp write-write: filter when the
 		// lanes stored the same value (§3.3.1).
@@ -510,14 +510,15 @@ func (d *Detector) applyWrite(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logg
 			d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr, weight)
 		}
 	}
-	d.checkReaders(c, g, tid, r, lane, weight)
+	d.checkReaders(reg, idx, g, tid, r, lane, weight)
 	c.W = vc.Epoch{T: tid, C: g.L}
 	c.Atomic = false
 	c.WritePC = r.PC
-	c.ClearReads()
+	reg.ClearReads(idx)
 }
 
-func (d *Detector) applyAtomic(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+func (d *Detector) applyAtomic(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+	c := &reg.Cells()[idx]
 	// ATOMEXCL/ATOMSHARED: atomic-to-atomic needs no write check —
 	// atomics do not race with each other (nor synchronize). INITATOM*:
 	// the previous write was non-atomic; PTX gives no atomicity
@@ -525,21 +526,23 @@ func (d *Detector) applyAtomic(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *log
 	if !c.Atomic && !ordered(g, tid, c.W) {
 		d.report(tid, r, lane, true, c.W.T, c.WritePC, true, false, false, weight)
 	}
-	d.checkReaders(c, g, tid, r, lane, weight)
+	d.checkReaders(reg, idx, g, tid, r, lane, weight)
 	c.W = vc.Epoch{T: tid, C: g.L}
 	c.Atomic = true
 	c.WritePC = r.PC
-	c.ClearReads()
+	reg.ClearReads(idx)
 }
 
 // checkReaders verifies all previous reads happen-before the current
 // write/atomic. Readers are visited in TID order: the first racing
 // reader becomes the race's reported representative, and map iteration
 // order would make that attribution flap from run to run.
-func (d *Detector) checkReaders(c *shadow.Cell, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+func (d *Detector) checkReaders(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+	c := &reg.Cells()[idx]
 	if c.ReadShared {
-		for _, u := range sortedReaders(c.Readers) {
-			if !ordered(g, tid, vc.Epoch{T: u, C: c.Readers[u]}) {
+		readers := reg.Readers(idx)
+		for _, u := range sortedReaders(readers) {
+			if !ordered(g, tid, vc.Epoch{T: u, C: readers[u]}) {
 				d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, weight)
 			}
 		}

@@ -136,7 +136,9 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 	// the per-lane cell iteration with the epoch detector's fallback path.
 	// Its shadow is the lock-free table, every cell at the configured
 	// granularity, so the visit weight is always 1.
-	d.forEachLaneCell(nil, r, func(lane int, tid vc.TID, c *shadow.Cell, _ int) {
+	tid0 := d.geo.TIDOf(int(r.Warp), 0)
+	d.forEachLaneCell(nil, r, func(lane int, reg *shadow.Region, idx, _ int) {
+		c, tid := &reg.Cells()[idx], tid0+vc.TID(lane)
 		myClock := s.clocks[tid].Get(tid)
 		switch r.Op {
 		case trace.OpRead:
@@ -144,12 +146,11 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 				d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, 1)
 			}
 			if c.ReadShared {
-				c.Readers[tid] = myClock
+				reg.Readers(idx)[tid] = myClock
 			} else if s.ordered(tid, c.R) {
 				c.R = vc.Epoch{T: tid, C: myClock}
 			} else {
-				c.InflateReads()
-				c.Readers[tid] = myClock
+				d.mem.InflateReads(reg, idx)[tid] = myClock
 			}
 			c.ReadPC = r.PC
 		case trace.OpWrite, trace.OpAtom:
@@ -174,8 +175,9 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 			if c.ReadShared {
 				// TID order, matching checkReaders: keeps the
 				// reported representative reader deterministic.
-				for _, u := range sortedReaders(c.Readers) {
-					if !s.ordered(tid, vc.Epoch{T: u, C: c.Readers[u]}) {
+				readers := reg.Readers(idx)
+				for _, u := range sortedReaders(readers) {
+					if !s.ordered(tid, vc.Epoch{T: u, C: readers[u]}) {
 						d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, 1)
 					}
 				}
@@ -185,7 +187,7 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 			c.W = vc.Epoch{T: tid, C: myClock}
 			c.Atomic = atomic
 			c.WritePC = r.PC
-			c.ClearReads()
+			reg.ClearReads(idx)
 		}
 	})
 }

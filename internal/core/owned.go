@@ -76,7 +76,7 @@ func (d *Detector) tryOwned(r *logging.Record, g *ptvc.Group, w *Worker) bool {
 	if r.Coalesced() {
 		return d.ownedCoalesced(r, g, sc, blk)
 	}
-	return d.ownedLanes(r, g, sc, blk, ws)
+	return d.ownedLanes(r, g, sc, blk)
 }
 
 // ownedValidate re-reads the ownership word under the region lock and
@@ -213,21 +213,20 @@ func (d *Detector) ownedCoalesced(r *logging.Record, g *ptvc.Group, sc *shadow.S
 
 // ownedLanes handles a non-coalesced record whose lanes all land in one
 // region with strictly ascending, pairwise-disjoint cell ranges: one
-// region lock and raw per-cell stores, instead of the per-lane
-// SpanCached loop with epoch checks.
-func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanCache, blk int32, ws int) bool {
+// region lock and raw per-cell stores, the unchecked twin of the
+// VisitLanes walk.
+func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanCache, blk int32) bool {
 	// Lock-free pass: one region, no lane crossing a page, and whether
 	// every lane is whole words (a word-granular region can stay so).
 	var reg *shadow.Region
+	var buf [logging.WarpWidth]shadow.Lane
 	var offs [logging.WarpWidth]uint64
-	nl := 0
+	lanes := d.activeLanes(r, &buf)
+	nl := len(lanes)
 	whole := true
 	var maxEnd uint64
-	for lane := 0; lane < ws; lane++ {
-		if r.Mask&(1<<uint(lane)) == 0 {
-			continue
-		}
-		addr := r.LaneAddr(lane)
+	for i, ln := range lanes {
+		addr := ln.Addr
 		end := addr + uint64(r.Size) - 1
 		if r.Space == logging.SpaceGlobal && addr/shadow.PageBytes != end/shadow.PageBytes {
 			return false
@@ -240,8 +239,7 @@ func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanC
 		}
 		whole = whole && shadow.WordShaped(addr, int(r.Size))
 		maxEnd = max(maxEnd, off+uint64(r.Size))
-		offs[nl] = off
-		nl++
+		offs[i] = off
 	}
 	if reg == nil {
 		return false
@@ -271,17 +269,11 @@ func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanC
 		reg.DemoteOverlapping(d.mem, los[i], his[i])
 	}
 	reg.SetTouched()
-	cells := reg.Cells()
-	i := 0
-	for lane := 0; lane < ws; lane++ {
-		if r.Mask&(1<<uint(lane)) == 0 {
-			continue
-		}
-		tid := d.geo.TIDOf(int(r.Warp), lane)
+	tid0 := d.geo.TIDOf(int(r.Warp), 0)
+	for i, ln := range lanes {
 		for idx := los[i]; idx < his[i]; idx++ {
-			rawStore(&cells[idx], r.Op, tid, g.L, r.PC)
+			rawStore(reg, idx, r.Op, tid0+vc.TID(ln.Index), g.L, r.PC)
 		}
-		i++
 	}
 	d.mem.NoteOwnedFast()
 	return true
@@ -291,13 +283,12 @@ func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanC
 // order, no checks (they provably pass), under the same region lock.
 func (d *Detector) ownedRankCells(r *logging.Record, g *ptvc.Group, reg *shadow.Region, lo int, runMask uint32) {
 	cellsPerLane := int(r.Size) / reg.Gran()
-	cells := reg.Cells()
 	idx := lo
 	for rm := runMask; rm != 0; rm &= rm - 1 {
 		lane := bits.TrailingZeros32(rm)
 		tid := d.geo.TIDOf(int(r.Warp), lane)
 		for k := 0; k < cellsPerLane; k++ {
-			rawStore(&cells[idx], r.Op, tid, g.L, r.PC)
+			rawStore(reg, idx, r.Op, tid, g.L, r.PC)
 			idx++
 		}
 	}
@@ -307,10 +298,11 @@ func (d *Detector) ownedRankCells(r *logging.Record, g *ptvc.Group, reg *shadow.
 // leave when every happens-before check passes: reads keep an inflated
 // read map inflated (READSHARED) or advance the read epoch (READEXCL);
 // writes and atomics install the write epoch and clear reads.
-func rawStore(c *shadow.Cell, op trace.OpKind, tid vc.TID, clock vc.Clock, pc uint32) {
+func rawStore(reg *shadow.Region, idx int, op trace.OpKind, tid vc.TID, clock vc.Clock, pc uint32) {
+	c := &reg.Cells()[idx]
 	if op == trace.OpRead {
 		if c.ReadShared {
-			c.Readers[tid] = clock
+			reg.Readers(idx)[tid] = clock
 		} else {
 			c.R = vc.Epoch{T: tid, C: clock}
 		}
@@ -320,7 +312,7 @@ func rawStore(c *shadow.Cell, op trace.OpKind, tid vc.TID, clock vc.Clock, pc ui
 	c.W = vc.Epoch{T: tid, C: clock}
 	c.Atomic = op == trace.OpAtom
 	c.WritePC = pc
-	c.ClearReads()
+	reg.ClearReads(idx)
 }
 
 // maybeCompactShared drops a block's shared-memory shadow slab after a

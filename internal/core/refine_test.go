@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"barracuda/internal/logging"
 	"barracuda/internal/ptvc"
@@ -56,7 +58,7 @@ func TestRefineLiveState(t *testing.T) {
 		reg, _ := d.Shadow().RegionFor(nil, logging.SpaceGlobal, -1, 0)
 		reg.Lock()
 		c := &reg.Cells()[100]
-		if reg.Gran() != 4 || len(reg.Sums()) != 1 || reg.Sums()[0].Hi != 32 || !c.ReadShared || len(c.Readers) != 2 {
+		if reg.Gran() != 4 || len(reg.Sums()) != 1 || reg.Sums()[0].Hi != 32 || !c.ReadShared || len(reg.Readers(100)) != 2 {
 			t.Fatalf("%+v: before the byte store: granule %d, sums %+v, word 100 %+v", opts, reg.Gran(), reg.Sums(), c)
 		}
 		st, id := reg.Owner()
@@ -76,7 +78,7 @@ func TestRefineLiveState(t *testing.T) {
 		}
 		for b := 400; b < 404; b++ {
 			c := &reg.Cells()[b]
-			if wrote := b == 401; wrote == c.ReadShared || (!wrote && len(c.Readers) != 2) {
+			if wrote := b == 401; wrote == c.ReadShared || (!wrote && len(reg.Readers(b)) != 2) {
 				t.Errorf("%+v: byte %d after the store: %+v", opts, b, c)
 			}
 		}
@@ -214,5 +216,107 @@ func TestReportWeight(t *testing.T) {
 	}
 	if len(seen) != 1 || seen[0] != "1" {
 		t.Fatalf("OnRace saw counts %v, want one snapshot with Count 1", seen)
+	}
+}
+
+// TestStridedLockHoldStress: the record-level walk holds a page's lock
+// across a run of lanes and swaps it for the next page's in mid-record.
+// Four workers, one per block, drive records whose lanes interleave over
+// the same three pages — runs of eleven lanes per page (ascending and
+// descending strides), one page per lane in rotation, now and then
+// halfwords that refine a page under the held lock — all on the same
+// words, so every page is contended, read maps inflate in the side
+// tables, and under a cap pages are evicted between lanes. The
+// canonical digest must equal the one-worker run's and the run must end:
+// a walk that waited on a second lock would hang it.
+func TestStridedLockHoldStress(t *testing.T) {
+	geo := ptvc.Geometry{WarpSize: 32, BlockSize: 32, Blocks: 4}
+	const rounds = 240
+	stream := func(blk int) []*logging.Record {
+		recs := make([]*logging.Record, rounds)
+		for i := range recs {
+			r := &logging.Record{
+				Op: trace.OpWrite, Warp: uint32(blk), Block: uint32(blk),
+				Space: logging.SpaceGlobal, Size: 4, PC: 5, Mask: ^uint32(0) >> uint(i%5),
+			}
+			if (i+blk)%3 == 0 {
+				r.Op, r.PC = trace.OpRead, 6
+			}
+			if i%16 == 13 { // a descending strided record of halfwords
+				r.Size = 2
+			}
+			word := uint64(i%8) * 16 // the same words whichever block
+			for lane := 0; lane < 32; lane++ {
+				switch i % 4 {
+				case 0: // strided: lanes 0-10, 11-21, 22-31 on pages 0, 1, 2
+					r.Addrs[lane] = word + uint64(lane)*(3*shadow.PageBytes/32)
+				case 1: // the same, descending
+					r.Addrs[lane] = word + uint64(31-lane)*(3*shadow.PageBytes/32)
+				case 2: // a different page every lane
+					r.Addrs[lane] = uint64((lane+i)%3)*shadow.PageBytes + word + uint64(lane)*8
+				case 3: // block-private slab: no cross-worker traffic, still one held lock
+					r.Space = logging.SpaceShared
+					r.Addrs[lane] = uint64(lane) * 12
+				}
+				r.Vals[lane] = uint64(lane)
+			}
+			r.Classify()
+			recs[i] = r
+		}
+		return recs
+	}
+	// The cap is two refined pages: nothing is evicted while the three
+	// pages are word-granular (both race kinds are seen by then), and once
+	// they have refined one of them is always out.
+	for _, capBytes := range []int64{0, 2 * shadow.PageBytes * int64(New(geo, 0, Options{}).Report().Shadow.CellBytes)} {
+		opts := Options{ShadowCapBytes: capBytes}
+		serial := New(geo, 512, opts)
+		w := serial.NewWorker()
+		streams := make([][]*logging.Record, geo.Blocks)
+		for blk := range streams {
+			streams[blk] = stream(blk)
+		}
+		for i := 0; i < rounds; i++ {
+			for blk := range streams {
+				cp := *streams[blk][i]
+				w.Handle(&cp)
+			}
+		}
+		want := serial.Report()
+		if n := strings.Count(want.CanonicalDigest(), "race inter-block global"); n != 2 {
+			t.Fatalf("cap %d: the one-worker digest has %d race lines, want the inter-block write-write and read-write pair:\n%s", capBytes, n, want.CanonicalDigest())
+		}
+
+		d := New(geo, 512, opts)
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for blk := range streams {
+			wg.Add(1)
+			go func(recs []*logging.Record) {
+				defer wg.Done()
+				w := d.NewWorker()
+				for _, r := range recs {
+					cp := *r
+					w.Handle(&cp)
+				}
+			}(streams[blk])
+		}
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("cap %d: four workers did not finish: a walk is waiting on a lock", capBytes)
+		}
+		got := d.Report()
+		if got.CanonicalDigest() != want.CanonicalDigest() {
+			t.Errorf("cap %d: digest differs from the one-worker run:\n--- one worker ---\n%s--- four ---\n%s", capBytes, want.CanonicalDigest(), got.CanonicalDigest())
+		}
+		sh := got.Shadow
+		if sh.ReadInflations == 0 || sh.Refinements == 0 {
+			t.Errorf("cap %d: %d read inflations, %d refinements; the stream should cause both", capBytes, sh.ReadInflations, sh.Refinements)
+		}
+		if (capBytes > 0) != (sh.Evictions > 0) {
+			t.Errorf("cap %d: %d evictions", capBytes, sh.Evictions)
+		}
 	}
 }

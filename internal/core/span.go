@@ -11,26 +11,35 @@ import (
 )
 
 // forEachLaneCell visits every shadow cell of every active lane of a
-// memory record, with the cell's guarding lock held — the per-cell
-// iteration shared by the epoch detector's fallback path and the full-VC
-// ablation. weight is shadow.Memory.Weight of the cell's region (1 in
-// the lock-free modes). Addresses go through LaneAddr so coalesced
-// records that crossed the compact wire (no address array) resolve
-// identically.
-func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visit func(lane int, tid vc.TID, c *shadow.Cell, weight int)) {
+// memory record as (region, index), with the cell's guarding lock held —
+// the per-cell iteration shared by the epoch detector's fallback path and
+// the full-VC ablation: one shadow.Memory.VisitLanes walk per record.
+// weight is shadow.Memory.Weight of the cell's region (1 in the lock-free
+// modes). A warp's thread ids are consecutive, so a visitor derives a
+// lane's from TIDOf(warp, 0), once per record.
+func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visit func(lane int, reg *shadow.Region, idx, weight int)) {
 	blk := int32(-1)
 	if r.Space == logging.SpaceShared {
 		blk = int32(r.Block)
 	}
+	var buf [logging.WarpWidth]shadow.Lane
+	d.mem.VisitLanes(sc, r.Space, blk, d.activeLanes(r, &buf), int(r.Size), visit)
+}
+
+// activeLanes resolves the active lanes of a memory record, below the
+// simulated warp width, and their addresses into buf: the lock-free
+// pre-pass of forEachLaneCell and ownedLanes. Addresses go through
+// LaneAddr so records that crossed the compact wire (no address array)
+// resolve identically.
+func (d *Detector) activeLanes(r *logging.Record, buf *[logging.WarpWidth]shadow.Lane) []shadow.Lane {
+	n := 0
 	for lane := 0; lane < d.geo.WarpSize && lane < logging.WarpWidth; lane++ {
-		if r.Mask&(1<<uint(lane)) == 0 {
-			continue
+		if r.Mask&(1<<uint(lane)) != 0 {
+			buf[n] = shadow.Lane{Index: lane, Addr: r.LaneAddr(lane)}
+			n++
 		}
-		tid := d.geo.TIDOf(int(r.Warp), lane)
-		d.mem.SpanCached(sc, r.Space, blk, r.LaneAddr(lane), int(r.Size), func(c *shadow.Cell, weight int) {
-			visit(lane, tid, c, weight)
-		})
 	}
+	return buf[:n]
 }
 
 // trySpan is the coalesced-span fast path: process an entire coalesced
@@ -222,13 +231,12 @@ func (d *Detector) spanWriteLayer(s *shadow.SpanSum, r *logging.Record, g *ptvc.
 func (d *Detector) spanPerCell(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo int, runMask uint32) {
 	cellsPerLane := int(r.Size) / reg.Gran()
 	weight := d.mem.Weight(reg)
-	cells := reg.Cells()
 	idx := lo
 	for rm := runMask; rm != 0; rm &= rm - 1 {
 		lane := bits.TrailingZeros32(rm)
 		tid := d.geo.TIDOf(int(r.Warp), lane)
 		for k := 0; k < cellsPerLane; k++ {
-			d.apply(&cells[idx], g, tid, r, lane, weight, w)
+			d.apply(reg, idx, g, tid, r, lane, weight, w)
 			idx++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"barracuda/internal/ptvc"
 	"barracuda/internal/shadow"
 	"barracuda/internal/trace"
+	"barracuda/internal/vc"
 )
 
 // spanRec builds one classified coalesced record: full mask, lane i at
@@ -22,6 +23,17 @@ func spanRec(op trace.OpKind, warp uint32, base uint64, size uint8, pc uint32) *
 		panic("spanRec: record not coalesced")
 	}
 	return r
+}
+
+// readersAt returns the cell covering a global address (demoting any
+// summary over it, like CellFor) and the cell's side-table read map.
+func readersAt(d *Detector, addr uint64) (*shadow.Cell, map[vc.TID]vc.Clock) {
+	c := d.Shadow().CellFor(logging.SpaceGlobal, -1, addr)
+	reg, off := d.Shadow().RegionFor(nil, logging.SpaceGlobal, -1, addr)
+	reg.Lock()
+	defer reg.Unlock()
+	idx, _ := reg.CellRange(off, 1)
+	return c, reg.Readers(idx)
 }
 
 // TestSpanReadInflationBoundary walks the full read-state lifecycle
@@ -43,9 +55,9 @@ func TestSpanReadInflationBoundary(t *testing.T) {
 
 	// Both readers must now be in every cell's inflated map.
 	for _, addr := range []uint64{0, 64, 124} {
-		c := d.Shadow().CellFor(logging.SpaceGlobal, -1, addr)
-		if !c.ReadShared || len(c.Readers) != 2 {
-			t.Fatalf("addr %d: ReadShared=%v readers=%v, want inflated with 2", addr, c.ReadShared, c.Readers)
+		c, readers := readersAt(d, addr)
+		if !c.ReadShared || len(readers) != 2 {
+			t.Fatalf("addr %d: ReadShared=%v readers=%v, want inflated with 2", addr, c.ReadShared, readers)
 		}
 	}
 
@@ -65,8 +77,8 @@ func TestSpanReadInflationBoundary(t *testing.T) {
 		t.Errorf("write summaries after re-uniforming = %d, want 1", sums)
 	}
 	for _, addr := range []uint64{0, 124} {
-		c := d.Shadow().CellFor(logging.SpaceGlobal, -1, addr)
-		if c.ReadShared || c.Readers != nil || !c.R.IsZero() {
+		c, readers := readersAt(d, addr)
+		if c.ReadShared || readers != nil || !c.R.IsZero() {
 			t.Errorf("addr %d: ClearReads not applied across bulk store: %+v", addr, c)
 		}
 		wantT := geo.TIDOf(0, int(addr/4))

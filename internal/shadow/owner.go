@@ -147,7 +147,7 @@ func (m *Memory) Inflate(r *Region) {
 }
 
 // inflateOwner is the untracked-access hook on the per-cell paths
-// (SpanCached, CellFor): those paths do not know the accessing warp, so
+// (VisitLanes, CellFor): those paths do not know the accessing warp, so
 // the only safe transition is straight to OwnShared.
 func (r *Region) inflateOwner(m *Memory) {
 	if m.owned {
@@ -176,8 +176,9 @@ func (m *Memory) EnableOwnership() {
 func (m *Memory) NoteOwnedFast() { m.ownFast.Add(1) }
 
 // cellBytes is the resident footprint of one shadow cell. Structural
-// accounting: inflated Readers maps are not counted (cells dominate,
-// and map footprint is runtime-internal).
+// accounting: the regions' side tables of inflated read maps are not
+// counted (map footprint is runtime-internal), so a kernel whose every
+// thread reads one table can outgrow the cap.
 const cellBytes = int64(unsafe.Sizeof(Cell{}))
 
 // RegionBytes returns a region's accounted resident footprint.
@@ -395,6 +396,12 @@ type MemStats struct {
 	PeakResidentBytes int64 `json:"peak_resident_bytes"`
 	CapBytes          int64 `json:"cap_bytes,omitempty"`
 
+	// CellBytes is the size of one shadow cell; ReadInflations counts the
+	// cells whose concurrent reads needed a read map beside it (never
+	// charged to ResidentBytes).
+	CellBytes      int    `json:"cell_bytes"`
+	ReadInflations uint64 `json:"read_inflations,omitempty"`
+
 	// Per-region granule: live regions still at the word granule (one
 	// cell per 4 bytes) and at the configured Granularity, and how many
 	// were refined from the first to the second by a sub-word access.
@@ -423,6 +430,8 @@ func (m *Memory) Stats() MemStats {
 		ResidentBytes:     m.resident.Load(),
 		PeakResidentBytes: m.peakResident.Load(),
 		CapBytes:          m.capBytes,
+		CellBytes:         int(cellBytes),
+		ReadInflations:    m.readInflations.Load(),
 		WordRegions:       int(m.wordRegions.Load()),
 		Refinements:       m.refinements.Load(),
 		Claims:            m.ownClaims.Load(),

@@ -13,10 +13,32 @@ func globalRegion(m *Memory, addr uint64) *Region {
 	return r
 }
 
+// readMaps counts the side table's live entries (region locked).
+func readMaps(reg *Region) (n int) {
+	if t := reg.reads.Load(); t != nil {
+		for _, rd := range *t {
+			if rd != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// readersAt returns the side-table read map of cell idx (region locked).
+func readersAt(reg *Region, idx int) map[vc.TID]vc.Clock {
+	rd := reg.Readers(idx)
+	if (rd != nil) != reg.cells[idx].ReadShared {
+		panic("side table and ReadShared disagree")
+	}
+	return rd
+}
+
 // TestRefineReplicatesCells: refinement must hand every byte cell of a
-// word the word cell's exact metadata — epochs, PCs, the atomic bit and
-// a PRIVATE copy of an inflated read map — rescale the summaries' cell
-// ranges, and move the accounting; and it must happen exactly once.
+// word the word cell's exact metadata — epochs, PCs, the atomic bit and,
+// re-keyed in the region's side table, a PRIVATE copy of an inflated read
+// map — rescale the summaries' cell ranges, and move the accounting; and
+// it must happen exactly once.
 func TestRefineReplicatesCells(t *testing.T) {
 	geo := spanTestGeo()
 	m := New(1, 0)
@@ -24,17 +46,17 @@ func TestRefineReplicatesCells(t *testing.T) {
 
 	// Word 25 (bytes 100..103): a write epoch, then two unordered readers.
 	visits := 0
-	m.SpanCached(nil, logging.SpaceGlobal, -1, 100, 4, func(c *Cell, weight int) {
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 100, 4, func(r *Region, idx, weight int) {
 		visits++
-		if weight != 4 {
-			t.Errorf("word-cell weight = %d, want 4", weight)
+		if weight != 4 || idx != 25 {
+			t.Errorf("word cell %d weight %d, want cell 25 weight 4", idx, weight)
 		}
+		c := &r.cells[idx]
 		c.W = vc.Epoch{T: 3, C: 9}
 		c.WritePC = 11
 		c.Atomic = true
 		c.R = vc.Epoch{T: 5, C: 2}
-		c.InflateReads()
-		c.Readers[6] = 4
+		m.InflateReads(r, idx)[6] = 4
 		c.ReadPC = 12
 	})
 	if visits != 1 {
@@ -54,7 +76,7 @@ func TestRefineReplicatesCells(t *testing.T) {
 	}
 
 	// The first sub-word access: one byte of an unrelated word.
-	m.SpanCached(nil, logging.SpaceGlobal, -1, 2001, 1, func(c *Cell, weight int) {
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 2001, 1, func(_ *Region, _, weight int) {
 		if weight != 1 {
 			t.Errorf("refined-cell weight = %d, want 1", weight)
 		}
@@ -66,18 +88,21 @@ func TestRefineReplicatesCells(t *testing.T) {
 	}
 	cells := reg.Cells()
 	for b := 100; b < 104; b++ {
-		c := &cells[b]
+		c, rd := &cells[b], readersAt(reg, b)
 		if c.W != (vc.Epoch{T: 3, C: 9}) || c.WritePC != 11 || !c.Atomic || c.ReadPC != 12 ||
-			!c.ReadShared || len(c.Readers) != 2 || c.Readers[5] != 2 || c.Readers[6] != 4 {
-			t.Errorf("byte %d: %+v, want the word cell's metadata", b, c)
+			!c.ReadShared || len(rd) != 2 || rd[5] != 2 || rd[6] != 4 {
+			t.Errorf("byte %d: %+v readers %v, want the word cell's metadata", b, c, rd)
 		}
 	}
-	cells[100].Readers[99] = 1
-	if _, shared := cells[101].Readers[99]; shared {
+	readersAt(reg, 100)[99] = 1
+	if _, shared := readersAt(reg, 101)[99]; shared {
 		t.Error("byte cells of one word share a read map; refinement must deep-copy it")
 	}
 	if c := &cells[99]; !c.W.IsZero() || c.ReadShared {
 		t.Errorf("byte 99 (the word before) picked up state: %+v", c)
+	}
+	if table := *reg.reads.Load(); readMaps(reg) != 4 || len(table) != len(cells) || readersAt(reg, 25) != nil {
+		t.Errorf("side table after refinement: %d maps in %d entries, want exactly bytes 100..103 of %d (word index 25 gone)", readMaps(reg), len(table), len(cells))
 	}
 	if sums := reg.Sums(); len(sums) != 1 || sums[0].Lo != 256 || sums[0].Hi != 384 {
 		t.Fatalf("summary range after refinement: %+v, want [256, 384)", sums)
@@ -105,12 +130,11 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 	walk := func(m *Memory, addr uint64, size int) []int {
 		reg, _ := m.RegionFor(nil, logging.SpaceShared, 0, 0)
 		var idx []int
-		m.SpanCached(nil, logging.SpaceShared, 0, addr, size, func(c *Cell, _ int) {
-			for i := range reg.Cells() {
-				if c == &reg.Cells()[i] {
-					idx = append(idx, i)
-				}
+		m.SpanCached(nil, logging.SpaceShared, 0, addr, size, func(r *Region, i, _ int) {
+			if r != reg {
+				t.Errorf("[%d,+%d): visited a region that is not block 0's slab", addr, size)
 			}
+			idx = append(idx, i)
 		})
 		return idx
 	}
@@ -123,6 +147,11 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 	if got := walk(m, 4, 4); len(got) != 1 || got[0] != 1 || reg.Gran() != 4 {
 		t.Fatalf("in-slab word: cells %v at granule %d, want [1] at 4", got, reg.Gran())
 	}
+	// Word 1 carries an inflated read map into the refinement below.
+	reg.Lock()
+	reg.cells[1].R = vc.Epoch{T: 2, C: 3}
+	m.InflateReads(reg, 1)[9] = 4
+	reg.Unlock()
 	flat := New(1, shBytes) // lock-free table: byte cells from the start
 	for _, a := range []struct {
 		addr uint64
@@ -141,22 +170,39 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 			}
 		}
 	}
-	if st := m.Stats(); st.Refinements != 1 || st.ResidentBytes != (shBytes+1)*cellBytes {
+	if st := m.Stats(); st.Refinements != 1 || st.ResidentBytes != (shBytes+1)*cellBytes || st.ReadInflations != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
+	reg.Lock()
+	for b := 0; b <= shBytes; b++ {
+		rd := readersAt(reg, b)
+		if in := b >= 4 && b < 8; in != (len(rd) == 2 && rd[2] == 3 && rd[9] == 4) || !in && rd != nil {
+			t.Errorf("byte %d of the refined slab: read map %v; want word 1's map in bytes 4..7 only", b, rd)
+		}
+	}
+	reg.Unlock()
 	// A summary may cover the clamp cell (address shBytes maps to it
 	// naturally); an access far past the slab clamps onto that cell and
 	// must demote the summary before observing it.
 	reg.Lock()
 	reg.Install(SpanSum{Lo: shBytes - 1, Hi: shBytes + 1, W: SpanLayer{Warp: 1, Mask: 3, Clock: 5, PC: 6, Size: 1}})
 	reg.Unlock()
-	m.SpanCached(nil, logging.SpaceShared, 0, 500, 1, func(c *Cell, _ int) {
-		if c.W.C != 5 || c.WritePC != 6 {
+	m.SpanCached(nil, logging.SpaceShared, 0, 500, 1, func(r *Region, idx, _ int) {
+		if c := &r.cells[idx]; c.W.C != 5 || c.WritePC != 6 {
 			t.Errorf("clamp cell observed before its summary was demoted: %+v", c)
 		}
 	})
 	if len(reg.Sums()) != 0 {
 		t.Error("summary over the clamp cell survived an out-of-slab access")
+	}
+	// Compaction drops the slab and its side table with it: the slab a
+	// later access allocates starts with no read map.
+	if m.CompactSharedSlab(0) == 0 {
+		t.Fatal("nothing compacted")
+	}
+	fresh, _ := m.RegionFor(nil, logging.SpaceShared, 0, 0)
+	if fresh == reg || fresh.reads.Load() != nil || fresh.cells[1].ReadShared {
+		t.Errorf("slab after compaction: same region %v, side table %v", fresh == reg, fresh.reads.Load())
 	}
 
 	// A slab with no whole word has nothing to be word-granular about.
@@ -196,7 +242,7 @@ func TestRegionGranulePerMode(t *testing.T) {
 				tc.gran, tc.spans, r.Gran(), len(r.Cells()), m.Weight(r), tc.wantGran, tc.wantCells, tc.weight)
 		}
 		// A sub-word access refines to the configured granularity, never below.
-		m.SpanCached(nil, logging.SpaceGlobal, -1, 6, 1, func(*Cell, int) {})
+		m.SpanCached(nil, logging.SpaceGlobal, -1, 6, 1, func(*Region, int, int) {})
 		if r.Gran() != tc.gran || m.Weight(r) != 1 {
 			t.Errorf("granularity %d spans=%v: granule %d after a byte access, want %d", tc.gran, tc.spans, r.Gran(), tc.gran)
 		}
@@ -218,11 +264,19 @@ func TestRefineUnderCap(t *testing.T) {
 	m.EnableSpans(spanTestGeo())
 	wordPage := int64(PageBytes/4) * cellBytes
 	m.SetCapBytes(5 * wordPage) // one refined page (4) + one word page
+	var cold *Region            // page 0, the coldest
 	for p := uint64(0); p < 5; p++ {
-		globalRegion(m, p*PageBytes)
+		// Every page holds one inflated read map, on word 10.
+		m.SpanCached(nil, logging.SpaceGlobal, -1, p*PageBytes+40, 4, func(r *Region, idx, _ int) {
+			r.cells[idx].R = vc.Epoch{T: 1, C: 1}
+			m.InflateReads(r, idx)[2] = 2
+			if p == 0 {
+				cold = r
+			}
+		})
 	}
 	hot := globalRegion(m, 4*PageBytes)
-	m.SpanCached(nil, logging.SpaceGlobal, -1, 4*PageBytes+1, 1, func(*Cell, int) {})
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 4*PageBytes+1, 1, func(*Region, int, int) {})
 	st := m.Stats()
 	if hot.Gran() != 1 || st.Refinements != 1 {
 		t.Fatalf("hot page not refined: granule %d, %+v", hot.Gran(), st)
@@ -235,5 +289,18 @@ func TestRefineUnderCap(t *testing.T) {
 	}
 	if again := globalRegion(m, 4*PageBytes); again != hot {
 		t.Fatal("the refining page evicted itself")
+	}
+	hot.Lock()
+	for b := 36; b < 48; b++ {
+		rd := readersAt(hot, b)
+		if in := b >= 40 && b < 44; in != (len(rd) == 2 && rd[1] == 1 && rd[2] == 2) {
+			t.Errorf("byte %d of the refined page: read map %v; want word 10's map in bytes 40..43 only", b, rd)
+		}
+	}
+	hot.Unlock()
+	// An evicted page takes its side table with it: what replaces it is
+	// virgin, table included.
+	if again := globalRegion(m, 0); again == cold || again.reads.Load() != nil || again.cells[10].ReadShared {
+		t.Errorf("page 0 after eviction: same region %v, side table %v", again == cold, again.reads.Load())
 	}
 }

@@ -38,28 +38,29 @@ import (
 // owning Region's lock, and the cell's own spinlock is unused; in the two
 // lock-free-table ablation modes (FullVC, PerCellShadow) it is the cell's
 // spinlock, the per-location lock of the paper.
+//
+// A cell is 32 bytes with no pointer in it (TestCellLayout): it never
+// straddles a cache line, two share one, and a slab is a third less
+// memory to zero that the collector never scans. The one field that
+// would be a pointer, the inflated read map, lives in the owning Region's
+// side table (Region.Readers); ReadShared says whether it exists.
 type Cell struct {
+	// W is the epoch of the most recent write and R of the most recent
+	// read, a single epoch in the common totally-ordered case.
+	W, R vc.Epoch
+
+	// Provenance for race reports.
+	WritePC, ReadPC uint32
+
 	// lock is a CAS spinlock (0 free, 1 held) rather than a sync.Mutex:
 	// the paper prescribes a per-location spinlock. Contention is near
 	// zero (two detector threads must touch the same location at the same
 	// moment), so the uncontended single-CAS cost is what matters.
 	lock atomic.Uint32
 
-	// W is the epoch of the most recent write; Atomic records whether
-	// that write came from an atomic operation.
-	W      vc.Epoch
-	Atomic bool
-
-	// Read metadata: a single epoch in the common totally-ordered case,
-	// inflated to a sparse read map after concurrent reads
-	// (ReadShared).
-	R          vc.Epoch
-	Readers    map[vc.TID]vc.Clock
-	ReadShared bool
-
-	// Provenance for race reports.
-	WritePC uint32
-	ReadPC  uint32
+	// Atomic records whether the write W came from an atomic operation;
+	// ReadShared that concurrent reads inflated R to a sparse read map.
+	Atomic, ReadShared bool
 }
 
 // Lock acquires the per-location spinlock.
@@ -82,25 +83,48 @@ func (c *Cell) Lock() {
 // Unlock releases the per-location spinlock.
 func (c *Cell) Unlock() { c.lock.Store(0) }
 
-// ClearReads resets the read metadata (the R' = ⊥e step of the write and
-// atomic rules).
-func (c *Cell) ClearReads() {
-	c.R = vc.Epoch{}
-	c.Readers = nil
-	c.ReadShared = false
+// Readers returns the inflated read map of cell idx, nil unless the cell
+// is ReadShared. Like the calls below it runs under the lock that guards
+// the cell, which guards the cell's table entry and its map too.
+func (r *Region) Readers(idx int) map[vc.TID]vc.Clock {
+	if t := r.reads.Load(); t != nil {
+		return (*t)[idx]
+	}
+	return nil
 }
 
-// InflateReads switches to the sparse read vector clock, seeding it with
-// the existing read epoch (READINFLATE).
-func (c *Cell) InflateReads() {
+// InflateReads switches cell idx of r to the sparse read vector clock,
+// seeding it with the existing read epoch (READINFLATE), and returns it.
+func (m *Memory) InflateReads(r *Region, idx int) map[vc.TID]vc.Clock {
+	c := &r.cells[idx]
 	if c.ReadShared {
-		return
+		return r.Readers(idx)
 	}
-	c.Readers = make(map[vc.TID]vc.Clock, 4)
+	readers := make(map[vc.TID]vc.Clock, 4)
 	if !c.R.IsZero() {
-		c.Readers[c.R.T] = c.R.C
+		readers[c.R.T] = c.R.C
 	}
 	c.ReadShared = true
+	m.readInflations.Add(1)
+	if r.reads.Load() == nil {
+		// The region's first inflation. In the lock-free modes two cells
+		// can get here at once, each under its own lock: one table wins.
+		fresh := make([]map[vc.TID]vc.Clock, len(r.cells))
+		r.reads.CompareAndSwap(nil, &fresh)
+	}
+	(*r.reads.Load())[idx] = readers
+	return readers
+}
+
+// ClearReads resets cell idx's read metadata (the R' = ⊥e step of the
+// write and atomic rules).
+func (r *Region) ClearReads(idx int) {
+	c := &r.cells[idx]
+	c.R = vc.Epoch{}
+	if c.ReadShared {
+		c.ReadShared = false
+		(*r.reads.Load())[idx] = nil
+	}
 }
 
 // pageBits is the per-page coverage: 64 KiB of device memory per page.
@@ -190,6 +214,9 @@ type Memory struct {
 	// granule, and how many were refined.
 	wordRegions atomic.Int64
 	refinements atomic.Uint64
+
+	// readInflations counts cells whose reads inflated to a side-table map.
+	readInflations atomic.Uint64
 
 	syncMu sync.Mutex
 	syncs  map[Key]*SyncLoc
@@ -285,6 +312,9 @@ type SpanCache struct {
 	// under; a mismatch (bounded mode only) means a region may have been
 	// evicted or compacted since, so both pointers are dropped.
 	gen uint64
+
+	// sink absorbs VisitLanes' touch-ahead loads.
+	sink vc.Clock
 }
 
 // validateCache drops a worker cache whose generation is stale (bounded
@@ -374,7 +404,7 @@ func (m *Memory) sharedSlab(block int32) *Region {
 // word-granular — guarded by the region lock, which CellFor has already
 // released; it is therefore only race-free against concurrent span
 // traffic on other regions, and concurrent production code must go
-// through SpanCached instead.
+// through VisitLanes instead.
 func (m *Memory) CellFor(space logging.SpaceID, block int32, addr uint64) *Cell {
 	reg, off := m.RegionFor(nil, space, block, addr)
 	if !m.spans {
@@ -417,74 +447,127 @@ func (m *Memory) RegionFor(sc *SpanCache, space logging.SpaceID, block int32, ad
 	if m.capBytes > 0 {
 		m.stamp(reg)
 	}
-	return reg, addr & (PageBytes - 1)
+	return reg, regionOff(space, addr)
 }
 
-// cellCached resolves one cell through the worker cache: the lock-free
-// modes' lookup, where every region keeps the configured granule.
-// Shared-memory indices clamp to the slab (out-of-bounds shared accesses
-// are the simulator's problem).
-func (m *Memory) cellCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) *Cell {
-	reg, off := m.RegionFor(sc, space, block, addr)
-	return &reg.cells[reg.index(off)]
+// Lane is one active lane of a warp-level record: its index in the warp
+// and the first byte it accesses.
+type Lane struct {
+	Index int
+	Addr  uint64
 }
 
 // Span visits every cell covering [addr, addr+size) in (space, block),
 // invoking fn with each cell's guarding lock held.
-func (m *Memory) Span(space logging.SpaceID, block int32, addr uint64, size int, fn func(c *Cell, weight int)) {
+func (m *Memory) Span(space logging.SpaceID, block int32, addr uint64, size int, fn func(r *Region, idx, weight int)) {
 	m.SpanCached(nil, space, block, addr, size, fn)
 }
 
-// SpanCached is Span with a worker-private lookup cache; sc may be nil.
-// weight is the number of configured-granule cells the visited cell
-// stands for: 1, except on a word-granular region, where one visit
-// replaces weight visits to cells that provably hold identical metadata.
+// SpanCached is Span with a worker-private lookup cache (sc may be nil):
+// the one-lane case of VisitLanes.
+func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64, size int, fn func(r *Region, idx, weight int)) {
+	m.VisitLanes(sc, space, block, []Lane{{Addr: addr}}, size, func(_ int, r *Region, idx, weight int) { fn(r, idx, weight) })
+}
+
+// VisitLanes visits, lane by lane and in address order within a lane,
+// every cell covering the size bytes each lane accesses in (space, block):
+// fn gets the lane, the cell as (region, index) and its weight, with the
+// cell's guarding lock held. weight is the number of configured-granule
+// cells the visited cell stands for: 1, except on a word-granular region,
+// where one visit replaces weight visits to cells that provably hold
+// identical metadata. sc is the worker's lookup cache and may be nil.
 //
-// In span mode the visit holds the current region's lock — and no cell
-// lock: every record-path access to the region's cells holds that same
-// lock — refines the region first if the access is not made of whole
-// words, and demotes every uniform-span summary the span overlaps before
-// any cell is observed, preserving exact per-cell semantics; with spans
-// disabled the loop is the original lock-free-table walk, byte for byte.
-func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64, size int, fn func(c *Cell, weight int)) {
+// In span mode the guard is the region lock, and no cell lock: every
+// record-path access to a region's cells holds that same lock. The walk
+// holds one region lock at a time, across all consecutive lanes that fall
+// in that region, and drops it before resolving another page, so that
+// allocation and the evictor's TryLock run with none held. Per lane it
+// does what a one-lane walk does, in the same lane and cell order: refine
+// the region first unless the lane is whole words, demote every summary
+// the lane overlaps before any cell is observed, then visit. Right after
+// taking a lock it loads one word of the first cell of every further lane
+// in that region (the touch-ahead): a strided record's lanes sit a cache
+// line or a page apart, and independent loads overlap the misses that the
+// per-lane sequence takes one after another. DESIGN.md, "One walk per
+// record". With spans disabled the loop is the lock-free-table walk.
+func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, lanes []Lane, size int, fn func(lane int, r *Region, idx, weight int)) {
 	if size < 1 {
 		size = 1
 	}
-	end := addr + uint64(size)
 	if !m.spans {
 		step := uint64(m.granularity)
-		for a := addr / step * step; a < end; a += step {
-			c := m.cellCached(sc, space, block, a)
-			c.Lock()
-			fn(c, 1)
-			c.Unlock()
+		for _, ln := range lanes {
+			end := ln.Addr + uint64(size)
+			for a := ln.Addr / step * step; a < end; a += step {
+				reg, off := m.RegionFor(sc, space, block, a)
+				idx := reg.index(off)
+				c := &reg.cells[idx]
+				c.Lock()
+				fn(ln.Index, reg, idx, 1)
+				c.Unlock()
+			}
 		}
 		return
 	}
-	whole := WordShaped(addr, size)
-	for a := addr; a < end; {
-		reg, off := m.RegionFor(sc, space, block, a)
-		stop := regionEnd(space, a)
-		if end < stop {
-			stop = end
-		}
-		n := int(stop - a)
-		reg.Lock()
-		m.Fit(reg, whole, off+uint64(n))
-		lo, hi := reg.CellRange(off, n)
-		// Out-of-slab shared cells clamp to the slab's last cell, one
-		// visit per granule step, exactly like the lock-free walk.
-		last := len(reg.cells) - 1
-		reg.demoteOverlapping(m, min(lo, last), min(hi, last+1))
-		reg.markLive()
-		reg.inflateOwner(m)
-		weight := m.Weight(reg)
-		for idx := lo; idx < hi; idx++ {
-			fn(&reg.cells[min(idx, last)], weight)
-		}
-		reg.Unlock()
-		a = stop
+	// A block's slab is one region: shifted out whole, every shared
+	// address is on page 0.
+	shift := uint(pageBits)
+	if space == logging.SpaceShared {
+		shift = 64
 	}
+	var reg *Region // the one region lock held, with the page it covers
+	var page uint64
+	var sink vc.Clock
+	for i, ln := range lanes {
+		whole := WordShaped(ln.Addr, size)
+		end := ln.Addr + uint64(size)
+		for a := ln.Addr; a < end; {
+			stop := min(end, regionEnd(space, a))
+			if reg == nil || a>>shift != page {
+				if reg != nil {
+					reg.Unlock()
+				}
+				reg, _ = m.RegionFor(sc, space, block, a)
+				page = a >> shift
+				reg.Lock()
+				g, last := uint64(reg.gran), uint64(len(reg.cells)-1)
+				for _, nx := range lanes[i+1:] {
+					if nx.Addr>>shift != page {
+						break
+					}
+					sink += reg.cells[min(regionOff(space, nx.Addr)/g, last)].W.C
+				}
+			}
+			off, n := regionOff(space, a), int(stop-a)
+			m.Fit(reg, whole, off+uint64(n))
+			lo, hi := reg.CellRange(off, n)
+			// Out-of-slab shared cells clamp to the slab's last cell, one
+			// visit per granule step, exactly like the lock-free walk.
+			last := len(reg.cells) - 1
+			reg.demoteOverlapping(m, min(lo, last), min(hi, last+1))
+			reg.markLive()
+			reg.inflateOwner(m)
+			weight := m.Weight(reg)
+			for idx := lo; idx < hi; idx++ {
+				fn(ln.Index, reg, min(idx, last), weight)
+			}
+			a = stop
+		}
+	}
+	if reg != nil {
+		reg.Unlock()
+	}
+	if sc != nil {
+		sc.sink += sink // keeps the touch-ahead loads alive
+	}
+}
+
+// regionOff returns a's byte offset within the region containing it.
+func regionOff(space logging.SpaceID, a uint64) uint64 {
+	if space == logging.SpaceShared {
+		return a // one slab per block
+	}
+	return a & (PageBytes - 1)
 }
 
 // regionEnd returns the first address past the region containing a.

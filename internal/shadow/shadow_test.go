@@ -64,8 +64,8 @@ func TestPageAllocationOnDemand(t *testing.T) {
 func TestSpanVisitsEachByte(t *testing.T) {
 	m := New(1, 0)
 	var visited []*Cell
-	m.Span(logging.SpaceGlobal, -1, 0x10000, 4, func(c *Cell, _ int) {
-		visited = append(visited, c)
+	m.Span(logging.SpaceGlobal, -1, 0x10000, 4, func(r *Region, idx, _ int) {
+		visited = append(visited, &r.cells[idx])
 	})
 	if len(visited) != 4 {
 		t.Fatalf("span visited %d cells, want 4", len(visited))
@@ -83,26 +83,40 @@ func TestSpanGranularityAligned(t *testing.T) {
 	m := New(4, 0)
 	count := 0
 	// An unaligned 4-byte access spanning two words visits both cells.
-	m.Span(logging.SpaceGlobal, -1, 0x10002, 4, func(*Cell, int) { count++ })
+	m.Span(logging.SpaceGlobal, -1, 0x10002, 4, func(*Region, int, int) { count++ })
 	if count != 2 {
 		t.Errorf("span visited %d cells, want 2", count)
 	}
 }
 
+// TestCellReadInflation: the read-map lifecycle through the region's side
+// table (each entry is guarded by its cell's guard; nothing else is
+// touching this region).
 func TestCellReadInflation(t *testing.T) {
-	var c Cell
+	m := New(1, 0)
+	reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
+	c := &reg.cells[7]
 	c.R = vc.Epoch{T: 1, C: 5}
-	c.InflateReads()
-	if !c.ReadShared || c.Readers[1] != 5 {
-		t.Errorf("inflation lost epoch: shared=%v readers=%v", c.ReadShared, c.Readers)
+	if reg.Readers(7) != nil {
+		t.Error("a read map before any inflation")
 	}
-	c.InflateReads() // idempotent
-	if len(c.Readers) != 1 {
-		t.Errorf("double inflation: %+v", c.Readers)
+	readers := m.InflateReads(reg, 7)
+	if !c.ReadShared || readers[1] != 5 || readMaps(reg) != 1 {
+		t.Errorf("inflation lost epoch: shared=%v readers=%v", c.ReadShared, readers)
 	}
-	c.ClearReads()
-	if c.ReadShared || c.Readers != nil || !c.R.IsZero() {
-		t.Errorf("clear failed: shared=%v readers=%v r=%v", c.ReadShared, c.Readers, c.R)
+	readers[2] = 6
+	if again := m.InflateReads(reg, 7); len(again) != 2 || len(reg.Readers(7)) != 2 { // idempotent
+		t.Errorf("double inflation: %+v", again)
+	}
+	if reg.Readers(8) != nil {
+		t.Error("a cell that never inflated has a read map")
+	}
+	reg.ClearReads(7)
+	if c.ReadShared || reg.Readers(7) != nil || readMaps(reg) != 0 || !c.R.IsZero() {
+		t.Errorf("clear failed: shared=%v table=%v r=%v", c.ReadShared, readMaps(reg), c.R)
+	}
+	if st := m.Stats(); st.ReadInflations != 1 || st.CellBytes != int(cellBytes) {
+		t.Errorf("stats %+v, want 1 read inflation and the cell size", st)
 	}
 }
 

@@ -84,6 +84,15 @@ type Region struct {
 	// sums is the sorted, non-overlapping summary list. Guarded by lock.
 	sums []SpanSum
 
+	// reads is the side table of inflated read maps, indexed like cells
+	// and nil until the region's first inflation: an entry is non-nil
+	// exactly while its cell is ReadShared. It keeps the one pointer a cell
+	// would need out of the slab; refine re-keys it and it goes with the
+	// region on eviction and compaction. Each entry is guarded by what
+	// guards its cell; the table itself is published once, atomically,
+	// because in the lock-free modes nothing else orders two cells.
+	reads atomic.Pointer[[]map[vc.TID]vc.Clock]
+
 	// owner is the packed ownership probe word: state (2 bits) | id<<2.
 	// Published atomically for the lock-free pre-filter; transitions
 	// happen under lock (see owner.go).
@@ -176,9 +185,10 @@ func (m *Memory) Fit(r *Region, whole bool, end uint64) {
 // granularity-sized cells of one word would have seen the same accesses
 // in the same order and hold identical metadata: the word cell IS each
 // of them. Refinement therefore replicates every word cell (epochs, PCs,
-// atomic bit, a private copy of an inflated read map) into its cells and
-// rescales the summaries' cell ranges; a shared slab also gains the
-// clamp cell it was allocated without. It never runs backwards.
+// atomic bit) into its cells, re-keys the read-map table with a private
+// copy of each inflated map per cell, and rescales the summaries' cell
+// ranges; a shared slab also gains the clamp cell it was allocated
+// without. It never runs backwards.
 func (m *Memory) refine(r *Region) {
 	k := m.Weight(r)
 	m.makeRoom(int64(r.fineCells-len(r.cells)) * cellBytes)
@@ -190,11 +200,17 @@ func (m *Memory) refine(r *Region) {
 				dst := &cells[j]
 				dst.W, dst.Atomic, dst.WritePC = src.W, src.Atomic, src.WritePC
 				dst.R, dst.ReadShared, dst.ReadPC = src.R, src.ReadShared, src.ReadPC
-				if src.Readers != nil {
-					dst.Readers = maps.Clone(src.Readers)
-				}
 			}
 		}
+	}
+	if old := r.reads.Load(); old != nil {
+		reads := make([]map[vc.TID]vc.Clock, len(cells))
+		for i, readers := range *old {
+			for j := i * k; readers != nil && j < (i+1)*k; j++ {
+				reads[j] = maps.Clone(readers)
+			}
+		}
+		r.reads.Store(&reads)
 	}
 	for i := range r.sums {
 		r.sums[i].Lo *= k
@@ -317,8 +333,10 @@ func (m *Memory) materialize(reg *Region, s *SpanSum) {
 			c.R = vc.Epoch{}
 			c.ReadPC = 0
 		}
-		c.Readers = nil
 		c.ReadShared = false
+	}
+	if t := reg.reads.Load(); t != nil {
+		clear((*t)[s.Lo:s.Hi])
 	}
 }
 

@@ -59,7 +59,7 @@ func TestMaterializeLayers(t *testing.T) {
 		if c.R != wantR || c.ReadPC != 11 {
 			t.Errorf("rank %d: R=%+v pc=%d, want %+v pc=11", rank, c.R, c.ReadPC, wantR)
 		}
-		if c.ReadShared || c.Readers != nil {
+		if c.ReadShared || readMaps(reg) != 0 {
 			t.Errorf("rank %d: materialized cell has a read map", rank)
 		}
 	}
@@ -87,8 +87,7 @@ func TestMaterializeAbsentLayersZero(t *testing.T) {
 	c0.W = vc.Epoch{T: 5, C: 99}
 	c0.WritePC = 42
 	c0.Atomic = true
-	c0.InflateReads()
-	c0.Readers[7] = 3
+	m.InflateReads(reg, lo)[7] = 3
 	reg.Install(SpanSum{
 		Lo: lo, Hi: lo + 64,
 		R: SpanLayer{Warp: 1, Mask: ^uint32(0), Clock: 2, PC: 6, Size: 2},
@@ -99,7 +98,7 @@ func TestMaterializeAbsentLayersZero(t *testing.T) {
 	if !c0.W.IsZero() || c0.WritePC != 0 || c0.Atomic {
 		t.Errorf("absent W layer not zeroed: %+v pc=%d atomic=%v", c0.W, c0.WritePC, c0.Atomic)
 	}
-	if c0.ReadShared || c0.Readers != nil {
+	if c0.ReadShared || readMaps(reg) != 0 {
 		t.Error("demotion left an inflated read map")
 	}
 	// gran=1, layer size 2: cells 0 and 1 share rank 0; cells 2,3 rank 1.
@@ -128,11 +127,11 @@ func TestSpanCachedDemotesOverlap(t *testing.T) {
 	reg.Unlock()
 
 	var seen []vc.Epoch
-	m.SpanCached(nil, logging.SpaceGlobal, -1, 300, 4, func(c *Cell, weight int) {
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 300, 4, func(r *Region, idx, weight int) {
 		if weight != 4 {
 			t.Errorf("visit weight = %d, want 4 (one word cell for four byte cells)", weight)
 		}
-		seen = append(seen, c.W)
+		seen = append(seen, r.cells[idx].W)
 	})
 	if len(seen) != 1 {
 		t.Fatalf("visited %d cells, want 1 word cell", len(seen))

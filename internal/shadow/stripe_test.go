@@ -5,7 +5,15 @@ import (
 	"testing"
 
 	"barracuda/internal/logging"
+	"barracuda/internal/vc"
 )
+
+// cellCached resolves one cell through the worker cache, as the lock-free
+// modes' walk does.
+func (m *Memory) cellCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) *Cell {
+	reg, off := m.RegionFor(sc, space, block, addr)
+	return &reg.cells[reg.index(off)]
+}
 
 // TestStripedPageIdentity: the same address resolves to the same cell no
 // matter which path (cached, uncached, concurrent) found it.
@@ -35,8 +43,8 @@ func TestSpanCacheCrossesPages(t *testing.T) {
 	var sc SpanCache
 	boundary := uint64(1<<pageBits) - 2
 	var visited []*Cell
-	m.SpanCached(&sc, logging.SpaceGlobal, -1, boundary, 4, func(c *Cell, _ int) {
-		visited = append(visited, c)
+	m.SpanCached(&sc, logging.SpaceGlobal, -1, boundary, 4, func(r *Region, idx, _ int) {
+		visited = append(visited, &r.cells[idx])
 	})
 	if len(visited) != 4 {
 		t.Fatalf("visited %d cells, want 4", len(visited))
@@ -125,5 +133,49 @@ func TestCellSpinlockMutualExclusion(t *testing.T) {
 	wg.Wait()
 	if counter != workers*iters {
 		t.Errorf("counter = %d, want %d (spinlock failed to exclude)", counter, workers*iters)
+	}
+}
+
+// TestReadTableConcurrentInflation: in the lock-free modes nothing orders
+// two cells of one region, so the region's read-map table must be
+// published exactly once however many cells inflate at the same moment,
+// and every inflation must land in that one table. Workers own disjoint
+// cells of many fresh regions and hit each region together; under -race
+// this also proves an entry needs no guard beyond its cell's lock.
+func TestReadTableConcurrentInflation(t *testing.T) {
+	m := New(4, 0)
+	const workers, pages, perWorker = 4, 64, 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for p := 0; p < pages; p++ {
+				reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, uint64(p)<<pageBits)
+				for i := 0; i < perWorker; i++ {
+					idx := i*workers + w
+					c := &reg.cells[idx]
+					c.Lock()
+					m.InflateReads(reg, idx)[vc.TID(w)] = vc.Clock(p + 1)
+					if i%2 == 1 {
+						reg.ClearReads(idx)
+					}
+					c.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for p := 0; p < pages; p++ {
+		reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, uint64(p)<<pageBits)
+		for idx := 0; idx < workers*perWorker; idx++ {
+			kept := idx/workers%2 == 0
+			if rd := reg.Readers(idx); kept != (rd[vc.TID(idx%workers)] == vc.Clock(p+1)) || kept != reg.cells[idx].ReadShared {
+				t.Fatalf("page %d cell %d: read map %v, ReadShared %v; an inflation went to a table that lost the race", p, idx, rd, reg.cells[idx].ReadShared)
+			}
+		}
+	}
+	if n := m.Stats().ReadInflations; n != workers*pages*perWorker {
+		t.Errorf("%d read inflations, want %d", n, workers*pages*perWorker)
 	}
 }
