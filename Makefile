@@ -67,8 +67,9 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Interpreter microbenchmarks: warp stepping and log emission, with
-# allocation counts.
+# Interpreter microbenchmarks: warp stepping (BenchmarkWarpStepWide at the
+# 26-program suite's register count and residency) and log emission, with
+# allocation counts and ns per warp instruction.
 bench-sim:
 	$(GO) test -bench='BenchmarkWarpStep|BenchmarkLogEmission' -benchmem -run=^$$ ./internal/gpusim/
 
@@ -126,13 +127,19 @@ stress-stream:
 # 4, two-record rings, every wire form), the round-trip fuzz seeds, the
 # 66-program bug suite at 4 queues vs 1 queue, and the reports at QueueCap
 # 1/64/4096 (the ring size moves when the producer blocks, never what is
-# reported), and four detector threads holding page locks across the lanes
-# of records that interleave over the same three pages.
+# reported), the program whose global write–write pairs change block scope
+# with the queue schedule (core/digest.go) repeated plain and under the race
+# detector, where two runs of one configuration differ, and four detector
+# threads holding page locks across the lanes of records that interleave
+# over the same three pages.
+SCOPE_WITNESS := (TestProducerFilterEquivalence|TestCoalescedSpanEquivalence|TestMultiQueueReportEquivalence)/gl-bfs-frontier-racy
 stress-multiqueue:
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConcurrentProducers|TestDequeueBatchConcurrentProducers|TestStress|TestQueueBackpressure|TestWorstCaseThroughSmallestRing' ./internal/logging/
 	$(GO) test -run 'FuzzQueueRoundTrip|TestQueueRoundTripProperty|TestWrapAtEveryOffset' ./internal/logging/
 	GOMAXPROCS=4 $(GO) test -count=5 -run TestMultiQueueReportEquivalence ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'TestMultiQueueReportEquivalence|TestBackpressureEquivalence' ./internal/bugsuite/
+	$(GO) test -count=40 -run '$(SCOPE_WITNESS)' ./internal/bugsuite/
+	$(GO) test -race -count=20 -run '$(SCOPE_WITNESS)' ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -run TestSameValueGoldenEquivalence ./internal/detector/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run TestStridedLockHoldStress ./internal/core/
 

@@ -55,7 +55,7 @@ func main() {
 		ownership = flag.Bool("ownership", false, "enable the exclusive-ownership shadow fast path (requires span mode)")
 		prodFilt  = flag.Bool("producer-filter", false, "suppress redundant access records at the simulator (producer-side epoch filtering; reports stay byte-identical)")
 		shadowCap = flag.Int64("shadow-cap", 0, "bound resident shadow memory to this many bytes via LRU eviction (0 = unbounded; evicting live state is reported as degraded precision)")
-		verbose   = flag.Bool("v", false, "print per-race dynamic counts, PTVC format stats and shadow granule stats")
+		verbose   = flag.Bool("v", false, "print per-race dynamic counts, PTVC format stats, and the simulator, shadow and transport lines")
 		serverURL = flag.String("server", "", "submit to a barracudad daemon or fleet coordinator at this base URL instead of running locally")
 		streamF   = flag.Bool("stream", false, "with -server: use the binary streaming protocol (races print as they are found)")
 		apiKey    = flag.String("api-key", "", "with -server: tenant key for rate limiting and accounting")
@@ -222,6 +222,13 @@ func printResult(kernel string, res *detector.Result, verbose bool) error {
 				fmt.Printf("PTVC %s: %d group(s)\n", f, n)
 			}
 		}
+		// Lanes per instruction is what says whether a job runs the
+		// interpreter's whole-warp walk; the rate is over the detection
+		// wall, so a detector-bound job reads low here.
+		sim := res.SimStats
+		fmt.Printf("sim: %d warp instruction(s), %.1f lane(s) per instruction, %d barrier(s), %d divergence(s), %.1f M warp-instr/s of detect wall\n",
+			sim.WarpInstrs, float64(sim.ThreadInstrs)/float64(max(sim.WarpInstrs, 1)), sim.Barriers, sim.Divergences,
+			float64(sim.WarpInstrs)/1e6/max(res.Duration.Seconds(), 1e-9))
 		sh := rep.Shadow
 		fmt.Printf("shadow: %d word-granular region(s), %d at the configured granularity, %d refinement(s), peak %d bytes, %d-byte cells, %d read map(s) inflated\n",
 			sh.WordRegions, sh.ByteRegions, sh.Refinements, sh.PeakResidentBytes, sh.CellBytes, sh.ReadInflations)

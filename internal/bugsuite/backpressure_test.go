@@ -14,7 +14,8 @@ import (
 // fast paths together, must report the same at QueueCap 1 (a two-record
 // ring that is full most of the time), 64 and 4096: with one queue the
 // exact outcome — for the default configuration the one recorded at
-// a5d8c21 — and with four the canonical digest of the one-queue run.
+// a5d8c21 — and with four the canonical digest of the one-queue run, as
+// far as it is provable across queues (provableDigest).
 func TestBackpressureEquivalence(t *testing.T) {
 	golden := granuleGolden(t, "granule_a5d8c21.json")
 	for k, v := range granuleGolden(t, "granule_subword_a5d8c21.json") {
@@ -46,7 +47,7 @@ func TestBackpressureEquivalence(t *testing.T) {
 							cfgName(cfg), err, want, got)
 					}
 					cfg.Queues = 4
-					if got, err := digestFor(tc, cfg); err != nil || got != wantDigest {
+					if got, err := digestFor(tc, cfg); err != nil || provableDigest(got, 4) != provableDigest(wantDigest, 4) {
 						t.Errorf("%s: digest moved with the ring size (err %v):\n--- want ---\n%s--- got ---\n%s",
 							cfgName(cfg), err, wantDigest, got)
 					}

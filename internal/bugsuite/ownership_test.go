@@ -59,7 +59,8 @@ func adaptiveRun(tc *Test, ws, queues int, ownership bool, capBytes int64) (adap
 
 // adaptiveCompare asserts an adaptive-shadow configuration reproduces
 // the span baseline at one (warp size, queue count) point: identical
-// canonical digests always, byte-identical race lists at one queue, and
+// canonical digests (across queues, their provableDigest), byte-identical
+// race lists at one queue, and
 // no PrecisionDegraded report (the cap, when set, is generous enough
 // that compaction alone keeps residency below it). It returns the
 // adaptive run's shadow counters.
@@ -73,7 +74,7 @@ func adaptiveCompare(t *testing.T, tc *Test, ws, queues int, ownership bool, cap
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}
-	if base.digest != adapt.digest {
+	if provableDigest(base.digest, queues) != provableDigest(adapt.digest, queues) {
 		t.Errorf("canonical digest diverged (ws=%d queues=%d ownership=%t cap=%d):\n--- baseline ---\n%s--- adaptive ---\n%s",
 			ws, queues, ownership, capBytes, base.digest, adapt.digest)
 	}

@@ -37,7 +37,15 @@ import (
 // writer. This is not an implementation artifact to fix but the
 // documented cost of parallel FastTrack detection; the race *set* the
 // user sees is the same, its attribution detail for global reads is
-// scheduling-dependent.
+// scheduling-dependent. So is the block scope of a global write–write
+// pair whose writers all store one value: bugsuite's gl-bfs-frontier-racy
+// (warp size 5, four queues) reports `inter-block global {12 write | 12
+// write}` in every run and the intra-block line of the same store only
+// when the same-value filter did not gag the same-block pair, which turns
+// on which queue's store reached the word first. The digest keeps the
+// kind — its bytes are recorded in goldens — and the suites that compare
+// digests across queue counts drop it from global lines (bugsuite's
+// provableDigest).
 //
 // Orientation (which side was "previous" vs "current") is normalized
 // away in both tiers: for a cross-queue pair it depends only on

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // underArity is one instruction per opcode with fewer operands than its
@@ -79,4 +80,40 @@ func TestUnderArityIsLoadError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRegisterBombIsLoadError: a `.reg` line asks for any number of
+// registers in a dozen bytes. Loading used to format and map every
+// declared name (100 s and 3 GiB for twenty million, and a launch then
+// sizes its register files by the count); past the loader's bound it is an
+// error that names the kernel and the count, returned before anything is
+// allocated.
+func TestRegisterBombIsLoadError(t *testing.T) {
+	for _, decl := range []string{"%r<20000000>", "%r<2000000000>", "%r<65537>", "%r<-1>"} {
+		src := strings.Replace(hostileKernel("mov.u32 %r1, 0;"), "%r<4>", decl, 1)
+		start := time.Now()
+		s, err := OpenPTX(src, Config{})
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: OpenPTX accepted the declaration", decl)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%s: refused after %v, want under 100ms", decl, d)
+		}
+		if !strings.HasPrefix(err.Error(), "gpusim: k: ") || !strings.HasSuffix(err.Error(), " registers declared, limit 65536") {
+			t.Errorf("%s: error %q does not name the kernel and the limit", decl, err)
+		}
+	}
+	// The bound counts both files and the names only operands mention.
+	src := strings.Replace(hostileKernel("mov.u32 %extra, 0;"), "%r<4>", "%r<65530>", 1)
+	if s, err := OpenPTX(src, Config{}); err == nil {
+		s.Close()
+		t.Error("65530 + 4 + 2 declared and one operand-only register were accepted")
+	}
+	src = strings.Replace(hostileKernel("mov.u32 %r1, 0;"), "%r<4>", "%r<65530>", 1)
+	s, err := OpenPTX(src, Config{})
+	if err != nil {
+		t.Fatalf("65536 registers are within the limit: %v", err)
+	}
+	s.Close()
 }

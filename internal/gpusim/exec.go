@@ -108,12 +108,13 @@ type warpState struct {
 	gwid     int    // global warp id
 	baseTID  int    // global TID of lane 0
 	fullMask uint32 // lanes populated at launch (partial last warp)
+	lanes    int    // populated lanes: fullMask is the low `lanes` bits
 	exited   uint32
 	stack    []stackEntry
-	regs     []uint64 // lane-major: regs[lane*nRegs+r]
-	preds    []bool
-	local    []byte // lane-private local memory, localBytes per lane
-	waiting  bool   // parked at a barrier
+	regs     []uint64 // register-major: regs[r*WarpSize+lane], WarpSize*nRegs long
+	preds    []uint32 // preds[p] is a lane mask: bit `lane` is the lane's value
+	local    []byte   // lane-private local memory, localBytes per lane
+	waiting  bool     // parked at a barrier
 	done     bool
 
 	// Producer-side filter state (see filter.go). fgen is monotone over
@@ -231,9 +232,10 @@ func (e *engine) newBlock(ar *launchArena, idx int) *blockState {
 			gwid:     idx*e.wpb + wi,
 			baseTID:  idx*e.bsz + wi*e.ws,
 			fullMask: mask,
+			lanes:    lanes,
 			stack:    []stackEntry{{pc: 0, rpc: -1, mask: mask, role: roleTop}},
-			regs:     make([]uint64, e.ws*e.lk.nRegs),
-			preds:    make([]bool, e.ws*max(e.lk.nPreds, 1)),
+			regs:     make([]uint64, WarpSize*e.lk.nRegs),
+			preds:    make([]uint32, e.lk.nPreds),
 		}
 		if e.lk.localBytes > 0 {
 			w.local = make([]byte, e.ws*int(e.lk.localBytes))

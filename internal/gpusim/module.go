@@ -97,7 +97,28 @@ func (mod *Module) CFG(name string) *kernel.CFG {
 	return lk.cfg
 }
 
+// maxKernelRegs bounds the registers of one kernel, general and predicate
+// together. A launch allocates WarpSize*8 bytes per general register per
+// resident warp and loading maps every declared name, so the count a
+// `.reg` line may ask for in a dozen bytes is a bound of the loader, not a
+// knob.
+const maxKernelRegs = 1 << 16
+
+func regLimitError(kernel string, n int) error {
+	return fmt.Errorf("gpusim: %s: %d registers declared, limit %d", kernel, n, maxKernelRegs)
+}
+
 func prepareKernel(k *ptx.Kernel) (*loadedKernel, error) {
+	// Sum the declared counts before anything is sized by them.
+	declared := 0
+	for _, rd := range k.Regs {
+		if rd.Count < 0 || rd.Count > maxKernelRegs {
+			return nil, regLimitError(k.Name, rd.Count)
+		}
+		if declared += rd.Count; declared > maxKernelRegs {
+			return nil, regLimitError(k.Name, declared)
+		}
+	}
 	cfg, err := kernel.Build(k)
 	if err != nil {
 		return nil, fmt.Errorf("gpusim: kernel %s: %w", k.Name, err)
@@ -148,6 +169,10 @@ func prepareKernel(k *ptx.Kernel) (*loadedKernel, error) {
 				}
 			}
 		}
+	}
+	// The names only operands mention count too.
+	if n := lk.nPreds + lk.nRegs; n > maxKernelRegs {
+		return nil, regLimitError(k.Name, n)
 	}
 	// Shared-memory layout.
 	var off int64

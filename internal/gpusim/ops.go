@@ -225,21 +225,24 @@ func (mod *Module) resolveSym(lk *loadedKernel, name string) (symKind, uint64, e
 	return symNone, 0, fmt.Errorf("undefined symbol %q", name)
 }
 
+// row returns general register r of the warp: one value per lane, lane l
+// at row(r)[l]. The stride is the constant WarpSize whatever the launch's
+// warp width, so a compiled handler is launch-independent.
+func (w *warpState) row(r int) []uint64 {
+	return w.regs[r*WarpSize : (r+1)*WarpSize]
+}
+
 // reg returns lane's value of general register r.
 func (e *engine) reg(w *warpState, lane, r int) uint64 {
-	return w.regs[lane*e.lk.nRegs+r]
+	return w.regs[r*WarpSize+lane]
 }
 
 func (e *engine) setRegRaw(w *warpState, lane, r int, v uint64) {
-	w.regs[lane*e.lk.nRegs+r] = v
+	w.regs[r*WarpSize+lane] = v
 }
 
 func (e *engine) pred(w *warpState, lane, p int) bool {
-	return w.preds[lane*e.lk.nPreds+p]
-}
-
-func (e *engine) setPred(w *warpState, lane, p int, v bool) {
-	w.preds[lane*e.lk.nPreds+p] = v
+	return w.preds[p]>>uint(lane)&1 != 0
 }
 
 // val evaluates a scalar operand for one lane.
@@ -355,6 +358,15 @@ func signExt(v uint64, size int) int64 {
 	}
 }
 
+// guarded returns the lanes of eff whose guard predicate lets a guarded
+// instruction execute (or a guarded branch be taken).
+func (ci *cInstr) guarded(w *warpState, eff uint32) uint32 {
+	if ci.guardNeg {
+		return eff &^ w.preds[ci.guard]
+	}
+	return eff & w.preds[ci.guard]
+}
+
 // stepWarp executes one warp-level instruction.
 func (e *engine) stepWarp(w *warpState) error {
 	// Resolve a runnable top entry, popping completed paths.
@@ -374,16 +386,10 @@ func (e *engine) stepWarp(w *warpState) error {
 	ci := &e.code[pc]
 	eff := top.mask &^ w.exited
 
-	// Apply a guard to non-branch instructions per lane.
+	// Apply a guard to non-branch instructions.
 	exec := eff
 	if ci.guard >= 0 && ci.op != ptx.OpBra {
-		exec = 0
-		for m := eff; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			if e.pred(w, lane, ci.guard) != ci.guardNeg {
-				exec |= 1 << uint(lane)
-			}
-		}
+		exec = ci.guarded(w, eff)
 	}
 	e.stats.WarpInstrs++
 	e.stats.ThreadInstrs += uint64(bits.OnesCount32(exec))
@@ -429,15 +435,7 @@ func (e *engine) execBranch(w *warpState, top *stackEntry, ci *cInstr, eff uint3
 		top.pc = ci.target
 		return nil
 	}
-	var taken uint32
-	for lane := 0; lane < e.ws; lane++ {
-		if eff&(1<<uint(lane)) == 0 {
-			continue
-		}
-		if e.pred(w, lane, ci.guard) != ci.guardNeg {
-			taken |= 1 << uint(lane)
-		}
-	}
+	taken := ci.guarded(w, eff)
 	notTaken := eff &^ taken
 	switch {
 	case taken == 0:
@@ -497,9 +495,7 @@ func (e *engine) fillLog(w *warpState, ci *cInstr, exec uint32, rec *logging.Rec
 	var stride int64
 	var ragged, bent uint64
 	if ci.uniform {
-		for m := exec; m != 0; m &= m - 1 {
-			rec.Addrs[bits.TrailingZeros32(m)] = base
-		}
+		w.splat(rec.Addrs[:], exec, base)
 		ragged = uint64(exec & (exec - 1)) // coalesced only when alone
 	} else {
 		if rest := exec & (exec - 1); rest != 0 {
@@ -507,14 +503,13 @@ func (e *engine) fillLog(w *warpState, ci *cInstr, exec uint32, rec *logging.Rec
 			stride = int64(e.laneAddr(w, second, a0)-base) / int64(second-first)
 		}
 		next, size := base, uint64(rec.Size)
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
+		w.each(exec, func(lane int) {
 			a := e.laneAddr(w, lane, a0)
 			rec.Addrs[lane] = a
 			ragged |= a ^ next
 			next += size
 			bent |= a ^ (base + uint64(int64(lane-first)*stride))
-		}
+		})
 	}
 	switch {
 	case ci.logSync || rec.Size == 0:
@@ -529,16 +524,10 @@ func (e *engine) fillLog(w *warpState, ci *cInstr, exec uint32, rec *logging.Rec
 	}
 	a1 := &ci.args[1]
 	if ci.uniform {
-		v := e.val(w, first, a1)
-		for m := exec; m != 0; m &= m - 1 {
-			rec.Vals[bits.TrailingZeros32(m)] = v
-		}
+		w.splat(rec.Vals[:], exec, e.val(w, first, a1))
 		return
 	}
-	for m := exec; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		rec.Vals[lane] = e.val(w, lane, a1)
-	}
+	w.each(exec, func(lane int) { rec.Vals[lane] = e.val(w, lane, a1) })
 }
 
 // execLog emits a warp-level record for a `_log.*` pseudo-instruction:

@@ -13,8 +13,16 @@ import (
 // single indirect call per warp-instruction instead of re-running the
 // opcode switch and operand resolution once per lane. Handlers bake the
 // per-instruction invariants (opcode, type width, signedness, operand
-// shapes, constants) into closures at compile time and iterate only the
-// active lanes of the exec mask.
+// shapes, constants) into closures at compile time.
+//
+// Both warp files are laid out for that loop. A general register is 32
+// lanes in a row (warpState.row), so a handler walks its operands as
+// slices; a predicate register is one lane mask, so guards, branches and
+// broadcasts are mask arithmetic. A handler has two walks over the same
+// per-lane body: a straight loop over lanes 0..w.lanes-1 when the whole
+// warp is active (exec == w.fullMask, which is every instruction of most
+// programs), and a bit-iteration of exec otherwise. A lane's result is a
+// function of that lane's inputs alone, never of which walk ran it.
 //
 // The handlers are the only definition of each opcode. Their contract is
 // pinned by goldens recorded from the per-lane interpreter they replaced:
@@ -26,16 +34,44 @@ import (
 // warpHandler executes one compiled instruction for all active lanes.
 type warpHandler func(e *engine, w *warpState, ci *cInstr, exec uint32) error
 
-// execLaneLoop is the handler of the shapes execLane implements per lane
-// (vector memory ops, atomics, float neg), bit-iterating the active mask.
-func execLaneLoop(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-	for m := exec; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		if err := e.execLane(w, ci, lane); err != nil {
-			return fmt.Errorf("lane %d: %v", lane, err)
+// each calls one for every lane of exec, in lane order: the one place the
+// two walks are written. It is small enough to be inlined, func literal
+// and all, so a handler's body sits in both loops with no call between.
+func (w *warpState) each(exec uint32, one func(lane int)) {
+	if exec == w.fullMask {
+		for lane := 0; lane < w.lanes; lane++ {
+			one(lane)
 		}
+		return
 	}
-	return nil
+	for m := exec; m != 0; m &= m - 1 {
+		one(bits.TrailingZeros32(m))
+	}
+}
+
+// eachErr is each for a body that can fault: the first lane that does ends
+// the instruction — no later lane runs — and is named in the error.
+func (w *warpState) eachErr(exec uint32, one func(lane int) error) (err error) {
+	w.each(exec, func(lane int) {
+		if err != nil {
+			return
+		}
+		if e := one(lane); e != nil {
+			err = fmt.Errorf("lane %d: %v", lane, e)
+		}
+	})
+	return err
+}
+
+// splat stores v in the lanes of exec of a lane-indexed row.
+func (w *warpState) splat(row []uint64, exec uint32, v uint64) {
+	w.each(exec, func(l int) { row[l] = v })
+}
+
+// execLaneLoop is the handler of the shapes execLane implements per lane
+// (vector memory ops, atomics, float neg).
+func execLaneLoop(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+	return w.eachErr(exec, func(lane int) error { return e.execLane(w, ci, lane) })
 }
 
 // execUniform executes a statically warp-uniform instruction once (its
@@ -53,16 +89,14 @@ func (e *engine) execUniform(w *warpState, ci *cInstr, exec uint32) error {
 	if rest == 0 {
 		return nil
 	}
-	if ci.dst.isPred {
-		v := e.pred(w, first, ci.dst.reg)
-		for m := rest; m != 0; m &= m - 1 {
-			e.setPred(w, bits.TrailingZeros32(m), ci.dst.reg, v)
-		}
-	} else {
-		v := e.reg(w, first, ci.dst.reg)
-		for m := rest; m != 0; m &= m - 1 {
-			e.setRegRaw(w, bits.TrailingZeros32(m), ci.dst.reg, v)
-		}
+	d := ci.dst.reg
+	switch {
+	case !ci.dst.isPred:
+		w.splat(w.row(d), exec, e.reg(w, first, d))
+	case e.pred(w, first, d):
+		w.preds[d] |= rest
+	default:
+		w.preds[d] &^= rest
 	}
 	return nil
 }
@@ -88,9 +122,8 @@ func scalarizableOp(ci *cInstr) bool {
 	return false
 }
 
-// fetchFn reads one operand for a lane; base is lane*nRegs, precomputed by
-// the caller.
-type fetchFn func(e *engine, w *warpState, lane, base int) uint64
+// fetchFn reads one operand for a lane.
+type fetchFn func(e *engine, w *warpState, lane int) uint64
 
 // fetcher compiles an operand into either a constant (isConst=true) or a
 // fetch function, mirroring engine.val exactly.
@@ -105,24 +138,21 @@ func fetcher(o cOperand) (fn fetchFn, c uint64, isConst bool) {
 	case ptx.OpndReg:
 		if o.isPred {
 			p := o.reg
-			return func(e *engine, w *warpState, lane, base int) uint64 {
-				if w.preds[lane*e.lk.nPreds+p] {
-					return 1
-				}
-				return 0
+			return func(e *engine, w *warpState, lane int) uint64 {
+				return uint64(w.preds[p] >> uint(lane) & 1)
 			}, 0, false
 		}
-		r := o.reg
-		return func(e *engine, w *warpState, lane, base int) uint64 {
-			return w.regs[base+r]
+		r0 := o.reg * WarpSize
+		return func(e *engine, w *warpState, lane int) uint64 {
+			return w.regs[r0+lane]
 		}, 0, false
 	case ptx.OpndSreg:
 		s := o.sreg
-		return func(e *engine, w *warpState, lane, base int) uint64 {
+		return func(e *engine, w *warpState, lane int) uint64 {
 			return e.sregVal(w, lane, s)
 		}, 0, false
 	}
-	return func(e *engine, w *warpState, lane, base int) uint64 { return 0 }, 0, false
+	return func(e *engine, w *warpState, lane int) uint64 { return 0 }, 0, false
 }
 
 // selectHandler picks the warp-major handler for a compiled instruction.
@@ -178,40 +208,28 @@ func makeMov(ci *cInstr) warpHandler {
 	a := ci.args[0]
 	if v, ok := constMovBits(a, t); ok {
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nR := e.lk.nRegs
-			regs := w.regs
-			for m := exec; m != 0; m &= m - 1 {
-				regs[bits.TrailingZeros32(m)*nR+d] = v
-			}
+			w.splat(w.row(d), exec, v)
 			return nil
 		}
 	}
 	if !t.Float() && a.kind == ptx.OpndReg && !a.isPred {
 		s := a.reg
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nR := e.lk.nRegs
-			regs := w.regs
-			for m := exec; m != 0; m &= m - 1 {
-				base := bits.TrailingZeros32(m) * nR
-				regs[base+d] = regs[base+s]
-			}
+			dst, src := w.row(d), w.row(s)
+			w.each(exec, func(l int) { dst[l] = src[l] })
 			return nil
 		}
 	}
 	if t.Float() {
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			for m := exec; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				e.setRegRaw(w, lane, d, fbits(e.fval(w, lane, &ci.args[0], t), t))
-			}
+			dst := w.row(d)
+			w.each(exec, func(l int) { dst[l] = fbits(e.fval(w, l, &ci.args[0], t), t) })
 			return nil
 		}
 	}
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setRegRaw(w, lane, d, e.val(w, lane, &ci.args[0]))
-		}
+		dst := w.row(d)
+		w.each(exec, func(l int) { dst[l] = e.val(w, l, &ci.args[0]) })
 		return nil
 	}
 }
@@ -255,39 +273,26 @@ func makeLd(ci *cInstr) warpHandler {
 		}
 		idx := a.symAddr
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			v := e.cfg.Args[idx]
-			nR := e.lk.nRegs
-			for m := exec; m != 0; m &= m - 1 {
-				w.regs[bits.TrailingZeros32(m)*nR+d] = v
-			}
+			w.splat(w.row(d), exec, e.cfg.Args[idx])
 			return nil
 		}
 	}
 	size := ci.size
 	signed := in.Type.Signed()
 	space := in.Space
-	a0 := ci.args[0]
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		nR := e.lk.nRegs
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			base := lane * nR
-			var addr uint64
-			if a0.baseReg >= 0 {
-				addr = w.regs[base+a0.baseReg] + uint64(a0.off)
-			} else {
-				addr = a0.symAddr + uint64(a0.off)
-			}
-			v, err := e.loadSpace(w, lane, space, addr, size)
+		dst, a0 := w.row(d), &ci.args[0]
+		return w.eachErr(exec, func(l int) error {
+			v, err := e.loadSpace(w, l, space, e.laneAddr(w, l, a0), size)
 			if err != nil {
-				return fmt.Errorf("lane %d: %v", lane, err)
+				return err
 			}
 			if signed {
 				v = uint64(signExt(v, size))
 			}
-			w.regs[base+d] = v
-		}
-		return nil
+			dst[l] = v
+			return nil
+		})
 	}
 }
 
@@ -299,7 +304,6 @@ func makeSt(ci *cInstr) warpHandler {
 	t := in.Type
 	size := ci.size
 	space := in.Space
-	a0 := ci.args[0]
 	v1 := ci.args[1]
 	var cval uint64
 	isConst := false
@@ -310,28 +314,19 @@ func makeSt(ci *cInstr) warpHandler {
 	}
 	fv, _, _ := fetcher(v1)
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		nR := e.lk.nRegs
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			base := lane * nR
-			var addr uint64
-			if a0.baseReg >= 0 {
-				addr = w.regs[base+a0.baseReg] + uint64(a0.off)
-			} else {
-				addr = a0.symAddr + uint64(a0.off)
-			}
+		a0 := &ci.args[0]
+		return w.eachErr(exec, func(l int) error {
 			v := cval
 			if !isConst {
-				v = truncTo(fv(e, w, lane, base), size)
+				v = truncTo(fv(e, w, l), size)
 			}
-			if err := e.storeSpace(w, lane, space, addr, size, v); err != nil {
-				return fmt.Errorf("lane %d: %v", lane, err)
-			}
-		}
-		return nil
+			return e.storeSpace(w, l, space, e.laneAddr(w, l, a0), size, v)
+		})
 	}
 }
 
+// makeSetp builds the destination predicate's lane mask: the lanes of exec
+// whose comparison holds are set, its other lanes cleared, the rest kept.
 func makeSetp(ci *cInstr) warpHandler {
 	in := ci.in
 	t := in.Type
@@ -339,12 +334,13 @@ func makeSetp(ci *cInstr) warpHandler {
 	if t.Float() {
 		cmp := in.Cmp
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nP := e.lk.nPreds
-			for m := exec; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				w.preds[lane*nP+d] = cmpFloat(cmp,
-					e.fval(w, lane, &ci.args[0], t), e.fval(w, lane, &ci.args[1], t))
-			}
+			var hold uint32
+			w.each(exec, func(l int) {
+				if cmpFloat(cmp, e.fval(w, l, &ci.args[0], t), e.fval(w, l, &ci.args[1], t)) {
+					hold |= 1 << uint(l)
+				}
+			})
+			w.preds[d] = w.preds[d]&^exec | hold
 			return nil
 		}
 	}
@@ -352,19 +348,20 @@ func makeSetp(ci *cInstr) warpHandler {
 	f0, c0, k0 := fetcher(ci.args[0])
 	f1, c1, k1 := fetcher(ci.args[1])
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		nR, nP := e.lk.nRegs, e.lk.nPreds
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			base := lane * nR
+		var hold uint32
+		w.each(exec, func(l int) {
 			a, b := c0, c1
 			if !k0 {
-				a = f0(e, w, lane, base)
+				a = f0(e, w, l)
 			}
 			if !k1 {
-				b = f1(e, w, lane, base)
+				b = f1(e, w, l)
 			}
-			w.preds[lane*nP+d] = cf(a, b)
-		}
+			if cf(a, b) {
+				hold |= 1 << uint(l)
+			}
+		})
+		w.preds[d] = w.preds[d]&^exec | hold
 		return nil
 	}
 }
@@ -416,42 +413,36 @@ func makeSelp(ci *cInstr) warpHandler {
 	cond := ci.args[2]
 	f0, c0, k0 := fetcher(ci.args[0])
 	f1, c1, k1 := fetcher(ci.args[1])
-	pick := func(e *engine, w *warpState, lane, base int, take bool) uint64 {
+	pick := func(e *engine, w *warpState, lane int, take bool) uint64 {
 		if take {
 			if k0 {
 				return c0
 			}
-			return f0(e, w, lane, base)
+			return f0(e, w, lane)
 		}
 		if k1 {
 			return c1
 		}
-		return f1(e, w, lane, base)
+		return f1(e, w, lane)
 	}
 	if cond.isPred {
 		p := cond.reg
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nR, nP := e.lk.nRegs, e.lk.nPreds
-			for m := exec; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				base := lane * nR
-				w.regs[base+d] = truncTo(pick(e, w, lane, base, w.preds[lane*nP+p]), size)
-			}
+			dst, take := w.row(d), w.preds[p]
+			w.each(exec, func(l int) { dst[l] = truncTo(pick(e, w, l, take>>uint(l)&1 != 0), size) })
 			return nil
 		}
 	}
 	fc, cc, kc := fetcher(cond)
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		nR := e.lk.nRegs
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			base := lane * nR
+		dst := w.row(d)
+		w.each(exec, func(l int) {
 			cv := cc
 			if !kc {
-				cv = fc(e, w, lane, base)
+				cv = fc(e, w, l)
 			}
-			w.regs[base+d] = truncTo(pick(e, w, lane, base, cv != 0), size)
-		}
+			dst[l] = truncTo(pick(e, w, l, cv != 0), size)
+		})
 		return nil
 	}
 }
@@ -461,16 +452,14 @@ func makeCvt(ci *cInstr) warpHandler {
 	d := ci.dst.reg
 	f0, c0, k0 := fetcher(ci.args[0])
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		nR := e.lk.nRegs
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			base := lane * nR
+		dst := w.row(d)
+		w.each(exec, func(l int) {
 			v := c0
 			if !k0 {
-				v = f0(e, w, lane, base)
+				v = f0(e, w, l)
 			}
-			w.regs[base+d] = cf(v)
-		}
+			dst[l] = cf(v)
+		})
 		return nil
 	}
 }
@@ -502,27 +491,21 @@ func makeIntUn(ci *cInstr, sf func(v uint64) uint64) warpHandler {
 	if a.kind == ptx.OpndReg && !a.isPred {
 		s := a.reg
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nR := e.lk.nRegs
-			regs := w.regs
-			for m := exec; m != 0; m &= m - 1 {
-				base := bits.TrailingZeros32(m) * nR
-				regs[base+d] = sf(regs[base+s])
-			}
+			dst, src := w.row(d), w.row(s)
+			w.each(exec, func(l int) { dst[l] = sf(src[l]) })
 			return nil
 		}
 	}
 	f0, c0, k0 := fetcher(a)
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		nR := e.lk.nRegs
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			base := lane * nR
+		dst := w.row(d)
+		w.each(exec, func(l int) {
 			v := c0
 			if !k0 {
-				v = f0(e, w, lane, base)
+				v = f0(e, w, l)
 			}
-			w.regs[base+d] = sf(v)
-		}
+			dst[l] = sf(v)
+		})
 		return nil
 	}
 }
@@ -539,42 +522,32 @@ func makeIntBin(ci *cInstr, sf func(a, b uint64) uint64) warpHandler {
 	case r0ok && r1ok:
 		r0, r1 := a0.reg, a1.reg
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nR := e.lk.nRegs
-			regs := w.regs
-			for m := exec; m != 0; m &= m - 1 {
-				base := bits.TrailingZeros32(m) * nR
-				regs[base+d] = sf(regs[base+r0], regs[base+r1])
-			}
+			dst, a, b := w.row(d), w.row(r0), w.row(r1)
+			w.each(exec, func(l int) { dst[l] = sf(a[l], b[l]) })
 			return nil
 		}
 	case r0ok && a1.kind == ptx.OpndImm:
 		r0, c1 := a0.reg, a1.imm
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nR := e.lk.nRegs
-			regs := w.regs
-			for m := exec; m != 0; m &= m - 1 {
-				base := bits.TrailingZeros32(m) * nR
-				regs[base+d] = sf(regs[base+r0], c1)
-			}
+			dst, a := w.row(d), w.row(r0)
+			w.each(exec, func(l int) { dst[l] = sf(a[l], c1) })
 			return nil
 		}
 	default:
 		f0, c0, k0 := fetcher(a0)
 		f1, c1, k1 := fetcher(a1)
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nR := e.lk.nRegs
-			for m := exec; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				base := lane * nR
+			dst := w.row(d)
+			w.each(exec, func(l int) {
 				a, b := c0, c1
 				if !k0 {
-					a = f0(e, w, lane, base)
+					a = f0(e, w, l)
 				}
 				if !k1 {
-					b = f1(e, w, lane, base)
+					b = f1(e, w, l)
 				}
-				w.regs[base+d] = sf(a, b)
-			}
+				dst[l] = sf(a, b)
+			})
 			return nil
 		}
 	}
@@ -588,12 +561,8 @@ func makeIntTri(ci *cInstr, sf func(a, b, c uint64) uint64) warpHandler {
 		a2.kind == ptx.OpndReg && !a2.isPred {
 		r0, r1, r2 := a0.reg, a1.reg, a2.reg
 		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-			nR := e.lk.nRegs
-			regs := w.regs
-			for m := exec; m != 0; m &= m - 1 {
-				base := bits.TrailingZeros32(m) * nR
-				regs[base+d] = sf(regs[base+r0], regs[base+r1], regs[base+r2])
-			}
+			dst, a, b, c := w.row(d), w.row(r0), w.row(r1), w.row(r2)
+			w.each(exec, func(l int) { dst[l] = sf(a[l], b[l], c[l]) })
 			return nil
 		}
 	}
@@ -601,22 +570,20 @@ func makeIntTri(ci *cInstr, sf func(a, b, c uint64) uint64) warpHandler {
 	f1, c1, k1 := fetcher(a1)
 	f2, c2, k2 := fetcher(a2)
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		nR := e.lk.nRegs
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			base := lane * nR
+		dst := w.row(d)
+		w.each(exec, func(l int) {
 			a, b, c := c0, c1, c2
 			if !k0 {
-				a = f0(e, w, lane, base)
+				a = f0(e, w, l)
 			}
 			if !k1 {
-				b = f1(e, w, lane, base)
+				b = f1(e, w, l)
 			}
 			if !k2 {
-				c = f2(e, w, lane, base)
+				c = f2(e, w, l)
 			}
-			w.regs[base+d] = sf(a, b, c)
-		}
+			dst[l] = sf(a, b, c)
+		})
 		return nil
 	}
 }
@@ -821,16 +788,16 @@ func makeFloatArith(ci *cInstr) warpHandler {
 	}
 	isMad := ci.op == ptx.OpMad
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			a := e.fval(w, lane, &ci.args[0], t)
-			b := e.fval(w, lane, &ci.args[1], t)
+		dst := w.row(d)
+		w.each(exec, func(l int) {
+			a := e.fval(w, l, &ci.args[0], t)
+			b := e.fval(w, l, &ci.args[1], t)
 			var c float64
 			if isMad {
-				c = e.fval(w, lane, &ci.args[2], t)
+				c = e.fval(w, l, &ci.args[2], t)
 			}
-			e.setRegRaw(w, lane, d, fbits(ff(a, b, c), t))
-		}
+			dst[l] = fbits(ff(a, b, c), t)
+		})
 		return nil
 	}
 }

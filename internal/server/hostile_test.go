@@ -41,27 +41,30 @@ func jobDigest(t *testing.T, info JobInfo) string {
 }
 
 // TestMalformedPTXFailsJobNotWorker: the three under-arity kernels that
-// used to panic a scheduler worker (and with it the daemon) now fail
-// their own job with the loader's error, and the single worker goes on
-// to produce the right report for the next job.
+// used to panic a scheduler worker (and with it the daemon), and a
+// register declaration that used to cost the worker minutes and
+// gigabytes, now fail their own job with the loader's error, and the
+// single worker goes on to produce the right report for the next job.
 func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 	sched := NewScheduler(SchedulerOptions{Workers: 1})
 	defer sched.Stop()
 	want := racyDigest(t)
-	for _, tc := range []struct{ op, instr string }{
-		{"mov", "mov.u32 %r1;"},
-		{"add", "add.u32 %r1, %r2;"},
-		{"atom", "atom.global.add.u32 %r2, [%rd1];"},
+	const tidMov = "mov.u32 %r1, %tid.x;"
+	for _, tc := range []struct{ line, hostile, err string }{
+		{tidMov, "mov.u32 %r1;", "open: gpusim: k line 6: mov:"},
+		{tidMov, "add.u32 %r1, %r2;", "open: gpusim: k line 6: add:"},
+		{tidMov, "atom.global.add.u32 %r2, [%rd1];", "open: gpusim: k line 6: atom:"},
+		{".reg .u32 %r<4>;", ".reg .u32 %r<2000000000>;", "open: gpusim: k: 2000000000 registers declared, limit 65536"},
 	} {
-		src := strings.Replace(racySrc, "mov.u32 %r1, %tid.x;", tc.instr, 1)
+		src := strings.Replace(racySrc, tc.line, tc.hostile, 1)
 		bad, err := sched.Submit(JobRequest{PTX: src, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-bad.Done()
 		info := bad.Info()
-		if info.Status != StatusFailed || !strings.HasPrefix(info.Error, "open: gpusim: k line 6: "+tc.op+":") {
-			t.Fatalf("%s: status %q, error %q; want failed with the loader's error", tc.instr, info.Status, info.Error)
+		if info.Status != StatusFailed || !strings.HasPrefix(info.Error, tc.err) {
+			t.Fatalf("%s: status %q, error %q; want failed with the loader's error", tc.hostile, info.Status, info.Error)
 		}
 		next, err := sched.Submit(JobRequest{PTX: racySrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}})
 		if err != nil {
@@ -69,7 +72,7 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 		}
 		<-next.Done()
 		if got := jobDigest(t, next.Info()); got != want {
-			t.Fatalf("job after %s:\n got %s\nwant %s", tc.instr, got, want)
+			t.Fatalf("job after %s:\n got %s\nwant %s", tc.hostile, got, want)
 		}
 	}
 }
