@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-sim bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership stress-refine
+.PHONY: all build vet test race bench bench-sim bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter stress-fleet serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership stress-refine
 
 all: build vet test
 
@@ -122,6 +122,15 @@ stress-stream:
 	$(GO) test -run 'FuzzFrames|TestDecodeMalformedPayloads|TestRaceStreamRoundTrip|TestSummaryRoundTrip|TestRecordBatchRoundTrip' ./internal/wire/
 	$(GO) test -race -run TestStreamJSONEquivalence ./internal/server/
 
+# The standing-session stress, repeated under the Go race detector: the
+# coordinator's pool of /v1/stream sessions against cut connections, dead
+# workers, refused launches, membership changes and eight concurrent
+# submitters, the stream-forwarding tests it must not have changed, and
+# the worker closing the idle streams net/http no longer tracks.
+stress-fleet:
+	$(GO) test -race -count=5 -run 'Pooled|StaleSession|PoolClosed|LaunchRejectKeepsSession|StreamForward' ./internal/fleet/
+	$(GO) test -race -run 'ServerCloseEndsIdleStreams' ./internal/server/
+
 # The multi-queue stress, with real parallelism and under the Go race
 # detector: the transport's one-producer-per-queue stresses (Queues 1 and
 # 4, two-record rings, every wire form), the round-trip fuzz seeds, the
@@ -146,4 +155,4 @@ stress-multiqueue:
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321
 
-ci: build vet fmt-check test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter stress-refine fleet-sim
+ci: build vet fmt-check test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter stress-fleet stress-refine fleet-sim

@@ -36,8 +36,10 @@
 //
 // A coordinator owns no detection workers of its own; it routes jobs to
 // joined workers by module cache key so repeat submissions land on the
-// node whose session cache is already warm. Workers join with -join and
-// otherwise behave exactly like a standalone daemon.
+// node whose session cache is already warm, over /v1/stream sessions it
+// keeps open between jobs (one redial, logged, when an idle one turns out
+// to have been cut). Workers join with -join and otherwise behave exactly
+// like a standalone daemon.
 package main
 
 import (
@@ -69,8 +71,8 @@ func main() {
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 
 		srcCache    = flag.Int("src-cache", 64, "content-addressed PTX source cache entries for the streaming protocol (LRU)")
-		tenantRate  = flag.Float64("tenant-rate", 100, "per-tenant admitted launches per second on /v1/stream (negative disables rate limiting)")
-		tenantBurst = flag.Float64("tenant-burst", 200, "per-tenant token-bucket burst on /v1/stream")
+		tenantRate  = flag.Float64("tenant-rate", 100, "per-tenant tokens per second on /v1/stream: one per handshake and one per launch, so one per job on a session kept open, as a fleet coordinator's are (negative disables rate limiting)")
+		tenantBurst = flag.Float64("tenant-burst", 200, "per-tenant token-bucket depth on /v1/stream")
 
 		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator instead of a worker (no local detection)")
 		join        = flag.String("join", "", "coordinator base URL to register with (worker mode), e.g. http://coord:8320")

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"barracuda/internal/server"
@@ -36,13 +37,13 @@ type Job struct {
 	Class   string // server.ClassInteractive or server.ClassBatch
 	Payload any
 
-	attempts int
+	attempts atomic.Int32        // written under Coordinator.mu; Attempts reads it without
 	excluded map[string]struct{} // nodes that already failed this job
 	seq      int64               // submission order, for FIFO within class
 }
 
 // Attempts is how many times the job has been dispatched.
-func (j *Job) Attempts() int { return j.attempts }
+func (j *Job) Attempts() int { return int(j.attempts.Load()) }
 
 // Excluded lists nodes this job must never be routed to again, sorted.
 func (j *Job) Excluded() []string {
@@ -320,7 +321,7 @@ func (c *Coordinator) Fail(node, jobID string, retryable bool) (asgs []Assignmen
 	}
 	delete(m, jobID)
 	job.excluded[node] = struct{}{}
-	if !retryable || job.attempts >= c.opt.MaxAttempts {
+	if !retryable || job.Attempts() >= c.opt.MaxAttempts {
 		c.stats.FailedPerm++
 		c.maybeFinishDrainLocked(node)
 		return c.dispatchLocked(), FailTerminal
@@ -505,7 +506,7 @@ func (c *Coordinator) dispatchLocked() []Assignment {
 				kept = append(kept, j)
 				continue
 			}
-			j.attempts++
+			j.attempts.Add(1)
 			c.inflight[node][j.ID] = j
 			c.stats.Dispatched++
 			if spill {

@@ -51,14 +51,17 @@ type DrainResponse struct {
 	Removed  bool `json:"removed"`
 }
 
-// NodeJSON is the coordinator's view of one worker.
+// NodeJSON is the coordinator's view of one worker. IdleSessions counts
+// the standing /v1/stream sessions to the node's address that no forward
+// is using right now.
 type NodeJSON struct {
-	ID        string                `json:"id"`
-	Addr      string                `json:"addr"`
-	Capacity  int                   `json:"capacity"`
-	State     string                `json:"state"`
-	BeatAgeMS float64               `json:"beat_age_ms"`
-	Stats     server.HeartbeatStats `json:"stats"`
+	ID           string                `json:"id"`
+	Addr         string                `json:"addr"`
+	Capacity     int                   `json:"capacity"`
+	State        string                `json:"state"`
+	BeatAgeMS    float64               `json:"beat_age_ms"`
+	IdleSessions int                   `json:"idle_sessions"`
+	Stats        server.HeartbeatStats `json:"stats"`
 }
 
 // FleetJobInfo is the coordinator-side job envelope: where the job is,
@@ -75,7 +78,10 @@ type FleetJobInfo struct {
 	Worker   *server.JobInfo `json:"worker,omitempty"`
 }
 
-// FleetMetricsJSON is the /fleet/metrics body.
+// FleetMetricsJSON is the /fleet/metrics body. StreamDials, StreamReuses
+// and StreamRedials say how stream forwards got their session: a fresh
+// connection, one off the idle list, or a fresh one after an idle session
+// proved stale.
 type FleetMetricsJSON struct {
 	UptimeMS          float64    `json:"uptime_ms"`
 	Stats             Stats      `json:"stats"`
@@ -84,17 +90,22 @@ type FleetMetricsJSON struct {
 	InFlight          int        `json:"in_flight"`
 	StreamForwards    int64      `json:"stream_forwards"`
 	JSONForwards      int64      `json:"json_forwards"`
+	StreamDials       int64      `json:"stream_dials"`
+	StreamReuses      int64      `json:"stream_reuses"`
+	StreamRedials     int64      `json:"stream_redials"`
 	Nodes             []NodeJSON `json:"nodes"`
 }
 
 // HTTPCoordinator is the fleet front-end: it speaks the same job API as
 // a single barracudad (POST /jobs, GET /jobs/{id}) so clients point at
 // the coordinator unchanged, plus the /fleet/* control surface workers
-// register against. Forwarding is plain HTTP against each worker's
-// /jobs API; worker failures are classified by the machine-readable
-// ErrorJSON code (retryable 429/503 vs permanent 400) and retryable
-// ones re-route to the next ring successor with the failed node
-// excluded.
+// register against. Jobs are forwarded over standing /v1/stream sessions,
+// one pool per worker address (streamfwd.go), and over the worker's JSON
+// /jobs API when the worker refuses the upgrade or the job's shape needs
+// it; worker failures are classified by the machine-readable code of the
+// REJECT frame or ErrorJSON body (retryable 429/503 vs permanent 400) and
+// retryable ones re-route to the next ring successor with the failed
+// node excluded.
 type HTTPCoordinator struct {
 	core    *Coordinator
 	mux     *http.ServeMux
@@ -105,6 +116,7 @@ type HTTPCoordinator struct {
 	// Forward-path census: how many assignments rode each transport.
 	streamFwds atomic.Int64
 	jsonFwds   atomic.Int64
+	sessions   sessionPool
 
 	mu     sync.Mutex
 	jobs   map[string]*proxyJob
@@ -195,10 +207,12 @@ func (h *HTTPCoordinator) Handler() http.Handler { return h.mux }
 // Core exposes the scheduling brain (tests, metrics).
 func (h *HTTPCoordinator) Core() *Coordinator { return h.core }
 
-// Close stops the health ticker. In-flight forwards drain on their own.
+// Close stops the health ticker and closes every idle session. In-flight
+// forwards drain on their own and close theirs when they finish.
 func (h *HTTPCoordinator) Close() {
 	close(h.quit)
 	h.wg.Wait()
+	h.sessions.close()
 }
 
 func (h *HTTPCoordinator) tickLoop(every time.Duration) {
@@ -214,6 +228,13 @@ func (h *HTTPCoordinator) tickLoop(every time.Duration) {
 			return
 		case now := <-t.C:
 			h.perform(h.core.Tick(now))
+			// Sessions to an address no registered node has (left, drained,
+			// declared dead, re-joined elsewhere) have no next job.
+			registered := make(map[string]bool)
+			for _, n := range h.core.Nodes() {
+				registered[n.Addr] = true
+			}
+			h.sessions.retain(func(addr string) bool { return registered[addr] })
 		}
 	}
 }
@@ -435,9 +456,10 @@ func (h *HTTPCoordinator) nodesJSON() []NodeJSON {
 	for _, n := range nodes {
 		out = append(out, NodeJSON{
 			ID: n.ID, Addr: n.Addr, Capacity: n.Capacity,
-			State:     n.State.String(),
-			BeatAgeMS: float64(time.Since(n.LastBeat).Microseconds()) / 1000,
-			Stats:     n.Stats,
+			State:        n.State.String(),
+			BeatAgeMS:    float64(time.Since(n.LastBeat).Microseconds()) / 1000,
+			IdleSessions: h.sessions.idleCount(n.Addr),
+			Stats:        n.Stats,
 		})
 	}
 	return out
@@ -453,6 +475,9 @@ func (h *HTTPCoordinator) handleMetrics(w http.ResponseWriter, r *http.Request) 
 		InFlight:          h.core.InFlight(),
 		StreamForwards:    h.streamFwds.Load(),
 		JSONForwards:      h.jsonFwds.Load(),
+		StreamDials:       h.sessions.dials.Load(),
+		StreamReuses:      h.sessions.reuses.Load(),
+		StreamRedials:     h.sessions.redials.Load(),
 		Nodes:             h.nodesJSON(),
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,20 +26,33 @@ const racySrc = `.visible .entry k(.param .u64 out)
 // testFleet is a coordinator plus N real barracudad workers wired up
 // over httptest, with fast heartbeats so failover tests finish quickly.
 type testFleet struct {
-	t       *testing.T
-	coord   *HTTPCoordinator
-	coordTS *httptest.Server
-	workers []*testWorker
+	t         *testing.T
+	coord     *HTTPCoordinator
+	coordTS   *httptest.Server
+	workers   []*testWorker
+	coordOnce sync.Once
 }
+
+// closeCoord closes the coordinator once: a test that needs to observe
+// Close calls it ahead of the cleanup.
+func (f *testFleet) closeCoord() { f.coordOnce.Do(f.coord.Close) }
 
 type testWorker struct {
 	id   string
 	srv  *server.Server
 	ts   *httptest.Server
+	ln   *severingListener // pool_test.go: cuts the coordinator's connections
 	link *WorkerLink
 }
 
+var defaultWorkerOpts = server.SchedulerOptions{Workers: 2, QueueCap: 64, CacheEntries: 8}
+
 func newTestFleet(t *testing.T, n int) *testFleet {
+	t.Helper()
+	return newTestFleetWith(t, n, defaultWorkerOpts)
+}
+
+func newTestFleetWith(t *testing.T, n int, opts server.SchedulerOptions) *testFleet {
 	t.Helper()
 	f := &testFleet{t: t}
 	f.coord = NewHTTPCoordinator(Options{
@@ -48,20 +62,23 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 	f.coordTS = httptest.NewServer(f.coord.Handler())
 	t.Cleanup(func() {
 		f.coordTS.Close()
-		f.coord.Close()
+		f.closeCoord()
 	})
 	for i := 0; i < n; i++ {
-		f.addWorker(fmt.Sprintf("w-%02d", i))
+		f.addWorker(fmt.Sprintf("w-%02d", i), opts)
 	}
 	f.waitNodes(n)
 	return f
 }
 
-func (f *testFleet) addWorker(id string) *testWorker {
+func (f *testFleet) addWorker(id string, opts server.SchedulerOptions) *testWorker {
 	f.t.Helper()
-	srv := server.New(server.SchedulerOptions{Workers: 2, QueueCap: 64, CacheEntries: 8})
-	ts := httptest.NewServer(srv.Handler())
-	w := &testWorker{id: id, srv: srv, ts: ts}
+	srv := server.New(opts)
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ln := &severingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	w := &testWorker{id: id, srv: srv, ts: ts, ln: ln}
 	w.link = StartWorkerLink(f.coordTS.URL, id, ts.URL, srv.Scheduler(),
 		150*time.Millisecond, func(string, ...any) {}) // quiet logs
 	f.workers = append(f.workers, w)

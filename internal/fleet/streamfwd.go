@@ -2,6 +2,10 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
+	"log"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"barracuda/internal/server"
@@ -10,7 +14,7 @@ import (
 
 // Stream forwarding: the coordinator pushes assignments to workers over
 // the binary streaming protocol (internal/wire) instead of JSON POST +
-// long-poll. Two things get cheaper:
+// long-poll. Three things get cheaper:
 //
 //   - Bytes on the wire. The module travels once as framed chunks and
 //     is declared by content hash on every later forward, so a retry —
@@ -22,6 +26,29 @@ import (
 //   - Latency. The terminal summary arrives as a pushed frame the
 //     moment the job finishes, instead of at the next long-poll
 //     boundary.
+//
+//   - Set-up. The connect, the HTTP upgrade and the handshake are paid
+//     once per connection, not once per job: sessions stand.
+//
+// Session lifecycle (diagram in DESIGN.md "Fleet forwarding"): a forward
+// checks a session out of its worker address's idle list, dialing only
+// when the list is empty, and runs one job on it. A SUMMARY or a launch
+// REJECT puts the session back; any other outcome closes it for good.
+// Idle sessions are closed when their address leaves the registry (tick
+// loop), when one of them proves stale, and by HTTPCoordinator.Close.
+//
+// One job per checked-out session: the coordinator never has more
+// forwards in flight on a node than its capacity, and a session goes back
+// on the list before core.Complete/core.Fail frees the slot, so an
+// address's sessions never outnumber its slots and the pool gives a job
+// the latency a multiplexed connection would, without a demultiplexer.
+//
+// A stale idle session is not a node failure: the worker may have
+// restarted, or the connection been cut, since it last carried a job.
+// When a reused session fails before the job's ACCEPT was read, every
+// idle session of that address is dropped, one fresh connection is dialed
+// and the exchange runs again; only that second failure is a failed
+// assignment. After ACCEPT a dead stream is a dead job, as it always was.
 //
 // The JSON path remains the automatic fallback for workers that refuse
 // the upgrade and for job shapes only the JSON surface expresses
@@ -36,9 +63,9 @@ func streamable(req server.JobRequest) bool {
 }
 
 // launchSpec maps the JSON job shape onto the wire launch shape.
-func launchSpec(req server.JobRequest) wire.LaunchSpec {
+func launchSpec(seq uint64, req server.JobRequest) wire.LaunchSpec {
 	return wire.LaunchSpec{
-		Seq:       1,
+		Seq:       seq,
 		Kernel:    req.Kernel,
 		Grid:      req.Grid,
 		Block:     req.Block,
@@ -62,6 +89,146 @@ func wireFailure(err error) (retryable bool, code string) {
 	return true, server.CodeUnavailable
 }
 
+// session is one standing /v1/stream connection to a worker.
+type session struct {
+	*wire.Client
+	seq    uint64 // Seq of the last launch; the next one uses seq+1
+	reused bool   // checked out of the idle list, so possibly stale
+}
+
+// sessionPool holds, per worker address, the sessions no forward is
+// using. The zero value is ready.
+type sessionPool struct {
+	mu     sync.Mutex
+	idle   map[string][]*session
+	closed bool
+
+	dials, reuses, redials atomic.Int64
+}
+
+// checkout takes the most recently used idle session of addr, dialing
+// only when there is none.
+func (p *sessionPool) checkout(addr, apiKey string) (*session, error) {
+	p.mu.Lock()
+	if l := p.idle[addr]; len(l) > 0 {
+		s := l[len(l)-1]
+		p.idle[addr] = l[:len(l)-1]
+		p.mu.Unlock()
+		s.reused = true
+		p.reuses.Add(1)
+		return s, nil
+	}
+	p.mu.Unlock()
+	c, err := wire.Dial(addr, apiKey, 10*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	p.dials.Add(1)
+	return &session{Client: c}, nil
+}
+
+// checkin returns a clean session to the idle list.
+func (p *sessionPool) checkin(addr string, s *session) {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		s.Close()
+		return
+	}
+	if p.idle == nil {
+		p.idle = make(map[string][]*session)
+	}
+	p.idle[addr] = append(p.idle[addr], s)
+	p.mu.Unlock()
+}
+
+// retain closes the idle sessions of every address keep rejects.
+func (p *sessionPool) retain(keep func(addr string) bool) {
+	p.mu.Lock()
+	var drop []*session
+	for addr, l := range p.idle {
+		if !keep(addr) {
+			drop = append(drop, l...)
+			delete(p.idle, addr)
+		}
+	}
+	p.mu.Unlock()
+	for _, s := range drop {
+		s.Close()
+	}
+}
+
+// close empties the pool for good: later checkins close their session.
+func (p *sessionPool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.retain(func(string) bool { return false })
+}
+
+func (p *sessionPool) idleCount(addr string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle[addr])
+}
+
+// exchange is what one job's trip over a session came to.
+type exchange struct {
+	workerID string
+	sum      wire.Summary
+	rej      *wire.Reject // the launch was refused; the session is still clean
+	accepted bool         // ACCEPT was read: the worker holds the job
+	err      error        // the session is unusable
+}
+
+// run uploads (or declares) the job's module, launches it under the
+// session's next Seq and reads events until that launch's SUMMARY or
+// REJECT. Hash-declared upload: a worker that already holds the module
+// (earlier attempt, or ring affinity) answers "have" and the source bytes
+// never leave the coordinator.
+func (s *session) run(req server.JobRequest) (x exchange) {
+	if _, _, x.err = s.UploadModule([]byte(req.PTX)); x.err != nil {
+		x.err = fmt.Errorf("upload: %w", x.err)
+		return x
+	}
+	s.seq++
+	if x.err = s.Launch(launchSpec(s.seq, req)); x.err != nil {
+		x.err = fmt.Errorf("launch: %w", x.err)
+		return x
+	}
+	for {
+		ev, err := s.Next()
+		if err != nil {
+			// The stream died under a live job (worker crash, cut
+			// connection): same treatment as a failed long-poll.
+			x.err = err
+			return x
+		}
+		var seq uint64
+		switch ev.Type {
+		case wire.FAccept:
+			seq, x.workerID, x.accepted = ev.Accept.Seq, ev.Accept.JobID, true
+		case wire.FRace:
+			// Low-latency preview frames; the summary's race table is
+			// authoritative and is what lands in the job result.
+			seq = ev.Race.Seq
+		case wire.FReject:
+			seq, x.rej = ev.Reject.Seq, &ev.Reject
+		case wire.FSummary:
+			seq, x.sum = ev.Summary.Seq, ev.Summary
+		}
+		// One job per checked-out session: a frame of any other launch
+		// means the two ends disagree about the session's state.
+		if seq != s.seq {
+			x.err = fmt.Errorf("%w: frame %#x of launch %d while running launch %d", wire.ErrMalformed, ev.Type, seq, s.seq)
+			return x
+		}
+		if x.rej != nil || ev.Type == wire.FSummary {
+			return x
+		}
+	}
+}
+
 // streamForward pushes one assignment over the wire protocol and sees
 // it through to a terminal outcome. It returns false only when the
 // assignment was not attempted at all — an unstreamable job shape or a
@@ -73,65 +240,53 @@ func (h *HTTPCoordinator) streamForward(a Assignment, pj *proxyJob, node NodeInf
 	if !streamable(req) {
 		return false
 	}
-	c, err := wire.Dial(node.Addr, "fleet:"+a.Node, 10*time.Second)
-	if err != nil {
-		if errors.Is(err, wire.ErrUpgradeRefused) {
-			return false // worker predates the stream endpoint: use JSON
+	apiKey := "fleet:" + a.Node
+	var x exchange
+	s, err := h.sessions.checkout(node.Addr, apiKey)
+	if err == nil {
+		x = s.run(req)
+		if x.err != nil && s.reused && !x.accepted {
+			// Stale, not failed: see the header. The idle siblings are as
+			// old as this one, so they go too, and the checkout dials.
+			log.Printf("fleet: idle session to %s (%s) was stale (%v), redialing", a.Node, node.Addr, x.err)
+			h.sessions.redials.Add(1)
+			s.Close()
+			h.sessions.retain(func(addr string) bool { return addr != node.Addr })
+			if s, err = h.sessions.checkout(node.Addr, apiKey); err == nil {
+				x = s.run(req)
+			}
 		}
+	}
+	switch {
+	case errors.Is(err, wire.ErrUpgradeRefused):
+		return false // worker predates the stream endpoint: use JSON
+	case err != nil:
 		retryable, code := wireFailure(err)
 		h.failAssignment(a, pj, retryable, "stream to "+a.Node+": "+err.Error(), code)
-		return true
-	}
-	defer c.Close()
-
-	// Hash-declared upload: a worker that already holds the module
-	// (earlier attempt, or ring affinity) answers "have" and the source
-	// bytes never leave the coordinator.
-	if _, _, err := c.UploadModule([]byte(req.PTX)); err != nil {
-		retryable, code := wireFailure(err)
-		h.failAssignment(a, pj, retryable, "stream upload to "+a.Node+": "+err.Error(), code)
-		return true
-	}
-	if err := c.Launch(launchSpec(req)); err != nil {
-		h.failAssignment(a, pj, true, "stream launch to "+a.Node+": "+err.Error(), server.CodeUnavailable)
-		return true
-	}
-
-	var workerID string
-	for {
-		ev, err := c.Next()
-		if err != nil {
-			// The stream died under a live job (worker crash, cut
-			// connection): same treatment as a failed long-poll.
-			h.failAssignment(a, pj, true, "stream "+a.Node+": "+err.Error(), server.CodeUnavailable)
-			return true
-		}
-		switch ev.Type {
-		case wire.FAccept:
-			workerID = ev.Accept.JobID
-		case wire.FRace:
-			// Low-latency preview frames; the summary's race table is
-			// authoritative and is what lands in the job result.
-		case wire.FReject:
-			h.failAssignment(a, pj, server.RetryableCode(ev.Reject.Code),
-				"stream "+a.Node+": "+ev.Reject.Msg, ev.Reject.Code)
-			return true
-		case wire.FSummary:
-			sum := ev.Summary
-			c.Bye()
-			info := server.JobInfoFromSummary(workerID, sum)
-			asgs, live := h.core.Complete(a.Node, a.Job.ID, sum.CacheHit)
-			if live {
-				if sum.Status == server.StatusDone {
-					pj.finish(server.StatusDone, "", "", info)
-				} else {
-					// Failed/timeout on a healthy worker: a property of
-					// the job, not the node — no re-route.
-					pj.finish(server.StatusFailed, sum.Error, "", info)
-				}
+	case x.err != nil:
+		s.Close()
+		retryable, code := wireFailure(x.err)
+		h.failAssignment(a, pj, retryable, "stream "+a.Node+": "+x.err.Error(), code)
+	case x.rej != nil:
+		h.sessions.checkin(node.Addr, s)
+		h.failAssignment(a, pj, server.RetryableCode(x.rej.Code),
+			"stream "+a.Node+": "+x.rej.Msg, x.rej.Code)
+	default:
+		// Back on the list before Complete frees the node's slot: the next
+		// forward to this node starts inside Complete and must find it.
+		h.sessions.checkin(node.Addr, s)
+		info := server.JobInfoFromSummary(x.workerID, x.sum)
+		asgs, live := h.core.Complete(a.Node, a.Job.ID, x.sum.CacheHit)
+		if live {
+			if x.sum.Status == server.StatusDone {
+				pj.finish(server.StatusDone, "", "", info)
+			} else {
+				// Failed/timeout on a healthy worker: a property of
+				// the job, not the node — no re-route.
+				pj.finish(server.StatusFailed, x.sum.Error, "", info)
 			}
-			h.perform(asgs)
-			return true
 		}
+		h.perform(asgs)
 	}
+	return true
 }

@@ -18,8 +18,9 @@ import (
 // depth and cache figures. If the coordinator forgets the node (its
 // restart, or a dead-declaration after missed beats), the next beat's
 // 404 triggers an automatic re-join. Job traffic itself arrives through
-// the daemon's normal /jobs API — the coordinator is just another
-// client with routing smarts.
+// the daemon's normal job surfaces (/v1/stream sessions the coordinator
+// keeps open between jobs, /jobs as the fallback) — the coordinator is
+// just another client with routing smarts.
 type WorkerLink struct {
 	coord    string // coordinator base URL
 	id       string

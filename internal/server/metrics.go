@@ -182,6 +182,7 @@ type MetricsJSON struct {
 	QueueDepth    int            `json:"queue_depth"`
 	QueueCapacity int            `json:"queue_capacity"`
 	InFlight      int            `json:"in_flight"`
+	StreamsOpen   int            `json:"streams_open"` // upgraded /v1/stream connections, idle ones included
 	Jobs          JobCounters    `json:"jobs"`
 	Cache         CacheStats     `json:"cache"`
 	Srcs          SrcStoreStats  `json:"srcs"`

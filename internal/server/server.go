@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -37,14 +39,24 @@ type Server struct {
 	sched *Scheduler
 	mux   *http.ServeMux
 	start time.Time
+
+	// Open /v1/stream connections. net/http forgets a connection once it
+	// is hijacked, and a peer that keeps its session open between jobs
+	// (the fleet coordinator) leaves its handler blocked in ReadFrame, so
+	// Close has to end them itself.
+	streamMu   sync.Mutex
+	streams    map[net.Conn]struct{}
+	closed     bool
+	streamsEnd sync.WaitGroup
 }
 
 // New builds a server (and its scheduler/worker pool) from options.
 func New(opts SchedulerOptions) *Server {
 	s := &Server{
-		sched: NewScheduler(opts),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+		sched:   NewScheduler(opts),
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		streams: make(map[net.Conn]struct{}),
 	}
 	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /jobs", s.handleList)
@@ -64,8 +76,43 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Scheduler exposes the service core (tests, benchmarks).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
-// Close stops the worker pool.
-func (s *Server) Close() { s.sched.Stop() }
+// Close stops the worker pool, then closes every open stream and waits
+// for its handler to return. The scheduler goes first: once it has
+// stopped every launch is terminal, so no handler waits on a job.
+func (s *Server) Close() {
+	s.sched.Stop()
+	s.streamMu.Lock()
+	s.closed = true
+	for c := range s.streams {
+		c.Close()
+	}
+	s.streamMu.Unlock()
+	s.streamsEnd.Wait()
+}
+
+// trackStream registers a hijacked connection until the returned func is
+// called; ok is false once the server is closing.
+func (s *Server) trackStream(c net.Conn) (done func(), ok bool) {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
+	if s.closed {
+		return nil, false
+	}
+	s.streams[c] = struct{}{}
+	s.streamsEnd.Add(1)
+	return func() {
+		s.streamMu.Lock()
+		delete(s.streams, c)
+		s.streamMu.Unlock()
+		s.streamsEnd.Done()
+	}, true
+}
+
+func (s *Server) streamsOpen() int {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
+	return len(s.streams)
+}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -184,6 +231,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    s.sched.QueueDepth(),
 		QueueCapacity: s.sched.Options().QueueCap,
 		InFlight:      s.sched.InFlight(),
+		StreamsOpen:   s.streamsOpen(),
 		Jobs:          m.Counters(),
 		Cache:         s.sched.Cache().Stats(),
 		Srcs:          s.sched.Srcs().Stats(),

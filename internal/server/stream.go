@@ -40,6 +40,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeUnavailable, "stream: hijack: "+err.Error())
 		return
 	}
+	done, ok := s.trackStream(conn)
+	if !ok {
+		conn.Close()
+		return
+	}
+	defer done()
 	resp := fmt.Sprintf("HTTP/1.1 101 Switching Protocols\r\nUpgrade: %s\r\nConnection: Upgrade\r\n\r\n",
 		wire.UpgradeHeader)
 	if _, err := conn.Write([]byte(resp)); err != nil {

@@ -268,3 +268,55 @@ func TestStreamModuleHashMismatch(t *testing.T) {
 		t.Fatalf("err = %v, want *wire.FatalError for hash mismatch", err)
 	}
 }
+
+// A peer that keeps its session open between jobs leaves the stream's
+// handler blocked in ReadFrame, on a connection net/http no longer
+// tracks: Server.Close has to end it, and says so on the gauge.
+func TestServerCloseEndsIdleStreams(t *testing.T) {
+	srv, ts := newTestServer(t, SchedulerOptions{Workers: 1})
+	c := dialStream(t, ts.URL, "standing")
+	if _, _, err := c.UploadModule([]byte(racySrc)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Launch(wire.LaunchSpec{Seq: 1, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}}); err != nil {
+		t.Fatal(err)
+	}
+	collect(t, c, 1) // the session has carried a job and is idle again
+	if n := getMetrics(t, ts).StreamsOpen; n != 1 {
+		t.Fatalf("streams_open = %d with one idle session, want 1", n)
+	}
+
+	ended := make(chan error, 1)
+	go func() {
+		_, err := c.Next()
+		ended <- err
+	}()
+	start := time.Now()
+	srv.Close() // returns once the stream's handler has
+	select {
+	case err := <-ended:
+		if err == nil {
+			t.Fatal("Next returned an event on a closed stream")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("idle client still blocked in Next a second after Server.Close")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Server.Close took %v with one idle stream", d)
+	}
+	if n := srv.streamsOpen(); n != 0 {
+		t.Errorf("streams_open = %d after Close, want 0", n)
+	}
+
+	// A stream that arrives after Close is turned away, not left open.
+	host := strings.TrimPrefix(ts.URL, "http://")
+	conn, err := net.Dial("tcp", host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if late, err := wire.Handshake(conn, host, "late"); err == nil {
+		late.Close()
+		t.Error("handshake succeeded against a closed server")
+	}
+}
