@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-sim bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter stress-fleet serve ci fmt-check vet-smoke vet-fix-smoke stress-ownership stress-refine
+.PHONY: all build vet test race bench bench-sim bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter stress-fleet serve ci fmt-check one-forward-path loc vet-smoke vet-fix-smoke stress-ownership stress-refine
 
 all: build vet test
 
@@ -16,6 +16,16 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# The coordinator has one road to a worker, its /v1/stream sessions: a
+# worker /jobs URL built in internal/fleet is the JSON forward grown back.
+one-forward-path:
+	@if grep -nE 'Addr *\+ *"/jobs' internal/fleet/*.go; then \
+		echo "internal/fleet builds a worker /jobs URL: jobs are forwarded over /v1/stream only"; exit 1; fi
+
+# The number ROADMAP item 2 tracks: non-test Go lines outside benchmarks/.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' | xargs cat | wc -l
 
 # The PTX lint pass over the example corpus: clean kernels must produce
 # zero diagnostics, the seeded barrier-divergence bug must be flagged.
@@ -117,18 +127,20 @@ stress-filter:
 
 # The streaming-protocol correctness stress: frame-decoder fuzz corpus
 # regression, then stream-vs-JSON report equivalence over the
-# 66-program bug suite under the Go race detector.
+# 66-program bug suite, a repair launch and an oversize summary under
+# the Go race detector.
 stress-stream:
 	$(GO) test -run 'FuzzFrames|TestDecodeMalformedPayloads|TestRaceStreamRoundTrip|TestSummaryRoundTrip|TestRecordBatchRoundTrip' ./internal/wire/
-	$(GO) test -race -run TestStreamJSONEquivalence ./internal/server/
+	$(GO) test -race -run 'TestStreamJSONEquivalence|StreamRepairLaunch|OversizeSummary' ./internal/server/
 
 # The standing-session stress, repeated under the Go race detector: the
 # coordinator's pool of /v1/stream sessions against cut connections, dead
 # workers, refused launches, membership changes and eight concurrent
-# submitters, the stream-forwarding tests it must not have changed, and
+# submitters, the stream-forwarding tests it must not have changed, bench
+# and repair jobs on the same road, a worker that refuses the upgrade, and
 # the worker closing the idle streams net/http no longer tracks.
 stress-fleet:
-	$(GO) test -race -count=5 -run 'Pooled|StaleSession|PoolClosed|LaunchRejectKeepsSession|StreamForward' ./internal/fleet/
+	$(GO) test -race -count=5 -run 'Pooled|StaleSession|PoolClosed|LaunchRejectKeepsSession|StreamForward|BenchJobRidesTheStream|FleetRunsRepairJobs|StreamForwardFallbackOldWorker' ./internal/fleet/
 	$(GO) test -race -run 'ServerCloseEndsIdleStreams' ./internal/server/
 
 # The multi-queue stress, with real parallelism and under the Go race
@@ -155,4 +167,4 @@ stress-multiqueue:
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321
 
-ci: build vet fmt-check test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter stress-fleet stress-refine fleet-sim
+ci: build vet fmt-check one-forward-path test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter stress-fleet stress-refine fleet-sim

@@ -5,6 +5,7 @@ package main
 //
 //	barracuda -server http://host:8321 -ptx kernel.ptx -kernel k
 //	barracuda -server http://host:8321 -stream -ptx kernel.ptx
+//	barracuda -server http://host:8321 -stream -bench hybridsort
 //
 // Plain -server submits over the JSON API and polls, honoring the
 // server's Retry-After backpressure hints. Adding -stream upgrades to
@@ -65,10 +66,11 @@ func remoteRun(o runOpts, baseURL, apiKey string, stream bool) error {
 		}
 	}
 	if stream {
-		if req.Bench != "" {
-			return fmt.Errorf("-stream carries PTX modules only; drop -stream for -bench jobs")
+		// A bench travels as the PTX it names; resolving needs a known name.
+		if err := req.Validate(0); err != nil {
+			return err
 		}
-		return streamRun(req, baseURL, apiKey, o.verbose)
+		return streamRun(req.Resolved(), baseURL, apiKey, o.verbose)
 	}
 	return pollRun(req, baseURL, apiKey, o.verbose)
 }
@@ -191,17 +193,7 @@ func streamRun(req server.JobRequest, baseURL, apiKey string, verbose bool) erro
 	if verbose && warm {
 		fmt.Fprintln(os.Stderr, "barracuda: module already cached server-side, upload skipped")
 	}
-	spec := wire.LaunchSpec{
-		Seq:       1,
-		Kernel:    req.Kernel,
-		Grid:      req.Grid,
-		Block:     req.Block,
-		WarpSize:  req.WarpSize,
-		MaxInstrs: req.MaxInstrs,
-		Buffers:   req.Buffers,
-		Config:    req.Config,
-	}
-	if err := c.Launch(spec); err != nil {
+	if err := c.Launch(req.LaunchSpec(1)); err != nil {
 		return fmt.Errorf("launch: %w", err)
 	}
 	seen := 0

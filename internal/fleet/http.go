@@ -1,17 +1,13 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"barracuda/internal/bench"
 	"barracuda/internal/server"
 )
 
@@ -65,8 +61,12 @@ type NodeJSON struct {
 }
 
 // FleetJobInfo is the coordinator-side job envelope: where the job is,
-// how often it was retried, and — once terminal — the worker's own
-// JobInfo including the detection result.
+// how often it was retried, and — once terminal — the worker's JobInfo as
+// server.JobInfoFromSummary rebuilds it from the SUMMARY frame, whatever
+// the job's kind: Worker.Result has the digest-covered and headline fields
+// and a repair job's whole report; records, ptvc_formats and the full
+// shadow and filter breakdowns stay zero (README "What a fleet result
+// carries"); the worker's own GET /jobs/{id} has them.
 type FleetJobInfo struct {
 	ID       string          `json:"id"`
 	Status   string          `json:"status"`
@@ -81,7 +81,8 @@ type FleetJobInfo struct {
 // FleetMetricsJSON is the /fleet/metrics body. StreamDials, StreamReuses
 // and StreamRedials say how stream forwards got their session: a fresh
 // connection, one off the idle list, or a fresh one after an idle session
-// proved stale.
+// proved stale. JSONForwards is always 0: there is no JSON forward; the
+// field stays only because benchmarks/e2e reads it (ROADMAP item 1).
 type FleetMetricsJSON struct {
 	UptimeMS          float64    `json:"uptime_ms"`
 	Stats             Stats      `json:"stats"`
@@ -99,23 +100,19 @@ type FleetMetricsJSON struct {
 // HTTPCoordinator is the fleet front-end: it speaks the same job API as
 // a single barracudad (POST /jobs, GET /jobs/{id}) so clients point at
 // the coordinator unchanged, plus the /fleet/* control surface workers
-// register against. Jobs are forwarded over standing /v1/stream sessions,
-// one pool per worker address (streamfwd.go), and over the worker's JSON
-// /jobs API when the worker refuses the upgrade or the job's shape needs
-// it; worker failures are classified by the machine-readable code of the
-// REJECT frame or ErrorJSON body (retryable 429/503 vs permanent 400) and
+// register against. Every job is forwarded over a standing /v1/stream
+// session, one pool per worker address (streamfwd.go); worker failures
+// are classified by the machine-readable code of the REJECT frame
+// (retryable queue_full/unavailable vs permanent invalid_argument) and
 // retryable ones re-route to the next ring successor with the failed
 // node excluded.
 type HTTPCoordinator struct {
 	core    *Coordinator
 	mux     *http.ServeMux
-	client  *http.Client
 	start   time.Time
 	maxJobs int
 
-	// Forward-path census: how many assignments rode each transport.
-	streamFwds atomic.Int64
-	jsonFwds   atomic.Int64
+	streamFwds atomic.Int64 // assignments forwarded
 	sessions   sessionPool
 
 	mu     sync.Mutex
@@ -132,7 +129,7 @@ type proxyJob struct {
 	fj *Job
 
 	mu      sync.Mutex
-	reqCopy server.JobRequest // the original submission, re-sent on each forward; dropped once terminal
+	reqCopy server.JobRequest // the resolved submission, re-sent on each forward; dropped once terminal
 	status  string
 	node    string
 	errMsg  string
@@ -179,7 +176,6 @@ func NewHTTPCoordinator(opt Options) *HTTPCoordinator {
 	h := &HTTPCoordinator{
 		core:    NewCoordinator(opt),
 		mux:     http.NewServeMux(),
-		client:  &http.Client{Timeout: 30 * time.Second},
 		start:   time.Now(),
 		maxJobs: opt.MaxJobs,
 		jobs:    make(map[string]*proxyJob),
@@ -246,81 +242,12 @@ func (h *HTTPCoordinator) perform(asgs []Assignment) {
 	}
 }
 
-// forward pushes one assignment to its worker and sees it through to a
-// terminal state, reporting the outcome back to the scheduling core.
-func (h *HTTPCoordinator) forward(a Assignment) {
-	pj := a.Job.Payload.(*proxyJob)
-	node, ok := h.core.Node(a.Node)
-	if !ok {
-		// Node vanished between dispatch and forward (declared dead):
-		// fail retryable so the job re-routes.
-		h.failAssignment(a, pj, true, "node "+a.Node+" disappeared", server.CodeUnavailable)
-		return
-	}
-	pj.mu.Lock()
-	pj.status = server.StatusRunning
-	pj.node = a.Node
-	pj.mu.Unlock()
-
-	req := pj.fjRequest()
-	if h.streamForward(a, pj, node, req) {
-		h.streamFwds.Add(1)
-		return
-	}
-	h.jsonFwds.Add(1)
-	body, _ := json.Marshal(req)
-	resp, err := h.client.Post(node.Addr+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		h.failAssignment(a, pj, true, "forward to "+a.Node+": "+err.Error(), server.CodeUnavailable)
-		return
-	}
-	var accepted server.JobInfo
-	if code, errJSON := decodeOrError(resp, &accepted); errJSON != nil {
-		retryable := server.RetryableCode(errJSON.Code) || code >= 500
-		h.failAssignment(a, pj, retryable, errJSON.Error, errJSON.Code)
-		return
-	}
-
-	// Long-poll the worker until the job is terminal.
-	for {
-		resp, err := h.client.Get(node.Addr + "/jobs/" + accepted.ID + "?wait_ms=2000")
-		if err != nil {
-			h.failAssignment(a, pj, true, "poll "+a.Node+": "+err.Error(), server.CodeUnavailable)
-			return
-		}
-		var info server.JobInfo
-		if _, errJSON := decodeOrError(resp, &info); errJSON != nil {
-			// The worker forgot the job (restart): retry elsewhere.
-			h.failAssignment(a, pj, true, errJSON.Error, errJSON.Code)
-			return
-		}
-		switch info.Status {
-		case server.StatusDone:
-			asgs, live := h.core.Complete(a.Node, a.Job.ID, info.CacheHit)
-			if live {
-				pj.finish(server.StatusDone, "", "", &info)
-			}
-			h.perform(asgs)
-			return
-		case server.StatusFailed, server.StatusTimeout:
-			// The job itself failed on a healthy worker — a property of
-			// the job, not the node. Free the slot without re-routing.
-			asgs, live := h.core.Complete(a.Node, a.Job.ID, info.CacheHit)
-			if live {
-				pj.finish(server.StatusFailed, info.Error, "", &info)
-			}
-			h.perform(asgs)
-			return
-		}
-	}
-}
-
 func (h *HTTPCoordinator) failAssignment(a Assignment, pj *proxyJob, retryable bool, msg, code string) {
 	asgs, outcome := h.core.Fail(a.Node, a.Job.ID, retryable)
 	switch outcome {
 	case FailStale:
 		// This attempt was superseded: the node was declared dead while
-		// the forward was stuck (a poll can outlive DeadAfter) and the
+		// the forward was stuck (a launch can outlive DeadAfter) and the
 		// job already requeued. The live attempt owns pj — touching it
 		// here would fail a job that is still running, or even done,
 		// elsewhere.
@@ -338,91 +265,40 @@ func (h *HTTPCoordinator) failAssignment(a Assignment, pj *proxyJob, retryable b
 	h.perform(asgs)
 }
 
-// fjRequest returns the original JobRequest for forwarding.
-func (p *proxyJob) fjRequest() server.JobRequest {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reqCopy
-}
-
-func decodeOrError(resp *http.Response, into any) (int, *server.ErrorJSON) {
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var e server.ErrorJSON
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-			e.Error = resp.Status
-		}
-		if e.Code == "" {
-			switch resp.StatusCode {
-			case http.StatusTooManyRequests:
-				e.Code = server.CodeQueueFull
-			case http.StatusNotFound:
-				e.Code = server.CodeNotFound
-			case http.StatusBadRequest:
-				e.Code = server.CodeInvalidArgument
-			default:
-				e.Code = server.CodeUnavailable
-			}
-		}
-		return resp.StatusCode, &e
-	}
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-		return resp.StatusCode, &server.ErrorJSON{Error: "bad response body: " + err.Error(), Code: server.CodeUnavailable}
-	}
-	return resp.StatusCode, nil
-}
-
-const maxBodyBytes = 16 << 20
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, server.ErrorJSON{Error: msg, Code: code})
-}
-
 func (h *HTTPCoordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, server.CodeInvalidArgument, "bad request body: "+err.Error())
+	if !server.DecodeBody(w, r, &req, false) {
 		return
 	}
 	if req.ID == "" || req.Addr == "" {
-		writeError(w, http.StatusBadRequest, server.CodeInvalidArgument, `join: fields "id" and "addr" are required`)
+		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidArgument, `join: fields "id" and "addr" are required`)
 		return
 	}
 	h.perform(h.core.Join(req.ID, req.Addr, req.Capacity, time.Now()))
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (h *HTTPCoordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, server.CodeInvalidArgument, "bad request body: "+err.Error())
+	if !server.DecodeBody(w, r, &req, false) {
 		return
 	}
 	known, asgs := h.core.Heartbeat(req.ID, req.Stats, time.Now())
 	if !known {
-		writeError(w, http.StatusNotFound, server.CodeNotFound, "heartbeat: unknown node "+req.ID+" (re-join)")
+		server.WriteError(w, http.StatusNotFound, server.CodeNotFound, "heartbeat: unknown node "+req.ID+" (re-join)")
 		return
 	}
 	h.perform(asgs)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (h *HTTPCoordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req LeaveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, server.CodeInvalidArgument, "bad request body: "+err.Error())
+	if !server.DecodeBody(w, r, &req, false) {
 		return
 	}
 	h.perform(h.core.Leave(req.ID))
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleDrain starts or polls a graceful drain. The first call marks
@@ -433,21 +309,20 @@ func (h *HTTPCoordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 // the success signal (the coordinator already removed the node).
 func (h *HTTPCoordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req DrainRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, server.CodeInvalidArgument, "bad request body: "+err.Error())
+	if !server.DecodeBody(w, r, &req, false) {
 		return
 	}
 	asgs, inflight, known := h.core.Drain(req.ID, time.Now())
 	h.perform(asgs)
 	if !known {
-		writeError(w, http.StatusNotFound, server.CodeNotFound, "drain: unknown node "+req.ID)
+		server.WriteError(w, http.StatusNotFound, server.CodeNotFound, "drain: unknown node "+req.ID)
 		return
 	}
-	writeJSON(w, http.StatusOK, DrainResponse{InFlight: inflight, Removed: inflight == 0})
+	server.WriteJSON(w, http.StatusOK, DrainResponse{InFlight: inflight, Removed: inflight == 0})
 }
 
 func (h *HTTPCoordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.nodesJSON())
+	server.WriteJSON(w, http.StatusOK, h.nodesJSON())
 }
 
 func (h *HTTPCoordinator) nodesJSON() []NodeJSON {
@@ -467,14 +342,13 @@ func (h *HTTPCoordinator) nodesJSON() []NodeJSON {
 
 func (h *HTTPCoordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	qi, qb := h.core.QueueDepths()
-	writeJSON(w, http.StatusOK, FleetMetricsJSON{
+	server.WriteJSON(w, http.StatusOK, FleetMetricsJSON{
 		UptimeMS:          float64(time.Since(h.start).Microseconds()) / 1000,
 		Stats:             h.core.Stats(),
 		QueuedInteractive: qi,
 		QueuedBatch:       qb,
 		InFlight:          h.core.InFlight(),
 		StreamForwards:    h.streamFwds.Load(),
-		JSONForwards:      h.jsonFwds.Load(),
 		StreamDials:       h.sessions.dials.Load(),
 		StreamReuses:      h.sessions.reuses.Load(),
 		StreamRedials:     h.sessions.redials.Load(),
@@ -483,7 +357,7 @@ func (h *HTTPCoordinator) handleMetrics(w http.ResponseWriter, r *http.Request) 
 }
 
 func (h *HTTPCoordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"uptime_ms": float64(time.Since(h.start).Microseconds()) / 1000,
 		"nodes":     h.core.Routable(),
@@ -492,16 +366,13 @@ func (h *HTTPCoordinator) handleHealthz(w http.ResponseWriter, r *http.Request) 
 
 func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req server.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, server.CodeInvalidArgument, "bad request body: "+err.Error())
+	if !server.DecodeBody(w, r, &req, true) {
 		return
 	}
 	// Shape-validate here so permanent 400s never consume a dispatch;
 	// each worker still enforces its own buffer cap.
 	if err := req.Validate(0); err != nil {
-		writeError(w, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
 		return
 	}
 	// Repair jobs run many verification launches: always batch-class,
@@ -509,11 +380,9 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Kind == server.KindRepair {
 		req.Class = server.ClassBatch
 	}
-	src := req.PTX
-	if req.Bench != "" {
-		src = bench.ByName(req.Bench).PTX()
-	}
-	key := server.CacheKey(src, req.Config)
+	// A bench job is keyed, stored and forwarded as the PTX job it names.
+	req = req.Resolved()
+	key := server.CacheKey(req.PTX, req.Config)
 
 	h.mu.Lock()
 	h.nextID++
@@ -530,16 +399,16 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if errors.Is(err, ErrNoNodes) {
 		h.dropJob(id)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, server.CodeUnavailable, err.Error())
+		server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable, err.Error())
 		return
 	}
 	if err != nil {
 		h.dropJob(id)
-		writeError(w, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
 		return
 	}
 	h.perform(asgs)
-	writeJSON(w, http.StatusAccepted, pj.info())
+	server.WriteJSON(w, http.StatusAccepted, pj.info())
 }
 
 // dropJob rolls a failed submission back out of the job table. It must
@@ -584,7 +453,7 @@ func (h *HTTPCoordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	h.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (h *HTTPCoordinator) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -592,15 +461,9 @@ func (h *HTTPCoordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	pj, ok := h.jobs[r.PathValue("id")]
 	h.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, server.CodeNotFound, "no such job")
+		server.WriteError(w, http.StatusNotFound, server.CodeNotFound, "no such job")
 		return
 	}
-	if ms, _ := strconv.Atoi(r.URL.Query().Get("wait_ms")); ms > 0 {
-		select {
-		case <-pj.done:
-		case <-time.After(time.Duration(ms) * time.Millisecond):
-		case <-r.Context().Done():
-		}
-	}
-	writeJSON(w, http.StatusOK, pj.info())
+	server.WaitDone(r, pj.done)
+	server.WriteJSON(w, http.StatusOK, pj.info())
 }

@@ -330,13 +330,7 @@ func TestFleetControlEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %+v", hz)
 	}
 
-	resp, err = http.Get(f.coordTS.URL + "/fleet/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m FleetMetricsJSON
-	json.NewDecoder(resp.Body).Decode(&m)
-	resp.Body.Close()
+	m := f.metrics()
 	if len(m.Nodes) != 2 {
 		t.Fatalf("metrics nodes = %d, want 2", len(m.Nodes))
 	}
@@ -463,7 +457,7 @@ func TestJobHistoryBounded(t *testing.T) {
 	}
 
 	done := add("fjob-1", true)
-	if got := done.fjRequest(); got.PTX != "" {
+	if done.reqCopy.PTX != "" {
 		t.Fatal("terminal job still retains its PTX payload")
 	}
 	add("fjob-2", true)

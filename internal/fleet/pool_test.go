@@ -145,15 +145,7 @@ func TestPooledSessionSurvivesSeveredConnection(t *testing.T) {
 		t.Error("the redialed job reported differently")
 	}
 	// As an operator reads it.
-	resp, err := http.Get(f.coordTS.URL + "/fleet/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m FleetMetricsJSON
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := f.metrics()
 	if m.StreamDials != 2 || m.StreamReuses != 1 || m.StreamRedials != 1 {
 		t.Errorf("dials %d, reuses %d, redials %d, want 2, 1 and 1",
 			m.StreamDials, m.StreamReuses, m.StreamRedials)

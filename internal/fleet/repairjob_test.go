@@ -75,6 +75,10 @@ func TestFleetRunsRepairJobs(t *testing.T) {
 		t.Error("warm repair verdicts differ from cold")
 	}
 
+	if m := f.metrics(); m.StreamForwards != 2 || m.JSONForwards != 0 {
+		t.Errorf("stream_forwards %d, json_forwards %d, want 2 and 0", m.StreamForwards, m.JSONForwards)
+	}
+
 	// Malformed kinds are rejected at the coordinator, consuming no
 	// dispatch attempts.
 	code, _, errj = f.submit(server.JobRequest{PTX: lostUpdateSrc, Kind: "optimize"})

@@ -12,23 +12,14 @@ import (
 	"barracuda/internal/wire"
 )
 
-// Stream forwarding: the coordinator pushes assignments to workers over
-// the binary streaming protocol (internal/wire) instead of JSON POST +
-// long-poll. Three things get cheaper:
-//
-//   - Bytes on the wire. The module travels once as framed chunks and
-//     is declared by content hash on every later forward, so a retry —
-//     or any job ring-routed to a worker that already holds the module
-//     in its source store — skips the PTX transfer entirely and
-//     re-streams from the worker's cache. The JSON path re-sends the
-//     full base64-free but still verbatim source on every attempt.
-//
-//   - Latency. The terminal summary arrives as a pushed frame the
-//     moment the job finishes, instead of at the next long-poll
-//     boundary.
-//
-//   - Set-up. The connect, the HTTP upgrade and the handshake are paid
-//     once per connection, not once per job: sessions stand.
+// Stream forwarding: the coordinator pushes every assignment — detect,
+// bench (resolved to its PTX at submit) and repair — to its worker over
+// the binary streaming protocol (internal/wire). The module travels once
+// as framed chunks and is declared by content hash on every later
+// forward, so a retry — or any job ring-routed to a worker that already
+// holds the module in its source store — skips the PTX transfer; the
+// terminal summary is a pushed frame; and the connect, the HTTP upgrade
+// and the handshake are paid once per connection: sessions stand.
 //
 // Session lifecycle (diagram in DESIGN.md "Fleet forwarding"): a forward
 // checks a session out of its worker address's idle list, dialing only
@@ -50,37 +41,12 @@ import (
 // and the exchange runs again; only that second failure is a failed
 // assignment. After ACCEPT a dead stream is a dead job, as it always was.
 //
-// The JSON path remains the automatic fallback for workers that refuse
-// the upgrade and for job shapes only the JSON surface expresses
-// (benchmark modules, repair loops, oversize modules).
+// A worker that refuses the upgrade is a failed node: the dial error is
+// retryable like any other, and the job walks the ring without it.
 
-// streamable reports whether a job can travel the wire protocol at all.
-// Bench jobs resolve their module worker-side and repair jobs return a
-// RepairReport; neither fits a LaunchSpec, so they ride the JSON path.
-func streamable(req server.JobRequest) bool {
-	return req.Bench == "" && req.Kind != server.KindRepair &&
-		len(req.PTX) <= wire.MaxModule
-}
-
-// launchSpec maps the JSON job shape onto the wire launch shape.
-func launchSpec(seq uint64, req server.JobRequest) wire.LaunchSpec {
-	return wire.LaunchSpec{
-		Seq:       seq,
-		Kernel:    req.Kernel,
-		Grid:      req.Grid,
-		Block:     req.Block,
-		WarpSize:  req.WarpSize,
-		TimeoutMS: req.TimeoutMS,
-		MaxInstrs: req.MaxInstrs,
-		Buffers:   req.Buffers,
-		Config:    req.Config,
-	}
-}
-
-// wireFailure classifies a mid-stream error the way decodeOrError
-// classifies a JSON error body: rejects carry their own machine code,
-// everything else (dead connection, protocol violation) is a node
-// problem worth retrying elsewhere.
+// wireFailure classifies a dial or mid-stream error: rejects carry their
+// own machine code, everything else (dead connection, refused upgrade,
+// protocol violation) is a node problem worth retrying elsewhere.
 func wireFailure(err error) (retryable bool, code string) {
 	var rej *wire.RejectError
 	if errors.As(err, &rej) {
@@ -192,7 +158,7 @@ func (s *session) run(req server.JobRequest) (x exchange) {
 		return x
 	}
 	s.seq++
-	if x.err = s.Launch(launchSpec(s.seq, req)); x.err != nil {
+	if x.err = s.Launch(req.LaunchSpec(s.seq)); x.err != nil {
 		x.err = fmt.Errorf("launch: %w", x.err)
 		return x
 	}
@@ -200,7 +166,7 @@ func (s *session) run(req server.JobRequest) (x exchange) {
 		ev, err := s.Next()
 		if err != nil {
 			// The stream died under a live job (worker crash, cut
-			// connection): same treatment as a failed long-poll.
+			// connection).
 			x.err = err
 			return x
 		}
@@ -229,17 +195,25 @@ func (s *session) run(req server.JobRequest) (x exchange) {
 	}
 }
 
-// streamForward pushes one assignment over the wire protocol and sees
-// it through to a terminal outcome. It returns false only when the
-// assignment was not attempted at all — an unstreamable job shape or a
-// worker that refused the upgrade — and the caller should forward over
-// JSON instead. In every other case the assignment's fate is settled
-// here (completed, permanently failed, or requeued for retry) and the
-// JSON path must not run.
-func (h *HTTPCoordinator) streamForward(a Assignment, pj *proxyJob, node NodeInfo, req server.JobRequest) bool {
-	if !streamable(req) {
-		return false
+// forward pushes one assignment to its worker over a pooled session and
+// sees it through to a terminal state — completed, permanently failed, or
+// requeued for retry — reporting the outcome back to the scheduling core.
+func (h *HTTPCoordinator) forward(a Assignment) {
+	pj := a.Job.Payload.(*proxyJob)
+	node, ok := h.core.Node(a.Node)
+	if !ok {
+		// Node vanished between dispatch and forward (declared dead):
+		// fail retryable so the job re-routes.
+		h.failAssignment(a, pj, true, "node "+a.Node+" disappeared", server.CodeUnavailable)
+		return
 	}
+	pj.mu.Lock()
+	pj.status = server.StatusRunning
+	pj.node = a.Node
+	req := pj.reqCopy
+	pj.mu.Unlock()
+	h.streamFwds.Add(1)
+
 	apiKey := "fleet:" + a.Node
 	var x exchange
 	s, err := h.sessions.checkout(node.Addr, apiKey)
@@ -258,8 +232,6 @@ func (h *HTTPCoordinator) streamForward(a Assignment, pj *proxyJob, node NodeInf
 		}
 	}
 	switch {
-	case errors.Is(err, wire.ErrUpgradeRefused):
-		return false // worker predates the stream endpoint: use JSON
 	case err != nil:
 		retryable, code := wireFailure(err)
 		h.failAssignment(a, pj, retryable, "stream to "+a.Node+": "+err.Error(), code)
@@ -288,5 +260,4 @@ func (h *HTTPCoordinator) streamForward(a Assignment, pj *proxyJob, node NodeInf
 		}
 		h.perform(asgs)
 	}
-	return true
 }

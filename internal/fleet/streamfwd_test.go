@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"barracuda/internal/bench"
 	"barracuda/internal/server"
 	"barracuda/internal/wire"
 )
@@ -27,9 +30,42 @@ func TestStreamForwardEndToEnd(t *testing.T) {
 	if n := f.coord.streamFwds.Load(); n == 0 {
 		t.Fatal("job completed without a stream forward")
 	}
-	if n := f.coord.jsonFwds.Load(); n != 0 {
-		t.Fatalf("streamable job fell back to JSON %d times", n)
+	if m := f.metrics(); m.JSONForwards != 0 {
+		t.Fatalf("json_forwards = %d: there is no JSON forward", m.JSONForwards)
 	}
+}
+
+// metrics reads /fleet/metrics as an operator does.
+func (f *testFleet) metrics() FleetMetricsJSON {
+	f.t.Helper()
+	resp, err := http.Get(f.coordTS.URL + "/fleet/metrics")
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m FleetMetricsJSON
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		f.t.Fatal(err)
+	}
+	return m
+}
+
+// racyJobFor is racyJob with a module comment chosen so that the ring's
+// primary for the job is the given node.
+func (f *testFleet) racyJobFor(node string) server.JobRequest {
+	f.t.Helper()
+	req := racyJob()
+	for i := 0; i < 10_000; i++ {
+		req.PTX = fmt.Sprintf("%s\n// aimed %d", racySrc, i)
+		f.coord.core.mu.Lock()
+		primary := f.coord.core.ring.Primary(server.CacheKey(req.PTX, req.Config))
+		f.coord.core.mu.Unlock()
+		if primary == node {
+			return req
+		}
+	}
+	f.t.Fatalf("no module variant has %s as its ring primary", node)
+	return req
 }
 
 // TestStreamForwardWarmRepeat: a second submission of the same module
@@ -57,24 +93,14 @@ func TestStreamForwardWarmRepeat(t *testing.T) {
 	}
 }
 
-// TestStreamForwardFallbackOldWorker: a worker whose /v1/stream does
-// not exist (pre-protocol daemon) still gets jobs — the refused upgrade
-// drops that forward to the JSON path.
+// TestStreamForwardFallbackOldWorker: there is no fallback. A worker
+// whose /v1/stream answers 404 is a failed node for the job — what a dead
+// listener is: with no other node the job waits, queued, with that node
+// excluded, and runs as soon as a healthy worker joins; with a healthy node
+// on the ring the job's second attempt lands there.
 func TestStreamForwardFallbackOldWorker(t *testing.T) {
-	f := &testFleet{t: t}
-	f.coord = NewHTTPCoordinator(Options{
-		SuspectAfter: 400 * time.Millisecond,
-		DeadAfter:    1200 * time.Millisecond,
-	})
-	f.coordTS = httptest.NewServer(f.coord.Handler())
-	t.Cleanup(func() {
-		f.coordTS.Close()
-		f.coord.Close()
-	})
-
-	// Wrap a real worker so the stream endpoint answers like an old
-	// daemon (404, no upgrade) while the JSON surface works.
-	srv := server.New(server.SchedulerOptions{Workers: 2, QueueCap: 64, CacheEntries: 8})
+	f := newTestFleet(t, 0)
+	srv := server.New(defaultWorkerOpts)
 	t.Cleanup(srv.Close)
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, wire.StreamPath) {
@@ -89,19 +115,85 @@ func TestStreamForwardFallbackOldWorker(t *testing.T) {
 	t.Cleanup(link.Close)
 	f.waitNodes(1)
 
+	// Alone: one failed attempt, then nowhere to go.
 	code, info, errj := f.submit(racyJob())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %+v", code, errj)
 	}
+	f.coord.mu.Lock()
+	pj := f.coord.jobs[info.ID]
+	f.coord.mu.Unlock()
+	if !within(5*time.Second, func() bool {
+		got := pj.info()
+		return got.Status == server.StatusQueued && got.Attempts == 1
+	}) {
+		t.Fatalf("job after the refused upgrade: %+v, want queued after 1 attempt", pj.info())
+	}
+	if ex := pj.fj.Excluded(); len(ex) != 1 || ex[0] != "w-old" {
+		t.Fatalf("excluded = %v, want [w-old]", ex)
+	}
+	f.addWorker("w-new", defaultWorkerOpts)
 	done := f.wait(info.ID)
-	if done.Status != server.StatusDone {
-		t.Fatalf("job: %+v", done)
+	if done.Status != server.StatusDone || done.Node != "w-new" || done.Attempts != 2 {
+		t.Fatalf("after a healthy worker joined: %+v, want done on w-new at attempt 2", done)
 	}
 	if done.Worker == nil || done.Worker.Result == nil || done.Worker.Result.RaceCount == 0 {
-		t.Fatalf("fallback result missing races: %+v", done.Worker)
+		t.Fatalf("result missing races: %+v", done.Worker)
 	}
-	if n := f.coord.jsonFwds.Load(); n == 0 {
-		t.Fatal("refused upgrade did not fall back to JSON")
+
+	// Beside a healthy node: the job walks the ring past its primary.
+	retries := f.coord.Core().Stats().Retries
+	done = f.run(f.racyJobFor("w-old"))
+	if done.Status != server.StatusDone || done.Node != "w-new" || done.Attempts != 2 {
+		t.Fatalf("job keyed to w-old: %+v, want done on w-new at attempt 2", done)
+	}
+	if got := f.coord.Core().Stats().Retries - retries; got != 1 {
+		t.Errorf("retries = %d, want 1", got)
+	}
+	if m := f.metrics(); m.JSONForwards != 0 || m.Stats.FailedPerm != 0 {
+		t.Errorf("json_forwards %d, failed_perm %d, want 0 and 0", m.JSONForwards, m.Stats.FailedPerm)
+	}
+}
+
+// TestFleetBenchJobRidesTheStream: a benchmark-by-name job is resolved at
+// the coordinator and travels as the PTX upload it is — same report as the
+// same request on a lone worker, hash-skipped on the repeat.
+func TestFleetBenchJobRidesTheStream(t *testing.T) {
+	small := bench.All()[0]
+	for _, b := range bench.All() {
+		if b.Threads() < small.Threads() {
+			small = b
+		}
+	}
+	req := server.JobRequest{Bench: small.Name}
+
+	lone := server.New(defaultWorkerOpts)
+	t.Cleanup(lone.Close)
+	job, err := lone.Scheduler().Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	info := job.Info()
+	want := digest(t, FleetJobInfo{Status: info.Status, Worker: &info})
+
+	f := newTestFleet(t, 2)
+	first := f.run(req)
+	if got := digest(t, first); got != want {
+		t.Errorf("fleet digest differs from the lone worker's:\n got %s\nwant %s", got, want)
+	}
+	if first.Worker.Result.Kernel != "main" {
+		t.Errorf("kernel = %q, want the benchmark's main", first.Worker.Result.Kernel)
+	}
+	second := f.run(req)
+	if second.Node != first.Node || digest(t, second) != want {
+		t.Errorf("repeat ran on %s (first on %s) or reported differently", second.Node, first.Node)
+	}
+	if st := f.worker(first.Node).srv.Scheduler().Srcs().Stats(); st.Hits == 0 {
+		t.Errorf("repeat upload was not skipped: %+v", st)
+	}
+	if m := f.metrics(); m.JSONForwards != 0 || m.StreamForwards != 2 {
+		t.Errorf("json_forwards %d, stream_forwards %d, want 0 and 2", m.JSONForwards, m.StreamForwards)
 	}
 }
 

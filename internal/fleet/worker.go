@@ -18,9 +18,8 @@ import (
 // depth and cache figures. If the coordinator forgets the node (its
 // restart, or a dead-declaration after missed beats), the next beat's
 // 404 triggers an automatic re-join. Job traffic itself arrives through
-// the daemon's normal job surfaces (/v1/stream sessions the coordinator
-// keeps open between jobs, /jobs as the fallback) — the coordinator is
-// just another client with routing smarts.
+// the daemon's /v1/stream, on sessions the coordinator keeps open between
+// jobs — the coordinator is just another client with routing smarts.
 type WorkerLink struct {
 	coord    string // coordinator base URL
 	id       string

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"barracuda/internal/bench"
 	"barracuda/internal/detector"
 	"barracuda/internal/instrument"
 	"barracuda/internal/staticanalysis"
@@ -24,14 +23,8 @@ type AnalyzeRequest struct {
 // Validate checks the payload shape; the server maps errors to 400.
 // Like JobRequest.Validate, every error names the offending JSON field.
 func (r *AnalyzeRequest) Validate() error {
-	switch {
-	case r.PTX == "" && r.Bench == "":
-		return fmt.Errorf("analyze: field \"ptx\"/\"bench\": exactly one must be set, got neither")
-	case r.PTX != "" && r.Bench != "":
-		return fmt.Errorf("analyze: field \"ptx\"/\"bench\": exactly one must be set, got both")
-	}
-	if r.Bench != "" && bench.ByName(r.Bench) == nil {
-		return fmt.Errorf("analyze: field \"bench\": unknown benchmark %q", r.Bench)
+	if err := checkModule("analyze", r.PTX, r.Bench); err != nil {
+		return err
 	}
 	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("analyze: field \"config\": %w", err)
@@ -94,11 +87,7 @@ func (s *Scheduler) Analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	src := req.PTX
-	if req.Bench != "" {
-		src = bench.ByName(req.Bench).PTX()
-	}
-	lease, _, err := s.cache.Acquire(src, req.Config)
+	lease, _, err := s.cache.Acquire(moduleSource(req.PTX, req.Bench), req.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ import (
 	"barracuda/internal/logging"
 	"barracuda/internal/shadow"
 	"barracuda/internal/vc"
+	"barracuda/internal/wire"
 )
 
 // JobRequest is one detection job submission (POST /jobs). Exactly one
@@ -82,20 +83,11 @@ const (
 // Every error names the offending JSON field so clients (and the fleet
 // coordinator) can report precisely what to fix.
 func (r *JobRequest) Validate(maxBufferBytes int64) error {
-	switch {
-	case r.PTX == "" && r.Bench == "":
-		return fmt.Errorf("job: field \"ptx\"/\"bench\": exactly one must be set, got neither")
-	case r.PTX != "" && r.Bench != "":
-		return fmt.Errorf("job: field \"ptx\"/\"bench\": exactly one must be set, got both")
+	if err := checkModule("job", r.PTX, r.Bench); err != nil {
+		return err
 	}
-	if r.Bench != "" && bench.ByName(r.Bench) == nil {
-		return fmt.Errorf("job: field \"bench\": unknown benchmark %q", r.Bench)
-	}
-	if r.Grid < 0 {
-		return fmt.Errorf("job: field \"grid\": must be >= 0, got %d", r.Grid)
-	}
-	if r.Block < 0 {
-		return fmt.Errorf("job: field \"block\": must be >= 0, got %d", r.Block)
+	if err := checkLaunch("job", r.Grid, r.Block, r.Buffers, maxBufferBytes); err != nil {
+		return err
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("job: field \"timeout_ms\": must be >= 0, got %d", r.TimeoutMS)
@@ -109,20 +101,110 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 	if r.Kind != "" && r.Kind != KindDetect && r.Kind != KindRepair {
 		return fmt.Errorf("job: field \"kind\": must be %q or %q, got %q", KindDetect, KindRepair, r.Kind)
 	}
-	var total int64
-	for i, b := range r.Buffers {
-		if b < 0 {
-			return fmt.Errorf("job: field \"buffers[%d]\": must be >= 0, got %d", i, b)
-		}
-		total += int64(b)
-	}
-	if maxBufferBytes > 0 && total > maxBufferBytes {
-		return fmt.Errorf("job: field \"buffers\": total %d bytes exceeds the server limit %d", total, maxBufferBytes)
-	}
 	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("job: field \"config\": %w", err)
 	}
 	return nil
+}
+
+// checkLaunch is the launch clause of a job's and a repair's Validate:
+// extents and buffer sizes non-negative, the buffers within the cap.
+func checkLaunch(prefix string, grid, block int, buffers []int, maxBufferBytes int64) error {
+	if grid < 0 {
+		return fmt.Errorf("%s: field \"grid\": must be >= 0, got %d", prefix, grid)
+	}
+	if block < 0 {
+		return fmt.Errorf("%s: field \"block\": must be >= 0, got %d", prefix, block)
+	}
+	var total int64
+	for i, b := range buffers {
+		if b < 0 {
+			return fmt.Errorf("%s: field \"buffers[%d]\": must be >= 0, got %d", prefix, i, b)
+		}
+		total += int64(b)
+	}
+	if maxBufferBytes > 0 && total > maxBufferBytes {
+		return fmt.Errorf("%s: field \"buffers\": total %d bytes exceeds the server limit %d", prefix, total, maxBufferBytes)
+	}
+	return nil
+}
+
+// checkModule is the module clause of every request's Validate: exactly
+// one of ptx and bench, and a bench that exists.
+func checkModule(prefix, ptx, benchName string) error {
+	switch {
+	case ptx == "" && benchName == "":
+		return fmt.Errorf("%s: field \"ptx\"/\"bench\": exactly one must be set, got neither", prefix)
+	case ptx != "" && benchName != "":
+		return fmt.Errorf("%s: field \"ptx\"/\"bench\": exactly one must be set, got both", prefix)
+	case benchName != "" && bench.ByName(benchName) == nil:
+		return fmt.Errorf("%s: field \"bench\": unknown benchmark %q", prefix, benchName)
+	}
+	return nil
+}
+
+// moduleSource is the PTX a request that passed checkModule names.
+func moduleSource(ptx, benchName string) string {
+	if benchName != "" {
+		return bench.ByName(benchName).PTX()
+	}
+	return ptx
+}
+
+// Resolved returns a validated request with its benchmark name, if any,
+// replaced by what the name stands for: the generated source, kernel
+// "main", and the benchmark's own geometry and buffers wherever the
+// request set none. It is the identity on a PTX request. The scheduler
+// and the fleet coordinator both call it, so a bench job is keyed,
+// stored and forwarded as the PTX job it is.
+func (r JobRequest) Resolved() JobRequest {
+	if r.Bench == "" {
+		return r
+	}
+	b := bench.ByName(r.Bench)
+	r.PTX, r.Bench = b.PTX(), ""
+	if r.Kernel == "" {
+		r.Kernel = "main"
+	}
+	if r.Grid == 0 && r.Block == 0 {
+		r.Grid, r.Block = b.Grid.Count(), b.Block.Count()
+	}
+	if r.Buffers == nil {
+		r.Buffers = b.Buffers()
+	}
+	return r
+}
+
+// LaunchSpec is the request minus its module, as one LAUNCH frame;
+// launchRequest is the inverse, on the module the session uploaded.
+func (r JobRequest) LaunchSpec(seq uint64) wire.LaunchSpec {
+	return wire.LaunchSpec{
+		Seq:       seq,
+		Kernel:    r.Kernel,
+		Grid:      r.Grid,
+		Block:     r.Block,
+		WarpSize:  r.WarpSize,
+		TimeoutMS: r.TimeoutMS,
+		MaxInstrs: r.MaxInstrs,
+		Buffers:   r.Buffers,
+		Config:    r.Config,
+		Kind:      r.Kind,
+	}
+}
+
+func launchRequest(module string, spec wire.LaunchSpec) JobRequest {
+	return JobRequest{
+		PTX:       module,
+		Kernel:    spec.Kernel,
+		Grid:      spec.Grid,
+		Block:     spec.Block,
+		WarpSize:  spec.WarpSize,
+		TimeoutMS: spec.TimeoutMS,
+		MaxInstrs: spec.MaxInstrs,
+		Buffers:   spec.Buffers,
+		Config:    spec.Config,
+		Kind:      spec.Kind,
+	}
 }
 
 // Job lifecycle states.
@@ -265,8 +347,26 @@ func resultJSON(kernel string, res *detector.Result) *JobResult {
 			Suppressed:   f.Suppressed(),
 		}
 	}
-	for _, r := range res.Report.Races {
-		out.Races = append(out.Races, RaceJSON{
+	out.Races, out.Divergences = reportTables(res.Report)
+	if len(res.Formats) > 0 {
+		out.Formats = make(map[string]int, len(res.Formats))
+		for f, n := range res.Formats {
+			out.Formats[f.String()] = n
+		}
+	}
+	return out
+}
+
+// repairResultJSON is a repair job's result (see JobResult).
+func repairResultJSON(kernel string, rep *detector.RepairReport) *JobResult {
+	return &JobResult{Kernel: kernel, RaceCount: rep.BaselineRaces, Repair: rep}
+}
+
+// reportTables projects a report's race and divergence tables; the
+// polled result and the one rebuilt from a streamed summary share it.
+func reportTables(rep *core.Report) (races []RaceJSON, divs []DivergenceJSON) {
+	for _, r := range rep.Races {
+		races = append(races, RaceJSON{
 			Kind:      r.Kind.String(),
 			Space:     r.Space.String(),
 			Addr:      fmt.Sprintf("%#x", r.Addr),
@@ -278,19 +378,13 @@ func resultJSON(kernel string, res *detector.Result) *JobResult {
 			Summary:   r.String(),
 		})
 	}
-	for _, d := range res.Report.Divergences {
-		out.Divergences = append(out.Divergences, DivergenceJSON{
+	for _, d := range rep.Divergences {
+		divs = append(divs, DivergenceJSON{
 			Block: d.Block, Warp: d.Warp, Line: d.PC,
 			Mask: fmt.Sprintf("%#x", d.Mask),
 		})
 	}
-	if len(res.Formats) > 0 {
-		out.Formats = make(map[string]int, len(res.Formats))
-		for f, n := range res.Formats {
-			out.Formats[f.String()] = n
-		}
-	}
-	return out
+	return races, divs
 }
 
 func accessJSON(a core.Access) AccessJSON {

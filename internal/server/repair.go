@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"barracuda/internal/bench"
 	"barracuda/internal/detector"
 )
 
@@ -31,36 +30,17 @@ type RepairRequest struct {
 
 // Validate checks the payload shape; the server maps errors to 400.
 func (r *RepairRequest) Validate(maxBufferBytes int64) error {
-	switch {
-	case r.PTX == "" && r.Bench == "":
-		return fmt.Errorf("repair: field \"ptx\"/\"bench\": exactly one must be set, got neither")
-	case r.PTX != "" && r.Bench != "":
-		return fmt.Errorf("repair: field \"ptx\"/\"bench\": exactly one must be set, got both")
+	if err := checkModule("repair", r.PTX, r.Bench); err != nil {
+		return err
 	}
-	if r.Bench != "" && bench.ByName(r.Bench) == nil {
-		return fmt.Errorf("repair: field \"bench\": unknown benchmark %q", r.Bench)
-	}
-	if r.Grid < 0 {
-		return fmt.Errorf("repair: field \"grid\": must be >= 0, got %d", r.Grid)
-	}
-	if r.Block < 0 {
-		return fmt.Errorf("repair: field \"block\": must be >= 0, got %d", r.Block)
+	if err := checkLaunch("repair", r.Grid, r.Block, r.Buffers, maxBufferBytes); err != nil {
+		return err
 	}
 	if r.MaxCandidates < 0 {
 		return fmt.Errorf("repair: field \"max_candidates\": must be >= 0, got %d", r.MaxCandidates)
 	}
 	if r.MaxPatches < 0 {
 		return fmt.Errorf("repair: field \"max_patches\": must be >= 0, got %d", r.MaxPatches)
-	}
-	var total int64
-	for i, b := range r.Buffers {
-		if b < 0 {
-			return fmt.Errorf("repair: field \"buffers[%d]\": must be >= 0, got %d", i, b)
-		}
-		total += int64(b)
-	}
-	if maxBufferBytes > 0 && total > maxBufferBytes {
-		return fmt.Errorf("repair: field \"buffers\": total %d bytes exceeds the server limit %d", total, maxBufferBytes)
 	}
 	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("repair: field \"config\": %w", err)
@@ -135,11 +115,7 @@ func (s *Scheduler) Repair(req RepairRequest) (*RepairResponse, error) {
 	if err := req.Validate(s.opts.MaxBufferBytes); err != nil {
 		return nil, err
 	}
-	src := req.PTX
-	if req.Bench != "" {
-		src = bench.ByName(req.Bench).PTX()
-	}
-	lease, _, err := s.cache.Acquire(src, req.Config)
+	lease, _, err := s.cache.Acquire(moduleSource(req.PTX, req.Bench), req.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"barracuda/internal/bench"
 	"barracuda/internal/core"
 	"barracuda/internal/detector"
 	"barracuda/internal/gpusim"
@@ -83,13 +82,7 @@ type Job struct {
 	ID string
 
 	// Immutable after Submit.
-	req      JobRequest
-	src      string // resolved PTX source
-	kernel   string // may be "" for PTX jobs: resolved at run time
-	grid     int
-	block    int
-	buffers  []int
-	cfg      detector.Config
+	req      JobRequest // resolved; Kernel may be "": the module's first, at run time
 	timeout  time.Duration
 	budget   uint64
 	tenant   string          // API key the job was admitted under ("" = anonymous)
@@ -100,6 +93,7 @@ type Job struct {
 	cacheHit  bool
 	errMsg    string
 	result    *JobResult
+	report    *core.Report // a detect run's; set before done closes, read after
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -274,12 +268,7 @@ func (s *Scheduler) SubmitTenant(req JobRequest, tenant string, onRace func(core
 	job := &Job{
 		tenant:   tenant,
 		observer: onRace,
-		req:      req,
-		kernel:   req.Kernel,
-		grid:     req.Grid,
-		block:    req.Block,
-		buffers:  req.Buffers,
-		cfg:      req.Config,
+		req:      req.Resolved(),
 		timeout:  s.opts.DefaultTimeout,
 		budget:   s.opts.DefaultMaxInstrs,
 		status:   StatusQueued,
@@ -290,21 +279,6 @@ func (s *Scheduler) SubmitTenant(req JobRequest, tenant string, onRace func(core
 	}
 	if req.MaxInstrs > 0 {
 		job.budget = req.MaxInstrs
-	}
-	if req.Bench != "" {
-		b := bench.ByName(req.Bench)
-		job.src = b.PTX()
-		if job.kernel == "" {
-			job.kernel = "main"
-		}
-		if job.grid == 0 && job.block == 0 {
-			job.grid, job.block = b.Grid.Count(), b.Block.Count()
-		}
-		if job.buffers == nil {
-			job.buffers = b.Buffers()
-		}
-	} else {
-		job.src = req.PTX
 	}
 
 	s.mu.Lock()
@@ -398,7 +372,8 @@ func (s *Scheduler) run(job *Job) {
 	job.started = time.Now()
 	job.mu.Unlock()
 
-	lease, hit, err := s.cache.Acquire(job.src, job.cfg)
+	req := job.req
+	lease, hit, err := s.cache.Acquire(req.PTX, req.Config)
 	if err != nil {
 		s.metrics.Failed.Add(1)
 		job.finish(StatusFailed, "open: "+err.Error(), nil)
@@ -418,7 +393,7 @@ func (s *Scheduler) run(job *Job) {
 	go func() {
 		defer lease.Release()
 		sess := lease.Session()
-		kernel := job.kernel
+		kernel := req.Kernel
 		if kernel == "" {
 			names := sess.Native.KernelNames()
 			if len(names) == 0 {
@@ -427,19 +402,19 @@ func (s *Scheduler) run(job *Job) {
 			}
 			kernel = names[0]
 		}
-		if job.req.Kind == KindRepair {
-			opt := s.repairOptions(job.grid, job.block, job.buffers, job.budget,
-				0, 0, job.req.WarpSize)
+		if req.Kind == KindRepair {
+			opt := s.repairOptions(req.Grid, req.Block, req.Buffers, job.budget,
+				0, 0, req.WarpSize)
 			rep, _, err := repairOnLease(lease, kernel, opt)
 			ch <- outcome{kernel: kernel, repair: rep, err: err}
 			return
 		}
-		args, err := lease.Buffers(job.buffers)
+		args, err := lease.Buffers(req.Buffers)
 		if err != nil {
 			ch <- outcome{err: err}
 			return
 		}
-		res, err := sess.DetectObserved(kernel, launchConfig(job.grid, job.block, args, job.budget, job.req.WarpSize), job.observer)
+		res, err := sess.DetectObserved(kernel, launchConfig(req.Grid, req.Block, args, job.budget, req.WarpSize), job.observer)
 		ch <- outcome{kernel: kernel, res: res, err: err}
 	}()
 
@@ -450,16 +425,13 @@ func (s *Scheduler) run(job *Job) {
 		switch {
 		case o.err == nil && o.repair != nil:
 			s.metrics.Completed.Add(1)
-			job.finish(StatusDone, "", &JobResult{
-				Kernel:    o.kernel,
-				RaceCount: o.repair.BaselineRaces,
-				Repair:    o.repair,
-			})
+			job.finish(StatusDone, "", repairResultJSON(o.kernel, o.repair))
 		case o.err == nil:
 			s.metrics.Completed.Add(1)
 			s.metrics.Latency.Observe(o.res.Duration)
 			s.metrics.ObserveShadow(o.res.Report.Shadow)
 			s.metrics.ObserveFilter(o.res.SimStats.Filter)
+			job.report = o.res.Report
 			job.finish(StatusDone, "", resultJSON(o.kernel, o.res))
 		case errors.Is(o.err, gpusim.ErrStepBudget):
 			s.metrics.TimedOut.Add(1)

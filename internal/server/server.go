@@ -114,7 +114,9 @@ func (s *Server) streamsOpen() int {
 	return len(s.streams)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON, WriteError, DecodeBody and WaitDone are the HTTP plumbing of
+// both front ends: the daemon's and the fleet coordinator's.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -122,8 +124,36 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorJSON{Error: msg, Code: code})
+// WriteError writes the ErrorJSON envelope.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	WriteJSON(w, status, ErrorJSON{Error: msg, Code: code})
+}
+
+// DecodeBody reads a JSON request body of at most maxBodyBytes into
+// into; strict refuses fields the type does not have. On failure it has
+// answered 400 invalid_argument and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, into any, strict bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(into); err != nil {
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// WaitDone is ?wait_ms=N: it returns when done closes, after N ms, or
+// when the client goes away, whichever is first.
+func WaitDone(r *http.Request, done <-chan struct{}) {
+	if ms, _ := strconv.Atoi(r.URL.Query().Get("wait_ms")); ms > 0 {
+		select {
+		case <-done:
+		case <-time.After(time.Duration(ms) * time.Millisecond):
+		case <-r.Context().Done():
+		}
+	}
 }
 
 // bearerToken extracts the API key from an Authorization: Bearer
@@ -140,54 +170,45 @@ func bearerToken(r *http.Request) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error())
+	if !DecodeBody(w, r, &req, true) {
 		return
 	}
 	job, err := s.sched.SubmitTenant(req, bearerToken(r), nil)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, CodeQueueFull, err.Error())
+		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, err.Error())
 	case err != nil:
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 	default:
-		writeJSON(w, http.StatusAccepted, job.Info())
+		WriteJSON(w, http.StatusAccepted, job.Info())
 	}
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error())
+	if !DecodeBody(w, r, &req, true) {
 		return
 	}
 	res, err := s.sched.Analyze(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	var req RepairRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error())
+	if !DecodeBody(w, r, &req, true) {
 		return
 	}
 	res, err := s.sched.Repair(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -196,27 +217,21 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		out = append(out, j.Info())
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.sched.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no such job")
 		return
 	}
-	if ms, _ := strconv.Atoi(r.URL.Query().Get("wait_ms")); ms > 0 {
-		select {
-		case <-job.Done():
-		case <-time.After(time.Duration(ms) * time.Millisecond):
-		case <-r.Context().Done():
-		}
-	}
-	writeJSON(w, http.StatusOK, job.Info())
+	WaitDone(r, job.Done())
+	WriteJSON(w, http.StatusOK, job.Info())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"uptime_ms":   float64(time.Since(s.start).Microseconds()) / 1000,
 		"queue_depth": s.sched.QueueDepth(),
@@ -225,7 +240,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.sched.Metrics()
-	writeJSON(w, http.StatusOK, MetricsJSON{
+	WriteJSON(w, http.StatusOK, MetricsJSON{
 		UptimeMS:      float64(time.Since(s.start).Microseconds()) / 1000,
 		Workers:       s.sched.Options().Workers,
 		QueueDepth:    s.sched.QueueDepth(),

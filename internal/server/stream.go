@@ -26,18 +26,18 @@ import (
 // finds them — no poll loop.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != wire.UpgradeHeader {
-		writeError(w, http.StatusUpgradeRequired, CodeInvalidArgument,
+		WriteError(w, http.StatusUpgradeRequired, CodeInvalidArgument,
 			fmt.Sprintf("stream: set \"Upgrade: %s\"", wire.UpgradeHeader))
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, CodeUnavailable, "stream: connection not hijackable")
+		WriteError(w, http.StatusInternalServerError, CodeUnavailable, "stream: connection not hijackable")
 		return
 	}
 	conn, rw, err := hj.Hijack()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeUnavailable, "stream: hijack: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, CodeUnavailable, "stream: hijack: "+err.Error())
 		return
 	}
 	done, ok := s.trackStream(conn)
@@ -273,17 +273,7 @@ func (st *stream) launch(p []byte) error {
 	if ok, wait := st.sched.Tenants().Admit(st.apiKey); !ok {
 		return st.reject(spec.Seq, wire.CodeQueueFull, "tenant rate limit", wait+time.Millisecond)
 	}
-	req := JobRequest{
-		PTX:       st.module,
-		Kernel:    spec.Kernel,
-		Grid:      spec.Grid,
-		Block:     spec.Block,
-		Buffers:   spec.Buffers,
-		TimeoutMS: spec.TimeoutMS,
-		MaxInstrs: spec.MaxInstrs,
-		WarpSize:  spec.WarpSize,
-		Config:    spec.Config,
-	}
+	req := launchRequest(st.module, spec)
 	// Validate before sizing anything from the request: raceCh below is
 	// allocated from MaxRaces. It is buffered to the race cap so the
 	// observer can never block the detection worker: the detector fires
@@ -339,7 +329,14 @@ func (st *stream) pump(seq uint64, job *Job, raceCh <-chan core.Race) {
 				}
 				break
 			}
-			st.writeFrame(wire.FSummary, wire.EncodeSummary(st.summary(seq, job)))
+			p := wire.EncodeSummary(st.summary(seq, job))
+			if len(p) > wire.MaxFrame {
+				// A repair's patched module is as large as its module. The
+				// peer waits for a SUMMARY, so it gets one it can read.
+				p = wire.EncodeSummary(wire.Summary{Seq: seq, Status: StatusFailed,
+					Error: fmt.Sprintf("summary is %d bytes, frame limit is %d", len(p), wire.MaxFrame)})
+			}
+			st.writeFrame(wire.FSummary, p)
 			return
 		}
 	}
@@ -347,9 +344,8 @@ func (st *stream) pump(seq uint64, job *Job, raceCh <-chan core.Race) {
 
 // JobInfoFromSummary rebuilds the JSON JobInfo shape from a streamed
 // terminal Summary — the inverse of the projection the daemon applies
-// when it encodes one. The fleet coordinator uses it so wire-forwarded
-// jobs report results in the same envelope as JSON-forwarded ones.
-// Only digest-covered and headline fields travel on the wire; the
+// when it encodes one; the fleet coordinator reports every job through
+// it. Only digest-covered and headline fields travel on the wire; the
 // JSON-only extras (simulator-side Records, PTVC format census, full
 // shadow occupancy breakdown) stay zero.
 func JobInfoFromSummary(id string, sum wire.Summary) *JobInfo {
@@ -363,6 +359,10 @@ func JobInfoFromSummary(id string, sum wire.Summary) *JobInfo {
 	}
 	if sum.Status != StatusDone {
 		return info // failed/timeout jobs carry no result, matching the scheduler
+	}
+	if sum.Repair != nil {
+		info.Result = repairResultJSON(sum.Kernel, sum.Repair)
+		return info
 	}
 	res := &JobResult{
 		Kernel:            sum.Kernel,
@@ -384,25 +384,7 @@ func JobInfoFromSummary(id string, sum wire.Summary) *JobInfo {
 			Flushes:    sum.FilterFlushes,
 		}
 	}
-	for _, r := range sum.Races {
-		res.Races = append(res.Races, RaceJSON{
-			Kind:      r.Kind.String(),
-			Space:     r.Space.String(),
-			Addr:      fmt.Sprintf("%#x", r.Addr),
-			Block:     r.Block,
-			Count:     r.Count,
-			SameInstr: r.SameInstr,
-			Prev:      accessJSON(r.Prev),
-			Cur:       accessJSON(r.Cur),
-			Summary:   r.String(),
-		})
-	}
-	for _, d := range sum.Divergences {
-		res.Divergences = append(res.Divergences, DivergenceJSON{
-			Block: d.Block, Warp: d.Warp, Line: d.PC,
-			Mask: fmt.Sprintf("%#x", d.Mask),
-		})
-	}
+	res.Races, res.Divergences = reportTables(sum.Report())
 	info.Result = res
 	return info
 }
@@ -438,7 +420,8 @@ func (st *stream) summary(seq uint64, job *Job) wire.Summary {
 		sum.FilterSuppressed = res.Filter.Suppressed
 		sum.FilterFlushes = res.Filter.Flushes
 	}
-	if rep, err := res.CoreReport(); err == nil {
+	sum.Repair = res.Repair
+	if rep := job.report; rep != nil {
 		sum.Races = rep.Races
 		for _, d := range rep.Divergences {
 			sum.Divergences = append(sum.Divergences, wire.Divergence{

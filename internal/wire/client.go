@@ -19,8 +19,7 @@ const UpgradeHeader = "barracuda-stream/1"
 const StreamPath = "/v1/stream"
 
 // ErrUpgradeRefused marks a server that answered the upgrade request
-// with something other than 101 — typically an older daemon without the
-// streaming endpoint. Callers use it to fall back to the JSON API.
+// with something other than 101: not a daemon, or not its /v1/stream.
 var ErrUpgradeRefused = errors.New("wire: server refused upgrade")
 
 // RejectError is a server rejection surfaced as an error: the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/bits"
 
@@ -280,6 +281,9 @@ type LaunchSpec struct {
 	MaxInstrs uint64
 	Buffers   []int
 	Config    detector.Config
+	// Kind is the job kind, an optional trailing field: "" and "detect"
+	// are the default and are not written, "repair" is.
+	Kind string
 }
 
 // EncodeLaunch renders a LaunchSpec payload.
@@ -295,7 +299,11 @@ func EncodeLaunch(l LaunchSpec) []byte {
 	for _, n := range l.Buffers {
 		b = appendUvarint(b, uint64(n))
 	}
-	return appendConfig(b, l.Config)
+	b = appendConfig(b, l.Config)
+	if l.Kind != "" && l.Kind != "detect" {
+		b = appendString(b, l.Kind)
+	}
+	return b
 }
 
 // DecodeLaunch parses a LaunchSpec payload.
@@ -319,6 +327,9 @@ func DecodeLaunch(p []byte) (LaunchSpec, error) {
 		l.Buffers = append(l.Buffers, int(d.uvarint()))
 	}
 	l.Config = d.config()
+	if len(d.b) > 0 {
+		l.Kind = d.string()
+	}
 	return l, d.done()
 }
 
@@ -543,6 +554,10 @@ type Summary struct {
 	// Producer-filter activity of the run (zero when the filter was off).
 	FilterSuppressed uint64 // records kept off the queue (hits + static elides)
 	FilterFlushes    uint64 // OpFlush reconciliation records emitted
+
+	// Repair is a repair job's report, an optional trailing field that
+	// travels as JSON: a deep, cold struct that needs no varint codec.
+	Repair *detector.RepairReport
 }
 
 // EncodeSummary renders a Summary payload. The race table uses a fresh
@@ -584,7 +599,12 @@ func EncodeSummary(s Summary) []byte {
 	b = appendUvarint(b, s.ShadowPeakResident)
 	b = appendUvarint(b, s.ShadowLiveEvicts)
 	b = appendUvarint(b, s.FilterSuppressed)
-	return appendUvarint(b, s.FilterFlushes)
+	b = appendUvarint(b, s.FilterFlushes)
+	if s.Repair != nil {
+		rep, _ := json.Marshal(s.Repair) // strings and integers: cannot fail
+		b = appendBytes(b, rep)
+	}
+	return b
 }
 
 // DecodeSummary parses a Summary payload.
@@ -632,6 +652,11 @@ func DecodeSummary(p []byte) (Summary, error) {
 	s.ShadowLiveEvicts = d.uvarint()
 	s.FilterSuppressed = d.uvarint()
 	s.FilterFlushes = d.uvarint()
+	if len(d.b) > 0 {
+		if rep := d.bytes(); d.err == nil && json.Unmarshal(rep, &s.Repair) != nil {
+			d.fail("repair report")
+		}
+	}
 	return s, d.done()
 }
 

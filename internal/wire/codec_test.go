@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"barracuda/internal/core"
@@ -69,12 +72,27 @@ func TestLaunchRoundTrip(t *testing.T) {
 			ProducerFilter: true,
 		},
 	}
-	out, err := DecodeLaunch(EncodeLaunch(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("got %+v\nwant %+v", out, in)
+	// Kind is an optional trailing field: the default, spelled either
+	// way, leaves the bytes EncodeLaunch produced before the field existed
+	// (recorded at fa6aaa0) and decodes as ""; any other kind round-trips.
+	const parent = "2a016b08800220b0ea018080800803802000808004640480080480088080808008"
+	for _, kind := range []string{"", "detect", "repair"} {
+		in.Kind = kind
+		p := EncodeLaunch(in)
+		want := in
+		if kind != "repair" {
+			want.Kind = ""
+			if got := hex.EncodeToString(p); got != parent {
+				t.Fatalf("kind %q moved the LAUNCH bytes:\n got %s\nwant %s", kind, got, parent)
+			}
+		}
+		out, err := DecodeLaunch(p)
+		if err != nil {
+			t.Fatalf("kind %q: %v", kind, err)
+		}
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("kind %q: got %+v\nwant %+v", kind, out, want)
+		}
 	}
 }
 
@@ -169,6 +187,8 @@ func TestRaceStreamRoundTrip(t *testing.T) {
 // core.Report digests identically to the original.
 func TestSummaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	repairs := rand.New(rand.NewSource(3)) // its own stream: rng's draws are the parent's
+	plain := sha256.New()
 	for iter := 0; iter < 200; iter++ {
 		in := Summary{
 			Seq:                uint64(rng.Intn(100)),
@@ -196,6 +216,21 @@ func TestSummaryRoundTrip(t *testing.T) {
 				Block: rng.Intn(8), Warp: rng.Intn(8), PC: uint32(rng.Intn(1000)), Mask: rng.Uint32(),
 			})
 		}
+		plain.Write(EncodeSummary(in))
+		// Repair is an optional trailing field: absent on two summaries
+		// in three, whose bytes are then the ones hashed above.
+		if repairs.Intn(3) == 0 {
+			in.Repair = &detector.RepairReport{
+				Kernel:        "k",
+				BaselineRaces: repairs.Intn(8),
+				Verified:      repairs.Intn(3),
+				PatchedPTX:    strings.Repeat("ld.global.u32 %r2, [%rd1];\n", repairs.Intn(64)),
+				Candidates: []detector.RepairCandidate{{
+					Description: "lost update", LineA: repairs.Intn(100), Space: "global",
+					Patches: []detector.RepairPatch{{Kind: "atomicize", Verdict: detector.RepairVerdict{Verified: true}}},
+				}},
+			}
+		}
 		out, err := DecodeSummary(EncodeSummary(in))
 		if err != nil {
 			t.Fatalf("iter=%d: %v", iter, err)
@@ -207,6 +242,11 @@ func TestSummaryRoundTrip(t *testing.T) {
 		if got, want := out.Report().CanonicalDigest(), origRep.CanonicalDigest(); got != want {
 			t.Fatalf("iter=%d: digest mismatch after round trip", iter)
 		}
+	}
+	// SHA-256 over the 200 report-less encodings, recorded at fa6aaa0.
+	const parent = "a207f0442c9420a2ec35eba1ef65e410ed266412b89880623cc2176bfc0031ab"
+	if got := hex.EncodeToString(plain.Sum(nil)); got != parent {
+		t.Fatalf("a SUMMARY without a repair report moved: sha256 %s, want %s", got, parent)
 	}
 }
 
@@ -351,5 +391,18 @@ func TestDecodeMalformedPayloads(t *testing.T) {
 	hugeSum = appendUvarint(hugeSum, 1<<40) // race count
 	if _, err := DecodeSummary(hugeSum); err == nil {
 		t.Error("huge race count accepted")
+	}
+	// The optional trailing fields end the payload: nothing may follow
+	// them, and their length prefixes are checked like every other.
+	launch := EncodeLaunch(LaunchSpec{Seq: 1, Kernel: "k", Kind: "repair"})
+	if _, err := DecodeLaunch(append(launch, 0)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("junk after kind: %v, want ErrMalformed", err)
+	}
+	sum := EncodeSummary(Summary{Seq: 1, Status: "done", Kernel: "k"})
+	if _, err := DecodeSummary(appendUvarint(sum, 9)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("repair length past the end: %v, want ErrMalformed", err)
+	}
+	if _, err := DecodeSummary(appendBytes(sum, []byte("{not json"))); !errors.Is(err, ErrMalformed) {
+		t.Errorf("repair report that is not JSON: %v, want ErrMalformed", err)
 	}
 }

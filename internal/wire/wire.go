@@ -18,12 +18,20 @@
 //	                           ← MOD_STATE need        (cold: send bytes)
 //	  MOD_CHUNK* , MOD_END    →
 //	                           ← MOD_STATE ready {hash}
-//	  LAUNCH {seq=1}          →  (pipelined: no waiting between launches)
-//	  LAUNCH {seq=2}          →
+//	  LAUNCH {seq=1, kind?}   →  (pipelined: no waiting between launches)
+//	  LAUNCH {seq=2, kind?}   →
 //	                           ← ACCEPT {seq, job id} | REJECT {seq, code, retry-after}
 //	                           ← RACE {seq, race}     (as each race is found)
-//	                           ← SUMMARY {seq, report} (terminal per launch)
+//	                           ← SUMMARY {seq, report, repair?} (terminal per launch)
 //	  BYE                     →
+//
+// The fields marked ? are optional trailing fields: LAUNCH's job kind and
+// SUMMARY's repair report close their payloads, are written only when set
+// (a kind other than detect; a repair job's report) and read only when
+// bytes remain. Every frame of a detect job is therefore the frame it was
+// before the fields existed, Version stays 1, and a peer without a field
+// finds trailing bytes and rejects the frame as malformed — it never
+// misreads it.
 //
 // Every frame is `type(1) ‖ len(u32 LE) ‖ payload ‖ crc32(u32 LE)`,
 // with the IEEE CRC computed over type+len+payload and len validated
