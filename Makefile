@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-sim bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter stress-fleet serve ci fmt-check one-forward-path loc vet-smoke vet-fix-smoke stress-ownership stress-refine
+.PHONY: all build vet test race bench bench-sim bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter stress-fleet serve ci fmt-check one-forward-path one-way-in loc vet-smoke vet-fix-smoke stress-ownership stress-refine
 
 all: build vet test
 
@@ -22,6 +22,14 @@ fmt-check:
 one-forward-path:
 	@if grep -nE 'Addr *\+ *"/jobs' internal/fleet/*.go; then \
 		echo "internal/fleet builds a worker /jobs URL: jobs are forwarded over /v1/stream only"; exit 1; fi
+
+# The daemon has one place a kernel is launched, Scheduler.run, on a pool
+# worker: a repair loop or a detect started from any other file of
+# internal/server is /v1/repair's old road — unqueued, untimed, uncounted —
+# grown back.
+one-way-in:
+	@if grep -nE 'repairOnLease\(|\.DetectObserved\(' $$(ls internal/server/*.go | grep -vE '_test\.go$$|/scheduler\.go$$') | grep -v 'func repairOnLease('; then \
+		echo "internal/server launches a kernel outside scheduler.go: every launch goes in through Scheduler.SubmitTenant"; exit 1; fi
 
 # The number ROADMAP item 2 tracks: non-test Go lines outside benchmarks/.
 loc:
@@ -167,4 +175,4 @@ stress-multiqueue:
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321
 
-ci: build vet fmt-check one-forward-path test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter stress-fleet stress-refine fleet-sim
+ci: build vet fmt-check one-forward-path one-way-in loc test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter stress-fleet stress-refine fleet-sim

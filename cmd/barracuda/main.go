@@ -21,12 +21,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"barracuda/internal/bench"
+	"barracuda/internal/core"
 	"barracuda/internal/detector"
 	"barracuda/internal/gpusim"
 	"barracuda/internal/profile"
@@ -37,59 +39,74 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "vet" {
 		os.Exit(vetMain(os.Args[2:]))
 	}
-	var (
-		ptxPath   = flag.String("ptx", "", "PTX source file to analyze")
-		fatbinArg = flag.String("fatbin", "", "fat binary file to analyze")
-		benchName = flag.String("bench", "", "run a named built-in benchmark instead")
-		kernel    = flag.String("kernel", "", "kernel name (default: the module's first kernel)")
-		grid      = flag.Int("grid", 1, "grid size in blocks (1-D)")
-		block     = flag.Int("block", 32, "block size in threads (1-D)")
-		bufs      = flag.String("bufs", "", "comma-separated byte sizes of zeroed global buffers passed as u64 args")
-		queues    = flag.Int("queues", 1, "number of logging queues / detector threads")
-		gran      = flag.Int("granularity", 1, "finest shadow-memory bytes per cell, a power of two (pages start at one cell per 4-byte word and refine on the first sub-word access)")
-		fullvc    = flag.Bool("fullvc", false, "use the uncompressed vector-clock baseline")
-		budget    = flag.Uint64("budget", 1<<24, "dynamic warp-instruction budget (0 = unlimited)")
-		warpsize  = flag.Int("warpsize", 0, "simulated warp width (0 = the architecture's 32); smaller widths expose latent warp-size bugs")
-		profileF  = flag.Bool("profile", false, "run the memory-access profiler instead of the race detector")
-		staticp   = flag.Bool("staticprune", false, "enable the inter-block static instrumentation pruner")
-		ownership = flag.Bool("ownership", false, "enable the exclusive-ownership shadow fast path (requires span mode)")
-		prodFilt  = flag.Bool("producer-filter", false, "suppress redundant access records at the simulator (producer-side epoch filtering; reports stay byte-identical)")
-		shadowCap = flag.Int64("shadow-cap", 0, "bound resident shadow memory to this many bytes via LRU eviction (0 = unbounded; evicting live state is reported as degraded precision)")
-		verbose   = flag.Bool("v", false, "print per-race dynamic counts, PTVC format stats, and the simulator, shadow and transport lines")
-		serverURL = flag.String("server", "", "submit to a barracudad daemon or fleet coordinator at this base URL instead of running locally")
-		streamF   = flag.Bool("stream", false, "with -server: use the binary streaming protocol (races print as they are found)")
-		apiKey    = flag.String("api-key", "", "with -server: tenant key for rate limiting and accounting")
-	)
+	var o runOpts
+	flag.StringVar(&o.ptxPath, "ptx", "", "PTX source file to analyze")
+	flag.StringVar(&o.fatbinPath, "fatbin", "", "fat binary file to analyze")
+	flag.StringVar(&o.benchName, "bench", "", "run a named built-in benchmark instead")
+	flag.StringVar(&o.kernel, "kernel", "", "kernel name (default: the module's first kernel)")
+	flag.IntVar(&o.grid, "grid", 1, "grid size in blocks (1-D)")
+	flag.IntVar(&o.block, "block", 32, "block size in threads (1-D)")
+	bufs := flag.String("bufs", "", "comma-separated byte sizes of zeroed global buffers passed as u64 args")
+	flag.IntVar(&o.queues, "queues", 1, "number of logging queues / detector threads")
+	flag.IntVar(&o.gran, "granularity", 1, "finest shadow-memory bytes per cell, a power of two (pages start at one cell per 4-byte word and refine on the first sub-word access)")
+	flag.BoolVar(&o.fullvc, "fullvc", false, "use the uncompressed vector-clock baseline")
+	flag.Uint64Var(&o.budget, "budget", 1<<24, "dynamic warp-instruction budget (0 = unlimited)")
+	flag.IntVar(&o.warpsize, "warpsize", 0, "simulated warp width (0 = the architecture's 32); smaller widths expose latent warp-size bugs")
+	flag.BoolVar(&o.profile, "profile", false, "run the memory-access profiler instead of the race detector")
+	flag.BoolVar(&o.staticPrune, "staticprune", false, "enable the inter-block static instrumentation pruner")
+	flag.BoolVar(&o.ownership, "ownership", false, "enable the exclusive-ownership shadow fast path (requires span mode)")
+	flag.BoolVar(&o.producerFilter, "producer-filter", false, "suppress redundant access records at the simulator (producer-side epoch filtering; reports stay byte-identical)")
+	flag.Int64Var(&o.shadowCap, "shadow-cap", 0, "bound resident shadow memory to this many bytes via LRU eviction (0 = unbounded; evicting live state is reported as degraded precision)")
+	flag.BoolVar(&o.verbose, "v", false, "print per-race dynamic counts, PTVC format stats, and the simulator, shadow and transport lines")
+	serverURL := flag.String("server", "", "submit to a barracudad daemon or fleet coordinator at this base URL instead of running locally")
+	streamF := flag.Bool("stream", false, "with -server: use the binary streaming protocol (races print as they are found)")
+	apiKey := flag.String("api-key", "", "with -server: tenant key for rate limiting and accounting")
 	flag.Parse()
-	o := runOpts{
-		ptxPath: *ptxPath, fatbinPath: *fatbinArg, benchName: *benchName,
-		kernel: *kernel, grid: *grid, block: *block, bufs: *bufs,
-		queues: *queues, gran: *gran, fullvc: *fullvc, budget: *budget,
-		warpsize: *warpsize, profile: *profileF, staticPrune: *staticp,
-		ownership: *ownership, shadowCap: *shadowCap, verbose: *verbose,
-		producerFilter: *prodFilt,
-	}
-	var err error
-	if *serverURL != "" {
-		err = remoteRun(o, *serverURL, *apiKey, *streamF)
-	} else if *streamF {
+	var (
+		status int
+		err    error
+	)
+	o.bufs, err = parseBufs(*bufs)
+	switch {
+	case err != nil:
+	case *serverURL != "":
+		status, err = remoteRun(os.Stdout, o, *serverURL, *apiKey, *streamF)
+	case *streamF:
 		err = fmt.Errorf("-stream requires -server")
-	} else {
-		err = run(o)
+	default:
+		status, err = run(os.Stdout, o)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "barracuda:", err)
 		os.Exit(1)
 	}
+	os.Exit(status)
+}
+
+// parseBufs reads -bufs, once, for every road.
+func parseBufs(list string) ([]int, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var sizes []int
+	for _, part := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad -bufs entry %q", part)
+		}
+		sizes = append(sizes, n)
+	}
+	return sizes, nil
 }
 
 type runOpts struct {
-	ptxPath, fatbinPath, benchName, kernel, bufs string
-	grid, block, queues, gran, warpsize          int
-	fullvc, profile, staticPrune, verbose        bool
-	ownership, producerFilter                    bool
-	shadowCap                                    int64
-	budget                                       uint64
+	ptxPath, fatbinPath, benchName, kernel string
+	bufs                                   []int
+	grid, block, queues, gran, warpsize    int
+	fullvc, profile, staticPrune, verbose  bool
+	ownership, producerFilter              bool
+	shadowCap                              int64
+	budget                                 uint64
 }
 
 // config is the detector configuration the flags select, for local and
@@ -102,7 +119,8 @@ func (o runOpts) config() detector.Config {
 	}
 }
 
-func run(o runOpts) error {
+// run is the local road; it returns the exit status (see printReport).
+func run(w io.Writer, o runOpts) (int, error) {
 	cfg := o.config()
 
 	var (
@@ -117,56 +135,50 @@ func run(o runOpts) error {
 			for _, bb := range bench.All() {
 				names = append(names, bb.Name)
 			}
-			return fmt.Errorf("unknown benchmark %q; available: %s", o.benchName, strings.Join(names, ", "))
+			return 0, fmt.Errorf("unknown benchmark %q; available: %s", o.benchName, strings.Join(names, ", "))
 		}
 		res, err := bench.Detect(b, cfg)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		return printResult(b.Name+"/main", res, o.verbose)
+		return printResult(w, b.Name+"/main", res, o.verbose), nil
 	case o.ptxPath != "":
 		src, rerr := os.ReadFile(o.ptxPath)
 		if rerr != nil {
-			return rerr
+			return 0, rerr
 		}
 		s, err = detector.OpenPTX(string(src), cfg)
 		if err != nil {
-			return err
+			return 0, err
 		}
 	case o.fatbinPath != "":
 		bin, rerr := os.ReadFile(o.fatbinPath)
 		if rerr != nil {
-			return rerr
+			return 0, rerr
 		}
 		s, err = detector.OpenFatBinary(bin, cfg)
 		if err != nil {
-			return err
+			return 0, err
 		}
 	default:
-		return fmt.Errorf("one of -ptx, -fatbin or -bench is required")
+		return 0, fmt.Errorf("one of -ptx, -fatbin or -bench is required")
 	}
 
 	kernel := o.kernel
 	if kernel == "" {
 		ks := s.Native.KernelNames()
 		if len(ks) == 0 {
-			return fmt.Errorf("module has no kernels")
+			return 0, fmt.Errorf("module has no kernels")
 		}
 		kernel = ks[0]
 	}
 	var args []uint64
-	if o.bufs != "" {
-		for _, part := range strings.Split(o.bufs, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return fmt.Errorf("bad -bufs entry %q", part)
-			}
-			a, err := s.Dev.Alloc(n)
-			if err != nil {
-				return err
-			}
-			args = append(args, a)
+	for _, n := range o.bufs {
+		a, err := s.Dev.Alloc(n)
+		if err != nil {
+			return 0, err
 		}
+		args = append(args, a)
 	}
 	launch := gpusim.LaunchConfig{
 		Grid:          gpusim.D1(o.grid),
@@ -180,65 +192,75 @@ func run(o runOpts) error {
 		launch.Sink = p
 		launch.EmitBranchEvents = true
 		if _, err := s.Instr.Launch(kernel, launch); err != nil {
-			return err
+			return 0, err
 		}
-		fmt.Print(p.Report().String())
-		return nil
+		fmt.Fprint(w, p.Report().String())
+		return 0, nil
 	}
 	res, err := s.Detect(kernel, launch)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return printResult(kernel, res, o.verbose)
+	return printResult(w, kernel, res, o.verbose), nil
 }
 
-func printResult(kernel string, res *detector.Result, verbose bool) error {
-	rep := res.Report
-	fmt.Printf("kernel %s: %d warp instructions, %d records, %v\n",
-		kernel, res.SimStats.WarpInstrs, res.SimStats.Records, res.Duration.Round(0))
+// printReport prints what every road hands back — a header line and a
+// core.Report, the detector's own or one rebuilt from a summary or a JSON
+// result — and returns the exit status: 2 for a race or a divergence.
+func printReport(w io.Writer, header string, rep *core.Report, verbose bool) int {
+	fmt.Fprintln(w, header)
 	for _, d := range rep.Divergences {
-		fmt.Printf("BARRIER DIVERGENCE: block %d warp %d at line %d (mask %#x)\n",
+		fmt.Fprintf(w, "BARRIER DIVERGENCE: block %d warp %d at line %d (mask %#x)\n",
 			d.Block, d.Warp, d.PC, d.Mask)
 	}
 	if rep.RaceCount() == 0 {
-		fmt.Println("no races detected")
+		fmt.Fprintln(w, "no races detected")
 	}
 	for _, r := range rep.Races {
-		fmt.Println(r.String())
+		fmt.Fprintln(w, r.String())
 		if verbose {
-			fmt.Printf("  %d dynamic occurrence(s)\n", r.Count)
+			fmt.Fprintf(w, "  %d dynamic occurrence(s)\n", r.Count)
 		}
 	}
 	if rep.SameValueGag > 0 {
-		fmt.Printf("%d same-value intra-warp write(s) filtered\n", rep.SameValueGag)
+		fmt.Fprintf(w, "%d same-value intra-warp write(s) filtered\n", rep.SameValueGag)
 	}
 	if rep.PrecisionDegraded {
-		fmt.Printf("PRECISION DEGRADED: the shadow byte cap discarded live state (%d live eviction(s)); races may have been missed\n",
+		fmt.Fprintf(w, "PRECISION DEGRADED: the shadow byte cap discarded live state (%d live eviction(s)); races may have been missed\n",
 			rep.Shadow.LiveEvictions)
 	}
+	if rep.RaceCount() > 0 || len(rep.Divergences) > 0 {
+		return 2
+	}
+	return 0
+}
+
+// printResult is the local road's: the report, then under -v the tail
+// only a run in this process can give.
+func printResult(w io.Writer, kernel string, res *detector.Result, verbose bool) int {
+	rep := res.Report
+	status := printReport(w, fmt.Sprintf("kernel %s: %d warp instructions, %d records, %v",
+		kernel, res.SimStats.WarpInstrs, res.SimStats.Records, res.Duration.Round(0)), rep, verbose)
 	if verbose {
 		for _, f := range []ptvc.Format{ptvc.Converged, ptvc.Diverged, ptvc.NestedDiverged, ptvc.SparseVC} {
 			if n := res.Formats[f]; n > 0 {
-				fmt.Printf("PTVC %s: %d group(s)\n", f, n)
+				fmt.Fprintf(w, "PTVC %s: %d group(s)\n", f, n)
 			}
 		}
 		// Lanes per instruction is what says whether a job runs the
 		// interpreter's whole-warp walk; the rate is over the detection
 		// wall, so a detector-bound job reads low here.
 		sim := res.SimStats
-		fmt.Printf("sim: %d warp instruction(s), %.1f lane(s) per instruction, %d barrier(s), %d divergence(s), %.1f M warp-instr/s of detect wall\n",
+		fmt.Fprintf(w, "sim: %d warp instruction(s), %.1f lane(s) per instruction, %d barrier(s), %d divergence(s), %.1f M warp-instr/s of detect wall\n",
 			sim.WarpInstrs, float64(sim.ThreadInstrs)/float64(max(sim.WarpInstrs, 1)), sim.Barriers, sim.Divergences,
 			float64(sim.WarpInstrs)/1e6/max(res.Duration.Seconds(), 1e-9))
 		sh := rep.Shadow
-		fmt.Printf("shadow: %d word-granular region(s), %d at the configured granularity, %d refinement(s), peak %d bytes, %d-byte cells, %d read map(s) inflated\n",
+		fmt.Fprintf(w, "shadow: %d word-granular region(s), %d at the configured granularity, %d refinement(s), peak %d bytes, %d-byte cells, %d read map(s) inflated\n",
 			sh.WordRegions, sh.ByteRegions, sh.Refinements, sh.PeakResidentBytes, sh.CellBytes, sh.ReadInflations)
 		tr := res.Transport
-		fmt.Printf("transport: %d record(s) in %d bytes: %d coalesced, %d strided, %d irregular, %d with values; ring full %d time(s), producer blocked %v; %d empty poll(s)\n",
+		fmt.Fprintf(w, "transport: %d record(s) in %d bytes: %d coalesced, %d strided, %d irregular, %d with values; ring full %d time(s), producer blocked %v; %d empty poll(s)\n",
 			tr.Records, tr.Bytes, tr.Coalesced, tr.Strided, tr.Irregular, tr.WithVals,
 			tr.FullWaits, tr.Blocked.Round(time.Microsecond), tr.EmptyPolls)
 	}
-	if rep.RaceCount() > 0 || len(rep.Divergences) > 0 {
-		os.Exit(2)
-	}
-	return nil
+	return status
 }

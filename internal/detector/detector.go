@@ -85,13 +85,14 @@ type Config struct {
 
 // Upper bounds of the sized knobs. Each one sizes an allocation made
 // before the job runs, so an unchecked request could exhaust the process:
-// Queues×QueueCap records of ring buffer (~0.5 KiB each) and one detector
-// goroutine per queue, MaxRaces report slots (and the streaming
-// protocol's race channel), and a shadow cell that must fit the 64 KiB
-// shadow page.
+// Queues×QueueCap records of ring buffer (560 bytes each; bounded together
+// too, or the two bounds multiply to 2.19 GiB) and one detector goroutine
+// per queue, MaxRaces report slots (and the streaming protocol's race
+// channel), and a shadow cell that must fit the 64 KiB shadow page.
 const (
 	BoundQueues      = 64      // the paper's optimum is 1.1–1.5 queues per SM
 	BoundQueueCap    = 1 << 16 // records per queue; the default is 4096
+	BoundRingRecords = 1 << 18 // Queues×QueueCap after defaults: 140 MiB of ring
 	BoundGranularity = 1 << 16 // bytes per shadow cell: one cell per shadow page
 	BoundMaxRaces    = 1 << 16 // distinct race reports; the default is 1024
 )
@@ -116,6 +117,10 @@ func (c Config) Validate() error {
 		if f.v < 0 || f.v > f.bound {
 			return fmt.Errorf("detector: %s must be in [0, %d] (0 selects %s), got %d", f.name, f.bound, f.zero, f.v)
 		}
+	}
+	if d := c.WithDefaults(); d.Queues*d.QueueCap > BoundRingRecords {
+		return fmt.Errorf("detector: Queues×QueueCap must be at most %d records of ring in all (the default is 1×4096), got %d×%d = %d",
+			BoundRingRecords, d.Queues, d.QueueCap, d.Queues*d.QueueCap)
 	}
 	if c.Granularity&(c.Granularity-1) != 0 {
 		return fmt.Errorf("detector: Granularity must be a power of two (shadow cells tile the 64 KiB shadow page), got %d", c.Granularity)

@@ -24,6 +24,9 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 		{Config{QueueCap: 1 << 50}, "QueueCap"},
 		{Config{Granularity: 1 << 40}, "Granularity"},
 		{Config{MaxRaces: 1 << 50}, "MaxRaces"},
+		// Each inside its own bound, 2.19 GiB of ring between them.
+		{Config{Queues: BoundQueues, QueueCap: BoundQueueCap}, "Queues×QueueCap"},
+		{Config{Queues: BoundQueues, QueueCap: BoundRingRecords/BoundQueues + 1}, "Queues×QueueCap"},
 		// In range but not a power of two: cells would not tile the 64 KiB
 		// shadow page, and the page's last bytes indexed past its cells.
 		{Config{Granularity: 3}, "Granularity"},
@@ -49,7 +52,10 @@ func TestConfigValidateAcceptsZeroAndPositive(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
 		{Queues: 4, QueueCap: 128, Granularity: 4, MaxRaces: 10},
-		{Queues: BoundQueues, QueueCap: BoundQueueCap, Granularity: BoundGranularity, MaxRaces: BoundMaxRaces},
+		// The ring's bound is on the product: each knob at its own bound
+		// with the other as large as that leaves it.
+		{Queues: BoundQueues, QueueCap: BoundRingRecords / BoundQueues, Granularity: BoundGranularity, MaxRaces: BoundMaxRaces},
+		{Queues: BoundRingRecords / BoundQueueCap, QueueCap: BoundQueueCap, Granularity: BoundGranularity, MaxRaces: BoundMaxRaces},
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -62,11 +61,10 @@ type NodeJSON struct {
 
 // FleetJobInfo is the coordinator-side job envelope: where the job is,
 // how often it was retried, and — once terminal — the worker's JobInfo as
-// server.JobInfoFromSummary rebuilds it from the SUMMARY frame, whatever
-// the job's kind: Worker.Result has the digest-covered and headline fields
-// and a repair job's whole report; records, ptvc_formats and the full
-// shadow and filter breakdowns stay zero (README "What a fleet result
-// carries"); the worker's own GET /jobs/{id} has them.
+// server.JobInfoFromSummary rebuilds it from the SUMMARY frame: the
+// worker's own builder, so Worker.Result is what the worker's GET
+// /jobs/{id} returns minus its four extras (README "What a fleet result
+// carries").
 type FleetJobInfo struct {
 	ID       string          `json:"id"`
 	Status   string          `json:"status"`
@@ -107,18 +105,14 @@ type FleetMetricsJSON struct {
 // retryable ones re-route to the next ring successor with the failed
 // node excluded.
 type HTTPCoordinator struct {
-	core    *Coordinator
-	mux     *http.ServeMux
-	start   time.Time
-	maxJobs int
+	core  *Coordinator
+	mux   *http.ServeMux
+	start time.Time
 
 	streamFwds atomic.Int64 // assignments forwarded
 	sessions   sessionPool
 
-	mu     sync.Mutex
-	jobs   map[string]*proxyJob
-	order  []string
-	nextID int64
+	jobs *server.History[*proxyJob] // bounded by Options.MaxJobs
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -174,12 +168,11 @@ func (p *proxyJob) terminal() bool {
 func NewHTTPCoordinator(opt Options) *HTTPCoordinator {
 	opt = opt.withDefaults()
 	h := &HTTPCoordinator{
-		core:    NewCoordinator(opt),
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		maxJobs: opt.MaxJobs,
-		jobs:    make(map[string]*proxyJob),
-		quit:    make(chan struct{}),
+		core:  NewCoordinator(opt),
+		mux:   http.NewServeMux(),
+		start: time.Now(),
+		jobs:  server.NewHistory("fjob-", opt.MaxJobs, (*proxyJob).terminal),
+		quit:  make(chan struct{}),
 	}
 	h.mux.HandleFunc("POST /fleet/join", h.handleJoin)
 	h.mux.HandleFunc("POST /fleet/heartbeat", h.handleHeartbeat)
@@ -384,82 +377,38 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req = req.Resolved()
 	key := server.CacheKey(req.PTX, req.Config)
 
-	h.mu.Lock()
-	h.nextID++
-	id := fmt.Sprintf("fjob-%d", h.nextID)
+	id := h.jobs.Reserve()
 	pj := &proxyJob{id: id, status: server.StatusQueued, done: make(chan struct{}), reqCopy: req}
 	fj := &Job{ID: id, Key: key, Class: req.Class, Payload: pj}
 	pj.fj = fj
-	h.jobs[id] = pj
-	h.order = append(h.order, id)
-	h.trimJobsLocked()
-	h.mu.Unlock()
+	h.jobs.Put(id, pj)
 
 	asgs, err := h.core.Submit(fj, time.Now())
-	if errors.Is(err, ErrNoNodes) {
-		h.dropJob(id)
-		w.Header().Set("Retry-After", "1")
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable, err.Error())
-		return
-	}
 	if err != nil {
-		h.dropJob(id)
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+		h.jobs.Drop(id)
+		if errors.Is(err, ErrNoNodes) {
+			w.Header().Set("Retry-After", "1")
+			server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable, err.Error())
+		} else {
+			server.WriteError(w, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+		}
 		return
 	}
 	h.perform(asgs)
 	server.WriteJSON(w, http.StatusAccepted, pj.info())
 }
 
-// dropJob rolls a failed submission back out of the job table. It must
-// remove the specific id — a concurrent submit may have appended to
-// h.order since we released h.mu, so truncating the tail would orphan
-// the other request's job.
-func (h *HTTPCoordinator) dropJob(id string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.jobs, id)
-	for i := len(h.order) - 1; i >= 0; i-- {
-		if h.order[i] == id {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// trimJobsLocked forgets the oldest terminal jobs past the retention
-// cap, mirroring server.Scheduler's bounded job history so a
-// long-running coordinator does not accumulate every job (and its PTX
-// payload) forever.
-func (h *HTTPCoordinator) trimJobsLocked() {
-	for len(h.order) > h.maxJobs {
-		id := h.order[0]
-		if pj, ok := h.jobs[id]; ok {
-			if !pj.terminal() {
-				return // oldest still live: keep history until it finishes
-			}
-			delete(h.jobs, id)
-		}
-		h.order = h.order[1:]
-	}
-}
-
 func (h *HTTPCoordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	h.mu.Lock()
-	out := make([]FleetJobInfo, 0, len(h.order))
-	for _, id := range h.order {
-		if pj, ok := h.jobs[id]; ok {
-			out = append(out, pj.info())
-		}
+	jobs := h.jobs.List()
+	out := make([]FleetJobInfo, 0, len(jobs))
+	for _, pj := range jobs {
+		out = append(out, pj.info())
 	}
-	h.mu.Unlock()
 	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (h *HTTPCoordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	h.mu.Lock()
-	pj, ok := h.jobs[r.PathValue("id")]
-	h.mu.Unlock()
+	pj, ok := h.jobs.Get(r.PathValue("id"))
 	if !ok {
 		server.WriteError(w, http.StatusNotFound, server.CodeNotFound, "no such job")
 		return

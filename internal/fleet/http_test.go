@@ -408,35 +408,39 @@ func TestStaleFailAssignmentDoesNotFinishJob(t *testing.T) {
 	}
 }
 
+// listedIDs is the coordinator's retained history, in listing order.
+func listedIDs(h *HTTPCoordinator) []string {
+	var ids []string
+	for _, pj := range h.jobs.List() {
+		ids = append(ids, pj.id)
+	}
+	return ids
+}
+
 // Rolling back a failed submission must remove that submission's id,
 // not whatever happens to be last in the listing order (a concurrent
-// submit may have appended since the lock was released).
+// submit may have appended since the id was put).
 func TestSubmitRollbackRemovesCorrectJob(t *testing.T) {
 	h := NewHTTPCoordinator(Options{})
 	t.Cleanup(h.Close)
 	for _, id := range []string{"fjob-1", "fjob-2"} {
 		pj := &proxyJob{id: id, status: server.StatusQueued, done: make(chan struct{})}
 		pj.fj = &Job{ID: id, Payload: pj}
-		h.mu.Lock()
-		h.jobs[id] = pj
-		h.order = append(h.order, id)
-		h.mu.Unlock()
+		h.jobs.Put(id, pj)
 	}
-	h.dropJob("fjob-1") // fjob-2 appended after fjob-1's submit failed
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.order) != 1 || h.order[0] != "fjob-2" {
-		t.Fatalf("order = %v, want [fjob-2]", h.order)
+	h.jobs.Drop("fjob-1") // fjob-2 appended after fjob-1's submit failed
+	if ids := listedIDs(h); len(ids) != 1 || ids[0] != "fjob-2" {
+		t.Fatalf("order = %v, want [fjob-2]", ids)
 	}
-	if _, ok := h.jobs["fjob-2"]; !ok {
+	if _, ok := h.jobs.Get("fjob-2"); !ok {
 		t.Fatal("rollback dropped the concurrent submission's job")
 	}
-	if _, ok := h.jobs["fjob-1"]; ok {
+	if _, ok := h.jobs.Get("fjob-1"); ok {
 		t.Fatal("rolled-back job still in the table")
 	}
 }
 
-// The coordinator's job history is bounded like server.Scheduler's:
+// The coordinator's job history is the scheduler's server.History:
 // oldest terminal jobs are forgotten past MaxJobs, live jobs are never
 // dropped, and a terminal job releases its retained request payload.
 func TestJobHistoryBounded(t *testing.T) {
@@ -448,11 +452,7 @@ func TestJobHistoryBounded(t *testing.T) {
 		if terminal {
 			pj.finish(server.StatusDone, "", "", nil)
 		}
-		h.mu.Lock()
-		h.jobs[id] = pj
-		h.order = append(h.order, id)
-		h.trimJobsLocked()
-		h.mu.Unlock()
+		h.jobs.Put(id, pj)
 		return pj
 	}
 
@@ -462,14 +462,10 @@ func TestJobHistoryBounded(t *testing.T) {
 	}
 	add("fjob-2", true)
 	add("fjob-3", true)
-	h.mu.Lock()
-	if len(h.order) != 2 || h.order[0] != "fjob-2" {
-		h.mu.Unlock()
-		t.Fatalf("order = %v, want oldest terminal job evicted", h.order)
+	if ids := listedIDs(h); len(ids) != 2 || ids[0] != "fjob-2" {
+		t.Fatalf("order = %v, want oldest terminal job evicted", ids)
 	}
-	_, gone := h.jobs["fjob-1"]
-	h.mu.Unlock()
-	if gone {
+	if _, ok := h.jobs.Get("fjob-1"); ok {
 		t.Fatal("evicted job still in the table")
 	}
 
@@ -477,10 +473,8 @@ func TestJobHistoryBounded(t *testing.T) {
 	add("fjob-4", false)
 	add("fjob-5", true)
 	add("fjob-6", true)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.order) != 3 || h.order[0] != "fjob-4" {
-		t.Fatalf("order = %v, want live fjob-4 retained with everything after it", h.order)
+	if ids := listedIDs(h); len(ids) != 3 || ids[0] != "fjob-4" {
+		t.Fatalf("order = %v, want live fjob-4 retained with everything after it", ids)
 	}
 }
 

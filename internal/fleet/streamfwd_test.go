@@ -120,12 +120,11 @@ func TestStreamForwardFallbackOldWorker(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %+v", code, errj)
 	}
-	f.coord.mu.Lock()
-	pj := f.coord.jobs[info.ID]
-	f.coord.mu.Unlock()
+	pj, _ := f.coord.jobs.Get(info.ID)
 	if !within(5*time.Second, func() bool {
+		// Retries tells this queued from the one before the forward began.
 		got := pj.info()
-		return got.Status == server.StatusQueued && got.Attempts == 1
+		return got.Status == server.StatusQueued && got.Attempts == 1 && f.coord.Core().Stats().Retries == 1
 	}) {
 		t.Fatalf("job after the refused upgrade: %+v, want queued after 1 attempt", pj.info())
 	}

@@ -324,49 +324,54 @@ type ErrorJSON struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// resultJSON converts a detector result to the wire form.
-func resultJSON(kernel string, res *detector.Result) *JobResult {
-	out := &JobResult{
-		Kernel:            kernel,
-		RaceCount:         res.Report.RaceCount(),
-		SameValueFiltered: res.Report.SameValueGag,
-		WarpInstrs:        res.SimStats.WarpInstrs,
-		Records:           res.SimStats.Records,
-		RecordsSeen:       res.Report.RecordsSeen,
-		DetectMS:          float64(res.Duration.Microseconds()) / 1000,
-		PrecisionDegraded: res.Report.PrecisionDegraded,
+// One road back (DESIGN.md): detector.Result → wire.Summary → JobResult.
+// summaryOf is the first link, less the envelope Job.finish stamps;
+// durations are whole microseconds, as the frame has them.
+func summaryOf(kernel string, res *detector.Result) wire.Summary {
+	rep := res.Report
+	f := res.SimStats.Filter
+	return wire.Summary{
+		Kernel:             kernel,
+		Races:              rep.Races,
+		Divergences:        rep.Divergences,
+		RecordsSeen:        rep.RecordsSeen,
+		WarpInstrs:         res.SimStats.WarpInstrs,
+		SameValueFiltered:  rep.SameValueGag,
+		DetectUS:           uint64(res.Duration.Microseconds()),
+		ShadowPeakResident: uint64(rep.Shadow.PeakResidentBytes),
+		ShadowLiveEvicts:   rep.Shadow.LiveEvictions,
+		PrecisionDegraded:  rep.PrecisionDegraded,
+		FilterSuppressed:   f.Suppressed(),
+		FilterFlushes:      f.Flushes,
 	}
-	sh := res.Report.Shadow
-	out.Shadow = &sh
-	if f := res.SimStats.Filter; f != (gpusim.FilterStats{}) {
-		out.Filter = &FilterJSON{
-			Probes:       f.Probes,
-			Hits:         f.Hits,
-			StaticElides: f.StaticElides,
-			Flushes:      f.Flushes,
-			Suppressed:   f.Suppressed(),
-		}
-	}
-	out.Races, out.Divergences = reportTables(res.Report)
-	if len(res.Formats) > 0 {
-		out.Formats = make(map[string]int, len(res.Formats))
-		for f, n := range res.Formats {
-			out.Formats[f.String()] = n
-		}
-	}
-	return out
 }
 
-// repairResultJSON is a repair job's result (see JobResult).
-func repairResultJSON(kernel string, rep *detector.RepairReport) *JobResult {
-	return &JobResult{Kernel: kernel, RaceCount: rep.BaselineRaces, Repair: rep}
-}
-
-// reportTables projects a report's race and divergence tables; the
-// polled result and the one rebuilt from a streamed summary share it.
-func reportTables(rep *core.Report) (races []RaceJSON, divs []DivergenceJSON) {
+// resultFromSummary is the second link, the worker's and the coordinator's
+// alike; failed and timed-out jobs carry no result.
+func resultFromSummary(sum wire.Summary) *JobResult {
+	if sum.Status != StatusDone {
+		return nil
+	}
+	if sum.Repair != nil {
+		return &JobResult{Kernel: sum.Kernel, RaceCount: sum.Repair.BaselineRaces, Repair: sum.Repair}
+	}
+	rep := sum.Report()
+	sh := rep.Shadow
+	res := &JobResult{
+		Kernel:            sum.Kernel,
+		RaceCount:         len(sum.Races),
+		SameValueFiltered: sum.SameValueFiltered,
+		WarpInstrs:        sum.WarpInstrs,
+		RecordsSeen:       sum.RecordsSeen,
+		DetectMS:          float64(sum.DetectUS) / 1000,
+		PrecisionDegraded: sum.PrecisionDegraded,
+		Shadow:            &sh,
+	}
+	if sum.FilterSuppressed != 0 || sum.FilterFlushes != 0 {
+		res.Filter = &FilterJSON{Suppressed: sum.FilterSuppressed, Flushes: sum.FilterFlushes}
+	}
 	for _, r := range rep.Races {
-		races = append(races, RaceJSON{
+		res.Races = append(res.Races, RaceJSON{
 			Kind:      r.Kind.String(),
 			Space:     r.Space.String(),
 			Addr:      fmt.Sprintf("%#x", r.Addr),
@@ -379,12 +384,54 @@ func reportTables(rep *core.Report) (races []RaceJSON, divs []DivergenceJSON) {
 		})
 	}
 	for _, d := range rep.Divergences {
-		divs = append(divs, DivergenceJSON{
+		res.Divergences = append(res.Divergences, DivergenceJSON{
 			Block: d.Block, Warp: d.Warp, Line: d.PC,
 			Mask: fmt.Sprintf("%#x", d.Mask),
 		})
 	}
-	return races, divs
+	return res
+}
+
+// addWorkerExtras fills in what no SUMMARY frame carries: the simulator's
+// record count, the PTVC census, and the full shadow and filter blocks.
+func (r *JobResult) addWorkerExtras(res *detector.Result) {
+	r.Records = res.SimStats.Records
+	if len(res.Formats) > 0 {
+		r.Formats = make(map[string]int, len(res.Formats))
+		for f, n := range res.Formats {
+			r.Formats[f.String()] = n
+		}
+	}
+	*r.Shadow = res.Report.Shadow
+	if f := res.SimStats.Filter; f != (gpusim.FilterStats{}) {
+		r.Filter = &FilterJSON{
+			Probes:       f.Probes,
+			Hits:         f.Hits,
+			StaticElides: f.StaticElides,
+			Flushes:      f.Flushes,
+			Suppressed:   f.Suppressed(),
+		}
+	}
+}
+
+// envelope is a summary's JobInfo without the result.
+func envelope(id string, sum wire.Summary) JobInfo {
+	return JobInfo{
+		ID:          id,
+		Status:      sum.Status,
+		Error:       sum.Error,
+		CacheHit:    sum.CacheHit,
+		QueueWaitMS: float64(sum.QueueWaitUS) / 1000,
+		TotalMS:     float64(sum.TotalUS) / 1000,
+	}
+}
+
+// JobInfoFromSummary rebuilds the JSON JobInfo shape from a streamed
+// terminal Summary; the fleet coordinator reports every job through it.
+func JobInfoFromSummary(id string, sum wire.Summary) *JobInfo {
+	info := envelope(id, sum)
+	info.Result = resultFromSummary(sum)
+	return &info
 }
 
 func accessJSON(a core.Access) AccessJSON {
@@ -392,7 +439,7 @@ func accessJSON(a core.Access) AccessJSON {
 }
 
 // CoreReport reconstructs the detector report a result was projected
-// from — the inverse of resultJSON over the fields CanonicalDigest
+// from — the inverse of resultFromSummary over the fields CanonicalDigest
 // covers. The streamed and polled paths are compared through this:
 // digest(CoreReport(JSON)) must equal digest(Summary.Report()).
 func (r *JobResult) CoreReport() (*core.Report, error) {
@@ -400,6 +447,9 @@ func (r *JobResult) CoreReport() (*core.Report, error) {
 		RecordsSeen:       r.RecordsSeen,
 		SameValueGag:      r.SameValueFiltered,
 		PrecisionDegraded: r.PrecisionDegraded,
+	}
+	if r.Shadow != nil {
+		rep.Shadow = *r.Shadow
 	}
 	for i, rc := range r.Races {
 		kind, ok := raceKinds[rc.Kind]

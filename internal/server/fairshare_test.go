@@ -76,7 +76,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 	finished := func(j *Job) time.Time {
 		j.mu.Lock()
 		defer j.mu.Unlock()
-		return j.finished
+		return j.submitted.Add(time.Duration(j.sum.TotalUS) * time.Microsecond)
 	}
 	ahead := 0
 	for _, j := range noisy {

@@ -78,8 +78,9 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 }
 
 // TestOversizedConfigRejected: knob values far above detector.Config's
-// bounds — and a granularity inside them that does not tile the shadow
-// page — are refused as invalid_argument on both transports before they
+// bounds — and, inside them, a granularity that does not tile the shadow
+// page and a queue count and capacity whose product is gigabytes of ring —
+// are refused as invalid_argument on both transports before they
 // size a queue ring, a race channel or a shadow page — each of these
 // used to reach make(), or index past a page's cells, and take the
 // process down — and the daemon serves the next job.
@@ -98,6 +99,8 @@ func TestOversizedConfigRejected(t *testing.T) {
 		"max_races":                        {MaxRaces: huge},
 		"granularity":                      {Granularity: huge},
 		"granularity (not a power of two)": {Granularity: 3},
+		// Each inside its own bound, 2.19 GiB of ring between them.
+		"queues × queue_cap": {Queues: detector.BoundQueues, QueueCap: detector.BoundQueueCap},
 	} {
 		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Config: cfg})
 		if code != http.StatusBadRequest || errj.Code != CodeInvalidArgument {

@@ -11,7 +11,8 @@ import (
 // re-detection verdict per patch. Exactly one of PTX or Bench selects
 // the module. The launch shape controls the verification runs; like
 // /v1/analyze, the result is memoized on the module-cache entry, so a
-// warm repeat is a pure lookup.
+// warm repeat is a pure lookup. The handler submits it as a kind "repair"
+// job and waits (Server.handleRepair).
 type RepairRequest struct {
 	PTX     string          `json:"ptx,omitempty"`
 	Bench   string          `json:"bench,omitempty"`
@@ -21,7 +22,7 @@ type RepairRequest struct {
 	Buffers []int           `json:"buffers,omitempty"`
 	Config  detector.Config `json:"config"`
 	// MaxInstrs bounds each verification launch (0 = server default);
-	// always enforced so a deadlocking patch cannot pin the handler.
+	// always enforced so a deadlocking patch cannot pin a worker.
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 	// MaxCandidates / MaxPatches bound the search (0 = defaults).
 	MaxCandidates int `json:"max_candidates,omitempty"`
@@ -48,7 +49,22 @@ func (r *RepairRequest) Validate(maxBufferBytes int64) error {
 	return nil
 }
 
-// RepairResponse wraps the repair report with cache provenance.
+// jobRequest is the job a repair runs as; a bench stands for its source only.
+func (r RepairRequest) jobRequest() JobRequest {
+	return JobRequest{
+		PTX:       moduleSource(r.PTX, r.Bench),
+		Kernel:    r.Kernel,
+		Grid:      r.Grid,
+		Block:     r.Block,
+		Buffers:   r.Buffers,
+		Config:    r.Config,
+		MaxInstrs: r.MaxInstrs,
+		Kind:      KindRepair,
+	}
+}
+
+// RepairResponse wraps the repair report with cache provenance: whether
+// it was recalled from the module-cache entry's memo.
 type RepairResponse struct {
 	CacheHit bool                   `json:"cache_hit"`
 	Report   *detector.RepairReport `json:"report"`
@@ -62,40 +78,18 @@ func repairSig(kernel string, opt detector.RepairOptions) string {
 		opt.WarpSize, opt.MaxCandidates, opt.MaxPatchesPerCandidate)
 }
 
-// repairOptions maps request knobs onto detector.RepairOptions, always
-// enforcing a step budget.
-func (s *Scheduler) repairOptions(grid, block int, buffers []int, maxInstrs uint64, maxCands, maxPatches, warpSize int) detector.RepairOptions {
-	if maxInstrs == 0 {
-		maxInstrs = s.opts.DefaultMaxInstrs
-	}
-	return detector.RepairOptions{
-		Grid:                   grid,
-		Block:                  block,
-		Buffers:                buffers,
-		MaxInstrs:              maxInstrs,
-		WarpSize:               warpSize,
-		MaxCandidates:          maxCands,
-		MaxPatchesPerCandidate: maxPatches,
-	}
-}
-
 // repairOnLease runs (or recalls) a repair on a leased cache entry. The
 // lease holds the entry mutex, so memo reads and writes are race-free
-// and two concurrent identical requests compute once.
-func repairOnLease(lease *Lease, kernel string, opt detector.RepairOptions) (*detector.RepairReport, bool, error) {
+// and two concurrent identical requests compute once. The verification
+// launches open their own throwaway sessions (each patched module must be
+// instrumented and loaded from scratch).
+func repairOnLease(lease *Lease, kernel string, opt detector.RepairOptions) (rep *detector.RepairReport, memoHit bool, err error) {
 	e := lease.e
-	mod := lease.Session().SrcMod
-	if kernel == "" {
-		if len(mod.Kernels) == 0 {
-			return nil, false, fmt.Errorf("repair: module has no kernels")
-		}
-		kernel = mod.Kernels[0].Name
-	}
 	sig := repairSig(kernel, opt)
 	if rep, ok := e.repairs[sig]; ok {
 		return rep, true, nil
 	}
-	rep, err := detector.Repair(mod, kernel, lease.Session().Config(), opt)
+	rep, err = detector.Repair(lease.Session().SrcMod, kernel, lease.Session().Config(), opt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -104,28 +98,4 @@ func repairOnLease(lease *Lease, kernel string, opt detector.RepairOptions) (*de
 	}
 	e.repairs[sig] = rep
 	return rep, false, nil
-}
-
-// Repair resolves the module, leases its warm session and runs the
-// verified repair loop, memoizing the report on the cache entry. The
-// verification launches open their own throwaway sessions (each patched
-// module must be instrumented and loaded from scratch); the lease
-// serializes repairs on the module and carries the memo.
-func (s *Scheduler) Repair(req RepairRequest) (*RepairResponse, error) {
-	if err := req.Validate(s.opts.MaxBufferBytes); err != nil {
-		return nil, err
-	}
-	lease, _, err := s.cache.Acquire(moduleSource(req.PTX, req.Bench), req.Config)
-	if err != nil {
-		return nil, err
-	}
-	defer lease.Release()
-
-	opt := s.repairOptions(req.Grid, req.Block, req.Buffers, req.MaxInstrs,
-		req.MaxCandidates, req.MaxPatches, 0)
-	rep, hit, err := repairOnLease(lease, req.Kernel, opt)
-	if err != nil {
-		return nil, fmt.Errorf("repair: %w", err)
-	}
-	return &RepairResponse{CacheHit: hit, Report: rep}, nil
 }

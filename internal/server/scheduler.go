@@ -10,6 +10,7 @@ import (
 	"barracuda/internal/core"
 	"barracuda/internal/detector"
 	"barracuda/internal/gpusim"
+	"barracuda/internal/wire"
 )
 
 // ErrQueueFull is returned by Submit when the bounded queue is at
@@ -88,15 +89,19 @@ type Job struct {
 	tenant   string          // API key the job was admitted under ("" = anonymous)
 	observer func(core.Race) // streaming path: fired per new static race
 
+	// sum is the job as a SUMMARY frame: status, cache hit and queue wait as
+	// each becomes known, the rest — and result, a poll's JSON — from finish.
 	mu        sync.Mutex
-	status    string
-	cacheHit  bool
-	errMsg    string
+	sum       wire.Summary
 	result    *JobResult
-	report    *core.Report // a detect run's; set before done closes, read after
 	submitted time.Time
-	started   time.Time
-	finished  time.Time
+
+	// A repair's search bounds (0 = defaults; only POST /v1/repair sets
+	// them), and whether its report was recalled from the memo: set before
+	// done closes, read after.
+	maxCandidates int
+	maxPatches    int
+	memoHit       bool
 
 	done chan struct{}
 }
@@ -108,31 +113,40 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) Info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	info := JobInfo{
-		ID:          j.ID,
-		Status:      j.status,
-		CacheHit:    j.cacheHit,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),
-		Result:      j.result,
-	}
-	if !j.started.IsZero() {
-		info.QueueWaitMS = float64(j.started.Sub(j.submitted).Microseconds()) / 1000
-	}
-	if !j.finished.IsZero() {
-		info.TotalMS = float64(j.finished.Sub(j.submitted).Microseconds()) / 1000
-	}
+	info := envelope(j.ID, j.sum)
+	info.SubmittedAt = j.submitted.UTC().Format(time.RFC3339Nano)
+	info.Result = j.result
 	return info
 }
 
-func (j *Job) finish(status, errMsg string, result *JobResult) {
+// finish makes the job terminal: the JSON result is built from the run's
+// summary, as a coordinator builds it, then given what only res holds. Its
+// caller is the one goroutine that writes sum, so the tables are built
+// before the lock is taken.
+func (j *Job) finish(status, errMsg string, run wire.Summary, res *detector.Result) {
+	run.Status = status
+	run.Error = errMsg
+	run.CacheHit = j.sum.CacheHit
+	run.QueueWaitUS = j.sum.QueueWaitUS
+	run.TotalUS = uint64(time.Since(j.submitted).Microseconds())
+	result := resultFromSummary(run)
+	if res != nil {
+		result.addWorkerExtras(res)
+	}
 	j.mu.Lock()
-	j.status = status
-	j.errMsg = errMsg
+	j.sum = run
 	j.result = result
-	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// fail is finish for a job that produced nothing.
+func (j *Job) fail(status, errMsg string) { j.finish(status, errMsg, wire.Summary{}, nil) }
+
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.sum.Status != StatusQueued && j.sum.Status != StatusRunning
 }
 
 // Scheduler owns the job queue, the worker pool and the module cache.
@@ -145,13 +159,9 @@ type Scheduler struct {
 
 	inflight atomic.Int64 // jobs currently held by a worker
 
-	q  *fairQueue
-	wg sync.WaitGroup
-
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // submission order, for listing and history trimming
-	nextID int64
+	q    *fairQueue
+	wg   sync.WaitGroup
+	jobs *History[*Job]
 }
 
 // NewScheduler builds the service core and starts its workers.
@@ -164,7 +174,7 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 		tenants: NewTenantRegistry(opts.Tenants),
 		metrics: &Metrics{},
 		q:       newFairQueue(opts.QueueCap, opts.TenantWeights),
-		jobs:    make(map[string]*Job),
+		jobs:    NewHistory("job-", opts.MaxJobs, (*Job).terminal),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -262,17 +272,27 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 // not block (the stream layer hands it a buffered channel sized to the
 // race cap).
 func (s *Scheduler) SubmitTenant(req JobRequest, tenant string, onRace func(core.Race)) (*Job, error) {
+	return s.submit(req, tenant, onRace, 0, 0)
+}
+
+// submit is SubmitTenant with a repair's search bounds, which ride the
+// Job and not the request: JobRequest stays exactly what travels.
+func (s *Scheduler) submit(req JobRequest, tenant string, onRace func(core.Race), maxCandidates, maxPatches int) (*Job, error) {
 	if err := req.Validate(s.opts.MaxBufferBytes); err != nil {
 		return nil, err
 	}
 	job := &Job{
-		tenant:   tenant,
-		observer: onRace,
-		req:      req.Resolved(),
-		timeout:  s.opts.DefaultTimeout,
-		budget:   s.opts.DefaultMaxInstrs,
-		status:   StatusQueued,
-		done:     make(chan struct{}),
+		ID:            s.jobs.Reserve(),
+		tenant:        tenant,
+		observer:      onRace,
+		req:           req.Resolved(),
+		timeout:       s.opts.DefaultTimeout,
+		budget:        s.opts.DefaultMaxInstrs,
+		maxCandidates: maxCandidates,
+		maxPatches:    maxPatches,
+		sum:           wire.Summary{Status: StatusQueued},
+		submitted:     time.Now(),
+		done:          make(chan struct{}),
 	}
 	if req.TimeoutMS > 0 {
 		job.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -280,63 +300,13 @@ func (s *Scheduler) SubmitTenant(req JobRequest, tenant string, onRace func(core
 	if req.MaxInstrs > 0 {
 		job.budget = req.MaxInstrs
 	}
-
-	s.mu.Lock()
-	s.nextID++
-	job.ID = fmt.Sprintf("job-%d", s.nextID)
-	job.submitted = time.Now()
-	s.mu.Unlock()
-
 	if !s.q.push(job.tenant, job) {
 		s.metrics.Rejected.Add(1)
 		return nil, ErrQueueFull
 	}
-
-	s.mu.Lock()
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	s.trimHistoryLocked()
-	s.mu.Unlock()
+	s.jobs.Put(job.ID, job)
 	s.metrics.Submitted.Add(1)
 	return job, nil
-}
-
-// trimHistoryLocked forgets the oldest finished jobs past MaxJobs.
-func (s *Scheduler) trimHistoryLocked() {
-	for len(s.order) > s.opts.MaxJobs {
-		id := s.order[0]
-		if j, ok := s.jobs[id]; ok {
-			j.mu.Lock()
-			terminal := j.status == StatusDone || j.status == StatusFailed || j.status == StatusTimeout
-			j.mu.Unlock()
-			if !terminal {
-				return // oldest still live: keep history until it finishes
-			}
-			delete(s.jobs, id)
-		}
-		s.order = s.order[1:]
-	}
-}
-
-// Job looks up a job by id.
-func (s *Scheduler) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
-
-// Jobs lists retained jobs in submission order.
-func (s *Scheduler) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // Stop shuts the worker pool down and fails any still-queued jobs.
@@ -344,7 +314,7 @@ func (s *Scheduler) Stop() {
 	s.q.close()
 	s.wg.Wait()
 	for _, job := range s.q.drain() {
-		job.finish(StatusFailed, "server shutting down", nil)
+		job.fail(StatusFailed, "server shutting down")
 		s.metrics.Failed.Add(1)
 	}
 }
@@ -360,34 +330,36 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// run executes one job with a wall-clock timeout. The detect itself runs
-// in a child goroutine holding the cache lease; on timeout the worker
-// moves on while the child winds down against the step budget and
-// releases the lease when the simulator gives up.
+// run executes one job with a wall-clock timeout: the only place in the
+// daemon a kernel is launched (make one-way-in). The launch runs in a
+// child goroutine holding the cache lease; on timeout the worker moves on
+// while the child winds down against the step budget and releases the
+// lease when the simulator gives up.
 func (s *Scheduler) run(job *Job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	job.mu.Lock()
-	job.status = StatusRunning
-	job.started = time.Now()
+	job.sum.Status = StatusRunning
+	job.sum.QueueWaitUS = uint64(time.Since(job.submitted).Microseconds())
 	job.mu.Unlock()
 
 	req := job.req
 	lease, hit, err := s.cache.Acquire(req.PTX, req.Config)
 	if err != nil {
 		s.metrics.Failed.Add(1)
-		job.finish(StatusFailed, "open: "+err.Error(), nil)
+		job.fail(StatusFailed, "open: "+err.Error())
 		return
 	}
 	job.mu.Lock()
-	job.cacheHit = hit
+	job.sum.CacheHit = hit
 	job.mu.Unlock()
 
 	type outcome struct {
-		kernel string
-		res    *detector.Result
-		repair *detector.RepairReport
-		err    error
+		kernel  string
+		res     *detector.Result
+		repair  *detector.RepairReport
+		memoHit bool
+		err     error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
@@ -403,10 +375,16 @@ func (s *Scheduler) run(job *Job) {
 			kernel = names[0]
 		}
 		if req.Kind == KindRepair {
-			opt := s.repairOptions(req.Grid, req.Block, req.Buffers, job.budget,
-				0, 0, req.WarpSize)
-			rep, _, err := repairOnLease(lease, kernel, opt)
-			ch <- outcome{kernel: kernel, repair: rep, err: err}
+			rep, memoHit, err := repairOnLease(lease, kernel, detector.RepairOptions{
+				Grid:                   req.Grid,
+				Block:                  req.Block,
+				Buffers:                req.Buffers,
+				MaxInstrs:              job.budget,
+				WarpSize:               req.WarpSize,
+				MaxCandidates:          job.maxCandidates,
+				MaxPatchesPerCandidate: job.maxPatches,
+			})
+			ch <- outcome{kernel: kernel, repair: rep, memoHit: memoHit, err: err}
 			return
 		}
 		args, err := lease.Buffers(req.Buffers)
@@ -425,23 +403,23 @@ func (s *Scheduler) run(job *Job) {
 		switch {
 		case o.err == nil && o.repair != nil:
 			s.metrics.Completed.Add(1)
-			job.finish(StatusDone, "", repairResultJSON(o.kernel, o.repair))
+			job.memoHit = o.memoHit
+			job.finish(StatusDone, "", wire.Summary{Kernel: o.kernel, Repair: o.repair}, nil)
 		case o.err == nil:
 			s.metrics.Completed.Add(1)
 			s.metrics.Latency.Observe(o.res.Duration)
 			s.metrics.ObserveShadow(o.res.Report.Shadow)
 			s.metrics.ObserveFilter(o.res.SimStats.Filter)
-			job.report = o.res.Report
-			job.finish(StatusDone, "", resultJSON(o.kernel, o.res))
+			job.finish(StatusDone, "", summaryOf(o.kernel, o.res), o.res)
 		case errors.Is(o.err, gpusim.ErrStepBudget):
 			s.metrics.TimedOut.Add(1)
-			job.finish(StatusTimeout, fmt.Sprintf("step budget (%d warp instructions) exceeded: %v", job.budget, o.err), nil)
+			job.fail(StatusTimeout, fmt.Sprintf("step budget (%d warp instructions) exceeded: %v", job.budget, o.err))
 		default:
 			s.metrics.Failed.Add(1)
-			job.finish(StatusFailed, o.err.Error(), nil)
+			job.fail(StatusFailed, o.err.Error())
 		}
 	case <-timer.C:
 		s.metrics.TimedOut.Add(1)
-		job.finish(StatusTimeout, fmt.Sprintf("wall-clock timeout after %v", job.timeout), nil)
+		job.fail(StatusTimeout, fmt.Sprintf("wall-clock timeout after %v", job.timeout))
 	}
 }

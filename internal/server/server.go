@@ -24,7 +24,7 @@ const maxBodyBytes = 16 << 20
 //	GET  /jobs/{id}     fetch one job        → 200 JobInfo | 404
 //	                    ?wait_ms=N long-polls until terminal or N ms
 //	POST /v1/analyze    static analysis only → 200 AnalyzeResponse | 400
-//	POST /v1/repair     verified repair loop → 200 RepairResponse | 400
+//	POST /v1/repair     verified repair loop → 200 RepairResponse | 400 | 429
 //	GET  /v1/stream     upgrade to the binary streaming protocol
 //	                    (internal/wire): chunked PTX upload, pipelined
 //	                    launches, incremental race frames → 101 | 426
@@ -173,16 +173,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, &req, true) {
 		return
 	}
-	job, err := s.sched.SubmitTenant(req, bearerToken(r), nil)
+	if job := s.submit(w, r, req, 0, 0); job != nil {
+		WriteJSON(w, http.StatusAccepted, job.Info())
+	}
+}
+
+// submit queues a job for an HTTP handler; on refusal it has answered 429
+// queue_full with Retry-After, or 400 invalid_argument, and returns nil.
+// The last two arguments are a repair's search bounds (Scheduler.submit).
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, req JobRequest, maxCandidates, maxPatches int) *Job {
+	job, err := s.sched.submit(req, bearerToken(r), nil, maxCandidates, maxPatches)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, err.Error())
 	case err != nil:
 		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-	default:
-		WriteJSON(w, http.StatusAccepted, job.Info())
 	}
+	return job
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -198,21 +206,42 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, res)
 }
 
+// handleRepair is submit-and-wait over the job road, under every guard a
+// job meets. One that does not end done — timeout included — answers 400
+// with the job's error, as every repair failure always has.
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	var req RepairRequest
 	if !DecodeBody(w, r, &req, true) {
 		return
 	}
-	res, err := s.sched.Repair(req)
-	if err != nil {
+	if err := req.Validate(s.sched.opts.MaxBufferBytes); err != nil {
 		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, res)
+	job := s.submit(w, r, req.jobRequest(), req.MaxCandidates, req.MaxPatches)
+	if job == nil {
+		return
+	}
+	select {
+	case <-job.Done():
+	case <-r.Context().Done():
+		return // the client left; the job runs out its budget on the pool
+	}
+	if job.sum.Status != StatusDone {
+		// Clients match on these texts: a module that does not open answers
+		// with the loader's bare error, every other failure under "repair: ".
+		msg, opening := strings.CutPrefix(job.sum.Error, "open: ")
+		if !opening {
+			msg = "repair: " + msg
+		}
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, msg)
+		return
+	}
+	WriteJSON(w, http.StatusOK, RepairResponse{CacheHit: job.memoHit, Report: job.sum.Repair})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.sched.Jobs()
+	jobs := s.sched.jobs.List()
 	out := make([]JobInfo, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.Info())
@@ -221,7 +250,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.sched.Job(r.PathValue("id"))
+	job, ok := s.sched.jobs.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, CodeNotFound, "no such job")
 		return

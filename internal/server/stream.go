@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"barracuda/internal/core"
-	"barracuda/internal/shadow"
 	"barracuda/internal/wire"
 )
 
@@ -329,7 +328,10 @@ func (st *stream) pump(seq uint64, job *Job, raceCh <-chan core.Race) {
 				}
 				break
 			}
-			p := wire.EncodeSummary(st.summary(seq, job))
+			// The summary's race table is authoritative; the frames were a preview.
+			sum := job.sum
+			sum.Seq = seq
+			p := wire.EncodeSummary(sum)
 			if len(p) > wire.MaxFrame {
 				// A repair's patched module is as large as its module. The
 				// peer waits for a SUMMARY, so it gets one it can read.
@@ -340,94 +342,4 @@ func (st *stream) pump(seq uint64, job *Job, raceCh <-chan core.Race) {
 			return
 		}
 	}
-}
-
-// JobInfoFromSummary rebuilds the JSON JobInfo shape from a streamed
-// terminal Summary — the inverse of the projection the daemon applies
-// when it encodes one; the fleet coordinator reports every job through
-// it. Only digest-covered and headline fields travel on the wire; the
-// JSON-only extras (simulator-side Records, PTVC format census, full
-// shadow occupancy breakdown) stay zero.
-func JobInfoFromSummary(id string, sum wire.Summary) *JobInfo {
-	info := &JobInfo{
-		ID:          id,
-		Status:      sum.Status,
-		Error:       sum.Error,
-		CacheHit:    sum.CacheHit,
-		QueueWaitMS: float64(sum.QueueWaitUS) / 1000,
-		TotalMS:     float64(sum.TotalUS) / 1000,
-	}
-	if sum.Status != StatusDone {
-		return info // failed/timeout jobs carry no result, matching the scheduler
-	}
-	if sum.Repair != nil {
-		info.Result = repairResultJSON(sum.Kernel, sum.Repair)
-		return info
-	}
-	res := &JobResult{
-		Kernel:            sum.Kernel,
-		RaceCount:         len(sum.Races),
-		SameValueFiltered: sum.SameValueFiltered,
-		WarpInstrs:        sum.WarpInstrs,
-		RecordsSeen:       sum.RecordsSeen,
-		DetectMS:          float64(sum.DetectUS) / 1000,
-		PrecisionDegraded: sum.PrecisionDegraded,
-		Shadow: &shadow.MemStats{
-			PeakResidentBytes: int64(sum.ShadowPeakResident),
-			LiveEvictions:     sum.ShadowLiveEvicts,
-			PrecisionDegraded: sum.PrecisionDegraded,
-		},
-	}
-	if sum.FilterSuppressed != 0 || sum.FilterFlushes != 0 {
-		res.Filter = &FilterJSON{
-			Suppressed: sum.FilterSuppressed,
-			Flushes:    sum.FilterFlushes,
-		}
-	}
-	res.Races, res.Divergences = reportTables(sum.Report())
-	info.Result = res
-	return info
-}
-
-// summary projects a terminal job onto the wire. The race table comes
-// from the final report (authoritative ordering and dynamic counts);
-// the incremental frames the client saw were a low-latency preview.
-func (st *stream) summary(seq uint64, job *Job) wire.Summary {
-	info := job.Info()
-	sum := wire.Summary{
-		Seq:         seq,
-		Status:      info.Status,
-		Error:       info.Error,
-		CacheHit:    info.CacheHit,
-		QueueWaitUS: uint64(info.QueueWaitMS * 1000),
-		TotalUS:     uint64(info.TotalMS * 1000),
-	}
-	res := info.Result
-	if res == nil {
-		return sum
-	}
-	sum.Kernel = res.Kernel
-	sum.RecordsSeen = res.RecordsSeen
-	sum.WarpInstrs = res.WarpInstrs
-	sum.SameValueFiltered = res.SameValueFiltered
-	sum.DetectUS = uint64(res.DetectMS * 1000)
-	sum.PrecisionDegraded = res.PrecisionDegraded
-	if res.Shadow != nil {
-		sum.ShadowPeakResident = uint64(res.Shadow.PeakResidentBytes)
-		sum.ShadowLiveEvicts = uint64(res.Shadow.LiveEvictions)
-	}
-	if res.Filter != nil {
-		sum.FilterSuppressed = res.Filter.Suppressed
-		sum.FilterFlushes = res.Filter.Flushes
-	}
-	sum.Repair = res.Repair
-	if rep := job.report; rep != nil {
-		sum.Races = rep.Races
-		for _, d := range rep.Divergences {
-			sum.Divergences = append(sum.Divergences, wire.Divergence{
-				Block: d.Block, Warp: d.Warp, PC: d.PC, Mask: d.Mask,
-			})
-		}
-	}
-	return sum
 }

@@ -84,7 +84,7 @@ func TestOversizeSummaryFailsTheJobNotTheStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := repairSig("k", sched.repairOptions(0, 0, nil, sched.opts.DefaultMaxInstrs, 0, 0, 0))
+	sig := repairSig("k", detector.RepairOptions{MaxInstrs: sched.opts.DefaultMaxInstrs})
 	lease.e.repairs = map[string]*detector.RepairReport{sig: {
 		Kernel: "k", BaselineRaces: 1, PatchedPTX: strings.Repeat("x", 5<<20),
 	}}

@@ -517,14 +517,6 @@ func PeekSeq(p []byte) (uint64, error) {
 
 // ---- summary --------------------------------------------------------
 
-// Divergence is one barrier-divergence report on the wire.
-type Divergence struct {
-	Block int
-	Warp  int
-	PC    uint32
-	Mask  uint32
-}
-
 // Summary is the terminal frame of one launch: the full final report
 // (the incremental race frames are a low-latency preview; the summary
 // is authoritative, carrying final dynamic counts and ordering) plus
@@ -538,7 +530,7 @@ type Summary struct {
 	CacheHit bool
 
 	Races       []core.Race
-	Divergences []Divergence
+	Divergences []core.BarrierDivergence
 
 	RecordsSeen       uint64
 	WarpInstrs        uint64
@@ -635,7 +627,7 @@ func DecodeSummary(p []byte) (Summary, error) {
 	}
 	var prevPC int64
 	for i := uint64(0); i < nd && d.err == nil; i++ {
-		dv := Divergence{Block: int(d.uvarint()), Warp: int(d.uvarint())}
+		dv := core.BarrierDivergence{Block: int(d.uvarint()), Warp: int(d.uvarint())}
 		pc := prevPC + d.zigzag()
 		dv.PC = uint32(pc)
 		prevPC = pc
@@ -664,19 +656,19 @@ func DecodeSummary(p []byte) (Summary, error) {
 // inverse of the server's projection. CanonicalDigest over the result
 // is byte-identical to the digest of the server-side report: the
 // summary carries every field the digest covers (races with counts,
-// divergences, RecordsSeen).
+// divergences, RecordsSeen), and of the shadow census the peak and the
+// live evictions behind PrecisionDegraded.
 func (s Summary) Report() *core.Report {
 	rep := &core.Report{
 		RecordsSeen:       s.RecordsSeen,
 		SameValueGag:      s.SameValueFiltered,
 		PrecisionDegraded: s.PrecisionDegraded,
 	}
+	rep.Shadow.PeakResidentBytes = int64(s.ShadowPeakResident)
+	rep.Shadow.LiveEvictions = s.ShadowLiveEvicts
+	rep.Shadow.PrecisionDegraded = s.PrecisionDegraded
 	rep.Races = append(rep.Races, s.Races...)
-	for _, dv := range s.Divergences {
-		rep.Divergences = append(rep.Divergences, core.BarrierDivergence{
-			Block: dv.Block, Warp: dv.Warp, PC: dv.PC, Mask: dv.Mask,
-		})
-	}
+	rep.Divergences = append(rep.Divergences, s.Divergences...)
 	return rep
 }
 

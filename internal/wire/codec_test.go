@@ -212,7 +212,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 			in.Races = append(in.Races, randomRace(rng))
 		}
 		for i, n := 0, rng.Intn(4); i < n; i++ {
-			in.Divergences = append(in.Divergences, Divergence{
+			in.Divergences = append(in.Divergences, core.BarrierDivergence{
 				Block: rng.Intn(8), Warp: rng.Intn(8), PC: uint32(rng.Intn(1000)), Mask: rng.Uint32(),
 			})
 		}
