@@ -2,7 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-sim bench-e2e-smoke fleet-sim stress-multiqueue stress-stream stress-filter stress-fleet serve ci fmt-check one-forward-path one-way-in loc vet-smoke vet-fix-smoke stress-ownership stress-refine
+# Everything CI runs, in order: `make ci` here, one `run: make <target>`
+# step each in .github/workflows/ci.yml (ci-in-sync holds the two lists
+# together), so a command is written once, in this file.
+CI_TARGETS := build vet fmt-check one-forward-path one-way-in ci-in-sync loc test race \
+	bench-e2e-smoke vet-smoke vet-fix-smoke artifacts-smoke stress-interp stress-span \
+	stress-ownership stress-refine stress-filter stress-drain stress-multiqueue \
+	stress-failover stress-stream stress-fleet fleet-sim
+
+.PHONY: all bench bench-sim serve ci $(CI_TARGETS)
 
 all: build vet test
 
@@ -30,6 +38,14 @@ one-forward-path:
 one-way-in:
 	@if grep -nE 'repairOnLease\(|\.DetectObserved\(' $$(ls internal/server/*.go | grep -vE '_test\.go$$|/scheduler\.go$$') | grep -v 'func repairOnLease('; then \
 		echo "internal/server launches a kernel outside scheduler.go: every launch goes in through Scheduler.SubmitTenant"; exit 1; fi
+
+# The workflow is a list of targets and nothing else: its `run:` lines are
+# `make <target>` for exactly CI_TARGETS, in order.
+ci-in-sync:
+	@got="$$(sed -n 's/^ *run: //p' .github/workflows/ci.yml | tr '\n' ' ')"; \
+	want="$$(for t in $(CI_TARGETS); do printf 'make %s ' $$t; done)"; \
+	if [ "$$got" != "$$want" ]; then \
+		echo ".github/workflows/ci.yml runs:"; echo "  $$got"; echo "make ci runs:"; echo "  $$want"; exit 1; fi
 
 # The number ROADMAP item 2 tracks: non-test Go lines outside benchmarks/.
 loc:
@@ -72,6 +88,10 @@ vet-fix-smoke: build
 	@rm -f vet-fix.out
 	@echo "vet-fix-smoke: $(words $(FIXABLE)) fixable repaired, $(words $(UNFIXABLE)) unrepairable declined"
 
+# The paper's artifacts still print: Table 1 and Figure 9.
+artifacts-smoke:
+	$(GO) run ./cmd/benchtab -table1 -fig9
+
 # Tier-1 verification: the full suite, plus the same suite under the Go
 # race detector (the transport and server are concurrency-heavy).
 test:
@@ -97,11 +117,29 @@ bench-sim:
 bench-e2e-smoke:
 	cd benchmarks/e2e && $(GO) vet . && $(GO) test .
 
+# The interpreter's goldens (recorded from the lane-major interpreter PR 12
+# deleted) at every warp size, the register-file layout, and the hostile
+# inputs that must cost a job an error and never the worker, under the Go
+# race detector.
+stress-interp:
+	$(GO) test -race -run 'TestWarpVectorizedEquivalence|TestWarpVectorizedEquivalenceAllWarpSizes' ./internal/bugsuite/
+	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance' ./internal/gpusim/
+	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError' ./internal/detector/
+	$(GO) test -race -run 'TestMalformedPTXFailsJobNotWorker|TestOversizedConfigRejected' ./internal/server/
+
+# Coalesced-span vs per-cell report equivalence: the bug suite and the
+# random-trace property tests, under the Go race detector.
+stress-span:
+	$(GO) test -race -run TestCoalescedSpanEquivalence ./internal/bugsuite/
+	$(GO) test -race -run 'TestSpanPropertyEquivalence|TestSpanPropertyEquivalenceSmallWarp' ./internal/core/
+
 # The adaptive-shadow correctness stress: ownership and bounded-shadow
 # equivalence over the 66-program bug suite under the Go race detector
-# (concurrent claim/inflate traffic at 4 queues).
+# (concurrent claim/inflate traffic at 4 queues), and the shadow's own
+# ownership-transition, eviction and slab-compaction tests.
 stress-ownership:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestOwnershipEquivalence|TestBoundedShadowEquivalence' ./internal/bugsuite/
+	$(GO) test -race -run 'TestOwnershipTransitions|TestOwnershipProbeConcurrent|TestBoundedEviction|TestValidateCacheGeneration|TestCompactSharedSlab' ./internal/shadow/
 
 # The per-region-granule correctness stress: the recorded per-byte
 # outcomes (bug suite and mixed-width programs, Granularity 1/2/4), the
@@ -115,6 +153,18 @@ stress-refine:
 	$(GO) test -race -run 'TestRefine|TestReportWeight' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestSubwordQueuesStress' ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestRefineConcurrentWorkers' ./internal/core/
+
+# Graceful drain and the worker link (join, heartbeat, leave), end to end,
+# under the Go race detector.
+stress-drain:
+	$(GO) test -race -run 'TestDrain|TestWorkerLink' ./internal/fleet/
+
+# Failover and warm routing through real HTTP nodes, and the simulator's
+# same-seed determinism and nothing-lost properties, under the Go race
+# detector.
+stress-failover:
+	$(GO) test -race -run 'TestFleetFailoverRetriesElsewhere|TestFleetEndToEndWarmRouting' ./internal/fleet/
+	$(GO) test -race -run 'TestSameSeedSameDigest|TestFailoverLosesNothingAndReportsMatchSingleNode' ./internal/fleet/sim/
 
 # The cluster-simulator determinism smoke, under the Go race detector:
 # each scenario runs twice at a fixed seed and fails unless both passes
@@ -175,4 +225,4 @@ stress-multiqueue:
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321
 
-ci: build vet fmt-check one-forward-path one-way-in loc test race bench-e2e-smoke vet-smoke vet-fix-smoke stress-multiqueue stress-stream stress-filter stress-fleet stress-refine fleet-sim
+ci: $(CI_TARGETS)

@@ -142,6 +142,19 @@ type Launch struct {
 	WarpSize int
 }
 
+// config is the launch as the simulator takes it.
+func (l Launch) config() gpusim.LaunchConfig {
+	return gpusim.LaunchConfig{
+		Grid:          l.Grid,
+		Block:         l.Block,
+		Args:          l.Args,
+		MaxWarpInstrs: l.MaxInstrs,
+		RandomSched:   l.RandomSched,
+		Seed:          l.Seed,
+		WarpSize:      l.WarpSize,
+	}
+}
+
 // Detect runs a kernel under the race detector.
 func (s *Session) Detect(kernel string, grid, block Dim, args ...uint64) (*Result, error) {
 	return s.DetectLaunch(kernel, Launch{Grid: grid, Block: block, Args: args})
@@ -150,21 +163,13 @@ func (s *Session) Detect(kernel string, grid, block Dim, args ...uint64) (*Resul
 // DetectLaunch runs a kernel under the race detector with full launch
 // control.
 func (s *Session) DetectLaunch(kernel string, l Launch) (*Result, error) {
-	return s.s.Detect(kernel, gpusim.LaunchConfig{
-		Grid:          l.Grid,
-		Block:         l.Block,
-		Args:          l.Args,
-		MaxWarpInstrs: l.MaxInstrs,
-		RandomSched:   l.RandomSched,
-		Seed:          l.Seed,
-		WarpSize:      l.WarpSize,
-	})
+	return s.s.Detect(kernel, l.config())
 }
 
 // RunNative executes the uninstrumented kernel (baseline timing and
 // functional runs).
 func (s *Session) RunNative(kernel string, grid, block Dim, args ...uint64) error {
-	_, _, err := s.s.RunNative(kernel, gpusim.LaunchConfig{Grid: grid, Block: block, Args: args})
+	_, _, err := s.s.RunNative(kernel, Launch{Grid: grid, Block: block, Args: args}.config())
 	return err
 }
 
@@ -197,18 +202,7 @@ func (s *Session) InstrumentedPTX() string { return ptx.Print(s.s.InstMod) }
 // returns the profile report.
 func (s *Session) Profile(kernel string, l Launch) (*profile.Report, error) {
 	p := profile.New()
-	_, err := s.s.Instr.Launch(kernel, gpusim.LaunchConfig{
-		Grid:             l.Grid,
-		Block:            l.Block,
-		Args:             l.Args,
-		MaxWarpInstrs:    l.MaxInstrs,
-		RandomSched:      l.RandomSched,
-		Seed:             l.Seed,
-		WarpSize:         l.WarpSize,
-		Sink:             p,
-		EmitBranchEvents: true,
-	})
-	if err != nil {
+	if _, err := s.s.LaunchInto(kernel, l.config(), p); err != nil {
 		return nil, err
 	}
 	return p.Report(), nil

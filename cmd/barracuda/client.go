@@ -29,44 +29,6 @@ import (
 	"barracuda/internal/wire"
 )
 
-// remoteRun dispatches a job to a remote daemon in either protocol.
-func remoteRun(w io.Writer, o runOpts, baseURL, apiKey string, stream bool) (int, error) {
-	if o.profile {
-		return 0, fmt.Errorf("-profile runs locally only")
-	}
-	if o.fatbinPath != "" {
-		return 0, fmt.Errorf("-fatbin runs locally only (servers accept PTX or -bench)")
-	}
-	req := server.JobRequest{
-		Bench:     o.benchName,
-		Kernel:    o.kernel,
-		Grid:      o.grid,
-		Block:     o.block,
-		Buffers:   o.bufs,
-		MaxInstrs: o.budget,
-		WarpSize:  o.warpsize,
-		Config:    o.config(),
-	}
-	if o.ptxPath != "" {
-		src, err := os.ReadFile(o.ptxPath)
-		if err != nil {
-			return 0, err
-		}
-		req.PTX = string(src)
-	}
-	if req.PTX == "" && req.Bench == "" {
-		return 0, fmt.Errorf("one of -ptx or -bench is required")
-	}
-	if stream {
-		// A bench travels as the PTX it names; resolving needs a known name.
-		if err := req.Validate(0); err != nil {
-			return 0, err
-		}
-		return streamRun(w, req.Resolved(), baseURL, apiKey, o.verbose)
-	}
-	return pollRun(w, req, baseURL, apiKey, o.verbose)
-}
-
 // jobBody reads either front end's job body: a worker's server.JobInfo,
 // or a coordinator's fleet.FleetJobInfo — id, status and error at the top
 // level too, the worker's JobInfo with the result under "worker".
@@ -76,9 +38,9 @@ type jobBody struct {
 }
 
 // pollRun is the JSON client: submit, then long-poll until terminal.
-func pollRun(w io.Writer, req server.JobRequest, baseURL, apiKey string, verbose bool) (int, error) {
+func pollRun(w io.Writer, o runOpts, baseURL, apiKey string) (int, error) {
 	client := &http.Client{Timeout: 30 * time.Second}
-	body, _ := json.Marshal(req)
+	body, _ := json.Marshal(o.req)
 	var job jobBody
 	err := fetchJob(&job, "submit", func() (*http.Response, error) {
 		hreq, err := http.NewRequest("POST", baseURL+"/jobs", bytes.NewReader(body))
@@ -115,7 +77,7 @@ func pollRun(w io.Writer, req server.JobRequest, baseURL, apiKey string, verbose
 	}
 	return printReport(w, fmt.Sprintf("kernel %s: %d warp instructions, %d records, %.3fms detect (%.3fms total, cache_hit=%v)",
 		info.Result.Kernel, info.Result.WarpInstrs, info.Result.RecordsSeen, info.Result.DetectMS, info.TotalMS, info.CacheHit),
-		rep, verbose), nil
+		rep, o.verbose), nil
 }
 
 // fetchJob makes one API call, again after the Retry-After of a 429 or 503
@@ -150,21 +112,21 @@ func fetchJob(into *jobBody, what string, do func() (*http.Response, error)) err
 
 // streamRun is the wire-protocol client: upload (or hash-skip), launch,
 // print each race frame as it arrives and the report when the summary does.
-func streamRun(w io.Writer, req server.JobRequest, baseURL, apiKey string, verbose bool) (int, error) {
+func streamRun(w io.Writer, o runOpts, baseURL, apiKey string) (int, error) {
 	c, err := wire.Dial(baseURL, apiKey, 10*time.Second)
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
 	start := time.Now()
-	_, warm, err := c.UploadModule([]byte(req.PTX))
+	_, warm, err := c.UploadModule([]byte(o.req.PTX))
 	if err != nil {
 		return 0, fmt.Errorf("upload: %w", err)
 	}
-	if verbose && warm {
+	if o.verbose && warm {
 		fmt.Fprintln(os.Stderr, "barracuda: module already cached server-side, upload skipped")
 	}
-	if err := c.Launch(req.LaunchSpec(1)); err != nil {
+	if err := c.Launch(o.req.LaunchSpec(1)); err != nil {
 		return 0, fmt.Errorf("launch: %w", err)
 	}
 	for {
@@ -191,7 +153,7 @@ func streamRun(w io.Writer, req server.JobRequest, baseURL, apiKey string, verbo
 			}
 			return printReport(w, fmt.Sprintf("kernel %s: %d warp instructions, %d records, %.3fms detect (cache_hit=%v)",
 				sum.Kernel, sum.WarpInstrs, sum.RecordsSeen, float64(sum.DetectUS)/1000, sum.CacheHit),
-				sum.Report(), verbose), nil
+				sum.Report(), o.verbose), nil
 		}
 	}
 }

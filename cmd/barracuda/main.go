@@ -12,6 +12,12 @@
 //	barracuda -server http://host:8321 -ptx kernel.ptx          # remote (JSON poll)
 //	barracuda -server http://host:8321 -stream -ptx kernel.ptx  # remote (streaming)
 //
+// The flags fill in one server.JobRequest, and that request is the launch
+// on every road — in this process, by JSON poll, by stream: -grid and
+// -block left at 0 mean the module's own shape (a benchmark's geometry,
+// else one block of 32 threads), and -bench, -fatbin, -warpsize and
+// -budget mean the same with and without -server.
+//
 // -ownership enables the adaptive exclusive-ownership shadow tier;
 // -shadow-cap bounds resident shadow memory (LRU eviction, honest
 // degraded-precision reporting). Both preserve byte-identical race
@@ -30,9 +36,10 @@ import (
 	"barracuda/internal/bench"
 	"barracuda/internal/core"
 	"barracuda/internal/detector"
-	"barracuda/internal/gpusim"
+	"barracuda/internal/fatbin"
 	"barracuda/internal/profile"
 	"barracuda/internal/ptvc"
+	"barracuda/internal/server"
 )
 
 func main() {
@@ -40,23 +47,25 @@ func main() {
 		os.Exit(vetMain(os.Args[2:]))
 	}
 	var o runOpts
+	req := &o.req
+	cfg := &o.req.Config
 	flag.StringVar(&o.ptxPath, "ptx", "", "PTX source file to analyze")
-	flag.StringVar(&o.fatbinPath, "fatbin", "", "fat binary file to analyze")
-	flag.StringVar(&o.benchName, "bench", "", "run a named built-in benchmark instead")
-	flag.StringVar(&o.kernel, "kernel", "", "kernel name (default: the module's first kernel)")
-	flag.IntVar(&o.grid, "grid", 1, "grid size in blocks (1-D)")
-	flag.IntVar(&o.block, "block", 32, "block size in threads (1-D)")
-	bufs := flag.String("bufs", "", "comma-separated byte sizes of zeroed global buffers passed as u64 args")
-	flag.IntVar(&o.queues, "queues", 1, "number of logging queues / detector threads")
-	flag.IntVar(&o.gran, "granularity", 1, "finest shadow-memory bytes per cell, a power of two (pages start at one cell per 4-byte word and refine on the first sub-word access)")
-	flag.BoolVar(&o.fullvc, "fullvc", false, "use the uncompressed vector-clock baseline")
-	flag.Uint64Var(&o.budget, "budget", 1<<24, "dynamic warp-instruction budget (0 = unlimited)")
-	flag.IntVar(&o.warpsize, "warpsize", 0, "simulated warp width (0 = the architecture's 32); smaller widths expose latent warp-size bugs")
+	flag.StringVar(&o.fatbinPath, "fatbin", "", "fat binary file to analyze (its PTX is extracted)")
+	flag.StringVar(&req.Bench, "bench", "", "run a named built-in benchmark instead")
+	flag.StringVar(&req.Kernel, "kernel", "", "kernel name (default: the module's first kernel)")
+	flag.IntVar(&req.Grid, "grid", 0, "grid size in blocks (1-D; 0 = the module's: a benchmark's own geometry, else 1)")
+	flag.IntVar(&req.Block, "block", 0, "block size in threads (1-D; 0 = the module's: a benchmark's own geometry, else 32)")
+	bufs := flag.String("bufs", "", "comma-separated byte sizes of zeroed global buffers passed as u64 args (default: a benchmark's own)")
+	flag.IntVar(&cfg.Queues, "queues", 1, "number of logging queues / detector threads")
+	flag.IntVar(&cfg.Granularity, "granularity", 1, "finest shadow-memory bytes per cell, a power of two (pages start at one cell per 4-byte word and refine on the first sub-word access)")
+	flag.BoolVar(&cfg.FullVC, "fullvc", false, "use the uncompressed vector-clock baseline")
+	flag.Uint64Var(&req.MaxInstrs, "budget", 1<<24, "dynamic warp-instruction budget (0 = unlimited; with -server, the server's default)")
+	flag.IntVar(&req.WarpSize, "warpsize", 0, "simulated warp width (0 = the architecture's 32); smaller widths expose latent warp-size bugs")
 	flag.BoolVar(&o.profile, "profile", false, "run the memory-access profiler instead of the race detector")
-	flag.BoolVar(&o.staticPrune, "staticprune", false, "enable the inter-block static instrumentation pruner")
-	flag.BoolVar(&o.ownership, "ownership", false, "enable the exclusive-ownership shadow fast path (requires span mode)")
-	flag.BoolVar(&o.producerFilter, "producer-filter", false, "suppress redundant access records at the simulator (producer-side epoch filtering; reports stay byte-identical)")
-	flag.Int64Var(&o.shadowCap, "shadow-cap", 0, "bound resident shadow memory to this many bytes via LRU eviction (0 = unbounded; evicting live state is reported as degraded precision)")
+	flag.BoolVar(&cfg.StaticPrune, "staticprune", false, "enable the inter-block static instrumentation pruner")
+	flag.BoolVar(&cfg.Ownership, "ownership", false, "enable the exclusive-ownership shadow fast path (requires span mode)")
+	flag.BoolVar(&cfg.ProducerFilter, "producer-filter", false, "suppress redundant access records at the simulator (producer-side epoch filtering; reports stay byte-identical)")
+	flag.Int64Var(&cfg.ShadowCapBytes, "shadow-cap", 0, "bound resident shadow memory to this many bytes via LRU eviction (0 = unbounded; evicting live state is reported as degraded precision)")
 	flag.BoolVar(&o.verbose, "v", false, "print per-race dynamic counts, PTVC format stats, and the simulator, shadow and transport lines")
 	serverURL := flag.String("server", "", "submit to a barracudad daemon or fleet coordinator at this base URL instead of running locally")
 	streamF := flag.Bool("stream", false, "with -server: use the binary streaming protocol (races print as they are found)")
@@ -66,15 +75,21 @@ func main() {
 		status int
 		err    error
 	)
-	o.bufs, err = parseBufs(*bufs)
+	if req.Buffers, err = parseBufs(*bufs); err == nil {
+		err = o.resolve()
+	}
 	switch {
 	case err != nil:
-	case *serverURL != "":
-		status, err = remoteRun(os.Stdout, o, *serverURL, *apiKey, *streamF)
-	case *streamF:
+	case *serverURL == "" && *streamF:
 		err = fmt.Errorf("-stream requires -server")
-	default:
+	case *serverURL == "":
 		status, err = run(os.Stdout, o)
+	case o.profile:
+		err = fmt.Errorf("-profile runs locally only")
+	case *streamF:
+		status, err = streamRun(os.Stdout, o, *serverURL, *apiKey)
+	default:
+		status, err = pollRun(os.Stdout, o, *serverURL, *apiKey)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "barracuda:", err)
@@ -99,99 +114,69 @@ func parseBufs(list string) ([]int, error) {
 	return sizes, nil
 }
 
+// runOpts is one invocation: the launch as a job request — the flags bind
+// to its fields — and what only this process needs to know.
 type runOpts struct {
-	ptxPath, fatbinPath, benchName, kernel string
-	bufs                                   []int
-	grid, block, queues, gran, warpsize    int
-	fullvc, profile, staticPrune, verbose  bool
-	ownership, producerFilter              bool
-	shadowCap                              int64
-	budget                                 uint64
+	ptxPath, fatbinPath string
+	req                 server.JobRequest
+	profile, verbose    bool
 }
 
-// config is the detector configuration the flags select, for local and
-// remote runs alike.
-func (o runOpts) config() detector.Config {
-	return detector.Config{
-		Queues: o.queues, Granularity: o.gran, FullVC: o.fullvc, StaticPrune: o.staticPrune,
-		Ownership: o.ownership, ShadowCapBytes: o.shadowCap,
-		ProducerFilter: o.producerFilter,
+// resolve makes req the one description of the launch every road takes:
+// the module read in (a fat binary's PTX extracted), the request
+// validated, and a benchmark's name replaced by its source, kernel and
+// own geometry (server.JobRequest.Resolved).
+func (o *runOpts) resolve() error {
+	switch {
+	case o.ptxPath != "":
+		src, err := os.ReadFile(o.ptxPath)
+		if err != nil {
+			return err
+		}
+		o.req.PTX = string(src)
+	case o.fatbinPath != "":
+		bin, err := os.ReadFile(o.fatbinPath)
+		if err != nil {
+			return err
+		}
+		if o.req.PTX, err = fatbin.ExtractPTX(bin); err != nil {
+			return err
+		}
+	case o.req.Bench == "":
+		return fmt.Errorf("one of -ptx, -fatbin or -bench is required")
+	case bench.ByName(o.req.Bench) == nil:
+		var names []string
+		for _, b := range bench.All() {
+			names = append(names, b.Name)
+		}
+		return fmt.Errorf("unknown benchmark %q; available: %s", o.req.Bench, strings.Join(names, ", "))
 	}
+	if err := o.req.Validate(0); err != nil {
+		return err
+	}
+	o.req = o.req.Resolved()
+	return nil
 }
 
 // run is the local road; it returns the exit status (see printReport).
 func run(w io.Writer, o runOpts) (int, error) {
-	cfg := o.config()
-
-	var (
-		s   *detector.Session
-		err error
-	)
-	switch {
-	case o.benchName != "":
-		b := bench.ByName(o.benchName)
-		if b == nil {
-			var names []string
-			for _, bb := range bench.All() {
-				names = append(names, bb.Name)
-			}
-			return 0, fmt.Errorf("unknown benchmark %q; available: %s", o.benchName, strings.Join(names, ", "))
-		}
-		res, err := bench.Detect(b, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return printResult(w, b.Name+"/main", res, o.verbose), nil
-	case o.ptxPath != "":
-		src, rerr := os.ReadFile(o.ptxPath)
-		if rerr != nil {
-			return 0, rerr
-		}
-		s, err = detector.OpenPTX(string(src), cfg)
-		if err != nil {
-			return 0, err
-		}
-	case o.fatbinPath != "":
-		bin, rerr := os.ReadFile(o.fatbinPath)
-		if rerr != nil {
-			return 0, rerr
-		}
-		s, err = detector.OpenFatBinary(bin, cfg)
-		if err != nil {
-			return 0, err
-		}
-	default:
-		return 0, fmt.Errorf("one of -ptx, -fatbin or -bench is required")
+	req := o.req
+	s, err := detector.OpenPTX(req.PTX, req.Config)
+	if err != nil {
+		return 0, err
 	}
-
-	kernel := o.kernel
-	if kernel == "" {
-		ks := s.Native.KernelNames()
-		if len(ks) == 0 {
-			return 0, fmt.Errorf("module has no kernels")
-		}
-		kernel = ks[0]
+	kernel, err := s.KernelOrFirst(req.Kernel)
+	if err != nil {
+		return 0, err
 	}
-	var args []uint64
-	for _, n := range o.bufs {
-		a, err := s.Dev.Alloc(n)
-		if err != nil {
-			return 0, err
-		}
-		args = append(args, a)
+	args, err := s.AllocArgs(req.Buffers)
+	if err != nil {
+		return 0, err
 	}
-	launch := gpusim.LaunchConfig{
-		Grid:          gpusim.D1(o.grid),
-		Block:         gpusim.D1(o.block),
-		Args:          args,
-		MaxWarpInstrs: o.budget,
-		WarpSize:      o.warpsize,
-	}
+	launch := detector.Launch1D(req.Grid, req.Block, args, req.MaxInstrs, req.WarpSize)
 	if o.profile {
 		p := profile.New()
-		launch.Sink = p
-		launch.EmitBranchEvents = true
-		if _, err := s.Instr.Launch(kernel, launch); err != nil {
+		if _, err := s.LaunchInto(kernel, launch, p); err != nil {
 			return 0, err
 		}
 		fmt.Fprint(w, p.Report().String())

@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"barracuda/internal/fatbin"
 	"barracuda/internal/fleet"
+	"barracuda/internal/gpusim"
 	"barracuda/internal/server"
 )
 
@@ -55,25 +61,46 @@ func TestEveryRoadPrintsTheSameReport(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	req := func(grid, block int, bufs ...int) server.JobRequest {
+		return server.JobRequest{Grid: grid, Block: block, Buffers: bufs}
+	}
 	for _, tc := range []struct {
-		file   string
-		o      runOpts
+		file   string // under examples/vet; "" when req names a benchmark
+		req    server.JobRequest
 		status int
 		want   []string // lines the report must hold
 	}{
-		{"fixable_atomic_increment.ptx", runOpts{grid: 2, block: 64, bufs: []int{1024}}, 2,
+		{"fixable_atomic_increment.ptx", req(2, 64, 1024), 2,
 			[]string{
 				"intra-block race on global memory at 0x10000: read (line 16, thread 32) vs write (line 18, thread 0)",
 				"  128 dynamic occurrence(s)",
 				"496 same-value intra-warp write(s) filtered",
 			}},
-		{"divergent_barrier.ptx", runOpts{grid: 1, block: 32, bufs: []int{1024}}, 2,
+		{"divergent_barrier.ptx", req(1, 32, 1024), 2,
 			[]string{"BARRIER DIVERGENCE: block 0 warp 0 at line 25 (mask 0xffff)", "no races detected"}},
-		{"clean_blockreduce.ptx", runOpts{grid: 1, block: 32, bufs: []int{1024, 1024}}, 0,
+		// No -grid, no -block: one block of one warp, on every road.
+		{"clean_blockreduce.ptx", req(0, 0, 1024, 1024), 0,
 			[]string{"no races detected"}},
+		// A benchmark launches at its own shape — Table 1's thread count —
+		// whichever door it comes in by: the three remote roads sent the
+		// CLI's 1×32 and printed "no races detected".
+		{"", server.JobRequest{Bench: "hashtable"}, 2,
+			[]string{
+				"inter-block race on global memory at 0x12000: write (line 219, thread 0) vs write (line 219, thread 32)",
+				"inter-block race on global memory at 0x12004: write (line 220, thread 0) vs write (line 220, thread 32)",
+				"inter-block race on global memory at 0x12008: write (line 221, thread 0) vs write (line 221, thread 32)",
+			}},
 	} {
-		o := tc.o
-		o.ptxPath, o.queues, o.gran, o.budget, o.verbose = "../../examples/vet/"+tc.file, 1, 1, 1<<24, true
+		o := runOpts{req: tc.req, verbose: true}
+		if tc.file != "" {
+			o.ptxPath = "../../examples/vet/" + tc.file
+		} else {
+			tc.file = "-bench " + tc.req.Bench
+		}
+		o.req.Config.Queues, o.req.Config.Granularity, o.req.MaxInstrs = 1, 1, 1<<24
+		if err := o.resolve(); err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
 
 		var local bytes.Buffer
 		status, err := run(&local, o)
@@ -92,14 +119,15 @@ func TestEveryRoadPrintsTheSameReport(t *testing.T) {
 
 		for _, road := range []struct {
 			name, url string
-			stream    bool
+			run       func(io.Writer, runOpts, string, string) (int, error)
 		}{
-			{"-server <worker>", workerTS.URL, false},
-			{"-server <worker> -stream", workerTS.URL, true},
-			{"-server <coordinator>", coordTS.URL, false},
+			{"-server <worker>", workerTS.URL, pollRun},
+			{"-server <worker> -stream", workerTS.URL, streamRun},
+			{"-server <coordinator>", coordTS.URL, pollRun},
 		} {
+			stream := strings.HasSuffix(road.name, "-stream")
 			var out bytes.Buffer
-			status, err := remoteRun(&out, o, road.url, "", road.stream)
+			status, err := road.run(&out, o, road.url, "")
 			if err != nil || status != tc.status {
 				t.Errorf("%s, %s: status %d, err %v, want status %d", tc.file, road.name, status, err, tc.status)
 				continue
@@ -108,21 +136,86 @@ func TestEveryRoadPrintsTheSameReport(t *testing.T) {
 			if strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Errorf("%s, %s printed\n%s\nthe local run printed\n%s", tc.file, road.name, out.String(), local.String())
 			}
+			if l, r := counts(local.String()), counts(out.String()); l != r {
+				t.Errorf("%s, %s ran %q, the local run %q", tc.file, road.name, r, l)
+			}
 			// A stream also prints each race once as it arrives, ahead of the
 			// report, which lists it again with its final count.
 			races := 0
 			for _, line := range want {
 				if strings.Contains(line, " race on ") {
 					races++
-					if road.stream && strings.Count("\n"+strings.Join(previews, "\n")+"\n", "\n"+line+"\n") != 1 {
+					if stream && strings.Count("\n"+strings.Join(previews, "\n")+"\n", "\n"+line+"\n") != 1 {
 						t.Errorf("%s, %s: race %q previewed %v, want once", tc.file, road.name, line, previews)
 					}
 				}
 			}
-			if road.stream && len(previews) != races || !road.stream && len(previews) != 0 {
+			if stream && len(previews) != races || !stream && len(previews) != 0 {
 				t.Errorf("%s, %s: %d preview line(s) for %d race(s)", tc.file, road.name, len(previews), races)
 			}
 		}
+	}
+}
+
+// counts is the header's "N warp instructions, M records": the launch
+// shape, as far as a report shows it.
+func counts(out string) string {
+	header, _, _ := strings.Cut(out[strings.Index(out, "kernel "):], "\n")
+	return strings.Join(strings.SplitN(header, ",", 3)[:2], ",")
+}
+
+// TestBenchHonoursEveryFlag: -bench is a module like any other, so the
+// flags that shape or replace the launch apply to it — they were dropped
+// when a benchmark took a road of its own (bench.Detect).
+func TestBenchHonoursEveryFlag(t *testing.T) {
+	local := func(o runOpts) (string, error) {
+		o.req.Bench = "hashtable"
+		if err := o.resolve(); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		_, err := run(&out, o)
+		return out.String(), err
+	}
+	plain, err := local(runOpts{})
+	if err != nil || counts(plain) != "kernel main: 510 warp instructions, 82 records" {
+		t.Fatalf("-bench hashtable: %v\n%s\nwant 510 warp instructions and 82 records", err, plain)
+	}
+	narrow, err := local(runOpts{req: server.JobRequest{WarpSize: 5}})
+	if err != nil || counts(narrow) == counts(plain) {
+		t.Errorf("-warpsize 5: err %v, ran %q like the 32-wide run", err, counts(narrow))
+	}
+	if _, err := local(runOpts{req: server.JobRequest{MaxInstrs: 10}}); !errors.Is(err, gpusim.ErrStepBudget) {
+		t.Errorf("-budget 10: err %v, want the step-budget error", err)
+	}
+	prof, err := local(runOpts{profile: true})
+	if err != nil || !strings.HasPrefix(prof, "memory profile: ") || strings.Contains(prof, "race") {
+		t.Errorf("-profile: err %v, printed\n%s\nwant a profile and no race report", err, prof)
+	}
+}
+
+// TestFatbinIsItsPTX: -fatbin resolves to the request -ptx on the
+// extracted text does, so a fat binary takes every road a PTX file takes.
+func TestFatbinIsItsPTX(t *testing.T) {
+	src, err := os.ReadFile("../../examples/vet/fixable_atomic_increment.ptx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := fatbin.PackWithSASS(string(src), 35, 52)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "app.fatbin")
+	if err := os.WriteFile(path, bin, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	o := runOpts{fatbinPath: path, req: server.JobRequest{Grid: 2, Block: 64, Buffers: []int{1024}}}
+	if err := o.resolve(); err != nil || o.req.PTX != string(src) {
+		t.Fatalf("resolve: %v; the request carries %d bytes of PTX, the file has %d", err, len(o.req.PTX), len(src))
+	}
+	var out bytes.Buffer
+	if status, err := run(&out, o); err != nil || status != 2 || !strings.Contains(out.String(), "intra-block race on global memory at 0x10000") {
+		t.Errorf("status %d, err %v:\n%s", status, err, out.String())
 	}
 }
 

@@ -18,13 +18,9 @@ func session(b *Benchmark, cfg detector.Config) (*detector.Session, gpusim.Launc
 	if err != nil {
 		return nil, gpusim.LaunchConfig{}, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
-	var args []uint64
-	for _, sz := range b.Buffers() {
-		a, err := s.Dev.Alloc(sz)
-		if err != nil {
-			return nil, gpusim.LaunchConfig{}, err
-		}
-		args = append(args, a)
+	args, err := s.AllocArgs(b.Buffers())
+	if err != nil {
+		return nil, gpusim.LaunchConfig{}, err
 	}
 	launch := gpusim.LaunchConfig{Grid: b.Grid, Block: b.Block, Args: args}
 	return s, launch, nil

@@ -73,7 +73,7 @@ func TestSimulatorClassifiesLikeClassify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		launch, err := tc.launch(s.Dev)
+		launch, err := tc.launch(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,14 +104,10 @@ func (e Expect) Correct(v Verdict) bool {
 const budget = 1 << 19
 
 // launch prepares the launch configuration and arguments for a test.
-func (t *Test) launch(dev *gpusim.Device) (gpusim.LaunchConfig, error) {
-	args := make([]uint64, 0, len(t.Bufs)+len(t.ExtraArgs))
-	for _, sz := range t.Bufs {
-		a, err := dev.Alloc(sz)
-		if err != nil {
-			return gpusim.LaunchConfig{}, err
-		}
-		args = append(args, a)
+func (t *Test) launch(s *detector.Session) (gpusim.LaunchConfig, error) {
+	args, err := s.AllocArgs(t.Bufs)
+	if err != nil {
+		return gpusim.LaunchConfig{}, err
 	}
 	args = append(args, t.ExtraArgs...)
 	return gpusim.LaunchConfig{
@@ -134,7 +130,7 @@ func RunBarracudaWith(t *Test, cfg detector.Config) (Verdict, error) {
 	if err != nil {
 		return VError, fmt.Errorf("%s: %w", t.Name, err)
 	}
-	launch, err := t.launch(s.Dev)
+	launch, err := t.launch(s)
 	if err != nil {
 		return VError, err
 	}
@@ -181,15 +177,13 @@ func RunRacecheck(t *Test) (Verdict, error) {
 	if err != nil {
 		return VError, err
 	}
-	launch, err := t.launch(s.Dev)
+	launch, err := t.launch(s)
 	if err != nil {
 		return VError, err
 	}
 	rc := racecheck.New(t.Block.Count(), gpusim.WarpSize)
-	launch.Sink = &rcSink{det: rc}
-	launch.EmitBranchEvents = true
 	launch.MaxResidentBlocks = 1 // the tool serializes blocks
-	if _, err := s.Instr.Launch(t.Kernel, launch); err != nil {
+	if _, err := s.LaunchInto(t.Kernel, launch, &rcSink{det: rc}); err != nil {
 		if errors.Is(err, gpusim.ErrStepBudget) {
 			return VHang, nil
 		}

@@ -31,7 +31,7 @@ func filterRun(tc *Test, ws, queues int, filter bool, seed int64) (filterResult,
 	if err != nil {
 		return filterResult{}, err
 	}
-	launch, err := tc.launch(s.Dev)
+	launch, err := tc.launch(s)
 	if err != nil {
 		return filterResult{}, err
 	}

@@ -23,7 +23,7 @@ func granuleOutcome(tc *Test, cfg detector.Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	launch, err := tc.launch(s.Dev)
+	launch, err := tc.launch(s)
 	if err != nil {
 		return "", err
 	}

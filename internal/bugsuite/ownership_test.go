@@ -28,7 +28,7 @@ func adaptiveRun(tc *Test, ws, queues int, ownership bool, capBytes int64) (adap
 	if err != nil {
 		return adaptiveResult{}, err
 	}
-	launch, err := tc.launch(s.Dev)
+	launch, err := tc.launch(s)
 	if err != nil {
 		return adaptiveResult{}, err
 	}

@@ -17,7 +17,7 @@ func spanRun(tc *Test, ws, queues int, perCell bool) (warpvecResult, error) {
 	if err != nil {
 		return warpvecResult{}, err
 	}
-	launch, err := tc.launch(s.Dev)
+	launch, err := tc.launch(s)
 	if err != nil {
 		return warpvecResult{}, err
 	}

@@ -17,7 +17,7 @@ func reportString(t *Test, cfg detector.Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	launch, err := t.launch(s.Dev)
+	launch, err := t.launch(s)
 	if err != nil {
 		return "", err
 	}

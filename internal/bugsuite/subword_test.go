@@ -50,7 +50,7 @@ func TestSubwordRefines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		launch, err := tc.launch(s.Dev)
+		launch, err := tc.launch(s)
 		if err != nil {
 			t.Fatal(err)
 		}

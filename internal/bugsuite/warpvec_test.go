@@ -57,7 +57,7 @@ func warpvecRun(tc *Test, ws int) (warpvecResult, error) {
 	if err != nil {
 		return warpvecResult{}, err
 	}
-	launch, err := tc.launch(s.Dev)
+	launch, err := tc.launch(s)
 	if err != nil {
 		return warpvecResult{}, err
 	}

@@ -9,6 +9,7 @@
 package detector
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -334,64 +335,105 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// Detect runs a kernel under the race detector.
-func (s *Session) Detect(kernelName string, launch gpusim.LaunchConfig) (*Result, error) {
-	return s.DetectObserved(kernelName, launch, nil)
+// KernelOrFirst resolves a launch's kernel name: the name itself, or the
+// module's first kernel when it is empty.
+func (s *Session) KernelOrFirst(name string) (string, error) {
+	if name != "" {
+		return name, nil
+	}
+	names := s.Native.KernelNames()
+	if len(names) == 0 {
+		return "", errors.New("module has no kernels")
+	}
+	return names[0], nil
 }
 
-// DetectObserved runs a kernel under the race detector with an optional
-// incremental race observer: onRace fires once per new static race at
-// the moment of discovery, before the run completes — the hook behind
-// the streaming job protocol's incremental race frames. onRace runs on a
-// detection worker goroutine under the report lock, so it must be
-// non-blocking (the stream layer hands it a channel buffered to
-// MaxRaces). A nil onRace is exactly Detect.
-func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, onRace func(core.Race)) (*Result, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
+// AllocArgs allocates one zeroed global buffer per size, in order, and
+// returns their addresses — a kernel's u64 arguments. On a failed
+// allocation it returns the error and no addresses.
+func (s *Session) AllocArgs(sizes []int) ([]uint64, error) {
+	args := make([]uint64, 0, len(sizes))
+	for _, n := range sizes {
+		a, err := s.Dev.Alloc(n)
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, a)
 	}
-	grid := launch.Grid
-	block := launch.Block
-	ws := launch.WarpSize
-	if ws == 0 {
-		ws = gpusim.WarpSize
+	return args, nil
+}
+
+// Launch1D builds the 1-D launch every front door describes with sizes —
+// a job request, the CLI's flags, a repair's verification run: a grid of
+// grid blocks (<= 0: 1) of block threads (<= 0: 32).
+func Launch1D(grid, block int, args []uint64, maxInstrs uint64, warpSize int) gpusim.LaunchConfig {
+	if grid <= 0 {
+		grid = 1
+	}
+	if block <= 0 {
+		block = 32
+	}
+	return gpusim.LaunchConfig{
+		Grid:          gpusim.D1(grid),
+		Block:         gpusim.D1(block),
+		Args:          args,
+		MaxWarpInstrs: maxInstrs,
+		WarpSize:      warpSize,
+	}
+}
+
+// LaunchInto runs the instrumented kernel with sink attached: the sink
+// receives every record the kernel logs and the SIMT stack's branch
+// events. It is the one place a sink meets a launch; the producer filter
+// stays as the caller set it (only DetectObserved turns it on).
+func (s *Session) LaunchInto(kernelName string, launch gpusim.LaunchConfig, sink gpusim.Sink) (gpusim.Stats, error) {
+	launch.Sink = sink
+	launch.EmitBranchEvents = true
+	return s.Instr.Launch(kernelName, launch)
+}
+
+// shape is what the host side needs to know of a launch before its first
+// record: the thread geometry and the kernel's shared-memory footprint.
+func (s *Session) shape(kernelName string, launch gpusim.LaunchConfig) (ptvc.Geometry, int64, error) {
+	if s.closed.Load() {
+		return ptvc.Geometry{}, 0, ErrClosed
+	}
+	k := s.InstMod.Kernel(kernelName)
+	if k == nil {
+		return ptvc.Geometry{}, 0, fmt.Errorf("detector: unknown kernel %q", kernelName)
 	}
 	geo := ptvc.Geometry{
-		WarpSize:  ws,
-		BlockSize: block.Count(),
-		Blocks:    grid.Count(),
+		WarpSize:  launch.WarpSize,
+		BlockSize: launch.Block.Count(),
+		Blocks:    launch.Grid.Count(),
 	}
-	if geo.BlockSize == 0 {
-		geo.BlockSize = 1
+	if geo.WarpSize == 0 {
+		geo.WarpSize = gpusim.WarpSize
 	}
-	if geo.Blocks == 0 {
-		geo.Blocks = 1
-	}
-	var sharedBytes int64
-	if k := s.InstMod.Kernel(kernelName); k != nil {
-		sharedBytes = k.SharedBytes()
-	} else {
-		return nil, fmt.Errorf("detector: unknown kernel %q", kernelName)
-	}
+	return geo, k.SharedBytes(), nil
+}
 
+// pipeline is the host side of Figure 5, written once: the detector state,
+// the queue rings and one detector thread per queue are built, produce
+// feeds the rings (the simulator behind a routeSink, or Replay's
+// per-queue goroutines) and returns once it has enqueued its last record,
+// and the queues are closed and drained. Duration runs from before the
+// detector state is built to after the last detector thread returns.
+func pipeline(geo ptvc.Geometry, sharedBytes int64, cfg Config, onRace func(core.Race),
+	produce func(*logging.Set) (gpusim.Stats, error)) (*Result, error) {
 	start := time.Now()
-	opts := s.cfg.coreOptions()
+	opts := cfg.coreOptions()
 	opts.OnRace = onRace
 	det := core.New(geo, sharedBytes, opts)
-	set := logging.NewSet(s.cfg.Queues, s.cfg.QueueCap)
-	set.SetGranularity(s.cfg.Granularity)
+	set := logging.NewSet(cfg.Queues, cfg.QueueCap)
+	set.SetGranularity(cfg.Granularity)
 
 	var wg sync.WaitGroup
 	for _, q := range set.Queues {
 		wg.Add(1)
 		go consumeQueue(det, q, &wg)
 	}
-
-	launch.Sink = &routeSink{set: set}
-	launch.EmitBranchEvents = true
-	launch.ProducerFilter = s.cfg.ProducerFilter
-	launch.FilterGranularity = s.cfg.Granularity
-	stats, err := s.Instr.Launch(kernelName, launch)
+	stats, err := produce(set)
 	set.CloseAll()
 	wg.Wait()
 	dur := time.Since(start)
@@ -406,6 +448,30 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 		Duration:   dur,
 		Transport:  set.Counters(),
 	}, nil
+}
+
+// Detect runs a kernel under the race detector.
+func (s *Session) Detect(kernelName string, launch gpusim.LaunchConfig) (*Result, error) {
+	return s.DetectObserved(kernelName, launch, nil)
+}
+
+// DetectObserved runs a kernel under the race detector with an optional
+// incremental race observer: onRace fires once per new static race at
+// the moment of discovery, before the run completes — the hook behind
+// the streaming job protocol's incremental race frames. onRace runs on a
+// detection worker goroutine under the report lock, so it must be
+// non-blocking (the stream layer hands it a channel buffered to
+// MaxRaces). A nil onRace is exactly Detect.
+func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, onRace func(core.Race)) (*Result, error) {
+	geo, sharedBytes, err := s.shape(kernelName, launch)
+	if err != nil {
+		return nil, err
+	}
+	launch.ProducerFilter = s.cfg.ProducerFilter
+	launch.FilterGranularity = s.cfg.Granularity
+	return pipeline(geo, sharedBytes, s.cfg, onRace, func(set *logging.Set) (gpusim.Stats, error) {
+		return s.LaunchInto(kernelName, launch, &routeSink{set: set})
+	})
 }
 
 // RunNative runs the uninstrumented kernel (baseline timing for the

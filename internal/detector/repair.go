@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"barracuda/internal/core"
-	"barracuda/internal/gpusim"
 	"barracuda/internal/kernel"
 	"barracuda/internal/logging"
 	"barracuda/internal/ptx"
@@ -268,21 +267,11 @@ func runOnce(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions, bu
 		return nil, err
 	}
 	defer sess.Close()
-	args := make([]uint64, 0, len(buffers))
-	for _, n := range buffers {
-		addr, err := sess.Dev.Alloc(n)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, addr)
+	args, err := sess.AllocArgs(buffers)
+	if err != nil {
+		return nil, err
 	}
-	res, err := sess.Detect(kernelName, gpusim.LaunchConfig{
-		Grid:          gpusim.Dim3{X: opt.Grid, Y: 1, Z: 1},
-		Block:         gpusim.Dim3{X: opt.Block, Y: 1, Z: 1},
-		Args:          args,
-		MaxWarpInstrs: opt.MaxInstrs,
-		WarpSize:      opt.WarpSize,
-	})
+	res, err := sess.Detect(kernelName, Launch1D(opt.Grid, opt.Block, args, opt.MaxInstrs, opt.WarpSize))
 	if err != nil {
 		return nil, err
 	}

@@ -38,8 +38,9 @@ func TestCaptureReplayMatchesDetect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if rep.Records != len(cap.Records) {
-		t.Errorf("replay pushed %d records, captured %d", rep.Records, len(cap.Records))
+	if rep.SimStats.Records != uint64(len(cap.Records)) || rep.Report.RecordsSeen != res.Report.RecordsSeen {
+		t.Errorf("replay pushed %d records and the detector saw %d, captured %d and the live detector saw %d",
+			rep.SimStats.Records, rep.Report.RecordsSeen, len(cap.Records), res.Report.RecordsSeen)
 	}
 	if got, want := rep.Report.CanonicalDigest(), res.Report.CanonicalDigest(); got != want {
 		t.Errorf("replay report differs from live detection:\n--- live ---\n%s--- replay ---\n%s", want, got)
@@ -105,5 +106,20 @@ func TestCaptureClosedSession(t *testing.T) {
 	s.Close()
 	if _, err := s.Capture("k", gpusim.LaunchConfig{Grid: gpusim.D1(1), Block: gpusim.D1(1)}); err != ErrClosed {
 		t.Errorf("Capture on closed session: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestCaptureIgnoresProducerFilter: a capture is the unfiltered stream
+// whatever the session's configuration — attaching a sink does not turn
+// the producer filter on, only DetectObserved does — so a replay of it
+// judges every record.
+func TestCaptureIgnoresProducerFilter(t *testing.T) {
+	records := func(filter bool) int {
+		s := open(t, loopInvariantReadSrc, Config{ProducerFilter: filter})
+		args := []uint64{s.Dev.MustAlloc(4 * 64), s.Dev.MustAlloc(4 * 64)}
+		return len(capture(t, s, "k", gpusim.LaunchConfig{Grid: gpusim.D1(1), Block: gpusim.D1(64), Args: args}).Records)
+	}
+	if plain, filtered := records(false), records(true); plain != filtered || plain == 0 {
+		t.Errorf("captured %d records on a ProducerFilter session, %d on a plain one", filtered, plain)
 	}
 }

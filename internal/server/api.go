@@ -508,20 +508,3 @@ var spaceIDs = map[string]logging.SpaceID{
 func coreAccess(a AccessJSON) core.Access {
 	return core.Access{TID: vc.TID(a.Thread), PC: a.Line, Write: a.Write, Atomic: a.Atomic}
 }
-
-// launchConfig builds the simulator launch for a resolved job.
-func launchConfig(grid, block int, args []uint64, maxInstrs uint64, warpSize int) gpusim.LaunchConfig {
-	if grid <= 0 {
-		grid = 1
-	}
-	if block <= 0 {
-		block = 32
-	}
-	return gpusim.LaunchConfig{
-		Grid:          gpusim.D1(grid),
-		Block:         gpusim.D1(block),
-		Args:          args,
-		MaxWarpInstrs: maxInstrs,
-		WarpSize:      warpSize,
-	}
-}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -28,6 +29,44 @@ func TestFairQueueWRROrder(t *testing.T) {
 	}
 	if d := q.Depth(); d != 0 {
 		t.Fatalf("depth after drain = %d", d)
+	}
+}
+
+// TestFairQueueForgetsDrainedTenants: POST /jobs admits any bearer token
+// as a tenant, so the queue may keep nothing per tenant once that tenant's
+// jobs are gone — 10 000 one-job tenants, popped or drained at shutdown,
+// leave no bucket behind.
+func TestFairQueueForgetsDrainedTenants(t *testing.T) {
+	const tenants = 10000
+	q := newFairQueue(tenants, map[string]int{"a": 2})
+	for i := 0; i < tenants; i++ {
+		if !q.push(fmt.Sprint("key-", i), &Job{ID: fmt.Sprint(i)}) {
+			t.Fatalf("push %d rejected", i)
+		}
+	}
+	for i := 0; i < tenants/2; i++ {
+		if j := q.pop(); j == nil || j.ID != fmt.Sprint(i) {
+			t.Fatalf("pop %d = %v: one-job tenants are served in arrival order", i, j)
+		}
+	}
+	if len(q.buckets) != tenants/2 || len(q.ring) != tenants/2 {
+		t.Errorf("%d bucket(s), %d in the ring after %d of %d tenants were served", len(q.buckets), len(q.ring), tenants/2, tenants)
+	}
+	if left := q.drain(); len(left) != tenants/2 || len(q.buckets) != 0 || q.Depth() != 0 {
+		t.Errorf("drain returned %d job(s) and left %d bucket(s), depth %d", len(left), len(q.buckets), q.Depth())
+	}
+	// A returning tenant starts over: its weight, from the tail of the ring.
+	for _, id := range []string{"a1", "a2", "a3"} {
+		q.push("a", &Job{ID: id})
+	}
+	q.push("b", &Job{ID: "b1"})
+	for _, want := range []string{"a1", "a2", "b1", "a3"} {
+		if j := q.pop(); j.ID != want {
+			t.Fatalf("pop = %s, want %s", j.ID, want)
+		}
+	}
+	if len(q.buckets) != 0 {
+		t.Errorf("%d bucket(s) left in an empty queue", len(q.buckets))
 	}
 }
 

@@ -187,13 +187,9 @@ func (l *Lease) Buffers(sizes []int) ([]uint64, error) {
 		}
 		return addrs, nil
 	}
-	addrs := make([]uint64, 0, len(sizes))
-	for _, n := range sizes {
-		a, err := l.e.sess.Dev.Alloc(n)
-		if err != nil {
-			return nil, err
-		}
-		addrs = append(addrs, a)
+	addrs, err := l.e.sess.AllocArgs(sizes)
+	if err != nil {
+		return nil, err
 	}
 	l.e.bufs[sig] = addrs
 	return addrs, nil

@@ -97,7 +97,7 @@ func TestCacheLRUEvictionClosesSession(t *testing.T) {
 		t.Errorf("stats = %+v, want 2 entries and 1 eviction", st)
 	}
 	// The evicted (oldest) session is closed; the survivors are not.
-	if _, err := sessions[0].Detect("k", launchConfig(1, 32, nil, 1000, 0)); !errors.Is(err, detector.ErrClosed) {
+	if _, err := sessions[0].Detect("k", detector.Launch1D(1, 32, nil, 1000, 0)); !errors.Is(err, detector.ErrClosed) {
 		t.Errorf("evicted session Detect err = %v, want ErrClosed", err)
 	}
 	// Re-acquiring the evicted source is a miss building a new session.

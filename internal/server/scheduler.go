@@ -365,14 +365,10 @@ func (s *Scheduler) run(job *Job) {
 	go func() {
 		defer lease.Release()
 		sess := lease.Session()
-		kernel := req.Kernel
-		if kernel == "" {
-			names := sess.Native.KernelNames()
-			if len(names) == 0 {
-				ch <- outcome{err: errors.New("module has no kernels")}
-				return
-			}
-			kernel = names[0]
+		kernel, err := sess.KernelOrFirst(req.Kernel)
+		if err != nil {
+			ch <- outcome{err: err}
+			return
 		}
 		if req.Kind == KindRepair {
 			rep, memoHit, err := repairOnLease(lease, kernel, detector.RepairOptions{
@@ -392,7 +388,7 @@ func (s *Scheduler) run(job *Job) {
 			ch <- outcome{err: err}
 			return
 		}
-		res, err := sess.DetectObserved(kernel, launchConfig(req.Grid, req.Block, args, job.budget, req.WarpSize), job.observer)
+		res, err := sess.DetectObserved(kernel, detector.Launch1D(req.Grid, req.Block, args, job.budget, req.WarpSize), job.observer)
 		ch <- outcome{kernel: kernel, res: res, err: err}
 	}()
 

@@ -99,16 +99,28 @@ type stream struct {
 
 	launches sync.WaitGroup
 
-	jobs     int64
+	jobs int64
+	// Not yet reported to the tenant registry (account).
 	races    atomic.Int64 // bumped from per-launch pump goroutines
-	bytesOut int64
+	bytesIn  atomic.Int64
+	bytesOut atomic.Int64
 }
 
 func (st *stream) writeFrame(t byte, payload []byte) error {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
-	st.bytesOut += int64(len(payload)) + 9
+	st.bytesOut.Add(int64(len(payload)) + 9)
 	return st.fw.WriteFrame(t, payload)
+}
+
+// account reports the session's traffic and races since the last report
+// to its tenant: after every SUMMARY, so a standing session — a
+// coordinator's stays open for days — shows on /v1/metrics while it is
+// open, and once more on the way out for the remainder.
+func (st *stream) account() {
+	t := st.sched.Tenants()
+	t.ObserveBytes(st.apiKey, st.bytesIn.Swap(0), st.bytesOut.Swap(0))
+	t.ObserveRaces(st.apiKey, st.races.Swap(0))
 }
 
 func (st *stream) fatal(code, msg string) {
@@ -117,9 +129,7 @@ func (st *stream) fatal(code, msg string) {
 
 func (st *stream) serve() {
 	defer st.conn.Close()
-	defer func() {
-		st.sched.Tenants().ObserveBytes(st.apiKey, 0, st.bytesOut)
-	}()
+	defer st.account()
 
 	if err := wire.WritePrelude(st.conn); err != nil {
 		return
@@ -157,8 +167,6 @@ func (st *stream) serve() {
 		return
 	}
 
-	bytesIn := int64(0)
-	defer func() { st.sched.Tenants().ObserveBytes(st.apiKey, bytesIn, 0) }()
 	for {
 		f, err := st.fr.ReadFrame()
 		if err != nil {
@@ -167,7 +175,7 @@ func (st *stream) serve() {
 			}
 			break
 		}
-		bytesIn += int64(len(f.Payload)) + 9
+		st.bytesIn.Add(int64(len(f.Payload)) + 9)
 		switch f.Type {
 		case wire.FModBegin:
 			err = st.modBegin(f.Payload)
@@ -193,7 +201,6 @@ func (st *stream) serve() {
 	// Drain in-flight launches so their summaries reach the client even
 	// after BYE; a torn connection just makes their writes no-ops.
 	st.launches.Wait()
-	st.sched.Tenants().ObserveRaces(st.apiKey, st.races.Load())
 }
 
 var errStreamDone = errors.New("stream: bye")
@@ -339,6 +346,7 @@ func (st *stream) pump(seq uint64, job *Job, raceCh <-chan core.Race) {
 					Error: fmt.Sprintf("summary is %d bytes, frame limit is %d", len(p), wire.MaxFrame)})
 			}
 			st.writeFrame(wire.FSummary, p)
+			st.account()
 			return
 		}
 	}

@@ -208,6 +208,10 @@ func TestStreamRateLimitedHandshake(t *testing.T) {
 	}
 }
 
+// TestStreamTenantAccounting: a session's traffic and races reach its
+// tenant's counters when a launch's SUMMARY is written, not when the
+// session ends — a coordinator's standing sessions never end — and the
+// close path then reports only what came after, nothing twice.
 func TestStreamTenantAccounting(t *testing.T) {
 	srv, ts := newTestServer(t, SchedulerOptions{Workers: 1})
 	c := dialStream(t, ts.URL, "metered")
@@ -218,25 +222,33 @@ func TestStreamTenantAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect(t, c, 1)
-	c.Bye()
-	c.Close()
-	// Bye lets the server finish its accounting; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var got *TenantJSON
-		for _, tj := range srv.Scheduler().Tenants().Snapshot() {
-			if tj.Key == "metered" {
-				tj := tj
-				got = &tj
+	// settled polls the tenant's counters until ok: the server accounts
+	// just after the frame the client has already read.
+	settled := func(what string, ok func(TenantJSON) bool) TenantJSON {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			var got TenantJSON
+			for _, tj := range srv.Scheduler().Tenants().Snapshot() {
+				if tj.Key == "metered" {
+					got = tj
+				}
+			}
+			if ok(got) {
+				return got
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("tenant counters never settled %s: %+v", what, got)
 			}
 		}
-		if got != nil && got.Jobs == 1 && got.BytesIn > 0 && got.BytesOut > 0 && got.Races > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tenant counters never settled: %+v", got)
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	open := settled("with the session open", func(tj TenantJSON) bool {
+		return tj.Jobs == 1 && tj.BytesIn > 0 && tj.BytesOut > 0 && tj.Races > 0
+	})
+	c.Bye()
+	c.Close()
+	closed := settled("after BYE", func(tj TenantJSON) bool { return tj.BytesIn > open.BytesIn })
+	if closed.Jobs != 1 || closed.Races != open.Races || closed.BytesOut != open.BytesOut {
+		t.Errorf("closing the session moved its counters from %+v to %+v: only the BYE frame was left to report", open, closed)
 	}
 }
 

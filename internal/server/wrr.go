@@ -18,7 +18,7 @@ type fairQueue struct {
 	closed bool
 
 	weights map[string]int     // static per-tenant weights (default 1)
-	buckets map[string]*bucket // live per-tenant FIFOs
+	buckets map[string]*bucket // per-tenant FIFOs, of the tenants in ring
 	ring    []string           // rotation order of tenants with queued jobs
 	cursor  int                // ring index the next pop starts from
 }
@@ -53,14 +53,13 @@ func (q *fairQueue) push(tenant string, job *Job) bool {
 	if q.closed || q.depth >= q.cap {
 		return false
 	}
-	b, ok := q.buckets[tenant]
-	if !ok {
+	b := q.buckets[tenant]
+	if b == nil {
+		// A tenant has a bucket exactly while it has queued jobs. Joining
+		// tenants enter the ring behind the cursor: they wait their turn in
+		// the current round rather than jumping the rotation.
 		b = &bucket{}
 		q.buckets[tenant] = b
-	}
-	if len(b.jobs) == 0 {
-		// Joining tenants enter the ring behind the cursor: they wait
-		// their turn in the current round rather than jumping the rotation.
 		q.ring = append(q.ring, tenant)
 	}
 	b.jobs = append(b.jobs, job)
@@ -81,34 +80,29 @@ func (q *fairQueue) pop() *Job {
 		return nil
 	}
 	// Weighted round-robin: the cursor tenant serves up to its weight in
-	// consecutive jobs per round, then the turn passes. Empty buckets
-	// leave the ring; their tenants re-enter at the tail on next push.
-	for {
-		if q.cursor >= len(q.ring) {
-			q.cursor = 0
-		}
-		tenant := q.ring[q.cursor]
-		b := q.buckets[tenant]
-		if len(b.jobs) == 0 {
-			b.credit = 0
-			q.ring = append(q.ring[:q.cursor], q.ring[q.cursor+1:]...)
-			continue
-		}
-		if b.credit <= 0 {
-			b.credit = q.weight(tenant)
-		}
-		job := b.jobs[0]
-		b.jobs = b.jobs[1:]
-		b.credit--
-		q.depth--
-		if len(b.jobs) == 0 {
-			b.credit = 0
-			q.ring = append(q.ring[:q.cursor], q.ring[q.cursor+1:]...)
-		} else if b.credit == 0 {
-			q.cursor++
-		}
-		return job
+	// consecutive jobs per round, then the turn passes. An emptied tenant
+	// leaves the ring and the map — the JSON road admits any bearer token,
+	// so a bucket kept per token ever seen is a leak — and re-enters at the
+	// tail, with no credit, on its next push.
+	if q.cursor >= len(q.ring) {
+		q.cursor = 0
 	}
+	tenant := q.ring[q.cursor]
+	b := q.buckets[tenant]
+	if b.credit <= 0 {
+		b.credit = q.weight(tenant)
+	}
+	job := b.jobs[0]
+	b.jobs = b.jobs[1:]
+	b.credit--
+	q.depth--
+	if len(b.jobs) == 0 {
+		delete(q.buckets, tenant)
+		q.ring = append(q.ring[:q.cursor], q.ring[q.cursor+1:]...)
+	} else if b.credit == 0 {
+		q.cursor++
+	}
+	return job
 }
 
 // close wakes all blocked poppers; subsequent pops return nil.
@@ -126,9 +120,8 @@ func (q *fairQueue) drain() []*Job {
 	defer q.mu.Unlock()
 	var out []*Job
 	for _, tenant := range q.ring {
-		b := q.buckets[tenant]
-		out = append(out, b.jobs...)
-		b.jobs, b.credit = nil, 0
+		out = append(out, q.buckets[tenant].jobs...)
+		delete(q.buckets, tenant)
 	}
 	q.ring, q.cursor, q.depth = nil, 0, 0
 	return out

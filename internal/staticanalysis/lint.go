@@ -101,38 +101,24 @@ func diagAt(a *Analysis, i int, code string, sev Severity, format string, args .
 // excluded: a barrier there is executed by all threads again.
 func lintBarrierDivergence(a *Analysis) []Diagnostic {
 	c := a.CFG
-	n := len(c.Blocks)
 	flagged := map[int]int{} // bar instr index -> branch instr index
 	for i, in := range c.Instrs {
 		if in.Op != ptx.OpBra || in.Guard == nil || !a.Affine.GuardTainted(i) {
 			continue
 		}
-		bb := c.BlockOf[i]
-		ip := c.IPDom[bb]
-		// BFS over the divergent region: blocks reachable from the branch
-		// before its reconvergence point.
-		seen := make([]bool, n)
-		var work []int
-		for _, s := range c.Blocks[bb].Succs {
-			if s < n && s != ip {
-				work = append(work, s)
-				seen[s] = true
+		// The divergent region: blocks reachable from the branch before
+		// its reconvergence point.
+		region := make([]bool, len(c.Blocks))
+		markInfluence(c, c.BlockOf[i], region)
+		for b, in := range region {
+			if !in {
+				continue
 			}
-		}
-		for len(work) > 0 {
-			b := work[0]
-			work = work[1:]
 			for j := c.Blocks[b].Start; j < c.Blocks[b].End; j++ {
 				if c.Instrs[j].Op == ptx.OpBar {
 					if _, dup := flagged[j]; !dup {
 						flagged[j] = i
 					}
-				}
-			}
-			for _, s := range c.Blocks[b].Succs {
-				if s < n && s != ip && !seen[s] {
-					seen[s] = true
-					work = append(work, s)
 				}
 			}
 		}
