@@ -97,8 +97,10 @@ artifacts-smoke:
 test:
 	$(GO) test ./...
 
+# internal/bench alone is 12 minutes under the race detector on a 2-CPU
+# host, past go test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Every Go microbenchmark in the tree. The perf record that gates a PR
 # is the end-to-end benchmark: bash benchmarks/e2e/run.sh (BENCHMARK.json).
@@ -107,9 +109,13 @@ bench:
 
 # Interpreter microbenchmarks: warp stepping (BenchmarkWarpStepWide at the
 # 26-program suite's register count and residency) and log emission, with
-# allocation counts and ns per warp instruction.
+# allocation counts and ns per warp instruction; one warp instruction
+# through the typed 32-bit loops against the generic closure (an op that
+# reads the same on both sides has fallen off the typed path); and a
+# shadow page slab taken fresh against recycled.
 bench-sim:
-	$(GO) test -bench='BenchmarkWarpStep|BenchmarkLogEmission' -benchmem -run=^$$ ./internal/gpusim/
+	$(GO) test -bench='BenchmarkWarpStep|BenchmarkLogEmission|BenchmarkIntOps' -benchmem -run=^$$ ./internal/gpusim/
+	$(GO) test -bench=BenchmarkSlabTake -benchtime=200x -run=^$$ ./internal/shadow/
 
 # The end-to-end benchmark (BENCHMARK.json) is a module of its own, so
 # the root build and test never compile it: vet it and run its smoke
@@ -118,12 +124,13 @@ bench-e2e-smoke:
 	cd benchmarks/e2e && $(GO) vet . && $(GO) test .
 
 # The interpreter's goldens (recorded from the lane-major interpreter PR 12
-# deleted) at every warp size, the register-file layout, and the hostile
+# deleted) at every warp size, the register-file layout, the typed 32-bit
+# loops against the generic closure they stand in for, and the hostile
 # inputs that must cost a job an error and never the worker, under the Go
 # race detector.
 stress-interp:
 	$(GO) test -race -run 'TestWarpVectorizedEquivalence|TestWarpVectorizedEquivalenceAllWarpSizes' ./internal/bugsuite/
-	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance' ./internal/gpusim/
+	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance|TestTypedIntOps' ./internal/gpusim/
 	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError' ./internal/detector/
 	$(GO) test -race -run 'TestMalformedPTXFailsJobNotWorker|TestOversizedConfigRejected' ./internal/server/
 
@@ -135,11 +142,14 @@ stress-span:
 
 # The adaptive-shadow correctness stress: ownership and bounded-shadow
 # equivalence over the 66-program bug suite under the Go race detector
-# (concurrent claim/inflate traffic at 4 queues), and the shadow's own
-# ownership-transition, eviction and slab-compaction tests.
+# (concurrent claim/inflate traffic at 4 queues), the shadow's own
+# ownership-transition, eviction and slab-compaction tests, and the slab
+# pool: its bound, a recycled slab against a fresh one, use after Release,
+# and takes and releases beside running detections.
 stress-ownership:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestOwnershipEquivalence|TestBoundedShadowEquivalence' ./internal/bugsuite/
 	$(GO) test -race -run 'TestOwnershipTransitions|TestOwnershipProbeConcurrent|TestBoundedEviction|TestValidateCacheGeneration|TestCompactSharedSlab' ./internal/shadow/
+	$(GO) test -race -count=3 -run 'TestSlabPoolCap|TestSlabTakeClears|TestReleaseThenUseFailsLoudly|TestRecycledSlabIsVirgin|TestSlabPoolConcurrent' ./internal/shadow/
 
 # The per-region-granule correctness stress: the recorded per-byte
 # outcomes (bug suite and mixed-width programs, Granularity 1/2/4), the

@@ -40,6 +40,7 @@ import (
 	"barracuda/internal/profile"
 	"barracuda/internal/ptvc"
 	"barracuda/internal/server"
+	"barracuda/internal/shadow"
 )
 
 func main() {
@@ -242,6 +243,10 @@ func printResult(w io.Writer, kernel string, res *detector.Result, verbose bool)
 		sh := rep.Shadow
 		fmt.Fprintf(w, "shadow: %d word-granular region(s), %d at the configured granularity, %d refinement(s), peak %d bytes, %d-byte cells, %d read map(s) inflated\n",
 			sh.WordRegions, sh.ByteRegions, sh.Refinements, sh.PeakResidentBytes, sh.CellBytes, sh.ReadInflations)
+		// The process's pool, not this run's shadow: a one-shot run took
+		// every page slab fresh and has handed them all back by now.
+		pool := shadow.SlabPoolStats()
+		fmt.Fprintf(w, "slabs: %d page slab(s) recycled, %d fresh, %d bytes pooled\n", pool.SlabsRecycled, pool.SlabsFresh, pool.PoolBytes)
 		tr := res.Transport
 		fmt.Fprintf(w, "transport: %d record(s) in %d bytes: %d coalesced, %d strided, %d irregular, %d with values; ring full %d time(s), producer blocked %v; %d empty poll(s)\n",
 			tr.Records, tr.Bytes, tr.Coalesced, tr.Strided, tr.Irregular, tr.WithVals,

@@ -27,7 +27,7 @@ func reportLines(out string) (report, previews []string) {
 		case strings.HasSuffix(line, "ms]"):
 			previews = append(previews, line[:strings.LastIndex(line, "\t")])
 		case strings.HasPrefix(line, "kernel "), strings.HasPrefix(line, "PTVC "), strings.HasPrefix(line, "sim: "),
-			strings.HasPrefix(line, "shadow: "), strings.HasPrefix(line, "transport: "):
+			strings.HasPrefix(line, "shadow: "), strings.HasPrefix(line, "slabs: "), strings.HasPrefix(line, "transport: "):
 		default:
 			report = append(report, line)
 		}

@@ -417,8 +417,9 @@ func (s *Session) shape(kernelName string, launch gpusim.LaunchConfig) (ptvc.Geo
 // the queue rings and one detector thread per queue are built, produce
 // feeds the rings (the simulator behind a routeSink, or Replay's
 // per-queue goroutines) and returns once it has enqueued its last record,
-// and the queues are closed and drained. Duration runs from before the
-// detector state is built to after the last detector thread returns.
+// the queues are closed and drained, and the shadow is released. Duration
+// runs from before the detector state is built to after the last detector
+// thread returns.
 func pipeline(geo ptvc.Geometry, sharedBytes int64, cfg Config, onRace func(core.Race),
 	produce func(*logging.Set) (gpusim.Stats, error)) (*Result, error) {
 	start := time.Now()
@@ -437,17 +438,21 @@ func pipeline(geo ptvc.Geometry, sharedBytes int64, cfg Config, onRace func(core
 	set.CloseAll()
 	wg.Wait()
 	dur := time.Since(start)
-	if err != nil {
-		return nil, err
+	var res *Result
+	if err == nil {
+		res = &Result{
+			Report:     det.Report(),
+			SimStats:   stats,
+			Formats:    det.FormatStats(),
+			FormatHist: det.FormatHistogram(),
+			Duration:   dur,
+			Transport:  set.Counters(),
+		}
 	}
-	return &Result{
-		Report:     det.Report(),
-		SimStats:   stats,
-		Formats:    det.FormatStats(),
-		FormatHist: det.FormatHistogram(),
-		Duration:   dur,
-		Transport:  set.Counters(),
-	}, nil
+	// The detector threads have returned and the result holds copies: the
+	// run's shadow pages go back to the process's slab pool.
+	det.Shadow().Release()
+	return res, err
 }
 
 // Detect runs a kernel under the race detector.

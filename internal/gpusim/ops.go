@@ -119,9 +119,10 @@ func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 	// record templates. All cached with the compiled code.
 	uni := staticanalysis.ComputeUniformity(lk.cfg)
 	nOnce := 0
+	imms := immRows{}
 	for i := range code {
 		ci := &code[i]
-		ci.fn = selectHandler(ci)
+		ci.fn = selectHandler(ci, imms)
 		if scalarizableOp(ci) {
 			ci.uniform = uni.InputsUniform(i)
 		}

@@ -24,8 +24,10 @@ import (
 // programs), and a bit-iteration of exec otherwise. A lane's result is a
 // function of that lane's inputs alone, never of which walk ran it.
 //
-// The handlers are the only definition of each opcode. Their contract is
-// pinned by goldens recorded from the per-lane interpreter they replaced:
+// The handlers are the only definition of each opcode; the 32-bit integer
+// ops also have a typed loop (makeInt32) that a property test holds to the
+// generic handler's bits. Their contract is pinned by goldens recorded from
+// the per-lane interpreter they replaced:
 // the bug-suite and litmus equivalence tests compare report digests, race
 // sets, Stats counters and launch-error text against
 // bugsuite/testdata/warpvec_lanemajor.json and
@@ -158,7 +160,7 @@ func fetcher(o cOperand) (fn fetchFn, c uint64, isConst bool) {
 // selectHandler picks the warp-major handler for a compiled instruction.
 // checkShape has already rejected under-arity instructions, so the makers
 // index their operands freely.
-func selectHandler(ci *cInstr) warpHandler {
+func selectHandler(ci *cInstr, imms immRows) warpHandler {
 	t := ci.in.Type
 	switch ci.op {
 	case ptx.OpMov, ptx.OpCvta:
@@ -189,11 +191,17 @@ func selectHandler(ci *cInstr) warpHandler {
 		if t.Float() {
 			return makeFloatArith(ci)
 		}
+		if fn := makeInt32(ci, imms); fn != nil {
+			return fn
+		}
 		return makeIntTri(ci, intMadOp(ci))
 	case ptx.OpAdd, ptx.OpSub, ptx.OpMul, ptx.OpDiv, ptx.OpRem, ptx.OpMin, ptx.OpMax,
 		ptx.OpAnd, ptx.OpOr, ptx.OpXor, ptx.OpShl, ptx.OpShr:
 		if t.Float() {
 			return makeFloatArith(ci)
+		}
+		if fn := makeInt32(ci, imms); fn != nil {
+			return fn
 		}
 		return makeIntBin(ci, intBinOp(ci))
 	}
@@ -508,6 +516,161 @@ func makeIntUn(ci *cInstr, sf func(v uint64) uint64) warpHandler {
 		})
 		return nil
 	}
+}
+
+// immRows holds one constant row per distinct immediate of a kernel: the
+// immediate in every lane, so a typed handler reads a reg,imm shape the way
+// it reads reg,reg and each op has one body. A kernel has a handful of
+// distinct immediates, so the rows stay cache-resident across its warps.
+type immRows map[uint64]*[WarpSize]uint64
+
+func (m immRows) row(v uint64) *[WarpSize]uint64 {
+	r := m[v]
+	if r == nil {
+		r = new([WarpSize]uint64)
+		for l := range r {
+			r[l] = v
+		}
+		m[v] = r
+	}
+	return r
+}
+
+// laneRow is one input of a typed handler: a general register's row of the
+// warp's file, or an immediate's constant row.
+type laneRow struct {
+	reg int
+	imm *[WarpSize]uint64 // nil for a register
+}
+
+func (s laneRow) of(w *warpState) []uint64 {
+	if s.imm != nil {
+		return s.imm[:]
+	}
+	return w.row(s.reg)
+}
+
+// makeInt32 is the typed handler of the 32-bit integer ops nearly every
+// kernel is made of — add sub mul.lo mad.lo and or xor shl shr min max at
+// .u32/.s32/.b32 with general-register and immediate inputs: the op is
+// written on uint32 (int32 where the sign matters) in the lane loop itself,
+// so a lane costs no call and no truncTo. Go's shifts already have PTX's
+// out-of-range behaviour (a count >= 32 shifts everything out, sign-filling
+// for a signed shr). It returns nil for every other width, type and operand
+// kind; those keep makeIntBin/makeIntTri over intBinOp/intMadOp, which also
+// define what the bodies below must compute (TestTypedIntOpsMatchGeneric).
+func makeInt32(ci *cInstr, imms immRows) warpHandler {
+	in := ci.in
+	if ci.size != 4 || in.Type.Float() || in.Wide || in.Hi {
+		return nil
+	}
+	var src [3]laneRow
+	n := 2
+	if ci.op == ptx.OpMad {
+		n = 3
+	}
+	for i, a := range ci.args[:n] {
+		switch {
+		case a.kind == ptx.OpndReg && !a.isPred:
+			src[i].reg = a.reg
+		case a.kind == ptx.OpndImm:
+			src[i].imm = imms.row(a.imm)
+		default:
+			return nil
+		}
+	}
+	d, s0, s1, s2 := ci.dst.reg, src[0], src[1], src[2]
+	signed := in.Type.Signed()
+	switch ci.op {
+	case ptx.OpAdd:
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l]) + uint32(b[l])) })
+			return nil
+		}
+	case ptx.OpSub:
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l]) - uint32(b[l])) })
+			return nil
+		}
+	case ptx.OpMul:
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l]) * uint32(b[l])) })
+			return nil
+		}
+	case ptx.OpMad:
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b, c := w.row(d), s0.of(w), s1.of(w), s2.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l])*uint32(b[l]) + uint32(c[l])) })
+			return nil
+		}
+	case ptx.OpAnd:
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l] & b[l])) })
+			return nil
+		}
+	case ptx.OpOr:
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l] | b[l])) })
+			return nil
+		}
+	case ptx.OpXor:
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l] ^ b[l])) })
+			return nil
+		}
+	case ptx.OpShl:
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l]) << uint32(b[l])) })
+			return nil
+		}
+	case ptx.OpShr:
+		if signed {
+			return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+				dst, a, b := w.row(d), s0.of(w), s1.of(w)
+				w.each(exec, func(l int) { dst[l] = uint64(uint32(int32(a[l]) >> uint32(b[l]))) })
+				return nil
+			}
+		}
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(uint32(a[l]) >> uint32(b[l])) })
+			return nil
+		}
+	case ptx.OpMin:
+		if signed {
+			return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+				dst, a, b := w.row(d), s0.of(w), s1.of(w)
+				w.each(exec, func(l int) { dst[l] = uint64(uint32(min(int32(a[l]), int32(b[l])))) })
+				return nil
+			}
+		}
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(min(uint32(a[l]), uint32(b[l]))) })
+			return nil
+		}
+	case ptx.OpMax:
+		if signed {
+			return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+				dst, a, b := w.row(d), s0.of(w), s1.of(w)
+				w.each(exec, func(l int) { dst[l] = uint64(uint32(max(int32(a[l]), int32(b[l])))) })
+				return nil
+			}
+		}
+		return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
+			dst, a, b := w.row(d), s0.of(w), s1.of(w)
+			w.each(exec, func(l int) { dst[l] = uint64(max(uint32(a[l]), uint32(b[l]))) })
+			return nil
+		}
+	}
+	return nil // div and rem: the generic path
 }
 
 // makeIntBin specializes the common operand shapes of a two-input integer

@@ -151,8 +151,11 @@ func (m *Metrics) Filter() FilterCounters {
 }
 
 // ShadowCounters groups the aggregated shadow-memory figures for the
-// wire.
+// wire, and with them the process's slab pool (slabs_recycled, slabs_fresh,
+// slab_pool_bytes): the pool outlives every job, so it is reported here
+// and not in a job's result.
 type ShadowCounters struct {
+	shadow.PoolStats
 	OwnedFastRecords int64 `json:"owned_fast_records"`
 	Inflations       int64 `json:"ownership_inflations"`
 	Compactions      int64 `json:"compactions"`
@@ -165,6 +168,7 @@ type ShadowCounters struct {
 // Shadow snapshots the shadow-memory counters.
 func (m *Metrics) Shadow() ShadowCounters {
 	return ShadowCounters{
+		PoolStats:        shadow.SlabPoolStats(),
 		OwnedFastRecords: m.ShadowOwnedFast.Load(),
 		Inflations:       m.ShadowInflations.Load(),
 		Compactions:      m.ShadowCompactions.Load(),

@@ -273,6 +273,11 @@ func (st *stream) launch(p []byte) error {
 	if err != nil {
 		return err
 	}
+	if st.upActive {
+		// st.module is still the previous upload's: running it would answer
+		// this launch with another module's report.
+		return st.reject(spec.Seq, wire.CodeInvalidArgument, "LAUNCH during a module upload", 0)
+	}
 	if !st.moduleSet {
 		return st.reject(spec.Seq, wire.CodeInvalidArgument, "LAUNCH before a module upload", 0)
 	}

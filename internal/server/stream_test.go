@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -278,6 +279,92 @@ func TestStreamModuleHashMismatch(t *testing.T) {
 	_, err = c.Next()
 	if _, ok := err.(*wire.FatalError); !ok {
 		t.Fatalf("err = %v, want *wire.FatalError for hash mismatch", err)
+	}
+}
+
+// cleanSrc is racySrc with the store moved to the thread's own word.
+const cleanSrc = `.visible .entry k(.param .u64 out)
+{
+	.reg .u32 %r<4>;
+	.reg .u64 %rd<4>;
+	ld.param.u64 %rd1, [out];
+	mov.u32 %r1, %tid.x;
+	mul.wide.u32 %rd2, %r1, 4;
+	add.u64 %rd3, %rd1, %rd2;
+	st.global.u32 [%rd3], %r1;
+	ret;
+}`
+
+// A LAUNCH between MOD_BEGIN's "need" and MOD_END used to run against the
+// previous upload and return its report. It is rejected, the session and the
+// upload carry on, and the launch after MOD_END runs the new module.
+func TestLaunchDuringUploadIsRejected(t *testing.T) {
+	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
+	spec := wire.LaunchSpec{Kernel: "k", Grid: 1, Block: 32, Buffers: []int{128}}
+	digestOf := func(c *wire.Client, seq uint64) string {
+		t.Helper()
+		spec.Seq = seq
+		if err := c.Launch(spec); err != nil {
+			t.Fatal(err)
+		}
+		sums, _, rejects := collect(t, c, 1)
+		if len(rejects) != 0 || sums[seq].Status != StatusDone {
+			t.Fatalf("seq %d: rejects %+v, summary %+v", seq, rejects, sums[seq])
+		}
+		return sums[seq].Report().CanonicalDigest()
+	}
+
+	// What each module reports on a session of its own.
+	ref := dialStream(t, ts.URL, "")
+	if _, _, err := ref.UploadModule([]byte(cleanSrc)); err != nil {
+		t.Fatal(err)
+	}
+	wantClean := digestOf(ref, 1)
+
+	host := strings.TrimPrefix(ts.URL, "http://")
+	conn, err := net.Dial("tcp", host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	c, err := wire.Handshake(conn, host, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.UploadModule([]byte(racySrc)); err != nil {
+		t.Fatal(err)
+	}
+	if wantRacy := digestOf(c, 1); wantRacy == wantClean {
+		t.Fatal("the two modules report alike; the test cannot tell them apart")
+	}
+
+	// Open an upload by hand (no hash, so the warm module above is not
+	// recognised) and launch before ending it. Next has no event for a
+	// MOD_STATE frame and reports it as malformed; it is consumed either way.
+	src := cleanSrc + "\n// uploaded by hand"
+	w := wire.NewWriter(conn)
+	modState := func() {
+		t.Helper()
+		if _, err := c.Next(); !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("Next = %v, want the MOD_STATE frame", err)
+		}
+	}
+	w.WriteFrame(wire.FModBegin, wire.EncodeModBegin(wire.ModBegin{TotalLen: uint64(len(src))}))
+	modState()
+	spec.Seq = 2
+	if err := c.Launch(spec); err != nil {
+		t.Fatal(err)
+	}
+	sums, _, rejects := collect(t, c, 1)
+	if len(rejects) != 1 || rejects[0].Seq != 2 || rejects[0].Code != wire.CodeInvalidArgument ||
+		!strings.Contains(rejects[0].Msg, "LAUNCH during a module upload") {
+		t.Fatalf("launch during an upload: rejects %+v, summaries %+v; want one invalid_argument", rejects, sums)
+	}
+	w.WriteFrame(wire.FModChunk, []byte(src))
+	w.WriteFrame(wire.FModEnd, nil)
+	modState()
+	if got := digestOf(c, 3); got != wantClean {
+		t.Fatalf("launch after MOD_END reports\n%s\nwant the new module's\n%s", got, wantClean)
 	}
 }
 

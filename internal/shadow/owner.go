@@ -28,6 +28,8 @@ package shadow
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"barracuda/internal/vc"
@@ -305,40 +307,30 @@ func (m *Memory) evictCandidates() []evictCand {
 // it), and releases its resident accounting. Returns false if the region
 // was already gone.
 func (m *Memory) dropRegion(victim *Region, pageID uint64, block int32, isShared bool) bool {
+	var dropped bool
 	if isShared {
-		m.sharedMu.Lock()
-		old := m.sharedPtr.Load()
-		if old == nil || (*old)[block] != victim {
-			m.sharedMu.Unlock()
-			return false
-		}
-		next := make(blockMap, len(*old))
-		for k, v := range *old {
-			if k != block {
-				next[k] = v
-			}
-		}
-		m.sharedPtr.Store(&next)
-		m.sharedMu.Unlock()
+		dropped = unpublish(&m.sharedPtr, &m.sharedMu, block, victim) != nil
 	} else {
 		s := &m.stripes[pageID&(pageStripes-1)]
-		s.mu.Lock()
-		old := s.pages.Load()
-		if old == nil || (*old)[pageID] != victim {
-			s.mu.Unlock()
-			return false
-		}
-		next := make(pageMap, len(*old))
-		for k, v := range *old {
-			if k != pageID {
-				next[k] = v
-			}
-		}
-		s.pages.Store(&next)
-		s.mu.Unlock()
+		dropped = unpublish(&s.pages, &s.mu, pageID, victim) != nil
 	}
-	m.release(victim)
-	return true
+	if dropped {
+		m.release(victim)
+	}
+	return dropped
+}
+
+// unpublish removes key k's region from a table and returns it; nil when
+// the key is vacant or, with only non-nil, held by another region.
+func unpublish[K comparable, M ~map[K]*Region](tab *atomic.Pointer[M], mu *sync.Mutex, k K, only *Region) *Region {
+	mu.Lock()
+	defer mu.Unlock()
+	r := lookup(tab, k)
+	if r == nil || (only != nil && r != only) {
+		return nil
+	}
+	republish(tab, k, nil)
+	return r
 }
 
 // release drops an unpublished region (locked by the caller) from the
@@ -360,25 +352,10 @@ func (m *Memory) release(r *Region) int64 {
 // block-private), so the virgin slab a later access reallocates yields
 // byte-identical race reports. Returns the bytes released.
 func (m *Memory) CompactSharedSlab(block int32) int64 {
-	m.sharedMu.Lock()
-	old := m.sharedPtr.Load()
-	if old == nil {
-		m.sharedMu.Unlock()
-		return 0
-	}
-	r := (*old)[block]
+	r := unpublish(&m.sharedPtr, &m.sharedMu, block, nil)
 	if r == nil {
-		m.sharedMu.Unlock()
 		return 0
 	}
-	next := make(blockMap, len(*old))
-	for k, v := range *old {
-		if k != block {
-			next[k] = v
-		}
-	}
-	m.sharedPtr.Store(&next)
-	m.sharedMu.Unlock()
 	r.Lock()
 	n := m.release(r)
 	r.Unlock()

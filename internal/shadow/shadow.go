@@ -24,6 +24,7 @@
 package shadow
 
 import (
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -165,6 +166,53 @@ type stripe struct {
 // memory, published the same way.
 type blockMap map[int32]*Region
 
+// lookup reads key k of a published region table: one atomic load and a map
+// read, no lock.
+func lookup[K comparable, M ~map[K]*Region](tab *atomic.Pointer[M], k K) *Region {
+	if m := tab.Load(); m != nil {
+		return (*m)[k]
+	}
+	return nil
+}
+
+// republish is the tables' one write: it publishes a copy of the table with
+// key k set to r, or removed when r is nil, so readers never see a map being
+// written. The caller holds the mutex that serializes the table's writers.
+func republish[K comparable, M ~map[K]*Region](tab *atomic.Pointer[M], k K, r *Region) {
+	next := M{}
+	if old := tab.Load(); old != nil {
+		next = maps.Clone(*old)
+	}
+	if r != nil {
+		next[k] = r
+	} else {
+		delete(next, k)
+	}
+	tab.Store(&next)
+}
+
+// resolve returns key k's region of a table, allocating and publishing it on
+// first touch. Bounded mode makes room (inside newRegion) BEFORE the table's
+// mutex is taken, so the evictor (which republishes victims' tables under
+// their own mutexes) never runs inside one — the lock order is evictMu →
+// table mutex. Allocation is double-checked: the table is re-read under the
+// mutex, and a region that lost the race gives its slab back.
+func resolve[K comparable, M ~map[K]*Region](m *Memory, tab *atomic.Pointer[M], mu *sync.Mutex, k K, bytes int64, clamp bool) *Region {
+	if r := lookup(tab, k); r != nil {
+		return r
+	}
+	r := m.newRegion(bytes, clamp)
+	mu.Lock()
+	defer mu.Unlock()
+	if won := lookup(tab, k); won != nil {
+		slabs.put(r.cells)
+		return won
+	}
+	m.publish(r)
+	republish(tab, k, r)
+	return r
+}
+
 // Memory is the shadow of one device: a striped page table for global
 // memory plus per-block shared-memory shadows.
 type Memory struct {
@@ -186,6 +234,9 @@ type Memory struct {
 	// thread ids when a summary is materialized into cells.
 	spans bool
 	geo   ptvc.Geometry
+
+	// released is set by Release: the run is over and its slabs are gone.
+	released atomic.Bool
 
 	// Adaptive ownership tier (owner.go). owned gates the per-region
 	// tracking hooks; the counters are fleet-visible diagnostics.
@@ -272,7 +323,11 @@ func (m *Memory) newRegion(bytes int64, clamp bool) *Region {
 		r.gran, n = g, int(bytes/int64(g))
 	}
 	m.makeRoom(int64(n) * cellBytes)
-	r.cells = make([]Cell, n)
+	if !clamp && n == slabCells {
+		r.cells = slabs.take()
+	} else {
+		r.cells = make([]Cell, n)
+	}
 	return r
 }
 
@@ -318,8 +373,13 @@ type SpanCache struct {
 }
 
 // validateCache drops a worker cache whose generation is stale (bounded
-// mode only: generations only move when regions can disappear).
+// mode only: generations only move when regions can disappear). Every
+// region lookup starts here, so it is also where an access after Release
+// is caught, a cached pointer's included.
 func (m *Memory) validateCache(sc *SpanCache) {
+	if m.released.Load() {
+		panic("shadow: access after Release")
+	}
 	if sc == nil || m.capBytes <= 0 {
 		return
 	}
@@ -333,67 +393,13 @@ func (m *Memory) validateCache(sc *SpanCache) {
 // globalPage returns (allocating if needed) the page covering pageID.
 func (m *Memory) globalPage(pageID uint64) *Region {
 	s := &m.stripes[pageID&(pageStripes-1)]
-	if pm := s.pages.Load(); pm != nil {
-		if p := (*pm)[pageID]; p != nil {
-			return p
-		}
-	}
-	// Bounded mode: make room (inside newRegion) BEFORE taking the stripe
-	// lock, so the evictor (which republishes victim stripes under their
-	// own locks) never runs inside one — the lock order is evictMu →
-	// stripe.mu.
-	p := m.newRegion(PageBytes, false)
-	// Double-checked allocation: re-load under the stripe lock, then
-	// publish a copied map so readers never see a map being written.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.pages.Load()
-	if old != nil {
-		if p := (*old)[pageID]; p != nil {
-			return p
-		}
-	}
-	m.publish(p)
-	next := make(pageMap, 1)
-	if old != nil {
-		next = make(pageMap, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[pageID] = p
-	s.pages.Store(&next)
-	return p
+	return resolve(m, &s.pages, &s.mu, pageID, PageBytes, false)
 }
 
 // sharedSlab returns (allocating if needed) block b's shared-memory
 // shadow slab.
 func (m *Memory) sharedSlab(block int32) *Region {
-	if bm := m.sharedPtr.Load(); bm != nil {
-		if r := (*bm)[block]; r != nil {
-			return r
-		}
-	}
-	r := m.newRegion(m.shSize, true)
-	m.sharedMu.Lock()
-	defer m.sharedMu.Unlock()
-	old := m.sharedPtr.Load()
-	if old != nil {
-		if r := (*old)[block]; r != nil {
-			return r
-		}
-	}
-	m.publish(r)
-	next := make(blockMap, 1)
-	if old != nil {
-		next = make(blockMap, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[block] = r
-	m.sharedPtr.Store(&next)
-	return r
+	return resolve(m, &m.sharedPtr, &m.sharedMu, block, m.shSize, true)
 }
 
 // CellFor returns the cell covering (space, block, addr), allocating
