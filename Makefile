@@ -151,17 +151,22 @@ stress-ownership:
 	$(GO) test -race -run 'TestOwnershipTransitions|TestOwnershipProbeConcurrent|TestBoundedEviction|TestValidateCacheGeneration|TestCompactSharedSlab' ./internal/shadow/
 	$(GO) test -race -count=3 -run 'TestSlabPoolCap|TestSlabTakeClears|TestReleaseThenUseFailsLoudly|TestRecycledSlabIsVirgin|TestSlabPoolConcurrent' ./internal/shadow/
 
-# The per-region-granule correctness stress: the recorded per-byte
-# outcomes (bug suite and mixed-width programs, Granularity 1/2/4), the
-# refinement unit and property tests, the cell-layout contract and the
-# record-level walk's equivalence with one walk per lane, and — repeated,
-# with real parallelism, under the Go race detector — blocks on four
-# detector threads issuing word and byte accesses to the same shadow page.
+# The per-region-granule correctness stress, one shadow discipline for
+# every configuration: the recorded per-byte outcomes (bug suite,
+# mixed-width programs and litmus corpus, Granularity 1/2/4; FullVC held
+# to its own recording from 9dddb42), the refinement unit and property
+# tests, the cell-layout contract, the region lock's mutual exclusion and
+# the record-level walk's equivalence with one walk per lane, and —
+# repeated, with real parallelism, under the Go race detector — blocks on
+# four detector threads issuing word and byte accesses to the same shadow
+# page, FullVC's among them.
 stress-refine:
 	$(GO) test -race -run 'TestGranuleGoldenEquivalence|TestSubword' ./internal/bugsuite/
-	$(GO) test -race -run 'TestRefine|TestRegionGranulePerMode|TestCellLayout|TestVisitLanesEquivalence|TestReadTableConcurrentInflation' ./internal/shadow/
+	$(GO) test -race -run 'TestGranuleLitmusGoldenEquivalence' ./internal/detector/
+	$(GO) test -race -run 'TestRefine|TestRegionGranulePerMode|TestCellLayout|TestVisitLanesEquivalence|TestRegionLockMutualExclusion' ./internal/shadow/
 	$(GO) test -race -run 'TestRefine|TestReportWeight' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestSubwordQueuesStress' ./internal/bugsuite/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestFullVCMultiQueueEquivalence' ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestRefineConcurrentWorkers' ./internal/core/
 
 # Graceful drain and the worker link (join, heartbeat, leave), end to end,

@@ -67,29 +67,38 @@ func granuleGolden(t *testing.T, file string) map[string]string {
 // granuleCompare holds every program of a suite to its recording at
 // Granularity 1, 2 and 4, under the default configuration and — the
 // ownership tier and the per-cell baseline promise the same reports —
-// under those two as well.
-func granuleCompare(t *testing.T, suite []*Test, golden map[string]string) {
+// under those two as well; and, outside short mode, the FullVC ablation
+// to its own recording (fullvc), taken at 9dddb42 while its shadow still
+// had per-cell spinlocks and byte cells from allocation.
+func granuleCompare(t *testing.T, suite []*Test, golden, fullvc map[string]string) {
 	for _, tc := range suite {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, gran := range []int{1, 2, 4} {
-				want, ok := golden[fmt.Sprintf("%s/%d", tc.Name, gran)]
-				if !ok {
+				key := fmt.Sprintf("%s/%d", tc.Name, gran)
+				want, ok := golden[key]
+				wantFullVC, okFullVC := fullvc[key]
+				if !ok || !okFullVC {
 					t.Fatalf("no golden entry at granularity %d", gran)
 				}
-				cfgs := []detector.Config{{Granularity: gran}}
-				if !testing.Short() {
-					cfgs = append(cfgs,
-						detector.Config{Granularity: gran, Ownership: true},
-						detector.Config{Granularity: gran, PerCellShadow: true})
+				type row struct {
+					cfg  detector.Config
+					want string
 				}
-				for _, cfg := range cfgs {
-					got, err := granuleOutcome(tc, cfg)
+				rows := []row{{detector.Config{Granularity: gran}, want}}
+				if !testing.Short() {
+					rows = append(rows,
+						row{detector.Config{Granularity: gran, Ownership: true}, want},
+						row{detector.Config{Granularity: gran, PerCellShadow: true}, want},
+						row{detector.Config{Granularity: gran, FullVC: true}, wantFullVC})
+				}
+				for _, r := range rows {
+					got, err := granuleOutcome(tc, r.cfg)
 					if err != nil {
-						t.Fatalf("%+v: %v", cfg, err)
+						t.Fatalf("%+v: %v", r.cfg, err)
 					}
-					if got != want {
-						t.Errorf("outcome diverged (%+v):\n--- golden ---\n%s--- got ---\n%s", cfg, want, got)
+					if got != r.want {
+						t.Errorf("outcome diverged (%+v):\n--- golden ---\n%s--- got ---\n%s", r.cfg, r.want, got)
 					}
 				}
 			}
@@ -104,7 +113,7 @@ func granuleCompare(t *testing.T, suite []*Test, golden map[string]string) {
 // Granularity-sized (a5d8c21) — discovery order, addresses, dynamic
 // counts, divergences and both counters.
 func TestGranuleGoldenEquivalence(t *testing.T) {
-	granuleCompare(t, Tests(), granuleGolden(t, "granule_a5d8c21.json"))
+	granuleCompare(t, Tests(), granuleGolden(t, "granule_a5d8c21.json"), granuleGolden(t, "granule_fullvc_9dddb42.json"))
 }
 
 // TestSubwordGoldenEquivalence is the same contract on the programs that
@@ -112,5 +121,5 @@ func TestGranuleGoldenEquivalence(t *testing.T) {
 // cell was a byte (or 2, or 4) from the start — must survive starting at
 // word granularity and refining mid-run.
 func TestSubwordGoldenEquivalence(t *testing.T) {
-	granuleCompare(t, SubwordTests(), granuleGolden(t, "granule_subword_a5d8c21.json"))
+	granuleCompare(t, SubwordTests(), granuleGolden(t, "granule_subword_a5d8c21.json"), granuleGolden(t, "granule_fullvc_9dddb42.json"))
 }

@@ -81,19 +81,37 @@ func provableDigest(digest string, queues int) string {
 // lock-free transport, the striped shadow page table and the per-worker
 // stat shards.
 func TestMultiQueueReportEquivalence(t *testing.T) {
-	for _, tc := range Tests() {
+	multiQueueCompare(t, Tests(), detector.Config{})
+}
+
+// TestFullVCMultiQueueEquivalence is the same contract for the FullVC
+// ablation, over the bug suite and the mixed-width programs: its shadow
+// is the default one — every cell behind its region's lock, regions
+// word-granular until a sub-word access refines them — so under -race
+// this is the data-race check of that discipline with FullVC's own
+// clocks on four detector threads.
+func TestFullVCMultiQueueEquivalence(t *testing.T) {
+	multiQueueCompare(t, append(Tests(), SubwordTests()...), detector.Config{FullVC: true})
+}
+
+// multiQueueCompare holds every program of a suite at four queues to its
+// single-queue run under cfg, through provableDigest.
+func multiQueueCompare(t *testing.T, suite []*Test, cfg detector.Config) {
+	for _, tc := range suite {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
-			base, err := digestFor(tc, detector.Config{Queues: 1})
+			cfg.Queues = 1
+			base, err := digestFor(tc, cfg)
 			if err != nil {
 				t.Fatalf("single-queue run: %v", err)
 			}
-			multi, err := digestFor(tc, detector.Config{Queues: 4})
+			cfg.Queues = 4
+			multi, err := digestFor(tc, cfg)
 			if err != nil {
 				t.Fatalf("multi-queue run: %v", err)
 			}
 			if provableDigest(base, 4) != provableDigest(multi, 4) {
-				t.Errorf("report changed at Queues=4:\n--- queues=1 ---\n%s--- queues=4 ---\n%s", base, multi)
+				t.Errorf("report changed at Queues=4 (%+v):\n--- queues=1 ---\n%s--- queues=4 ---\n%s", cfg, base, multi)
 			}
 		})
 	}

@@ -6,10 +6,10 @@ import (
 	"barracuda/internal/detector"
 )
 
-// subwordConfigs are the shadow configurations the mixed-width programs
-// must agree under: span mode (word-granular regions that refine), with
-// and without the ownership tier and a byte cap, and the two lock-free
-// modes whose cells are byte-sized from the start.
+// subwordConfigs are the detector configurations the mixed-width programs
+// must agree under: the default, with and without the ownership tier and
+// a byte cap, and the two ablations — all on the one shadow, whose
+// word-granular regions refine.
 var subwordConfigs = []detector.Config{
 	{},
 	{Ownership: true},
@@ -38,11 +38,12 @@ func TestSubwordVerdicts(t *testing.T) {
 	}
 }
 
-// TestSubwordRefines pins who refines: every mixed-width program does in
-// span mode (that is what they are for) and never in the lock-free
-// modes, and of the 66 paper programs only gl-partial-overlap-racy (a
-// misaligned word store) does — the rest contain nothing but whole-word
-// accesses, so their whole shadow stays word-granular.
+// TestSubwordRefines pins who refines, under every shadow configuration
+// alike — the ablations share the default shadow: every mixed-width
+// program does (that is what they are for), and of the 66 paper programs
+// only gl-partial-overlap-racy (a misaligned word store) does — the rest
+// contain nothing but whole-word accesses, so their whole shadow stays
+// word-granular.
 func TestSubwordRefines(t *testing.T) {
 	refinements := func(tc *Test, cfg detector.Config) uint64 {
 		t.Helper()
@@ -59,24 +60,23 @@ func TestSubwordRefines(t *testing.T) {
 			return 0 // hangs and launch errors: nothing to count
 		}
 		sh := res.Report.Shadow
-		if cfg == (detector.Config{}) && sh.WordRegions+sh.ByteRegions != sh.GlobalPages+sh.SharedBlocks {
-			t.Errorf("%s: %d word + %d byte regions, but %d pages + %d slabs",
-				tc.Name, sh.WordRegions, sh.ByteRegions, sh.GlobalPages, sh.SharedBlocks)
+		if sh.WordRegions+sh.ByteRegions != sh.GlobalPages+sh.SharedBlocks {
+			t.Errorf("%s %+v: %d word + %d byte regions, but %d pages + %d slabs",
+				tc.Name, cfg, sh.WordRegions, sh.ByteRegions, sh.GlobalPages, sh.SharedBlocks)
 		}
 		return sh.Refinements
 	}
-	for _, tc := range SubwordTests() {
-		if n := refinements(tc, detector.Config{}); n == 0 {
-			t.Errorf("%s: no region refined under the default configuration", tc.Name)
+	for _, cfg := range subwordConfigs {
+		for _, tc := range SubwordTests() {
+			if n := refinements(tc, cfg); n == 0 {
+				t.Errorf("%s: no region refined under %+v", tc.Name, cfg)
+			}
 		}
-		if n := refinements(tc, detector.Config{PerCellShadow: true}); n != 0 {
-			t.Errorf("%s: %d refinements under PerCellShadow, whose cells start byte-sized", tc.Name, n)
-		}
-	}
-	for _, tc := range Tests() {
-		n := refinements(tc, detector.Config{})
-		if want := tc.Name == "gl-partial-overlap-racy"; want != (n != 0) {
-			t.Errorf("%s: %d refinements, want refined = %v", tc.Name, n, want)
+		for _, tc := range Tests() {
+			n := refinements(tc, cfg)
+			if want := tc.Name == "gl-partial-overlap-racy"; want != (n != 0) {
+				t.Errorf("%s: %d refinements under %+v, want refined = %v", tc.Name, n, cfg, want)
+			}
 		}
 	}
 }

@@ -20,14 +20,14 @@
 // records of one thread block on the same worker (the block-to-queue
 // affinity of package logging guarantees this). Per-warp and per-block
 // state is block-affine; shadow cells are guarded by their region's
-// spinlock (by per-location spinlocks in the FullVC and PerCellShadow
-// ablation modes); and per-record statistics (record count, same-value
-// filter count, PTVC format histogram) live in per-worker shards merged
-// lazily by Report and FormatHistogram — so the per-record fast path of
-// a memory access acquires no mutex at all. Only the rare events (a detected race, a
-// barrier divergence) take the report mutex. Detector.Handle remains as
-// a worker-less convenience for tests and single-consumer callers; it is
-// safe for concurrent use but skips the worker-private caches.
+// spinlock in every configuration; and per-record statistics (record
+// count, same-value filter count, PTVC format histogram) live in
+// per-worker shards merged lazily by Report and FormatHistogram — so the
+// per-record fast path of a memory access acquires no mutex at all. Only
+// the rare events (a detected race, a barrier divergence) take the report
+// mutex. Detector.Handle remains as a worker-less convenience for tests
+// and single-consumer callers; it is safe for concurrent use but skips
+// the worker-private caches.
 package core
 
 import (
@@ -146,9 +146,9 @@ func (r *Report) CountKind(k RaceKind) int {
 
 // Options tunes the detector.
 type Options struct {
-	// Granularity is the finest shadow bytes per cell (default 1). In
-	// span mode regions start at one cell per 4-byte word and refine to
-	// it on the first sub-word access; reports are the same either way.
+	// Granularity is the finest shadow bytes per cell (default 1).
+	// Regions start at one cell per 4-byte word and refine to it on the
+	// first sub-word access; reports are the same either way.
 	Granularity int
 	// MaxRaces bounds the number of distinct races recorded (default
 	// 1024; 0 means the default).
@@ -159,18 +159,19 @@ type Options struct {
 	// per-thread vector clocks — the ablation baseline for §4.3.1.
 	FullVC bool
 	// PerCellShadow disables the coalesced-span fast path, forcing every
-	// warp access down the per-cell shadow loop — the A/B baseline for
-	// the span optimization.
+	// warp access down the per-cell shadow walk — the A/B baseline for
+	// the span optimization. The shadow itself is the default one.
 	PerCellShadow bool
 	// Ownership enables the exclusive-ownership fast tier (owned.go):
 	// regions touched by a single warp or block skip the epoch checks
-	// entirely. Requires span mode (no effect under FullVC or
-	// PerCellShadow, which the detector-level Config rejects).
+	// entirely. No effect under FullVC or PerCellShadow, which the
+	// detector-level Config rejects.
 	Ownership bool
 	// ShadowCapBytes bounds the resident shadow (global pages + shared
 	// slabs) to this many bytes via LRU eviction, and enables epoch-
 	// based compaction of shared slabs at fully-converged block
-	// barriers. 0 means unbounded. Requires span mode.
+	// barriers. 0 means unbounded. No effect under FullVC or
+	// PerCellShadow, which the detector-level Config rejects.
 	ShadowCapBytes int64
 	// OnRace, when set, is invoked once per *new* static race, at the
 	// moment of discovery (subsequent dynamic occurrences only bump the
@@ -214,14 +215,13 @@ type Detector struct {
 	opts Options
 	mem  *shadow.Memory
 
-	// spans enables the coalesced-span fast path (shadow memory in
-	// region-lock mode with uniform-span summaries). Off under FullVC
-	// (per-thread clocks are not uniform across a warp) and under the
-	// PerCellShadow baseline knob.
+	// spans enables the coalesced-span fast path (uniform-span
+	// summaries). Off under FullVC (per-thread clocks are not uniform
+	// across a warp) and under the PerCellShadow baseline knob.
 	spans bool
 
 	// owned enables the exclusive-ownership fast tier and compact the
-	// barrier-time shared-slab compaction; both require span mode.
+	// barrier-time shared-slab compaction; both ride on spans.
 	owned   bool
 	compact bool
 
@@ -311,7 +311,7 @@ func New(geo ptvc.Geometry, sharedBytes int64, opts Options) *Detector {
 	d := &Detector{
 		geo:      geo,
 		opts:     opts,
-		mem:      shadow.New(opts.Granularity, sharedBytes),
+		mem:      shadow.New(opts.Granularity, sharedBytes, geo),
 		warps:    make([]*warpMirror, geo.Blocks*geo.WarpsPerBlock()),
 		races:    make(map[raceKey]*Race),
 		divergeK: make(map[[2]uint32]bool),
@@ -322,7 +322,6 @@ func New(geo ptvc.Geometry, sharedBytes int64, opts Options) *Detector {
 		d.fullVC = newFullVCState(geo)
 	} else if !opts.PerCellShadow {
 		d.spans = true
-		d.mem.EnableSpans(geo)
 		if opts.Ownership {
 			d.owned = true
 			d.mem.EnableOwnership()
@@ -440,8 +439,8 @@ func ordered(g *ptvc.Group, tid vc.TID, e vc.Epoch) bool {
 // lane of a warp-level memory record, followed by ENDINSN. This is the
 // per-record fast path: no mutex is acquired anywhere on it — stats go
 // to the worker's shard, shadow lookups go through the worker's span
-// cache over the lock-free page table, and cells are guarded by their
-// region's CAS spinlock.
+// cache over the page table, and cells are guarded by their region's CAS
+// spinlock.
 func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 	g := w.warp(int(r.Warp)).top()
 	w.hist[g.Format()].Add(1)
@@ -459,7 +458,7 @@ func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 }
 
 // apply runs the record's READ*/WRITE*/ATOM* rule for one lane on cell
-// idx of reg, whose guarding lock the caller holds. weight is the number
+// idx of reg, whose lock the caller holds. weight is the number
 // of configured-granule cells the cell stands for (shadow.Memory.Weight):
 // every check on it counts that many times.
 func (d *Detector) apply(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {

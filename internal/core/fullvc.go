@@ -133,17 +133,17 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 	// The full-VC ablation cannot use uniform-span summaries — after a
 	// joinFork every lane's own clock component differs, so a warp access
 	// is not expressible as a single (warp, mask, clock) layer. It shares
-	// the per-lane cell iteration with the epoch detector's fallback path.
-	// Its shadow is the lock-free table, every cell at the configured
-	// granularity, so the visit weight is always 1.
+	// the per-lane cell walk, and so the shadow and its word-granular
+	// regions, with the epoch detector's fallback path: a check on a word
+	// cell counts weight times, exactly as in apply.
 	tid0 := d.geo.TIDOf(int(r.Warp), 0)
-	d.forEachLaneCell(nil, r, func(lane int, reg *shadow.Region, idx, _ int) {
+	d.forEachLaneCell(nil, r, func(lane int, reg *shadow.Region, idx, weight int) {
 		c, tid := &reg.Cells()[idx], tid0+vc.TID(lane)
 		myClock := s.clocks[tid].Get(tid)
 		switch r.Op {
 		case trace.OpRead:
 			if !s.ordered(tid, c.W) {
-				d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, 1)
+				d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, weight)
 			}
 			if c.ReadShared {
 				reg.Readers(idx)[tid] = myClock
@@ -165,11 +165,11 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 				if sameInstr && !d.opts.NoSameValueFilter && !atomic && !c.Atomic {
 					if r.Vals[d.geo.LaneOf(c.W.T)] == r.Vals[lane] {
 						filtered = true
-						w.sameValue.Add(1)
+						w.sameValue.Add(uint64(weight))
 					}
 				}
 				if !filtered {
-					d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr, 1)
+					d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr, weight)
 				}
 			}
 			if c.ReadShared {
@@ -178,11 +178,11 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 				readers := reg.Readers(idx)
 				for _, u := range sortedReaders(readers) {
 					if !s.ordered(tid, vc.Epoch{T: u, C: readers[u]}) {
-						d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, 1)
+						d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, weight)
 					}
 				}
 			} else if !s.ordered(tid, c.R) {
-				d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false, 1)
+				d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false, weight)
 			}
 			c.W = vc.Epoch{T: tid, C: myClock}
 			c.Atomic = atomic

@@ -11,12 +11,12 @@ import (
 )
 
 // forEachLaneCell visits every shadow cell of every active lane of a
-// memory record as (region, index), with the cell's guarding lock held —
-// the per-cell iteration shared by the epoch detector's fallback path and
-// the full-VC ablation: one shadow.Memory.VisitLanes walk per record.
-// weight is shadow.Memory.Weight of the cell's region (1 in the lock-free
-// modes). A warp's thread ids are consecutive, so a visitor derives a
-// lane's from TIDOf(warp, 0), once per record.
+// memory record as (region, index), with the region lock held — the
+// per-cell iteration shared by the epoch detector's fallback path and the
+// full-VC ablation: one shadow.Memory.VisitLanes walk per record. weight
+// is shadow.Memory.Weight of the cell's region. A warp's thread ids are
+// consecutive, so a visitor derives a lane's from TIDOf(warp, 0), once
+// per record.
 func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visit func(lane int, reg *shadow.Region, idx, weight int)) {
 	blk := int32(-1)
 	if r.Space == logging.SpaceShared {
@@ -27,7 +27,7 @@ func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visi
 }
 
 // activeLanes resolves the active lanes of a memory record, below the
-// simulated warp width, and their addresses into buf: the lock-free
+// simulated warp width, and their addresses into buf: the unlocked
 // pre-pass of forEachLaneCell and ownedLanes. Addresses go through
 // LaneAddr so records that crossed the compact wire (no address array)
 // resolve identically.
@@ -225,9 +225,8 @@ func (d *Detector) spanWriteLayer(s *shadow.SpanSum, r *logging.Record, g *ptvc.
 }
 
 // spanPerCell replays the exact per-cell rules for one region run: the
-// same lanes, cells, visit order and callbacks as the legacy path, under
-// the already-held region lock (which is all that guards a span-mode
-// cell).
+// same lanes, cells, visit order and callbacks as the per-cell walk,
+// under the already-held region lock (which is all that guards a cell).
 func (d *Detector) spanPerCell(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo int, runMask uint32) {
 	cellsPerLane := int(r.Size) / reg.Gran()
 	weight := d.mem.Weight(reg)

@@ -139,10 +139,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("detector: Ownership and PerCellShadow are mutually exclusive: the ownership tier lives on the region-locked span paths PerCellShadow disables")
 	}
 	if c.ShadowCapBytes > 0 && c.FullVC {
-		return fmt.Errorf("detector: ShadowCapBytes and FullVC are mutually exclusive: bounded shadow relies on the span-mode region bookkeeping the full-VC ablation bypasses")
+		return fmt.Errorf("detector: ShadowCapBytes and FullVC are mutually exclusive: bounded shadow rides on the span fast path the full-VC ablation disables")
 	}
 	if c.ShadowCapBytes > 0 && c.PerCellShadow {
-		return fmt.Errorf("detector: ShadowCapBytes and PerCellShadow are mutually exclusive: bounded shadow relies on the region bookkeeping the per-cell baseline bypasses")
+		return fmt.Errorf("detector: ShadowCapBytes and PerCellShadow are mutually exclusive: bounded shadow rides on the span fast path the per-cell baseline disables")
 	}
 	if c.ProducerFilter && c.FullVC {
 		return fmt.Errorf("detector: ProducerFilter and FullVC are mutually exclusive: the filter's suppression argument relies on the compressed-PTVC epoch semantics (and OpFlush reconciliation) the full-VC ablation bypasses")

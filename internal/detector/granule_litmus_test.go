@@ -48,9 +48,48 @@ func litmusGranuleOutcome(lc litmusCase, cfg Config) (string, error) {
 // outcomes recorded at commit a5d8c21 (uniform Granularity-sized shadow
 // cells; see bugsuite/testdata/README.md) at Granularity 1, 2 and 4,
 // under the default configuration, the ownership tier and the per-cell
-// baseline.
+// baseline — and the FullVC ablation to its own recording, taken at
+// 9dddb42 while its shadow still had per-cell spinlocks.
 func TestGranuleLitmusGoldenEquivalence(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "granule_litmus_a5d8c21.json"))
+	golden := litmusGolden(t, "granule_litmus_a5d8c21.json")
+	fullvc := litmusGolden(t, "granule_litmus_fullvc_9dddb42.json")
+	for _, lc := range litmusCorpus() {
+		lc := lc
+		t.Run(lc.name, func(t *testing.T) {
+			for _, gran := range []int{1, 2, 4} {
+				key := fmt.Sprintf("%s/%d", lc.name, gran)
+				want, ok := golden[key]
+				wantFullVC, okFullVC := fullvc[key]
+				if !ok || !okFullVC {
+					t.Fatalf("no golden entry at granularity %d", gran)
+				}
+				for _, row := range []struct {
+					cfg  Config
+					want string
+				}{
+					{Config{Granularity: gran}, want},
+					{Config{Granularity: gran, Ownership: true}, want},
+					{Config{Granularity: gran, PerCellShadow: true}, want},
+					{Config{Granularity: gran, FullVC: true}, wantFullVC},
+				} {
+					got, err := litmusGranuleOutcome(lc, row.cfg)
+					if err != nil {
+						t.Fatalf("%+v: %v", row.cfg, err)
+					}
+					if got != row.want {
+						t.Errorf("outcome diverged (%+v):\n--- golden ---\n%s--- got ---\n%s", row.cfg, row.want, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// litmusGolden loads a litmus granule recording, keyed
+// "program/granularity".
+func litmusGolden(t *testing.T, file string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,28 +105,5 @@ func TestGranuleLitmusGoldenEquivalence(t *testing.T) {
 	for _, e := range entries {
 		golden[fmt.Sprintf("%s/%d", e.Program, e.Gran)] = e.Outcome
 	}
-	for _, lc := range litmusCorpus() {
-		lc := lc
-		t.Run(lc.name, func(t *testing.T) {
-			for _, gran := range []int{1, 2, 4} {
-				want, ok := golden[fmt.Sprintf("%s/%d", lc.name, gran)]
-				if !ok {
-					t.Fatalf("no golden entry at granularity %d", gran)
-				}
-				for _, cfg := range []Config{
-					{Granularity: gran},
-					{Granularity: gran, Ownership: true},
-					{Granularity: gran, PerCellShadow: true},
-				} {
-					got, err := litmusGranuleOutcome(lc, cfg)
-					if err != nil {
-						t.Fatalf("%+v: %v", cfg, err)
-					}
-					if got != want {
-						t.Errorf("outcome diverged (%+v):\n--- golden ---\n%s--- got ---\n%s", cfg, want, got)
-					}
-				}
-			}
-		})
-	}
+	return golden
 }

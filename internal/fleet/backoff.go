@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -39,14 +41,15 @@ func RetryDelay(resp *http.Response, attempt int) time.Duration {
 	return d
 }
 
-// parseRetryAfter handles both RFC 9110 forms: delay-seconds and
-// HTTP-date.
+// parseRetryAfter accepts exactly RFC 9110's two forms: delay-seconds
+// (1*DIGIT, no sign, fraction or unit, within a Duration) and HTTP-date.
+// Anything else is not a hint.
 func parseRetryAfter(v string) (time.Duration, bool) {
-	if v == "" {
-		return 0, false
-	}
-	if secs, err := time.ParseDuration(v + "s"); err == nil && secs >= 0 {
-		return secs, true
+	if secs, err := strconv.ParseUint(v, 10, 64); err == nil {
+		if secs > math.MaxInt64/uint64(time.Second) {
+			return 0, false
+		}
+		return time.Duration(secs) * time.Second, true
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		d := time.Until(t)

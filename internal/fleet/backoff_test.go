@@ -20,8 +20,10 @@ func respWith(t *testing.T, header string) *http.Response {
 }
 
 func TestRetryDelayHonorsHeader(t *testing.T) {
-	if d := RetryDelay(respWith(t, "3"), 0); d != 3*time.Second {
-		t.Fatalf("Retry-After: 3 → %v, want 3s", d)
+	for v, want := range map[string]time.Duration{"3": 3 * time.Second, "0": 0, "007": 7 * time.Second, "9223372036": 9223372036 * time.Second} {
+		if d := RetryDelay(respWith(t, v), 0); d != want {
+			t.Fatalf("Retry-After: %q → %v, want %v", v, d, want)
+		}
 	}
 	// HTTP-date form.
 	date := time.Now().Add(2 * time.Second).UTC().Format(http.TimeFormat)
@@ -43,8 +45,13 @@ func TestRetryDelayFallback(t *testing.T) {
 			t.Fatalf("attempt %d → %v, want %v", attempt, d, w)
 		}
 	}
-	if d := RetryDelay(respWith(t, "junk-value"), 1); d != 500*time.Millisecond {
-		t.Fatalf("unparseable header falls back: got %v", d)
+	// Only delay-seconds (1*DIGIT) and an HTTP-date are hints: a duration
+	// string, a fraction, a sign or a value past a Duration is not one,
+	// however time.ParseDuration would read it.
+	for _, v := range []string{"junk-value", "2h3m", "5m", "1.5", "+2", "-1", "1e3", " ", "1_000", "9223372037"} {
+		if d := RetryDelay(respWith(t, v), 1); d != 500*time.Millisecond {
+			t.Fatalf("Retry-After: %q must fall back to 500ms: got %v", v, d)
+		}
 	}
 	// Shift-overflow guard on absurd attempt counts.
 	if d := RetryDelay(nil, 63); d != retryCap {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"barracuda/internal/server"
+	"barracuda/internal/wire"
 )
 
 // Wire types of the fleet control API.
@@ -246,7 +247,7 @@ func (h *HTTPCoordinator) failAssignment(a Assignment, pj *proxyJob, retryable b
 		// elsewhere.
 	case FailTerminal:
 		if code == "" {
-			code = server.CodeUnavailable
+			code = wire.CodeUnavailable
 		}
 		pj.finish(server.StatusFailed, msg, code, nil)
 	case FailRequeued:
@@ -264,7 +265,7 @@ func (h *HTTPCoordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID == "" || req.Addr == "" {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidArgument, `join: fields "id" and "addr" are required`)
+		server.WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, `join: fields "id" and "addr" are required`)
 		return
 	}
 	h.perform(h.core.Join(req.ID, req.Addr, req.Capacity, time.Now()))
@@ -365,7 +366,7 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Shape-validate here so permanent 400s never consume a dispatch;
 	// each worker still enforces its own buffer cap.
 	if err := req.Validate(0); err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+		server.WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
 		return
 	}
 	// Repair jobs run many verification launches: always batch-class,
@@ -388,9 +389,9 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		h.jobs.Drop(id)
 		if errors.Is(err, ErrNoNodes) {
 			w.Header().Set("Retry-After", "1")
-			server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable, err.Error())
+			server.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, err.Error())
 		} else {
-			server.WriteError(w, http.StatusBadRequest, server.CodeInvalidArgument, err.Error())
+			server.WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
 		}
 		return
 	}

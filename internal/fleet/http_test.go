@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"barracuda/internal/server"
+	"barracuda/internal/wire"
 )
 
 const racySrc = `.visible .entry k(.param .u64 out)
@@ -261,13 +262,13 @@ func TestFleetSubmitValidation(t *testing.T) {
 	f := newTestFleet(t, 1)
 
 	code, _, errj := f.submit(server.JobRequest{}) // neither ptx nor bench
-	if code != http.StatusBadRequest || errj.Code != server.CodeInvalidArgument {
+	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument {
 		t.Fatalf("empty job: %d code %q, want 400 invalid_argument", code, errj.Code)
 	}
 	req := racyJob()
 	req.Class = "premium"
 	code, _, errj = f.submit(req)
-	if code != http.StatusBadRequest || errj.Code != server.CodeInvalidArgument {
+	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument {
 		t.Fatalf("bad class: %d code %q", code, errj.Code)
 	}
 }
@@ -288,7 +289,7 @@ func TestFleetNoNodesUnavailable(t *testing.T) {
 	}
 	var errj server.ErrorJSON
 	json.NewDecoder(resp.Body).Decode(&errj)
-	if errj.Code != server.CodeUnavailable {
+	if errj.Code != wire.CodeUnavailable {
 		t.Fatalf("code %q, want unavailable", errj.Code)
 	}
 	if !server.RetryableCode(errj.Code) {
@@ -393,7 +394,7 @@ func TestStaleFailAssignmentDoesNotFinishJob(t *testing.T) {
 	}
 
 	// The stuck forward finally reports its poll error.
-	h.failAssignment(stale, pj, true, "poll "+stale.Node+": timeout", server.CodeUnavailable)
+	h.failAssignment(stale, pj, true, "poll "+stale.Node+": timeout", wire.CodeUnavailable)
 
 	select {
 	case <-pj.done:

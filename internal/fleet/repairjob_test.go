@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"barracuda/internal/server"
+	"barracuda/internal/wire"
 )
 
 // lostUpdateSrc is the canonical repairable kernel: a plain ld/add/st
@@ -82,7 +83,7 @@ func TestFleetRunsRepairJobs(t *testing.T) {
 	// Malformed kinds are rejected at the coordinator, consuming no
 	// dispatch attempts.
 	code, _, errj = f.submit(server.JobRequest{PTX: lostUpdateSrc, Kind: "optimize"})
-	if code != 400 || errj.Code != server.CodeInvalidArgument {
+	if code != 400 || errj.Code != wire.CodeInvalidArgument {
 		t.Errorf("bad kind: %d %q, want 400 invalid_argument", code, errj.Code)
 	}
 }

@@ -52,7 +52,7 @@ func wireFailure(err error) (retryable bool, code string) {
 	if errors.As(err, &rej) {
 		return server.RetryableCode(rej.Reject.Code), rej.Reject.Code
 	}
-	return true, server.CodeUnavailable
+	return true, wire.CodeUnavailable
 }
 
 // session is one standing /v1/stream connection to a worker.
@@ -204,7 +204,7 @@ func (h *HTTPCoordinator) forward(a Assignment) {
 	if !ok {
 		// Node vanished between dispatch and forward (declared dead):
 		// fail retryable so the job re-routes.
-		h.failAssignment(a, pj, true, "node "+a.Node+" disappeared", server.CodeUnavailable)
+		h.failAssignment(a, pj, true, "node "+a.Node+" disappeared", wire.CodeUnavailable)
 		return
 	}
 	pj.mu.Lock()

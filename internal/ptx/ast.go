@@ -352,16 +352,6 @@ var logNames = map[LogKind]string{
 	LogBar: "bar", LogIf: "if", LogElse: "else", LogFi: "fi",
 }
 
-var logKindByName = invertLog()
-
-func invertLog() map[string]LogKind {
-	m := make(map[string]LogKind, len(logNames))
-	for k, v := range logNames {
-		m[v] = k
-	}
-	return m
-}
-
 func (k LogKind) String() string {
 	if n, ok := logNames[k]; ok {
 		return n

@@ -528,64 +528,34 @@ func (p *parser) parseOperand() (Operand, error) {
 	return Operand{}, p.errf("unexpected operand %q", p.tok.String())
 }
 
-var sregByName = invertSregs()
+// The parser's name tables are the printer's, inverted: each name is
+// written once, in ast.go.
+var (
+	opByName      = invert(opNames)
+	spaceByName   = invert(spaceNames)
+	cacheByName   = invert(cacheNames)
+	typeByName    = invert(typeNames)
+	cmpByName     = invert(cmpNames)
+	atomByName    = invert(atomNames)
+	sregByName    = invert(sregNames)
+	logKindByName = invert(logNames)
+)
 
-func invertSregs() map[string]Sreg {
-	m := make(map[string]Sreg, len(sregNames))
-	for s, n := range sregNames {
-		m[n] = s
+// invert returns the inverse of a name table.
+func invert[K comparable](names map[K]string) map[string]K {
+	m := make(map[string]K, len(names))
+	for k, n := range names {
+		m[n] = k
 	}
 	return m
 }
 
-var typeByName = invertTypes()
-
-func invertTypes() map[string]Type {
-	m := make(map[string]Type, len(typeNames))
-	for t, n := range typeNames {
-		m["."+n] = t
-	}
-	return m
-}
-
+// parseTypeName decodes a type token, which carries its leading dot
+// (".u32").
 func parseTypeName(s string) (Type, bool) {
-	t, ok := typeByName[s]
-	return t, ok
-}
-
-var cmpByName = invertCmps()
-
-func invertCmps() map[string]CmpOp {
-	m := make(map[string]CmpOp, len(cmpNames))
-	for c, n := range cmpNames {
-		m[n] = c
-	}
-	return m
-}
-
-var atomByName = invertAtoms()
-
-func invertAtoms() map[string]AtomOp {
-	m := make(map[string]AtomOp, len(atomNames))
-	for a, n := range atomNames {
-		m[n] = a
-	}
-	return m
-}
-
-var spaceByName = map[string]Space{
-	"global": SpaceGlobal, "shared": SpaceShared, "local": SpaceLocal,
-	"param": SpaceParam, "const": SpaceConst,
-}
-
-var opByName = invertOps()
-
-func invertOps() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for o, n := range opNames {
-		m[n] = o
-	}
-	return m
+	name, dotted := strings.CutPrefix(s, ".")
+	t, ok := typeByName[name]
+	return t, ok && dotted
 }
 
 // parseMnemonic decodes a dotted mnemonic like "ld.global.cg.u32" into the
@@ -626,7 +596,7 @@ func parseMnemonic(text string, in *Instr) error {
 				in.Space = sp
 				continue
 			}
-			if co, ok := cacheNameToOp[m]; ok && (op == OpLd || op == OpSt) {
+			if co, ok := cacheByName[m]; ok && (op == OpLd || op == OpSt) {
 				in.Cache = co
 				continue
 			}
@@ -643,7 +613,7 @@ func parseMnemonic(text string, in *Instr) error {
 					continue
 				}
 			}
-			if t, ok := typeByName["."+m]; ok {
+			if t, ok := typeByName[m]; ok {
 				if in.Type == TypeNone {
 					in.Type = t
 				} else if in.Src == TypeNone {
@@ -656,16 +626,6 @@ func parseMnemonic(text string, in *Instr) error {
 		}
 	}
 	return nil
-}
-
-var cacheNameToOp = invertCache()
-
-func invertCache() map[string]CacheOp {
-	m := make(map[string]CacheOp, len(cacheNames))
-	for c, n := range cacheNames {
-		m[n] = c
-	}
-	return m
 }
 
 // parseLogMnemonic decodes `_log.<kind>[.<space>][.sN]`.

@@ -278,6 +278,10 @@ func TestParseErrors(t *testing.T) {
 		`.visible .entry k() { mov.u32 %r1 }`, // missing ';' before '}'
 		`.visible .entry k( .param .u99 x ) { ret; }`,
 		`.frobnicate 3`,
+		// A type token carries its leading dot.
+		`.visible .entry k( .param u64 x ) { ret; }`,
+		`.visible .entry k() { .reg u32 %r<2>; ret; }`,
+		`.visible .entry k() { .shared .align 4 b8 buf[16]; ret; }`,
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

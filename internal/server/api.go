@@ -298,27 +298,21 @@ type JobInfo struct {
 	Result      *JobResult `json:"result,omitempty"`
 }
 
-// Stable machine-readable error codes carried by ErrorJSON. Clients —
-// in particular the fleet coordinator — branch on the code, not the
-// message: CodeQueueFull and CodeUnavailable are retryable (the same
-// request may succeed elsewhere or later), CodeInvalidArgument and
-// CodeNotFound are permanent.
-const (
-	CodeInvalidArgument = "invalid_argument" // 400: malformed or failing validation
-	CodeNotFound        = "not_found"        // 404: unknown job id
-	CodeQueueFull       = "queue_full"       // 429: bounded queue at capacity
-	CodeUnavailable     = "unavailable"      // 503: shutting down / transient
-)
+// CodeNotFound (404: unknown job id) is the JSON API's own ErrorJSON
+// code; the rest are wire's, shared with the stream's rejects. Clients,
+// the fleet coordinator in particular, branch on the code, not the
+// message.
+const CodeNotFound = "not_found"
 
 // RetryableCode reports whether a failed request with this error code
 // may succeed if retried on another node (or later on this one).
 func RetryableCode(code string) bool {
-	return code == CodeQueueFull || code == CodeUnavailable
+	return code == wire.CodeQueueFull || code == wire.CodeUnavailable
 }
 
-// ErrorJSON is the error envelope for non-2xx responses. Code is one of
-// the Code* constants; Error is the human-readable detail naming the
-// offending field.
+// ErrorJSON is the error envelope for non-2xx responses. Code is
+// CodeNotFound or one of wire's Code* constants; Error is the
+// human-readable detail naming the offending field.
 type ErrorJSON struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
@@ -493,16 +487,19 @@ func (r *JobResult) CoreReport() (*core.Report, error) {
 	return rep, nil
 }
 
-var raceKinds = map[string]core.RaceKind{
-	"intra-warp":  core.IntraWarp,
-	"intra-block": core.IntraBlock,
-	"inter-block": core.InterBlock,
-}
+// raceKinds and spaceIDs invert the String methods resultFromSummary
+// renders with, so a kind or space is named in one place.
+var (
+	raceKinds = byName(core.IntraWarp, core.IntraBlock, core.InterBlock)
+	spaceIDs  = byName(logging.SpaceGlobal, logging.SpaceShared, logging.SpaceLocal)
+)
 
-var spaceIDs = map[string]logging.SpaceID{
-	"global": logging.SpaceGlobal,
-	"shared": logging.SpaceShared,
-	"local":  logging.SpaceLocal,
+func byName[T fmt.Stringer](vals ...T) map[string]T {
+	m := make(map[string]T, len(vals))
+	for _, v := range vals {
+		m[v.String()] = v
+	}
+	return m
 }
 
 func coreAccess(a AccessJSON) core.Access {

@@ -8,6 +8,8 @@ import (
 
 	"barracuda/internal/core"
 	"barracuda/internal/detector"
+	"barracuda/internal/logging"
+	"barracuda/internal/wire"
 )
 
 // TestDurationsAreWholeMicroseconds: a run of 1 001 µs reads DetectUS 1001
@@ -81,5 +83,36 @@ func TestWorkerAndFleetResultsShareOneBuilder(t *testing.T) {
 	fb, _ := json.Marshal(f)
 	if string(wb) != string(fb) {
 		t.Errorf("beyond the four extras the results differ:\nworker %s\nfleet  %s", wb, fb)
+	}
+}
+
+// TestCoreReportInvertsEveryKindAndSpace: every race kind and memory
+// space the detector can name — each value whose String is not "?" —
+// survives resultFromSummary → CoreReport, so the JSON result cannot name
+// a kind its inverse does not know.
+func TestCoreReportInvertsEveryKindAndSpace(t *testing.T) {
+	sum := wire.Summary{Status: StatusDone, RecordsSeen: 9}
+	for k := core.RaceKind(0); k.String() != "?"; k++ {
+		for s := logging.SpaceID(0); s.String() != "?"; s++ {
+			sum.Races = append(sum.Races, core.Race{
+				Kind: k, Space: s, Block: int32(s) - 1, Addr: uint64(0x10000 + 16*len(sum.Races)), Count: 2,
+				Prev: core.Access{TID: 1, PC: 7, Write: true}, Cur: core.Access{TID: 40, PC: uint32(8 + k), Atomic: true},
+			})
+		}
+	}
+	if len(sum.Races) < 9 {
+		t.Fatalf("%d kind × space pairs, want at least 3 × 3", len(sum.Races))
+	}
+	rep, err := resultFromSummary(sum).CoreReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.CanonicalDigest(), sum.Report().CanonicalDigest(); got != want {
+		t.Errorf("round trip through JSON moved the report:\n--- summary ---\n%s--- CoreReport ---\n%s", want, got)
+	}
+	for i := range sum.Races {
+		if rep.Races[i] != sum.Races[i] {
+			t.Errorf("race %d: %+v back as %+v", i, sum.Races[i], rep.Races[i])
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"barracuda/internal/detector"
+	"barracuda/internal/wire"
 )
 
 // The satellite contract for the fleet PR: every non-2xx response
@@ -16,10 +17,10 @@ import (
 // hit/miss counters.
 
 func TestErrorCodesRetryableVsPermanent(t *testing.T) {
-	if !RetryableCode(CodeQueueFull) || !RetryableCode(CodeUnavailable) {
+	if !RetryableCode(wire.CodeQueueFull) || !RetryableCode(wire.CodeUnavailable) {
 		t.Fatal("queue_full and unavailable must be retryable")
 	}
-	if RetryableCode(CodeInvalidArgument) || RetryableCode(CodeNotFound) {
+	if RetryableCode(wire.CodeInvalidArgument) || RetryableCode(CodeNotFound) {
 		t.Fatal("invalid_argument and not_found must be permanent")
 	}
 	if RetryableCode("") || RetryableCode("something_else") {
@@ -51,8 +52,8 @@ func TestValidationErrorsCarryCodeAndFieldName(t *testing.T) {
 			if code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400", code)
 			}
-			if errj.Code != CodeInvalidArgument {
-				t.Fatalf("code %q, want %q", errj.Code, CodeInvalidArgument)
+			if errj.Code != wire.CodeInvalidArgument {
+				t.Fatalf("code %q, want %q", errj.Code, wire.CodeInvalidArgument)
 			}
 			if !strings.Contains(errj.Error, tc.field) {
 				t.Fatalf("error %q does not name field %s", errj.Error, tc.field)
@@ -70,8 +71,8 @@ func TestQueueFullCarriesRetryableCode(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		code, _, errj := postJob(t, ts, req)
 		if code == http.StatusTooManyRequests {
-			if errj.Code != CodeQueueFull {
-				t.Fatalf("429 with code %q, want %q", errj.Code, CodeQueueFull)
+			if errj.Code != wire.CodeQueueFull {
+				t.Fatalf("429 with code %q, want %q", errj.Code, wire.CodeQueueFull)
 			}
 			if !RetryableCode(errj.Code) {
 				t.Fatal("queue_full must classify as retryable")

@@ -103,7 +103,7 @@ func TestOversizedConfigRejected(t *testing.T) {
 		"queues × queue_cap": {Queues: detector.BoundQueues, QueueCap: detector.BoundQueueCap},
 	} {
 		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Config: cfg})
-		if code != http.StatusBadRequest || errj.Code != CodeInvalidArgument {
+		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument {
 			t.Errorf("POST /jobs with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
 		}
 		seq++

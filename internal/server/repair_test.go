@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"barracuda/internal/wire"
 )
 
 // repairableSrc is the canonical lost-update kernel: a plain ld/add/st
@@ -96,7 +98,7 @@ func TestRepairRejectsBadPayloads(t *testing.T) {
 		{PTX: repairableSrc, MaxCandidates: -2},
 	} {
 		code, _, errj := postRepair(t, ts, req)
-		if code != http.StatusBadRequest || errj.Code != CodeInvalidArgument {
+		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument {
 			t.Errorf("req %+v: status = %d code = %q, want 400 invalid_argument", req, code, errj.Code)
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"barracuda/internal/wire"
 )
 
 // POST /v1/repair is a kind "repair" job submitted and waited for, so it
@@ -43,7 +45,7 @@ func TestRepairPastQueueCapAnswers429(t *testing.T) {
 	defer resp.Body.Close()
 	var errj ErrorJSON
 	json.NewDecoder(resp.Body).Decode(&errj)
-	if resp.StatusCode != http.StatusTooManyRequests || errj.Code != CodeQueueFull || resp.Header.Get("Retry-After") == "" {
+	if resp.StatusCode != http.StatusTooManyRequests || errj.Code != wire.CodeQueueFull || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("repair past the cap: %d %+v, Retry-After %q; want 429 queue_full with a Retry-After",
 			resp.StatusCode, errj, resp.Header.Get("Retry-After"))
 	}
@@ -60,7 +62,7 @@ func TestRepairHonoursWallClockTimeout(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1, DefaultTimeout: time.Millisecond})
 	start := time.Now()
 	code, _, errj := postRepair(t, ts, RepairRequest{PTX: spinSrc, Buffers: []int{4, 4}, MaxInstrs: 1 << 20})
-	if code != http.StatusBadRequest || errj.Code != CodeInvalidArgument || !strings.Contains(errj.Error, "wall-clock timeout") {
+	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, "wall-clock timeout") {
 		t.Fatalf("timed-out repair: %d %+v, want 400 invalid_argument carrying the wall-clock timeout", code, errj)
 	}
 	if took := time.Since(start); took > 500*time.Millisecond {
@@ -125,7 +127,7 @@ func TestRepairFailureTexts(t *testing.T) {
 		{RepairRequest{PTX: repairableSrc, Kernel: "nope"}, `repair: detector: unknown kernel "nope"`},
 	} {
 		code, _, errj := postRepair(t, ts, tc.req)
-		if code != http.StatusBadRequest || errj.Code != CodeInvalidArgument || errj.Error != tc.want {
+		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || errj.Error != tc.want {
 			t.Errorf("kernel %q: %d %+v, want 400 invalid_argument %q", tc.req.Kernel, code, errj, tc.want)
 		}
 	}

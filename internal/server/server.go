@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"barracuda/internal/wire"
 )
 
 // maxBodyBytes bounds a job submission body (PTX sources are text; 16
@@ -138,7 +140,7 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, into any, strict bool) b
 		dec.DisallowUnknownFields()
 	}
 	if err := dec.Decode(into); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, "bad request body: "+err.Error())
 		return false
 	}
 	return true
@@ -186,9 +188,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req JobRequest, 
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, err.Error())
+		WriteError(w, http.StatusTooManyRequests, wire.CodeQueueFull, err.Error())
 	case err != nil:
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
 	}
 	return job
 }
@@ -200,7 +202,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.sched.Analyze(req)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
 		return
 	}
 	WriteJSON(w, http.StatusOK, res)
@@ -215,7 +217,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.Validate(s.sched.opts.MaxBufferBytes); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
 		return
 	}
 	job := s.submit(w, r, req.jobRequest(), req.MaxCandidates, req.MaxPatches)
@@ -234,7 +236,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		if !opening {
 			msg = "repair: " + msg
 		}
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, msg)
+		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, msg)
 		return
 	}
 	WriteJSON(w, http.StatusOK, RepairResponse{CacheHit: job.memoHit, Report: job.sum.Repair})

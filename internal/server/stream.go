@@ -25,18 +25,18 @@ import (
 // finds them — no poll loop.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != wire.UpgradeHeader {
-		WriteError(w, http.StatusUpgradeRequired, CodeInvalidArgument,
+		WriteError(w, http.StatusUpgradeRequired, wire.CodeInvalidArgument,
 			fmt.Sprintf("stream: set \"Upgrade: %s\"", wire.UpgradeHeader))
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		WriteError(w, http.StatusInternalServerError, CodeUnavailable, "stream: connection not hijackable")
+		WriteError(w, http.StatusInternalServerError, wire.CodeUnavailable, "stream: connection not hijackable")
 		return
 	}
 	conn, rw, err := hj.Hijack()
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, CodeUnavailable, "stream: hijack: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, wire.CodeUnavailable, "stream: hijack: "+err.Error())
 		return
 	}
 	done, ok := s.trackStream(conn)

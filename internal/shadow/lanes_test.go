@@ -129,8 +129,7 @@ func TestVisitLanesEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(17 + cfg.gran)))
 		var walk, twin *Memory
 		for _, m := range []**Memory{&walk, &twin} {
-			*m = New(cfg.gran, shBytes)
-			(*m).EnableSpans(spanTestGeo())
+			*m = New(cfg.gran, shBytes, spanTestGeo())
 			if cfg.owned {
 				(*m).EnableOwnership()
 			}

@@ -8,8 +8,8 @@
 // can prove every stored epoch ordered with a single region-level
 // comparison and skip the per-cell epoch machinery entirely (see
 // core.tryOwned for the soundness argument). The word is published
-// atomically so the detector can probe it lock-free, but the probe is
-// ONLY a pre-filter: the claim→inflate protocol requires every decision
+// atomically so the detector can probe it without the lock, but the probe
+// is ONLY a pre-filter: the claim→inflate protocol requires every decision
 // to be re-validated after taking the region lock, because another
 // detector thread may inflate the region between the probe and the lock
 // (the TOCTOU pitfall). All transitions happen under the region lock.
@@ -71,7 +71,7 @@ func packOwner(st OwnState, id uint32) uint64 {
 }
 
 // OwnerProbe reads the ownership word WITHOUT the region lock: the
-// lock-free pre-filter of the claim→inflate protocol. Callers must
+// pre-filter of the claim→inflate protocol. Callers must
 // re-validate with Owner after locking before acting on it.
 func (r *Region) OwnerProbe() (OwnState, uint32) {
 	w := r.owner.Load()
@@ -166,9 +166,8 @@ func (r *Region) resetOwner() {
 	r.ownOtherMax = 0
 }
 
-// EnableOwnership switches ownership tracking on. Requires span mode
-// (the tracking hooks live on the region-locked paths). Call once,
-// before any detection traffic.
+// EnableOwnership switches ownership tracking on. Call once, before any
+// detection traffic.
 func (m *Memory) EnableOwnership() {
 	m.owned = true
 }
@@ -279,8 +278,8 @@ func (m *Memory) makeRoom(need int64) {
 	}
 }
 
-// evictCandidates scans the page table and slab map lock-free over the
-// published immutable snapshots and returns every region, coldest
+// evictCandidates scans the page table and slab map over the published
+// immutable snapshots, taking no lock, and returns every region, coldest
 // first.
 func (m *Memory) evictCandidates() []evictCand {
 	var out []evictCand

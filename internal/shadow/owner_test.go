@@ -11,7 +11,7 @@ import (
 // None → Warp → Block → Shared and checks the probe word, the clock
 // bounds and the counters at every step.
 func TestOwnershipTransitions(t *testing.T) {
-	m := New(4, 0)
+	m := New(4, 0, spanTestGeo())
 	m.EnableOwnership()
 	r, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
 
@@ -68,11 +68,11 @@ func TestOwnershipTransitions(t *testing.T) {
 	}
 }
 
-// TestOwnershipProbeConcurrent hammers the lock-free probe against
+// TestOwnershipProbeConcurrent hammers the unlocked probe against
 // locked transitions; under -race this proves the ownership word is
 // safely published.
 func TestOwnershipProbeConcurrent(t *testing.T) {
-	m := New(4, 0)
+	m := New(4, 0, spanTestGeo())
 	m.EnableOwnership()
 	r, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
 
@@ -111,7 +111,7 @@ func TestOwnershipProbeConcurrent(t *testing.T) {
 // generation moves so caches revalidate, and PrecisionDegraded latches
 // exactly when a live region is discarded.
 func TestBoundedEviction(t *testing.T) {
-	m := New(4, 0)
+	m := New(4, 0, spanTestGeo())
 	pageBytes := int64(PageBytes/4) * cellBytes
 	m.SetCapBytes(2 * pageBytes)
 
@@ -159,7 +159,7 @@ func TestBoundedEviction(t *testing.T) {
 // region pointers when the shadow generation moves (bounded mode), and
 // keeps them when unbounded.
 func TestValidateCacheGeneration(t *testing.T) {
-	m := New(4, 64)
+	m := New(4, 64, spanTestGeo())
 	m.SetCapBytes(1 << 30)
 	var sc SpanCache
 	reg, _ := m.RegionFor(&sc, logging.SpaceGlobal, -1, 0)
@@ -172,7 +172,7 @@ func TestValidateCacheGeneration(t *testing.T) {
 		t.Fatal("stale-generation cache was not dropped")
 	}
 
-	un := New(4, 64)
+	un := New(4, 64, spanTestGeo())
 	var usc SpanCache
 	ureg, _ := un.RegionFor(&usc, logging.SpaceGlobal, -1, 0)
 	un.gen.Add(1)
@@ -186,7 +186,7 @@ func TestValidateCacheGeneration(t *testing.T) {
 // unpublishes, residency drops, the generation moves, and a later
 // access reallocates a virgin slab.
 func TestCompactSharedSlab(t *testing.T) {
-	m := New(1, 256)
+	m := New(1, 256, spanTestGeo())
 	r, _ := m.RegionFor(nil, logging.SpaceShared, 3, 0)
 	r.SetTouched()
 	want := r.RegionBytes()

@@ -6,6 +6,7 @@ import (
 
 	"barracuda/internal/detector"
 	"barracuda/internal/logging"
+	"barracuda/internal/ptvc"
 	"barracuda/internal/shadow"
 )
 
@@ -116,12 +117,9 @@ func TestSlabPoolConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				m := shadow.New(4, 0)
+				m := shadow.New(4, 0, ptvc.Geometry{})
 				for p := 0; p < 3; p++ {
-					c := m.CellFor(logging.SpaceGlobal, -1, uint64(p)*shadow.PageBytes+uint64(4*g))
-					c.Lock()
-					c.WritePC = uint32(i + 1)
-					c.Unlock()
+					m.CellFor(logging.SpaceGlobal, -1, uint64(p)*shadow.PageBytes+uint64(4*g)).WritePC = uint32(i + 1)
 				}
 				m.Release()
 			}

@@ -15,11 +15,9 @@ func globalRegion(m *Memory, addr uint64) *Region {
 
 // readMaps counts the side table's live entries (region locked).
 func readMaps(reg *Region) (n int) {
-	if t := reg.reads.Load(); t != nil {
-		for _, rd := range *t {
-			if rd != nil {
-				n++
-			}
+	for _, rd := range reg.reads {
+		if rd != nil {
+			n++
 		}
 	}
 	return n
@@ -41,8 +39,7 @@ func readersAt(reg *Region, idx int) map[vc.TID]vc.Clock {
 // it must happen exactly once.
 func TestRefineReplicatesCells(t *testing.T) {
 	geo := spanTestGeo()
-	m := New(1, 0)
-	m.EnableSpans(geo)
+	m := New(1, 0, geo)
 
 	// Word 25 (bytes 100..103): a write epoch, then two unordered readers.
 	visits := 0
@@ -101,7 +98,7 @@ func TestRefineReplicatesCells(t *testing.T) {
 	if c := &cells[99]; !c.W.IsZero() || c.ReadShared {
 		t.Errorf("byte 99 (the word before) picked up state: %+v", c)
 	}
-	if table := *reg.reads.Load(); readMaps(reg) != 4 || len(table) != len(cells) || readersAt(reg, 25) != nil {
+	if table := reg.reads; readMaps(reg) != 4 || len(table) != len(cells) || readersAt(reg, 25) != nil {
 		t.Errorf("side table after refinement: %d maps in %d entries, want exactly bytes 100..103 of %d (word index 25 gone)", readMaps(reg), len(table), len(cells))
 	}
 	if sums := reg.Sums(); len(sums) != 1 || sums[0].Lo != 256 || sums[0].Hi != 384 {
@@ -124,7 +121,7 @@ func TestRefineReplicatesCells(t *testing.T) {
 // TestRefineSharedSlabClamp: a word-granular slab holds whole in-slab
 // words only. A whole-word access past them refines the slab, and from
 // then on out-of-slab bytes clamp to the slab's extra last cell, one
-// visit per byte — the very cell sequence of the lock-free walk.
+// visit per byte — the very cell sequence of a slab refined up front.
 func TestRefineSharedSlabClamp(t *testing.T) {
 	const shBytes = 10
 	walk := func(m *Memory, addr uint64, size int) []int {
@@ -138,8 +135,7 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 		})
 		return idx
 	}
-	m := New(1, shBytes)
-	m.EnableSpans(spanTestGeo())
+	m := New(1, shBytes, spanTestGeo())
 	reg, _ := m.RegionFor(nil, logging.SpaceShared, 0, 0)
 	if reg.Gran() != 4 || len(reg.Cells()) != 2 {
 		t.Fatalf("fresh slab: granule %d, %d cells; want 4, 2", reg.Gran(), len(reg.Cells()))
@@ -152,7 +148,8 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 	reg.cells[1].R = vc.Epoch{T: 2, C: 3}
 	m.InflateReads(reg, 1)[9] = 4
 	reg.Unlock()
-	flat := New(1, shBytes) // lock-free table: byte cells from the start
+	flat := New(1, shBytes, spanTestGeo())
+	walk(flat, 0, 1) // a byte access: byte cells before anything else
 	for _, a := range []struct {
 		addr uint64
 		size int
@@ -162,11 +159,11 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 			t.Fatalf("after [%d,+%d): granule %d, %d cells; want 1, %d", a.addr, a.size, reg.Gran(), len(reg.Cells()), shBytes+1)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("[%d,+%d): visited %v, lock-free walk %v", a.addr, a.size, got, want)
+			t.Fatalf("[%d,+%d): visited %v, refined slab %v", a.addr, a.size, got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("[%d,+%d): visited %v, lock-free walk %v", a.addr, a.size, got, want)
+				t.Fatalf("[%d,+%d): visited %v, refined slab %v", a.addr, a.size, got, want)
 			}
 		}
 	}
@@ -201,57 +198,52 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 		t.Fatal("nothing compacted")
 	}
 	fresh, _ := m.RegionFor(nil, logging.SpaceShared, 0, 0)
-	if fresh == reg || fresh.reads.Load() != nil || fresh.cells[1].ReadShared {
-		t.Errorf("slab after compaction: same region %v, side table %v", fresh == reg, fresh.reads.Load())
+	if fresh == reg || fresh.reads != nil || fresh.cells[1].ReadShared {
+		t.Errorf("slab after compaction: same region %v, side table %v", fresh == reg, fresh.reads)
 	}
 
 	// A slab with no whole word has nothing to be word-granular about.
-	tiny := New(1, 3)
-	tiny.EnableSpans(spanTestGeo())
+	tiny := New(1, 3, spanTestGeo())
 	if r, _ := tiny.RegionFor(nil, logging.SpaceShared, 0, 0); r.Gran() != 1 || len(r.Cells()) != 4 {
 		t.Fatalf("3-byte slab: granule %d, %d cells; want 1, 4", r.Gran(), len(r.Cells()))
 	}
 }
 
-// TestRegionGranulePerMode: which regions start word-granular. Only span
-// mode has the region lock a refinement needs, and only a granularity
-// below the word has anything to refine to.
+// TestRegionGranulePerMode: which regions start word-granular. There is
+// one shadow discipline for every detector mode — the region lock a
+// refinement needs is always there — so the granularity alone decides:
+// every one below the word that divides it starts at the word and
+// refines; the rest have nothing to refine to.
 func TestRegionGranulePerMode(t *testing.T) {
 	for _, tc := range []struct {
 		gran      int
-		spans     bool
 		wantGran  int
 		wantCells int
 		weight    int
 	}{
-		{1, true, 4, PageBytes / 4, 4},
-		{2, true, 4, PageBytes / 4, 2},
-		{4, true, 4, PageBytes / 4, 1},
-		{8, true, 8, PageBytes / 8, 1},
-		{3, true, 3, PageBytes / 3, 1}, // does not divide the word (core-level callers only)
-		{1, false, 1, PageBytes, 1},
-		{2, false, 2, PageBytes / 2, 1},
+		{1, 4, PageBytes / 4, 4},
+		{2, 4, PageBytes / 4, 2},
+		{4, 4, PageBytes / 4, 1},
+		{8, 8, PageBytes / 8, 1},
+		{3, 3, PageBytes / 3, 1}, // does not divide the word (core-level callers only)
 	} {
-		m := New(tc.gran, 0)
-		if tc.spans {
-			m.EnableSpans(spanTestGeo())
-		}
+		m := New(tc.gran, 0, spanTestGeo())
 		r := globalRegion(m, 0)
 		if r.Gran() != tc.wantGran || len(r.Cells()) != tc.wantCells || m.Weight(r) != tc.weight {
-			t.Errorf("granularity %d spans=%v: granule %d, %d cells, weight %d; want %d, %d, %d",
-				tc.gran, tc.spans, r.Gran(), len(r.Cells()), m.Weight(r), tc.wantGran, tc.wantCells, tc.weight)
+			t.Errorf("granularity %d: granule %d, %d cells, weight %d; want %d, %d, %d",
+				tc.gran, r.Gran(), len(r.Cells()), m.Weight(r), tc.wantGran, tc.wantCells, tc.weight)
 		}
 		// A sub-word access refines to the configured granularity, never below.
 		m.SpanCached(nil, logging.SpaceGlobal, -1, 6, 1, func(*Region, int, int) {})
 		if r.Gran() != tc.gran || m.Weight(r) != 1 {
-			t.Errorf("granularity %d spans=%v: granule %d after a byte access, want %d", tc.gran, tc.spans, r.Gran(), tc.gran)
+			t.Errorf("granularity %d: granule %d after a byte access, want %d", tc.gran, r.Gran(), tc.gran)
 		}
 		want := uint64(0)
 		if tc.wantGran != tc.gran {
 			want = 1
 		}
 		if got := m.Stats().Refinements; got != want {
-			t.Errorf("granularity %d spans=%v: %d refinements, want %d", tc.gran, tc.spans, got, want)
+			t.Errorf("granularity %d: %d refinements, want %d", tc.gran, got, want)
 		}
 	}
 }
@@ -260,8 +252,7 @@ func TestRegionGranulePerMode(t *testing.T) {
 // bounded mode it must make room first — evicting colder regions, never
 // itself (its lock is held) — and leave the accounting exact.
 func TestRefineUnderCap(t *testing.T) {
-	m := New(1, 0)
-	m.EnableSpans(spanTestGeo())
+	m := New(1, 0, spanTestGeo())
 	wordPage := int64(PageBytes/4) * cellBytes
 	m.SetCapBytes(5 * wordPage) // one refined page (4) + one word page
 	var cold *Region            // page 0, the coldest
@@ -300,7 +291,7 @@ func TestRefineUnderCap(t *testing.T) {
 	hot.Unlock()
 	// An evicted page takes its side table with it: what replaces it is
 	// virgin, table included.
-	if again := globalRegion(m, 0); again == cold || again.reads.Load() != nil || again.cells[10].ReadShared {
-		t.Errorf("page 0 after eviction: same region %v, side table %v", again == cold, again.reads.Load())
+	if again := globalRegion(m, 0); again == cold || again.reads != nil || again.cells[10].ReadShared {
+		t.Errorf("page 0 after eviction: same region %v, side table %v", again == cold, again.reads)
 	}
 }

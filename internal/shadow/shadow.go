@@ -1,31 +1,32 @@
 // Package shadow implements BARRACUDA's host-side shadow memory (§4.3.3):
 // per-location race-detection metadata with a FastTrack-style last-write
-// epoch, a last-read epoch or sparse read vector clock, an atomic bit, a
-// per-location spinlock, and the synchronization-location map S_x.
+// epoch, a last-read epoch or sparse read vector clock and an atomic bit,
+// plus the synchronization-location map S_x.
+//
+// The paper gives every location a spinlock and a byte of granularity.
+// Here one discipline holds in every configuration: the lock is the
+// Region's — one global 64 KiB page or one block's shared slab — and every
+// cell is accessed under it; and the granule is a property of each Region:
+// it starts with one cell per aligned 4-byte word, the access size of
+// nearly all CUDA code, and is refined to the configured granularity, once,
+// by the first access that is not made of whole words (see refine).
+// Reports stay byte-exact either way.
 //
 // Global-memory shadow is allocated on demand through a page table,
 // because global allocations can occur while a kernel runs; shared-memory
-// shadow is small and keyed by thread block. Metadata granularity is one
-// byte by default, for generality — but most CUDA code accesses memory at
-// 4-byte granularity, so in span mode the granule is a property of each
-// Region: a page or slab starts with one cell per aligned 4-byte word and
-// is refined to the configured granularity, once, by the first access
-// that is not made of whole words (see refine). Reports stay byte-exact
-// either way.
-//
-// The page table is built for many concurrent detector threads: it is a
-// fixed array of stripes, each holding an atomically-published immutable
-// page map. Lookups are a single atomic load plus a map read; only the
-// rare page allocation takes a (striped) mutex, re-checks under the lock,
-// and publishes a copied map. On top of that, each detector worker keeps
-// a SpanCache — the last global page and last shared-block slab it
-// touched — so the common sequential-access pattern resolves cells with
-// no shared-memory traffic at all.
+// shadow is small and keyed by thread block. The page table is built for
+// many concurrent detector threads: it is a fixed array of stripes, each
+// holding an atomically-published immutable page map. Lookups are a
+// single atomic load plus a map read; only the rare page allocation takes
+// a (striped) mutex, re-checks under the lock, and publishes a copied
+// map. On top of that, each detector worker keeps a SpanCache — the last
+// global page and last shared-block slab it touched — so the common
+// sequential-access pattern resolves regions with no shared-memory
+// traffic at all.
 package shadow
 
 import (
 	"maps"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -35,10 +36,7 @@ import (
 )
 
 // Cell is the metadata for one shadow location. Access it only while
-// holding the lock that guards it: in span mode (the default) that is the
-// owning Region's lock, and the cell's own spinlock is unused; in the two
-// lock-free-table ablation modes (FullVC, PerCellShadow) it is the cell's
-// spinlock, the per-location lock of the paper.
+// holding the owning Region's lock.
 //
 // A cell is 32 bytes with no pointer in it (TestCellLayout): it never
 // straddles a cache line, two share one, and a slab is a third less
@@ -53,45 +51,21 @@ type Cell struct {
 	// Provenance for race reports.
 	WritePC, ReadPC uint32
 
-	// lock is a CAS spinlock (0 free, 1 held) rather than a sync.Mutex:
-	// the paper prescribes a per-location spinlock. Contention is near
-	// zero (two detector threads must touch the same location at the same
-	// moment), so the uncontended single-CAS cost is what matters.
-	lock atomic.Uint32
+	_ uint32 // padding: keeps the cell at 32 bytes
 
 	// Atomic records whether the write W came from an atomic operation;
 	// ReadShared that concurrent reads inflated R to a sparse read map.
 	Atomic, ReadShared bool
 }
 
-// Lock acquires the per-location spinlock.
-func (c *Cell) Lock() {
-	for !c.lock.CompareAndSwap(0, 1) {
-		// The critical sections are a handful of epoch compares; a
-		// short spin almost always wins. Yield after a few rounds so a
-		// descheduled holder cannot starve us at low GOMAXPROCS.
-		for i := 0; i < 8; i++ {
-			if c.lock.Load() == 0 {
-				break
-			}
-		}
-		if c.lock.Load() != 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Unlock releases the per-location spinlock.
-func (c *Cell) Unlock() { c.lock.Store(0) }
-
 // Readers returns the inflated read map of cell idx, nil unless the cell
-// is ReadShared. Like the calls below it runs under the lock that guards
-// the cell, which guards the cell's table entry and its map too.
+// is ReadShared. Like the calls below it runs under the region lock,
+// which guards the side table and its maps too.
 func (r *Region) Readers(idx int) map[vc.TID]vc.Clock {
-	if t := r.reads.Load(); t != nil {
-		return (*t)[idx]
+	if r.reads == nil {
+		return nil
 	}
-	return nil
+	return r.reads[idx]
 }
 
 // InflateReads switches cell idx of r to the sparse read vector clock,
@@ -107,13 +81,10 @@ func (m *Memory) InflateReads(r *Region, idx int) map[vc.TID]vc.Clock {
 	}
 	c.ReadShared = true
 	m.readInflations.Add(1)
-	if r.reads.Load() == nil {
-		// The region's first inflation. In the lock-free modes two cells
-		// can get here at once, each under its own lock: one table wins.
-		fresh := make([]map[vc.TID]vc.Clock, len(r.cells))
-		r.reads.CompareAndSwap(nil, &fresh)
+	if r.reads == nil {
+		r.reads = make([]map[vc.TID]vc.Clock, len(r.cells))
 	}
-	(*r.reads.Load())[idx] = readers
+	r.reads[idx] = readers
 	return readers
 }
 
@@ -124,7 +95,7 @@ func (r *Region) ClearReads(idx int) {
 	c.R = vc.Epoch{}
 	if c.ReadShared {
 		c.ReadShared = false
-		(*r.reads.Load())[idx] = nil
+		r.reads[idx] = nil
 	}
 }
 
@@ -136,8 +107,8 @@ const pageBits = 16
 // can detect page-crossing accesses without resolving both ends.
 const PageBytes = 1 << pageBits
 
-// wordGranule is the granule span-mode regions start at: one cell per
-// aligned 4-byte word, the access size of nearly all CUDA code (§4.3.3).
+// wordGranule is the granule regions start at: one cell per aligned
+// 4-byte word, the access size of nearly all CUDA code (§4.3.3).
 const wordGranule = 4
 
 // WordShaped reports whether the size-byte access at addr is made of
@@ -166,8 +137,8 @@ type stripe struct {
 // memory, published the same way.
 type blockMap map[int32]*Region
 
-// lookup reads key k of a published region table: one atomic load and a map
-// read, no lock.
+// lookup reads key k of a published region table, lock-free: one atomic
+// load and a map read.
 func lookup[K comparable, M ~map[K]*Region](tab *atomic.Pointer[M], k K) *Region {
 	if m := tab.Load(); m != nil {
 		return (*m)[k]
@@ -216,9 +187,8 @@ func resolve[K comparable, M ~map[K]*Region](m *Memory, tab *atomic.Pointer[M], 
 // Memory is the shadow of one device: a striped page table for global
 // memory plus per-block shared-memory shadows.
 type Memory struct {
-	// granularity is the configured bytes per cell: the granule of every
-	// region in the lock-free modes, and the finest granule — the one a
-	// word-granular region refines to — in span mode.
+	// granularity is the configured bytes per cell: the finest granule,
+	// the one a word-granular region refines to.
 	granularity int
 
 	stripes [pageStripes]stripe
@@ -227,13 +197,9 @@ type Memory struct {
 	sharedMu  sync.Mutex // allocation slow path only
 	shSize    int64
 
-	// Coalesced-span mode (see span.go): when enabled, every
-	// record-path cell access takes its region's lock first, so spans
-	// and per-cell work serialize per region and uniform-span summaries
-	// can be demoted transparently. geo maps (warp, lane) ranks back to
-	// thread ids when a summary is materialized into cells.
-	spans bool
-	geo   ptvc.Geometry
+	// geo maps a summary's (warp, lane) ranks back to thread ids when it
+	// is materialized into cells (span.go).
+	geo ptvc.Geometry
 
 	// released is set by Release: the run is over and its slabs are gone.
 	released atomic.Bool
@@ -283,27 +249,28 @@ type Key struct {
 
 // New creates a shadow memory. granularity is the finest bytes covered
 // per cell (1 for full generality; 4 and above trade precision for
-// speed); sharedBytes is the per-block shared-memory size to preallocate.
-func New(granularity int, sharedBytes int64) *Memory {
+// speed); sharedBytes is the per-block shared-memory size to preallocate;
+// geo is the launch geometry summaries are materialized with.
+func New(granularity int, sharedBytes int64, geo ptvc.Geometry) *Memory {
 	if granularity < 1 {
 		granularity = 1
 	}
 	return &Memory{
 		granularity: granularity,
 		shSize:      sharedBytes,
+		geo:         geo,
 		syncs:       make(map[Key]*SyncLoc),
 	}
 }
 
 // Granularity returns the configured (finest) bytes covered per cell. A
-// span-mode region may currently be coarser; see Region.Gran.
+// region may currently be coarser; see Region.Gran.
 func (m *Memory) Granularity() int { return m.granularity }
 
 // allocGranule returns the granule new regions start at: the word, when
-// the region lock of span mode makes a later refinement possible and the
-// configured granule divides it; the configured granule otherwise.
+// the configured granule divides it; the configured granule otherwise.
 func (m *Memory) allocGranule() int {
-	if m.spans && m.granularity < wordGranule && wordGranule%m.granularity == 0 {
+	if m.granularity < wordGranule && wordGranule%m.granularity == 0 {
 		return wordGranule
 	}
 	return m.granularity
@@ -337,17 +304,6 @@ func (m *Memory) publish(r *Region) {
 	if r.gran != m.granularity {
 		m.wordRegions.Add(1)
 	}
-}
-
-// EnableSpans switches the shadow into coalesced-span mode: uniform-span
-// summaries may be installed per region (see span.go), and every
-// record-path cell access goes through its region's lock so summaries
-// demote transparently before per-cell state is observed. geo is needed
-// to materialize a summary's per-rank epochs back into cells. Call once,
-// before any detection traffic.
-func (m *Memory) EnableSpans(geo ptvc.Geometry) {
-	m.spans = true
-	m.geo = geo
 }
 
 // SpanCache is one detector worker's private lookup cache: the last
@@ -404,21 +360,18 @@ func (m *Memory) sharedSlab(block int32) *Region {
 
 // CellFor returns the cell covering (space, block, addr), allocating
 // shadow pages on demand: the inspection entry point of tests and tools.
-// In the lock-free modes callers lock the cell before use. In span mode
-// any summary covering the cell is demoted first and the cell handed
-// out is the region's current one — a word cell while the region is
-// word-granular — guarded by the region lock, which CellFor has already
-// released; it is therefore only race-free against concurrent span
-// traffic on other regions, and concurrent production code must go
-// through VisitLanes instead.
+// Any summary covering the cell is demoted first and the cell handed out
+// is the region's current one — a word cell while the region is
+// word-granular, the last cell for an address past a shared slab —
+// guarded by the region lock, which CellFor has already released; it is
+// therefore only race-free against concurrent traffic on other regions,
+// and concurrent production code must go through VisitLanes instead.
 func (m *Memory) CellFor(space logging.SpaceID, block int32, addr uint64) *Cell {
 	reg, off := m.RegionFor(nil, space, block, addr)
-	if !m.spans {
-		return &reg.cells[reg.index(off)]
-	}
 	reg.Lock()
 	defer reg.Unlock()
-	idx := reg.index(off)
+	idx, _ := reg.CellRange(off, 1)
+	idx = min(idx, len(reg.cells)-1)
 	reg.demoteOverlapping(m, idx, idx+1)
 	reg.markLive()
 	// The accessing warp is unknown on this path, so the only safe
@@ -430,10 +383,10 @@ func (m *Memory) CellFor(space logging.SpaceID, block int32, addr uint64) *Cell 
 // RegionFor resolves the region covering one address and the address's
 // byte offset within it, consulting and refreshing the worker's cache
 // when one is supplied — the region-granular lookup every path builds
-// on. The offset is all a caller may compute without the region lock: in
-// span mode the cell index depends on the region's granule, which a
-// concurrent refinement changes, so indices come from Region.CellRange
-// under that lock.
+// on. The offset is all a caller may compute without the region lock:
+// the cell index depends on the region's granule, which a concurrent
+// refinement changes, so indices come from Region.CellRange under that
+// lock.
 func (m *Memory) RegionFor(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) (*Region, uint64) {
 	if space == logging.SpaceShared {
 		return m.sharedRegion(sc, block), addr
@@ -464,7 +417,7 @@ type Lane struct {
 }
 
 // Span visits every cell covering [addr, addr+size) in (space, block),
-// invoking fn with each cell's guarding lock held.
+// invoking fn with the cell's region lock held.
 func (m *Memory) Span(space logging.SpaceID, block int32, addr uint64, size int, fn func(r *Region, idx, weight int)) {
 	m.SpanCached(nil, space, block, addr, size, fn)
 }
@@ -478,42 +431,25 @@ func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, a
 // VisitLanes visits, lane by lane and in address order within a lane,
 // every cell covering the size bytes each lane accesses in (space, block):
 // fn gets the lane, the cell as (region, index) and its weight, with the
-// cell's guarding lock held. weight is the number of configured-granule
-// cells the visited cell stands for: 1, except on a word-granular region,
-// where one visit replaces weight visits to cells that provably hold
-// identical metadata. sc is the worker's lookup cache and may be nil.
+// region lock held. weight is the number of configured-granule cells the
+// visited cell stands for: 1, except on a word-granular region, where one
+// visit replaces weight visits to cells that provably hold identical
+// metadata. sc is the worker's lookup cache and may be nil.
 //
-// In span mode the guard is the region lock, and no cell lock: every
-// record-path access to a region's cells holds that same lock. The walk
-// holds one region lock at a time, across all consecutive lanes that fall
-// in that region, and drops it before resolving another page, so that
-// allocation and the evictor's TryLock run with none held. Per lane it
-// does what a one-lane walk does, in the same lane and cell order: refine
-// the region first unless the lane is whole words, demote every summary
-// the lane overlaps before any cell is observed, then visit. Right after
-// taking a lock it loads one word of the first cell of every further lane
-// in that region (the touch-ahead): a strided record's lanes sit a cache
-// line or a page apart, and independent loads overlap the misses that the
-// per-lane sequence takes one after another. DESIGN.md, "One walk per
-// record". With spans disabled the loop is the lock-free-table walk.
+// The walk holds one region lock at a time, across all consecutive lanes
+// that fall in that region, and drops it before resolving another page,
+// so that allocation and the evictor's TryLock run with none held. Per
+// lane it does what a one-lane walk does, in the same lane and cell
+// order: refine the region first unless the lane is whole words, demote
+// every summary the lane overlaps before any cell is observed, then
+// visit. Right after taking a lock it loads one word of the first cell of
+// every further lane in that region (the touch-ahead): a strided record's
+// lanes sit a cache line or a page apart, and independent loads overlap
+// the misses that the per-lane sequence takes one after another.
+// DESIGN.md, "One walk per record".
 func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, lanes []Lane, size int, fn func(lane int, r *Region, idx, weight int)) {
 	if size < 1 {
 		size = 1
-	}
-	if !m.spans {
-		step := uint64(m.granularity)
-		for _, ln := range lanes {
-			end := ln.Addr + uint64(size)
-			for a := ln.Addr / step * step; a < end; a += step {
-				reg, off := m.RegionFor(sc, space, block, a)
-				idx := reg.index(off)
-				c := &reg.cells[idx]
-				c.Lock()
-				fn(ln.Index, reg, idx, 1)
-				c.Unlock()
-			}
-		}
-		return
 	}
 	// A block's slab is one region: shifted out whole, every shared
 	// address is on page 0.
@@ -548,7 +484,7 @@ func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, l
 			m.Fit(reg, whole, off+uint64(n))
 			lo, hi := reg.CellRange(off, n)
 			// Out-of-slab shared cells clamp to the slab's last cell, one
-			// visit per granule step, exactly like the lock-free walk.
+			// visit per granule step.
 			last := len(reg.cells) - 1
 			reg.demoteOverlapping(m, min(lo, last), min(hi, last+1))
 			reg.markLive()

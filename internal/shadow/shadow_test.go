@@ -9,21 +9,28 @@ import (
 	"barracuda/internal/vc"
 )
 
+// TestGlobalCellIdentity: one address, one cell; at 1-byte granularity
+// the bytes of a word share the word cell until the first sub-word access
+// refines the page.
 func TestGlobalCellIdentity(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	c1 := m.CellFor(logging.SpaceGlobal, -1, 0x10000)
 	c2 := m.CellFor(logging.SpaceGlobal, -1, 0x10000)
 	if c1 != c2 {
 		t.Error("same address produced different cells")
 	}
-	c3 := m.CellFor(logging.SpaceGlobal, -1, 0x10001)
-	if c1 == c3 {
-		t.Error("adjacent addresses share a cell at 1-byte granularity")
+	if c3 := m.CellFor(logging.SpaceGlobal, -1, 0x10001); c1 != c3 {
+		t.Error("bytes of one word have different cells before any sub-word access")
+	}
+	m.Span(logging.SpaceGlobal, -1, 0x10001, 1, func(*Region, int, int) {})
+	c1 = m.CellFor(logging.SpaceGlobal, -1, 0x10000)
+	if c3 := m.CellFor(logging.SpaceGlobal, -1, 0x10001); c1 == c3 {
+		t.Error("adjacent addresses share a cell at 1-byte granularity after refinement")
 	}
 }
 
 func TestGranularity4(t *testing.T) {
-	m := New(4, 0)
+	m := New(4, 0, spanTestGeo())
 	c1 := m.CellFor(logging.SpaceGlobal, -1, 0x10000)
 	c2 := m.CellFor(logging.SpaceGlobal, -1, 0x10003)
 	if c1 != c2 {
@@ -36,7 +43,7 @@ func TestGranularity4(t *testing.T) {
 }
 
 func TestSharedCellPerBlock(t *testing.T) {
-	m := New(1, 128)
+	m := New(1, 128, spanTestGeo())
 	b0 := m.CellFor(logging.SpaceShared, 0, 16)
 	b1 := m.CellFor(logging.SpaceShared, 1, 16)
 	if b0 == b1 {
@@ -49,7 +56,7 @@ func TestSharedCellPerBlock(t *testing.T) {
 }
 
 func TestPageAllocationOnDemand(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	if p := m.Stats().GlobalPages; p != 0 {
 		t.Fatalf("pages = %d before any access", p)
 	}
@@ -61,10 +68,12 @@ func TestPageAllocationOnDemand(t *testing.T) {
 	}
 }
 
+// TestSpanVisitsEachByte: a 4-byte access that is not a whole word
+// refines the page and visits each of its byte cells once.
 func TestSpanVisitsEachByte(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	var visited []*Cell
-	m.Span(logging.SpaceGlobal, -1, 0x10000, 4, func(r *Region, idx, _ int) {
+	m.Span(logging.SpaceGlobal, -1, 0x10001, 4, func(r *Region, idx, _ int) {
 		visited = append(visited, &r.cells[idx])
 	})
 	if len(visited) != 4 {
@@ -80,7 +89,7 @@ func TestSpanVisitsEachByte(t *testing.T) {
 }
 
 func TestSpanGranularityAligned(t *testing.T) {
-	m := New(4, 0)
+	m := New(4, 0, spanTestGeo())
 	count := 0
 	// An unaligned 4-byte access spanning two words visits both cells.
 	m.Span(logging.SpaceGlobal, -1, 0x10002, 4, func(*Region, int, int) { count++ })
@@ -90,10 +99,10 @@ func TestSpanGranularityAligned(t *testing.T) {
 }
 
 // TestCellReadInflation: the read-map lifecycle through the region's side
-// table (each entry is guarded by its cell's guard; nothing else is
-// touching this region).
+// table (guarded by the region lock; nothing else is touching this
+// region).
 func TestCellReadInflation(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
 	c := &reg.cells[7]
 	c.R = vc.Epoch{T: 1, C: 5}
@@ -121,7 +130,7 @@ func TestCellReadInflation(t *testing.T) {
 }
 
 func TestConcurrentCellAllocation(t *testing.T) {
-	m := New(1, 64)
+	m := New(1, 64, spanTestGeo())
 	var wg sync.WaitGroup
 	cells := make([]*Cell, 8)
 	for i := 0; i < 8; i++ {
@@ -142,7 +151,7 @@ func TestConcurrentCellAllocation(t *testing.T) {
 func testGeo() ptvc.Geometry { return ptvc.Geometry{WarpSize: 4, BlockSize: 8, Blocks: 2} }
 
 func TestSyncLocBlockScope(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	k := Key{Space: logging.SpaceGlobal, Block: -1, Addr: 0x10000}
 	s := m.SyncFor(k)
 	if m.SyncFor(k) != s {
@@ -166,7 +175,7 @@ func TestSyncLocBlockScope(t *testing.T) {
 }
 
 func TestSyncLocGlobalScope(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	s := m.SyncFor(Key{Addr: 0x20000, Block: -1})
 	g := ptvc.NewGroup(testGeo(), 0, 0xF)
 	s.ReleaseBlock(0, g.Snapshot(0))
@@ -206,7 +215,7 @@ func TestSyncLocGlobalScope(t *testing.T) {
 }
 
 func TestPeekSyncDoesNotCreate(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	k := Key{Addr: 0x30000, Block: -1}
 	if m.PeekSync(k) != nil {
 		t.Error("PeekSync invented a location")

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"barracuda/internal/logging"
-	"barracuda/internal/ptvc"
 	"barracuda/internal/vc"
 )
 
@@ -43,7 +42,6 @@ func TestSlabTakeClears(t *testing.T) {
 	s := p.take()
 	for i := range s {
 		s[i] = Cell{W: vc.Epoch{T: 3, C: 9}, R: vc.Epoch{T: 1, C: 2}, WritePC: 7, ReadPC: 8, Atomic: true, ReadShared: true}
-		s[i].lock.Store(1)
 	}
 	p.put(s)
 	got := p.take()
@@ -51,7 +49,7 @@ func TestSlabTakeClears(t *testing.T) {
 		t.Fatal("take did not return the pooled slab")
 	}
 	for i := range got {
-		if c := &got[i]; c.W != (vc.Epoch{}) || c.R != (vc.Epoch{}) || c.WritePC != 0 || c.ReadPC != 0 || c.Atomic || c.ReadShared || c.lock.Load() != 0 {
+		if c := &got[i]; c.W != (vc.Epoch{}) || c.R != (vc.Epoch{}) || c.WritePC != 0 || c.ReadPC != 0 || c.Atomic || c.ReadShared {
 			t.Fatalf("recycled cell %d is not virgin", i)
 		}
 	}
@@ -62,8 +60,7 @@ func TestSlabTakeClears(t *testing.T) {
 // region pointer a worker cache kept, panics — it neither allocates a new
 // page nor touches cells another run may own by now.
 func TestReleaseThenUseFailsLoudly(t *testing.T) {
-	m := New(1, 64)
-	m.EnableSpans(ptvc.Geometry{WarpSize: 32, BlockSize: 32, Blocks: 1})
+	m := New(1, 64, spanTestGeo())
 	var sc SpanCache
 	visit := func(space logging.SpaceID, addr uint64) {
 		m.SpanCached(&sc, space, 0, addr, 4, func(*Region, int, int) {})

@@ -1,13 +1,13 @@
 // Coalesced-span support: uniform-span summaries over cell runs.
 //
 // BARRACUDA's logging design (§4.2) leans on coalesced warp accesses —
-// 32 lanes touching one contiguous region. In span mode a region (one
-// global 64 KiB page, or one block's shared slab) can carry *uniform-
-// span summaries*: a sorted list of non-overlapping cell runs whose
-// FastTrack metadata is described exactly by a compact per-layer
-// (warp, mask, clock, pc, size) tuple instead of per-cell epochs. A
-// whole coalesced warp access then updates one summary under one region
-// lock instead of taking up to lanes×size cell spinlocks.
+// 32 lanes touching one contiguous region. A region (one global 64 KiB
+// page, or one block's shared slab) can carry *uniform-span summaries*:
+// a sorted list of non-overlapping cell runs whose FastTrack metadata is
+// described exactly by a compact per-layer (warp, mask, clock, pc, size)
+// tuple instead of per-cell epochs. A whole coalesced warp access then
+// updates one summary under the region lock instead of up to lanes×size
+// cells.
 //
 // The invariant mirrors the read-epoch/read-map duality of Cell
 // (InflateReads): a summary is the compressed form, per-cell epochs the
@@ -56,23 +56,23 @@ type SpanSum struct {
 }
 
 // Region is one lockable run of shadow cells: a global 64 KiB page or a
-// block's shared-memory slab. In span mode, every record-path access to
-// a region's cells holds the region lock, which is what lets summaries
-// be installed, answered and demoted without per-cell locking.
+// block's shared-memory slab. Every access to a region's cells holds the
+// region lock, which is what lets summaries be installed, answered and
+// demoted, and the region refined, without any per-cell locking.
 type Region struct {
 	cells []Cell
 
-	// gran is the bytes covered per cell. In the lock-free modes it is
-	// the configured granularity for good; in span mode a region starts
-	// word-granular and refine lowers it to the configured granularity,
-	// once, under lock — so cell indices are computed under lock too.
-	// fineCells is the cell count at the configured granularity.
+	// gran is the bytes covered per cell. A region starts word-granular
+	// and refine lowers it to the configured granularity, once, under
+	// lock — so cell indices are computed under lock too. fineCells is
+	// the cell count at the configured granularity.
 	gran      int
 	fineCells int
 
-	// lock is a CAS spinlock with the same shape as Cell's: region
-	// critical sections are a summary lookup plus a handful of epoch
-	// compares on the fast path.
+	// lock is a CAS spinlock (0 free, 1 held) rather than a sync.Mutex:
+	// region critical sections are a summary lookup plus a handful of
+	// epoch compares on the fast path, so the uncontended single-CAS cost
+	// is what matters.
 	lock atomic.Uint32
 
 	// touched records that some cell outside the summaries may be
@@ -88,13 +88,11 @@ type Region struct {
 	// and nil until the region's first inflation: an entry is non-nil
 	// exactly while its cell is ReadShared. It keeps the one pointer a cell
 	// would need out of the slab; refine re-keys it and it goes with the
-	// region on eviction and compaction. Each entry is guarded by what
-	// guards its cell; the table itself is published once, atomically,
-	// because in the lock-free modes nothing else orders two cells.
-	reads atomic.Pointer[[]map[vc.TID]vc.Clock]
+	// region on eviction and compaction. Guarded by lock.
+	reads []map[vc.TID]vc.Clock
 
 	// owner is the packed ownership probe word: state (2 bits) | id<<2.
-	// Published atomically for the lock-free pre-filter; transitions
+	// Published atomically for the unlocked pre-filter; transitions
 	// happen under lock (see owner.go).
 	owner atomic.Uint64
 
@@ -106,7 +104,7 @@ type Region struct {
 	ownOtherMax vc.Clock
 
 	// lastUse is the LRU stamp and liveMark the has-live-metadata flag,
-	// both read lock-free by the bounded-shadow evictor (owner.go).
+	// both read without the lock by the bounded-shadow evictor (owner.go).
 	lastUse  atomic.Uint64
 	liveMark atomic.Bool
 }
@@ -134,23 +132,12 @@ func (r *Region) TryLock() bool { return r.lock.CompareAndSwap(0, 1) }
 // Unlock releases the region spinlock.
 func (r *Region) Unlock() { r.lock.Store(0) }
 
-// Cells exposes the region's cell slab (callers hold the region lock in
-// span mode).
+// Cells exposes the region's cell slab (callers hold the region lock).
 func (r *Region) Cells() []Cell { return r.cells }
 
 // Gran returns the bytes each of the region's cells covers right now
-// (callers hold the region lock in span mode).
+// (callers hold the region lock).
 func (r *Region) Gran() int { return r.gran }
-
-// index returns the cell covering byte offset off of the region, clamped
-// to the last cell.
-func (r *Region) index(off uint64) int {
-	idx := off / uint64(r.gran)
-	if idx >= uint64(len(r.cells)) {
-		idx = uint64(len(r.cells)) - 1
-	}
-	return int(idx)
-}
 
 // CellRange maps the byte range [off, off+n) of the region onto its cell
 // indices [lo, hi) at the current granule, unclamped: hi > len(Cells())
@@ -203,14 +190,14 @@ func (m *Memory) refine(r *Region) {
 			}
 		}
 	}
-	if old := r.reads.Load(); old != nil {
+	if r.reads != nil {
 		reads := make([]map[vc.TID]vc.Clock, len(cells))
-		for i, readers := range *old {
+		for i, readers := range r.reads {
 			for j := i * k; readers != nil && j < (i+1)*k; j++ {
 				reads[j] = maps.Clone(readers)
 			}
 		}
-		r.reads.Store(&reads)
+		r.reads = reads
 	}
 	for i := range r.sums {
 		r.sums[i].Lo *= k
@@ -307,9 +294,7 @@ func LaneAt(mask uint32, rank int) int {
 // cells — span demotion, the analogue of InflateReads. Cells under a
 // summary are wholly described by it, so every metadata field is
 // (re)written: a missing layer means zero epochs, and no summarized
-// cell ever has an inflated read map. Runs under the region lock; cell
-// locks are not taken because span mode routes every record-path cell
-// access through that same region lock.
+// cell ever has an inflated read map. Runs under the region lock.
 func (m *Memory) materialize(reg *Region, s *SpanSum) {
 	gran := reg.gran
 	for idx := s.Lo; idx < s.Hi; idx++ {
@@ -335,8 +320,8 @@ func (m *Memory) materialize(reg *Region, s *SpanSum) {
 		}
 		c.ReadShared = false
 	}
-	if t := reg.reads.Load(); t != nil {
-		clear((*t)[s.Lo:s.Hi])
+	if reg.reads != nil {
+		clear(reg.reads[s.Lo:s.Hi])
 	}
 }
 

@@ -36,8 +36,7 @@ func region(t *testing.T, m *Memory, addr uint64, n, size int) (*Region, int) {
 // and no read map.
 func TestMaterializeLayers(t *testing.T) {
 	geo := spanTestGeo()
-	m := New(4, 0)
-	m.EnableSpans(geo)
+	m := New(4, 0, geo)
 	reg, lo := region(t, m, 0, 128, 4)
 
 	reg.Lock()
@@ -78,8 +77,7 @@ func TestMaterializeLayers(t *testing.T) {
 // state sat underneath, including an inflated read map.
 func TestMaterializeAbsentLayersZero(t *testing.T) {
 	geo := spanTestGeo()
-	m := New(1, 0)
-	m.EnableSpans(geo)
+	m := New(1, 0, geo)
 	reg, lo := region(t, m, 0, 64, 2) // 2-byte lanes: byte cells
 
 	reg.Lock()
@@ -108,15 +106,13 @@ func TestMaterializeAbsentLayersZero(t *testing.T) {
 	}
 }
 
-// TestSpanCachedDemotesOverlap: the per-cell fallback path (SpanCached
-// in spans mode) must demote any overlapping summary before handing
-// cells to the callback, so per-cell rules never observe summarized
-// state. The page is word-granular (byte granularity, whole-word
+// TestSpanCachedDemotesOverlap: the per-cell fallback path (SpanCached)
+// must demote any overlapping summary before handing cells to the
+// callback, so per-cell rules never observe summarized state. The page is word-granular (byte granularity, whole-word
 // accesses only), so the 4-byte access is one visit that stands for four.
 func TestSpanCachedDemotesOverlap(t *testing.T) {
 	geo := spanTestGeo()
-	m := New(1, 0)
-	m.EnableSpans(geo)
+	m := New(1, 0, geo)
 	reg, lo := region(t, m, 256, 128, 4)
 
 	reg.Lock()
@@ -154,8 +150,7 @@ func TestSpanCachedDemotesOverlap(t *testing.T) {
 // 64 KiB page line splits into two runs with correct byte offsets, and
 // a boundary that would cut one lane's access in half is refused.
 func TestSpanRunsBoundaries(t *testing.T) {
-	m := New(1, 0)
-	m.EnableSpans(spanTestGeo())
+	m := New(1, 0, spanTestGeo())
 
 	type run struct{ lo, hi, off int }
 	var runs []run
@@ -179,8 +174,7 @@ func TestSpanRunsBoundaries(t *testing.T) {
 	}
 
 	// Shared: a run past the slab must be refused (clamping semantics).
-	ms := New(1, 64)
-	ms.EnableSpans(spanTestGeo())
+	ms := New(1, 64, spanTestGeo())
 	if ms.SpanRuns(nil, logging.SpaceShared, 0, 32, 64, 4, func(*Region, int, int, int) {}) {
 		t.Error("shared overrun accepted; per-cell clamping must win")
 	}

@@ -8,17 +8,19 @@ import (
 	"barracuda/internal/vc"
 )
 
-// cellCached resolves one cell through the worker cache, as the lock-free
-// modes' walk does.
+// cellCached is CellFor through a worker cache.
 func (m *Memory) cellCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) *Cell {
 	reg, off := m.RegionFor(sc, space, block, addr)
-	return &reg.cells[reg.index(off)]
+	reg.Lock()
+	defer reg.Unlock()
+	idx, _ := reg.CellRange(off, 1)
+	return &reg.cells[min(idx, len(reg.cells)-1)]
 }
 
 // TestStripedPageIdentity: the same address resolves to the same cell no
 // matter which path (cached, uncached, concurrent) found it.
 func TestStripedPageIdentity(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	// Addresses chosen to land in different stripes and pages.
 	addrs := []uint64{0, 1 << pageBits, 7 << pageBits, 63 << pageBits, 64 << pageBits, 1<<40 + 5}
 	for _, a := range addrs {
@@ -39,7 +41,7 @@ func TestStripedPageIdentity(t *testing.T) {
 // TestSpanCacheCrossesPages: a cached worker walking sequentially across
 // a page boundary must get cells from both pages, not stale cache hits.
 func TestSpanCacheCrossesPages(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	var sc SpanCache
 	boundary := uint64(1<<pageBits) - 2
 	var visited []*Cell
@@ -64,7 +66,7 @@ func TestSpanCacheCrossesPages(t *testing.T) {
 // TestSpanCacheSharedBlockSwitch: the shared-slab cache must miss when
 // the block changes.
 func TestSpanCacheSharedBlockSwitch(t *testing.T) {
-	m := New(4, 64)
+	m := New(4, 64, spanTestGeo())
 	var sc SpanCache
 	c0 := m.cellCached(&sc, logging.SpaceShared, 0, 8)
 	c1 := m.cellCached(&sc, logging.SpaceShared, 1, 8)
@@ -80,7 +82,7 @@ func TestSpanCacheSharedBlockSwitch(t *testing.T) {
 // goroutines; under -race this also proves the copy-on-write publication
 // is sound.
 func TestConcurrentStripedAllocation(t *testing.T) {
-	m := New(1, 0)
+	m := New(1, 0, spanTestGeo())
 	const workers = 8
 	const pagesPerWorker = 32
 	cells := make([][]*Cell, workers)
@@ -111,40 +113,16 @@ func TestConcurrentStripedAllocation(t *testing.T) {
 	}
 }
 
-// TestCellSpinlockMutualExclusion: the CAS spinlock must actually
-// exclude concurrent critical sections.
-func TestCellSpinlockMutualExclusion(t *testing.T) {
-	var c Cell
-	const workers = 4
-	const iters = 5000
-	counter := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				c.Lock()
-				counter++
-				c.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*iters {
-		t.Errorf("counter = %d, want %d (spinlock failed to exclude)", counter, workers*iters)
-	}
-}
-
-// TestReadTableConcurrentInflation: in the lock-free modes nothing orders
-// two cells of one region, so the region's read-map table must be
-// published exactly once however many cells inflate at the same moment,
-// and every inflation must land in that one table. Workers own disjoint
-// cells of many fresh regions and hit each region together; under -race
-// this also proves an entry needs no guard beyond its cell's lock.
-func TestReadTableConcurrentInflation(t *testing.T) {
-	m := New(4, 0)
+// TestRegionLockMutualExclusion: the region spinlock is the one lock
+// every cell is accessed under, so it must exclude concurrent critical
+// sections — a plain per-region counter and the read-map side table, which
+// the first inflation creates under that lock. Workers inflate disjoint
+// cells of many fresh regions at the same moment; under -race this also
+// proves the table needs no guard beyond the region lock.
+func TestRegionLockMutualExclusion(t *testing.T) {
+	m := New(4, 0, spanTestGeo())
 	const workers, pages, perWorker = 4, 64, 8
+	var counters [pages]int
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -154,24 +132,27 @@ func TestReadTableConcurrentInflation(t *testing.T) {
 				reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, uint64(p)<<pageBits)
 				for i := 0; i < perWorker; i++ {
 					idx := i*workers + w
-					c := &reg.cells[idx]
-					c.Lock()
+					reg.Lock()
+					counters[p]++
 					m.InflateReads(reg, idx)[vc.TID(w)] = vc.Clock(p + 1)
 					if i%2 == 1 {
 						reg.ClearReads(idx)
 					}
-					c.Unlock()
+					reg.Unlock()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	for p := 0; p < pages; p++ {
+		if counters[p] != workers*perWorker {
+			t.Errorf("page %d: counter = %d, want %d (region lock failed to exclude)", p, counters[p], workers*perWorker)
+		}
 		reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, uint64(p)<<pageBits)
 		for idx := 0; idx < workers*perWorker; idx++ {
 			kept := idx/workers%2 == 0
 			if rd := reg.Readers(idx); kept != (rd[vc.TID(idx%workers)] == vc.Clock(p+1)) || kept != reg.cells[idx].ReadShared {
-				t.Fatalf("page %d cell %d: read map %v, ReadShared %v; an inflation went to a table that lost the race", p, idx, rd, reg.cells[idx].ReadShared)
+				t.Fatalf("page %d cell %d: read map %v, ReadShared %v; an inflation was lost", p, idx, rd, reg.cells[idx].ReadShared)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package staticanalysis
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -222,33 +223,18 @@ func equalValue(a, b value) bool {
 // else degrades to unknown. Taint is or-ed (it is an over-approximation).
 func joinValue(a, b value) value {
 	taint := a.taint || b.taint
-	if a.affine && b.affine && a.c == b.c && len(a.terms) == len(b.terms) {
-		same := true
-		for t, co := range a.terms {
-			if b.terms[t] != co {
-				same = false
-				break
-			}
-		}
-		if same {
-			out := a
-			out.taint = taint
-			return out
+	if a.affine && b.affine {
+		a.taint, b.taint = taint, taint
+		if equalValue(a, b) {
+			return a
 		}
 	}
 	return unknownV(taint)
 }
 
 // regState maps register name to abstract value. Missing = unknown.
+// Values are immutable, so maps.Clone is a copy of the state.
 type regState map[string]value
-
-func cloneRegState(a regState) regState {
-	out := make(regState, len(a))
-	for r, v := range a {
-		out[r] = v // values are treated as immutable
-	}
-	return out
-}
 
 func joinRegState(a, b regState) regState {
 	out := make(regState, len(a))
@@ -260,19 +246,6 @@ func joinRegState(a, b regState) regState {
 		}
 	}
 	return out
-}
-
-func equalRegState(a, b regState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for r, va := range a {
-		vb, ok := b[r]
-		if !ok || !equalValue(va, vb) {
-			return false
-		}
-	}
-	return true
 }
 
 func sregValue(s ptx.Sreg) value {
@@ -451,28 +424,8 @@ func (a *Affine) AddrKnown(i int) bool {
 // facts must not rely on it.
 
 // uniState maps a register/predicate name to "warp-uniform here". Missing
-// means varying.
+// means varying; a present entry is always true.
 type uniState map[string]bool
-
-func cloneUni(a uniState) uniState {
-	out := make(uniState, len(a))
-	for r := range a {
-		out[r] = true
-	}
-	return out
-}
-
-func equalUni(a, b uniState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for r := range a {
-		if !b[r] {
-			return false
-		}
-	}
-	return true
-}
 
 // uniformSreg classifies special registers: anything that varies across the
 // lanes of one warp is non-uniform. %warpid and %ctaid are constant within
@@ -560,7 +513,7 @@ func uniStep(st uniState, in *ptx.Instr, div bool) {
 func uniProblem(c *kernel.CFG, div []bool) Problem[uniState] {
 	return Problem[uniState]{
 		Entry: func() uniState { return uniState{} },
-		Clone: cloneUni,
+		Clone: maps.Clone[uniState],
 		Join: func(a, b uniState) uniState {
 			out := make(uniState)
 			for r := range a {
@@ -571,13 +524,13 @@ func uniProblem(c *kernel.CFG, div []bool) Problem[uniState] {
 			return out
 		},
 		Transfer: func(b *kernel.Block, in uniState) uniState {
-			st := cloneUni(in)
+			st := maps.Clone(in)
 			for i := b.Start; i < b.End; i++ {
 				uniStep(st, c.Instrs[i], div[b.Index])
 			}
 			return st
 		},
-		Equal: equalUni,
+		Equal: maps.Equal[uniState, uniState],
 	}
 }
 
@@ -651,7 +604,7 @@ func (u *Uniformity) RegUniform(i int, reg string) bool {
 	if !u.res.Reached[bi] {
 		return false
 	}
-	st := cloneUni(u.res.In[bi])
+	st := maps.Clone(u.res.In[bi])
 	for j := u.c.Blocks[bi].Start; j < i; j++ {
 		uniStep(st, u.c.Instrs[j], u.divergent[bi])
 	}
@@ -673,7 +626,7 @@ func ComputeUniformity(c *kernel.CFG) *Uniformity {
 			if last.Op != ptx.OpBra || last.Guard == nil {
 				continue
 			}
-			st := cloneUni(res.In[bi])
+			st := maps.Clone(res.In[bi])
 			for i := b.Start; i < b.End-1; i++ {
 				uniStep(st, c.Instrs[i], div[bi])
 			}
@@ -698,7 +651,7 @@ func ComputeUniformity(c *kernel.CFG) *Uniformity {
 		if !res.Reached[bi] {
 			continue
 		}
-		st := cloneUni(res.In[bi])
+		st := maps.Clone(res.In[bi])
 		for i := b.Start; i < b.End; i++ {
 			in := c.Instrs[i]
 			all := true
@@ -720,10 +673,10 @@ func ComputeUniformity(c *kernel.CFG) *Uniformity {
 func computeAffine(c *kernel.CFG) *Affine {
 	res := SolveForward(c, Problem[regState]{
 		Entry: func() regState { return regState{} },
-		Clone: cloneRegState,
+		Clone: maps.Clone[regState],
 		Join:  joinRegState,
 		Transfer: func(b *kernel.Block, in regState) regState {
-			st := cloneRegState(in)
+			st := maps.Clone(in)
 			for i := b.Start; i < b.End; i++ {
 				if v, ok := evalInstr(st, c.Instrs[i]); ok {
 					st[c.Instrs[i].Dst.Reg] = v
@@ -731,14 +684,14 @@ func computeAffine(c *kernel.CFG) *Affine {
 			}
 			return st
 		},
-		Equal: equalRegState,
+		Equal: func(a, b regState) bool { return maps.EqualFunc(a, b, equalValue) },
 	})
 	out := &Affine{addr: make(map[int]value), guardTaint: make(map[int]bool)}
 	for bi, b := range c.Blocks {
 		if !res.Reached[bi] {
 			continue
 		}
-		st := cloneRegState(res.In[bi])
+		st := maps.Clone(res.In[bi])
 		for i := b.Start; i < b.End; i++ {
 			in := c.Instrs[i]
 			if in.Guard != nil {

@@ -1,6 +1,8 @@
 package staticanalysis
 
 import (
+	"maps"
+
 	"barracuda/internal/kernel"
 	"barracuda/internal/ptx"
 )
@@ -83,7 +85,9 @@ func SolveForward[S any](c *kernel.CFG, p Problem[S]) *FlowResult[S] {
 }
 
 // DefSet maps a register name to the set of instruction indices whose
-// definitions of it may reach a program point.
+// definitions of it may reach a program point. The inner sets are
+// copy-on-write — never changed once stored — so maps.Clone is a copy of
+// the state.
 type DefSet map[string]map[int]bool
 
 // ReachingDefs computes, per block, which register definitions reach the
@@ -92,29 +96,22 @@ type DefSet map[string]map[int]bool
 func ReachingDefs(c *kernel.CFG) *FlowResult[DefSet] {
 	return SolveForward(c, Problem[DefSet]{
 		Entry: func() DefSet { return DefSet{} },
-		Clone: cloneDefs,
+		Clone: maps.Clone[DefSet],
 		Join: func(a, b DefSet) DefSet {
-			out := cloneDefs(a)
+			out := maps.Clone(a)
 			for reg, set := range b {
-				dst := out[reg]
-				if dst == nil {
-					dst = make(map[int]bool, len(set))
-					out[reg] = dst
-				}
-				for i := range set {
-					dst[i] = true
-				}
+				out[reg] = union(out[reg], set)
 			}
 			return out
 		},
 		Transfer: func(b *kernel.Block, in DefSet) DefSet {
-			out := cloneDefs(in)
+			out := maps.Clone(in)
 			for i := b.Start; i < b.End; i++ {
 				defsStep(out, c.Instrs[i], i)
 			}
 			return out
 		},
-		Equal: equalDefs,
+		Equal: func(a, b DefSet) bool { return maps.EqualFunc(a, b, maps.Equal[map[int]bool, map[int]bool]) },
 	})
 }
 
@@ -125,7 +122,7 @@ func DefsAt(c *kernel.CFG, r *FlowResult[DefSet], idx int, reg string) []int {
 	if !r.Reached[b] {
 		return nil
 	}
-	st := cloneDefs(r.In[b])
+	st := maps.Clone(r.In[b])
 	for i := c.Blocks[b].Start; i < idx; i++ {
 		defsStep(st, c.Instrs[i], i)
 	}
@@ -140,45 +137,18 @@ func defsStep(st DefSet, in *ptx.Instr, i int) {
 	if !in.HasDst || in.Dst.Kind != ptx.OpndReg {
 		return
 	}
-	if in.Guard == nil {
-		st[in.Dst.Reg] = map[int]bool{i: true}
-		return
+	def := map[int]bool{i: true}
+	if in.Guard != nil {
+		def = union(st[in.Dst.Reg], def)
 	}
-	set := st[in.Dst.Reg]
-	next := make(map[int]bool, len(set)+1)
-	for j := range set {
-		next[j] = true
-	}
-	next[i] = true
-	st[in.Dst.Reg] = next
+	st[in.Dst.Reg] = def
 }
 
-func cloneDefs(a DefSet) DefSet {
-	out := make(DefSet, len(a))
-	for reg, set := range a {
-		cp := make(map[int]bool, len(set))
-		for i := range set {
-			cp[i] = true
-		}
-		out[reg] = cp
-	}
+// union returns a fresh set holding a and b: DefSet's sets are never
+// changed in place.
+func union(a, b map[int]bool) map[int]bool {
+	out := make(map[int]bool, len(a)+len(b))
+	maps.Copy(out, a)
+	maps.Copy(out, b)
 	return out
-}
-
-func equalDefs(a, b DefSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for reg, sa := range a {
-		sb, ok := b[reg]
-		if !ok || len(sa) != len(sb) {
-			return false
-		}
-		for i := range sa {
-			if !sb[i] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package staticanalysis
 
 import (
+	"maps"
 	"sort"
 	"strings"
 
@@ -278,14 +279,6 @@ type covKey struct {
 // synchronization or base-register redefinition.
 type covState map[covKey]trace.OpKind
 
-func cloneCov(a covState) covState {
-	out := make(covState, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
-
 // joinCov intersects path facts; a Write on one path and a Read on the
 // other still covers later Reads.
 func joinCov(a, b covState) covState {
@@ -302,18 +295,6 @@ func joinCov(a, b covState) covState {
 		}
 	}
 	return out
-}
-
-func equalCov(a, b covState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // covStep applies one instruction to the coverage state in place and
@@ -359,22 +340,22 @@ func covStep(st covState, in *ptx.Instr, kind trace.OpKind, private bool) bool {
 func markRedundant(c *kernel.CFG, class map[int]trace.OpKind, res *PruneResult) {
 	flow := SolveForward(c, Problem[covState]{
 		Entry: func() covState { return covState{} },
-		Clone: cloneCov,
+		Clone: maps.Clone[covState],
 		Join:  joinCov,
 		Transfer: func(b *kernel.Block, in covState) covState {
-			st := cloneCov(in)
+			st := maps.Clone(in)
 			for i := b.Start; i < b.End; i++ {
 				covStep(st, c.Instrs[i], class[i], res.Reason[i] == PrunePrivate)
 			}
 			return st
 		},
-		Equal: equalCov,
+		Equal: maps.Equal[covState, covState],
 	})
 	for bi, b := range c.Blocks {
 		if !flow.Reached[bi] {
 			continue
 		}
-		st := cloneCov(flow.In[bi])
+		st := maps.Clone(flow.In[bi])
 		for i := b.Start; i < b.End; i++ {
 			if covStep(st, c.Instrs[i], class[i], res.Reason[i] == PrunePrivate) &&
 				res.Reason[i] == PruneNone {

@@ -107,11 +107,11 @@ var (
 	ErrMalformed       = errors.New("wire: malformed payload")
 )
 
-// Stable reject/fatal codes mirrored from the JSON API's ErrorJSON
-// codes, so both surfaces classify failures identically.
+// Stable reject/fatal codes, which the JSON API's ErrorJSON carries
+// too, so both surfaces classify failures identically.
 const (
-	CodeInvalidArgument = "invalid_argument"
-	CodeQueueFull       = "queue_full"
-	CodeUnavailable     = "unavailable"
+	CodeInvalidArgument = "invalid_argument" // 400: malformed or failing validation
+	CodeQueueFull       = "queue_full"       // 429: bounded queue at capacity; retryable
+	CodeUnavailable     = "unavailable"      // 503: shutting down / transient; retryable
 	CodeVersionMismatch = "version_mismatch"
 )
