@@ -107,14 +107,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Interpreter microbenchmarks: warp stepping (BenchmarkWarpStepWide at the
-# 26-program suite's register count and residency) and log emission, with
-# allocation counts and ns per warp instruction; one warp instruction
-# through the typed 32-bit loops against the generic closure (an op that
-# reads the same on both sides has fallen off the typed path); and a
-# shadow page slab taken fresh against recycled.
+# Microbenchmarks of both sides of the queue. The interpreter: warp
+# stepping (BenchmarkWarpStepWide at the 26-program suite's register count
+# and residency) and log emission, with allocation counts and ns per warp
+# instruction; one warp instruction through the typed 32-bit loops against
+# the generic closure (an op that reads the same on both sides has fallen
+# off the typed path); a full-warp global ld and st through the typed loop,
+# at a 4-byte and a 640-byte lane stride. The detector thread: one strided
+# warp record through the run walk, and a shadow page slab taken fresh
+# against recycled.
 bench-sim:
-	$(GO) test -bench='BenchmarkWarpStep|BenchmarkLogEmission|BenchmarkIntOps' -benchmem -run=^$$ ./internal/gpusim/
+	$(GO) test -bench='BenchmarkWarpStep|BenchmarkLogEmission|BenchmarkIntOps|BenchmarkLdSt' -benchmem -run=^$$ ./internal/gpusim/
+	$(GO) test -bench=BenchmarkWarpAccessStrided -benchmem -run=^$$ ./internal/core/
 	$(GO) test -bench=BenchmarkSlabTake -benchtime=200x -run=^$$ ./internal/shadow/
 
 # The end-to-end benchmark (BENCHMARK.json) is a module of its own, so
@@ -125,12 +129,13 @@ bench-e2e-smoke:
 
 # The interpreter's goldens (recorded from the lane-major interpreter PR 12
 # deleted) at every warp size, the register-file layout, the typed 32-bit
-# loops against the generic closure they stand in for, and the hostile
-# inputs that must cost a job an error and never the worker, under the Go
-# race detector.
+# loops against the generic closure they stand in for, the typed loads and
+# stores against execLane's per-lane oracle, and the hostile inputs that
+# must cost a job an error and never the worker (an address whose last
+# byte wraps past 2^64 among them), under the Go race detector.
 stress-interp:
 	$(GO) test -race -run 'TestWarpVectorizedEquivalence|TestWarpVectorizedEquivalenceAllWarpSizes' ./internal/bugsuite/
-	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance|TestTypedIntOps' ./internal/gpusim/
+	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance|TestTypedIntOps|TestTypedLdStMatchGeneric|TestWrappedAddressFaultsLane' ./internal/gpusim/
 	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError' ./internal/detector/
 	$(GO) test -race -run 'TestMalformedPTXFailsJobNotWorker|TestOversizedConfigRejected' ./internal/server/
 
@@ -155,15 +160,16 @@ stress-ownership:
 # every configuration: the recorded per-byte outcomes (bug suite,
 # mixed-width programs and litmus corpus, Granularity 1/2/4; FullVC held
 # to its own recording from 9dddb42), the refinement unit and property
-# tests, the cell-layout contract, the region lock's mutual exclusion and
-# the record-level walk's equivalence with one walk per lane, and —
+# tests, the power-of-two granule, the cell-layout contract, the region
+# lock's mutual exclusion and the run walk's equivalence with one walk per
+# lane (and its one prologue per run), and —
 # repeated, with real parallelism, under the Go race detector — blocks on
 # four detector threads issuing word and byte accesses to the same shadow
 # page, FullVC's among them.
 stress-refine:
 	$(GO) test -race -run 'TestGranuleGoldenEquivalence|TestSubword' ./internal/bugsuite/
 	$(GO) test -race -run 'TestGranuleLitmusGoldenEquivalence' ./internal/detector/
-	$(GO) test -race -run 'TestRefine|TestRegionGranulePerMode|TestCellLayout|TestVisitLanesEquivalence|TestRegionLockMutualExclusion' ./internal/shadow/
+	$(GO) test -race -run 'TestRefine|TestRegionGranulePerMode|TestNewRejectsNonPowerOfTwo|TestCellLayout|TestVisitLanesEquivalence|TestRegionLockMutualExclusion' ./internal/shadow/
 	$(GO) test -race -run 'TestRefine|TestReportWeight' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestSubwordQueuesStress' ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestFullVCMultiQueueEquivalence' ./internal/bugsuite/

@@ -19,7 +19,7 @@ import (
 func maxRegionBytes(t *testing.T) int64 {
 	t.Helper()
 	m := shadow.New(1, 0, ptvc.Geometry{})
-	m.Span(logging.SpaceGlobal, -1, 1, 1, func(*shadow.Region, int, int) {}) // a byte access refines the page
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 1, 1, func(*shadow.Region, int, int) {}) // a byte access refines the page
 	r, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
 	return r.RegionBytes()
 }

@@ -445,30 +445,48 @@ func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 	g := w.warp(int(r.Warp)).top()
 	w.hist[g.Format()].Add(1)
 	if !d.tryOwned(r, g, w) && !d.trySpan(r, g, w) {
-		var span *shadow.SpanCache
-		if w.caching {
-			span = &w.span
-		}
-		tid0 := d.geo.TIDOf(int(r.Warp), 0)
-		d.forEachLaneCell(span, r, func(lane int, reg *shadow.Region, idx, weight int) {
-			d.apply(reg, idx, g, tid0+vc.TID(lane), r, lane, weight, w)
-		})
+		d.walk(w.cache(), r, func(run *shadow.Run) { d.applyRun(run, g, r, w) })
 	}
 	g.EndInstr()
 }
 
-// apply runs the record's READ*/WRITE*/ATOM* rule for one lane on cell
-// idx of reg, whose lock the caller holds. weight is the number
-// of configured-granule cells the cell stands for (shadow.Memory.Weight):
-// every check on it counts that many times.
-func (d *Detector) apply(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
-	switch r.Op {
-	case trace.OpRead:
-		d.applyRead(reg, idx, g, tid, r, lane, weight)
-	case trace.OpWrite:
-		d.applyWrite(reg, idx, g, tid, r, lane, weight, w)
-	case trace.OpAtom:
-		d.applyAtomic(reg, idx, g, tid, r, lane, weight)
+// cache returns the worker's shadow lookup cache, nil for the shared base
+// shard.
+func (w *Worker) cache() *shadow.SpanCache {
+	if w.caching {
+		return &w.span
+	}
+	return nil
+}
+
+// applyRun runs the record's READ*/WRITE*/ATOM* rule on every cell of a
+// region run, whose lock the caller holds. The loop inlines the case nearly
+// every cell is in — the last write ordered (or none), the last read
+// ordered, no read map — where a read only advances the read epoch
+// (READEXCL) and a write or atomic only installs its write epoch and clears
+// the read; every other cell goes to applyRead, applyWrite or applyAtomic.
+// Every check on a cell counts the run's weight (shadow.Memory.Weight).
+func (d *Detector) applyRun(run *shadow.Run, g *ptvc.Group, r *logging.Record, w *Worker) {
+	reg, cells, tid0 := run.Reg, run.Reg.Cells(), d.geo.TIDOf(int(r.Warp), 0)
+	read, atomic := r.Op == trace.OpRead, r.Op == trace.OpAtom
+	for _, lc := range run.Lanes {
+		tid := tid0 + vc.TID(lc.Lane)
+		for idx := lc.Lo; idx < lc.Hi; idx++ {
+			i := min(idx, run.Last)
+			c := &cells[i]
+			switch fast := !c.ReadShared && ordered(g, tid, c.W) && ordered(g, tid, c.R); {
+			case fast && read:
+				c.R, c.ReadPC = vc.Epoch{T: tid, C: g.L}, r.PC
+			case fast:
+				c.W, c.R, c.WritePC, c.Atomic = vc.Epoch{T: tid, C: g.L}, vc.Epoch{}, r.PC, atomic
+			case read:
+				d.applyRead(reg, i, g, tid, r, lc.Lane, run.Weight)
+			case atomic:
+				d.applyAtomic(reg, i, g, tid, r, lc.Lane, run.Weight)
+			default:
+				d.applyWrite(reg, i, g, tid, r, lc.Lane, run.Weight, w)
+			}
+		}
 	}
 }
 

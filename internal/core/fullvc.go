@@ -133,11 +133,13 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 	// The full-VC ablation cannot use uniform-span summaries — after a
 	// joinFork every lane's own clock component differs, so a warp access
 	// is not expressible as a single (warp, mask, clock) layer. It shares
-	// the per-lane cell walk, and so the shadow and its word-granular
-	// regions, with the epoch detector's fallback path: a check on a word
-	// cell counts weight times, exactly as in apply.
+	// the run walk, and so the shadow and its word-granular regions, with
+	// the epoch detector's fallback path: a check on a word cell counts
+	// weight times, exactly as in applyRun.
 	tid0 := d.geo.TIDOf(int(r.Warp), 0)
-	d.forEachLaneCell(nil, r, func(lane int, reg *shadow.Region, idx, weight int) {
+	var run *shadow.Run
+	visit := func(lane, idx int) {
+		reg, weight := run.Reg, run.Weight
 		c, tid := &reg.Cells()[idx], tid0+vc.TID(lane)
 		myClock := s.clocks[tid].Get(tid)
 		switch r.Op {
@@ -189,7 +191,8 @@ func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 			c.WritePC = r.PC
 			reg.ClearReads(idx)
 		}
-	})
+	}
+	d.walk(w.cache(), r, func(rn *shadow.Run) { run = rn; rn.Each(visit) })
 }
 
 func (d *Detector) fullSyncOp(r *logging.Record) {

@@ -69,14 +69,10 @@ func (d *Detector) tryOwned(r *logging.Record, g *ptvc.Group, w *Worker) bool {
 	if r.Space == logging.SpaceShared {
 		blk = int32(r.Block)
 	}
-	var sc *shadow.SpanCache
-	if w.caching {
-		sc = &w.span
-	}
 	if r.Coalesced() {
-		return d.ownedCoalesced(r, g, sc, blk)
+		return d.ownedCoalesced(r, g, w.cache(), blk)
 	}
-	return d.ownedLanes(r, g, sc, blk)
+	return d.ownedLanes(r, g, w.cache(), blk)
 }
 
 // ownedValidate re-reads the ownership word under the region lock and

@@ -10,14 +10,12 @@ import (
 	"barracuda/internal/vc"
 )
 
-// forEachLaneCell visits every shadow cell of every active lane of a
-// memory record as (region, index), with the region lock held — the
-// per-cell iteration shared by the epoch detector's fallback path and the
-// full-VC ablation: one shadow.Memory.VisitLanes walk per record. weight
-// is shadow.Memory.Weight of the cell's region. A warp's thread ids are
-// consecutive, so a visitor derives a lane's from TIDOf(warp, 0), once
-// per record.
-func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visit func(lane int, reg *shadow.Region, idx, weight int)) {
+// walk runs one shadow.Memory.VisitLanes walk over the active lanes of a
+// memory record and hands visit each region run, its lock held: the
+// per-cell iteration of the epoch detector's fallback path and of the
+// full-VC ablation. A warp's thread ids are consecutive, so a visitor
+// derives a lane's from TIDOf(warp, 0), once per record.
+func (d *Detector) walk(sc *shadow.SpanCache, r *logging.Record, visit func(*shadow.Run)) {
 	blk := int32(-1)
 	if r.Space == logging.SpaceShared {
 		blk = int32(r.Block)
@@ -28,7 +26,7 @@ func (d *Detector) forEachLaneCell(sc *shadow.SpanCache, r *logging.Record, visi
 
 // activeLanes resolves the active lanes of a memory record, below the
 // simulated warp width, and their addresses into buf: the unlocked
-// pre-pass of forEachLaneCell and ownedLanes. Addresses go through
+// pre-pass of walk and ownedLanes. Addresses go through
 // LaneAddr so records that crossed the compact wire (no address array)
 // resolve identically.
 func (d *Detector) activeLanes(r *logging.Record, buf *[logging.WarpWidth]shadow.Lane) []shadow.Lane {
@@ -75,12 +73,8 @@ func (d *Detector) trySpan(r *logging.Record, g *ptvc.Group, w *Worker) bool {
 	if r.Space == logging.SpaceShared {
 		blk = int32(r.Block)
 	}
-	var sc *shadow.SpanCache
-	if w.caching {
-		sc = &w.span
-	}
 	n := bits.OnesCount32(r.Mask)
-	return d.mem.SpanRuns(sc, r.Space, blk, r.Base, n*int(r.Size), int(r.Size),
+	return d.mem.SpanRuns(w.cache(), r.Space, blk, r.Base, n*int(r.Size), int(r.Size),
 		func(reg *shadow.Region, lo, hi, byteOff int) {
 			d.spanRun(r, g, w, reg, lo, hi, byteOff)
 		})
@@ -225,18 +219,15 @@ func (d *Detector) spanWriteLayer(s *shadow.SpanSum, r *logging.Record, g *ptvc.
 }
 
 // spanPerCell replays the exact per-cell rules for one region run: the
-// same lanes, cells, visit order and callbacks as the per-cell walk,
-// under the already-held region lock (which is all that guards a cell).
+// same lanes, cells, visit order and rules as the per-cell walk, under the
+// already-held region lock (which is all that guards a cell).
 func (d *Detector) spanPerCell(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo int, runMask uint32) {
-	cellsPerLane := int(r.Size) / reg.Gran()
-	weight := d.mem.Weight(reg)
-	idx := lo
+	per := int(r.Size) / reg.Gran()
+	var buf [logging.WarpWidth]shadow.LaneCells
+	run := shadow.Run{Reg: reg, Lanes: buf[:0], Weight: d.mem.Weight(reg), Last: len(reg.Cells()) - 1}
 	for rm := runMask; rm != 0; rm &= rm - 1 {
-		lane := bits.TrailingZeros32(rm)
-		tid := d.geo.TIDOf(int(r.Warp), lane)
-		for k := 0; k < cellsPerLane; k++ {
-			d.apply(reg, idx, g, tid, r, lane, weight, w)
-			idx++
-		}
+		run.Lanes = append(run.Lanes, shadow.LaneCells{Lane: bits.TrailingZeros32(rm), Lo: lo, Hi: lo + per})
+		lo += per
 	}
+	d.applyRun(&run, g, r, w)
 }

@@ -134,8 +134,22 @@ func (d *Device) ensure(end uint64) {
 	d.mem = d.mem[:need]
 }
 
+// span returns the n bytes at address addr of mem, a window of memory that
+// starts at address lo, and false when any of them lies outside it. It is
+// the simulator's one bounds rule, and it never adds to the address: the
+// offset is checked against the window and the bytes past it against n, so
+// an address near 2^64 is out of bounds instead of wrapping into a slice
+// index.
+func span(mem []byte, lo, addr, n uint64) ([]byte, bool) {
+	off := addr - lo
+	if addr < lo || off > uint64(len(mem)) || uint64(len(mem))-off < n {
+		return nil, false
+	}
+	return mem[off : off+n], true
+}
+
 func (d *Device) checkRange(addr uint64, n int) error {
-	if addr < GlobalBase || addr+uint64(n) > GlobalBase+uint64(len(d.mem)) {
+	if _, ok := span(d.mem, GlobalBase, addr, uint64(n)); !ok {
 		return fmt.Errorf("gpusim: global access [%#x,+%d) out of bounds", addr, n)
 	}
 	return nil
@@ -223,9 +237,10 @@ func loadLE(b []byte, n int) uint64 {
 		return uint64(binary.LittleEndian.Uint16(b))
 	case 4:
 		return uint64(binary.LittleEndian.Uint32(b))
-	default:
+	case 8:
 		return binary.LittleEndian.Uint64(b)
 	}
+	return 0 // a typeless access covers no bytes
 }
 
 func storeLE(b []byte, n int, v uint64) {
@@ -236,7 +251,7 @@ func storeLE(b []byte, n int, v uint64) {
 		binary.LittleEndian.PutUint16(b, uint16(v))
 	case 4:
 		binary.LittleEndian.PutUint32(b, uint32(v))
-	default:
+	case 8:
 		binary.LittleEndian.PutUint64(b, v)
 	}
 }

@@ -564,72 +564,86 @@ func (e *engine) execLog(w *warpState, ci *cInstr, exec uint32) error {
 	return nil
 }
 
-// loadSpace reads size bytes from the instruction's memory space for a
-// given lane (local memory is lane-private).
-func (e *engine) loadSpace(w *warpState, lane int, space ptx.Space, addr uint64, size int) (uint64, error) {
+// spaceMem returns a memory space as the warp's handlers see it: its bytes,
+// the address they start at, and, for local memory, the bytes of each
+// lane's private window (lane l's are mem[l*per:][:per]). Global memory is
+// read from the device on every call: an allocation between two launches
+// moves it. ok is false for a space with no memory behind it.
+func (e *engine) spaceMem(w *warpState, space ptx.Space) (mem []byte, lo uint64, per int, ok bool) {
 	switch space {
 	case ptx.SpaceShared:
-		if addr+uint64(size) > uint64(len(w.blk.shared)) {
-			return 0, fmt.Errorf("shared access [%#x,+%d) out of bounds (%d bytes)", addr, size, len(w.blk.shared))
-		}
-		return loadLE(w.blk.shared[addr:], size), nil
+		return w.blk.shared, 0, 0, true
 	case ptx.SpaceLocal:
-		buf, err := e.localBuf(w, lane, addr, size)
-		if err != nil {
-			return 0, err
-		}
-		return loadLE(buf, size), nil
+		return w.local, 0, int(e.lk.localBytes), true
 	case ptx.SpaceGlobal, ptx.SpaceNone:
-		return e.dev.load(addr, size)
+		return e.dev.mem, GlobalBase, 0, true
 	}
-	return 0, fmt.Errorf("unsupported memory space %v", space)
+	return nil, 0, 0, false
+}
+
+// laneMem returns the size bytes at addr of the instruction's memory space
+// for one lane, or the error that ends the instruction there.
+func (e *engine) laneMem(w *warpState, lane int, space ptx.Space, addr uint64, size int) ([]byte, error) {
+	mem, lo, per, ok := e.spaceMem(w, space)
+	if !ok {
+		return nil, fmt.Errorf("unsupported memory space %v", space)
+	}
+	if space == ptx.SpaceLocal {
+		mem = mem[lane*per:][:per]
+	}
+	if b, ok := span(mem, lo, addr, uint64(size)); ok {
+		return b, nil
+	}
+	return nil, e.outOfBounds(w, space, addr, size)
+}
+
+// outOfBounds is the error of a size-byte access at addr that span refused.
+func (e *engine) outOfBounds(w *warpState, space ptx.Space, addr uint64, size int) error {
+	switch space {
+	case ptx.SpaceShared:
+		return fmt.Errorf("shared access [%#x,+%d) out of bounds (%d bytes)", addr, size, len(w.blk.shared))
+	case ptx.SpaceLocal:
+		return fmt.Errorf("local access [%#x,+%d) out of bounds (%d bytes)", addr, size, e.lk.localBytes)
+	}
+	return e.dev.checkRange(addr, size)
+}
+
+// loadSpace and storeSpace are one lane's load and store: the per-lane
+// definition the typed loops of makeLd and makeSt are held to
+// (TestTypedLdStMatchGeneric), and the memory access of execLane.
+func (e *engine) loadSpace(w *warpState, lane int, space ptx.Space, addr uint64, size int) (uint64, error) {
+	b, err := e.laneMem(w, lane, space, addr, size)
+	if err != nil {
+		return 0, err
+	}
+	return loadLE(b, size), nil
 }
 
 func (e *engine) storeSpace(w *warpState, lane int, space ptx.Space, addr uint64, size int, v uint64) error {
-	switch space {
-	case ptx.SpaceShared:
-		if addr+uint64(size) > uint64(len(w.blk.shared)) {
-			return fmt.Errorf("shared access [%#x,+%d) out of bounds (%d bytes)", addr, size, len(w.blk.shared))
-		}
-		storeLE(w.blk.shared[addr:], size, v)
-		return nil
-	case ptx.SpaceLocal:
-		buf, err := e.localBuf(w, lane, addr, size)
-		if err != nil {
-			return err
-		}
-		storeLE(buf, size, v)
-		return nil
-	case ptx.SpaceGlobal, ptx.SpaceNone:
-		return e.dev.store(addr, size, v)
+	b, err := e.laneMem(w, lane, space, addr, size)
+	if err == nil {
+		storeLE(b, size, v)
 	}
-	return fmt.Errorf("unsupported memory space %v", space)
-}
-
-// localBuf returns the lane-private slice backing a local-memory access.
-func (e *engine) localBuf(w *warpState, lane int, addr uint64, size int) ([]byte, error) {
-	stride := uint64(e.lk.localBytes)
-	if addr+uint64(size) > stride {
-		return nil, fmt.Errorf("local access [%#x,+%d) out of bounds (%d bytes)", addr, size, stride)
-	}
-	base := uint64(lane) * stride
-	return w.local[base+addr:], nil
+	return err
 }
 
 // execLane executes, for one lane, the shapes that have no warp handler
 // (selectHandler routes them through execLaneLoop): vector loads and
-// stores, atomics and reductions, and float neg. Operand counts were
-// checked by checkShape at load time.
+// stores, atomics and reductions, float neg, and the scalar loads and
+// stores the typed loops leave to it — for which it is also the per-lane
+// oracle those loops are tested against. Operand counts were checked by
+// checkShape at load time.
 func (e *engine) execLane(w *warpState, ci *cInstr, lane int) error {
 	in := ci.in
 	t := in.Type
 	size := ci.size
+	vec := max(in.Vec, 1)
 	switch ci.op {
 	case ptx.OpLd:
 		// ld.vN {d0..dN-1}, [addr]: dst plus Vec-1 leading args are
 		// destinations; the address operand follows them.
-		addr := e.laneAddr(w, lane, &ci.args[in.Vec-1])
-		for i := 0; i < in.Vec; i++ {
+		addr := e.laneAddr(w, lane, &ci.args[vec-1])
+		for i := 0; i < vec; i++ {
 			v, err := e.loadSpace(w, lane, in.Space, addr+uint64(i*size), size)
 			if err != nil {
 				return err
@@ -647,7 +661,7 @@ func (e *engine) execLane(w *warpState, ci *cInstr, lane int) error {
 	case ptx.OpSt:
 		// st.vN [addr], {v0..vN-1}
 		addr := e.laneAddr(w, lane, &ci.args[0])
-		for i := 0; i < in.Vec; i++ {
+		for i := 0; i < vec; i++ {
 			v := e.val(w, lane, &ci.args[1+i])
 			if t.Float() && ci.args[1+i].kind == ptx.OpndFImm {
 				v = fbits(ci.args[1+i].f, t)

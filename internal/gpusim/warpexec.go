@@ -166,12 +166,9 @@ func selectHandler(ci *cInstr, imms immRows) warpHandler {
 	case ptx.OpMov, ptx.OpCvta:
 		return makeMov(ci)
 	case ptx.OpLd:
-		return makeLd(ci)
+		return makeLd(ci, imms)
 	case ptx.OpSt:
-		if ci.in.Vec > 1 {
-			return execLaneLoop
-		}
-		return makeSt(ci)
+		return makeSt(ci, imms)
 	case ptx.OpSetp:
 		return makeSetp(ci)
 	case ptx.OpSelp:
@@ -263,9 +260,9 @@ func constMovBits(a cOperand, t ptx.Type) (uint64, bool) {
 	return 0, false
 }
 
-// makeLd handles scalar loads with the space decision hoisted to compile
-// time. Vector loads go through execLane.
-func makeLd(ci *cInstr) warpHandler {
+// makeLd handles scalar loads: ld.param broadcasts the argument; the other
+// spaces go through ldst. Vector loads go through execLane.
+func makeLd(ci *cInstr, imms immRows) warpHandler {
 	in := ci.in
 	if in.Vec > 1 {
 		return execLaneLoop
@@ -285,51 +282,78 @@ func makeLd(ci *cInstr) warpHandler {
 			return nil
 		}
 	}
-	size := ci.size
-	signed := in.Type.Signed()
-	space := in.Space
-	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		dst, a0 := w.row(d), &ci.args[0]
-		return w.eachErr(exec, func(l int) error {
-			v, err := e.loadSpace(w, l, space, e.laneAddr(w, l, a0), size)
-			if err != nil {
-				return err
-			}
-			if signed {
-				v = uint64(signExt(v, size))
-			}
-			dst[l] = v
-			return nil
-		})
-	}
+	return ldst(ci, laneRow{reg: d}, false, imms)
 }
 
-// makeSt handles scalar stores; the value operand's constant forms
-// (including the float-immediate re-encoding quirk) are folded at compile
-// time.
-func makeSt(ci *cInstr) warpHandler {
-	in := ci.in
-	t := in.Type
-	size := ci.size
-	space := in.Space
-	v1 := ci.args[1]
-	var cval uint64
-	isConst := false
-	if t.Float() && v1.kind == ptx.OpndFImm {
-		cval, isConst = truncTo(fbits(v1.f, t), size), true
-	} else if _, c, k := fetcher(v1); k {
-		cval, isConst = truncTo(c, size), true
+// makeSt handles scalar stores through ldst. The value is a general
+// register's row or a constant's (a float immediate re-encoded at the
+// store's type); a special or predicate register as the value, and vector
+// stores, go through execLane.
+func makeSt(ci *cInstr, imms immRows) warpHandler {
+	var src laneRow
+	switch v := ci.args[1]; {
+	case ci.in.Vec > 1:
+		return execLaneLoop
+	case ci.in.Type.Float() && v.kind == ptx.OpndFImm:
+		src.imm = imms.row(fbits(v.f, ci.in.Type))
+	case v.kind == ptx.OpndReg && !v.isPred:
+		src.reg = v.reg
+	default:
+		_, c, isConst := fetcher(v)
+		if !isConst {
+			return execLaneLoop
+		}
+		src.imm = imms.row(c)
 	}
-	fv, _, _ := fetcher(v1)
+	return ldst(ci, src, true, imms)
+}
+
+// ldst is the typed lane loop of a scalar load (into row) or store (from
+// row) in global, generic, shared or local memory. The space, the size and
+// the signedness are fixed here, the address is the base register's row
+// (or the symbol's constant row) plus the offset — what laneAddr computes —
+// and span checks the bounds inline. Lanes run in order and the first one
+// that faults ends the instruction, the lanes before it done and the ones
+// after it not, with loadSpace's and storeSpace's error text: execLane's
+// per-lane oracle (TestTypedLdStMatchGeneric). Other spaces, and typeless
+// accesses, are left to execLane.
+func ldst(ci *cInstr, row laneRow, store bool, imms immRows) warpHandler {
+	space, size, signed := ci.in.Space, ci.size, ci.in.Type.Signed()
+	switch space {
+	case ptx.SpaceGlobal, ptx.SpaceNone, ptx.SpaceShared, ptx.SpaceLocal:
+	default:
+		return execLaneLoop
+	}
+	if size == 0 {
+		return execLaneLoop
+	}
+	a := ci.args[0]
+	base, off, local := laneRow{reg: a.baseReg}, uint64(a.off), space == ptx.SpaceLocal
+	if a.baseReg < 0 {
+		base = laneRow{imm: imms.row(a.symAddr)}
+	}
 	return func(e *engine, w *warpState, ci *cInstr, exec uint32) error {
-		a0 := &ci.args[0]
-		return w.eachErr(exec, func(l int) error {
-			v := cval
-			if !isConst {
-				v = truncTo(fv(e, w, l), size)
+		mem, lo, per, _ := e.spaceMem(w, space)
+		addrs, vals := base.of(w), row.of(w)
+		for m := exec; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			a, win := addrs[l]+off, mem
+			if local {
+				win = mem[l*per:][:per]
 			}
-			return e.storeSpace(w, l, space, e.laneAddr(w, l, a0), size, v)
-		})
+			b, ok := span(win, lo, a, uint64(size))
+			switch {
+			case !ok:
+				return fmt.Errorf("lane %d: %v", l, e.outOfBounds(w, space, a, size))
+			case store:
+				storeLE(b, size, vals[l])
+			case signed:
+				vals[l] = uint64(signExt(loadLE(b, size), size))
+			default:
+				vals[l] = loadLE(b, size)
+			}
+		}
+		return nil
 	}
 }
 

@@ -170,6 +170,13 @@ func TestSharedSpaceBlockPrivate(t *testing.T) {
 
 // --- Theorem 1 (empirical): detector verdict == definition verdict ----
 
+// PageBytes is the detector's shadow page; stridedBase sits a few words
+// below a page line, so strided records cross it.
+const (
+	PageBytes   = 1 << 16
+	stridedBase = 3*PageBytes - 16
+)
+
 // genStream mirrors the well-formed random stream generator used in the
 // core tests. With subword set, accesses to the location shared across
 // warps are 1, 2 or 4 bytes wide at any offset inside (or straddling the
@@ -204,6 +211,22 @@ func genStream(r *rand.Rand, n int, subword bool) []*logging.Record {
 					for lane := range rec.Addrs {
 						rec.Addrs[lane] = 0x100 + uint64(r.Intn(4))
 					}
+				}
+				out = append(out, rec)
+			} else if r.Intn(3) == 0 {
+				// Strided words over a region all four warps share, at a
+				// stride of a word, of a cache line, or of half a shadow
+				// page, so the walk's runs end at a page line; mostly
+				// reads, and a base that moves by words, so the warps'
+				// lanes overlap only in part.
+				if r.Intn(3) != 0 {
+					kind = trace.OpRead
+				}
+				stride := []uint64{4, 64, PageBytes / 2}[r.Intn(3)]
+				rec := mkRec(kind, w, cur, 0, uint32(60+r.Intn(10)))
+				base := stridedBase + 4*uint64(r.Intn(4))
+				for lane := range rec.Addrs {
+					rec.Addrs[lane] = base + uint64(lane)*stride
 				}
 				out = append(out, rec)
 			} else {
@@ -267,6 +290,7 @@ func onesCount(m uint32) int {
 func TestTheorem1Agreement(t *testing.T) {
 	for _, subword := range []bool{false, true} {
 		agreeRacy, agreeClean := 0, 0
+		stridedRacy, stridedClean := 0, 0 // seeds whose shared strided records race, and do not
 		var refined uint64
 		for seed := int64(0); seed < 60; seed++ {
 			r := rand.New(rand.NewSource(seed))
@@ -290,6 +314,12 @@ func TestTheorem1Agreement(t *testing.T) {
 			} else {
 				agreeClean++
 			}
+			switch strided, raced := hasStrided(stream), stridedRace(ref.Races()); {
+			case strided && raced:
+				stridedRacy++
+			case strided:
+				stridedClean++
+			}
 			refined += rep.Shadow.Refinements
 		}
 		// The generator must exercise both verdicts for the test to mean
@@ -297,8 +327,33 @@ func TestTheorem1Agreement(t *testing.T) {
 		if agreeRacy == 0 || agreeClean == 0 {
 			t.Fatalf("subword=%v: degenerate coverage: racy=%d clean=%d", subword, agreeRacy, agreeClean)
 		}
+		t.Logf("subword=%v: %d racy and %d clean streams; shared strided records raced in %d, not in %d", subword, agreeRacy, agreeClean, stridedRacy, stridedClean)
+		if stridedRacy == 0 || stridedClean == 0 {
+			t.Fatalf("subword=%v: shared strided records raced in %d seeds and not in %d: want both", subword, stridedRacy, stridedClean)
+		}
 		if subword != (refined > 0) {
 			t.Fatalf("subword=%v: %d shadow refinements", subword, refined)
 		}
 	}
+}
+
+// hasStrided reports whether a stream holds a strided record over the
+// region the warps share.
+func hasStrided(stream []*logging.Record) bool {
+	for _, rc := range stream {
+		if rc.PC >= 60 && rc.PC < 70 {
+			return true
+		}
+	}
+	return false
+}
+
+// stridedRace reports whether a race is on the shared strided region.
+func stridedRace(races []Race) bool {
+	for _, rc := range races {
+		if rc.Addr >= stridedBase && rc.Addr < stridedBase+4*PageBytes {
+			return true
+		}
+	}
+	return false
 }

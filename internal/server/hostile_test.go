@@ -41,10 +41,12 @@ func jobDigest(t *testing.T, info JobInfo) string {
 }
 
 // TestMalformedPTXFailsJobNotWorker: the three under-arity kernels that
-// used to panic a scheduler worker (and with it the daemon), and a
-// register declaration that used to cost the worker minutes and
-// gigabytes, now fail their own job with the loader's error, and the
-// single worker goes on to produce the right report for the next job.
+// used to panic a scheduler worker (and with it the daemon), a register
+// declaration that used to cost the worker minutes and gigabytes, and a
+// load from an address whose bounds check used to wrap past 2^64 and
+// panic, now fail their own job with the loader's or the launch's error,
+// and the single worker goes on to produce the right report for the next
+// job.
 func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 	sched := NewScheduler(SchedulerOptions{Workers: 1})
 	defer sched.Stop()
@@ -55,6 +57,7 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 		{tidMov, "add.u32 %r1, %r2;", "open: gpusim: k line 6: add:"},
 		{tidMov, "atom.global.add.u32 %r2, [%rd1];", "open: gpusim: k line 6: atom:"},
 		{".reg .u32 %r<4>;", ".reg .u32 %r<2000000000>;", "open: gpusim: k: 2000000000 registers declared, limit 65536"},
+		{"ld.param.u64 %rd1, [out];", "mov.u64 %rd1, 0xFFFFFFFFFFFFFFFE;\n\tld.global.u32 %r2, [%rd1];", "gpusim: kernel k: pc 2 (line 6): lane 0: gpusim: global access [0xfffffffffffffffe,+4) out of bounds"},
 	} {
 		src := strings.Replace(racySrc, tc.line, tc.hostile, 1)
 		bad, err := sched.Submit(JobRequest{PTX: src, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}})
@@ -64,7 +67,7 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 		<-bad.Done()
 		info := bad.Info()
 		if info.Status != StatusFailed || !strings.HasPrefix(info.Error, tc.err) {
-			t.Fatalf("%s: status %q, error %q; want failed with the loader's error", tc.hostile, info.Status, info.Error)
+			t.Fatalf("%s: status %q, error %q; want failed with %q", tc.hostile, info.Status, info.Error, tc.err)
 		}
 		next, err := sched.Submit(JobRequest{PTX: racySrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}})
 		if err != nil {

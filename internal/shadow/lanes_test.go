@@ -78,7 +78,7 @@ func regionState(reg *Region) string {
 	st, id := reg.Owner()
 	lw, lm, om := reg.OwnerClocks()
 	out := fmt.Sprintf("gran %d cells %d touched %v owner %v/%d %d/%d/%d sums %+v\n",
-		reg.gran, len(reg.cells), reg.touched, st, id, lw, lm, om, reg.sums)
+		reg.Gran(), len(reg.cells), reg.touched, st, id, lw, lm, om, reg.sums)
 	for i := range reg.cells {
 		c := &reg.cells[i]
 		if rd := reg.Readers(i); *c != (Cell{}) || rd != nil {
@@ -111,6 +111,7 @@ func memoryState(m *Memory) map[string]string {
 // accounting on a twin Memory, over random records that cover every
 // shape the walk distinguishes.
 func TestVisitLanesEquivalence(t *testing.T) {
+	t.Run("prologues", testRunPrologues)
 	const (
 		window  = 1 << 20 // global addresses start here, so negative strides stay positive
 		shBytes = 256
@@ -119,7 +120,7 @@ func TestVisitLanesEquivalence(t *testing.T) {
 	sizes := []int{1, 2, 4, 8, 16}
 	strides := []int64{0, 1, 2, 3, 4, -4, 8, -8, 12, 640, -640, 2048, PageBytes / 16, PageBytes / 8, -PageBytes / 8, PageBytes - 4}
 	var pagesHit [4]int // records whose lanes landed in 1, 2, 3 pages
-	var clamps, midRefines, demotions, pageCrossers, inflations int
+	var clamps, midRefines, demotions, pageCrossers, inflations, runs, walkedLanes int
 
 	for _, cfg := range []struct {
 		gran  int
@@ -178,6 +179,7 @@ func TestVisitLanesEquivalence(t *testing.T) {
 			if space == logging.SpaceGlobal {
 				pagesHit[min(len(pages), 3)]++
 			}
+			walkedLanes += len(lanes)
 
 			// Now and then, the same summary over the same live cells of
 			// both memories, for the walk to demote.
@@ -190,7 +192,7 @@ func TestVisitLanesEquivalence(t *testing.T) {
 					at = (at + lo) % len(reg.cells) // near the record's first cell
 					hi := min(at+n, len(reg.cells))
 					reg.demoteOverlapping(m, at, hi)
-					reg.Install(SpanSum{Lo: at, Hi: hi, W: SpanLayer{Warp: 1, Mask: ^uint32(0), Clock: vc.Clock(rec + 1), PC: 7, Size: uint8(reg.gran)}})
+					reg.Install(SpanSum{Lo: at, Hi: hi, W: SpanLayer{Warp: 1, Mask: ^uint32(0), Clock: vc.Clock(rec + 1), PC: 7, Size: uint8(reg.Gran())}})
 					reg.Unlock()
 				}
 			}
@@ -214,7 +216,11 @@ func TestVisitLanesEquivalence(t *testing.T) {
 			}
 			var got, want []laneVisit
 			sums := sumCount(walk)
-			walk.VisitLanes(&scWalk, space, blk, lanes, size, visitor(walk, &got))
+			fn := visitor(walk, &got)
+			walk.VisitLanes(&scWalk, space, blk, lanes, size, func(run *Run) {
+				runs++
+				run.Each(func(lane, idx int) { fn(lane, run.Reg, idx, run.Weight) })
+			})
 			if sumCount(walk) < sums {
 				demotions++
 			}
@@ -252,9 +258,60 @@ func TestVisitLanesEquivalence(t *testing.T) {
 			t.Errorf("%+v: the bounded run evicted nothing", cfg)
 		}
 	}
-	t.Logf("records by pages touched %v, page-crossing lanes %d, clamp visits %d, mid-record refinements %d, walks that demoted a summary %d, read inflations %d",
-		pagesHit, pageCrossers, clamps, midRefines, demotions, inflations)
+	t.Logf("records by pages touched %v, page-crossing lanes %d, clamp visits %d, mid-record refinements %d, walks that demoted a summary %d, read inflations %d, %d runs for %d lanes",
+		pagesHit, pageCrossers, clamps, midRefines, demotions, inflations, runs, walkedLanes)
+	if 3*runs > walkedLanes {
+		t.Errorf("%d runs for %d lanes: the walk splits runs that one prologue covers", runs, walkedLanes)
+	}
 	if pagesHit[1] == 0 || pagesHit[2] == 0 || pagesHit[3] == 0 || pageCrossers == 0 || clamps == 0 || midRefines == 0 || demotions == 0 || inflations == 0 {
 		t.Error("the generator missed one of the shapes above")
+	}
+}
+
+// testRunPrologues counts the runs — one prologue each — a 32-lane word
+// record at a 64-byte stride is walked in: one while its lanes share a page
+// and need nothing done between them, and one more at each place a walk of
+// one lane at a time does something different.
+func testRunPrologues(t *testing.T) {
+	const base = 1<<20 + 4*PageBytes
+	for _, tc := range []struct {
+		name  string
+		runs  int
+		shape func(lanes []Lane, m *Memory)
+	}{
+		{"one page", 1, func([]Lane, *Memory) {}},
+		{"a page change", 2, func(lanes []Lane, _ *Memory) {
+			for i := range lanes[16:] {
+				lanes[16+i].Addr += PageBytes
+			}
+		}},
+		{"a lane crossing a page", 2, func(lanes []Lane, _ *Memory) {
+			for i := range lanes[16:] {
+				lanes[16+i].Addr += PageBytes - 64*16 - 4 // lane 16 straddles the page line
+			}
+		}},
+		{"a lane that refines", 2, func(lanes []Lane, _ *Memory) { lanes[10].Addr |= 1 }},
+		{"a lane over a summary", 2, func(lanes []Lane, m *Memory) {
+			reg, off := m.RegionFor(nil, logging.SpaceGlobal, -1, lanes[20].Addr)
+			reg.Lock()
+			at, _ := reg.CellRange(off, 1)
+			reg.Install(SpanSum{Lo: at, Hi: at + 1, W: SpanLayer{Warp: 1, Mask: 1, Clock: 1, PC: 7, Size: 4}})
+			reg.Unlock()
+		}},
+	} {
+		m := New(1, 0, spanTestGeo())
+		lanes := make([]Lane, 32)
+		for i := range lanes {
+			lanes[i] = Lane{Index: i, Addr: base + uint64(64*i)}
+		}
+		tc.shape(lanes, m)
+		runs, visits := 0, 0
+		m.VisitLanes(nil, logging.SpaceGlobal, -1, lanes, 4, func(run *Run) {
+			runs++
+			run.Each(func(int, int) { visits++ })
+		})
+		if runs != tc.runs || visits < 32 {
+			t.Errorf("%s: %d runs and %d visits, want %d runs and 32 visits or more", tc.name, runs, visits, tc.runs)
+		}
 	}
 }

@@ -338,7 +338,7 @@ func (m *Memory) release(r *Region) int64 {
 	n := r.RegionBytes()
 	m.gen.Add(1)
 	m.resident.Add(-n)
-	if r.gran != m.granularity {
+	if r.shift != m.shift {
 		m.wordRegions.Add(-1)
 	}
 	return n

@@ -225,7 +225,6 @@ func TestRegionGranulePerMode(t *testing.T) {
 		{2, 4, PageBytes / 4, 2},
 		{4, 4, PageBytes / 4, 1},
 		{8, 8, PageBytes / 8, 1},
-		{3, 3, PageBytes / 3, 1}, // does not divide the word (core-level callers only)
 	} {
 		m := New(tc.gran, 0, spanTestGeo())
 		r := globalRegion(m, 0)
@@ -245,6 +244,25 @@ func TestRegionGranulePerMode(t *testing.T) {
 		if got := m.Stats().Refinements; got != want {
 			t.Errorf("granularity %d: %d refinements, want %d", tc.gran, got, want)
 		}
+	}
+}
+
+// TestNewRejectsNonPowerOfTwo: cell indices are shifts, so a granularity
+// that is not a power of two has no shadow. detector.Validate refuses one
+// with an error; New, which core.New reaches without it, panics.
+func TestNewRejectsNonPowerOfTwo(t *testing.T) {
+	for _, gran := range []int{3, 6, 12, 1<<16 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, …) built a shadow", gran)
+				}
+			}()
+			New(gran, 0, spanTestGeo())
+		}()
+	}
+	for _, gran := range []int{0, 1, 2, 4, 8, 1 << 16} {
+		New(gran, 0, spanTestGeo())
 	}
 }
 

@@ -26,7 +26,9 @@
 package shadow
 
 import (
+	"fmt"
 	"maps"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -109,7 +111,10 @@ const PageBytes = 1 << pageBits
 
 // wordGranule is the granule regions start at: one cell per aligned
 // 4-byte word, the access size of nearly all CUDA code (§4.3.3).
-const wordGranule = 4
+const (
+	wordGranule = 1 << wordShift
+	wordShift   = 2
+)
 
 // WordShaped reports whether the size-byte access at addr is made of
 // whole aligned words — the only kind of access a word-granular region
@@ -187,9 +192,9 @@ func resolve[K comparable, M ~map[K]*Region](m *Memory, tab *atomic.Pointer[M], 
 // Memory is the shadow of one device: a striped page table for global
 // memory plus per-block shared-memory shadows.
 type Memory struct {
-	// granularity is the configured bytes per cell: the finest granule,
-	// the one a word-granular region refines to.
-	granularity int
+	// shift is the configured granule, 1<<shift bytes per cell: the
+	// finest, the one a word-granular region refines to.
+	shift uint
 
 	stripes [pageStripes]stripe
 
@@ -248,46 +253,43 @@ type Key struct {
 }
 
 // New creates a shadow memory. granularity is the finest bytes covered
-// per cell (1 for full generality; 4 and above trade precision for
-// speed); sharedBytes is the per-block shared-memory size to preallocate;
-// geo is the launch geometry summaries are materialized with.
+// per cell, a power of two (1 for full generality; 4 and above trade
+// precision for speed) — cell indices are shifts, and New panics on any
+// other granularity, which detector.Validate rejects as an error;
+// sharedBytes is the per-block shared-memory size to preallocate; geo is
+// the launch geometry summaries are materialized with.
 func New(granularity int, sharedBytes int64, geo ptvc.Geometry) *Memory {
 	if granularity < 1 {
 		granularity = 1
 	}
+	if granularity&(granularity-1) != 0 {
+		panic(fmt.Sprintf("shadow: granularity %d is not a power of two", granularity))
+	}
 	return &Memory{
-		granularity: granularity,
-		shSize:      sharedBytes,
-		geo:         geo,
-		syncs:       make(map[Key]*SyncLoc),
+		shift:  uint(bits.TrailingZeros(uint(granularity))),
+		shSize: sharedBytes,
+		geo:    geo,
+		syncs:  make(map[Key]*SyncLoc),
 	}
 }
 
 // Granularity returns the configured (finest) bytes covered per cell. A
 // region may currently be coarser; see Region.Gran.
-func (m *Memory) Granularity() int { return m.granularity }
+func (m *Memory) Granularity() int { return 1 << m.shift }
 
-// allocGranule returns the granule new regions start at: the word, when
-// the configured granule divides it; the configured granule otherwise.
-func (m *Memory) allocGranule() int {
-	if m.granularity < wordGranule && wordGranule%m.granularity == 0 {
-		return wordGranule
-	}
-	return m.granularity
-}
-
-// newRegion builds a region covering bytes bytes of device memory. A
-// shared slab (clamp set) carries one extra cell at the configured
-// granule, the one out-of-slab addresses clamp to; at the word granule it
-// holds whole in-slab words only, and anything past them refines it.
+// newRegion builds a region covering bytes bytes of device memory, at
+// the word granule when the configured one is finer. A shared slab (clamp
+// set) carries one extra cell at the configured granule, the one
+// out-of-slab addresses clamp to; at the word granule it holds whole
+// in-slab words only, and anything past them refines it.
 func (m *Memory) newRegion(bytes int64, clamp bool) *Region {
-	r := &Region{gran: m.granularity, fineCells: int(bytes / int64(m.granularity))}
+	r := &Region{shift: m.shift, fineCells: int(bytes >> m.shift)}
 	if clamp {
 		r.fineCells++
 	}
 	n := r.fineCells
-	if g := m.allocGranule(); g != r.gran && bytes >= int64(g) {
-		r.gran, n = g, int(bytes/int64(g))
+	if m.shift < wordShift && bytes >= wordGranule {
+		r.shift, n = wordShift, int(bytes>>wordShift)
 	}
 	m.makeRoom(int64(n) * cellBytes)
 	if !clamp && n == slabCells {
@@ -301,7 +303,7 @@ func (m *Memory) newRegion(bytes int64, clamp bool) *Region {
 // publish accounts a region that won its allocation race.
 func (m *Memory) publish(r *Region) {
 	m.addResident(r.RegionBytes())
-	if r.gran != m.granularity {
+	if r.shift != m.shift {
 		m.wordRegions.Add(1)
 	}
 }
@@ -326,6 +328,10 @@ type SpanCache struct {
 
 	// sink absorbs VisitLanes' touch-ahead loads.
 	sink vc.Clock
+
+	// run is the walk's scratch: VisitLanes hands it out, its lane list
+	// grown once and reused, so a walk allocates nothing.
+	run Run
 }
 
 // validateCache drops a worker cache whose generation is stale (bounded
@@ -416,38 +422,77 @@ type Lane struct {
 	Addr  uint64
 }
 
-// Span visits every cell covering [addr, addr+size) in (space, block),
-// invoking fn with the cell's region lock held.
-func (m *Memory) Span(space logging.SpaceID, block int32, addr uint64, size int, fn func(r *Region, idx, weight int)) {
-	m.SpanCached(nil, space, block, addr, size, fn)
+// LaneCells is one lane's part of a Run: the cells [Lo, Hi) its bytes in
+// the run's region cover, at the region's granule, unclamped — cell idx is
+// visited as min(idx, Run.Last).
+type LaneCells struct {
+	Lane   int
+	Lo, Hi int
 }
 
-// SpanCached is Span with a worker-private lookup cache (sc may be nil):
-// the one-lane case of VisitLanes.
+// Run is one step of a record's walk (VisitLanes): a region, locked and
+// readied for the lanes, and the consecutive lanes whose bytes in it come
+// next, in walk order. Weight is Memory.Weight of the region (every cell
+// stands for that many configured-granule cells); Last is its last cell,
+// the one out-of-slab shared bytes clamp to. A Run is valid only during the
+// call it is handed to.
+type Run struct {
+	Reg    *Region
+	Lanes  []LaneCells
+	Weight int
+	Last   int
+}
+
+// Each calls fn for every cell visit of the run, in walk order.
+func (run *Run) Each(fn func(lane, idx int)) {
+	for _, lc := range run.Lanes {
+		for idx := lc.Lo; idx < lc.Hi; idx++ {
+			fn(lc.Lane, min(idx, run.Last))
+		}
+	}
+}
+
+// flush hands fn the run over lanes, if it has any, and returns lanes
+// emptied for the next run.
+func (run *Run) flush(lanes []LaneCells, fn func(*Run)) []LaneCells {
+	if len(lanes) > 0 {
+		run.Lanes = lanes
+		fn(run)
+	}
+	return lanes[:0]
+}
+
+// SpanCached visits every cell covering [addr, addr+size) in (space,
+// block), invoking fn with the cell's region lock held: the one-lane case
+// of VisitLanes, with a worker-private lookup cache (sc may be nil).
 func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, addr uint64, size int, fn func(r *Region, idx, weight int)) {
-	m.VisitLanes(sc, space, block, []Lane{{Addr: addr}}, size, func(_ int, r *Region, idx, weight int) { fn(r, idx, weight) })
+	m.VisitLanes(sc, space, block, []Lane{{Addr: addr}}, size, func(run *Run) {
+		run.Each(func(_, idx int) { fn(run.Reg, idx, run.Weight) })
+	})
 }
 
-// VisitLanes visits, lane by lane and in address order within a lane,
-// every cell covering the size bytes each lane accesses in (space, block):
-// fn gets the lane, the cell as (region, index) and its weight, with the
-// region lock held. weight is the number of configured-granule cells the
-// visited cell stands for: 1, except on a word-granular region, where one
-// visit replaces weight visits to cells that provably hold identical
-// metadata. sc is the worker's lookup cache and may be nil.
+// VisitLanes walks every cell covering the size bytes each lane accesses
+// in (space, block), lane by lane and in address order within a lane, and
+// hands them to fn one Run at a time: a region, its lock held, and the
+// consecutive lanes that fall in it. sc is the worker's lookup cache (a nil
+// one costs an allocation).
 //
-// The walk holds one region lock at a time, across all consecutive lanes
-// that fall in that region, and drops it before resolving another page,
-// so that allocation and the evictor's TryLock run with none held. Per
-// lane it does what a one-lane walk does, in the same lane and cell
-// order: refine the region first unless the lane is whole words, demote
-// every summary the lane overlaps before any cell is observed, then
-// visit. Right after taking a lock it loads one word of the first cell of
-// every further lane in that region (the touch-ahead): a strided record's
-// lanes sit a cache line or a page apart, and independent loads overlap
-// the misses that the per-lane sequence takes one after another.
-// DESIGN.md, "One walk per record".
-func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, lanes []Lane, size int, fn func(lane int, r *Region, idx, weight int)) {
+// A run's prologue readies the region before any of its cells is visited:
+// lock it (dropping the one held before, so allocation and the evictor's
+// TryLock run with none held), touch ahead, Fit, demote the summaries the
+// lane overlaps, mark it live, inflate its owner, take its weight. A run
+// ends exactly where a walk of one lane at a time would do something
+// else — at a page change, at a lane that needs refining, at a lane that
+// overlaps a summary — and the rest of the prologue is idempotent, so the
+// visits, their weights, the final state and the reports are those of one
+// walk per lane (TestVisitLanesEquivalence). The touch-ahead loads one word
+// of the first cell of every further lane in the region, so the misses of
+// a strided record's lanes overlap. DESIGN.md, "One walk per record, one
+// prologue per run".
+func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, lanes []Lane, size int, fn func(*Run)) {
+	if sc == nil {
+		sc = new(SpanCache)
+	}
 	if size < 1 {
 		size = 1
 	}
@@ -457,51 +502,63 @@ func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, l
 	if space == logging.SpaceShared {
 		shift = 64
 	}
-	var reg *Region // the one region lock held, with the page it covers
-	var page uint64
+	// What every lane tests stays in locals: the held region, its granule
+	// (gs) and bytes at it (limit), and the run's lanes (out).
+	run := &sc.run
+	out := run.Lanes[:0]
+	var reg *Region
+	var page, limit uint64
+	var gs uint
 	var sink vc.Clock
+	ready := false // the held region's prologue has run for the lane in hand
 	for i, ln := range lanes {
 		whole := WordShaped(ln.Addr, size)
-		end := ln.Addr + uint64(size)
-		for a := ln.Addr; a < end; {
-			stop := min(end, regionEnd(space, a))
+		// A lane whose bytes wrap past 2^64 covers no cell.
+		for a, end := ln.Addr, ln.Addr+uint64(size); a < end; {
+			stop := end
+			if a>>shift != (end-1)>>shift {
+				stop = (a>>pageBits + 1) << pageBits // a's page is not the last: no wrap
+			}
 			if reg == nil || a>>shift != page {
+				out = run.flush(out, fn)
 				if reg != nil {
 					reg.Unlock()
 				}
 				reg, _ = m.RegionFor(sc, space, block, a)
 				page = a >> shift
 				reg.Lock()
-				g, last := uint64(reg.gran), uint64(len(reg.cells)-1)
+				run.Reg, ready = reg, false
+				last := uint64(len(reg.cells) - 1)
 				for _, nx := range lanes[i+1:] {
 					if nx.Addr>>shift != page {
 						break
 					}
-					sink += reg.cells[min(regionOff(space, nx.Addr)/g, last)].W.C
+					sink += reg.cells[min(regionOff(space, nx.Addr)>>reg.shift, last)].W.C
 				}
 			}
-			off, n := regionOff(space, a), int(stop-a)
-			m.Fit(reg, whole, off+uint64(n))
-			lo, hi := reg.CellRange(off, n)
-			// Out-of-slab shared cells clamp to the slab's last cell, one
-			// visit per granule step.
-			last := len(reg.cells) - 1
-			reg.demoteOverlapping(m, min(lo, last), min(hi, last+1))
-			reg.markLive()
-			reg.inflateOwner(m)
-			weight := m.Weight(reg)
-			for idx := lo; idx < hi; idx++ {
-				fn(ln.Index, reg, min(idx, last), weight)
+			off, n := regionOff(space, a), stop-a
+			lo, hi := int(off>>gs), int((off+n-1)>>gs)+1
+			if !ready || gs != m.shift && (!whole || off+n > limit) || len(reg.sums) > 0 && reg.overlaps(lo, hi) {
+				out = run.flush(out, fn)
+				m.Fit(reg, whole, off+n)
+				gs, limit = reg.shift, uint64(len(reg.cells))<<reg.shift
+				lo, hi = int(off>>gs), int((off+n-1)>>gs)+1
+				run.Last = len(reg.cells) - 1
+				reg.demoteOverlapping(m, min(lo, run.Last), min(hi, run.Last+1))
+				reg.markLive()
+				reg.inflateOwner(m)
+				run.Weight, ready = m.Weight(reg), true
 			}
+			out = append(out, LaneCells{Lane: ln.Index, Lo: lo, Hi: hi})
 			a = stop
 		}
 	}
+	run.Lanes = run.flush(out, fn)
 	if reg != nil {
 		reg.Unlock()
+		run.Reg = nil
 	}
-	if sc != nil {
-		sc.sink += sink // keeps the touch-ahead loads alive
-	}
+	sc.sink += sink // keeps the touch-ahead loads alive
 }
 
 // regionOff returns a's byte offset within the region containing it.
@@ -510,14 +567,6 @@ func regionOff(space logging.SpaceID, a uint64) uint64 {
 		return a // one slab per block
 	}
 	return a & (PageBytes - 1)
-}
-
-// regionEnd returns the first address past the region containing a.
-func regionEnd(space logging.SpaceID, a uint64) uint64 {
-	if space == logging.SpaceShared {
-		return ^uint64(0) // one slab per block
-	}
-	return (a>>pageBits + 1) << pageBits
 }
 
 // SyncLoc is the S_x metadata of one synchronization location: a map from

@@ -22,7 +22,7 @@ func TestGlobalCellIdentity(t *testing.T) {
 	if c3 := m.CellFor(logging.SpaceGlobal, -1, 0x10001); c1 != c3 {
 		t.Error("bytes of one word have different cells before any sub-word access")
 	}
-	m.Span(logging.SpaceGlobal, -1, 0x10001, 1, func(*Region, int, int) {})
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 0x10001, 1, func(*Region, int, int) {})
 	c1 = m.CellFor(logging.SpaceGlobal, -1, 0x10000)
 	if c3 := m.CellFor(logging.SpaceGlobal, -1, 0x10001); c1 == c3 {
 		t.Error("adjacent addresses share a cell at 1-byte granularity after refinement")
@@ -73,7 +73,7 @@ func TestPageAllocationOnDemand(t *testing.T) {
 func TestSpanVisitsEachByte(t *testing.T) {
 	m := New(1, 0, spanTestGeo())
 	var visited []*Cell
-	m.Span(logging.SpaceGlobal, -1, 0x10001, 4, func(r *Region, idx, _ int) {
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 0x10001, 4, func(r *Region, idx, _ int) {
 		visited = append(visited, &r.cells[idx])
 	})
 	if len(visited) != 4 {
@@ -92,7 +92,7 @@ func TestSpanGranularityAligned(t *testing.T) {
 	m := New(4, 0, spanTestGeo())
 	count := 0
 	// An unaligned 4-byte access spanning two words visits both cells.
-	m.Span(logging.SpaceGlobal, -1, 0x10002, 4, func(*Region, int, int) { count++ })
+	m.SpanCached(nil, logging.SpaceGlobal, -1, 0x10002, 4, func(*Region, int, int) { count++ })
 	if count != 2 {
 		t.Errorf("span visited %d cells, want 2", count)
 	}

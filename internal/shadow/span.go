@@ -62,11 +62,12 @@ type SpanSum struct {
 type Region struct {
 	cells []Cell
 
-	// gran is the bytes covered per cell. A region starts word-granular
-	// and refine lowers it to the configured granularity, once, under
-	// lock — so cell indices are computed under lock too. fineCells is
-	// the cell count at the configured granularity.
-	gran      int
+	// shift is the granule as a power of two: each cell covers 1<<shift
+	// bytes, so a byte offset's cell is off>>shift. A region starts
+	// word-granular and refine lowers it to the configured granularity,
+	// once, under lock — so cell indices are computed under lock too.
+	// fineCells is the cell count at the configured granularity.
+	shift     uint
 	fineCells int
 
 	// lock is a CAS spinlock (0 free, 1 held) rather than a sync.Mutex:
@@ -137,15 +138,14 @@ func (r *Region) Cells() []Cell { return r.cells }
 
 // Gran returns the bytes each of the region's cells covers right now
 // (callers hold the region lock).
-func (r *Region) Gran() int { return r.gran }
+func (r *Region) Gran() int { return 1 << r.shift }
 
 // CellRange maps the byte range [off, off+n) of the region onto its cell
 // indices [lo, hi) at the current granule, unclamped: hi > len(Cells())
 // means the range runs past the region. Call with the region locked,
 // after Fit.
 func (r *Region) CellRange(off uint64, n int) (lo, hi int) {
-	g := uint64(r.gran)
-	return int(off / g), int((off+uint64(n)-1)/g) + 1
+	return int(off >> r.shift), int((off+uint64(n)-1)>>r.shift) + 1
 }
 
 // Weight returns how many configured-granule cells one cell of the
@@ -153,14 +153,14 @@ func (r *Region) CellRange(off uint64, n int) (lo, hi int) {
 // is word-granular. A race found (or a same-value write filtered) on a
 // word cell is what each of its weight byte cells would have found, so
 // reports and counters scale by it.
-func (m *Memory) Weight(r *Region) int { return r.gran / m.granularity }
+func (m *Memory) Weight(r *Region) int { return 1 << (r.shift - m.shift) }
 
 // Fit readies a locked region for an access whose last byte offset is
 // end-1: a word-granular region stays so only if the access is made of
 // whole aligned words (whole) that all lie inside its word cells;
 // otherwise it is refined to the configured granularity first.
 func (m *Memory) Fit(r *Region, whole bool, end uint64) {
-	if r.gran != m.granularity && (!whole || end > uint64(len(r.cells)*r.gran)) {
+	if r.shift != m.shift && (!whole || end > uint64(len(r.cells))<<r.shift) {
 		m.refine(r)
 	}
 }
@@ -205,7 +205,7 @@ func (m *Memory) refine(r *Region) {
 	}
 	m.addResident(int64(len(cells)-len(r.cells)) * cellBytes)
 	r.cells = cells
-	r.gran = m.granularity
+	r.shift = m.shift
 	m.wordRegions.Add(-1)
 	m.refinements.Add(1)
 }
@@ -239,6 +239,14 @@ func (r *Region) sumRange(lo, hi int) (int, int) {
 	return i, j
 }
 
+// overlaps reports whether a summary overlaps the cells [lo, hi), clamped
+// to the last cell as a visit clamps them.
+func (r *Region) overlaps(lo, hi int) bool {
+	last := len(r.cells) - 1
+	_, ov := r.FindSpan(min(lo, last), min(hi, last+1))
+	return ov
+}
+
 // FindSpan looks up [lo, hi) in the summary list: exact is non-nil when
 // a single summary covers exactly that range; overlap reports whether
 // any summary overlaps it at all.
@@ -258,6 +266,9 @@ func (r *Region) FindSpan(lo, hi int) (exact *SpanSum, overlap bool) {
 func (r *Region) DemoteOverlapping(m *Memory, lo, hi int) { r.demoteOverlapping(m, lo, hi) }
 
 func (r *Region) demoteOverlapping(m *Memory, lo, hi int) {
+	if len(r.sums) == 0 {
+		return
+	}
 	i, j := r.sumRange(lo, hi)
 	if i == j {
 		return
@@ -296,7 +307,7 @@ func LaneAt(mask uint32, rank int) int {
 // (re)written: a missing layer means zero epochs, and no summarized
 // cell ever has an inflated read map. Runs under the region lock.
 func (m *Memory) materialize(reg *Region, s *SpanSum) {
-	gran := reg.gran
+	gran := reg.Gran()
 	for idx := s.Lo; idx < s.Hi; idx++ {
 		c := &reg.cells[idx]
 		off := (idx - s.Lo) * gran
@@ -349,7 +360,7 @@ func (m *Memory) SpanRuns(sc *SpanCache, space logging.SpaceID, block int32, add
 		fn(reg, lo, hi, 0)
 		return true
 	}
-	if PageBytes%uint64(m.granularity) != 0 {
+	if m.shift > pageBits {
 		return false
 	}
 	end := addr + uint64(n)
