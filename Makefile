@@ -132,7 +132,8 @@ bench-e2e-smoke:
 # loops against the generic closure they stand in for, the typed loads and
 # stores against execLane's per-lane oracle, and the hostile inputs that
 # must cost a job an error and never the worker (an address whose last
-# byte wraps past 2^64 among them), under the Go race detector.
+# byte wraps past 2^64 and a launch past CUDA's extents among them), under
+# the Go race detector.
 stress-interp:
 	$(GO) test -race -run 'TestWarpVectorizedEquivalence|TestWarpVectorizedEquivalenceAllWarpSizes' ./internal/bugsuite/
 	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance|TestTypedIntOps|TestTypedLdStMatchGeneric|TestWrappedAddressFaultsLane' ./internal/gpusim/
@@ -192,8 +193,10 @@ stress-failover:
 
 # The producer-filter correctness stress: filtered-vs-unfiltered report
 # equivalence over the 66-program bug suite (sequential and randomized
-# schedules), the benchmark suite, and the record-batch codec fuzz
-# corpus, under the Go race detector where schedules are concurrent.
+# schedules), the loop kernels of internal/detector (a per-thread read the
+# static tier elides, and a broadcast read only its stride-0 record shows),
+# the benchmark suite, and the record-batch codec fuzz corpus, under the Go
+# race detector where schedules are concurrent.
 stress-filter:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestProducerFilter' ./internal/bugsuite/ ./internal/detector/ ./internal/server/
 	$(GO) test -run 'TestFilterBenchmarkEquivalence' ./internal/bench/

@@ -110,8 +110,8 @@ func warpvecCompare(t *testing.T, golden map[string]warpvecResult, tc *Test, ws 
 }
 
 // TestWarpVectorizedEquivalence is the correctness contract of the
-// interpreter (warp-major dispatch + static-uniformity scalarization +
-// pooled launch state): across the full bug suite it must reproduce the
+// interpreter (warp-major dispatch, typed lane loops, pooled launch
+// state): across the full bug suite it must reproduce the
 // recorded per-lane outputs exactly — identical canonical report digests,
 // identical ordered race sets, identical launch-error text and identical
 // Stats counters (warp/thread instructions, records, barriers,
@@ -131,8 +131,8 @@ func TestWarpVectorizedEquivalence(t *testing.T) {
 
 // TestWarpVectorizedEquivalenceAllWarpSizes sweeps every legal warp size
 // on one racy and one barrier-heavy program, covering full masks, partial
-// last warps, and single-digit warps where scalarization broadcasts to
-// almost nobody.
+// last warps, and single-digit warps whose handlers walk only a few
+// lanes.
 func TestWarpVectorizedEquivalenceAllWarpSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warp-size sweep is slow")

@@ -98,6 +98,14 @@ const (
 	BoundMaxRaces    = 1 << 16 // distinct race reports; the default is 1024
 )
 
+// Upper bounds of a launch from outside input. The detector sizes a warp
+// table per launch and FullVC one clock per thread before the first record,
+// so these are checked where a request comes in, like the bounds above.
+const (
+	BoundBlock   = 1024    // threads per block: CUDA's limit
+	BoundThreads = 1 << 20 // grid×block: Table 1's largest launch
+)
+
 // Validate rejects nonsensical configurations. Zero values select
 // defaults (see WithDefaults); values outside [0, bound] are configuration
 // errors, reported descriptively rather than silently clamped so that

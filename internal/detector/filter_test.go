@@ -37,45 +37,65 @@ LOOP:
 	ret;
 }`
 
+// TestProducerFilterSuppressesLoopRepeats: a 64-iteration read-only loop
+// keeps every warp's repeats off the queue, with the report unchanged and
+// the record ledger balanced. In the broadcast kernel every lane reads
+// [in + (4*tid & 0)]: `and` is opaque to the affine analysis, so the static
+// log-once tier leaves the site alone, and only the record — strided, of
+// stride 0 — shows the dynamic cache that the lanes share one address.
 func TestProducerFilterSuppressesLoopRepeats(t *testing.T) {
-	run := func(filter bool) *Result {
-		s := open(t, loopInvariantReadSrc, Config{ProducerFilter: filter})
-		in := s.Dev.MustAlloc(4 * 64)
-		out := s.Dev.MustAlloc(4 * 64)
-		return detect(t, s, "k", gpusim.LaunchConfig{
-			Grid: gpusim.D1(1), Block: gpusim.D1(64), Args: []uint64{in, out},
+	for _, tc := range []struct {
+		name, src string
+		static    bool // the static log-once tier marks the read site
+	}{
+		{"per-thread", loopInvariantReadSrc, true},
+		{"broadcast", strings.Replace(loopInvariantReadSrc, "add.u64 %rd4, %rd1, %rd3;",
+			"and.b64 %rd6, %rd3, 0;\n\tadd.u64 %rd4, %rd1, %rd6;", 1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(filter bool) *Result {
+				s := open(t, tc.src, Config{ProducerFilter: filter})
+				in := s.Dev.MustAlloc(4 * 64)
+				out := s.Dev.MustAlloc(4 * 64)
+				return detect(t, s, "k", gpusim.LaunchConfig{
+					Grid: gpusim.D1(1), Block: gpusim.D1(64), Args: []uint64{in, out},
+				})
+			}
+			base := run(false)
+			filt := run(true)
+			if base.Report.HasRaces() || filt.Report.HasRaces() {
+				t.Fatalf("race-free kernel reported races: base=%d filtered=%d",
+					base.Report.RaceCount(), filt.Report.RaceCount())
+			}
+			if bd, fd := base.Report.CanonicalDigest(), filt.Report.CanonicalDigest(); bd != fd {
+				t.Errorf("digest diverged:\n--- baseline ---\n%s--- filtered ---\n%s", bd, fd)
+			}
+			f := filt.SimStats.Filter
+			if f.Suppressed() == 0 {
+				t.Fatal("filter suppressed nothing on a loop-invariant read kernel")
+			}
+			if tc.static && f.StaticElides == 0 {
+				t.Error("static log-once tier never fired; loop-invariant site not marked or not hit")
+			}
+			if !tc.static && (f.StaticElides != 0 || f.Hits == 0) {
+				t.Errorf("broadcast site: %d static elides, %d cache hits; want 0 and > 0", f.StaticElides, f.Hits)
+			}
+			// 2 warps x 63 redundant loop iterations is the ceiling; the filter
+			// should get most of them (the first iteration per warp must emit).
+			if f.Suppressed() < 100 {
+				t.Errorf("suppressed only %d records, want >= 100 (64-iteration loop, 2 warps)", f.Suppressed())
+			}
+			if filt.SimStats.Records >= base.SimStats.Records {
+				t.Errorf("filtered run emitted %d records, baseline %d: nothing kept off the queue",
+					filt.SimStats.Records, base.SimStats.Records)
+			}
+			if want := base.SimStats.Records - f.Suppressed() + f.Flushes; filt.SimStats.Records != want {
+				t.Errorf("record ledger unbalanced: emitted %d, want %d", filt.SimStats.Records, want)
+			}
+			if bf := base.SimStats.Filter; (gpusim.FilterStats{}) != bf {
+				t.Errorf("baseline counted filter activity: %+v", bf)
+			}
 		})
-	}
-	base := run(false)
-	filt := run(true)
-	if base.Report.HasRaces() || filt.Report.HasRaces() {
-		t.Fatalf("race-free kernel reported races: base=%d filtered=%d",
-			base.Report.RaceCount(), filt.Report.RaceCount())
-	}
-	if bd, fd := base.Report.CanonicalDigest(), filt.Report.CanonicalDigest(); bd != fd {
-		t.Errorf("digest diverged:\n--- baseline ---\n%s--- filtered ---\n%s", bd, fd)
-	}
-	f := filt.SimStats.Filter
-	if f.Suppressed() == 0 {
-		t.Fatal("filter suppressed nothing on a loop-invariant read kernel")
-	}
-	if f.StaticElides == 0 {
-		t.Error("static log-once tier never fired; loop-invariant site not marked or not hit")
-	}
-	// 2 warps x 63 redundant loop iterations is the ceiling; the filter
-	// should get most of them (the first iteration per warp must emit).
-	if f.Suppressed() < 100 {
-		t.Errorf("suppressed only %d records, want >= 100 (64-iteration loop, 2 warps)", f.Suppressed())
-	}
-	if filt.SimStats.Records >= base.SimStats.Records {
-		t.Errorf("filtered run emitted %d records, baseline %d: nothing kept off the queue",
-			filt.SimStats.Records, base.SimStats.Records)
-	}
-	if want := base.SimStats.Records - f.Suppressed() + f.Flushes; filt.SimStats.Records != want {
-		t.Errorf("record ledger unbalanced: emitted %d, want %d", filt.SimStats.Records, want)
-	}
-	if bf := base.SimStats.Filter; (gpusim.FilterStats{}) != bf {
-		t.Errorf("baseline counted filter activity: %+v", bf)
 	}
 }
 

@@ -27,9 +27,8 @@ func benchModule(b *testing.B, src string) (*Device, *Module) {
 	return d, mod
 }
 
-// stepSrc is a compute loop: a uniform trip count with tid-varying
-// arithmetic in the body, so it exercises both the scalarized (counter,
-// compare, branch) and vectorized (body) warp paths.
+// stepSrc is a compute loop: a trip count every lane shares (counter,
+// compare, branch) around tid-varying arithmetic in the body.
 const stepSrc = `.visible .entry k(.param .u64 out, .param .u32 n)
 {
 	.reg .u32 %r<10>;

@@ -176,9 +176,9 @@ func (e *engine) execLogFiltered(w *warpState, ci *cInstr, exec uint32) error {
 		rec.Seq = e.syncSeq
 	}
 	e.fillLog(w, ci, exec, rec)
-	// A statically uniform site that is not a single (coalesced) lane is a
-	// broadcast: every lane accesses the first lane's address.
-	bcast := ci.uniform && !rec.Coalesced()
+	// A stride-0 record is a broadcast: every lane accesses the first
+	// lane's address. (A single lane is coalesced, never strided.)
+	bcast := rec.Flags&logging.FlagStrided != 0 && rec.Stride == 0
 	if rec.Op == trace.OpAtom {
 		// Atomics mutate cells, clear reader sets, and (per the interval
 		// contract) count as sync edges: never suppressed, always bump.

@@ -323,8 +323,8 @@ func (g *shapeGen) body(n int) []string {
 }
 
 // shapeKernel wraps a body in the prologue that seeds every register from
-// the tid (some with warp-uniform values, so uniform instructions occur)
-// and the epilogue that stores every register to the thread's slot. With
+// the tid (some with values every lane shares, so broadcasts occur) and
+// the epilogue that stores every register to the thread's slot. With
 // split, the odd and the even threads run the body on the two sides of a
 // divergent branch: every handler executes under masks 0x55555555 and
 // 0xaaaaaaaa instead of the whole warp.
@@ -474,7 +474,6 @@ func TestWarpShapeInvariance(t *testing.T) {
 		kernels = 40
 	}
 	g := &shapeGen{families: make(map[string]int)}
-	uniform := map[bool]int{} // statically uniform instructions, by "writes a predicate"
 	for seed := 0; seed < kernels; seed++ {
 		g.Rand = rand.New(rand.NewSource(int64(seed)))
 		body := g.body(30)
@@ -522,21 +521,6 @@ func TestWarpShapeInvariance(t *testing.T) {
 				}
 			}
 		}
-
-		d := NewDevice(0)
-		mod, err := d.LoadModule(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, err := mod.compile(mod.kernels["k"])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range code {
-			if code[i].uniform {
-				uniform[code[i].dst.isPred]++
-			}
-		}
 	}
 	if testing.Short() {
 		return
@@ -548,8 +532,5 @@ func TestWarpShapeInvariance(t *testing.T) {
 	}
 	if len(g.families) != len(shapeFamilies) {
 		t.Errorf("draw names families shapeFamilies does not list: %v", g.families)
-	}
-	if uniform[false] == 0 || uniform[true] == 0 {
-		t.Errorf("no statically uniform instruction to broadcast a register and a predicate: %v", uniform)
 	}
 }

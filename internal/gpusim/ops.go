@@ -7,7 +7,6 @@ import (
 
 	"barracuda/internal/logging"
 	"barracuda/internal/ptx"
-	"barracuda/internal/staticanalysis"
 	"barracuda/internal/trace"
 )
 
@@ -50,9 +49,7 @@ type cInstr struct {
 	target   int // branch target pc
 	rpc      int // precomputed reconvergence pc for conditional branches
 
-	// Warp-major execution (selected once at compile time).
-	fn      warpHandler // per-opcode warp-level handler
-	uniform bool        // all inputs warp-uniform: execute once, broadcast
+	fn warpHandler // per-opcode warp-level handler, selected once at compile time
 
 	// _log record header, precomputed so execLog only fills the
 	// launch-dependent fields (warp, block, mask, addresses, values).
@@ -114,18 +111,13 @@ func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 		}
 		code[i] = ci
 	}
-	// Warp-major lowering: pick the per-opcode handler, thread the static
-	// warp-uniformity facts in for scalarization, and precompute _log
+	// Warp-major lowering: pick the per-opcode handler and precompute _log
 	// record templates. All cached with the compiled code.
-	uni := staticanalysis.ComputeUniformity(lk.cfg)
 	nOnce := 0
 	imms := immRows{}
 	for i := range code {
 		ci := &code[i]
 		ci.fn = selectHandler(ci, imms)
-		if scalarizableOp(ci) {
-			ci.uniform = uni.InputsUniform(i)
-		}
 		if ci.op == ptx.OpLog {
 			prepLog(ci)
 			if ci.in.LogOnce && !ci.logSkip && !ci.logBar && !ci.logSync {
@@ -418,11 +410,7 @@ func (e *engine) stepWarp(w *warpState) error {
 	}
 
 	if exec != 0 {
-		if ci.uniform {
-			if err := e.execUniform(w, ci, exec); err != nil {
-				return e.execError(pc, "%v", err)
-			}
-		} else if err := ci.fn(e, w, ci, exec); err != nil {
+		if err := ci.fn(e, w, ci, exec); err != nil {
 			return e.execError(pc, "%v", err)
 		}
 	}
@@ -485,8 +473,7 @@ func (e *engine) logHeader(w *warpState, ci *cInstr, exec uint32) *logging.Recor
 // fillLog computes the active lanes' addresses and stored values into rec
 // and, in the loop that fills Addrs, recognises the compact form they
 // follow — what logging.Record.Classify would find in the filled record.
-// When the site's address inputs are warp-uniform the address is computed
-// once and broadcast: a stride-0 record.
+// Lanes that share one address make a strided record of stride 0.
 func (e *engine) fillLog(w *warpState, ci *cInstr, exec uint32, rec *logging.Record) {
 	a0 := &ci.args[0]
 	first := bits.TrailingZeros32(exec)
@@ -495,23 +482,18 @@ func (e *engine) fillLog(w *warpState, ci *cInstr, exec uint32, rec *logging.Rec
 	// (base + rank*Size) and the strided (base + lanes*stride) form.
 	var stride int64
 	var ragged, bent uint64
-	if ci.uniform {
-		w.splat(rec.Addrs[:], exec, base)
-		ragged = uint64(exec & (exec - 1)) // coalesced only when alone
-	} else {
-		if rest := exec & (exec - 1); rest != 0 {
-			second := bits.TrailingZeros32(rest)
-			stride = int64(e.laneAddr(w, second, a0)-base) / int64(second-first)
-		}
-		next, size := base, uint64(rec.Size)
-		w.each(exec, func(lane int) {
-			a := e.laneAddr(w, lane, a0)
-			rec.Addrs[lane] = a
-			ragged |= a ^ next
-			next += size
-			bent |= a ^ (base + uint64(int64(lane-first)*stride))
-		})
+	if rest := exec & (exec - 1); rest != 0 {
+		second := bits.TrailingZeros32(rest)
+		stride = int64(e.laneAddr(w, second, a0)-base) / int64(second-first)
 	}
+	next, size := base, uint64(rec.Size)
+	w.each(exec, func(lane int) {
+		a := e.laneAddr(w, lane, a0)
+		rec.Addrs[lane] = a
+		ragged |= a ^ next
+		next += size
+		bent |= a ^ (base + uint64(int64(lane-first)*stride))
+	})
 	switch {
 	case ci.logSync || rec.Size == 0:
 		// Only plain accesses with a size span shadow cells.
@@ -524,10 +506,6 @@ func (e *engine) fillLog(w *warpState, ci *cInstr, exec uint32, rec *logging.Rec
 		return
 	}
 	a1 := &ci.args[1]
-	if ci.uniform {
-		w.splat(rec.Vals[:], exec, e.val(w, first, a1))
-		return
-	}
 	w.each(exec, func(lane int) { rec.Vals[lane] = e.val(w, lane, a1) })
 }
 

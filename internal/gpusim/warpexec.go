@@ -18,7 +18,7 @@ import (
 // Both warp files are laid out for that loop. A general register is 32
 // lanes in a row (warpState.row), so a handler walks its operands as
 // slices; a predicate register is one lane mask, so guards, branches and
-// broadcasts are mask arithmetic. A handler has two walks over the same
+// setp's merge are mask arithmetic. A handler has two walks over the same
 // per-lane body: a straight loop over lanes 0..w.lanes-1 when the whole
 // warp is active (exec == w.fullMask, which is every instruction of most
 // programs), and a bit-iteration of exec otherwise. A lane's result is a
@@ -74,54 +74,6 @@ func (w *warpState) splat(row []uint64, exec uint32, v uint64) {
 // (vector memory ops, atomics, float neg).
 func execLaneLoop(e *engine, w *warpState, ci *cInstr, exec uint32) error {
 	return w.eachErr(exec, func(lane int) error { return e.execLane(w, ci, lane) })
-}
-
-// execUniform executes a statically warp-uniform instruction once (its
-// handler on a one-lane mask, the first active lane) and broadcasts the
-// destination to the remaining active lanes. Soundness comes from the
-// staticanalysis warp-uniformity facts: every input holds the same value
-// in every lane, and the ops admitted by scalarizableOp are deterministic,
-// so running one lane computes what all lanes would.
-func (e *engine) execUniform(w *warpState, ci *cInstr, exec uint32) error {
-	first := bits.TrailingZeros32(exec)
-	if err := ci.fn(e, w, ci, 1<<uint(first)); err != nil {
-		return err
-	}
-	rest := exec &^ (1 << uint(first))
-	if rest == 0 {
-		return nil
-	}
-	d := ci.dst.reg
-	switch {
-	case !ci.dst.isPred:
-		w.splat(w.row(d), exec, e.reg(w, first, d))
-	case e.pred(w, first, d):
-		w.preds[d] |= rest
-	default:
-		w.preds[d] &^= rest
-	}
-	return nil
-}
-
-// scalarizableOp reports whether an opcode may be executed once per warp
-// when its inputs are warp-uniform: deterministic, side-effect-free on
-// memory (or a load from a single warp-shared location), with a single
-// destination. Stores, atomics and lane-private local memory are excluded.
-// _log is included only so execLog can compute the (uniform) address once;
-// stepWarp routes it before the execUniform dispatch.
-func scalarizableOp(ci *cInstr) bool {
-	switch ci.op {
-	case ptx.OpMov, ptx.OpCvta, ptx.OpCvt, ptx.OpNot, ptx.OpNeg,
-		ptx.OpAdd, ptx.OpSub, ptx.OpMul, ptx.OpMad, ptx.OpDiv, ptx.OpRem,
-		ptx.OpMin, ptx.OpMax, ptx.OpAnd, ptx.OpOr, ptx.OpXor,
-		ptx.OpShl, ptx.OpShr, ptx.OpSetp, ptx.OpSelp:
-		return ci.hasDst
-	case ptx.OpLd:
-		return ci.hasDst && ci.in.Vec <= 1 && ci.in.Space != ptx.SpaceLocal
-	case ptx.OpLog:
-		return true
-	}
-	return false
 }
 
 // fetchFn reads one operand for a lane.

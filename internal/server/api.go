@@ -108,13 +108,23 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 }
 
 // checkLaunch is the launch clause of a job's and a repair's Validate:
-// extents and buffer sizes non-negative, the buffers within the cap.
+// extents and buffer sizes non-negative, the extents within
+// detector.BoundBlock and detector.BoundThreads, the buffers within the cap.
 func checkLaunch(prefix string, grid, block int, buffers []int, maxBufferBytes int64) error {
 	if grid < 0 {
 		return fmt.Errorf("%s: field \"grid\": must be >= 0, got %d", prefix, grid)
 	}
-	if block < 0 {
-		return fmt.Errorf("%s: field \"block\": must be >= 0, got %d", prefix, block)
+	if block < 0 || block > detector.BoundBlock {
+		return fmt.Errorf("%s: field \"block\": must be in [0, %d], got %d", prefix, detector.BoundBlock, block)
+	}
+	// A zero block selects 32 threads for a detection and 64 for a repair:
+	// count the larger.
+	perBlock := block
+	if perBlock == 0 {
+		perBlock = 64
+	}
+	if grid > detector.BoundThreads/perBlock {
+		return fmt.Errorf("%s: field \"grid\": grid×block must be at most %d threads, got %d×%d", prefix, detector.BoundThreads, grid, block)
 	}
 	var total int64
 	for i, b := range buffers {

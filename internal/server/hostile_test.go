@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -83,10 +84,13 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 // TestOversizedConfigRejected: knob values far above detector.Config's
 // bounds — and, inside them, a granularity that does not tile the shadow
 // page and a queue count and capacity whose product is gigabytes of ring —
-// are refused as invalid_argument on both transports before they
-// size a queue ring, a race channel or a shadow page — each of these
-// used to reach make(), or index past a page's cells, and take the
-// process down — and the daemon serves the next job.
+// and launch extents past detector.BoundBlock and detector.BoundThreads
+// are refused as invalid_argument, naming the field, on every transport
+// (POST /jobs, /v1/stream, POST /v1/repair) before they size a queue ring,
+// a race channel, a shadow page or a warp table — each of these used to
+// reach make(), or index past a page's cells, and take the process down
+// (a 67108864×1024 launch asked for a 16 GiB warp table) — and the daemon
+// serves the next job.
 func TestOversizedConfigRejected(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
 	want := racyDigest(t)
@@ -96,25 +100,38 @@ func TestOversizedConfigRejected(t *testing.T) {
 	}
 	const huge = 1 << 50
 	seq := uint64(0)
-	for name, cfg := range map[string]detector.Config{
-		"queues":                           {Queues: huge},
-		"queue_cap":                        {QueueCap: huge},
-		"max_races":                        {MaxRaces: huge},
-		"granularity":                      {Granularity: huge},
-		"granularity (not a power of two)": {Granularity: 3},
+	for _, tc := range []struct {
+		name        string // also what the error must name
+		grid, block int
+		cfg         detector.Config
+	}{
+		{"Queues", 1, 32, detector.Config{Queues: huge}},
+		{"QueueCap", 1, 32, detector.Config{QueueCap: huge}},
+		{"MaxRaces", 1, 32, detector.Config{MaxRaces: huge}},
+		{"Granularity", 1, 32, detector.Config{Granularity: huge}},
+		{"power of two", 1, 32, detector.Config{Granularity: 3}},
 		// Each inside its own bound, 2.19 GiB of ring between them.
-		"queues × queue_cap": {Queues: detector.BoundQueues, QueueCap: detector.BoundQueueCap},
+		{"Queues×QueueCap", 1, 32, detector.Config{Queues: detector.BoundQueues, QueueCap: detector.BoundQueueCap}},
+		{`field "block"`, 1, detector.BoundBlock + 1, detector.Config{}},
+		{`field "grid"`, 67108864, 1024, detector.Config{}},
+		{`field "grid"`, detector.BoundThreads/32 + 1, 32, detector.Config{}},
+		{`field "grid"`, huge, 0, detector.Config{}},
 	} {
-		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Config: cfg})
-		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument {
+		name := fmt.Sprintf("%s (%d×%d)", tc.name, tc.grid, tc.block)
+		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, Config: tc.cfg})
+		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
 			t.Errorf("POST /jobs with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
 		}
+		code, _, errj = postRepair(t, ts, RepairRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, Config: tc.cfg})
+		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
+			t.Errorf("POST /v1/repair with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
+		}
 		seq++
-		if err := c.Launch(wire.LaunchSpec{Seq: seq, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}, Config: cfg}); err != nil {
+		if err := c.Launch(wire.LaunchSpec{Seq: seq, Kernel: "k", Grid: tc.grid, Block: tc.block, Buffers: []int{4}, Config: tc.cfg}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, rejects := collect(t, c, 1)
-		if len(rejects) != 1 || rejects[0].Seq != seq || rejects[0].Code != wire.CodeInvalidArgument {
+		if len(rejects) != 1 || rejects[0].Seq != seq || rejects[0].Code != wire.CodeInvalidArgument || !strings.Contains(rejects[0].Msg, tc.name) {
 			t.Errorf("/v1/stream with bad %s: rejects %+v, want one invalid_argument", name, rejects)
 		}
 	}

@@ -387,162 +387,16 @@ func (a *Affine) AddrKnown(i int) bool {
 	return ok && v.affine
 }
 
-// ---------------------------------------------------------------------------
-// Warp-uniformity analysis.
-//
-// A register is *warp-uniform* at a program point when every populated lane
-// of a warp provably holds the same value there. The simulator uses these
-// facts to execute an instruction once per warp and broadcast the result
-// (scalarization), so the analysis must be sound under divergence:
-//
-//   - A definition is uniform only if all of its inputs are uniform AND the
-//     defining block is not under divergent control. Inside the influence
-//     region of a varying branch only a subset of the warp executes, so even
-//     a "uniform" right-hand side leaves inactive lanes holding stale
-//     values that mix back in at reconvergence.
-//   - A guarded definition additionally requires a uniform guard and a
-//     uniform old value (lanes whose predicate is false keep the old value).
-//   - Joins intersect: a register is uniform at a block entry only if it is
-//     uniform on every reached predecessor. For a *uniform* branch this is
-//     exact — the whole warp took the same path — and for a varying branch
-//     the defs on either path were already demoted by the region rule.
-//
-// The influence region of a varying branch is every block reachable from
-// the branch's successors without passing through its reconvergence block
-// (the immediate post-dominator, matching the simulator's SIMT stack).
-// Region marking and the dataflow solve are iterated to a joint fixed
-// point: demoting registers can make more branch predicates varying, which
-// can only grow the marked set, so the iteration terminates.
-//
-// Loads at a warp-uniform global/shared address are treated as uniform:
-// the simulator executes a warp instruction atomically (no store from
-// another warp can interleave between the lanes' loads), so all lanes
-// observe one value. Local-space loads are lane-private and never uniform;
-// atomics serialize lane RMWs and their destination (the pre-op value) is
-// never uniform. This load rule is specific to the simulator's
-// warp-synchronous execution; clients that need architecture-portable
-// facts must not rely on it.
-
-// uniState maps a register/predicate name to "warp-uniform here". Missing
-// means varying; a present entry is always true.
-type uniState map[string]bool
-
-// uniformSreg classifies special registers: anything that varies across the
-// lanes of one warp is non-uniform. %warpid and %ctaid are constant within
-// a warp even though they vary across warps.
-func uniformSreg(s ptx.Sreg) bool {
-	switch s {
-	case ptx.SregTidX, ptx.SregTidY, ptx.SregTidZ, ptx.SregLaneid:
-		return false
-	}
-	return true
-}
-
-func uniformOperand(st uniState, o ptx.Operand) bool {
-	switch o.Kind {
-	case ptx.OpndImm, ptx.OpndFImm, ptx.OpndSym, ptx.OpndLabel:
-		return true
-	case ptx.OpndSreg:
-		return uniformSreg(o.Sreg)
-	case ptx.OpndReg:
-		return st[o.Reg]
-	case ptx.OpndMem:
-		if o.BaseReg != "" {
-			return st[o.BaseReg]
-		}
-		return true // symbol-based address: one location for the warp
-	}
-	return false
-}
-
-// defUniform reports whether the value an instruction assigns to its
-// destination is warp-uniform, assuming converged control.
-func defUniform(st uniState, in *ptx.Instr) bool {
-	switch in.Op {
-	case ptx.OpAtom, ptx.OpRed:
-		// The destination is the pre-RMW memory value; lanes serialize, so
-		// each observes a different intermediate.
-		return false
-	case ptx.OpLd:
-		if in.Space == ptx.SpaceParam {
-			return true
-		}
-		if in.Space == ptx.SpaceLocal {
-			return false // lane-private backing store
-		}
-		a, ok := in.AddrOperand()
-		return ok && uniformOperand(st, a)
-	}
-	for _, a := range in.Args {
-		if !uniformOperand(st, a) {
-			return false
-		}
-	}
-	return true
-}
-
-// uniStep applies one instruction to a uniformity state. div marks the
-// containing block as being under divergent control.
-func uniStep(st uniState, in *ptx.Instr, div bool) {
-	if in.Op == ptx.OpLd && in.Vec > 1 {
-		// ld.vN defines dst plus the Vec-1 leading args: demote them all.
-		if in.HasDst && in.Dst.Kind == ptx.OpndReg {
-			delete(st, in.Dst.Reg)
-		}
-		for i := 0; i < in.Vec-1 && i < len(in.Args); i++ {
-			if in.Args[i].Kind == ptx.OpndReg {
-				delete(st, in.Args[i].Reg)
-			}
-		}
-		return
-	}
-	if !in.HasDst || in.Dst.Kind != ptx.OpndReg {
-		return
-	}
-	u := !div && defUniform(st, in)
-	if in.Guard != nil {
-		u = u && st[in.Guard.Reg] && st[in.Dst.Reg]
-	}
-	if u {
-		st[in.Dst.Reg] = true
-	} else {
-		delete(st, in.Dst.Reg)
-	}
-}
-
-func uniProblem(c *kernel.CFG, div []bool) Problem[uniState] {
-	return Problem[uniState]{
-		Entry: func() uniState { return uniState{} },
-		Clone: maps.Clone[uniState],
-		Join: func(a, b uniState) uniState {
-			out := make(uniState)
-			for r := range a {
-				if b[r] {
-					out[r] = true
-				}
-			}
-			return out
-		},
-		Transfer: func(b *kernel.Block, in uniState) uniState {
-			st := maps.Clone(in)
-			for i := b.Start; i < b.End; i++ {
-				uniStep(st, c.Instrs[i], div[b.Index])
-			}
-			return st
-		},
-		Equal: maps.Equal[uniState, uniState],
-	}
-}
-
-// markInfluence marks every block reachable from the branch's successors
-// without passing through its reconvergence block. Reports whether any
-// block was newly marked.
-func markInfluence(c *kernel.CFG, bi int, mark []bool) bool {
+// markInfluence marks the influence region of the conditional branch that
+// ends block bi: every block reachable from the branch's successors
+// without passing through its reconvergence block (the immediate
+// post-dominator, matching the simulator's SIMT stack). Under a varying
+// branch only part of the warp runs those blocks.
+func markInfluence(c *kernel.CFG, bi int, mark []bool) {
 	stop := -1
 	if r := c.ReconvergencePC(c.Blocks[bi].End - 1); r < len(c.Instrs) {
 		stop = c.BlockOf[r]
 	}
-	changed := false
 	seen := make([]bool, len(c.Blocks))
 	var stack []int
 	for _, s := range c.Blocks[bi].Succs {
@@ -557,115 +411,13 @@ func markInfluence(c *kernel.CFG, bi int, mark []bool) bool {
 			continue
 		}
 		seen[b] = true
-		if !mark[b] {
-			mark[b] = true
-			changed = true
-		}
+		mark[b] = true
 		for _, s := range c.Blocks[b].Succs {
 			if s < len(c.Blocks) && s != stop && !seen[s] {
 				stack = append(stack, s)
 			}
 		}
 	}
-	return changed
-}
-
-// Uniformity holds per-instruction warp-uniformity facts for one kernel.
-type Uniformity struct {
-	inputs    []bool // instruction index -> all source operands uniform
-	divergent []bool // block index -> under divergent control
-	c         *kernel.CFG
-	res       *FlowResult[uniState]
-}
-
-// InputsUniform reports whether every source operand of instruction i is
-// warp-uniform, i.e. the instruction computes the same result on every
-// active lane and may be executed once per warp with a broadcast store.
-func (u *Uniformity) InputsUniform(i int) bool {
-	return i >= 0 && i < len(u.inputs) && u.inputs[i]
-}
-
-// Divergent reports whether instruction i sits under divergent control
-// (inside the influence region of a varying branch).
-func (u *Uniformity) Divergent(i int) bool {
-	if i < 0 || i >= len(u.c.BlockOf) {
-		return false
-	}
-	return u.divergent[u.c.BlockOf[i]]
-}
-
-// RegUniform reports whether register reg is warp-uniform immediately
-// before instruction i executes.
-func (u *Uniformity) RegUniform(i int, reg string) bool {
-	if i < 0 || i >= len(u.c.BlockOf) {
-		return false
-	}
-	bi := u.c.BlockOf[i]
-	if !u.res.Reached[bi] {
-		return false
-	}
-	st := maps.Clone(u.res.In[bi])
-	for j := u.c.Blocks[bi].Start; j < i; j++ {
-		uniStep(st, u.c.Instrs[j], u.divergent[bi])
-	}
-	return st[reg]
-}
-
-// ComputeUniformity runs the warp-uniformity analysis on one kernel.
-func ComputeUniformity(c *kernel.CFG) *Uniformity {
-	div := make([]bool, len(c.Blocks))
-	var res *FlowResult[uniState]
-	for {
-		res = SolveForward(c, uniProblem(c, div))
-		changed := false
-		for bi, b := range c.Blocks {
-			if !res.Reached[bi] || b.End <= b.Start {
-				continue
-			}
-			last := c.Instrs[b.End-1]
-			if last.Op != ptx.OpBra || last.Guard == nil {
-				continue
-			}
-			st := maps.Clone(res.In[bi])
-			for i := b.Start; i < b.End-1; i++ {
-				uniStep(st, c.Instrs[i], div[bi])
-			}
-			if st[last.Guard.Reg] {
-				continue // whole warp takes the same direction
-			}
-			if markInfluence(c, bi, div) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	u := &Uniformity{
-		inputs:    make([]bool, len(c.Instrs)),
-		divergent: div,
-		c:         c,
-		res:       res,
-	}
-	for bi, b := range c.Blocks {
-		if !res.Reached[bi] {
-			continue
-		}
-		st := maps.Clone(res.In[bi])
-		for i := b.Start; i < b.End; i++ {
-			in := c.Instrs[i]
-			all := true
-			for _, a := range in.Args {
-				if !uniformOperand(st, a) {
-					all = false
-					break
-				}
-			}
-			u.inputs[i] = all
-			uniStep(st, in, div[bi])
-		}
-	}
-	return u
 }
 
 // computeAffine solves the affine problem and records per-instruction
