@@ -222,8 +222,10 @@ stress-fleet:
 
 # The multi-queue stress, with real parallelism and under the Go race
 # detector: the transport's one-producer-per-queue stresses (Queues 1 and
-# 4, two-record rings, every wire form), the round-trip fuzz seeds, the
-# 66-program bug suite at 4 queues vs 1 queue, and the reports at QueueCap
+# 4, two-record rings, every wire form), the park/wake handoff at
+# GOMAXPROCS 4 under the race detector and again at GOMAXPROCS 1, where
+# producer and consumer take turns on one thread, the round-trip fuzz
+# seeds, the 66-program bug suite at 4 queues vs 1 queue, and the reports at QueueCap
 # 1/64/4096 (the ring size moves when the producer blocks, never what is
 # reported), the program whose global write–write pairs change block scope
 # with the queue schedule (core/digest.go) repeated plain and under the race
@@ -232,7 +234,8 @@ stress-fleet:
 # over the same three pages.
 SCOPE_WITNESS := (TestProducerFilterEquivalence|TestCoalescedSpanEquivalence|TestMultiQueueReportEquivalence)/gl-bfs-frontier-racy
 stress-multiqueue:
-	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConcurrentProducers|TestDequeueBatchConcurrentProducers|TestStress|TestQueueBackpressure|TestWorstCaseThroughSmallestRing' ./internal/logging/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConcurrentProducers|TestDequeueBatchConcurrentProducers|TestStress|TestQueueBackpressure|TestWorstCaseThroughSmallestRing|TestPark' ./internal/logging/
+	GOMAXPROCS=1 $(GO) test -count=3 -timeout 60s -run 'TestPark' ./internal/logging/
 	$(GO) test -run 'FuzzQueueRoundTrip|TestQueueRoundTripProperty|TestWrapAtEveryOffset' ./internal/logging/
 	GOMAXPROCS=4 $(GO) test -count=5 -run TestMultiQueueReportEquivalence ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'TestMultiQueueReportEquivalence|TestBackpressureEquivalence' ./internal/bugsuite/

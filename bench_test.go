@@ -171,14 +171,12 @@ func BenchmarkQueueThroughput(b *testing.B) {
 	go func() {
 		defer close(done)
 		buf := make([]logging.Record, 256)
-		var bo logging.Backoff
 		for {
 			n := q.DequeueBatch(buf)
 			if n == 0 {
-				bo.Wait()
+				q.Await()
 				continue
 			}
-			bo.Reset()
 			if buf[n-1].Op == trace.OpEnd {
 				return
 			}

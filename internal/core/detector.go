@@ -592,9 +592,12 @@ func (d *Detector) sameInstruction(g *ptvc.Group, e vc.Epoch, tid vc.TID) bool {
 }
 
 // awaitSyncTurn blocks until every earlier synchronization record has
-// been fully processed (cross-queue sync ordering). The bounded backoff
-// matters at high queue counts: a consumer whose sync record is far down
-// the global order would otherwise burn a core spinning.
+// been fully processed (cross-queue sync ordering). The backoff matters at
+// high queue counts: a consumer whose sync record is far down the global
+// order would otherwise burn a core spinning. Nothing signals the cursor,
+// so once the backoff reaches its sleeps the wait advances in 1 ms steps
+// (see logging.Backoff); with one queue the sync records arrive in Seq
+// order and it never waits.
 func (d *Detector) awaitSyncTurn(r *logging.Record) {
 	if r.Seq == 0 {
 		return

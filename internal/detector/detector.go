@@ -279,8 +279,8 @@ type Result struct {
 	// equally large queue rings (allocated up front) both count.
 	Duration time.Duration
 	// Transport is the queues' census: records and ring bytes enqueued,
-	// how many travelled in each wire form, and how often either side
-	// found the ring full or empty.
+	// how many travelled in each wire form, how often either side found
+	// the ring full or empty, and how often a detector thread parked.
 	Transport logging.Counters
 }
 
@@ -300,8 +300,9 @@ const consumerBatch = 256
 
 // consumeQueue is one detector thread: it drains its queue in batches
 // through a per-goroutine core.Worker (private stats shard, shadow span
-// cache) and backs off exponentially while the queue is idle, stopping
-// at the end-of-stream sentinel.
+// cache) and, while the queue is empty, waits in Queue.Await — polling,
+// then parked until the producer's next commit — stopping at the
+// end-of-stream sentinel.
 func consumeQueue(det *core.Detector, q *logging.Queue, wg *sync.WaitGroup) {
 	defer wg.Done()
 	w := det.NewWorker()
@@ -310,14 +311,12 @@ func consumeQueue(det *core.Detector, q *logging.Queue, wg *sync.WaitGroup) {
 		n = c
 	}
 	buf := make([]logging.Record, n)
-	var bo logging.Backoff
 	for {
 		got := q.DequeueBatch(buf)
 		if got == 0 {
-			bo.Wait()
+			q.Await()
 			continue
 		}
-		bo.Reset()
 		for i := 0; i < got; i++ {
 			if buf[i].Op == trace.OpEnd {
 				return

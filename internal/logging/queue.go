@@ -27,13 +27,14 @@ import (
 	"barracuda/internal/trace"
 )
 
-// Backoff is a bounded exponential spin-wait for the queue's spin loops:
-// a few hot spins (the producer or consumer is usually only nanoseconds
-// away), then cooperative yields, then sleeps that double up to a cap.
-// The cap keeps wake-up latency bounded while letting idle consumers at
-// high queue counts stop burning cores — the paper's many-queue
-// configurations (~1.1–1.5 queues per SM) only pay off if a quiet
-// queue's detector thread costs (almost) nothing.
+// Backoff is a spin-wait for a condition nobody signals: a few hot spins,
+// then cooperative yields, then sleeps that nominally double from 1 µs to
+// 128 µs. Go rounds every timer wait under a millisecond up to a 1 ms
+// epoll_wait, so each sleep takes about 1.07 ms (p50 of 200, next to a
+// busy goroutine, go 1.24 on linux/amd64) and a waiter that reaches the
+// sleeps wakes at most once a millisecond. The queue itself never uses
+// it: both of its sides park on the queue (Await, awaitRoom) and the other
+// side wakes them.
 type Backoff struct {
 	n uint32
 }
@@ -41,8 +42,8 @@ type Backoff struct {
 const (
 	backoffSpins  = 4                // hot spins before yielding
 	backoffYields = 8                // Gosched rounds before sleeping
-	backoffCapExp = 7                // sleep cap: 1µs << 7 = 128µs
-	backoffUnit   = time.Microsecond // first sleep duration
+	backoffCapExp = 7                // nominal sleep cap: 1µs << 7 = 128µs
+	backoffUnit   = time.Microsecond // nominal first sleep
 )
 
 // Wait performs one backoff step.
@@ -99,6 +100,56 @@ type Counters struct {
 	FullWaits                     uint64        // enqueues that found the ring full
 	Blocked                       time.Duration // producer time spent in those waits
 	EmptyPolls                    uint64        // DequeueBatch calls that found nothing
+	Parks                         uint64        // Await calls that ran out of polls and parked
+}
+
+// awaitPolls is how many times a side with nothing to do re-reads the
+// other side's index, yielding between reads, before it parks. Enough to
+// ride out a burst's gap without a futex on either path; few enough that a
+// waiting side gives its core back within a fraction of a millisecond.
+const awaitPolls = 2000
+
+// parking is one side's park/wake handoff. The side with nothing to do
+// stores parked and then re-checks the other side's index; the other side
+// stores its index and then loads parked. Go's atomics are sequentially
+// consistent, so at least one of them sees the other's store and no
+// wake-up is lost. Only the CAS that clears parked sends, so at most one
+// token is ever in flight and the one-slot channel never blocks a sender.
+type parking struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// wait returns once ready, which reads the other side's index, says so.
+// It polls ready awaitPolls times, yielding between polls — at
+// GOMAXPROCS=1 the yield is what lets the other side run — and then parks
+// until unpark, as often as it takes. If ready turns true after the flag
+// is stored but the other side's CAS won, its token is on its way and
+// wait takes it, or the next send would find the slot full. It reports
+// whether it parked.
+func (p *parking) wait(ready func() bool) (parked bool) {
+	for i := 0; i < awaitPolls; i++ {
+		if ready() {
+			return false
+		}
+		runtime.Gosched()
+	}
+	for !ready() {
+		parked = true
+		p.parked.Store(true)
+		if ready() && p.parked.CompareAndSwap(true, false) {
+			break
+		}
+		<-p.wake
+	}
+	return parked
+}
+
+// unpark wakes the other side if it is parked: one atomic load when not.
+func (p *parking) unpark() {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+	}
 }
 
 // Queue is a bounded single-producer single-consumer ring of encoded
@@ -109,6 +160,8 @@ type Counters struct {
 // behind it and publishes it with one release-store of the commit index;
 // the consumer acquire-loads commit, decodes up to it and release-stores
 // the read head, which is what the producer waits on when the ring is full.
+// A side with nothing to do polls the other's index for a while and then
+// parks on the queue; the other side's next index store wakes it.
 //
 // Enqueue writes the header and then only what the header cannot
 // reconstruct: nothing for compact records, the active lanes' addresses
@@ -122,15 +175,18 @@ type Queue struct {
 	// Producer side; virtual indices count words.
 	writeHead atomic.Uint64
 	commit    atomic.Uint64
-	wpos      uint64 // commit mod len(buf)
-	readSeen  uint64 // last read head the producer loaded
+	wpos      uint64  // commit mod len(buf)
+	readSeen  uint64  // last read head the producer loaded
+	consumer  parking // loaded after every commit store
 	prod      Counters
 	wbuf      [maxRecordWords]uint64 // the record being encoded
 
 	// Consumer side (wbuf keeps its stores off the producer's cache lines).
 	readHead atomic.Uint64
-	rpos     uint64 // readHead mod len(buf)
+	rpos     uint64  // readHead mod len(buf)
+	producer parking // loaded after every read-head store
 	polls    uint64
+	parks    uint64
 	rbuf     [maxRecordWords]uint64 // a record that straddles the ring's end
 }
 
@@ -143,7 +199,11 @@ func NewQueue(capacity int) *Queue {
 	for c < capacity {
 		c <<= 1
 	}
-	return &Queue{buf: make([]uint64, c*maxRecordWords), gran: wordGranule}
+	return &Queue{
+		buf: make([]uint64, c*maxRecordWords), gran: wordGranule,
+		consumer: parking{wake: make(chan struct{}, 1)},
+		producer: parking{wake: make(chan struct{}, 1)},
+	}
 }
 
 // Cap returns the number of worst-case records the ring holds.
@@ -237,8 +297,10 @@ func decode(src []uint64, r *Record) {
 	}
 }
 
-// Enqueue appends a record, waiting (with bounded exponential backoff)
-// while the ring has no room for it. One producer goroutine per queue.
+// Enqueue appends a record, waiting while the ring has no room for it,
+// and wakes the consumer if it is parked in Await: every commit, the
+// end-of-stream record's included, is a wake-up. One producer goroutine
+// per queue.
 func (q *Queue) Enqueue(r *Record) {
 	words := q.encode(r)
 	n := uint64(len(q.buf))
@@ -252,29 +314,37 @@ func (q *Queue) Enqueue(r *Record) {
 		q.wpos = uint64(copy(q.buf, q.wbuf[k:words]))
 	}
 	q.commit.Store(head)
+	q.consumer.unpark()
 }
 
-// awaitRoom blocks until the read head has reached need. The backoff
-// matters most at GOMAXPROCS=1, where a hard spin against a descheduled
-// consumer would make progress only through involuntary preemption.
+// awaitRoom blocks until the read head has reached need: polling, then
+// parked until a DequeueBatch moves the read head.
 func (q *Queue) awaitRoom(need uint64) {
 	if q.readSeen = q.readHead.Load(); q.readSeen >= need {
 		return
 	}
 	q.prod.FullWaits++
 	start := time.Now()
-	var bo Backoff
-	for q.readSeen < need {
-		bo.Wait()
-		q.readSeen = q.readHead.Load()
-	}
+	q.producer.wait(func() bool { return q.readHead.Load() >= need })
+	q.readSeen = q.readHead.Load()
 	q.prod.Blocked += time.Since(start)
+}
+
+// Await blocks the consumer until a record is committed past the read
+// head: polling, then parked until the producer's next commit. Call it
+// when DequeueBatch returns 0. One consumer goroutine per queue.
+func (q *Queue) Await() {
+	head := q.readHead.Load()
+	if q.consumer.wait(func() bool { return q.commit.Load() != head }) {
+		q.parks++
+	}
 }
 
 // DequeueBatch decodes up to len(dst) committed records into dst and
 // returns how many (0 when the queue is empty). One call is a single
 // atomic handshake — one commit load and one read-head store — which is
 // what lets a consumer amortize the transport cost over a whole batch.
+// The read-head store wakes the producer if it is parked for room.
 // One consumer goroutine per queue.
 //
 // Everything below the commit index is fully written: the producer
@@ -303,6 +373,7 @@ func (q *Queue) DequeueBatch(dst []Record) int {
 		avail -= words
 	}
 	q.readHead.Store(head)
+	q.producer.unpark()
 	return got
 }
 
@@ -365,6 +436,7 @@ func (s *Set) Counters() Counters {
 		c.FullWaits += q.prod.FullWaits
 		c.Blocked += q.prod.Blocked
 		c.EmptyPolls += q.polls
+		c.Parks += q.parks
 	}
 	return c
 }

@@ -28,17 +28,16 @@ func pending(q *Queue) uint64 {
 func counters(q *Queue) Counters { return (&Set{Queues: []*Queue{q}}).Counters() }
 
 // consume drains q on the calling goroutine until the end-of-stream
-// sentinel, handing every other record to fn.
+// sentinel, handing every other record to fn, and waits in Await when the
+// queue is empty, as a detector thread does.
 func consume(q *Queue, batch int, fn func(r *Record)) {
 	buf := make([]Record, batch)
-	var bo Backoff
 	for {
 		n := q.DequeueBatch(buf)
 		if n == 0 {
-			bo.Wait()
+			q.Await()
 			continue
 		}
-		bo.Reset()
 		for i := 0; i < n; i++ {
 			if buf[i].Op == trace.OpEnd {
 				return
