@@ -132,12 +132,12 @@ bench-e2e-smoke:
 # loops against the generic closure they stand in for, the typed loads and
 # stores against execLane's per-lane oracle, and the hostile inputs that
 # must cost a job an error and never the worker (an address whose last
-# byte wraps past 2^64 and a launch past CUDA's extents among them), under
-# the Go race detector.
+# byte wraps past 2^64, a launch past CUDA's extents and a block of more
+# than 32 warps among them), under the Go race detector.
 stress-interp:
 	$(GO) test -race -run 'TestWarpVectorizedEquivalence|TestWarpVectorizedEquivalenceAllWarpSizes' ./internal/bugsuite/
 	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance|TestTypedIntOps|TestTypedLdStMatchGeneric|TestWrappedAddressFaultsLane' ./internal/gpusim/
-	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError' ./internal/detector/
+	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError|TestBlockWarpBound' ./internal/detector/
 	$(GO) test -race -run 'TestMalformedPTXFailsJobNotWorker|TestOversizedConfigRejected' ./internal/server/
 
 # Coalesced-span vs per-cell report equivalence: the bug suite and the
@@ -148,13 +148,15 @@ stress-span:
 
 # The adaptive-shadow correctness stress: ownership and bounded-shadow
 # equivalence over the 66-program bug suite under the Go race detector
-# (concurrent claim/inflate traffic at 4 queues), the shadow's own
+# (concurrent claim/inflate traffic at 4 queues), the ownership verdict
+# judged against the internal/hb definition, the shadow's own
 # ownership-transition, eviction and slab-compaction tests, and the slab
 # pool: its bound, a recycled slab against a fresh one, use after Release,
 # and takes and releases beside running detections.
 stress-ownership:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestOwnershipEquivalence|TestBoundedShadowEquivalence' ./internal/bugsuite/
-	$(GO) test -race -run 'TestOwnershipTransitions|TestOwnershipProbeConcurrent|TestBoundedEviction|TestValidateCacheGeneration|TestCompactSharedSlab' ./internal/shadow/
+	$(GO) test -race -run 'TestTheorem1Agreement' ./internal/hb/
+	$(GO) test -race -run 'TestOwnershipTransitions|TestBoundedEviction|TestValidateCacheGeneration|TestCompactSharedSlab' ./internal/shadow/
 	$(GO) test -race -count=3 -run 'TestSlabPoolCap|TestSlabTakeClears|TestReleaseThenUseFailsLoudly|TestRecycledSlabIsVirgin|TestSlabPoolConcurrent' ./internal/shadow/
 
 # The per-region-granule correctness stress, one shadow discipline for

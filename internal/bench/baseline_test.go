@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"barracuda/internal/detector"
+	"barracuda/internal/gpusim"
 )
 
 // baselineRun is what the equivalence tests compare a variant against:
@@ -22,6 +23,18 @@ var (
 	baselineMu   sync.Mutex
 	baselineRuns = map[string]*baselineRun{}
 )
+
+// judgedWarpSizes returns the warp sizes a benchmark is judged at: the
+// native one and, in long mode, 5, where partial masks exercise record
+// classification and span demotion — when the block stays within
+// gpusim.MaxBlockWarps warps of 5 lanes (block_reduce's 1 024 threads
+// would be 205, a launch gpusim refuses).
+func judgedWarpSizes(b *Benchmark) []int {
+	if testing.Short() || (b.Block.Count()+4)/5 > gpusim.MaxBlockWarps {
+		return []int{0}
+	}
+	return []int{0, 5}
+}
 
 // defaultBaseline returns the default-configuration run of (b, ws, q),
 // detecting it on first use and sharing it for the rest of the package

@@ -12,19 +12,15 @@ import (
 // record stream, replayed through the multi-queue transport with the
 // per-cell shadow, must produce the same canonical report as the live
 // default (span) detection — at one queue and four, and (long mode) at
-// warp size 5, where partial masks exercise classification rejection
-// and span demotion. Comparing against the live run also holds Replay to
+// warp size 5 (judgedWarpSizes), where partial masks exercise
+// classification rejection and span demotion. Comparing against the live run also holds Replay to
 // its promise of reporting what a live Detect does.
 func TestSpanReplayEquivalence(t *testing.T) {
-	warpSizes := []int{0}
 	queueCounts := []int{1, 4}
-	if !testing.Short() {
-		warpSizes = []int{0, 5}
-	}
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			for _, ws := range warpSizes {
+			for _, ws := range judgedWarpSizes(b) {
 				s, launch, err := session(b, detector.Config{})
 				if err != nil {
 					t.Fatal(err)

@@ -12,18 +12,14 @@ import (
 // live with producer-side epoch filtering on, must produce the same
 // canonical report as the unfiltered baseline with an identical
 // detector-side record count — at one queue and four, and (long mode)
-// at warp size 5, where partial masks change which records qualify as
+// at warp size 5 (judgedWarpSizes), where partial masks change which records qualify as
 // coalesced and hence suppressible.
 func TestFilterBenchmarkEquivalence(t *testing.T) {
-	warpSizes := []int{0}
 	queueCounts := []int{1, 4}
-	if !testing.Short() {
-		warpSizes = []int{0, 5}
-	}
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			for _, ws := range warpSizes {
+			for _, ws := range judgedWarpSizes(b) {
 				for _, q := range queueCounts {
 					base := defaultBaseline(t, b, ws, q)
 					s, launch, err := session(b, detector.Config{Queues: q, ProducerFilter: true})

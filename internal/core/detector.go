@@ -15,8 +15,8 @@
 // the same value are filtered, following the CUDA documentation's
 // guarantee that such writes are well-defined.
 //
-// Concurrency: each queue-consumer goroutine should create a Worker with
-// NewWorker and deliver records through Worker.Handle, keeping all
+// Concurrency: records enter only through Worker.Handle. Each
+// queue-consumer goroutine creates its Worker with NewWorker, keeping all
 // records of one thread block on the same worker (the block-to-queue
 // affinity of package logging guarantees this). Per-warp and per-block
 // state is block-affine; shadow cells are guarded by their region's
@@ -25,9 +25,7 @@
 // per-worker shards merged lazily by Report and FormatHistogram — so the
 // per-record fast path of a memory access acquires no mutex at all. Only
 // the rare events (a detected race, a barrier divergence) take the report
-// mutex. Detector.Handle remains as a worker-less convenience for tests
-// and single-consumer callers; it is safe for concurrent use but skips
-// the worker-private caches.
+// mutex.
 package core
 
 import (
@@ -236,11 +234,6 @@ type Detector struct {
 	divergeK map[[2]uint32]bool
 	fullVC   *fullVCState // non-nil in the FullVC ablation mode
 
-	// base is the shared stats shard behind the worker-less Handle; its
-	// counters are atomic so concurrent legacy callers stay safe, but
-	// its worker-private caches are disabled.
-	base Worker
-
 	// workers registers every NewWorker shard for the lazy merges in
 	// Report, FormatHistogram and RecordsSeen.
 	workersMu sync.Mutex
@@ -259,11 +252,9 @@ type Detector struct {
 // the per-record statistics (record count, same-value filter count, PTVC
 // format histogram) so the hot path touches only worker-local cache
 // lines, and carries the worker's shadow-lookup and warp-mirror caches.
-// A Worker must not be shared across goroutines (except the detector's
-// own base shard, which disables the caches).
+// A Worker must not be shared across goroutines.
 type Worker struct {
-	d       *Detector
-	caching bool // false only for the shared base shard
+	d *Detector
 
 	// Counters are atomic so Report/FormatHistogram may run while
 	// workers are still consuming; the adds are uncontended (one writer
@@ -282,21 +273,18 @@ type Worker struct {
 
 // NewWorker creates and registers a per-goroutine worker shard.
 func (d *Detector) NewWorker() *Worker {
-	w := &Worker{d: d, caching: true, lastGwid: -1}
+	w := &Worker{d: d, lastGwid: -1}
 	d.workersMu.Lock()
 	d.workers = append(d.workers, w)
 	d.workersMu.Unlock()
 	return w
 }
 
-// shards snapshots the registered worker shards plus the base shard.
+// shards snapshots the registered worker shards.
 func (d *Detector) shards() []*Worker {
 	d.workersMu.Lock()
-	out := make([]*Worker, 0, len(d.workers)+1)
-	out = append(out, &d.base)
-	out = append(out, d.workers...)
-	d.workersMu.Unlock()
-	return out
+	defer d.workersMu.Unlock()
+	return append([]*Worker(nil), d.workers...)
 }
 
 // New creates a detector for a launch with the given geometry and
@@ -316,8 +304,6 @@ func New(geo ptvc.Geometry, sharedBytes int64, opts Options) *Detector {
 		races:    make(map[raceKey]*Race),
 		divergeK: make(map[[2]uint32]bool),
 	}
-	d.base.d = d
-	d.base.lastGwid = -1
 	if opts.FullVC {
 		d.fullVC = newFullVCState(geo)
 	} else if !opts.PerCellShadow {
@@ -343,43 +329,30 @@ func (d *Detector) Shadow() *shadow.Memory { return d.mem }
 // warp returns the mirror state of a global warp through the worker's
 // last-warp cache.
 func (w *Worker) warp(gwid int) *warpMirror {
-	if w.caching && int32(gwid) == w.lastGwid {
-		return w.lastWarp
+	if int32(gwid) != w.lastGwid {
+		w.lastGwid, w.lastWarp = int32(gwid), w.d.warp(gwid)
 	}
-	m := w.d.warp(gwid)
-	if w.caching {
-		w.lastGwid = int32(gwid)
-		w.lastWarp = m
-	}
-	return m
+	return w.lastWarp
 }
 
 // warp returns (creating lazily) the mirror state of a global warp.
 func (d *Detector) warp(gwid int) *warpMirror {
 	w := d.warps[gwid]
 	if w == nil {
-		lanes := d.geo.BlockSize - (gwid%d.geo.WarpsPerBlock())*d.geo.WarpSize
-		if lanes > d.geo.WarpSize {
-			lanes = d.geo.WarpSize
-		}
-		var mask uint32
-		if lanes >= 32 {
-			mask = ^uint32(0)
-		} else {
-			mask = 1<<uint(lanes) - 1
-		}
-		w = &warpMirror{stack: []*ptvc.Group{ptvc.NewGroup(d.geo, gwid, mask)}}
+		w = &warpMirror{stack: []*ptvc.Group{ptvc.NewGroup(d.geo, gwid, d.laneMask(gwid))}}
 		d.warps[gwid] = w
 	}
 	return w
 }
 
-// Handle processes one record without a per-goroutine worker: stats land
-// in the detector's shared base shard (atomically, so concurrent callers
-// stay safe) and the worker-private caches are skipped. Queue consumers
-// should prefer NewWorker + Worker.Handle.
-func (d *Detector) Handle(r *logging.Record) {
-	d.base.Handle(r)
+// laneMask returns the populated-lane mask of a global warp: every lane
+// but those past the end of a partial last warp.
+func (d *Detector) laneMask(gwid int) uint32 {
+	lanes := min(d.geo.BlockSize-(gwid%d.geo.WarpsPerBlock())*d.geo.WarpSize, d.geo.WarpSize)
+	if lanes >= 32 {
+		return ^uint32(0)
+	}
+	return 1<<uint(lanes) - 1
 }
 
 // Handle processes one record (the detector's per-event entry point).
@@ -435,6 +408,37 @@ func ordered(g *ptvc.Group, tid vc.TID, e vc.Epoch) bool {
 	return g.EpochOrdered(e)
 }
 
+// clockView is what the READ/WRITE/ATOM rules ask of the accessing
+// thread's vector clock: whether an epoch is ordered before its current
+// operation, what its current clock is, and whether an epoch comes from
+// the same warp instruction. The compressed group (epochView) and the
+// FullVC ablation's per-thread clocks (fullVCState) each answer them, so
+// both representations run one copy of the rules.
+type clockView interface {
+	ordered(tid vc.TID, e vc.Epoch) bool
+	clock(tid vc.TID) vc.Clock
+	sameInstr(e vc.Epoch, tid vc.TID) bool
+}
+
+// epochView is the compressed group's clockView: every active lane's
+// current clock is the group's local clock L.
+type epochView ptvc.Group
+
+func (v *epochView) ordered(tid vc.TID, e vc.Epoch) bool {
+	return ordered((*ptvc.Group)(v), tid, e)
+}
+
+func (v *epochView) clock(vc.TID) vc.Clock { return v.L }
+
+// sameInstr reports whether the epoch belongs to an active lane-mate at
+// the current local clock, i.e. to this very warp instruction.
+func (v *epochView) sameInstr(e vc.Epoch, tid vc.TID) bool {
+	if e.IsZero() || v.Geo.WarpOf(e.T) != v.Geo.WarpOf(tid) {
+		return false
+	}
+	return v.Mask&(1<<uint(v.Geo.LaneOf(e.T))) != 0 && e.C == v.L
+}
+
 // handleMemory implements the READ*/WRITE*/ATOM* rules for every active
 // lane of a warp-level memory record, followed by ENDINSN. This is the
 // per-record fast path: no mutex is acquired anywhere on it — stats go
@@ -444,19 +448,10 @@ func ordered(g *ptvc.Group, tid vc.TID, e vc.Epoch) bool {
 func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 	g := w.warp(int(r.Warp)).top()
 	w.hist[g.Format()].Add(1)
-	if !d.tryOwned(r, g, w) && !d.trySpan(r, g, w) {
-		d.walk(w.cache(), r, func(run *shadow.Run) { d.applyRun(run, g, r, w) })
+	if !d.trySpan(r, g, w) {
+		d.walkRecord(r, g, w)
 	}
 	g.EndInstr()
-}
-
-// cache returns the worker's shadow lookup cache, nil for the shared base
-// shard.
-func (w *Worker) cache() *shadow.SpanCache {
-	if w.caching {
-		return &w.span
-	}
-	return nil
 }
 
 // applyRun runs the record's READ*/WRITE*/ATOM* rule on every cell of a
@@ -464,9 +459,12 @@ func (w *Worker) cache() *shadow.SpanCache {
 // every cell is in — the last write ordered (or none), the last read
 // ordered, no read map — where a read only advances the read epoch
 // (READEXCL) and a write or atomic only installs its write epoch and clears
-// the read; every other cell goes to applyRead, applyWrite or applyAtomic.
-// Every check on a cell counts the run's weight (shadow.Memory.Weight).
-func (d *Detector) applyRun(run *shadow.Run, g *ptvc.Group, r *logging.Record, w *Worker) {
+// the read; every other cell goes to applyCell. Every check on a cell counts
+// the run's weight (shadow.Memory.Weight). raw is the ownership tier's
+// verdict (owned.go) that every check on the run passes: the inlined case
+// then skips the compares, and a cell with a read map still goes through
+// applyCell, whose checks pass, for its READSHARED or clearing step.
+func (d *Detector) applyRun(run *shadow.Run, g *ptvc.Group, r *logging.Record, w *Worker, raw bool) {
 	reg, cells, tid0 := run.Reg, run.Reg.Cells(), d.geo.TIDOf(int(r.Warp), 0)
 	read, atomic := r.Op == trace.OpRead, r.Op == trace.OpAtom
 	for _, lc := range run.Lanes {
@@ -474,49 +472,58 @@ func (d *Detector) applyRun(run *shadow.Run, g *ptvc.Group, r *logging.Record, w
 		for idx := lc.Lo; idx < lc.Hi; idx++ {
 			i := min(idx, run.Last)
 			c := &cells[i]
-			switch fast := !c.ReadShared && ordered(g, tid, c.W) && ordered(g, tid, c.R); {
+			switch fast := !c.ReadShared && (raw || ordered(g, tid, c.W) && ordered(g, tid, c.R)); {
 			case fast && read:
 				c.R, c.ReadPC = vc.Epoch{T: tid, C: g.L}, r.PC
 			case fast:
 				c.W, c.R, c.WritePC, c.Atomic = vc.Epoch{T: tid, C: g.L}, vc.Epoch{}, r.PC, atomic
-			case read:
-				d.applyRead(reg, i, g, tid, r, lc.Lane, run.Weight)
-			case atomic:
-				d.applyAtomic(reg, i, g, tid, r, lc.Lane, run.Weight)
 			default:
-				d.applyWrite(reg, i, g, tid, r, lc.Lane, run.Weight, w)
+				d.applyCell(reg, i, (*epochView)(g), tid, r, lc.Lane, run.Weight, w)
 			}
 		}
 	}
 }
 
-func (d *Detector) applyRead(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+// applyCell runs the record's rule on cell idx of a locked region for
+// thread tid, against its clock as v sees it.
+func (d *Detector) applyCell(reg *shadow.Region, idx int, v clockView, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
+	switch r.Op {
+	case trace.OpRead:
+		d.applyRead(reg, idx, v, tid, r, lane, weight)
+	case trace.OpAtom:
+		d.applyAtomic(reg, idx, v, tid, r, lane, weight)
+	default:
+		d.applyWrite(reg, idx, v, tid, r, lane, weight, w)
+	}
+}
+
+func (d *Detector) applyRead(reg *shadow.Region, idx int, v clockView, tid vc.TID, r *logging.Record, lane, weight int) {
 	c := &reg.Cells()[idx]
-	if !ordered(g, tid, c.W) {
+	if !v.ordered(tid, c.W) {
 		d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, weight)
 	}
 	c.ReadPC = r.PC
 	switch {
 	case c.ReadShared:
 		// READSHARED: concurrent readers use the sparse read clock.
-		reg.Readers(idx)[tid] = g.L
-	case ordered(g, tid, c.R):
+		reg.Readers(idx)[tid] = v.clock(tid)
+	case v.ordered(tid, c.R):
 		// READEXCL: totally-ordered reads stay an epoch.
-		c.R = vc.Epoch{T: tid, C: g.L}
+		c.R = vc.Epoch{T: tid, C: v.clock(tid)}
 	default:
 		// READINFLATE: first concurrent read inflates to a read map.
-		d.mem.InflateReads(reg, idx)[tid] = g.L
+		d.mem.InflateReads(reg, idx)[tid] = v.clock(tid)
 	}
 }
 
-func (d *Detector) applyWrite(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
+func (d *Detector) applyWrite(reg *shadow.Region, idx int, v clockView, tid vc.TID, r *logging.Record, lane, weight int, w *Worker) {
 	c := &reg.Cells()[idx]
-	if !ordered(g, tid, c.W) {
+	if !v.ordered(tid, c.W) {
 		// Same-instruction intra-warp write-write: filter when the
 		// lanes stored the same value (§3.3.1).
-		sameInstr := d.sameInstruction(g, c.W, tid)
+		sameInstr := v.sameInstr(c.W, tid)
 		filtered := false
-		if sameInstr && !d.opts.NoSameValueFilter && r.Op == trace.OpWrite && !c.Atomic {
+		if sameInstr && !d.opts.NoSameValueFilter && !c.Atomic {
 			prevLane := d.geo.LaneOf(c.W.T)
 			if r.Mask&(1<<uint(prevLane)) != 0 && r.Vals[prevLane] == r.Vals[lane] {
 				filtered = true
@@ -527,24 +534,24 @@ func (d *Detector) applyWrite(reg *shadow.Region, idx int, g *ptvc.Group, tid vc
 			d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr, weight)
 		}
 	}
-	d.checkReaders(reg, idx, g, tid, r, lane, weight)
-	c.W = vc.Epoch{T: tid, C: g.L}
+	d.checkReaders(reg, idx, v, tid, r, lane, weight)
+	c.W = vc.Epoch{T: tid, C: v.clock(tid)}
 	c.Atomic = false
 	c.WritePC = r.PC
 	reg.ClearReads(idx)
 }
 
-func (d *Detector) applyAtomic(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+func (d *Detector) applyAtomic(reg *shadow.Region, idx int, v clockView, tid vc.TID, r *logging.Record, lane, weight int) {
 	c := &reg.Cells()[idx]
 	// ATOMEXCL/ATOMSHARED: atomic-to-atomic needs no write check —
 	// atomics do not race with each other (nor synchronize). INITATOM*:
 	// the previous write was non-atomic; PTX gives no atomicity
 	// guarantee against normal stores.
-	if !c.Atomic && !ordered(g, tid, c.W) {
+	if !c.Atomic && !v.ordered(tid, c.W) {
 		d.report(tid, r, lane, true, c.W.T, c.WritePC, true, false, false, weight)
 	}
-	d.checkReaders(reg, idx, g, tid, r, lane, weight)
-	c.W = vc.Epoch{T: tid, C: g.L}
+	d.checkReaders(reg, idx, v, tid, r, lane, weight)
+	c.W = vc.Epoch{T: tid, C: v.clock(tid)}
 	c.Atomic = true
 	c.WritePC = r.PC
 	reg.ClearReads(idx)
@@ -554,18 +561,18 @@ func (d *Detector) applyAtomic(reg *shadow.Region, idx int, g *ptvc.Group, tid v
 // write/atomic. Readers are visited in TID order: the first racing
 // reader becomes the race's reported representative, and map iteration
 // order would make that attribution flap from run to run.
-func (d *Detector) checkReaders(reg *shadow.Region, idx int, g *ptvc.Group, tid vc.TID, r *logging.Record, lane, weight int) {
+func (d *Detector) checkReaders(reg *shadow.Region, idx int, v clockView, tid vc.TID, r *logging.Record, lane, weight int) {
 	c := &reg.Cells()[idx]
 	if c.ReadShared {
 		readers := reg.Readers(idx)
 		for _, u := range sortedReaders(readers) {
-			if !ordered(g, tid, vc.Epoch{T: u, C: readers[u]}) {
+			if !v.ordered(tid, vc.Epoch{T: u, C: readers[u]}) {
 				d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, weight)
 			}
 		}
 		return
 	}
-	if !ordered(g, tid, c.R) {
+	if !v.ordered(tid, c.R) {
 		d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false, weight)
 	}
 }
@@ -578,17 +585,6 @@ func sortedReaders(m map[vc.TID]vc.Clock) []vc.TID {
 	}
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 	return tids
-}
-
-// sameInstruction reports whether the conflicting epoch belongs to an
-// active lane-mate at the current local clock — i.e. the two accesses come
-// from the same warp instruction.
-func (d *Detector) sameInstruction(g *ptvc.Group, e vc.Epoch, tid vc.TID) bool {
-	if e.IsZero() || d.geo.WarpOf(e.T) != d.geo.WarpOf(tid) {
-		return false
-	}
-	lane := d.geo.LaneOf(e.T)
-	return g.Mask&(1<<uint(lane)) != 0 && e.C == g.L
 }
 
 // awaitSyncTurn blocks until every earlier synchronization record has
@@ -661,10 +657,14 @@ func (d *Detector) handleSync(r *logging.Record, w *Worker) {
 // handleBarMarker checks a per-warp barrier record for barrier divergence:
 // every populated lane of the warp must be active.
 func (d *Detector) handleBarMarker(r *logging.Record, w *Worker) {
-	g := w.warp(int(r.Warp)).top()
-	if r.Mask == g.FullMask && len(w.warp(int(r.Warp)).stack) == 1 {
-		return
+	if m := w.warp(int(r.Warp)); r.Mask != m.top().FullMask || len(m.stack) != 1 {
+		d.noteDivergence(r)
 	}
+}
+
+// noteDivergence records a barrier reached with inactive lanes, once per
+// warp and barrier.
+func (d *Detector) noteDivergence(r *logging.Record) {
 	key := [2]uint32{r.Warp, r.PC}
 	d.repMu.Lock()
 	if !d.divergeK[key] {
@@ -678,12 +678,14 @@ func (d *Detector) handleBarMarker(r *logging.Record, w *Worker) {
 
 // handleBarRelease applies the BAR rule: a block-wide join of the arrived
 // warps' clocks, implemented as a broadcast of the block's maximum clock.
+// The release mask has a bit for every warp of the block: a launch holds
+// a block to gpusim.MaxBlockWarps warps.
 func (d *Detector) handleBarRelease(r *logging.Record, _ *Worker) {
 	wpb := d.geo.WarpsPerBlock()
 	base := int(r.Block) * wpb
 	var groups []*ptvc.Group
 	var m vc.Clock
-	for wi := 0; wi < wpb && wi < 32; wi++ {
+	for wi := 0; wi < wpb; wi++ {
 		if r.Mask&(1<<uint(wi)) == 0 {
 			continue
 		}

@@ -59,7 +59,19 @@ func (b *recBuilder) shared() *recBuilder { b.r.Space = logging.SpaceShared; ret
 
 func (b *recBuilder) rec() *logging.Record { return &b.r }
 
-func newDet(opts Options) *Detector { return New(testGeo(), 256, opts) }
+// testDet is a detector driven through one worker, as a queue consumer
+// drives it.
+type testDet struct {
+	*Detector
+	w *Worker
+}
+
+func (t testDet) Handle(r *logging.Record) { t.w.Handle(r) }
+
+func newDet(opts Options) testDet {
+	d := New(testGeo(), 256, opts)
+	return testDet{d, d.NewWorker()}
+}
 
 func TestIntraWarpSameInstrWriteWrite(t *testing.T) {
 	d := newDet(Options{})

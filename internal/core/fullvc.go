@@ -20,11 +20,16 @@ import (
 // Note how the warp-level structure disappears: every endi/if/else/fi/bar
 // becomes an O(active × clock-size) join-and-fork, and storage is O(n²)
 // in the worst case — the scaling wall the paper's compression removes.
+//
+// It is also the clockView of the memory rules (applyCell): a thread's
+// clock is its own vector clock, and cur is the memory record being
+// checked, which the same-instruction test reads.
 type fullVCState struct {
 	geo    ptvc.Geometry
 	mu     sync.Mutex // protects clocks for cross-queue sync edges
 	clocks []*vc.VC
 	syncs  map[shadow.Key]*fullSync
+	cur    *logging.Record
 }
 
 type fullSync struct {
@@ -74,6 +79,18 @@ func (s *fullVCState) ordered(tid vc.TID, e vc.Epoch) bool {
 	return e.C <= s.clocks[tid].Get(e.T)
 }
 
+func (s *fullVCState) clock(tid vc.TID) vc.Clock { return s.clocks[tid].Get(tid) }
+
+// sameInstr reports whether the epoch is the current clock of a thread
+// active in the record: every record advances its threads' own clocks, so
+// only this very instruction can have stored it.
+func (s *fullVCState) sameInstr(e vc.Epoch, _ vc.TID) bool {
+	return !e.IsZero() &&
+		s.geo.WarpOf(e.T) == int(s.cur.Warp) &&
+		s.cur.Mask&(1<<uint(s.geo.LaneOf(e.T))) != 0 &&
+		e.C == s.clock(e.T)
+}
+
 // handleFullVC processes one record in the uncompressed baseline mode.
 // The ablation keeps its single state mutex by design — it exists to
 // measure what the compressed, sharded representation buys — but stats
@@ -98,17 +115,18 @@ func (d *Detector) handleFullVC(r *logging.Record, w *Worker) {
 		d.finishSyncTurn(r)
 		s.joinFork(s.laneTIDs(int(r.Warp), r.Mask))
 	case trace.OpBar:
-		d.fullBarMarker(r)
+		if r.Mask != d.laneMask(int(r.Warp)) {
+			d.noteDivergence(r)
+		}
 	case trace.OpBarRel:
 		wpb := s.geo.WarpsPerBlock()
 		var tids []vc.TID
-		for wi := 0; wi < wpb && wi < 32; wi++ {
+		for wi := 0; wi < wpb; wi++ {
 			if r.Mask&(1<<uint(wi)) == 0 {
 				continue
 			}
 			gw := int(r.Block)*wpb + wi
-			full := d.fullWarpMask(gw)
-			tids = append(tids, s.laneTIDs(gw, full)...)
+			tids = append(tids, s.laneTIDs(gw, d.laneMask(gw))...)
 		}
 		s.joinFork(tids)
 	case trace.OpIf, trace.OpElse, trace.OpFi:
@@ -116,83 +134,23 @@ func (d *Detector) handleFullVC(r *logging.Record, w *Worker) {
 	}
 }
 
-// fullWarpMask returns the populated-lane mask of a global warp.
-func (d *Detector) fullWarpMask(gwid int) uint32 {
-	lanes := d.geo.BlockSize - (gwid%d.geo.WarpsPerBlock())*d.geo.WarpSize
-	if lanes > d.geo.WarpSize {
-		lanes = d.geo.WarpSize
-	}
-	if lanes >= 32 {
-		return ^uint32(0)
-	}
-	return 1<<uint(lanes) - 1
-}
-
+// fullMemory checks a memory record with the epoch detector's rules
+// (applyCell), against the per-thread clocks. The full-VC ablation cannot
+// use uniform-span summaries — after a joinFork every lane's own clock
+// component differs, so a warp access is not expressible as a single
+// (warp, mask, clock) layer — but it shares the run walk, and so the
+// shadow, its word-granular regions and their weights, with the epoch
+// detector's fallback path.
 func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 	s := d.fullVC
-	// The full-VC ablation cannot use uniform-span summaries — after a
-	// joinFork every lane's own clock component differs, so a warp access
-	// is not expressible as a single (warp, mask, clock) layer. It shares
-	// the run walk, and so the shadow and its word-granular regions, with
-	// the epoch detector's fallback path: a check on a word cell counts
-	// weight times, exactly as in applyRun.
+	s.cur = r
 	tid0 := d.geo.TIDOf(int(r.Warp), 0)
-	var run *shadow.Run
-	visit := func(lane, idx int) {
-		reg, weight := run.Reg, run.Weight
-		c, tid := &reg.Cells()[idx], tid0+vc.TID(lane)
-		myClock := s.clocks[tid].Get(tid)
-		switch r.Op {
-		case trace.OpRead:
-			if !s.ordered(tid, c.W) {
-				d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, weight)
-			}
-			if c.ReadShared {
-				reg.Readers(idx)[tid] = myClock
-			} else if s.ordered(tid, c.R) {
-				c.R = vc.Epoch{T: tid, C: myClock}
-			} else {
-				d.mem.InflateReads(reg, idx)[tid] = myClock
-			}
-			c.ReadPC = r.PC
-		case trace.OpWrite, trace.OpAtom:
-			atomic := r.Op == trace.OpAtom
-			checkW := !atomic || !c.Atomic
-			if checkW && !s.ordered(tid, c.W) {
-				sameInstr := !c.W.IsZero() &&
-					d.geo.WarpOf(c.W.T) == int(r.Warp) &&
-					r.Mask&(1<<uint(d.geo.LaneOf(c.W.T))) != 0 &&
-					c.W.C == s.clocks[c.W.T].Get(c.W.T)
-				filtered := false
-				if sameInstr && !d.opts.NoSameValueFilter && !atomic && !c.Atomic {
-					if r.Vals[d.geo.LaneOf(c.W.T)] == r.Vals[lane] {
-						filtered = true
-						w.sameValue.Add(uint64(weight))
-					}
-				}
-				if !filtered {
-					d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr, weight)
-				}
-			}
-			if c.ReadShared {
-				// TID order, matching checkReaders: keeps the
-				// reported representative reader deterministic.
-				readers := reg.Readers(idx)
-				for _, u := range sortedReaders(readers) {
-					if !s.ordered(tid, vc.Epoch{T: u, C: readers[u]}) {
-						d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, weight)
-					}
-				}
-			} else if !s.ordered(tid, c.R) {
-				d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false, weight)
-			}
-			c.W = vc.Epoch{T: tid, C: myClock}
-			c.Atomic = atomic
-			c.WritePC = r.PC
-			reg.ClearReads(idx)
-		}
-	}
-	d.walk(w.cache(), r, func(rn *shadow.Run) { run = rn; rn.Each(visit) })
+	var buf [logging.WarpWidth]shadow.Lane
+	d.walk(w, r, d.activeLanes(r, &buf), func(run *shadow.Run) {
+		run.Each(func(lane, idx int) {
+			d.applyCell(run.Reg, idx, s, tid0+vc.TID(lane), r, lane, run.Weight, w)
+		})
+	})
 }
 
 func (d *Detector) fullSyncOp(r *logging.Record) {
@@ -239,19 +197,4 @@ func (d *Detector) fullSyncOp(r *logging.Record) {
 			}
 		}
 	}
-}
-
-func (d *Detector) fullBarMarker(r *logging.Record) {
-	if r.Mask == d.fullWarpMask(int(r.Warp)) {
-		return
-	}
-	key := [2]uint32{r.Warp, r.PC}
-	d.repMu.Lock()
-	if !d.divergeK[key] {
-		d.divergeK[key] = true
-		d.diverge = append(d.diverge, BarrierDivergence{
-			Block: int(r.Block), Warp: int(r.Warp), PC: r.PC, Mask: r.Mask,
-		})
-	}
-	d.repMu.Unlock()
 }

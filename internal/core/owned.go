@@ -1,7 +1,10 @@
-// The exclusive-ownership fast tier (SmartTrack-style, below FastTrack).
+// The exclusive-ownership tier (SmartTrack-style, below FastTrack): a
+// verdict per region run, taken under the region lock the walk already
+// holds, that every check of the rules on the run passes.
 //
-// Soundness. The fast path skips EVERY per-epoch check of the baseline
-// rules, so it may only run when each skipped check provably passes:
+// Soundness. A run that takes the verdict skips EVERY per-epoch check
+// (applyRun's raw mode), so it may only take it when each skipped check
+// provably passes:
 //
 //  1. Convergence invariant: while a warp's active group is fully
 //     converged (g.Mask == g.FullMask), every epoch previously stored
@@ -13,71 +16,94 @@
 //     and the active-lane-mate check (e.C <= g.L-1) — and, because
 //     e.C < g.L, no prior epoch can trigger the same-instruction
 //     same-value filter either.
-//  2. Region ownership: the region's ownership word says which warps
-//     can have stored epochs at all. Under Exclusive(warp == r.Warp),
-//     invariant 1 covers every resident epoch. Under Exclusive(block),
-//     cross-warp same-block epochs additionally need clock <= g.B (the
-//     group's last barrier relabel), which the region's tracked clock
-//     bounds (lastMax/otherMax) certify in O(1).
+//  2. Region ownership: the region's owner says which warps can have
+//     stored epochs at all. Under Exclusive(warp == r.Warp), invariant 1
+//     covers every resident epoch. Under Exclusive(block), cross-warp
+//     same-block epochs additionally need clock <= g.B (the group's last
+//     barrier relabel), which the region's tracked clock bounds
+//     (lastMax/otherMax) certify in O(1).
 //  3. Intra-record isolation: lanes of the current record must touch
-//     pairwise-disjoint cells, otherwise the record races (or
-//     inflates read state) against itself and only the per-cell rules
-//     handle that exactly.
+//     pairwise-disjoint cells, otherwise the record races (or inflates
+//     read state) against itself and only the checked rules handle that
+//     exactly. A coalesced record's lanes are contiguous, so trySpan's
+//     lanesOwnCells is enough; any other record's lanes must pass a
+//     lock-free check of their addresses (ownedEligible), and no lane
+//     may clamp to a shared slab's last cell (ownedWalkRun).
 //
-// When all three hold, the baseline would report nothing and leave
-// exactly the state this path stores raw — so reports stay
-// byte-identical. Anything unprovable bails to the span/per-cell slow
-// paths untouched (no stores happen before the final verdict).
-//
-// TOCTOU: the ownership word is probed lock-free in tryOwned's callers'
-// hot loop, but every decision here re-reads it AFTER taking the region
-// lock — another queue's worker may have inflated the region between
-// probe and lock (global pages are shared across block-affine workers).
+// When all three hold, the checked rules would report nothing and leave
+// exactly the state the raw mode stores — so reports stay byte-identical.
+// A run that does not take the verdict runs the checked rules, and no
+// store happens before the verdict. The owner is read and changed only
+// under the region lock, so the verdict cannot be overtaken by another
+// queue's worker between decision and store.
 package core
 
 import (
-	"math/bits"
-
 	"barracuda/internal/logging"
 	"barracuda/internal/ptvc"
 	"barracuda/internal/shadow"
-	"barracuda/internal/trace"
-	"barracuda/internal/vc"
 )
 
-// tryOwned attempts the exclusive-ownership fast path for one memory
-// record. It reports whether the record was fully handled; false means
-// no state was changed (beyond ownership bookkeeping) and the caller
-// must run the span/per-cell path.
-func (d *Detector) tryOwned(r *logging.Record, g *ptvc.Group, w *Worker) bool {
-	if !d.owned || r.Size == 0 || r.Mask == 0 || g.Mask != g.FullMask {
-		return false
+// ownedSpanRun is the verdict for one region run of a coalesced record
+// (spanRun). A run that does not take it still keeps the ownership facts
+// alive (trackOwner): every store spanRun makes carries clock g.L under
+// warp r.Warp, so exclusivity survives traffic the verdict declined
+// (diverged groups, clock bounds not provably below the barrier).
+func (d *Detector) ownedSpanRun(reg *shadow.Region, r *logging.Record, g *ptvc.Group) bool {
+	if g.Mask == g.FullMask && d.ownedValidate(reg, r, g) {
+		return true
 	}
-	if r.Space != logging.SpaceGlobal && r.Space != logging.SpaceShared {
-		return false
-	}
-	ws := d.geo.WarpSize
-	if ws > logging.WarpWidth {
-		ws = logging.WarpWidth
-	}
-	if ws < 32 && r.Mask>>uint(ws) != 0 {
-		// The per-cell path ignores lanes beyond the simulated warp
-		// width; this path would not.
-		return false
-	}
-	blk := int32(-1)
-	if r.Space == logging.SpaceShared {
-		blk = int32(r.Block)
-	}
-	if r.Coalesced() {
-		return d.ownedCoalesced(r, g, w.cache(), blk)
-	}
-	return d.ownedLanes(r, g, w.cache(), blk)
+	d.trackOwner(reg, r, g)
+	return false
 }
 
-// ownedValidate re-reads the ownership word under the region lock and
-// decides whether every resident epoch is provably ordered before the
-// record's lanes (see the file comment). On success it also advances
+// ownedWalkRun is the verdict for one run of the VisitLanes walk
+// (walkRecord). eligible is the record's own part of it, decided once
+// before the walk (ownedEligible); the run's own is that no lane reaches
+// past the region's last cell, where a shared slab clamps out-of-slab
+// bytes together. A run that does not take the verdict goes to
+// OwnShared: the checked rules store epochs ownership does not track.
+func (d *Detector) ownedWalkRun(run *shadow.Run, r *logging.Record, g *ptvc.Group, eligible bool) bool {
+	for _, lc := range run.Lanes {
+		eligible = eligible && lc.Hi <= run.Last+1
+	}
+	if eligible && d.ownedValidate(run.Reg, r, g) {
+		return true
+	}
+	d.mem.Inflate(run.Reg)
+	return false
+}
+
+// ownedEligible is the lock-free, per-record part of the walk's verdict:
+// the tier is on, the group converged (condition 1), the space one the
+// tier tracks, and the lanes isolated (condition 3): their size-byte
+// ranges strictly ascending and pairwise disjoint, none wrapping past
+// 2^64, and — with a configured granularity above one byte — aligned to
+// it. Then no two lanes share a cell at any granule a region takes: a
+// word-granular region holds only whole aligned words, and a refined one
+// cells of the granularity.
+func (d *Detector) ownedEligible(r *logging.Record, g *ptvc.Group, lanes []shadow.Lane) bool {
+	if !d.owned || g.Mask != g.FullMask || r.Space != logging.SpaceGlobal && r.Space != logging.SpaceShared {
+		return false
+	}
+	size, gran := uint64(r.Size), uint64(d.mem.Granularity())
+	if size == 0 || size%gran != 0 {
+		return false
+	}
+	var next uint64
+	for _, ln := range lanes {
+		end := ln.Addr + size
+		if ln.Addr < next || end < ln.Addr || ln.Addr%gran != 0 {
+			return false
+		}
+		next = end
+	}
+	return true
+}
+
+// ownedValidate reads the owner under the region lock and decides whether
+// every resident epoch is provably ordered before the record's lanes
+// (condition 2 of the file comment). On success it also advances
 // the ownership state (claim / retain / rotate / promote); on failure
 // it leaves the region for the slow path — inflating only when
 // exclusivity itself is disproven, not when a clock bound is merely
@@ -164,153 +190,6 @@ func (d *Detector) trackOwner(reg *shadow.Region, r *logging.Record, g *ptvc.Gro
 	}
 }
 
-// ownedCoalesced handles a coalesced record over one region: the span
-// store of spanRun with every check removed.
-func (d *Detector) ownedCoalesced(r *logging.Record, g *ptvc.Group, sc *shadow.SpanCache, blk int32) bool {
-	if !d.lanesOwnCells(r) {
-		return false // isolation condition 3
-	}
-	size := int(r.Size)
-	n := bits.OnesCount32(r.Mask) * size
-	if r.Space == logging.SpaceGlobal && r.Base/shadow.PageBytes != (r.Base+uint64(n)-1)/shadow.PageBytes {
-		return false // page-crossing runs: the span path's business
-	}
-	reg, off := d.mem.RegionFor(sc, r.Space, blk, r.Base)
-	reg.Lock()
-	defer reg.Unlock()
-	d.mem.Fit(reg, shadow.WordShaped(r.Base, size), off+uint64(n))
-	lo, hi := reg.CellRange(off, n)
-	if hi > len(reg.Cells()) {
-		return false // out of the slab; per-cell clamping semantics win
-	}
-	runMask := r.Mask
-	if !d.ownedValidate(reg, r, g) {
-		return false
-	}
-	if exact, overlap := reg.FindSpan(lo, hi); exact != nil {
-		d.spanUpdate(r, g, exact, runMask)
-	} else if !overlap && !reg.Touched() {
-		s := shadow.SpanSum{Lo: lo, Hi: hi}
-		d.spanUpdate(r, g, &s, runMask)
-		reg.Install(s)
-	} else {
-		reg.DemoteOverlapping(d.mem, lo, hi)
-		reg.SetTouched()
-		d.ownedRankCells(r, g, reg, lo, runMask)
-		if r.Op != trace.OpRead {
-			s := shadow.SpanSum{Lo: lo, Hi: hi}
-			d.spanWriteLayer(&s, r, g, runMask)
-			reg.Install(s)
-		}
-	}
-	d.mem.NoteOwnedFast()
-	return true
-}
-
-// ownedLanes handles a non-coalesced record whose lanes all land in one
-// region with strictly ascending, pairwise-disjoint cell ranges: one
-// region lock and raw per-cell stores, the unchecked twin of the
-// VisitLanes walk.
-func (d *Detector) ownedLanes(r *logging.Record, g *ptvc.Group, sc *shadow.SpanCache, blk int32) bool {
-	// Lock-free pass: one region, no lane crossing a page, and whether
-	// every lane is whole words (a word-granular region can stay so).
-	var reg *shadow.Region
-	var buf [logging.WarpWidth]shadow.Lane
-	var offs [logging.WarpWidth]uint64
-	lanes := d.activeLanes(r, &buf)
-	nl := len(lanes)
-	whole := true
-	var maxEnd uint64
-	for i, ln := range lanes {
-		addr := ln.Addr
-		end := addr + uint64(r.Size) - 1
-		if r.Space == logging.SpaceGlobal && addr/shadow.PageBytes != end/shadow.PageBytes {
-			return false
-		}
-		rg, off := d.mem.RegionFor(sc, r.Space, blk, addr)
-		if reg == nil {
-			reg = rg
-		} else if rg != reg {
-			return false // lanes span regions
-		}
-		whole = whole && shadow.WordShaped(addr, int(r.Size))
-		maxEnd = max(maxEnd, off+uint64(r.Size))
-		offs[i] = off
-	}
-	if reg == nil {
-		return false
-	}
-	reg.Lock()
-	defer reg.Unlock()
-	// Cell indices depend on the region's granule, so they are computed
-	// under its lock, after the one refinement this record can cause.
-	d.mem.Fit(reg, whole, maxEnd)
-	var los, his [logging.WarpWidth]int
-	prevHi := 0
-	for i := 0; i < nl; i++ {
-		lo, hi := reg.CellRange(offs[i], int(r.Size))
-		if hi > len(reg.Cells()) {
-			return false // out of the slab; per-cell clamping semantics win
-		}
-		if lo < prevHi {
-			return false // overlapping or unsorted lanes (condition 3)
-		}
-		prevHi = hi
-		los[i], his[i] = lo, hi
-	}
-	if !d.ownedValidate(reg, r, g) {
-		return false
-	}
-	for i := 0; i < nl; i++ {
-		reg.DemoteOverlapping(d.mem, los[i], his[i])
-	}
-	reg.SetTouched()
-	tid0 := d.geo.TIDOf(int(r.Warp), 0)
-	for i, ln := range lanes {
-		for idx := los[i]; idx < his[i]; idx++ {
-			rawStore(reg, idx, r.Op, tid0+vc.TID(ln.Index), g.L, r.PC)
-		}
-	}
-	d.mem.NoteOwnedFast()
-	return true
-}
-
-// ownedRankCells is the raw-store twin of spanPerCell: same cells, same
-// order, no checks (they provably pass), under the same region lock.
-func (d *Detector) ownedRankCells(r *logging.Record, g *ptvc.Group, reg *shadow.Region, lo int, runMask uint32) {
-	cellsPerLane := int(r.Size) / reg.Gran()
-	idx := lo
-	for rm := runMask; rm != 0; rm &= rm - 1 {
-		lane := bits.TrailingZeros32(rm)
-		tid := d.geo.TIDOf(int(r.Warp), lane)
-		for k := 0; k < cellsPerLane; k++ {
-			rawStore(reg, idx, r.Op, tid, g.L, r.PC)
-			idx++
-		}
-	}
-}
-
-// rawStore leaves exactly the state applyRead/applyWrite/applyAtomic
-// leave when every happens-before check passes: reads keep an inflated
-// read map inflated (READSHARED) or advance the read epoch (READEXCL);
-// writes and atomics install the write epoch and clear reads.
-func rawStore(reg *shadow.Region, idx int, op trace.OpKind, tid vc.TID, clock vc.Clock, pc uint32) {
-	c := &reg.Cells()[idx]
-	if op == trace.OpRead {
-		if c.ReadShared {
-			reg.Readers(idx)[tid] = clock
-		} else {
-			c.R = vc.Epoch{T: tid, C: clock}
-		}
-		c.ReadPC = pc
-		return
-	}
-	c.W = vc.Epoch{T: tid, C: clock}
-	c.Atomic = op == trace.OpAtom
-	c.WritePC = pc
-	reg.ClearReads(idx)
-}
-
 // maybeCompactShared drops a block's shared-memory shadow slab after a
 // barrier release at which every populated warp of the block arrived
 // fully converged. At such a barrier, every epoch stored in the slab
@@ -323,9 +202,6 @@ func rawStore(reg *shadow.Region, idx int, op trace.OpKind, tid vc.TID, clock vc
 // diverged, can hold unrelabeled sibling clocks above m, making the
 // drop unsafe — hence both checks.
 func (d *Detector) maybeCompactShared(r *logging.Record, base, wpb int) {
-	if wpb > 32 {
-		return // the release mask cannot certify warps beyond bit 31
-	}
 	for wi := 0; wi < wpb; wi++ {
 		w := d.warps[base+wi]
 		if w == nil {

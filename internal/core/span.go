@@ -10,25 +10,44 @@ import (
 	"barracuda/internal/vc"
 )
 
-// walk runs one shadow.Memory.VisitLanes walk over the active lanes of a
-// memory record and hands visit each region run, its lock held: the
+// walk runs one shadow.Memory.VisitLanes walk over lanes, the active lanes
+// of a memory record, and hands visit each region run, its lock held: the
 // per-cell iteration of the epoch detector's fallback path and of the
 // full-VC ablation. A warp's thread ids are consecutive, so a visitor
 // derives a lane's from TIDOf(warp, 0), once per record.
-func (d *Detector) walk(sc *shadow.SpanCache, r *logging.Record, visit func(*shadow.Run)) {
+func (d *Detector) walk(w *Worker, r *logging.Record, lanes []shadow.Lane, visit func(*shadow.Run)) {
 	blk := int32(-1)
 	if r.Space == logging.SpaceShared {
 		blk = int32(r.Block)
 	}
+	d.mem.VisitLanes(&w.span, r.Space, blk, lanes, int(r.Size), visit)
+}
+
+// walkRecord is the epoch detector's path for every record the span path
+// declines: the checked rules on every run of the walk, or, with the
+// ownership tier on, the run's verdict (ownedWalkRun) first.
+func (d *Detector) walkRecord(r *logging.Record, g *ptvc.Group, w *Worker) {
 	var buf [logging.WarpWidth]shadow.Lane
-	d.mem.VisitLanes(sc, r.Space, blk, d.activeLanes(r, &buf), int(r.Size), visit)
+	lanes := d.activeLanes(r, &buf)
+	eligible := d.ownedEligible(r, g, lanes)
+	owned := d.owned && len(lanes) > 0
+	d.walk(w, r, lanes, func(run *shadow.Run) {
+		raw := false
+		if d.owned {
+			raw = d.ownedWalkRun(run, r, g, eligible)
+			owned = owned && raw
+		}
+		d.applyRun(run, g, r, w, raw)
+	})
+	if owned {
+		d.mem.NoteOwnedFast()
+	}
 }
 
 // activeLanes resolves the active lanes of a memory record, below the
 // simulated warp width, and their addresses into buf: the unlocked
-// pre-pass of walk and ownedLanes. Addresses go through
-// LaneAddr so records that crossed the compact wire (no address array)
-// resolve identically.
+// pre-pass of every walk. Addresses go through LaneAddr so records that
+// crossed the compact wire (no address array) resolve identically.
 func (d *Detector) activeLanes(r *logging.Record, buf *[logging.WarpWidth]shadow.Lane) []shadow.Lane {
 	n := 0
 	for lane := 0; lane < d.geo.WarpSize && lane < logging.WarpWidth; lane++ {
@@ -74,10 +93,17 @@ func (d *Detector) trySpan(r *logging.Record, g *ptvc.Group, w *Worker) bool {
 		blk = int32(r.Block)
 	}
 	n := bits.OnesCount32(r.Mask)
-	return d.mem.SpanRuns(w.cache(), r.Space, blk, r.Base, n*int(r.Size), int(r.Size),
+	owned := true
+	if !d.mem.SpanRuns(&w.span, r.Space, blk, r.Base, n*int(r.Size), int(r.Size),
 		func(reg *shadow.Region, lo, hi, byteOff int) {
-			d.spanRun(r, g, w, reg, lo, hi, byteOff)
-		})
+			owned = d.spanRun(r, g, w, reg, lo, hi, byteOff) && owned
+		}) {
+		return false
+	}
+	if owned {
+		d.mem.NoteOwnedFast()
+	}
+	return true
 }
 
 // lanesOwnCells reports whether the lanes of a coalesced record are
@@ -92,23 +118,20 @@ func (d *Detector) lanesOwnCells(r *logging.Record) bool {
 
 // spanRun processes one region-contiguous part of a coalesced record;
 // SpanRuns hands the region over locked and fitted to the record, with
-// [lo, hi) at the region's own granule.
-func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo, hi, byteOff int) {
-	// Keep the ownership facts alive for traffic that bypassed the
-	// ownership fast path (diverged groups, clock bounds not provably
-	// below the barrier): every store below carries clock g.L under
-	// warp r.Warp, which is exactly what trackOwner folds in.
-	if d.owned {
-		d.trackOwner(reg, r, g)
-	}
+// [lo, hi) at the region's own granule. It reports whether the run took
+// the ownership tier's verdict (ownedSpanRun), which answers an exact
+// summary without spanCheck and replays the rules with applyRun's raw
+// mode.
+func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo, hi, byteOff int) (owned bool) {
+	owned = d.owned && d.ownedSpanRun(reg, r, g)
 
 	nRanks := (hi - lo) * reg.Gran() / int(r.Size)
 	runMask := spanRunMask(r.Mask, byteOff/int(r.Size), nRanks)
 
 	exact, overlap := reg.FindSpan(lo, hi)
-	if exact != nil && d.spanCheck(r, g, exact, runMask) {
+	if exact != nil && (owned || d.spanCheck(r, g, exact, runMask)) {
 		d.spanUpdate(r, g, exact, runMask)
-		return
+		return owned
 	}
 	if !overlap && !reg.Touched() {
 		// Virgin cells: every FastTrack check against zero epochs passes
@@ -116,7 +139,7 @@ func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *sha
 		s := shadow.SpanSum{Lo: lo, Hi: hi}
 		d.spanUpdate(r, g, &s, runMask)
 		reg.Install(s)
-		return
+		return owned
 	}
 	// Demotion: materialize overlapping summaries into exact per-cell
 	// epochs, replay the per-cell rules (which report any races exactly
@@ -124,12 +147,13 @@ func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *sha
 	// write leaves behind.
 	reg.DemoteOverlapping(d.mem, lo, hi)
 	reg.SetTouched()
-	d.spanPerCell(r, g, w, reg, lo, runMask)
+	d.spanPerCell(r, g, w, reg, lo, runMask, owned)
 	if r.Op != trace.OpRead {
 		s := shadow.SpanSum{Lo: lo, Hi: hi}
 		d.spanWriteLayer(&s, r, g, runMask)
 		reg.Install(s)
 	}
+	return owned
 }
 
 // spanRunMask extracts the active-lane bits of ranks [rankLo,
@@ -220,8 +244,9 @@ func (d *Detector) spanWriteLayer(s *shadow.SpanSum, r *logging.Record, g *ptvc.
 
 // spanPerCell replays the exact per-cell rules for one region run: the
 // same lanes, cells, visit order and rules as the per-cell walk, under the
-// already-held region lock (which is all that guards a cell).
-func (d *Detector) spanPerCell(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo int, runMask uint32) {
+// already-held region lock (which is all that guards a cell); raw as in
+// applyRun.
+func (d *Detector) spanPerCell(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo int, runMask uint32, raw bool) {
 	per := int(r.Size) / reg.Gran()
 	var buf [logging.WarpWidth]shadow.LaneCells
 	run := shadow.Run{Reg: reg, Lanes: buf[:0], Weight: d.mem.Weight(reg), Last: len(reg.Cells()) - 1}
@@ -229,5 +254,5 @@ func (d *Detector) spanPerCell(r *logging.Record, g *ptvc.Group, w *Worker, reg 
 		run.Lanes = append(run.Lanes, shadow.LaneCells{Lane: bits.TrailingZeros32(rm), Lo: lo, Hi: lo + per})
 		lo += per
 	}
-	d.applyRun(&run, g, r, w)
+	d.applyRun(&run, g, r, w, raw)
 }

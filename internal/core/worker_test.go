@@ -7,20 +7,18 @@ import (
 	"barracuda/internal/trace"
 )
 
-// TestWorkerShardMerge: counters recorded through per-goroutine workers
-// and the legacy worker-less Handle must all appear in Report and
-// FormatHistogram.
+// TestWorkerShardMerge: counters recorded through every worker shard
+// must all appear in Report and FormatHistogram.
 func TestWorkerShardMerge(t *testing.T) {
-	d := newDet(Options{})
+	d := New(testGeo(), 256, Options{})
 	w0 := d.NewWorker()
 	w1 := d.NewWorker()
 
-	// Block 0 through w0, block 1 through w1, plus one record through
-	// the legacy path.
+	// Block 0 through w0, block 1 through w1.
 	w0.Handle(rec(trace.OpWrite, 0, full4).at(10).stride(0x100).rec())
 	w0.Handle(rec(trace.OpRead, 0, full4).at(11).stride(0x100).rec())
 	w1.Handle(rec(trace.OpWrite, 2, full4).at(12).stride(0x200).rec())
-	d.Handle(rec(trace.OpRead, 2, full4).at(13).stride(0x200).rec())
+	w1.Handle(rec(trace.OpRead, 2, full4).at(13).stride(0x200).rec())
 
 	rep := d.Report()
 	if rep.RecordsSeen != 4 {

@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"strings"
 	"testing"
 
 	"barracuda/internal/core"
@@ -102,6 +103,54 @@ func TestWarpSizeValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("warp size 1 accepted")
+	}
+}
+
+// barrierThenRead has every thread store s[tid], meet at bar.sync, and
+// thread 127 load s[0]: the barrier orders the load after thread 0's
+// store, so the kernel is race-free at any warp size.
+const barrierThenRead = `.visible .entry k(.param .u64 out)
+{
+	.reg .u32 %r<6>;
+	.reg .u64 %rd<6>;
+	.reg .pred %p<2>;
+	.shared .align 4 .b8 s[512];
+	ld.param.u64 %rd1, [out];
+	mov.u32 %r1, %tid.x;
+	shl.b32 %r2, %r1, 2;
+	cvt.u64.u32 %rd2, %r2;
+	mov.u64 %rd3, s;
+	add.u64 %rd4, %rd3, %rd2;
+	st.shared.u32 [%rd4], %r1;
+	bar.sync 0;
+	setp.ne.u32 %p1, %r1, 127;
+	@%p1 bra DONE;
+	ld.shared.u32 %r3, [%rd3];
+	st.global.u32 [%rd1], %r3;
+DONE:
+	ret;
+}`
+
+// TestBlockWarpBound: a barrier release carries one bit per arrived warp
+// in a 32-bit mask, so a block is at most gpusim.MaxBlockWarps warps. A
+// 128-thread block is 16 warps at warp size 8 and race-free; at warp size
+// 2 it is 64 warps, and the launch is an error instead of a race between
+// warps the barrier left out of its join.
+func TestBlockWarpBound(t *testing.T) {
+	launch := func(s *Session, ws int) gpusim.LaunchConfig {
+		return gpusim.LaunchConfig{Grid: gpusim.D1(1), Block: gpusim.D1(128), Args: []uint64{s.Dev.MustAlloc(4)}, WarpSize: ws}
+	}
+	s := open(t, barrierThenRead, Config{})
+	if res := detect(t, s, "k", launch(s, 8)); res.Report.HasRaces() {
+		t.Fatalf("16 warps: false races %v", res.Report.Races)
+	}
+	s2 := open(t, barrierThenRead, Config{})
+	res, err := s2.Detect("k", launch(s2, 2))
+	if err == nil {
+		t.Fatalf("64 warps per block accepted: races %v", res.Report.Races)
+	}
+	if !strings.Contains(err.Error(), "64 warps") {
+		t.Fatalf("error %q does not name the warp count", err)
 	}
 }
 

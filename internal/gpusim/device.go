@@ -29,6 +29,11 @@ import (
 // the future-work extension of §3.1.
 const WarpSize = 32
 
+// MaxBlockWarps bounds the warps of one block: CUDA's own 1024 threads ÷
+// 32. A barrier release carries the arrived warps as one bit each of a
+// 32-bit mask, so a narrow warp size cannot take a block past it.
+const MaxBlockWarps = 32
+
 // GlobalBase is the first address handed out for global-memory
 // allocations; address 0 stays invalid so null dereferences fault.
 const GlobalBase = 0x10000

@@ -192,6 +192,9 @@ func (mod *Module) Launch(name string, cfg LaunchConfig) (Stats, error) {
 		return Stats{}, fmt.Errorf("gpusim: warp size %d out of range [2,32]", e.ws)
 	}
 	e.wpb = (e.bsz + e.ws - 1) / e.ws
+	if e.wpb > MaxBlockWarps {
+		return Stats{}, fmt.Errorf("gpusim: a block of %d threads at warp size %d is %d warps, more than %d", e.bsz, e.ws, e.wpb, MaxBlockWarps)
+	}
 	e.filtOn = cfg.ProducerFilter && cfg.Sink != nil && cfg.EmitBranchEvents
 	e.fGran = uint64(cfg.FilterGranularity)
 	if e.fGran == 0 {

@@ -287,54 +287,87 @@ func onesCount(m uint32) int {
 	return n
 }
 
+// TestTheorem1Agreement judges the detector against the definition in
+// three configurations: the plain epoch detector, the ownership tier on
+// top of it, and the FullVC ablation. Each record is classified the way
+// the producer classifies it, so coalesced and strided records reach the
+// span path and the ownership verdict; every configuration's verdict must
+// equal the definition's on every seed, and the ownership tier must take
+// its verdict on some records, or a dead tier would pass.
 func TestTheorem1Agreement(t *testing.T) {
-	for _, subword := range []bool{false, true} {
-		agreeRacy, agreeClean := 0, 0
-		stridedRacy, stridedClean := 0, 0 // seeds whose shared strided records race, and do not
-		var refined uint64
-		for seed := int64(0); seed < 60; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			stream := genStream(r, 60, subword)
-			det := core.New(testGeo(), 256, core.Options{NoSameValueFilter: true})
-			ref := New(testGeo())
-			for _, rc := range stream {
-				cp1, cp2 := *rc, *rc
-				det.Handle(&cp1)
-				ref.Handle(&cp2)
+	for _, cfg := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"epoch", core.Options{NoSameValueFilter: true}},
+		{"ownership", core.Options{NoSameValueFilter: true, Ownership: true}},
+		{"fullvc", core.Options{NoSameValueFilter: true, FullVC: true}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			var ownedFast uint64
+			for _, subword := range []bool{false, true} {
+				ownedFast += theorem1(t, cfg.opts, subword)
 			}
-			rep := det.Report()
-			dv := rep.HasRaces()
-			rv := ref.HasRaces()
-			if dv != rv {
-				t.Fatalf("subword=%v seed %d: detector=%v reference=%v\nref races: %v\ndet races: %v",
-					subword, seed, dv, rv, ref.Races(), rep.Races)
+			if cfg.opts.Ownership && ownedFast == 0 {
+				t.Fatal("the ownership tier took its verdict on no record")
 			}
-			if dv {
-				agreeRacy++
-			} else {
-				agreeClean++
-			}
-			switch strided, raced := hasStrided(stream), stridedRace(ref.Races()); {
-			case strided && raced:
-				stridedRacy++
-			case strided:
-				stridedClean++
-			}
-			refined += rep.Shadow.Refinements
-		}
-		// The generator must exercise both verdicts for the test to mean
-		// anything — and the sub-word streams must actually refine pages.
-		if agreeRacy == 0 || agreeClean == 0 {
-			t.Fatalf("subword=%v: degenerate coverage: racy=%d clean=%d", subword, agreeRacy, agreeClean)
-		}
-		t.Logf("subword=%v: %d racy and %d clean streams; shared strided records raced in %d, not in %d", subword, agreeRacy, agreeClean, stridedRacy, stridedClean)
-		if stridedRacy == 0 || stridedClean == 0 {
-			t.Fatalf("subword=%v: shared strided records raced in %d seeds and not in %d: want both", subword, stridedRacy, stridedClean)
-		}
-		if subword != (refined > 0) {
-			t.Fatalf("subword=%v: %d shadow refinements", subword, refined)
-		}
+		})
 	}
+}
+
+// theorem1 runs 60 seeds of one stream shape through a detector with opts
+// and the definition, and returns the records the ownership tier handled.
+func theorem1(t *testing.T, opts core.Options, subword bool) (ownedFast uint64) {
+	agreeRacy, agreeClean := 0, 0
+	stridedRacy, stridedClean := 0, 0 // seeds whose shared strided records race, and do not
+	var refined uint64
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		stream := genStream(r, 60, subword)
+		det := core.New(testGeo(), 256, opts)
+		w := det.NewWorker()
+		ref := New(testGeo())
+		for _, rc := range stream {
+			rc.Classify()
+			cp1, cp2 := *rc, *rc
+			w.Handle(&cp1)
+			ref.Handle(&cp2)
+		}
+		rep := det.Report()
+		dv := rep.HasRaces()
+		rv := ref.HasRaces()
+		if dv != rv {
+			t.Fatalf("subword=%v seed %d: detector=%v reference=%v\nref races: %v\ndet races: %v",
+				subword, seed, dv, rv, ref.Races(), rep.Races)
+		}
+		if dv {
+			agreeRacy++
+		} else {
+			agreeClean++
+		}
+		switch strided, raced := hasStrided(stream), stridedRace(ref.Races()); {
+		case strided && raced:
+			stridedRacy++
+		case strided:
+			stridedClean++
+		}
+		refined += rep.Shadow.Refinements
+		ownedFast += rep.Shadow.OwnedFast
+	}
+	// The generator must exercise both verdicts for the test to mean
+	// anything — and the sub-word streams must actually refine pages.
+	if agreeRacy == 0 || agreeClean == 0 {
+		t.Fatalf("subword=%v: degenerate coverage: racy=%d clean=%d", subword, agreeRacy, agreeClean)
+	}
+	t.Logf("subword=%v: %d racy and %d clean streams; shared strided records raced in %d, not in %d; %d owned record(s)",
+		subword, agreeRacy, agreeClean, stridedRacy, stridedClean, ownedFast)
+	if stridedRacy == 0 || stridedClean == 0 {
+		t.Fatalf("subword=%v: shared strided records raced in %d seeds and not in %d: want both", subword, stridedRacy, stridedClean)
+	}
+	if subword != (refined > 0) {
+		t.Fatalf("subword=%v: %d shadow refinements", subword, refined)
+	}
+	return ownedFast
 }
 
 // hasStrided reports whether a stream holds a strided record over the

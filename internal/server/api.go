@@ -86,14 +86,11 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 	if err := checkModule("job", r.PTX, r.Bench); err != nil {
 		return err
 	}
-	if err := checkLaunch("job", r.Grid, r.Block, r.Buffers, maxBufferBytes); err != nil {
+	if err := checkLaunch("job", r.Grid, r.Block, r.WarpSize, r.Buffers, maxBufferBytes); err != nil {
 		return err
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("job: field \"timeout_ms\": must be >= 0, got %d", r.TimeoutMS)
-	}
-	if r.WarpSize != 0 && (r.WarpSize < 2 || r.WarpSize > 32) {
-		return fmt.Errorf("job: field \"warp_size\": must be 0 or in [2,32], got %d", r.WarpSize)
 	}
 	if r.Class != "" && r.Class != ClassBatch && r.Class != ClassInteractive {
 		return fmt.Errorf("job: field \"class\": must be %q or %q, got %q", ClassBatch, ClassInteractive, r.Class)
@@ -109,13 +106,21 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 
 // checkLaunch is the launch clause of a job's and a repair's Validate:
 // extents and buffer sizes non-negative, the extents within
-// detector.BoundBlock and detector.BoundThreads, the buffers within the cap.
-func checkLaunch(prefix string, grid, block int, buffers []int, maxBufferBytes int64) error {
+// detector.BoundBlock and detector.BoundThreads, a block within
+// gpusim.MaxBlockWarps warps at the warp size (0 = 32), the buffers within
+// the cap.
+func checkLaunch(prefix string, grid, block, warpSize int, buffers []int, maxBufferBytes int64) error {
 	if grid < 0 {
 		return fmt.Errorf("%s: field \"grid\": must be >= 0, got %d", prefix, grid)
 	}
 	if block < 0 || block > detector.BoundBlock {
 		return fmt.Errorf("%s: field \"block\": must be in [0, %d], got %d", prefix, detector.BoundBlock, block)
+	}
+	if warpSize != 0 && (warpSize < 2 || warpSize > 32) {
+		return fmt.Errorf("%s: field \"warp_size\": must be 0 or in [2,32], got %d", prefix, warpSize)
+	}
+	if warpSize != 0 && (block+warpSize-1)/warpSize > gpusim.MaxBlockWarps {
+		return fmt.Errorf("%s: field \"warp_size\": a block of %d threads at warp size %d is more than %d warps", prefix, block, warpSize, gpusim.MaxBlockWarps)
 	}
 	// A zero block selects 32 threads for a detection and 64 for a repair:
 	// count the larger.

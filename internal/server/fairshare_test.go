@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// TestFairQueueWRROrder pins the deficit rotation: a weight-2 tenant
-// takes two consecutive jobs per round, everyone else one, and a
-// drained tenant leaves the ring without disturbing the rotation.
+// TestFairQueueWRROrder pins the rotation: every tenant takes one job per
+// turn, and a drained tenant leaves the ring without disturbing it.
 func TestFairQueueWRROrder(t *testing.T) {
-	q := newFairQueue(16, map[string]int{"a": 2})
+	q := newFairQueue(16)
 	mk := func(id string) *Job { return &Job{ID: id, done: make(chan struct{})} }
 	for _, j := range []struct{ tenant, id string }{
 		{"a", "a1"}, {"a", "a2"}, {"a", "a3"}, {"a", "a4"},
@@ -20,7 +19,7 @@ func TestFairQueueWRROrder(t *testing.T) {
 			t.Fatalf("push %s rejected", j.id)
 		}
 	}
-	want := []string{"a1", "a2", "b1", "c1", "a3", "a4"}
+	want := []string{"a1", "b1", "c1", "a2", "a3", "a4"}
 	for i, w := range want {
 		j := q.pop()
 		if j == nil || j.ID != w {
@@ -38,7 +37,7 @@ func TestFairQueueWRROrder(t *testing.T) {
 // leave no bucket behind.
 func TestFairQueueForgetsDrainedTenants(t *testing.T) {
 	const tenants = 10000
-	q := newFairQueue(tenants, map[string]int{"a": 2})
+	q := newFairQueue(tenants)
 	for i := 0; i < tenants; i++ {
 		if !q.push(fmt.Sprint("key-", i), &Job{ID: fmt.Sprint(i)}) {
 			t.Fatalf("push %d rejected", i)
@@ -55,12 +54,12 @@ func TestFairQueueForgetsDrainedTenants(t *testing.T) {
 	if left := q.drain(); len(left) != tenants/2 || len(q.buckets) != 0 || q.Depth() != 0 {
 		t.Errorf("drain returned %d job(s) and left %d bucket(s), depth %d", len(left), len(q.buckets), q.Depth())
 	}
-	// A returning tenant starts over: its weight, from the tail of the ring.
+	// A returning tenant starts over, from the tail of the ring.
 	for _, id := range []string{"a1", "a2", "a3"} {
 		q.push("a", &Job{ID: id})
 	}
 	q.push("b", &Job{ID: "b1"})
-	for _, want := range []string{"a1", "a2", "b1", "a3"} {
+	for _, want := range []string{"a1", "b1", "a2", "a3"} {
 		if j := q.pop(); j.ID != want {
 			t.Fatalf("pop = %s, want %s", j.ID, want)
 		}
@@ -72,7 +71,7 @@ func TestFairQueueForgetsDrainedTenants(t *testing.T) {
 
 // TestFairShareNoStarvation is the two-tenant contract: a noisy tenant
 // queues a deep backlog behind a held worker, a quiet tenant then
-// submits a single job, and weighted round-robin serves the quiet job
+// submits a single job, and round-robin serves the quiet job
 // on the first free rotation — not behind the whole backlog as the old
 // single FIFO would.
 func TestFairShareNoStarvation(t *testing.T) {

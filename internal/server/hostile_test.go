@@ -90,7 +90,10 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 // a race channel, a shadow page or a warp table — each of these used to
 // reach make(), or index past a page's cells, and take the process down
 // (a 67108864×1024 launch asked for a 16 GiB warp table) — and the daemon
-// serves the next job.
+// serves the next job. A block of more than 32 warps (128 threads at warp
+// size 2) is refused the same way: a barrier's arrival mask has one bit
+// per warp, and the warps past bit 31 used to drop out of every join,
+// reporting a race the barrier orders. Repair has no warp size to bound.
 func TestOversizedConfigRejected(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
 	want := racyDigest(t)
@@ -101,33 +104,36 @@ func TestOversizedConfigRejected(t *testing.T) {
 	const huge = 1 << 50
 	seq := uint64(0)
 	for _, tc := range []struct {
-		name        string // also what the error must name
-		grid, block int
-		cfg         detector.Config
+		name              string // also what the error must name
+		grid, block, warp int
+		cfg               detector.Config
 	}{
-		{"Queues", 1, 32, detector.Config{Queues: huge}},
-		{"QueueCap", 1, 32, detector.Config{QueueCap: huge}},
-		{"MaxRaces", 1, 32, detector.Config{MaxRaces: huge}},
-		{"Granularity", 1, 32, detector.Config{Granularity: huge}},
-		{"power of two", 1, 32, detector.Config{Granularity: 3}},
+		{"Queues", 1, 32, 0, detector.Config{Queues: huge}},
+		{"QueueCap", 1, 32, 0, detector.Config{QueueCap: huge}},
+		{"MaxRaces", 1, 32, 0, detector.Config{MaxRaces: huge}},
+		{"Granularity", 1, 32, 0, detector.Config{Granularity: huge}},
+		{"power of two", 1, 32, 0, detector.Config{Granularity: 3}},
 		// Each inside its own bound, 2.19 GiB of ring between them.
-		{"Queues×QueueCap", 1, 32, detector.Config{Queues: detector.BoundQueues, QueueCap: detector.BoundQueueCap}},
-		{`field "block"`, 1, detector.BoundBlock + 1, detector.Config{}},
-		{`field "grid"`, 67108864, 1024, detector.Config{}},
-		{`field "grid"`, detector.BoundThreads/32 + 1, 32, detector.Config{}},
-		{`field "grid"`, huge, 0, detector.Config{}},
+		{"Queues×QueueCap", 1, 32, 0, detector.Config{Queues: detector.BoundQueues, QueueCap: detector.BoundQueueCap}},
+		{`field "block"`, 1, detector.BoundBlock + 1, 0, detector.Config{}},
+		{`field "grid"`, 67108864, 1024, 0, detector.Config{}},
+		{`field "grid"`, detector.BoundThreads/32 + 1, 32, 0, detector.Config{}},
+		{`field "grid"`, huge, 0, 0, detector.Config{}},
+		{`field "warp_size"`, 1, 128, 2, detector.Config{}},
 	} {
 		name := fmt.Sprintf("%s (%d×%d)", tc.name, tc.grid, tc.block)
-		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, Config: tc.cfg})
+		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, WarpSize: tc.warp, Config: tc.cfg})
 		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
 			t.Errorf("POST /jobs with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
 		}
-		code, _, errj = postRepair(t, ts, RepairRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, Config: tc.cfg})
-		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
-			t.Errorf("POST /v1/repair with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
+		if tc.warp == 0 {
+			code, _, errj = postRepair(t, ts, RepairRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, Config: tc.cfg})
+			if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
+				t.Errorf("POST /v1/repair with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
+			}
 		}
 		seq++
-		if err := c.Launch(wire.LaunchSpec{Seq: seq, Kernel: "k", Grid: tc.grid, Block: tc.block, Buffers: []int{4}, Config: tc.cfg}); err != nil {
+		if err := c.Launch(wire.LaunchSpec{Seq: seq, Kernel: "k", Grid: tc.grid, Block: tc.block, WarpSize: tc.warp, Buffers: []int{4}, Config: tc.cfg}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, rejects := collect(t, c, 1)

@@ -34,7 +34,7 @@ func (r *RepairRequest) Validate(maxBufferBytes int64) error {
 	if err := checkModule("repair", r.PTX, r.Bench); err != nil {
 		return err
 	}
-	if err := checkLaunch("repair", r.Grid, r.Block, r.Buffers, maxBufferBytes); err != nil {
+	if err := checkLaunch("repair", r.Grid, r.Block, 0, r.Buffers, maxBufferBytes); err != nil {
 		return err
 	}
 	if r.MaxCandidates < 0 {

@@ -46,11 +46,6 @@ type SchedulerOptions struct {
 	// Tenants sizes the per-API-key admission control on the streaming
 	// path.
 	Tenants TenantOptions
-	// TenantWeights sets per-tenant weighted-round-robin shares of the
-	// admission queue (default weight 1 for any tenant not listed). A
-	// tenant with weight 2 is served two jobs per rotation to everyone
-	// else's one; no tenant can starve another regardless of backlog.
-	TenantWeights map[string]int
 }
 
 func (o SchedulerOptions) withDefaults() SchedulerOptions {
@@ -173,7 +168,7 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 		srcs:    NewSrcStore(opts.SrcEntries),
 		tenants: NewTenantRegistry(opts.Tenants),
 		metrics: &Metrics{},
-		q:       newFairQueue(opts.QueueCap, opts.TenantWeights),
+		q:       newFairQueue(opts.QueueCap),
 		jobs:    NewHistory("job-", opts.MaxJobs, (*Job).terminal),
 	}
 	for i := 0; i < opts.Workers; i++ {
@@ -264,7 +259,7 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 }
 
 // SubmitTenant is Submit with a tenant identity and an incremental race
-// observer. The job is admitted into that tenant's weighted-round-robin
+// observer. The job is admitted into that tenant's round-robin
 // bucket, so one tenant's backlog cannot starve another's submissions.
 // onRace, when non-nil, is invoked once per new static race at the
 // moment of discovery, from a detection worker goroutine. The streaming

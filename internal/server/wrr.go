@@ -3,9 +3,9 @@ package server
 import "sync"
 
 // fairQueue is the scheduler's admission queue: one FIFO bucket per
-// tenant, drained by weighted round-robin. A tenant that floods the
-// queue only delays its own jobs — another tenant's next job is served
-// after at most `weight(noisy)` of the flooder's, not after the whole
+// tenant, drained by round-robin, one job per tenant per turn. A tenant
+// that floods the queue only delays its own jobs — another tenant's next
+// job is served after at most one of the flooder's, not after the whole
 // backlog, which is the starvation the old single FIFO allowed.
 //
 // The capacity bound stays global (total queued jobs across tenants), so
@@ -17,32 +17,22 @@ type fairQueue struct {
 	depth  int
 	closed bool
 
-	weights map[string]int     // static per-tenant weights (default 1)
 	buckets map[string]*bucket // per-tenant FIFOs, of the tenants in ring
 	ring    []string           // rotation order of tenants with queued jobs
 	cursor  int                // ring index the next pop starts from
 }
 
 type bucket struct {
-	jobs   []*Job
-	credit int // jobs this tenant may still take in the current round
+	jobs []*Job
 }
 
-func newFairQueue(capacity int, weights map[string]int) *fairQueue {
+func newFairQueue(capacity int) *fairQueue {
 	q := &fairQueue{
 		cap:     capacity,
-		weights: weights,
 		buckets: make(map[string]*bucket),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
-}
-
-func (q *fairQueue) weight(tenant string) int {
-	if w, ok := q.weights[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
 }
 
 // push enqueues a job for a tenant, reporting false when the global
@@ -79,27 +69,22 @@ func (q *fairQueue) pop() *Job {
 	if q.closed {
 		return nil
 	}
-	// Weighted round-robin: the cursor tenant serves up to its weight in
-	// consecutive jobs per round, then the turn passes. An emptied tenant
-	// leaves the ring and the map — the JSON road admits any bearer token,
-	// so a bucket kept per token ever seen is a leak — and re-enters at the
-	// tail, with no credit, on its next push.
+	// Round-robin: the cursor tenant serves one job, then the turn passes.
+	// An emptied tenant leaves the ring and the map — the JSON road admits
+	// any bearer token, so a bucket kept per token ever seen is a leak —
+	// and re-enters at the tail on its next push.
 	if q.cursor >= len(q.ring) {
 		q.cursor = 0
 	}
 	tenant := q.ring[q.cursor]
 	b := q.buckets[tenant]
-	if b.credit <= 0 {
-		b.credit = q.weight(tenant)
-	}
 	job := b.jobs[0]
 	b.jobs = b.jobs[1:]
-	b.credit--
 	q.depth--
 	if len(b.jobs) == 0 {
 		delete(q.buckets, tenant)
 		q.ring = append(q.ring[:q.cursor], q.ring[q.cursor+1:]...)
-	} else if b.credit == 0 {
+	} else {
 		q.cursor++
 	}
 	return job

@@ -1,18 +1,15 @@
 // Adaptive ownership tier and memory-bounded shadow.
 //
 // Ownership (the SmartTrack-style tier below FastTrack): each region
-// carries a one-word ownership state recording WHO has touched its cells
-// since the region was last virgin — nobody (OwnNone), exactly one warp
+// carries an ownership state recording WHO has touched its cells since
+// the region was last virgin — nobody (OwnNone), exactly one warp
 // (OwnWarp), exactly one thread block (OwnBlock), or a mix (OwnShared,
-// sticky). While a region is exclusively owned, the detector's hot path
-// can prove every stored epoch ordered with a single region-level
-// comparison and skip the per-cell epoch machinery entirely (see
-// core.tryOwned for the soundness argument). The word is published
-// atomically so the detector can probe it without the lock, but the probe
-// is ONLY a pre-filter: the claim→inflate protocol requires every decision
-// to be re-validated after taking the region lock, because another
-// detector thread may inflate the region between the probe and the lock
-// (the TOCTOU pitfall). All transitions happen under the region lock.
+// sticky). While a region is exclusively owned, the detector can prove
+// every stored epoch ordered with a single region-level comparison and
+// skip the per-cell epoch checks of a run entirely (core/owned.go has the
+// soundness argument). The state is read and changed only under the
+// region lock, by the same walk that then stores to the cells, so no
+// other detector thread can change it between the decision and the store.
 //
 // Bounded shadow: with a byte cap configured, the shadow tracks the
 // resident footprint of every region, stamps regions on use, and evicts
@@ -41,9 +38,9 @@ type OwnState uint32
 const (
 	// OwnNone: no tracked access since the region was virgin.
 	OwnNone OwnState = iota
-	// OwnWarp: every access so far came from one warp (the probe id).
+	// OwnWarp: every access so far came from one warp (the owner id).
 	OwnWarp
-	// OwnBlock: every access so far came from one block (the probe id).
+	// OwnBlock: every access so far came from one block (the owner id).
 	OwnBlock
 	// OwnShared: accesses from several blocks, or an access the tracking
 	// paths could not attribute. Sticky — a shared region never returns
@@ -65,24 +62,8 @@ func (s OwnState) String() string {
 	return "?"
 }
 
-// packOwner packs state and owner id into the probe word.
-func packOwner(st OwnState, id uint32) uint64 {
-	return uint64(st) | uint64(id)<<2
-}
-
-// OwnerProbe reads the ownership word WITHOUT the region lock: the
-// pre-filter of the claim→inflate protocol. Callers must
-// re-validate with Owner after locking before acting on it.
-func (r *Region) OwnerProbe() (OwnState, uint32) {
-	w := r.owner.Load()
-	return OwnState(w & 3), uint32(w >> 2)
-}
-
 // Owner reads the ownership state under the region lock.
-func (r *Region) Owner() (OwnState, uint32) {
-	w := r.owner.Load()
-	return OwnState(w & 3), uint32(w >> 2)
-}
+func (r *Region) Owner() (OwnState, uint32) { return r.ownState, r.ownID }
 
 // OwnerClocks returns the clock bounds backing the exclusive states,
 // under the region lock: lastWarp is the warp of the most recent tracked
@@ -95,10 +76,8 @@ func (r *Region) OwnerClocks() (lastWarp uint32, lastMax, otherMax vc.Clock) {
 	return r.ownLastWarp, r.ownLastMax, r.ownOtherMax
 }
 
-// setOwner publishes an ownership transition (region lock held).
-func (r *Region) setOwner(st OwnState, id uint32) {
-	r.owner.Store(packOwner(st, id))
-}
+// setOwner makes an ownership transition (region lock held).
+func (r *Region) setOwner(st OwnState, id uint32) { r.ownState, r.ownID = st, id }
 
 // Claim marks a virgin region exclusively owned by a warp (region lock
 // held; caller verified state OwnNone).
@@ -148,22 +127,13 @@ func (m *Memory) Inflate(r *Region) {
 	r.setOwner(OwnShared, 0)
 }
 
-// inflateOwner is the untracked-access hook on the per-cell paths
-// (VisitLanes, CellFor): those paths do not know the accessing warp, so
-// the only safe transition is straight to OwnShared.
+// inflateOwner is the untracked-access hook of CellFor, which does not
+// know the accessing warp, so the only safe transition is straight to
+// OwnShared.
 func (r *Region) inflateOwner(m *Memory) {
 	if m.owned {
 		m.Inflate(r)
 	}
-}
-
-// resetOwner returns a region to the virgin ownership state (used by
-// tests; compaction and eviction reset by dropping the region object).
-func (r *Region) resetOwner() {
-	r.owner.Store(0)
-	r.ownLastWarp = 0
-	r.ownLastMax = 0
-	r.ownOtherMax = 0
 }
 
 // EnableOwnership switches ownership tracking on. Call once, before any
@@ -172,8 +142,8 @@ func (m *Memory) EnableOwnership() {
 	m.owned = true
 }
 
-// NoteOwnedFast counts one record fully handled by the ownership fast
-// path.
+// NoteOwnedFast counts one record whose every region run took the
+// ownership tier's verdict.
 func (m *Memory) NoteOwnedFast() { m.ownFast.Add(1) }
 
 // cellBytes is the resident footprint of one shadow cell. Structural

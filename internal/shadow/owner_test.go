@@ -1,15 +1,14 @@
 package shadow
 
 import (
-	"sync"
 	"testing"
 
 	"barracuda/internal/logging"
 )
 
 // TestOwnershipTransitions walks a region through the ownership lattice
-// None → Warp → Block → Shared and checks the probe word, the clock
-// bounds and the counters at every step.
+// None → Warp → Block → Shared and checks the owner, the clock bounds
+// and the counters at every step.
 func TestOwnershipTransitions(t *testing.T) {
 	m := New(4, 0, spanTestGeo())
 	m.EnableOwnership()
@@ -66,44 +65,6 @@ func TestOwnershipTransitions(t *testing.T) {
 	if got := m.Stats().Inflations; got != 1 {
 		t.Fatalf("inflations after untracked hook = %d, want still 1", got)
 	}
-}
-
-// TestOwnershipProbeConcurrent hammers the unlocked probe against
-// locked transitions; under -race this proves the ownership word is
-// safely published.
-func TestOwnershipProbeConcurrent(t *testing.T) {
-	m := New(4, 0, spanTestGeo())
-	m.EnableOwnership()
-	r, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				r.OwnerProbe()
-			}
-		}
-	}()
-	for i := 0; i < 1000; i++ {
-		r.Lock()
-		switch st, _ := r.Owner(); st {
-		case OwnNone:
-			m.Claim(r, uint32(i), 1)
-		case OwnWarp:
-			m.Inflate(r)
-		default:
-			r.resetOwner()
-		}
-		r.Unlock()
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestBoundedEviction checks the LRU byte cap: residency never exceeds

@@ -105,8 +105,7 @@ func (r *Region) ClearReads(idx int) {
 const pageBits = 16
 
 // PageBytes is the device-memory coverage of one global shadow page —
-// exported so region-granular callers (the core's ownership fast path)
-// can detect page-crossing accesses without resolving both ends.
+// exported for callers that lay addresses out by shadow page.
 const PageBytes = 1 << pageBits
 
 // wordGranule is the granule regions start at: one cell per aligned
@@ -480,7 +479,8 @@ func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, a
 // A run's prologue readies the region before any of its cells is visited:
 // lock it (dropping the one held before, so allocation and the evictor's
 // TryLock run with none held), touch ahead, Fit, demote the summaries the
-// lane overlaps, mark it live, inflate its owner, take its weight. A run
+// lane overlaps, mark it live, take its weight. The region's owner is
+// fn's business (the detector's ownership verdict). A run
 // ends exactly where a walk of one lane at a time would do something
 // else — at a page change, at a lane that needs refining, at a lane that
 // overlaps a summary — and the rest of the prologue is idempotent, so the
@@ -546,7 +546,6 @@ func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, l
 				run.Last = len(reg.cells) - 1
 				reg.demoteOverlapping(m, min(lo, run.Last), min(hi, run.Last+1))
 				reg.markLive()
-				reg.inflateOwner(m)
 				run.Weight, ready = m.Weight(reg), true
 			}
 			out = append(out, LaneCells{Lane: ln.Index, Lo: lo, Hi: hi})

@@ -92,14 +92,10 @@ type Region struct {
 	// region on eviction and compaction. Guarded by lock.
 	reads []map[vc.TID]vc.Clock
 
-	// owner is the packed ownership probe word: state (2 bits) | id<<2.
-	// Published atomically for the unlocked pre-filter; transitions
-	// happen under lock (see owner.go).
-	owner atomic.Uint64
-
-	// Clock bounds backing the exclusive ownership states. Guarded by
-	// lock: they do not fit the probe word, and the fast path only needs
-	// them after it has taken the region lock anyway.
+	// The ownership state and the clock bounds backing its exclusive
+	// states (see owner.go). Guarded by lock.
+	ownState    OwnState
+	ownID       uint32
 	ownLastWarp uint32
 	ownLastMax  vc.Clock
 	ownOtherMax vc.Clock
