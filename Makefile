@@ -97,8 +97,8 @@ artifacts-smoke:
 test:
 	$(GO) test ./...
 
-# internal/bench alone is 12 minutes under the race detector on a 2-CPU
-# host, past go test's 10-minute default.
+# internal/bench alone is about 7 minutes under the race detector on a
+# 2-CPU host, too close to go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -201,7 +201,7 @@ stress-failover:
 # race detector where schedules are concurrent.
 stress-filter:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestProducerFilter' ./internal/bugsuite/ ./internal/detector/ ./internal/server/
-	$(GO) test -run 'TestFilterBenchmarkEquivalence' ./internal/bench/
+	$(GO) test -run 'TestBenchmarkEquivalence/^filter$$' ./internal/bench/
 	$(GO) test -run 'FuzzRecords|TestRecordSeedsRoundTrip' ./internal/wire/
 
 # The streaming-protocol correctness stress: frame-decoder fuzz corpus

@@ -2,8 +2,6 @@
 //
 //	BenchmarkTable1              — full Table 1 sweep (detection on all 26 benchmarks)
 //	BenchmarkFig9Instrumentation — static instrumentation of all 26 benchmarks
-//	BenchmarkNative/*            — Figure 10 baseline: native simulation
-//	BenchmarkDetect/*            — Figure 10: instrumented run + detection
 //	BenchmarkBugSuite            — the 66-program §6.1 suite under BARRACUDA
 //	BenchmarkLitmusMP            — the Figure 4 mp litmus engine
 //
@@ -14,6 +12,9 @@
 //	BenchmarkQueueScaling        — 1..8 logging queues
 //	BenchmarkQueueThroughput     — raw lock-free queue ops
 //	BenchmarkGranularity         — 1-byte vs 4-byte shadow cells
+//
+// Figure 10 is not here: its per-program overhead is the `row` lines of
+// the end-to-end benchmark, benchmarks/e2e/run.sh.
 package barracuda
 
 import (
@@ -23,18 +24,12 @@ import (
 	"barracuda/internal/bench"
 	"barracuda/internal/bugsuite"
 	"barracuda/internal/detector"
-	"barracuda/internal/gpusim"
 	"barracuda/internal/instrument"
 	"barracuda/internal/logging"
 	"barracuda/internal/memmodel"
 	"barracuda/internal/ptx"
 	"barracuda/internal/trace"
 )
-
-// fig10Set is the subset of benchmarks exercised per-iteration in the
-// timed benchmarks (a spread of small, medium and racy kernels); the
-// full 26-benchmark sweep lives in BenchmarkTable1 and cmd/benchtab.
-var fig10Set = []string{"nn", "hashtable", "bfs_shoc", "pathfinder", "hotspot", "dwt2d"}
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -64,41 +59,6 @@ func BenchmarkFig9Instrumentation(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-func BenchmarkNative(b *testing.B) {
-	for _, name := range fig10Set {
-		bm := bench.ByName(name)
-		b.Run(name, func(b *testing.B) {
-			s, err := detector.OpenPTX(bm.PTX(), detector.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var args []uint64
-			for _, sz := range bm.Buffers() {
-				args = append(args, s.Dev.MustAlloc(sz))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.RunNative("main", launchFor(bm, args)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDetect(b *testing.B) {
-	for _, name := range fig10Set {
-		bm := bench.ByName(name)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.Detect(bm, detector.Config{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -207,8 +167,4 @@ func BenchmarkGranularity(b *testing.B) {
 			}
 		})
 	}
-}
-
-func launchFor(bm *bench.Benchmark, args []uint64) gpusim.LaunchConfig {
-	return gpusim.LaunchConfig{Grid: bm.Grid, Block: bm.Block, Args: args}
 }

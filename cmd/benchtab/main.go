@@ -1,8 +1,9 @@
 // Command benchtab regenerates the evaluation artifacts: Table 1
 // (benchmark characteristics and races found), Figure 9 (fraction of
-// static instructions instrumented before/after pruning), Figure 10
-// (detection overhead over native execution), and the PTVC format
-// distribution of Figure 7.
+// static instructions instrumented before/after pruning) and the PTVC
+// format distribution of Figure 7. Figure 10 (detection overhead over
+// native execution) is the per-program `row` lines of the end-to-end
+// benchmark, benchmarks/e2e/run.sh.
 package main
 
 import (
@@ -19,24 +20,23 @@ func main() {
 	var (
 		table1   = flag.Bool("table1", false, "regenerate Table 1")
 		fig9     = flag.Bool("fig9", false, "regenerate Figure 9")
-		fig10    = flag.Bool("fig10", false, "regenerate Figure 10")
 		pformats = flag.Bool("ptvc", false, "PTVC format distribution per benchmark (Figure 7)")
 		all      = flag.Bool("all", false, "everything")
 	)
 	flag.Parse()
-	if !*table1 && !*fig9 && !*fig10 && !*pformats {
+	if !*table1 && !*fig9 && !*pformats {
 		*all = true
 	}
 	if *all {
-		*table1, *fig9, *fig10, *pformats = true, true, true, true
+		*table1, *fig9, *pformats = true, true, true
 	}
-	if err := run(*table1, *fig9, *fig10, *pformats); err != nil {
+	if err := run(*table1, *fig9, *pformats); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table1, fig9, fig10, pformats bool) error {
+func run(table1, fig9, pformats bool) error {
 	if table1 {
 		rows, err := bench.Table1()
 		if err != nil {
@@ -69,19 +69,6 @@ func run(table1, fig9, fig10, pformats bool) error {
 		for _, r := range rows {
 			fmt.Printf("%-34s %13.1f%% %11.1f%% %11.1f%%\n",
 				r.Name, 100*r.Unoptimized, 100*r.Optimized, 100*r.Static)
-		}
-		fmt.Println()
-	}
-	if fig10 {
-		rows, err := bench.Fig10()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 10: detection overhead normalized to native execution")
-		fmt.Printf("%-34s %12s %12s %10s\n", "benchmark", "native", "detected", "overhead")
-		for _, r := range rows {
-			fmt.Printf("%-34s %12v %12v %9.1fx\n", r.Name,
-				r.Native.Round(0), r.Detected.Round(0), r.Overhead)
 		}
 		fmt.Println()
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"barracuda/internal/detector"
+	"barracuda/internal/logging"
 	"barracuda/internal/ptx"
 )
 
@@ -132,5 +133,48 @@ func TestGenerateSpecVariants(t *testing.T) {
 		if _, err := ptx.Parse(Generate(s)); err != nil {
 			t.Errorf("spec %d: %v", i, err)
 		}
+	}
+}
+
+// recordSink keeps a copy of every record a launch emits.
+type recordSink struct{ records []logging.Record }
+
+func (s *recordSink) Emit(r *logging.Record) { s.records = append(s.records, *r) }
+
+// TestSimulatorClassifiesLikeClassify: the simulator tags records inside
+// the loop that fills Addrs; logging.Record.Classify is the reference for
+// what the tag must be. Over every record the 26 benchmarks emit the two
+// agree, and the census has the shape the transport is built for:
+// practically every memory record is compact.
+func TestSimulatorClassifiesLikeClassify(t *testing.T) {
+	var memory, compact int
+	for _, b := range All() {
+		s, launch, err := session(b, detector.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &recordSink{}
+		if _, err := s.LaunchInto("main", launch, sink); err != nil {
+			t.Fatal(err)
+		}
+		for i := range sink.records {
+			r := &sink.records[i]
+			if !r.Op.IsMemory() {
+				continue
+			}
+			ref := *r
+			ref.Classify()
+			if ref.Flags != r.Flags || ref.Base != r.Base || ref.Stride != r.Stride {
+				t.Fatalf("%s record %d: simulator tagged flags %#x base %#x stride %d, Classify %#x %#x %d",
+					b.Name, i, r.Flags, r.Base, r.Stride, ref.Flags, ref.Base, ref.Stride)
+			}
+			memory++
+			if r.Flags&(logging.FlagCoalesced|logging.FlagStrided) != 0 {
+				compact++
+			}
+		}
+	}
+	if memory == 0 || compact*100 < memory*99 {
+		t.Errorf("%d of %d memory records are compact, want at least 99%%", compact, memory)
 	}
 }

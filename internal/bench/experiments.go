@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"barracuda/internal/core"
 	"barracuda/internal/detector"
@@ -160,45 +159,6 @@ func (s statsLike) FracInstrumentedStatic() float64 {
 		return 0
 	}
 	return float64(s.InstrumentedStatic) / float64(s.Static)
-}
-
-// Fig10Row is one bar of Figure 10.
-type Fig10Row struct {
-	Name     string
-	Native   time.Duration
-	Detected time.Duration
-	Overhead float64 // Detected / Native
-}
-
-// Fig10 regenerates Figure 10: the runtime overhead of detection
-// normalized to native execution.
-func Fig10() ([]Fig10Row, error) {
-	var rows []Fig10Row
-	for _, b := range All() {
-		s, launch, err := session(b, detector.Config{})
-		if err != nil {
-			return nil, err
-		}
-		_, nat, err := s.RunNative("main", launch)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s native: %w", b.Name, err)
-		}
-		res, err := s.Detect("main", launch)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s detect: %w", b.Name, err)
-		}
-		ov := 0.0
-		if nat > 0 {
-			ov = float64(res.Duration) / float64(nat)
-		}
-		rows = append(rows, Fig10Row{
-			Name:     b.Name,
-			Native:   nat,
-			Detected: res.Duration,
-			Overhead: ov,
-		})
-	}
-	return rows, nil
 }
 
 // VerifyRaces checks a detection result against the benchmark's

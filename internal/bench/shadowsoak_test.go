@@ -44,7 +44,7 @@ func TestBoundedShadowSoak(t *testing.T) {
 		// The soak is single-queue and deterministic, so the race
 		// detector adds no interleaving coverage here — concurrent
 		// bounded-shadow traffic is exercised under -race by
-		// TestBoundedShadowEquivalence (bugsuite, 4 queues). Replaying
+		// TestBoundedShadowEquivalence (bugsuite, 4 queues). Detecting
 		// all 26 benchmarks twice under the ~10x slowdown would blow
 		// the package's default test timeout.
 		t.Skip("deterministic single-queue soak skipped under -race")
@@ -59,7 +59,7 @@ func TestBoundedShadowSoak(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			free := defaultBaseline(t, b, 0, 1)
+			free := baseline(t, b, detector.Config{}, 0)
 			if free.peak > maxUnboundedPeak {
 				maxUnboundedPeak = free.peak
 			}

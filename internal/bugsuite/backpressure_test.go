@@ -61,6 +61,11 @@ func cfgName(c detector.Config) string {
 	return fmt.Sprintf("queues=%d queue_cap=%d fastpaths=%v", max(c.Queues, 1), c.QueueCap, c.Ownership)
 }
 
+// recordSink keeps a copy of every record a launch emits.
+type recordSink struct{ records []logging.Record }
+
+func (s *recordSink) Emit(r *logging.Record) { s.records = append(s.records, *r) }
+
 // TestSimulatorClassifiesLikeClassify: the simulator tags each record's
 // address shape inside the loop that fills Addrs; logging.Record.Classify
 // is the reference for what the tag must be. Over every record of the
@@ -77,12 +82,12 @@ func TestSimulatorClassifiesLikeClassify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := s.Capture(tc.Kernel, launch)
-		if err != nil {
+		sink := &recordSink{}
+		if _, err := s.LaunchInto(tc.Kernel, launch, sink); err != nil {
 			continue // programs that hang or fault are another test's business
 		}
-		for i := range cp.Records {
-			r := &cp.Records[i]
+		for i := range sink.records {
+			r := &sink.records[i]
 			ref := *r
 			ref.Classify()
 			if ref.Flags != r.Flags || ref.Base != r.Base || ref.Stride != r.Stride {

@@ -420,28 +420,45 @@ func (s *Session) shape(kernelName string, launch gpusim.LaunchConfig) (ptvc.Geo
 	return geo, k.SharedBytes(), nil
 }
 
-// pipeline is the host side of Figure 5, written once: the detector state,
-// the queue rings and one detector thread per queue are built, produce
-// feeds the rings (the simulator behind a routeSink, or Replay's
-// per-queue goroutines) and returns once it has enqueued its last record,
-// the queues are closed and drained, and the shadow is released. Duration
-// runs from before the detector state is built to after the last detector
-// thread returns.
-func pipeline(geo ptvc.Geometry, sharedBytes int64, cfg Config, onRace func(core.Race),
-	produce func(*logging.Set) (gpusim.Stats, error)) (*Result, error) {
+// Detect runs a kernel under the race detector.
+func (s *Session) Detect(kernelName string, launch gpusim.LaunchConfig) (*Result, error) {
+	return s.DetectObserved(kernelName, launch, nil)
+}
+
+// DetectObserved runs a kernel under the race detector with an optional
+// incremental race observer: onRace fires once per new static race at
+// the moment of discovery, before the run completes — the hook behind
+// the streaming job protocol's incremental race frames. onRace runs on a
+// detection worker goroutine under the report lock, so it must be
+// non-blocking (the stream layer hands it a channel buffered to
+// MaxRaces). A nil onRace is exactly Detect.
+//
+// It is the host side of Figure 5: the detector state, the queue rings and
+// one detector thread per queue are built, the simulator feeds the rings
+// through a routeSink, the queues are closed and drained, and the shadow is
+// released. Duration runs from before the detector state is built to after
+// the last detector thread returns.
+func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, onRace func(core.Race)) (*Result, error) {
+	geo, sharedBytes, err := s.shape(kernelName, launch)
+	if err != nil {
+		return nil, err
+	}
+	launch.ProducerFilter = s.cfg.ProducerFilter
+	launch.FilterGranularity = s.cfg.Granularity
+
 	start := time.Now()
-	opts := cfg.coreOptions()
+	opts := s.cfg.coreOptions()
 	opts.OnRace = onRace
 	det := core.New(geo, sharedBytes, opts)
-	set := logging.NewSet(cfg.Queues, cfg.QueueCap)
-	set.SetGranularity(cfg.Granularity)
+	set := logging.NewSet(s.cfg.Queues, s.cfg.QueueCap)
+	set.SetGranularity(s.cfg.Granularity)
 
 	var wg sync.WaitGroup
 	for _, q := range set.Queues {
 		wg.Add(1)
 		go consumeQueue(det, q, &wg)
 	}
-	stats, err := produce(set)
+	stats, err := s.LaunchInto(kernelName, launch, &routeSink{set: set})
 	set.CloseAll()
 	wg.Wait()
 	dur := time.Since(start)
@@ -460,30 +477,6 @@ func pipeline(geo ptvc.Geometry, sharedBytes int64, cfg Config, onRace func(core
 	// run's shadow pages go back to the process's slab pool.
 	det.Shadow().Release()
 	return res, err
-}
-
-// Detect runs a kernel under the race detector.
-func (s *Session) Detect(kernelName string, launch gpusim.LaunchConfig) (*Result, error) {
-	return s.DetectObserved(kernelName, launch, nil)
-}
-
-// DetectObserved runs a kernel under the race detector with an optional
-// incremental race observer: onRace fires once per new static race at
-// the moment of discovery, before the run completes — the hook behind
-// the streaming job protocol's incremental race frames. onRace runs on a
-// detection worker goroutine under the report lock, so it must be
-// non-blocking (the stream layer hands it a channel buffered to
-// MaxRaces). A nil onRace is exactly Detect.
-func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, onRace func(core.Race)) (*Result, error) {
-	geo, sharedBytes, err := s.shape(kernelName, launch)
-	if err != nil {
-		return nil, err
-	}
-	launch.ProducerFilter = s.cfg.ProducerFilter
-	launch.FilterGranularity = s.cfg.Granularity
-	return pipeline(geo, sharedBytes, s.cfg, onRace, func(set *logging.Set) (gpusim.Stats, error) {
-		return s.LaunchInto(kernelName, launch, &routeSink{set: set})
-	})
 }
 
 // RunNative runs the uninstrumented kernel (baseline timing for the

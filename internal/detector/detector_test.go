@@ -390,6 +390,45 @@ func TestMultiQueueDetection(t *testing.T) {
 	}
 }
 
+// TestQueueWidthsAgree: one launch detected live at queue widths 1, 2, 4
+// and 8 must produce identical canonical reports. Exercises both digest
+// tiers: racyAllWriteSrc is a many-writer global race (structural tier),
+// the barrier-free shared kernel an intra-block shared race (exact tier).
+func TestQueueWidthsAgree(t *testing.T) {
+	kernels := []struct {
+		name   string
+		src    string
+		launch func(s *Session) gpusim.LaunchConfig
+	}{
+		{"global-many-writer", racyAllWriteSrc, func(s *Session) gpusim.LaunchConfig {
+			return gpusim.LaunchConfig{Grid: gpusim.D1(8), Block: gpusim.D1(64), Args: []uint64{s.Dev.MustAlloc(4)}}
+		}},
+		{"shared-no-barrier", sharedBarrierSrc, func(s *Session) gpusim.LaunchConfig {
+			return gpusim.LaunchConfig{Grid: gpusim.D1(2), Block: gpusim.D1(64), Args: []uint64{s.Dev.MustAlloc(4 * 64), 0}}
+		}},
+	}
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			var base string
+			for _, q := range []int{1, 2, 4, 8} {
+				s := open(t, k.src, Config{Queues: q})
+				rep := detect(t, s, "k", k.launch(s)).Report
+				if !rep.HasRaces() {
+					t.Fatalf("queues=%d: race missed", q)
+				}
+				dig := rep.CanonicalDigest()
+				if q == 1 {
+					base = dig
+					continue
+				}
+				if dig != base {
+					t.Errorf("report changed at queues=%d:\n--- queues=1 ---\n%s--- queues=%d ---\n%s", q, base, q, dig)
+				}
+			}
+		})
+	}
+}
+
 func TestFullVCPipelineAgrees(t *testing.T) {
 	for _, fullvc := range []bool{false, true} {
 		s := open(t, branchOrderSrc, Config{FullVC: fullvc})

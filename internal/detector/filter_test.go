@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"barracuda/internal/gpusim"
+	"barracuda/internal/logging"
 )
 
 // loopInvariantReadSrc reads the same per-thread global word 64 times in
@@ -126,6 +127,29 @@ LOOP:
 		if !res.Report.HasRaces() {
 			t.Errorf("filter=%t: intra-loop write race missed", filter)
 		}
+	}
+}
+
+// countSink counts the records a launch emits.
+type countSink struct{ n int }
+
+func (s *countSink) Emit(*logging.Record) { s.n++ }
+
+// TestCaptureIgnoresProducerFilter: a sink attached with LaunchInto sees
+// the unfiltered stream whatever the session's configuration — attaching a
+// sink does not turn the producer filter on, only DetectObserved does.
+func TestCaptureIgnoresProducerFilter(t *testing.T) {
+	records := func(filter bool) int {
+		s := open(t, loopInvariantReadSrc, Config{ProducerFilter: filter})
+		args := []uint64{s.Dev.MustAlloc(4 * 64), s.Dev.MustAlloc(4 * 64)}
+		sink := &countSink{}
+		if _, err := s.LaunchInto("k", gpusim.LaunchConfig{Grid: gpusim.D1(1), Block: gpusim.D1(64), Args: args}, sink); err != nil {
+			t.Fatal(err)
+		}
+		return sink.n
+	}
+	if plain, filtered := records(false), records(true); plain != filtered || plain == 0 {
+		t.Errorf("captured %d records on a ProducerFilter session, %d on a plain one", filtered, plain)
 	}
 }
 

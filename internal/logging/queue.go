@@ -153,10 +153,9 @@ func (p *parking) unpark() {
 }
 
 // Queue is a bounded single-producer single-consumer ring of encoded
-// records. Every queue in the tree has one producer — the simulator is a
-// single goroutine by contract (package gpusim) and detector.Replay feeds
-// each queue from a goroutine of its own — so there is no reservation to
-// arbitrate: the producer advances the write head, encodes the record
+// records. Every queue in the tree has one producer, the simulator, a
+// single goroutine by contract (package gpusim), so there is no
+// reservation to arbitrate: the producer advances the write head, encodes the record
 // behind it and publishes it with one release-store of the commit index;
 // the consumer acquire-loads commit, decodes up to it and release-stores
 // the read head, which is what the producer waits on when the ring is full.

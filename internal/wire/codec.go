@@ -674,9 +674,8 @@ func (s Summary) Report() *core.Report {
 
 // ---- event records --------------------------------------------------
 //
-// The record codec serializes logging.Record batches — the capture
-// streams behind detector.Capture/Replay and the fleet's future record
-// shipping — with the same wire discipline the in-process transport
+// The record codec serializes logging.Record batches (nothing outside its
+// own tests calls it) with the same wire discipline the in-process transport
 // used before it learnt the strided form: coalesced records ship
 // header-only (address array reconstructed from Base+Mask+Size, values
 // only for writes), strided ones as per-lane addresses, and everything varies
