@@ -3,9 +3,11 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 
+	"barracuda/internal/bench"
 	"barracuda/internal/detector"
 	"barracuda/internal/gpusim"
 	"barracuda/internal/wire"
@@ -79,6 +81,73 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 			t.Fatalf("job after %s:\n got %s\nwant %s", tc.hostile, got, want)
 		}
 	}
+}
+
+// TestAbortedLaunchThenCachedRerun: a launch the step budget aborts
+// mid-run, with half of a full run's warp instructions — every block is
+// resident and scheduled round-robin, so all four queues already hold
+// records — ends its own job as a timeout. The detector behind it is
+// closed, drained and its shadow released on that error path, and the
+// next launch of the same module and config on the same worker takes the
+// cached session, re-zeroes its buffers and reports what a fresh run
+// reports, up to the block scope of global write–write pairs that four
+// queues leave open (queueProvable).
+func TestAbortedLaunchThenCachedRerun(t *testing.T) {
+	sched := NewScheduler(SchedulerOptions{Workers: 1})
+	defer sched.Stop()
+	cfg := detector.Config{Queues: 4}
+	for _, name := range []string{"hybridsort", "hotspot", "threadfencereduction"} {
+		fresh, err := bench.Detect(bench.ByName(name), cfg)
+		if err != nil {
+			t.Fatalf("%s: fresh run: %v", name, err)
+		}
+		aborted, err := sched.Submit(JobRequest{Bench: name, Config: cfg, MaxInstrs: fresh.SimStats.WarpInstrs / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-aborted.Done()
+		if info := aborted.Info(); info.Status != StatusTimeout {
+			t.Fatalf("%s at half the budget: status %q (%s), want timeout", name, info.Status, info.Error)
+		}
+		rerun, err := sched.Submit(JobRequest{Bench: name, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-rerun.Done()
+		info := rerun.Info()
+		if !info.CacheHit {
+			t.Errorf("%s: rerun missed the module cache", name)
+		}
+		if got, want := queueProvable(jobDigest(t, info)), queueProvable(fresh.Report.CanonicalDigest()); got != want {
+			t.Fatalf("%s: rerun after an aborted launch:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
+// queueProvable is bugsuite's provableDigest at more than one queue: a
+// global race line loses its intra-/inter-block word, which the queue
+// schedule decides (core.Report.CanonicalDigest), and repeats collapse.
+func queueProvable(digest string) string {
+	lines := strings.Split(strings.TrimSuffix(digest, "\n"), "\n")
+	body, last := lines[:len(lines)-1], lines[len(lines)-1]
+	seen := make(map[string]bool)
+	out := body[:0]
+	for _, line := range body {
+		for _, scope := range []string{"intra-block", "inter-block"} {
+			if rest, ok := strings.CutPrefix(line, "race "+scope+" global "); ok {
+				line = "race global " + rest
+			}
+		}
+		if strings.HasPrefix(line, "race global ") {
+			if seen[line] {
+				continue
+			}
+			seen[line] = true
+		}
+		out = append(out, line)
+	}
+	sort.Strings(out)
+	return strings.Join(append(out, last), "\n") + "\n"
 }
 
 // TestOversizedConfigRejected: knob values far above detector.Config's

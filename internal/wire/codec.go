@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math/bits"
 
 	"barracuda/internal/core"
 	"barracuda/internal/detector"
 	"barracuda/internal/logging"
-	"barracuda/internal/trace"
 	"barracuda/internal/vc"
 )
 
@@ -670,143 +668,4 @@ func (s Summary) Report() *core.Report {
 	rep.Races = append(rep.Races, s.Races...)
 	rep.Divergences = append(rep.Divergences, s.Divergences...)
 	return rep
-}
-
-// ---- event records --------------------------------------------------
-//
-// The record codec serializes logging.Record batches (nothing outside its
-// own tests calls it) with the same wire discipline the in-process transport
-// used before it learnt the strided form: coalesced records ship
-// header-only (address array reconstructed from Base+Mask+Size, values
-// only for writes), strided ones as per-lane addresses, and everything varies
-// as deltas (PC deltas between consecutive records, address deltas
-// between consecutive lanes of one record's span).
-
-// CanonicalRecord normalizes a record to its wire form: the fields a
-// decoded record is guaranteed to reproduce. Coalesced records drop the
-// address array (LaneAddr reconstructs it) and drop values unless the
-// record is a write; non-coalesced records keep active lanes only.
-// Consumers already obey exactly these rules for the in-process
-// transport (see logging's copyRecord), so round-tripping a record
-// through the codec and comparing against CanonicalRecord is the
-// correctness contract.
-func CanonicalRecord(r logging.Record) logging.Record {
-	out := r
-	if r.Flags&logging.FlagStrided != 0 {
-		// The codec predates the strided form and has no field for the
-		// stride: a strided record travels as its per-lane addresses.
-		out.Flags, out.Base, out.Stride = r.Flags&^logging.FlagStrided, 0, 0
-		for m := r.Mask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			out.Addrs[lane] = r.LaneAddr(lane)
-		}
-		r = out
-	}
-	if r.Coalesced() {
-		out.Addrs = [logging.WarpWidth]uint64{}
-		if r.Op != trace.OpWrite {
-			out.Vals = [logging.WarpWidth]uint64{}
-		}
-		return out
-	}
-	for lane := 0; lane < logging.WarpWidth; lane++ {
-		if r.Mask&(1<<uint(lane)) == 0 {
-			out.Addrs[lane] = 0
-			out.Vals[lane] = 0
-		} else if r.Op != trace.OpWrite {
-			out.Vals[lane] = 0
-		}
-	}
-	return out
-}
-
-// EncodeRecords appends a delta-encoded batch of records to dst.
-func EncodeRecords(dst []byte, recs []logging.Record) []byte {
-	b := appendUvarint(dst, uint64(len(recs)))
-	var prevPC, prevWarp, prevBlock, prevSeq int64
-	var prevAddr int64
-	for i := range recs {
-		r := &recs[i]
-		b = append(b, byte(r.Op), byte(r.Space), r.Size, r.Flags&^logging.FlagStrided)
-		b = appendUvarint(b, uint64(r.Mask))
-		b = appendZigzag(b, int64(r.Warp)-prevWarp)
-		b = appendZigzag(b, int64(r.Block)-prevBlock)
-		b = appendZigzag(b, int64(r.PC)-prevPC)
-		b = appendZigzag(b, int64(r.Seq)-prevSeq)
-		prevWarp, prevBlock, prevPC, prevSeq = int64(r.Warp), int64(r.Block), int64(r.PC), int64(r.Seq)
-		if r.Coalesced() {
-			b = appendZigzag(b, int64(r.Base)-prevAddr)
-			prevAddr = int64(r.Base)
-		} else {
-			// Per-lane addresses as intra-span deltas: consecutive active
-			// lanes of one record usually differ by the access size.
-			last := prevAddr
-			for m := r.Mask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				a := int64(r.LaneAddr(lane))
-				b = appendZigzag(b, a-last)
-				last = a
-			}
-			if r.Mask != 0 {
-				prevAddr = last
-			}
-		}
-		if r.Op == trace.OpWrite {
-			for m := r.Mask; m != 0; m &= m - 1 {
-				b = appendUvarint(b, r.Vals[bits.TrailingZeros32(m)])
-			}
-		}
-	}
-	return b
-}
-
-// DecodeRecords parses a record batch. Decoded records satisfy the
-// CanonicalRecord contract: use LaneAddr, and only read Vals of writes.
-func DecodeRecords(p []byte) ([]logging.Record, error) {
-	d := &dec{b: p}
-	n := d.uvarint()
-	// Each record costs ≥ 9 bytes on the wire; reject counts the payload
-	// cannot possibly hold before allocating.
-	if n > uint64(len(d.b))/9+1 {
-		d.fail("record count")
-		return nil, d.done()
-	}
-	recs := make([]logging.Record, 0, n)
-	var prevPC, prevWarp, prevBlock, prevSeq int64
-	var prevAddr int64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var r logging.Record
-		r.Op = trace.OpKind(d.byte())
-		r.Space = logging.SpaceID(d.byte())
-		r.Size = d.byte()
-		r.Flags = d.byte() &^ logging.FlagStrided
-		r.Mask = uint32(d.uvarint())
-		prevWarp += d.zigzag()
-		prevBlock += d.zigzag()
-		prevPC += d.zigzag()
-		prevSeq += d.zigzag()
-		r.Warp, r.Block = uint32(prevWarp), uint32(prevBlock)
-		r.PC, r.Seq = uint32(prevPC), uint64(prevSeq)
-		if r.Coalesced() {
-			prevAddr += d.zigzag()
-			r.Base = uint64(prevAddr)
-		} else {
-			last := prevAddr
-			for m := r.Mask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				last += d.zigzag()
-				r.Addrs[lane] = uint64(last)
-			}
-			if r.Mask != 0 {
-				prevAddr = last
-			}
-		}
-		if r.Op == trace.OpWrite {
-			for m := r.Mask; m != 0; m &= m - 1 {
-				r.Vals[bits.TrailingZeros32(m)] = d.uvarint()
-			}
-		}
-		recs = append(recs, r)
-	}
-	return recs, d.done()
 }

@@ -13,7 +13,6 @@ import (
 	"barracuda/internal/core"
 	"barracuda/internal/detector"
 	"barracuda/internal/logging"
-	"barracuda/internal/trace"
 	"barracuda/internal/vc"
 )
 
@@ -250,86 +249,6 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 }
 
-func randomRecord(rng *rand.Rand) logging.Record {
-	ops := []trace.OpKind{trace.OpRead, trace.OpWrite, trace.OpAtom}
-	var r logging.Record
-	r.Op = ops[rng.Intn(len(ops))]
-	r.Space = []logging.SpaceID{logging.SpaceGlobal, logging.SpaceShared}[rng.Intn(2)]
-	r.Size = []uint8{1, 2, 4, 8}[rng.Intn(4)]
-	r.Warp = uint32(rng.Intn(64))
-	r.Block = uint32(rng.Intn(16))
-	r.PC = uint32(rng.Intn(4000))
-	r.Seq = uint64(rng.Intn(1 << 20))
-	r.Mask = rng.Uint32()
-	if r.Mask == 0 {
-		r.Mask = 1
-	}
-	if rng.Intn(3) == 0 {
-		// Strided: travels as per-lane addresses (see CanonicalRecord).
-		r.Flags = logging.FlagStrided
-		r.Base = uint64(rng.Intn(1 << 24))
-		r.Stride = int64(rng.Intn(4096)) - 1024
-	} else if rng.Intn(2) == 0 {
-		// Coalesced: header-only on the wire, addresses via LaneAddr.
-		r.Flags = logging.FlagCoalesced
-		r.Base = uint64(rng.Intn(1<<24)) &^ 7
-		if r.Op == trace.OpWrite {
-			for lane := 0; lane < logging.WarpWidth; lane++ {
-				if r.Mask&(1<<uint(lane)) != 0 {
-					r.Vals[lane] = uint64(rng.Intn(1 << 16))
-				}
-			}
-		}
-	} else {
-		for lane := 0; lane < logging.WarpWidth; lane++ {
-			if r.Mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			r.Addrs[lane] = uint64(rng.Intn(1 << 24))
-			if r.Op == trace.OpWrite {
-				r.Vals[lane] = uint64(rng.Intn(1 << 16))
-			}
-		}
-	}
-	return r
-}
-
-// TestRecordBatchRoundTrip is the codec property test the issue asks
-// for: random records (including coalesced header-only ones) encode →
-// decode → deep-equal against their canonical wire form.
-func TestRecordBatchRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 100; iter++ {
-		recs := make([]logging.Record, rng.Intn(64))
-		for i := range recs {
-			recs[i] = randomRecord(rng)
-		}
-		p := EncodeRecords(nil, recs)
-		out, err := DecodeRecords(p)
-		if err != nil {
-			t.Fatalf("iter=%d: %v", iter, err)
-		}
-		if len(out) != len(recs) {
-			t.Fatalf("iter=%d: %d records, want %d", iter, len(out), len(recs))
-		}
-		for i := range recs {
-			want := CanonicalRecord(recs[i])
-			if !reflect.DeepEqual(out[i], want) {
-				t.Fatalf("iter=%d rec=%d:\ngot  %+v\nwant %+v", iter, i, out[i], want)
-			}
-			// The canonical form must preserve per-lane address semantics.
-			for lane := 0; lane < logging.WarpWidth; lane++ {
-				if recs[i].Mask&(1<<uint(lane)) == 0 {
-					continue
-				}
-				if got, orig := out[i].LaneAddr(lane), recs[i].LaneAddr(lane); got != orig {
-					t.Fatalf("iter=%d rec=%d lane=%d: LaneAddr %#x, want %#x", iter, i, lane, got, orig)
-				}
-			}
-		}
-	}
-}
-
 // TestDeltaCompression sanity-checks the point of the codec: a
 // clustered race table must encode well below its JSON-ish footprint.
 func TestDeltaCompression(t *testing.T) {
@@ -374,14 +293,6 @@ func TestDecodeMalformedPayloads(t *testing.T) {
 		if _, err := DecodeRace(&rd, p); err == nil {
 			t.Errorf("junk %d: DecodeRace accepted", i)
 		}
-		if _, err := DecodeRecords(p); err == nil && len(p) != 0 {
-			t.Errorf("junk %d: DecodeRecords accepted", i)
-		}
-	}
-	// A huge claimed record count must be rejected before allocation.
-	huge := appendUvarint(nil, 1<<40)
-	if _, err := DecodeRecords(huge); err == nil {
-		t.Error("huge record count accepted")
 	}
 	hugeSum := appendUvarint(nil, 1)        // seq
 	hugeSum = appendString(hugeSum, "ok")   // status

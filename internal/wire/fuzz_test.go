@@ -86,8 +86,6 @@ func FuzzFrames(f *testing.F) {
 			check("DecodeRace", e)
 			_, e = DecodeSummary(p)
 			check("DecodeSummary", e)
-			_, e = DecodeRecords(p)
-			check("DecodeRecords", e)
 		}
 	})
 }

@@ -1,8 +1,7 @@
 // Package wire is the streaming binary job protocol shared by the
 // client↔daemon and coordinator↔worker links: a length-prefixed,
 // CRC-protected frame layer over one hijacked HTTP connection, plus a
-// varint/delta payload codec for launches, race reports and event
-// records.
+// varint/delta payload codec for launches and race reports.
 //
 // The JSON submit/poll API serializes a whole PTX module on every
 // submission and a whole report on every poll; this protocol streams
@@ -36,10 +35,9 @@
 // Every frame is `type(1) ‖ len(u32 LE) ‖ payload ‖ crc32(u32 LE)`,
 // with the IEEE CRC computed over type+len+payload and len validated
 // against MaxFrame before any allocation. Payloads use uvarint and
-// zigzag-delta encoding (PC deltas between races of one report, address
-// deltas between lanes of one record span, epoch-style running deltas
-// between consecutive races), so a large race report costs a few bytes
-// per race instead of a few hundred of JSON.
+// zigzag-delta encoding (PC deltas between races of one report,
+// epoch-style running deltas between consecutive races), so a large race
+// report costs a few bytes per race instead of a few hundred of JSON.
 //
 // Decode errors are typed — ErrBadMagic, ErrVersionMismatch,
 // ErrFrameOversize, ErrBadCRC, ErrTruncated, ErrMalformed — and never
