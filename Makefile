@@ -10,7 +10,7 @@ CI_TARGETS := build vet fmt-check one-forward-path one-way-in ci-in-sync loc tes
 	stress-ownership stress-refine stress-filter stress-drain stress-multiqueue \
 	stress-failover stress-stream stress-fleet
 
-.PHONY: all bench bench-sim serve ci $(CI_TARGETS)
+.PHONY: all bench bench-sim fuzz-ptx serve ci $(CI_TARGETS)
 
 all: build vet test
 
@@ -133,13 +133,27 @@ bench-e2e-smoke:
 # loops against the generic closure they stand in for, the typed loads and
 # stores against execLane's per-lane oracle, and the hostile inputs that
 # must cost a job an error and never the worker (an address whose last
-# byte wraps past 2^64, a launch past CUDA's extents and a block of more
-# than 32 warps among them), under the Go race detector.
+# byte wraps past 2^64, a launch past CUDA's extents, a block of more than
+# 32 warps, and `.shared`/`.local` declarations that are negative or past
+# the loader's bound among them), and the PTX fuzz corpus (the seeds in
+# internal/detector/testdata/fuzz/FuzzPTX through parse, instrument, load
+# and a bounded detect; no fuzzing, so it is deterministic), under the Go
+# race detector.
 stress-interp:
 	$(GO) test -race -run 'TestWarpVectorizedEquivalence|TestWarpVectorizedEquivalenceAllWarpSizes' ./internal/bugsuite/
 	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance|TestTypedIntOps|TestTypedLdStMatchGeneric|TestWrappedAddressFaultsLane' ./internal/gpusim/
-	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError|TestBlockWarpBound' ./internal/detector/
+	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError|TestMemoryBombIsLoadError|TestBlockWarpBound' ./internal/detector/
 	$(GO) test -race -run 'TestMalformedPTXFailsJobNotWorker|TestOversizedConfigRejected' ./internal/server/
+	$(GO) test -race -run FuzzPTX ./internal/detector/
+
+# Fuzz the open path for a minute (a developer target, not in CI_TARGETS):
+# bytes through parse, instrument, load and a bounded detect. A failing
+# input lands in internal/detector/testdata/fuzz/FuzzPTX and from then on
+# runs with the corpus in stress-interp. Minimizing an input byte by byte
+# takes a launch per candidate, so it is held to 5 s, not the default
+# minute.
+fuzz-ptx:
+	$(GO) test -run '^$$' -fuzz '^FuzzPTX$$' -fuzztime 60s -fuzzminimizetime 5s ./internal/detector/
 
 # Coalesced-span vs per-cell report equivalence: the bug suite and the
 # random-trace property tests, under the Go race detector.

@@ -106,7 +106,12 @@ func OpenFatBinary(bin []byte, cfg Config) (*Session, error) {
 }
 
 // Kernels lists the kernels available in the loaded module.
-func (s *Session) Kernels() []string { return s.s.Native.KernelNames() }
+func (s *Session) Kernels() (names []string) {
+	for _, k := range s.s.SrcMod.Kernels {
+		names = append(names, k.Name)
+	}
+	return names
+}
 
 // Alloc reserves device global memory and returns its address.
 func (s *Session) Alloc(bytes int) (uint64, error) { return s.s.Dev.Alloc(bytes) }

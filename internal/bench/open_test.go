@@ -1,0 +1,238 @@
+package bench
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"barracuda/internal/bugsuite"
+	"barracuda/internal/detector"
+	"barracuda/internal/instrument"
+	"barracuda/internal/ptx"
+)
+
+// openProgram is one module of the open-path corpus.
+type openProgram struct{ name, src string }
+
+// openCorpus is every module the project ships: the 26 benchmarks, the
+// bug suite and the vet examples.
+func openCorpus(t testing.TB) []openProgram {
+	t.Helper()
+	var out []openProgram
+	for _, b := range All() {
+		out = append(out, openProgram{"bench/" + b.Name, b.PTX()})
+	}
+	for _, bt := range bugsuite.Tests() {
+		out = append(out, openProgram{"bugsuite/" + bt.Name, bt.PTX})
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "vet", "*.ptx"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("examples/vet: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, openProgram{"vet/" + filepath.Base(f), string(src)})
+	}
+	return out
+}
+
+// openDigest is what the open path makes of one module under one set of
+// instrumentation options: the printed instrumented module, its
+// KernelStats, and the log-once-marked sites, each hashed; and under the
+// default options, the errors parsing damaged copies of the module ends
+// in (parseErrors), hashed too.
+type openDigest struct {
+	Program string `json:"program"`
+	Opts    string `json:"opts"`
+	Print   string `json:"print"`
+	Stats   string `json:"stats"`
+	LogOnce string `json:"logonce"`
+	Errors  string `json:"errors,omitempty"`
+}
+
+// parseErrors parses damaged copies of src — cut short at 16 points, and
+// at each with a byte replaced by text the grammar treats specially — and
+// lists what each parse ends in: the error's text with its line:col, or
+// none.
+func parseErrors(src string) string {
+	var b strings.Builder
+	for k := 1; k <= 16; k++ {
+		i := len(src) * k / 17
+		for _, bad := range []string{"", "@", "%", "-", "}", "#", "/*"} {
+			damaged := src[:i]
+			if bad != "" {
+				damaged += bad + src[i+1:]
+			}
+			_, err := ptx.Parse(damaged)
+			fmt.Fprintf(&b, "%d %q %v\n", i, bad, err)
+		}
+	}
+	return b.String()
+}
+
+func shortHash(s string) string {
+	h := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(h[:8])
+}
+
+func digestOpen(t testing.TB, p openProgram, name string, opts instrument.Options) openDigest {
+	t.Helper()
+	m, err := ptx.Parse(p.src)
+	if err != nil {
+		t.Fatalf("%s: parse: %v", p.name, err)
+	}
+	res, err := instrument.Instrument(m, opts)
+	if err != nil {
+		t.Fatalf("%s/%s: instrument: %v", p.name, name, err)
+	}
+	names := make([]string, 0, len(res.Stats))
+	for k := range res.Stats {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	var stats strings.Builder
+	for _, k := range names {
+		fmt.Fprintf(&stats, "%s %+v\n", k, *res.Stats[k])
+	}
+	// A marked site is named by its place in the instrumented stream and
+	// its source line, so a mark that moves between sites shows.
+	var once strings.Builder
+	for _, k := range res.Module.Kernels {
+		fmt.Fprintf(&once, "%s:", k.Name)
+		for i, in := range k.Instrs() {
+			if in.Op == ptx.OpLog && in.LogOnce {
+				fmt.Fprintf(&once, " %d@%d", i, in.Line)
+			}
+		}
+		once.WriteString("\n")
+	}
+	d := openDigest{
+		Program: p.name,
+		Opts:    name,
+		Print:   shortHash(ptx.Print(res.Module)),
+		Stats:   shortHash(stats.String()),
+		LogOnce: shortHash(once.String()),
+	}
+	if opts == (instrument.Options{}) {
+		d.Errors = shortHash(parseErrors(p.src))
+	}
+	return d
+}
+
+// openOptions are the two instrumentations the golden pins.
+var openOptions = []struct {
+	name string
+	opts instrument.Options
+}{
+	{"default", instrument.Options{}},
+	{"static_prune", instrument.Options{StaticPrune: true}},
+}
+
+// openDigests digests every program of the corpus under both options.
+func openDigests(t testing.TB) []openDigest {
+	var out []openDigest
+	for _, p := range openCorpus(t) {
+		for _, o := range openOptions {
+			out = append(out, digestOpen(t, p, o.name, o.opts))
+		}
+	}
+	return out
+}
+
+// TestOpenGolden pins what opening a module produces — the instrumented
+// module as printed, its KernelStats and its log-once marks, and the
+// errors damaged copies of it end in — for every shipped program under
+// the default and the static-prune instrumentation, against the digests
+// recorded at cf645d6, before the parser numbered registers and the
+// instrumenter stopped copying kernels.
+func TestOpenGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "open_cf645d6.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []openDigest
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	golden := make(map[string]openDigest, len(want))
+	for _, d := range want {
+		golden[d.Program+"/"+d.Opts] = d
+	}
+	got := openDigests(t)
+	for _, g := range got {
+		w, ok := golden[g.Program+"/"+g.Opts]
+		if !ok {
+			t.Errorf("%s/%s: no recorded digest", g.Program, g.Opts)
+			continue
+		}
+		if g != w {
+			t.Errorf("%s/%s: open moved:\n got %+v\nwant %+v", g.Program, g.Opts, g, w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("checked %d digests, recorded %d", len(got), len(want))
+	}
+}
+
+// TestOpenAllocBudget holds opening a module to at most a fifth of the
+// heap allocations it took at cf645d6: OpenPTX(Config{}) allocated 9 297
+// times for device_reduce and 40 501 times for dwt2d there, give or take
+// one from run to run. Parsing, instrumenting and loading all count.
+func TestOpenAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		was  float64
+	}{{"device_reduce", 9297}, {"dwt2d", 40501}} {
+		src := ByName(c.name).PTX()
+		got := testing.AllocsPerRun(10, func() {
+			s, err := detector.OpenPTX(src, detector.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+		})
+		t.Logf("%s: %.0f allocations per open (was %.0f)", c.name, got, c.was)
+		if got > c.was/5 {
+			t.Errorf("%s: %.0f allocations per open, budget %.0f", c.name, got, c.was/5)
+		}
+	}
+}
+
+// BenchmarkOpen opens each of the 26 benchmark programs, under Config{}
+// and under the fast paths.
+func BenchmarkOpen(b *testing.B) {
+	bs := All()
+	srcs := make([]string, len(bs))
+	for i, bm := range bs {
+		srcs[i] = bm.PTX()
+	}
+	for _, c := range []struct {
+		name string
+		cfg  detector.Config
+	}{
+		{"default", detector.Config{}},
+		{"fastpaths", detector.Config{StaticPrune: true, Ownership: true, ProducerFilter: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range srcs {
+					s, err := detector.OpenPTX(src, c.cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					s.Close()
+				}
+			}
+		})
+	}
+}

@@ -190,7 +190,8 @@ func (c Config) coreOptions() core.Options {
 	}
 }
 
-// Session is one device with a module loaded natively and instrumented.
+// Session is one device with a module instrumented and loaded, and the
+// module itself placed beside it for native runs.
 //
 // Reuse contract: a Session may run any number of sequential Detect /
 // RunNative calls — each call builds a fresh detector state and queue
@@ -201,9 +202,11 @@ func (c Config) coreOptions() core.Options {
 // buffers between calls. The server-side module cache relies on exactly
 // this contract to share one Session across many jobs.
 type Session struct {
-	cfg     Config
-	Dev     *gpusim.Device
-	Native  *gpusim.Module
+	cfg Config
+	Dev *gpusim.Device
+	// native is placed at Open, so its globals sit where they always
+	// have, and loaded by the first RunNative, which alone launches it.
+	native  *gpusim.Module
 	Instr   *gpusim.Module
 	Stats   map[string]*instrument.KernelStats
 	SrcMod  *ptx.Module
@@ -212,7 +215,8 @@ type Session struct {
 	closed atomic.Bool
 }
 
-// Open instruments a module and loads both variants onto a fresh device.
+// Open instruments a module and loads it onto a fresh device, with the
+// module itself placed beside it for RunNative to load.
 func Open(m *ptx.Module, cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -223,18 +227,18 @@ func Open(m *ptx.Module, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	dev := gpusim.NewDevice(0)
-	nat, err := dev.LoadModule(m)
+	nat, err := dev.PlaceModule(m)
 	if err != nil {
 		return nil, err
 	}
 	ins, err := dev.LoadModule(res.Module)
 	if err != nil {
-		return nil, fmt.Errorf("detector: loading instrumented module: %w", err)
+		return nil, err
 	}
 	return &Session{
 		cfg:     cfg,
 		Dev:     dev,
-		Native:  nat,
+		native:  nat,
 		Instr:   ins,
 		Stats:   res.Stats,
 		SrcMod:  m,
@@ -348,11 +352,10 @@ func (s *Session) KernelOrFirst(name string) (string, error) {
 	if name != "" {
 		return name, nil
 	}
-	names := s.Native.KernelNames()
-	if len(names) == 0 {
+	if len(s.SrcMod.Kernels) == 0 {
 		return "", errors.New("module has no kernels")
 	}
-	return names[0], nil
+	return s.SrcMod.Kernels[0].Name, nil
 }
 
 // AllocArgs allocates one zeroed global buffer per size, in order, and
@@ -480,14 +483,18 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 }
 
 // RunNative runs the uninstrumented kernel (baseline timing for the
-// Figure 10 overhead experiment).
+// Figure 10 overhead experiment). The first call loads the module before
+// the clock starts.
 func (s *Session) RunNative(kernelName string, launch gpusim.LaunchConfig) (gpusim.Stats, time.Duration, error) {
 	if s.closed.Load() {
 		return gpusim.Stats{}, 0, ErrClosed
 	}
+	if err := s.native.Load(); err != nil {
+		return gpusim.Stats{}, 0, err
+	}
 	launch.Sink = nil
 	launch.EmitBranchEvents = false
 	start := time.Now()
-	stats, err := s.Native.Launch(kernelName, launch)
+	stats, err := s.native.Launch(kernelName, launch)
 	return stats, time.Since(start), err
 }

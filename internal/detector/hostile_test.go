@@ -117,3 +117,41 @@ func TestRegisterBombIsLoadError(t *testing.T) {
 	}
 	s.Close()
 }
+
+// TestMemoryBombIsLoadError: a `.shared` or `.local` declaration sizes
+// what every launch allocates per block or per lane. A size that is
+// negative or overflows is a parse error; one past the loader's bound
+// (256 KiB of shared memory a block, 512 KiB of local memory a thread)
+// is a load error naming the kernel and the space. Before either, the
+// first panicked in the launch (makeslice: len out of range) and the
+// second ran the process out of memory.
+func TestMemoryBombIsLoadError(t *testing.T) {
+	for _, tc := range []struct{ decl, err string }{
+		{".shared .align 4 .b8 sm[-16];", "ptx: line 6:26: array size -16 out of range"},
+		{".shared .b64 sm[2305843009213693952];", "ptx: line 6:18: array size 2305843009213693952 out of range"},
+		{".shared .align 4 .b8 sm[1099511627776];", "gpusim: k: .shared variables take more than 262144 bytes a block"},
+		{".shared .b8 a[5];\n\t.shared .align 8 .b8 sm[262140];", "gpusim: k: .shared variables take more than 262144 bytes a block"},
+		{".local .b8 lm[1099511627776];", "gpusim: k: .local variables take more than 524288 bytes a thread"},
+		{".local .b8 lm[-64];", "ptx: line 6:16: array size -64 out of range"},
+		{".local .b8 a[4];\n\t.local .align 1099511627776 .b8 lm[4];", "gpusim: k: .local variables take more than 524288 bytes a thread"},
+	} {
+		src := strings.Replace(hostileKernel("mov.u32 %r1, 0;"), "ld.param", tc.decl+"\n\tld.param", 1)
+		s, err := OpenPTX(src, Config{})
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: OpenPTX accepted the declaration", tc.decl)
+			continue
+		}
+		if err.Error() != tc.err {
+			t.Errorf("%s: error %q, want %q", tc.decl, err, tc.err)
+		}
+	}
+	for _, decl := range []string{".shared .b8 sm[262144];", ".local .align 16 .b8 lm[524288];"} {
+		src := strings.Replace(hostileKernel("mov.u32 %r1, 0;"), "ld.param", decl+"\n\tld.param", 1)
+		s, err := OpenPTX(src, Config{})
+		if err != nil {
+			t.Fatalf("%s is within the bound: %v", decl, err)
+		}
+		s.Close()
+	}
+}

@@ -172,7 +172,7 @@ func TestInstrumentedFunctionalEquivalence(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			// Native run.
 			sN := open(t, k.src, Config{})
-			kname := sN.Native.KernelNames()[0]
+			kname := sN.SrcMod.Kernels[0].Name
 			nParams := len(sN.SrcMod.Kernels[0].Params)
 			outN := sN.Dev.MustAlloc(4 * 256)
 			argsN := []uint64{outN}

@@ -31,7 +31,7 @@ func TestRegisterFileLayout(t *testing.T) {
 	ret;
 }`)
 	lk := mod.kernels["k"]
-	r, p := lk.regIdx["%r4"], lk.predIdx["%p1"]
+	r, p := lk.regIndex("%r4"), lk.regIndex("%p1")
 	for _, ws := range []int{32, 5} {
 		cfg := LaunchConfig{Grid: D1(2), Block: D1(44), Args: []uint64{d.MustAlloc(4)}, WarpSize: ws}
 		if _, err := mod.Launch("k", cfg); err != nil {

@@ -103,7 +103,7 @@ func TestTypedLdStMatchGeneric(t *testing.T) {
 				if reflect.ValueOf(ci.fn).Pointer() == reflect.ValueOf(execLaneLoop).Pointer() {
 					t.Fatalf("%s: not compiled to a typed loop", text)
 				}
-				size, rd1, n := uint64(ci.size), mod.kernels["k"].regIdx["%rd1"], sp.n
+				size, rd1, n := uint64(ci.size), mod.kernels["k"].regIndex("%rd1"), sp.n
 				if n == 0 {
 					n = GlobalBase + uint64(len(mod.Dev.mem)) - sp.lo
 				}
@@ -205,7 +205,7 @@ func BenchmarkLdSt(b *testing.B) {
 				mod.Dev.MustAlloc(32 * 640)
 				e, w := ldstWarp(mod, 32, rand.New(rand.NewSource(1)))
 				e.dev = mod.Dev
-				rd1 := mod.kernels["k"].regIdx["%rd1"]
+				rd1 := mod.kernels["k"].regIndex("%rd1")
 				for l := 0; l < 32; l++ {
 					w.regs[rd1*WarpSize+l] = GlobalBase + 4096 + uint64(l)*stride
 				}

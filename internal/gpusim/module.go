@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"barracuda/internal/kernel"
@@ -23,13 +22,12 @@ type loadedKernel struct {
 	name   string
 	cfg    *kernel.CFG
 	params map[string]int // param name -> index
-	// Register allocation: every general register name maps to a dense
-	// index into the per-thread register file; predicate registers map
-	// into the per-thread predicate file.
-	regIdx  map[string]int
-	predIdx map[string]int
-	nRegs   int
-	nPreds  int
+	// Register allocation: the kernel's register table (ptx.NumberRegs)
+	// places every register its instructions name in the per-thread
+	// general or predicate file; these are the files' sizes.
+	regs   []ptx.RegInfo
+	nRegs  int
+	nPreds int
 	// Shared-memory layout: symbol -> offset, plus total static size.
 	sharedOff   map[string]uint64
 	sharedBytes int64
@@ -48,13 +46,24 @@ type loadedKernel struct {
 
 // LoadModule prepares a parsed PTX module for execution on the device,
 // allocating module-level globals, building per-kernel CFGs and checking
-// every instruction's operand shape, so a malformed one is a load error.
+// every instruction's operand shape, so a malformed one is a load error:
+// PlaceModule and Module.Load in one.
 func (d *Device) LoadModule(m *ptx.Module) (*Module, error) {
+	mod, err := d.PlaceModule(m)
+	if err != nil {
+		return nil, err
+	}
+	return mod, mod.Load()
+}
+
+// PlaceModule allocates a module's globals on the device and returns it
+// unloaded, for Load to prepare its kernels: placed early and loaded late,
+// it sits where LoadModule would have put it.
+func (d *Device) PlaceModule(m *ptx.Module) (*Module, error) {
 	mod := &Module{
 		Dev:     d,
 		Src:     m,
 		globals: make(map[string]uint64),
-		kernels: make(map[string]*loadedKernel),
 	}
 	for _, g := range m.Globals {
 		addr, err := d.Alloc(int(g.Size))
@@ -63,14 +72,25 @@ func (d *Device) LoadModule(m *ptx.Module) (*Module, error) {
 		}
 		mod.globals[g.Name] = addr
 	}
-	for _, k := range m.Kernels {
+	return mod, nil
+}
+
+// Load prepares a placed module's kernels for launch, once; after an
+// error the module stays unloaded.
+func (mod *Module) Load() error {
+	if mod.kernels != nil {
+		return nil
+	}
+	kernels := make(map[string]*loadedKernel, len(mod.Src.Kernels))
+	for _, k := range mod.Src.Kernels {
 		lk, err := prepareKernel(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		mod.kernels[k.Name] = lk
+		kernels[k.Name] = lk
 	}
-	return mod, nil
+	mod.kernels = kernels
+	return nil
 }
 
 // GlobalAddr returns the device address of a module-level .global symbol.
@@ -79,30 +99,21 @@ func (mod *Module) GlobalAddr(name string) (uint64, bool) {
 	return a, ok
 }
 
-// KernelNames lists the kernels in the module.
-func (mod *Module) KernelNames() []string {
-	var out []string
-	for _, k := range mod.Src.Kernels {
-		out = append(out, k.Name)
-	}
-	return out
-}
-
-// CFG returns the control-flow graph of a loaded kernel, or nil.
-func (mod *Module) CFG(name string) *kernel.CFG {
-	lk := mod.kernels[name]
-	if lk == nil {
-		return nil
-	}
-	return lk.cfg
-}
-
 // maxKernelRegs bounds the registers of one kernel, general and predicate
 // together. A launch allocates WarpSize*8 bytes per general register per
-// resident warp and loading maps every declared name, so the count a
-// `.reg` line may ask for in a dozen bytes is a bound of the loader, not a
-// knob.
+// resident warp, so the count a `.reg` line may ask for in a dozen bytes
+// is a bound of the loader, not a knob.
 const maxKernelRegs = 1 << 16
+
+// Bounds of a kernel's static memory, which every launch allocates per
+// resident block (.shared) and per lane (.local): a declaration past them
+// is a load error, not a makeslice panic or an out-of-memory crash
+// mid-launch. 256 KiB of shared memory is above any CUDA device's per-block
+// limit; 512 KiB of local memory is CUDA's own per-thread limit.
+const (
+	maxSharedBytes = 256 << 10
+	maxLocalBytes  = 512 << 10
+)
 
 func regLimitError(kernel string, n int) error {
 	return fmt.Errorf("gpusim: %s: %d registers declared, limit %d", kernel, n, maxKernelRegs)
@@ -119,89 +130,57 @@ func prepareKernel(k *ptx.Kernel) (*loadedKernel, error) {
 			return nil, regLimitError(k.Name, declared)
 		}
 	}
+	k.NumberRegs()
+	// The names only operands mention count too.
+	if n := k.NRegs + k.NPreds; n > maxKernelRegs {
+		return nil, regLimitError(k.Name, n)
+	}
 	cfg, err := kernel.Build(k)
 	if err != nil {
 		return nil, fmt.Errorf("gpusim: kernel %s: %w", k.Name, err)
 	}
 	lk := &loadedKernel{
-		name:      k.Name,
-		cfg:       cfg,
-		params:    make(map[string]int),
-		regIdx:    make(map[string]int),
-		predIdx:   make(map[string]int),
-		sharedOff: make(map[string]uint64),
-		localOff:  make(map[string]uint64),
+		name:   k.Name,
+		cfg:    cfg,
+		params: make(map[string]int, len(k.Params)),
+		regs:   k.RegTab,
+		nRegs:  k.NRegs,
+		nPreds: k.NPreds,
 	}
 	for i, p := range k.Params {
 		lk.params[p.Name] = i
 	}
-	// Register files from declarations...
-	for _, rd := range k.Regs {
-		for i := 0; i < rd.Count; i++ {
-			name := fmt.Sprintf("%s%d", rd.Prefix, i)
-			if rd.Type == ptx.Pred {
-				lk.addPred(name)
-			} else {
-				lk.addReg(name)
-			}
-		}
+	if lk.sharedOff, lk.sharedBytes, err = layOut(k, "shared", "a block", k.Shared, maxSharedBytes); err != nil {
+		return nil, err
 	}
-	// ...plus any registers that appear only in operands.
-	for _, in := range cfg.Instrs {
-		if in.Guard != nil {
-			lk.addPred(in.Guard.Reg)
-		}
-		ops := in.Args
-		if in.HasDst {
-			ops = append([]ptx.Operand{in.Dst}, ops...)
-		}
-		for _, o := range ops {
-			switch o.Kind {
-			case ptx.OpndReg:
-				if isPredName(o.Reg) {
-					lk.addPred(o.Reg)
-				} else {
-					lk.addReg(o.Reg)
-				}
-			case ptx.OpndMem:
-				if o.BaseReg != "" {
-					lk.addReg(o.BaseReg)
-				}
-			}
-		}
+	if lk.localOff, lk.localBytes, err = layOut(k, "local", "a thread", k.Local, maxLocalBytes); err != nil {
+		return nil, err
 	}
-	// The names only operands mention count too.
-	if n := lk.nPreds + lk.nRegs; n > maxKernelRegs {
-		return nil, regLimitError(k.Name, n)
-	}
-	// Shared-memory layout.
-	var off int64
-	for _, s := range k.Shared {
-		a := int64(s.Align)
-		if a > 1 {
-			off = (off + a - 1) / a * a
-		}
-		lk.sharedOff[s.Name] = uint64(off)
-		off += s.Size
-	}
-	lk.sharedBytes = off
-	// Per-thread local-memory layout.
-	var loff int64
-	for _, s := range k.Local {
-		a := int64(s.Align)
-		if a > 1 {
-			loff = (loff + a - 1) / a * a
-		}
-		lk.localOff[s.Name] = uint64(loff)
-		loff += s.Size
-	}
-	lk.localBytes = loff
 	for _, in := range cfg.Instrs {
 		if err := lk.checkShape(in); err != nil {
 			return nil, fmt.Errorf("gpusim: %s line %d: %w", k.Name, in.Line, err)
 		}
 	}
 	return lk, nil
+}
+
+// layOut places a kernel's variables of one space, each at its alignment
+// after the one before, and fails past the space's bound.
+func layOut(k *ptx.Kernel, space, per string, vars []ptx.VarDecl, bound int64) (map[string]uint64, int64, error) {
+	offs := make(map[string]uint64, len(vars))
+	var off int64
+	for _, v := range vars {
+		if a := int64(v.Align); a > 1 {
+			a = min(a, bound+1) // an alignment past the bound only fits at 0
+			off = (off + a - 1) / a * a
+		}
+		if off > bound || v.Size < 0 || v.Size > bound-off {
+			return nil, 0, fmt.Errorf("gpusim: %s: .%s variables take more than %d bytes %s", k.Name, space, bound, per)
+		}
+		offs[v.Name] = uint64(off)
+		off += v.Size
+	}
+	return offs, off, nil
 }
 
 // checkShape is the one place operand arity is enforced: it rejects, at
@@ -239,8 +218,7 @@ func (lk *loadedKernel) checkShape(in *ptx.Instr) error {
 	}
 	// setp writes the predicate file, everything else the general one.
 	writable := func(o ptx.Operand) bool {
-		_, isPred := lk.predIdx[o.Reg]
-		return o.Kind == ptx.OpndReg && isPred == (in.Op == ptx.OpSetp)
+		return o.Kind == ptx.OpndReg && lk.regs[o.Num].Pred == (in.Op == ptx.OpSetp)
 	}
 	ok := !dst || writable(in.Dst)
 	if in.Op == ptx.OpLd {
@@ -252,33 +230,4 @@ func (lk *loadedKernel) checkShape(in *ptx.Instr) error {
 		return fmt.Errorf("%v: destination is not a register of the file the instruction writes", in.Op)
 	}
 	return nil
-}
-
-// isPredName reports whether a register name is conventionally a predicate
-// (%p prefix). Registers declared .pred are always predicates regardless of
-// name; this heuristic only applies to undeclared registers.
-func isPredName(name string) bool {
-	return strings.HasPrefix(name, "%p") && !strings.HasPrefix(name, "%pd")
-}
-
-func (lk *loadedKernel) addReg(name string) {
-	if _, ok := lk.regIdx[name]; ok {
-		return
-	}
-	if _, ok := lk.predIdx[name]; ok {
-		return
-	}
-	lk.regIdx[name] = lk.nRegs
-	lk.nRegs++
-}
-
-func (lk *loadedKernel) addPred(name string) {
-	if _, ok := lk.predIdx[name]; ok {
-		return
-	}
-	if _, ok := lk.regIdx[name]; ok {
-		return
-	}
-	lk.predIdx[name] = lk.nPreds
-	lk.nPreds++
 }

@@ -75,11 +75,11 @@ func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 	for i, in := range ins {
 		ci := cInstr{op: in.Op, in: in, guard: -1, size: in.Type.Size(), target: -1, rpc: -1}
 		if in.Guard != nil {
-			gi, ok := lk.predIdx[in.Guard.Reg]
-			if !ok {
+			g := lk.regs[in.Guard.Num]
+			if !g.Pred {
 				return nil, fmt.Errorf("gpusim: %s line %d: undeclared predicate %s", lk.name, in.Line, in.Guard.Reg)
 			}
-			ci.guard = gi
+			ci.guard = g.Index
 			ci.guardNeg = in.Guard.Neg
 		}
 		if in.HasDst {
@@ -160,14 +160,8 @@ func (mod *Module) compileOperand(lk *loadedKernel, in *ptx.Instr, o ptx.Operand
 	c := cOperand{kind: o.Kind, reg: -1, baseReg: -1}
 	switch o.Kind {
 	case ptx.OpndReg:
-		if pi, ok := lk.predIdx[o.Reg]; ok {
-			c.reg = pi
-			c.isPred = true
-		} else if ri, ok := lk.regIdx[o.Reg]; ok {
-			c.reg = ri
-		} else {
-			return c, fmt.Errorf("gpusim: %s line %d: undeclared register %s", lk.name, in.Line, o.Reg)
-		}
+		r := lk.regs[o.Num]
+		c.reg, c.isPred = r.Index, r.Pred
 	case ptx.OpndImm:
 		c.imm = uint64(o.Imm)
 		c.f = float64(o.Imm)
@@ -177,14 +171,14 @@ func (mod *Module) compileOperand(lk *loadedKernel, in *ptx.Instr, o ptx.Operand
 		c.sreg = o.Sreg
 	case ptx.OpndMem:
 		c.off = o.Off
-		if o.BaseReg != "" {
-			ri, ok := lk.regIdx[o.BaseReg]
-			if !ok {
-				return c, fmt.Errorf("gpusim: %s line %d: undeclared register %s", lk.name, in.Line, o.BaseReg)
+		if o.Reg != "" {
+			r := lk.regs[o.Num]
+			if r.Pred {
+				return c, fmt.Errorf("gpusim: %s line %d: undeclared register %s", lk.name, in.Line, o.Reg)
 			}
-			c.baseReg = ri
+			c.baseReg = r.Index
 		} else {
-			k, addr, err := mod.resolveSym(lk, o.BaseSym)
+			k, addr, err := mod.resolveSym(lk, o.Sym)
 			if err != nil {
 				return c, fmt.Errorf("gpusim: %s line %d: %w", lk.name, in.Line, err)
 			}

@@ -21,6 +21,7 @@ package instrument
 
 import (
 	"fmt"
+	"slices"
 
 	"barracuda/internal/kernel"
 	"barracuda/internal/ptx"
@@ -134,58 +135,45 @@ type site struct {
 }
 
 func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, error) {
-	ik := copyKernel(k)
-	cfg, err := kernel.Build(ik)
+	cfg, err := kernel.Build(k)
 	if err != nil {
 		return nil, nil, fmt.Errorf("instrument: %w", err)
 	}
 	class := trace.Classify(cfg)
-	sites := make(map[*ptx.Instr]*site)
-	siteFor := func(in *ptx.Instr) *site {
-		s := sites[in]
-		if s == nil {
-			s = &site{}
-			sites[in] = s
-		}
-		return s
-	}
+	sites := make([]site, len(cfg.Instrs)) // by flat instruction index
 	for idx, kind := range class {
-		siteFor(cfg.Instrs[idx]).kind = kind
+		sites[idx].kind = kind
 	}
 	for i, in := range cfg.Instrs {
 		if in.Op == ptx.OpBra && in.Guard != nil {
-			siteFor(in).branch = true
+			sites[i].branch = true
 		}
-		_ = i
 	}
 	for idx := range cfg.ConvergencePoints() {
 		if idx < len(cfg.Instrs) {
-			siteFor(cfg.Instrs[idx]).conv = true
+			sites[idx].conv = true
 		}
 	}
 	markPrunable(cfg, class, sites)
 
 	stats := &KernelStats{Static: len(cfg.Instrs)}
-	var aff *staticanalysis.Affine
+	var aff *staticanalysis.Affine // computed by LogOnceSites if it needs it
 	if opts.StaticPrune {
 		sa := staticanalysis.AnalyzeCFG(cfg, class)
 		for i := range cfg.Instrs {
 			if sa.Prune.Prunable(i) {
-				siteFor(cfg.Instrs[i]).staticp = true
+				sites[i].staticp = true
 			}
 		}
 		stats.ThreadPrivate = sa.Prune.Private
 		aff = sa.Affine
-	} else {
-		aff = staticanalysis.ComputeAffine(cfg)
 	}
 	// Mark log-once sites unconditionally: the mark is metadata on the
 	// emitted _log instruction (never printed, inert at runtime unless the
 	// simulator's producer filter is on), so the instrumented module is
 	// identical whether or not a given session enables filtering.
 	for idx := range staticanalysis.LogOnceSites(cfg, class, aff) {
-		s := siteFor(cfg.Instrs[idx])
-		s.once = true
+		sites[idx].once = true
 		stats.LogOnce++
 	}
 	for _, s := range sites {
@@ -213,9 +201,9 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 		stats.InstrumentedStatic = stats.Instrumented
 		stats.StaticPruned = 0
 	}
-
-	ik.Body = rewriteBody(ik.Body, sites, opts, stats)
-	return ik, stats, nil
+	ik := *k // k's declarations and register numbering, with a new body
+	ik.Body = rewriteBody(k.Body, sites, opts, stats)
+	return &ik, stats, nil
 }
 
 // markPrunable implements the intra-basic-block redundant-logging
@@ -223,13 +211,19 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 // is redundant when a previous *unguarded* access of at-least-as-strong a
 // type to the same [reg+off] was logged and reg has not been redefined,
 // with no intervening synchronization (barrier, fence, atomic, sync op).
-func markPrunable(cfg *kernel.CFG, class map[int]trace.OpKind, sites map[*ptx.Instr]*site) {
-	type key struct {
-		reg string
-		off int64
+func markPrunable(cfg *kernel.CFG, class map[int]trace.OpKind, sites []site) {
+	// A logged access holds while its base register's definition count
+	// is the one it was logged under.
+	type access struct {
+		reg  int32
+		defs uint32
+		off  int64
+		kind trace.OpKind
 	}
+	defs := make([]uint32, len(cfg.Kernel.RegTab))
+	var logged []access
 	for _, b := range cfg.Blocks {
-		logged := make(map[key]trace.OpKind)
+		logged = logged[:0]
 		for i := b.Start; i < b.End; i++ {
 			in := cfg.Instrs[i]
 			kind := class[i]
@@ -238,33 +232,34 @@ func markPrunable(cfg *kernel.CFG, class map[int]trace.OpKind, sites map[*ptx.In
 			switch {
 			case in.Op == ptx.OpBar || in.Op == ptx.OpMembar ||
 				in.Op == ptx.OpAtom || in.Op == ptx.OpRed:
-				logged = make(map[key]trace.OpKind)
+				logged = logged[:0]
 			case kind == trace.OpRead || kind == trace.OpWrite:
 				a, ok := in.AddrOperand()
-				if ok && a.BaseReg != "" && in.Guard == nil {
-					kk := key{a.BaseReg, a.Off}
-					prev, seen := logged[kk]
-					if seen && (prev == kind || prev == trace.OpWrite && kind == trace.OpRead) {
-						sites[in].prune = true
-					} else if !seen || prev == trace.OpRead && kind == trace.OpWrite {
-						logged[kk] = kind
+				if ok && a.Reg != "" && in.Guard == nil {
+					cur := access{a.Num, defs[a.Num], a.Off, kind}
+					j := slices.IndexFunc(logged, func(e access) bool {
+						return e.reg == cur.reg && e.defs == cur.defs && e.off == cur.off
+					})
+					switch {
+					case j < 0:
+						logged = append(logged, cur)
+					case logged[j].kind == kind || logged[j].kind == trace.OpWrite:
+						sites[i].prune = true
+					default: // a write after a logged read
+						logged[j].kind = kind
 					}
 				}
 			}
 			// Redefining a register drops every tracked address using it.
-			if in.HasDst && in.Dst.Kind == ptx.OpndReg {
-				for kk := range logged {
-					if kk.reg == in.Dst.Reg {
-						delete(logged, kk)
-					}
-				}
-			}
+			in.Defs(func(r int32) { defs[r]++ })
 		}
 	}
 }
 
 // rewriteBody inserts the logging calls and predication transforms.
-func rewriteBody(body []ptx.Stmt, sites map[*ptx.Instr]*site, opts Options, stats *KernelStats) []ptx.Stmt {
+// The output holds the source statements as value copies: their
+// instructions, and the operands those hold, are the source's.
+func rewriteBody(body []ptx.Stmt, sites []site, opts Options, stats *KernelStats) []ptx.Stmt {
 	out := make([]ptx.Stmt, 0, len(body)*2)
 	skipCounter := 0
 	emitLog := func(in *ptx.Instr, s *site) {
@@ -296,17 +291,14 @@ func rewriteBody(body []ptx.Stmt, sites map[*ptx.Instr]*site, opts Options, stat
 		out = append(out, ptx.Stmt{Instr: lg, Line: in.Line})
 		stats.Added++
 	}
+	next := 0 // flat index of the next instruction
 	for _, st := range body {
 		if st.Instr == nil {
 			out = append(out, st)
 			continue
 		}
-		in := st.Instr
-		s := sites[in]
-		if s == nil {
-			out = append(out, st)
-			continue
-		}
+		in, s := st.Instr, &sites[next]
+		next++
 		if s.conv {
 			// Convergence-point logging (a runtime no-op marker; the
 			// semantic Fi event comes from the SIMT stack).
@@ -360,32 +352,6 @@ func rewriteBody(body []ptx.Stmt, sites map[*ptx.Instr]*site, opts Options, stat
 		}
 		emitLog(in, s)
 		out = append(out, st)
-	}
-	return out
-}
-
-// copyKernel deep-copies a kernel so instrumentation never aliases the
-// caller's AST.
-func copyKernel(k *ptx.Kernel) *ptx.Kernel {
-	out := &ptx.Kernel{
-		Name:   k.Name,
-		Params: append([]ptx.Param(nil), k.Params...),
-		Regs:   append([]ptx.RegDecl(nil), k.Regs...),
-		Shared: append([]ptx.VarDecl(nil), k.Shared...),
-		Local:  append([]ptx.VarDecl(nil), k.Local...),
-	}
-	for _, st := range k.Body {
-		ns := ptx.Stmt{Label: st.Label, Line: st.Line}
-		if st.Instr != nil {
-			in := *st.Instr
-			if st.Instr.Guard != nil {
-				g := *st.Instr.Guard
-				in.Guard = &g
-			}
-			in.Args = append([]ptx.Operand(nil), st.Instr.Args...)
-			ns.Instr = &in
-		}
-		out.Body = append(out.Body, ns)
 	}
 	return out
 }

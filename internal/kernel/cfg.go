@@ -40,8 +40,11 @@ type CFG struct {
 	Dom []int
 }
 
-// Build constructs the CFG and post-dominator tree for k.
+// Build constructs the CFG and post-dominator tree for k, numbering k's
+// registers first if nothing has (ptx.Kernel.NumberRegs): the analyses
+// over a CFG index registers by number.
 func Build(k *ptx.Kernel) (*CFG, error) {
+	k.NumberRegs()
 	c := &CFG{Kernel: k, LabelAt: make(map[string]int)}
 	for _, st := range k.Body {
 		if st.Label != "" {

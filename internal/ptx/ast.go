@@ -13,7 +13,7 @@ package ptx
 import "fmt"
 
 // Op identifies an instruction's base mnemonic.
-type Op int
+type Op uint8
 
 // Base mnemonics of the supported PTX subset.
 const (
@@ -68,7 +68,7 @@ func (o Op) String() string {
 }
 
 // Space is a PTX state space.
-type Space int
+type Space uint8
 
 // Memory state spaces.
 const (
@@ -93,7 +93,7 @@ func (s Space) String() string {
 }
 
 // CacheOp is a load/store cache operator (.cg skips the incoherent L1).
-type CacheOp int
+type CacheOp uint8
 
 // Cache operators.
 const (
@@ -119,7 +119,7 @@ func (c CacheOp) String() string {
 }
 
 // Type is a PTX scalar type.
-type Type int
+type Type uint8
 
 // Scalar types.
 const (
@@ -177,7 +177,7 @@ func (t Type) Signed() bool { return t == S8 || t == S16 || t == S32 || t == S64
 func (t Type) Float() bool { return t == F32 || t == F64 }
 
 // CmpOp is a setp comparison operator.
-type CmpOp int
+type CmpOp uint8
 
 // Comparison operators.
 const (
@@ -202,7 +202,7 @@ func (c CmpOp) String() string {
 }
 
 // AtomOp is an atomic read-modify-write operator.
-type AtomOp int
+type AtomOp uint8
 
 // Atomic operators. Exch and Cas receive the lock-idiom treatment in
 // acquire/release inference (§3.1).
@@ -234,7 +234,7 @@ func (a AtomOp) String() string {
 }
 
 // Sreg is a special (read-only) register.
-type Sreg int
+type Sreg uint8
 
 // Special registers. Axis-indexed registers encode the axis in the low bits.
 const (
@@ -272,7 +272,7 @@ func (s Sreg) String() string {
 }
 
 // OperandKind discriminates Operand.
-type OperandKind int
+type OperandKind uint8
 
 // Operand kinds.
 const (
@@ -288,15 +288,18 @@ const (
 // Operand is one instruction operand.
 type Operand struct {
 	Kind OperandKind
-	Reg  string // OpndReg: register name including '%'
-	Imm  int64  // OpndImm
-	F    float64
 	Sreg Sreg
-	// OpndMem fields: exactly one of BaseReg/BaseSym is set.
-	BaseReg string
-	BaseSym string
-	Off     int64
-	Sym     string // OpndSym / OpndLabel
+	// Num is the index in its kernel's register table (Kernel.RegTab) of
+	// Reg, when Reg names a register; set when the kernel is numbered.
+	Num int32
+	// Reg is the register of an OpndReg, and the base register of an
+	// OpndMem; Sym is the name of an OpndSym or OpndLabel, and the base
+	// symbol of an OpndMem. A memory operand has exactly one of the two.
+	Reg string
+	Sym string
+	Imm int64 // OpndImm
+	F   float64
+	Off int64 // OpndMem
 }
 
 // Reg constructs a register operand.
@@ -310,7 +313,7 @@ func SregOp(s Sreg) Operand { return Operand{Kind: OpndSreg, Sreg: s} }
 
 // MemReg constructs a [reg+off] memory operand.
 func MemReg(reg string, off int64) Operand {
-	return Operand{Kind: OpndMem, BaseReg: reg, Off: off}
+	return Operand{Kind: OpndMem, Reg: reg, Off: off}
 }
 
 // LabelOp constructs a label-reference operand.
@@ -319,13 +322,14 @@ func LabelOp(name string) Operand { return Operand{Kind: OpndLabel, Sym: name} }
 // Guard is an instruction predicate guard (@%p or @!%p).
 type Guard struct {
 	Reg string // predicate register including '%'
+	Num int32  // Reg's index in the kernel's register table
 	Neg bool   // @!%p
 }
 
 // LogKind identifies a `_log` pseudo-instruction variety. The concrete
 // trace-operation mapping lives in package trace; the instrumenter chooses
 // the kind statically.
-type LogKind int
+type LogKind uint8
 
 // Log kinds inserted by the instrumenter.
 const (
@@ -370,18 +374,18 @@ type Instr struct {
 	Src      Type // cvt source type
 	Cmp      CmpOp
 	Atom     AtomOp
+	LogK     LogKind // _log pseudo-instruction kind
 	Wide     bool    // mul.wide / mad.wide
 	Lo       bool    // mul.lo / mad.lo
 	Hi       bool    // mul.hi
 	Uni      bool    // bra.uni
 	Volatile bool    // ld.volatile / st.volatile
+	LogOnce  bool    // _log site statically proven loop-invariant (filter hint)
+	HasDst   bool
 	Vec      int     // vector width for ld/st .v2/.v4 (0 = scalar)
 	Level    string  // membar: cta|gl|sys, bar: sync, cvta: to
-	LogK     LogKind // _log pseudo-instruction kind
 	AccSz    int     // _log.{rd,wr,...}: access size in bytes
-	LogOnce  bool    // _log site statically proven loop-invariant (filter hint)
 	Dst      Operand // destination (zero Operand when none)
-	HasDst   bool
 	Args     []Operand
 	Line     int // 1-based source line, 0 when synthesized
 	Col      int // 1-based source column, 0 when synthesized
@@ -411,6 +415,22 @@ func (in *Instr) AddrOperand() (Operand, bool) {
 		}
 	}
 	return Operand{}, false
+}
+
+// Defs calls f with the number (Operand.Num) of every register the
+// instruction writes: its destination and, for a vector load
+// `ld.vN {d0, …, dN-1}, [a]`, the N-1 further destinations that lead its
+// Args.
+func (in *Instr) Defs(f func(reg int32)) {
+	if !in.HasDst || in.Dst.Kind != OpndReg {
+		return
+	}
+	f(in.Dst.Num)
+	for i := 0; in.Op == OpLd && i < in.Vec-1 && i < len(in.Args); i++ {
+		if in.Args[i].Kind == OpndReg {
+			f(in.Args[i].Num)
+		}
+	}
 }
 
 // AccessBytes returns the total bytes touched by a memory instruction
@@ -460,6 +480,12 @@ type Kernel struct {
 	Shared []VarDecl
 	Local  []VarDecl // per-thread .local declarations
 	Body   []Stmt
+
+	// The register numbering (NumberRegs): each register the body names,
+	// once, and the sizes of the general and predicate register files.
+	RegTab        []RegInfo
+	NRegs, NPreds int
+	numbered      bool
 }
 
 // Instrs returns the kernel's instructions in order (labels skipped).

@@ -62,16 +62,33 @@ func (l *lexer) errf(format string, args ...any) *Error {
 	return &Error{Line: l.line, Col: l.col(), Msg: fmt.Sprintf(format, args...)}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
+// Byte classes, looked up once per byte.
+const (
+	classPunct      = 1 + iota // a punctuation token of its own
+	classIdentStart            // may start an identifier
+	classIdentCont             // may only continue one
+)
 
-func isIdentCont(c byte) bool {
-	return isIdentStart(c) || (c >= '0' && c <= '9') || c == '.'
-}
+var byteClass = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		switch {
+		case c == '_' || c == '$' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
+			t[c] = classIdentStart
+		case c >= '0' && c <= '9' || c == '.':
+			t[c] = classIdentCont
+		case strings.IndexByte(",;[](){}:@!+<>", byte(c)) >= 0:
+			t[c] = classPunct
+		}
+	}
+	return t
+}()
 
-// next returns the next token, skipping whitespace and comments.
-func (l *lexer) next() (token, error) {
+func isIdentStart(c byte) bool { return byteClass[c] == classIdentStart }
+
+func isIdentCont(c byte) bool { return byteClass[c] >= classIdentStart }
+
+// next scans the next token, its text a slice of the source, into t.
+func (l *lexer) next(t *token) error {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -88,7 +105,7 @@ func (l *lexer) next() (token, error) {
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
 			end := strings.Index(l.src[l.pos+2:], "*/")
 			if end < 0 {
-				return token{}, l.errf("unterminated block comment")
+				return l.errf("unterminated block comment")
 			}
 			seg := l.src[l.pos : l.pos+2+end+2]
 			l.line += strings.Count(seg, "\n")
@@ -97,81 +114,66 @@ func (l *lexer) next() (token, error) {
 			}
 			l.pos += 2 + end + 2
 		default:
-			return l.lexToken()
+			return l.lexToken(t)
 		}
 	}
-	return token{kind: tokEOF, line: l.line, col: l.col()}, nil
+	*t = token{kind: tokEOF, line: l.line, col: l.col()}
+	return nil
 }
 
-func (l *lexer) lexToken() (token, error) {
+func (l *lexer) lexToken(t *token) error {
 	c := l.src[l.pos]
 	start := l.pos
-	startCol := l.col()
+	t.line, t.col = l.line, l.col()
 	switch {
-	case c == '%':
-		// Register or special register: % ident (.x suffix allowed via '.').
+	case c == '%' || c == '.':
+		// Register, special register (%tid.x) or directive.
 		l.pos++
-		for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
-			l.pos++
+		l.skipIdent()
+		if l.pos == start+1 && c == '%' {
+			return l.errf("bare %% in input")
 		}
 		if l.pos == start+1 {
-			return token{}, l.errf("bare %% in input")
+			return l.errf("bare '.' in input")
 		}
-		return token{tokIdent, l.src[start:l.pos], l.line, startCol}, nil
-	case c == '.':
-		// Directive or dotted continuation handled by identifier rule.
-		l.pos++
-		for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
-			l.pos++
-		}
-		if l.pos == start+1 {
-			return token{}, l.errf("bare '.' in input")
-		}
-		return token{tokIdent, l.src[start:l.pos], l.line, startCol}, nil
+		t.kind = tokIdent
 	case isIdentStart(c):
 		l.pos++
-		for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
-			l.pos++
-		}
-		return token{tokIdent, l.src[start:l.pos], l.line, startCol}, nil
+		l.skipIdent()
+		t.kind = tokIdent
 	case c >= '0' && c <= '9':
-		return l.lexNumber()
+		l.lexNumber()
+		t.kind = tokNumber
 	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		l.pos++
-		tok, err := l.lexNumber()
-		if err != nil {
-			return tok, err
-		}
-		tok.text = "-" + tok.text
-		tok.col = startCol
-		return tok, nil
+		l.lexNumber()
+		t.kind = tokNumber
+	case byteClass[c] == classPunct:
+		l.pos++
+		t.kind = tokPunct
 	default:
-		switch c {
-		case ',', ';', '[', ']', '(', ')', '{', '}', ':', '@', '!', '+', '<', '>':
-			l.pos++
-			return token{tokPunct, string(c), l.line, startCol}, nil
-		}
-		return token{}, l.errf("unexpected character %q", c)
+		return l.errf("unexpected character %q", c)
+	}
+	t.text = l.src[start:l.pos]
+	return nil
+}
+
+func (l *lexer) skipIdent() {
+	for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
+		l.pos++
 	}
 }
 
-func (l *lexer) lexNumber() (token, error) {
-	start := l.pos
-	startCol := l.col()
-	if strings.HasPrefix(l.src[l.pos:], "0x") || strings.HasPrefix(l.src[l.pos:], "0X") {
+// lexNumber scans an integer, decimal float or hex literal.
+func (l *lexer) lexNumber() {
+	if rest := l.src[l.pos:]; strings.HasPrefix(rest, "0x") || strings.HasPrefix(rest, "0X") ||
+		strings.HasPrefix(rest, "0f") || strings.HasPrefix(rest, "0F") {
+		// Hex integer, or hex float literal 0fXXXXXXXX (IEEE-754 bits).
 		l.pos += 2
 		for l.pos < len(l.src) && isHex(l.src[l.pos]) {
 			l.pos++
 		}
-		return token{tokNumber, l.src[start:l.pos], l.line, startCol}, nil
-	}
-	if strings.HasPrefix(l.src[l.pos:], "0f") || strings.HasPrefix(l.src[l.pos:], "0F") {
-		// Hex float literal 0fXXXXXXXX (IEEE-754 bits).
-		l.pos += 2
-		for l.pos < len(l.src) && isHex(l.src[l.pos]) {
-			l.pos++
-		}
-		return token{tokNumber, l.src[start:l.pos], l.line, startCol}, nil
+		return
 	}
 	seenDot := false
 	for l.pos < len(l.src) {
@@ -187,7 +189,6 @@ func (l *lexer) lexNumber() (token, error) {
 		}
 		break
 	}
-	return token{tokNumber, l.src[start:l.pos], l.line, startCol}, nil
 }
 
 func isHex(c byte) bool {

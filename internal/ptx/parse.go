@@ -3,17 +3,33 @@ package ptx
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Parse parses a PTX translation unit.
 func Parse(src string) (*Module, error) {
-	p := &parser{lex: newLexer(src)}
-	if err := p.advance(); err != nil {
-		return nil, err
+	// Counted once, ';', ':' and '@' bound the statements, instructions
+	// and guards. The operands after a destination follow a ',', and the
+	// operand arena allows for one instruction in two without one; past
+	// that it grows, and what was carved keeps the array it came from.
+	semis := strings.Count(src, ";")
+	p := &parser{
+		lex:    newLexer(src),
+		body:   make([]Stmt, 0, semis+strings.Count(src, ":")),
+		instrs: make([]Instr, 0, semis),
+		ops:    make([]Operand, 0, strings.Count(src, ",")+strings.Count(src, "}")+semis/2),
+		guards: make([]Guard, 0, strings.Count(src, "@")),
+
+		mnemonics: make(map[string]*Instr, 32),
 	}
-	return p.parseModule()
+	p.advance()
+	m := p.parseModule()
+	if p.err != nil {
+		return nil, p.err
+	}
+	return m, nil
 }
 
 // ParseKernel parses a source containing a single kernel and returns it.
@@ -28,257 +44,254 @@ func ParseKernel(src string) (*Kernel, error) {
 	return m.Kernels[0], nil
 }
 
+// parser is a recursive-descent parser over the lexer's tokens. Its first
+// error ends the parse: err keeps it, the token becomes the end of input,
+// and every error reported after it is that one.
 type parser struct {
 	lex *lexer
 	tok token
+	err error
+	// Arenas the module's statements, instructions, operands and guards
+	// are carved from, kernel by kernel, sized by Parse.
+	body   []Stmt
+	instrs []Instr
+	ops    []Operand
+	guards []Guard
+	// mnemonics holds each mnemonic decoded so far: a module spells a
+	// few dozen, thousands of times over.
+	mnemonics map[string]*Instr
 }
 
-func (p *parser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
+// advance moves to the next token.
+func (p *parser) advance() {
+	if p.err == nil {
+		p.err = p.lex.next(&p.tok)
 	}
-	p.tok = t
-	return nil
+	if p.err != nil {
+		p.tok = token{kind: tokEOF}
+	}
 }
 
-func (p *parser) errf(format string, args ...any) *Error {
-	return &Error{Line: p.tok.line, Col: p.tok.col, Msg: fmt.Sprintf(format, args...)}
+// fail records err as the parse's error unless one came first, and
+// returns the parse's error.
+func (p *parser) fail(err error) error {
+	if p.err == nil {
+		p.err, p.tok = err, token{kind: tokEOF}
+	}
+	return p.err
+}
+
+func (p *parser) errf(format string, args ...any) error {
+	if p.err != nil {
+		return p.err
+	}
+	return p.fail(&Error{Line: p.tok.line, Col: p.tok.col, Msg: fmt.Sprintf(format, args...)})
 }
 
 func (p *parser) expectPunct(s string) error {
 	if p.tok.kind != tokPunct || p.tok.text != s {
 		return p.errf("expected %q, found %q", s, p.tok.String())
 	}
-	return p.advance()
+	p.advance()
+	return p.err
 }
 
 func (p *parser) atPunct(s string) bool {
 	return p.tok.kind == tokPunct && p.tok.text == s
 }
 
-func (p *parser) parseModule() (*Module, error) {
+// decode sets the fields a mnemonic spells on in.
+func (p *parser) decode(t *token, in *Instr) error {
+	dec := p.mnemonics[t.text]
+	if dec == nil {
+		dec = new(Instr)
+		if err := parseMnemonic(t.text, dec); err != nil {
+			return p.fail(&Error{Line: t.line, Msg: err.Error()})
+		}
+		p.mnemonics[t.text] = dec
+	}
+	guard, line, col := in.Guard, in.Line, in.Col
+	*in = *dec
+	in.Guard, in.Line, in.Col = guard, line, col
+	return nil
+}
+
+// parseModule parses directives and kernels to the end of input; the
+// caller reads p.err.
+func (p *parser) parseModule() *Module {
 	m := &Module{AddressSize: 64}
 	for p.tok.kind != tokEOF {
 		if p.tok.kind != tokIdent {
-			return nil, p.errf("expected directive, found %q", p.tok.String())
+			p.errf("expected directive, found %q", p.tok.String())
+			return nil
 		}
-		switch {
-		case p.tok.text == ".version":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+		switch p.tok.text {
+		case ".version":
+			p.advance()
 			m.Version = p.tok.text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		case p.tok.text == ".target":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
+		case ".target":
+			p.advance()
 			m.Target = p.tok.text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		case p.tok.text == ".address_size":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
+		case ".address_size":
+			p.advance()
 			n, err := strconv.Atoi(p.tok.text)
 			if err != nil {
-				return nil, p.errf("bad address size %q", p.tok.text)
+				p.errf("bad address size %q", p.tok.text)
+				return nil
 			}
 			m.AddressSize = n
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		case p.tok.text == ".global":
+			p.advance()
+		case ".global":
 			d, err := p.parseVarDecl(SpaceGlobal)
 			if err != nil {
-				return nil, err
+				return nil
 			}
 			m.Globals = append(m.Globals, d)
-		case p.tok.text == ".visible" || p.tok.text == ".entry":
+		case ".visible", ".entry":
 			k, err := p.parseKernel()
 			if err != nil {
-				return nil, err
+				return nil
 			}
 			m.Kernels = append(m.Kernels, k)
 		default:
-			return nil, p.errf("unsupported module directive %q", p.tok.text)
+			p.errf("unsupported module directive %q", p.tok.text)
+			return nil
 		}
 	}
-	return m, nil
+	return m
 }
 
 // parseVarDecl parses `.global|.shared [.align N] .bK name[SIZE];` and
 // scalar forms `.global .u32 name;`.
 func (p *parser) parseVarDecl(space Space) (VarDecl, error) {
 	d := VarDecl{Space: space, Align: 1}
-	if err := p.advance(); err != nil { // consume .global/.shared
-		return d, err
-	}
+	p.advance() // consume .global/.shared
 	if p.tok.text == ".align" {
-		if err := p.advance(); err != nil {
-			return d, err
-		}
+		p.advance()
 		a, err := strconv.Atoi(p.tok.text)
 		if err != nil {
 			return d, p.errf("bad alignment %q", p.tok.text)
 		}
 		d.Align = a
-		if err := p.advance(); err != nil {
-			return d, err
-		}
+		p.advance()
 	}
 	ty, ok := parseTypeName(p.tok.text)
 	if !ok {
 		return d, p.errf("expected type in variable declaration, found %q", p.tok.text)
 	}
-	if err := p.advance(); err != nil {
-		return d, err
-	}
+	p.advance()
 	if p.tok.kind != tokIdent {
 		return d, p.errf("expected variable name, found %q", p.tok.String())
 	}
 	d.Name = p.tok.text
-	if err := p.advance(); err != nil {
-		return d, err
-	}
+	p.advance()
+	d.Size = int64(max(ty.Size(), 1))
 	if p.atPunct("[") {
-		if err := p.advance(); err != nil {
-			return d, err
-		}
+		p.advance()
 		n, err := strconv.ParseInt(p.tok.text, 0, 64)
 		if err != nil {
 			return d, p.errf("bad array size %q", p.tok.text)
 		}
-		if err := p.advance(); err != nil {
-			return d, err
+		if n < 0 || n > math.MaxInt64/d.Size {
+			return d, p.errf("array size %d out of range", n)
 		}
+		p.advance()
 		if err := p.expectPunct("]"); err != nil {
 			return d, err
 		}
-		d.Size = n * int64(max(ty.Size(), 1))
-	} else {
-		d.Size = int64(max(ty.Size(), 1))
+		d.Size *= n
 	}
-	if err := p.expectPunct(";"); err != nil {
-		return d, err
-	}
-	return d, nil
+	return d, p.expectPunct(";")
 }
 
 func (p *parser) parseKernel() (*Kernel, error) {
 	// Optional .visible prefix.
 	if p.tok.text == ".visible" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
 	if p.tok.text != ".entry" {
 		return nil, p.errf("expected .entry, found %q", p.tok.text)
 	}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
+	p.advance()
 	if p.tok.kind != tokIdent {
 		return nil, p.errf("expected kernel name, found %q", p.tok.String())
 	}
 	k := &Kernel{Name: p.tok.text}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
+	p.advance()
 	if p.atPunct("(") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		for !p.atPunct(")") {
 			if p.tok.text != ".param" {
 				return nil, p.errf("expected .param, found %q", p.tok.String())
 			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			ty, ok := parseTypeName(p.tok.text)
 			if !ok {
 				return nil, p.errf("expected param type, found %q", p.tok.text)
 			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if p.tok.kind != tokIdent {
 				return nil, p.errf("expected param name, found %q", p.tok.String())
 			}
 			k.Params = append(k.Params, Param{Name: p.tok.text, Type: ty})
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if p.atPunct(",") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 			}
 		}
-		if err := p.advance(); err != nil { // consume ')'
-			return nil, err
-		}
+		p.advance() // consume ')'
 	}
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
+	first := len(p.body)
 	for !p.atPunct("}") {
-		switch {
-		case p.tok.text == ".reg":
-			rd, err := p.parseRegDecl()
-			if err != nil {
-				return nil, err
-			}
+		var err error
+		switch p.tok.text {
+		case ".reg":
+			var rd RegDecl
+			rd, err = p.parseRegDecl()
 			k.Regs = append(k.Regs, rd)
-		case p.tok.text == ".shared":
-			d, err := p.parseVarDecl(SpaceShared)
-			if err != nil {
-				return nil, err
-			}
+		case ".shared":
+			var d VarDecl
+			d, err = p.parseVarDecl(SpaceShared)
 			k.Shared = append(k.Shared, d)
-		case p.tok.text == ".local":
-			d, err := p.parseVarDecl(SpaceLocal)
-			if err != nil {
-				return nil, err
-			}
+		case ".local":
+			var d VarDecl
+			d, err = p.parseVarDecl(SpaceLocal)
 			k.Local = append(k.Local, d)
 		default:
-			st, err := p.parseStmt()
-			if err != nil {
-				return nil, err
-			}
-			k.Body = append(k.Body, st)
+			err = p.parseStmt()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return k, p.advance() // consume '}'
+	// Capped, so that an append to the body cannot write into the
+	// arena's next kernel.
+	k.Body = slices.Clip(p.body[first:])
+	k.NumberRegs()
+	p.advance() // consume '}'
+	return k, p.err
 }
 
 // parseRegDecl parses `.reg .u32 %r<10>;` or `.reg .pred %p<4>;`.
 func (p *parser) parseRegDecl() (RegDecl, error) {
 	var rd RegDecl
-	if err := p.advance(); err != nil { // consume .reg
-		return rd, err
-	}
+	p.advance() // consume .reg
 	ty, ok := parseTypeName(p.tok.text)
 	if !ok {
 		return rd, p.errf("expected register type, found %q", p.tok.text)
 	}
 	rd.Type = ty
-	if err := p.advance(); err != nil {
-		return rd, err
-	}
+	p.advance()
 	if p.tok.kind != tokIdent || !strings.HasPrefix(p.tok.text, "%") {
 		return rd, p.errf("expected register prefix, found %q", p.tok.String())
 	}
 	rd.Prefix = p.tok.text
-	if err := p.advance(); err != nil {
-		return rd, err
-	}
+	p.advance()
 	if err := p.expectPunct("<"); err != nil {
 		return rd, err
 	}
@@ -287,189 +300,178 @@ func (p *parser) parseRegDecl() (RegDecl, error) {
 		return rd, p.errf("bad register count %q", p.tok.text)
 	}
 	rd.Count = n
-	if err := p.advance(); err != nil {
-		return rd, err
-	}
+	p.advance()
 	if err := p.expectPunct(">"); err != nil {
 		return rd, err
 	}
 	return rd, p.expectPunct(";")
 }
 
-// parseStmt parses one label or instruction.
-func (p *parser) parseStmt() (Stmt, error) {
+// parseStmt parses one label or instruction into the kernel's arenas.
+func (p *parser) parseStmt() error {
 	line, col := p.tok.line, p.tok.col
-	// Label: IDENT ':'
+	var mnemonic *token
+	// Label: IDENT ':'. Looking past the identifier tells "LBB1:" from
+	// "ret;"; an instruction goes on from the token after its mnemonic.
 	if p.tok.kind == tokIdent && !strings.HasPrefix(p.tok.text, "%") && !strings.HasPrefix(p.tok.text, ".") {
-		// Look ahead for ':': need to distinguish "LBB1:" from "ret;".
-		save := *p.lex
-		saveTok := p.tok
-		name := p.tok.text
-		if err := p.advance(); err != nil {
-			return Stmt{}, err
+		name := p.tok
+		p.advance()
+		if p.err != nil {
+			return p.err
 		}
 		if p.atPunct(":") {
-			if err := p.advance(); err != nil {
-				return Stmt{}, err
-			}
-			return Stmt{Label: name, Line: line, Col: col}, nil
+			p.body = append(p.body, Stmt{Label: name.text, Line: line, Col: col})
+			p.advance()
+			return p.err
 		}
-		*p.lex = save
-		p.tok = saveTok
+		mnemonic = &name
 	}
-	in, err := p.parseInstr()
+	in, err := p.parseInstr(mnemonic)
 	if err != nil {
-		return Stmt{}, err
+		return err
 	}
-	return Stmt{Instr: in, Line: line, Col: col}, nil
+	p.body = append(p.body, Stmt{Instr: in, Line: line, Col: col})
+	return nil
 }
 
-func (p *parser) parseInstr() (*Instr, error) {
-	in := &Instr{Line: p.tok.line, Col: p.tok.col}
-	// Optional guard @%p / @!%p.
-	if p.atPunct("@") {
-		if err := p.advance(); err != nil {
+// parseInstr parses one instruction onto the end of p.instrs, its
+// operands onto p.ops and its guard onto p.guards. A non-nil mnemonic is
+// the instruction's first token, already consumed.
+func (p *parser) parseInstr(mnemonic *token) (*Instr, error) {
+	var in Instr
+	if mnemonic != nil {
+		in.Line, in.Col = mnemonic.line, mnemonic.col
+		if err := p.decode(mnemonic, &in); err != nil {
 			return nil, err
 		}
-		g := &Guard{}
-		if p.atPunct("!") {
-			g.Neg = true
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-		if p.tok.kind != tokIdent || !strings.HasPrefix(p.tok.text, "%") {
-			return nil, p.errf("expected predicate register after @, found %q", p.tok.String())
-		}
-		g.Reg = p.tok.text
-		in.Guard = g
-		if err := p.advance(); err != nil {
+	} else {
+		in.Line, in.Col = p.tok.line, p.tok.col
+		if err := p.parseGuard(&in); err != nil {
 			return nil, err
 		}
-	}
-	if p.tok.kind != tokIdent {
-		return nil, p.errf("expected instruction mnemonic, found %q", p.tok.String())
-	}
-	if err := parseMnemonic(p.tok.text, in); err != nil {
-		return nil, &Error{Line: p.tok.line, Msg: err.Error()}
-	}
-	if err := p.advance(); err != nil {
-		return nil, err
+		if p.tok.kind != tokIdent {
+			return nil, p.errf("expected instruction mnemonic, found %q", p.tok.String())
+		}
+		if err := p.decode(&p.tok, &in); err != nil {
+			return nil, err
+		}
+		p.advance()
 	}
 	// Operands until ';'. A brace group {%r1, %r2, ...} (vector ld/st)
 	// contributes its members in order.
-	var opnds []Operand
+	first := len(p.ops)
 	for !p.atPunct(";") {
 		if p.atPunct("{") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			for !p.atPunct("}") {
-				o, err := p.parseOperand()
-				if err != nil {
+				if err := p.parseOperand(); err != nil {
 					return nil, err
 				}
-				opnds = append(opnds, o)
 				if p.atPunct(",") {
-					if err := p.advance(); err != nil {
-						return nil, err
-					}
+					p.advance()
 				}
 			}
-			if err := p.advance(); err != nil { // consume '}'
-				return nil, err
-			}
-		} else {
-			o, err := p.parseOperand()
-			if err != nil {
-				return nil, err
-			}
-			opnds = append(opnds, o)
+			p.advance() // consume '}'
+		} else if err := p.parseOperand(); err != nil {
+			return nil, err
 		}
 		if p.atPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		}
 	}
-	if err := p.advance(); err != nil { // consume ';'
-		return nil, err
+	p.advance() // consume ';'
+	if p.err != nil {
+		return nil, p.err
 	}
-	assignOperands(in, opnds)
-	return in, nil
+	p.assignOperands(&in, first)
+	p.instrs = append(p.instrs, in)
+	return &p.instrs[len(p.instrs)-1], nil
 }
 
-// assignOperands splits the flat operand list into Dst and Args according
-// to the instruction kind.
-func assignOperands(in *Instr, opnds []Operand) {
-	hasDst := false
+// parseGuard parses an optional guard, @%p or @!%p, onto p.guards.
+func (p *parser) parseGuard(in *Instr) error {
+	if !p.atPunct("@") {
+		return nil
+	}
+	p.advance()
+	var g Guard
+	if p.atPunct("!") {
+		g.Neg = true
+		p.advance()
+	}
+	if p.tok.kind != tokIdent || !strings.HasPrefix(p.tok.text, "%") {
+		return p.errf("expected predicate register after @, found %q", p.tok.String())
+	}
+	g.Reg = p.tok.text
+	p.guards = append(p.guards, g)
+	in.Guard = &p.guards[len(p.guards)-1]
+	p.advance()
+	return p.err
+}
+
+// assignOperands splits the operands parsed from first on into Dst and
+// Args according to the instruction kind; a destination leaves p.ops for
+// in.Dst.
+func (p *parser) assignOperands(in *Instr, first int) {
+	opnds := p.ops[first:]
 	switch in.Op {
 	case OpLd, OpMov, OpAdd, OpSub, OpMul, OpMad, OpDiv, OpRem, OpMin, OpMax,
 		OpAnd, OpOr, OpXor, OpNot, OpNeg, OpShl, OpShr, OpSetp, OpSelp,
 		OpCvt, OpCvta, OpAtom:
-		hasDst = len(opnds) > 0
-	case OpBra:
-		if len(opnds) == 1 && opnds[0].Kind == OpndSym {
-			opnds[0].Kind = OpndLabel
+		if len(opnds) > 0 {
+			in.Dst, in.HasDst = opnds[0], true
+			p.ops = append(p.ops[:first], opnds[1:]...)
+			opnds = p.ops[first:]
 		}
-	}
-	if hasDst {
-		in.Dst = opnds[0]
-		in.HasDst = true
-		in.Args = opnds[1:]
-	} else {
-		in.Args = opnds
-	}
-	// Branch target may have parsed as a symbol.
-	if in.Op == OpBra {
-		for i := range in.Args {
-			if in.Args[i].Kind == OpndSym {
-				in.Args[i].Kind = OpndLabel
+	case OpBra:
+		// The branch target may have parsed as a symbol.
+		for i := range opnds {
+			if opnds[i].Kind == OpndSym {
+				opnds[i].Kind = OpndLabel
 			}
 		}
 	}
+	in.Args = slices.Clip(p.ops[first:])
 }
 
-func (p *parser) parseOperand() (Operand, error) {
+// parseOperand parses one operand onto the end of p.ops.
+func (p *parser) parseOperand() error {
+	o, err := p.operand()
+	if err == nil {
+		p.ops = append(p.ops, o)
+	}
+	return err
+}
+
+func (p *parser) operand() (Operand, error) {
 	switch {
 	case p.atPunct("["):
-		if err := p.advance(); err != nil {
-			return Operand{}, err
-		}
-		var o Operand
-		o.Kind = OpndMem
+		p.advance()
+		o := Operand{Kind: OpndMem}
 		if p.tok.kind != tokIdent {
-			return Operand{}, p.errf("expected base in memory operand, found %q", p.tok.String())
+			return o, p.errf("expected base in memory operand, found %q", p.tok.String())
 		}
 		if strings.HasPrefix(p.tok.text, "%") {
-			o.BaseReg = p.tok.text
+			o.Reg = p.tok.text
 		} else {
-			o.BaseSym = p.tok.text
+			o.Sym = p.tok.text
 		}
-		if err := p.advance(); err != nil {
-			return Operand{}, err
-		}
+		p.advance()
 		if p.atPunct("+") {
-			if err := p.advance(); err != nil {
-				return Operand{}, err
-			}
+			p.advance()
 			n, err := strconv.ParseInt(p.tok.text, 0, 64)
 			if err != nil {
-				return Operand{}, p.errf("bad memory offset %q", p.tok.text)
+				return o, p.errf("bad memory offset %q", p.tok.text)
 			}
 			o.Off = n
-			if err := p.advance(); err != nil {
-				return Operand{}, err
-			}
+			p.advance()
 		}
-		if err := p.expectPunct("]"); err != nil {
-			return Operand{}, err
-		}
-		return o, nil
+		return o, p.expectPunct("]")
 	case p.tok.kind == tokNumber:
 		text := p.tok.text
-		if err := p.advance(); err != nil {
-			return Operand{}, err
+		p.advance()
+		if p.err != nil {
+			return Operand{}, p.err
 		}
 		neg := strings.HasPrefix(text, "-")
 		body := strings.TrimPrefix(text, "-")
@@ -506,24 +508,22 @@ func (p *parser) parseOperand() (Operand, error) {
 		return Operand{Kind: OpndImm, Imm: n}, nil
 	case p.tok.kind == tokIdent && strings.HasPrefix(p.tok.text, "%"):
 		name := p.tok.text
-		if err := p.advance(); err != nil {
-			return Operand{}, err
+		p.advance()
+		// Special registers but %laneid and %warpid are axis-dotted.
+		if !strings.Contains(name, ".") && name != "%laneid" && name != "%warpid" {
+			return Operand{Kind: OpndReg, Reg: name}, p.err
 		}
 		if s, ok := sregByName[name]; ok {
-			return Operand{Kind: OpndSreg, Sreg: s}, nil
+			return Operand{Kind: OpndSreg, Sreg: s}, p.err
 		}
-		return Operand{Kind: OpndReg, Reg: name}, nil
+		return Operand{Kind: OpndReg, Reg: name}, p.err
 	case p.tok.kind == tokIdent && p.tok.text == "WARP_SZ":
-		if err := p.advance(); err != nil {
-			return Operand{}, err
-		}
-		return Operand{Kind: OpndSreg, Sreg: SregWarpSize}, nil
+		p.advance()
+		return Operand{Kind: OpndSreg, Sreg: SregWarpSize}, p.err
 	case p.tok.kind == tokIdent && !strings.HasPrefix(p.tok.text, "."):
 		name := p.tok.text
-		if err := p.advance(); err != nil {
-			return Operand{}, err
-		}
-		return Operand{Kind: OpndSym, Sym: name}, nil
+		p.advance()
+		return Operand{Kind: OpndSym, Sym: name}, p.err
 	}
 	return Operand{}, p.errf("unexpected operand %q", p.tok.String())
 }
@@ -561,17 +561,18 @@ func parseTypeName(s string) (Type, bool) {
 // parseMnemonic decodes a dotted mnemonic like "ld.global.cg.u32" into the
 // instruction's structured fields.
 func parseMnemonic(text string, in *Instr) error {
-	parts := strings.Split(text, ".")
-	op, ok := opByName[parts[0]]
+	base, mods, more := strings.Cut(text, ".")
+	op, ok := opByName[base]
 	if !ok {
-		return &Error{Msg: "unknown mnemonic " + parts[0]}
+		return &Error{Msg: "unknown mnemonic " + base}
 	}
 	in.Op = op
-	mods := parts[1:]
 	if op == OpLog {
-		return parseLogMnemonic(mods, in)
+		return parseLogMnemonic(mods, more, in)
 	}
-	for _, m := range mods {
+	for more {
+		var m string
+		m, mods, more = strings.Cut(mods, ".")
 		switch {
 		case m == "uni":
 			in.Uni = true
@@ -622,23 +623,27 @@ func parseMnemonic(text string, in *Instr) error {
 				}
 				continue
 			}
-			return &Error{Msg: "unknown modifier ." + m + " on " + parts[0]}
+			return &Error{Msg: "unknown modifier ." + m + " on " + base}
 		}
 	}
 	return nil
 }
 
-// parseLogMnemonic decodes `_log.<kind>[.<space>][.sN]`.
-func parseLogMnemonic(mods []string, in *Instr) error {
-	if len(mods) == 0 {
+// parseLogMnemonic decodes `_log.<kind>[.<space>][.szN]` from the text
+// after `_log`; more reports whether a dot led it.
+func parseLogMnemonic(mods string, more bool, in *Instr) error {
+	if !more {
 		return &Error{Msg: "_log requires a kind"}
 	}
-	k, ok := logKindByName[mods[0]]
+	kind, mods, more := strings.Cut(mods, ".")
+	k, ok := logKindByName[kind]
 	if !ok {
-		return &Error{Msg: "unknown _log kind " + mods[0]}
+		return &Error{Msg: "unknown _log kind " + kind}
 	}
 	in.LogK = k
-	for _, m := range mods[1:] {
+	for more {
+		var m string
+		m, mods, more = strings.Cut(mods, ".")
 		if sp, ok := spaceByName[m]; ok {
 			in.Space = sp
 			continue

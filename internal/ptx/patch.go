@@ -29,7 +29,7 @@ func CloneModule(m *Module) *Module {
 
 // CloneKernel returns a deep copy of k.
 func CloneKernel(k *Kernel) *Kernel {
-	out := &Kernel{Name: k.Name}
+	out := &Kernel{Name: k.Name, RegTab: k.RegTab, NRegs: k.NRegs, NPreds: k.NPreds, numbered: k.numbered}
 	out.Params = append([]Param(nil), k.Params...)
 	out.Regs = append([]RegDecl(nil), k.Regs...)
 	out.Shared = append([]VarDecl(nil), k.Shared...)
@@ -77,8 +77,9 @@ type Edit struct {
 	Ins    []*Instr
 }
 
-// ApplyEdits returns a deep copy of m with the edits applied; m itself
-// is never modified. Edits may target multiple kernels. Within one
+// ApplyEdits returns a deep copy of m with the edits applied, and each
+// edited kernel numbered afresh; m itself, and the edits' instructions,
+// are never modified. Edits may target multiple kernels. Within one
 // kernel, edits are applied highest-index first so that every edit's At
 // refers to the original instruction numbering. Two edits inserting at
 // the same position keep their slice order. Removal ranges must not
@@ -97,6 +98,8 @@ func ApplyEdits(m *Module, edits []Edit) (*Module, error) {
 		if err := applyKernelEdits(k, kes); err != nil {
 			return nil, fmt.Errorf("ptx: kernel %s: %w", name, err)
 		}
+		k.RegTab, k.numbered = nil, false
+		k.NumberRegs()
 	}
 	return out, nil
 }
@@ -159,7 +162,7 @@ func applyOne(k *Kernel, stmtOf []int, e Edit) {
 	head := k.Body[:pos]
 	var ins []Stmt
 	for _, in := range e.Ins {
-		ins = append(ins, Stmt{Instr: in, Line: in.Line, Col: in.Col})
+		ins = append(ins, Stmt{Instr: CloneInstr(in), Line: in.Line, Col: in.Col})
 	}
 	body := make([]Stmt, 0, len(head)+len(ins)+len(tail))
 	body = append(body, head...)

@@ -202,9 +202,9 @@ func FormatOperand(o Operand) string {
 	case OpndSreg:
 		return o.Sreg.String()
 	case OpndMem:
-		base := o.BaseReg
+		base := o.Reg
 		if base == "" {
-			base = o.BaseSym
+			base = o.Sym
 		}
 		if o.Off != 0 {
 			return fmt.Sprintf("[%s+%d]", base, o.Off)

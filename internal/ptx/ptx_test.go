@@ -93,7 +93,7 @@ func TestParseInstrFields(t *testing.T) {
 	if st.Space != SpaceGlobal || st.Type != U32 {
 		t.Errorf("st = %+v", st)
 	}
-	if a, ok := st.AddrOperand(); !ok || a.BaseReg != "%rd4" {
+	if a, ok := st.AddrOperand(); !ok || a.Reg != "%rd4" {
 		t.Errorf("st addr = %+v ok=%v", a, ok)
 	}
 	atom := find(OpAtom)

@@ -45,11 +45,12 @@ func jobDigest(t *testing.T, info JobInfo) string {
 
 // TestMalformedPTXFailsJobNotWorker: the three under-arity kernels that
 // used to panic a scheduler worker (and with it the daemon), a register
-// declaration that used to cost the worker minutes and gigabytes, and a
-// load from an address whose bounds check used to wrap past 2^64 and
-// panic, now fail their own job with the loader's or the launch's error,
-// and the single worker goes on to produce the right report for the next
-// job.
+// declaration that used to cost the worker minutes and gigabytes, a
+// negative `.shared` array that used to panic the launch and a 1 TiB one
+// that used to run the process out of memory, and a load from an address
+// whose bounds check used to wrap past 2^64 and panic, now fail their own
+// job with the parser's, the loader's or the launch's error, and the
+// single worker goes on to produce the right report for the next job.
 func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 	sched := NewScheduler(SchedulerOptions{Workers: 1})
 	defer sched.Stop()
@@ -60,6 +61,8 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 		{tidMov, "add.u32 %r1, %r2;", "open: gpusim: k line 6: add:"},
 		{tidMov, "atom.global.add.u32 %r2, [%rd1];", "open: gpusim: k line 6: atom:"},
 		{".reg .u32 %r<4>;", ".reg .u32 %r<2000000000>;", "open: gpusim: k: 2000000000 registers declared, limit 65536"},
+		{".reg .u32 %r<4>;", ".reg .u32 %r<4>;\n\t.shared .align 4 .b8 sm[-16];", "open: ptx: line 4:26: array size -16 out of range"},
+		{".reg .u32 %r<4>;", ".reg .u32 %r<4>;\n\t.shared .align 4 .b8 sm[1099511627776];", "open: gpusim: k: .shared variables take more than 262144 bytes a block"},
 		{"ld.param.u64 %rd1, [out];", "mov.u64 %rd1, 0xFFFFFFFFFFFFFFFE;\n\tld.global.u32 %r2, [%rd1];", "gpusim: kernel k: pc 2 (line 6): lane 0: gpusim: global access [0xfffffffffffffffe,+4) out of bounds"},
 	} {
 		src := strings.Replace(racySrc, tc.line, tc.hostile, 1)

@@ -2,7 +2,7 @@ package staticanalysis
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -83,9 +83,10 @@ func (t term) gridUniform() bool {
 // value is the abstract value of one register.
 type value struct {
 	affine bool
+	taint  bool // may be derived from tid/laneid (over-approx)
+	held   bool // in a regState: the register has a value on every path so far
 	c      int64
 	terms  map[term]int64 // nil or non-empty; coefficients are non-zero
-	taint  bool           // may be derived from tid/laneid (over-approx)
 }
 
 func unknownV(taint bool) value { return value{taint: taint} }
@@ -140,7 +141,14 @@ func addV(a, b value) value {
 		return unknownV(taint)
 	}
 	out := value{affine: true, c: a.c + b.c, taint: taint}
-	if len(a.terms)+len(b.terms) > 0 {
+	// Term maps are never changed once built, so a sum with a constant
+	// shares the other side's.
+	switch {
+	case len(b.terms) == 0:
+		out.terms = a.terms
+	case len(a.terms) == 0:
+		out.terms = b.terms
+	default:
 		out.terms = make(map[term]int64, len(a.terms)+len(b.terms))
 		for t, co := range a.terms {
 			out.terms[t] = co
@@ -232,20 +240,32 @@ func joinValue(a, b value) value {
 	return unknownV(taint)
 }
 
-// regState maps register name to abstract value. Missing = unknown.
-// Values are immutable, so maps.Clone is a copy of the state.
-type regState map[string]value
+// regState holds each register's abstract value, indexed by its number
+// in the kernel's register table. A register that is not held reads as
+// unknown and drops out of joins. Values are immutable, so slices.Clone
+// is a copy of the state.
+type regState []value
 
 func joinRegState(a, b regState) regState {
 	out := make(regState, len(a))
 	for r, va := range a {
-		if vb, ok := b[r]; ok {
+		if vb := b[r]; va.held && vb.held {
 			if v := joinValue(va, vb); v.affine || v.taint {
+				v.held = true
 				out[r] = v
 			}
 		}
 	}
 	return out
+}
+
+func equalRegState(a, b regState) bool {
+	for r := range a {
+		if a[r].held != b[r].held || a[r].held && !equalValue(a[r], b[r]) {
+			return false
+		}
+	}
+	return true
 }
 
 func sregValue(s ptx.Sreg) value {
@@ -264,15 +284,12 @@ func sregValue(s ptx.Sreg) value {
 	return unknownV(false)
 }
 
-func operandValue(st regState, o ptx.Operand) value {
+func operandValue(st regState, o *ptx.Operand) value {
 	switch o.Kind {
 	case ptx.OpndImm:
 		return constV(o.Imm)
 	case ptx.OpndReg:
-		if v, ok := st[o.Reg]; ok {
-			return v
-		}
-		return unknownV(false)
+		return st[o.Num]
 	case ptx.OpndSreg:
 		return sregValue(o.Sreg)
 	case ptx.OpndSym:
@@ -281,15 +298,42 @@ func operandValue(st regState, o ptx.Operand) value {
 	return unknownV(false)
 }
 
-// evalInstr computes the abstract value the instruction assigns to its
-// destination register, or ok=false when it defines none.
-func evalInstr(st regState, in *ptx.Instr) (value, bool) {
+// step applies the instruction to the state: the value it assigns to its
+// destination, and unknown to every further register a vector load
+// writes.
+func step(st regState, in *ptx.Instr) {
 	if !in.HasDst || in.Dst.Kind != ptx.OpndReg {
-		return value{}, false
+		return
 	}
+	v := evalInstr(st, in)
+	in.Defs(func(r int32) {
+		if r != in.Dst.Num {
+			st[r] = guarded(st, in, r, unknownV(false))
+			st[r].held = true
+		}
+	})
+	v.held = true
+	st[in.Dst.Num] = v
+}
+
+// guarded is the value a register holds after a definition of v under
+// the instruction's guard: the old value may survive, and the selected
+// value depends on the predicate.
+func guarded(st regState, in *ptx.Instr, r int32, v value) value {
+	if in.Guard == nil {
+		return v
+	}
+	v = joinValue(st[r], v)
+	v.taint = v.taint || st[in.Guard.Num].taint
+	return v
+}
+
+// evalInstr computes the abstract value the instruction assigns to its
+// destination register.
+func evalInstr(st regState, in *ptx.Instr) value {
 	arg := func(i int) value {
 		if i < len(in.Args) {
-			return operandValue(st, in.Args[i])
+			return operandValue(st, &in.Args[i])
 		}
 		return unknownV(false)
 	}
@@ -299,8 +343,8 @@ func evalInstr(st regState, in *ptx.Instr) (value, bool) {
 		v = arg(0)
 	case ptx.OpLd:
 		if in.Space == ptx.SpaceParam {
-			if a, ok := in.AddrOperand(); ok && a.BaseSym != "" {
-				v = termV(term{kind: termParam, name: fmt.Sprintf("%s+%d", a.BaseSym, a.Off)}, false)
+			if a, ok := in.AddrOperand(); ok && a.Sym != "" {
+				v = termV(term{kind: termParam, name: fmt.Sprintf("%s+%d", a.Sym, a.Off)}, false)
 				break
 			}
 		}
@@ -343,37 +387,26 @@ func evalInstr(st regState, in *ptx.Instr) (value, bool) {
 		// Unmodeled op: unknown, but propagate taint from register and
 		// special-register inputs so lint sees tid-derived predicates.
 		taint := false
-		for _, a := range in.Args {
-			if a.Kind == ptx.OpndReg || a.Kind == ptx.OpndSreg {
+		for i := range in.Args {
+			if a := &in.Args[i]; a.Kind == ptx.OpndReg || a.Kind == ptx.OpndSreg {
 				taint = taint || operandValue(st, a).taint
 			}
 		}
 		v = unknownV(taint)
 	}
-	if in.Guard != nil {
-		// Guarded definition: the old value may survive, and the selected
-		// value depends on the predicate.
-		old := unknownV(false)
-		if o, ok := st[in.Dst.Reg]; ok {
-			old = o
-		}
-		v = joinValue(old, v)
-		if g, ok := st[in.Guard.Reg]; ok {
-			v.taint = v.taint || g.taint
-		}
-	}
-	return v, true
+	return guarded(st, in, in.Dst.Num, v)
 }
 
-// Affine holds the per-instruction results of the affine index analysis.
+// Affine holds the per-instruction results of the affine index analysis,
+// indexed by flat instruction index.
 type Affine struct {
-	// addr maps a memory instruction index to the abstract value of its
-	// effective address (base register value + static offset). Missing
-	// entries mean unknown (e.g. unreachable code).
-	addr map[int]value
-	// guardTaint maps a guarded instruction index to whether its guard
-	// predicate may be tid-derived.
-	guardTaint map[int]bool
+	// addr is the abstract value of a memory instruction's effective
+	// address (base register value + static offset); unknown for every
+	// other instruction and in unreachable code.
+	addr []value
+	// guardTaint reports whether a guarded instruction's guard predicate
+	// may be tid-derived.
+	guardTaint []bool
 }
 
 // GuardTainted reports whether instruction i is guarded by a predicate
@@ -382,10 +415,7 @@ func (a *Affine) GuardTainted(i int) bool { return a.guardTaint[i] }
 
 // AddrKnown reports whether the address of memory instruction i has an
 // affine symbolic form.
-func (a *Affine) AddrKnown(i int) bool {
-	v, ok := a.addr[i]
-	return ok && v.affine
-}
+func (a *Affine) AddrKnown(i int) bool { return a.addr[i].affine }
 
 // markInfluence marks the influence region of the conditional branch that
 // ends block bi: every block reachable from the branch's successors
@@ -421,52 +451,88 @@ func markInfluence(c *kernel.CFG, bi int, mark []bool) {
 }
 
 // computeAffine solves the affine problem and records per-instruction
-// address values and guard taint.
+// address values and guard taint. Each transfer records them for its
+// block, and a block's last transfer starts from its fixed-point entry
+// state (a later change would have queued it again), so what is recorded
+// last is the fixed point's: no pass after the solve replays the blocks.
+// Unreachable blocks are never transferred and keep unknown addresses.
 func computeAffine(c *kernel.CFG) *Affine {
-	res := SolveForward(c, Problem[regState]{
-		Entry: func() regState { return regState{} },
-		Clone: maps.Clone[regState],
+	out := &Affine{addr: make([]value, len(c.Instrs)), guardTaint: make([]bool, len(c.Instrs))}
+	nregs := len(c.Kernel.RegTab)
+	eval := addressSlice(c)
+	SolveForward(c, Problem[regState]{
+		Entry: func() regState { return make(regState, nregs) },
+		Clone: slices.Clone[regState],
 		Join:  joinRegState,
 		Transfer: func(b *kernel.Block, in regState) regState {
-			st := maps.Clone(in)
+			st := slices.Clone(in)
 			for i := b.Start; i < b.End; i++ {
-				if v, ok := evalInstr(st, c.Instrs[i]); ok {
-					st[c.Instrs[i].Dst.Reg] = v
+				out.record(st, i, c.Instrs[i])
+				if eval[i] {
+					step(st, c.Instrs[i])
 				}
 			}
 			return st
 		},
-		Equal: func(a, b regState) bool { return maps.EqualFunc(a, b, equalValue) },
+		Equal: equalRegState,
 	})
-	out := &Affine{addr: make(map[int]value), guardTaint: make(map[int]bool)}
-	for bi, b := range c.Blocks {
-		if !res.Reached[bi] {
-			continue
+	return out
+}
+
+// addressSlice reports which instructions the affine solve evaluates:
+// those that define a register an address or a guard depends on. The
+// solve's results are addresses and guard taint, and a register's value
+// is read only by the definitions of the registers it feeds, so the rest
+// — most arithmetic of most kernels — cannot change them.
+func addressSlice(c *kernel.CFG) []bool {
+	want := make([]bool, len(c.Kernel.RegTab)) // a result depends on the register
+	eval := make([]bool, len(c.Instrs))
+	for _, in := range c.Instrs {
+		if in.Guard != nil {
+			want[in.Guard.Num] = true
 		}
-		st := maps.Clone(res.In[bi])
-		for i := b.Start; i < b.End; i++ {
+		if a, ok := in.AddrOperand(); ok && a.Reg != "" {
+			want[a.Num] = true
+		}
+	}
+	// Walking backwards takes a straight-line chain in one pass; a value
+	// that flows around a loop takes one more pass per trip.
+	for changed := true; changed; {
+		changed = false
+		for i := len(c.Instrs) - 1; i >= 0; i-- {
 			in := c.Instrs[i]
+			if eval[i] {
+				continue
+			}
+			in.Defs(func(r int32) { eval[i] = eval[i] || want[r] })
+			if !eval[i] {
+				continue
+			}
+			changed = true
 			if in.Guard != nil {
-				if g, ok := st[in.Guard.Reg]; ok {
-					out.guardTaint[i] = g.taint
-				}
+				want[in.Guard.Num] = true
 			}
-			if a, ok := in.AddrOperand(); ok {
-				switch {
-				case a.BaseReg != "":
-					base := unknownV(false)
-					if v, ok := st[a.BaseReg]; ok {
-						base = v
-					}
-					out.addr[i] = addV(base, constV(a.Off))
-				case a.BaseSym != "":
-					out.addr[i] = addV(termV(term{kind: termSym, name: a.BaseSym}, false), constV(a.Off))
+			for j := range in.Args {
+				if a := &in.Args[j]; a.Reg != "" {
+					want[a.Num] = true
 				}
-			}
-			if v, ok := evalInstr(st, in); ok {
-				st[in.Dst.Reg] = v
 			}
 		}
 	}
-	return out
+	return eval
+}
+
+// record notes instruction i's guard taint and address value in state st.
+func (a *Affine) record(st regState, i int, in *ptx.Instr) {
+	if in.Guard != nil {
+		a.guardTaint[i] = st[in.Guard.Num].taint
+	}
+	if o, ok := in.AddrOperand(); ok {
+		switch {
+		case o.Reg != "":
+			a.addr[i] = addV(st[o.Num], constV(o.Off))
+		case o.Sym != "":
+			a.addr[i] = addV(termV(term{kind: termSym, name: o.Sym}, false), constV(o.Off))
+		}
+	}
 }

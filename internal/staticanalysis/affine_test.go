@@ -32,8 +32,8 @@ func TestAffineGtidAddress(t *testing.T) {
 			stIdx = i
 		}
 	}
-	v, ok := aff.addr[stIdx]
-	if !ok || !v.affine {
+	v := aff.addr[stIdx]
+	if !v.affine {
 		t.Fatalf("store address not affine: %v", v)
 	}
 	if v.c != 4 {
@@ -112,8 +112,8 @@ JOIN:
 	aff := computeAffine(c)
 	for i, in := range c.Instrs {
 		if in.Op == ptx.OpSt {
-			v, ok := aff.addr[i]
-			if !ok || !v.affine || v.c != 8 {
+			v := aff.addr[i]
+			if !v.affine || v.c != 8 {
 				t.Errorf("join address = %v, want affine out+8", v)
 			}
 			_ = in

@@ -2,6 +2,7 @@ package staticanalysis
 
 import (
 	"maps"
+	"slices"
 
 	"barracuda/internal/kernel"
 	"barracuda/internal/ptx"
@@ -84,45 +85,47 @@ func SolveForward[S any](c *kernel.CFG, p Problem[S]) *FlowResult[S] {
 	return r
 }
 
-// DefSet maps a register name to the set of instruction indices whose
-// definitions of it may reach a program point. The inner sets are
-// copy-on-write — never changed once stored — so maps.Clone is a copy of
-// the state.
-type DefSet map[string]map[int]bool
+// DefSet holds, for each register by number (ptx.Operand.Num), the set
+// of instruction indices whose definitions of it may reach a program
+// point. The inner sets are copy-on-write — never changed once stored —
+// so slices.Clone is a copy of the state.
+type DefSet []map[int]bool
 
 // ReachingDefs computes, per block, which register definitions reach the
 // block entry. Unconditional definitions replace earlier ones; guarded
 // definitions accumulate (the old value may survive).
 func ReachingDefs(c *kernel.CFG) *FlowResult[DefSet] {
+	n := len(c.Kernel.RegTab)
 	return SolveForward(c, Problem[DefSet]{
-		Entry: func() DefSet { return DefSet{} },
-		Clone: maps.Clone[DefSet],
+		Entry: func() DefSet { return make(DefSet, n) },
+		Clone: slices.Clone[DefSet],
 		Join: func(a, b DefSet) DefSet {
-			out := maps.Clone(a)
+			out := slices.Clone(a)
 			for reg, set := range b {
 				out[reg] = union(out[reg], set)
 			}
 			return out
 		},
 		Transfer: func(b *kernel.Block, in DefSet) DefSet {
-			out := maps.Clone(in)
+			out := slices.Clone(in)
 			for i := b.Start; i < b.End; i++ {
 				defsStep(out, c.Instrs[i], i)
 			}
 			return out
 		},
-		Equal: func(a, b DefSet) bool { return maps.EqualFunc(a, b, maps.Equal[map[int]bool, map[int]bool]) },
+		Equal: func(a, b DefSet) bool { return slices.EqualFunc(a, b, maps.Equal[map[int]bool, map[int]bool]) },
 	})
 }
 
-// DefsAt returns the definitions of reg that reach instruction idx,
-// replaying the block prefix from the solved block-entry state.
-func DefsAt(c *kernel.CFG, r *FlowResult[DefSet], idx int, reg string) []int {
+// DefsAt returns the definitions of register reg (by number) that reach
+// instruction idx, replaying the block prefix from the solved block-entry
+// state.
+func DefsAt(c *kernel.CFG, r *FlowResult[DefSet], idx int, reg int32) []int {
 	b := c.BlockOf[idx]
 	if !r.Reached[b] {
 		return nil
 	}
-	st := maps.Clone(r.In[b])
+	st := slices.Clone(r.In[b])
 	for i := c.Blocks[b].Start; i < idx; i++ {
 		defsStep(st, c.Instrs[i], i)
 	}
@@ -134,14 +137,13 @@ func DefsAt(c *kernel.CFG, r *FlowResult[DefSet], idx int, reg string) []int {
 }
 
 func defsStep(st DefSet, in *ptx.Instr, i int) {
-	if !in.HasDst || in.Dst.Kind != ptx.OpndReg {
-		return
-	}
-	def := map[int]bool{i: true}
-	if in.Guard != nil {
-		def = union(st[in.Dst.Reg], def)
-	}
-	st[in.Dst.Reg] = def
+	in.Defs(func(r int32) {
+		def := map[int]bool{i: true}
+		if in.Guard != nil {
+			def = union(st[r], def)
+		}
+		st[r] = def
+	})
 }
 
 // union returns a fresh set holding a and b: DefSet's sets are never

@@ -213,8 +213,37 @@ func TestReachingDefs(t *testing.T) {
 			addIdx = i
 		}
 	}
-	got := DefsAt(c, defs, addIdx, "%r1")
+	got := DefsAt(c, defs, addIdx, c.Instrs[addIdx].Args[0].Num) // %r1
 	if len(got) != 2 {
 		t.Fatalf("defs of r1 at add = %v, want 2 entries", got)
+	}
+}
+
+// TestVectorLoadDefinesAllDestinations: the second destination of an
+// ld.v2 is a definition for reaching definitions, the affine solver and
+// the static pruner alike, so a read through it is neither covered by an
+// earlier read of the same text nor given the old address.
+func TestVectorLoadDefinesAllDestinations(t *testing.T) {
+	a := analyze(t, `.visible .entry k(.param .u64 p)
+{
+	.reg .u32 %r<8>;
+	.reg .u64 %rd<8>;
+	ld.param.u64 %rd2, [p];
+	mov.u64 %rd3, %rd2;
+	ld.global.u32 %r2, [%rd3];
+	ld.global.v2.u64 {%rd4, %rd3}, [%rd2];
+	ld.global.u32 %r3, [%rd3];
+	ret;
+}`)
+	const vecLd, read = 3, 4
+	rd3 := a.CFG.Instrs[read].Args[0].Num
+	if got := DefsAt(a.CFG, ReachingDefs(a.CFG), read, rd3); len(got) != 1 || got[0] != vecLd {
+		t.Errorf("definitions of %%rd3 reaching the last read = %v, want [%d]", got, vecLd)
+	}
+	if a.Affine.AddrKnown(read) {
+		t.Errorf("address of the last read is known: %v", a.Affine.addr[read])
+	}
+	if a.Prune.Prunable(read) {
+		t.Errorf("last read pruned (%v): the vector load redefined its base", a.Prune.Reason[read])
 	}
 }

@@ -363,12 +363,13 @@ func uniformVsStrided(u, s siteInfo, bu, bs int64) (aliasVerdict, string) {
 // siteDecomp decomposes site i's address with the pruner's affine
 // decomposition for its space.
 func siteDecomp(a *Analysis, i int) (siteInfo, bool) {
-	v, ok := a.Affine.addr[i]
-	if !ok || !v.affine {
+	v := a.Affine.addr[i]
+	if !v.affine {
 		return siteInfo{}, false
 	}
 	in := a.CFG.Instrs[i]
 	var s siteInfo
+	var ok bool
 	if in.Space == ptx.SpaceGlobal {
 		s, ok = globalSite(v)
 	} else {

@@ -166,7 +166,7 @@ func lintMissingFence(a *Analysis) []Diagnostic {
 		if defs == nil {
 			defs = ReachingDefs(c)
 		}
-		for _, sp := range DefsAt(c, defs, i, in.Guard.Reg) {
+		for _, sp := range DefsAt(c, defs, i, in.Guard.Num) {
 			spIn := c.Instrs[sp]
 			if spIn.Op != ptx.OpSetp {
 				continue
@@ -175,7 +175,7 @@ func lintMissingFence(a *Analysis) []Diagnostic {
 				if arg.Kind != ptx.OpndReg {
 					continue
 				}
-				for _, d := range DefsAt(c, defs, sp, arg.Reg) {
+				for _, d := range DefsAt(c, defs, sp, arg.Num) {
 					din := c.Instrs[d]
 					if din.Op == ptx.OpAtom && din.Atom == ptx.AtomCas && a.Class[d] == trace.OpAtom {
 						out = append(out, diagAt(a, d, CodeMissingFence, SevWarning,
@@ -192,8 +192,8 @@ func lintMissingFence(a *Analysis) []Diagnostic {
 	for _, in := range c.Instrs {
 		if (in.Op == ptx.OpAtom || in.Op == ptx.OpRed) &&
 			(in.Atom == ptx.AtomCas || in.Atom == ptx.AtomExch) {
-			if adr, ok := in.AddrOperand(); ok && adr.BaseReg != "" {
-				lockBase[adr.BaseReg] = true
+			if adr, ok := in.AddrOperand(); ok && adr.Reg != "" {
+				lockBase[adr.Reg] = true
 			}
 		}
 	}
@@ -202,7 +202,7 @@ func lintMissingFence(a *Analysis) []Diagnostic {
 			continue
 		}
 		adr, ok := in.AddrOperand()
-		if !ok || adr.BaseReg == "" || !lockBase[adr.BaseReg] {
+		if !ok || adr.Reg == "" || !lockBase[adr.Reg] {
 			continue
 		}
 		if len(in.Args) > 1 && in.Args[1].Kind == ptx.OpndImm && in.Args[1].Imm == 0 {

@@ -6,10 +6,6 @@ import (
 	"barracuda/internal/trace"
 )
 
-// ComputeAffine runs only the affine index analysis on a kernel CFG, for
-// clients that do not need the full Analysis pipeline.
-func ComputeAffine(c *kernel.CFG) *Affine { return computeAffine(c) }
-
 // LogOnceSites returns the instruction indices of memory sites the
 // producer-side filter may elide statically (instrument marks them as
 // ptx.Instr.LogOnce). A site qualifies when every dynamic repeat within
@@ -32,9 +28,11 @@ func ComputeAffine(c *kernel.CFG) *Affine { return computeAffine(c) }
 //
 // The result is a hint: eliding a marked site is sound only under the
 // runtime checks the simulator applies (same generation, no intervening
-// global writes, same mask, matching first-lane address).
+// global writes, same mask, matching first-lane address). A nil aff is
+// computed here, and only when some read sits in a quiet loop: most
+// kernels have none, and then the affine analysis never runs.
 func LogOnceSites(c *kernel.CFG, class map[int]trace.OpKind, aff *Affine) map[int]bool {
-	if aff == nil || len(c.Blocks) == 0 {
+	if len(c.Blocks) == 0 {
 		return nil
 	}
 	// A block is "quiet" when executing it cannot bump the warp's filter
@@ -99,7 +97,13 @@ func LogOnceSites(c *kernel.CFG, class map[int]trace.OpKind, aff *Affine) map[in
 		if in.Space != ptx.SpaceGlobal || in.Guard != nil {
 			continue
 		}
-		if !inQuiet[c.BlockOf[i]] || !aff.AddrKnown(i) {
+		if !inQuiet[c.BlockOf[i]] {
+			continue
+		}
+		if aff == nil {
+			aff = computeAffine(c)
+		}
+		if !aff.AddrKnown(i) {
 			continue
 		}
 		if out == nil {

@@ -88,13 +88,14 @@ func markPrivate(c *kernel.CFG, class map[int]trace.OpKind, aff *Affine, res *Pr
 		if in.Space != ptx.SpaceGlobal && in.Space != ptx.SpaceShared {
 			continue
 		}
-		v, ok := aff.addr[i]
-		if !ok || !v.affine {
+		v := aff.addr[i]
+		if !v.affine {
 			// Unknown address: it could alias anything in this space.
 			blockedSpace[in.Space] = true
 			continue
 		}
 		var s siteInfo
+		var ok bool
 		if in.Space == ptx.SpaceGlobal {
 			s, ok = globalSite(v)
 		} else {
@@ -268,9 +269,10 @@ func itoa64(v int64) string {
 
 // --- inter-block redundancy (must) analysis -------------------------------
 
-// covKey identifies a tracked address: base register + static offset.
+// covKey identifies a tracked address: base register (its number) +
+// static offset.
 type covKey struct {
-	reg string
+	reg int32
 	off int64
 }
 
@@ -312,8 +314,8 @@ func covStep(st covState, in *ptx.Instr, kind trace.OpKind, private bool) bool {
 			delete(st, k)
 		}
 	case (kind == trace.OpRead || kind == trace.OpWrite) && !private:
-		if a, ok := in.AddrOperand(); ok && a.BaseReg != "" && in.Guard == nil {
-			k := covKey{a.BaseReg, a.Off}
+		if a, ok := in.AddrOperand(); ok && a.Reg != "" && in.Guard == nil {
+			k := covKey{a.Num, a.Off}
 			prev, seen := st[k]
 			if seen && (prev == kind || prev == trace.OpWrite && kind == trace.OpRead) {
 				covered = true
@@ -322,13 +324,13 @@ func covStep(st covState, in *ptx.Instr, kind trace.OpKind, private bool) bool {
 			}
 		}
 	}
-	if in.HasDst && in.Dst.Kind == ptx.OpndReg {
+	in.Defs(func(r int32) {
 		for k := range st {
-			if k.reg == in.Dst.Reg {
+			if k.reg == r {
 				delete(st, k)
 			}
 		}
-	}
+	})
 	return covered
 }
 
@@ -336,32 +338,28 @@ func covStep(st covState, in *ptx.Instr, kind trace.OpKind, private bool) bool {
 // optimization across basic blocks: an access is redundant when, on every
 // CFG path into it, an at-least-as-strong access to the same base
 // register + offset was logged with no synchronization or register
-// redefinition in between.
+// redefinition in between. As in computeAffine, each transfer records its
+// block's verdicts and the last one, from the fixed-point entry state,
+// stands.
 func markRedundant(c *kernel.CFG, class map[int]trace.OpKind, res *PruneResult) {
-	flow := SolveForward(c, Problem[covState]{
+	covered := make([]bool, len(c.Instrs))
+	SolveForward(c, Problem[covState]{
 		Entry: func() covState { return covState{} },
 		Clone: maps.Clone[covState],
 		Join:  joinCov,
 		Transfer: func(b *kernel.Block, in covState) covState {
 			st := maps.Clone(in)
 			for i := b.Start; i < b.End; i++ {
-				covStep(st, c.Instrs[i], class[i], res.Reason[i] == PrunePrivate)
+				covered[i] = covStep(st, c.Instrs[i], class[i], res.Reason[i] == PrunePrivate)
 			}
 			return st
 		},
 		Equal: maps.Equal[covState, covState],
 	})
-	for bi, b := range c.Blocks {
-		if !flow.Reached[bi] {
-			continue
-		}
-		st := maps.Clone(flow.In[bi])
-		for i := b.Start; i < b.End; i++ {
-			if covStep(st, c.Instrs[i], class[i], res.Reason[i] == PrunePrivate) &&
-				res.Reason[i] == PruneNone {
-				res.Reason[i] = PruneRedundant
-				res.Redundant++
-			}
+	for i, cov := range covered {
+		if cov && res.Reason[i] == PruneNone {
+			res.Reason[i] = PruneRedundant
+			res.Redundant++
 		}
 	}
 }

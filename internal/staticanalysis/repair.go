@@ -217,8 +217,8 @@ func proposeLockFences(a *Analysis, cand Candidate, level string) (ProposedPatch
 	lockBase := map[string]bool{}
 	for i, in := range c.Instrs {
 		if in.Op == ptx.OpAtom && (in.Atom == ptx.AtomCas || in.Atom == ptx.AtomExch) {
-			if adr, ok := in.AddrOperand(); ok && adr.BaseReg != "" {
-				lockBase[adr.BaseReg] = true
+			if adr, ok := in.AddrOperand(); ok && adr.Reg != "" {
+				lockBase[adr.Reg] = true
 			}
 			// Acquire side: the atomic must classify as an acquire.
 			if a.Class[i] == trace.OpAtom && in.Atom == ptx.AtomCas {
@@ -235,7 +235,7 @@ func proposeLockFences(a *Analysis, cand Candidate, level string) (ProposedPatch
 			continue
 		}
 		adr, ok := in.AddrOperand()
-		if !ok || adr.BaseReg == "" || !lockBase[adr.BaseReg] {
+		if !ok || adr.Reg == "" || !lockBase[adr.Reg] {
 			continue
 		}
 		if len(in.Args) > 1 && in.Args[1].Kind == ptx.OpndImm && in.Args[1].Imm == 0 {
@@ -275,7 +275,7 @@ func spinLoads(a *Analysis) []int {
 		if defs == nil {
 			defs = ReachingDefs(c)
 		}
-		for _, sp := range DefsAt(c, defs, i, in.Guard.Reg) {
+		for _, sp := range DefsAt(c, defs, i, in.Guard.Num) {
 			if c.Instrs[sp].Op != ptx.OpSetp {
 				continue
 			}
@@ -283,7 +283,7 @@ func spinLoads(a *Analysis) []int {
 				if arg.Kind != ptx.OpndReg {
 					continue
 				}
-				for _, d := range DefsAt(c, defs, sp, arg.Reg) {
+				for _, d := range DefsAt(c, defs, sp, arg.Num) {
 					din := c.Instrs[d]
 					if din.Op == ptx.OpLd && din.MemoryAccess() && d >= t && d < i && !seen[d] {
 						seen[d] = true
@@ -452,7 +452,7 @@ func regUsedOutside(c *kernel.CFG, reg string, lo, hi int) bool {
 			if arg.Kind == ptx.OpndReg && arg.Reg == reg {
 				return true
 			}
-			if arg.Kind == ptx.OpndMem && arg.BaseReg == reg {
+			if arg.Kind == ptx.OpndMem && arg.Reg == reg {
 				return true
 			}
 		}
