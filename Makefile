@@ -134,8 +134,9 @@ bench-e2e-smoke:
 # stores against execLane's per-lane oracle, and the hostile inputs that
 # must cost a job an error and never the worker (an address whose last
 # byte wraps past 2^64, a launch past CUDA's extents, a block of more than
-# 32 warps, and `.shared`/`.local` declarations that are negative or past
-# the loader's bound among them), and the PTX fuzz corpus (the seeds in
+# 32 warps, `.shared`/`.local` declarations that are negative or past the
+# loader's bound, and a kernel that spins past its job's wall-clock
+# timeout, alone and inside a repair, among them), and the PTX fuzz corpus (the seeds in
 # internal/detector/testdata/fuzz/FuzzPTX through parse, instrument, load
 # and a bounded detect; no fuzzing, so it is deterministic), under the Go
 # race detector.
@@ -143,7 +144,7 @@ stress-interp:
 	$(GO) test -race -run 'TestWarpVectorizedEquivalence|TestWarpVectorizedEquivalenceAllWarpSizes' ./internal/bugsuite/
 	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance|TestTypedIntOps|TestTypedLdStMatchGeneric|TestWrappedAddressFaultsLane' ./internal/gpusim/
 	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError|TestMemoryBombIsLoadError|TestBlockWarpBound' ./internal/detector/
-	$(GO) test -race -run 'TestMalformedPTXFailsJobNotWorker|TestOversizedConfigRejected' ./internal/server/
+	$(GO) test -race -run 'TestMalformedPTXFailsJobNotWorker|TestOversizedConfigRejected|TestTimedOutLaunchFreesItsWorker|TestRepairDeadlineStopsTheLoop' ./internal/server/
 	$(GO) test -race -run FuzzPTX ./internal/detector/
 
 # Fuzz the open path for a minute (a developer target, not in CI_TARGETS):

@@ -9,10 +9,13 @@
 package detector
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"barracuda/internal/core"
+	"barracuda/internal/gpusim"
 	"barracuda/internal/kernel"
 	"barracuda/internal/logging"
 	"barracuda/internal/ptx"
@@ -35,6 +38,9 @@ type RepairOptions struct {
 	// 1<<22). A patch that deadlocks — e.g. a barrier a divergent
 	// thread never reaches — exhausts it and is rejected.
 	MaxInstrs uint64
+	// Deadline bounds every verification launch (zero = none). Passing it
+	// ends the repair with gpusim.ErrDeadline; it rejects no patch.
+	Deadline time.Time
 	// WarpSize optionally narrows the warp (0 = architecture default).
 	WarpSize int
 	// MaxCandidates bounds how many candidates are evaluated, dynamic
@@ -224,6 +230,9 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 			}
 			rep, err := runOnce(patched, kernelName, cfg, opt, buffers)
 			rr.PatchRuns++
+			if errors.Is(err, gpusim.ErrDeadline) {
+				return nil, fmt.Errorf("detector: verification run: %w", err)
+			}
 			rp.Verdict = verdict(cand, target, baseKeys, baseDivs, rep, err)
 			rc.Patches = append(rc.Patches, rp)
 			if rp.Verdict.Verified {
@@ -250,6 +259,9 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 		if err == nil {
 			rep, err := runOnce(composed, kernelName, cfg, opt, buffers)
 			rr.PatchRuns++
+			if errors.Is(err, gpusim.ErrDeadline) {
+				return nil, fmt.Errorf("detector: composition run: %w", err)
+			}
 			if err == nil {
 				rr.PatchedPTX = ptx.Print(composed)
 				rr.FinalRaces = len(rep.Races)
@@ -271,7 +283,9 @@ func runOnce(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions, bu
 	if err != nil {
 		return nil, err
 	}
-	res, err := sess.Detect(kernelName, Launch1D(opt.Grid, opt.Block, args, opt.MaxInstrs, opt.WarpSize))
+	launch := Launch1D(opt.Grid, opt.Block, args, opt.MaxInstrs, opt.WarpSize)
+	launch.Deadline = opt.Deadline
+	res, err := sess.Detect(kernelName, launch)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"time"
 
 	"barracuda/internal/logging"
 	"barracuda/internal/trace"
@@ -36,6 +38,10 @@ type LaunchConfig struct {
 	// real deadlock on pre-Volta GPUs — otherwise spin forever.
 	MaxWarpInstrs uint64
 
+	// Deadline aborts the launch with ErrDeadline once the wall clock
+	// passes it (zero = none), read every 1 024 warp instructions.
+	Deadline time.Time
+
 	// WarpSize overrides the architecture's warp width (default 32,
 	// range 2..32). Running a kernel at a smaller warp size exposes
 	// latent bugs in code that assumes 32-thread lockstep.
@@ -62,6 +68,9 @@ type LaunchConfig struct {
 // ErrStepBudget is returned (wrapped) when a launch exceeds
 // LaunchConfig.MaxWarpInstrs.
 var ErrStepBudget = fmt.Errorf("gpusim: warp instruction budget exceeded")
+
+// ErrDeadline is returned (wrapped) when a launch runs past LaunchConfig.Deadline.
+var ErrDeadline = fmt.Errorf("gpusim: launch deadline passed")
 
 // Stats summarises one launch.
 type Stats struct {
@@ -148,6 +157,7 @@ type engine struct {
 	stats   Stats
 	rec     logging.Record // scratch record
 	syncSeq uint64         // global ordering for synchronization records
+	check   uint64         // WarpInstrs past which the step loop calls bound
 
 	// Producer-side filter (see filter.go).
 	filtOn       bool
@@ -294,11 +304,12 @@ func (e *engine) run() error {
 			if w.done || w.waiting {
 				continue // barrier may have parked it mid-pass
 			}
-			if err := e.stepWarp(w); err != nil {
-				return err
+			err := e.stepWarp(w)
+			if err == nil && e.stats.WarpInstrs > e.check {
+				err = e.bound()
 			}
-			if e.cfg.MaxWarpInstrs > 0 && e.stats.WarpInstrs > e.cfg.MaxWarpInstrs {
-				return fmt.Errorf("%w after %d instructions", ErrStepBudget, e.stats.WarpInstrs)
+			if err != nil {
+				return err
 			}
 		}
 		// Retire finished blocks into the arena and bring in the next wave.
@@ -315,6 +326,27 @@ func (e *engine) run() error {
 			}
 		}
 		resident = keep
+	}
+	return nil
+}
+
+// bound stops a launch past its budget or deadline. Otherwise it sets
+// check, the count the step loop next stops at: the budget, or the next
+// clock read if a deadline makes that come first.
+func (e *engine) bound() error {
+	n, limit := e.stats.WarpInstrs, e.cfg.MaxWarpInstrs
+	if limit == 0 {
+		limit = math.MaxUint64
+	}
+	if n > limit {
+		return fmt.Errorf("%w after %d instructions", ErrStepBudget, n)
+	}
+	e.check = limit
+	if !e.cfg.Deadline.IsZero() {
+		if !time.Now().Before(e.cfg.Deadline) {
+			return fmt.Errorf("%w after %d instructions", ErrDeadline, n)
+		}
+		e.check = min(limit, n+1023)
 	}
 	return nil
 }

@@ -237,24 +237,7 @@ func TestIntraWarpSpinlockStarves(t *testing.T) {
 	// parked on the reconvergence entry while the losers spin, so the
 	// warp starves — faithful to the SIMT-stack behaviour of pre-Volta
 	// GPUs. The step budget turns the hang into ErrStepBudget.
-	d, mod := loadKernel(t, `
-.visible .entry k(.param .u64 lock, .param .u64 ctr)
-{
-	.reg .u32 %r<8>;
-	.reg .u64 %rd<8>;
-	.reg .pred %p<2>;
-	ld.param.u64 %rd1, [lock];
-	ld.param.u64 %rd2, [ctr];
-SPIN:
-	atom.global.cas.b32 %r1, [%rd1], 0, 1;
-	setp.ne.u32 %p1, %r1, 0;
-	@%p1 bra SPIN;
-	ld.global.u32 %r2, [%rd2];
-	add.u32 %r2, %r2, 1;
-	st.global.u32 [%rd2], %r2;
-	atom.global.exch.b32 %r3, [%rd1], 0;
-	ret;
-}`)
+	d, mod := loadKernel(t, warpSpinSrc)
 	lock := d.MustAlloc(4)
 	ctr := d.MustAlloc(4)
 	cfg := LaunchConfig{Grid: D1(1), Block: D1(32), Args: []uint64{lock, ctr}, MaxWarpInstrs: 100000}

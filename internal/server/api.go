@@ -14,6 +14,7 @@ package server
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"barracuda/internal/bench"
 	"barracuda/internal/core"
@@ -89,8 +90,8 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 	if err := checkLaunch("job", r.Grid, r.Block, r.WarpSize, r.Buffers, maxBufferBytes); err != nil {
 		return err
 	}
-	if r.TimeoutMS < 0 {
-		return fmt.Errorf("job: field \"timeout_ms\": must be >= 0, got %d", r.TimeoutMS)
+	if r.TimeoutMS < 0 || r.TimeoutMS > maxTimeoutMS {
+		return fmt.Errorf("job: field \"timeout_ms\": must be in [0, %d], got %d", maxTimeoutMS, r.TimeoutMS)
 	}
 	if r.Class != "" && r.Class != ClassBatch && r.Class != ClassInteractive {
 		return fmt.Errorf("job: field \"class\": must be %q or %q, got %q", ClassBatch, ClassInteractive, r.Class)
@@ -103,6 +104,10 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 	}
 	return nil
 }
+
+// maxTimeoutMS is the longest timeout_ms a time.Duration holds: past it the
+// budget would wrap to zero or below and time the job out at once.
+const maxTimeoutMS = (1<<63 - 1) / int64(time.Millisecond)
 
 // checkLaunch is the launch clause of a job's and a repair's Validate:
 // extents and buffer sizes non-negative, the extents within

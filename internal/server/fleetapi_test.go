@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -42,6 +43,9 @@ func TestValidationErrorsCarryCodeAndFieldName(t *testing.T) {
 		{"negative grid", JobRequest{PTX: racySrc, Grid: -1}, `"grid"`},
 		{"negative block", JobRequest{PTX: racySrc, Block: -2}, `"block"`},
 		{"negative timeout", JobRequest{PTX: racySrc, TimeoutMS: -1}, `"timeout_ms"`},
+		{"timeout past a Duration", JobRequest{PTX: racySrc, TimeoutMS: maxTimeoutMS + 1}, `"timeout_ms"`},
+		{"timeout of 2^62 ms", JobRequest{PTX: racySrc, TimeoutMS: 1 << 62}, `"timeout_ms"`},
+		{"timeout of MaxInt64 ms", JobRequest{PTX: racySrc, TimeoutMS: math.MaxInt64}, `"timeout_ms"`},
 		{"bad warp size", JobRequest{PTX: racySrc, WarpSize: 64}, `"warp_size"`},
 		{"bad class", JobRequest{PTX: racySrc, Class: "urgent"}, `"class"`},
 		{"negative buffer", JobRequest{PTX: racySrc, Buffers: []int{8, -4}}, `"buffers[1]"`},

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"barracuda/internal/bench"
 	"barracuda/internal/detector"
@@ -86,44 +87,118 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 	}
 }
 
-// TestAbortedLaunchThenCachedRerun: a launch the step budget aborts
-// mid-run, with half of a full run's warp instructions — every block is
-// resident and scheduled round-robin, so all four queues already hold
-// records — ends its own job as a timeout. The detector behind it is
-// closed, drained and its shadow released on that error path, and the
-// next launch of the same module and config on the same worker takes the
-// cached session, re-zeroes its buffers and reports what a fresh run
-// reports, up to the block scope of global write–write pairs that four
-// queues leave open (queueProvable).
+// TestAbortedLaunchThenCachedRerun: a launch aborted mid-run ends its own
+// job as a timeout — by the step budget at half of a full run's warp
+// instructions (every block is resident and scheduled round-robin, so all
+// four queues already hold records), or by a wall-clock deadline far
+// shorter than the run. The detector behind it is closed, drained and its
+// shadow released on that error path, and the next launch of the same
+// module and config on the same worker takes the cached session,
+// re-zeroes its buffers and reports what a fresh run reports, up to the
+// block scope of global write–write pairs that four queues leave open
+// (queueProvable).
 func TestAbortedLaunchThenCachedRerun(t *testing.T) {
 	sched := NewScheduler(SchedulerOptions{Workers: 1})
 	defer sched.Stop()
 	cfg := detector.Config{Queues: 4}
-	for _, name := range []string{"hybridsort", "hotspot", "threadfencereduction"} {
-		fresh, err := bench.Detect(bench.ByName(name), cfg)
+	for _, tc := range []struct {
+		name      string
+		timeoutMS int64  // 0: the step budget aborts the launch instead
+		err       string // the aborted job's error starts so
+	}{
+		{"hybridsort", 0, "step budget"},
+		{"hotspot", 0, "step budget"},
+		{"threadfencereduction", 0, "step budget"},
+		{"threadfencereduction", 5, "wall-clock timeout after 5ms"},
+	} {
+		fresh, err := bench.Detect(bench.ByName(tc.name), cfg)
 		if err != nil {
-			t.Fatalf("%s: fresh run: %v", name, err)
+			t.Fatalf("%s: fresh run: %v", tc.name, err)
 		}
-		aborted, err := sched.Submit(JobRequest{Bench: name, Config: cfg, MaxInstrs: fresh.SimStats.WarpInstrs / 2})
+		abort := JobRequest{Bench: tc.name, Config: cfg, TimeoutMS: tc.timeoutMS}
+		if tc.timeoutMS == 0 {
+			abort.MaxInstrs = fresh.SimStats.WarpInstrs / 2
+		}
+		aborted, err := sched.Submit(abort)
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-aborted.Done()
-		if info := aborted.Info(); info.Status != StatusTimeout {
-			t.Fatalf("%s at half the budget: status %q (%s), want timeout", name, info.Status, info.Error)
+		if info := aborted.Info(); info.Status != StatusTimeout || !strings.HasPrefix(info.Error, tc.err) {
+			t.Fatalf("%s aborted: status %q (%s), want timeout with %q", tc.name, info.Status, info.Error, tc.err)
 		}
-		rerun, err := sched.Submit(JobRequest{Bench: name, Config: cfg})
+		rerun, err := sched.Submit(JobRequest{Bench: tc.name, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-rerun.Done()
 		info := rerun.Info()
 		if !info.CacheHit {
-			t.Errorf("%s: rerun missed the module cache", name)
+			t.Errorf("%s: rerun missed the module cache", tc.name)
 		}
 		if got, want := queueProvable(jobDigest(t, info)), queueProvable(fresh.Report.CanonicalDigest()); got != want {
-			t.Fatalf("%s: rerun after an aborted launch:\n got %s\nwant %s", name, got, want)
+			t.Fatalf("%s: rerun after a %q abort:\n got %s\nwant %s", tc.name, tc.err, got, want)
 		}
+	}
+}
+
+// TestTimedOutLaunchFreesItsWorker: a spin job whose step budget would
+// outlast the test stops at its wall-clock timeout, so the next job on the
+// same module and the one worker runs, and times out, on time; nothing is
+// left in flight and the server closes. The launch used to go on running
+// on an abandoned goroutine that held the module's lease, so the next job
+// waited in ModCache.Acquire and Server.Close never returned.
+func TestTimedOutLaunchFreesItsWorker(t *testing.T) {
+	srv := New(SchedulerOptions{Workers: 1})
+	spin := JobRequest{PTX: spinSrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4, 4}, TimeoutMS: 50, MaxInstrs: 1 << 40}
+	job, err := srv.Scheduler().Submit(spin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitTerminal(t, job, 2*time.Second); info.Status != StatusTimeout || info.Error != "wall-clock timeout after 50ms" {
+		t.Fatalf("spin job: status %q (%s), want the 50ms wall-clock timeout", info.Status, info.Error)
+	}
+	spin.MaxInstrs = 0
+	next, err := srv.Scheduler().Submit(spin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitTerminal(t, next, 2*time.Second); info.Status != StatusTimeout {
+		t.Fatalf("next job on the module: status %q (%s), want timeout", info.Status, info.Error)
+	}
+	for deadline := time.Now().Add(2 * time.Second); srv.Scheduler().InFlight() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("in flight = %d after both jobs ended, want 0", srv.Scheduler().InFlight())
+		}
+	}
+	closeWithin(t, srv, 2*time.Second)
+}
+
+// waitTerminal waits at most d for job to end, so a job that does not stop
+// fails its test instead of hanging it.
+func waitTerminal(t *testing.T, job *Job, d time.Duration) JobInfo {
+	t.Helper()
+	select {
+	case <-job.Done():
+		return job.Info()
+	case <-time.After(d):
+		t.Fatalf("job %s still %q after %v", job.ID, job.Info().Status, d)
+		return JobInfo{}
+	}
+}
+
+// closeWithin fails the test if srv.Close has not returned within d.
+func closeWithin(t *testing.T, srv *Server, d time.Duration) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(d):
+		t.Fatalf("Server.Close has not returned after %v", d)
 	}
 }
 

@@ -73,6 +73,28 @@ func TestRepairHonoursWallClockTimeout(t *testing.T) {
 	}
 }
 
+// TestRepairDeadlineStopsTheLoop: a repair whose baseline run spins under a
+// step budget it would never reach stops at the job's deadline, its module
+// released and nothing memoized: the identical repair after it runs, and
+// times out, again instead of being recalled.
+func TestRepairDeadlineStopsTheLoop(t *testing.T) {
+	srv := New(SchedulerOptions{Workers: 1, DefaultTimeout: 200 * time.Millisecond})
+	req := RepairRequest{PTX: spinSrc, Buffers: []int{4, 4}, MaxInstrs: 1 << 40}.jobRequest()
+	for i := 0; i < 2; i++ {
+		job, err := srv.Scheduler().submit(req, "", nil, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := waitTerminal(t, job, 2*time.Second); info.Status != StatusTimeout || info.Error != "wall-clock timeout after 200ms" {
+			t.Fatalf("repair %d: status %q (%s), want the 200ms wall-clock timeout", i+1, info.Status, info.Error)
+		}
+		if job.memoHit {
+			t.Fatalf("repair %d was recalled from the memo", i+1)
+		}
+	}
+	closeWithin(t, srv, 2*time.Second)
+}
+
 // TestRepairIsCountedAndListed: one /v1/repair moves submitted and
 // completed by one each and leaves a done job in GET /jobs.
 func TestRepairIsCountedAndListed(t *testing.T) {

@@ -325,11 +325,10 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// run executes one job with a wall-clock timeout: the only place in the
-// daemon a kernel is launched (make one-way-in). The launch runs in a
-// child goroutine holding the cache lease; on timeout the worker moves on
-// while the child winds down against the step budget and releases the
-// lease when the simulator gives up.
+// run executes one job on the worker's goroutine: the only place in the
+// daemon a kernel is launched (make one-way-in). The step budget and the
+// wall-clock deadline both stop the launch inside the simulator, so when
+// run returns the job has stopped running and its lease is back.
 func (s *Scheduler) run(job *Job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -338,8 +337,7 @@ func (s *Scheduler) run(job *Job) {
 	job.sum.QueueWaitUS = uint64(time.Since(job.submitted).Microseconds())
 	job.mu.Unlock()
 
-	req := job.req
-	lease, hit, err := s.cache.Acquire(req.PTX, req.Config)
+	lease, hit, err := s.cache.Acquire(job.req.PTX, job.req.Config)
 	if err != nil {
 		s.metrics.Failed.Add(1)
 		job.fail(StatusFailed, "open: "+err.Error())
@@ -349,68 +347,56 @@ func (s *Scheduler) run(job *Job) {
 	job.sum.CacheHit = hit
 	job.mu.Unlock()
 
-	type outcome struct {
-		kernel  string
-		res     *detector.Result
-		repair  *detector.RepairReport
-		memoHit bool
-		err     error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer lease.Release()
-		sess := lease.Session()
-		kernel, err := sess.KernelOrFirst(req.Kernel)
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		if req.Kind == KindRepair {
-			rep, memoHit, err := repairOnLease(lease, kernel, detector.RepairOptions{
-				Grid:                   req.Grid,
-				Block:                  req.Block,
-				Buffers:                req.Buffers,
-				MaxInstrs:              job.budget,
-				WarpSize:               req.WarpSize,
-				MaxCandidates:          job.maxCandidates,
-				MaxPatchesPerCandidate: job.maxPatches,
-			})
-			ch <- outcome{kernel: kernel, repair: rep, memoHit: memoHit, err: err}
-			return
-		}
-		args, err := lease.Buffers(req.Buffers)
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		res, err := sess.DetectObserved(kernel, detector.Launch1D(req.Grid, req.Block, args, job.budget, req.WarpSize), job.observer)
-		ch <- outcome{kernel: kernel, res: res, err: err}
-	}()
-
-	timer := time.NewTimer(job.timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		switch {
-		case o.err == nil && o.repair != nil:
-			s.metrics.Completed.Add(1)
-			job.memoHit = o.memoHit
-			job.finish(StatusDone, "", wire.Summary{Kernel: o.kernel, Repair: o.repair}, nil)
-		case o.err == nil:
-			s.metrics.Completed.Add(1)
-			s.metrics.Latency.Observe(o.res.Duration)
-			s.metrics.ObserveShadow(o.res.Report.Shadow)
-			s.metrics.ObserveFilter(o.res.SimStats.Filter)
-			job.finish(StatusDone, "", summaryOf(o.kernel, o.res), o.res)
-		case errors.Is(o.err, gpusim.ErrStepBudget):
-			s.metrics.TimedOut.Add(1)
-			job.fail(StatusTimeout, fmt.Sprintf("step budget (%d warp instructions) exceeded: %v", job.budget, o.err))
-		default:
-			s.metrics.Failed.Add(1)
-			job.fail(StatusFailed, o.err.Error())
-		}
-	case <-timer.C:
+	kernel, res, rep, err := launch(job, lease, time.Now().Add(job.timeout))
+	switch {
+	case err == nil && rep != nil:
+		s.metrics.Completed.Add(1)
+		job.finish(StatusDone, "", wire.Summary{Kernel: kernel, Repair: rep}, nil)
+	case err == nil:
+		s.metrics.Completed.Add(1)
+		s.metrics.Latency.Observe(res.Duration)
+		s.metrics.ObserveShadow(res.Report.Shadow)
+		s.metrics.ObserveFilter(res.SimStats.Filter)
+		job.finish(StatusDone, "", summaryOf(kernel, res), res)
+	case errors.Is(err, gpusim.ErrStepBudget):
+		s.metrics.TimedOut.Add(1)
+		job.fail(StatusTimeout, fmt.Sprintf("step budget (%d warp instructions) exceeded: %v", job.budget, err))
+	case errors.Is(err, gpusim.ErrDeadline):
 		s.metrics.TimedOut.Add(1)
 		job.fail(StatusTimeout, fmt.Sprintf("wall-clock timeout after %v", job.timeout))
+	default:
+		s.metrics.Failed.Add(1)
+		job.fail(StatusFailed, err.Error())
 	}
+}
+
+// launch runs the job's detection or repair on its lease, bounded by the
+// job's step budget and deadline, and releases the lease.
+func launch(job *Job, lease *Lease, deadline time.Time) (kernel string, res *detector.Result, rep *detector.RepairReport, err error) {
+	defer lease.Release()
+	req, sess := job.req, lease.Session()
+	if kernel, err = sess.KernelOrFirst(req.Kernel); err != nil {
+		return "", nil, nil, err
+	}
+	if req.Kind == KindRepair {
+		rep, job.memoHit, err = repairOnLease(lease, kernel, detector.RepairOptions{
+			Grid:                   req.Grid,
+			Block:                  req.Block,
+			Buffers:                req.Buffers,
+			MaxInstrs:              job.budget,
+			Deadline:               deadline,
+			WarpSize:               req.WarpSize,
+			MaxCandidates:          job.maxCandidates,
+			MaxPatchesPerCandidate: job.maxPatches,
+		})
+		return kernel, nil, rep, err
+	}
+	args, err := lease.Buffers(req.Buffers)
+	if err != nil {
+		return kernel, nil, nil, err
+	}
+	l := detector.Launch1D(req.Grid, req.Block, args, job.budget, req.WarpSize)
+	l.Deadline = deadline
+	res, err = sess.DetectObserved(kernel, l, job.observer)
+	return kernel, res, nil, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -174,11 +175,13 @@ func TestBenchJobDefaults(t *testing.T) {
 func TestInvalidPayloadsReturn400(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
 	cases := []JobRequest{
-		{},                            // neither ptx nor bench
-		{PTX: racySrc, Bench: "bfs"},  // both
-		{Bench: "no-such-benchmark"},  // unknown bench
-		{PTX: racySrc, Grid: -1},      // negative geometry
-		{PTX: racySrc, TimeoutMS: -5}, // negative timeout
+		{},                                                       // neither ptx nor bench
+		{PTX: racySrc, Bench: "bfs"},                             // both
+		{Bench: "no-such-benchmark"},                             // unknown bench
+		{PTX: racySrc, Grid: -1},                                 // negative geometry
+		{PTX: racySrc, TimeoutMS: -5},                            // negative timeout
+		{PTX: racySrc, TimeoutMS: 1 << 62},                       // timeout wraps a time.Duration to 0s
+		{PTX: racySrc, TimeoutMS: math.MaxInt64},                 // timeout wraps a time.Duration to -1ms
 		{PTX: racySrc, Config: detector.Config{Queues: -2}},      // invalid detector config
 		{PTX: racySrc, Config: detector.Config{MaxRaces: -1}},    // invalid detector config
 		{PTX: racySrc, Config: detector.Config{Granularity: -4}}, // invalid detector config
@@ -193,6 +196,14 @@ func TestInvalidPayloadsReturn400(t *testing.T) {
 		if errj.Error == "" {
 			t.Errorf("case %d: empty error message", i)
 		}
+	}
+	// The longest timeout a time.Duration holds is a valid one.
+	code, info, errj := postJob(t, ts, JobRequest{PTX: racySrc, Buffers: []int{4}, TimeoutMS: maxTimeoutMS})
+	if code != http.StatusAccepted {
+		t.Fatalf("timeout_ms %d: status %d (%s), want 202", maxTimeoutMS, code, errj.Error)
+	}
+	if done := waitJob(t, ts, info.ID); done.Status != StatusDone {
+		t.Errorf("timeout_ms %d: status %s (%s), want done", maxTimeoutMS, done.Status, done.Error)
 	}
 	// Malformed JSON is also a 400, not a panic.
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte("{not json")))
