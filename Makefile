@@ -156,15 +156,16 @@ stress-interp:
 fuzz-ptx:
 	$(GO) test -run '^$$' -fuzz '^FuzzPTX$$' -fuzztime 60s -fuzzminimizetime 5s ./internal/detector/
 
-# Coalesced-span vs per-cell report equivalence: the bug suite and the
-# random-trace property tests, under the Go race detector.
+# Coalesced-span vs per-cell report equivalence: the bug suite table's
+# PerCellShadow row and the random-trace property tests, under the Go race
+# detector.
 stress-span:
 	$(GO) test -race -run TestCoalescedSpanEquivalence ./internal/bugsuite/
 	$(GO) test -race -run 'TestSpanPropertyEquivalence|TestSpanPropertyEquivalenceSmallWarp' ./internal/core/
 
-# The adaptive-shadow correctness stress: ownership and bounded-shadow
-# equivalence over the 66-program bug suite under the Go race detector
-# (concurrent claim/inflate traffic at 4 queues), the ownership verdict
+# The adaptive-shadow correctness stress: the bug suite table's ownership
+# and bounded-shadow rows under the Go race detector (concurrent
+# claim/inflate traffic at 4 queues), the ownership verdict
 # judged against the internal/hb definition, the shadow's own
 # ownership-transition, eviction and slab-compaction tests, and the slab
 # pool: its bound, a recycled slab against a fresh one, use after Release,
@@ -209,9 +210,8 @@ stress-failover:
 	$(GO) test -race -run 'TestFleetFailoverRetriesElsewhere|TestFleetEndToEndWarmRouting' ./internal/fleet/
 	$(GO) test -race -count=3 -run 'TestFailoverLosesNothingAndReportsMatchSingleNode|TestHeartbeatLossIsSurvivable|TestSlowNodeChangesScheduleNotReports|TestReportDigestInvariantUnderRouting|TestSameSeedSameSchedule|TestInteractiveNeverStarved' ./internal/fleet/
 
-# The producer-filter correctness stress: filtered-vs-unfiltered report
-# equivalence over the 66-program bug suite (sequential and randomized
-# schedules), the loop kernels of internal/detector (a per-thread read the
+# The producer-filter correctness stress: the bug suite table's filter
+# rows (sequential and randomized schedules), the loop kernels of internal/detector (a per-thread read the
 # static tier elides, and a broadcast read only its stride-0 record shows),
 # and the benchmark suite, under the Go race detector where schedules are
 # concurrent.
@@ -242,9 +242,11 @@ stress-fleet:
 # 4, two-record rings, every wire form), the park/wake handoff at
 # GOMAXPROCS 4 under the race detector and again at GOMAXPROCS 1, where
 # producer and consumer take turns on one thread, the round-trip fuzz
-# seeds, the 66-program bug suite at 4 queues vs 1 queue, and the reports at QueueCap
-# 1/64/4096 (the ring size moves when the producer blocks, never what is
-# reported), the program whose global write–write pairs change block scope
+# seeds, the bug suite table's rows whose multi-queue runs no other target
+# takes under the race detector (Config{} at 2 and 4 queues, the fast
+# paths, NoSameValueFilter, Granularity 4) and its QueueCap 1 and 64 rows (the
+# ring size moves when the producer blocks, never what is reported), the
+# program whose global write–write pairs change block scope
 # with the queue schedule (core/digest.go) repeated plain and under the race
 # detector, where two runs of one configuration differ, and four detector
 # threads holding page locks across the lanes of records that interleave
@@ -255,7 +257,7 @@ stress-multiqueue:
 	GOMAXPROCS=1 $(GO) test -count=3 -timeout 60s -run 'TestPark' ./internal/logging/
 	$(GO) test -run 'FuzzQueueRoundTrip|TestQueueRoundTripProperty|TestWrapAtEveryOffset' ./internal/logging/
 	GOMAXPROCS=4 $(GO) test -count=5 -run TestMultiQueueReportEquivalence ./internal/bugsuite/
-	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'TestMultiQueueReportEquivalence|TestBackpressureEquivalence' ./internal/bugsuite/
+	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'TestMultiQueueReportEquivalence|TestMultiQueueSuiteConsistency|TestFastPathsEquivalence|TestNoSameValueFilterEquivalence|TestGranularity4SuiteConsistency|TestBackpressureEquivalence' ./internal/bugsuite/
 	$(GO) test -count=40 -run '$(SCOPE_WITNESS)' ./internal/bugsuite/
 	$(GO) test -race -count=20 -run '$(SCOPE_WITNESS)' ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -run TestSameValueGoldenEquivalence ./internal/detector/

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"barracuda/internal/baseline/racecheck"
+	"barracuda/internal/core"
 	"barracuda/internal/detector"
 	"barracuda/internal/gpusim"
 	"barracuda/internal/logging"
@@ -141,14 +142,19 @@ func RunBarracudaWith(t *Test, cfg detector.Config) (Verdict, error) {
 		}
 		return VError, fmt.Errorf("%s: %w", t.Name, err)
 	}
+	return classify(res.Report, len(res.Report.Races)), nil
+}
+
+// classify is the verdict of a finished launch when races of its
+// report's races count.
+func classify(rep *core.Report, races int) Verdict {
 	switch {
-	case len(res.Report.Divergences) > 0:
-		return VDiverged, nil
-	case res.Report.HasRaces():
-		return VRacy, nil
-	default:
-		return VClean, nil
+	case len(rep.Divergences) > 0:
+		return VDiverged
+	case races > 0:
+		return VRacy
 	}
+	return VClean
 }
 
 // rcSink feeds records into the racecheck baseline.

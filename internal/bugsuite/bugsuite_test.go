@@ -1,6 +1,11 @@
 package bugsuite
 
-import "testing"
+import (
+	"testing"
+
+	"barracuda/internal/detector"
+	"barracuda/internal/logging"
+)
 
 func TestSuiteHas66Programs(t *testing.T) {
 	tests := Tests()
@@ -94,4 +99,47 @@ func joinLines(rows []string) string {
 		out += r + "\n"
 	}
 	return out
+}
+
+// recordSink keeps a copy of every record a launch emits.
+type recordSink struct{ records []logging.Record }
+
+func (s *recordSink) Emit(r *logging.Record) { s.records = append(s.records, *r) }
+
+// TestSimulatorClassifiesLikeClassify: the simulator tags each record's
+// address shape inside the loop that fills Addrs; logging.Record.Classify
+// is the reference for what the tag must be. Over every record of the
+// suite and the mixed-width suite — synchronization records, divergent
+// half-warps, sub-word and misaligned lanes — the two agree.
+func TestSimulatorClassifiesLikeClassify(t *testing.T) {
+	forms := map[uint8]int{}
+	for _, tc := range append(Tests(), SubwordTests()...) {
+		s, err := detector.OpenPTX(tc.PTX, detector.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		launch, err := tc.launch(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &recordSink{}
+		if _, err := s.LaunchInto(tc.Kernel, launch, sink); err != nil {
+			continue // programs that hang or fault are another test's business
+		}
+		for i := range sink.records {
+			r := &sink.records[i]
+			ref := *r
+			ref.Classify()
+			if ref.Flags != r.Flags || ref.Base != r.Base || ref.Stride != r.Stride {
+				t.Fatalf("%s record %d (%v): simulator tagged flags %#x base %#x stride %d, Classify %#x %#x %d",
+					tc.Name, i, r.Op, r.Flags, r.Base, r.Stride, ref.Flags, ref.Base, ref.Stride)
+			}
+			if r.Op.IsMemory() {
+				forms[r.Flags]++
+			}
+		}
+	}
+	if forms[0] == 0 || forms[logging.FlagCoalesced] == 0 || forms[logging.FlagStrided] == 0 {
+		t.Errorf("the suite misses a wire form: %v", forms)
+	}
 }

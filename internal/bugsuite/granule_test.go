@@ -2,15 +2,12 @@ package bugsuite
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"barracuda/internal/core"
 	"barracuda/internal/detector"
-	"barracuda/internal/gpusim"
 )
 
 // granuleOutcome runs one suite program single-queue under cfg and
@@ -18,26 +15,12 @@ import (
 // (the OnRace snapshots a streaming client would see), then the final
 // report's exact text — ordered races with address and dynamic count,
 // divergences, RecordsSeen and SameValueGag.
-func granuleOutcome(tc *Test, cfg detector.Config) (string, error) {
-	s, err := detector.OpenPTX(tc.PTX, cfg)
-	if err != nil {
-		return "", err
+func granuleOutcome(tc *Test, cfg detector.Config) string {
+	o := detect(tc, 0, cfg, -1)
+	if o.fail != "" {
+		return o.fail + "\n"
 	}
-	launch, err := tc.launch(s)
-	if err != nil {
-		return "", err
-	}
-	out := "discovered:\n"
-	res, err := s.DetectObserved(tc.Kernel, launch, func(rc core.Race) {
-		out += rc.ExactText() + "\n"
-	})
-	if err != nil {
-		if errors.Is(err, gpusim.ErrStepBudget) {
-			return "HANG\n", nil
-		}
-		return "ERROR: " + err.Error() + "\n", nil
-	}
-	return out + "report:\n" + res.Report.ExactText(), nil
+	return "discovered:\n" + o.discovered + "report:\n" + o.res.Report.ExactText()
 }
 
 // granuleGolden loads a granule recording, keyed "program/granularity":
@@ -93,11 +76,7 @@ func granuleCompare(t *testing.T, suite []*Test, golden, fullvc map[string]strin
 						row{detector.Config{Granularity: gran, FullVC: true}, wantFullVC})
 				}
 				for _, r := range rows {
-					got, err := granuleOutcome(tc, r.cfg)
-					if err != nil {
-						t.Fatalf("%+v: %v", r.cfg, err)
-					}
-					if got != r.want {
+					if got := granuleOutcome(tc, r.cfg); got != r.want {
 						t.Errorf("outcome diverged (%+v):\n--- golden ---\n%s--- got ---\n%s", r.cfg, r.want, got)
 					}
 				}

@@ -80,38 +80,3 @@ func TestSubwordRefines(t *testing.T) {
 		}
 	}
 }
-
-// TestSubwordQueuesStress runs the mixed-width programs on four queues,
-// repeatedly: blocks on different detector threads issue word and byte
-// accesses to the same shadow page, so one thread refines the page while
-// the others are resolving, locking and indexing it. The canonical
-// digest (provableDigest of it) must match the single-queue run every
-// time; under -race (CI)
-// this is also the data-race check of the refinement protocol.
-func TestSubwordQueuesStress(t *testing.T) {
-	rounds := 20
-	if testing.Short() {
-		rounds = 5
-	}
-	for _, tc := range SubwordTests() {
-		tc := tc
-		t.Run(tc.Name, func(t *testing.T) {
-			for _, cfg := range []detector.Config{{}, {Ownership: true}, {Ownership: true, ShadowCapBytes: 64 << 20}} {
-				base, err := adaptiveRun(tc, 0, 1, cfg.Ownership, cfg.ShadowCapBytes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < rounds; i++ {
-					got, err := adaptiveRun(tc, 0, 4, cfg.Ownership, cfg.ShadowCapBytes)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if provableDigest(got.digest, 4) != provableDigest(base.digest, 4) {
-						t.Fatalf("%+v round %d: canonical digest diverged at 4 queues:\n--- 1 queue ---\n%s--- 4 queues ---\n%s",
-							cfg, i, base.digest, got.digest)
-					}
-				}
-			}
-		})
-	}
-}

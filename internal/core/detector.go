@@ -502,17 +502,17 @@ func (d *Detector) applyRead(reg *shadow.Region, idx int, v clockView, tid vc.TI
 	if !v.ordered(tid, c.W) {
 		d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, weight)
 	}
-	c.ReadPC = r.PC
 	switch {
 	case c.ReadShared:
 		// READSHARED: concurrent readers use the sparse read clock.
-		reg.Readers(idx)[tid] = v.clock(tid)
+		reg.Readers(idx)[tid] = shadow.Read{C: v.clock(tid), PC: r.PC}
 	case v.ordered(tid, c.R):
 		// READEXCL: totally-ordered reads stay an epoch.
-		c.R = vc.Epoch{T: tid, C: v.clock(tid)}
+		c.R, c.ReadPC = vc.Epoch{T: tid, C: v.clock(tid)}, r.PC
 	default:
-		// READINFLATE: first concurrent read inflates to a read map.
-		d.mem.InflateReads(reg, idx)[tid] = v.clock(tid)
+		// READINFLATE: first concurrent read inflates to a read map, seeded
+		// with the read epoch and its PC.
+		d.mem.InflateReads(reg, idx)[tid] = shadow.Read{C: v.clock(tid), PC: r.PC}
 	}
 }
 
@@ -558,16 +558,17 @@ func (d *Detector) applyAtomic(reg *shadow.Region, idx int, v clockView, tid vc.
 }
 
 // checkReaders verifies all previous reads happen-before the current
-// write/atomic. Readers are visited in TID order: the first racing
-// reader becomes the race's reported representative, and map iteration
-// order would make that attribution flap from run to run.
+// write/atomic, and reports each racing reader with its own PC. Readers
+// are visited in TID order: the first racing reader of a static race is
+// its reported witness, and map iteration order would make that flap
+// from run to run.
 func (d *Detector) checkReaders(reg *shadow.Region, idx int, v clockView, tid vc.TID, r *logging.Record, lane, weight int) {
 	c := &reg.Cells()[idx]
 	if c.ReadShared {
 		readers := reg.Readers(idx)
 		for _, u := range sortedReaders(readers) {
-			if !v.ordered(tid, vc.Epoch{T: u, C: readers[u]}) {
-				d.report(tid, r, lane, true, u, c.ReadPC, false, false, false, weight)
+			if rd := readers[u]; !v.ordered(tid, vc.Epoch{T: u, C: rd.C}) {
+				d.report(tid, r, lane, true, u, rd.PC, false, false, false, weight)
 			}
 		}
 		return
@@ -578,7 +579,7 @@ func (d *Detector) checkReaders(reg *shadow.Region, idx int, v clockView, tid vc
 }
 
 // sortedReaders returns the read map's TIDs in ascending order.
-func sortedReaders(m map[vc.TID]vc.Clock) []vc.TID {
+func sortedReaders(m map[vc.TID]shadow.Read) []vc.TID {
 	tids := make([]vc.TID, 0, len(m))
 	for u := range m {
 		tids = append(tids, u)

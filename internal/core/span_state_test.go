@@ -27,7 +27,7 @@ func spanRec(op trace.OpKind, warp uint32, base uint64, size uint8, pc uint32) *
 
 // readersAt returns the cell covering a global address (demoting any
 // summary over it, like CellFor) and the cell's side-table read map.
-func readersAt(d *Detector, addr uint64) (*shadow.Cell, map[vc.TID]vc.Clock) {
+func readersAt(d *Detector, addr uint64) (*shadow.Cell, map[vc.TID]shadow.Read) {
 	c := d.Shadow().CellFor(logging.SpaceGlobal, -1, addr)
 	reg, off := d.Shadow().RegionFor(nil, logging.SpaceGlobal, -1, addr)
 	reg.Lock()

@@ -1,6 +1,8 @@
 package detector
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"barracuda/internal/core"
@@ -391,9 +393,11 @@ func TestMultiQueueDetection(t *testing.T) {
 }
 
 // TestQueueWidthsAgree: one launch detected live at queue widths 1, 2, 4
-// and 8 must produce identical canonical reports. Exercises both digest
-// tiers: racyAllWriteSrc is a many-writer global race (structural tier),
-// the barrier-free shared kernel an intra-block shared race (exact tier).
+// and 8 must produce identical canonical reports: racyAllWriteSrc is a
+// many-writer global race, the barrier-free shared kernel an intra-block
+// shared race. A global write–write pair's block scope is the queue
+// schedule's (core.Report.CanonicalDigest), so global lines are compared
+// without it.
 func TestQueueWidthsAgree(t *testing.T) {
 	kernels := []struct {
 		name   string
@@ -416,7 +420,7 @@ func TestQueueWidthsAgree(t *testing.T) {
 				if !rep.HasRaces() {
 					t.Fatalf("queues=%d: race missed", q)
 				}
-				dig := rep.CanonicalDigest()
+				dig := scopeFree(rep.CanonicalDigest())
 				if q == 1 {
 					base = dig
 					continue
@@ -426,6 +430,78 @@ func TestQueueWidthsAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scopeFree drops the intra-/inter-block word of a digest's global race
+// lines and collapses repeats.
+func scopeFree(digest string) string {
+	seen := map[string]bool{}
+	var out []string
+	for _, line := range strings.SplitAfter(digest, "\n") {
+		for _, scope := range []string{"intra-block", "inter-block"} {
+			line = strings.Replace(line, "race "+scope+" global ", "race global ", 1)
+		}
+		if !seen[line] {
+			seen[line] = true
+			out = append(out, line)
+		}
+	}
+	sort.Strings(out)
+	return strings.Join(out, "")
+}
+
+// twoReadsSrc: block 0's thread reads a global word at line 10 and again
+// at line 15, through an address the instrumentation cannot prove equal,
+// so both reads are logged; every other block stores to the word at line
+// 18, unordered.
+const twoReadsSrc = `.visible .entry k(.param .u64 out)
+{
+	.reg .u32 %r<8>;
+	.reg .u64 %rd<4>;
+	.reg .pred %p<2>;
+	ld.param.u64 %rd1, [out];
+	mov.u32 %r1, %ctaid.x;
+	setp.ne.u32 %p1, %r1, 0;
+	@%p1 bra WRITER;
+	ld.global.u32 %r2, [%rd1];
+	add.u32 %r4, %r2, 1;
+	add.u32 %r4, %r4, 1;
+	mul.wide.u32 %rd2, %r1, 4;
+	add.u64 %rd3, %rd1, %rd2;
+	ld.global.u32 %r3, [%rd3];
+	ret;
+WRITER:
+	st.global.u32 [%rd1], %r1;
+	ret;
+}`
+
+// TestGlobalReaderLinesAcrossQueues pins the reader-PC dependence on the
+// queue schedule that core.Report.CanonicalDigest names: a global word
+// keeps each thread's latest read only. At one queue the simulator's order
+// puts the stores between the two reads, so both read lines race; above
+// one queue a store handled after both reads races with line 15 alone.
+// Every run names line 15, and no read line the thread did not run.
+func TestGlobalReaderLinesAcrossQueues(t *testing.T) {
+	for _, q := range []int{1, 2, 4} {
+		for range 50 {
+			s := open(t, twoReadsSrc, Config{Queues: q})
+			rep := detect(t, s, "k", gpusim.LaunchConfig{Grid: gpusim.D1(4), Block: gpusim.D1(1), Args: []uint64{s.Dev.MustAlloc(4)}}).Report
+			read := map[uint32]bool{}
+			for _, rc := range rep.Races {
+				for _, a := range []core.Access{rc.Prev, rc.Cur} {
+					switch {
+					case !a.Write && (a.TID != 0 || a.PC != 10 && a.PC != 15):
+						t.Fatalf("queues=%d: reported a read at line %d by thread %d:\n%s", q, a.PC, a.TID, rep.CanonicalDigest())
+					case !a.Write:
+						read[a.PC] = true
+					}
+				}
+			}
+			if !read[15] || q == 1 && !read[10] {
+				t.Fatalf("queues=%d: read lines %v race:\n%s", q, read, rep.CanonicalDigest())
+			}
+		}
 	}
 }
 

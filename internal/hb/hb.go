@@ -45,12 +45,19 @@ func (o *op) isBarrierStyle() bool {
 // endiKind is a private marker for synthesized endi operations.
 const endiKind trace.OpKind = 200
 
-// Race is one unordered conflicting pair.
+// Access is one side of a race: one thread's access at a PC to an address.
+type Access struct {
+	TID  vc.TID
+	PC   uint32
+	Addr uint64
+	Op   trace.OpKind
+}
+
+// Race is one unordered conflicting pair, Prev before Cur in the trace.
 type Race struct {
-	PrevPC, CurPC uint64
-	Addr          uint64
-	PrevWrite     bool
-	CurWrite      bool
+	Space     logging.SpaceID
+	Block     int32 // shared-memory block, -1 for global
+	Prev, Cur Access
 }
 
 // Checker accumulates a trace and checks it on demand.
@@ -297,11 +304,7 @@ func (c *Checker) Races() []Race {
 			if !conflict(oi, oj) {
 				continue
 			}
-			races = append(races, Race{
-				PrevPC: uint64(oi.pc), CurPC: uint64(oj.pc),
-				Addr:      oj.addr,
-				PrevWrite: oi.kind.Writes(), CurWrite: oj.kind.Writes(),
-			})
+			races = append(races, Race{oj.space, oj.block, oi.access(), oj.access()})
 		}
 	}
 	return races
@@ -365,6 +368,8 @@ func intersects(a, b *op) bool {
 	}
 	return false
 }
+
+func (o *op) access() Access { return Access{o.tids[0], o.pc, o.addr, o.kind} }
 
 // String renders an op for diagnostics.
 func (o *op) String() string {

@@ -125,7 +125,7 @@ func TestBranchPathsConcurrent(t *testing.T) {
 	races := c.Races()
 	crossPath := false
 	for _, r := range races {
-		if r.PrevPC == 1 && r.CurPC == 2 {
+		if r.Prev.PC == 1 && r.Cur.PC == 2 {
 			crossPath = true
 		}
 	}
@@ -135,7 +135,7 @@ func TestBranchPathsConcurrent(t *testing.T) {
 	// After fi everything is ordered.
 	c.Handle(mkRec(trace.OpRead, 0, 0x1, 0x100, 3))
 	for _, r := range c.Races() {
-		if r.CurPC == 3 {
+		if r.Cur.PC == 3 {
 			t.Errorf("post-fi access races: %+v", r)
 		}
 	}
@@ -384,7 +384,7 @@ func hasStrided(stream []*logging.Record) bool {
 // stridedRace reports whether a race is on the shared strided region.
 func stridedRace(races []Race) bool {
 	for _, rc := range races {
-		if rc.Addr >= stridedBase && rc.Addr < stridedBase+4*PageBytes {
+		if rc.Cur.Addr >= stridedBase && rc.Cur.Addr < stridedBase+4*PageBytes {
 			return true
 		}
 	}

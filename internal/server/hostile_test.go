@@ -203,8 +203,9 @@ func closeWithin(t *testing.T, srv *Server, d time.Duration) {
 }
 
 // queueProvable is bugsuite's provableDigest at more than one queue: a
-// global race line loses its intra-/inter-block word, which the queue
-// schedule decides (core.Report.CanonicalDigest), and repeats collapse.
+// global race line loses its intra-/inter-block word and its reader PCs,
+// which the queue schedule decides (core.Report.CanonicalDigest), and
+// repeats collapse.
 func queueProvable(digest string) string {
 	lines := strings.Split(strings.TrimSuffix(digest, "\n"), "\n")
 	body, last := lines[:len(lines)-1], lines[len(lines)-1]
@@ -217,6 +218,15 @@ func queueProvable(digest string) string {
 			}
 		}
 		if strings.HasPrefix(line, "race global ") {
+			open, end := strings.Index(line, "{"), strings.Index(line, "}")
+			sides := strings.Split(line[open+1:end], " | ")
+			for i, side := range sides {
+				if strings.HasSuffix(side, " read") {
+					sides[i] = "read"
+				}
+			}
+			sort.Strings(sides)
+			line = line[:open+1] + strings.Join(sides, " | ") + line[end:]
 			if seen[line] {
 				continue
 			}

@@ -147,12 +147,16 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, into any, strict bool) b
 }
 
 // WaitDone is ?wait_ms=N: it returns when done closes, after N ms, or
-// when the client goes away, whichever is first.
+// when the client goes away, whichever is first. Its timer stops when it
+// returns: under the module's go 1.22 timer semantics an unstopped one
+// stays live until it fires.
 func WaitDone(r *http.Request, done <-chan struct{}) {
 	if ms, _ := strconv.Atoi(r.URL.Query().Get("wait_ms")); ms > 0 {
+		t := time.NewTimer(time.Duration(ms) * time.Millisecond)
+		defer t.Stop()
 		select {
 		case <-done:
-		case <-time.After(time.Duration(ms) * time.Millisecond):
+		case <-t.C:
 		case <-r.Context().Done():
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -375,5 +377,27 @@ func TestJobListAndNotFound(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestWaitDoneStopsItsTimer: a long-poll that returns before its wait_ms
+// leaves nothing live behind. 20 000 polls of a finished job with a 30 s
+// wait used to hold 20 000 timers until each fired.
+func TestWaitDoneStopsItsTimer(t *testing.T) {
+	done := make(chan struct{})
+	close(done)
+	r := httptest.NewRequest(http.MethodGet, "/jobs/job-1?wait_ms=30000", nil)
+	sample := []metrics.Sample{{Name: "/gc/heap/objects:objects"}}
+	objects := func() uint64 {
+		runtime.GC()
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	before := objects()
+	for range 20000 {
+		WaitDone(r, done)
+	}
+	if after := objects(); after > before+2000 {
+		t.Errorf("live heap objects %d before 20000 finished polls, %d after", before, after)
 	}
 }

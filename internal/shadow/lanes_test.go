@@ -210,7 +210,7 @@ func TestVisitLanesEquivalence(t *testing.T) {
 					case 1:
 						c.R, c.ReadPC = vc.Epoch{T: vc.TID(lane), C: vc.Clock(rec + 1)}, uint32(rec)
 					default:
-						m.InflateReads(reg, idx)[vc.TID(lane)] = vc.Clock(rec + 1)
+						m.InflateReads(reg, idx)[vc.TID(lane)] = Read{C: vc.Clock(rec + 1)}
 					}
 				}
 			}

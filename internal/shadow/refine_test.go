@@ -24,7 +24,7 @@ func readMaps(reg *Region) (n int) {
 }
 
 // readersAt returns the side-table read map of cell idx (region locked).
-func readersAt(reg *Region, idx int) map[vc.TID]vc.Clock {
+func readersAt(reg *Region, idx int) map[vc.TID]Read {
 	rd := reg.Readers(idx)
 	if (rd != nil) != reg.cells[idx].ReadShared {
 		panic("side table and ReadShared disagree")
@@ -53,7 +53,7 @@ func TestRefineReplicatesCells(t *testing.T) {
 		c.WritePC = 11
 		c.Atomic = true
 		c.R = vc.Epoch{T: 5, C: 2}
-		m.InflateReads(r, idx)[6] = 4
+		m.InflateReads(r, idx)[6] = Read{C: 4}
 		c.ReadPC = 12
 	})
 	if visits != 1 {
@@ -87,11 +87,11 @@ func TestRefineReplicatesCells(t *testing.T) {
 	for b := 100; b < 104; b++ {
 		c, rd := &cells[b], readersAt(reg, b)
 		if c.W != (vc.Epoch{T: 3, C: 9}) || c.WritePC != 11 || !c.Atomic || c.ReadPC != 12 ||
-			!c.ReadShared || len(rd) != 2 || rd[5] != 2 || rd[6] != 4 {
+			!c.ReadShared || len(rd) != 2 || rd[5].C != 2 || rd[6].C != 4 {
 			t.Errorf("byte %d: %+v readers %v, want the word cell's metadata", b, c, rd)
 		}
 	}
-	readersAt(reg, 100)[99] = 1
+	readersAt(reg, 100)[99] = Read{C: 1}
 	if _, shared := readersAt(reg, 101)[99]; shared {
 		t.Error("byte cells of one word share a read map; refinement must deep-copy it")
 	}
@@ -146,7 +146,7 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 	// Word 1 carries an inflated read map into the refinement below.
 	reg.Lock()
 	reg.cells[1].R = vc.Epoch{T: 2, C: 3}
-	m.InflateReads(reg, 1)[9] = 4
+	m.InflateReads(reg, 1)[9] = Read{C: 4}
 	reg.Unlock()
 	flat := New(1, shBytes, spanTestGeo())
 	walk(flat, 0, 1) // a byte access: byte cells before anything else
@@ -173,7 +173,7 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 	reg.Lock()
 	for b := 0; b <= shBytes; b++ {
 		rd := readersAt(reg, b)
-		if in := b >= 4 && b < 8; in != (len(rd) == 2 && rd[2] == 3 && rd[9] == 4) || !in && rd != nil {
+		if in := b >= 4 && b < 8; in != (len(rd) == 2 && rd[2].C == 3 && rd[9].C == 4) || !in && rd != nil {
 			t.Errorf("byte %d of the refined slab: read map %v; want word 1's map in bytes 4..7 only", b, rd)
 		}
 	}
@@ -278,7 +278,7 @@ func TestRefineUnderCap(t *testing.T) {
 		// Every page holds one inflated read map, on word 10.
 		m.SpanCached(nil, logging.SpaceGlobal, -1, p*PageBytes+40, 4, func(r *Region, idx, _ int) {
 			r.cells[idx].R = vc.Epoch{T: 1, C: 1}
-			m.InflateReads(r, idx)[2] = 2
+			m.InflateReads(r, idx)[2] = Read{C: 2}
 			if p == 0 {
 				cold = r
 			}
@@ -302,7 +302,7 @@ func TestRefineUnderCap(t *testing.T) {
 	hot.Lock()
 	for b := 36; b < 48; b++ {
 		rd := readersAt(hot, b)
-		if in := b >= 40 && b < 44; in != (len(rd) == 2 && rd[1] == 1 && rd[2] == 2) {
+		if in := b >= 40 && b < 44; in != (len(rd) == 2 && rd[1].C == 1 && rd[2].C == 2) {
 			t.Errorf("byte %d of the refined page: read map %v; want word 10's map in bytes 40..43 only", b, rd)
 		}
 	}

@@ -50,7 +50,8 @@ type Cell struct {
 	// read, a single epoch in the common totally-ordered case.
 	W, R vc.Epoch
 
-	// Provenance for race reports.
+	// Provenance for race reports. ReadPC is R's: while ReadShared, each
+	// reader's PC is in the read map beside its clock.
 	WritePC, ReadPC uint32
 
 	_ uint32 // padding: keeps the cell at 32 bytes
@@ -60,10 +61,17 @@ type Cell struct {
 	Atomic, ReadShared bool
 }
 
+// Read is one reader's entry in an inflated read map: its clock at the
+// read and the read's PC, so a racing write reports each reader's own line.
+type Read struct {
+	C  vc.Clock
+	PC uint32
+}
+
 // Readers returns the inflated read map of cell idx, nil unless the cell
 // is ReadShared. Like the calls below it runs under the region lock,
 // which guards the side table and its maps too.
-func (r *Region) Readers(idx int) map[vc.TID]vc.Clock {
+func (r *Region) Readers(idx int) map[vc.TID]Read {
 	if r.reads == nil {
 		return nil
 	}
@@ -71,20 +79,21 @@ func (r *Region) Readers(idx int) map[vc.TID]vc.Clock {
 }
 
 // InflateReads switches cell idx of r to the sparse read vector clock,
-// seeding it with the existing read epoch (READINFLATE), and returns it.
-func (m *Memory) InflateReads(r *Region, idx int) map[vc.TID]vc.Clock {
+// seeding it with the existing read epoch and its PC (READINFLATE), and
+// returns it.
+func (m *Memory) InflateReads(r *Region, idx int) map[vc.TID]Read {
 	c := &r.cells[idx]
 	if c.ReadShared {
 		return r.Readers(idx)
 	}
-	readers := make(map[vc.TID]vc.Clock, 4)
+	readers := make(map[vc.TID]Read, 4)
 	if !c.R.IsZero() {
-		readers[c.R.T] = c.R.C
+		readers[c.R.T] = Read{c.R.C, c.ReadPC}
 	}
 	c.ReadShared = true
 	m.readInflations.Add(1)
 	if r.reads == nil {
-		r.reads = make([]map[vc.TID]vc.Clock, len(r.cells))
+		r.reads = make([]map[vc.TID]Read, len(r.cells))
 	}
 	r.reads[idx] = readers
 	return readers

@@ -110,10 +110,10 @@ func TestCellReadInflation(t *testing.T) {
 		t.Error("a read map before any inflation")
 	}
 	readers := m.InflateReads(reg, 7)
-	if !c.ReadShared || readers[1] != 5 || readMaps(reg) != 1 {
+	if !c.ReadShared || readers[1] != (Read{C: 5}) || readMaps(reg) != 1 {
 		t.Errorf("inflation lost epoch: shared=%v readers=%v", c.ReadShared, readers)
 	}
-	readers[2] = 6
+	readers[2] = Read{C: 6}
 	if again := m.InflateReads(reg, 7); len(again) != 2 || len(reg.Readers(7)) != 2 { // idempotent
 		t.Errorf("double inflation: %+v", again)
 	}

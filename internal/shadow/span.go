@@ -90,7 +90,7 @@ type Region struct {
 	// exactly while its cell is ReadShared. It keeps the one pointer a cell
 	// would need out of the slab; refine re-keys it and it goes with the
 	// region on eviction and compaction. Guarded by lock.
-	reads []map[vc.TID]vc.Clock
+	reads []map[vc.TID]Read
 
 	// The ownership state and the clock bounds backing its exclusive
 	// states (see owner.go). Guarded by lock.
@@ -187,7 +187,7 @@ func (m *Memory) refine(r *Region) {
 		}
 	}
 	if r.reads != nil {
-		reads := make([]map[vc.TID]vc.Clock, len(cells))
+		reads := make([]map[vc.TID]Read, len(cells))
 		for i, readers := range r.reads {
 			for j := i * k; readers != nil && j < (i+1)*k; j++ {
 				reads[j] = maps.Clone(readers)

@@ -85,7 +85,7 @@ func TestMaterializeAbsentLayersZero(t *testing.T) {
 	c0.W = vc.Epoch{T: 5, C: 99}
 	c0.WritePC = 42
 	c0.Atomic = true
-	m.InflateReads(reg, lo)[7] = 3
+	m.InflateReads(reg, lo)[7] = Read{C: 3}
 	reg.Install(SpanSum{
 		Lo: lo, Hi: lo + 64,
 		R: SpanLayer{Warp: 1, Mask: ^uint32(0), Clock: 2, PC: 6, Size: 2},
