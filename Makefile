@@ -10,7 +10,7 @@ CI_TARGETS := build vet fmt-check one-forward-path one-way-in ci-in-sync loc tes
 	stress-ownership stress-refine stress-filter stress-drain stress-multiqueue \
 	stress-failover stress-stream stress-fleet
 
-.PHONY: all bench bench-sim fuzz-ptx serve ci $(CI_TARGETS)
+.PHONY: all bench bench-sim bench-open fuzz-ptx serve ci $(CI_TARGETS)
 
 all: build vet test
 
@@ -122,6 +122,15 @@ bench-sim:
 	$(GO) test -bench=BenchmarkWarpAccessStrided -benchmem -run=^$$ ./internal/core/
 	$(GO) test -bench=BenchmarkSlabTake -benchtime=200x -run=^$$ ./internal/shadow/
 
+# Microbenchmarks of the cold path (a developer target, not in
+# CI_TARGETS): a module's first-launch compile of every kernel of the 26
+# programs, instrumented both ways, and an open of each program — parse,
+# instrument, load — under Config{} and the fast paths, with allocation
+# counts.
+bench-open:
+	$(GO) test -bench=BenchmarkCompile -benchmem -run=^$$ ./internal/gpusim/
+	$(GO) test -bench=BenchmarkOpen -benchmem -run=^$$ ./internal/bench/
+
 # The end-to-end benchmark (BENCHMARK.json) is a module of its own, so
 # the root build and test never compile it: vet it and run its smoke
 # test against this tree.
@@ -136,16 +145,18 @@ bench-e2e-smoke:
 # byte wraps past 2^64, a launch past CUDA's extents, a block of more than
 # 32 warps, `.shared`/`.local` declarations that are negative or past the
 # loader's bound, and a kernel that spins past its job's wall-clock
-# timeout, alone and inside a repair, among them), and the PTX fuzz corpus (the seeds in
+# timeout, alone and inside a repair, among them), the PTX fuzz corpus (the seeds in
 # internal/detector/testdata/fuzz/FuzzPTX through parse, instrument, load
-# and a bounded detect; no fuzzing, so it is deterministic), under the Go
-# race detector.
+# and a bounded detect; no fuzzing, so it is deterministic), and eight
+# goroutines opening every shipped program at once against the open
+# golden, under the Go race detector.
 stress-interp:
 	$(GO) test -race -run 'TestWarpVectorizedEquivalence|TestWarpVectorizedEquivalenceAllWarpSizes' ./internal/bugsuite/
 	$(GO) test -race -run 'TestRegisterFileLayout|TestWarpShapeInvariance|TestTypedIntOps|TestTypedLdStMatchGeneric|TestWrappedAddressFaultsLane' ./internal/gpusim/
-	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError|TestMemoryBombIsLoadError|TestBlockWarpBound' ./internal/detector/
+	$(GO) test -race -run 'TestWarpVectorizedLitmusEquivalence|TestUnderArityIsLoadError|TestRegisterBombIsLoadError|TestMemoryBombIsLoadError|TestManyBasesOpenInTime|TestBlockWarpBound' ./internal/detector/
 	$(GO) test -race -run 'TestMalformedPTXFailsJobNotWorker|TestOversizedConfigRejected|TestTimedOutLaunchFreesItsWorker|TestRepairDeadlineStopsTheLoop' ./internal/server/
 	$(GO) test -race -run FuzzPTX ./internal/detector/
+	$(GO) test -race -run TestOpenConcurrent ./internal/bench/
 
 # Fuzz the open path for a minute (a developer target, not in CI_TARGETS):
 # bytes through parse, instrument, load and a bounded detect. A failing

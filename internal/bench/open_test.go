@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"barracuda/internal/bugsuite"
@@ -84,15 +85,14 @@ func shortHash(s string) string {
 	return hex.EncodeToString(h[:8])
 }
 
-func digestOpen(t testing.TB, p openProgram, name string, opts instrument.Options) openDigest {
-	t.Helper()
+func digestOpen(p openProgram, name string, opts instrument.Options) (openDigest, error) {
 	m, err := ptx.Parse(p.src)
 	if err != nil {
-		t.Fatalf("%s: parse: %v", p.name, err)
+		return openDigest{}, fmt.Errorf("%s: parse: %w", p.name, err)
 	}
 	res, err := instrument.Instrument(m, opts)
 	if err != nil {
-		t.Fatalf("%s/%s: instrument: %v", p.name, name, err)
+		return openDigest{}, fmt.Errorf("%s/%s: instrument: %w", p.name, name, err)
 	}
 	names := make([]string, 0, len(res.Stats))
 	for k := range res.Stats {
@@ -125,7 +125,7 @@ func digestOpen(t testing.TB, p openProgram, name string, opts instrument.Option
 	if opts == (instrument.Options{}) {
 		d.Errors = shortHash(parseErrors(p.src))
 	}
-	return d
+	return d, nil
 }
 
 // openOptions are the two instrumentations the golden pins.
@@ -142,19 +142,19 @@ func openDigests(t testing.TB) []openDigest {
 	var out []openDigest
 	for _, p := range openCorpus(t) {
 		for _, o := range openOptions {
-			out = append(out, digestOpen(t, p, o.name, o.opts))
+			d, err := digestOpen(p, o.name, o.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// TestOpenGolden pins what opening a module produces — the instrumented
-// module as printed, its KernelStats and its log-once marks, and the
-// errors damaged copies of it end in — for every shipped program under
-// the default and the static-prune instrumentation, against the digests
-// recorded at cf645d6, before the parser numbered registers and the
-// instrumenter stopped copying kernels.
-func TestOpenGolden(t *testing.T) {
+// openGolden reads the digests recorded at cf645d6, by program and
+// options.
+func openGolden(t testing.TB) (map[string]openDigest, int) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "open_cf645d6.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +167,17 @@ func TestOpenGolden(t *testing.T) {
 	for _, d := range want {
 		golden[d.Program+"/"+d.Opts] = d
 	}
+	return golden, len(want)
+}
+
+// TestOpenGolden pins what opening a module produces — the instrumented
+// module as printed, its KernelStats and its log-once marks, and the
+// errors damaged copies of it end in — for every shipped program under
+// the default and the static-prune instrumentation, against the digests
+// recorded at cf645d6, before the parser numbered registers and the
+// instrumenter stopped copying kernels.
+func TestOpenGolden(t *testing.T) {
+	golden, recorded := openGolden(t)
 	got := openDigests(t)
 	for _, g := range got {
 		w, ok := golden[g.Program+"/"+g.Opts]
@@ -178,31 +189,78 @@ func TestOpenGolden(t *testing.T) {
 			t.Errorf("%s/%s: open moved:\n got %+v\nwant %+v", g.Program, g.Opts, g, w)
 		}
 	}
-	if len(got) != len(want) {
-		t.Errorf("checked %d digests, recorded %d", len(got), len(want))
+	if len(got) != recorded {
+		t.Errorf("checked %d digests, recorded %d", len(got), recorded)
 	}
 }
 
+// TestOpenConcurrent opens the whole corpus under both instrumentations
+// from eight goroutines at once, as the daemon's scheduler workers open
+// modules, and holds every digest to TestOpenGolden's; each goroutine
+// also loads each module through detector.OpenPTX. Run under the race
+// detector, it finds state that one open shares with another.
+func TestOpenConcurrent(t *testing.T) {
+	golden, _ := openGolden(t)
+	corpus := openCorpus(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range corpus {
+				for _, o := range openOptions {
+					d, err := digestOpen(p, o.name, o.opts)
+					if err != nil {
+						t.Error(err)
+						continue
+					}
+					if w := golden[d.Program+"/"+d.Opts]; d != w {
+						t.Errorf("%s/%s: open moved:\n got %+v\nwant %+v", d.Program, d.Opts, d, w)
+					}
+					s, err := detector.OpenPTX(p.src, detector.Config{StaticPrune: o.opts.StaticPrune})
+					if err != nil {
+						t.Errorf("%s/%s: %v", p.name, o.name, err)
+						continue
+					}
+					s.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestOpenAllocBudget holds opening a module to at most a fifth of the
-// heap allocations it took at cf645d6: OpenPTX(Config{}) allocated 9 297
-// times for device_reduce and 40 501 times for dwt2d there, give or take
-// one from run to run. Parsing, instrumenting and loading all count.
+// heap allocations it took at cf645d6 under Config{}, and to at most
+// three fifths of those it took at 088667e with the fast paths on, before
+// the static analysis kept its per-instruction state in slices.
+// OpenPTX(Config{}) allocated 9 297 times for device_reduce and 40 501
+// times for dwt2d at cf645d6; OpenPTX with StaticPrune, Ownership and
+// ProducerFilter 677 and 2 628 times at 088667e; each give or take one
+// from run to run. Parsing, instrumenting and loading all count.
 func TestOpenAllocBudget(t *testing.T) {
+	fast := detector.Config{StaticPrune: true, Ownership: true, ProducerFilter: true}
 	for _, c := range []struct {
-		name string
-		was  float64
-	}{{"device_reduce", 9297}, {"dwt2d", 40501}} {
+		name, cfgName string
+		cfg           detector.Config
+		was, budget   float64
+	}{
+		{"device_reduce", "default", detector.Config{}, 9297, 9297 / 5},
+		{"dwt2d", "default", detector.Config{}, 40501, 40501 / 5},
+		{"device_reduce", "fastpaths", fast, 677, 677 * 3 / 5},
+		{"dwt2d", "fastpaths", fast, 2628, 2628 * 3 / 5},
+	} {
 		src := ByName(c.name).PTX()
 		got := testing.AllocsPerRun(10, func() {
-			s, err := detector.OpenPTX(src, detector.Config{})
+			s, err := detector.OpenPTX(src, c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
 		})
-		t.Logf("%s: %.0f allocations per open (was %.0f)", c.name, got, c.was)
-		if got > c.was/5 {
-			t.Errorf("%s: %.0f allocations per open, budget %.0f", c.name, got, c.was/5)
+		t.Logf("%s/%s: %.0f allocations per open (was %.0f)", c.name, c.cfgName, got, c.was)
+		if got > c.budget {
+			t.Errorf("%s/%s: %.0f allocations per open, budget %.0f", c.name, c.cfgName, got, c.budget)
 		}
 	}
 }

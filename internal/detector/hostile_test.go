@@ -155,3 +155,34 @@ func TestMemoryBombIsLoadError(t *testing.T) {
 		s.Close()
 	}
 }
+
+// manyBasesKernel is one store through each of n pointers read from
+// distinct parameter offsets: n memory sites of n different uniform
+// bases, 60 bytes a site, so 16 MiB of PTX carries about 280 000.
+func manyBasesKernel(n int) string {
+	var b strings.Builder
+	b.WriteString(".visible .entry k(.param .u64 p)\n{\n\t.reg .u32 %r<2>;\n\t.reg .u64 %rd<2>;\n\tmov.u32 %r1, %tid.x;\n")
+	for k := range n {
+		fmt.Fprintf(&b, "\tld.param.u64 %%rd1, [p+%d];\n\tst.global.u32 [%%rd1], %%r1;\n", 8*k)
+	}
+	b.WriteString("\tret;\n}\n")
+	return b.String()
+}
+
+// TestManyBasesOpenInTime: the static pruner groups a space's memory
+// sites by uniform base, and the intra-block pruner matches each access
+// against the block's earlier ones by base register and offset. A module
+// whose every site has an address of its own must cost them time near
+// linear in the sites, not one comparison per pair of sites: the open
+// lies outside a job's wall-clock budget.
+func TestManyBasesOpenInTime(t *testing.T) {
+	src := manyBasesKernel(40000)
+	start := time.Now()
+	s, err := OpenPTX(src, Config{StaticPrune: true})
+	if err == nil {
+		s.Close()
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("open of 40000 sites of distinct bases took %v, want under 5s", d)
+	}
+}

@@ -77,3 +77,11 @@ func (lk *loadedKernel) regIndex(name string) int {
 	}
 	panic("no register " + name)
 }
+
+// Compile lowers a loaded kernel afresh, as its first launch does.
+func Compile(mod *Module, name string) error {
+	lk := mod.kernels[name]
+	lk.code = nil
+	_, err := mod.compile(lk)
+	return err
+}

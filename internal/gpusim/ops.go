@@ -66,14 +66,21 @@ type cInstr struct {
 // compile lowers a loaded kernel's instructions into executable form,
 // resolving registers, labels and symbols. The result is cached. Operand
 // shapes were checked when the kernel was loaded (loadedKernel.checkShape).
+// Each instruction is built in place, its operands carved from one array.
 func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 	if lk.code != nil {
 		return lk.code, nil
 	}
 	ins := lk.cfg.Instrs
 	code := make([]cInstr, len(ins))
+	nargs := 0
+	for _, in := range ins {
+		nargs += len(in.Args)
+	}
+	args := make([]cOperand, nargs)
 	for i, in := range ins {
-		ci := cInstr{op: in.Op, in: in, guard: -1, size: in.Type.Size(), target: -1, rpc: -1}
+		ci := &code[i]
+		ci.op, ci.in, ci.guard, ci.size, ci.target, ci.rpc = in.Op, in, -1, in.Type.Size(), -1, -1
 		if in.Guard != nil {
 			g := lk.regs[in.Guard.Num]
 			if !g.Pred {
@@ -83,20 +90,16 @@ func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 			ci.guardNeg = in.Guard.Neg
 		}
 		if in.HasDst {
-			d, err := mod.compileOperand(lk, in, in.Dst)
-			if err != nil {
+			if err := mod.compileOperand(lk, in, &in.Dst, &ci.dst); err != nil {
 				return nil, err
 			}
-			ci.dst = d
 			ci.hasDst = true
 		}
-		ci.args = make([]cOperand, len(in.Args))
-		for j, a := range in.Args {
-			ca, err := mod.compileOperand(lk, in, a)
-			if err != nil {
+		ci.args, args = args[:len(in.Args):len(in.Args)], args[len(in.Args):]
+		for j := range in.Args {
+			if err := mod.compileOperand(lk, in, &in.Args[j], &ci.args[j]); err != nil {
 				return nil, err
 			}
-			ci.args[j] = ca
 		}
 		if in.Op == ptx.OpBra {
 			if len(in.Args) != 1 || in.Args[0].Kind != ptx.OpndLabel {
@@ -109,7 +112,6 @@ func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 			ci.target = t
 			ci.rpc = lk.cfg.ReconvergencePC(i)
 		}
-		code[i] = ci
 	}
 	// Warp-major lowering: pick the per-opcode handler and precompute _log
 	// record templates. All cached with the compiled code.
@@ -156,8 +158,9 @@ func prepLog(ci *cInstr) {
 	ci.logAddrOK = len(ci.args) > 0 && ci.args[0].kind == ptx.OpndMem
 }
 
-func (mod *Module) compileOperand(lk *loadedKernel, in *ptx.Instr, o ptx.Operand) (cOperand, error) {
-	c := cOperand{kind: o.Kind, reg: -1, baseReg: -1}
+// compileOperand lowers operand o of in into c, which is zero.
+func (mod *Module) compileOperand(lk *loadedKernel, in *ptx.Instr, o *ptx.Operand, c *cOperand) error {
+	c.kind, c.reg, c.baseReg = o.Kind, -1, -1
 	switch o.Kind {
 	case ptx.OpndReg:
 		r := lk.regs[o.Num]
@@ -174,26 +177,26 @@ func (mod *Module) compileOperand(lk *loadedKernel, in *ptx.Instr, o ptx.Operand
 		if o.Reg != "" {
 			r := lk.regs[o.Num]
 			if r.Pred {
-				return c, fmt.Errorf("gpusim: %s line %d: undeclared register %s", lk.name, in.Line, o.Reg)
+				return fmt.Errorf("gpusim: %s line %d: undeclared register %s", lk.name, in.Line, o.Reg)
 			}
 			c.baseReg = r.Index
 		} else {
 			k, addr, err := mod.resolveSym(lk, o.Sym)
 			if err != nil {
-				return c, fmt.Errorf("gpusim: %s line %d: %w", lk.name, in.Line, err)
+				return fmt.Errorf("gpusim: %s line %d: %w", lk.name, in.Line, err)
 			}
 			c.symK, c.symAddr = k, addr
 		}
 	case ptx.OpndSym:
 		k, addr, err := mod.resolveSym(lk, o.Sym)
 		if err != nil {
-			return c, fmt.Errorf("gpusim: %s line %d: %w", lk.name, in.Line, err)
+			return fmt.Errorf("gpusim: %s line %d: %w", lk.name, in.Line, err)
 		}
 		c.symK, c.symAddr = k, addr
 	case ptx.OpndLabel:
 		// handled by the bra special case
 	}
-	return c, nil
+	return nil
 }
 
 func (mod *Module) resolveSym(lk *loadedKernel, name string) (symKind, uint64, error) {

@@ -545,8 +545,8 @@ func makeInt32(ci *cInstr, imms immRows) warpHandler {
 	if ci.op == ptx.OpMad {
 		n = 3
 	}
-	for i, a := range ci.args[:n] {
-		switch {
+	for i := range ci.args[:n] {
+		switch a := &ci.args[i]; {
 		case a.kind == ptx.OpndReg && !a.isPred:
 			src[i].reg = a.reg
 		case a.kind == ptx.OpndImm:

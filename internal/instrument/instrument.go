@@ -21,7 +21,6 @@ package instrument
 
 import (
 	"fmt"
-	"slices"
 
 	"barracuda/internal/kernel"
 	"barracuda/internal/ptx"
@@ -141,13 +140,9 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 	}
 	class := trace.Classify(cfg)
 	sites := make([]site, len(cfg.Instrs)) // by flat instruction index
-	for idx, kind := range class {
-		sites[idx].kind = kind
-	}
 	for i, in := range cfg.Instrs {
-		if in.Op == ptx.OpBra && in.Guard != nil {
-			sites[i].branch = true
-		}
+		sites[i].kind = class[i]
+		sites[i].branch = in.Op == ptx.OpBra && in.Guard != nil
 	}
 	for idx := range cfg.ConvergencePoints() {
 		if idx < len(cfg.Instrs) {
@@ -172,9 +167,11 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 	// emitted _log instruction (never printed, inert at runtime unless the
 	// simulator's producer filter is on), so the instrumented module is
 	// identical whether or not a given session enables filtering.
-	for idx := range staticanalysis.LogOnceSites(cfg, class, aff) {
-		sites[idx].once = true
-		stats.LogOnce++
+	for i, once := range staticanalysis.LogOnceSites(cfg, class, aff) {
+		if once {
+			sites[i].once = true
+			stats.LogOnce++
+		}
 	}
 	for _, s := range sites {
 		if s.kind == trace.OpNone && !s.branch && !s.conv {
@@ -211,19 +208,27 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 // is redundant when a previous *unguarded* access of at-least-as-strong a
 // type to the same [reg+off] was logged and reg has not been redefined,
 // with no intervening synchronization (barrier, fence, atomic, sync op).
-func markPrunable(cfg *kernel.CFG, class map[int]trace.OpKind, sites []site) {
+func markPrunable(cfg *kernel.CFG, class []trace.OpKind, sites []site) {
 	// A logged access holds while its base register's definition count
-	// is the one it was logged under.
+	// is the one it was logged under, and its epoch is the current one: a
+	// block's start and every synchronization begin a new epoch. Only the
+	// latest access to a [reg+off] can hold (counts only grow), so the
+	// map keeps that one, and its size is the distinct addresses, not the
+	// accesses.
+	type addr struct {
+		reg int32
+		off int64
+	}
 	type access struct {
-		reg  int32
-		defs uint32
-		off  int64
-		kind trace.OpKind
+		defs  uint32
+		epoch int
+		kind  trace.OpKind
 	}
 	defs := make([]uint32, len(cfg.Kernel.RegTab))
-	var logged []access
+	logged := make(map[addr]access)
+	epoch := 0
 	for _, b := range cfg.Blocks {
-		logged = logged[:0]
+		epoch++
 		for i := b.Start; i < b.End; i++ {
 			in := cfg.Instrs[i]
 			kind := class[i]
@@ -232,21 +237,20 @@ func markPrunable(cfg *kernel.CFG, class map[int]trace.OpKind, sites []site) {
 			switch {
 			case in.Op == ptx.OpBar || in.Op == ptx.OpMembar ||
 				in.Op == ptx.OpAtom || in.Op == ptx.OpRed:
-				logged = logged[:0]
+				epoch++
 			case kind == trace.OpRead || kind == trace.OpWrite:
 				a, ok := in.AddrOperand()
 				if ok && a.Reg != "" && in.Guard == nil {
-					cur := access{a.Num, defs[a.Num], a.Off, kind}
-					j := slices.IndexFunc(logged, func(e access) bool {
-						return e.reg == cur.reg && e.defs == cur.defs && e.off == cur.off
-					})
+					k := addr{a.Num, a.Off}
+					e, seen := logged[k]
 					switch {
-					case j < 0:
-						logged = append(logged, cur)
-					case logged[j].kind == kind || logged[j].kind == trace.OpWrite:
+					case !seen || e.epoch != epoch || e.defs != defs[a.Num]:
+						logged[k] = access{defs[a.Num], epoch, kind}
+					case e.kind == kind || e.kind == trace.OpWrite:
 						sites[i].prune = true
 					default: // a write after a logged read
-						logged[j].kind = kind
+						e.kind = kind
+						logged[k] = e
 					}
 				}
 			}

@@ -45,7 +45,7 @@ type CFG struct {
 // over a CFG index registers by number.
 func Build(k *ptx.Kernel) (*CFG, error) {
 	k.NumberRegs()
-	c := &CFG{Kernel: k, LabelAt: make(map[string]int)}
+	c := &CFG{Kernel: k, LabelAt: make(map[string]int), Instrs: make([]*ptx.Instr, 0, len(k.Body))}
 	for _, st := range k.Body {
 		if st.Label != "" {
 			if _, dup := c.LabelAt[st.Label]; dup {

@@ -15,20 +15,12 @@ const (
 	tokPunct          // single-character punctuation
 )
 
+// token is one token: its text is the source's bytes [start, end).
 type token struct {
-	kind tokKind
-	text string
-	line int
-	col  int // 1-based column of the token's first byte
-}
-
-func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
-		return "<eof>"
-	default:
-		return t.text
-	}
+	kind       tokKind
+	start, end int
+	line       int
+	col        int // 1-based column of the token's first byte
 }
 
 // lexer produces tokens from PTX source text.
@@ -38,8 +30,6 @@ type lexer struct {
 	line      int
 	lineStart int // byte offset of the current line's first character
 }
-
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
 // col returns the 1-based column of the current position.
 func (l *lexer) col() int { return l.pos - l.lineStart + 1 }
@@ -87,7 +77,7 @@ func isIdentStart(c byte) bool { return byteClass[c] == classIdentStart }
 
 func isIdentCont(c byte) bool { return byteClass[c] >= classIdentStart }
 
-// next scans the next token, its text a slice of the source, into t.
+// next scans the next token into t.
 func (l *lexer) next(t *token) error {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -154,7 +144,7 @@ func (l *lexer) lexToken(t *token) error {
 	default:
 		return l.errf("unexpected character %q", c)
 	}
-	t.text = l.src[start:l.pos]
+	t.start, t.end = start, l.pos
 	return nil
 }
 

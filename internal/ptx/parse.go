@@ -11,17 +11,15 @@ import (
 // Parse parses a PTX translation unit.
 func Parse(src string) (*Module, error) {
 	// Counted once, ';', ':' and '@' bound the statements, instructions
-	// and guards. The operands after a destination follow a ',', and the
-	// operand arena allows for one instruction in two without one; past
-	// that it grows, and what was carved keeps the array it came from.
+	// and guards; ',' and one ';' in two bound the operands but the
+	// destinations.
 	semis := strings.Count(src, ";")
 	p := &parser{
-		lex:    newLexer(src),
-		body:   make([]Stmt, 0, semis+strings.Count(src, ":")),
-		instrs: make([]Instr, 0, semis),
-		ops:    make([]Operand, 0, strings.Count(src, ",")+strings.Count(src, "}")+semis/2),
-		guards: make([]Guard, 0, strings.Count(src, "@")),
-
+		lex:       lexer{src: src, line: 1},
+		body:      make([]Stmt, 0, semis+strings.Count(src, ":")),
+		instrs:    arena[Instr]{left: semis, chunk: 128},
+		ops:       arena[Operand]{left: strings.Count(src, ",") + semis/2, chunk: 256},
+		guards:    arena[Guard]{left: strings.Count(src, "@"), chunk: 256},
 		mnemonics: make(map[string]*Instr, 32),
 	}
 	p.advance()
@@ -30,6 +28,35 @@ func Parse(src string) (*Module, error) {
 		return nil, p.err
 	}
 	return m, nil
+}
+
+// arena hands out a module's instructions, operands or guards from
+// chunks of at most 20 KiB, small enough to stay cheap to clear, each as
+// large as the source still needs by the count Parse made.
+type arena[T any] struct {
+	free  []T
+	left  int // elements the source still needs, by Parse's count
+	chunk int // elements a chunk holds at most
+}
+
+// slot returns element k of a run open at the front of the arena, the
+// run's first k elements already filled, moving the run to a fresh chunk
+// when the one it is in is full.
+func (a *arena[T]) slot(k int) *T {
+	if k == len(a.free) {
+		fresh := make([]T, max(2*k, min(a.left, a.chunk), 1))
+		copy(fresh, a.free[:k])
+		a.free = fresh
+	}
+	return &a.free[k]
+}
+
+// take closes the run of n elements open at the front of the arena and
+// returns it, with no room to append in place.
+func (a *arena[T]) take(n int) []T {
+	out := a.free[:n:n]
+	a.free, a.left = a.free[n:], a.left-n
+	return out
 }
 
 // ParseKernel parses a source containing a single kernel and returns it.
@@ -48,15 +75,15 @@ func ParseKernel(src string) (*Kernel, error) {
 // error ends the parse: err keeps it, the token becomes the end of input,
 // and every error reported after it is that one.
 type parser struct {
-	lex *lexer
+	lex lexer
 	tok token
 	err error
-	// Arenas the module's statements, instructions, operands and guards
-	// are carved from, kernel by kernel, sized by Parse.
+	// The arena of the module's statements, carved kernel by kernel and
+	// sized by Parse, and those of its instructions, operands and guards.
 	body   []Stmt
-	instrs []Instr
-	ops    []Operand
-	guards []Guard
+	instrs arena[Instr]
+	ops    arena[Operand]
+	guards arena[Guard]
 	// mnemonics holds each mnemonic decoded so far: a module spells a
 	// few dozen, thousands of times over.
 	mnemonics map[string]*Instr
@@ -89,26 +116,40 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) expectPunct(s string) error {
-	if p.tok.kind != tokPunct || p.tok.text != s {
-		return p.errf("expected %q, found %q", s, p.tok.String())
+	if p.tok.kind != tokPunct || p.text() != s {
+		return p.errf("expected %q, found %q", s, p.tokString())
 	}
 	p.advance()
 	return p.err
 }
 
-func (p *parser) atPunct(s string) bool {
-	return p.tok.kind == tokPunct && p.tok.text == s
+// atPunct reports whether the token is punctuation c: a punctuation
+// token is one byte.
+func (p *parser) atPunct(c byte) bool {
+	return p.tok.kind == tokPunct && p.lex.src[p.tok.start] == c
+}
+
+// text is the token's text, a slice of the source.
+func (p *parser) text() string { return p.lex.src[p.tok.start:p.tok.end] }
+
+// tokString is the token as an error message quotes it.
+func (p *parser) tokString() string {
+	if p.tok.kind == tokEOF {
+		return "<eof>"
+	}
+	return p.text()
 }
 
 // decode sets the fields a mnemonic spells on in.
 func (p *parser) decode(t *token, in *Instr) error {
-	dec := p.mnemonics[t.text]
+	text := p.lex.src[t.start:t.end]
+	dec := p.mnemonics[text]
 	if dec == nil {
 		dec = new(Instr)
-		if err := parseMnemonic(t.text, dec); err != nil {
+		if err := parseMnemonic(text, dec); err != nil {
 			return p.fail(&Error{Line: t.line, Msg: err.Error()})
 		}
-		p.mnemonics[t.text] = dec
+		p.mnemonics[text] = dec
 	}
 	guard, line, col := in.Guard, in.Line, in.Col
 	*in = *dec
@@ -122,23 +163,23 @@ func (p *parser) parseModule() *Module {
 	m := &Module{AddressSize: 64}
 	for p.tok.kind != tokEOF {
 		if p.tok.kind != tokIdent {
-			p.errf("expected directive, found %q", p.tok.String())
+			p.errf("expected directive, found %q", p.tokString())
 			return nil
 		}
-		switch p.tok.text {
+		switch p.text() {
 		case ".version":
 			p.advance()
-			m.Version = p.tok.text
+			m.Version = p.text()
 			p.advance()
 		case ".target":
 			p.advance()
-			m.Target = p.tok.text
+			m.Target = p.text()
 			p.advance()
 		case ".address_size":
 			p.advance()
-			n, err := strconv.Atoi(p.tok.text)
+			n, err := strconv.Atoi(p.text())
 			if err != nil {
-				p.errf("bad address size %q", p.tok.text)
+				p.errf("bad address size %q", p.text())
 				return nil
 			}
 			m.AddressSize = n
@@ -156,7 +197,7 @@ func (p *parser) parseModule() *Module {
 			}
 			m.Kernels = append(m.Kernels, k)
 		default:
-			p.errf("unsupported module directive %q", p.tok.text)
+			p.errf("unsupported module directive %q", p.text())
 			return nil
 		}
 	}
@@ -168,31 +209,31 @@ func (p *parser) parseModule() *Module {
 func (p *parser) parseVarDecl(space Space) (VarDecl, error) {
 	d := VarDecl{Space: space, Align: 1}
 	p.advance() // consume .global/.shared
-	if p.tok.text == ".align" {
+	if p.text() == ".align" {
 		p.advance()
-		a, err := strconv.Atoi(p.tok.text)
+		a, err := strconv.Atoi(p.text())
 		if err != nil {
-			return d, p.errf("bad alignment %q", p.tok.text)
+			return d, p.errf("bad alignment %q", p.text())
 		}
 		d.Align = a
 		p.advance()
 	}
-	ty, ok := parseTypeName(p.tok.text)
+	ty, ok := parseTypeName(p.text())
 	if !ok {
-		return d, p.errf("expected type in variable declaration, found %q", p.tok.text)
+		return d, p.errf("expected type in variable declaration, found %q", p.text())
 	}
 	p.advance()
 	if p.tok.kind != tokIdent {
-		return d, p.errf("expected variable name, found %q", p.tok.String())
+		return d, p.errf("expected variable name, found %q", p.tokString())
 	}
-	d.Name = p.tok.text
+	d.Name = p.text()
 	p.advance()
 	d.Size = int64(max(ty.Size(), 1))
-	if p.atPunct("[") {
+	if p.atPunct('[') {
 		p.advance()
-		n, err := strconv.ParseInt(p.tok.text, 0, 64)
+		n, err := strconv.ParseInt(p.text(), 0, 64)
 		if err != nil {
-			return d, p.errf("bad array size %q", p.tok.text)
+			return d, p.errf("bad array size %q", p.text())
 		}
 		if n < 0 || n > math.MaxInt64/d.Size {
 			return d, p.errf("array size %d out of range", n)
@@ -208,36 +249,36 @@ func (p *parser) parseVarDecl(space Space) (VarDecl, error) {
 
 func (p *parser) parseKernel() (*Kernel, error) {
 	// Optional .visible prefix.
-	if p.tok.text == ".visible" {
+	if p.text() == ".visible" {
 		p.advance()
 	}
-	if p.tok.text != ".entry" {
-		return nil, p.errf("expected .entry, found %q", p.tok.text)
+	if p.text() != ".entry" {
+		return nil, p.errf("expected .entry, found %q", p.text())
 	}
 	p.advance()
 	if p.tok.kind != tokIdent {
-		return nil, p.errf("expected kernel name, found %q", p.tok.String())
+		return nil, p.errf("expected kernel name, found %q", p.tokString())
 	}
-	k := &Kernel{Name: p.tok.text}
+	k := &Kernel{Name: p.text()}
 	p.advance()
-	if p.atPunct("(") {
+	if p.atPunct('(') {
 		p.advance()
-		for !p.atPunct(")") {
-			if p.tok.text != ".param" {
-				return nil, p.errf("expected .param, found %q", p.tok.String())
+		for !p.atPunct(')') {
+			if p.text() != ".param" {
+				return nil, p.errf("expected .param, found %q", p.tokString())
 			}
 			p.advance()
-			ty, ok := parseTypeName(p.tok.text)
+			ty, ok := parseTypeName(p.text())
 			if !ok {
-				return nil, p.errf("expected param type, found %q", p.tok.text)
+				return nil, p.errf("expected param type, found %q", p.text())
 			}
 			p.advance()
 			if p.tok.kind != tokIdent {
-				return nil, p.errf("expected param name, found %q", p.tok.String())
+				return nil, p.errf("expected param name, found %q", p.tokString())
 			}
-			k.Params = append(k.Params, Param{Name: p.tok.text, Type: ty})
+			k.Params = append(k.Params, Param{Name: p.text(), Type: ty})
 			p.advance()
-			if p.atPunct(",") {
+			if p.atPunct(',') {
 				p.advance()
 			}
 		}
@@ -247,9 +288,9 @@ func (p *parser) parseKernel() (*Kernel, error) {
 		return nil, err
 	}
 	first := len(p.body)
-	for !p.atPunct("}") {
+	for !p.atPunct('}') {
 		var err error
-		switch p.tok.text {
+		switch p.text() {
 		case ".reg":
 			var rd RegDecl
 			rd, err = p.parseRegDecl()
@@ -281,23 +322,23 @@ func (p *parser) parseKernel() (*Kernel, error) {
 func (p *parser) parseRegDecl() (RegDecl, error) {
 	var rd RegDecl
 	p.advance() // consume .reg
-	ty, ok := parseTypeName(p.tok.text)
+	ty, ok := parseTypeName(p.text())
 	if !ok {
-		return rd, p.errf("expected register type, found %q", p.tok.text)
+		return rd, p.errf("expected register type, found %q", p.text())
 	}
 	rd.Type = ty
 	p.advance()
-	if p.tok.kind != tokIdent || !strings.HasPrefix(p.tok.text, "%") {
-		return rd, p.errf("expected register prefix, found %q", p.tok.String())
+	if p.tok.kind != tokIdent || !strings.HasPrefix(p.text(), "%") {
+		return rd, p.errf("expected register prefix, found %q", p.tokString())
 	}
-	rd.Prefix = p.tok.text
+	rd.Prefix = p.text()
 	p.advance()
 	if err := p.expectPunct("<"); err != nil {
 		return rd, err
 	}
-	n, err := strconv.Atoi(p.tok.text)
+	n, err := strconv.Atoi(p.text())
 	if err != nil {
-		return rd, p.errf("bad register count %q", p.tok.text)
+		return rd, p.errf("bad register count %q", p.text())
 	}
 	rd.Count = n
 	p.advance()
@@ -313,14 +354,14 @@ func (p *parser) parseStmt() error {
 	var mnemonic *token
 	// Label: IDENT ':'. Looking past the identifier tells "LBB1:" from
 	// "ret;"; an instruction goes on from the token after its mnemonic.
-	if p.tok.kind == tokIdent && !strings.HasPrefix(p.tok.text, "%") && !strings.HasPrefix(p.tok.text, ".") {
+	if p.tok.kind == tokIdent && !strings.HasPrefix(p.text(), "%") && !strings.HasPrefix(p.text(), ".") {
 		name := p.tok
 		p.advance()
 		if p.err != nil {
 			return p.err
 		}
-		if p.atPunct(":") {
-			p.body = append(p.body, Stmt{Label: name.text, Line: line, Col: col})
+		if p.atPunct(':') {
+			p.body = append(p.body, Stmt{Label: p.lex.src[name.start:name.end], Line: line, Col: col})
 			p.advance()
 			return p.err
 		}
@@ -334,48 +375,48 @@ func (p *parser) parseStmt() error {
 	return nil
 }
 
-// parseInstr parses one instruction onto the end of p.instrs, its
-// operands onto p.ops and its guard onto p.guards. A non-nil mnemonic is
-// the instruction's first token, already consumed.
+// parseInstr parses one instruction into p's arenas. A non-nil mnemonic
+// is the instruction's first token, already consumed.
 func (p *parser) parseInstr(mnemonic *token) (*Instr, error) {
-	var in Instr
+	in := p.instrs.slot(0)
+	p.instrs.take(1)
 	if mnemonic != nil {
 		in.Line, in.Col = mnemonic.line, mnemonic.col
-		if err := p.decode(mnemonic, &in); err != nil {
+		if err := p.decode(mnemonic, in); err != nil {
 			return nil, err
 		}
 	} else {
 		in.Line, in.Col = p.tok.line, p.tok.col
-		if err := p.parseGuard(&in); err != nil {
+		if err := p.parseGuard(in); err != nil {
 			return nil, err
 		}
 		if p.tok.kind != tokIdent {
-			return nil, p.errf("expected instruction mnemonic, found %q", p.tok.String())
+			return nil, p.errf("expected instruction mnemonic, found %q", p.tokString())
 		}
-		if err := p.decode(&p.tok, &in); err != nil {
+		if err := p.decode(&p.tok, in); err != nil {
 			return nil, err
 		}
 		p.advance()
 	}
 	// Operands until ';'. A brace group {%r1, %r2, ...} (vector ld/st)
 	// contributes its members in order.
-	first := len(p.ops)
-	for !p.atPunct(";") {
-		if p.atPunct("{") {
+	dst, n := writesDst(in.Op), 0
+	for !p.atPunct(';') {
+		if p.atPunct('{') {
 			p.advance()
-			for !p.atPunct("}") {
-				if err := p.parseOperand(); err != nil {
+			for !p.atPunct('}') {
+				if err := p.parseOperand(in, dst, &n); err != nil {
 					return nil, err
 				}
-				if p.atPunct(",") {
+				if p.atPunct(',') {
 					p.advance()
 				}
 			}
 			p.advance() // consume '}'
-		} else if err := p.parseOperand(); err != nil {
+		} else if err := p.parseOperand(in, dst, &n); err != nil {
 			return nil, err
 		}
-		if p.atPunct(",") {
+		if p.atPunct(',') {
 			p.advance()
 		}
 	}
@@ -383,149 +424,151 @@ func (p *parser) parseInstr(mnemonic *token) (*Instr, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	p.assignOperands(&in, first)
-	p.instrs = append(p.instrs, in)
-	return &p.instrs[len(p.instrs)-1], nil
+	in.Args = p.ops.take(n)
+	if in.Op == OpBra {
+		// The branch target may have parsed as a symbol.
+		for i := range in.Args {
+			if in.Args[i].Kind == OpndSym {
+				in.Args[i].Kind = OpndLabel
+			}
+		}
+	}
+	return in, nil
 }
 
-// parseGuard parses an optional guard, @%p or @!%p, onto p.guards.
+// parseGuard parses an optional guard, @%p or @!%p.
 func (p *parser) parseGuard(in *Instr) error {
-	if !p.atPunct("@") {
+	if !p.atPunct('@') {
 		return nil
 	}
 	p.advance()
-	var g Guard
-	if p.atPunct("!") {
+	g := p.guards.slot(0)
+	p.guards.take(1)
+	if p.atPunct('!') {
 		g.Neg = true
 		p.advance()
 	}
-	if p.tok.kind != tokIdent || !strings.HasPrefix(p.tok.text, "%") {
-		return p.errf("expected predicate register after @, found %q", p.tok.String())
+	if p.tok.kind != tokIdent || !strings.HasPrefix(p.text(), "%") {
+		return p.errf("expected predicate register after @, found %q", p.tokString())
 	}
-	g.Reg = p.tok.text
-	p.guards = append(p.guards, g)
-	in.Guard = &p.guards[len(p.guards)-1]
+	g.Reg = p.text()
+	in.Guard = g
 	p.advance()
 	return p.err
 }
 
-// assignOperands splits the operands parsed from first on into Dst and
-// Args according to the instruction kind; a destination leaves p.ops for
-// in.Dst.
-func (p *parser) assignOperands(in *Instr, first int) {
-	opnds := p.ops[first:]
-	switch in.Op {
+// writesDst reports whether an instruction's first operand is its
+// destination.
+func writesDst(op Op) bool {
+	switch op {
 	case OpLd, OpMov, OpAdd, OpSub, OpMul, OpMad, OpDiv, OpRem, OpMin, OpMax,
 		OpAnd, OpOr, OpXor, OpNot, OpNeg, OpShl, OpShr, OpSetp, OpSelp,
 		OpCvt, OpCvta, OpAtom:
-		if len(opnds) > 0 {
-			in.Dst, in.HasDst = opnds[0], true
-			p.ops = append(p.ops[:first], opnds[1:]...)
-			opnds = p.ops[first:]
-		}
-	case OpBra:
-		// The branch target may have parsed as a symbol.
-		for i := range opnds {
-			if opnds[i].Kind == OpndSym {
-				opnds[i].Kind = OpndLabel
-			}
-		}
+		return true
 	}
-	in.Args = slices.Clip(p.ops[first:])
+	return false
 }
 
-// parseOperand parses one operand onto the end of p.ops.
-func (p *parser) parseOperand() error {
-	o, err := p.operand()
-	if err == nil {
-		p.ops = append(p.ops, o)
+// parseOperand parses an instruction's next operand: into in.Dst if it
+// is the destination of one that writes one, else onto the n operands
+// open at the front of the operand arena.
+func (p *parser) parseOperand(in *Instr, dst bool, n *int) error {
+	if dst && !in.HasDst {
+		in.HasDst = true
+		return p.operand(&in.Dst)
 	}
-	return err
+	*n++
+	return p.operand(p.ops.slot(*n - 1))
 }
 
-func (p *parser) operand() (Operand, error) {
+// operand parses one operand into o, which is zero.
+func (p *parser) operand(o *Operand) error {
 	switch {
-	case p.atPunct("["):
+	case p.atPunct('['):
 		p.advance()
-		o := Operand{Kind: OpndMem}
+		o.Kind = OpndMem
 		if p.tok.kind != tokIdent {
-			return o, p.errf("expected base in memory operand, found %q", p.tok.String())
+			return p.errf("expected base in memory operand, found %q", p.tokString())
 		}
-		if strings.HasPrefix(p.tok.text, "%") {
-			o.Reg = p.tok.text
+		if strings.HasPrefix(p.text(), "%") {
+			o.Reg = p.text()
 		} else {
-			o.Sym = p.tok.text
+			o.Sym = p.text()
 		}
 		p.advance()
-		if p.atPunct("+") {
+		if p.atPunct('+') {
 			p.advance()
-			n, err := strconv.ParseInt(p.tok.text, 0, 64)
+			n, err := strconv.ParseInt(p.text(), 0, 64)
 			if err != nil {
-				return o, p.errf("bad memory offset %q", p.tok.text)
+				return p.errf("bad memory offset %q", p.text())
 			}
 			o.Off = n
 			p.advance()
 		}
-		return o, p.expectPunct("]")
+		return p.expectPunct("]")
 	case p.tok.kind == tokNumber:
-		text := p.tok.text
+		text := p.text()
 		p.advance()
 		if p.err != nil {
-			return Operand{}, p.err
+			return p.err
 		}
 		neg := strings.HasPrefix(text, "-")
 		body := strings.TrimPrefix(text, "-")
 		if strings.HasPrefix(body, "0f") || strings.HasPrefix(body, "0F") {
 			bits, err := strconv.ParseUint(body[2:], 16, 32)
 			if err != nil {
-				return Operand{}, p.errf("bad float literal %q", text)
+				return p.errf("bad float literal %q", text)
 			}
 			f := float64(math.Float32frombits(uint32(bits)))
 			if neg {
 				f = -f
 			}
-			return Operand{Kind: OpndFImm, F: f}, nil
+			o.Kind, o.F = OpndFImm, f
+			return nil
 		}
 		if strings.ContainsAny(body, ".") && !strings.HasPrefix(body, "0x") {
 			f, err := strconv.ParseFloat(text, 64)
 			if err != nil {
-				return Operand{}, p.errf("bad float literal %q", text)
+				return p.errf("bad float literal %q", text)
 			}
-			return Operand{Kind: OpndFImm, F: f}, nil
+			o.Kind, o.F = OpndFImm, f
+			return nil
 		}
 		n, err := strconv.ParseInt(text, 0, 64)
 		if err != nil {
 			// very large unsigned hex
 			u, uerr := strconv.ParseUint(body, 0, 64)
 			if uerr != nil {
-				return Operand{}, p.errf("bad integer literal %q", text)
+				return p.errf("bad integer literal %q", text)
 			}
 			n = int64(u)
 			if neg {
 				n = -n
 			}
 		}
-		return Operand{Kind: OpndImm, Imm: n}, nil
-	case p.tok.kind == tokIdent && strings.HasPrefix(p.tok.text, "%"):
-		name := p.tok.text
+		o.Kind, o.Imm = OpndImm, n
+		return nil
+	case p.tok.kind == tokIdent && strings.HasPrefix(p.text(), "%"):
+		name := p.text()
 		p.advance()
-		// Special registers but %laneid and %warpid are axis-dotted.
-		if !strings.Contains(name, ".") && name != "%laneid" && name != "%warpid" {
-			return Operand{Kind: OpndReg, Reg: name}, p.err
+		o.Kind, o.Reg = OpndReg, name
+		// Every special register's name starts %t, %n, %c, %l or %w.
+		if c := name[1]; c == 't' || c == 'n' || c == 'c' || c == 'l' || c == 'w' {
+			if s, ok := sregByName[name]; ok {
+				*o = Operand{Kind: OpndSreg, Sreg: s}
+			}
 		}
-		if s, ok := sregByName[name]; ok {
-			return Operand{Kind: OpndSreg, Sreg: s}, p.err
-		}
-		return Operand{Kind: OpndReg, Reg: name}, p.err
-	case p.tok.kind == tokIdent && p.tok.text == "WARP_SZ":
+		return p.err
+	case p.tok.kind == tokIdent && p.text() == "WARP_SZ":
 		p.advance()
-		return Operand{Kind: OpndSreg, Sreg: SregWarpSize}, p.err
-	case p.tok.kind == tokIdent && !strings.HasPrefix(p.tok.text, "."):
-		name := p.tok.text
+		o.Kind, o.Sreg = OpndSreg, SregWarpSize
+		return p.err
+	case p.tok.kind == tokIdent && !strings.HasPrefix(p.text(), "."):
+		o.Kind, o.Sym = OpndSym, p.text()
 		p.advance()
-		return Operand{Kind: OpndSym, Sym: name}, p.err
+		return p.err
 	}
-	return Operand{}, p.errf("unexpected operand %q", p.tok.String())
+	return p.errf("unexpected operand %q", p.tokString())
 }
 
 // The parser's name tables are the printer's, inverted: each name is

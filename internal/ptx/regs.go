@@ -28,33 +28,58 @@ func (k *Kernel) NumberRegs() {
 		return
 	}
 	k.numbered = true
-	first := make([]int, len(k.Regs)) // each declaration's first index in its file
+	// Each declaration's first index in its file, and in slots: the
+	// declarations' registers numbered through, all files together.
+	first := make([]int, 2*len(k.Regs))
+	first, slot := first[:len(k.Regs)], first[len(k.Regs):]
 	k.NRegs, k.NPreds = 0, 0
+	nslots := 0
 	for i, rd := range k.Regs {
+		n := max(rd.Count, 0)
 		if rd.Type == Pred {
-			first[i], k.NPreds = k.NPreds, k.NPreds+max(rd.Count, 0)
+			first[i], k.NPreds = k.NPreds, k.NPreds+n
 		} else {
-			first[i], k.NRegs = k.NRegs, k.NRegs+max(rd.Count, 0)
+			first[i], k.NRegs = k.NRegs, k.NRegs+n
 		}
+		slot[i], nslots = nslots, min(nslots+min(n, 1<<30), 1<<30)
 	}
-	num := make(map[string]int32)
+	// Each register's number in k.RegTab, plus one: a declared register's
+	// by slot, up to as many slots as a body of this size is likely to
+	// name (a declaration may ask for millions), and any other by name.
+	bySlot := make([]int32, min(nslots, 4*len(k.Body)+64))
+	var byName map[string]int32
 	ref := func(name string, guard, base bool) int32 {
-		if n, ok := num[name]; ok {
-			return n
+		i, n, declared := k.declared(name)
+		s := len(bySlot)
+		if declared {
+			s = min(slot[i]+n, s)
 		}
-		r, ok := k.declared(name, first)
-		if !ok {
-			r = RegInfo{Name: name, Pred: guard || !base && isPredName(name)}
-			if r.Pred {
-				r.Index, k.NPreds = k.NPreds, k.NPreds+1
-			} else {
-				r.Index, k.NRegs = k.NRegs, k.NRegs+1
-			}
+		if s < len(bySlot) && bySlot[s] != 0 {
+			return bySlot[s] - 1
 		}
-		n := int32(len(k.RegTab))
+		if num, ok := byName[name]; ok && s == len(bySlot) {
+			return num - 1
+		}
+		r := RegInfo{Name: name}
+		switch {
+		case declared:
+			r.Pred, r.Index = k.Regs[i].Type == Pred, first[i]+n
+		case guard || !base && isPredName(name):
+			r.Pred, r.Index, k.NPreds = true, k.NPreds, k.NPreds+1
+		default:
+			r.Index, k.NRegs = k.NRegs, k.NRegs+1
+		}
 		k.RegTab = append(k.RegTab, r)
-		num[name] = n
-		return n
+		num := int32(len(k.RegTab))
+		if s < len(bySlot) {
+			bySlot[s] = num
+		} else {
+			if byName == nil {
+				byName = make(map[string]int32)
+			}
+			byName[name] = num
+		}
+		return num - 1
 	}
 	operand := func(o *Operand) {
 		switch {
@@ -81,19 +106,17 @@ func (k *Kernel) NumberRegs() {
 	}
 }
 
-// declared places a register one of k's declarations produces, the i-th
-// of which starts at first[i] in its file, or reports that none does.
-func (k *Kernel) declared(name string, first []int) (RegInfo, bool) {
+// declared finds the first of k's declarations that produces a register,
+// and the register's place in it.
+func (k *Kernel) declared(name string) (decl, n int, ok bool) {
 	for i, rd := range k.Regs {
-		rest, ok := strings.CutPrefix(name, rd.Prefix)
-		if !ok {
-			continue
-		}
-		if n, ok := decimal(rest); ok && n < rd.Count {
-			return RegInfo{Name: name, Pred: rd.Type == Pred, Index: first[i] + n}, true
+		if rest, ok := strings.CutPrefix(name, rd.Prefix); ok {
+			if n, ok := decimal(rest); ok && n < rd.Count {
+				return i, n, true
+			}
 		}
 	}
-	return RegInfo{}, false
+	return 0, 0, false
 }
 
 // isPredName reports whether an undeclared register's name makes it a

@@ -1,6 +1,7 @@
 package staticanalysis
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -80,20 +81,32 @@ func (t term) gridUniform() bool {
 	return false
 }
 
+// termCo is one term of a value and its coefficient, never zero.
+type termCo struct {
+	t  term
+	co int64
+}
+
+// compareTerms orders terms by kind, axis and name: a value's terms are
+// sorted so.
+func compareTerms(a, b term) int {
+	return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.axis, b.axis), strings.Compare(a.name, b.name))
+}
+
 // value is the abstract value of one register.
 type value struct {
 	affine bool
 	taint  bool // may be derived from tid/laneid (over-approx)
 	held   bool // in a regState: the register has a value on every path so far
 	c      int64
-	terms  map[term]int64 // nil or non-empty; coefficients are non-zero
+	terms  []termCo // sorted by compareTerms, each term once; never changed once built
 }
 
 func unknownV(taint bool) value { return value{taint: taint} }
 func constV(c int64) value      { return value{affine: true, c: c} }
 
 func termV(t term, taint bool) value {
-	return value{affine: true, terms: map[term]int64{t: 1}, taint: taint}
+	return value{affine: true, terms: []termCo{{t, 1}}, taint: taint}
 }
 
 // isConst reports a pure constant and its value.
@@ -107,12 +120,8 @@ func (v value) isConst() (int64, bool) {
 // singleTerm reports a value that is exactly one basis term (coeff 1,
 // no constant).
 func (v value) singleTerm() (term, bool) {
-	if v.affine && v.c == 0 && len(v.terms) == 1 {
-		for t, co := range v.terms {
-			if co == 1 {
-				return t, true
-			}
-		}
+	if v.affine && v.c == 0 && len(v.terms) == 1 && v.terms[0].co == 1 {
+		return v.terms[0].t, true
 	}
 	return term{}, false
 }
@@ -125,8 +134,8 @@ func (v value) String() string {
 		return "⊤"
 	}
 	parts := make([]string, 0, len(v.terms)+1)
-	for t, co := range v.terms {
-		parts = append(parts, fmt.Sprintf("%d*%s", co, t))
+	for _, tc := range v.terms {
+		parts = append(parts, fmt.Sprintf("%d*%s", tc.co, tc.t))
 	}
 	sort.Strings(parts)
 	if v.c != 0 || len(parts) == 0 {
@@ -141,7 +150,7 @@ func addV(a, b value) value {
 		return unknownV(taint)
 	}
 	out := value{affine: true, c: a.c + b.c, taint: taint}
-	// Term maps are never changed once built, so a sum with a constant
+	// Terms are never changed once built, so a sum with a constant
 	// shares the other side's.
 	switch {
 	case len(b.terms) == 0:
@@ -149,15 +158,22 @@ func addV(a, b value) value {
 	case len(a.terms) == 0:
 		out.terms = b.terms
 	default:
-		out.terms = make(map[term]int64, len(a.terms)+len(b.terms))
-		for t, co := range a.terms {
-			out.terms[t] = co
-		}
-		for t, co := range b.terms {
-			if n := out.terms[t] + co; n != 0 {
-				out.terms[t] = n
-			} else {
-				delete(out.terms, t)
+		// Merge the two sorted term lists, dropping terms that cancel.
+		out.terms = make([]termCo, 0, len(a.terms)+len(b.terms))
+		i, j := 0, 0
+		for i < len(a.terms) || j < len(b.terms) {
+			switch {
+			case j == len(b.terms) || i < len(a.terms) && compareTerms(a.terms[i].t, b.terms[j].t) < 0:
+				out.terms = append(out.terms, a.terms[i])
+				i++
+			case i == len(a.terms) || compareTerms(a.terms[i].t, b.terms[j].t) > 0:
+				out.terms = append(out.terms, b.terms[j])
+				j++
+			default:
+				if co := a.terms[i].co + b.terms[j].co; co != 0 {
+					out.terms = append(out.terms, termCo{a.terms[i].t, co})
+				}
+				i, j = i+1, j+1
 			}
 		}
 	}
@@ -172,10 +188,9 @@ func scaleV(a value, k int64) value {
 		return value{affine: true, taint: a.taint}
 	}
 	out := value{affine: true, c: a.c * k, taint: a.taint}
-	if len(a.terms) > 0 {
-		out.terms = make(map[term]int64, len(a.terms))
-		for t, co := range a.terms {
-			out.terms[t] = co * k
+	for _, tc := range a.terms {
+		if co := tc.co * k; co != 0 {
+			out.terms = append(out.terms, termCo{tc.t, co})
 		}
 	}
 	return out
@@ -216,15 +231,7 @@ func equalValue(a, b value) bool {
 	if !a.affine {
 		return true
 	}
-	if a.c != b.c || len(a.terms) != len(b.terms) {
-		return false
-	}
-	for t, co := range a.terms {
-		if b.terms[t] != co {
-			return false
-		}
-	}
-	return true
+	return a.c == b.c && slices.Equal(a.terms, b.terms)
 }
 
 // joinValue merges two path values: equal affine values survive, anything
@@ -240,8 +247,8 @@ func joinValue(a, b value) value {
 	return unknownV(taint)
 }
 
-// regState holds each register's abstract value, indexed by its number
-// in the kernel's register table. A register that is not held reads as
+// regState holds the abstract value of each register the solve tracks,
+// by its slot (affineSolve.slot). A register that is not held reads as
 // unknown and drops out of joins. Values are immutable, so slices.Clone
 // is a copy of the state.
 type regState []value
@@ -284,12 +291,12 @@ func sregValue(s ptx.Sreg) value {
 	return unknownV(false)
 }
 
-func operandValue(st regState, o *ptx.Operand) value {
+func (a *affineSolve) operandValue(st regState, o *ptx.Operand) value {
 	switch o.Kind {
 	case ptx.OpndImm:
 		return constV(o.Imm)
 	case ptx.OpndReg:
-		return st[o.Num]
+		return st[a.slot[o.Num]]
 	case ptx.OpndSreg:
 		return sregValue(o.Sreg)
 	case ptx.OpndSym:
@@ -300,40 +307,46 @@ func operandValue(st regState, o *ptx.Operand) value {
 
 // step applies the instruction to the state: the value it assigns to its
 // destination, and unknown to every further register a vector load
-// writes.
-func step(st regState, in *ptx.Instr) {
+// writes, for each of them the solve tracks.
+func (a *affineSolve) step(st regState, in *ptx.Instr) {
 	if !in.HasDst || in.Dst.Kind != ptx.OpndReg {
 		return
 	}
-	v := evalInstr(st, in)
+	var v value
+	dst := a.slot[in.Dst.Num]
+	if dst >= 0 {
+		v = a.evalInstr(st, in)
+	}
 	in.Defs(func(r int32) {
-		if r != in.Dst.Num {
-			st[r] = guarded(st, in, r, unknownV(false))
-			st[r].held = true
+		if k := a.slot[r]; r != in.Dst.Num && k >= 0 {
+			st[k] = a.guarded(st, in, k, unknownV(false))
+			st[k].held = true
 		}
 	})
-	v.held = true
-	st[in.Dst.Num] = v
+	if dst >= 0 {
+		v.held = true
+		st[dst] = v
+	}
 }
 
-// guarded is the value a register holds after a definition of v under
-// the instruction's guard: the old value may survive, and the selected
-// value depends on the predicate.
-func guarded(st regState, in *ptx.Instr, r int32, v value) value {
+// guarded is the value the register in slot k holds after a definition
+// of v under the instruction's guard: the old value may survive, and the
+// selected value depends on the predicate.
+func (a *affineSolve) guarded(st regState, in *ptx.Instr, k int32, v value) value {
 	if in.Guard == nil {
 		return v
 	}
-	v = joinValue(st[r], v)
-	v.taint = v.taint || st[in.Guard.Num].taint
+	v = joinValue(st[k], v)
+	v.taint = v.taint || st[a.slot[in.Guard.Num]].taint
 	return v
 }
 
 // evalInstr computes the abstract value the instruction assigns to its
 // destination register.
-func evalInstr(st regState, in *ptx.Instr) value {
+func (a *affineSolve) evalInstr(st regState, in *ptx.Instr) value {
 	arg := func(i int) value {
 		if i < len(in.Args) {
-			return operandValue(st, &in.Args[i])
+			return a.operandValue(st, &in.Args[i])
 		}
 		return unknownV(false)
 	}
@@ -343,8 +356,8 @@ func evalInstr(st regState, in *ptx.Instr) value {
 		v = arg(0)
 	case ptx.OpLd:
 		if in.Space == ptx.SpaceParam {
-			if a, ok := in.AddrOperand(); ok && a.Sym != "" {
-				v = termV(term{kind: termParam, name: fmt.Sprintf("%s+%d", a.Sym, a.Off)}, false)
+			if o, ok := in.AddrOperand(); ok && o.Sym != "" {
+				v = termV(term{kind: termParam, name: fmt.Sprintf("%s+%d", o.Sym, o.Off)}, false)
 				break
 			}
 		}
@@ -377,8 +390,7 @@ func evalInstr(st regState, in *ptx.Instr) value {
 		// Identity under the documented no-32-bit-overflow assumption.
 		v = arg(0)
 	case ptx.OpSelp:
-		a, b := arg(0), arg(1)
-		v = joinValue(a, b)
+		v = joinValue(arg(0), arg(1))
 		v.taint = v.taint || arg(2).taint
 	case ptx.OpAtom:
 		// The destination is the old memory value: unknown provenance.
@@ -388,13 +400,13 @@ func evalInstr(st regState, in *ptx.Instr) value {
 		// special-register inputs so lint sees tid-derived predicates.
 		taint := false
 		for i := range in.Args {
-			if a := &in.Args[i]; a.Kind == ptx.OpndReg || a.Kind == ptx.OpndSreg {
-				taint = taint || operandValue(st, a).taint
+			if o := &in.Args[i]; o.Kind == ptx.OpndReg || o.Kind == ptx.OpndSreg {
+				taint = taint || a.operandValue(st, o).taint
 			}
 		}
 		v = unknownV(taint)
 	}
-	return guarded(st, in, in.Dst.Num, v)
+	return a.guarded(st, in, a.slot[in.Dst.Num], v)
 }
 
 // Affine holds the per-instruction results of the affine index analysis,
@@ -450,6 +462,14 @@ func markInfluence(c *kernel.CFG, bi int, mark []bool) {
 	}
 }
 
+// affineSolve is one solve of the affine problem: which instructions it
+// evaluates and the registers it tracks.
+type affineSolve struct {
+	eval []bool  // by instruction: evaluated
+	slot []int32 // by register number: its place in a regState, or -1
+	n    int     // registers tracked
+}
+
 // computeAffine solves the affine problem and records per-instruction
 // address values and guard taint. Each transfer records them for its
 // block, and a block's last transfer starts from its fixed-point entry
@@ -458,18 +478,17 @@ func markInfluence(c *kernel.CFG, bi int, mark []bool) {
 // Unreachable blocks are never transferred and keep unknown addresses.
 func computeAffine(c *kernel.CFG) *Affine {
 	out := &Affine{addr: make([]value, len(c.Instrs)), guardTaint: make([]bool, len(c.Instrs))}
-	nregs := len(c.Kernel.RegTab)
-	eval := addressSlice(c)
+	a := addressSlice(c)
 	SolveForward(c, Problem[regState]{
-		Entry: func() regState { return make(regState, nregs) },
+		Entry: func() regState { return make(regState, a.n) },
 		Clone: slices.Clone[regState],
 		Join:  joinRegState,
 		Transfer: func(b *kernel.Block, in regState) regState {
 			st := slices.Clone(in)
 			for i := b.Start; i < b.End; i++ {
-				out.record(st, i, c.Instrs[i])
-				if eval[i] {
-					step(st, c.Instrs[i])
+				a.record(out, st, i, c.Instrs[i])
+				if a.eval[i] {
+					a.step(st, c.Instrs[i])
 				}
 			}
 			return st
@@ -479,12 +498,13 @@ func computeAffine(c *kernel.CFG) *Affine {
 	return out
 }
 
-// addressSlice reports which instructions the affine solve evaluates:
-// those that define a register an address or a guard depends on. The
-// solve's results are addresses and guard taint, and a register's value
-// is read only by the definitions of the registers it feeds, so the rest
-// — most arithmetic of most kernels — cannot change them.
-func addressSlice(c *kernel.CFG) []bool {
+// addressSlice finds what the affine solve evaluates: the instructions
+// that define a register an address or a guard depends on. The solve's
+// results are addresses and guard taint, and a register's value is read
+// only by the definitions of the registers it feeds, so the rest — most
+// arithmetic of most kernels — cannot change them, and the registers
+// only the rest read need no slot.
+func addressSlice(c *kernel.CFG) *affineSolve {
 	want := make([]bool, len(c.Kernel.RegTab)) // a result depends on the register
 	eval := make([]bool, len(c.Instrs))
 	for _, in := range c.Instrs {
@@ -519,20 +539,28 @@ func addressSlice(c *kernel.CFG) []bool {
 			}
 		}
 	}
-	return eval
+	a := &affineSolve{eval: eval, slot: make([]int32, len(want))}
+	for r, w := range want {
+		a.slot[r] = -1
+		if w {
+			a.slot[r] = int32(a.n)
+			a.n++
+		}
+	}
+	return a
 }
 
 // record notes instruction i's guard taint and address value in state st.
-func (a *Affine) record(st regState, i int, in *ptx.Instr) {
+func (a *affineSolve) record(out *Affine, st regState, i int, in *ptx.Instr) {
 	if in.Guard != nil {
-		a.guardTaint[i] = st[in.Guard.Num].taint
+		out.guardTaint[i] = st[a.slot[in.Guard.Num]].taint
 	}
 	if o, ok := in.AddrOperand(); ok {
 		switch {
 		case o.Reg != "":
-			a.addr[i] = addV(st[o.Num], constV(o.Off))
+			out.addr[i] = addV(st[a.slot[o.Num]], constV(o.Off))
 		case o.Sym != "":
-			a.addr[i] = addV(termV(term{kind: termSym, name: o.Sym}, false), constV(o.Off))
+			out.addr[i] = addV(termV(term{kind: termSym, name: o.Sym}, false), constV(o.Off))
 		}
 	}
 }

@@ -48,8 +48,8 @@ func TestAffineGtidAddress(t *testing.T) {
 		t.Fatalf("terms = %v, want %v", v.terms, want)
 	}
 	for tm, co := range want {
-		if v.terms[tm] != co {
-			t.Errorf("coeff(%v) = %d, want %d (value %v)", tm, v.terms[tm], co, v)
+		if v.coeff(tm) != co {
+			t.Errorf("coeff(%v) = %d, want %d (value %v)", tm, v.coeff(tm), co, v)
 		}
 	}
 	if !v.taint {
@@ -138,7 +138,7 @@ func TestAffineShlAndSub(t *testing.T) {
 	for i, in := range c.Instrs {
 		if in.Op == ptx.OpSt {
 			v := aff.addr[i]
-			if !v.affine || v.c != -8 || v.terms[term{kind: termTid, axis: 0}] != 8 {
+			if !v.affine || v.c != -8 || v.coeff(term{kind: termTid, axis: 0}) != 8 {
 				t.Errorf("address = %v, want out + 8*tid.x - 8", v)
 			}
 		}
@@ -170,4 +170,14 @@ func TestAffineNonAffineOp(t *testing.T) {
 			}
 		}
 	}
+}
+
+// coeff returns the coefficient of term t in v, zero when v lacks it.
+func (v value) coeff(t term) int64 {
+	for _, tc := range v.terms {
+		if tc.t == t {
+			return tc.co
+		}
+	}
+	return 0
 }

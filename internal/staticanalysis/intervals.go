@@ -182,13 +182,7 @@ func RaceCandidates(a *Analysis) []Candidate {
 		atomic bool
 	}
 	var sites []site
-	idxs := make([]int, 0, len(a.Class))
-	for i := range a.Class {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		k := a.Class[i]
+	for i, k := range a.Class {
 		if !k.IsMemory() {
 			continue
 		}
@@ -306,8 +300,8 @@ func pairAlias(a *Analysis, i, j int) (aliasVerdict, string) {
 	if !oka || !okb {
 		return aliasMay, "unknown address"
 	}
-	if sa.sig != sb.sig {
-		if len(sa.syms) > 0 && len(sb.syms) > 0 && !symsIntersect(sa.syms, sb.syms) {
+	if !sa.sameBase(&sb) {
+		if !symsIntersect(sa.syms(), sb.syms()) {
 			return aliasNo, ""
 		}
 		return aliasMay, "distinct bases may alias"
@@ -375,10 +369,7 @@ func siteDecomp(a *Analysis, i int) (siteInfo, bool) {
 	} else {
 		s, ok = sharedSite(v)
 	}
-	if !ok || len(s.syms) == 0 {
-		return siteInfo{}, false
-	}
-	if s.form == formOther {
+	if !ok || !s.anchored() || s.form == formOther {
 		return siteInfo{}, false
 	}
 	s.idx = i

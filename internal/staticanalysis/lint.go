@@ -276,7 +276,7 @@ func sharedThreadPrivate(a *Analysis, i int) bool {
 	if s.delta < 0 || s.delta+int64(s.bytes) > s.stride {
 		return false
 	}
-	sym := s.syms[0]
+	sym := s.base[0].t.name
 	for j, k := range a.Class {
 		if !k.Writes() || a.CFG.Instrs[j].Space != ptx.SpaceShared {
 			continue
@@ -285,7 +285,7 @@ func sharedThreadPrivate(a *Analysis, i int) bool {
 		if !ok {
 			return false // unknown shared write: could hit any slot
 		}
-		if w.syms[0] != sym {
+		if w.base[0].t.name != sym {
 			continue // distinct shared arrays do not alias
 		}
 		if w.form != formStrided || w.stride != s.stride ||

@@ -1,12 +1,14 @@
 package staticanalysis
 
 import (
+	"slices"
+
 	"barracuda/internal/kernel"
 	"barracuda/internal/ptx"
 	"barracuda/internal/trace"
 )
 
-// LogOnceSites returns the instruction indices of memory sites the
+// LogOnceSites marks, by instruction index, the memory sites the
 // producer-side filter may elide statically (instrument marks them as
 // ptx.Instr.LogOnce). A site qualifies when every dynamic repeat within
 // one synchronization interval is provably an exact duplicate of the
@@ -28,10 +30,11 @@ import (
 //
 // The result is a hint: eliding a marked site is sound only under the
 // runtime checks the simulator applies (same generation, no intervening
-// global writes, same mask, matching first-lane address). A nil aff is
-// computed here, and only when some read sits in a quiet loop: most
-// kernels have none, and then the affine analysis never runs.
-func LogOnceSites(c *kernel.CFG, class map[int]trace.OpKind, aff *Affine) map[int]bool {
+// global writes, same mask, matching first-lane address). It is nil when
+// no site qualifies. A nil aff is computed here, and only when some read
+// sits in a quiet loop: most kernels have none, and then the affine
+// analysis never runs.
+func LogOnceSites(c *kernel.CFG, class []trace.OpKind, aff *Affine) []bool {
 	if len(c.Blocks) == 0 {
 		return nil
 	}
@@ -50,66 +53,65 @@ func LogOnceSites(c *kernel.CFG, class map[int]trace.OpKind, aff *Affine) map[in
 	}
 	// Mark blocks inside at least one all-quiet natural loop. Back edge:
 	// an edge u->h where h dominates u; the loop body is h plus every
-	// block that reaches u without passing through h.
+	// block that reaches u without passing through h. body lists a loop's
+	// blocks, and stamp marks them with the back edge's number, so nothing
+	// is cleared between loops.
 	inQuiet := make([]bool, len(c.Blocks))
+	stamp := make([]int, len(c.Blocks))
+	var body []int
+	edge := 0
 	for ui, u := range c.Blocks {
 		for _, h := range u.Succs {
 			if !c.Dominates(h, ui) {
 				continue
 			}
-			body := make(map[int]bool, 8)
-			body[h] = true
-			stack := []int{}
-			if !body[ui] {
-				body[ui] = true
-				stack = append(stack, ui)
-			}
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, p := range c.Blocks[v].Preds {
-					if !body[p] {
-						body[p] = true
-						stack = append(stack, p)
-					}
+			edge++
+			add := func(v int) {
+				if stamp[v] != edge {
+					stamp[v] = edge
+					body = append(body, v)
 				}
 			}
-			allQuiet := true
-			for v := range body {
-				if !quiet[v] {
-					allQuiet = false
-					break
+			body = body[:0]
+			add(h)
+			add(ui)
+			for j := 1; j < len(body); j++ { // h's predecessors stay out
+				for _, p := range c.Blocks[body[j]].Preds {
+					add(p)
 				}
 			}
-			if allQuiet {
-				for v := range body {
+			if !slices.ContainsFunc(body, func(v int) bool { return !quiet[v] }) {
+				for _, v := range body {
 					inQuiet[v] = true
 				}
 			}
 		}
 	}
-	var out map[int]bool
+	// The candidates: plain, unguarded global reads in quiet loops.
+	var out []bool
 	for i, kind := range class {
-		if kind != trace.OpRead {
-			continue
-		}
 		in := c.Instrs[i]
-		if in.Space != ptx.SpaceGlobal || in.Guard != nil {
-			continue
-		}
-		if !inQuiet[c.BlockOf[i]] {
-			continue
-		}
-		if aff == nil {
-			aff = computeAffine(c)
-		}
-		if !aff.AddrKnown(i) {
+		if kind != trace.OpRead || in.Space != ptx.SpaceGlobal || in.Guard != nil || !inQuiet[c.BlockOf[i]] {
 			continue
 		}
 		if out == nil {
-			out = make(map[int]bool)
+			out = make([]bool, len(c.Instrs))
 		}
 		out[i] = true
+	}
+	if out == nil {
+		return nil
+	}
+	if aff == nil {
+		aff = computeAffine(c)
+	}
+	found := false
+	for i, cand := range out {
+		out[i] = cand && aff.AddrKnown(i)
+		found = found || out[i]
+	}
+	if !found {
+		return nil
 	}
 	return out
 }

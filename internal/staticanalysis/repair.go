@@ -303,7 +303,7 @@ func addrSyms(a *Analysis, i int) []string {
 	if !ok {
 		return nil
 	}
-	return s.syms
+	return s.syms()
 }
 
 func joinNotes(notes []string) string {

@@ -27,7 +27,7 @@ import (
 // Analysis bundles the static-analysis results for one kernel CFG.
 type Analysis struct {
 	CFG    *kernel.CFG
-	Class  map[int]trace.OpKind
+	Class  []trace.OpKind // by flat instruction index (trace.Classify)
 	Affine *Affine
 	Prune  *PruneResult
 }
@@ -38,7 +38,7 @@ func Analyze(c *kernel.CFG) *Analysis { return AnalyzeCFG(c, trace.Classify(c)) 
 
 // AnalyzeCFG runs the pipeline with a caller-provided trace
 // classification (the instrumenter already has one).
-func AnalyzeCFG(c *kernel.CFG, class map[int]trace.OpKind) *Analysis {
+func AnalyzeCFG(c *kernel.CFG, class []trace.OpKind) *Analysis {
 	aff := computeAffine(c)
 	return &Analysis{
 		CFG:    c,

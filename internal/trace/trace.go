@@ -180,12 +180,13 @@ func fenceScope(in *ptx.Instr) (isFence, global bool) {
 	return true, in.Level == "gl" || in.Level == "sys"
 }
 
-// Classify maps each memory/barrier instruction index of the CFG's flat
-// instruction stream to the trace operation it should log. Fence
-// instructions themselves map to nothing: their effect is folded into the
-// adjacent access. Adjacency is static within a basic block.
-func Classify(c *kernel.CFG) map[int]OpKind {
-	out := make(map[int]OpKind)
+// Classify gives each instruction of the CFG's flat instruction stream,
+// by index, the trace operation it should log: OpNone for everything but
+// memory accesses and barriers. Fence instructions themselves map to
+// nothing: their effect is folded into the adjacent access. Adjacency is
+// static within a basic block.
+func Classify(c *kernel.CFG) []OpKind {
+	out := make([]OpKind, len(c.Instrs))
 	ins := c.Instrs
 	// prevInBlock / nextInBlock respect basic-block boundaries: a fence in
 	// a different block is not "immediately" adjacent in static code.

@@ -7,7 +7,7 @@ import (
 	"barracuda/internal/ptx"
 )
 
-func classify(t *testing.T, body string) (map[int]OpKind, *kernel.CFG) {
+func classify(t *testing.T, body string) ([]OpKind, *kernel.CFG) {
 	t.Helper()
 	src := `.visible .entry k(.param .u64 p) {
 	.reg .u32 %r<8>;
@@ -29,7 +29,7 @@ func classify(t *testing.T, body string) (map[int]OpKind, *kernel.CFG) {
 
 // kindAt returns the classification of the instruction with the given
 // opcode occurrence (0-based) in the stream.
-func kindAt(c *kernel.CFG, m map[int]OpKind, op ptx.Op, occurrence int) OpKind {
+func kindAt(c *kernel.CFG, m []OpKind, op ptx.Op, occurrence int) OpKind {
 	n := 0
 	for i, in := range c.Instrs {
 		if in.Op == op {
