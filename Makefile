@@ -5,7 +5,7 @@ GO ?= go
 # Everything CI runs, in order: `make ci` here, one `run: make <target>`
 # step each in .github/workflows/ci.yml (ci-in-sync holds the two lists
 # together), so a command is written once, in this file.
-CI_TARGETS := build vet fmt-check one-forward-path one-way-in ci-in-sync loc test race \
+CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector ci-in-sync loc test race \
 	bench-e2e-smoke vet-smoke vet-fix-smoke artifacts-smoke stress-interp stress-span \
 	stress-ownership stress-refine stress-filter stress-drain stress-multiqueue \
 	stress-failover stress-stream stress-fleet
@@ -38,6 +38,15 @@ one-forward-path:
 one-way-in:
 	@if grep -nE 'repairOnLease\(|\.DetectObserved\(' $$(ls internal/server/*.go | grep -vE '_test\.go$$|/scheduler\.go$$') | grep -v 'func repairOnLease('; then \
 		echo "internal/server launches a kernel outside scheduler.go: every launch goes in through Scheduler.SubmitTenant"; exit 1; fi
+
+# The daemon runs one detector: no request, wire payload or cache key
+# carries detector configuration, so outside tests internal/server,
+# internal/wire and internal/fleet name detector.Config once, where
+# ModCache opens a module. Any other mention is a per-job config grown back.
+one-detector:
+	@if grep -nE 'detector\.Config\b' $$(ls internal/server/*.go internal/wire/*.go internal/fleet/*.go | grep -v '_test\.go$$') \
+		| grep -vE '^internal/server/modcache\.go:[0-9]+:[[:space:]]+e\.sess, e\.err = detector\.OpenPTX\(src, detector\.Config\{\}\)$$'; then \
+		echo "internal/server, internal/wire or internal/fleet names detector.Config outside ModCache's one OpenPTX: the daemon runs Config{} on every job"; exit 1; fi
 
 # The workflow is a list of targets and nothing else: its `run:` lines are
 # `make <target>` for exactly CI_TARGETS, in order.

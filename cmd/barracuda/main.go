@@ -21,7 +21,10 @@
 // -ownership enables the adaptive exclusive-ownership shadow tier;
 // -shadow-cap bounds resident shadow memory (LRU eviction, honest
 // degraded-precision reporting). Both preserve byte-identical race
-// reports while no live state is evicted.
+// reports while no live state is evicted. They and the other detector
+// ablations (-queues, -granularity, -fullvc, -staticprune,
+// -producer-filter), like -profile, run locally only: a daemon runs one
+// detector, the default configuration, on every job.
 package main
 
 import (
@@ -49,7 +52,7 @@ func main() {
 	}
 	var o runOpts
 	req := &o.req
-	cfg := &o.req.Config
+	cfg := &o.cfg
 	flag.StringVar(&o.ptxPath, "ptx", "", "PTX source file to analyze")
 	flag.StringVar(&o.fatbinPath, "fatbin", "", "fat binary file to analyze (its PTX is extracted)")
 	flag.StringVar(&req.Bench, "bench", "", "run a named built-in benchmark instead")
@@ -75,7 +78,13 @@ func main() {
 	var (
 		status int
 		err    error
+		local  string // the first flag set that a daemon does not take
 	)
+	flag.Visit(func(f *flag.Flag) {
+		if localOnly[f.Name] && local == "" {
+			local = f.Name
+		}
+	})
 	if req.Buffers, err = parseBufs(*bufs); err == nil {
 		err = o.resolve()
 	}
@@ -85,8 +94,8 @@ func main() {
 		err = fmt.Errorf("-stream requires -server")
 	case *serverURL == "":
 		status, err = run(os.Stdout, o)
-	case o.profile:
-		err = fmt.Errorf("-profile runs locally only")
+	case local != "":
+		err = fmt.Errorf("-%s runs locally only", local)
 	case *streamF:
 		status, err = streamRun(os.Stdout, o, *serverURL, *apiKey)
 	default:
@@ -97,6 +106,13 @@ func main() {
 		os.Exit(1)
 	}
 	os.Exit(status)
+}
+
+// localOnly names the flags of the local road alone: the detector
+// ablations, which bind to runOpts.cfg, and -profile.
+var localOnly = map[string]bool{
+	"queues": true, "granularity": true, "fullvc": true, "staticprune": true,
+	"ownership": true, "producer-filter": true, "shadow-cap": true, "profile": true,
 }
 
 // parseBufs reads -bufs, once, for every road.
@@ -116,10 +132,12 @@ func parseBufs(list string) ([]int, error) {
 }
 
 // runOpts is one invocation: the launch as a job request — the flags bind
-// to its fields — and what only this process needs to know.
+// to its fields — and what only this process needs to know, the detector
+// configuration among it.
 type runOpts struct {
 	ptxPath, fatbinPath string
 	req                 server.JobRequest
+	cfg                 detector.Config
 	profile, verbose    bool
 }
 
@@ -162,7 +180,7 @@ func (o *runOpts) resolve() error {
 // run is the local road; it returns the exit status (see printReport).
 func run(w io.Writer, o runOpts) (int, error) {
 	req := o.req
-	s, err := detector.OpenPTX(req.PTX, req.Config)
+	s, err := detector.OpenPTX(req.PTX, o.cfg)
 	if err != nil {
 		return 0, err
 	}

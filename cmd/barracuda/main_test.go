@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -97,7 +98,7 @@ func TestEveryRoadPrintsTheSameReport(t *testing.T) {
 		} else {
 			tc.file = "-bench " + tc.req.Bench
 		}
-		o.req.Config.Queues, o.req.Config.Granularity, o.req.MaxInstrs = 1, 1, 1<<24
+		o.cfg.Queues, o.cfg.Granularity, o.req.MaxInstrs = 1, 1, 1<<24
 		if err := o.resolve(); err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
@@ -216,6 +217,43 @@ func TestFatbinIsItsPTX(t *testing.T) {
 	var out bytes.Buffer
 	if status, err := run(&out, o); err != nil || status != 2 || !strings.Contains(out.String(), "intra-block race on global memory at 0x10000") {
 		t.Errorf("status %d, err %v:\n%s", status, err, out.String())
+	}
+}
+
+// TestMain runs the command itself when the test binary is re-executed
+// with BARRACUDA_MAIN set, so a test can check what main prints and the
+// status it exits with.
+func TestMain(m *testing.M) {
+	if os.Getenv("BARRACUDA_MAIN") != "" {
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// TestAblationFlagsRunLocallyOnly: a daemon runs one detector, so the
+// flags that configure it are refused with -server, before anything is
+// sent, the way -profile is; locally they still apply.
+func TestAblationFlagsRunLocallyOnly(t *testing.T) {
+	barracuda := func(args ...string) (string, int) {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "BARRACUDA_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		return string(out), cmd.ProcessState.ExitCode()
+	}
+	// Nothing listens on this URL: a request sent there would fail otherwise.
+	for _, flag := range []string{"-fullvc", "-queues=4", "-shadow-cap=1024", "-profile"} {
+		out, status := barracuda("-server", "http://127.0.0.1:1", flag, "-bench", "hashtable")
+		name := strings.SplitN(flag, "=", 2)[0]
+		if status != 1 || !strings.Contains(out, "barracuda: "+name+" runs locally only") {
+			t.Errorf("-server %s: exit %d, printed %q; want exit 1 and %q", flag, status, out, name+" runs locally only")
+		}
+	}
+	if out, status := barracuda("-fullvc", "-bench", "hashtable"); status != 2 || !strings.Contains(out, "kernel main: 510 warp instructions, 82 records") {
+		t.Errorf("-fullvc locally: exit %d, printed\n%s", status, out)
 	}
 }
 

@@ -12,13 +12,12 @@
 //	curl -s 'localhost:8321/jobs/job-1?wait_ms=5000'
 //	curl -s localhost:8321/metrics
 //
-// Per-job detector knobs ride in the request's "config" object and are
-// hashed into the module cache key, including the adaptive-shadow pair:
-// "ownership" (exclusive-ownership fast path) and "shadow_cap_bytes"
-// (LRU-bounded resident shadow; jobs whose cap discarded live state
-// come back with "precision_degraded": true and per-job shadow stats in
-// the result's "shadow" object). Aggregated shadow pressure is exposed
-// on /metrics and in fleet heartbeats.
+// The daemon runs one detector, the default configuration, on every job:
+// no request carries detector knobs (a body with a "config" object is a
+// 400 naming the field), and the module cache is keyed on the source
+// alone. The ablations are the local barracuda CLI's flags. Per-job
+// shadow stats ride the result's "shadow" object; aggregated shadow
+// pressure is exposed on /metrics and in fleet heartbeats.
 //
 // Besides the JSON job API, the daemon serves the binary streaming
 // protocol on GET /v1/stream (HTTP upgrade; see internal/wire): chunked

@@ -36,7 +36,7 @@ import (
 //
 // The digest keeps the latter two (goldens record their bytes); the suites
 // that compare digests across queue counts drop them from global lines
-// (bugsuite's provableDigest, server's queueProvable).
+// (bugsuite's provableDigest, bench's queueProvable).
 //
 // Orientation (which side was "previous" vs "current") is normalized
 // away: for a cross-queue pair it depends only on scheduling. The Block

@@ -26,9 +26,10 @@ import (
 )
 
 // Config tunes the pipeline. It is the one definition of the detector's
-// knobs: the JSON job API (server.JobRequest.Config) and the binary
-// protocol (wire.LaunchSpec.Config) carry this struct directly, the JSON
-// tags are the API's field names, and Validate owns every field's range.
+// knobs, and Validate owns every field's range. The knobs are the paper's
+// ablations: the library, the bench harness and the local barracuda CLI
+// set them; the daemon runs every job under Config{} and takes none from
+// a request.
 type Config struct {
 	// Queues is the number of GPU→CPU event queues (and host detector
 	// threads). 1 (the default) gives deterministic detection; the
@@ -43,7 +44,7 @@ type Config struct {
 	// values below 4 cost nothing on word-only code; 4 and above trade
 	// precision for speed.
 	Granularity int `json:"granularity,omitempty"`
-	// MaxRaces bounds distinct race reports (default 1024).
+	// MaxRaces bounds distinct race reports (default DefaultMaxRaces).
 	MaxRaces int `json:"max_races,omitempty"`
 	// FullVC selects the uncompressed vector-clock ablation detector.
 	FullVC bool `json:"full_vc,omitempty"`
@@ -95,8 +96,12 @@ const (
 	BoundQueueCap    = 1 << 16 // records per queue; the default is 4096
 	BoundRingRecords = 1 << 18 // Queues×QueueCap after defaults: 140 MiB of ring
 	BoundGranularity = 1 << 16 // bytes per shadow cell: one cell per shadow page
-	BoundMaxRaces    = 1 << 16 // distinct race reports; the default is 1024
+	BoundMaxRaces    = 1 << 16 // distinct race reports; the default is DefaultMaxRaces
 )
+
+// DefaultMaxRaces is MaxRaces left at zero: the most distinct races one
+// run reports, and so the most a streaming client is sent.
+const DefaultMaxRaces = 1024
 
 // Upper bounds of a launch from outside input. The detector sizes a warp
 // table per launch and FullVC one clock per thread before the first record,
@@ -160,7 +165,7 @@ func (c Config) Validate() error {
 
 // WithDefaults returns the effective configuration: every zero-valued
 // sized knob replaced by its default. Two configs that run identically
-// compare (and hash, see server.CacheKey) equal after it.
+// compare equal after it.
 func (c Config) WithDefaults() Config {
 	if c.Queues <= 0 {
 		c.Queues = 1
@@ -172,7 +177,7 @@ func (c Config) WithDefaults() Config {
 		c.Granularity = 1
 	}
 	if c.MaxRaces <= 0 {
-		c.MaxRaces = 1024
+		c.MaxRaces = DefaultMaxRaces
 	}
 	return c
 }

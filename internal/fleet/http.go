@@ -376,7 +376,7 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// A bench job is keyed, stored and forwarded as the PTX job it names.
 	req = req.Resolved()
-	key := server.CacheKey(req.PTX, req.Config)
+	key := server.CacheKey(req.PTX)
 
 	id := h.jobs.Reserve()
 	pj := &proxyJob{id: id, status: server.StatusQueued, done: make(chan struct{}), reqCopy: req}

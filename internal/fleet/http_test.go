@@ -7,10 +7,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"barracuda/internal/detector"
 	"barracuda/internal/server"
 	"barracuda/internal/wire"
 )
@@ -134,9 +136,14 @@ func (f *testFleet) waitNodes(n int) {
 	}
 }
 
-func (f *testFleet) submit(req server.JobRequest) (int, FleetJobInfo, server.ErrorJSON) {
+// submit posts req, a server.JobRequest or a raw JSON body, to the
+// coordinator's /jobs.
+func (f *testFleet) submit(req any) (int, FleetJobInfo, server.ErrorJSON) {
 	f.t.Helper()
-	body, _ := json.Marshal(req)
+	body, ok := req.([]byte)
+	if !ok {
+		body, _ = json.Marshal(req)
+	}
 	resp, err := http.Post(f.coordTS.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		f.t.Fatal(err)
@@ -289,6 +296,36 @@ func TestFleetSubmitValidation(t *testing.T) {
 	code, _, errj = f.submit(req)
 	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument {
 		t.Fatalf("bad class: %d code %q", code, errj.Code)
+	}
+	// The fleet runs one detector: configuration is a field no job has.
+	body, _ := json.Marshal(racyJob())
+	code, _, errj = f.submit(append(body[:len(body)-1], `,"config":{"full_vc":true}}`...))
+	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, `"config"`) {
+		t.Fatalf("a job with a \"config\": %d %+v, want 400 invalid_argument naming the field", code, errj)
+	}
+	code, info, errj := f.submit(racyJob())
+	if code != http.StatusAccepted {
+		t.Fatalf("the next job: %d %+v", code, errj)
+	}
+	res := f.wait(info.ID)
+	if res.Status != server.StatusDone || res.Worker == nil || res.Worker.Result == nil {
+		t.Fatalf("the next job: %+v", res)
+	}
+	rep, err := res.Worker.Result.CoreReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := detector.OpenPTX(racySrc, detector.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	lib, err := s.Detect("k", detector.Launch1D(1, 32, []uint64{s.Dev.MustAlloc(4)}, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.CanonicalDigest(), lib.Report.CanonicalDigest(); got != want {
+		t.Errorf("the next job reported\n%s\nthe library\n%s", got, want)
 	}
 }
 

@@ -4,32 +4,23 @@ import (
 	"fmt"
 	"sort"
 
-	"barracuda/internal/detector"
 	"barracuda/internal/instrument"
 	"barracuda/internal/staticanalysis"
 )
 
 // AnalyzeRequest asks for static analysis only (POST /v1/analyze): lint
 // diagnostics plus instrumentation-pruning statistics, with no kernel
-// launch. Exactly one of PTX or Bench selects the module. The config is
-// used for session caching (the same warm entry later serves detection
-// jobs); the analysis itself is configuration-independent.
+// launch. Exactly one of PTX or Bench selects the module, whose warm
+// session then serves detection jobs on the same source too.
 type AnalyzeRequest struct {
-	PTX    string          `json:"ptx,omitempty"`
-	Bench  string          `json:"bench,omitempty"`
-	Config detector.Config `json:"config"`
+	PTX   string `json:"ptx,omitempty"`
+	Bench string `json:"bench,omitempty"`
 }
 
 // Validate checks the payload shape; the server maps errors to 400.
 // Like JobRequest.Validate, every error names the offending JSON field.
 func (r *AnalyzeRequest) Validate() error {
-	if err := checkModule("analyze", r.PTX, r.Bench); err != nil {
-		return err
-	}
-	if err := r.Config.Validate(); err != nil {
-		return fmt.Errorf("analyze: field \"config\": %w", err)
-	}
-	return nil
+	return checkModule("analyze", r.PTX, r.Bench)
 }
 
 // DiagnosticJSON is one lint finding with its PTX source position.
@@ -79,15 +70,15 @@ func kernelStaticJSON(name string, s instrument.KernelStats) KernelStaticJSON {
 }
 
 // Analyze resolves the module, leases its warm session (building one on a
-// miss — the same entry then serves detection jobs for this source and
-// config), and returns lint diagnostics plus pruning statistics. The
-// analysis result is computed once per cache entry and memoized on it:
-// both it and the lint verdicts depend only on the PTX source.
+// miss — the same entry then serves detection jobs on this source), and
+// returns lint diagnostics plus pruning statistics. The analysis result is
+// computed once per cache entry and memoized on it: both it and the lint
+// verdicts depend only on the PTX source.
 func (s *Scheduler) Analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	lease, _, err := s.cache.Acquire(moduleSource(req.PTX, req.Bench), req.Config)
+	lease, _, err := s.cache.Acquire(moduleSource(req.PTX, req.Bench))
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,9 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"barracuda/internal/detector"
 )
 
 // divergentSrc has a bar.sync reachable only under a tid-dependent guard.
@@ -44,20 +40,9 @@ const stridedAnalyzeSrc = `.visible .entry k(.param .u64 out)
 
 func postAnalyze(t *testing.T, ts *httptest.Server, req AnalyzeRequest) (int, AnalyzeResponse, ErrorJSON) {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var out AnalyzeResponse
-	var errj ErrorJSON
-	if resp.StatusCode == http.StatusOK {
-		json.NewDecoder(resp.Body).Decode(&out)
-	} else {
-		json.NewDecoder(resp.Body).Decode(&errj)
-	}
-	return resp.StatusCode, out, errj
+	code, errj := post(t, ts.URL+"/v1/analyze", req, &out)
+	return code, out, errj
 }
 
 func TestAnalyzeEndpoint(t *testing.T) {
@@ -116,12 +101,17 @@ func TestAnalyzeRejectsBadPayloads(t *testing.T) {
 		{}, // neither ptx nor bench
 		{PTX: racySrc, Bench: "lockhashtable"},
 		{Bench: "no-such-bench"},
-		{PTX: racySrc, Config: detector.Config{NoPrune: true, StaticPrune: true}},
 		{PTX: "not ptx at all"},
 	} {
 		code, _, errj := postAnalyze(t, ts, req)
 		if code != http.StatusBadRequest || errj.Error == "" {
 			t.Errorf("req %+v: status = %d, error = %q, want 400", req, code, errj.Error)
 		}
+	}
+	code, errj := post(t, ts.URL+"/v1/analyze", withConfig(AnalyzeRequest{PTX: racySrc}), nil)
+	refusesConfig(t, "POST /v1/analyze", code, errj)
+	// The refusal built no session: the next analysis is a cold one.
+	if code, res, errj := postAnalyze(t, ts, AnalyzeRequest{PTX: racySrc}); code != http.StatusOK || res.CacheHit {
+		t.Errorf("analysis after the refusal: %d %+v %+v, want 200 and a cache miss", code, res, errj)
 	}
 }

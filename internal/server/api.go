@@ -43,9 +43,6 @@ type JobRequest struct {
 	// Buffers are byte sizes of zeroed global buffers allocated (or
 	// reused, for cached modules) and passed as u64 kernel arguments.
 	Buffers []int `json:"buffers,omitempty"`
-	// Config tunes the detector; its JSON field names are
-	// detector.Config's tags.
-	Config detector.Config `json:"config"`
 	// TimeoutMS is the per-job wall-clock budget (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxInstrs is the dynamic warp-instruction budget (0 = server
@@ -98,9 +95,6 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 	}
 	if r.Kind != "" && r.Kind != KindDetect && r.Kind != KindRepair {
 		return fmt.Errorf("job: field \"kind\": must be %q or %q, got %q", KindDetect, KindRepair, r.Kind)
-	}
-	if err := r.Config.Validate(); err != nil {
-		return fmt.Errorf("job: field \"config\": %w", err)
 	}
 	return nil
 }
@@ -207,7 +201,6 @@ func (r JobRequest) LaunchSpec(seq uint64) wire.LaunchSpec {
 		TimeoutMS: r.TimeoutMS,
 		MaxInstrs: r.MaxInstrs,
 		Buffers:   r.Buffers,
-		Config:    r.Config,
 		Kind:      r.Kind,
 	}
 }
@@ -222,7 +215,6 @@ func launchRequest(module string, spec wire.LaunchSpec) JobRequest {
 		TimeoutMS: spec.TimeoutMS,
 		MaxInstrs: spec.MaxInstrs,
 		Buffers:   spec.Buffers,
-		Config:    spec.Config,
 		Kind:      spec.Kind,
 	}
 }
@@ -290,20 +282,6 @@ type JobResult struct {
 	// over-reported from that point).
 	Shadow            *shadow.MemStats `json:"shadow,omitempty"`
 	PrecisionDegraded bool             `json:"precision_degraded,omitempty"`
-	// Filter reports the producer-side epoch filter's activity; present
-	// only when the job ran with producer_filter set (the counters are
-	// zero otherwise and the field is omitted).
-	Filter *FilterJSON `json:"filter,omitempty"`
-}
-
-// FilterJSON is the per-job producer-filter activity on the wire.
-// Suppressed is Hits + StaticElides: the records kept off the queue.
-type FilterJSON struct {
-	Probes       uint64 `json:"probes"`
-	Hits         uint64 `json:"hits"`
-	StaticElides uint64 `json:"static_elides"`
-	Flushes      uint64 `json:"flushes"`
-	Suppressed   uint64 `json:"suppressed_records"`
 }
 
 // JobInfo is the job envelope returned by the API.
@@ -343,7 +321,6 @@ type ErrorJSON struct {
 // durations are whole microseconds, as the frame has them.
 func summaryOf(kernel string, res *detector.Result) wire.Summary {
 	rep := res.Report
-	f := res.SimStats.Filter
 	return wire.Summary{
 		Kernel:             kernel,
 		Races:              rep.Races,
@@ -355,8 +332,6 @@ func summaryOf(kernel string, res *detector.Result) wire.Summary {
 		ShadowPeakResident: uint64(rep.Shadow.PeakResidentBytes),
 		ShadowLiveEvicts:   rep.Shadow.LiveEvictions,
 		PrecisionDegraded:  rep.PrecisionDegraded,
-		FilterSuppressed:   f.Suppressed(),
-		FilterFlushes:      f.Flushes,
 	}
 }
 
@@ -381,9 +356,6 @@ func resultFromSummary(sum wire.Summary) *JobResult {
 		PrecisionDegraded: sum.PrecisionDegraded,
 		Shadow:            &sh,
 	}
-	if sum.FilterSuppressed != 0 || sum.FilterFlushes != 0 {
-		res.Filter = &FilterJSON{Suppressed: sum.FilterSuppressed, Flushes: sum.FilterFlushes}
-	}
 	for _, r := range rep.Races {
 		res.Races = append(res.Races, RaceJSON{
 			Kind:      r.Kind.String(),
@@ -407,7 +379,7 @@ func resultFromSummary(sum wire.Summary) *JobResult {
 }
 
 // addWorkerExtras fills in what no SUMMARY frame carries: the simulator's
-// record count, the PTVC census, and the full shadow and filter blocks.
+// record count, the PTVC census, and the full shadow block.
 func (r *JobResult) addWorkerExtras(res *detector.Result) {
 	r.Records = res.SimStats.Records
 	if len(res.Formats) > 0 {
@@ -417,15 +389,6 @@ func (r *JobResult) addWorkerExtras(res *detector.Result) {
 		}
 	}
 	*r.Shadow = res.Report.Shadow
-	if f := res.SimStats.Filter; f != (gpusim.FilterStats{}) {
-		r.Filter = &FilterJSON{
-			Probes:       f.Probes,
-			Hits:         f.Hits,
-			StaticElides: f.StaticElides,
-			Flushes:      f.Flushes,
-			Suppressed:   f.Suppressed(),
-		}
-	}
 }
 
 // envelope is a summary's JobInfo without the result.

@@ -45,15 +45,14 @@ func TestDurationsAreWholeMicroseconds(t *testing.T) {
 }
 
 // TestWorkerAndFleetResultsShareOneBuilder: what a coordinator rebuilds
-// from the SUMMARY frame is the worker's own JSON result with the four
+// from the SUMMARY frame is the worker's own JSON result with the three
 // fields only the worker holds — records, ptvc_formats, and all of shadow
-// and filter but the counters the frame carries — left out, and nothing
-// else different.
+// but the counters the frame carries — left out, and nothing else
+// different.
 func TestWorkerAndFleetResultsShareOneBuilder(t *testing.T) {
 	sched := NewScheduler(SchedulerOptions{Workers: 1})
 	defer sched.Stop()
-	job, err := sched.Submit(JobRequest{PTX: loopReadSrc, Kernel: "k", Grid: 2, Block: 64, Buffers: []int{512, 512},
-		Config: detector.Config{ProducerFilter: true}})
+	job, err := sched.Submit(JobRequest{PTX: loopReadSrc, Kernel: "k", Grid: 2, Block: 64, Buffers: []int{512, 512}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,21 +67,21 @@ func TestWorkerAndFleetResultsShareOneBuilder(t *testing.T) {
 	}
 
 	w, f := *worker.Result, *fleet.Result
-	if w.Records == 0 || len(w.Formats) == 0 || w.Shadow.GlobalPages == 0 || w.Filter.Probes == 0 {
+	if w.Records == 0 || len(w.Formats) == 0 || w.Shadow.GlobalPages == 0 {
 		t.Fatalf("the worker's result lacks an extra: %+v", w)
 	}
-	if f.Records != 0 || f.Formats != nil || f.Shadow.GlobalPages != 0 || f.Filter.Probes != 0 {
+	if f.Records != 0 || f.Formats != nil || f.Shadow.GlobalPages != 0 {
 		t.Errorf("the fleet's result carries a worker-only field: %+v", f)
 	}
-	if f.Shadow.PeakResidentBytes != w.Shadow.PeakResidentBytes || f.Filter.Suppressed != w.Filter.Suppressed || f.Filter.Flushes != w.Filter.Flushes {
-		t.Errorf("the counters the frame carries differ: fleet %+v %+v, worker %+v %+v", f.Shadow, f.Filter, w.Shadow, w.Filter)
+	if f.Shadow.PeakResidentBytes != w.Shadow.PeakResidentBytes {
+		t.Errorf("the counters the frame carries differ: fleet %+v, worker %+v", f.Shadow, w.Shadow)
 	}
-	w.Records, w.Formats, w.Shadow, w.Filter = 0, nil, nil, nil
-	f.Shadow, f.Filter = nil, nil
+	w.Records, w.Formats, w.Shadow = 0, nil, nil
+	f.Shadow = nil
 	wb, _ := json.Marshal(w)
 	fb, _ := json.Marshal(f)
 	if string(wb) != string(fb) {
-		t.Errorf("beyond the four extras the results differ:\nworker %s\nfleet  %s", wb, fb)
+		t.Errorf("beyond the three extras the results differ:\nworker %s\nfleet  %s", wb, fb)
 	}
 }
 

@@ -2,12 +2,14 @@ package server
 
 import (
 	"net/http"
-	"reflect"
 	"testing"
+
+	"barracuda/internal/detector"
 )
 
 // loopReadSrc reads a per-thread global word in a tight barrier-free
-// loop — heavy producer-filter traffic, no races.
+// loop — heavy producer-filter traffic — then stores to a word per thread,
+// the same words from both blocks of a two-block launch.
 const loopReadSrc = `.visible .entry k(.param .u64 in, .param .u64 out)
 {
 	.reg .u32 %r<8>;
@@ -32,60 +34,44 @@ LOOP:
 	ret;
 }`
 
-// TestProducerFilterJob runs the same kernel with and without the
-// producer filter through the full HTTP surface: the reports must be
-// identical, the filtered job must surface its filter stats in the
-// result, and /metrics must accumulate them daemon-wide.
+// TestProducerFilterJob: the producer filter is a library and CLI knob.
+// A job that asks the daemon for detector configuration is refused,
+// naming the field, and the daemon's own job runs unfiltered — its
+// simulator record count is an unfiltered library run's, above a filtered
+// one's — and reports what the filtered run reports.
 func TestProducerFilterJob(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
-
 	req := JobRequest{PTX: loopReadSrc, Kernel: "k", Grid: 2, Block: 64, Buffers: []int{512, 512}}
-	code, base, _ := postJob(t, ts, req)
+	code, errj := post(t, ts.URL+"/jobs", withConfig(req), nil)
+	refusesConfig(t, "POST /jobs", code, errj)
+
+	code, info, errj := postJob(t, ts, req)
 	if code != http.StatusAccepted {
-		t.Fatalf("baseline submit: %d", code)
+		t.Fatalf("submit: %d %+v", code, errj)
 	}
-	baseInfo := waitJob(t, ts, base.ID)
-	if baseInfo.Status != StatusDone {
-		t.Fatalf("baseline job: %s (%s)", baseInfo.Status, baseInfo.Error)
+	job := waitJob(t, ts, info.ID)
+	library := func(cfg detector.Config) *detector.Result {
+		s, err := detector.OpenPTX(loopReadSrc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		args, err := s.AllocArgs(req.Buffers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Detect("k", detector.Launch1D(req.Grid, req.Block, args, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if baseInfo.Result.Filter != nil {
-		t.Errorf("unfiltered job carries filter stats: %+v", baseInfo.Result.Filter)
+	plain, filtered := library(detector.Config{}), library(detector.Config{ProducerFilter: true})
+	if got, want := jobDigest(t, job), filtered.Report.CanonicalDigest(); got != want {
+		t.Errorf("the job reported\n%s\na filtered library run\n%s", got, want)
 	}
-
-	req.Config.ProducerFilter = true
-	code, filt, _ := postJob(t, ts, req)
-	if code != http.StatusAccepted {
-		t.Fatalf("filtered submit: %d", code)
-	}
-	filtInfo := waitJob(t, ts, filt.ID)
-	if filtInfo.Status != StatusDone {
-		t.Fatalf("filtered job: %s (%s)", filtInfo.Status, filtInfo.Error)
-	}
-	if filtInfo.CacheHit {
-		t.Error("filtered job hit the unfiltered module cache entry (CacheKey ignores producer_filter)")
-	}
-
-	if !reflect.DeepEqual(baseInfo.Result.Races, filtInfo.Result.Races) {
-		t.Errorf("race lists diverged:\nbaseline: %+v\nfiltered: %+v",
-			baseInfo.Result.Races, filtInfo.Result.Races)
-	}
-	if baseInfo.Result.RecordsSeen != filtInfo.Result.RecordsSeen {
-		t.Errorf("RecordsSeen diverged: baseline %d, filtered %d",
-			baseInfo.Result.RecordsSeen, filtInfo.Result.RecordsSeen)
-	}
-	f := filtInfo.Result.Filter
-	if f == nil {
-		t.Fatal("filtered job result carries no filter stats")
-	}
-	if f.Suppressed == 0 || f.Suppressed != f.Hits+f.StaticElides {
-		t.Errorf("implausible filter stats: %+v", f)
-	}
-	if filtInfo.Result.Records >= baseInfo.Result.Records {
-		t.Errorf("filtered job emitted %d records, baseline %d", filtInfo.Result.Records, baseInfo.Result.Records)
-	}
-
-	m := getMetrics(t, ts)
-	if m.Filter.Suppressed != int64(f.Suppressed) || m.Filter.Probes != int64(f.Probes) {
-		t.Errorf("/metrics filter counters %+v do not match the job's %+v", m.Filter, f)
+	if job.Result.Records != plain.SimStats.Records || job.Result.Records <= filtered.SimStats.Records {
+		t.Errorf("the job emitted %d records, an unfiltered run %d, a filtered one %d",
+			job.Result.Records, plain.SimStats.Records, filtered.SimStats.Records)
 	}
 }

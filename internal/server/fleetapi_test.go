@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"barracuda/internal/detector"
 	"barracuda/internal/wire"
 )
 
@@ -49,7 +48,6 @@ func TestValidationErrorsCarryCodeAndFieldName(t *testing.T) {
 		{"bad warp size", JobRequest{PTX: racySrc, WarpSize: 64}, `"warp_size"`},
 		{"bad class", JobRequest{PTX: racySrc, Class: "urgent"}, `"class"`},
 		{"negative buffer", JobRequest{PTX: racySrc, Buffers: []int{8, -4}}, `"buffers[1]"`},
-		{"bad config", JobRequest{PTX: racySrc, Config: detector.Config{Queues: -1}}, `"config"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, errj := postJob(t, ts, tc.req)
@@ -64,6 +62,10 @@ func TestValidationErrorsCarryCodeAndFieldName(t *testing.T) {
 			}
 		})
 	}
+	t.Run("bad config", func(t *testing.T) {
+		code, errj := post(t, ts.URL+"/jobs", withConfig(JobRequest{PTX: racySrc}), nil)
+		refusesConfig(t, "POST /jobs", code, errj)
+	})
 }
 
 func TestQueueFullCarriesRetryableCode(t *testing.T) {

@@ -10,18 +10,17 @@ import (
 	"testing"
 
 	"barracuda/internal/bugsuite"
-	"barracuda/internal/detector"
 )
 
 // timingLine matches the JSON lines whose values are wall-clock readings.
 var timingLine = regexp.MustCompile(`(?m)^\s*"(submitted_at|queue_wait_ms|total_ms|detect_ms)": .*\n`)
 
-func suiteJob(t *testing.T, name string, cfg detector.Config) JobRequest {
+func suiteJob(t *testing.T, name string) JobRequest {
 	t.Helper()
 	for _, bt := range bugsuite.Tests() {
 		if bt.Name == name {
 			return JobRequest{PTX: bt.PTX, Kernel: bt.Kernel, Grid: bt.Grid.Count(), Block: bt.Block.Count(),
-				Buffers: bt.Bufs, MaxInstrs: 1 << 19, Config: cfg}
+				Buffers: bt.Bufs, MaxInstrs: 1 << 19}
 		}
 	}
 	t.Fatalf("no bugsuite program %q", name)
@@ -33,14 +32,15 @@ func suiteJob(t *testing.T, name string, cfg detector.Config) JobRequest {
 // lines dropped. testdata/jobs_golden.txt is the string this test builds,
 // written out once in a checkout of 284e60f — before a finished job's
 // result was built from its wire summary — so any field that chain loses,
-// reorders or reformats shows up here; nothing in the tree rewrites it.
-// The four jobs: a racy suite program under the producer filter (three
-// races; the filter probed and suppressed nothing, so only the worker's
-// full filter block says it ran), a barrier divergence, a repair, and a
-// clean kernel whose filter did suppress records.
+// reorders or reformats shows up here. No test rewrites it; it has been
+// edited by hand once, when the daemon came to run one detector: the
+// first and last jobs had run under the producer filter, and their
+// "filter" blocks went, and the last job's "records" became its
+// unfiltered count. The four jobs: a racy suite program (three races), a
+// barrier divergence, a repair, and a loop of global reads whose two
+// blocks then store to the same words.
 func TestJobBodiesGolden(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
-	filter := detector.Config{ProducerFilter: true}
 	var got strings.Builder
 	get := func(path string) {
 		resp, err := http.Get(ts.URL + path)
@@ -52,10 +52,10 @@ func TestJobBodiesGolden(t *testing.T) {
 		got.WriteString("GET " + path + "\n" + timingLine.ReplaceAllString(string(body), ""))
 	}
 	for _, req := range []JobRequest{
-		suiteJob(t, "gl-reduce-nosync-racy", filter),
-		suiteJob(t, "bardiv-branch", detector.Config{}),
+		suiteJob(t, "gl-reduce-nosync-racy"),
+		suiteJob(t, "bardiv-branch"),
 		{PTX: repairableSrc, Kind: KindRepair},
-		{PTX: loopReadSrc, Kernel: "k", Grid: 2, Block: 64, Buffers: []int{512, 512}, Config: filter},
+		{PTX: loopReadSrc, Kernel: "k", Grid: 2, Block: 64, Buffers: []int{512, 512}},
 	} {
 		code, info, errj := postJob(t, ts, req)
 		if code != http.StatusAccepted {

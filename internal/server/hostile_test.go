@@ -1,9 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -89,18 +90,15 @@ func TestMalformedPTXFailsJobNotWorker(t *testing.T) {
 
 // TestAbortedLaunchThenCachedRerun: a launch aborted mid-run ends its own
 // job as a timeout — by the step budget at half of a full run's warp
-// instructions (every block is resident and scheduled round-robin, so all
-// four queues already hold records), or by a wall-clock deadline far
-// shorter than the run. The detector behind it is closed, drained and its
-// shadow released on that error path, and the next launch of the same
-// module and config on the same worker takes the cached session,
-// re-zeroes its buffers and reports what a fresh run reports, up to the
-// block scope of global write–write pairs that four queues leave open
-// (queueProvable).
+// instructions, or by a wall-clock deadline far shorter than the run. The
+// detector behind it is closed, drained and its shadow released on that
+// error path, and the next launch of the same module on the same worker
+// takes the cached session, re-zeroes its buffers and reports, byte for
+// byte, what a fresh run reports. The same aborts above one queue are
+// bench's TestAbortedSessionThenRerun.
 func TestAbortedLaunchThenCachedRerun(t *testing.T) {
 	sched := NewScheduler(SchedulerOptions{Workers: 1})
 	defer sched.Stop()
-	cfg := detector.Config{Queues: 4}
 	for _, tc := range []struct {
 		name      string
 		timeoutMS int64  // 0: the step budget aborts the launch instead
@@ -111,11 +109,11 @@ func TestAbortedLaunchThenCachedRerun(t *testing.T) {
 		{"threadfencereduction", 0, "step budget"},
 		{"threadfencereduction", 5, "wall-clock timeout after 5ms"},
 	} {
-		fresh, err := bench.Detect(bench.ByName(tc.name), cfg)
+		fresh, err := bench.Detect(bench.ByName(tc.name), detector.Config{})
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", tc.name, err)
 		}
-		abort := JobRequest{Bench: tc.name, Config: cfg, TimeoutMS: tc.timeoutMS}
+		abort := JobRequest{Bench: tc.name, TimeoutMS: tc.timeoutMS}
 		if tc.timeoutMS == 0 {
 			abort.MaxInstrs = fresh.SimStats.WarpInstrs / 2
 		}
@@ -127,7 +125,7 @@ func TestAbortedLaunchThenCachedRerun(t *testing.T) {
 		if info := aborted.Info(); info.Status != StatusTimeout || !strings.HasPrefix(info.Error, tc.err) {
 			t.Fatalf("%s aborted: status %q (%s), want timeout with %q", tc.name, info.Status, info.Error, tc.err)
 		}
-		rerun, err := sched.Submit(JobRequest{Bench: tc.name, Config: cfg})
+		rerun, err := sched.Submit(JobRequest{Bench: tc.name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +134,7 @@ func TestAbortedLaunchThenCachedRerun(t *testing.T) {
 		if !info.CacheHit {
 			t.Errorf("%s: rerun missed the module cache", tc.name)
 		}
-		if got, want := queueProvable(jobDigest(t, info)), queueProvable(fresh.Report.CanonicalDigest()); got != want {
+		if got, want := jobDigest(t, info), fresh.Report.CanonicalDigest(); got != want {
 			t.Fatalf("%s: rerun after a %q abort:\n got %s\nwant %s", tc.name, tc.err, got, want)
 		}
 	}
@@ -202,55 +200,19 @@ func closeWithin(t *testing.T, srv *Server, d time.Duration) {
 	}
 }
 
-// queueProvable is bugsuite's provableDigest at more than one queue: a
-// global race line loses its intra-/inter-block word and its reader PCs,
-// which the queue schedule decides (core.Report.CanonicalDigest), and
-// repeats collapse.
-func queueProvable(digest string) string {
-	lines := strings.Split(strings.TrimSuffix(digest, "\n"), "\n")
-	body, last := lines[:len(lines)-1], lines[len(lines)-1]
-	seen := make(map[string]bool)
-	out := body[:0]
-	for _, line := range body {
-		for _, scope := range []string{"intra-block", "inter-block"} {
-			if rest, ok := strings.CutPrefix(line, "race "+scope+" global "); ok {
-				line = "race global " + rest
-			}
-		}
-		if strings.HasPrefix(line, "race global ") {
-			open, end := strings.Index(line, "{"), strings.Index(line, "}")
-			sides := strings.Split(line[open+1:end], " | ")
-			for i, side := range sides {
-				if strings.HasSuffix(side, " read") {
-					sides[i] = "read"
-				}
-			}
-			sort.Strings(sides)
-			line = line[:open+1] + strings.Join(sides, " | ") + line[end:]
-			if seen[line] {
-				continue
-			}
-			seen[line] = true
-		}
-		out = append(out, line)
-	}
-	sort.Strings(out)
-	return strings.Join(append(out, last), "\n") + "\n"
-}
-
-// TestOversizedConfigRejected: knob values far above detector.Config's
-// bounds — and, inside them, a granularity that does not tile the shadow
-// page and a queue count and capacity whose product is gigabytes of ring —
-// and launch extents past detector.BoundBlock and detector.BoundThreads
-// are refused as invalid_argument, naming the field, on every transport
-// (POST /jobs, /v1/stream, POST /v1/repair) before they size a queue ring,
-// a race channel, a shadow page or a warp table — each of these used to
-// reach make(), or index past a page's cells, and take the process down
-// (a 67108864×1024 launch asked for a 16 GiB warp table) — and the daemon
-// serves the next job. A block of more than 32 warps (128 threads at warp
-// size 2) is refused the same way: a barrier's arrival mask has one bit
-// per warp, and the warps past bit 31 used to drop out of every join,
-// reporting a race the barrier orders. Repair has no warp size to bound.
+// TestOversizedConfigRejected: launch extents past detector.BoundBlock and
+// detector.BoundThreads are refused as invalid_argument, naming the field,
+// on every transport (POST /jobs, /v1/stream, POST /v1/repair) before they
+// size a warp table — a 67108864×1024 launch asked for a 16 GiB one and
+// took the process down — and the daemon serves the next job. A block of
+// more than 32 warps (128 threads at warp size 2) is refused the same way:
+// a barrier's arrival mask has one bit per warp, and the warps past bit 31
+// used to drop out of every join, reporting a race the barrier orders.
+// Repair has no warp size to bound. No request carries detector
+// configuration: a JSON body with a "config" is refused as an unknown
+// field (the knobs' own bounds are detector's
+// TestConfigValidateRejectsNegatives), and a stream client of protocol
+// version 1, which sent one on every LAUNCH, is refused at the prelude.
 func TestOversizedConfigRejected(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
 	want := racyDigest(t)
@@ -263,40 +225,39 @@ func TestOversizedConfigRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name              string // also what the error must name
 		grid, block, warp int
-		cfg               detector.Config
 	}{
-		{"Queues", 1, 32, 0, detector.Config{Queues: huge}},
-		{"QueueCap", 1, 32, 0, detector.Config{QueueCap: huge}},
-		{"MaxRaces", 1, 32, 0, detector.Config{MaxRaces: huge}},
-		{"Granularity", 1, 32, 0, detector.Config{Granularity: huge}},
-		{"power of two", 1, 32, 0, detector.Config{Granularity: 3}},
-		// Each inside its own bound, 2.19 GiB of ring between them.
-		{"Queues×QueueCap", 1, 32, 0, detector.Config{Queues: detector.BoundQueues, QueueCap: detector.BoundQueueCap}},
-		{`field "block"`, 1, detector.BoundBlock + 1, 0, detector.Config{}},
-		{`field "grid"`, 67108864, 1024, 0, detector.Config{}},
-		{`field "grid"`, detector.BoundThreads/32 + 1, 32, 0, detector.Config{}},
-		{`field "grid"`, huge, 0, 0, detector.Config{}},
-		{`field "warp_size"`, 1, 128, 2, detector.Config{}},
+		{`field "block"`, 1, detector.BoundBlock + 1, 0},
+		{`field "grid"`, 67108864, 1024, 0},
+		{`field "grid"`, detector.BoundThreads/32 + 1, 32, 0},
+		{`field "grid"`, huge, 0, 0},
+		{`field "warp_size"`, 1, 128, 2},
 	} {
 		name := fmt.Sprintf("%s (%d×%d)", tc.name, tc.grid, tc.block)
-		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, WarpSize: tc.warp, Config: tc.cfg})
+		code, _, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, WarpSize: tc.warp})
 		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
 			t.Errorf("POST /jobs with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
 		}
 		if tc.warp == 0 {
-			code, _, errj = postRepair(t, ts, RepairRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, Config: tc.cfg})
+			code, _, errj = postRepair(t, ts, RepairRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block})
 			if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
 				t.Errorf("POST /v1/repair with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
 			}
 		}
 		seq++
-		if err := c.Launch(wire.LaunchSpec{Seq: seq, Kernel: "k", Grid: tc.grid, Block: tc.block, WarpSize: tc.warp, Buffers: []int{4}, Config: tc.cfg}); err != nil {
+		if err := c.Launch(wire.LaunchSpec{Seq: seq, Kernel: "k", Grid: tc.grid, Block: tc.block, WarpSize: tc.warp, Buffers: []int{4}}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, rejects := collect(t, c, 1)
 		if len(rejects) != 1 || rejects[0].Seq != seq || rejects[0].Code != wire.CodeInvalidArgument || !strings.Contains(rejects[0].Msg, tc.name) {
 			t.Errorf("/v1/stream with bad %s: rejects %+v, want one invalid_argument", name, rejects)
 		}
+	}
+	code, errj := post(t, ts.URL+"/jobs", withConfig(JobRequest{PTX: racySrc, Kernel: "k", Buffers: []int{4}}), nil)
+	refusesConfig(t, "POST /jobs", code, errj)
+	code, errj = post(t, ts.URL+"/v1/repair", withConfig(RepairRequest{PTX: racySrc, Kernel: "k"}), nil)
+	refusesConfig(t, "POST /v1/repair", code, errj)
+	if fatal := dialV1(t, ts.URL); fatal.Code != wire.CodeVersionMismatch {
+		t.Errorf("/v1/stream from a version-1 client: fatal %+v, want %s", fatal, wire.CodeVersionMismatch)
 	}
 
 	code, info, errj := postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}})
@@ -314,4 +275,34 @@ func TestOversizedConfigRejected(t *testing.T) {
 	if sum := sums[seq]; sum.Status != StatusDone || sum.Report().CanonicalDigest() != want {
 		t.Fatalf("streamed job after the rejects: %+v", sum)
 	}
+}
+
+// dialV1 opens /v1/stream as a client of protocol version 1 and returns
+// the FATAL the daemon answers its prelude with.
+func dialV1(t *testing.T, url string) wire.Fatal {
+	t.Helper()
+	host := strings.TrimPrefix(url, "http://")
+	conn, err := net.Dial("tcp", host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n%s\x01",
+		wire.StreamPath, host, wire.UpgradeHeader, wire.Magic)
+	br := bufio.NewReader(conn)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v %v", resp, err)
+	}
+	if _, err := wire.ReadPrelude(br); err != nil {
+		t.Fatalf("the daemon's prelude: %v", err)
+	}
+	f, err := wire.NewReader(br).ReadFrame()
+	if err != nil || f.Type != wire.FFatal {
+		t.Fatalf("after a version-1 prelude: frame %+v, %v; want FATAL", f, err)
+	}
+	fatal, err := wire.DecodeFatal(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fatal
 }

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"barracuda/internal/gpusim"
 	"barracuda/internal/shadow"
 )
 
@@ -85,14 +84,6 @@ type Metrics struct {
 	ShadowLiveEvictions atomic.Int64 // evictions that discarded live state
 	ShadowDegradedJobs  atomic.Int64 // jobs that finished PrecisionDegraded
 	ShadowPeakResident  atomic.Int64 // max per-job peak resident bytes
-
-	// Producer-side filter activity, accumulated from every successful
-	// detect's simulator stats. All running sums; zero unless jobs run
-	// with producer_filter set.
-	FilterProbes       atomic.Int64 // dynamic filter-cache probes
-	FilterHits         atomic.Int64 // records suppressed by the dynamic cache
-	FilterStaticElides atomic.Int64 // records elided at static log-once sites
-	FilterFlushes      atomic.Int64 // OpFlush reconciliation records emitted
 }
 
 // ObserveShadow folds one completed job's shadow stats into the
@@ -112,41 +103,6 @@ func (m *Metrics) ObserveShadow(st shadow.MemStats) {
 			m.ShadowPeakResident.CompareAndSwap(cur, st.PeakResidentBytes) {
 			return
 		}
-	}
-}
-
-// ObserveFilter folds one completed job's producer-filter stats into
-// the daemon-wide registry.
-func (m *Metrics) ObserveFilter(st gpusim.FilterStats) {
-	if st == (gpusim.FilterStats{}) {
-		return
-	}
-	m.FilterProbes.Add(int64(st.Probes))
-	m.FilterHits.Add(int64(st.Hits))
-	m.FilterStaticElides.Add(int64(st.StaticElides))
-	m.FilterFlushes.Add(int64(st.Flushes))
-}
-
-// FilterCounters groups the aggregated producer-filter figures for the
-// wire. Suppressed is Hits + StaticElides: the total record volume the
-// filter kept off the queues.
-type FilterCounters struct {
-	Probes       int64 `json:"probes"`
-	Hits         int64 `json:"hits"`
-	StaticElides int64 `json:"static_elides"`
-	Flushes      int64 `json:"flushes"`
-	Suppressed   int64 `json:"suppressed_records"`
-}
-
-// Filter snapshots the producer-filter counters.
-func (m *Metrics) Filter() FilterCounters {
-	h, e := m.FilterHits.Load(), m.FilterStaticElides.Load()
-	return FilterCounters{
-		Probes:       m.FilterProbes.Load(),
-		Hits:         h,
-		StaticElides: e,
-		Flushes:      m.FilterFlushes.Load(),
-		Suppressed:   h + e,
 	}
 }
 
@@ -192,7 +148,6 @@ type MetricsJSON struct {
 	Srcs          SrcStoreStats  `json:"srcs"`
 	Tenants       []TenantJSON   `json:"tenants,omitempty"`
 	Shadow        ShadowCounters `json:"shadow"`
-	Filter        FilterCounters `json:"filter"`
 	DetectLatency HistogramJSON  `json:"detect_latency"`
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -12,11 +11,11 @@ import (
 )
 
 // ModCache is a content-addressed cache of open detector sessions, keyed
-// by the SHA-256 of the PTX source plus the detector configuration (the
-// configuration is baked into a Session at Open time, and NoPrune changes
-// the instrumented module itself). A hit skips the whole front half of
-// the pipeline — parse, CFG construction, instrumentation, module load —
-// which dominates the cost of small jobs.
+// by the SHA-256 of the PTX source (HashSrc): the daemon runs one
+// detector, the default configuration, so the source alone names a
+// session. A hit skips the whole front half of the pipeline — parse, CFG
+// construction, instrumentation, module load — which dominates the cost
+// of small jobs.
 //
 // Entries are evicted LRU once the cache holds more than max sessions.
 // Each entry carries a mutex serializing jobs on its session (kernel
@@ -32,7 +31,7 @@ import (
 type ModCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*cacheEntry
+	entries map[[32]byte]*cacheEntry
 	lru     *list.List // front = most recently used; values are *cacheEntry
 
 	hits      atomic.Int64
@@ -41,7 +40,7 @@ type ModCache struct {
 }
 
 type cacheEntry struct {
-	key  string
+	key  [32]byte
 	elem *list.Element
 
 	// Guarded by the cache mutex.
@@ -70,20 +69,16 @@ func NewModCache(max int) *ModCache {
 	}
 	return &ModCache{
 		max:     max,
-		entries: make(map[string]*cacheEntry),
+		entries: make(map[[32]byte]*cacheEntry),
 		lru:     list.New(),
 	}
 }
 
-// CacheKey returns the content address of a (source, config) pair. It
-// hashes the defaulted struct whole, so a config that spells a default
-// out shares an entry with one that leaves it zero, and a field added to
-// detector.Config is covered without a change here.
-func CacheKey(src string, cfg detector.Config) string {
-	h := sha256.New()
-	h.Write([]byte(src))
-	fmt.Fprintf(h, "\x00%+v", cfg.WithDefaults())
-	return hex.EncodeToString(h.Sum(nil))
+// CacheKey is the fleet ring's key for a source: its HashSrc in hex, so
+// a job routes to the worker whose ModCache holds its session.
+func CacheKey(src string) string {
+	h := HashSrc(src)
+	return hex.EncodeToString(h[:])
 }
 
 // Lease is exclusive access to a cached session; callers must Release.
@@ -93,13 +88,13 @@ type Lease struct {
 	released bool
 }
 
-// Acquire returns a leased session for the given source and config,
-// reporting whether it was already cached (a hit). The session is built
-// lazily under the entry lock, so two concurrent first submissions of
-// the same module build it once. The caller owns the session until
-// Release; concurrent jobs on the same module serialize here.
-func (c *ModCache) Acquire(src string, cfg detector.Config) (*Lease, bool, error) {
-	key := CacheKey(src, cfg)
+// Acquire returns a leased session for the given source, reporting
+// whether it was already cached (a hit). The session is built lazily
+// under the entry lock, so two concurrent first submissions of the same
+// module build it once. The caller owns the session until Release;
+// concurrent jobs on the same module serialize here.
+func (c *ModCache) Acquire(src string) (*Lease, bool, error) {
+	key := HashSrc(src)
 
 	c.mu.Lock()
 	e, hit := c.entries[key]
@@ -118,7 +113,7 @@ func (c *ModCache) Acquire(src string, cfg detector.Config) (*Lease, bool, error
 
 	e.mu.Lock()
 	if e.sess == nil && e.err == nil {
-		e.sess, e.err = detector.OpenPTX(src, cfg)
+		e.sess, e.err = detector.OpenPTX(src, detector.Config{})
 	}
 	if e.err != nil {
 		err := e.err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,32 +10,38 @@ import (
 	"barracuda/internal/detector"
 )
 
+// TestCacheKeyDistinguishesSourceAndConfig: the source is the whole key.
+// The daemon runs one detector, so no configuration splits a module's
+// entry; the module cache, the source store and (in hex) the fleet ring
+// all key a source by one HashSrc.
 func TestCacheKeyDistinguishesSourceAndConfig(t *testing.T) {
-	base := CacheKey(racySrc, detector.Config{})
-	if CacheKey(racySrc, detector.Config{}) != base {
+	base := CacheKey(racySrc)
+	if CacheKey(racySrc) != base {
 		t.Error("key not deterministic")
 	}
-	if CacheKey(racySrc+" ", detector.Config{}) == base {
+	if CacheKey(racySrc+" ") == base {
 		t.Error("key ignores source")
 	}
-	if CacheKey(racySrc, detector.Config{NoPrune: true}) == base {
-		t.Error("key ignores instrument options")
+	h := HashSrc(racySrc)
+	if base != hex.EncodeToString(h[:]) {
+		t.Errorf("ring key %s is not the source's HashSrc %x", base, h)
 	}
-	if CacheKey(racySrc, detector.Config{Queues: 4}) == base {
-		t.Error("key ignores detector config")
+	if got := NewSrcStore(1).Put(racySrc); got != h {
+		t.Errorf("source store keys the module %x, want %x", got, h)
 	}
-	if CacheKey(racySrc, detector.Config{ProducerFilter: true}) == base {
-		t.Error("key ignores producer filter")
+	l, _, err := NewModCache(1).Acquire(racySrc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Spelling the defaults out runs the same session: same entry.
-	if CacheKey(racySrc, detector.Config{Queues: 1, QueueCap: 4096, Granularity: 1}) != base {
-		t.Error("key distinguishes explicit defaults from zero values")
+	defer l.Release()
+	if l.e.key != h {
+		t.Errorf("module cache keys the module %x, want %x", l.e.key, h)
 	}
 }
 
 func TestCacheHitReusesSessionAndBuffers(t *testing.T) {
 	c := NewModCache(4)
-	l1, hit, err := c.Acquire(racySrc, detector.Config{})
+	l1, hit, err := c.Acquire(racySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +59,7 @@ func TestCacheHitReusesSessionAndBuffers(t *testing.T) {
 	}
 	l1.Release()
 
-	l2, hit, err := c.Acquire(racySrc, detector.Config{})
+	l2, hit, err := c.Acquire(racySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +92,7 @@ func TestCacheLRUEvictionClosesSession(t *testing.T) {
 	var sessions []*detector.Session
 	for i := 0; i < 3; i++ {
 		src := fmt.Sprintf("// v%d\n%s", i, racySrc)
-		l, _, err := c.Acquire(src, detector.Config{})
+		l, _, err := c.Acquire(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +108,7 @@ func TestCacheLRUEvictionClosesSession(t *testing.T) {
 		t.Errorf("evicted session Detect err = %v, want ErrClosed", err)
 	}
 	// Re-acquiring the evicted source is a miss building a new session.
-	l, hit, err := c.Acquire("// v0\n"+racySrc, detector.Config{})
+	l, hit, err := c.Acquire("// v0\n" + racySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +123,7 @@ func TestCacheLRUEvictionClosesSession(t *testing.T) {
 
 func TestCacheOpenErrorNotCachedAsDead(t *testing.T) {
 	c := NewModCache(4)
-	_, _, err := c.Acquire("not ptx at all", detector.Config{})
+	_, _, err := c.Acquire("not ptx at all")
 	if err == nil {
 		t.Fatal("acquire of invalid source succeeded")
 	}
@@ -127,13 +134,13 @@ func TestCacheOpenErrorNotCachedAsDead(t *testing.T) {
 
 func TestCacheSerializesLeases(t *testing.T) {
 	c := NewModCache(2)
-	l1, _, err := c.Acquire(racySrc, detector.Config{})
+	l1, _, err := c.Acquire(racySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan struct{})
 	go func() {
-		l2, _, err := c.Acquire(racySrc, detector.Config{})
+		l2, _, err := c.Acquire(racySrc)
 		if err != nil {
 			t.Error(err)
 		} else {

@@ -14,13 +14,12 @@ import (
 // warm repeat is a pure lookup. The handler submits it as a kind "repair"
 // job and waits (Server.handleRepair).
 type RepairRequest struct {
-	PTX     string          `json:"ptx,omitempty"`
-	Bench   string          `json:"bench,omitempty"`
-	Kernel  string          `json:"kernel,omitempty"` // default: the module's first kernel
-	Grid    int             `json:"grid,omitempty"`
-	Block   int             `json:"block,omitempty"`
-	Buffers []int           `json:"buffers,omitempty"`
-	Config  detector.Config `json:"config"`
+	PTX     string `json:"ptx,omitempty"`
+	Bench   string `json:"bench,omitempty"`
+	Kernel  string `json:"kernel,omitempty"` // default: the module's first kernel
+	Grid    int    `json:"grid,omitempty"`
+	Block   int    `json:"block,omitempty"`
+	Buffers []int  `json:"buffers,omitempty"`
 	// MaxInstrs bounds each verification launch (0 = server default);
 	// always enforced so a deadlocking patch cannot pin a worker.
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
@@ -43,9 +42,6 @@ func (r *RepairRequest) Validate(maxBufferBytes int64) error {
 	if r.MaxPatches < 0 {
 		return fmt.Errorf("repair: field \"max_patches\": must be >= 0, got %d", r.MaxPatches)
 	}
-	if err := r.Config.Validate(); err != nil {
-		return fmt.Errorf("repair: field \"config\": %w", err)
-	}
 	return nil
 }
 
@@ -57,7 +53,6 @@ func (r RepairRequest) jobRequest() JobRequest {
 		Grid:      r.Grid,
 		Block:     r.Block,
 		Buffers:   r.Buffers,
-		Config:    r.Config,
 		MaxInstrs: r.MaxInstrs,
 		Kind:      KindRepair,
 	}
@@ -71,7 +66,7 @@ type RepairResponse struct {
 }
 
 // repairSig is the memo key for one repair parameterization on a cache
-// entry (the entry itself already pins source and detector config).
+// entry (the entry itself already pins the source).
 func repairSig(kernel string, opt detector.RepairOptions) string {
 	return fmt.Sprintf("%s|%d|%d|%v|%d|%d|%d|%d",
 		kernel, opt.Grid, opt.Block, opt.Buffers, opt.MaxInstrs,

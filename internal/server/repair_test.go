@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -25,20 +23,9 @@ const repairableSrc = `.visible .entry k(.param .u64 out)
 
 func postRepair(t *testing.T, ts *httptest.Server, req RepairRequest) (int, RepairResponse, ErrorJSON) {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/repair", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var out RepairResponse
-	var errj ErrorJSON
-	if resp.StatusCode == http.StatusOK {
-		json.NewDecoder(resp.Body).Decode(&out)
-	} else {
-		json.NewDecoder(resp.Body).Decode(&errj)
-	}
-	return resp.StatusCode, out, errj
+	code, errj := post(t, ts.URL+"/v1/repair", req, &out)
+	return code, out, errj
 }
 
 func TestRepairEndpoint(t *testing.T) {

@@ -217,12 +217,6 @@ type HeartbeatStats struct {
 	ShadowPeakResident int64 `json:"shadow_peak_resident_bytes,omitempty"`
 	ShadowEvictions    int64 `json:"shadow_evictions,omitempty"`
 	ShadowDegradedJobs int64 `json:"shadow_degraded_jobs,omitempty"`
-
-	// Producer-filter effectiveness: how many records this node's jobs
-	// kept off the queues, so fleet operators can see the A/B knob's
-	// payoff per node.
-	FilterSuppressed int64 `json:"filter_suppressed_records,omitempty"`
-	FilterProbes     int64 `json:"filter_probes,omitempty"`
 }
 
 // HeartbeatStats builds the heartbeat payload.
@@ -230,7 +224,6 @@ func (s *Scheduler) HeartbeatStats() HeartbeatStats {
 	cs := s.cache.Stats()
 	c := s.metrics.Counters()
 	sh := s.metrics.Shadow()
-	fc := s.metrics.Filter()
 	return HeartbeatStats{
 		QueueDepth:         s.QueueDepth(),
 		QueueCap:           s.opts.QueueCap,
@@ -243,8 +236,6 @@ func (s *Scheduler) HeartbeatStats() HeartbeatStats {
 		ShadowPeakResident: sh.PeakResident,
 		ShadowEvictions:    sh.Evictions,
 		ShadowDegradedJobs: sh.DegradedJobs,
-		FilterSuppressed:   fc.Suppressed,
-		FilterProbes:       fc.Probes,
 	}
 }
 
@@ -337,7 +328,7 @@ func (s *Scheduler) run(job *Job) {
 	job.sum.QueueWaitUS = uint64(time.Since(job.submitted).Microseconds())
 	job.mu.Unlock()
 
-	lease, hit, err := s.cache.Acquire(job.req.PTX, job.req.Config)
+	lease, hit, err := s.cache.Acquire(job.req.PTX)
 	if err != nil {
 		s.metrics.Failed.Add(1)
 		job.fail(StatusFailed, "open: "+err.Error())
@@ -356,7 +347,6 @@ func (s *Scheduler) run(job *Job) {
 		s.metrics.Completed.Add(1)
 		s.metrics.Latency.Observe(res.Duration)
 		s.metrics.ObserveShadow(res.Report.Shadow)
-		s.metrics.ObserveFilter(res.SimStats.Filter)
 		job.finish(StatusDone, "", summaryOf(kernel, res), res)
 	case errors.Is(err, gpusim.ErrStepBudget):
 		s.metrics.TimedOut.Add(1)

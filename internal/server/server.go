@@ -287,7 +287,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Srcs:          s.sched.Srcs().Stats(),
 		Tenants:       s.sched.Tenants().Snapshot(),
 		Shadow:        m.Shadow(),
-		Filter:        m.Filter(),
 		DetectLatency: m.Latency.Snapshot(),
 	})
 }

@@ -10,11 +10,12 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/metrics"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"barracuda/internal/detector"
+	"barracuda/internal/wire"
 )
 
 const racySrc = `.visible .entry k(.param .u64 out)
@@ -61,20 +62,48 @@ func newTestServer(t *testing.T, opts SchedulerOptions) (*Server, *httptest.Serv
 
 func postJob(t *testing.T, ts *httptest.Server, req JobRequest) (int, JobInfo, ErrorJSON) {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	var info JobInfo
+	code, errj := post(t, ts.URL+"/jobs", req, &info)
+	return code, info, errj
+}
+
+// post sends body — a request, or raw JSON bytes — to url and decodes the
+// answer: into out on a 2xx, into the returned ErrorJSON otherwise.
+func post(t *testing.T, url string, body, out any) (int, ErrorJSON) {
+	t.Helper()
+	raw, ok := body.([]byte)
+	if !ok {
+		raw, _ = json.Marshal(body)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var info JobInfo
 	var errj ErrorJSON
-	if resp.StatusCode == http.StatusAccepted {
-		json.NewDecoder(resp.Body).Decode(&info)
+	if resp.StatusCode/100 == 2 {
+		json.NewDecoder(resp.Body).Decode(out)
 	} else {
 		json.NewDecoder(resp.Body).Decode(&errj)
 	}
-	return resp.StatusCode, info, errj
+	return resp.StatusCode, errj
+}
+
+// withConfig is req's body with the detector configuration a client of an
+// older daemon sent: every door refuses it as a field the request does
+// not have (the daemon runs one detector).
+func withConfig(req any) []byte {
+	body, _ := json.Marshal(req)
+	return append(body[:len(body)-1], `,"config":{"full_vc":true}}`...)
+}
+
+// refusesConfig checks a door's answer to a withConfig body: 400
+// invalid_argument, naming the field.
+func refusesConfig(t *testing.T, door string, code int, errj ErrorJSON) {
+	t.Helper()
+	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, `"config"`) {
+		t.Errorf("%s with a \"config\": %d %+v, want 400 invalid_argument naming the field", door, code, errj)
+	}
 }
 
 func waitJob(t *testing.T, ts *httptest.Server, id string) JobInfo {
@@ -177,18 +206,15 @@ func TestBenchJobDefaults(t *testing.T) {
 func TestInvalidPayloadsReturn400(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
 	cases := []JobRequest{
-		{},                                                       // neither ptx nor bench
-		{PTX: racySrc, Bench: "bfs"},                             // both
-		{Bench: "no-such-benchmark"},                             // unknown bench
-		{PTX: racySrc, Grid: -1},                                 // negative geometry
-		{PTX: racySrc, TimeoutMS: -5},                            // negative timeout
-		{PTX: racySrc, TimeoutMS: 1 << 62},                       // timeout wraps a time.Duration to 0s
-		{PTX: racySrc, TimeoutMS: math.MaxInt64},                 // timeout wraps a time.Duration to -1ms
-		{PTX: racySrc, Config: detector.Config{Queues: -2}},      // invalid detector config
-		{PTX: racySrc, Config: detector.Config{MaxRaces: -1}},    // invalid detector config
-		{PTX: racySrc, Config: detector.Config{Granularity: -4}}, // invalid detector config
-		{PTX: racySrc, Buffers: []int{-8}},                       // negative buffer
-		{PTX: racySrc, WarpSize: 64},                             // out-of-range warp
+		{},                                       // neither ptx nor bench
+		{PTX: racySrc, Bench: "bfs"},             // both
+		{Bench: "no-such-benchmark"},             // unknown bench
+		{PTX: racySrc, Grid: -1},                 // negative geometry
+		{PTX: racySrc, TimeoutMS: -5},            // negative timeout
+		{PTX: racySrc, TimeoutMS: 1 << 62},       // timeout wraps a time.Duration to 0s
+		{PTX: racySrc, TimeoutMS: math.MaxInt64}, // timeout wraps a time.Duration to -1ms
+		{PTX: racySrc, Buffers: []int{-8}},       // negative buffer
+		{PTX: racySrc, WarpSize: 64},             // out-of-range warp
 	}
 	for i, req := range cases {
 		code, _, errj := postJob(t, ts, req)
@@ -207,6 +233,9 @@ func TestInvalidPayloadsReturn400(t *testing.T) {
 	if done := waitJob(t, ts, info.ID); done.Status != StatusDone {
 		t.Errorf("timeout_ms %d: status %s (%s), want done", maxTimeoutMS, done.Status, done.Error)
 	}
+	// Detector configuration is a field no request has.
+	code, errj = post(t, ts.URL+"/jobs", withConfig(JobRequest{PTX: racySrc}), nil)
+	refusesConfig(t, "POST /jobs", code, errj)
 	// Malformed JSON is also a 400, not a panic.
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {

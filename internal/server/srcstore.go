@@ -13,11 +13,9 @@ import (
 // re-streams a retried job to a ring-affine worker without keeping the
 // module in its own memory twice.
 //
-// The store is deliberately separate from ModCache: ModCache keys on
-// (source, detector config) and holds built sessions (expensive,
-// per-config); SrcStore keys on content alone and holds raw text
-// (cheap, config-independent), so one uploaded module serves launches
-// under many configs.
+// It keys on the same HashSrc as ModCache but is bounded apart from it:
+// ModCache holds built sessions (expensive, few), SrcStore raw text
+// (cheap, many), so an upload outlives its session's eviction.
 type SrcStore struct {
 	mu      sync.Mutex
 	entries map[[32]byte]*list.Element // value: *srcEntry
@@ -40,7 +38,8 @@ func NewSrcStore(max int) *SrcStore {
 	return &SrcStore{entries: make(map[[32]byte]*list.Element), lru: list.New(), max: max}
 }
 
-// HashSrc is the store's content key.
+// HashSrc is the content key of a module source: SrcStore's and
+// ModCache's, and in hex (CacheKey) the fleet ring's.
 func HashSrc(src string) [32]byte { return sha256.Sum256([]byte(src)) }
 
 // Put stores src under its content hash and returns the hash.

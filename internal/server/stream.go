@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"barracuda/internal/core"
+	"barracuda/internal/detector"
 	"barracuda/internal/wire"
 )
 
@@ -283,22 +284,17 @@ func (st *stream) launch(p []byte) error {
 	if ok, wait := st.sched.Tenants().Admit(st.apiKey); !ok {
 		return st.reject(spec.Seq, wire.CodeQueueFull, "tenant rate limit", wait+time.Millisecond)
 	}
-	req := launchRequest(st.module, spec)
-	// Validate before sizing anything from the request: raceCh below is
-	// allocated from MaxRaces. It is buffered to the race cap so the
-	// observer can never block the detection worker: the detector fires
-	// at most MaxRaces new static races per run.
-	if err := req.Validate(st.sched.opts.MaxBufferBytes); err != nil {
-		return st.reject(spec.Seq, wire.CodeInvalidArgument, err.Error(), 0)
-	}
-	raceCh := make(chan core.Race, req.Config.WithDefaults().MaxRaces)
+	// raceCh is buffered to the race cap so the observer can never block
+	// the detection worker: the detector fires at most DefaultMaxRaces new
+	// static races per run.
+	raceCh := make(chan core.Race, detector.DefaultMaxRaces)
 	onRace := func(r core.Race) {
 		select {
 		case raceCh <- r:
 		default: // cap exceeded would be a detector bug; never block
 		}
 	}
-	job, err := st.sched.SubmitTenant(req, st.apiKey, onRace)
+	job, err := st.sched.SubmitTenant(launchRequest(st.module, spec), st.apiKey, onRace)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return st.reject(spec.Seq, wire.CodeQueueFull, err.Error(), time.Second)

@@ -80,7 +80,7 @@ func TestOversizeSummaryFailsTheJobNotTheStream(t *testing.T) {
 
 	// Plant a synthetic report where the job will recall it: the repair
 	// memo of the module's cache entry, under the signature the job computes.
-	lease, _, err := sched.Cache().Acquire(repairableSrc, detector.Config{})
+	lease, _, err := sched.Cache().Acquire(repairableSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,67 +205,6 @@ func DecodeModState(p []byte) (ModState, error) {
 
 // ---- launches -------------------------------------------------------
 
-// The detector configuration of one launch travels as detector.Config
-// itself: one flag byte for the booleans, then the sized knobs.
-const (
-	cfgFullVC = 1 << iota
-	cfgNoPrune
-	cfgStaticPrune
-	cfgNoSameValue
-	cfgPerCell
-	cfgOwnership
-	cfgProducerFilter
-)
-
-func appendConfig(b []byte, c detector.Config) []byte {
-	var flags byte
-	if c.FullVC {
-		flags |= cfgFullVC
-	}
-	if c.NoPrune {
-		flags |= cfgNoPrune
-	}
-	if c.StaticPrune {
-		flags |= cfgStaticPrune
-	}
-	if c.NoSameValueFilter {
-		flags |= cfgNoSameValue
-	}
-	if c.PerCellShadow {
-		flags |= cfgPerCell
-	}
-	if c.Ownership {
-		flags |= cfgOwnership
-	}
-	if c.ProducerFilter {
-		flags |= cfgProducerFilter
-	}
-	b = append(b, flags)
-	b = appendUvarint(b, uint64(c.Queues))
-	b = appendUvarint(b, uint64(c.QueueCap))
-	b = appendUvarint(b, uint64(c.Granularity))
-	b = appendUvarint(b, uint64(c.MaxRaces))
-	return appendZigzag(b, c.ShadowCapBytes)
-}
-
-func (d *dec) config() detector.Config {
-	flags := d.byte()
-	return detector.Config{
-		FullVC:            flags&cfgFullVC != 0,
-		NoPrune:           flags&cfgNoPrune != 0,
-		StaticPrune:       flags&cfgStaticPrune != 0,
-		NoSameValueFilter: flags&cfgNoSameValue != 0,
-		PerCellShadow:     flags&cfgPerCell != 0,
-		Ownership:         flags&cfgOwnership != 0,
-		ProducerFilter:    flags&cfgProducerFilter != 0,
-		Queues:            int(d.uvarint()),
-		QueueCap:          int(d.uvarint()),
-		Granularity:       int(d.uvarint()),
-		MaxRaces:          int(d.uvarint()),
-		ShadowCapBytes:    d.zigzag(),
-	}
-}
-
 // LaunchSpec is one pipelined launch: a job submission minus the module
 // source, which traveled (once) in the upload phase. Seq is the
 // client-chosen pipeline sequence number every response frame echoes.
@@ -278,7 +217,6 @@ type LaunchSpec struct {
 	TimeoutMS int64
 	MaxInstrs uint64
 	Buffers   []int
-	Config    detector.Config
 	// Kind is the job kind, an optional trailing field: "" and "detect"
 	// are the default and are not written, "repair" is.
 	Kind string
@@ -297,7 +235,6 @@ func EncodeLaunch(l LaunchSpec) []byte {
 	for _, n := range l.Buffers {
 		b = appendUvarint(b, uint64(n))
 	}
-	b = appendConfig(b, l.Config)
 	if l.Kind != "" && l.Kind != "detect" {
 		b = appendString(b, l.Kind)
 	}
@@ -324,7 +261,6 @@ func DecodeLaunch(p []byte) (LaunchSpec, error) {
 	for i := uint64(0); i < nb && d.err == nil; i++ {
 		l.Buffers = append(l.Buffers, int(d.uvarint()))
 	}
-	l.Config = d.config()
 	if len(d.b) > 0 {
 		l.Kind = d.string()
 	}
@@ -541,10 +477,6 @@ type Summary struct {
 	ShadowLiveEvicts   uint64
 	PrecisionDegraded  bool
 
-	// Producer-filter activity of the run (zero when the filter was off).
-	FilterSuppressed uint64 // records kept off the queue (hits + static elides)
-	FilterFlushes    uint64 // OpFlush reconciliation records emitted
-
 	// Repair is a repair job's report, an optional trailing field that
 	// travels as JSON: a deep, cold struct that needs no varint codec.
 	Repair *detector.RepairReport
@@ -588,8 +520,6 @@ func EncodeSummary(s Summary) []byte {
 	b = appendUvarint(b, s.TotalUS)
 	b = appendUvarint(b, s.ShadowPeakResident)
 	b = appendUvarint(b, s.ShadowLiveEvicts)
-	b = appendUvarint(b, s.FilterSuppressed)
-	b = appendUvarint(b, s.FilterFlushes)
 	if s.Repair != nil {
 		rep, _ := json.Marshal(s.Repair) // strings and integers: cannot fail
 		b = appendBytes(b, rep)
@@ -640,8 +570,6 @@ func DecodeSummary(p []byte) (Summary, error) {
 	s.TotalUS = d.uvarint()
 	s.ShadowPeakResident = d.uvarint()
 	s.ShadowLiveEvicts = d.uvarint()
-	s.FilterSuppressed = d.uvarint()
-	s.FilterFlushes = d.uvarint()
 	if len(d.b) > 0 {
 		if rep := d.bytes(); d.err == nil && json.Unmarshal(rep, &s.Repair) != nil {
 			d.fail("repair report")

@@ -60,21 +60,11 @@ func TestLaunchRoundTrip(t *testing.T) {
 		TimeoutMS: 30000,
 		MaxInstrs: 1 << 24,
 		Buffers:   []int{4096, 0, 65536},
-		Config: detector.Config{
-			Queues:         4,
-			QueueCap:       1024,
-			Granularity:    4,
-			MaxRaces:       1024,
-			ShadowCapBytes: 1 << 30,
-			Ownership:      true,
-			StaticPrune:    true,
-			ProducerFilter: true,
-		},
 	}
 	// Kind is an optional trailing field: the default, spelled either
-	// way, leaves the bytes EncodeLaunch produced before the field existed
-	// (recorded at fa6aaa0) and decodes as ""; any other kind round-trips.
-	const parent = "2a016b08800220b0ea018080800803802000808004640480080480088080808008"
+	// way, leaves the bytes of a LAUNCH without the field (TestLaunchGoldenBytes's)
+	// and decodes as ""; any other kind round-trips.
+	const parent = launchGolden
 	for _, kind := range []string{"", "detect", "repair"} {
 		in.Kind = kind
 		p := EncodeLaunch(in)
@@ -95,12 +85,16 @@ func TestLaunchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLaunchGoldenBytes pins the LAUNCH payload layout with every knob
-// set. The hex was produced by EncodeLaunch at commit 53f9fb5, when the
-// config travelled as a wire-private struct; a daemon and a client built
-// either side of that change must keep understanding each other.
+// launchGolden is TestLaunchGoldenBytes's LAUNCH in protocol version 2:
+// version 1's recorded bytes (commit 53f9fb5) with the detector
+// configuration that closed them, the flag byte 7f and five varints, cut.
+const launchGolden = "2a016b08800220b0ea018080800803802000808004"
+
+// TestLaunchGoldenBytes pins the LAUNCH payload layout of this protocol
+// version, and that a version-1 LAUNCH, configuration and all, is refused
+// as malformed rather than misread (a v1 peer stops at the prelude first).
 func TestLaunchGoldenBytes(t *testing.T) {
-	const golden = "2a016b08800220b0ea0180808008038020008080047f0480080480048080808008"
+	const golden = launchGolden
 	in := LaunchSpec{
 		Seq:       42,
 		Kernel:    "k",
@@ -110,20 +104,6 @@ func TestLaunchGoldenBytes(t *testing.T) {
 		TimeoutMS: 30000,
 		MaxInstrs: 1 << 24,
 		Buffers:   []int{4096, 0, 65536},
-		Config: detector.Config{
-			Queues:            4,
-			QueueCap:          1024,
-			Granularity:       4,
-			MaxRaces:          512,
-			ShadowCapBytes:    1 << 30,
-			FullVC:            true,
-			NoPrune:           true,
-			StaticPrune:       true,
-			NoSameValueFilter: true,
-			PerCellShadow:     true,
-			Ownership:         true,
-			ProducerFilter:    true,
-		},
 	}
 	if got := hex.EncodeToString(EncodeLaunch(in)); got != golden {
 		t.Fatalf("LAUNCH bytes moved:\n got %s\nwant %s", got, golden)
@@ -132,6 +112,10 @@ func TestLaunchGoldenBytes(t *testing.T) {
 	out, err := DecodeLaunch(raw)
 	if err != nil || !reflect.DeepEqual(out, in) {
 		t.Fatalf("decoding the golden bytes: got %+v, %v\nwant %+v", out, err, in)
+	}
+	v1, _ := hex.DecodeString(golden + "7f0480080480048080808008")
+	if out, err := DecodeLaunch(v1); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a version-1 LAUNCH decoded as %+v, %v; want ErrMalformed", out, err)
 	}
 }
 
@@ -204,8 +188,6 @@ func TestSummaryRoundTrip(t *testing.T) {
 			ShadowPeakResident: uint64(rng.Intn(1 << 24)),
 			ShadowLiveEvicts:   uint64(rng.Intn(4)),
 			PrecisionDegraded:  rng.Intn(8) == 0,
-			FilterSuppressed:   uint64(rng.Intn(1 << 16)),
-			FilterFlushes:      uint64(rng.Intn(1 << 10)),
 		}
 		for i, n := 0, rng.Intn(40); i < n; i++ {
 			in.Races = append(in.Races, randomRace(rng))
@@ -242,8 +224,9 @@ func TestSummaryRoundTrip(t *testing.T) {
 			t.Fatalf("iter=%d: digest mismatch after round trip", iter)
 		}
 	}
-	// SHA-256 over the 200 report-less encodings, recorded at fa6aaa0.
-	const parent = "a207f0442c9420a2ec35eba1ef65e410ed266412b89880623cc2176bfc0031ab"
+	// SHA-256 over the 200 report-less encodings, recorded when protocol
+	// version 2 took the two producer-filter counters out of the frame.
+	const parent = "613957d36a093809f902ad7aa1c3d09bebd75fe3839278a6c182865eeee11ba5"
 	if got := hex.EncodeToString(plain.Sum(nil)); got != parent {
 		t.Fatalf("a SUMMARY without a repair report moved: sha256 %s, want %s", got, parent)
 	}

@@ -27,10 +27,15 @@
 // The fields marked ? are optional trailing fields: LAUNCH's job kind and
 // SUMMARY's repair report close their payloads, are written only when set
 // (a kind other than detect; a repair job's report) and read only when
-// bytes remain. Every frame of a detect job is therefore the frame it was
-// before the fields existed, Version stays 1, and a peer without a field
-// finds trailing bytes and rejects the frame as malformed — it never
-// misreads it.
+// bytes remain, so a peer without a field finds trailing bytes and rejects
+// the frame as malformed — it never misreads it.
+//
+// A LAUNCH carries no detector configuration and a SUMMARY no
+// producer-filter counters: the daemon runs one detector, the default
+// configuration, on every job. Version 2 is the protocol without them; a
+// version-1 peer, which sent a flag byte and five varints of
+// configuration on every LAUNCH, fails at the prelude with
+// ErrVersionMismatch.
 //
 // Every frame is `type(1) ‖ len(u32 LE) ‖ payload ‖ crc32(u32 LE)`,
 // with the IEEE CRC computed over type+len+payload and len validated
@@ -52,7 +57,7 @@ import "errors"
 // before any frame is parsed.
 const (
 	Magic   = "BCWP" // BarraCuda Wire Protocol
-	Version = 1
+	Version = 2
 )
 
 // Size limits. MaxFrame bounds a single frame payload and is validated
