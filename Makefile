@@ -5,7 +5,7 @@ GO ?= go
 # Everything CI runs, in order: `make ci` here, one `run: make <target>`
 # step each in .github/workflows/ci.yml (ci-in-sync holds the two lists
 # together), so a command is written once, in this file.
-CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector ci-in-sync loc test race \
+CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector one-queue ci-in-sync loc test race \
 	bench-e2e-smoke vet-smoke vet-fix-smoke artifacts-smoke stress-interp stress-span \
 	stress-ownership stress-refine stress-filter stress-drain stress-multiqueue \
 	stress-failover stress-stream stress-fleet
@@ -37,7 +37,7 @@ one-forward-path:
 # grown back.
 one-way-in:
 	@if grep -nE 'repairOnLease\(|\.DetectObserved\(' $$(ls internal/server/*.go | grep -vE '_test\.go$$|/scheduler\.go$$') | grep -v 'func repairOnLease('; then \
-		echo "internal/server launches a kernel outside scheduler.go: every launch goes in through Scheduler.SubmitTenant"; exit 1; fi
+		echo "internal/server launches a kernel outside scheduler.go: every launch goes in through Scheduler.submit"; exit 1; fi
 
 # The daemon runs one detector: no request, wire payload or cache key
 # carries detector configuration, so outside tests internal/server,
@@ -47,6 +47,15 @@ one-detector:
 	@if grep -nE 'detector\.Config\b' $$(ls internal/server/*.go internal/wire/*.go internal/fleet/*.go | grep -v '_test\.go$$') \
 		| grep -vE '^internal/server/modcache\.go:[0-9]+:[[:space:]]+e\.sess, e\.err = detector\.OpenPTX\(src, detector\.Config\{\}\)$$'; then \
 		echo "internal/server, internal/wire or internal/fleet names detector.Config outside ModCache's one OpenPTX: the daemon runs Config{} on every job"; exit 1; fi
+
+# The fleet has one FIFO queue and one placement rule: a job takes the
+# first Alive, non-excluded node of its key's ring sequence with a free
+# slot. A job class, a second queue, a reserved slot or spill-to-idle named
+# outside tests in internal/fleet or internal/server is the class split
+# grown back.
+one-queue:
+	@if grep -nE 'Class(Batch|Interactive)|interQ|batchQ|batchCap|Spills' $$(ls internal/fleet/*.go internal/server/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/fleet or internal/server names a job class, a second queue, a reserved slot or spill-to-idle: the fleet has one queue and one rule"; exit 1; fi
 
 # The workflow is a list of targets and nothing else: its `run:` lines are
 # `make <target>` for exactly CI_TARGETS, in order.
@@ -223,12 +232,12 @@ stress-drain:
 # Failover and warm routing through real HTTP nodes; then, repeated under
 # the Go race detector, the fleet's fault properties against the real
 # coordinator and real workers (crashed workers, lost heartbeats, a slow
-# node, a spill: none may lose a job or change a report) and the
-# coordinator's virtual-time event loop (one seed, one schedule;
-# interactive jobs never starved behind a batch backlog).
+# node, a full primary: none may lose a job or change a report) and the
+# coordinator's virtual-time event loop (one seed, one schedule, no job
+# lost).
 stress-failover:
 	$(GO) test -race -run 'TestFleetFailoverRetriesElsewhere|TestFleetEndToEndWarmRouting' ./internal/fleet/
-	$(GO) test -race -count=3 -run 'TestFailoverLosesNothingAndReportsMatchSingleNode|TestHeartbeatLossIsSurvivable|TestSlowNodeChangesScheduleNotReports|TestReportDigestInvariantUnderRouting|TestSameSeedSameSchedule|TestInteractiveNeverStarved' ./internal/fleet/
+	$(GO) test -race -count=3 -run 'TestFailoverLosesNothingAndReportsMatchSingleNode|TestHeartbeatLossIsSurvivable|TestSlowNodeChangesScheduleNotReports|TestReportDigestInvariantUnderRouting|TestSameSeedSameSchedule' ./internal/fleet/
 
 # The producer-filter correctness stress: the bug suite table's filter
 # rows (sequential and randomized schedules), the loop kernels of internal/detector (a per-thread read the

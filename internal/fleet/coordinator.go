@@ -1,9 +1,8 @@
 // Package fleet is the control plane that turns one barracudad into a
 // detection fleet: a coordinator owning a consistent-hash ring keyed on
 // the module cache key (server.CacheKey), worker registration with a
-// heartbeat health state machine, retry-with-exclusion failover, and a
-// two-class priority scheduler that keeps small interactive vet/analyze
-// jobs from starving behind large batch detection jobs.
+// heartbeat health state machine, retry-with-exclusion failover, and one
+// FIFO queue drained by one placement rule.
 //
 // The Coordinator core is deliberately passive: every externally driven
 // event (Submit, Heartbeat, Tick, Complete, Fail, Join, Leave) is a
@@ -17,7 +16,6 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,16 +26,15 @@ import (
 
 // Job is one unit of work routed by the coordinator. Payload is owned
 // by the driver (the HTTP front-end stores its proxy job there); the
-// coordinator routes purely on Key and Class.
+// coordinator routes purely on Key.
 type Job struct {
 	ID      string
 	Key     string // module cache key: the ring key (server.CacheKey)
-	Class   string // server.ClassInteractive or server.ClassBatch
 	Payload any
 
 	attempts atomic.Int32        // written under Coordinator.mu; Attempts reads it without
 	excluded map[string]struct{} // nodes that already failed this job
-	seq      int64               // submission order, for FIFO within class
+	seq      int64               // submission order
 }
 
 // Attempts is how many times the job has been dispatched.
@@ -98,8 +95,6 @@ type Stats struct {
 	Retries     int64 `json:"retries"`      // re-dispatches after a retryable failure
 	FailedPerm  int64 `json:"failed_perm"`  // permanent failures (bad job or attempts exhausted)
 	Requeued    int64 `json:"requeued"`     // jobs pulled back from a dead/left node
-	QueueJumps  int64 `json:"queue_jumps"`  // interactive dispatched past older queued batch
-	Spills      int64 `json:"spills"`       // batch dispatched cold to an idle non-primary
 	PrimaryHits int64 `json:"primary_hits"` // dispatches that landed on the ring primary
 	WarmHits    int64 `json:"warm_hits"`    // completions the worker reported as cache hits
 	Drained     int64 `json:"drained"`      // nodes removed after a clean drain (no requeue)
@@ -108,16 +103,15 @@ type Stats struct {
 // ErrNoNodes is returned by Submit when the fleet has no members at all.
 var ErrNoNodes = errors.New("fleet: no registered workers")
 
-// Coordinator owns the ring, the registry and the two-class dispatch
-// queue. Safe for concurrent use.
+// Coordinator owns the ring, the registry and the dispatch queue. Safe
+// for concurrent use.
 type Coordinator struct {
 	mu sync.Mutex
 
 	ring *Ring
 	reg  *Registry
 
-	interQ  []*Job // interactive FIFO
-	batchQ  []*Job // batch FIFO
+	queue   []*Job // FIFO; requeues go to the front
 	nextSeq int64
 
 	inflight map[string]map[string]*Job // node → job ID → job
@@ -147,7 +141,7 @@ func (c *Coordinator) Join(id, addr string, capacity int, now time.Time) []Assig
 }
 
 // Leave removes a worker gracefully; its in-flight jobs are requeued
-// (front of their class queue, node excluded) and re-routed.
+// (front of the queue, node excluded) and re-routed.
 func (c *Coordinator) Leave(id string) []Assignment {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -222,12 +216,6 @@ func (c *Coordinator) Tick(now time.Time) []Assignment {
 
 // Submit enqueues a job and dispatches whatever is now routable.
 func (c *Coordinator) Submit(job *Job, now time.Time) ([]Assignment, error) {
-	if job.Class == "" {
-		job.Class = server.ClassBatch
-	}
-	if job.Class != server.ClassBatch && job.Class != server.ClassInteractive {
-		return nil, fmt.Errorf("fleet: job %s: unknown class %q", job.ID, job.Class)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.ring.Len() == 0 {
@@ -279,7 +267,7 @@ const (
 	// the job requeued, possibly already re-dispatched elsewhere). The
 	// driver must ignore the report: the live attempt owns the job.
 	FailStale FailOutcome = iota
-	// FailRequeued: the job went back to the front of its class queue
+	// FailRequeued: the job went back to the front of the queue
 	// with the failed node excluded, to retry on a ring successor.
 	FailRequeued
 	// FailTerminal: the job is permanently failed (non-retryable error
@@ -336,11 +324,11 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// QueueDepths returns the queued-but-undispatched counts per class.
-func (c *Coordinator) QueueDepths() (interactive, batch int) {
+// QueueDepth returns the number of queued-but-undispatched jobs.
+func (c *Coordinator) QueueDepth() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.interQ), len(c.batchQ)
+	return len(c.queue)
 }
 
 // InFlight returns the number of dispatched-but-unfinished jobs.
@@ -363,7 +351,7 @@ func (c *Coordinator) Routable() int {
 }
 
 // evictNodeLocked pulls a node out of the ring and requeues its
-// in-flight jobs at the front of their class queues with the node
+// in-flight jobs at the front of the queue with the node
 // excluded, preserving their original relative order.
 func (c *Coordinator) evictNodeLocked(id string) {
 	c.ring.Remove(id)
@@ -387,128 +375,53 @@ func (c *Coordinator) evictNodeLocked(id string) {
 	}
 }
 
-// enqueueLocked adds a job to its class queue (front=true for requeues,
-// which must not lose their place behind newer submissions).
+// enqueueLocked adds a job to the queue (front=true for requeues, which
+// must not lose their place behind newer submissions).
 func (c *Coordinator) enqueueLocked(job *Job, front bool) {
-	q := &c.batchQ
-	if job.Class == server.ClassInteractive {
-		q = &c.interQ
-	}
 	if front {
-		*q = append([]*Job{job}, *q...)
+		c.queue = append([]*Job{job}, c.queue...)
 	} else {
-		*q = append(*q, job)
+		c.queue = append(c.queue, job)
 	}
 }
 
-// batchCap is the batch-usable slot count of a node: one slot is
-// reserved for interactive work whenever the node has more than one, so
-// a flood of batch detection jobs can never occupy every worker and
-// starve a vet/analyze request ("reserved-slot preemption"). Together
-// with strict queue priority (interactive always dispatches before any
-// queued batch job) this bounds interactive wait by one job service
-// time, not by the batch backlog.
-func batchCap(capacity int) int {
-	if capacity > 1 {
-		return capacity - 1
-	}
-	return capacity
-}
-
-// routeLocked picks a node for the job, or "" if nothing is eligible
-// right now. Eligible = registered, Alive (Suspect nodes get no new
-// work), not excluded by this job's failure history, with a free slot
-// for the job's class.
-func (c *Coordinator) routeLocked(j *Job) (node string, spill bool) {
-	seq := c.ring.Sequence(j.Key)
-	if j.Class == server.ClassInteractive {
-		// Latency first: the first healthy node with any free slot.
-		// The primary comes first in seq, so warmth is still preferred
-		// when available.
-		for _, n := range seq {
-			if c.eligibleLocked(j, n) && c.freeSlotsLocked(n) > 0 {
-				return n, false
-			}
-		}
-		return "", false
-	}
-	// Batch: warmth first. Wait for the primary unless it is saturated
-	// and some successor is completely idle (spill-to-idle): one cache
-	// miss is cheaper than a queue behind a busy primary.
-	var primary string
-	for _, n := range seq {
-		if c.eligibleLocked(j, n) {
-			primary = n
-			break
-		}
-	}
-	if primary == "" {
-		return "", false
-	}
-	info, _ := c.reg.Get(primary)
-	if len(c.inflight[primary]) < batchCap(info.Capacity) {
-		return primary, false
-	}
-	for _, n := range seq {
-		if n == primary || !c.eligibleLocked(j, n) {
+// routeLocked picks the first node in the key's ring sequence that is
+// Alive (Suspect nodes get no new work), not excluded by this job's
+// failure history, and has a free slot; "" if none is. primary reports
+// whether that node is the key's ring primary, where its module is warm.
+func (c *Coordinator) routeLocked(j *Job) (node string, primary bool) {
+	for i, n := range c.ring.Sequence(j.Key) {
+		if _, no := j.excluded[n]; no || !c.reg.Alive(n) {
 			continue
 		}
-		if len(c.inflight[n]) == 0 {
-			return n, true
+		if info, ok := c.reg.Get(n); ok && len(c.inflight[n]) < info.Capacity {
+			return n, i == 0
 		}
 	}
 	return "", false
 }
 
-func (c *Coordinator) eligibleLocked(j *Job, node string) bool {
-	if _, no := j.excluded[node]; no {
-		return false
-	}
-	return c.reg.Alive(node)
-}
-
-func (c *Coordinator) freeSlotsLocked(node string) int {
-	info, ok := c.reg.Get(node)
-	if !ok {
-		return 0
-	}
-	return info.Capacity - len(c.inflight[node])
-}
-
-// dispatchLocked drains whatever is routable right now: the interactive
-// queue in full priority order, then batch. A single pass per queue —
-// jobs that cannot route stay queued for the next event.
+// dispatchLocked makes one pass over the queue in order, dispatching
+// every job that routes; the rest stay queued for the next event.
 func (c *Coordinator) dispatchLocked() []Assignment {
 	var out []Assignment
-	take := func(q *[]*Job, jumpOver int) {
-		kept := (*q)[:0]
-		for _, j := range *q {
-			node, spill := c.routeLocked(j)
-			if node == "" {
-				kept = append(kept, j)
-				continue
-			}
-			j.attempts.Add(1)
-			c.inflight[node][j.ID] = j
-			c.stats.Dispatched++
-			if spill {
-				c.stats.Spills++
-			}
-			if jumpOver > 0 {
-				c.stats.QueueJumps++
-			}
-			if c.ring.Primary(j.Key) == node {
-				c.stats.PrimaryHits++
-			}
-			out = append(out, Assignment{Node: node, Job: j})
+	kept := c.queue[:0]
+	for _, j := range c.queue {
+		node, primary := c.routeLocked(j)
+		if node == "" {
+			kept = append(kept, j)
+			continue
 		}
-		// Zero the tail so requeued pointers don't linger.
-		for i := len(kept); i < len(*q); i++ {
-			(*q)[i] = nil
+		j.attempts.Add(1)
+		c.inflight[node][j.ID] = j
+		c.stats.Dispatched++
+		if primary {
+			c.stats.PrimaryHits++
 		}
-		*q = kept
+		out = append(out, Assignment{Node: node, Job: j})
 	}
-	take(&c.interQ, len(c.batchQ))
-	take(&c.batchQ, 0)
+	// Zero the tail so requeued pointers don't linger.
+	clear(c.queue[len(kept):])
+	c.queue = kept
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -44,9 +43,9 @@ func (f *fakeFleet) record(asgs []Assignment) {
 	}
 }
 
-func (f *fakeFleet) submit(id, key, class string) {
+func (f *fakeFleet) submit(id, key string) {
 	f.t.Helper()
-	asgs, err := f.c.Submit(&Job{ID: id, Key: key, Class: class}, f.now)
+	asgs, err := f.c.Submit(&Job{ID: id, Key: key}, f.now)
 	if err != nil {
 		f.t.Fatalf("submit %s: %v", id, err)
 	}
@@ -79,8 +78,8 @@ func TestRoutingFollowsRing(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		id := fmt.Sprintf("j-%d", i)
-		f.submit(id, key, server.ClassBatch)
-		want := f.c.ring.Primary(key)
+		f.submit(id, key)
+		want := f.c.ring.Sequence(key)[0]
 		if got := f.onjob[id]; got != want {
 			t.Fatalf("job %s (key %s) on %s, ring primary is %s", id, key, got, want)
 		}
@@ -92,44 +91,12 @@ func TestRoutingFollowsRing(t *testing.T) {
 	}
 }
 
-// Reserved slot: batch can occupy at most capacity-1 slots of a node, so
-// an interactive job submitted into a batch flood dispatches immediately.
-func TestInteractiveReservedSlotAndQueueJump(t *testing.T) {
-	f := newFakeFleet(t, Options{}, 1, 3)
-	// Saturate the batch share (cap 3 → batchCap 2) and build a backlog.
-	for i := 0; i < 5; i++ {
-		f.submit(fmt.Sprintf("b-%d", i), "key", server.ClassBatch)
-	}
-	running := len(f.onjob)
-	if running != 2 {
-		t.Fatalf("%d batch running, want 2 (reserved slot must stay free)", running)
-	}
-	// Interactive lands instantly in the reserved slot, past 3 queued batch.
-	f.submit("i-0", "key", server.ClassInteractive)
-	if _, ok := f.onjob["i-0"]; !ok {
-		t.Fatal("interactive job queued behind batch backlog")
-	}
-	if st := f.c.Stats(); st.QueueJumps == 0 {
-		t.Fatal("queue-jump not counted")
-	}
-	// A second interactive has no free slot and must wait...
-	f.submit("i-1", "key", server.ClassInteractive)
-	if _, ok := f.onjob["i-1"]; ok {
-		t.Fatal("interactive dispatched with zero free slots")
-	}
-	// ...but dispatches before any queued batch when a batch job finishes.
-	f.complete("b-0")
-	if _, ok := f.onjob["i-1"]; !ok {
-		t.Fatal("freed slot went to batch before queued interactive")
-	}
-}
-
 // A job gets five attempts: four retryable failures walk it down the
 // ring, never back to a node it failed on, and the fifth is permanent
 // although a sixth node it never tried is free.
 func TestRetryWithExclusionWalksRing(t *testing.T) {
 	f := newFakeFleet(t, Options{}, 6, 1)
-	f.submit("j", "some-key", server.ClassBatch)
+	f.submit("j", "some-key")
 
 	seq := f.c.ring.Sequence("some-key")
 	visited := []string{f.onjob["j"]}
@@ -163,7 +130,7 @@ func TestRetryWithExclusionWalksRing(t *testing.T) {
 
 func TestPermanentFailureNotRetried(t *testing.T) {
 	f := newFakeFleet(t, Options{}, 2, 1)
-	f.submit("j", "k", server.ClassBatch)
+	f.submit("j", "k")
 	node := f.onjob["j"]
 	if _, outcome := f.c.Fail(node, "j", false); outcome != FailTerminal {
 		t.Fatalf("non-retryable failure: outcome %v, want FailTerminal", outcome)
@@ -177,7 +144,7 @@ func TestTickEvictsDeadNodeAndRequeues(t *testing.T) {
 	var mine string
 	for i := 0; i < 30; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if f.c.ring.Primary(key) == "node-00" {
+		if f.c.ring.Sequence(key)[0] == "node-00" {
 			mine = key
 			break
 		}
@@ -185,7 +152,7 @@ func TestTickEvictsDeadNodeAndRequeues(t *testing.T) {
 	if mine == "" {
 		t.Fatal("no key routed to node-00")
 	}
-	f.submit("j", mine, server.ClassBatch)
+	f.submit("j", mine)
 	if f.onjob["j"] != "node-00" {
 		t.Fatalf("setup: job on %s", f.onjob["j"])
 	}
@@ -232,7 +199,7 @@ func TestTickEvictsDeadNodeAndRequeues(t *testing.T) {
 // the retry completes (the reviewer's zero-job-loss hole).
 func TestStaleFailureReportIgnored(t *testing.T) {
 	f := newFakeFleet(t, Options{SuspectAfter: 2 * time.Second, DeadAfter: 6 * time.Second}, 3, 2)
-	f.submit("j", "k", server.ClassBatch)
+	f.submit("j", "k")
 	first := f.onjob["j"]
 
 	// Everyone but the job's node keeps beating; the job's node dies.
@@ -283,7 +250,7 @@ func TestStaleFailureReportIgnored(t *testing.T) {
 func TestSuspectExcludedFromRoutingUntilRevived(t *testing.T) {
 	f := newFakeFleet(t, Options{SuspectAfter: 2 * time.Second, DeadAfter: 20 * time.Second}, 1, 2)
 	f.record(f.c.Tick(f.now.Add(3 * time.Second)))
-	f.submit("j", "k", server.ClassBatch)
+	f.submit("j", "k")
 	if len(f.onjob) != 0 {
 		t.Fatal("job dispatched to a suspect node")
 	}
@@ -296,8 +263,8 @@ func TestSuspectExcludedFromRoutingUntilRevived(t *testing.T) {
 
 func TestLeaveRequeuesInOrder(t *testing.T) {
 	f := newFakeFleet(t, Options{}, 1, 3)
-	f.submit("j-0", "k", server.ClassBatch)
-	f.submit("j-1", "k", server.ClassBatch)
+	f.submit("j-0", "k")
+	f.submit("j-1", "k")
 	if len(f.onjob) != 2 {
 		t.Fatalf("setup: %d running, want 2", len(f.onjob))
 	}
@@ -313,23 +280,29 @@ func TestLeaveRequeuesInOrder(t *testing.T) {
 	}
 }
 
-func TestBatchSpillToIdle(t *testing.T) {
+// One rule: a job takes the first node of its key's ring sequence with a
+// free slot, so the primary's every slot fills before a successor sees
+// the key, and only the overflow runs off the primary.
+func TestPrimaryTakesEverySlotFirst(t *testing.T) {
 	f := newFakeFleet(t, Options{}, 2, 2)
-	// Find a key whose primary is node-00, saturate its batch share.
 	var key string
 	for i := 0; ; i++ {
 		key = fmt.Sprintf("key-%d", i)
-		if f.c.ring.Primary(key) == "node-00" {
+		if f.c.ring.Sequence(key)[0] == "node-00" {
 			break
 		}
 	}
-	f.submit("b-0", key, server.ClassBatch) // node-00 batchCap=1 → saturated
-	f.submit("b-1", key, server.ClassBatch) // primary busy, node-01 idle → spill
-	if f.onjob["b-1"] != "node-01" {
-		t.Fatalf("job b-1 on %s, want spill to idle node-01", f.onjob["b-1"])
+	f.submit("j-0", key)
+	f.submit("j-1", key)
+	if f.onjob["j-0"] != "node-00" || f.onjob["j-1"] != "node-00" {
+		t.Fatalf("two jobs on a two-slot primary ran on %s and %s, want node-00 twice", f.onjob["j-0"], f.onjob["j-1"])
 	}
-	if st := f.c.Stats(); st.Spills != 1 {
-		t.Fatalf("Spills = %d, want 1", st.Spills)
+	f.submit("j-2", key)
+	if f.onjob["j-2"] != "node-01" {
+		t.Fatalf("the third job ran on %q, want the successor node-01", f.onjob["j-2"])
+	}
+	if st := f.c.Stats(); st.Dispatched-st.PrimaryHits != 1 {
+		t.Fatalf("%d of %d dispatches off the primary, want 1", st.Dispatched-st.PrimaryHits, st.Dispatched)
 	}
 }
 
@@ -350,14 +323,13 @@ type vloop struct {
 	hang   string  // this node goes silent at hangAt, never to answer again ("": none)
 	hangAt time.Duration
 
-	pending   pendingHeap
-	seq       int
-	hung      bool                     // hangAt has passed
-	submitted map[string]time.Duration // job → arrival
-	waits     map[string][]time.Duration
-	done      map[string]bool
-	suspects  int // nodes found Suspect after a tick
-	log       []string
+	pending  pendingHeap
+	seq      int
+	hung     bool            // hangAt has passed
+	short    map[string]bool // jobs served in 1 ms, not 8
+	done     map[string]bool
+	suspects int // nodes found Suspect after a tick
+	log      []string
 }
 
 // pending is a dispatched job's outcome, due at a virtual time.
@@ -392,9 +364,8 @@ func newVLoop(t *testing.T, seed int64, nodes, slots int) *vloop {
 	f := newFakeFleet(t, Options{SuspectAfter: 2500 * time.Millisecond, DeadAfter: 5 * time.Second}, nodes, slots)
 	return &vloop{
 		fakeFleet: f, rng: rand.New(rand.NewSource(seed)), start: f.now, nodes: nodes, slots: slots,
-		submitted: map[string]time.Duration{},
-		waits:     map[string][]time.Duration{},
-		done:      map[string]bool{},
+		short: map[string]bool{},
+		done:  map[string]bool{},
 	}
 }
 
@@ -409,9 +380,9 @@ func (l *vloop) push(p pending) {
 }
 
 // run submits n jobs over 64 module keys, arriving at rate per second
-// with a fraction inter of them interactive, and steps until every job
+// with a fraction short of them served in 1 ms, and steps until every job
 // has completed.
-func (l *vloop) run(n int, rate, inter float64) {
+func (l *vloop) run(n int, rate, short float64) {
 	l.t.Helper()
 	const never = time.Duration(1 << 62)
 	arrived, nextArrival := 0, time.Duration(0)
@@ -433,7 +404,7 @@ func (l *vloop) run(n int, rate, inter float64) {
 		l.now = l.start.Add(at)
 		switch {
 		case arrived < n && at == nextArrival:
-			l.submit(fmt.Sprintf("j-%04d", arrived), inter)
+			l.submit(fmt.Sprintf("j-%04d", arrived), short)
 			arrived++
 			nextArrival += time.Duration(l.rng.ExpFloat64() / rate * float64(time.Second))
 		case len(l.pending) > 0 && at == l.pending[0].at:
@@ -456,14 +427,10 @@ func (l *vloop) run(n int, rate, inter float64) {
 	}
 }
 
-func (l *vloop) submit(id string, inter float64) {
+func (l *vloop) submit(id string, short float64) {
 	l.t.Helper()
-	class := server.ClassBatch
-	if l.rng.Float64() < inter {
-		class = server.ClassInteractive
-	}
-	l.submitted[id] = l.clock()
-	asgs, err := l.c.Submit(&Job{ID: id, Key: fmt.Sprintf("key-%02d", l.rng.Intn(64)), Class: class}, l.now)
+	l.short[id] = l.rng.Float64() < short
+	asgs, err := l.c.Submit(&Job{ID: id, Key: fmt.Sprintf("key-%02d", l.rng.Intn(64))}, l.now)
 	if err != nil {
 		l.t.Fatalf("submit %s: %v", id, err)
 	}
@@ -472,24 +439,20 @@ func (l *vloop) submit(id string, inter float64) {
 
 // perform logs each assignment and schedules its outcome: nothing on a
 // silent node, a retryable failure a millisecond later with probability
-// failP, otherwise completion after 8 ms for batch and 1 ms for
-// interactive work, ±20%.
+// failP, otherwise completion after 8 ms, or 1 ms for a short job, ±20%.
 func (l *vloop) perform(asgs []Assignment) {
 	l.t.Helper()
 	l.record(asgs) // fails the test on an excluded node
 	now := l.clock()
 	for _, a := range asgs {
 		l.log = append(l.log, fmt.Sprintf("%v %s→%s", now, a.Job.ID, a.Node))
-		if a.Job.Attempts() == 1 {
-			l.waits[a.Job.Class] = append(l.waits[a.Job.Class], now-l.submitted[a.Job.ID])
-		}
 		if l.silent(a.Node) {
 			continue
 		}
 		p := pending{at: now + time.Millisecond, node: a.Node, job: a.Job.ID}
 		if l.rng.Float64() >= l.failP {
 			service := 8 * time.Millisecond
-			if a.Job.Class == server.ClassInteractive {
+			if l.short[a.Job.ID] {
 				service = time.Millisecond
 			}
 			p.at = now + time.Duration(float64(service)*(0.8+0.4*l.rng.Float64()))
@@ -571,32 +534,4 @@ func TestSameSeedSameSchedule(t *testing.T) {
 	if st.Completed != 2000 {
 		t.Fatalf("Completed = %d, want 2000", st.Completed)
 	}
-}
-
-// Under batch overload an interactive job waits for a free slot, never
-// for the batch backlog: the reserved slot and strict queue priority
-// bound its first-dispatch wait by about one batch service time, while
-// batch waits grow with the backlog.
-func TestInteractiveNeverStarved(t *testing.T) {
-	l := newVLoop(t, 21, 4, 2)
-	// Four nodes of two slots run one 8 ms batch job each, keeping the
-	// other for interactive work: 500 batch jobs a second.
-	// 812 arrivals a second, a fifth of them interactive, is 1.3× that.
-	l.run(1000, 812, 0.2)
-	quantile := func(ds []time.Duration, q float64) time.Duration {
-		ds = slices.Clone(ds)
-		slices.Sort(ds)
-		return ds[int(q*float64(len(ds)-1))]
-	}
-	inter, batch := l.waits[server.ClassInteractive], l.waits[server.ClassBatch]
-	if max := quantile(inter, 1); max > 20*time.Millisecond {
-		t.Errorf("interactive max wait %v: starved behind batch", max)
-	}
-	if bp, ip := quantile(batch, 0.99), quantile(inter, 0.99); bp < ip {
-		t.Errorf("batch p99 wait %v below interactive %v under overload", bp, ip)
-	}
-	if st := l.c.Stats(); st.QueueJumps == 0 {
-		t.Error("overloaded mixed traffic made no queue jumps")
-	}
-	t.Logf("waits: interactive p99 %v max %v, batch p99 %v", quantile(inter, 0.99), quantile(inter, 1), quantile(batch, 0.99))
 }

@@ -24,7 +24,7 @@ func keysForPrimary(c *Coordinator, node string, n int) []string {
 	var keys []string
 	for i := 0; len(keys) < n && i < 10_000; i++ {
 		k := fmt.Sprintf("drainkey-%d", i)
-		if c.ring.Primary(k) == node {
+		if c.ring.Sequence(k)[0] == node {
 			keys = append(keys, k)
 		}
 	}
@@ -44,8 +44,8 @@ func TestDrainCompletesInFlightWithoutRequeue(t *testing.T) {
 	if len(keys) < 2 {
 		t.Fatalf("could not find 2 keys with primary %s", target)
 	}
-	f.submit("t-0", keys[0], server.ClassBatch)
-	f.submit("t-1", keys[1], server.ClassBatch)
+	f.submit("t-0", keys[0])
+	f.submit("t-1", keys[1])
 	for _, id := range []string{"t-0", "t-1"} {
 		if f.onjob[id] != target {
 			t.Fatalf("job %s routed to %s, want %s", id, f.onjob[id], target)
@@ -76,7 +76,7 @@ func TestDrainCompletesInFlightWithoutRequeue(t *testing.T) {
 	// New work whose ring primary was the draining node re-routes away.
 	for i, k := range keysForPrimary(f.c, target, 2) {
 		id := fmt.Sprintf("re-%d", i)
-		f.submit(id, k, server.ClassBatch)
+		f.submit(id, k)
 		if f.onjob[id] != other {
 			t.Fatalf("job %s routed to %s during drain, want %s", id, f.onjob[id], other)
 		}
@@ -129,7 +129,7 @@ func TestDrainSurvivesTickButNotSilence(t *testing.T) {
 	f := newFakeFleet(t, Options{}, 2, 4)
 	target := "node-00"
 	keys := keysForPrimary(f.c, target, 1)
-	f.submit("t-0", keys[0], server.ClassBatch)
+	f.submit("t-0", keys[0])
 	asgs, _, _ := f.c.Drain(target, f.now)
 	f.record(asgs)
 

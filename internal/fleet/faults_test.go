@@ -13,7 +13,7 @@ import (
 )
 
 // The fleet's fault properties, asserted against the real HTTPCoordinator
-// and real workers: a crash, lost heartbeats, a slow node and a spill
+// and real workers: a crash, lost heartbeats, a slow node and a full primary
 // each change where or when a job runs, never what it reports. Every
 // fault is injected from a test file — a listener wrapper beneath a
 // worker, or a handler in front of the coordinator — and every test
@@ -195,32 +195,39 @@ func TestSlowNodeChangesScheduleNotReports(t *testing.T) {
 	}
 }
 
-// Spill-to-idle moves a batch job off its saturated primary onto a cold
-// node; the report does not move with it.
+// A job whose primary has no free slot runs on the next node of its ring
+// sequence, cold; the report does not move with it.
 func TestReportDigestInvariantUnderRouting(t *testing.T) {
 	f := newTestFleet(t, 2)
 	const primary = "w-00"
-	// A worker of two slots keeps one for interactive work, so one batch
-	// job saturates it: this one spins until its step budget stops it.
-	code, blocker, errj := f.submit(f.aimedAt(primary, server.JobRequest{
-		PTX: spinSrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4, 4},
-		TimeoutMS: 2000, MaxInstrs: 1 << 20,
-	}))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %+v", code, errj)
+	// Both of the primary's slots go to jobs that spin until their step
+	// budget stops them, each on its own module so neither waits on the
+	// other's session.
+	var blockers []string
+	for i := range defaultWorkerOpts.Workers {
+		code, info, errj := f.submit(f.aimedAt(primary, server.JobRequest{
+			PTX: fmt.Sprintf("%s\n// spin %d", spinSrc, i), Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4, 4},
+			TimeoutMS: 2000, MaxInstrs: 1 << 20,
+		}))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: %d %+v", code, errj)
+		}
+		blockers = append(blockers, info.ID)
 	}
 	req := f.aimedAt(primary, racyJob())
-	spilled := f.run(req)
-	if spilled.Node == primary || f.coord.Core().Stats().Spills == 0 {
-		t.Fatalf("job ran on %s with %d spills: its primary was never saturated",
-			spilled.Node, f.coord.Core().Stats().Spills)
+	moved := f.run(req)
+	if st := f.coord.Core().Stats(); moved.Node == primary || st.Dispatched == st.PrimaryHits {
+		t.Fatalf("job ran on %s with %d of %d dispatches on a primary: its primary was never full",
+			moved.Node, st.PrimaryHits, st.Dispatched)
 	}
-	f.wait(blocker.ID)
+	for _, id := range blockers {
+		f.wait(id)
+	}
 	onPrimary := f.run(req)
 	if onPrimary.Node != primary {
 		t.Fatalf("with its primary idle the job ran on %s", onPrimary.Node)
 	}
-	if digest(t, spilled) != digest(t, onPrimary) {
-		t.Error("the spilled job reported differently from its primary")
+	if digest(t, moved) != digest(t, onPrimary) {
+		t.Error("the job that ran off its primary reported differently from its primary")
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -69,7 +68,6 @@ type NodeJSON struct {
 type FleetJobInfo struct {
 	ID       string          `json:"id"`
 	Status   string          `json:"status"`
-	Class    string          `json:"class"`
 	Node     string          `json:"node,omitempty"`
 	Attempts int             `json:"attempts"`
 	Error    string          `json:"error,omitempty"`
@@ -83,17 +81,16 @@ type FleetJobInfo struct {
 // proved stale. JSONForwards is always 0: there is no JSON forward; the
 // field stays only because benchmarks/e2e reads it (ROADMAP item 1).
 type FleetMetricsJSON struct {
-	UptimeMS          float64    `json:"uptime_ms"`
-	Stats             Stats      `json:"stats"`
-	QueuedInteractive int        `json:"queued_interactive"`
-	QueuedBatch       int        `json:"queued_batch"`
-	InFlight          int        `json:"in_flight"`
-	StreamForwards    int64      `json:"stream_forwards"`
-	JSONForwards      int64      `json:"json_forwards"`
-	StreamDials       int64      `json:"stream_dials"`
-	StreamReuses      int64      `json:"stream_reuses"`
-	StreamRedials     int64      `json:"stream_redials"`
-	Nodes             []NodeJSON `json:"nodes"`
+	UptimeMS       float64    `json:"uptime_ms"`
+	Stats          Stats      `json:"stats"`
+	Queued         int        `json:"queued"`
+	InFlight       int        `json:"in_flight"`
+	StreamForwards int64      `json:"stream_forwards"`
+	JSONForwards   int64      `json:"json_forwards"`
+	StreamDials    int64      `json:"stream_dials"`
+	StreamReuses   int64      `json:"stream_reuses"`
+	StreamRedials  int64      `json:"stream_redials"`
+	Nodes          []NodeJSON `json:"nodes"`
 }
 
 // HTTPCoordinator is the fleet front-end: it speaks the same job API as
@@ -137,7 +134,7 @@ func (p *proxyJob) info() FleetJobInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return FleetJobInfo{
-		ID: p.id, Status: p.status, Class: p.fj.Class, Node: p.node,
+		ID: p.id, Status: p.status, Node: p.node,
 		Attempts: p.fj.Attempts(), Error: p.errMsg, Code: p.errCode,
 		Worker: p.worker,
 	}
@@ -335,18 +332,16 @@ func (h *HTTPCoordinator) nodesJSON() []NodeJSON {
 }
 
 func (h *HTTPCoordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	qi, qb := h.core.QueueDepths()
 	server.WriteJSON(w, http.StatusOK, FleetMetricsJSON{
-		UptimeMS:          float64(time.Since(h.start).Microseconds()) / 1000,
-		Stats:             h.core.Stats(),
-		QueuedInteractive: qi,
-		QueuedBatch:       qb,
-		InFlight:          h.core.InFlight(),
-		StreamForwards:    h.streamFwds.Load(),
-		StreamDials:       h.sessions.dials.Load(),
-		StreamReuses:      h.sessions.reuses.Load(),
-		StreamRedials:     h.sessions.redials.Load(),
-		Nodes:             h.nodesJSON(),
+		UptimeMS:       float64(time.Since(h.start).Microseconds()) / 1000,
+		Stats:          h.core.Stats(),
+		Queued:         h.core.QueueDepth(),
+		InFlight:       h.core.InFlight(),
+		StreamForwards: h.streamFwds.Load(),
+		StreamDials:    h.sessions.dials.Load(),
+		StreamReuses:   h.sessions.reuses.Load(),
+		StreamRedials:  h.sessions.redials.Load(),
+		Nodes:          h.nodesJSON(),
 	})
 }
 
@@ -369,30 +364,21 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
 		return
 	}
-	// Repair jobs run many verification launches: always batch-class,
-	// so one cannot occupy the interactive fast path.
-	if req.Kind == server.KindRepair {
-		req.Class = server.ClassBatch
-	}
 	// A bench job is keyed, stored and forwarded as the PTX job it names.
 	req = req.Resolved()
 	key := server.CacheKey(req.PTX)
 
 	id := h.jobs.Reserve()
 	pj := &proxyJob{id: id, status: server.StatusQueued, done: make(chan struct{}), reqCopy: req}
-	fj := &Job{ID: id, Key: key, Class: req.Class, Payload: pj}
+	fj := &Job{ID: id, Key: key, Payload: pj}
 	pj.fj = fj
 	h.jobs.Put(id, pj)
 
 	asgs, err := h.core.Submit(fj, time.Now())
-	if err != nil {
+	if err != nil { // ErrNoNodes, the one error Submit returns
 		h.jobs.Drop(id)
-		if errors.Is(err, ErrNoNodes) {
-			w.Header().Set("Retry-After", "1")
-			server.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, err.Error())
-		} else {
-			server.WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
-		}
+		w.Header().Set("Retry-After", "1")
+		server.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, err.Error())
 		return
 	}
 	h.perform(asgs)

@@ -291,17 +291,14 @@ func TestFleetSubmitValidation(t *testing.T) {
 	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument {
 		t.Fatalf("empty job: %d code %q, want 400 invalid_argument", code, errj.Code)
 	}
-	req := racyJob()
-	req.Class = "premium"
-	code, _, errj = f.submit(req)
-	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument {
-		t.Fatalf("bad class: %d code %q", code, errj.Code)
-	}
-	// The fleet runs one detector: configuration is a field no job has.
+	// The fleet runs one detector and schedules one queue: configuration
+	// and class are fields no job has.
 	body, _ := json.Marshal(racyJob())
-	code, _, errj = f.submit(append(body[:len(body)-1], `,"config":{"full_vc":true}}`...))
-	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, `"config"`) {
-		t.Fatalf("a job with a \"config\": %d %+v, want 400 invalid_argument naming the field", code, errj)
+	for field, value := range map[string]string{"config": `{"full_vc":true}`, "class": `"interactive"`} {
+		code, _, errj = f.submit(append(body[:len(body)-1], `,"`+field+`":`+value+`}`...))
+		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, `"`+field+`"`) {
+			t.Fatalf("a job with a %q: %d %+v, want 400 invalid_argument naming the field", field, code, errj)
+		}
 	}
 	code, info, errj := f.submit(racyJob())
 	if code != http.StatusAccepted {
@@ -434,7 +431,7 @@ func TestStaleFailAssignmentDoesNotFinishJob(t *testing.T) {
 	h.Core().Join("node-b", "http://invalid.test", 1, now)
 
 	pj := &proxyJob{id: "fjob-x", status: server.StatusQueued, done: make(chan struct{})}
-	fj := &Job{ID: "fjob-x", Key: "k", Class: server.ClassBatch, Payload: pj}
+	fj := &Job{ID: "fjob-x", Key: "k", Payload: pj}
 	pj.fj = fj
 	asgs, err := h.Core().Submit(fj, now)
 	if err != nil || len(asgs) != 1 {

@@ -21,24 +21,14 @@ const lostUpdateSrc = `.visible .entry k(.param .u64 out)
 }`
 
 // TestFleetRunsRepairJobs: a kind=repair job submitted to the
-// coordinator is forced onto the batch queue, forwarded to a worker
-// like any detection job, and comes back with a verified repair report.
+// coordinator is queued, routed and forwarded to a worker like any
+// detection job, and comes back with a verified repair report.
 func TestFleetRunsRepairJobs(t *testing.T) {
 	f := newTestFleet(t, 2)
 
-	// Even an explicitly interactive submission is demoted: repair work
-	// runs many verification launches and must not hold the
-	// interactive fast path.
-	code, info, errj := f.submit(server.JobRequest{
-		PTX:   lostUpdateSrc,
-		Kind:  server.KindRepair,
-		Class: server.ClassInteractive,
-	})
+	code, info, errj := f.submit(server.JobRequest{PTX: lostUpdateSrc, Kind: server.KindRepair})
 	if code != 202 {
 		t.Fatalf("submit: %d (%v)", code, errj)
-	}
-	if info.Class != server.ClassBatch {
-		t.Errorf("class = %q, want repair forced to %q", info.Class, server.ClassBatch)
 	}
 
 	done := f.wait(info.ID)

@@ -82,22 +82,9 @@ func (r *Ring) Remove(node string) {
 // Len is the number of member nodes.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Primary returns the node owning key ("" on an empty ring): the first
-// virtual point at or clockwise of the key's position.
-func (r *Ring) Primary(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := ringHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node
-}
-
 // Sequence returns every distinct node in ring order starting from the
-// key's primary. This is the failover order: a job excluded from its
+// key's primary, the first virtual point at or clockwise of the key's
+// position. This is the failover order: a job excluded from its
 // primary moves to the next successor, never back.
 func (r *Ring) Sequence(key string) []string {
 	if len(r.points) == 0 {

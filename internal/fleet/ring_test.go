@@ -19,7 +19,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	b := ringWith("node-03", "node-01", "node-00", "node-02")
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%05d", i)
-		if pa, pb := a.Primary(key), b.Primary(key); pa != pb {
+		if pa, pb := a.Sequence(key)[0], b.Sequence(key)[0]; pa != pb {
 			t.Fatalf("key %s: primary %s vs %s under different insertion order", key, pa, pb)
 		}
 	}
@@ -33,8 +33,16 @@ func TestRingSequenceDistinctAndStartsAtPrimary(t *testing.T) {
 		if len(seq) != 5 {
 			t.Fatalf("key %s: sequence has %d nodes, want 5", key, len(seq))
 		}
-		if seq[0] != r.Primary(key) {
-			t.Fatalf("key %s: sequence starts at %s, primary is %s", key, seq[0], r.Primary(key))
+		// The primary owns the first virtual point at or clockwise of
+		// the key's position.
+		h, primary := ringHash(key), r.points[0].node
+		for i := len(r.points) - 1; i >= 0; i-- {
+			if r.points[i].hash >= h {
+				primary = r.points[i].node
+			}
+		}
+		if seq[0] != primary {
+			t.Fatalf("key %s: sequence starts at %s, primary is %s", key, seq[0], primary)
 		}
 		seen := map[string]bool{}
 		for _, n := range seq {
@@ -54,7 +62,7 @@ func TestRingBalance(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < keys; i++ {
-		counts[r.Primary(fmt.Sprintf("key-%05d", i))]++
+		counts[r.Sequence(fmt.Sprintf("key-%05d", i))[0]]++
 	}
 	want := keys / nodes
 	for n, c := range counts {
@@ -73,7 +81,7 @@ func TestRingMinimalRemap(t *testing.T) {
 	base := ringWith("n0", "n1", "n2", "n3")
 	before := make([]string, keys)
 	for i := range before {
-		before[i] = base.Primary(fmt.Sprintf("key-%05d", i))
+		before[i] = base.Sequence(fmt.Sprintf("key-%05d", i))[0]
 	}
 
 	t.Run("add", func(t *testing.T) {
@@ -81,7 +89,7 @@ func TestRingMinimalRemap(t *testing.T) {
 		r.Add("n4")
 		moved := 0
 		for i := 0; i < keys; i++ {
-			after := r.Primary(fmt.Sprintf("key-%05d", i))
+			after := r.Sequence(fmt.Sprintf("key-%05d", i))[0]
 			if after != before[i] {
 				moved++
 				if after != "n4" {
@@ -100,7 +108,7 @@ func TestRingMinimalRemap(t *testing.T) {
 		r.Remove("n3")
 		moved := 0
 		for i := 0; i < keys; i++ {
-			after := r.Primary(fmt.Sprintf("key-%05d", i))
+			after := r.Sequence(fmt.Sprintf("key-%05d", i))[0]
 			if after != before[i] {
 				moved++
 				if before[i] != "n3" {
@@ -117,9 +125,6 @@ func TestRingMinimalRemap(t *testing.T) {
 
 func TestRingEmptyAndIdempotent(t *testing.T) {
 	r := NewRing()
-	if p := r.Primary("k"); p != "" {
-		t.Fatalf("empty ring primary = %q, want empty", p)
-	}
 	if s := r.Sequence("k"); s != nil {
 		t.Fatalf("empty ring sequence = %v, want nil", s)
 	}

@@ -78,7 +78,8 @@ func (s *Scheduler) Analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	lease, _, err := s.cache.Acquire(moduleSource(req.PTX, req.Bench))
+	src := moduleSource(req.PTX, req.Bench)
+	lease, _, err := s.cache.Acquire(src, HashSrc(src))
 	if err != nil {
 		return nil, err
 	}

@@ -50,15 +50,9 @@ type JobRequest struct {
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 	// WarpSize overrides the simulated warp width (0 = 32).
 	WarpSize int `json:"warp_size,omitempty"`
-	// Class is the scheduling class: "batch" (default) or
-	// "interactive". The fleet coordinator routes interactive jobs
-	// ahead of batch work; a standalone worker records it only.
-	Class string `json:"class,omitempty"`
 	// Kind selects the work: "detect" (default) runs one detection
 	// launch; "repair" runs the verified repair-synthesis loop and
-	// returns a RepairReport in the result. Repair jobs are batch-class
-	// by nature (they run many launches) and the fleet coordinator
-	// forces them onto the batch queue.
+	// returns a RepairReport in the result.
 	Kind string `json:"kind,omitempty"`
 }
 
@@ -66,15 +60,6 @@ type JobRequest struct {
 const (
 	KindDetect = "detect"
 	KindRepair = "repair"
-)
-
-// Job priority classes, used by the fleet coordinator. A plain worker
-// accepts and records the class but schedules FIFO; the coordinator
-// gives "interactive" submissions strict priority and a reserved slot
-// so they are never starved behind batch detection jobs.
-const (
-	ClassBatch       = "batch"
-	ClassInteractive = "interactive"
 )
 
 // Validate checks the payload shape; the server maps errors to 400.
@@ -89,9 +74,6 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 	}
 	if r.TimeoutMS < 0 || r.TimeoutMS > maxTimeoutMS {
 		return fmt.Errorf("job: field \"timeout_ms\": must be in [0, %d], got %d", maxTimeoutMS, r.TimeoutMS)
-	}
-	if r.Class != "" && r.Class != ClassBatch && r.Class != ClassInteractive {
-		return fmt.Errorf("job: field \"class\": must be %q or %q, got %q", ClassBatch, ClassInteractive, r.Class)
 	}
 	if r.Kind != "" && r.Kind != KindDetect && r.Kind != KindRepair {
 		return fmt.Errorf("job: field \"kind\": must be %q or %q, got %q", KindDetect, KindRepair, r.Kind)

@@ -80,10 +80,10 @@ func TestFairShareNoStarvation(t *testing.T) {
 
 	// Hold the lone worker long enough for every submission below to
 	// land in the queue while it runs.
-	holder, err := s.SubmitTenant(JobRequest{
+	holder, err := s.submit(JobRequest{
 		PTX: spinSrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4, 4},
 		TimeoutMS: 500, MaxInstrs: 1 << 24,
-	}, "noisy", nil)
+	}, nil, "noisy", nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestFairShareNoStarvation(t *testing.T) {
 	quick := JobRequest{PTX: racySrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}}
 	var noisy []*Job
 	for i := 0; i < 8; i++ {
-		j, err := s.SubmitTenant(quick, "noisy", nil)
+		j, err := s.submit(quick, nil, "noisy", nil, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		noisy = append(noisy, j)
 	}
-	quiet, err := s.SubmitTenant(quick, "quiet", nil)
+	quiet, err := s.submit(quick, nil, "quiet", nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

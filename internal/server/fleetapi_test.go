@@ -46,7 +46,6 @@ func TestValidationErrorsCarryCodeAndFieldName(t *testing.T) {
 		{"timeout of 2^62 ms", JobRequest{PTX: racySrc, TimeoutMS: 1 << 62}, `"timeout_ms"`},
 		{"timeout of MaxInt64 ms", JobRequest{PTX: racySrc, TimeoutMS: math.MaxInt64}, `"timeout_ms"`},
 		{"bad warp size", JobRequest{PTX: racySrc, WarpSize: 64}, `"warp_size"`},
-		{"bad class", JobRequest{PTX: racySrc, Class: "urgent"}, `"class"`},
 		{"negative buffer", JobRequest{PTX: racySrc, Buffers: []int{8, -4}}, `"buffers[1]"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,6 +64,11 @@ func TestValidationErrorsCarryCodeAndFieldName(t *testing.T) {
 	t.Run("bad config", func(t *testing.T) {
 		code, errj := post(t, ts.URL+"/jobs", withConfig(JobRequest{PTX: racySrc}), nil)
 		refusesConfig(t, "POST /jobs", code, errj)
+	})
+	// The daemon and the fleet schedule one queue: a job has no class.
+	t.Run("bad class", func(t *testing.T) {
+		code, errj := post(t, ts.URL+"/jobs", withField(JobRequest{PTX: racySrc}, "class", `"interactive"`), nil)
+		refusesField(t, "POST /jobs", "class", code, errj)
 	})
 }
 

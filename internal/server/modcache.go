@@ -89,13 +89,13 @@ type Lease struct {
 }
 
 // Acquire returns a leased session for the given source, reporting
-// whether it was already cached (a hit). The session is built lazily
-// under the entry lock, so two concurrent first submissions of the same
-// module build it once. The caller owns the session until Release;
-// concurrent jobs on the same module serialize here.
-func (c *ModCache) Acquire(src string) (*Lease, bool, error) {
-	key := HashSrc(src)
-
+// whether it was already cached (a hit). key is src's HashSrc, which
+// every caller already holds: a job's from its submission, a stream's
+// from its verified upload. The session is built lazily under the entry
+// lock, so two concurrent first submissions of the same module build it
+// once. The caller owns the session until Release; concurrent jobs on
+// the same module serialize here.
+func (c *ModCache) Acquire(src string, key [32]byte) (*Lease, bool, error) {
 	c.mu.Lock()
 	e, hit := c.entries[key]
 	if hit {

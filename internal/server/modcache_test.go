@@ -7,13 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"barracuda/internal/bench"
 	"barracuda/internal/detector"
+	"barracuda/internal/wire"
 )
 
 // TestCacheKeyDistinguishesSourceAndConfig: the source is the whole key.
 // The daemon runs one detector, so no configuration splits a module's
 // entry; the module cache, the source store and (in hex) the fleet ring
-// all key a source by one HashSrc.
+// all key a source by one HashSrc (TestEveryRoadKeysBySourceHash).
 func TestCacheKeyDistinguishesSourceAndConfig(t *testing.T) {
 	base := CacheKey(racySrc)
 	if CacheKey(racySrc) != base {
@@ -26,22 +28,60 @@ func TestCacheKeyDistinguishesSourceAndConfig(t *testing.T) {
 	if base != hex.EncodeToString(h[:]) {
 		t.Errorf("ring key %s is not the source's HashSrc %x", base, h)
 	}
-	if got := NewSrcStore(1).Put(racySrc); got != h {
-		t.Errorf("source store keys the module %x, want %x", got, h)
+}
+
+// TestEveryRoadKeysBySourceHash: each road hands the module cache the
+// hash it already holds — a JSON job's from its submission (a bench job's
+// of the source it names), a stream's from the upload it verified or the
+// store key of a warm hit — and each is the source's HashSrc: one entry
+// per source, and the warm stream launch hits the upload's entry.
+func TestEveryRoadKeysBySourceHash(t *testing.T) {
+	srv, ts := newTestServer(t, SchedulerOptions{Workers: 1})
+	for _, req := range []JobRequest{{PTX: racySrc, Buffers: []int{4}}, {Bench: "hashtable"}} {
+		code, info, errj := postJob(t, ts, req)
+		if code != 202 {
+			t.Fatalf("submit: %d %+v", code, errj)
+		}
+		if info = waitJob(t, ts, info.ID); info.Status != StatusDone {
+			t.Fatalf("job: %+v", info)
+		}
 	}
-	l, _, err := NewModCache(1).Acquire(racySrc)
-	if err != nil {
-		t.Fatal(err)
+	streamed := "// streamed\n" + racySrc
+	for i, wantWarm := range []bool{false, true} {
+		c := dialStream(t, ts.URL, "")
+		if _, warm, err := c.UploadModule([]byte(streamed)); err != nil || warm != wantWarm {
+			t.Fatalf("upload %d: warm %v, err %v", i, warm, err)
+		}
+		if err := c.Launch(wire.LaunchSpec{Seq: 1, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}}); err != nil {
+			t.Fatal(err)
+		}
+		if sums, _, rejects := collect(t, c, 1); len(rejects) != 0 || sums[1].Status != StatusDone || sums[1].CacheHit != wantWarm {
+			t.Fatalf("launch %d: %+v %+v", i, sums[1], rejects)
+		}
 	}
-	defer l.Release()
-	if l.e.key != h {
-		t.Errorf("module cache keys the module %x, want %x", l.e.key, h)
+	sched := srv.Scheduler()
+	if _, ok := sched.Srcs().Get(HashSrc(streamed)); !ok {
+		t.Error("the upload is not stored under its HashSrc")
+	}
+	cache := sched.Cache()
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	for _, src := range []string{racySrc, bench.ByName("hashtable").PTX(), streamed} {
+		if _, ok := cache.entries[HashSrc(src)]; !ok {
+			t.Errorf("no cache entry under the HashSrc of %.20q", src)
+		}
+	}
+	if len(cache.entries) != 3 {
+		t.Errorf("%d cache entries, want 3", len(cache.entries))
 	}
 }
 
+// acquire leases src's session under its HashSrc.
+func acquire(c *ModCache, src string) (*Lease, bool, error) { return c.Acquire(src, HashSrc(src)) }
+
 func TestCacheHitReusesSessionAndBuffers(t *testing.T) {
 	c := NewModCache(4)
-	l1, hit, err := c.Acquire(racySrc)
+	l1, hit, err := acquire(c, racySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +99,7 @@ func TestCacheHitReusesSessionAndBuffers(t *testing.T) {
 	}
 	l1.Release()
 
-	l2, hit, err := c.Acquire(racySrc)
+	l2, hit, err := acquire(c, racySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +132,7 @@ func TestCacheLRUEvictionClosesSession(t *testing.T) {
 	var sessions []*detector.Session
 	for i := 0; i < 3; i++ {
 		src := fmt.Sprintf("// v%d\n%s", i, racySrc)
-		l, _, err := c.Acquire(src)
+		l, _, err := acquire(c, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +148,7 @@ func TestCacheLRUEvictionClosesSession(t *testing.T) {
 		t.Errorf("evicted session Detect err = %v, want ErrClosed", err)
 	}
 	// Re-acquiring the evicted source is a miss building a new session.
-	l, hit, err := c.Acquire("// v0\n" + racySrc)
+	l, hit, err := acquire(c, "// v0\n"+racySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +163,7 @@ func TestCacheLRUEvictionClosesSession(t *testing.T) {
 
 func TestCacheOpenErrorNotCachedAsDead(t *testing.T) {
 	c := NewModCache(4)
-	_, _, err := c.Acquire("not ptx at all")
+	_, _, err := acquire(c, "not ptx at all")
 	if err == nil {
 		t.Fatal("acquire of invalid source succeeded")
 	}
@@ -134,13 +174,13 @@ func TestCacheOpenErrorNotCachedAsDead(t *testing.T) {
 
 func TestCacheSerializesLeases(t *testing.T) {
 	c := NewModCache(2)
-	l1, _, err := c.Acquire(racySrc)
+	l1, _, err := acquire(c, racySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan struct{})
 	go func() {
-		l2, _, err := c.Acquire(racySrc)
+		l2, _, err := acquire(c, racySrc)
 		if err != nil {
 			t.Error(err)
 		} else {

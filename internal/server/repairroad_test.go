@@ -81,7 +81,7 @@ func TestRepairDeadlineStopsTheLoop(t *testing.T) {
 	srv := New(SchedulerOptions{Workers: 1, DefaultTimeout: 200 * time.Millisecond})
 	req := RepairRequest{PTX: spinSrc, Buffers: []int{4, 4}, MaxInstrs: 1 << 40}.jobRequest()
 	for i := 0; i < 2; i++ {
-		job, err := srv.Scheduler().submit(req, "", nil, 0, 0)
+		job, err := srv.Scheduler().submit(req, nil, "", nil, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,6 +79,7 @@ type Job struct {
 
 	// Immutable after Submit.
 	req      JobRequest // resolved; Kernel may be "": the module's first, at run time
+	hash     [32]byte   // HashSrc(req.PTX): the module cache key
 	timeout  time.Duration
 	budget   uint64
 	tenant   string          // API key the job was admitted under ("" = anonymous)
@@ -246,24 +247,20 @@ func (s *Scheduler) Options() SchedulerOptions { return s.opts }
 // success, ErrQueueFull under backpressure, and a descriptive error for
 // invalid payloads (mapped to 400 by the HTTP layer).
 func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
-	return s.SubmitTenant(req, "", nil)
+	return s.submit(req, nil, "", nil, 0, 0)
 }
 
-// SubmitTenant is Submit with a tenant identity and an incremental race
-// observer. The job is admitted into that tenant's round-robin
-// bucket, so one tenant's backlog cannot starve another's submissions.
-// onRace, when non-nil, is invoked once per new static race at the
-// moment of discovery, from a detection worker goroutine. The streaming
-// API uses it to push FRace frames before the job completes; it must
-// not block (the stream layer hands it a buffered channel sized to the
-// race cap).
-func (s *Scheduler) SubmitTenant(req JobRequest, tenant string, onRace func(core.Race)) (*Job, error) {
-	return s.submit(req, tenant, onRace, 0, 0)
-}
-
-// submit is SubmitTenant with a repair's search bounds, which ride the
-// Job and not the request: JobRequest stays exactly what travels.
-func (s *Scheduler) submit(req JobRequest, tenant string, onRace func(core.Race), maxCandidates, maxPatches int) (*Job, error) {
+// submit is Submit with the module's content hash, when the caller holds
+// a verified one (nil: hashed here, once per job), a tenant identity, an
+// incremental race observer, and a repair's search bounds, which ride the
+// Job and not the request: JobRequest stays exactly what travels. The job
+// is admitted into its tenant's round-robin bucket, so one tenant's
+// backlog cannot starve another's submissions. onRace, when non-nil, is
+// invoked once per new static race at the moment of discovery, from a
+// detection worker goroutine. The streaming API uses it to push FRace
+// frames before the job completes; it must not block (the stream layer
+// hands it a buffered channel sized to the race cap).
+func (s *Scheduler) submit(req JobRequest, hash *[32]byte, tenant string, onRace func(core.Race), maxCandidates, maxPatches int) (*Job, error) {
 	if err := req.Validate(s.opts.MaxBufferBytes); err != nil {
 		return nil, err
 	}
@@ -279,6 +276,11 @@ func (s *Scheduler) submit(req JobRequest, tenant string, onRace func(core.Race)
 		sum:           wire.Summary{Status: StatusQueued},
 		submitted:     time.Now(),
 		done:          make(chan struct{}),
+	}
+	if hash != nil {
+		job.hash = *hash
+	} else {
+		job.hash = HashSrc(job.req.PTX)
 	}
 	if req.TimeoutMS > 0 {
 		job.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -328,7 +330,7 @@ func (s *Scheduler) run(job *Job) {
 	job.sum.QueueWaitUS = uint64(time.Since(job.submitted).Microseconds())
 	job.mu.Unlock()
 
-	lease, hit, err := s.cache.Acquire(job.req.PTX)
+	lease, hit, err := s.cache.Acquire(job.req.PTX, job.hash)
 	if err != nil {
 		s.metrics.Failed.Add(1)
 		job.fail(StatusFailed, "open: "+err.Error())

@@ -188,7 +188,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // queue_full with Retry-After, or 400 invalid_argument, and returns nil.
 // The last two arguments are a repair's search bounds (Scheduler.submit).
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, req JobRequest, maxCandidates, maxPatches int) *Job {
-	job, err := s.sched.submit(req, bearerToken(r), nil, maxCandidates, maxPatches)
+	job, err := s.sched.submit(req, nil, bearerToken(r), nil, maxCandidates, maxPatches)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")

@@ -89,21 +89,31 @@ func post(t *testing.T, url string, body, out any) (int, ErrorJSON) {
 	return resp.StatusCode, errj
 }
 
-// withConfig is req's body with the detector configuration a client of an
-// older daemon sent: every door refuses it as a field the request does
-// not have (the daemon runs one detector).
-func withConfig(req any) []byte {
+// withField is req's body with one more top-level field of raw JSON
+// value, as a client of an older daemon sent it: every door refuses it as
+// a field the request does not have.
+func withField(req any, field, value string) []byte {
 	body, _ := json.Marshal(req)
-	return append(body[:len(body)-1], `,"config":{"full_vc":true}}`...)
+	return append(body[:len(body)-1], fmt.Sprintf(`,%q:%s}`, field, value)...)
 }
 
-// refusesConfig checks a door's answer to a withConfig body: 400
+// withConfig is req's body with a detector configuration: the daemon runs
+// one detector.
+func withConfig(req any) []byte { return withField(req, "config", `{"full_vc":true}`) }
+
+// refusesField checks a door's answer to a withField body: 400
 // invalid_argument, naming the field.
+func refusesField(t *testing.T, door, field string, code int, errj ErrorJSON) {
+	t.Helper()
+	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, `"`+field+`"`) {
+		t.Errorf("%s with a %q: %d %+v, want 400 invalid_argument naming the field", door, field, code, errj)
+	}
+}
+
+// refusesConfig is refusesField for a withConfig body.
 func refusesConfig(t *testing.T, door string, code int, errj ErrorJSON) {
 	t.Helper()
-	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, `"config"`) {
-		t.Errorf("%s with a \"config\": %d %+v, want 400 invalid_argument naming the field", door, code, errj)
-	}
+	refusesField(t, door, "config", code, errj)
 }
 
 func waitJob(t *testing.T, ts *httptest.Server, id string) JobInfo {

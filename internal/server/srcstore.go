@@ -42,14 +42,13 @@ func NewSrcStore(max int) *SrcStore {
 // ModCache's, and in hex (CacheKey) the fleet ring's.
 func HashSrc(src string) [32]byte { return sha256.Sum256([]byte(src)) }
 
-// Put stores src under its content hash and returns the hash.
-func (s *SrcStore) Put(src string) [32]byte {
-	h := HashSrc(src)
+// Put stores src under h, its HashSrc, which the caller has computed.
+func (s *SrcStore) Put(h [32]byte, src string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.entries[h]; ok {
 		s.lru.MoveToFront(el)
-		return h
+		return
 	}
 	s.entries[h] = s.lru.PushFront(&srcEntry{hash: h, src: src})
 	for s.lru.Len() > s.max {
@@ -57,7 +56,6 @@ func (s *SrcStore) Put(src string) [32]byte {
 		s.lru.Remove(el)
 		delete(s.entries, el.Value.(*srcEntry).hash)
 	}
-	return h
 }
 
 // Get returns the source stored under hash, if resident.

@@ -87,9 +87,12 @@ type stream struct {
 
 	apiKey string
 
-	// Current module (the source launches run against).
-	module    string
-	moduleSet bool
+	// Current module (the source launches run against) and its HashSrc:
+	// the source store's key on a warm hit, the computed sum after an
+	// upload, never a declared hash that was not verified.
+	module     string
+	moduleHash [32]byte
+	moduleSet  bool
 
 	// In-progress upload.
 	upTotal  uint64
@@ -218,7 +221,7 @@ func (st *stream) modBegin(p []byte) error {
 		copy(h[:], mb.Hash)
 		if src, ok := st.sched.Srcs().Get(h); ok {
 			// Warm hit: the declared content is resident; skip the upload.
-			st.module, st.moduleSet = src, true
+			st.module, st.moduleHash, st.moduleSet = src, h, true
 			st.upActive = false
 			return st.writeFrame(wire.FModState, wire.EncodeModState(wire.ModState{State: wire.ModHave, Hash: mb.Hash}))
 		}
@@ -257,7 +260,8 @@ func (st *stream) modEnd() error {
 		return errors.New("upload content hash does not match MOD_BEGIN declaration")
 	}
 	st.module, st.moduleSet = st.upBuf.String(), true
-	st.sched.Srcs().Put(st.module)
+	copy(st.moduleHash[:], sum)
+	st.sched.Srcs().Put(st.moduleHash, st.module)
 	return st.writeFrame(wire.FModState, wire.EncodeModState(wire.ModState{State: wire.ModReady, Hash: sum}))
 }
 
@@ -294,7 +298,7 @@ func (st *stream) launch(p []byte) error {
 		default: // cap exceeded would be a detector bug; never block
 		}
 	}
-	job, err := st.sched.SubmitTenant(launchRequest(st.module, spec), st.apiKey, onRace)
+	job, err := st.sched.submit(launchRequest(st.module, spec), &st.moduleHash, st.apiKey, onRace, 0, 0)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return st.reject(spec.Seq, wire.CodeQueueFull, err.Error(), time.Second)

@@ -80,7 +80,7 @@ func TestOversizeSummaryFailsTheJobNotTheStream(t *testing.T) {
 
 	// Plant a synthetic report where the job will recall it: the repair
 	// memo of the module's cache entry, under the signature the job computes.
-	lease, _, err := sched.Cache().Acquire(repairableSrc)
+	lease, _, err := sched.Cache().Acquire(repairableSrc, HashSrc(repairableSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestResolvedBenchEqualsSchedulerDefaults(t *testing.T) {
 		t.Fatalf("table has %d rows, bench.All() %d", len(recorded), len(bench.All()))
 	}
 	for _, row := range recorded {
-		in := JobRequest{Bench: row.name, MaxInstrs: 7, Class: ClassInteractive}
+		in := JobRequest{Bench: row.name, MaxInstrs: 7, Kind: KindRepair}
 		got := in.Resolved()
 		want := in
 		want.Bench, want.PTX = "", bench.ByName(row.name).PTX()
