@@ -31,13 +31,13 @@ one-forward-path:
 	@if grep -nE 'Addr *\+ *"/jobs' internal/fleet/*.go; then \
 		echo "internal/fleet builds a worker /jobs URL: jobs are forwarded over /v1/stream only"; exit 1; fi
 
-# The daemon has one place a kernel is launched, Scheduler.run, on a pool
-# worker: a repair loop or a detect started from any other file of
-# internal/server is /v1/repair's old road — unqueued, untimed, uncounted —
-# grown back.
+# The daemon has one way in, Scheduler.submit, and one place work runs,
+# Scheduler.run, on a pool worker: a repair loop, a detect or a module
+# opened (a ModCache lease) from any other file of internal/server is a
+# side door — unqueued, untimed, uncounted — grown back.
 one-way-in:
-	@if grep -nE 'repairOnLease\(|\.DetectObserved\(' $$(ls internal/server/*.go | grep -vE '_test\.go$$|/scheduler\.go$$') | grep -v 'func repairOnLease('; then \
-		echo "internal/server launches a kernel outside scheduler.go: every launch goes in through Scheduler.submit"; exit 1; fi
+	@if grep -nE 'repairOnLease\(|\.DetectObserved\(|\.Acquire\(' $$(ls internal/server/*.go | grep -vE '_test\.go$$|/scheduler\.go$$') | grep -vE 'func repairOnLease\(|func \(c \*ModCache\) Acquire\('; then \
+		echo "internal/server launches a kernel or opens a module outside scheduler.go: all work goes in through Scheduler.submit"; exit 1; fi
 
 # The daemon runs one detector: no request, wire payload or cache key
 # carries detector configuration, so outside tests internal/server,

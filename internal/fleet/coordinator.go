@@ -270,15 +270,18 @@ const (
 	// FailRequeued: the job went back to the front of the queue
 	// with the failed node excluded, to retry on a ring successor.
 	FailRequeued
-	// FailTerminal: the job is permanently failed (non-retryable error
-	// or attempts exhausted) and the driver should surface the error.
+	// FailTerminal: the job is permanently failed (non-retryable error,
+	// attempts exhausted, or every ring node has refused it) and the
+	// driver should surface the error.
 	FailTerminal
 )
 
 // Fail marks an assignment failed. Retryable failures (connection
 // errors, 429/503 per server.RetryableCode) exclude the node and
 // re-route to the next ring successor; permanent failures (400s) and
-// exhausted attempts drop the job. A report for an assignment the
+// exhausted attempts drop the job. So does a retryable failure on the last
+// ring node the job had not excluded: routeLocked could never place it
+// again, and it would wait queued for good. A report for an assignment the
 // coordinator no longer tracks — the node was evicted and the job
 // requeued in the meantime — returns FailStale and changes nothing (see
 // Complete for why presence in-flight identifies the live attempt).
@@ -292,7 +295,7 @@ func (c *Coordinator) Fail(node, jobID string, retryable bool) (asgs []Assignmen
 	}
 	delete(m, jobID)
 	job.excluded[node] = struct{}{}
-	if !retryable || job.Attempts() >= maxAttempts {
+	if !retryable || job.Attempts() >= maxAttempts || c.excludesRingLocked(job) {
 		c.stats.FailedPerm++
 		c.maybeFinishDrainLocked(node)
 		return c.dispatchLocked(), FailTerminal
@@ -301,6 +304,16 @@ func (c *Coordinator) Fail(node, jobID string, retryable bool) (asgs []Assignmen
 	c.enqueueLocked(job, true)
 	c.maybeFinishDrainLocked(node)
 	return c.dispatchLocked(), FailRequeued
+}
+
+// excludesRingLocked reports whether the job has excluded every ring node.
+func (c *Coordinator) excludesRingLocked(j *Job) bool {
+	for n := range c.ring.nodes {
+		if _, no := j.excluded[n]; !no {
+			return false
+		}
+	}
+	return true
 }
 
 // Nodes snapshots the registry.
@@ -401,17 +414,28 @@ func (c *Coordinator) routeLocked(j *Job) (node string, primary bool) {
 	return "", false
 }
 
-// dispatchLocked makes one pass over the queue in order, dispatching
-// every job that routes; the rest stay queued for the next event.
+// dispatchLocked walks the queue in order, dispatching every job that
+// routes; the rest stay queued for the next event. A job routes only to a
+// free slot of an Alive ring node, so the walk stops once those are all
+// taken, and its cost is the part of the queue it walked.
 func (c *Coordinator) dispatchLocked() []Assignment {
+	free := 0
+	for n := range c.ring.nodes {
+		if info, ok := c.reg.Get(n); ok && info.State == StateAlive {
+			free += max(info.Capacity-len(c.inflight[n]), 0)
+		}
+	}
 	var out []Assignment
-	kept := c.queue[:0]
-	for _, j := range c.queue {
+	kept, i := 0, 0
+	for ; i < len(c.queue) && free > 0; i++ {
+		j := c.queue[i]
 		node, primary := c.routeLocked(j)
 		if node == "" {
-			kept = append(kept, j)
+			c.queue[kept] = j
+			kept++
 			continue
 		}
+		free--
 		j.attempts.Add(1)
 		c.inflight[node][j.ID] = j
 		c.stats.Dispatched++
@@ -420,8 +444,11 @@ func (c *Coordinator) dispatchLocked() []Assignment {
 		}
 		out = append(out, Assignment{Node: node, Job: j})
 	}
-	// Zero the tail so requeued pointers don't linger.
-	clear(c.queue[len(kept):])
-	c.queue = kept
+	// The jobs the walk kept close up against the unwalked rest; the
+	// slots they leave are zeroed so dispatched pointers don't linger.
+	gap := i - kept
+	copy(c.queue[gap:i], c.queue[:kept])
+	clear(c.queue[:gap])
+	c.queue = c.queue[gap:]
 	return out
 }

@@ -137,6 +137,68 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	}
 }
 
+// A job every ring node has refused fails at the last refusal: it could
+// route nowhere, and used to stay queued, with nothing in flight, for good.
+func TestRefusedEverywhereFails(t *testing.T) {
+	f := newFakeFleet(t, Options{}, 2, 1)
+	f.submit("j", "k")
+	first := f.onjob["j"]
+	asgs, outcome := f.c.Fail(first, "j", true)
+	if outcome != FailRequeued {
+		t.Fatalf("first refusal: outcome %v, want FailRequeued", outcome)
+	}
+	f.record(asgs)
+	if f.onjob["j"] == first {
+		t.Fatalf("job re-dispatched to %s, which refused it", first)
+	}
+	if _, outcome := f.c.Fail(f.onjob["j"], "j", true); outcome != FailTerminal {
+		t.Fatalf("refusal by the last ring node: outcome %v, want FailTerminal", outcome)
+	}
+	if f.c.QueueDepth() != 0 || f.c.InFlight() != 0 {
+		t.Fatalf("queue %d, in flight %d, want the job gone", f.c.QueueDepth(), f.c.InFlight())
+	}
+	if st := f.c.Stats(); st.FailedPerm != 1 || st.Retries != 1 {
+		t.Fatalf("FailedPerm = %d, Retries = %d, want 1 and 1", st.FailedPerm, st.Retries)
+	}
+}
+
+// BenchmarkCompleteWithBacklog: one Complete on a full one-slot node
+// dispatches the head of the queue. Its cost should not grow with the
+// jobs waiting behind it, none of which can route.
+func BenchmarkCompleteWithBacklog(b *testing.B) {
+	for _, queued := range []int{10, 1000, 10000} {
+		b.Run(fmt.Sprint(queued), func(b *testing.B) {
+			c := NewCoordinator(Options{})
+			now := time.Unix(10_000, 0)
+			c.Join("node-00", "test://", 1, now)
+			n := 0
+			submit := func() []Assignment {
+				n++
+				asgs, err := c.Submit(&Job{ID: fmt.Sprint("j-", n), Key: fmt.Sprint("key-", n)}, now)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return asgs
+			}
+			running := submit()[0].Job.ID
+			for range queued {
+				submit()
+			}
+			b.ResetTimer()
+			for range b.N {
+				asgs, live := c.Complete("node-00", running, false)
+				if !live || len(asgs) != 1 {
+					b.Fatalf("complete: live %v, %d assignments, want the head dispatched", live, len(asgs))
+				}
+				running = asgs[0].Job.ID
+				b.StopTimer()
+				submit()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // Dead-node eviction: jobs in flight on a node that misses heartbeats
 // past DeadAfter are requeued with that node excluded and re-routed.
 func TestTickEvictsDeadNodeAndRequeues(t *testing.T) {

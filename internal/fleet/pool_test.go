@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"barracuda/internal/server"
+	"barracuda/internal/wire"
 )
 
 // severingListener is the injectable fault at the wire-connection seam:
@@ -457,12 +458,13 @@ func TestFleetSessionDebitsOneTokenPerJob(t *testing.T) {
 		t.Fatalf("after three jobs: %+v, want 3 admitted and none refused", tj)
 	}
 	// The bucket is dry: a fourth launch is refused, and with its only
-	// node excluded the job stays queued.
-	if code, _, errj := f.submit(racyJob()); code != http.StatusAccepted {
-		t.Fatalf("submit: %d %+v", code, errj)
+	// node excluded the job fails with the refusal's code, which a client
+	// may resubmit on.
+	if info := f.run(racyJob()); info.Status != server.StatusFailed || info.Code != wire.CodeQueueFull || info.Attempts != 1 {
+		t.Errorf("fourth job: %+v, want failed queue_full after 1 attempt", info)
 	}
-	if !within(5*time.Second, func() bool { return bucket().Rejected == 1 }) {
-		t.Errorf("fourth job: %+v, want its launch refused", bucket())
+	if tj := bucket(); tj.Rejected != 1 {
+		t.Errorf("fourth job: %+v, want its launch refused", tj)
 	}
 }
 

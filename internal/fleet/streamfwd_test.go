@@ -95,9 +95,9 @@ func TestStreamForwardWarmRepeat(t *testing.T) {
 
 // TestStreamForwardFallbackOldWorker: there is no fallback. A worker
 // whose /v1/stream answers 404 is a failed node for the job — what a dead
-// listener is: with no other node the job waits, queued, with that node
-// excluded, and runs as soon as a healthy worker joins; with a healthy node
-// on the ring the job's second attempt lands there.
+// listener is: with no other node on the ring the job has nowhere left to
+// go and fails unavailable, at once, instead of waiting queued for good;
+// with a healthy node on the ring the job's second attempt lands there.
 func TestStreamForwardFallbackOldWorker(t *testing.T) {
 	f := newTestFleet(t, 0)
 	srv := server.New(defaultWorkerOpts)
@@ -116,41 +116,26 @@ func TestStreamForwardFallbackOldWorker(t *testing.T) {
 	f.waitNodes(1)
 
 	// Alone: one failed attempt, then nowhere to go.
-	code, info, errj := f.submit(racyJob())
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %+v", code, errj)
-	}
-	pj, _ := f.coord.jobs.Get(info.ID)
-	if !within(5*time.Second, func() bool {
-		// Retries tells this queued from the one before the forward began.
-		got := pj.info()
-		return got.Status == server.StatusQueued && got.Attempts == 1 && f.coord.Core().Stats().Retries == 1
-	}) {
-		t.Fatalf("job after the refused upgrade: %+v, want queued after 1 attempt", pj.info())
-	}
-	if ex := pj.fj.Excluded(); len(ex) != 1 || ex[0] != "w-old" {
-		t.Fatalf("excluded = %v, want [w-old]", ex)
+	if info := f.run(racyJob()); info.Status != server.StatusFailed || info.Code != wire.CodeUnavailable || info.Attempts != 1 {
+		t.Fatalf("job refused by the only node: %+v, want failed unavailable after 1 attempt", info)
 	}
 	f.addWorker("w-new", defaultWorkerOpts)
-	done := f.wait(info.ID)
+	f.waitNodes(2)
+
+	// Beside a healthy node: the job walks the ring past its primary.
+	retries := f.coord.Core().Stats().Retries
+	done := f.run(f.aimedAt("w-old", racyJob()))
 	if done.Status != server.StatusDone || done.Node != "w-new" || done.Attempts != 2 {
-		t.Fatalf("after a healthy worker joined: %+v, want done on w-new at attempt 2", done)
+		t.Fatalf("job keyed to w-old: %+v, want done on w-new at attempt 2", done)
 	}
 	if done.Worker == nil || done.Worker.Result == nil || done.Worker.Result.RaceCount == 0 {
 		t.Fatalf("result missing races: %+v", done.Worker)
 	}
-
-	// Beside a healthy node: the job walks the ring past its primary.
-	retries := f.coord.Core().Stats().Retries
-	done = f.run(f.aimedAt("w-old", racyJob()))
-	if done.Status != server.StatusDone || done.Node != "w-new" || done.Attempts != 2 {
-		t.Fatalf("job keyed to w-old: %+v, want done on w-new at attempt 2", done)
-	}
 	if got := f.coord.Core().Stats().Retries - retries; got != 1 {
 		t.Errorf("retries = %d, want 1", got)
 	}
-	if m := f.metrics(); m.JSONForwards != 0 || m.Stats.FailedPerm != 0 {
-		t.Errorf("json_forwards %d, failed_perm %d, want 0 and 0", m.JSONForwards, m.Stats.FailedPerm)
+	if m := f.metrics(); m.JSONForwards != 0 || m.Stats.FailedPerm != 1 {
+		t.Errorf("json_forwards %d, failed_perm %d, want 0 and 1", m.JSONForwards, m.Stats.FailedPerm)
 	}
 }
 

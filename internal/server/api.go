@@ -64,13 +64,50 @@ const (
 
 // Validate checks the payload shape; the server maps errors to 400.
 // Every error names the offending JSON field so clients (and the fleet
-// coordinator) can report precisely what to fix.
+// coordinator) can report precisely what to fix: exactly one of ptx and
+// bench, and a bench that exists; extents and buffer sizes non-negative,
+// the extents within detector.BoundBlock and detector.BoundThreads, a
+// block within gpusim.MaxBlockWarps warps at the warp size (0 = 32), the
+// buffers within the cap.
 func (r *JobRequest) Validate(maxBufferBytes int64) error {
-	if err := checkModule("job", r.PTX, r.Bench); err != nil {
-		return err
+	switch {
+	case r.PTX == "" && r.Bench == "":
+		return fmt.Errorf("job: field \"ptx\"/\"bench\": exactly one must be set, got neither")
+	case r.PTX != "" && r.Bench != "":
+		return fmt.Errorf("job: field \"ptx\"/\"bench\": exactly one must be set, got both")
+	case r.Bench != "" && bench.ByName(r.Bench) == nil:
+		return fmt.Errorf("job: field \"bench\": unknown benchmark %q", r.Bench)
 	}
-	if err := checkLaunch("job", r.Grid, r.Block, r.WarpSize, r.Buffers, maxBufferBytes); err != nil {
-		return err
+	if r.Grid < 0 {
+		return fmt.Errorf("job: field \"grid\": must be >= 0, got %d", r.Grid)
+	}
+	if r.Block < 0 || r.Block > detector.BoundBlock {
+		return fmt.Errorf("job: field \"block\": must be in [0, %d], got %d", detector.BoundBlock, r.Block)
+	}
+	if r.WarpSize != 0 && (r.WarpSize < 2 || r.WarpSize > 32) {
+		return fmt.Errorf("job: field \"warp_size\": must be 0 or in [2,32], got %d", r.WarpSize)
+	}
+	if r.WarpSize != 0 && (r.Block+r.WarpSize-1)/r.WarpSize > gpusim.MaxBlockWarps {
+		return fmt.Errorf("job: field \"warp_size\": a block of %d threads at warp size %d is more than %d warps", r.Block, r.WarpSize, gpusim.MaxBlockWarps)
+	}
+	// A zero block selects 32 threads for a detection and 64 for a repair:
+	// count the larger.
+	perBlock := r.Block
+	if perBlock == 0 {
+		perBlock = 64
+	}
+	if r.Grid > detector.BoundThreads/perBlock {
+		return fmt.Errorf("job: field \"grid\": grid×block must be at most %d threads, got %d×%d", detector.BoundThreads, r.Grid, r.Block)
+	}
+	var total int64
+	for i, b := range r.Buffers {
+		if b < 0 {
+			return fmt.Errorf("job: field \"buffers[%d]\": must be >= 0, got %d", i, b)
+		}
+		total += int64(b)
+	}
+	if maxBufferBytes > 0 && total > maxBufferBytes {
+		return fmt.Errorf("job: field \"buffers\": total %d bytes exceeds the server limit %d", total, maxBufferBytes)
 	}
 	if r.TimeoutMS < 0 || r.TimeoutMS > maxTimeoutMS {
 		return fmt.Errorf("job: field \"timeout_ms\": must be in [0, %d], got %d", maxTimeoutMS, r.TimeoutMS)
@@ -81,71 +118,10 @@ func (r *JobRequest) Validate(maxBufferBytes int64) error {
 	return nil
 }
 
-// maxTimeoutMS is the longest timeout_ms a time.Duration holds: past it the
-// budget would wrap to zero or below and time the job out at once.
+// maxTimeoutMS is the longest timeout_ms (and the longest wait_ms a poll
+// waits) a time.Duration holds: past it the budget would wrap to zero or
+// below and time the job out at once.
 const maxTimeoutMS = (1<<63 - 1) / int64(time.Millisecond)
-
-// checkLaunch is the launch clause of a job's and a repair's Validate:
-// extents and buffer sizes non-negative, the extents within
-// detector.BoundBlock and detector.BoundThreads, a block within
-// gpusim.MaxBlockWarps warps at the warp size (0 = 32), the buffers within
-// the cap.
-func checkLaunch(prefix string, grid, block, warpSize int, buffers []int, maxBufferBytes int64) error {
-	if grid < 0 {
-		return fmt.Errorf("%s: field \"grid\": must be >= 0, got %d", prefix, grid)
-	}
-	if block < 0 || block > detector.BoundBlock {
-		return fmt.Errorf("%s: field \"block\": must be in [0, %d], got %d", prefix, detector.BoundBlock, block)
-	}
-	if warpSize != 0 && (warpSize < 2 || warpSize > 32) {
-		return fmt.Errorf("%s: field \"warp_size\": must be 0 or in [2,32], got %d", prefix, warpSize)
-	}
-	if warpSize != 0 && (block+warpSize-1)/warpSize > gpusim.MaxBlockWarps {
-		return fmt.Errorf("%s: field \"warp_size\": a block of %d threads at warp size %d is more than %d warps", prefix, block, warpSize, gpusim.MaxBlockWarps)
-	}
-	// A zero block selects 32 threads for a detection and 64 for a repair:
-	// count the larger.
-	perBlock := block
-	if perBlock == 0 {
-		perBlock = 64
-	}
-	if grid > detector.BoundThreads/perBlock {
-		return fmt.Errorf("%s: field \"grid\": grid×block must be at most %d threads, got %d×%d", prefix, detector.BoundThreads, grid, block)
-	}
-	var total int64
-	for i, b := range buffers {
-		if b < 0 {
-			return fmt.Errorf("%s: field \"buffers[%d]\": must be >= 0, got %d", prefix, i, b)
-		}
-		total += int64(b)
-	}
-	if maxBufferBytes > 0 && total > maxBufferBytes {
-		return fmt.Errorf("%s: field \"buffers\": total %d bytes exceeds the server limit %d", prefix, total, maxBufferBytes)
-	}
-	return nil
-}
-
-// checkModule is the module clause of every request's Validate: exactly
-// one of ptx and bench, and a bench that exists.
-func checkModule(prefix, ptx, benchName string) error {
-	switch {
-	case ptx == "" && benchName == "":
-		return fmt.Errorf("%s: field \"ptx\"/\"bench\": exactly one must be set, got neither", prefix)
-	case ptx != "" && benchName != "":
-		return fmt.Errorf("%s: field \"ptx\"/\"bench\": exactly one must be set, got both", prefix)
-	case benchName != "" && bench.ByName(benchName) == nil:
-		return fmt.Errorf("%s: field \"bench\": unknown benchmark %q", prefix, benchName)
-	}
-	return nil
-}
-
-// moduleSource is the PTX a request that passed checkModule names.
-func moduleSource(ptx, benchName string) string {
-	if benchName != "" {
-		return bench.ByName(benchName).PTX()
-	}
-	return ptx
-}
 
 // Resolved returns a validated request with its benchmark name, if any,
 // replaced by what the name stands for: the generated source, kernel

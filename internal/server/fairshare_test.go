@@ -83,7 +83,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 	holder, err := s.submit(JobRequest{
 		PTX: spinSrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4, 4},
 		TimeoutMS: 500, MaxInstrs: 1 << 24,
-	}, nil, "noisy", nil, 0, 0)
+	}, nil, "noisy", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestFairShareNoStarvation(t *testing.T) {
 	quick := JobRequest{PTX: racySrc, Kernel: "k", Grid: 1, Block: 32, Buffers: []int{4}}
 	var noisy []*Job
 	for i := 0; i < 8; i++ {
-		j, err := s.submit(quick, nil, "noisy", nil, 0, 0)
+		j, err := s.submit(quick, nil, "noisy", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		noisy = append(noisy, j)
 	}
-	quiet, err := s.submit(quick, nil, "quiet", nil, 0, 0)
+	quiet, err := s.submit(quick, nil, "quiet", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

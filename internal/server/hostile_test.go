@@ -202,13 +202,13 @@ func closeWithin(t *testing.T, srv *Server, d time.Duration) {
 
 // TestOversizedConfigRejected: launch extents past detector.BoundBlock and
 // detector.BoundThreads are refused as invalid_argument, naming the field,
-// on every transport (POST /jobs, /v1/stream, POST /v1/repair) before they
+// on every transport (POST /jobs, /v1/stream) and for every kind before they
 // size a warp table — a 67108864×1024 launch asked for a 16 GiB one and
 // took the process down — and the daemon serves the next job. A block of
 // more than 32 warps (128 threads at warp size 2) is refused the same way:
 // a barrier's arrival mask has one bit per warp, and the warps past bit 31
 // used to drop out of every join, reporting a race the barrier orders.
-// Repair has no warp size to bound. No request carries detector
+// No request carries detector
 // configuration: a JSON body with a "config" is refused as an unknown
 // field (the knobs' own bounds are detector's
 // TestConfigValidateRejectsNegatives), and a stream client of protocol
@@ -237,11 +237,9 @@ func TestOversizedConfigRejected(t *testing.T) {
 		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
 			t.Errorf("POST /jobs with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
 		}
-		if tc.warp == 0 {
-			code, _, errj = postRepair(t, ts, RepairRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block})
-			if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
-				t.Errorf("POST /v1/repair with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
-			}
+		code, _, errj = postJob(t, ts, JobRequest{PTX: racySrc, Kernel: "k", Grid: tc.grid, Block: tc.block, WarpSize: tc.warp, Kind: KindRepair})
+		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, tc.name) {
+			t.Errorf("POST /jobs (repair) with bad %s: %d %+v, want 400 invalid_argument", name, code, errj)
 		}
 		seq++
 		if err := c.Launch(wire.LaunchSpec{Seq: seq, Kernel: "k", Grid: tc.grid, Block: tc.block, WarpSize: tc.warp, Buffers: []int{4}}); err != nil {
@@ -254,8 +252,8 @@ func TestOversizedConfigRejected(t *testing.T) {
 	}
 	code, errj := post(t, ts.URL+"/jobs", withConfig(JobRequest{PTX: racySrc, Kernel: "k", Buffers: []int{4}}), nil)
 	refusesConfig(t, "POST /jobs", code, errj)
-	code, errj = post(t, ts.URL+"/v1/repair", withConfig(RepairRequest{PTX: racySrc, Kernel: "k"}), nil)
-	refusesConfig(t, "POST /v1/repair", code, errj)
+	code, errj = post(t, ts.URL+"/jobs", withConfig(JobRequest{PTX: racySrc, Kernel: "k", Kind: KindRepair}), nil)
+	refusesConfig(t, "POST /jobs (repair)", code, errj)
 	if fatal := dialV1(t, ts.URL); fatal.Code != wire.CodeVersionMismatch {
 		t.Errorf("/v1/stream from a version-1 client: fatal %+v, want %s", fatal, wire.CodeVersionMismatch)
 	}

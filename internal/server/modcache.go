@@ -53,11 +53,7 @@ type cacheEntry struct {
 	err  error
 	bufs map[string][]uint64 // buffer-size signature → device addresses
 
-	// analysis memoizes the /v1/analyze result for this module: lint
-	// diagnostics and pruning statistics depend only on the source.
-	analysis *AnalyzeResponse
-
-	// repairs memoizes /v1/repair reports per parameterization (the
+	// repairs memoizes repair reports per parameterization (the
 	// verification outcome also depends on launch shape and budgets).
 	repairs map[string]*detector.RepairReport
 }

@@ -11,13 +11,12 @@ import (
 	"barracuda/internal/wire"
 )
 
-// POST /v1/repair is a kind "repair" job submitted and waited for, so it
-// meets every guard a job meets. These tests hold it to three of them: the
-// queue cap, the wall-clock timeout, and the books (history and counters).
+// A repair is a kind "repair" job, so it meets every guard a job meets.
+// These tests hold it to three of them: the queue cap, the wall-clock
+// timeout, and the books (history and counters).
 
 // TestRepairPastQueueCapAnswers429: with the one worker busy and the one
-// queue slot taken, a repair is refused the way a job is — it used to
-// start another unqueued loop on the handler's goroutine.
+// queue slot taken, a repair is refused the way any job is.
 func TestRepairPastQueueCapAnswers429(t *testing.T) {
 	srv, ts := newTestServer(t, SchedulerOptions{Workers: 1, QueueCap: 1})
 	spin := JobRequest{
@@ -37,8 +36,8 @@ func TestRepairPastQueueCapAnswers429(t *testing.T) {
 		t.Fatalf("second spin job (the queue's one slot): %d %+v", code, errj)
 	}
 
-	body, _ := json.Marshal(RepairRequest{PTX: repairableSrc})
-	resp, err := http.Post(ts.URL+"/v1/repair", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(repairJob)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +54,22 @@ func TestRepairPastQueueCapAnswers429(t *testing.T) {
 }
 
 // TestRepairHonoursWallClockTimeout: a repair whose verification runs
-// cannot finish (the spin kernel never does) answers when the job's
-// wall-clock budget is spent, with the 400 every repair failure maps to,
-// instead of running on for as long as the step budget lets it.
+// cannot finish (the spin kernel never does) ends as a timeout job when
+// its wall-clock budget is spent, instead of running on for as long as
+// the step budget lets it.
 func TestRepairHonoursWallClockTimeout(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1, DefaultTimeout: time.Millisecond})
 	start := time.Now()
-	code, _, errj := postRepair(t, ts, RepairRequest{PTX: spinSrc, Buffers: []int{4, 4}, MaxInstrs: 1 << 20})
-	if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || !strings.Contains(errj.Error, "wall-clock timeout") {
-		t.Fatalf("timed-out repair: %d %+v, want 400 invalid_argument carrying the wall-clock timeout", code, errj)
+	code, info, errj := postJob(t, ts, JobRequest{PTX: spinSrc, Buffers: []int{4, 4}, MaxInstrs: 1 << 20, Kind: KindRepair})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %+v", code, errj)
 	}
+	info = waitJob(t, ts, info.ID)
 	if took := time.Since(start); took > 500*time.Millisecond {
-		t.Errorf("answered after %v: the handler waited for the loop, not for the job", took)
+		t.Errorf("ended after %v: the loop ran past the job's budget", took)
+	}
+	if info.Status != StatusTimeout || !strings.Contains(info.Error, "wall-clock timeout") {
+		t.Fatalf("timed-out repair: %s (%s), want a wall-clock timeout", info.Status, info.Error)
 	}
 	if m := getMetrics(t, ts); m.Jobs.TimedOut != 1 {
 		t.Errorf("timed_out = %d, want 1", m.Jobs.TimedOut)
@@ -79,29 +82,30 @@ func TestRepairHonoursWallClockTimeout(t *testing.T) {
 // times out, again instead of being recalled.
 func TestRepairDeadlineStopsTheLoop(t *testing.T) {
 	srv := New(SchedulerOptions{Workers: 1, DefaultTimeout: 200 * time.Millisecond})
-	req := RepairRequest{PTX: spinSrc, Buffers: []int{4, 4}, MaxInstrs: 1 << 40}.jobRequest()
+	req := JobRequest{PTX: spinSrc, Buffers: []int{4, 4}, MaxInstrs: 1 << 40, Kind: KindRepair}
 	for i := 0; i < 2; i++ {
-		job, err := srv.Scheduler().submit(req, nil, "", nil, 0, 0)
+		job, err := srv.Scheduler().Submit(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if info := waitTerminal(t, job, 2*time.Second); info.Status != StatusTimeout || info.Error != "wall-clock timeout after 200ms" {
 			t.Fatalf("repair %d: status %q (%s), want the 200ms wall-clock timeout", i+1, info.Status, info.Error)
 		}
-		if job.memoHit {
-			t.Fatalf("repair %d was recalled from the memo", i+1)
-		}
 	}
 	closeWithin(t, srv, 2*time.Second)
 }
 
-// TestRepairIsCountedAndListed: one /v1/repair moves submitted and
+// TestRepairIsCountedAndListed: one repair job moves submitted and
 // completed by one each and leaves a done job in GET /jobs.
 func TestRepairIsCountedAndListed(t *testing.T) {
 	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
 	before := getMetrics(t, ts).Jobs
-	if code, _, errj := postRepair(t, ts, RepairRequest{PTX: repairableSrc, MaxCandidates: 4}); code != http.StatusOK {
+	code, info, errj := postJob(t, ts, repairJob)
+	if code != http.StatusAccepted {
 		t.Fatalf("repair: %d %+v", code, errj)
+	}
+	if info = waitJob(t, ts, info.ID); info.Status != StatusDone {
+		t.Fatalf("repair: %s (%s)", info.Status, info.Error)
 	}
 	after := getMetrics(t, ts).Jobs
 	if after.Submitted != before.Submitted+1 || after.Completed != before.Completed+1 {
@@ -116,41 +120,5 @@ func TestRepairIsCountedAndListed(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&jobs)
 	if len(jobs) != 1 || jobs[0].Status != StatusDone || jobs[0].Result == nil || jobs[0].Result.Repair == nil {
 		t.Fatalf("GET /jobs after one repair: %+v, want one done job carrying the report", jobs)
-	}
-}
-
-// TestRepairSearchBoundsRideTheJob: max_candidates is part of the repair a
-// job runs — the same bound recalls the memo, another bound is another
-// repair — though no JobRequest field carries it.
-func TestRepairSearchBoundsRideTheJob(t *testing.T) {
-	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
-	for i, tc := range []struct {
-		maxCandidates int
-		memoHit       bool
-	}{{4, false}, {4, true}, {5, false}} {
-		code, res, errj := postRepair(t, ts, RepairRequest{PTX: repairableSrc, MaxCandidates: tc.maxCandidates})
-		if code != http.StatusOK || res.CacheHit != tc.memoHit {
-			t.Errorf("call %d (max_candidates %d): %d %+v, cache_hit %v, want %v", i, tc.maxCandidates, code, errj, res.CacheHit, tc.memoHit)
-		}
-	}
-}
-
-// TestRepairFailureTexts: clients match on /v1/repair's 400 texts, so the
-// job's error is mapped back onto them — a module that does not open
-// answers with the loader's bare error, a failed loop under "repair: ".
-// Both texts are the ones 284e60f answered.
-func TestRepairFailureTexts(t *testing.T) {
-	_, ts := newTestServer(t, SchedulerOptions{Workers: 1})
-	for _, tc := range []struct {
-		req  RepairRequest
-		want string
-	}{
-		{RepairRequest{PTX: "garbage here"}, `ptx: line 1:1: unsupported module directive "garbage"`},
-		{RepairRequest{PTX: repairableSrc, Kernel: "nope"}, `repair: detector: unknown kernel "nope"`},
-	} {
-		code, _, errj := postRepair(t, ts, tc.req)
-		if code != http.StatusBadRequest || errj.Code != wire.CodeInvalidArgument || errj.Error != tc.want {
-			t.Errorf("kernel %q: %d %+v, want 400 invalid_argument %q", tc.req.Kernel, code, errj, tc.want)
-		}
 	}
 }

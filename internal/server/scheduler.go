@@ -92,13 +92,6 @@ type Job struct {
 	result    *JobResult
 	submitted time.Time
 
-	// A repair's search bounds (0 = defaults; only POST /v1/repair sets
-	// them), and whether its report was recalled from the memo: set before
-	// done closes, read after.
-	maxCandidates int
-	maxPatches    int
-	memoHit       bool
-
 	done chan struct{}
 }
 
@@ -247,35 +240,33 @@ func (s *Scheduler) Options() SchedulerOptions { return s.opts }
 // success, ErrQueueFull under backpressure, and a descriptive error for
 // invalid payloads (mapped to 400 by the HTTP layer).
 func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
-	return s.submit(req, nil, "", nil, 0, 0)
+	return s.submit(req, nil, "", nil)
 }
 
 // submit is Submit with the module's content hash, when the caller holds
-// a verified one (nil: hashed here, once per job), a tenant identity, an
-// incremental race observer, and a repair's search bounds, which ride the
-// Job and not the request: JobRequest stays exactly what travels. The job
-// is admitted into its tenant's round-robin bucket, so one tenant's
-// backlog cannot starve another's submissions. onRace, when non-nil, is
+// a verified one (nil: hashed here, once per job), a tenant identity and
+// an incremental race observer. Every job the daemon runs, from POST /jobs
+// or a stream LAUNCH, comes in here (make one-way-in). The job is admitted
+// into its tenant's round-robin bucket, so one tenant's backlog cannot
+// starve another's submissions. onRace, when non-nil, is
 // invoked once per new static race at the moment of discovery, from a
 // detection worker goroutine. The streaming API uses it to push FRace
 // frames before the job completes; it must not block (the stream layer
 // hands it a buffered channel sized to the race cap).
-func (s *Scheduler) submit(req JobRequest, hash *[32]byte, tenant string, onRace func(core.Race), maxCandidates, maxPatches int) (*Job, error) {
+func (s *Scheduler) submit(req JobRequest, hash *[32]byte, tenant string, onRace func(core.Race)) (*Job, error) {
 	if err := req.Validate(s.opts.MaxBufferBytes); err != nil {
 		return nil, err
 	}
 	job := &Job{
-		ID:            s.jobs.Reserve(),
-		tenant:        tenant,
-		observer:      onRace,
-		req:           req.Resolved(),
-		timeout:       s.opts.DefaultTimeout,
-		budget:        s.opts.DefaultMaxInstrs,
-		maxCandidates: maxCandidates,
-		maxPatches:    maxPatches,
-		sum:           wire.Summary{Status: StatusQueued},
-		submitted:     time.Now(),
-		done:          make(chan struct{}),
+		ID:        s.jobs.Reserve(),
+		tenant:    tenant,
+		observer:  onRace,
+		req:       req.Resolved(),
+		timeout:   s.opts.DefaultTimeout,
+		budget:    s.opts.DefaultMaxInstrs,
+		sum:       wire.Summary{Status: StatusQueued},
+		submitted: time.Now(),
+		done:      make(chan struct{}),
 	}
 	if hash != nil {
 		job.hash = *hash
@@ -371,15 +362,13 @@ func launch(job *Job, lease *Lease, deadline time.Time) (kernel string, res *det
 		return "", nil, nil, err
 	}
 	if req.Kind == KindRepair {
-		rep, job.memoHit, err = repairOnLease(lease, kernel, detector.RepairOptions{
-			Grid:                   req.Grid,
-			Block:                  req.Block,
-			Buffers:                req.Buffers,
-			MaxInstrs:              job.budget,
-			Deadline:               deadline,
-			WarpSize:               req.WarpSize,
-			MaxCandidates:          job.maxCandidates,
-			MaxPatchesPerCandidate: job.maxPatches,
+		rep, err = repairOnLease(lease, kernel, detector.RepairOptions{
+			Grid:      req.Grid,
+			Block:     req.Block,
+			Buffers:   req.Buffers,
+			MaxInstrs: job.budget,
+			Deadline:  deadline,
+			WarpSize:  req.WarpSize,
 		})
 		return kernel, nil, rep, err
 	}

@@ -22,11 +22,10 @@ const maxBodyBytes = 16 << 20
 // API:
 //
 //	POST /jobs          submit a JobRequest  → 202 JobInfo | 400 | 429
+//	                    (kind "repair" runs the verified repair loop)
 //	GET  /jobs          list retained jobs   → 200 []JobInfo
 //	GET  /jobs/{id}     fetch one job        → 200 JobInfo | 404
 //	                    ?wait_ms=N long-polls until terminal or N ms
-//	POST /v1/analyze    static analysis only → 200 AnalyzeResponse | 400
-//	POST /v1/repair     verified repair loop → 200 RepairResponse | 400 | 429
 //	GET  /v1/stream     upgrade to the binary streaming protocol
 //	                    (internal/wire): chunked PTX upload, pipelined
 //	                    launches, incremental race frames → 101 | 426
@@ -63,8 +62,6 @@ func New(opts SchedulerOptions) *Server {
 	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /jobs", s.handleList)
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("POST /v1/repair", s.handleRepair)
 	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -147,12 +144,13 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, into any, strict bool) b
 }
 
 // WaitDone is ?wait_ms=N: it returns when done closes, after N ms, or
-// when the client goes away, whichever is first. Its timer stops when it
-// returns: under the module's go 1.22 timer semantics an unstopped one
-// stays live until it fires.
+// when the client goes away, whichever is first. N is clamped to
+// maxTimeoutMS, past which the wait would wrap negative and end at once.
+// Its timer stops when it returns: under the module's go 1.22 timer
+// semantics an unstopped one stays live until it fires.
 func WaitDone(r *http.Request, done <-chan struct{}) {
-	if ms, _ := strconv.Atoi(r.URL.Query().Get("wait_ms")); ms > 0 {
-		t := time.NewTimer(time.Duration(ms) * time.Millisecond)
+	if ms, _ := strconv.ParseInt(r.URL.Query().Get("wait_ms"), 10, 64); ms > 0 {
+		t := time.NewTimer(time.Duration(min(ms, maxTimeoutMS)) * time.Millisecond)
 		defer t.Stop()
 		select {
 		case <-done:
@@ -174,76 +172,23 @@ func bearerToken(r *http.Request) string {
 	return ""
 }
 
+// handleSubmit queues a job; on refusal it answers 429 queue_full with
+// Retry-After, or 400 invalid_argument.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if !DecodeBody(w, r, &req, true) {
 		return
 	}
-	if job := s.submit(w, r, req, 0, 0); job != nil {
-		WriteJSON(w, http.StatusAccepted, job.Info())
-	}
-}
-
-// submit queues a job for an HTTP handler; on refusal it has answered 429
-// queue_full with Retry-After, or 400 invalid_argument, and returns nil.
-// The last two arguments are a repair's search bounds (Scheduler.submit).
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, req JobRequest, maxCandidates, maxPatches int) *Job {
-	job, err := s.sched.submit(req, nil, bearerToken(r), nil, maxCandidates, maxPatches)
+	job, err := s.sched.submit(req, nil, bearerToken(r), nil)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		WriteError(w, http.StatusTooManyRequests, wire.CodeQueueFull, err.Error())
 	case err != nil:
 		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
+	default:
+		WriteJSON(w, http.StatusAccepted, job.Info())
 	}
-	return job
-}
-
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req AnalyzeRequest
-	if !DecodeBody(w, r, &req, true) {
-		return
-	}
-	res, err := s.sched.Analyze(req)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
-		return
-	}
-	WriteJSON(w, http.StatusOK, res)
-}
-
-// handleRepair is submit-and-wait over the job road, under every guard a
-// job meets. One that does not end done — timeout included — answers 400
-// with the job's error, as every repair failure always has.
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	var req RepairRequest
-	if !DecodeBody(w, r, &req, true) {
-		return
-	}
-	if err := req.Validate(s.sched.opts.MaxBufferBytes); err != nil {
-		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, err.Error())
-		return
-	}
-	job := s.submit(w, r, req.jobRequest(), req.MaxCandidates, req.MaxPatches)
-	if job == nil {
-		return
-	}
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		return // the client left; the job runs out its budget on the pool
-	}
-	if job.sum.Status != StatusDone {
-		// Clients match on these texts: a module that does not open answers
-		// with the loader's bare error, every other failure under "repair: ".
-		msg, opening := strings.CutPrefix(job.sum.Error, "open: ")
-		if !opening {
-			msg = "repair: " + msg
-		}
-		WriteError(w, http.StatusBadRequest, wire.CodeInvalidArgument, msg)
-		return
-	}
-	WriteJSON(w, http.StatusOK, RepairResponse{CacheHit: job.memoHit, Report: job.sum.Repair})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -438,5 +439,34 @@ func TestWaitDoneStopsItsTimer(t *testing.T) {
 	}
 	if after := objects(); after > before+2000 {
 		t.Errorf("live heap objects %d before 20000 finished polls, %d after", before, after)
+	}
+}
+
+// TestWaitDoneClampsWaitMS: a wait_ms too long for a time.Duration waits
+// (here, until the client goes away) instead of wrapping negative and
+// answering a live job at once.
+func TestWaitDoneClampsWaitMS(t *testing.T) {
+	const client = 50 * time.Millisecond
+	for _, tc := range []struct {
+		waitMS string
+		waits  bool // until the client leaves
+	}{
+		{"", false},
+		{"-5", false},
+		{"1", false},
+		{"60000", true},
+		{"9300000000000", true},        // ×1 ms wraps to -2 540 762 h
+		{"9223372036854775807", true},  // the largest int64
+		{"99999999999999999999", true}, // past int64
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), client)
+		r := httptest.NewRequest(http.MethodGet, "/jobs/job-1?wait_ms="+tc.waitMS, nil).WithContext(ctx)
+		start := time.Now()
+		WaitDone(r, make(chan struct{}))
+		took := time.Since(start)
+		cancel()
+		if waited := took >= client; waited != tc.waits {
+			t.Errorf("wait_ms=%s on a live job returned after %v, want waiting %v", tc.waitMS, took, tc.waits)
+		}
 	}
 }

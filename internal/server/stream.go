@@ -298,7 +298,7 @@ func (st *stream) launch(p []byte) error {
 		default: // cap exceeded would be a detector bug; never block
 		}
 	}
-	job, err := st.sched.submit(launchRequest(st.module, spec), &st.moduleHash, st.apiKey, onRace, 0, 0)
+	job, err := st.sched.submit(launchRequest(st.module, spec), &st.moduleHash, st.apiKey, onRace)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return st.reject(spec.Seq, wire.CodeQueueFull, err.Error(), time.Second)

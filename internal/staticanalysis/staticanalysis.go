@@ -9,7 +9,7 @@
 //   - a lint pass producing structured diagnostics with PTX source
 //     positions: barrier divergence, unreachable code, missing-fence
 //     heuristics, and unsynchronized shared-memory reads (consumed by
-//     `barracuda vet` and barracudad's /v1/analyze endpoint).
+//     `barracuda vet`).
 //
 // The conservatism contract: every verdict that removes logging is an
 // under-approximation — any access the analysis cannot *prove* safe
