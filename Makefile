@@ -5,7 +5,7 @@ GO ?= go
 # Everything CI runs, in order: `make ci` here, one `run: make <target>`
 # step each in .github/workflows/ci.yml (ci-in-sync holds the two lists
 # together), so a command is written once, in this file.
-CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector one-queue ci-in-sync loc test race \
+CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector one-queue one-rule ci-in-sync loc test race \
 	bench-e2e-smoke vet-smoke vet-fix-smoke artifacts-smoke stress-interp stress-span \
 	stress-ownership stress-refine stress-filter stress-drain stress-multiqueue \
 	stress-failover stress-stream stress-fleet
@@ -56,6 +56,27 @@ one-detector:
 one-queue:
 	@if grep -nE 'Class(Batch|Interactive)|interQ|batchQ|batchCap|Spills' $$(ls internal/fleet/*.go internal/server/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/fleet or internal/server names a job class, a second queue, a reserved slot or spill-to-idle: the fleet has one queue and one rule"; exit 1; fi
+
+# Every static rule is written once. The redundant-logging rule of §4.1
+# lives in internal/staticanalysis, which the default tier runs per basic
+# block (BlockRedundant) and StaticPrune across blocks: a register
+# redefinition or a fence read in a non-test file of internal/instrument
+# is a second copy of it. The synchronization idioms of §3.1 that the lint
+# pass and the repair templates both read are each found by one function
+# of internal/staticanalysis (idioms.go): the spin-wait walk (a backward
+# branch's target, LabelAt), the lock-word scan (atom.exch) and the
+# divergent-region marking (a tid-dependent guard, its reconvergence).
+# Any of them in a second function is the duplicate grown back.
+one-rule:
+	@if grep -nE '\.Defs\(|ptx\.OpMembar' $$(ls internal/instrument/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/instrument walks its own redundancy: the default tier's prune marks come from staticanalysis.BlockRedundant"; exit 1; fi
+	@for pat in 'LabelAt\[' 'AtomExch' 'GuardTainted\(|ReconvergencePC\('; do \
+		fns="$$(pat="$$pat" awk '/^func /{f = FILENAME ": " $$0; next} !/^[ \t]*\/\// && $$0 ~ ENVIRON["pat"] {print f}' \
+			$$(ls internal/staticanalysis/*.go | grep -v '_test\.go$$') | sort -u)"; \
+		if [ "$$(printf '%s\n' "$$fns" | grep -c .)" -gt 1 ]; then \
+			echo "internal/staticanalysis matches /$$pat/ in more than one function:"; echo "$$fns"; \
+			echo "the spin-wait walk, the lock-word scan and the divergent-region marking are each found once, in idioms.go"; exit 1; fi; \
+	done
 
 # The workflow is a list of targets and nothing else: its `run:` lines are
 # `make <target>` for exactly CI_TARGETS, in order.

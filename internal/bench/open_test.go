@@ -16,6 +16,7 @@ import (
 	"barracuda/internal/detector"
 	"barracuda/internal/instrument"
 	"barracuda/internal/ptx"
+	"barracuda/internal/staticanalysis"
 )
 
 // openProgram is one module of the open-path corpus.
@@ -50,7 +51,7 @@ func openCorpus(t testing.TB) []openProgram {
 // instrumentation options: the printed instrumented module, its
 // KernelStats, and the log-once-marked sites, each hashed; and under the
 // default options, the errors parsing damaged copies of the module ends
-// in (parseErrors), hashed too.
+// in (parseErrors) and the lint pass's diagnostics for it, hashed too.
 type openDigest struct {
 	Program string `json:"program"`
 	Opts    string `json:"opts"`
@@ -58,6 +59,7 @@ type openDigest struct {
 	Stats   string `json:"stats"`
 	LogOnce string `json:"logonce"`
 	Errors  string `json:"errors,omitempty"`
+	Lint    string `json:"lint,omitempty"`
 }
 
 // parseErrors parses damaged copies of src — cut short at 16 points, and
@@ -124,6 +126,15 @@ func digestOpen(p openProgram, name string, opts instrument.Options) (openDigest
 	}
 	if opts == (instrument.Options{}) {
 		d.Errors = shortHash(parseErrors(p.src))
+		diags, err := staticanalysis.LintModule(m)
+		if err != nil {
+			return openDigest{}, fmt.Errorf("%s: lint: %w", p.name, err)
+		}
+		var lint strings.Builder
+		for _, dg := range diags {
+			fmt.Fprintln(&lint, dg)
+		}
+		d.Lint = shortHash(lint.String())
 	}
 	return d, nil
 }
@@ -175,7 +186,9 @@ func openGolden(t testing.TB) (map[string]openDigest, int) {
 // errors damaged copies of it end in — for every shipped program under
 // the default and the static-prune instrumentation, against the digests
 // recorded at cf645d6, before the parser numbered registers and the
-// instrumenter stopped copying kernels.
+// instrumenter stopped copying kernels. The lint field, what `barracuda
+// vet` reports for the module, was recorded at 10dc98b, before the lint
+// pass and the repair templates shared their idiom finders.
 func TestOpenGolden(t *testing.T) {
 	golden, recorded := openGolden(t)
 	got := openDigests(t)

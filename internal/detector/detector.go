@@ -34,39 +34,39 @@ type Config struct {
 	// Queues is the number of GPU→CPU event queues (and host detector
 	// threads). 1 (the default) gives deterministic detection; the
 	// paper finds ~1.1–1.5 queues per SM optimal for throughput.
-	Queues int `json:"queues,omitempty"`
+	Queues int
 	// QueueCap is the per-queue capacity in records (default 4096).
-	QueueCap int `json:"queue_cap,omitempty"`
+	QueueCap int
 	// Granularity is the finest shadow-memory granule in bytes, a power
 	// of two (default 1: byte-exact reports). The shadow keeps one cell
 	// per 4-byte word where every access is made of whole words and
 	// refines a page to this granule on its first sub-word access, so
 	// values below 4 cost nothing on word-only code; 4 and above trade
 	// precision for speed.
-	Granularity int `json:"granularity,omitempty"`
+	Granularity int
 	// MaxRaces bounds distinct race reports (default DefaultMaxRaces).
-	MaxRaces int `json:"max_races,omitempty"`
+	MaxRaces int
 	// FullVC selects the uncompressed vector-clock ablation detector.
-	FullVC bool `json:"full_vc,omitempty"`
+	FullVC bool
 	// NoPrune disables the instrumentation pruning optimization.
-	NoPrune bool `json:"no_prune,omitempty"`
+	NoPrune bool
 	// StaticPrune enables the inter-block static pruner (package
 	// staticanalysis): provably redundant or thread-private accesses
 	// are never logged. Race reports are unchanged; log volume drops.
 	// Mutually exclusive with NoPrune.
-	StaticPrune bool `json:"static_prune,omitempty"`
+	StaticPrune bool
 	// NoSameValueFilter disables the intra-warp same-value write filter.
-	NoSameValueFilter bool `json:"no_same_value_filter,omitempty"`
+	NoSameValueFilter bool
 	// PerCellShadow disables the coalesced-span shadow fast path: every
 	// warp access takes the per-cell loop. The A/B baseline for the span
 	// optimization; race reports are identical either way.
-	PerCellShadow bool `json:"per_cell_shadow,omitempty"`
+	PerCellShadow bool
 	// Ownership enables the exclusive-ownership shadow tier: regions
 	// touched by a single warp (or, across barriers, a single block)
 	// skip the epoch checks entirely until a second owner appears. Race
 	// reports are identical either way. Requires the span fast path, so
 	// it is mutually exclusive with FullVC and PerCellShadow.
-	Ownership bool `json:"ownership,omitempty"`
+	Ownership bool
 	// ShadowCapBytes bounds resident shadow memory (global pages plus
 	// shared slabs) to this many bytes: shared slabs are compacted at
 	// fully-converged block barriers (losslessly), and past the cap the
@@ -74,7 +74,7 @@ type Config struct {
 	// PrecisionDegraded when an eviction discarded live metadata. 0
 	// means unbounded. Requires the span fast path, so it is mutually
 	// exclusive with FullVC and PerCellShadow.
-	ShadowCapBytes int64 `json:"shadow_cap_bytes,omitempty"`
+	ShadowCapBytes int64
 	// ProducerFilter enables the simulator's producer-side epoch filter:
 	// per-warp caches suppress provably redundant global-space access
 	// records before they reach the queues, with suppressed counts
@@ -82,7 +82,7 @@ type Config struct {
 	// an unfiltered run (see gpusim/filter.go for the soundness gates).
 	// False preserves the unfiltered emission path verbatim as the A/B
 	// baseline. Mutually exclusive with FullVC.
-	ProducerFilter bool `json:"producer_filter,omitempty"`
+	ProducerFilter bool
 }
 
 // Upper bounds of the sized knobs. Each one sizes an allocation made

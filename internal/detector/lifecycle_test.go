@@ -1,7 +1,6 @@
 package detector
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -68,34 +67,6 @@ func TestConfigValidateAcceptsZeroAndPositive(t *testing.T) {
 	res := detect(t, s, "k", gpusim.LaunchConfig{Grid: gpusim.D1(2), Block: gpusim.D1(64), Args: []uint64{out}})
 	if !res.Report.HasRaces() {
 		t.Error("no race reported at the largest granularity")
-	}
-}
-
-// TestConfigJSONFieldNames pins the job API's config object: Config
-// marshals to exactly the names server.ConfigJSON used before it was
-// folded into this struct, every one omitempty, and round-trips.
-func TestConfigJSONFieldNames(t *testing.T) {
-	if b, err := json.Marshal(Config{}); err != nil || string(b) != "{}" {
-		t.Fatalf("zero Config marshals to %s (%v), want {}: a field lost omitempty", b, err)
-	}
-	full := Config{
-		Queues: 4, QueueCap: 1024, Granularity: 4, MaxRaces: 512,
-		FullVC: true, NoPrune: true, StaticPrune: true, NoSameValueFilter: true,
-		PerCellShadow: true, Ownership: true, ShadowCapBytes: 1 << 30, ProducerFilter: true,
-	}
-	const want = `{"queues":4,"queue_cap":1024,"granularity":4,"max_races":512,` +
-		`"full_vc":true,"no_prune":true,"static_prune":true,"no_same_value_filter":true,` +
-		`"per_cell_shadow":true,"ownership":true,"shadow_cap_bytes":1073741824,"producer_filter":true}`
-	b, err := json.Marshal(full)
-	if err != nil || string(b) != want {
-		t.Fatalf("Config marshals to\n %s (%v)\nwant\n %s", b, err, want)
-	}
-	if n := reflect.TypeOf(full).NumField(); n != 12 {
-		t.Fatalf("Config has %d fields, the pinned JSON covers 12: extend this test with the new field", n)
-	}
-	var back Config
-	if err := json.Unmarshal(b, &back); err != nil || back != full {
-		t.Fatalf("round trip: got %+v (%v), want %+v", back, err, full)
 	}
 }
 

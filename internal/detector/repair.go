@@ -46,10 +46,10 @@ type RepairOptions struct {
 	// MaxCandidates bounds how many candidates are evaluated, dynamic
 	// ones first (default 8).
 	MaxCandidates int
-	// MaxPatchesPerCandidate bounds proposals tried per candidate
-	// (default 3).
-	MaxPatchesPerCandidate int
 }
+
+// maxPatchesPerCandidate bounds the proposals tried per candidate.
+const maxPatchesPerCandidate = 3
 
 func (o RepairOptions) withDefaults() RepairOptions {
 	if o.Grid <= 0 {
@@ -63,9 +63,6 @@ func (o RepairOptions) withDefaults() RepairOptions {
 	}
 	if o.MaxCandidates <= 0 {
 		o.MaxCandidates = 8
-	}
-	if o.MaxPatchesPerCandidate <= 0 {
-		o.MaxPatchesPerCandidate = 3
 	}
 	return o
 }
@@ -214,7 +211,7 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 			Dynamic:     cand.Dynamic,
 		}
 		target := candidateKeys(cand)
-		for _, prop := range staticanalysis.ProposePatches(analysis, cand, opt.MaxPatchesPerCandidate) {
+		for _, prop := range staticanalysis.ProposePatches(analysis, cand, maxPatchesPerCandidate) {
 			patched, err := ptx.ApplyEdits(m, prop.Edits)
 			if err != nil {
 				rc.Patches = append(rc.Patches, RepairPatch{

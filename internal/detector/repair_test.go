@@ -1,6 +1,10 @@
 package detector
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -224,5 +228,77 @@ func TestRepairUnknownKernel(t *testing.T) {
 	}
 	if _, err := Repair(m, "nope", Config{}, RepairOptions{}); err == nil {
 		t.Fatal("expected an error for an unknown kernel")
+	}
+}
+
+// repairGoldenReports runs the repair loop on every kernel of each
+// fixable_* and unfixable_* example, with `barracuda vet -fix`'s launch
+// (2 blocks of 64 threads, one zeroed 4096-byte buffer per parameter, 8
+// candidates), by file name.
+func repairGoldenReports(t *testing.T) map[string][]*RepairReport {
+	t.Helper()
+	var files []string
+	for _, pat := range []string{"fixable_*.ptx", "unfixable_*.ptx"} {
+		m, err := filepath.Glob(filepath.Join("..", "..", "examples", "vet", pat))
+		if err != nil || len(m) == 0 {
+			t.Fatalf("examples/vet/%s: %v (%d files)", pat, err, len(m))
+		}
+		files = append(files, m...)
+	}
+	out := make(map[string][]*RepairReport)
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ptx.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for _, k := range m.Kernels {
+			buffers := make([]int, len(k.Params))
+			for i := range buffers {
+				buffers[i] = 4096
+			}
+			rr, err := Repair(m, k.Name, Config{}, RepairOptions{Grid: 2, Block: 64, Buffers: buffers, MaxCandidates: 8})
+			if err != nil {
+				t.Fatalf("%s: kernel %s: %v", f, k.Name, err)
+			}
+			out[filepath.Base(f)] = append(out[filepath.Base(f)], rr)
+		}
+	}
+	return out
+}
+
+// TestRepairGolden pins what the repair loop reports for the example
+// corpus — every candidate, proposal, diff and verdict — against the
+// reports recorded at 10dc98b, before the barrier and fence templates
+// shared their idiom finders with the lint pass.
+func TestRepairGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "repair_10dc98b.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := repairGoldenReports(t)
+	if len(got) != len(want) {
+		t.Errorf("%d files repaired, %d recorded", len(got), len(want))
+	}
+	for f, reps := range got {
+		g, err := json.MarshalIndent(reps, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w bytes.Buffer
+		if err := json.Indent(&w, want[f], "", "  "); err != nil {
+			t.Errorf("%s: no recorded report: %v", f, err)
+			continue
+		}
+		if !bytes.Equal(g, w.Bytes()) {
+			t.Errorf("%s: repair report moved:\n got %s\nwant %s", f, g, w.Bytes())
+		}
 	}
 }

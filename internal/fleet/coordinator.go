@@ -5,7 +5,7 @@
 // FIFO queue drained by one placement rule.
 //
 // The Coordinator core is deliberately passive: every externally driven
-// event (Submit, Heartbeat, Tick, Complete, Fail, Join, Leave) is a
+// event (Submit, Heartbeat, Tick, Complete, Fail, Join, Leave, Drain) is a
 // synchronous method that updates state and returns the Assignments the
 // caller must now perform. It has one driver, the HTTP front-end, which
 // performs assignments by forwarding jobs to real workers over their
@@ -50,7 +50,10 @@ func (j *Job) Excluded() []string {
 	return out
 }
 
-// Assignment instructs the driver to run Job on Node.
+// Assignment instructs the driver to run Job on Node. An empty Node ends
+// the job instead: every node left on the ring has refused it or lost it,
+// so it could never be placed, and the driver fails it with code
+// unavailable.
 type Assignment struct {
 	Node string
 	Job  *Job
@@ -147,7 +150,7 @@ func (c *Coordinator) Leave(id string) []Assignment {
 	defer c.mu.Unlock()
 	c.reg.Leave(id)
 	c.evictNodeLocked(id)
-	return c.dispatchLocked()
+	return append(c.strandedLocked(), c.dispatchLocked()...)
 }
 
 // Drain begins a graceful departure for a node: it leaves the ring and
@@ -170,7 +173,7 @@ func (c *Coordinator) Drain(id string, now time.Time) (asgs []Assignment, inflig
 		c.finishDrainLocked(id)
 	}
 	// Work that would have routed here re-routes to ring successors.
-	return c.dispatchLocked(), inflight, true
+	return append(c.strandedLocked(), c.dispatchLocked()...), inflight, true
 }
 
 // maybeFinishDrainLocked removes a draining node once its in-flight set
@@ -211,7 +214,7 @@ func (c *Coordinator) Tick(now time.Time) []Assignment {
 	for _, id := range c.reg.Tick(now) {
 		c.evictNodeLocked(id)
 	}
-	return c.dispatchLocked()
+	return append(c.strandedLocked(), c.dispatchLocked()...)
 }
 
 // Submit enqueues a job and dispatches whatever is now routable.
@@ -386,6 +389,30 @@ func (c *Coordinator) evictNodeLocked(id string) {
 		c.stats.Requeued++
 		c.enqueueLocked(j, true)
 	}
+}
+
+// strandedLocked ends every queued job that excludes each node left on
+// the ring — the ring shrank under it, say its primary refused it and
+// the successor running it was then declared dead — and returns an
+// Assignment with no Node for each. With no node on the ring at all,
+// jobs wait for one to join.
+func (c *Coordinator) strandedLocked() []Assignment {
+	if c.ring.Len() == 0 {
+		return nil
+	}
+	var out []Assignment
+	kept := c.queue[:0]
+	for _, j := range c.queue {
+		if c.excludesRingLocked(j) {
+			c.stats.FailedPerm++
+			out = append(out, Assignment{Job: j})
+		} else {
+			kept = append(kept, j)
+		}
+	}
+	clear(c.queue[len(kept):])
+	c.queue = kept
+	return out
 }
 
 // enqueueLocked adds a job to the queue (front=true for requeues, which

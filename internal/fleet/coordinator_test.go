@@ -13,17 +13,19 @@ import (
 // fakeFleet drives a Coordinator through its passive event interface,
 // tracking assignments the way a driver would.
 type fakeFleet struct {
-	t     *testing.T
-	c     *Coordinator
-	now   time.Time
-	onjob map[string]string // job ID → node currently running it
+	t      *testing.T
+	c      *Coordinator
+	now    time.Time
+	onjob  map[string]string // job ID → node currently running it
+	failed map[string]bool   // jobs an Assignment with no Node ended
 }
 
 func newFakeFleet(t *testing.T, opt Options, nodes int, capacity int) *fakeFleet {
 	f := &fakeFleet{
 		t: t, c: NewCoordinator(opt),
-		now:   time.Unix(10_000, 0),
-		onjob: make(map[string]string),
+		now:    time.Unix(10_000, 0),
+		onjob:  make(map[string]string),
+		failed: make(map[string]bool),
 	}
 	for i := 0; i < nodes; i++ {
 		f.record(f.c.Join(fmt.Sprintf("node-%02d", i), "test://", capacity, f.now))
@@ -34,6 +36,11 @@ func newFakeFleet(t *testing.T, opt Options, nodes int, capacity int) *fakeFleet
 func (f *fakeFleet) record(asgs []Assignment) {
 	f.t.Helper()
 	for _, a := range asgs {
+		if a.Node == "" {
+			delete(f.onjob, a.Job.ID)
+			f.failed[a.Job.ID] = true
+			continue
+		}
 		for _, ex := range a.Job.Excluded() {
 			if ex == a.Node {
 				f.t.Fatalf("job %s assigned to excluded node %s", a.Job.ID, a.Node)
@@ -159,6 +166,46 @@ func TestRefusedEverywhereFails(t *testing.T) {
 	}
 	if st := f.c.Stats(); st.FailedPerm != 1 || st.Retries != 1 {
 		t.Fatalf("FailedPerm = %d, Retries = %d, want 1 and 1", st.FailedPerm, st.Retries)
+	}
+}
+
+// A job its primary refused, whose successor is then declared dead,
+// excludes both nodes while the primary is still on the ring: it fails at
+// the eviction, reported as an Assignment with no Node, where it used to
+// be requeued to wait for good.
+func TestEvictionStrandedJobFails(t *testing.T) {
+	f := newFakeFleet(t, Options{}, 2, 1)
+	f.submit("j", "k")
+	primary := f.onjob["j"]
+	asgs, outcome := f.c.Fail(primary, "j", true)
+	if outcome != FailRequeued {
+		t.Fatalf("primary's refusal: outcome %v, want FailRequeued", outcome)
+	}
+	f.record(asgs)
+	successor, ok := f.onjob["j"]
+	if !ok || successor == primary {
+		t.Fatalf("job not re-dispatched to the successor (on %q)", successor)
+	}
+	// The primary keeps beating; the successor goes silent until dead.
+	for _, at := range []time.Duration{5 * time.Second, 10 * time.Second, 16 * time.Second} {
+		_, asgs := f.c.Heartbeat(primary, server.HeartbeatStats{}, f.now.Add(at))
+		f.record(asgs)
+		f.record(f.c.Tick(f.now.Add(at)))
+	}
+	if _, ok := f.c.Node(successor); ok {
+		t.Fatalf("successor %s still registered", successor)
+	}
+	if f.c.Routable() != 1 {
+		t.Fatalf("%d nodes on the ring, want the primary alone", f.c.Routable())
+	}
+	if !f.failed["j"] {
+		t.Fatalf("job not failed: on %q, queue %d", f.onjob["j"], f.c.QueueDepth())
+	}
+	if f.c.QueueDepth() != 0 || f.c.InFlight() != 0 {
+		t.Fatalf("queue %d, in flight %d, want the job gone", f.c.QueueDepth(), f.c.InFlight())
+	}
+	if st := f.c.Stats(); st.FailedPerm != 1 || st.Requeued != 1 {
+		t.Fatalf("FailedPerm = %d, Requeued = %d, want 1 and 1", st.FailedPerm, st.Requeued)
 	}
 }
 
@@ -507,6 +554,9 @@ func (l *vloop) perform(asgs []Assignment) {
 	l.record(asgs) // fails the test on an excluded node
 	now := l.clock()
 	for _, a := range asgs {
+		if a.Node == "" {
+			l.t.Fatalf("job %s lost: every ring node excludes it", a.Job.ID)
+		}
 		l.log = append(l.log, fmt.Sprintf("%v %s→%s", now, a.Job.ID, a.Node))
 		if l.silent(a.Node) {
 			continue

@@ -117,8 +117,9 @@ type HTTPCoordinator struct {
 }
 
 type proxyJob struct {
-	id string
-	fj *Job
+	id   string
+	fj   *Job
+	hash [32]byte // HashSrc of the job's PTX, declared to the worker on each forward
 
 	mu      sync.Mutex
 	reqCopy server.JobRequest // the resolved submission, re-sent on each forward; dropped once terminal
@@ -226,9 +227,15 @@ func (h *HTTPCoordinator) tickLoop(every time.Duration) {
 	}
 }
 
-// perform launches one forwarding goroutine per assignment.
+// perform launches one forwarding goroutine per assignment, and fails the
+// jobs an assignment with no node ends.
 func (h *HTTPCoordinator) perform(asgs []Assignment) {
 	for _, a := range asgs {
+		if a.Node == "" {
+			a.Job.Payload.(*proxyJob).finish(server.StatusFailed,
+				"every worker left on the ring has refused or lost the job", wire.CodeUnavailable, nil)
+			continue
+		}
 		go h.forward(a)
 	}
 }
@@ -366,11 +373,11 @@ func (h *HTTPCoordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// A bench job is keyed, stored and forwarded as the PTX job it names.
 	req = req.Resolved()
-	key := server.CacheKey(req.PTX)
+	hash := server.HashSrc(req.PTX)
 
 	id := h.jobs.Reserve()
-	pj := &proxyJob{id: id, status: server.StatusQueued, done: make(chan struct{}), reqCopy: req}
-	fj := &Job{ID: id, Key: key, Payload: pj}
+	pj := &proxyJob{id: id, status: server.StatusQueued, done: make(chan struct{}), reqCopy: req, hash: hash}
+	fj := &Job{ID: id, Key: server.CacheKey(hash), Payload: pj}
 	pj.fj = fj
 	h.jobs.Put(id, pj)
 

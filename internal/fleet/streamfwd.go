@@ -147,13 +147,13 @@ type exchange struct {
 	err      error        // the session is unusable
 }
 
-// run uploads (or declares) the job's module, launches it under the
-// session's next Seq and reads events until that launch's SUMMARY or
-// REJECT. Hash-declared upload: a worker that already holds the module
-// (earlier attempt, or ring affinity) answers "have" and the source bytes
-// never leave the coordinator.
-func (s *session) run(req server.JobRequest) (x exchange) {
-	if _, _, x.err = s.UploadModule([]byte(req.PTX)); x.err != nil {
+// run uploads (or declares) the job's module, whose HashSrc is hash,
+// launches it under the session's next Seq and reads events until that
+// launch's SUMMARY or REJECT. Hash-declared upload: a worker that already
+// holds the module (earlier attempt, or ring affinity) answers "have" and
+// the source bytes never leave the coordinator.
+func (s *session) run(req server.JobRequest, hash [32]byte) (x exchange) {
+	if _, x.err = s.UploadModuleHash([]byte(req.PTX), hash); x.err != nil {
 		x.err = fmt.Errorf("upload: %w", x.err)
 		return x
 	}
@@ -218,7 +218,7 @@ func (h *HTTPCoordinator) forward(a Assignment) {
 	var x exchange
 	s, err := h.sessions.checkout(node.Addr, apiKey)
 	if err == nil {
-		x = s.run(req)
+		x = s.run(req, pj.hash)
 		if x.err != nil && s.reused && !x.accepted {
 			// Stale, not failed: see the header. The idle siblings are as
 			// old as this one, so they go too, and the checkout dials.
@@ -227,7 +227,7 @@ func (h *HTTPCoordinator) forward(a Assignment) {
 			s.Close()
 			h.sessions.retain(func(addr string) bool { return addr != node.Addr })
 			if s, err = h.sessions.checkout(node.Addr, apiKey); err == nil {
-				x = s.run(req)
+				x = s.run(req, pj.hash)
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func (f *testFleet) aimedAt(node string, req server.JobRequest) server.JobReques
 	for i := 0; i < 10_000; i++ {
 		req.PTX = fmt.Sprintf("%s\n// aimed %d", src, i)
 		f.coord.core.mu.Lock()
-		primary := f.coord.core.ring.Sequence(server.CacheKey(req.PTX))[0]
+		primary := f.coord.core.ring.Sequence(server.CacheKey(server.HashSrc(req.PTX)))[0]
 		f.coord.core.mu.Unlock()
 		if primary == node {
 			return req

@@ -12,7 +12,9 @@
 //   - applies the intra-basic-block redundant-logging optimization: an
 //     access through a register whose value has not changed since the
 //     last logged access to the same address (same basic block, no
-//     intervening synchronization) is not logged again.
+//     intervening synchronization) is not logged again. The rule is
+//     staticanalysis.BlockRedundant, the one the inter-block pruner
+//     (Options.StaticPrune) runs across blocks.
 //
 // The instrumented module remains valid PTX for package gpusim, and the
 // per-kernel statistics drive the Figure 9 experiment (fraction of static
@@ -144,12 +146,14 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 		sites[i].kind = class[i]
 		sites[i].branch = in.Op == ptx.OpBra && in.Guard != nil
 	}
+	for i, cov := range staticanalysis.BlockRedundant(cfg, class) {
+		sites[i].prune = cov
+	}
 	for idx := range cfg.ConvergencePoints() {
 		if idx < len(cfg.Instrs) {
 			sites[idx].conv = true
 		}
 	}
-	markPrunable(cfg, class, sites)
 
 	stats := &KernelStats{Static: len(cfg.Instrs)}
 	var aff *staticanalysis.Affine // computed by LogOnceSites if it needs it
@@ -201,63 +205,6 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 	ik := *k // k's declarations and register numbering, with a new body
 	ik.Body = rewriteBody(k.Body, sites, opts, stats)
 	return &ik, stats, nil
-}
-
-// markPrunable implements the intra-basic-block redundant-logging
-// analysis: within one basic block, a plain read/write through [reg+off]
-// is redundant when a previous *unguarded* access of at-least-as-strong a
-// type to the same [reg+off] was logged and reg has not been redefined,
-// with no intervening synchronization (barrier, fence, atomic, sync op).
-func markPrunable(cfg *kernel.CFG, class []trace.OpKind, sites []site) {
-	// A logged access holds while its base register's definition count
-	// is the one it was logged under, and its epoch is the current one: a
-	// block's start and every synchronization begin a new epoch. Only the
-	// latest access to a [reg+off] can hold (counts only grow), so the
-	// map keeps that one, and its size is the distinct addresses, not the
-	// accesses.
-	type addr struct {
-		reg int32
-		off int64
-	}
-	type access struct {
-		defs  uint32
-		epoch int
-		kind  trace.OpKind
-	}
-	defs := make([]uint32, len(cfg.Kernel.RegTab))
-	logged := make(map[addr]access)
-	epoch := 0
-	for _, b := range cfg.Blocks {
-		epoch++
-		for i := b.Start; i < b.End; i++ {
-			in := cfg.Instrs[i]
-			kind := class[i]
-			// Synchronization operations invalidate all tracking: the
-			// epoch structure changes across them.
-			switch {
-			case in.Op == ptx.OpBar || in.Op == ptx.OpMembar ||
-				in.Op == ptx.OpAtom || in.Op == ptx.OpRed:
-				epoch++
-			case kind == trace.OpRead || kind == trace.OpWrite:
-				a, ok := in.AddrOperand()
-				if ok && a.Reg != "" && in.Guard == nil {
-					k := addr{a.Num, a.Off}
-					e, seen := logged[k]
-					switch {
-					case !seen || e.epoch != epoch || e.defs != defs[a.Num]:
-						logged[k] = access{defs[a.Num], epoch, kind}
-					case e.kind == kind || e.kind == trace.OpWrite:
-						sites[i].prune = true
-					default: // a write after a logged read
-						e.kind = kind
-						logged[k] = e
-					}
-				}
-			}
-			// Redefining a register drops every tracked address using it.
-			in.Defs(func(r int32) { defs[r]++ })
-		}
-	}
 }
 
 // rewriteBody inserts the logging calls and predication transforms.

@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"barracuda/internal/kernel"
 	"barracuda/internal/ptx"
-	"barracuda/internal/trace"
 )
 
 func instr(t *testing.T, src string, opts Options) (*Result, string) {
@@ -228,44 +226,6 @@ func TestNoPruneAcrossRegisterRedefinition(t *testing.T) {
 	res, _ := instr(t, src, Options{})
 	if res.Stats["k"].Instrumented != 2 {
 		t.Errorf("instrumented = %d, want 2 (register redefined)", res.Stats["k"].Instrumented)
-	}
-}
-
-// TestMarkPrunableVectorLoadRedefines: a vector load writes every register
-// of its brace group, so an address tracked through any of them is
-// dropped — here %rd3, the second destination of the ld.v2, which the
-// rule that counted only the first destination missed. The read after
-// it repeats nothing; the one after that repeats it.
-func TestMarkPrunableVectorLoadRedefines(t *testing.T) {
-	k, err := ptx.ParseKernel(`.visible .entry k(.param .u64 p)
-{
-	.reg .u32 %r<8>;
-	.reg .u64 %rd<8>;
-	ld.param.u64 %rd2, [p];
-	mov.u64 %rd3, %rd2;
-	ld.global.u32 %r2, [%rd3];
-	ld.global.v2.u64 {%rd4, %rd3}, [%rd2];
-	ld.global.u32 %r3, [%rd3];
-	ld.global.u32 %r4, [%rd3];
-	ret;
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := kernel.Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	class := trace.Classify(cfg)
-	sites := make([]site, len(cfg.Instrs))
-	for i, kind := range class {
-		sites[i].kind = kind
-	}
-	markPrunable(cfg, class, sites)
-	for i, want := range []bool{false, false, false, false, false, true, false} {
-		if sites[i].prune != want {
-			t.Errorf("instruction %d (%s): prune = %v, want %v", i, ptx.FormatInstr(cfg.Instrs[i]), sites[i].prune, want)
-		}
 	}
 }
 

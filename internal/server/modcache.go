@@ -70,12 +70,9 @@ func NewModCache(max int) *ModCache {
 	}
 }
 
-// CacheKey is the fleet ring's key for a source: its HashSrc in hex, so
-// a job routes to the worker whose ModCache holds its session.
-func CacheKey(src string) string {
-	h := HashSrc(src)
-	return hex.EncodeToString(h[:])
-}
+// CacheKey is the fleet ring's key for a source whose HashSrc is h: h in
+// hex, so a job routes to the worker whose ModCache holds its session.
+func CacheKey(h [32]byte) string { return hex.EncodeToString(h[:]) }
 
 // Lease is exclusive access to a cached session; callers must Release.
 type Lease struct {

@@ -17,11 +17,11 @@ import (
 // entry; the module cache, the source store and (in hex) the fleet ring
 // all key a source by one HashSrc (TestEveryRoadKeysBySourceHash).
 func TestCacheKeyDistinguishesSourceAndConfig(t *testing.T) {
-	base := CacheKey(racySrc)
-	if CacheKey(racySrc) != base {
+	base := CacheKey(HashSrc(racySrc))
+	if CacheKey(HashSrc(racySrc)) != base {
 		t.Error("key not deterministic")
 	}
-	if CacheKey(racySrc+" ") == base {
+	if CacheKey(HashSrc(racySrc+" ")) == base {
 		t.Error("key ignores source")
 	}
 	h := HashSrc(racySrc)

@@ -192,8 +192,10 @@ func (s *Scheduler) QueueDepth() int { return s.q.Depth() }
 func (s *Scheduler) InFlight() int { return int(s.inflight.Load()) }
 
 // HeartbeatStats snapshots the load and cache figures a fleet worker
-// reports to its coordinator: queue pressure steers overflow routing,
-// cache hits/misses make warm-routing effectiveness observable.
+// reports to its coordinator with each beat. The coordinator routes on
+// none of them: it keeps each node's latest and shows it under "stats"
+// on /fleet/nodes, where queue pressure, cache hits/misses (warm-routing
+// effectiveness) and shadow pressure are observable per node.
 type HeartbeatStats struct {
 	QueueDepth  int   `json:"queue_depth"`
 	QueueCap    int   `json:"queue_cap"`
@@ -204,10 +206,9 @@ type HeartbeatStats struct {
 	Completed   int64 `json:"completed"`
 	Failed      int64 `json:"failed"`
 
-	// Shadow-memory pressure: lets the coordinator see which nodes run
-	// detection under a byte cap hard enough to evict live state (and
-	// so degrade precision), and how much shadow the node's jobs peak
-	// at, before routing more memory-hungry kernels its way.
+	// Shadow-memory pressure: which nodes run detection under a byte cap
+	// hard enough to evict live state (and so degrade precision), and how
+	// much shadow the node's jobs peak at.
 	ShadowPeakResident int64 `json:"shadow_peak_resident_bytes,omitempty"`
 	ShadowEvictions    int64 `json:"shadow_evictions,omitempty"`
 	ShadowDegradedJobs int64 `json:"shadow_degraded_jobs,omitempty"`

@@ -31,8 +31,9 @@ const maxBodyBytes = 16 << 20
 //	                    launches, incremental race frames → 101 | 426
 //	GET  /healthz       liveness             → 200 {"status":"ok",...}
 //	GET  /metrics       counters             → 200 MetricsJSON
-//	GET  /v1/metrics    alias of /metrics (the versioned surface the
-//	                    fleet coordinator's heartbeats are built from)
+//	GET  /v1/metrics    alias of /metrics (the versioned surface; a
+//	                    fleet worker's heartbeat is built apart from
+//	                    it, by Scheduler.HeartbeatStats)
 //
 // Non-2xx responses carry ErrorJSON with a stable machine-readable
 // code so the coordinator can tell retryable from permanent failures.

@@ -15,10 +15,11 @@ type TenantOptions struct {
 	RatePerSec float64
 	// Burst is the token-bucket depth (default 200).
 	Burst float64
-	// MaxTenants bounds the registry (default 1024). Past it, new keys
-	// share the anonymous bucket rather than growing without bound.
-	MaxTenants int
 }
+
+// maxTenants bounds the registry. Past it, new keys share the anonymous
+// bucket rather than growing without bound.
+const maxTenants = 1024
 
 func (o TenantOptions) withDefaults() TenantOptions {
 	if o.RatePerSec == 0 {
@@ -26,9 +27,6 @@ func (o TenantOptions) withDefaults() TenantOptions {
 	}
 	if o.Burst <= 0 {
 		o.Burst = 200
-	}
-	if o.MaxTenants <= 0 {
-		o.MaxTenants = 1024
 	}
 	return o
 }
@@ -64,7 +62,7 @@ func (r *TenantRegistry) get(key string) *tenant {
 	defer r.mu.Unlock()
 	t, ok := r.tenants[key]
 	if !ok {
-		if len(r.tenants) >= r.opts.MaxTenants {
+		if len(r.tenants) >= maxTenants {
 			key = "" // registry full: overflow keys share the anonymous bucket
 			if t, ok = r.tenants[key]; ok {
 				return t

@@ -429,39 +429,6 @@ func (a *Affine) GuardTainted(i int) bool { return a.guardTaint[i] }
 // affine symbolic form.
 func (a *Affine) AddrKnown(i int) bool { return a.addr[i].affine }
 
-// markInfluence marks the influence region of the conditional branch that
-// ends block bi: every block reachable from the branch's successors
-// without passing through its reconvergence block (the immediate
-// post-dominator, matching the simulator's SIMT stack). Under a varying
-// branch only part of the warp runs those blocks.
-func markInfluence(c *kernel.CFG, bi int, mark []bool) {
-	stop := -1
-	if r := c.ReconvergencePC(c.Blocks[bi].End - 1); r < len(c.Instrs) {
-		stop = c.BlockOf[r]
-	}
-	seen := make([]bool, len(c.Blocks))
-	var stack []int
-	for _, s := range c.Blocks[bi].Succs {
-		if s < len(c.Blocks) && s != stop {
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		mark[b] = true
-		for _, s := range c.Blocks[b].Succs {
-			if s < len(c.Blocks) && s != stop && !seen[s] {
-				stack = append(stack, s)
-			}
-		}
-	}
-}
-
 // affineSolve is one solve of the affine problem: which instructions it
 // evaluates and the registers it tracks.
 type affineSolve struct {

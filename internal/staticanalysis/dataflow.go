@@ -118,8 +118,8 @@ func ReachingDefs(c *kernel.CFG) *FlowResult[DefSet] {
 }
 
 // DefsAt returns the definitions of register reg (by number) that reach
-// instruction idx, replaying the block prefix from the solved block-entry
-// state.
+// instruction idx, in instruction order, replaying the block prefix from
+// the solved block-entry state.
 func DefsAt(c *kernel.CFG, r *FlowResult[DefSet], idx int, reg int32) []int {
 	b := c.BlockOf[idx]
 	if !r.Reached[b] {
@@ -133,6 +133,7 @@ func DefsAt(c *kernel.CFG, r *FlowResult[DefSet], idx int, reg int32) []int {
 	for i := range st[reg] {
 		out = append(out, i)
 	}
+	slices.Sort(out)
 	return out
 }
 

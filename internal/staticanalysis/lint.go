@@ -2,6 +2,7 @@ package staticanalysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"barracuda/internal/kernel"
@@ -94,40 +95,21 @@ func diagAt(a *Analysis, i int, code string, sev Severity, format string, args .
 }
 
 // lintBarrierDivergence flags bar.sync instructions reachable under a
-// thread-dependent predicate before control reconverges: threads of one
-// block may disagree about reaching the barrier, which deadlocks or — per
-// §2 of the paper — synchronizes fewer threads than intended. The
-// reconvergence block itself (the branch's immediate post-dominator) is
-// excluded: a barrier there is executed by all threads again.
+// thread-dependent predicate before control reconverges (divergence):
+// threads of one block may disagree about reaching the barrier, which
+// deadlocks or — per §2 of the paper — synchronizes fewer threads than
+// intended. The reconvergence block itself is excluded: a barrier there
+// is executed by all threads again.
 func lintBarrierDivergence(a *Analysis) []Diagnostic {
 	c := a.CFG
-	flagged := map[int]int{} // bar instr index -> branch instr index
-	for i, in := range c.Instrs {
-		if in.Op != ptx.OpBra || in.Guard == nil || !a.Affine.GuardTainted(i) {
-			continue
-		}
-		// The divergent region: blocks reachable from the branch before
-		// its reconvergence point.
-		region := make([]bool, len(c.Blocks))
-		markInfluence(c, c.BlockOf[i], region)
-		for b, in := range region {
-			if !in {
-				continue
-			}
-			for j := c.Blocks[b].Start; j < c.Blocks[b].End; j++ {
-				if c.Instrs[j].Op == ptx.OpBar {
-					if _, dup := flagged[j]; !dup {
-						flagged[j] = i
-					}
-				}
-			}
-		}
-	}
+	div := divergence(a)
 	var out []Diagnostic
-	for bar, br := range flagged {
-		out = append(out, diagAt(a, bar, CodeBarrierDivergence, SevError,
-			"bar.sync under a thread-dependent branch (line %d): not all threads of the block may reach this barrier",
-			c.Instrs[br].Line))
+	for i, in := range c.Instrs {
+		if br := div[c.BlockOf[i]]; in.Op == ptx.OpBar && br >= 0 {
+			out = append(out, diagAt(a, i, CodeBarrierDivergence, SevError,
+				"bar.sync under a thread-dependent branch (line %d): not all threads of the block may reach this barrier",
+				c.Instrs[br].Line))
+		}
 	}
 	return out
 }
@@ -143,72 +125,26 @@ func lintUnreachable(a *Analysis) []Diagnostic {
 	return out
 }
 
-// lintMissingFence applies two heuristics from the paper's lock-idiom
-// acquire/release inference (§3.1): a cas-based spin acquire whose atomic
-// is not followed by a fence (so it classifies as a plain atom, not an
-// acquire), and a plain store of zero to a lock word (a release that the
-// fence inference cannot see).
+// lintMissingFence flags both sides of the lock idiom of the paper's
+// acquire/release inference (§3.1) that the inference cannot see
+// (lockSites): a cas-based spin acquire with no trailing fence, and a
+// plain store of zero releasing a lock word with no preceding fence. An
+// acquire is flagged only where it feeds a spin-wait (spinFeeds), the
+// loop the lock idiom spins in; the repair template fences every
+// unfenced cas, since verification judges each proposal.
 func lintMissingFence(a *Analysis) []Diagnostic {
-	c := a.CFG
 	var out []Diagnostic
-
-	// (a) atom.cas feeding a setp that guards a backward branch, with no
-	// trailing fence: a spin-lock acquire with no acquire semantics.
-	var defs *FlowResult[DefSet]
-	for i, in := range c.Instrs {
-		if in.Op != ptx.OpBra || in.Guard == nil {
-			continue
-		}
-		t, ok := c.LabelAt[in.Args[0].Sym]
-		if !ok || t > i { // only backward (spin) branches
-			continue
-		}
-		if defs == nil {
-			defs = ReachingDefs(c)
-		}
-		for _, sp := range DefsAt(c, defs, i, in.Guard.Num) {
-			spIn := c.Instrs[sp]
-			if spIn.Op != ptx.OpSetp {
-				continue
-			}
-			for _, arg := range spIn.Args {
-				if arg.Kind != ptx.OpndReg {
-					continue
-				}
-				for _, d := range DefsAt(c, defs, sp, arg.Num) {
-					din := c.Instrs[d]
-					if din.Op == ptx.OpAtom && din.Atom == ptx.AtomCas && a.Class[d] == trace.OpAtom {
-						out = append(out, diagAt(a, d, CodeMissingFence, SevWarning,
-							"atom.cas spin-lock acquire has no trailing memory fence: later reads may see stale data"))
-					}
-				}
-			}
-		}
-	}
-
-	// (b) a plain store of 0 to a register that elsewhere bases a
-	// cas/exch atomic: a lock release with no preceding fence.
-	lockBase := map[string]bool{}
-	for _, in := range c.Instrs {
-		if (in.Op == ptx.OpAtom || in.Op == ptx.OpRed) &&
-			(in.Atom == ptx.AtomCas || in.Atom == ptx.AtomExch) {
-			if adr, ok := in.AddrOperand(); ok && adr.Reg != "" {
-				lockBase[adr.Reg] = true
-			}
-		}
-	}
-	for i, in := range c.Instrs {
-		if in.Op != ptx.OpSt || a.Class[i] != trace.OpWrite || in.Guard != nil {
-			continue
-		}
-		adr, ok := in.AddrOperand()
-		if !ok || adr.Reg == "" || !lockBase[adr.Reg] {
-			continue
-		}
-		if len(in.Args) > 1 && in.Args[1].Kind == ptx.OpndImm && in.Args[1].Imm == 0 {
+	acquires, releases := lockSites(a)
+	spins := spinFeeds(a)
+	for _, i := range acquires {
+		if slices.Contains(spins, i) {
 			out = append(out, diagAt(a, i, CodeMissingFence, SevWarning,
-				"plain store of 0 releases a lock word without a preceding memory fence"))
+				"atom.cas spin-lock acquire has no trailing memory fence: later reads may see stale data"))
 		}
+	}
+	for _, i := range releases {
+		out = append(out, diagAt(a, i, CodeMissingFence, SevWarning,
+			"plain store of 0 releases a lock word without a preceding memory fence"))
 	}
 	return out
 }
@@ -256,7 +192,6 @@ func lintUnsyncedShared(a *Analysis) []Diagnostic {
 				"shared-memory read with no dominating bar.sync in a kernel that writes shared memory"))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
 	return out
 }
 

@@ -262,7 +262,7 @@ func sharedSite(v value) (siteInfo, bool) {
 	return s, true
 }
 
-// --- inter-block redundancy (must) analysis -------------------------------
+// --- redundant logging (§4.1) ----------------------------------------------
 
 // covKey identifies a tracked address: base register (its number) +
 // static offset.
@@ -271,46 +271,31 @@ type covKey struct {
 	off int64
 }
 
-// covState holds, for each tracked address by number, the strongest access
-// kind logged on every path reaching the current point with no
-// intervening synchronization or base-register redefinition; OpNone when
-// none is.
-type covState []trace.OpKind
-
-// joinCov intersects path facts; a Write on one path and a Read on the
-// other still covers later Reads.
-func joinCov(a, b covState) covState {
-	out := make(covState, len(a))
-	for k, ka := range a {
-		switch kb := b[k]; {
-		case ka == trace.OpNone || kb == trace.OpNone:
-		case ka == kb:
-			out[k] = ka
-		default:
-			out[k] = trace.OpRead
-		}
-	}
-	return out
+// redundancy is the paper's redundant-logging rule over one kernel's
+// tracked addresses, those of the unguarded plain reads and writes
+// through a base register: such an access is covered — its logging
+// redundant — when an at-least-as-strong access to the same base register
+// + offset was logged earlier with no bar, membar, atom, red or
+// redefinition of the base register in between. Both tiers run its step:
+// the default tier from an empty state at each basic block
+// (BlockRedundant), the static pruner across blocks (markRedundant).
+type redundancy struct {
+	c     *kernel.CFG
+	class []trace.OpKind
+	addr  []int32 // by instruction: its tracked address, or -1
+	base  []int32 // by tracked address: its base register's number
 }
 
-// markRedundant extends the paper's intra-basic-block redundant-logging
-// optimization across basic blocks: an access is redundant when, on every
-// CFG path into it, an at-least-as-strong access to the same base
-// register + offset was logged with no synchronization or register
-// redefinition in between. It mirrors the intra-block rules of
-// instrument.markPrunable exactly, extended with the thread-private
-// exclusion: dropped sites are not logged, so they generate no coverage.
-// As in computeAffine, each transfer records its block's verdicts and the
-// last one, from the fixed-point entry state, stands.
-func markRedundant(c *kernel.CFG, class []trace.OpKind, res *PruneResult) {
-	// Number the tracked addresses: those of the unguarded, logged plain
-	// reads and writes through a base register.
-	addr := make([]int32, len(c.Instrs)) // each instruction's, or -1
-	byReg := make([][]int32, len(c.Kernel.RegTab))
+// newRedundancy numbers the tracked addresses. A site the static pruner
+// drops as thread-private (reason, when not nil) is not logged, so it
+// generates no coverage and is not tracked.
+func newRedundancy(c *kernel.CFG, class []trace.OpKind, reason []PruneReason) *redundancy {
+	r := &redundancy{c: c, class: class, addr: make([]int32, len(c.Instrs))}
 	ids := make(map[covKey]int32)
 	for i, in := range c.Instrs {
-		addr[i] = -1
-		if k := class[i]; k != trace.OpRead && k != trace.OpWrite || res.Reason[i] == PrunePrivate || in.Guard != nil {
+		r.addr[i] = -1
+		if k := class[i]; k != trace.OpRead && k != trace.OpWrite || in.Guard != nil ||
+			reason != nil && reason[i] == PrunePrivate {
 			continue
 		}
 		a, ok := in.AddrOperand()
@@ -319,46 +304,128 @@ func markRedundant(c *kernel.CFG, class []trace.OpKind, res *PruneResult) {
 		}
 		id, seen := ids[covKey{a.Num, a.Off}]
 		if !seen {
-			id = int32(len(ids))
+			id = int32(len(r.base))
 			ids[covKey{a.Num, a.Off}] = id
-			byReg[a.Num] = append(byReg[a.Num], id)
+			r.base = append(r.base, a.Num)
 		}
-		addr[i] = id
+		r.addr[i] = id
 	}
-	if len(ids) == 0 {
+	return r
+}
+
+// covState is the rule's state: by tracked address, the strongest access
+// kind logged since the last synchronization and the last redefinition
+// of its base register. A fact holds while the state's epoch and its base
+// register's definition count are the ones it was logged under, so a
+// synchronization, a redefinition or a fresh start costs one increment,
+// not a pass over the addresses.
+type covState struct {
+	fact  []covFact // by tracked address
+	defs  []uint32  // by register number: definitions seen
+	epoch uint32
+}
+
+type covFact struct {
+	kind        trace.OpKind
+	epoch, defs uint32
+}
+
+// empty returns a state in which no address is covered.
+func (r *redundancy) empty() covState {
+	return covState{fact: make([]covFact, len(r.base)), defs: make([]uint32, len(r.c.Kernel.RegTab))}
+}
+
+// kind is the strongest access kind logged to address a that still holds
+// in st, OpNone when none does.
+func (r *redundancy) kind(st *covState, a int) trace.OpKind {
+	if f := st.fact[a]; f.epoch == st.epoch && f.defs == st.defs[r.base[a]] {
+		return f.kind
+	}
+	return trace.OpNone
+}
+
+// step applies instruction i to st and reports whether i's logging is
+// covered.
+func (r *redundancy) step(st *covState, i int) (covered bool) {
+	switch in, a := r.c.Instrs[i], r.addr[i]; {
+	case in.Op == ptx.OpBar || in.Op == ptx.OpMembar || in.Op == ptx.OpAtom || in.Op == ptx.OpRed:
+		// Synchronization changes the epoch structure: drop everything.
+		st.epoch++
+	case a >= 0:
+		kind, prev := r.class[i], r.kind(st, int(a))
+		if prev == kind || prev == trace.OpWrite && kind == trace.OpRead {
+			covered = true
+		} else { // first logged, or a write after a logged read
+			st.fact[a] = covFact{kind, st.epoch, st.defs[r.base[a]]}
+		}
+	}
+	r.c.Instrs[i].Defs(func(reg int32) { st.defs[reg]++ })
+	return covered
+}
+
+// BlockRedundant runs the redundant-logging rule from an empty state at
+// each basic block — the paper's intra-basic-block optimization, the
+// default tier's pruning — and marks, by instruction index, the accesses
+// it covers.
+func BlockRedundant(c *kernel.CFG, class []trace.OpKind) []bool {
+	r := newRedundancy(c, class, nil)
+	covered := make([]bool, len(c.Instrs))
+	st := r.empty()
+	for _, b := range c.Blocks {
+		st.epoch++
+		for i := b.Start; i < b.End; i++ {
+			covered[i] = r.step(&st, i)
+		}
+	}
+	return covered
+}
+
+// markRedundant runs the redundant-logging rule across basic blocks: an
+// access is redundant when the rule covers it on every CFG path into it.
+// Path facts meet by intersection, and a Write on one path and a Read on
+// the other still cover later Reads. As in computeAffine, each transfer
+// records its block's verdicts and the last one, from the fixed-point
+// entry state, stands.
+func markRedundant(c *kernel.CFG, class []trace.OpKind, res *PruneResult) {
+	r := newRedundancy(c, class, res.Reason)
+	if len(r.base) == 0 {
 		return
+	}
+	clone := func(s covState) covState {
+		return covState{fact: slices.Clone(s.fact), defs: slices.Clone(s.defs), epoch: s.epoch}
 	}
 	covered := make([]bool, len(c.Instrs))
 	SolveForward(c, Problem[covState]{
-		Entry: func() covState { return make(covState, len(ids)) },
-		Clone: slices.Clone[covState],
-		Join:  joinCov,
-		Transfer: func(b *kernel.Block, in covState) covState {
-			st := slices.Clone(in)
-			for i := b.Start; i < b.End; i++ {
-				covered[i] = false
-				switch in, a := c.Instrs[i], addr[i]; {
-				case in.Op == ptx.OpBar || in.Op == ptx.OpMembar ||
-					in.Op == ptx.OpAtom || in.Op == ptx.OpRed:
-					// Synchronization changes the epoch structure: drop everything.
-					clear(st)
-				case a >= 0:
-					kind, prev := class[i], st[a]
-					if prev == kind || prev == trace.OpWrite && kind == trace.OpRead {
-						covered[i] = true
-					} else {
-						st[a] = kind // first logged, or a write after a logged read
-					}
+		Entry: r.empty,
+		Clone: clone,
+		Join: func(a, b covState) covState {
+			out := r.empty()
+			for k := range out.fact {
+				switch ka, kb := r.kind(&a, k), r.kind(&b, k); {
+				case ka == trace.OpNone || kb == trace.OpNone:
+				case ka == kb:
+					out.fact[k].kind = ka
+				default:
+					out.fact[k].kind = trace.OpRead
 				}
-				c.Instrs[i].Defs(func(r int32) {
-					for _, a := range byReg[r] {
-						st[a] = trace.OpNone
-					}
-				})
+			}
+			return out
+		},
+		Transfer: func(b *kernel.Block, in covState) covState {
+			st := clone(in)
+			for i := b.Start; i < b.End; i++ {
+				covered[i] = r.step(&st, i)
 			}
 			return st
 		},
-		Equal: slices.Equal[covState],
+		Equal: func(a, b covState) bool {
+			for k := range a.fact {
+				if r.kind(&a, k) != r.kind(&b, k) {
+					return false
+				}
+			}
+			return true
+		},
 	})
 	for i, cov := range covered {
 		if cov && res.Reason[i] == PruneNone {

@@ -302,3 +302,29 @@ func TestPrivateSitesGenerateNoCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockRedundantVectorLoadRedefines: a vector load writes every
+// register of its brace group, so an address tracked through any of them
+// is dropped — here %rd3, the second destination of the ld.v2, which the
+// rule that counted only the first destination missed. The read after it
+// repeats nothing; the one after that repeats it.
+func TestBlockRedundantVectorLoadRedefines(t *testing.T) {
+	c := buildCFG(t, `.visible .entry k(.param .u64 p)
+{
+	.reg .u32 %r<8>;
+	.reg .u64 %rd<8>;
+	ld.param.u64 %rd2, [p];
+	mov.u64 %rd3, %rd2;
+	ld.global.u32 %r2, [%rd3];
+	ld.global.v2.u64 {%rd4, %rd3}, [%rd2];
+	ld.global.u32 %r3, [%rd3];
+	ld.global.u32 %r4, [%rd3];
+	ret;
+}`)
+	covered := BlockRedundant(c, trace.Classify(c))
+	for i, want := range []bool{false, false, false, false, false, true, false} {
+		if covered[i] != want {
+			t.Errorf("instruction %d (%s): covered = %v, want %v", i, ptx.FormatInstr(c.Instrs[i]), covered[i], want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package staticanalysis
 
 import (
 	"fmt"
+	"strings"
 
 	"barracuda/internal/kernel"
 	"barracuda/internal/ptx"
@@ -81,10 +82,10 @@ func proposeBarrier(a *Analysis, cand Candidate) (ProposedPatch, bool) {
 		return ProposedPatch{}, false
 	}
 	c := a.CFG
-	div := divergentBlocks(a)
+	div := divergence(a)
 	pos := cand.B
 	bi := c.BlockOf[pos]
-	for div[bi] {
+	for div[bi] >= 0 {
 		d := c.Dom[bi]
 		if d < 0 || d == bi {
 			return ProposedPatch{}, false // entry (or unreachable): nowhere safe
@@ -107,22 +108,6 @@ func proposeBarrier(a *Analysis, cand Candidate) (ProposedPatch, bool) {
 			line, cand.LineA, cand.LineB),
 		Edits: []ptx.Edit{{Kernel: cand.Kernel, At: pos, Ins: []*ptx.Instr{ptx.NewBarSync(line)}}},
 	}, true
-}
-
-// divergentBlocks marks every block inside the influence region of a
-// tid-dependent conditional branch (same region the barrier-divergence
-// lint walks): a barrier inserted there would not be reached by all
-// threads of the block.
-func divergentBlocks(a *Analysis) []bool {
-	c := a.CFG
-	div := make([]bool, len(c.Blocks))
-	for i, in := range c.Instrs {
-		if in.Op != ptx.OpBra || in.Guard == nil || !a.Affine.GuardTainted(i) {
-			continue
-		}
-		markInfluence(c, c.BlockOf[i], div)
-	}
-	return div
 }
 
 // --- fence insertion ------------------------------------------------------
@@ -153,19 +138,17 @@ func proposeFences(a *Analysis, cand Candidate) []ProposedPatch {
 	return out
 }
 
-// proposeHandshakeFences finds spin-wait loads (a load feeding a setp
-// that guards a backward branch) and plain stores to the same flag
-// location, then inserts the missing fences on both sides.
+// proposeHandshakeFences finds spin-wait loads (the memory loads among
+// spinFeeds) and plain stores to the same flag location, then inserts the
+// missing fences on both sides.
 func proposeHandshakeFences(a *Analysis, cand Candidate, level string) (ProposedPatch, bool) {
 	c := a.CFG
-	spins := spinLoads(a)
-	if len(spins) == 0 {
-		return ProposedPatch{}, false
-	}
-	var edits []ptx.Edit
-	var notes []string
+	f := fences{kernel: cand.Kernel, level: level}
 	patched := map[int]bool{}
-	for _, sp := range spins {
+	for _, sp := range spinFeeds(a) {
+		if in := c.Instrs[sp]; in.Op != ptx.OpLd || !in.MemoryAccess() {
+			continue
+		}
 		flagSyms := addrSyms(a, sp)
 		if len(flagSyms) == 0 {
 			continue
@@ -174,11 +157,7 @@ func proposeHandshakeFences(a *Analysis, cand Candidate, level string) (Proposed
 		// already adjacent (the load would classify as an acquire).
 		if !a.Class[sp].IsAcquire() && !patched[sp] {
 			patched[sp] = true
-			edits = append(edits, ptx.Edit{
-				Kernel: cand.Kernel, At: sp, After: true,
-				Ins: []*ptx.Instr{ptx.NewMembar(level, c.Instrs[sp].Line)},
-			})
-			notes = append(notes, fmt.Sprintf("membar.%s after the spin-wait load at line %d", level, c.Instrs[sp].Line))
+			f.add(a, sp, true, "spin-wait load")
 		}
 		// Release side: fence before every plain store to the flag.
 		for i, k := range a.Class {
@@ -189,111 +168,58 @@ func proposeHandshakeFences(a *Analysis, cand Candidate, level string) (Proposed
 				continue
 			}
 			patched[i] = true
-			edits = append(edits, ptx.Edit{
-				Kernel: cand.Kernel, At: i,
-				Ins: []*ptx.Instr{ptx.NewMembar(level, c.Instrs[i].Line)},
-			})
-			notes = append(notes, fmt.Sprintf("membar.%s before the flag store at line %d", level, c.Instrs[i].Line))
+			f.add(a, i, false, "flag store")
 		}
 	}
-	if len(edits) == 0 {
-		return ProposedPatch{}, false
-	}
-	return ProposedPatch{
-		Kind:   PatchFence,
-		Kernel: cand.Kernel,
-		Note:   "complete the flag handshake: " + joinNotes(notes),
-		Edits:  edits,
-	}, true
+	return f.patch("flag handshake")
 }
 
-// proposeLockFences completes a cas/exch lock protocol: membar after
-// the acquiring atomic, membar before the store-of-zero release. The
-// site discovery mirrors the missing-fence lint exactly.
+// proposeLockFences completes a cas/exch lock protocol (lockSites):
+// membar after the acquiring atomic, membar before the store-of-zero
+// release.
 func proposeLockFences(a *Analysis, cand Candidate, level string) (ProposedPatch, bool) {
-	c := a.CFG
-	var edits []ptx.Edit
-	var notes []string
-	lockBase := map[string]bool{}
-	for i, in := range c.Instrs {
-		if in.Op == ptx.OpAtom && (in.Atom == ptx.AtomCas || in.Atom == ptx.AtomExch) {
-			if adr, ok := in.AddrOperand(); ok && adr.Reg != "" {
-				lockBase[adr.Reg] = true
-			}
-			// Acquire side: the atomic must classify as an acquire.
-			if a.Class[i] == trace.OpAtom && in.Atom == ptx.AtomCas {
-				edits = append(edits, ptx.Edit{
-					Kernel: cand.Kernel, At: i, After: true,
-					Ins: []*ptx.Instr{ptx.NewMembar(level, in.Line)},
-				})
-				notes = append(notes, fmt.Sprintf("membar.%s after the lock acquire at line %d", level, in.Line))
-			}
-		}
+	f := fences{kernel: cand.Kernel, level: level}
+	acquires, releases := lockSites(a)
+	for _, i := range acquires {
+		f.add(a, i, true, "lock acquire")
 	}
-	for i, in := range c.Instrs {
-		if in.Op != ptx.OpSt || a.Class[i] != trace.OpWrite || in.Guard != nil {
-			continue
-		}
-		adr, ok := in.AddrOperand()
-		if !ok || adr.Reg == "" || !lockBase[adr.Reg] {
-			continue
-		}
-		if len(in.Args) > 1 && in.Args[1].Kind == ptx.OpndImm && in.Args[1].Imm == 0 {
-			edits = append(edits, ptx.Edit{
-				Kernel: cand.Kernel, At: i,
-				Ins: []*ptx.Instr{ptx.NewMembar(level, in.Line)},
-			})
-			notes = append(notes, fmt.Sprintf("membar.%s before the lock release at line %d", level, in.Line))
-		}
+	for _, i := range releases {
+		f.add(a, i, false, "lock release")
 	}
-	if len(edits) == 0 {
+	return f.patch("lock protocol")
+}
+
+// fences collects one fence template's membar insertions at one level,
+// each with its note.
+type fences struct {
+	kernel, level string
+	edits         []ptx.Edit
+	notes         []string
+}
+
+// add inserts a membar before instruction i, or after it, noting it as
+// fencing what.
+func (f *fences) add(a *Analysis, i int, after bool, what string) {
+	line, where := a.CFG.Instrs[i].Line, "before"
+	if after {
+		where = "after"
+	}
+	f.edits = append(f.edits, ptx.Edit{Kernel: f.kernel, At: i, After: after, Ins: []*ptx.Instr{ptx.NewMembar(f.level, line)}})
+	f.notes = append(f.notes, fmt.Sprintf("membar.%s %s the %s at line %d", f.level, where, what, line))
+}
+
+// patch is the fence patch that completes idiom, false when no fence was
+// added.
+func (f *fences) patch(idiom string) (ProposedPatch, bool) {
+	if len(f.edits) == 0 {
 		return ProposedPatch{}, false
 	}
 	return ProposedPatch{
 		Kind:   PatchFence,
-		Kernel: cand.Kernel,
-		Note:   "complete the lock protocol: " + joinNotes(notes),
-		Edits:  edits,
+		Kernel: f.kernel,
+		Note:   "complete the " + idiom + ": " + strings.Join(f.notes, "; "),
+		Edits:  f.edits,
 	}, true
-}
-
-// spinLoads returns the instruction indices of plain loads that feed a
-// setp guarding a backward branch — the wait side of a flag handshake.
-func spinLoads(a *Analysis) []int {
-	c := a.CFG
-	var out []int
-	seen := map[int]bool{}
-	var defs *FlowResult[DefSet]
-	for i, in := range c.Instrs {
-		if in.Op != ptx.OpBra || in.Guard == nil {
-			continue
-		}
-		t, ok := c.LabelAt[in.Args[0].Sym]
-		if !ok || t > i {
-			continue
-		}
-		if defs == nil {
-			defs = ReachingDefs(c)
-		}
-		for _, sp := range DefsAt(c, defs, i, in.Guard.Num) {
-			if c.Instrs[sp].Op != ptx.OpSetp {
-				continue
-			}
-			for _, arg := range c.Instrs[sp].Args {
-				if arg.Kind != ptx.OpndReg {
-					continue
-				}
-				for _, d := range DefsAt(c, defs, sp, arg.Num) {
-					din := c.Instrs[d]
-					if din.Op == ptx.OpLd && din.MemoryAccess() && d >= t && d < i && !seen[d] {
-						seen[d] = true
-						out = append(out, d)
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // addrSyms returns the param/symbol names anchoring site i's address,
@@ -304,17 +230,6 @@ func addrSyms(a *Analysis, i int) []string {
 		return nil
 	}
 	return s.syms()
-}
-
-func joinNotes(notes []string) string {
-	out := ""
-	for i, n := range notes {
-		if i > 0 {
-			out += "; "
-		}
-		out += n
-	}
-	return out
 }
 
 // --- atomicize ------------------------------------------------------------

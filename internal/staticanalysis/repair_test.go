@@ -102,8 +102,8 @@ DONE:
 	at := barrier.Edits[0].At
 	// The insertion point must not be inside the divergent region: it
 	// must precede the guarded branch.
-	div := divergentBlocks(a)
-	if at < len(a.CFG.Instrs) && div[a.CFG.BlockOf[at]] {
+	div := divergence(a)
+	if at < len(a.CFG.Instrs) && div[a.CFG.BlockOf[at]] >= 0 {
 		t.Fatalf("barrier inserted at %d inside a divergent region", at)
 	}
 	if a.CFG.Instrs[at].Op != ptx.OpBra {

@@ -2,14 +2,19 @@
 // kernel CFG (worklist solver, reaching definitions, tid/ctaid-affine
 // symbolic index analysis) plus the clients built on it:
 //
-//   - an inter-block instrumentation pruner that extends BARRACUDA's
-//     intra-basic-block redundant-logging optimization (§4.1) across
-//     basic blocks, and drops accesses the affine analysis proves
-//     thread-private (consumed by instrument.Options.StaticPrune);
+//   - BARRACUDA's redundant-logging rule (§4.1), written once: run from
+//     an empty state at each basic block it is the intra-basic-block
+//     optimization every instrumentation applies (BlockRedundant); run
+//     across basic blocks it is the inter-block pruner, which also drops
+//     accesses the affine analysis proves thread-private (consumed by
+//     instrument.Options.StaticPrune);
 //   - a lint pass producing structured diagnostics with PTX source
 //     positions: barrier divergence, unreachable code, missing-fence
 //     heuristics, and unsynchronized shared-memory reads (consumed by
-//     `barracuda vet`).
+//     `barracuda vet`);
+//   - race candidates and repair templates (consumed by `barracuda vet
+//     -fix`), which find the synchronization idioms of §3.1 with the lint
+//     pass's finders (idioms.go).
 //
 // The conservatism contract: every verdict that removes logging is an
 // under-approximation — any access the analysis cannot *prove* safe

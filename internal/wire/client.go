@@ -153,22 +153,31 @@ func (c *Client) Welcome() Welcome { return c.welcome }
 // byte transfer when the server already holds the content (warm hit).
 // Returns the content hash and whether the upload was skipped.
 func (c *Client) UploadModule(src []byte) (hash [32]byte, warm bool, err error) {
-	if len(src) > MaxModule {
-		return hash, false, fmt.Errorf("wire: module %d bytes exceeds MaxModule %d", len(src), MaxModule)
-	}
 	hash = sha256.Sum256(src)
+	warm, err = c.UploadModuleHash(src, hash)
+	return hash, warm, err
+}
+
+// UploadModuleHash is UploadModule for a caller that holds src's SHA-256
+// already, hash: one that declares a module more than once (every attempt
+// at a job, every redial) hashes it once. The server checks the bytes it
+// receives against hash.
+func (c *Client) UploadModuleHash(src []byte, hash [32]byte) (warm bool, err error) {
+	if len(src) > MaxModule {
+		return false, fmt.Errorf("wire: module %d bytes exceeds MaxModule %d", len(src), MaxModule)
+	}
 	if err := c.w.WriteFrame(FModBegin, EncodeModBegin(ModBegin{TotalLen: uint64(len(src)), Hash: hash[:]})); err != nil {
-		return hash, false, err
+		return false, err
 	}
 	st, err := c.readModState()
 	if err != nil {
-		return hash, false, err
+		return false, err
 	}
 	if st.State == ModHave {
-		return hash, true, nil
+		return true, nil
 	}
 	if st.State != ModNeed {
-		return hash, false, fmt.Errorf("%w: unexpected module state %d", ErrMalformed, st.State)
+		return false, fmt.Errorf("%w: unexpected module state %d", ErrMalformed, st.State)
 	}
 	for off := 0; off < len(src); off += ChunkSize {
 		end := off + ChunkSize
@@ -176,20 +185,20 @@ func (c *Client) UploadModule(src []byte) (hash [32]byte, warm bool, err error) 
 			end = len(src)
 		}
 		if err := c.w.WriteFrame(FModChunk, src[off:end]); err != nil {
-			return hash, false, err
+			return false, err
 		}
 	}
 	if err := c.w.WriteFrame(FModEnd, nil); err != nil {
-		return hash, false, err
+		return false, err
 	}
 	st, err = c.readModState()
 	if err != nil {
-		return hash, false, err
+		return false, err
 	}
 	if st.State != ModReady {
-		return hash, false, fmt.Errorf("%w: upload not acknowledged (state %d)", ErrMalformed, st.State)
+		return false, fmt.Errorf("%w: upload not acknowledged (state %d)", ErrMalformed, st.State)
 	}
-	return hash, false, nil
+	return false, nil
 }
 
 func (c *Client) readModState() (ModState, error) {
