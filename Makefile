@@ -91,9 +91,11 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' | xargs cat | wc -l
 
 # The PTX lint pass over the example corpus: clean kernels must produce
-# zero diagnostics, the seeded barrier-divergence bug must be flagged.
+# zero diagnostics (-strict fails on a warning too), the seeded
+# barrier-divergence bug must be flagged.
+CLEAN := $(wildcard examples/vet/clean_*.ptx)
 vet-smoke: build
-	$(GO) run ./cmd/barracuda vet examples/vet/clean_saxpy.ptx examples/vet/clean_blockreduce.ptx
+	$(GO) run ./cmd/barracuda vet -strict $(CLEAN)
 	@if $(GO) run ./cmd/barracuda vet examples/vet/divergent_barrier.ptx > vet-smoke.out 2>/dev/null; then \
 		echo "seeded barrier-divergence bug was not flagged"; rm -f vet-smoke.out; exit 1; fi
 	@grep -q barrier-divergence vet-smoke.out || { echo "wrong diagnostic:"; cat vet-smoke.out; rm -f vet-smoke.out; exit 1; }

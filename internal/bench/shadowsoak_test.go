@@ -49,10 +49,11 @@ func TestBoundedShadowSoak(t *testing.T) {
 		// the package's default test timeout.
 		t.Skip("deterministic single-queue soak skipped under -race")
 	}
-	// 32 word-granular pages (512 KiB each); the suite's programs never
-	// make a sub-word access, so none is ever refined.
-	const capBytes = int64(16 << 20)
+	// 32 word-granular page slabs (a quarter of a refined page each); the
+	// suite's programs never make a sub-word access, so none is ever
+	// refined.
 	slack := maxRegionBytes(t)
+	capBytes := 32 * slack / 4
 
 	var maxUnboundedPeak int64
 	var totalEvictions, totalLiveEvictions uint64

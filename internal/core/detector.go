@@ -472,11 +472,12 @@ func (d *Detector) applyRun(run *shadow.Run, g *ptvc.Group, r *logging.Record, w
 		for idx := lc.Lo; idx < lc.Hi; idx++ {
 			i := min(idx, run.Last)
 			c := &cells[i]
-			switch fast := !c.ReadShared && (raw || ordered(g, tid, c.W) && ordered(g, tid, c.R)); {
+			switch fast := !c.ReadShared() && (raw || ordered(g, tid, c.W) && ordered(g, tid, c.R)); {
 			case fast && read:
-				c.R, c.ReadPC = vc.Epoch{T: tid, C: g.L}, r.PC
+				c.SetRead(vc.Epoch{T: tid, C: g.L}, r.PC)
 			case fast:
-				c.W, c.R, c.WritePC, c.Atomic = vc.Epoch{T: tid, C: g.L}, vc.Epoch{}, r.PC, atomic
+				c.SetWrite(vc.Epoch{T: tid, C: g.L}, r.PC, atomic)
+				c.R = vc.Epoch{}
 			default:
 				d.applyCell(reg, i, (*epochView)(g), tid, r, lc.Lane, run.Weight, w)
 			}
@@ -500,15 +501,15 @@ func (d *Detector) applyCell(reg *shadow.Region, idx int, v clockView, tid vc.TI
 func (d *Detector) applyRead(reg *shadow.Region, idx int, v clockView, tid vc.TID, r *logging.Record, lane, weight int) {
 	c := &reg.Cells()[idx]
 	if !v.ordered(tid, c.W) {
-		d.report(tid, r, lane, false, c.W.T, c.WritePC, true, c.Atomic, false, weight)
+		d.report(tid, r, lane, false, c.W.T, c.WritePC(), true, c.Atomic(), false, weight)
 	}
 	switch {
-	case c.ReadShared:
+	case c.ReadShared():
 		// READSHARED: concurrent readers use the sparse read clock.
 		reg.Readers(idx)[tid] = shadow.Read{C: v.clock(tid), PC: r.PC}
 	case v.ordered(tid, c.R):
 		// READEXCL: totally-ordered reads stay an epoch.
-		c.R, c.ReadPC = vc.Epoch{T: tid, C: v.clock(tid)}, r.PC
+		c.SetRead(vc.Epoch{T: tid, C: v.clock(tid)}, r.PC)
 	default:
 		// READINFLATE: first concurrent read inflates to a read map, seeded
 		// with the read epoch and its PC.
@@ -523,7 +524,7 @@ func (d *Detector) applyWrite(reg *shadow.Region, idx int, v clockView, tid vc.T
 		// lanes stored the same value (§3.3.1).
 		sameInstr := v.sameInstr(c.W, tid)
 		filtered := false
-		if sameInstr && !d.opts.NoSameValueFilter && !c.Atomic {
+		if sameInstr && !d.opts.NoSameValueFilter && !c.Atomic() {
 			prevLane := d.geo.LaneOf(c.W.T)
 			if r.Mask&(1<<uint(prevLane)) != 0 && r.Vals[prevLane] == r.Vals[lane] {
 				filtered = true
@@ -531,13 +532,11 @@ func (d *Detector) applyWrite(reg *shadow.Region, idx int, v clockView, tid vc.T
 			}
 		}
 		if !filtered {
-			d.report(tid, r, lane, true, c.W.T, c.WritePC, true, c.Atomic, sameInstr, weight)
+			d.report(tid, r, lane, true, c.W.T, c.WritePC(), true, c.Atomic(), sameInstr, weight)
 		}
 	}
 	d.checkReaders(reg, idx, v, tid, r, lane, weight)
-	c.W = vc.Epoch{T: tid, C: v.clock(tid)}
-	c.Atomic = false
-	c.WritePC = r.PC
+	c.SetWrite(vc.Epoch{T: tid, C: v.clock(tid)}, r.PC, false)
 	reg.ClearReads(idx)
 }
 
@@ -547,13 +546,11 @@ func (d *Detector) applyAtomic(reg *shadow.Region, idx int, v clockView, tid vc.
 	// atomics do not race with each other (nor synchronize). INITATOM*:
 	// the previous write was non-atomic; PTX gives no atomicity
 	// guarantee against normal stores.
-	if !c.Atomic && !v.ordered(tid, c.W) {
-		d.report(tid, r, lane, true, c.W.T, c.WritePC, true, false, false, weight)
+	if !c.Atomic() && !v.ordered(tid, c.W) {
+		d.report(tid, r, lane, true, c.W.T, c.WritePC(), true, false, false, weight)
 	}
 	d.checkReaders(reg, idx, v, tid, r, lane, weight)
-	c.W = vc.Epoch{T: tid, C: v.clock(tid)}
-	c.Atomic = true
-	c.WritePC = r.PC
+	c.SetWrite(vc.Epoch{T: tid, C: v.clock(tid)}, r.PC, true)
 	reg.ClearReads(idx)
 }
 
@@ -564,7 +561,7 @@ func (d *Detector) applyAtomic(reg *shadow.Region, idx int, v clockView, tid vc.
 // from run to run.
 func (d *Detector) checkReaders(reg *shadow.Region, idx int, v clockView, tid vc.TID, r *logging.Record, lane, weight int) {
 	c := &reg.Cells()[idx]
-	if c.ReadShared {
+	if c.ReadShared() {
 		readers := reg.Readers(idx)
 		for _, u := range sortedReaders(readers) {
 			if rd := readers[u]; !v.ordered(tid, vc.Epoch{T: u, C: rd.C}) {
@@ -574,7 +571,7 @@ func (d *Detector) checkReaders(reg *shadow.Region, idx int, v clockView, tid vc
 		return
 	}
 	if !v.ordered(tid, c.R) {
-		d.report(tid, r, lane, true, c.R.T, c.ReadPC, false, false, false, weight)
+		d.report(tid, r, lane, true, c.R.T, c.ReadPC(), false, false, false, weight)
 	}
 }
 

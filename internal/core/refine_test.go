@@ -58,7 +58,7 @@ func TestRefineLiveState(t *testing.T) {
 		reg, _ := d.Shadow().RegionFor(nil, logging.SpaceGlobal, -1, 0)
 		reg.Lock()
 		c := &reg.Cells()[100]
-		if reg.Gran() != 4 || len(reg.Sums()) != 1 || reg.Sums()[0].Hi != 32 || !c.ReadShared || len(reg.Readers(100)) != 2 {
+		if reg.Gran() != 4 || len(reg.Sums()) != 1 || reg.Sums()[0].Hi != 32 || !c.ReadShared() || len(reg.Readers(100)) != 2 {
 			t.Fatalf("%+v: before the byte store: granule %d, sums %+v, word 100 %+v", opts, reg.Gran(), reg.Sums(), c)
 		}
 		st, id := reg.Owner()
@@ -78,7 +78,7 @@ func TestRefineLiveState(t *testing.T) {
 		}
 		for b := 400; b < 404; b++ {
 			c := &reg.Cells()[b]
-			if wrote := b == 401; wrote == c.ReadShared || (!wrote && len(reg.Readers(b)) != 2) {
+			if wrote := b == 401; wrote == c.ReadShared() || (!wrote && len(reg.Readers(b)) != 2) {
 				t.Errorf("%+v: byte %d after the store: %+v", opts, b, c)
 			}
 		}

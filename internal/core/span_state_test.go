@@ -56,8 +56,8 @@ func TestSpanReadInflationBoundary(t *testing.T) {
 	// Both readers must now be in every cell's inflated map.
 	for _, addr := range []uint64{0, 64, 124} {
 		c, readers := readersAt(d, addr)
-		if !c.ReadShared || len(readers) != 2 {
-			t.Fatalf("addr %d: ReadShared=%v readers=%v, want inflated with 2", addr, c.ReadShared, readers)
+		if !c.ReadShared() || len(readers) != 2 {
+			t.Fatalf("addr %d: ReadShared=%v readers=%v, want inflated with 2", addr, c.ReadShared(), readers)
 		}
 	}
 
@@ -78,12 +78,12 @@ func TestSpanReadInflationBoundary(t *testing.T) {
 	}
 	for _, addr := range []uint64{0, 124} {
 		c, readers := readersAt(d, addr)
-		if c.ReadShared || readers != nil || !c.R.IsZero() {
+		if c.ReadShared() || readers != nil || !c.R.IsZero() {
 			t.Errorf("addr %d: ClearReads not applied across bulk store: %+v", addr, c)
 		}
 		wantT := geo.TIDOf(0, int(addr/4))
-		if c.W.T != wantT || c.WritePC != 3 {
-			t.Errorf("addr %d: W=%+v pc=%d, want T=%d pc=3", addr, c.W, c.WritePC, wantT)
+		if c.W.T != wantT || c.WritePC() != 3 {
+			t.Errorf("addr %d: W=%+v pc=%d, want T=%d pc=3", addr, c.W, c.WritePC(), wantT)
 		}
 	}
 }
@@ -100,7 +100,7 @@ func TestSpanAtomicBitLifecycle(t *testing.T) {
 
 	w.Handle(spanRec(trace.OpAtom, 0, 0, 4, 1))
 	c := d.Shadow().CellFor(logging.SpaceGlobal, -1, 64)
-	if !c.Atomic {
+	if !c.Atomic() {
 		t.Fatal("atomic bit lost through summary install + demotion")
 	}
 
@@ -108,11 +108,11 @@ func TestSpanAtomicBitLifecycle(t *testing.T) {
 	w.Handle(spanRec(trace.OpAtom, 1, 4096, 4, 2))
 	w.Handle(spanRec(trace.OpWrite, 1, 4096, 4, 3))
 	c = d.Shadow().CellFor(logging.SpaceGlobal, -1, 4096)
-	if c.Atomic {
+	if c.Atomic() {
 		t.Error("plain write did not clear the atomic bit in summary form")
 	}
-	if c.WritePC != 3 {
-		t.Errorf("WritePC = %d, want 3 (the plain write)", c.WritePC)
+	if c.WritePC() != 3 {
+		t.Errorf("WritePC = %d, want 3 (the plain write)", c.WritePC())
 	}
 	if rep := d.Report(); rep.HasRaces() {
 		t.Errorf("unexpected races: %+v", rep.Races)
@@ -136,7 +136,7 @@ func TestSpanAtomicCrossWarpNoRace(t *testing.T) {
 		t.Fatalf("atomic-atomic reported as race: %+v", rep.Races)
 	}
 	c := d.Shadow().CellFor(logging.SpaceGlobal, -1, 0)
-	if !c.Atomic {
+	if !c.Atomic() {
 		t.Error("atomic bit lost across cross-warp atomic update")
 	}
 	if c.W.T != geo.TIDOf(4, 0) {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"barracuda/internal/kernel"
+	"barracuda/internal/logging"
 	"barracuda/internal/ptx"
 )
 
@@ -157,6 +158,9 @@ func prepareKernel(k *ptx.Kernel) (*loadedKernel, error) {
 		return nil, err
 	}
 	for _, in := range cfg.Instrs {
+		if in.Op == ptx.OpLog && in.Line > logging.MaxPC {
+			return nil, fmt.Errorf("gpusim: %s line %d: a logged line is past %d, the largest record PC", k.Name, in.Line, logging.MaxPC)
+		}
 		if err := lk.checkShape(in); err != nil {
 			return nil, fmt.Errorf("gpusim: %s line %d: %w", k.Name, in.Line, err)
 		}

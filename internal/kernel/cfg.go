@@ -134,31 +134,32 @@ func (c *CFG) linkBlocks() {
 			c.Blocks[to].Preds = append(c.Blocks[to].Preds, from)
 		}
 	}
+	fallThrough := func(b *Block) {
+		if b.End == len(c.Instrs) {
+			addEdge(b.Index, exit)
+		} else {
+			addEdge(b.Index, c.BlockOf[b.End])
+		}
+	}
 	for _, b := range c.Blocks {
 		last := c.Instrs[b.End-1]
-		switch {
-		case last.Op == ptx.OpRet || last.Op == ptx.OpExit:
+		switch last.Op {
+		case ptx.OpRet, ptx.OpExit:
 			addEdge(b.Index, exit)
-		case last.Op == ptx.OpBra:
+		case ptx.OpBra:
 			t, _ := c.branchTarget(last) // validated in splitBlocks
 			if t == len(c.Instrs) {
 				addEdge(b.Index, exit)
 			} else {
 				addEdge(b.Index, c.BlockOf[t])
 			}
-			if last.Guard != nil { // conditional: fallthrough edge too
-				if b.End == len(c.Instrs) {
-					addEdge(b.Index, exit)
-				} else {
-					addEdge(b.Index, c.BlockOf[b.End])
-				}
-			}
 		default:
-			if b.End == len(c.Instrs) {
-				addEdge(b.Index, exit)
-			} else {
-				addEdge(b.Index, c.BlockOf[b.End])
-			}
+			fallThrough(b)
+			continue
+		}
+		// A guarded ret, exit or bra: the lanes whose guard fails fall through.
+		if last.Guard != nil {
+			fallThrough(b)
 		}
 	}
 }

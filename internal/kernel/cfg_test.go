@@ -236,3 +236,35 @@ SPIN:
 		t.Errorf("reconvergence pc = %d out of range", rpc)
 	}
 }
+
+// TestGuardedRetFallsThrough: the lanes whose guard fails run past a
+// guarded ret or exit, so the block keeps its fall-through edge beside the
+// exit edge, and what follows an early bounds check is reachable.
+func TestGuardedRetFallsThrough(t *testing.T) {
+	for _, op := range []string{"ret", "exit"} {
+		c := build(t, `.visible .entry k(.param .u64 out) {
+	.reg .u32 %r<4>;
+	.reg .u64 %rd<2>;
+	.reg .pred %p<2>;
+	ld.param.u64 %rd1, [out];
+	mov.u32 %r2, %tid.x;
+	setp.ge.u32 %p1, %r2, 16;
+	@%p1 `+op+`;
+	st.global.u32 [%rd1], %r2;
+	ret;
+}`)
+		exit := len(c.Blocks)
+		if len(c.Blocks) != 2 {
+			t.Fatalf("%s: blocks = %d, want 2", op, len(c.Blocks))
+		}
+		if s := c.Blocks[0].Succs; len(s) != 2 || s[0] != exit || s[1] != 1 {
+			t.Errorf("%s: guarded block succs = %v, want [exit 1]", op, s)
+		}
+		if un := c.UnreachableBlocks(); len(un) != 0 {
+			t.Errorf("%s: unreachable blocks %v after a guarded %s", op, un, op)
+		}
+		if !c.Dominates(0, 1) || c.IPDom[0] != exit {
+			t.Errorf("%s: dom(0,1) %v, ipdom(0) = %d; want the entry dominating the store and the exit its ipdom", op, c.Dominates(0, 1), c.IPDom[0])
+		}
+	}
+}

@@ -50,6 +50,11 @@ const (
 	flagCompact = FlagCoalesced | FlagStrided
 )
 
+// MaxPC is the largest PC a record carries: a shadow cell keeps its write's
+// atomic bit in bit 31 of the write's PC, so a source line past it is a
+// load error.
+const MaxPC = 1<<31 - 1
+
 // Record is one warp-level event, closely modeled on the paper's queue
 // record: a header identifying the warp, the operation and the active
 // mask, plus one address slot per lane. (The paper's record is
@@ -69,7 +74,7 @@ type Record struct {
 	Size  uint8  // access size in bytes (memory ops)
 	Flags uint8  // FlagCoalesced or FlagStrided
 	Mask  uint32 // active thread mask (bit i = lane i)
-	PC    uint32 // source line of the logged instruction
+	PC    uint32 // source line of the logged instruction, at most MaxPC
 	// Base is the first active lane's address of a compact record (§4.2's
 	// compact encoding of the dominant access patterns), Stride the byte
 	// distance between neighbouring lanes of a strided one.

@@ -8,15 +8,24 @@ import (
 	"unsafe"
 
 	"barracuda/internal/logging"
+	"barracuda/internal/ptvc"
 	"barracuda/internal/vc"
 )
 
-// TestCellLayout holds the cell's layout as a contract: 32 bytes, a
-// whole number of cells per 64-byte cache line, and no field the
-// collector would have to scan — which is what makes a slab noscan.
+// TestCellLayout holds the cell's layout as a contract: 24 bytes, what
+// the detector's fast path reads (W, and R with the read-shared mark) in
+// bytes 0–15, and no field the collector would have to scan — which is
+// what makes a slab noscan.
 func TestCellLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Cell{}); size != 32 || 64%size != 0 {
-		t.Errorf("Cell is %d bytes, want 32 (two per cache line, none straddling)", size)
+	var c Cell
+	if size := unsafe.Sizeof(c); size != 24 {
+		t.Errorf("Cell is %d bytes, want 24", size)
+	}
+	if end := unsafe.Offsetof(c.W) + unsafe.Sizeof(c.W); end > 16 {
+		t.Errorf("W ends at byte %d, want within the first 16", end)
+	}
+	if end := unsafe.Offsetof(c.R) + unsafe.Sizeof(c.R); end > 16 {
+		t.Errorf("R ends at byte %d, want within the first 16", end)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -33,6 +42,32 @@ func TestCellLayout(t *testing.T) {
 		}
 	}
 	walk("Cell", reflect.TypeOf(Cell{}))
+}
+
+// TestCellFlagsRoundTrip packs both flags beside both PCs at the largest
+// PC a record can carry and reads every one back.
+func TestCellFlagsRoundTrip(t *testing.T) {
+	const pc = logging.MaxPC
+	m := New(4, 0, ptvc.Geometry{})
+	reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
+	reg.Lock()
+	defer reg.Unlock()
+	for _, atomic := range []bool{false, true} {
+		c := &reg.cells[0]
+		c.SetWrite(vc.Epoch{T: 7, C: 9}, pc, atomic)
+		c.SetRead(vc.Epoch{T: 3, C: 4}, pc-1)
+		if c.WritePC() != pc || c.Atomic() != atomic || c.ReadPC() != pc-1 || c.ReadShared() {
+			t.Fatalf("atomic %v: write pc %d atomic %v, read pc %d shared %v", atomic, c.WritePC(), c.Atomic(), c.ReadPC(), c.ReadShared())
+		}
+		readers := m.InflateReads(reg, 0)
+		if !c.ReadShared() || readers[3] != (Read{C: 4, PC: pc - 1}) || c.WritePC() != pc || c.Atomic() != atomic || c.W != (vc.Epoch{T: 7, C: 9}) {
+			t.Fatalf("atomic %v after inflation: shared %v readers %v, write pc %d atomic %v W %v", atomic, c.ReadShared(), readers, c.WritePC(), c.Atomic(), c.W)
+		}
+		reg.ClearReads(0)
+		if c.ReadShared() || !c.R.IsZero() || reg.Readers(0) != nil || c.Atomic() != atomic {
+			t.Fatalf("atomic %v after clearing: shared %v R %v", atomic, c.ReadShared(), c.R)
+		}
+	}
 }
 
 // laneVisit is one visit of a walk, with the region named by what it
@@ -83,7 +118,7 @@ func regionState(reg *Region) string {
 		c := &reg.cells[i]
 		if rd := reg.Readers(i); *c != (Cell{}) || rd != nil {
 			out += fmt.Sprintf("%d: W %v@%d R %v@%d atomic %v shared %v readers %v\n",
-				i, c.W, c.WritePC, c.R, c.ReadPC, c.Atomic, c.ReadShared, rd)
+				i, c.W, c.WritePC(), c.R, c.ReadPC(), c.Atomic(), c.ReadShared(), rd)
 		}
 	}
 	out += fmt.Sprintf("read maps %d\n", readMaps(reg))
@@ -205,10 +240,11 @@ func TestVisitLanesEquivalence(t *testing.T) {
 					c := &reg.cells[idx]
 					switch (rec + lane) % 4 {
 					case 0:
-						c.W, c.WritePC, c.Atomic = vc.Epoch{T: vc.TID(lane), C: vc.Clock(rec + 1)}, uint32(rec), rec%3 == 0
+						c.SetWrite(vc.Epoch{T: vc.TID(lane), C: vc.Clock(rec + 1)}, uint32(rec), rec%3 == 0)
 						reg.ClearReads(idx)
 					case 1:
-						c.R, c.ReadPC = vc.Epoch{T: vc.TID(lane), C: vc.Clock(rec + 1)}, uint32(rec)
+						reg.ClearReads(idx)
+						c.SetRead(vc.Epoch{T: vc.TID(lane), C: vc.Clock(rec + 1)}, uint32(rec))
 					default:
 						m.InflateReads(reg, idx)[vc.TID(lane)] = Read{C: vc.Clock(rec + 1)}
 					}

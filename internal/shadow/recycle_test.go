@@ -8,6 +8,7 @@ import (
 	"barracuda/internal/logging"
 	"barracuda/internal/ptvc"
 	"barracuda/internal/shadow"
+	"barracuda/internal/vc"
 )
 
 // dirtySrc has every thread store to the eight words at out and the eight
@@ -119,7 +120,7 @@ func TestSlabPoolConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				m := shadow.New(4, 0, ptvc.Geometry{})
 				for p := 0; p < 3; p++ {
-					m.CellFor(logging.SpaceGlobal, -1, uint64(p)*shadow.PageBytes+uint64(4*g)).WritePC = uint32(i + 1)
+					m.CellFor(logging.SpaceGlobal, -1, uint64(p)*shadow.PageBytes+uint64(4*g)).SetWrite(vc.Epoch{T: vc.TID(g), C: vc.Clock(i + 1)}, uint32(i+1), false)
 				}
 				m.Release()
 			}

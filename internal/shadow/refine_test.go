@@ -26,7 +26,7 @@ func readMaps(reg *Region) (n int) {
 // readersAt returns the side-table read map of cell idx (region locked).
 func readersAt(reg *Region, idx int) map[vc.TID]Read {
 	rd := reg.Readers(idx)
-	if (rd != nil) != reg.cells[idx].ReadShared {
+	if (rd != nil) != reg.cells[idx].ReadShared() {
 		panic("side table and ReadShared disagree")
 	}
 	return rd
@@ -49,12 +49,9 @@ func TestRefineReplicatesCells(t *testing.T) {
 			t.Errorf("word cell %d weight %d, want cell 25 weight 4", idx, weight)
 		}
 		c := &r.cells[idx]
-		c.W = vc.Epoch{T: 3, C: 9}
-		c.WritePC = 11
-		c.Atomic = true
-		c.R = vc.Epoch{T: 5, C: 2}
+		c.SetWrite(vc.Epoch{T: 3, C: 9}, 11, true)
+		c.SetRead(vc.Epoch{T: 5, C: 2}, 12)
 		m.InflateReads(r, idx)[6] = Read{C: 4}
-		c.ReadPC = 12
 	})
 	if visits != 1 {
 		t.Fatalf("aligned word access visited %d cells, want 1", visits)
@@ -86,8 +83,8 @@ func TestRefineReplicatesCells(t *testing.T) {
 	cells := reg.Cells()
 	for b := 100; b < 104; b++ {
 		c, rd := &cells[b], readersAt(reg, b)
-		if c.W != (vc.Epoch{T: 3, C: 9}) || c.WritePC != 11 || !c.Atomic || c.ReadPC != 12 ||
-			!c.ReadShared || len(rd) != 2 || rd[5].C != 2 || rd[6].C != 4 {
+		if c.W != (vc.Epoch{T: 3, C: 9}) || c.WritePC() != 11 || !c.Atomic() ||
+			!c.ReadShared() || len(rd) != 2 || rd[5] != (Read{C: 2, PC: 12}) || rd[6].C != 4 {
 			t.Errorf("byte %d: %+v readers %v, want the word cell's metadata", b, c, rd)
 		}
 	}
@@ -95,7 +92,7 @@ func TestRefineReplicatesCells(t *testing.T) {
 	if _, shared := readersAt(reg, 101)[99]; shared {
 		t.Error("byte cells of one word share a read map; refinement must deep-copy it")
 	}
-	if c := &cells[99]; !c.W.IsZero() || c.ReadShared {
+	if c := &cells[99]; !c.W.IsZero() || c.ReadShared() {
 		t.Errorf("byte 99 (the word before) picked up state: %+v", c)
 	}
 	if table := reg.reads; readMaps(reg) != 4 || len(table) != len(cells) || readersAt(reg, 25) != nil {
@@ -108,8 +105,8 @@ func TestRefineReplicatesCells(t *testing.T) {
 	reg.DemoteOverlapping(m, 256, 384)
 	for _, b := range []int{256, 259, 260, 383} {
 		want := vc.Epoch{T: geo.TIDOf(1, (b-256)/4), C: 7}
-		if cells[b].W != want || cells[b].WritePC != 8 {
-			t.Errorf("byte %d after demotion: W=%+v pc=%d, want %+v pc=8", b, cells[b].W, cells[b].WritePC, want)
+		if cells[b].W != want || cells[b].WritePC() != 8 {
+			t.Errorf("byte %d after demotion: W=%+v pc=%d, want %+v pc=8", b, cells[b].W, cells[b].WritePC(), want)
 		}
 	}
 	if st := m.Stats(); st.WordRegions != 0 || st.ByteRegions != 1 || st.Refinements != 1 ||
@@ -185,7 +182,7 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 	reg.Install(SpanSum{Lo: shBytes - 1, Hi: shBytes + 1, W: SpanLayer{Warp: 1, Mask: 3, Clock: 5, PC: 6, Size: 1}})
 	reg.Unlock()
 	m.SpanCached(nil, logging.SpaceShared, 0, 500, 1, func(r *Region, idx, _ int) {
-		if c := &r.cells[idx]; c.W.C != 5 || c.WritePC != 6 {
+		if c := &r.cells[idx]; c.W.C != 5 || c.WritePC() != 6 {
 			t.Errorf("clamp cell observed before its summary was demoted: %+v", c)
 		}
 	})
@@ -198,7 +195,7 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 		t.Fatal("nothing compacted")
 	}
 	fresh, _ := m.RegionFor(nil, logging.SpaceShared, 0, 0)
-	if fresh == reg || fresh.reads != nil || fresh.cells[1].ReadShared {
+	if fresh == reg || fresh.reads != nil || fresh.cells[1].ReadShared() {
 		t.Errorf("slab after compaction: same region %v, side table %v", fresh == reg, fresh.reads)
 	}
 
@@ -309,7 +306,7 @@ func TestRefineUnderCap(t *testing.T) {
 	hot.Unlock()
 	// An evicted page takes its side table with it: what replaces it is
 	// virgin, table included.
-	if again := globalRegion(m, 0); again == cold || again.reads != nil || again.cells[10].ReadShared {
+	if again := globalRegion(m, 0); again == cold || again.reads != nil || again.cells[10].ReadShared() {
 		t.Errorf("page 0 after eviction: same region %v, side table %v", again == cold, again.reads)
 	}
 }

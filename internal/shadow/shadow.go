@@ -40,26 +40,55 @@ import (
 // Cell is the metadata for one shadow location. Access it only while
 // holding the owning Region's lock.
 //
-// A cell is 32 bytes with no pointer in it (TestCellLayout): it never
-// straddles a cache line, two share one, and a slab is a third less
-// memory to zero that the collector never scans. The one field that
-// would be a pointer, the inflated read map, lives in the owning Region's
-// side table (Region.Readers); ReadShared says whether it exists.
+// A cell is 24 bytes with no pointer in it (TestCellLayout), so a slab is
+// memory the collector never scans. Bytes 0–15 are W and R — everything
+// the detector's inlined fast path reads, the read-shared mark included —
+// so 7 of every 8 cells in a slab are checked within one cache line;
+// bytes 16–23 are the PCs only reports read. Both flags are packed where
+// they cost nothing: Atomic is bit 31 of the write PC (logging.MaxPC keeps
+// a PC to 31 bits), and ReadShared is an R whose thread is negative, which
+// no real epoch has — while a cell is ReadShared its reads, epochs and
+// PCs, are in the read map, which lives in the owning Region's side
+// table (Region.Readers) so the slab keeps no pointer.
 type Cell struct {
 	// W is the epoch of the most recent write and R of the most recent
 	// read, a single epoch in the common totally-ordered case.
 	W, R vc.Epoch
 
-	// Provenance for race reports. ReadPC is R's: while ReadShared, each
-	// reader's PC is in the read map beside its clock.
-	WritePC, ReadPC uint32
-
-	_ uint32 // padding: keeps the cell at 32 bytes
-
-	// Atomic records whether the write W came from an atomic operation;
-	// ReadShared that concurrent reads inflated R to a sparse read map.
-	Atomic, ReadShared bool
+	// Provenance for race reports: the write's PC with its atomic bit
+	// (wpc), and R's PC.
+	wpc, rpc uint32
 }
+
+// atomicBit is the bit of Cell.wpc that records an atomic write.
+const atomicBit = 1 << 31
+
+// readShared is the R of a ReadShared cell: no thread is negative.
+var readShared = vc.Epoch{T: -1}
+
+// WritePC returns the PC of the write W.
+func (c *Cell) WritePC() uint32 { return c.wpc &^ atomicBit }
+
+// ReadPC returns the PC of the read R (meaningless while ReadShared).
+func (c *Cell) ReadPC() uint32 { return c.rpc }
+
+// Atomic reports whether the write W came from an atomic operation.
+func (c *Cell) Atomic() bool { return c.wpc&atomicBit != 0 }
+
+// ReadShared reports whether concurrent reads inflated R to a read map.
+func (c *Cell) ReadShared() bool { return c.R.T < 0 }
+
+// SetWrite records a write (atomic or not) of epoch e at pc, a PC of at
+// most logging.MaxPC. It leaves the read metadata alone.
+func (c *Cell) SetWrite(e vc.Epoch, pc uint32, atomic bool) {
+	if atomic {
+		pc |= atomicBit
+	}
+	c.W, c.wpc = e, pc
+}
+
+// SetRead records the read epoch e at pc; the cell must not be ReadShared.
+func (c *Cell) SetRead(e vc.Epoch, pc uint32) { c.R, c.rpc = e, pc }
 
 // Read is one reader's entry in an inflated read map: its clock at the
 // read and the read's PC, so a racing write reports each reader's own line.
@@ -83,14 +112,14 @@ func (r *Region) Readers(idx int) map[vc.TID]Read {
 // returns it.
 func (m *Memory) InflateReads(r *Region, idx int) map[vc.TID]Read {
 	c := &r.cells[idx]
-	if c.ReadShared {
+	if c.ReadShared() {
 		return r.Readers(idx)
 	}
 	readers := make(map[vc.TID]Read, 4)
 	if !c.R.IsZero() {
-		readers[c.R.T] = Read{c.R.C, c.ReadPC}
+		readers[c.R.T] = Read{c.R.C, c.rpc}
 	}
-	c.ReadShared = true
+	c.R, c.rpc = readShared, 0
 	m.readInflations.Add(1)
 	if r.reads == nil {
 		r.reads = make([]map[vc.TID]Read, len(r.cells))
@@ -103,11 +132,10 @@ func (m *Memory) InflateReads(r *Region, idx int) map[vc.TID]Read {
 // write and atomic rules).
 func (r *Region) ClearReads(idx int) {
 	c := &r.cells[idx]
-	c.R = vc.Epoch{}
-	if c.ReadShared {
-		c.ReadShared = false
+	if c.ReadShared() {
 		r.reads[idx] = nil
 	}
+	c.R = vc.Epoch{}
 }
 
 // pageBits is the per-page coverage: 64 KiB of device memory per page.
@@ -494,9 +522,10 @@ func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, a
 // else — at a page change, at a lane that needs refining, at a lane that
 // overlaps a summary — and the rest of the prologue is idempotent, so the
 // visits, their weights, the final state and the reports are those of one
-// walk per lane (TestVisitLanesEquivalence). The touch-ahead loads one word
-// of the first cell of every further lane in the region, so the misses of
-// a strided record's lanes overlap. DESIGN.md, "One walk per record, one
+// walk per lane (TestVisitLanesEquivalence). The touch-ahead loads a word at
+// each end of the first cell of every further lane in the region — both
+// lines of a cell that straddles two — so the misses of a strided record's
+// lanes overlap. DESIGN.md, "One walk per record, one
 // prologue per run".
 func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, lanes []Lane, size int, fn func(*Run)) {
 	if sc == nil {
@@ -542,7 +571,8 @@ func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, l
 					if nx.Addr>>shift != page {
 						break
 					}
-					sink += reg.cells[min(regionOff(space, nx.Addr)>>reg.shift, last)].W.C
+					c := &reg.cells[min(regionOff(space, nx.Addr)>>reg.shift, last)]
+					sink += c.W.C + vc.Clock(c.rpc)
 				}
 			}
 			off, n := regionOff(space, a), stop-a

@@ -110,8 +110,8 @@ func TestCellReadInflation(t *testing.T) {
 		t.Error("a read map before any inflation")
 	}
 	readers := m.InflateReads(reg, 7)
-	if !c.ReadShared || readers[1] != (Read{C: 5}) || readMaps(reg) != 1 {
-		t.Errorf("inflation lost epoch: shared=%v readers=%v", c.ReadShared, readers)
+	if !c.ReadShared() || readers[1] != (Read{C: 5}) || readMaps(reg) != 1 {
+		t.Errorf("inflation lost epoch: shared=%v readers=%v", c.ReadShared(), readers)
 	}
 	readers[2] = Read{C: 6}
 	if again := m.InflateReads(reg, 7); len(again) != 2 || len(reg.Readers(7)) != 2 { // idempotent
@@ -121,8 +121,8 @@ func TestCellReadInflation(t *testing.T) {
 		t.Error("a cell that never inflated has a read map")
 	}
 	reg.ClearReads(7)
-	if c.ReadShared || reg.Readers(7) != nil || readMaps(reg) != 0 || !c.R.IsZero() {
-		t.Errorf("clear failed: shared=%v table=%v r=%v", c.ReadShared, readMaps(reg), c.R)
+	if c.ReadShared() || reg.Readers(7) != nil || readMaps(reg) != 0 || !c.R.IsZero() {
+		t.Errorf("clear failed: shared=%v table=%v r=%v", c.ReadShared(), readMaps(reg), c.R)
 	}
 	if st := m.Stats(); st.ReadInflations != 1 || st.CellBytes != int(cellBytes) {
 		t.Errorf("stats %+v, want 1 read inflation and the cell size", st)

@@ -3,16 +3,16 @@ package shadow
 import "sync"
 
 // slabCells is the length of the one slab size worth recycling: a global
-// page at the word granule (16 384 cells, 512 KiB), which is every page of a
+// page at the word granule (16 384 cells, 384 KiB), which is every page of a
 // word-only program and so nearly every slab a run allocates.
 const slabCells = PageBytes / wordGranule
 
-// maxPooledSlabs bounds the free list (128 MiB of cells). The largest of
+// maxPooledSlabs bounds the free list (96 MiB of cells). The largest of
 // the 26 paper programs holds 164 page slabs at once; a list of 64 left it
 // faulting in a hundred fresh ones per job and read 7–10 % slower there.
 const maxPooledSlabs = 256
 
-// slabPool is a free list of page slabs. A fresh 512 KiB slab is 128 page
+// slabPool is a free list of page slabs. A fresh 384 KiB slab is 96 page
 // faults on first touch — ten times what clearing a resident one costs —
 // and a detection run's heap is handed back to the OS between jobs, so the
 // slabs of a finished run (Memory.Release) are kept for the next one. It is

@@ -41,7 +41,7 @@ func TestSlabTakeClears(t *testing.T) {
 	var p slabPool
 	s := p.take()
 	for i := range s {
-		s[i] = Cell{W: vc.Epoch{T: 3, C: 9}, R: vc.Epoch{T: 1, C: 2}, WritePC: 7, ReadPC: 8, Atomic: true, ReadShared: true}
+		s[i] = Cell{W: vc.Epoch{T: 3, C: 9}, R: readShared, wpc: 7 | atomicBit, rpc: 8}
 	}
 	p.put(s)
 	got := p.take()
@@ -49,7 +49,7 @@ func TestSlabTakeClears(t *testing.T) {
 		t.Fatal("take did not return the pooled slab")
 	}
 	for i := range got {
-		if c := &got[i]; c.W != (vc.Epoch{}) || c.R != (vc.Epoch{}) || c.WritePC != 0 || c.ReadPC != 0 || c.Atomic || c.ReadShared {
+		if c := &got[i]; c.W != (vc.Epoch{}) || c.R != (vc.Epoch{}) || c.WritePC() != 0 || c.ReadPC() != 0 || c.Atomic() || c.ReadShared() {
 			t.Fatalf("recycled cell %d is not virgin", i)
 		}
 	}
@@ -101,7 +101,7 @@ func TestReleaseThenUseFailsLoudly(t *testing.T) {
 // OS page or so, which is what faults a fresh slab in.
 func touchSlab(s []Cell) {
 	for i := 0; i < len(s); i += 4096 / int(cellBytes) {
-		s[i].WritePC++
+		s[i].wpc++
 	}
 }
 

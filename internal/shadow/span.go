@@ -177,12 +177,9 @@ func (m *Memory) refine(r *Region) {
 	m.makeRoom(int64(r.fineCells-len(r.cells)) * cellBytes)
 	cells := make([]Cell, r.fineCells)
 	if r.touched {
-		for i := range r.cells {
-			src := &r.cells[i]
+		for i, c := range r.cells {
 			for j := i * k; j < (i+1)*k; j++ {
-				dst := &cells[j]
-				dst.W, dst.Atomic, dst.WritePC = src.W, src.Atomic, src.WritePC
-				dst.R, dst.ReadShared, dst.ReadPC = src.R, src.ReadShared, src.ReadPC
+				cells[j] = c
 			}
 		}
 	}
@@ -307,25 +304,15 @@ func (m *Memory) materialize(reg *Region, s *SpanSum) {
 	for idx := s.Lo; idx < s.Hi; idx++ {
 		c := &reg.cells[idx]
 		off := (idx - s.Lo) * gran
+		*c = Cell{}
 		if s.W.Valid() {
 			lane := LaneAt(s.W.Mask, off/int(s.W.Size))
-			c.W = vc.Epoch{T: m.geo.TIDOf(int(s.W.Warp), lane), C: s.W.Clock}
-			c.WritePC = s.W.PC
-			c.Atomic = s.Atomic
-		} else {
-			c.W = vc.Epoch{}
-			c.WritePC = 0
-			c.Atomic = false
+			c.SetWrite(vc.Epoch{T: m.geo.TIDOf(int(s.W.Warp), lane), C: s.W.Clock}, s.W.PC, s.Atomic)
 		}
 		if s.R.Valid() {
 			lane := LaneAt(s.R.Mask, off/int(s.R.Size))
-			c.R = vc.Epoch{T: m.geo.TIDOf(int(s.R.Warp), lane), C: s.R.Clock}
-			c.ReadPC = s.R.PC
-		} else {
-			c.R = vc.Epoch{}
-			c.ReadPC = 0
+			c.SetRead(vc.Epoch{T: m.geo.TIDOf(int(s.R.Warp), lane), C: s.R.Clock}, s.R.PC)
 		}
-		c.ReadShared = false
 	}
 	if reg.reads != nil {
 		clear(reg.reads[s.Lo:s.Hi])

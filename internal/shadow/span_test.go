@@ -52,13 +52,13 @@ func TestMaterializeLayers(t *testing.T) {
 		c := m.CellFor(logging.SpaceGlobal, -1, uint64(rank)*4)
 		wantW := vc.Epoch{T: geo.TIDOf(2, rank), C: 7}
 		wantR := vc.Epoch{T: geo.TIDOf(3, rank), C: 5}
-		if c.W != wantW || c.WritePC != 9 || !c.Atomic {
-			t.Errorf("rank %d: W=%+v pc=%d atomic=%v, want %+v pc=9 atomic=true", rank, c.W, c.WritePC, c.Atomic, wantW)
+		if c.W != wantW || c.WritePC() != 9 || !c.Atomic() {
+			t.Errorf("rank %d: W=%+v pc=%d atomic=%v, want %+v pc=9 atomic=true", rank, c.W, c.WritePC(), c.Atomic(), wantW)
 		}
-		if c.R != wantR || c.ReadPC != 11 {
-			t.Errorf("rank %d: R=%+v pc=%d, want %+v pc=11", rank, c.R, c.ReadPC, wantR)
+		if c.R != wantR || c.ReadPC() != 11 {
+			t.Errorf("rank %d: R=%+v pc=%d, want %+v pc=11", rank, c.R, c.ReadPC(), wantR)
 		}
-		if c.ReadShared || readMaps(reg) != 0 {
+		if c.ReadShared() || readMaps(reg) != 0 {
 			t.Errorf("rank %d: materialized cell has a read map", rank)
 		}
 	}
@@ -82,9 +82,7 @@ func TestMaterializeAbsentLayersZero(t *testing.T) {
 
 	reg.Lock()
 	c0 := &reg.Cells()[lo]
-	c0.W = vc.Epoch{T: 5, C: 99}
-	c0.WritePC = 42
-	c0.Atomic = true
+	c0.SetWrite(vc.Epoch{T: 5, C: 99}, 42, true)
 	m.InflateReads(reg, lo)[7] = Read{C: 3}
 	reg.Install(SpanSum{
 		Lo: lo, Hi: lo + 64,
@@ -93,16 +91,16 @@ func TestMaterializeAbsentLayersZero(t *testing.T) {
 	reg.DemoteOverlapping(m, lo, lo+64)
 	reg.Unlock()
 
-	if !c0.W.IsZero() || c0.WritePC != 0 || c0.Atomic {
-		t.Errorf("absent W layer not zeroed: %+v pc=%d atomic=%v", c0.W, c0.WritePC, c0.Atomic)
+	if !c0.W.IsZero() || c0.WritePC() != 0 || c0.Atomic() {
+		t.Errorf("absent W layer not zeroed: %+v pc=%d atomic=%v", c0.W, c0.WritePC(), c0.Atomic())
 	}
-	if c0.ReadShared || readMaps(reg) != 0 {
+	if c0.ReadShared() || readMaps(reg) != 0 {
 		t.Error("demotion left an inflated read map")
 	}
 	// gran=1, layer size 2: cells 0 and 1 share rank 0; cells 2,3 rank 1.
 	want := vc.Epoch{T: geo.TIDOf(1, 1), C: 2}
-	if c := &reg.Cells()[lo+2]; c.R != want || c.ReadPC != 6 {
-		t.Errorf("cell 2: R=%+v pc=%d, want %+v pc=6", c.R, c.ReadPC, want)
+	if c := &reg.Cells()[lo+2]; c.R != want || c.ReadPC() != 6 {
+		t.Errorf("cell 2: R=%+v pc=%d, want %+v pc=6", c.R, c.ReadPC(), want)
 	}
 }
 

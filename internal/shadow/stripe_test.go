@@ -151,8 +151,8 @@ func TestRegionLockMutualExclusion(t *testing.T) {
 		reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, uint64(p)<<pageBits)
 		for idx := 0; idx < workers*perWorker; idx++ {
 			kept := idx/workers%2 == 0
-			if rd := reg.Readers(idx); kept != (rd[vc.TID(idx%workers)].C == vc.Clock(p+1)) || kept != reg.cells[idx].ReadShared {
-				t.Fatalf("page %d cell %d: read map %v, ReadShared %v; an inflation was lost", p, idx, rd, reg.cells[idx].ReadShared)
+			if rd := reg.Readers(idx); kept != (rd[vc.TID(idx%workers)].C == vc.Clock(p+1)) || kept != reg.cells[idx].ReadShared() {
+				t.Fatalf("page %d cell %d: read map %v, ReadShared %v; an inflation was lost", p, idx, rd, reg.cells[idx].ReadShared())
 			}
 		}
 	}
