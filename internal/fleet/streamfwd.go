@@ -151,9 +151,9 @@ type exchange struct {
 // launches it under the session's next Seq and reads events until that
 // launch's SUMMARY or REJECT. Hash-declared upload: a worker that already
 // holds the module (earlier attempt, or ring affinity) answers "have" and
-// the source bytes are neither copied nor sent.
+// the source bytes never leave the coordinator.
 func (s *session) run(req server.JobRequest, hash [32]byte) (x exchange) {
-	if _, x.err = s.UploadModuleHash(req.PTX, hash); x.err != nil {
+	if _, x.err = s.UploadModuleHash([]byte(req.PTX), hash); x.err != nil {
 		x.err = fmt.Errorf("upload: %w", x.err)
 		return x
 	}

@@ -16,7 +16,9 @@ import (
 // successors without passing through its reconvergence block (the
 // immediate post-dominator, matching the simulator's SIMT stack): under a
 // varying branch only part of the warp runs those blocks, so a barrier
-// there may not be reached by every thread of the block.
+// there may not be reached by every thread of the block. A guarded ret or
+// exit is such a branch too; it reconverges only at the exit, so its
+// region is everything its fall-through reaches.
 func divergence(a *Analysis) []int {
 	c := a.CFG
 	by := make([]int, len(c.Blocks))
@@ -26,7 +28,10 @@ func divergence(a *Analysis) []int {
 	}
 	var stack []int
 	for i, in := range c.Instrs {
-		if in.Op != ptx.OpBra || in.Guard == nil || !a.Affine.GuardTainted(i) {
+		if in.Op != ptx.OpBra && in.Op != ptx.OpRet && in.Op != ptx.OpExit {
+			continue
+		}
+		if in.Guard == nil || !a.Affine.GuardTainted(i) {
 			continue
 		}
 		bi, stop := c.BlockOf[i], -1

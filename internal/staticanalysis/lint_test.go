@@ -61,6 +61,24 @@ SKIP:
 	}
 }
 
+// TestLintBarrierAfterGuardedRet: threads that leave by a tid-guarded
+// ret never reach the barrier after it, whose region runs to the exit.
+func TestLintBarrierAfterGuardedRet(t *testing.T) {
+	src := header + `.visible .entry k() {
+	.reg .u32 %r<8>;
+	.reg .pred %p<2>;
+	mov.u32 %r1, %tid.x;
+	setp.ge.u32 %p1, %r1, 16;
+	@%p1 ret;
+	bar.sync 0;
+	ret;
+}`
+	diags := lintSrc(t, src)
+	if len(diags) != 1 || diags[0].Code != CodeBarrierDivergence || diags[0].Line != 10 {
+		t.Fatalf("diagnostics = %v, want one barrier-divergence at line 10", diags)
+	}
+}
+
 // TestLintBarrierAtReconvergenceClean: a barrier at the reconvergence
 // point is executed by every thread — no diagnostic.
 func TestLintBarrierAtReconvergenceClean(t *testing.T) {

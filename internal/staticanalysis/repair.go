@@ -68,7 +68,7 @@ func ProposePatches(a *Analysis, cand Candidate, max int) []ProposedPatch {
 // proposeBarrier inserts a bar.sync immediately before the later access
 // of the pair, hoisted out of any divergent influence region so the new
 // barrier cannot itself cause barrier divergence. The hoist climbs the
-// dominator tree; when the landing block ends in a conditional branch
+// dominator tree; when the landing block ends in a branch, ret or exit
 // the barrier goes in front of it.
 func proposeBarrier(a *Analysis, cand Candidate) (ProposedPatch, bool) {
 	if cand.A == cand.B {
@@ -93,8 +93,10 @@ func proposeBarrier(a *Analysis, cand Candidate) (ProposedPatch, bool) {
 		bi = d
 		blk := c.Blocks[bi]
 		pos = blk.End
-		if blk.End > blk.Start && c.Instrs[blk.End-1].Op == ptx.OpBra {
-			pos = blk.End - 1
+		if blk.End > blk.Start {
+			if op := c.Instrs[blk.End-1].Op; op == ptx.OpBra || op == ptx.OpRet || op == ptx.OpExit {
+				pos = blk.End - 1
+			}
 		}
 	}
 	line := 0

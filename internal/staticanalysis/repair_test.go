@@ -69,10 +69,19 @@ func TestProposeBarrierStraightLine(t *testing.T) {
 }
 
 // TestProposeBarrierHoistsOutOfDivergence: the later access sits under a
-// tid-guard, so the naive insertion point would itself diverge; the
-// proposal must climb to the dominating block.
+// tid-guard — a guarded bra around it, or a guarded ret before it — so the
+// naive insertion point would itself diverge; the proposal must climb to
+// the dominating block and land in front of the guarded instruction.
 func TestProposeBarrierHoistsOutOfDivergence(t *testing.T) {
-	src := header + `.visible .entry k() {
+	for _, tc := range []struct {
+		name, guarded, tail string
+		op                  ptx.Op
+	}{
+		{"bra", "@%p1 bra DONE;", "DONE:\n\tret;", ptx.OpBra},
+		{"ret", "@%p1 ret;", "\tret;", ptx.OpRet},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := header + `.visible .entry k() {
 	.reg .u32 %r<8>;
 	.reg .u64 %rd<4>;
 	.reg .pred %p<2>;
@@ -84,43 +93,43 @@ func TestProposeBarrierHoistsOutOfDivergence(t *testing.T) {
 	add.u64 %rd3, %rd1, %rd2;
 	st.shared.u32 [%rd3], %r1;
 	setp.ne.u32 %p1, %r1, 0;
-	@%p1 bra DONE;
+	` + tc.guarded + `
 	ld.shared.u32 %r3, [%rd1+4];
-DONE:
-	ret;
+` + tc.tail + `
 }`
-	a, cands, patches := proposeFor(t, src)
-	var barrier *ProposedPatch
-	for i := range patches {
-		if patches[i].Kind == PatchBarrier {
-			barrier = &patches[i]
-		}
+			a, _, patches := proposeFor(t, src)
+			var barrier *ProposedPatch
+			for i := range patches {
+				if patches[i].Kind == PatchBarrier {
+					barrier = &patches[i]
+				}
+			}
+			if barrier == nil {
+				t.Fatalf("kinds = %v, want an insert-barrier proposal", patchKinds(patches))
+			}
+			at := barrier.Edits[0].At
+			// The insertion point must not be inside the divergent region:
+			// it must precede the guarded instruction.
+			div := divergence(a)
+			if at < len(a.CFG.Instrs) && div[a.CFG.BlockOf[at]] >= 0 {
+				t.Fatalf("barrier inserted at %d inside a divergent region", at)
+			}
+			if a.CFG.Instrs[at].Op != tc.op || a.CFG.Instrs[at].Guard == nil {
+				t.Fatalf("expected insertion before the guarded %s, got %s at %d",
+					tc.op, a.CFG.Instrs[at].Op, at)
+			}
+			// The patched module must lint clean of barrier divergence.
+			m, _ := ptx.Parse(src)
+			patched, err := ptx.ApplyEdits(m, barrier.Edits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diags := lintSrc(t, ptx.Print(patched))
+			if n := len(byCode(diags, CodeBarrierDivergence)); n != 0 {
+				t.Fatalf("patched kernel has %d barrier-divergence diagnostics", n)
+			}
+		})
 	}
-	if barrier == nil {
-		t.Fatalf("kinds = %v, want an insert-barrier proposal", patchKinds(patches))
-	}
-	at := barrier.Edits[0].At
-	// The insertion point must not be inside the divergent region: it
-	// must precede the guarded branch.
-	div := divergence(a)
-	if at < len(a.CFG.Instrs) && div[a.CFG.BlockOf[at]] >= 0 {
-		t.Fatalf("barrier inserted at %d inside a divergent region", at)
-	}
-	if a.CFG.Instrs[at].Op != ptx.OpBra {
-		t.Fatalf("expected insertion before the conditional bra, got %s at %d",
-			a.CFG.Instrs[at].Op, at)
-	}
-	// The patched module must lint clean of barrier divergence.
-	m, _ := ptx.Parse(src)
-	patched, err := ptx.ApplyEdits(m, barrier.Edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := lintSrc(t, ptx.Print(patched))
-	if n := len(byCode(diags, CodeBarrierDivergence)); n != 0 {
-		t.Fatalf("patched kernel has %d barrier-divergence diagnostics", n)
-	}
-	_ = cands
 }
 
 func TestProposeBarrierDeclinesSelfRace(t *testing.T) {

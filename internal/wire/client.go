@@ -154,23 +154,15 @@ func (c *Client) Welcome() Welcome { return c.welcome }
 // Returns the content hash and whether the upload was skipped.
 func (c *Client) UploadModule(src []byte) (hash [32]byte, warm bool, err error) {
 	hash = sha256.Sum256(src)
-	warm, err = upload(c, src, hash)
+	warm, err = c.UploadModuleHash(src, hash)
 	return hash, warm, err
 }
 
 // UploadModuleHash is UploadModule for a caller that holds src's SHA-256
 // already, hash: one that declares a module more than once (every attempt
-// at a job, every redial) hashes it once. It takes the source as the
-// string a job request holds, whose bytes are copied a chunk at a time and
-// only when the server answers "need". The server checks the bytes it
+// at a job, every redial) hashes it once. The server checks the bytes it
 // receives against hash.
-func (c *Client) UploadModuleHash(src string, hash [32]byte) (warm bool, err error) {
-	return upload(c, src, hash)
-}
-
-// upload declares the module by hash and sends its bytes if the server
-// needs them; a []byte source is sent as it is.
-func upload[S ~string | ~[]byte](c *Client, src S, hash [32]byte) (warm bool, err error) {
+func (c *Client) UploadModuleHash(src []byte, hash [32]byte) (warm bool, err error) {
 	if len(src) > MaxModule {
 		return false, fmt.Errorf("wire: module %d bytes exceeds MaxModule %d", len(src), MaxModule)
 	}
@@ -192,7 +184,7 @@ func upload[S ~string | ~[]byte](c *Client, src S, hash [32]byte) (warm bool, er
 		if end > len(src) {
 			end = len(src)
 		}
-		if err := c.w.WriteFrame(FModChunk, []byte(src[off:end])); err != nil {
+		if err := c.w.WriteFrame(FModChunk, src[off:end]); err != nil {
 			return false, err
 		}
 	}
