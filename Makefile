@@ -102,12 +102,18 @@ vet-smoke: build
 	@rm -f vet-smoke.out
 
 # Verified repair synthesis over the example corpus: every fixable
-# kernel must end race-free with at least one verified patch, and the
-# synthesizer must propose nothing for the two unrepairable kernels.
+# kernel must end race-free with at least one verified patch, the
+# synthesizer must propose nothing for the two unrepairable kernels, and
+# no kernel's repair may target more than the races its baseline run
+# reported (candidates= at most baseline_races=).
 FIXABLE := $(wildcard examples/vet/fixable_*.ptx)
 UNFIXABLE := $(wildcard examples/vet/unfixable_*.ptx)
+FIX_TARGETS_REPORTED = awk '/ baseline_races=/ { for (i = 1; i <= NF; i++) if (split($$i, kv, "=") == 2) n[kv[1]] = kv[2] + 0; \
+	if (n["candidates"] > n["baseline_races"]) { print "repair targets more than the reported races: " $$0; bad = 1 } } \
+	END { exit bad }' vet-fix.out || { cat vet-fix.out; rm -f vet-fix.out; exit 1; }
 vet-fix-smoke: build
 	@$(GO) run ./cmd/barracuda vet -fix $(FIXABLE) > vet-fix.out 2>&1 || true
+	@$(FIX_TARGETS_REPORTED)
 	@for f in $(FIXABLE); do \
 		line="$$(grep "^$$f: kernel .*baseline_races=" vet-fix.out)"; \
 		case "$$line" in \
@@ -119,6 +125,7 @@ vet-fix-smoke: build
 	done
 	@rm -f vet-fix.out
 	@$(GO) run ./cmd/barracuda vet -fix $(UNFIXABLE) > vet-fix.out 2>&1 || true
+	@$(FIX_TARGETS_REPORTED)
 	@for f in $(UNFIXABLE); do \
 		line="$$(grep "^$$f: kernel .*baseline_races=" vet-fix.out)"; \
 		case "$$line" in \

@@ -23,15 +23,14 @@ func vetMain(argv []string) int {
 		jsonOut = fs.Bool("json", false, "emit diagnostics (and -fix repair reports) as JSON")
 		strict  = fs.Bool("strict", false, "treat warnings as errors for the exit status")
 		stats   = fs.Bool("stats", false, "also print per-kernel instrumentation-pruning statistics")
-		fix     = fs.Bool("fix", false, "synthesize patches for race candidates and verify each by dynamic re-detection")
+		fix     = fs.Bool("fix", false, "synthesize patches for the races detection reports and verify each by dynamic re-detection")
 		write   = fs.Bool("write", false, "with -fix: write each verified fix to <file>.<kernel>.fixed.ptx")
 		grid    = fs.Int("grid", 2, "with -fix: verification launch grid (blocks)")
 		block   = fs.Int("block", 64, "with -fix: verification launch block (threads)")
 		bufB    = fs.Int("bufbytes", 4096, "with -fix: bytes per zeroed global buffer (one per kernel param)")
-		maxCand = fs.Int("max-candidates", 8, "with -fix: race candidates to evaluate per kernel")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: barracuda vet [-json] [-strict] [-stats] [-fix [-write] [-grid N] [-block N] [-bufbytes N] [-max-candidates N]] file.ptx...")
+		fmt.Fprintln(os.Stderr, "usage: barracuda vet [-json] [-strict] [-stats] [-fix [-write] [-grid N] [-block N] [-bufbytes N]] file.ptx...")
 		fs.PrintDefaults()
 	}
 	fs.Parse(argv)
@@ -82,7 +81,7 @@ func vetMain(argv []string) int {
 		}
 		if *fix {
 			repairs, err := runVetFix(path, m, vetFixOptions{
-				grid: *grid, block: *block, bufBytes: *bufB, maxCandidates: *maxCand,
+				grid: *grid, block: *block, bufBytes: *bufB,
 			})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "barracuda vet: fix: %v\n", err)

@@ -10,9 +10,8 @@ import (
 
 // vetFixOptions carries the -fix launch knobs from the vet flag set.
 type vetFixOptions struct {
-	grid, block   int
-	bufBytes      int
-	maxCandidates int
+	grid, block int
+	bufBytes    int
 }
 
 // fileRepair is the machine-readable -fix result for one kernel,
@@ -32,11 +31,10 @@ func runVetFix(path string, m *ptx.Module, opt vetFixOptions) ([]fileRepair, err
 		for i := range buffers {
 			buffers[i] = opt.bufBytes
 		}
-		rr, err := detector.Repair(m, k.Name, detector.Config{}, detector.RepairOptions{
-			Grid:          opt.grid,
-			Block:         opt.block,
-			Buffers:       buffers,
-			MaxCandidates: opt.maxCandidates,
+		rr, err := detector.Repair(m, k.Name, detector.RepairOptions{
+			Grid:    opt.grid,
+			Block:   opt.block,
+			Buffers: buffers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: kernel %s: %w", path, k.Name, err)
@@ -47,7 +45,7 @@ func runVetFix(path string, m *ptx.Module, opt vetFixOptions) ([]fileRepair, err
 }
 
 // printVetFix renders one kernel's repair report for humans: each
-// candidate with its patch attempts and verdicts, verified diffs in
+// reported race with its patch attempts and verdicts, verified diffs in
 // full, and a one-line greppable summary.
 func printVetFix(r fileRepair) {
 	rr := r.RepairReport
@@ -56,11 +54,7 @@ func printVetFix(r fileRepair) {
 		proposals += len(c.Patches)
 	}
 	for _, c := range rr.Candidates {
-		dyn := "static-only"
-		if c.Dynamic {
-			dyn = "dynamic"
-		}
-		fmt.Printf("%s: kernel %s: candidate [%s] %s\n", r.File, rr.Kernel, dyn, c.Description)
+		fmt.Printf("%s: kernel %s: candidate %s\n", r.File, rr.Kernel, c.Description)
 		if len(c.Patches) == 0 {
 			fmt.Printf("  no patch template applies: repair declined\n")
 		}

@@ -1,17 +1,17 @@
-// Verified repair synthesis: take the static race candidates and patch
-// proposals from package staticanalysis, apply each proposal to a clone
-// of the module, and re-run full dynamic detection on the patched
-// module. A patch is accepted only when the targeted race is gone, no
-// new races appeared, no new barrier divergence appeared, and the
-// launch still completes within its step budget. The dynamic detector —
-// not the synthesizer — is the judge, so the static layer is free to
-// propose aggressively and unrepairable kernels are declined honestly.
+// Verified repair synthesis: run detection once on the module, take
+// each race it reported as a candidate, ask package staticanalysis for
+// patch proposals, apply each proposal to a clone of the module, and
+// re-run full dynamic detection on the patched module. A patch is
+// accepted only when the targeted race is gone, no new races appeared,
+// no new barrier divergence appeared, and the launch still completes
+// within its step budget. The dynamic detector — not the synthesizer —
+// is the judge, so the static layer is free to propose aggressively and
+// unrepairable kernels are declined honestly.
 package detector
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"barracuda/internal/core"
@@ -43,13 +43,14 @@ type RepairOptions struct {
 	Deadline time.Time
 	// WarpSize optionally narrows the warp (0 = architecture default).
 	WarpSize int
-	// MaxCandidates bounds how many candidates are evaluated, dynamic
-	// ones first (default 8).
-	MaxCandidates int
 }
 
-// maxPatchesPerCandidate bounds the proposals tried per candidate.
-const maxPatchesPerCandidate = 3
+// maxCandidates bounds the reported races a repair targets, in report
+// order; maxPatchesPerCandidate bounds the proposals tried per race.
+const (
+	maxCandidates          = 8
+	maxPatchesPerCandidate = 3
+)
 
 func (o RepairOptions) withDefaults() RepairOptions {
 	if o.Grid <= 0 {
@@ -60,9 +61,6 @@ func (o RepairOptions) withDefaults() RepairOptions {
 	}
 	if o.MaxInstrs == 0 {
 		o.MaxInstrs = 1 << 22
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 8
 	}
 	return o
 }
@@ -85,14 +83,12 @@ type RepairPatch struct {
 	Verdict RepairVerdict `json:"verdict"`
 }
 
-// RepairCandidate is one evaluated race candidate.
+// RepairCandidate is one reported race the repair targeted.
 type RepairCandidate struct {
 	Description string        `json:"description"`
 	LineA       int           `json:"line_a"`
 	LineB       int           `json:"line_b"`
 	Space       string        `json:"space"`
-	Score       int           `json:"score"`
-	Dynamic     bool          `json:"dynamic"` // confirmed by the baseline detection run
 	Patches     []RepairPatch `json:"patches"`
 	Repaired    bool          `json:"repaired"` // some patch was verified
 }
@@ -102,7 +98,6 @@ type RepairReport struct {
 	Kernel              string            `json:"kernel"`
 	BaselineRaces       int               `json:"baseline_races"`
 	BaselineDivergences int               `json:"baseline_divergences"`
-	StaticCandidates    int               `json:"static_candidates"`
 	Candidates          []RepairCandidate `json:"candidates"`
 	Verified            int               `json:"verified"` // candidates with an accepted patch
 	Unrepaired          int               `json:"unrepaired"`
@@ -111,12 +106,12 @@ type RepairReport struct {
 	// when no patch was accepted it is the baseline count (unchanged module).
 	PatchedPTX string `json:"patched_ptx,omitempty"`
 	FinalRaces int    `json:"final_races"`
-	// PatchRuns counts dynamic detection launches (baseline + patches +
-	// composition); the repair benchmarks derive evaluated/sec from it.
+	// PatchRuns counts dynamic detection launches: the baseline, one per
+	// patch that applied, and the composition.
 	PatchRuns int `json:"patch_runs"`
 }
 
-// raceKey identifies a static race independent of address and thread
+// raceKey identifies a race independent of address and thread
 // identity: the unordered pair of source lines with access roles, plus
 // the space. Patched modules run from the cloned AST, so line numbers
 // are stable across the baseline and every patched run.
@@ -150,9 +145,9 @@ func divergencePCs(rep *core.Report) map[uint32]bool {
 	return out
 }
 
-// Repair runs the full candidate → patch → verify loop on one kernel of
-// the module. The module itself is never modified.
-func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*RepairReport, error) {
+// Repair runs the full report → patch → verify loop on one kernel of the
+// module under the default detector. The module itself is never modified.
+func Repair(m *ptx.Module, kernelName string, opt RepairOptions) (*RepairReport, error) {
 	opt = opt.withDefaults()
 	k := m.Kernel(kernelName)
 	if k == nil {
@@ -167,7 +162,7 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 	rr := &RepairReport{Kernel: kernelName}
 
 	// Baseline detection on the unpatched module.
-	base, err := runOnce(m, kernelName, cfg, opt, buffers)
+	base, err := runOnce(m, kernelName, opt, buffers)
 	rr.PatchRuns++
 	if err != nil {
 		return nil, fmt.Errorf("detector: baseline run: %w", err)
@@ -177,40 +172,35 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 	rr.BaselineRaces = len(base.Races)
 	rr.BaselineDivergences = len(base.Divergences)
 
-	// Static candidates, then feed the dynamically observed races back:
-	// a candidate matching a reported race is boosted to the front, and
-	// races with no static candidate are synthesized into one.
 	c, err := kernel.Build(k)
 	if err != nil {
 		return nil, err
 	}
 	analysis := staticanalysis.Analyze(c)
-	cands := staticanalysis.RaceCandidates(analysis)
-	rr.StaticCandidates = len(cands)
-	cands = mergeDynamic(analysis, cands, base.Races)
-
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Dynamic != cands[j].Dynamic {
-			return cands[i].Dynamic
-		}
-		return cands[i].Score > cands[j].Score
-	})
-	if len(cands) > opt.MaxCandidates {
-		cands = cands[:opt.MaxCandidates]
-	}
-
 	origText := ptx.Print(m)
 	var acceptedEdits []ptx.Edit
-	for _, cand := range cands {
+	// The candidates are the reported races, one per race key, in report
+	// order.
+	seen := map[raceKey]bool{}
+	for _, r := range base.Races {
+		target := keyOf(r)
+		if len(rr.Candidates) == maxCandidates {
+			break
+		}
+		if seen[target] {
+			continue
+		}
+		seen[target] = true
+		cand, ok := candidateOf(analysis, r)
+		if !ok {
+			continue
+		}
 		rc := RepairCandidate{
 			Description: cand.Describe(),
 			LineA:       cand.LineA,
 			LineB:       cand.LineB,
-			Space:       cand.SpaceStr,
-			Score:       cand.Score,
-			Dynamic:     cand.Dynamic,
+			Space:       cand.Space.String(),
 		}
-		target := candidateKeys(cand)
 		for _, prop := range staticanalysis.ProposePatches(analysis, cand, maxPatchesPerCandidate) {
 			patched, err := ptx.ApplyEdits(m, prop.Edits)
 			if err != nil {
@@ -225,12 +215,12 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 				Note: prop.Note,
 				Diff: ptx.UnifiedDiff("a/"+kernelName+".ptx", "b/"+kernelName+".ptx", origText, ptx.Print(patched)),
 			}
-			rep, err := runOnce(patched, kernelName, cfg, opt, buffers)
+			rep, err := runOnce(patched, kernelName, opt, buffers)
 			rr.PatchRuns++
 			if errors.Is(err, gpusim.ErrDeadline) {
 				return nil, fmt.Errorf("detector: verification run: %w", err)
 			}
-			rp.Verdict = verdict(cand, target, baseKeys, baseDivs, rep, err)
+			rp.Verdict = verdict(target, baseKeys, baseDivs, rep, err)
 			rc.Patches = append(rc.Patches, rp)
 			if rp.Verdict.Verified {
 				rc.Repaired = true
@@ -240,7 +230,7 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 		}
 		if rc.Repaired {
 			rr.Verified++
-		} else if rc.Dynamic {
+		} else {
 			rr.Unrepaired++
 		}
 		rr.Candidates = append(rr.Candidates, rc)
@@ -254,7 +244,7 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 	if len(acceptedEdits) > 0 {
 		composed, err := ptx.ApplyEdits(m, dedupeEdits(acceptedEdits))
 		if err == nil {
-			rep, err := runOnce(composed, kernelName, cfg, opt, buffers)
+			rep, err := runOnce(composed, kernelName, opt, buffers)
 			rr.PatchRuns++
 			if errors.Is(err, gpusim.ErrDeadline) {
 				return nil, fmt.Errorf("detector: composition run: %w", err)
@@ -268,10 +258,11 @@ func Repair(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions) (*R
 	return rr, nil
 }
 
-// runOnce opens a fresh session for the module (original or patched),
-// allocates zeroed buffers, and runs one detection launch.
-func runOnce(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions, buffers []int) (*core.Report, error) {
-	sess, err := Open(m, cfg)
+// runOnce opens a fresh default-detector session for the module
+// (original or patched), allocates zeroed buffers, and runs one detection
+// launch.
+func runOnce(m *ptx.Module, kernelName string, opt RepairOptions, buffers []int) (*core.Report, error) {
+	sess, err := Open(m, Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -289,44 +280,8 @@ func runOnce(m *ptx.Module, kernelName string, cfg Config, opt RepairOptions, bu
 	return res.Report, nil
 }
 
-// candidateKeys enumerates the race keys a candidate explains: both
-// role assignments of its line pair, in its space. Atomic sides match
-// either write polarity (an atomic access reports Write=true in some
-// detectors and carries the Atomic flag in ours), so atomic candidates
-// expand to all polarities on that side.
-func candidateKeys(cd staticanalysis.Candidate) map[raceKey]bool {
-	space := logging.SpaceGlobal
-	if cd.SpaceStr == "shared" {
-		space = logging.SpaceShared
-	}
-	la, lb := uint32(cd.LineA), uint32(cd.LineB)
-	wa := polarities(cd.WriteA, cd.AtomicA)
-	wb := polarities(cd.WriteB, cd.AtomicB)
-	out := map[raceKey]bool{}
-	for _, a := range wa {
-		for _, b := range wb {
-			out[normKey(la, a, lb, b, space)] = true
-		}
-	}
-	return out
-}
-
-func polarities(write, atomic bool) []bool {
-	if atomic {
-		return []bool{true, false}
-	}
-	return []bool{write}
-}
-
-func normKey(la uint32, wa bool, lb uint32, wb bool, space logging.SpaceID) raceKey {
-	if la > lb || (la == lb && wa && !wb) {
-		la, lb, wa, wb = lb, la, wb, wa
-	}
-	return raceKey{lineLo: la, lineHi: lb, wLo: wa, wHi: wb, space: space}
-}
-
 // verdict applies the acceptance contract to one patched run.
-func verdict(cand staticanalysis.Candidate, target, baseKeys map[raceKey]bool,
+func verdict(target raceKey, baseKeys map[raceKey]bool,
 	baseDivs map[uint32]bool, rep *core.Report, err error) RepairVerdict {
 	if err != nil {
 		return RepairVerdict{
@@ -337,7 +292,7 @@ func verdict(cand staticanalysis.Candidate, target, baseKeys map[raceKey]bool,
 	v := RepairVerdict{TargetGone: true}
 	for _, r := range rep.Races {
 		k := keyOf(r)
-		if target[k] {
+		if k == target {
 			v.TargetGone = false
 		}
 		if !baseKeys[k] {
@@ -350,8 +305,6 @@ func verdict(cand staticanalysis.Candidate, target, baseKeys map[raceKey]bool,
 		}
 	}
 	switch {
-	case !cand.Dynamic:
-		v.Reason = "candidate race was not observed dynamically; patch is speculative and not certified"
 	case !v.TargetGone:
 		v.Reason = "targeted race still detected after the patch"
 	case v.NewRaces > 0:
@@ -365,62 +318,26 @@ func verdict(cand staticanalysis.Candidate, target, baseKeys map[raceKey]bool,
 	return v
 }
 
-// mergeDynamic marks candidates confirmed by the baseline run and
-// synthesizes candidates for reported races no static pair explains.
-func mergeDynamic(a *staticanalysis.Analysis, cands []staticanalysis.Candidate, races []core.Race) []staticanalysis.Candidate {
-	covered := map[raceKey]bool{}
-	for i := range cands {
-		for k := range candidateKeys(cands[i]) {
-			covered[k] = true
-		}
-	}
-	for _, r := range races {
-		k := keyOf(r)
-		matched := false
-		for i := range cands {
-			if candidateKeys(cands[i])[k] {
-				if !cands[i].Dynamic {
-					cands[i].Dynamic = true
-					cands[i].Score += 1000
-					cands[i].Reason = "dynamically confirmed: " + cands[i].Reason
-				}
-				matched = true
-			}
-		}
-		if matched || covered[k] {
-			continue
-		}
-		covered[k] = true
-		if cd, ok := synthesizeCandidate(a, r); ok {
-			cands = append(cands, cd)
-		}
-	}
-	return cands
-}
-
-// synthesizeCandidate builds a candidate from a dynamic race whose line
-// pair the static analysis did not propose (e.g. both sites behind
-// unknown addresses it declined to pair).
-func synthesizeCandidate(a *staticanalysis.Analysis, r core.Race) (staticanalysis.Candidate, bool) {
-	ia := siteAtLine(a, int(r.Prev.PC))
-	ib := siteAtLine(a, int(r.Cur.PC))
+// candidateOf places a reported race in the kernel: the access sites at
+// its two lines, each side in the role the report gave it. It fails when a
+// line holds no memory access.
+func candidateOf(a *staticanalysis.Analysis, r core.Race) (staticanalysis.Candidate, bool) {
+	pa, pb := r.Prev, r.Cur
+	ia, ib := siteAtLine(a, int(pa.PC)), siteAtLine(a, int(pb.PC))
 	if ia < 0 || ib < 0 {
 		return staticanalysis.Candidate{}, false
 	}
 	if ia > ib {
-		ia, ib = ib, ia
+		ia, ib, pa, pb = ib, ia, pb, pa
 	}
-	in := a.CFG.Instrs[ia]
-	cd := staticanalysis.Candidate{
+	return staticanalysis.Candidate{
 		Kernel: a.CFG.Kernel.Name,
 		A:      ia, B: ib,
-		LineA: a.CFG.Instrs[ia].Line, LineB: a.CFG.Instrs[ib].Line,
-		Space: in.Space, SpaceStr: in.Space.String(),
-		WriteA: a.Class[ia].Writes(), WriteB: a.Class[ib].Writes(),
-		Score: 1000, Dynamic: true,
-		Reason: "reported by the dynamic detector",
-	}
-	return cd, true
+		LineA: int(pa.PC), LineB: int(pb.PC),
+		Space:  a.CFG.Instrs[ia].Space,
+		WriteA: pa.Write, WriteB: pb.Write,
+		AtomicA: pa.Atomic, AtomicB: pb.Atomic,
+	}, true
 }
 
 // siteAtLine finds the memory-access instruction at a source line.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func repairSrc(t *testing.T, src string, opt RepairOptions) *RepairReport {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	rr, err := Repair(m, m.Kernels[0].Name, Config{}, opt)
+	rr, err := Repair(m, m.Kernels[0].Name, opt)
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
@@ -61,12 +62,12 @@ func TestRepairMissingBarrier(t *testing.T) {
 	if rr.BaselineRaces == 0 {
 		t.Fatal("baseline detected no races on the unsynchronized exchange")
 	}
-	cand, patch, ok := verifiedPatch(rr)
+	if len(rr.Candidates) != 1 || rr.Candidates[0].Description != "shared write at line 11 vs read at line 12" {
+		t.Errorf("candidates %+v, want the one cross-slot pair", rr.Candidates)
+	}
+	_, patch, ok := verifiedPatch(rr)
 	if !ok {
 		t.Fatalf("no verified patch: %+v", rr.Candidates)
-	}
-	if !cand.Dynamic {
-		t.Error("the repaired candidate should be dynamically confirmed")
 	}
 	if patch.Kind != "insert-barrier" {
 		t.Errorf("patch kind = %s, want insert-barrier", patch.Kind)
@@ -99,7 +100,7 @@ func TestRepairAtomicIncrement(t *testing.T) {
 	if rr.BaselineRaces == 0 {
 		t.Fatal("baseline detected no races on the lost-update kernel")
 	}
-	cand, patch, ok := verifiedPatch(rr)
+	_, patch, ok := verifiedPatch(rr)
 	if !ok {
 		t.Fatalf("no verified patch: %+v", rr.Candidates)
 	}
@@ -112,7 +113,6 @@ func TestRepairAtomicIncrement(t *testing.T) {
 	if rr.FinalRaces != 0 {
 		t.Errorf("composed module still races: %d", rr.FinalRaces)
 	}
-	_ = cand
 }
 
 // TestRepairHandshakeFences: message passing with no fences. Thread 0
@@ -184,7 +184,10 @@ func TestRepairDeclinesWarringWrites(t *testing.T) {
 		t.Errorf("Verified = %d, want 0", rr.Verified)
 	}
 	if rr.Unrepaired == 0 {
-		t.Error("a dynamically confirmed candidate with no fix must count as unrepaired")
+		t.Error("a reported race with no fix must count as unrepaired")
+	}
+	if len(rr.Candidates) != 1 || rr.Candidates[0].Description != "global write at line 6 vs itself across threads" {
+		t.Errorf("candidates %+v, want the one self-race at line 6", rr.Candidates)
 	}
 	for _, c := range rr.Candidates {
 		if len(c.Patches) != 0 {
@@ -214,7 +217,7 @@ func TestRepairBudgetRejectsDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget of 1: the baseline itself cannot complete.
-	_, err = Repair(m, "k", Config{}, RepairOptions{MaxInstrs: 1})
+	_, err = Repair(m, "k", RepairOptions{MaxInstrs: 1})
 	if err == nil {
 		t.Fatal("expected the baseline run to fail under a 1-instruction budget")
 	}
@@ -226,15 +229,15 @@ func TestRepairUnknownKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Repair(m, "nope", Config{}, RepairOptions{}); err == nil {
+	if _, err := Repair(m, "nope", RepairOptions{}); err == nil {
 		t.Fatal("expected an error for an unknown kernel")
 	}
 }
 
 // repairGoldenReports runs the repair loop on every kernel of each
 // fixable_* and unfixable_* example, with `barracuda vet -fix`'s launch
-// (2 blocks of 64 threads, one zeroed 4096-byte buffer per parameter, 8
-// candidates), by file name.
+// (2 blocks of 64 threads, one zeroed 4096-byte buffer per parameter), by
+// file name.
 func repairGoldenReports(t *testing.T) map[string][]*RepairReport {
 	t.Helper()
 	var files []string
@@ -256,11 +259,7 @@ func repairGoldenReports(t *testing.T) map[string][]*RepairReport {
 			t.Fatalf("%s: %v", f, err)
 		}
 		for _, k := range m.Kernels {
-			buffers := make([]int, len(k.Params))
-			for i := range buffers {
-				buffers[i] = 4096
-			}
-			rr, err := Repair(m, k.Name, Config{}, RepairOptions{Grid: 2, Block: 64, Buffers: buffers, MaxCandidates: 8})
+			rr, err := Repair(m, k.Name, vetLaunch(k))
 			if err != nil {
 				t.Fatalf("%s: kernel %s: %v", f, k.Name, err)
 			}
@@ -270,10 +269,22 @@ func repairGoldenReports(t *testing.T) map[string][]*RepairReport {
 	return out
 }
 
+// vetLaunch is `barracuda vet -fix`'s verification launch for kernel k.
+func vetLaunch(k *ptx.Kernel) RepairOptions {
+	buffers := make([]int, len(k.Params))
+	for i := range buffers {
+		buffers[i] = 4096
+	}
+	return RepairOptions{Grid: 2, Block: 64, Buffers: buffers}
+}
+
 // TestRepairGolden pins what the repair loop reports for the example
-// corpus — every candidate, proposal, diff and verdict — against the
-// reports recorded at 10dc98b, before the barrier and fence templates
-// shared their idiom finders with the lint pass.
+// corpus — every candidate, proposal, diff and verdict. The reports were
+// recorded at 10dc98b, before the barrier and fence templates shared their
+// idiom finders with the lint pass, and re-recorded when the candidates
+// became the reported races alone: the static-only candidates, their
+// scores and their patch runs left, and every verified patch, patched
+// module and final race count stayed as recorded.
 func TestRepairGolden(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "repair_10dc98b.json"))
 	if err != nil {
@@ -300,5 +311,132 @@ func TestRepairGolden(t *testing.T) {
 		if !bytes.Equal(g, w.Bytes()) {
 			t.Errorf("%s: repair report moved:\n got %s\nwant %s", f, g, w.Bytes())
 		}
+	}
+}
+
+// TestRepairTargetsReportedRaces: on the example corpus, a repair targets
+// the races its baseline run reported and nothing else — each candidate
+// is a line pair of that report, there are no more candidates than
+// reported races, and the detection runs are the baseline, one per
+// proposal and the composition of the verified patches.
+func TestRepairTargetsReportedRaces(t *testing.T) {
+	for f, reps := range repairGoldenReports(t) {
+		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "vet", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ptx.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rr := range reps {
+			k := m.Kernel(rr.Kernel)
+			opt := vetLaunch(k).withDefaults()
+			base, err := runOnce(m, k.Name, opt, opt.Buffers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reported := map[[2]int]string{}
+			for _, r := range base.Races {
+				lo, hi := int(r.Prev.PC), int(r.Cur.PC)
+				reported[[2]int{min(lo, hi), max(lo, hi)}] = r.Space.String()
+			}
+			runs := 1
+			for _, c := range rr.Candidates {
+				if sp, ok := reported[[2]int{c.LineA, c.LineB}]; !ok || sp != c.Space {
+					t.Errorf("%s: candidate %q is not a race of the baseline report", f, c.Description)
+				}
+				runs += len(c.Patches)
+			}
+			if rr.Verified > 0 {
+				runs++
+			}
+			if len(rr.Candidates) > rr.BaselineRaces {
+				t.Errorf("%s: %d candidates for %d reported races", f, len(rr.Candidates), rr.BaselineRaces)
+			}
+			if rr.PatchRuns != runs {
+				t.Errorf("%s: %d patch runs, want %d (baseline, proposals, composition)", f, rr.PatchRuns, runs)
+			}
+		}
+	}
+}
+
+// TestRepairCandidatesPerReportedRace: a repair's candidates are the
+// distinct races its baseline run reported, each side in the role the
+// report gave it — a barrier-separated exchange, thread-disjoint params
+// and two atomics get none, a global pair across a barrier still races
+// across blocks, and an atomic against a plain store keeps its atomic
+// side.
+func TestRepairCandidatesPerReportedRace(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      []string
+	}{
+		{"barrier-separated", `.visible .entry k() {
+	.reg .u32 %r<6>;
+	.reg .u64 %rd<4>;
+	.shared .align 4 .b8 s[1024];
+	mov.u32 %r1, %tid.x;
+	shl.b32 %r2, %r1, 2;
+	mov.u64 %rd1, s;
+	cvt.u64.u32 %rd2, %r2;
+	add.u64 %rd3, %rd1, %rd2;
+	st.shared.u32 [%rd3], %r1;
+	bar.sync 0;
+	ld.shared.u32 %r3, [%rd3+4];
+	ret;
+}`, nil},
+		{"global-across-barrier", `.visible .entry k(.param .u64 out) {
+	.reg .u32 %r<6>;
+	.reg .u64 %rd<4>;
+	ld.param.u64 %rd1, [out];
+	mov.u32 %r1, %tid.x;
+	st.global.u32 [%rd1], %r1;
+	bar.sync 0;
+	ld.global.u32 %r2, [%rd1];
+	ret;
+}`, []string{"global write at line 6 vs itself across threads", "global write at line 6 vs read at line 8"}},
+		{"disjoint-params", `.visible .entry k(.param .u64 xs, .param .u64 ys) {
+	.reg .u32 %r<6>;
+	.reg .u64 %rd<8>;
+	ld.param.u64 %rd1, [xs];
+	ld.param.u64 %rd2, [ys];
+	mov.u32 %r1, %tid.x;
+	mov.u32 %r2, %ntid.x;
+	mad.lo.u32 %r3, %ctaid.x, %r2, %r1;
+	mul.wide.u32 %rd3, %r3, 4;
+	add.u64 %rd4, %rd1, %rd3;
+	add.u64 %rd5, %rd2, %rd3;
+	ld.global.u32 %r4, [%rd4];
+	st.global.u32 [%rd5], %r4;
+	ret;
+}`, nil},
+		{"atomic-atomic", `.visible .entry k(.param .u64 out) {
+	.reg .u32 %r<6>;
+	.reg .u64 %rd<4>;
+	ld.param.u64 %rd1, [out];
+	atom.global.add.u32 %r1, [%rd1], 1;
+	red.global.add.u32 [%rd1], 1;
+	ret;
+}`, nil},
+		{"atomic-plain", `.visible .entry k(.param .u64 out) {
+	.reg .u32 %r<6>;
+	.reg .u64 %rd<4>;
+	ld.param.u64 %rd1, [out];
+	atom.global.add.u32 %r1, [%rd1], 1;
+	st.global.u32 [%rd1], 0;
+	ret;
+}`, []string{"global atomic at line 5 vs write at line 6", "global write at line 6 vs itself across threads"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rr := repairSrc(t, tc.src, RepairOptions{})
+			var got []string
+			for _, c := range rr.Candidates {
+				got = append(got, c.Description)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("candidates %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -36,7 +36,10 @@ func suiteJob(t *testing.T, name string) JobRequest {
 // edited by hand once, when the daemon came to run one detector: the
 // first and last jobs had run under the producer filter, and their
 // "filter" blocks went, and the last job's "records" became its
-// unfiltered count. The four jobs: a racy suite program (three races), a
+// unfiltered count. Its repair reports were re-recorded once, when a
+// repair came to target the reported races alone: "static_candidates",
+// "score" and "dynamic" went, the descriptions lost their static reasons
+// and the two candidates took report order. The four jobs: a racy suite program (three races), a
 // barrier divergence, a repair, and a loop of global reads whose two
 // blocks then store to the same words.
 func TestJobBodiesGolden(t *testing.T) {

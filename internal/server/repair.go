@@ -25,7 +25,7 @@ func repairOnLease(lease *Lease, kernel string, opt detector.RepairOptions) (*de
 	if rep, ok := e.repairs[sig]; ok {
 		return rep, nil
 	}
-	rep, err := detector.Repair(lease.Session().SrcMod, kernel, lease.Session().Config(), opt)
+	rep, err := detector.Repair(lease.Session().SrcMod, kernel, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -262,6 +262,29 @@ func sharedSite(v value) (siteInfo, bool) {
 	return s, true
 }
 
+// siteDecomp decomposes site i's address with the pruner's affine
+// decomposition for its space.
+func siteDecomp(a *Analysis, i int) (siteInfo, bool) {
+	v := a.Affine.addr[i]
+	if !v.affine {
+		return siteInfo{}, false
+	}
+	in := a.CFG.Instrs[i]
+	var s siteInfo
+	var ok bool
+	if in.Space == ptx.SpaceGlobal {
+		s, ok = globalSite(v)
+	} else {
+		s, ok = sharedSite(v)
+	}
+	if !ok || !s.anchored() || s.form == formOther {
+		return siteInfo{}, false
+	}
+	s.idx = i
+	s.bytes = in.AccessBytes()
+	return s, true
+}
+
 // --- redundant logging (§4.1) ----------------------------------------------
 
 // covKey identifies a tracked address: base register (its number) +

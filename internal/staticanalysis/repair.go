@@ -9,7 +9,7 @@ import (
 	"barracuda/internal/trace"
 )
 
-// Patch synthesis: for one race candidate, propose concrete PTX edits
+// Patch synthesis: for one reported race, propose concrete PTX edits
 // that could eliminate it. Three templates, in decreasing precision:
 //
 //   - atomicize: a ld/arith/st read-modify-write on one address becomes
@@ -37,6 +37,38 @@ const (
 	PatchFence     PatchKind = "insert-fence"
 	PatchAtomicize PatchKind = "atomicize"
 )
+
+// Candidate is one race a detection run reported, placed in the kernel:
+// the pair of access sites and each side's role as the report gave it.
+// A == B is the self-race of one instruction executed by many threads.
+type Candidate struct {
+	Kernel           string
+	A, B             int // flat instruction indices, A <= B
+	LineA, LineB     int
+	Space            ptx.Space
+	WriteA, WriteB   bool
+	AtomicA, AtomicB bool
+}
+
+// Describe renders a one-line human description of the candidate.
+func (cd Candidate) Describe() string {
+	role := func(w, at bool) string {
+		switch {
+		case at:
+			return "atomic"
+		case w:
+			return "write"
+		default:
+			return "read"
+		}
+	}
+	if cd.A == cd.B {
+		return fmt.Sprintf("%s %s at line %d vs itself across threads",
+			cd.Space, role(cd.WriteA, cd.AtomicA), cd.LineA)
+	}
+	return fmt.Sprintf("%s %s at line %d vs %s at line %d",
+		cd.Space, role(cd.WriteA, cd.AtomicA), cd.LineA, role(cd.WriteB, cd.AtomicB), cd.LineB)
+}
 
 // ProposedPatch is one synthesized repair for a candidate race.
 type ProposedPatch struct {
@@ -232,6 +264,17 @@ func addrSyms(a *Analysis, i int) []string {
 		return nil
 	}
 	return s.syms()
+}
+
+func symsIntersect(a, b []string) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x == y {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // --- atomicize ------------------------------------------------------------

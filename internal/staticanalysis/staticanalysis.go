@@ -12,9 +12,9 @@
 //     positions: barrier divergence, unreachable code, missing-fence
 //     heuristics, and unsynchronized shared-memory reads (consumed by
 //     `barracuda vet`);
-//   - race candidates and repair templates (consumed by `barracuda vet
-//     -fix`), which find the synchronization idioms of §3.1 with the lint
-//     pass's finders (idioms.go).
+//   - repair templates for the races a detection run reported (consumed
+//     by `barracuda vet -fix`), which find the synchronization idioms of
+//     §3.1 with the lint pass's finders (idioms.go).
 //
 // The conservatism contract: every verdict that removes logging is an
 // under-approximation — any access the analysis cannot *prove* safe
