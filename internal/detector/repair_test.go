@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -358,85 +357,5 @@ func TestRepairTargetsReportedRaces(t *testing.T) {
 				t.Errorf("%s: %d patch runs, want %d (baseline, proposals, composition)", f, rr.PatchRuns, runs)
 			}
 		}
-	}
-}
-
-// TestRepairCandidatesPerReportedRace: a repair's candidates are the
-// distinct races its baseline run reported, each side in the role the
-// report gave it — a barrier-separated exchange, thread-disjoint params
-// and two atomics get none, a global pair across a barrier still races
-// across blocks, and an atomic against a plain store keeps its atomic
-// side.
-func TestRepairCandidatesPerReportedRace(t *testing.T) {
-	for _, tc := range []struct {
-		name, src string
-		want      []string
-	}{
-		{"barrier-separated", `.visible .entry k() {
-	.reg .u32 %r<6>;
-	.reg .u64 %rd<4>;
-	.shared .align 4 .b8 s[1024];
-	mov.u32 %r1, %tid.x;
-	shl.b32 %r2, %r1, 2;
-	mov.u64 %rd1, s;
-	cvt.u64.u32 %rd2, %r2;
-	add.u64 %rd3, %rd1, %rd2;
-	st.shared.u32 [%rd3], %r1;
-	bar.sync 0;
-	ld.shared.u32 %r3, [%rd3+4];
-	ret;
-}`, nil},
-		{"global-across-barrier", `.visible .entry k(.param .u64 out) {
-	.reg .u32 %r<6>;
-	.reg .u64 %rd<4>;
-	ld.param.u64 %rd1, [out];
-	mov.u32 %r1, %tid.x;
-	st.global.u32 [%rd1], %r1;
-	bar.sync 0;
-	ld.global.u32 %r2, [%rd1];
-	ret;
-}`, []string{"global write at line 6 vs itself across threads", "global write at line 6 vs read at line 8"}},
-		{"disjoint-params", `.visible .entry k(.param .u64 xs, .param .u64 ys) {
-	.reg .u32 %r<6>;
-	.reg .u64 %rd<8>;
-	ld.param.u64 %rd1, [xs];
-	ld.param.u64 %rd2, [ys];
-	mov.u32 %r1, %tid.x;
-	mov.u32 %r2, %ntid.x;
-	mad.lo.u32 %r3, %ctaid.x, %r2, %r1;
-	mul.wide.u32 %rd3, %r3, 4;
-	add.u64 %rd4, %rd1, %rd3;
-	add.u64 %rd5, %rd2, %rd3;
-	ld.global.u32 %r4, [%rd4];
-	st.global.u32 [%rd5], %r4;
-	ret;
-}`, nil},
-		{"atomic-atomic", `.visible .entry k(.param .u64 out) {
-	.reg .u32 %r<6>;
-	.reg .u64 %rd<4>;
-	ld.param.u64 %rd1, [out];
-	atom.global.add.u32 %r1, [%rd1], 1;
-	red.global.add.u32 [%rd1], 1;
-	ret;
-}`, nil},
-		{"atomic-plain", `.visible .entry k(.param .u64 out) {
-	.reg .u32 %r<6>;
-	.reg .u64 %rd<4>;
-	ld.param.u64 %rd1, [out];
-	atom.global.add.u32 %r1, [%rd1], 1;
-	st.global.u32 [%rd1], 0;
-	ret;
-}`, []string{"global atomic at line 5 vs write at line 6", "global write at line 6 vs itself across threads"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rr := repairSrc(t, tc.src, RepairOptions{})
-			var got []string
-			for _, c := range rr.Candidates {
-				got = append(got, c.Description)
-			}
-			if !slices.Equal(got, tc.want) {
-				t.Errorf("candidates %q, want %q", got, tc.want)
-			}
-		})
 	}
 }
