@@ -270,10 +270,11 @@ stress-failover:
 	$(GO) test -race -count=3 -run 'TestFailoverLosesNothingAndReportsMatchSingleNode|TestHeartbeatLossIsSurvivable|TestSlowNodeChangesScheduleNotReports|TestReportDigestInvariantUnderRouting|TestSameSeedSameSchedule' ./internal/fleet/
 
 # The producer-filter correctness stress: the bug suite table's filter
-# rows (sequential and randomized schedules), the loop kernels of internal/detector (a per-thread read the
-# static tier elides, and a broadcast read only its stride-0 record shows),
-# and the benchmark suite, under the Go race detector where schedules are
-# concurrent.
+# rows (sequential and randomized schedules), the loop kernels of
+# internal/detector (a per-thread read, and a broadcast read that only its
+# stride-0 record shows, at Queues 1 and 4 and warp sizes 32 and 5: the
+# only streams the filter drops records from), and the benchmark suite,
+# under the Go race detector where schedules are concurrent.
 stress-filter:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestProducerFilter' ./internal/bugsuite/ ./internal/detector/ ./internal/server/
 	$(GO) test -run 'TestBenchmarkEquivalence/^filter$$' ./internal/bench/

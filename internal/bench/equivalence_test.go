@@ -103,7 +103,11 @@ func cfgName(c detector.Config) string {
 //     report the same canonical digest and detector-side record count, at
 //     one queue and four and at every judged warp size (at 5, partial
 //     masks change which records are coalesced, span-walked and
-//     suppressible);
+//     suppressible). No record of these programs repeats within a
+//     generation, so the filter drops none of them here: the row holds
+//     the filtered path to the unfiltered one, and the streams it does
+//     change are the loop kernels of internal/detector's
+//     TestProducerFilterSuppressesLoopRepeats;
 //   - granularity=2 and =4: the word-granular pages every one of these
 //     programs stays on reproduce the recorded per-byte outcome;
 //   - queue_cap=1 and =64: the ring's size decides when the producer

@@ -125,6 +125,10 @@ func TestOwnershipEquivalence(t *testing.T) {
 
 // TestProducerFilterEquivalence: the records the simulator suppresses are
 // report-neutral, and its OpFlush records account for every one of them.
+// On this corpus the filter changes no record — the cache probes but
+// never hits — so the row holds the filtered path to the unfiltered one;
+// internal/detector's TestProducerFilterSuppressesLoopRepeats checks the
+// streams it does change.
 func TestProducerFilterEquivalence(t *testing.T) {
 	judge(t, allPrograms(), row{cfg: detector.Config{ProducerFilter: true}, mayMiss: sameValue})
 }

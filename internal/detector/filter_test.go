@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,10 +11,9 @@ import (
 
 // loopInvariantReadSrc reads the same per-thread global word 64 times in
 // a barrier-free loop, then stores an accumulator once: the canonical
-// best case for producer-side filtering. The read site is unguarded,
-// global, and its address is affine in (param, tid), so the static tier
-// should mark it log-once; iterations 2..64 of every warp are then
-// elided without even building a record.
+// best case for producer-side filtering. Every iteration after a warp's
+// first is a same-generation repeat of a coalesced read, so the dynamic
+// cache keeps it off the queue.
 const loopInvariantReadSrc = `.visible .entry k(.param .u64 in, .param .u64 out)
 {
 	.reg .u32 %r<8>;
@@ -41,60 +41,67 @@ LOOP:
 // TestProducerFilterSuppressesLoopRepeats: a 64-iteration read-only loop
 // keeps every warp's repeats off the queue, with the report unchanged and
 // the record ledger balanced. In the broadcast kernel every lane reads
-// [in + (4*tid & 0)]: `and` is opaque to the affine analysis, so the static
-// log-once tier leaves the site alone, and only the record — strided, of
-// stride 0 — shows the dynamic cache that the lanes share one address.
+// [in + (4*tid & 0)], so only the record — strided, of stride 0 — shows
+// the cache that the lanes share one address. These two kernels are the
+// only streams in the tree the filter drops anything from, so the whole
+// equivalence matrix is checked on them: at Queues 1 and 4 and warp sizes
+// 32 and 5, a filtered run gives the canonical digest and RecordsSeen of
+// the unfiltered run at Queues 1 and the same warp size.
 func TestProducerFilterSuppressesLoopRepeats(t *testing.T) {
-	for _, tc := range []struct {
-		name, src string
-		static    bool // the static log-once tier marks the read site
-	}{
-		{"per-thread", loopInvariantReadSrc, true},
+	for _, tc := range []struct{ name, src string }{
+		{"per-thread", loopInvariantReadSrc},
 		{"broadcast", strings.Replace(loopInvariantReadSrc, "add.u64 %rd4, %rd1, %rd3;",
-			"and.b64 %rd6, %rd3, 0;\n\tadd.u64 %rd4, %rd1, %rd6;", 1), false},
+			"and.b64 %rd6, %rd3, 0;\n\tadd.u64 %rd4, %rd1, %rd6;", 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(filter bool) *Result {
-				s := open(t, tc.src, Config{ProducerFilter: filter})
+			run := func(queues, warp int, filter bool) *Result {
+				s := open(t, tc.src, Config{Queues: queues, ProducerFilter: filter})
 				in := s.Dev.MustAlloc(4 * 64)
 				out := s.Dev.MustAlloc(4 * 64)
 				return detect(t, s, "k", gpusim.LaunchConfig{
-					Grid: gpusim.D1(1), Block: gpusim.D1(64), Args: []uint64{in, out},
+					Grid: gpusim.D1(1), Block: gpusim.D1(64), WarpSize: warp, Args: []uint64{in, out},
 				})
 			}
-			base := run(false)
-			filt := run(true)
-			if base.Report.HasRaces() || filt.Report.HasRaces() {
-				t.Fatalf("race-free kernel reported races: base=%d filtered=%d",
-					base.Report.RaceCount(), filt.Report.RaceCount())
-			}
-			if bd, fd := base.Report.CanonicalDigest(), filt.Report.CanonicalDigest(); bd != fd {
-				t.Errorf("digest diverged:\n--- baseline ---\n%s--- filtered ---\n%s", bd, fd)
-			}
-			f := filt.SimStats.Filter
-			if f.Suppressed() == 0 {
-				t.Fatal("filter suppressed nothing on a loop-invariant read kernel")
-			}
-			if tc.static && f.StaticElides == 0 {
-				t.Error("static log-once tier never fired; loop-invariant site not marked or not hit")
-			}
-			if !tc.static && (f.StaticElides != 0 || f.Hits == 0) {
-				t.Errorf("broadcast site: %d static elides, %d cache hits; want 0 and > 0", f.StaticElides, f.Hits)
-			}
-			// 2 warps x 63 redundant loop iterations is the ceiling; the filter
-			// should get most of them (the first iteration per warp must emit).
-			if f.Suppressed() < 100 {
-				t.Errorf("suppressed only %d records, want >= 100 (64-iteration loop, 2 warps)", f.Suppressed())
-			}
-			if filt.SimStats.Records >= base.SimStats.Records {
-				t.Errorf("filtered run emitted %d records, baseline %d: nothing kept off the queue",
-					filt.SimStats.Records, base.SimStats.Records)
-			}
-			if want := base.SimStats.Records - f.Suppressed() + f.Flushes; filt.SimStats.Records != want {
-				t.Errorf("record ledger unbalanced: emitted %d, want %d", filt.SimStats.Records, want)
-			}
-			if bf := base.SimStats.Filter; (gpusim.FilterStats{}) != bf {
-				t.Errorf("baseline counted filter activity: %+v", bf)
+			for _, warp := range []int{32, 5} {
+				ref := run(1, warp, false)
+				if ref.Report.HasRaces() {
+					t.Fatalf("warp %d: race-free kernel reported %d races", warp, ref.Report.RaceCount())
+				}
+				for _, queues := range []int{1, 4} {
+					t.Run(fmt.Sprintf("q%d-w%d", queues, warp), func(t *testing.T) {
+						base, filt := run(queues, warp, false), run(queues, warp, true)
+						for _, r := range []*Result{base, filt} {
+							if d, want := r.Report.CanonicalDigest(), ref.Report.CanonicalDigest(); d != want {
+								t.Errorf("filter=%t: digest diverged:\n--- unfiltered, Queues 1 ---\n%s--- got ---\n%s",
+									r == filt, want, d)
+							}
+							if r.Report.RecordsSeen != ref.Report.RecordsSeen {
+								t.Errorf("filter=%t: RecordsSeen %d, unfiltered at Queues 1 saw %d",
+									r == filt, r.Report.RecordsSeen, ref.Report.RecordsSeen)
+							}
+						}
+						f := filt.SimStats.Filter
+						t.Logf("%d records unfiltered, %d filtered: %d cache hits, %d flushes",
+							base.SimStats.Records, filt.SimStats.Records, f.Hits, f.Flushes)
+						// Each warp's 63 repeats are the ceiling; even the two
+						// warps of size 32 leave 126, and the first iteration per
+						// warp must emit.
+						if f.Suppressed() == 0 || f.Hits < 100 {
+							t.Errorf("cache hits %d (suppressed %d), want >= 100 on a 64-iteration loop",
+								f.Hits, f.Suppressed())
+						}
+						if filt.SimStats.Records >= base.SimStats.Records {
+							t.Errorf("filtered run emitted %d records, baseline %d: nothing kept off the queue",
+								filt.SimStats.Records, base.SimStats.Records)
+						}
+						if want := base.SimStats.Records - f.Suppressed() + f.Flushes; filt.SimStats.Records != want {
+							t.Errorf("record ledger unbalanced: emitted %d, want %d", filt.SimStats.Records, want)
+						}
+						if bf := base.SimStats.Filter; (gpusim.FilterStats{}) != bf {
+							t.Errorf("baseline counted filter activity: %+v", bf)
+						}
+					})
+				}
 			}
 		})
 	}

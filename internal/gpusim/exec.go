@@ -85,15 +85,14 @@ type Stats struct {
 // FilterStats counts producer-side filter activity. All fields are zero
 // unless LaunchConfig.ProducerFilter was active for the launch.
 type FilterStats struct {
-	Probes       uint64 // dynamic filter-cache probes
-	Hits         uint64 // records suppressed by the dynamic cache
-	StaticElides uint64 // records elided at statically marked log-once sites
-	Flushes      uint64 // OpFlush reconciliation records emitted
+	Probes  uint64 // dynamic filter-cache probes
+	Hits    uint64 // records suppressed by the dynamic cache
+	Flushes uint64 // OpFlush reconciliation records emitted
 }
 
 // Suppressed returns the total number of access records the filter kept
 // off the queue.
-func (f FilterStats) Suppressed() uint64 { return f.Hits + f.StaticElides }
+func (f FilterStats) Suppressed() uint64 { return f.Hits }
 
 // stackRole distinguishes SIMT stack entries for If/Else/Fi event emission.
 type stackRole uint8
@@ -130,9 +129,8 @@ type warpState struct {
 	// the warpState's lifetime — including arena reuse across launches —
 	// so stale cache slots are invalidated by a single increment.
 	fgen   uint64
-	fpend  uint64     // suppressed records not yet reconciled via OpFlush
-	fslots []fslot    // dynamic direct-mapped cache (lazy)
-	fonce  []onceSlot // per static log-once site (lazy)
+	fpend  uint64  // suppressed records not yet reconciled via OpFlush
+	fslots []fslot // dynamic direct-mapped cache (lazy)
 }
 
 type blockState struct {

@@ -50,13 +50,6 @@ import (
 // reconciled by emitting a trace.OpFlush record (Seq = suppressed count)
 // before any event that changes the warp's clock or format, and at warp
 // exit.
-//
-// A static tier sits in front of the dynamic cache: instrumentation marks
-// global read sites whose address is a launch-structural affine constant
-// per lane and that sit in a barrier/fence/atomic-free natural loop
-// (ptx.Instr.LogOnce). On a generation/epoch/mask hit at such a site the
-// record is never even built — no per-lane address or value computation —
-// with a one-lane defensive address check backing the static proof.
 
 // filterSlots is the per-warp dynamic cache size. Direct-mapped; loop
 // bodies have few distinct sites, so small is plenty, and correctness
@@ -71,14 +64,6 @@ type fslot struct {
 	pc   uint32
 	mask uint32
 	sig  uint32 // size | write-bit | broadcast-bit
-}
-
-// onceSlot is the dedicated cache entry for a static log-once site.
-type onceSlot struct {
-	gen  uint64
-	wep  uint64 // fWriteEpoch at install
-	base uint64 // first active lane's address (defensive check)
-	mask uint32
 }
 
 const (
@@ -143,23 +128,9 @@ func (e *engine) filterProbe(w *warpState, rec *logging.Record, base uint64, bca
 }
 
 // execLogFiltered is the ProducerFilter variant of execLog, around the
-// same header and fill helpers: the additions are the static log-once
-// elision before the record is built, the dynamic cache probe before Emit,
-// and the generation/epoch bookkeeping around sync edges.
+// same header and fill helpers: the additions are the dynamic cache probe
+// before Emit and the generation/epoch bookkeeping around sync edges.
 func (e *engine) execLogFiltered(w *warpState, ci *cInstr, exec uint32) error {
-	if ci.logOnce >= 0 && w.fonce != nil {
-		s := &w.fonce[ci.logOnce]
-		if s.gen == w.fgen && s.wep == e.fWriteEpoch && s.mask == exec &&
-			s.base == e.laneAddr(w, bits.TrailingZeros32(exec), &ci.args[0]) {
-			// Statically proven repeat: the affine analysis guarantees
-			// every lane's address is unchanged (the one-lane compare
-			// backs the proof), and the epoch gates guarantee the cell
-			// state is unchanged. Skip building the record entirely.
-			w.fpend++
-			e.stats.Filter.StaticElides++
-			return nil
-		}
-	}
 	rec := e.logHeader(w, ci, exec)
 	if ci.logBar {
 		e.filterBump(w) // the coming block-wide join changes the clock
@@ -217,17 +188,6 @@ func (e *engine) execLogFiltered(w *warpState, ci *cInstr, exec uint32) error {
 			e.fWriteEpoch++
 		}
 		e.fAccessEpoch++
-	}
-	if ci.logOnce >= 0 {
-		if w.fonce == nil {
-			w.fonce = make([]onceSlot, e.lk.nOnce)
-		}
-		w.fonce[ci.logOnce] = onceSlot{
-			gen:  w.fgen,
-			wep:  e.fWriteEpoch,
-			base: rec.Addrs[bits.TrailingZeros32(exec)],
-			mask: exec,
-		}
 	}
 	return nil
 }

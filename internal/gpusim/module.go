@@ -36,8 +36,7 @@ type loadedKernel struct {
 	localOff   map[string]uint64
 	localBytes int64
 
-	code  []cInstr // lazily compiled executable form
-	nOnce int      // statically marked log-once sites (producer filter)
+	code []cInstr // lazily compiled executable form
 
 	// arena pools launch state across launches of this kernel (see
 	// arena.go). A launch takes ownership with an atomic swap and stores

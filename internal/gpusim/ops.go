@@ -60,7 +60,6 @@ type cInstr struct {
 	logSync   bool // acquire/release record: stamp the global Seq
 	logVal    bool // carries a stored-value operand (write records)
 	logAddrOK bool // has a well-formed address operand
-	logOnce   int  // static log-once site index, -1 when unmarked
 }
 
 // compile lowers a loaded kernel's instructions into executable form,
@@ -115,27 +114,20 @@ func (mod *Module) compile(lk *loadedKernel) ([]cInstr, error) {
 	}
 	// Warp-major lowering: pick the per-opcode handler and precompute _log
 	// record templates. All cached with the compiled code.
-	nOnce := 0
 	imms := immRows{}
 	for i := range code {
 		ci := &code[i]
 		ci.fn = selectHandler(ci, imms)
 		if ci.op == ptx.OpLog {
 			prepLog(ci)
-			if ci.in.LogOnce && !ci.logSkip && !ci.logBar && !ci.logSync {
-				ci.logOnce = nOnce
-				nOnce++
-			}
 		}
 	}
-	lk.nOnce = nOnce
 	lk.code = code
 	return code, nil
 }
 
 // prepLog precomputes the launch-invariant part of a _log record.
 func prepLog(ci *cInstr) {
-	ci.logOnce = -1
 	ci.logOp = trace.FromLogKind(ci.in.LogK)
 	switch ci.logOp {
 	case trace.OpIf, trace.OpElse, trace.OpFi:

@@ -54,7 +54,6 @@ type KernelStats struct {
 	StaticPruned       int // additional sites removed only by the inter-block pruner
 	ThreadPrivate      int // sites dropped entirely as provably thread-private
 	Added              int // instructions added (logs, branches)
-	LogOnce            int // sites marked elidable for the producer-side filter
 }
 
 // FracInstrumented returns Instrumented/Static.
@@ -99,7 +98,6 @@ func (r *Result) TotalStats() KernelStats {
 		t.StaticPruned += s.StaticPruned
 		t.ThreadPrivate += s.ThreadPrivate
 		t.Added += s.Added
-		t.LogOnce += s.LogOnce
 	}
 	return t
 }
@@ -132,7 +130,6 @@ type site struct {
 	staticp bool         // prunable per the inter-block static analysis
 	branch  bool         // conditional branch (gets _log.if)
 	conv    bool         // branch convergence point (gets _log.fi)
-	once    bool         // statically elidable by the producer filter
 }
 
 func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, error) {
@@ -156,7 +153,6 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 	}
 
 	stats := &KernelStats{Static: len(cfg.Instrs)}
-	var aff *staticanalysis.Affine // computed by LogOnceSites if it needs it
 	if opts.StaticPrune {
 		sa := staticanalysis.AnalyzeCFG(cfg, class)
 		for i := range cfg.Instrs {
@@ -165,17 +161,6 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 			}
 		}
 		stats.ThreadPrivate = sa.Prune.Private
-		aff = sa.Affine
-	}
-	// Mark log-once sites unconditionally: the mark is metadata on the
-	// emitted _log instruction (never printed, inert at runtime unless the
-	// simulator's producer filter is on), so the instrumented module is
-	// identical whether or not a given session enables filtering.
-	for i, once := range staticanalysis.LogOnceSites(cfg, class, aff) {
-		if once {
-			sites[i].once = true
-			stats.LogOnce++
-		}
 	}
 	for _, s := range sites {
 		if s.kind == trace.OpNone && !s.branch && !s.conv {
@@ -216,10 +201,9 @@ func rewriteBody(body []ptx.Stmt, sites []site, opts Options, stats *KernelStats
 	emitLog := func(in *ptx.Instr, s *site) {
 		kind := s.kind
 		lg := &ptx.Instr{
-			Op:      ptx.OpLog,
-			LogK:    kind.LogKind(),
-			LogOnce: s.once,
-			Line:    in.Line,
+			Op:   ptx.OpLog,
+			LogK: kind.LogKind(),
+			Line: in.Line,
 		}
 		switch kind {
 		case trace.OpBar:

@@ -380,7 +380,6 @@ type Instr struct {
 	Hi       bool    // mul.hi
 	Uni      bool    // bra.uni
 	Volatile bool    // ld.volatile / st.volatile
-	LogOnce  bool    // _log site statically proven loop-invariant (filter hint)
 	HasDst   bool
 	Vec      int     // vector width for ld/st .v2/.v4 (0 = scalar)
 	Level    string  // membar: cta|gl|sys, bar: sync, cvta: to

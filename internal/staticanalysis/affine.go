@@ -425,10 +425,6 @@ type Affine struct {
 // that may be derived from tid/laneid.
 func (a *Affine) GuardTainted(i int) bool { return a.guardTaint[i] }
 
-// AddrKnown reports whether the address of memory instruction i has an
-// affine symbolic form.
-func (a *Affine) AddrKnown(i int) bool { return a.addr[i].affine }
-
 // affineSolve is one solve of the affine problem: which instructions it
 // evaluates and the registers it tracks.
 type affineSolve struct {

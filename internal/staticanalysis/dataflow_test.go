@@ -240,7 +240,7 @@ func TestVectorLoadDefinesAllDestinations(t *testing.T) {
 	if got := DefsAt(a.CFG, ReachingDefs(a.CFG), read, rd3); len(got) != 1 || got[0] != vecLd {
 		t.Errorf("definitions of %%rd3 reaching the last read = %v, want [%d]", got, vecLd)
 	}
-	if a.Affine.AddrKnown(read) {
+	if a.Affine.addr[read].affine {
 		t.Errorf("address of the last read is known: %v", a.Affine.addr[read])
 	}
 	if a.Prune.Prunable(read) {
