@@ -5,7 +5,7 @@ GO ?= go
 # Everything CI runs, in order: `make ci` here, one `run: make <target>`
 # step each in .github/workflows/ci.yml (ci-in-sync holds the two lists
 # together), so a command is written once, in this file.
-CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector one-queue one-rule ci-in-sync loc test race \
+CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector one-queue one-rule one-default ci-in-sync loc test race \
 	bench-e2e-smoke vet-smoke vet-fix-smoke artifacts-smoke stress-interp stress-span \
 	stress-ownership stress-refine stress-filter stress-drain stress-multiqueue \
 	stress-failover stress-stream stress-fleet
@@ -59,7 +59,7 @@ one-queue:
 
 # Every static rule is written once. The redundant-logging rule of §4.1
 # lives in internal/staticanalysis, which the default tier runs per basic
-# block (BlockRedundant) and StaticPrune across blocks: a register
+# block (BlockRedundant) and the inter-block pruner across blocks: a register
 # redefinition or a fence read in a non-test file of internal/instrument
 # is a second copy of it. The synchronization idioms of §3.1 that the lint
 # pass and the repair templates both read are each found by one function
@@ -77,6 +77,17 @@ one-rule:
 			echo "internal/staticanalysis matches /$$pat/ in more than one function:"; echo "$$fns"; \
 			echo "the spin-wait walk, the lock-word scan and the divergent-region marking are each found once, in idioms.go"; exit 1; fi; \
 	done
+
+# Static pruning and the ownership tier are the one default path: Instrument
+# prunes unless NoPrune is set, and core.New runs the tier wherever the span
+# path runs. The fields that once switched them on (detector.Config's
+# StaticPrune and Ownership, instrument.Options.StaticPrune and
+# core.Options.Ownership) stay, read by nothing, only while benchmarks/e2e
+# names them. A non-test Go file outside benchmarks/ that reads one is the
+# switch grown back.
+one-default:
+	@if grep -nE '\.(StaticPrune|Ownership)\b' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*'); then \
+		echo "a non-test Go file outside benchmarks/ reads .StaticPrune or .Ownership: static pruning and the ownership tier are the default path, not a switch"; exit 1; fi
 
 # The workflow is a list of targets and nothing else: its `run:` lines are
 # `make <target>` for exactly CI_TARGETS, in order.

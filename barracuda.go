@@ -179,7 +179,8 @@ func (s *Session) RunNative(kernel string, grid, block Dim, args ...uint64) erro
 }
 
 // InstrumentationStats reports per-kernel static instrumentation counts
-// (the Figure 9 quantities).
+// (the Figure 9 quantities): static instructions, the sites the module
+// logs, and the sites it would log without pruning.
 type InstrumentationStats struct {
 	Static       int
 	Instrumented int
@@ -192,9 +193,13 @@ func (s *Session) Instrumentation(kernel string) (InstrumentationStats, bool) {
 	if !ok {
 		return InstrumentationStats{}, false
 	}
+	logged := st.InstrumentedStatic
+	if s.s.Config().NoPrune {
+		logged = st.InstrumentedNo
+	}
 	return InstrumentationStats{
 		Static:       st.Static,
-		Instrumented: st.Instrumented,
+		Instrumented: logged,
 		Unoptimized:  st.InstrumentedNo,
 	}, true
 }
@@ -204,10 +209,11 @@ func (s *Session) InstrumentedPTX() string { return ptx.Print(s.s.InstMod) }
 
 // Profile runs a kernel under the memory-access profiler — a second
 // dynamic analysis built on the same instrumentation framework — and
-// returns the profile report.
+// returns the profile report. It profiles every access: the kernel runs
+// instrumented without pruning, whatever the session's Config.
 func (s *Session) Profile(kernel string, l Launch) (*profile.Report, error) {
 	p := profile.New()
-	if _, err := s.s.LaunchInto(kernel, l.config(), p); err != nil {
+	if _, err := s.s.LaunchUnpruned(kernel, l.config(), p); err != nil {
 		return nil, err
 	}
 	return p.Report(), nil

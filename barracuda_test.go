@@ -96,8 +96,11 @@ func TestPublicAPIMemoryHelpers(t *testing.T) {
 	}
 }
 
+// TestPublicAPIKernelsAndStats: Instrumented counts the sites the module
+// logs. racyPTX's store is shared by every thread and stays logged;
+// cleanPTX's is thread-private, so its module logs nothing until NoPrune.
 func TestPublicAPIKernelsAndStats(t *testing.T) {
-	s, err := Open(cleanPTX, Config{})
+	s, err := Open(racyPTX, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +114,16 @@ func TestPublicAPIKernelsAndStats(t *testing.T) {
 	}
 	if !strings.Contains(s.InstrumentedPTX(), "_log.") {
 		t.Error("instrumented PTX has no logging calls")
+	}
+	for logged, cfg := range []Config{{}, {NoPrune: true}} {
+		s, err := Open(cleanPTX, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := s.Instrumentation("k")
+		if logs := strings.Count(s.InstrumentedPTX(), "_log."); st.Unoptimized != 1 || st.Instrumented != logged || logs != logged {
+			t.Errorf("%+v: clean kernel stats %+v with %d logging call(s), want %d", cfg, st, logs, logged)
+		}
 	}
 }
 

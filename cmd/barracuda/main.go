@@ -66,8 +66,6 @@ func main() {
 	flag.Uint64Var(&req.MaxInstrs, "budget", 1<<24, "dynamic warp-instruction budget (0 = unlimited; with -server, the server's default)")
 	flag.IntVar(&req.WarpSize, "warpsize", 0, "simulated warp width (0 = the architecture's 32); smaller widths expose latent warp-size bugs")
 	flag.BoolVar(&o.profile, "profile", false, "run the memory-access profiler instead of the race detector")
-	flag.BoolVar(&cfg.StaticPrune, "staticprune", false, "enable the inter-block static instrumentation pruner")
-	flag.BoolVar(&cfg.Ownership, "ownership", false, "enable the exclusive-ownership shadow fast path (requires span mode)")
 	flag.BoolVar(&cfg.ProducerFilter, "producer-filter", false, "suppress redundant access records at the simulator (producer-side epoch filtering; reports stay byte-identical)")
 	flag.Int64Var(&cfg.ShadowCapBytes, "shadow-cap", 0, "bound resident shadow memory to this many bytes via LRU eviction (0 = unbounded; evicting live state is reported as degraded precision)")
 	flag.BoolVar(&o.verbose, "v", false, "print per-race dynamic counts, PTVC format stats, and the simulator, shadow and transport lines")
@@ -111,8 +109,8 @@ func main() {
 // localOnly names the flags of the local road alone: the detector
 // ablations, which bind to runOpts.cfg, and -profile.
 var localOnly = map[string]bool{
-	"queues": true, "granularity": true, "fullvc": true, "staticprune": true,
-	"ownership": true, "producer-filter": true, "shadow-cap": true, "profile": true,
+	"queues": true, "granularity": true, "fullvc": true,
+	"producer-filter": true, "shadow-cap": true, "profile": true,
 }
 
 // parseBufs reads -bufs, once, for every road.
@@ -195,7 +193,7 @@ func run(w io.Writer, o runOpts) (int, error) {
 	launch := detector.Launch1D(req.Grid, req.Block, args, req.MaxInstrs, req.WarpSize)
 	if o.profile {
 		p := profile.New()
-		if _, err := s.LaunchInto(kernel, launch, p); err != nil {
+		if _, err := s.LaunchUnpruned(kernel, launch, p); err != nil {
 			return 0, err
 		}
 		fmt.Fprint(w, p.Report().String())

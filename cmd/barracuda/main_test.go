@@ -179,8 +179,8 @@ func TestBenchHonoursEveryFlag(t *testing.T) {
 		return out.String(), err
 	}
 	plain, err := local(runOpts{})
-	if err != nil || counts(plain) != "kernel main: 510 warp instructions, 82 records" {
-		t.Fatalf("-bench hashtable: %v\n%s\nwant 510 warp instructions and 82 records", err, plain)
+	if err != nil || counts(plain) != "kernel main: 444 warp instructions, 16 records" {
+		t.Fatalf("-bench hashtable: %v\n%s\nwant 444 warp instructions and 16 records", err, plain)
 	}
 	narrow, err := local(runOpts{req: server.JobRequest{WarpSize: 5}})
 	if err != nil || counts(narrow) == counts(plain) {
@@ -252,7 +252,7 @@ func TestAblationFlagsRunLocallyOnly(t *testing.T) {
 			t.Errorf("-server %s: exit %d, printed %q; want exit 1 and %q", flag, status, out, name+" runs locally only")
 		}
 	}
-	if out, status := barracuda("-fullvc", "-bench", "hashtable"); status != 2 || !strings.Contains(out, "kernel main: 510 warp instructions, 82 records") {
+	if out, status := barracuda("-fullvc", "-bench", "hashtable"); status != 2 || !strings.Contains(out, "kernel main: 444 warp instructions, 16 records") {
 		t.Errorf("-fullvc locally: exit %d, printed\n%s", status, out)
 	}
 }

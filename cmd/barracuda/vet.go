@@ -127,7 +127,7 @@ func vetMain(argv []string) int {
 // printVetStats reports how much of each kernel's instruction stream the
 // instrumentation tiers would log (the Figure 9 static census).
 func printVetStats(path string, m *ptx.Module) {
-	res, err := instrument.Instrument(m, instrument.Options{StaticPrune: true})
+	res, err := instrument.Instrument(m, instrument.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "barracuda vet: %s: stats: %v\n", path, err)
 		return

@@ -7,6 +7,7 @@ import (
 	"barracuda/internal/core"
 	"barracuda/internal/detector"
 	"barracuda/internal/gpusim"
+	"barracuda/internal/instrument"
 	"barracuda/internal/logging"
 	"barracuda/internal/ptx"
 )
@@ -106,15 +107,15 @@ type Fig9Row struct {
 // Fig9 regenerates Figure 9: the fraction of static PTX instructions
 // instrumented with no pruning, with the paper's intra-block pruning,
 // and with the dataflow-driven static pruner stacked on top. One
-// instrumentation pass with StaticPrune computes all three columns.
+// instrumentation pass computes all three columns.
 func Fig9() ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for _, b := range All() {
-		s, err := detector.OpenPTX(b.PTX(), detector.Config{StaticPrune: true})
+		s, err := detector.OpenPTX(b.PTX(), detector.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: %w", b.Name, err)
 		}
-		t := instrTotals(s)
+		t := (&instrument.Result{Stats: s.Stats}).TotalStats()
 		rows = append(rows, Fig9Row{
 			Name:        b.Name,
 			Unoptimized: t.FracInstrumentedNoOpt(),
@@ -123,42 +124,6 @@ func Fig9() ([]Fig9Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-func instrTotals(s *detector.Session) statsLike {
-	var t statsLike
-	for _, st := range s.Stats {
-		t.Static += st.Static
-		t.Instrumented += st.Instrumented
-		t.InstrumentedNo += st.InstrumentedNo
-		t.InstrumentedStatic += st.InstrumentedStatic
-	}
-	return t
-}
-
-type statsLike struct {
-	Static, Instrumented, InstrumentedNo, InstrumentedStatic int
-}
-
-func (s statsLike) FracInstrumented() float64 {
-	if s.Static == 0 {
-		return 0
-	}
-	return float64(s.Instrumented) / float64(s.Static)
-}
-
-func (s statsLike) FracInstrumentedNoOpt() float64 {
-	if s.Static == 0 {
-		return 0
-	}
-	return float64(s.InstrumentedNo) / float64(s.Static)
-}
-
-func (s statsLike) FracInstrumentedStatic() float64 {
-	if s.Static == 0 {
-		return 0
-	}
-	return float64(s.InstrumentedStatic) / float64(s.Static)
 }
 
 // VerifyRaces checks a detection result against the benchmark's

@@ -177,7 +177,12 @@ func openGolden(t testing.TB) (map[string]openDigest, int) {
 // when KernelStats lost its log-once count with the producer filter's
 // static tier (the commit after 24d666c): each hash is that of 24d666c's
 // stats text with the count, the last field of each kernel's line, cut
-// out, and print, errors and lint were checked byte-identical first.
+// out, and print, errors and lint were checked byte-identical first. The
+// default entries' print and stats were re-recorded when the inter-block
+// pruner became the default instrumentation (the commit after 0e89bd4):
+// each is now its static_prune entry's, which did not move, and errors and
+// lint were checked byte-identical first. StaticPrune is read by nothing
+// since, so the two entries of a program are one instrumentation.
 func TestOpenGolden(t *testing.T) {
 	golden, recorded := openGolden(t)
 	got := openDigests(t)
@@ -239,11 +244,12 @@ func TestOpenConcurrent(t *testing.T) {
 // those it took at 088667e, before the static analysis kept its
 // per-instruction state in slices. OpenPTX(Config{}) allocated 308 times
 // for device_reduce and 1 098 times for dwt2d then, against 357 and 1 194
-// at 24d666c, so an analysis that every Config{} open runs for a knob
-// that is off breaks device_reduce's budget again; OpenPTX with
-// StaticPrune, Ownership and ProducerFilter allocated 677 and 2 628 times
-// at 088667e. Each count is give or take one from run to run. Parsing,
-// instrumenting and loading all count.
+// at 24d666c; OpenPTX with StaticPrune, Ownership and ProducerFilter
+// allocated 677 and 2 628 times at 088667e. Since the commit after
+// 0e89bd4 every open runs the inter-block analysis, Config{}'s too, and
+// the two configurations open alike: 319 and 1 028 times, inside the
+// default rows' tighter budgets. Each count is give or take one from run
+// to run. Parsing, instrumenting and loading all count.
 func TestOpenAllocBudget(t *testing.T) {
 	fast := detector.Config{StaticPrune: true, Ownership: true, ProducerFilter: true}
 	for _, c := range []struct {

@@ -56,7 +56,8 @@ type row struct {
 	// stores.
 	mayMiss, mayAdd map[string][]string
 	// engaged asks the ownership tier to take part, summed over the suite
-	// at one queue and warp size 32: a dead tier would pass the rest.
+	// at one queue and warp size 32: a dead tier would pass the rest. A
+	// -run pattern that leaves programs out skips the check.
 	engaged bool
 }
 
@@ -74,15 +75,17 @@ var sameValue = map[string][]string{
 	"br-samevalue-paths-gl-racy":  {"intra-warp global {10 write | 10 write}", "intra-warp global {13 write | 13 write}"},
 }
 
-// fastPaths are the three knobs suite26_fastpaths ships together.
+// fastPaths are the three knobs suite26_fastpaths ships together. Two of
+// them, StaticPrune and Ownership, are read by nothing: Config{} prunes
+// statically and runs the ownership tier.
 var fastPaths = detector.Config{Ownership: true, ProducerFilter: true, StaticPrune: true}
 
 // The rows, one test each, so that `go test -run` names a row.
 
 // TestMultiQueueReportEquivalence is the default row, Config{}, at one
-// queue and at four.
+// queue and at four. Its ownership tier must take part.
 func TestMultiQueueReportEquivalence(t *testing.T) {
-	judge(t, allPrograms(), row{mayMiss: sameValue})
+	judge(t, allPrograms(), row{mayMiss: sameValue, engaged: true})
 }
 
 // TestMultiQueueSuiteConsistency is Config{} at two queues.
@@ -103,10 +106,9 @@ func TestNoSameValueFilterEquivalence(t *testing.T) {
 	}})
 }
 
-// TestStaticPruneReportEquivalence: the inter-block pruner removes only
-// logging the detector provably does not need. Its analysis assumes
-// 32-lane warps, so at warp size 5 it keeps to the definition but may
-// witness a race by another pair than Config{} does.
+// TestStaticPruneReportEquivalence: StaticPrune is read by nothing, so at
+// one queue the row is Config{}'s outcome byte for byte, records=
+// included, at both warp sizes.
 func TestStaticPruneReportEquivalence(t *testing.T) {
 	judge(t, allPrograms(), row{cfg: detector.Config{StaticPrune: true}, mayMiss: sameValue})
 }
@@ -116,11 +118,12 @@ func TestStaticPruneSuiteVerdicts(t *testing.T) {
 	suiteVerdicts(t, detector.Config{StaticPrune: true})
 }
 
-// TestOwnershipEquivalence: regions claimed by one warp or block skip the
-// epoch checks. At warp size 5 partial masks must bail to the slow path;
-// at four queues claims and inflations meet on shared regions.
+// TestOwnershipEquivalence: Ownership is read by nothing, so at one queue
+// the row is Config{}'s outcome byte for byte, records= included. The tier
+// itself runs in every row on the span path; the default row checks that
+// it engages.
 func TestOwnershipEquivalence(t *testing.T) {
-	judge(t, allPrograms(), row{cfg: detector.Config{Ownership: true}, mayMiss: sameValue, engaged: true})
+	judge(t, allPrograms(), row{cfg: detector.Config{Ownership: true}, mayMiss: sameValue})
 }
 
 // TestProducerFilterEquivalence: the records the simulator suppresses are
@@ -144,7 +147,9 @@ func TestProducerFilterRandomScheduleEquivalence(t *testing.T) {
 	judge(t, allPrograms(), row{cfg: detector.Config{ProducerFilter: true}, queues: []int{1}, seeds: []int64{0, 1, 2}, mayMiss: sameValue})
 }
 
-// TestFastPathsEquivalence: the three fast paths together.
+// TestFastPathsEquivalence: the three fast paths together, which is the
+// producer filter on Config{}: at one queue Config{}'s outcome byte for
+// byte, records= included.
 func TestFastPathsEquivalence(t *testing.T) {
 	judge(t, allPrograms(), row{cfg: fastPaths, mayMiss: sameValue})
 }
@@ -199,14 +204,12 @@ func TestGranularity4SuiteConsistency(t *testing.T) {
 
 // TestBoundedShadowEquivalence: a shadow cap far above any program's
 // footprint arms barrier compaction, which may discard converged shared
-// slabs but never precision — alone and with the ownership tier.
+// slabs but never precision, beside the ownership tier.
 func TestBoundedShadowEquivalence(t *testing.T) {
-	judge(t, allPrograms(),
-		row{cfg: detector.Config{ShadowCapBytes: 64 << 20}, mayMiss: sameValue},
-		row{cfg: detector.Config{ShadowCapBytes: 64 << 20, Ownership: true}, mayMiss: sameValue})
+	judge(t, allPrograms(), row{cfg: detector.Config{ShadowCapBytes: 64 << 20}, mayMiss: sameValue})
 }
 
-// TestSubwordQueuesStress runs three rows 20 times at four queues and warp
+// TestSubwordQueuesStress runs two rows 20 times at four queues and warp
 // size 32 on the mixed-width programs: blocks on different detector
 // threads issue word and byte accesses to one shadow page, so one thread
 // refines it while others resolve, lock and index it. Under -race it is
@@ -217,7 +220,7 @@ func TestSubwordQueuesStress(t *testing.T) {
 		rounds = 5
 	}
 	var rows []row
-	for _, c := range []detector.Config{{}, {Ownership: true}, {Ownership: true, ShadowCapBytes: 64 << 20}} {
+	for _, c := range []detector.Config{{}, {ShadowCapBytes: 64 << 20}} {
 		rows = append(rows, row{cfg: c, queues: []int{4}, warps: []int{0}, rounds: rounds})
 	}
 	judge(t, SubwordTests(), rows...)
@@ -250,8 +253,10 @@ func allPrograms() []*Test { return append(Tests(), SubwordTests()...) }
 // judge runs rows over a suite, one subtest per program.
 func judge(t *testing.T, suite []*Test, rows ...row) {
 	engaged := make([]shadow.MemStats, len(rows))
+	ran := 0
 	for _, tc := range suite {
 		t.Run(tc.Name, func(t *testing.T) {
+			ran++
 			for _, ws := range []int{0, 5} {
 				for i, r := range rows {
 					if r.warps != nil && !slices.Contains(r.warps, ws) {
@@ -275,7 +280,7 @@ func judge(t *testing.T, suite []*Test, rows ...row) {
 		})
 	}
 	for i, r := range rows {
-		if sh := engaged[i]; r.engaged && (sh.Claims == 0 || sh.OwnedFast == 0 || sh.Promotions == 0 || sh.Inflations == 0) {
+		if sh := engaged[i]; r.engaged && ran == len(suite) && (sh.Claims == 0 || sh.OwnedFast == 0 || sh.Promotions == 0 || sh.Inflations == 0) {
 			t.Errorf("%+v: the ownership tier did not engage: claims %d, owned-fast %d, promotions %d, inflations %d",
 				r.cfg, sh.Claims, sh.OwnedFast, sh.Promotions, sh.Inflations)
 		}
@@ -312,7 +317,7 @@ func (r row) point(t *testing.T, tc *Test, ws int, seed int64) (one outcome) {
 					base.QueueCap = 0
 					sameOutcome(t, o, baseline(tc, ws, base, seed), detector.Config{}, ctx, fmt.Sprintf("%+v", base))
 				}
-				if r.exact() && (ws == 0 || !r.cfg.StaticPrune) {
+				if r.exact() {
 					sameOutcome(t, o, baseline(tc, ws, detector.Config{}, seed), r.cfg, ctx, "Config{}")
 				}
 			case o.fail == "":
@@ -565,8 +570,7 @@ func (r row) exact() bool {
 // the report's exact text, launch stats and the PTVC format census. knobs
 // are the run's knobs the baseline lacks. The producer filter emits fewer
 // records, so its ledger must balance instead of the record count, and
-// the rest of the simulation must not move; pruning runs fewer logging
-// instructions too, so only barriers and divergences stay.
+// the rest of the simulation must not move.
 func sameOutcome(t *testing.T, o, base outcome, knobs detector.Config, ctx, name string) {
 	t.Helper()
 	if o.fail != "" || base.fail != "" {
@@ -579,28 +583,21 @@ func sameOutcome(t *testing.T, o, base outcome, knobs detector.Config, ctx, name
 		t.Errorf("%s: discovery order diverged:\n--- %s ---\n%s--- got ---\n%s", ctx, name, base.discovered, o.discovered)
 	}
 	got, want := o.res.Report.ExactText(), base.res.Report.ExactText()
-	if knobs.StaticPrune {
-		got, want = got[:strings.LastIndex(got, "records=")], want[:strings.LastIndex(want, "records=")]
-	}
 	if got != want {
 		t.Errorf("%s: report diverged:\n--- %s ---\n%s--- got ---\n%s", ctx, name, want, got)
 	}
 	gs, bs := o.res.SimStats, base.res.SimStats
-	if f := gs.Filter; knobs.ProducerFilter && !knobs.StaticPrune && gs.Records != bs.Records-f.Suppressed()+f.Flushes {
+	if f := gs.Filter; knobs.ProducerFilter && gs.Records != bs.Records-f.Suppressed()+f.Flushes {
 		t.Errorf("%s: record ledger unbalanced: emitted %d, want %d - suppressed %d + flushes %d",
 			ctx, gs.Records, bs.Records, f.Suppressed(), f.Flushes)
 	}
 	if knobs.ProducerFilter {
 		gs.Records, gs.Filter, bs.Records = 0, gpusim.FilterStats{}, 0
 	}
-	if knobs.StaticPrune {
-		gs = gpusim.Stats{Barriers: gs.Barriers, Divergences: gs.Divergences}
-		bs = gpusim.Stats{Barriers: bs.Barriers, Divergences: bs.Divergences}
-	}
 	if gs != bs {
 		t.Errorf("%s: launch stats diverged:\n%s: %+v\ngot: %+v", ctx, name, bs, gs)
 	}
-	if !knobs.StaticPrune && fmt.Sprint(o.res.FormatHist) != fmt.Sprint(base.res.FormatHist) {
+	if fmt.Sprint(o.res.FormatHist) != fmt.Sprint(base.res.FormatHist) {
 		t.Errorf("%s: format histogram diverged:\n%s: %v\ngot: %v", ctx, name, base.res.FormatHist, o.res.FormatHist)
 	}
 }

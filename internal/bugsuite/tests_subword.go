@@ -34,7 +34,7 @@ OTHER:
 	}
 	// One block of three warps over a 512-byte buffer, all in one shadow
 	// page: every thread stores its own word (three coalesced span
-	// summaries, and with Ownership a block-wide claim); after a barrier
+	// summaries, and the ownership tier's block-wide claim); after a barrier
 	// lane 0 of warps 0 and 1 read word 100 unordered (the second read
 	// demotes the first's read summary and inflates the cell's read map);
 	// then thread 69 (warp 2) stores the second byte of that word — the

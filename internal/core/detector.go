@@ -154,16 +154,18 @@ type Options struct {
 	// NoSameValueFilter disables the intra-warp same-value write filter.
 	NoSameValueFilter bool
 	// FullVC replaces the compressed PTVC representation with plain
-	// per-thread vector clocks — the ablation baseline for §4.3.1.
+	// per-thread vector clocks — the ablation baseline for §4.3.1. The
+	// span path and the ownership tier, which rely on the compressed
+	// convergence invariant, are off under it.
 	FullVC bool
 	// PerCellShadow disables the coalesced-span fast path, forcing every
 	// warp access down the per-cell shadow walk — the A/B baseline for
-	// the span optimization. The shadow itself is the default one.
+	// the span optimization — and with it the ownership tier that rides
+	// on it. The shadow itself is the default one.
 	PerCellShadow bool
-	// Ownership enables the exclusive-ownership fast tier (owned.go):
-	// regions touched by a single warp or block skip the epoch checks
-	// entirely. No effect under FullVC or PerCellShadow, which the
-	// detector-level Config rejects.
+	// Ownership is read by nothing: the exclusive-ownership tier
+	// (owned.go) runs wherever the span path does. It stays only while
+	// benchmarks/e2e names it.
 	Ownership bool
 	// ShadowCapBytes bounds the resident shadow (global pages + shared
 	// slabs) to this many bytes via LRU eviction, and enables epoch-
@@ -214,13 +216,14 @@ type Detector struct {
 	mem  *shadow.Memory
 
 	// spans enables the coalesced-span fast path (uniform-span
-	// summaries). Off under FullVC (per-thread clocks are not uniform
-	// across a warp) and under the PerCellShadow baseline knob.
+	// summaries) and the exclusive-ownership tier above it (owned.go:
+	// regions touched by a single warp or block skip the epoch checks).
+	// Off under FullVC (per-thread clocks are not uniform across a warp)
+	// and under the PerCellShadow baseline knob.
 	spans bool
 
-	// owned enables the exclusive-ownership fast tier and compact the
-	// barrier-time shared-slab compaction; both ride on spans.
-	owned   bool
+	// compact enables the barrier-time shared-slab compaction, which
+	// rides on spans too.
 	compact bool
 
 	warps []*warpMirror // indexed by global warp id; block-affine access
@@ -308,10 +311,7 @@ func New(geo ptvc.Geometry, sharedBytes int64, opts Options) *Detector {
 		d.fullVC = newFullVCState(geo)
 	} else if !opts.PerCellShadow {
 		d.spans = true
-		if opts.Ownership {
-			d.owned = true
-			d.mem.EnableOwnership()
-		}
+		d.mem.EnableOwnership()
 		if opts.ShadowCapBytes > 0 {
 			d.compact = true
 			d.mem.SetCapBytes(opts.ShadowCapBytes)

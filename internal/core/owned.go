@@ -83,7 +83,7 @@ func (d *Detector) ownedWalkRun(run *shadow.Run, r *logging.Record, g *ptvc.Grou
 // word-granular region holds only whole aligned words, and a refined one
 // cells of the granularity.
 func (d *Detector) ownedEligible(r *logging.Record, g *ptvc.Group, lanes []shadow.Lane) bool {
-	if !d.owned || g.Mask != g.FullMask || r.Space != logging.SpaceGlobal && r.Space != logging.SpaceShared {
+	if !d.spans || g.Mask != g.FullMask || r.Space != logging.SpaceGlobal && r.Space != logging.SpaceShared {
 		return false
 	}
 	size, gran := uint64(r.Size), uint64(d.mem.Granularity())

@@ -53,7 +53,7 @@ func TestRefineLiveState(t *testing.T) {
 	store := laneRec(trace.OpWrite, 1, 3, 401, 1, 4) // first sub-word access: races with warp 0's read
 
 	want, _ := exactRun(geo, append(recs, store), Options{PerCellShadow: true})
-	for _, opts := range []Options{{}, {Ownership: true}} {
+	for _, opts := range []Options{{}, {ShadowCapBytes: 64 << 20}} {
 		_, d := exactRun(geo, recs, opts)
 		reg, _ := d.Shadow().RegionFor(nil, logging.SpaceGlobal, -1, 0)
 		reg.Lock()
@@ -62,8 +62,8 @@ func TestRefineLiveState(t *testing.T) {
 			t.Fatalf("%+v: before the byte store: granule %d, sums %+v, word 100 %+v", opts, reg.Gran(), reg.Sums(), c)
 		}
 		st, id := reg.Owner()
-		if opts.Ownership && (st != shadow.OwnBlock || id != 0) {
-			t.Fatalf("before the byte store: owner %v/%d, want block/0", st, id)
+		if st != shadow.OwnBlock || id != 0 {
+			t.Fatalf("%+v: before the byte store: owner %v/%d, want block/0", opts, st, id)
 		}
 		reg.Unlock()
 
@@ -82,8 +82,8 @@ func TestRefineLiveState(t *testing.T) {
 				t.Errorf("%+v: byte %d after the store: %+v", opts, b, c)
 			}
 		}
-		if st, id := reg.Owner(); opts.Ownership && (st != shadow.OwnBlock || id != 0) {
-			t.Errorf("refinement disturbed the ownership claim: %v/%d", st, id)
+		if st, id := reg.Owner(); st != shadow.OwnBlock || id != 0 {
+			t.Errorf("%+v: refinement disturbed the ownership claim: %v/%d", opts, st, id)
 		}
 		reg.Unlock()
 		if n := d.Report().Shadow.Refinements; n != 1 {
@@ -116,14 +116,12 @@ func TestRefineWeightedReports(t *testing.T) {
 		for _, gran := range []int{1, 2} {
 			for _, max := range []int{0, 3} {
 				want, _ := exactRun(geo, recs, Options{Granularity: gran, MaxRaces: max, PerCellShadow: true})
-				for _, own := range []bool{false, true} {
-					got, d := exactRun(geo, recs, Options{Granularity: gran, MaxRaces: max, Ownership: own})
-					if got != want {
-						t.Fatalf("seed %d granularity %d MaxRaces %d ownership %v: diverged\n--- per-cell ---\n%s--- span ---\n%s",
-							seed, gran, max, own, want, got)
-					}
-					refined += d.Report().Shadow.Refinements
+				got, d := exactRun(geo, recs, Options{Granularity: gran, MaxRaces: max})
+				if got != want {
+					t.Fatalf("seed %d granularity %d MaxRaces %d: diverged\n--- per-cell ---\n%s--- span ---\n%s",
+						seed, gran, max, want, got)
 				}
+				refined += d.Report().Shadow.Refinements
 			}
 		}
 	}
@@ -143,7 +141,7 @@ func TestRefineWeightedReports(t *testing.T) {
 func TestRefineConcurrentWorkers(t *testing.T) {
 	geo := ptvc.Geometry{WarpSize: 32, BlockSize: 64, Blocks: 4}
 	const pages, rounds = 3, 200
-	for _, opts := range []Options{{}, {Ownership: true}, {Ownership: true, ShadowCapBytes: 64 << 20}} {
+	for _, opts := range []Options{{}, {ShadowCapBytes: 64 << 20}} {
 		d := New(geo, 1024, opts)
 		var wg sync.WaitGroup
 		for blk := 0; blk < geo.Blocks; blk++ {

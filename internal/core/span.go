@@ -30,10 +30,10 @@ func (d *Detector) walkRecord(r *logging.Record, g *ptvc.Group, w *Worker) {
 	var buf [logging.WarpWidth]shadow.Lane
 	lanes := d.activeLanes(r, &buf)
 	eligible := d.ownedEligible(r, g, lanes)
-	owned := d.owned && len(lanes) > 0
+	owned := d.spans && len(lanes) > 0
 	d.walk(w, r, lanes, func(run *shadow.Run) {
 		raw := false
-		if d.owned {
+		if d.spans {
 			raw = d.ownedWalkRun(run, r, g, eligible)
 			owned = owned && raw
 		}
@@ -123,7 +123,7 @@ func (d *Detector) lanesOwnCells(r *logging.Record) bool {
 // summary without spanCheck and replays the rules with applyRun's raw
 // mode.
 func (d *Detector) spanRun(r *logging.Record, g *ptvc.Group, w *Worker, reg *shadow.Region, lo, hi, byteOff int) (owned bool) {
-	owned = d.owned && d.ownedSpanRun(reg, r, g)
+	owned = d.ownedSpanRun(reg, r, g)
 
 	nRanks := (hi - lo) * reg.Gran() / int(r.Size)
 	runMask := spanRunMask(r.Mask, byteOff/int(r.Size), nRanks)

@@ -48,24 +48,25 @@ type Config struct {
 	MaxRaces int
 	// FullVC selects the uncompressed vector-clock ablation detector.
 	FullVC bool
-	// NoPrune disables the instrumentation pruning optimization.
+	// NoPrune turns instrumentation pruning off, the intra-block rule and
+	// the inter-block static pruner both: every access is logged.
 	NoPrune bool
-	// StaticPrune enables the inter-block static pruner (package
-	// staticanalysis): provably redundant or thread-private accesses
-	// are never logged. Race reports are unchanged; log volume drops.
-	// Mutually exclusive with NoPrune.
+	// StaticPrune is read by nothing: the inter-block static pruner
+	// (package staticanalysis) runs unless NoPrune is set. It stays only
+	// while benchmarks/e2e names it.
 	StaticPrune bool
 	// NoSameValueFilter disables the intra-warp same-value write filter.
 	NoSameValueFilter bool
 	// PerCellShadow disables the coalesced-span shadow fast path: every
-	// warp access takes the per-cell loop. The A/B baseline for the span
+	// warp access takes the per-cell loop, and the ownership tier that
+	// rides on the span path is off. The A/B baseline for the span
 	// optimization; race reports are identical either way.
 	PerCellShadow bool
-	// Ownership enables the exclusive-ownership shadow tier: regions
-	// touched by a single warp (or, across barriers, a single block)
-	// skip the epoch checks entirely until a second owner appears. Race
-	// reports are identical either way. Requires the span fast path, so
-	// it is mutually exclusive with FullVC and PerCellShadow.
+	// Ownership is read by nothing: the exclusive-ownership shadow tier
+	// (regions touched by a single warp, or across barriers a single
+	// block, skip the epoch checks until a second owner appears) runs
+	// wherever the span path does; FullVC and PerCellShadow skip it. It
+	// stays only while benchmarks/e2e names it.
 	Ownership bool
 	// ShadowCapBytes bounds resident shadow memory (global pages plus
 	// shared slabs) to this many bytes: shared slabs are compacted at
@@ -139,17 +140,8 @@ func (c Config) Validate() error {
 	if c.Granularity&(c.Granularity-1) != 0 {
 		return fmt.Errorf("detector: Granularity must be a power of two (shadow cells tile the 64 KiB shadow page), got %d", c.Granularity)
 	}
-	if c.NoPrune && c.StaticPrune {
-		return fmt.Errorf("detector: NoPrune and StaticPrune are mutually exclusive: the static pruner subsumes the intra-block optimization NoPrune disables")
-	}
 	if c.ShadowCapBytes < 0 {
 		return fmt.Errorf("detector: ShadowCapBytes must be >= 0 (0 leaves the shadow unbounded), got %d", c.ShadowCapBytes)
-	}
-	if c.Ownership && c.FullVC {
-		return fmt.Errorf("detector: Ownership and FullVC are mutually exclusive: the ownership tier relies on the compressed-PTVC convergence invariant the full-VC ablation abandons")
-	}
-	if c.Ownership && c.PerCellShadow {
-		return fmt.Errorf("detector: Ownership and PerCellShadow are mutually exclusive: the ownership tier lives on the region-locked span paths PerCellShadow disables")
 	}
 	if c.ShadowCapBytes > 0 && c.FullVC {
 		return fmt.Errorf("detector: ShadowCapBytes and FullVC are mutually exclusive: bounded shadow rides on the span fast path the full-VC ablation disables")
@@ -190,7 +182,6 @@ func (c Config) coreOptions() core.Options {
 		NoSameValueFilter: c.NoSameValueFilter,
 		FullVC:            c.FullVC,
 		PerCellShadow:     c.PerCellShadow,
-		Ownership:         c.Ownership,
 		ShadowCapBytes:    c.ShadowCapBytes,
 	}
 }
@@ -216,6 +207,9 @@ type Session struct {
 	Stats   map[string]*instrument.KernelStats
 	SrcMod  *ptx.Module
 	InstMod *ptx.Module
+	// unpruned is the module instrumented with NoPrune, loaded beside
+	// Instr by the first LaunchUnpruned (Instr itself under NoPrune).
+	unpruned *gpusim.Module
 
 	closed atomic.Bool
 }
@@ -227,7 +221,7 @@ func Open(m *ptx.Module, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	res, err := instrument.Instrument(m, instrument.Options{NoPrune: cfg.NoPrune, StaticPrune: cfg.StaticPrune})
+	res, err := instrument.Instrument(m, instrument.Options{NoPrune: cfg.NoPrune})
 	if err != nil {
 		return nil, err
 	}
@@ -405,6 +399,31 @@ func (s *Session) LaunchInto(kernelName string, launch gpusim.LaunchConfig, sink
 	launch.Sink = sink
 	launch.EmitBranchEvents = true
 	return s.Instr.Launch(kernelName, launch)
+}
+
+// LaunchUnpruned is LaunchInto on the module instrumented with NoPrune:
+// sink receives a record for every access the kernel makes. The memory
+// profiler reads it, because pruning drops exactly the thread-private
+// accesses whose coalescing a profile reports. The first call instruments
+// the source module again and loads it, with globals of its own.
+func (s *Session) LaunchUnpruned(kernelName string, launch gpusim.LaunchConfig, sink gpusim.Sink) (gpusim.Stats, error) {
+	if s.cfg.NoPrune {
+		s.unpruned = s.Instr
+	}
+	if s.unpruned == nil {
+		res, err := instrument.Instrument(s.SrcMod, instrument.Options{NoPrune: true})
+		if err != nil {
+			return gpusim.Stats{}, err
+		}
+		mod, err := s.Dev.LoadModule(res.Module)
+		if err != nil {
+			return gpusim.Stats{}, err
+		}
+		s.unpruned = mod
+	}
+	launch.Sink = sink
+	launch.EmitBranchEvents = true
+	return s.unpruned.Launch(kernelName, launch)
 }
 
 // shape is what the host side needs to know of a launch before its first

@@ -100,15 +100,20 @@ const cleanPerThreadSrc = `.visible .entry k(.param .u64 out)
 	ret;
 }`
 
+// TestEndToEndCleanKernel: every access is thread-private, so Config{}
+// logs none of them, and unpruned the detector sees them all and reports
+// no race.
 func TestEndToEndCleanKernel(t *testing.T) {
-	s := open(t, cleanPerThreadSrc, Config{})
-	out := s.Dev.MustAlloc(4 * 256)
-	res := detect(t, s, "k", gpusim.LaunchConfig{Grid: gpusim.D1(4), Block: gpusim.D1(64), Args: []uint64{out}})
-	if res.Report.HasRaces() {
-		t.Fatalf("false races: %v", res.Report.Races)
-	}
-	if res.SimStats.Records == 0 {
-		t.Error("no records emitted")
+	for _, cfg := range []Config{{}, {NoPrune: true}} {
+		s := open(t, cleanPerThreadSrc, cfg)
+		out := s.Dev.MustAlloc(4 * 256)
+		res := detect(t, s, "k", gpusim.LaunchConfig{Grid: gpusim.D1(4), Block: gpusim.D1(64), Args: []uint64{out}})
+		if res.Report.HasRaces() {
+			t.Fatalf("%+v: false races: %v", cfg, res.Report.Races)
+		}
+		if got := res.SimStats.Records > 0; got != cfg.NoPrune {
+			t.Errorf("%+v: %d records emitted", cfg, res.SimStats.Records)
+		}
 	}
 }
 
@@ -550,7 +555,7 @@ func TestInstrumentationStatsExposed(t *testing.T) {
 }
 
 func TestFormatStatsExposed(t *testing.T) {
-	s := open(t, cleanPerThreadSrc, Config{})
+	s := open(t, cleanPerThreadSrc, Config{NoPrune: true})
 	out := s.Dev.MustAlloc(4 * 64)
 	res := detect(t, s, "k", gpusim.LaunchConfig{Grid: gpusim.D1(1), Block: gpusim.D1(64), Args: []uint64{out}})
 	total := 0

@@ -54,9 +54,12 @@ func sameValuePrograms() map[string]string {
 }
 
 // sameValueOutcome is the report's exact text: every race with its
-// dynamic count, RecordsSeen and SameValueGag.
+// dynamic count, RecordsSeen and SameValueGag. The store is always
+// logged (NoPrune): the pruner drops the shared-space lanes as
+// thread-private, and then no value of theirs crosses the queue.
 func sameValueOutcome(t *testing.T, src string, cfg Config) string {
 	t.Helper()
+	cfg.NoPrune = true
 	s := open(t, src, cfg)
 	out := s.Dev.MustAlloc(2048)
 	res := detect(t, s, "k", gpusim.LaunchConfig{Grid: gpusim.D1(1), Block: gpusim.D1(32), Args: []uint64{out}})

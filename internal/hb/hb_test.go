@@ -288,8 +288,9 @@ func onesCount(m uint32) int {
 }
 
 // TestTheorem1Agreement judges the detector against the definition in
-// three configurations: the plain epoch detector, the ownership tier on
-// top of it, and the FullVC ablation. Each record is classified the way
+// three configurations: the epoch rules alone on the per-cell walk, the
+// default (the span path with the ownership tier on top), and the FullVC
+// ablation. Each record is classified the way
 // the producer classifies it, so coalesced and strided records reach the
 // span path and the ownership verdict; every configuration's verdict must
 // equal the definition's on every seed, and the ownership tier must take
@@ -299,8 +300,8 @@ func TestTheorem1Agreement(t *testing.T) {
 		name string
 		opts core.Options
 	}{
-		{"epoch", core.Options{NoSameValueFilter: true}},
-		{"ownership", core.Options{NoSameValueFilter: true, Ownership: true}},
+		{"epoch", core.Options{NoSameValueFilter: true, PerCellShadow: true}},
+		{"ownership", core.Options{NoSameValueFilter: true}},
 		{"fullvc", core.Options{NoSameValueFilter: true, FullVC: true}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -308,7 +309,7 @@ func TestTheorem1Agreement(t *testing.T) {
 			for _, subword := range []bool{false, true} {
 				ownedFast += theorem1(t, cfg.opts, subword)
 			}
-			if cfg.opts.Ownership && ownedFast == 0 {
+			if cfg.name == "ownership" && ownedFast == 0 {
 				t.Fatal("the ownership tier took its verdict on no record")
 			}
 		})

@@ -14,7 +14,11 @@
 //     last logged access to the same address (same basic block, no
 //     intervening synchronization) is not logged again. The rule is
 //     staticanalysis.BlockRedundant, the one the inter-block pruner
-//     (Options.StaticPrune) runs across blocks.
+//     runs across blocks;
+//   - applies that inter-block pruner (package staticanalysis): an
+//     access provably covered by an earlier logged access on every path,
+//     or proven thread-private by the affine index analysis, is not
+//     logged. Conservative by construction: reports are unchanged.
 //
 // The instrumented module remains valid PTX for package gpusim, and the
 // per-kernel statistics drive the Figure 9 experiment (fraction of static
@@ -32,24 +36,21 @@ import (
 
 // Options tunes instrumentation.
 type Options struct {
-	// NoPrune disables the intra-basic-block redundant-logging
-	// optimization (the "unoptimized" bars of Figure 9).
+	// NoPrune logs every access: no intra-block or inter-block pruning
+	// (the "unoptimized" bars of Figure 9, and the whole stream the
+	// happens-before definition and the memory profiler read).
 	NoPrune bool
-	// StaticPrune additionally applies the inter-block dataflow pruner
-	// of package staticanalysis: accesses provably covered by an
-	// earlier logged access on every path, or proven thread-private by
-	// the affine index analysis, are not logged. Conservative by
-	// construction — detection results are unchanged. Mutually
-	// exclusive with NoPrune.
+	// StaticPrune is read by nothing: the inter-block pruner runs unless
+	// NoPrune is set. It stays only while benchmarks/e2e names it.
 	StaticPrune bool
 }
 
 // KernelStats reports per-kernel instrumentation counts.
 type KernelStats struct {
 	Static             int // original static instruction count
-	Instrumented       int // original instructions that received logging (after pruning)
-	InstrumentedNo     int // same, without the pruning optimization
-	InstrumentedStatic int // same, with the inter-block static pruner on top
+	Instrumented       int // original instructions the intra-block pruning alone would log
+	InstrumentedNo     int // same, without pruning: what a NoPrune module logs
+	InstrumentedStatic int // same, with the inter-block static pruner on top: what the module logs
 	Pruned             int // logging sites removed by the intra-block optimization
 	StaticPruned       int // additional sites removed only by the inter-block pruner
 	ThreadPrivate      int // sites dropped entirely as provably thread-private
@@ -152,16 +153,13 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 		}
 	}
 
-	stats := &KernelStats{Static: len(cfg.Instrs)}
-	if opts.StaticPrune {
-		sa := staticanalysis.AnalyzeCFG(cfg, class)
-		for i := range cfg.Instrs {
-			if sa.Prune.Prunable(i) {
-				sites[i].staticp = true
-			}
-		}
-		stats.ThreadPrivate = sa.Prune.Private
+	// The analysis runs under NoPrune too: the three columns of Figure 9
+	// come from one pass.
+	sa := staticanalysis.AnalyzeCFG(cfg, class)
+	for i := range cfg.Instrs {
+		sites[i].staticp = sa.Prune.Prunable(i)
 	}
+	stats := &KernelStats{Static: len(cfg.Instrs), ThreadPrivate: sa.Prune.Private}
 	for _, s := range sites {
 		if s.kind == trace.OpNone && !s.branch && !s.conv {
 			continue
@@ -181,11 +179,6 @@ func instrumentKernel(k *ptx.Kernel, opts Options) (*ptx.Kernel, *KernelStats, e
 		} else {
 			stats.InstrumentedStatic++
 		}
-	}
-	if !opts.StaticPrune {
-		// No analysis ran: the static column mirrors the intra column.
-		stats.InstrumentedStatic = stats.Instrumented
-		stats.StaticPruned = 0
 	}
 	ik := *k // k's declarations and register numbering, with a new body
 	ik.Body = rewriteBody(k.Body, sites, opts, stats)
@@ -256,8 +249,7 @@ func rewriteBody(body []ptx.Stmt, sites []site, opts Options, stats *KernelStats
 			out = append(out, st)
 			continue
 		}
-		pruned := (s.prune && !opts.NoPrune) || (s.staticp && opts.StaticPrune)
-		if pruned {
+		if !opts.NoPrune && (s.prune || s.staticp) {
 			out = append(out, st)
 			continue
 		}

@@ -32,14 +32,15 @@ const stridedSrc = `
 }
 `
 
-// TestStaticPruneStats: thread-private strided accesses are dropped, the
-// shared flag store is kept, and the static fraction strictly decreases.
+// TestStaticPruneStats: by default thread-private strided accesses are
+// dropped, the shared flag store is kept, and the static fraction strictly
+// decreases.
 func TestStaticPruneStats(t *testing.T) {
 	m, err := ptx.Parse(stridedSrc)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Instrument(m, Options{StaticPrune: true})
+	res, err := Instrument(m, Options{})
 	if err != nil {
 		t.Fatalf("instrument: %v", err)
 	}
@@ -69,20 +70,24 @@ func TestStaticPruneStats(t *testing.T) {
 	}
 }
 
-// TestStaticPruneOffMatchesSeed: with the option off the new stats
-// mirror the intra-block ones and the body is unchanged relative to the
-// default pipeline.
-func TestStaticPruneOffMatchesSeed(t *testing.T) {
+// TestNoPruneLogsEverySite: NoPrune logs every access the pruners drop,
+// and the analysis still runs, so the three Figure 9 columns come from
+// the one pass.
+func TestNoPruneLogsEverySite(t *testing.T) {
 	m, err := ptx.Parse(stridedSrc)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Instrument(m, Options{})
+	res, err := Instrument(m, Options{NoPrune: true})
 	if err != nil {
 		t.Fatalf("instrument: %v", err)
 	}
 	s := res.Stats["strided"]
-	if s.InstrumentedStatic != s.Instrumented || s.StaticPruned != 0 || s.ThreadPrivate != 0 {
-		t.Errorf("static columns must mirror intra when disabled: %+v", s)
+	if s.ThreadPrivate != 3 || s.InstrumentedStatic >= s.Instrumented {
+		t.Errorf("NoPrune stats: %+v, want the static columns computed", s)
+	}
+	p := ptx.Print(res.Module)
+	if logs := strings.Count(p, "_log.wr") + strings.Count(p, "_log.rd"); logs != 4 {
+		t.Errorf("memory logs in the NoPrune body = %d, want 4:\n%s", logs, p)
 	}
 }

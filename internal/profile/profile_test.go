@@ -97,7 +97,9 @@ SKIP:
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := instrument.Instrument(m, instrument.Options{})
+	// Unpruned, as Session.Profile runs it: the pruner drops the
+	// thread-private store whose coalescing the profile reports.
+	res, err := instrument.Instrument(m, instrument.Options{NoPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 //     an empty state at each basic block it is the intra-basic-block
 //     optimization every instrumentation applies (BlockRedundant); run
 //     across basic blocks it is the inter-block pruner, which also drops
-//     accesses the affine analysis proves thread-private (consumed by
-//     instrument.Options.StaticPrune);
+//     accesses the affine analysis proves thread-private (run by every
+//     instrumentation but a NoPrune one);
 //   - a lint pass producing structured diagnostics with PTX source
 //     positions: barrier divergence, unreachable code, missing-fence
 //     heuristics, and unsynchronized shared-memory reads (consumed by
