@@ -321,8 +321,13 @@ stress-fleet:
 # with the queue schedule (core/digest.go) repeated plain and under the race
 # detector, where two runs of one configuration differ, and four detector
 # threads holding page locks across the lanes of records that interleave
-# over the same three pages.
+# over the same three pages. Last, the rings' hand-off between the
+# simulator and the detector threads, at GOMAXPROCS 1, where a producer
+# that waited on a thread unable to run would hang into the timeout, and
+# at GOMAXPROCS 4 under the race detector.
 SCOPE_WITNESS := (TestProducerFilterEquivalence|TestCoalescedSpanEquivalence|TestMultiQueueReportEquivalence)/gl-bfs-frontier-racy
+RING_HANDOFF := TestRingHandoff|TestDetectErrorJoinsDetectorThreads
+
 stress-multiqueue:
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConcurrentProducers|TestDequeueBatchConcurrentProducers|TestStress|TestQueueBackpressure|TestWorstCaseThroughSmallestRing|TestPark' ./internal/logging/
 	GOMAXPROCS=1 $(GO) test -count=3 -timeout 60s -run 'TestPark' ./internal/logging/
@@ -333,6 +338,8 @@ stress-multiqueue:
 	$(GO) test -race -count=20 -run '$(SCOPE_WITNESS)' ./internal/bugsuite/
 	GOMAXPROCS=4 $(GO) test -race -run TestSameValueGoldenEquivalence ./internal/detector/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run TestStridedLockHoldStress ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=3 -timeout 60s -run '$(RING_HANDOFF)' ./internal/detector/
+	GOMAXPROCS=4 $(GO) test -race -count=5 -run '$(RING_HANDOFF)' ./internal/detector/
 
 serve:
 	$(GO) run ./cmd/barracudad -addr :8321

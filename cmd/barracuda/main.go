@@ -264,9 +264,9 @@ func printResult(w io.Writer, kernel string, res *detector.Result, verbose bool)
 		pool := shadow.SlabPoolStats()
 		fmt.Fprintf(w, "slabs: %d page slab(s) recycled, %d fresh, %d bytes pooled\n", pool.SlabsRecycled, pool.SlabsFresh, pool.PoolBytes)
 		tr := res.Transport
-		fmt.Fprintf(w, "transport: %d record(s) in %d bytes: %d coalesced, %d strided, %d irregular, %d with values; ring full %d time(s), producer blocked %v; %d empty poll(s), %d park(s)\n",
+		fmt.Fprintf(w, "transport: %d record(s) in %d bytes: %d coalesced, %d strided, %d irregular, %d with values; waited %v for the rings, ring full %d time(s), producer blocked %v; %d empty poll(s), %d park(s)\n",
 			tr.Records, tr.Bytes, tr.Coalesced, tr.Strided, tr.Irregular, tr.WithVals,
-			tr.FullWaits, tr.Blocked.Round(time.Microsecond), tr.EmptyPolls, tr.Parks)
+			res.RingWait.Round(time.Microsecond), tr.FullWaits, tr.Blocked.Round(time.Microsecond), tr.EmptyPolls, tr.Parks)
 	}
 	return status
 }

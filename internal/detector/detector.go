@@ -279,21 +279,82 @@ type Result struct {
 	// draining the queues — everything detection costs on top of the
 	// session, the window the end-to-end benchmark times from outside.
 	// The shadow pages (allocated lazily by the detector threads) and the
-	// equally large queue rings (allocated up front) both count.
+	// equally large queue rings both count. The rings are built inside
+	// the window by whichever side needs them first: a detector thread as
+	// it starts, while the simulator compiles and runs, or the simulator
+	// at its first record if no thread has started by then.
 	Duration time.Duration
+	// RingWait is how long the simulator waited, at its first record (or
+	// at the end of a launch that logged nothing), for a detector thread
+	// to finish building the rings: the part of the rings' cost still on
+	// the producer's path. 0 when the simulator built them itself or found
+	// them built.
+	RingWait time.Duration
 	// Transport is the queues' census: records and ring bytes enqueued,
 	// how many travelled in each wire form, how often either side found
 	// the ring full or empty, and how often a detector thread parked.
 	Transport logging.Counters
 }
 
-// routeSink routes records to their block's queue.
+// rings is a launch's queue set, built once by whichever side needs it
+// first: a detector thread as soon as it starts, or the producer at its
+// first record. The claim is one CAS; the side that loses it waits for
+// built to close, which is usually already so by the time it looks.
+type rings struct {
+	build   func() *logging.Set
+	claimed atomic.Bool
+	built   chan struct{}
+	set     *logging.Set // written once, before built closes
+}
+
+func newRings(cfg Config) *rings {
+	return &rings{built: make(chan struct{}), build: func() *logging.Set {
+		set := logging.NewSet(cfg.Queues, cfg.QueueCap)
+		set.SetGranularity(cfg.Granularity)
+		return set
+	}}
+}
+
+// await returns the set once it is built, building it if no side has
+// claimed it, and how long it waited for another side's build.
+func (r *rings) await() (*logging.Set, time.Duration) {
+	if r.claimed.CompareAndSwap(false, true) {
+		r.set = r.build()
+		close(r.built)
+		return r.set, 0
+	}
+	select {
+	case <-r.built:
+		return r.set, 0
+	default:
+	}
+	start := time.Now()
+	<-r.built
+	return r.set, time.Since(start)
+}
+
+// routeSink routes records to their block's queue, taking the set from
+// rings at the first record.
 type routeSink struct {
-	set *logging.Set
+	rings *rings
+	set   *logging.Set
+	wait  time.Duration
 }
 
 func (s *routeSink) Emit(r *logging.Record) {
+	if s.set == nil {
+		s.set, s.wait = s.rings.await()
+	}
 	s.set.ForBlock(int(r.Block)).Enqueue(r)
+}
+
+// closeAll ends every queue's stream, taking the set first if the launch
+// logged nothing.
+func (s *routeSink) closeAll() {
+	if s.set == nil {
+		s.set, s.wait = s.rings.await()
+	}
+	s.set.CloseAll()
 }
 
 // consumerBatch is the per-drain record budget of a queue consumer:
@@ -301,13 +362,15 @@ func (s *routeSink) Emit(r *logging.Record) {
 // batch stays cache-resident (256 records of 560 bytes ≈ 140 KiB).
 const consumerBatch = 256
 
-// consumeQueue is one detector thread: it drains its queue in batches
-// through a per-goroutine core.Worker (private stats shard, shadow span
-// cache) and, while the queue is empty, waits in Queue.Await — polling,
-// then parked until the producer's next commit — stopping at the
-// end-of-stream sentinel.
-func consumeQueue(det *core.Detector, q *logging.Queue, wg *sync.WaitGroup) {
+// consumeQueue is detector thread i: it claims the rings' build as it
+// starts, then drains queue i in batches through a per-goroutine
+// core.Worker (private stats shard, shadow span cache) and, while the
+// queue is empty, waits in Queue.Await — polling, then parked until the
+// producer's next commit — stopping at the end-of-stream sentinel.
+func consumeQueue(det *core.Detector, r *rings, i int, wg *sync.WaitGroup) {
 	defer wg.Done()
+	set, _ := r.await()
+	q := set.Queues[i]
 	w := det.NewWorker()
 	n := consumerBatch
 	if c := q.Cap(); c < n {
@@ -460,8 +523,10 @@ func (s *Session) Detect(kernelName string, launch gpusim.LaunchConfig) (*Result
 // non-blocking (the stream layer hands it a channel buffered to
 // MaxRaces). A nil onRace is exactly Detect.
 //
-// It is the host side of Figure 5: the detector state, the queue rings and
-// one detector thread per queue are built, the simulator feeds the rings
+// It is the host side of Figure 5: the detector state and one detector
+// thread per queue are built, the first of them to start builds the queue
+// rings while the simulator compiles and runs (or the simulator does, at
+// its first record, if none has started), the simulator feeds the rings
 // through a routeSink, the queues are closed and drained, and the shadow is
 // released. Duration runs from before the detector state is built to after
 // the last detector thread returns.
@@ -477,16 +542,16 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 	opts := s.cfg.coreOptions()
 	opts.OnRace = onRace
 	det := core.New(geo, sharedBytes, opts)
-	set := logging.NewSet(s.cfg.Queues, s.cfg.QueueCap)
-	set.SetGranularity(s.cfg.Granularity)
+	r := newRings(s.cfg)
 
 	var wg sync.WaitGroup
-	for _, q := range set.Queues {
+	for i := 0; i < s.cfg.Queues; i++ {
 		wg.Add(1)
-		go consumeQueue(det, q, &wg)
+		go consumeQueue(det, r, i, &wg)
 	}
-	stats, err := s.LaunchInto(kernelName, launch, &routeSink{set: set})
-	set.CloseAll()
+	sink := &routeSink{rings: r}
+	stats, err := s.LaunchInto(kernelName, launch, sink)
+	sink.closeAll()
 	wg.Wait()
 	dur := time.Since(start)
 	var res *Result
@@ -497,7 +562,8 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 			Formats:    det.FormatStats(),
 			FormatHist: det.FormatHistogram(),
 			Duration:   dur,
-			Transport:  set.Counters(),
+			RingWait:   sink.wait,
+			Transport:  sink.set.Counters(),
 		}
 	}
 	// The detector threads have returned and the result holds copies: the
