@@ -6,8 +6,8 @@ GO ?= go
 # step each in .github/workflows/ci.yml (ci-in-sync holds the two lists
 # together), so a command is written once, in this file.
 CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector one-queue one-rule one-default ci-in-sync loc test race \
-	bench-e2e-smoke vet-smoke vet-fix-smoke artifacts-smoke stress-interp stress-span \
-	stress-ownership stress-refine stress-filter stress-drain stress-multiqueue \
+	bench-e2e-smoke vet-smoke vet-fix-smoke artifacts-smoke stress-interp \
+	stress-shadow stress-refine stress-filter stress-drain stress-multiqueue \
 	stress-failover stress-stream stress-fleet
 
 .PHONY: all bench bench-sim bench-open fuzz-ptx serve ci $(CI_TARGETS)
@@ -78,16 +78,18 @@ one-rule:
 			echo "the spin-wait walk, the lock-word scan and the divergent-region marking are each found once, in idioms.go"; exit 1; fi; \
 	done
 
-# Static pruning and the ownership tier are the one default path: Instrument
-# prunes unless NoPrune is set, and core.New runs the tier wherever the span
-# path runs. The fields that once switched them on (detector.Config's
-# StaticPrune and Ownership, instrument.Options.StaticPrune and
-# core.Options.Ownership) stay, read by nothing, only while benchmarks/e2e
+# Static pruning and the per-cell shadow walk are the one default path:
+# Instrument prunes unless NoPrune is set, and every memory record takes the
+# walk, with no coalesced-span path or ownership tier beside it. The fields
+# that once switched them (detector.Config's StaticPrune, Ownership and
+# PerCellShadow, instrument.Options.StaticPrune, core.Options' Ownership and
+# PerCellShadow) and the counters of the tier (shadow.MemStats' OwnedFast
+# and Inflations, always 0) stay, read by nothing, only while benchmarks/e2e
 # names them. A non-test Go file outside benchmarks/ that reads one is the
 # switch grown back.
 one-default:
-	@if grep -nE '\.(StaticPrune|Ownership)\b' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*'); then \
-		echo "a non-test Go file outside benchmarks/ reads .StaticPrune or .Ownership: static pruning and the ownership tier are the default path, not a switch"; exit 1; fi
+	@if grep -nE '\.(StaticPrune|Ownership|PerCellShadow|OwnedFast|Inflations)\b' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*'); then \
+		echo "a non-test Go file outside benchmarks/ reads .StaticPrune, .Ownership, .PerCellShadow, .OwnedFast or .Inflations: static pruning and the per-cell walk are the default path, not a switch"; exit 1; fi
 
 # The workflow is a list of targets and nothing else: its `run:` lines are
 # `make <target>` for exactly CI_TARGETS, in order.
@@ -226,24 +228,15 @@ stress-interp:
 fuzz-ptx:
 	$(GO) test -run '^$$' -fuzz '^FuzzPTX$$' -fuzztime 60s -fuzzminimizetime 5s ./internal/detector/
 
-# Coalesced-span vs per-cell report equivalence: the bug suite table's
-# PerCellShadow row and the random-trace property tests, under the Go race
-# detector.
-stress-span:
-	$(GO) test -race -run TestCoalescedSpanEquivalence ./internal/bugsuite/
-	$(GO) test -race -run 'TestSpanPropertyEquivalence|TestSpanPropertyEquivalenceSmallWarp' ./internal/core/
-
-# The adaptive-shadow correctness stress: the bug suite table's ownership
-# and bounded-shadow rows under the Go race detector (concurrent
-# claim/inflate traffic at 4 queues), the ownership verdict
-# judged against the internal/hb definition, the shadow's own
-# ownership-transition, eviction and slab-compaction tests, and the slab
-# pool: its bound, a recycled slab against a fresh one, use after Release,
-# and takes and releases beside running detections.
-stress-ownership:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestOwnershipEquivalence|TestBoundedShadowEquivalence' ./internal/bugsuite/
-	$(GO) test -race -run 'TestTheorem1Agreement' ./internal/hb/
-	$(GO) test -race -run 'TestOwnershipTransitions|TestBoundedEviction|TestValidateCacheGeneration|TestCompactSharedSlab' ./internal/shadow/
+# The bounded-shadow correctness stress: the bug suite table's bounded
+# rows (the epoch rules and FullVC under a byte cap) under the Go race
+# detector at 4 queues, the shadow's own eviction, cache-generation and
+# slab-compaction tests, and the slab pool: its bound, a recycled slab
+# against a fresh one, use after Release, and takes and releases beside
+# running detections.
+stress-shadow:
+	GOMAXPROCS=4 $(GO) test -race -run 'TestBoundedShadowEquivalence' ./internal/bugsuite/
+	$(GO) test -race -run 'TestBoundedEviction|TestValidateCacheGeneration|TestCompactSharedSlab' ./internal/shadow/
 	$(GO) test -race -count=3 -run 'TestSlabPoolCap|TestSlabTakeClears|TestReleaseThenUseFailsLoudly|TestRecycledSlabIsVirgin|TestSlabPoolConcurrent' ./internal/shadow/
 
 # The per-region-granule correctness stress, one shadow discipline for
@@ -325,7 +318,7 @@ stress-fleet:
 # simulator and the detector threads, at GOMAXPROCS 1, where a producer
 # that waited on a thread unable to run would hang into the timeout, and
 # at GOMAXPROCS 4 under the race detector.
-SCOPE_WITNESS := (TestProducerFilterEquivalence|TestCoalescedSpanEquivalence|TestMultiQueueReportEquivalence)/gl-bfs-frontier-racy
+SCOPE_WITNESS := (TestProducerFilterEquivalence|TestMultiQueueReportEquivalence)/gl-bfs-frontier-racy
 RING_HANDOFF := TestRingHandoff|TestDetectErrorJoinsDetectorThreads
 
 stress-multiqueue:

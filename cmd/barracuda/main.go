@@ -7,7 +7,7 @@
 //	barracuda -ptx kernel.ptx -kernel k -grid 4 -block 64 -bufs 1024,64
 //	barracuda -fatbin app.fatbin -kernel k -grid 2 -block 32 -bufs 256
 //	barracuda -bench hashtable
-//	barracuda -bench dxtc -ownership -shadow-cap 67108864
+//	barracuda -bench dxtc -shadow-cap 67108864
 //	barracuda vet [-json] [-strict] [-stats] file.ptx...
 //	barracuda -server http://host:8321 -ptx kernel.ptx          # remote (JSON poll)
 //	barracuda -server http://host:8321 -stream -ptx kernel.ptx  # remote (streaming)
@@ -18,13 +18,12 @@
 // else one block of 32 threads), and -bench, -fatbin, -warpsize and
 // -budget mean the same with and without -server.
 //
-// -ownership enables the adaptive exclusive-ownership shadow tier;
 // -shadow-cap bounds resident shadow memory (LRU eviction, honest
-// degraded-precision reporting). Both preserve byte-identical race
-// reports while no live state is evicted. They and the other detector
-// ablations (-queues, -granularity, -fullvc, -staticprune,
-// -producer-filter), like -profile, run locally only: a daemon runs one
-// detector, the default configuration, on every job.
+// degraded-precision reporting); race reports stay byte-identical while
+// no live state is evicted. It and the other detector ablations
+// (-queues, -granularity, -fullvc, -producer-filter), like -profile, run
+// locally only: a daemon runs one detector, the default configuration, on
+// every job.
 package main
 
 import (

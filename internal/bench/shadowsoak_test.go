@@ -6,7 +6,6 @@ import (
 
 	"barracuda/internal/detector"
 	"barracuda/internal/logging"
-	"barracuda/internal/ptvc"
 	"barracuda/internal/shadow"
 )
 
@@ -18,7 +17,7 @@ import (
 // nothing is evictable).
 func maxRegionBytes(t *testing.T) int64 {
 	t.Helper()
-	m := shadow.New(1, 0, ptvc.Geometry{})
+	m := shadow.New(1, 0)
 	m.SpanCached(nil, logging.SpaceGlobal, -1, 1, 1, func(*shadow.Region, int, int) {}) // a byte access refines the page
 	r, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
 	return r.RegionBytes()

@@ -48,11 +48,10 @@ func granuleGolden(t *testing.T, file string) map[string]string {
 }
 
 // granuleCompare holds every program of a suite to its recording at
-// Granularity 1, 2 and 4, under the default configuration and — the
-// per-cell baseline, which runs without the ownership tier, promises the
-// same reports — under it as well; and, outside short mode, the FullVC ablation
-// to its own recording (fullvc), taken at 9dddb42 while its shadow still
-// had per-cell spinlocks and byte cells from allocation.
+// Granularity 1, 2 and 4 under the default configuration and, outside
+// short mode, the FullVC ablation to its own recording (fullvc), taken at
+// 9dddb42 while its shadow still had per-cell spinlocks and byte cells
+// from allocation.
 func granuleCompare(t *testing.T, suite []*Test, golden, fullvc map[string]string) {
 	for _, tc := range suite {
 		tc := tc
@@ -70,9 +69,7 @@ func granuleCompare(t *testing.T, suite []*Test, golden, fullvc map[string]strin
 				}
 				rows := []row{{detector.Config{Granularity: gran}, want}}
 				if !testing.Short() {
-					rows = append(rows,
-						row{detector.Config{Granularity: gran, PerCellShadow: true}, want},
-						row{detector.Config{Granularity: gran, FullVC: true}, wantFullVC})
+					rows = append(rows, row{detector.Config{Granularity: gran, FullVC: true}, wantFullVC})
 				}
 				for _, r := range rows {
 					if got := granuleOutcome(tc, r.cfg); got != r.want {

@@ -7,13 +7,11 @@ import (
 )
 
 // subwordConfigs are the detector configurations the mixed-width programs
-// must agree under: the default (with its ownership tier), with a byte cap,
-// and the two ablations, which run without the tier — all on the one
-// shadow, whose word-granular regions refine.
+// must agree under: the default, with a byte cap, and the FullVC ablation
+// — all on the one shadow, whose word-granular regions refine.
 var subwordConfigs = []detector.Config{
 	{},
 	{ShadowCapBytes: 64 << 20},
-	{PerCellShadow: true},
 	{FullVC: true},
 }
 

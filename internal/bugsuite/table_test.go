@@ -15,7 +15,6 @@ import (
 	"barracuda/internal/hb"
 	"barracuda/internal/logging"
 	"barracuda/internal/ptvc"
-	"barracuda/internal/shadow"
 	"barracuda/internal/trace"
 )
 
@@ -55,10 +54,6 @@ type row struct {
 	// verdict does not count: pairs that did not happen, or same-value
 	// stores.
 	mayMiss, mayAdd map[string][]string
-	// engaged asks the ownership tier to take part, summed over the suite
-	// at one queue and warp size 32: a dead tier would pass the rest. A
-	// -run pattern that leaves programs out skips the check.
-	engaged bool
 }
 
 // sameValue is what the same-value filter (§3.3.1) gags by design: the
@@ -77,15 +72,15 @@ var sameValue = map[string][]string{
 
 // fastPaths are the three knobs suite26_fastpaths ships together. Two of
 // them, StaticPrune and Ownership, are read by nothing: Config{} prunes
-// statically and runs the ownership tier.
+// statically, and the one shadow walk has no ownership tier to switch.
 var fastPaths = detector.Config{Ownership: true, ProducerFilter: true, StaticPrune: true}
 
 // The rows, one test each, so that `go test -run` names a row.
 
 // TestMultiQueueReportEquivalence is the default row, Config{}, at one
-// queue and at four. Its ownership tier must take part.
+// queue and at four.
 func TestMultiQueueReportEquivalence(t *testing.T) {
-	judge(t, allPrograms(), row{mayMiss: sameValue, engaged: true})
+	judge(t, allPrograms(), row{mayMiss: sameValue})
 }
 
 // TestMultiQueueSuiteConsistency is Config{} at two queues.
@@ -118,12 +113,12 @@ func TestStaticPruneSuiteVerdicts(t *testing.T) {
 	suiteVerdicts(t, detector.Config{StaticPrune: true})
 }
 
-// TestOwnershipEquivalence: Ownership is read by nothing, so at one queue
-// the row is Config{}'s outcome byte for byte, records= included. The tier
-// itself runs in every row on the span path; the default row checks that
-// it engages.
+// TestOwnershipEquivalence: Ownership is read by nothing — the one shadow
+// walk has no ownership tier — so the row is Config{}'s outcome byte for
+// byte, records= included. One queue is enough to show that a name
+// benchmarks/e2e still sets changes nothing.
 func TestOwnershipEquivalence(t *testing.T) {
-	judge(t, allPrograms(), row{cfg: detector.Config{Ownership: true}, mayMiss: sameValue})
+	judge(t, allPrograms(), row{cfg: detector.Config{Ownership: true}, queues: []int{1}, mayMiss: sameValue})
 }
 
 // TestProducerFilterEquivalence: the records the simulator suppresses are
@@ -169,10 +164,12 @@ func TestFullVCSuiteConsistency(t *testing.T) {
 	suiteVerdicts(t, detector.Config{FullVC: true})
 }
 
-// TestCoalescedSpanEquivalence: the per-cell baseline of the span fast
-// path reports what the default reports.
+// TestCoalescedSpanEquivalence: PerCellShadow is read by nothing — every
+// record takes the per-cell walk, and no coalesced-span path is left to
+// switch off — so the row is Config{}'s outcome byte for byte, at one
+// queue, like TestOwnershipEquivalence's.
 func TestCoalescedSpanEquivalence(t *testing.T) {
-	judge(t, allPrograms(), row{cfg: detector.Config{PerCellShadow: true}, mayMiss: sameValue})
+	judge(t, allPrograms(), row{cfg: detector.Config{PerCellShadow: true}, queues: []int{1}, mayMiss: sameValue})
 }
 
 // TestBackpressureEquivalence: the ring's size — two records, full most
@@ -204,9 +201,12 @@ func TestGranularity4SuiteConsistency(t *testing.T) {
 
 // TestBoundedShadowEquivalence: a shadow cap far above any program's
 // footprint arms barrier compaction, which may discard converged shared
-// slabs but never precision, beside the ownership tier.
+// slabs but never precision. The FullVC ablation walks the same bounded
+// shadow; it handles barriers itself, so it never compacts.
 func TestBoundedShadowEquivalence(t *testing.T) {
-	judge(t, allPrograms(), row{cfg: detector.Config{ShadowCapBytes: 64 << 20}, mayMiss: sameValue})
+	judge(t, allPrograms(),
+		row{cfg: detector.Config{ShadowCapBytes: 64 << 20}, mayMiss: sameValue},
+		row{cfg: detector.Config{FullVC: true, ShadowCapBytes: 64 << 20}, mayMiss: sameValue})
 }
 
 // TestSubwordQueuesStress runs two rows 20 times at four queues and warp
@@ -252,13 +252,10 @@ func allPrograms() []*Test { return append(Tests(), SubwordTests()...) }
 
 // judge runs rows over a suite, one subtest per program.
 func judge(t *testing.T, suite []*Test, rows ...row) {
-	engaged := make([]shadow.MemStats, len(rows))
-	ran := 0
 	for _, tc := range suite {
 		t.Run(tc.Name, func(t *testing.T) {
-			ran++
 			for _, ws := range []int{0, 5} {
-				for i, r := range rows {
+				for _, r := range rows {
 					if r.warps != nil && !slices.Contains(r.warps, ws) {
 						continue
 					}
@@ -267,30 +264,19 @@ func judge(t *testing.T, suite []*Test, rows ...row) {
 						seeds = []int64{-1}
 					}
 					for _, seed := range seeds {
-						if o := r.point(t, tc, ws, seed); o.res != nil && ws == 0 && seed < 0 {
-							sh, got := &engaged[i], o.res.Report.Shadow
-							sh.Claims += got.Claims
-							sh.OwnedFast += got.OwnedFast
-							sh.Promotions += got.Promotions
-							sh.Inflations += got.Inflations
-						}
+						r.point(t, tc, ws, seed)
 					}
 				}
 			}
 		})
 	}
-	for i, r := range rows {
-		if sh := engaged[i]; r.engaged && ran == len(suite) && (sh.Claims == 0 || sh.OwnedFast == 0 || sh.Promotions == 0 || sh.Inflations == 0) {
-			t.Errorf("%+v: the ownership tier did not engage: claims %d, owned-fast %d, promotions %d, inflations %d",
-				r.cfg, sh.Claims, sh.OwnedFast, sh.Promotions, sh.Inflations)
-		}
-	}
 }
 
 // point runs the row at one warp size and seed at each of its queue
-// counts, and returns the one-queue run (zero if none ran).
-func (r row) point(t *testing.T, tc *Test, ws int, seed int64) (one outcome) {
+// counts.
+func (r row) point(t *testing.T, tc *Test, ws int, seed int64) {
 	t.Helper()
+	var one outcome // the one-queue run
 	tr := definition(tc, ws, seed)
 	queues := r.queues
 	if queues == nil {
@@ -329,7 +315,6 @@ func (r row) point(t *testing.T, tc *Test, ws int, seed int64) (one outcome) {
 			}
 		}
 	}
-	return one
 }
 
 // outcome is one detection run.

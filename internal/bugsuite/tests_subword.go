@@ -8,8 +8,8 @@ import "barracuda/internal/gpusim"
 // first access that is not made of whole words, then refines it to the
 // configured granularity; these programs pin that the refinement is
 // exact — byte-disjoint accesses inside one word stay race-free, and
-// metadata recorded at word granularity (summaries, inflated read maps,
-// ownership claims) still convicts a later sub-word access. They are
+// metadata recorded at word granularity (write epochs, inflated read
+// maps) still convicts a later sub-word access. They are
 // not part of Tests: the paper's suite is 66 programs, and the verdicts
 // here assume byte granularity (the default).
 func SubwordTests() []*Test {
@@ -33,10 +33,9 @@ OTHER:
 }`
 	}
 	// One block of three warps over a 512-byte buffer, all in one shadow
-	// page: every thread stores its own word (three coalesced span
-	// summaries, and the ownership tier's block-wide claim); after a barrier
-	// lane 0 of warps 0 and 1 read word 100 unordered (the second read
-	// demotes the first's read summary and inflates the cell's read map);
+	// page: every thread stores its own word (three coalesced records);
+	// after a barrier lane 0 of warps 0 and 1 read word 100 unordered (the
+	// second read inflates the cell's read map);
 	// then thread 69 (warp 2) stores the second byte of that word — the
 	// page's first sub-word access — with SYNC spliced in before it.
 	refineLive := func(sync string) string {
@@ -167,7 +166,7 @@ DONE:
 		{
 			Name:     "sw-refine-live-state-racy",
 			Category: "subword",
-			Desc:     "a byte store refines a page holding live span summaries, an inflated read map and a block ownership claim; it races with the other warp's earlier read of that word",
+			Desc:     "a byte store refines a page holding live write epochs and an inflated read map; it races with the other warp's earlier read of that word",
 			Expect:   Racy,
 			Kernel:   "k",
 			Grid:     gpusim.D1(1),

@@ -114,9 +114,8 @@ type Report struct {
 	RecordsSeen  uint64
 	SameValueGag uint64 // intra-warp same-value writes filtered
 
-	// Shadow snapshots the shadow-memory occupancy and the adaptive-
-	// tier counters (ownership claims/inflations, evictions,
-	// compactions) at report time. Diagnostic only: the canonical
+	// Shadow snapshots the shadow-memory occupancy and the bounded-
+	// shadow counters (evictions, compactions) at report time. Diagnostic only: the canonical
 	// digest does not cover it.
 	Shadow shadow.MemStats
 	// PrecisionDegraded is true when an LRU eviction discarded live
@@ -154,24 +153,20 @@ type Options struct {
 	// NoSameValueFilter disables the intra-warp same-value write filter.
 	NoSameValueFilter bool
 	// FullVC replaces the compressed PTVC representation with plain
-	// per-thread vector clocks — the ablation baseline for §4.3.1. The
-	// span path and the ownership tier, which rely on the compressed
-	// convergence invariant, are off under it.
+	// per-thread vector clocks — the ablation baseline for §4.3.1. It
+	// walks the same shadow as the epoch rules.
 	FullVC bool
-	// PerCellShadow disables the coalesced-span fast path, forcing every
-	// warp access down the per-cell shadow walk — the A/B baseline for
-	// the span optimization — and with it the ownership tier that rides
-	// on it. The shadow itself is the default one.
+	// PerCellShadow and Ownership are read by nothing: every record takes
+	// the one per-cell walk, which has neither a coalesced-span path nor
+	// an ownership tier beside it. They stay only while benchmarks/e2e
+	// names them.
 	PerCellShadow bool
-	// Ownership is read by nothing: the exclusive-ownership tier
-	// (owned.go) runs wherever the span path does. It stays only while
-	// benchmarks/e2e names it.
-	Ownership bool
+	Ownership     bool
 	// ShadowCapBytes bounds the resident shadow (global pages + shared
 	// slabs) to this many bytes via LRU eviction, and enables epoch-
 	// based compaction of shared slabs at fully-converged block
-	// barriers. 0 means unbounded. No effect under FullVC or
-	// PerCellShadow, which the detector-level Config rejects.
+	// barriers (the epoch rules only: FullVC handles barriers itself).
+	// 0 means unbounded.
 	ShadowCapBytes int64
 	// OnRace, when set, is invoked once per *new* static race, at the
 	// moment of discovery (subsequent dynamic occurrences only bump the
@@ -215,15 +210,8 @@ type Detector struct {
 	opts Options
 	mem  *shadow.Memory
 
-	// spans enables the coalesced-span fast path (uniform-span
-	// summaries) and the exclusive-ownership tier above it (owned.go:
-	// regions touched by a single warp or block skip the epoch checks).
-	// Off under FullVC (per-thread clocks are not uniform across a warp)
-	// and under the PerCellShadow baseline knob.
-	spans bool
-
-	// compact enables the barrier-time shared-slab compaction, which
-	// rides on spans too.
+	// compact enables the barrier-time shared-slab compaction of the
+	// bounded shadow.
 	compact bool
 
 	warps []*warpMirror // indexed by global warp id; block-affine access
@@ -302,20 +290,17 @@ func New(geo ptvc.Geometry, sharedBytes int64, opts Options) *Detector {
 	d := &Detector{
 		geo:      geo,
 		opts:     opts,
-		mem:      shadow.New(opts.Granularity, sharedBytes, geo),
+		mem:      shadow.New(opts.Granularity, sharedBytes),
 		warps:    make([]*warpMirror, geo.Blocks*geo.WarpsPerBlock()),
 		races:    make(map[raceKey]*Race),
 		divergeK: make(map[[2]uint32]bool),
 	}
 	if opts.FullVC {
 		d.fullVC = newFullVCState(geo)
-	} else if !opts.PerCellShadow {
-		d.spans = true
-		d.mem.EnableOwnership()
-		if opts.ShadowCapBytes > 0 {
-			d.compact = true
-			d.mem.SetCapBytes(opts.ShadowCapBytes)
-		}
+	}
+	if opts.ShadowCapBytes > 0 {
+		d.compact = true
+		d.mem.SetCapBytes(opts.ShadowCapBytes)
 	}
 	return d
 }
@@ -441,16 +426,14 @@ func (v *epochView) sameInstr(e vc.Epoch, tid vc.TID) bool {
 
 // handleMemory implements the READ*/WRITE*/ATOM* rules for every active
 // lane of a warp-level memory record, followed by ENDINSN. This is the
-// per-record fast path: no mutex is acquired anywhere on it — stats go
+// per-record hot path: no mutex is acquired anywhere on it — stats go
 // to the worker's shard, shadow lookups go through the worker's span
 // cache over the page table, and cells are guarded by their region's CAS
 // spinlock.
 func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 	g := w.warp(int(r.Warp)).top()
 	w.hist[g.Format()].Add(1)
-	if !d.trySpan(r, g, w) {
-		d.walkRecord(r, g, w)
-	}
+	d.walkRecord(r, g, w)
 	g.EndInstr()
 }
 
@@ -460,11 +443,8 @@ func (d *Detector) handleMemory(r *logging.Record, w *Worker) {
 // ordered, no read map — where a read only advances the read epoch
 // (READEXCL) and a write or atomic only installs its write epoch and clears
 // the read; every other cell goes to applyCell. Every check on a cell counts
-// the run's weight (shadow.Memory.Weight). raw is the ownership tier's
-// verdict (owned.go) that every check on the run passes: the inlined case
-// then skips the compares, and a cell with a read map still goes through
-// applyCell, whose checks pass, for its READSHARED or clearing step.
-func (d *Detector) applyRun(run *shadow.Run, g *ptvc.Group, r *logging.Record, w *Worker, raw bool) {
+// the run's weight (shadow.Memory.Weight).
+func (d *Detector) applyRun(run *shadow.Run, g *ptvc.Group, r *logging.Record, w *Worker) {
 	reg, cells, tid0 := run.Reg, run.Reg.Cells(), d.geo.TIDOf(int(r.Warp), 0)
 	read, atomic := r.Op == trace.OpRead, r.Op == trace.OpAtom
 	for _, lc := range run.Lanes {
@@ -472,7 +452,7 @@ func (d *Detector) applyRun(run *shadow.Run, g *ptvc.Group, r *logging.Record, w
 		for idx := lc.Lo; idx < lc.Hi; idx++ {
 			i := min(idx, run.Last)
 			c := &cells[i]
-			switch fast := !c.ReadShared() && (raw || ordered(g, tid, c.W) && ordered(g, tid, c.R)); {
+			switch fast := !c.ReadShared() && ordered(g, tid, c.W) && ordered(g, tid, c.R); {
 			case fast && read:
 				c.SetRead(vc.Epoch{T: tid, C: g.L}, r.PC)
 			case fast:
@@ -700,6 +680,34 @@ func (d *Detector) handleBarRelease(r *logging.Record, _ *Worker) {
 	if d.compact {
 		d.maybeCompactShared(r, base, wpb)
 	}
+}
+
+// maybeCompactShared drops a block's shared-memory shadow slab after a
+// barrier release at which every populated warp of the block arrived
+// fully converged. At such a barrier, every epoch stored in the slab
+// has clock < its warp's pre-barrier L <= m (the convergence
+// invariant: while a warp's group is fully converged, every epoch the
+// warp stored has a clock below its L), and Barrier(m) relabels every
+// warp to B = m, L = m+1 — so each resident epoch is forever ordered
+// before every future access by the block, and the slab is block-
+// private, so no other accessor exists. Dropping it (a later access
+// reallocates virgin cells) is therefore report-identical. A warp that
+// did not arrive, or arrived diverged, can hold unrelabeled sibling
+// clocks above m, making the drop unsafe — hence both checks.
+func (d *Detector) maybeCompactShared(r *logging.Record, base, wpb int) {
+	for wi := 0; wi < wpb; wi++ {
+		w := d.warps[base+wi]
+		if w == nil {
+			continue // never ran: stored nothing
+		}
+		if r.Mask&(1<<uint(wi)) == 0 {
+			return // populated but not arrived
+		}
+		if len(w.stack) != 1 || w.top().Mask != w.top().FullMask {
+			return // not converged at the barrier
+		}
+	}
+	d.mem.CompactSharedSlab(int32(r.Block))
 }
 
 // handleIf mirrors the SIMT-stack push of a divergent branch (IF rule).

@@ -135,12 +135,9 @@ func (d *Detector) handleFullVC(r *logging.Record, w *Worker) {
 }
 
 // fullMemory checks a memory record with the epoch detector's rules
-// (applyCell), against the per-thread clocks. The full-VC ablation cannot
-// use uniform-span summaries — after a joinFork every lane's own clock
-// component differs, so a warp access is not expressible as a single
-// (warp, mask, clock) layer — but it shares the run walk, and so the
-// shadow, its word-granular regions and their weights, with the epoch
-// detector's fallback path.
+// (applyCell), against the per-thread clocks. It shares the run walk, and
+// so the shadow, its word-granular regions, their weights and the byte
+// cap, with the epoch detector.
 func (d *Detector) fullMemory(r *logging.Record, w *Worker) {
 	s := d.fullVC
 	s.cur = r

@@ -72,8 +72,8 @@ func benchRecords(pattern string) []logging.Record {
 
 // benchWarpAccess drains the cyclic stream through one worker. ns/op is
 // nanoseconds per warp access (one warp-level record).
-func benchWarpAccess(b *testing.B, pattern string, perCell bool) {
-	d := New(benchGeo(), 0, Options{PerCellShadow: perCell})
+func benchWarpAccess(b *testing.B, pattern string) {
+	d := New(benchGeo(), 0, Options{})
 	w := d.NewWorker()
 	recs := benchRecords(pattern)
 	b.ReportAllocs()
@@ -83,56 +83,36 @@ func benchWarpAccess(b *testing.B, pattern string, perCell bool) {
 	}
 }
 
-func benchBothPaths(b *testing.B, pattern string) {
-	for _, mode := range []struct {
-		name    string
-		perCell bool
-	}{{"span", false}, {"percell", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchWarpAccess(b, pattern, mode.perCell)
-		})
-	}
-}
+func BenchmarkWarpAccessCoalesced(b *testing.B) { benchWarpAccess(b, "coalesced") }
+func BenchmarkWarpAccessStrided(b *testing.B)   { benchWarpAccess(b, "strided") }
+func BenchmarkWarpAccessDivergent(b *testing.B) { benchWarpAccess(b, "divergent") }
 
-func BenchmarkWarpAccessCoalesced(b *testing.B) { benchBothPaths(b, "coalesced") }
-func BenchmarkWarpAccessStrided(b *testing.B)   { benchBothPaths(b, "strided") }
-func BenchmarkWarpAccessDivergent(b *testing.B) { benchBothPaths(b, "divergent") }
-
-// BenchmarkWarpAccessReadSharedInflate measures the span path's worst
-// case: two warps read the same coalesced range, so every summary is
-// demoted (cross-warp epochs are unordered) and the cells carry
-// inflated read maps — all traffic lands on the per-cell slow path plus
-// the demotion bookkeeping.
+// BenchmarkWarpAccessReadSharedInflate measures the walk's worst case: two
+// warps read the same coalesced range unordered (different blocks), so
+// every cell carries an inflated read map.
 func BenchmarkWarpAccessReadSharedInflate(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		perCell bool
-	}{{"span", false}, {"percell", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			d := New(benchGeo(), 0, Options{PerCellShadow: mode.perCell})
-			w := d.NewWorker()
-			var recs []logging.Record
-			for _, warp := range []uint32{0, 4} { // different blocks: no sync order
-				var r logging.Record
-				r.Warp = warp
-				r.Block = warp / 4
-				r.Space = logging.SpaceGlobal
-				r.Size = 4
-				r.PC = 1
-				r.Op = trace.OpRead
-				r.Mask = ^uint32(0)
-				for lane := 0; lane < 32; lane++ {
-					r.Addrs[lane] = uint64(lane) * 4
-				}
-				r.Classify()
-				recs = append(recs, r)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.Handle(&recs[i%len(recs)])
-			}
-		})
+	d := New(benchGeo(), 0, Options{})
+	w := d.NewWorker()
+	var recs []logging.Record
+	for _, warp := range []uint32{0, 4} { // different blocks: no sync order
+		var r logging.Record
+		r.Warp = warp
+		r.Block = warp / 4
+		r.Space = logging.SpaceGlobal
+		r.Size = 4
+		r.PC = 1
+		r.Op = trace.OpRead
+		r.Mask = ^uint32(0)
+		for lane := 0; lane < 32; lane++ {
+			r.Addrs[lane] = uint64(lane) * 4
+		}
+		r.Classify()
+		recs = append(recs, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Handle(&recs[i%len(recs)])
 	}
 }
 

@@ -57,24 +57,19 @@ type Config struct {
 	StaticPrune bool
 	// NoSameValueFilter disables the intra-warp same-value write filter.
 	NoSameValueFilter bool
-	// PerCellShadow disables the coalesced-span shadow fast path: every
-	// warp access takes the per-cell loop, and the ownership tier that
-	// rides on the span path is off. The A/B baseline for the span
-	// optimization; race reports are identical either way.
+	// PerCellShadow and Ownership are read by nothing: every warp access
+	// takes the one per-cell shadow walk, which has neither a coalesced-
+	// span path nor an exclusive-ownership tier beside it. They stay only
+	// while benchmarks/e2e names them.
 	PerCellShadow bool
-	// Ownership is read by nothing: the exclusive-ownership shadow tier
-	// (regions touched by a single warp, or across barriers a single
-	// block, skip the epoch checks until a second owner appears) runs
-	// wherever the span path does; FullVC and PerCellShadow skip it. It
-	// stays only while benchmarks/e2e names it.
-	Ownership bool
+	Ownership     bool
 	// ShadowCapBytes bounds resident shadow memory (global pages plus
 	// shared slabs) to this many bytes: shared slabs are compacted at
-	// fully-converged block barriers (losslessly), and past the cap the
+	// fully-converged block barriers (losslessly; the epoch detector
+	// only, FullVC handles barriers itself), and past the cap the
 	// least-recently-used region is evicted, with Result reporting
 	// PrecisionDegraded when an eviction discarded live metadata. 0
-	// means unbounded. Requires the span fast path, so it is mutually
-	// exclusive with FullVC and PerCellShadow.
+	// means unbounded.
 	ShadowCapBytes int64
 	// ProducerFilter enables the simulator's producer-side epoch filter:
 	// per-warp caches suppress provably redundant global-space access
@@ -143,12 +138,6 @@ func (c Config) Validate() error {
 	if c.ShadowCapBytes < 0 {
 		return fmt.Errorf("detector: ShadowCapBytes must be >= 0 (0 leaves the shadow unbounded), got %d", c.ShadowCapBytes)
 	}
-	if c.ShadowCapBytes > 0 && c.FullVC {
-		return fmt.Errorf("detector: ShadowCapBytes and FullVC are mutually exclusive: bounded shadow rides on the span fast path the full-VC ablation disables")
-	}
-	if c.ShadowCapBytes > 0 && c.PerCellShadow {
-		return fmt.Errorf("detector: ShadowCapBytes and PerCellShadow are mutually exclusive: bounded shadow rides on the span fast path the per-cell baseline disables")
-	}
 	if c.ProducerFilter && c.FullVC {
 		return fmt.Errorf("detector: ProducerFilter and FullVC are mutually exclusive: the filter's suppression argument relies on the compressed-PTVC epoch semantics (and OpFlush reconciliation) the full-VC ablation bypasses")
 	}
@@ -181,7 +170,6 @@ func (c Config) coreOptions() core.Options {
 		MaxRaces:          c.MaxRaces,
 		NoSameValueFilter: c.NoSameValueFilter,
 		FullVC:            c.FullVC,
-		PerCellShadow:     c.PerCellShadow,
 		ShadowCapBytes:    c.ShadowCapBytes,
 	}
 }

@@ -47,9 +47,9 @@ func litmusGranuleOutcome(lc litmusCase, cfg Config) (string, error) {
 // TestGranuleLitmusGoldenEquivalence holds the litmus corpus to the
 // outcomes recorded at commit a5d8c21 (uniform Granularity-sized shadow
 // cells; see bugsuite/testdata/README.md) at Granularity 1, 2 and 4,
-// under the default configuration (with its ownership tier) and the
-// per-cell baseline — and the FullVC ablation to its own recording, taken at
-// 9dddb42 while its shadow still had per-cell spinlocks.
+// under the default configuration — and the FullVC ablation to its own
+// recording, taken at 9dddb42 while its shadow still had per-cell
+// spinlocks.
 func TestGranuleLitmusGoldenEquivalence(t *testing.T) {
 	golden := litmusGolden(t, "granule_litmus_a5d8c21.json")
 	fullvc := litmusGolden(t, "granule_litmus_fullvc_9dddb42.json")
@@ -68,7 +68,6 @@ func TestGranuleLitmusGoldenEquivalence(t *testing.T) {
 					want string
 				}{
 					{Config{Granularity: gran}, want},
-					{Config{Granularity: gran, PerCellShadow: true}, want},
 					{Config{Granularity: gran, FullVC: true}, wantFullVC},
 				} {
 					got, err := litmusGranuleOutcome(lc, row.cfg)

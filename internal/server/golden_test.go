@@ -40,8 +40,10 @@ func suiteJob(t *testing.T, name string) JobRequest {
 // repair came to target the reported races alone: "static_candidates",
 // "score" and "dynamic" went, the descriptions lost their static reasons
 // and the two candidates took report order. Its shadow blocks were
-// re-recorded once, when the ownership tier became the default: each gained
-// its ownership counters, and nothing else moved. The four jobs: a racy suite program (three races), a
+// re-recorded twice: when the ownership tier became the default, each
+// gained its ownership counters, and when the tier went, each lost them
+// again; nothing else moved either time. The four jobs: a racy suite
+// program (three races), a
 // barrier divergence, a repair, and a loop of global reads whose two
 // blocks then store to the same words.
 func TestJobBodiesGolden(t *testing.T) {

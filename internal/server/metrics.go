@@ -77,8 +77,6 @@ type Metrics struct {
 	// Shadow-memory pressure, accumulated from every successful
 	// detect's per-job shadow stats. PeakResidentBytes is a high-water
 	// mark across jobs; the rest are running sums.
-	ShadowOwnedFast     atomic.Int64 // records handled by the ownership fast path
-	ShadowInflations    atomic.Int64 // exclusive regions inflated to shared
 	ShadowCompactions   atomic.Int64 // shared slabs reclaimed at barriers
 	ShadowEvictions     atomic.Int64 // regions evicted under the byte cap
 	ShadowLiveEvictions atomic.Int64 // evictions that discarded live state
@@ -89,8 +87,6 @@ type Metrics struct {
 // ObserveShadow folds one completed job's shadow stats into the
 // daemon-wide registry.
 func (m *Metrics) ObserveShadow(st shadow.MemStats) {
-	m.ShadowOwnedFast.Add(int64(st.OwnedFast))
-	m.ShadowInflations.Add(int64(st.Inflations))
 	m.ShadowCompactions.Add(int64(st.Compactions))
 	m.ShadowEvictions.Add(int64(st.Evictions))
 	m.ShadowLiveEvictions.Add(int64(st.LiveEvictions))
@@ -112,26 +108,22 @@ func (m *Metrics) ObserveShadow(st shadow.MemStats) {
 // and not in a job's result.
 type ShadowCounters struct {
 	shadow.PoolStats
-	OwnedFastRecords int64 `json:"owned_fast_records"`
-	Inflations       int64 `json:"ownership_inflations"`
-	Compactions      int64 `json:"compactions"`
-	Evictions        int64 `json:"evictions"`
-	LiveEvictions    int64 `json:"live_evictions"`
-	DegradedJobs     int64 `json:"degraded_jobs"`
-	PeakResident     int64 `json:"peak_resident_bytes"`
+	Compactions   int64 `json:"compactions"`
+	Evictions     int64 `json:"evictions"`
+	LiveEvictions int64 `json:"live_evictions"`
+	DegradedJobs  int64 `json:"degraded_jobs"`
+	PeakResident  int64 `json:"peak_resident_bytes"`
 }
 
 // Shadow snapshots the shadow-memory counters.
 func (m *Metrics) Shadow() ShadowCounters {
 	return ShadowCounters{
-		PoolStats:        shadow.SlabPoolStats(),
-		OwnedFastRecords: m.ShadowOwnedFast.Load(),
-		Inflations:       m.ShadowInflations.Load(),
-		Compactions:      m.ShadowCompactions.Load(),
-		Evictions:        m.ShadowEvictions.Load(),
-		LiveEvictions:    m.ShadowLiveEvictions.Load(),
-		DegradedJobs:     m.ShadowDegradedJobs.Load(),
-		PeakResident:     m.ShadowPeakResident.Load(),
+		PoolStats:     shadow.SlabPoolStats(),
+		Compactions:   m.ShadowCompactions.Load(),
+		Evictions:     m.ShadowEvictions.Load(),
+		LiveEvictions: m.ShadowLiveEvictions.Load(),
+		DegradedJobs:  m.ShadowDegradedJobs.Load(),
+		PeakResident:  m.ShadowPeakResident.Load(),
 	}
 }
 

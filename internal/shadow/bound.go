@@ -1,26 +1,15 @@
-// Adaptive ownership tier and memory-bounded shadow.
+// Memory-bounded shadow.
 //
-// Ownership (the SmartTrack-style tier below FastTrack): each region
-// carries an ownership state recording WHO has touched its cells since
-// the region was last virgin — nobody (OwnNone), exactly one warp
-// (OwnWarp), exactly one thread block (OwnBlock), or a mix (OwnShared,
-// sticky). While a region is exclusively owned, the detector can prove
-// every stored epoch ordered with a single region-level comparison and
-// skip the per-cell epoch checks of a run entirely (core/owned.go has the
-// soundness argument). The state is read and changed only under the
-// region lock, by the same walk that then stores to the cells, so no
-// other detector thread can change it between the decision and the store.
-//
-// Bounded shadow: with a byte cap configured, the shadow tracks the
-// resident footprint of every region, stamps regions on use, and evicts
-// the least-recently-used region before an allocation would exceed the
-// cap. Evicting a region that still holds live metadata silently
-// discards epochs — never a false positive (virgin state passes every
-// check), but a later racing access can go unreported — so live
-// evictions latch the PrecisionDegraded flag that the detector
-// surfaces honestly in its report. Epoch-based compaction (dropping a
-// block's shared slab after a fully-converged block barrier) is the
-// provably-lossless counterpart, triggered by the detector core.
+// With a byte cap configured, the shadow tracks the resident footprint
+// of every region, stamps regions on use, and evicts the least-recently-
+// used region before an allocation would exceed the cap. Evicting a
+// region that still holds live metadata silently discards epochs — never
+// a false positive (virgin state passes every check), but a later racing
+// access can go unreported — so live evictions latch the
+// PrecisionDegraded flag that the detector surfaces honestly in its
+// report. Epoch-based compaction (dropping a block's shared slab after a
+// fully-converged block barrier) is the provably-lossless counterpart,
+// triggered by the detector core.
 package shadow
 
 import (
@@ -28,123 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"barracuda/internal/vc"
 )
-
-// OwnState is a region's ownership tier.
-type OwnState uint32
-
-const (
-	// OwnNone: no tracked access since the region was virgin.
-	OwnNone OwnState = iota
-	// OwnWarp: every access so far came from one warp (the owner id).
-	OwnWarp
-	// OwnBlock: every access so far came from one block (the owner id).
-	OwnBlock
-	// OwnShared: accesses from several blocks, or an access the tracking
-	// paths could not attribute. Sticky — a shared region never returns
-	// to an exclusive state until it is compacted or evicted.
-	OwnShared
-)
-
-func (s OwnState) String() string {
-	switch s {
-	case OwnNone:
-		return "none"
-	case OwnWarp:
-		return "warp"
-	case OwnBlock:
-		return "block"
-	case OwnShared:
-		return "shared"
-	}
-	return "?"
-}
-
-// Owner reads the ownership state under the region lock.
-func (r *Region) Owner() (OwnState, uint32) { return r.ownState, r.ownID }
-
-// OwnerClocks returns the clock bounds backing the exclusive states,
-// under the region lock: lastWarp is the warp of the most recent tracked
-// access, lastMax the maximum epoch clock it has stored since becoming
-// the most recent, and otherMax the maximum clock stored by every other
-// warp ever tracked. Together they bound every epoch resident in the
-// region: an access that proves both maxima ordered needs no per-cell
-// checks at all.
-func (r *Region) OwnerClocks() (lastWarp uint32, lastMax, otherMax vc.Clock) {
-	return r.ownLastWarp, r.ownLastMax, r.ownOtherMax
-}
-
-// setOwner makes an ownership transition (region lock held).
-func (r *Region) setOwner(st OwnState, id uint32) { r.ownState, r.ownID = st, id }
-
-// Claim marks a virgin region exclusively owned by a warp (region lock
-// held; caller verified state OwnNone).
-func (m *Memory) Claim(r *Region, warp uint32, clock vc.Clock) {
-	r.setOwner(OwnWarp, warp)
-	r.ownLastWarp = warp
-	r.ownLastMax = clock
-	r.ownOtherMax = 0
-	m.ownClaims.Add(1)
-}
-
-// Retain extends an exclusive owner's clock bound after another access
-// by the current last warp (region lock held).
-func (r *Region) Retain(clock vc.Clock) {
-	if clock > r.ownLastMax {
-		r.ownLastMax = clock
-	}
-}
-
-// Rotate makes a different warp of the SAME owning scope the region's
-// most recent accessor (region lock held): the previous last warp's
-// bound folds into otherMax. Promoting an OwnWarp region to OwnBlock is
-// a Rotate with the block id published.
-func (m *Memory) Rotate(r *Region, st OwnState, id uint32, warp uint32, clock vc.Clock) {
-	if prev, _ := r.Owner(); prev == OwnWarp && st == OwnBlock {
-		m.ownPromotions.Add(1)
-	}
-	r.setOwner(st, id)
-	if r.ownLastMax > r.ownOtherMax {
-		r.ownOtherMax = r.ownLastMax
-	}
-	r.ownLastWarp = warp
-	r.ownLastMax = clock
-}
-
-// Inflate demotes a region to the sticky OwnShared state (region lock
-// held). Counted only when the region actually was exclusively owned:
-// the counter measures lost fast-path coverage, not slow-path traffic.
-func (m *Memory) Inflate(r *Region) {
-	st, _ := r.Owner()
-	if st == OwnShared {
-		return
-	}
-	if st == OwnWarp || st == OwnBlock {
-		m.ownInflations.Add(1)
-	}
-	r.setOwner(OwnShared, 0)
-}
-
-// inflateOwner is the untracked-access hook of CellFor, which does not
-// know the accessing warp, so the only safe transition is straight to
-// OwnShared.
-func (r *Region) inflateOwner(m *Memory) {
-	if m.owned {
-		m.Inflate(r)
-	}
-}
-
-// EnableOwnership switches ownership tracking on. Call once, before any
-// detection traffic.
-func (m *Memory) EnableOwnership() {
-	m.owned = true
-}
-
-// NoteOwnedFast counts one record whose every region run took the
-// ownership tier's verdict.
-func (m *Memory) NoteOwnedFast() { m.ownFast.Add(1) }
 
 // cellBytes is the resident footprint of one shadow cell. Structural
 // accounting: the regions' side tables of inflated read maps are not
@@ -333,7 +206,7 @@ func (m *Memory) CompactSharedSlab(block int32) int64 {
 	return n
 }
 
-// MemStats is the shadow occupancy and adaptive-tier counter snapshot.
+// MemStats is the shadow occupancy and bounded-shadow counter snapshot.
 type MemStats struct {
 	GlobalPages       int   `json:"global_pages"`
 	SharedBlocks      int   `json:"shared_blocks"`
@@ -355,11 +228,11 @@ type MemStats struct {
 	ByteRegions int    `json:"byte_regions,omitempty"`
 	Refinements uint64 `json:"refinements,omitempty"`
 
-	// Ownership tier.
-	Claims     uint64 `json:"ownership_claims,omitempty"`
-	Promotions uint64 `json:"ownership_promotions,omitempty"`
-	Inflations uint64 `json:"ownership_inflations,omitempty"`
-	OwnedFast  uint64 `json:"owned_fast_records,omitempty"`
+	// Inflations and OwnedFast always read 0 and are never encoded: they
+	// counted an exclusive-ownership tier the walk no longer has. They
+	// stay only while benchmarks/e2e names them.
+	Inflations uint64 `json:"-"`
+	OwnedFast  uint64 `json:"-"`
 
 	// Bounded shadow.
 	Compactions       uint64 `json:"compactions,omitempty"`
@@ -369,8 +242,8 @@ type MemStats struct {
 	PrecisionDegraded bool   `json:"precision_degraded,omitempty"`
 }
 
-// Stats reports shadow occupancy, resident footprint and the adaptive
-// ownership / bounded-memory counters.
+// Stats reports shadow occupancy, resident footprint and the
+// bounded-memory counters.
 func (m *Memory) Stats() MemStats {
 	st := MemStats{
 		ResidentBytes:     m.resident.Load(),
@@ -380,10 +253,6 @@ func (m *Memory) Stats() MemStats {
 		ReadInflations:    m.readInflations.Load(),
 		WordRegions:       int(m.wordRegions.Load()),
 		Refinements:       m.refinements.Load(),
-		Claims:            m.ownClaims.Load(),
-		Promotions:        m.ownPromotions.Load(),
-		Inflations:        m.ownInflations.Load(),
-		OwnedFast:         m.ownFast.Load(),
 		Compactions:       m.compactions.Load(),
 		CompactedBytes:    m.compactedBytes.Load(),
 		Evictions:         m.evictions.Load(),

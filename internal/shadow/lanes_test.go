@@ -8,7 +8,6 @@ import (
 	"unsafe"
 
 	"barracuda/internal/logging"
-	"barracuda/internal/ptvc"
 	"barracuda/internal/vc"
 )
 
@@ -48,7 +47,7 @@ func TestCellLayout(t *testing.T) {
 // PC a record can carry and reads every one back.
 func TestCellFlagsRoundTrip(t *testing.T) {
 	const pc = logging.MaxPC
-	m := New(4, 0, ptvc.Geometry{})
+	m := New(4, 0)
 	reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
 	reg.Lock()
 	defer reg.Unlock()
@@ -106,14 +105,11 @@ func regionName(m *Memory, reg *Region) string {
 }
 
 // regionState renders everything a region holds: granule, cells, side
-// table, summaries, ownership.
+// table, live mark.
 func regionState(reg *Region) string {
 	reg.Lock()
 	defer reg.Unlock()
-	st, id := reg.Owner()
-	lw, lm, om := reg.OwnerClocks()
-	out := fmt.Sprintf("gran %d cells %d touched %v owner %v/%d %d/%d/%d sums %+v\n",
-		reg.Gran(), len(reg.cells), reg.touched, st, id, lw, lm, om, reg.sums)
+	out := fmt.Sprintf("gran %d cells %d live %v\n", reg.Gran(), len(reg.cells), reg.liveMark.Load())
 	for i := range reg.cells {
 		c := &reg.cells[i]
 		if rd := reg.Readers(i); *c != (Cell{}) || rd != nil {
@@ -123,12 +119,6 @@ func regionState(reg *Region) string {
 	}
 	out += fmt.Sprintf("read maps %d\n", readMaps(reg))
 	return out
-}
-
-// sumCount counts the live summaries of a memory.
-func sumCount(m *Memory) (n int) {
-	eachRegion(m, func(_ string, r *Region) { n += len(r.sums) })
-	return n
 }
 
 // memoryState renders every live region of a memory, by name.
@@ -142,8 +132,8 @@ func memoryState(m *Memory) map[string]string {
 // held across consecutive lanes, touch-ahead, release before another
 // page — must be indistinguishable from one SpanCached call per lane:
 // the same (lane, region, cell, weight) visits in the same order, and
-// the same final cells, side tables, summaries, granules, ownership and
-// accounting on a twin Memory, over random records that cover every
+// the same final cells, side tables, granules and accounting on a twin
+// Memory, over random records that cover every
 // shape the walk distinguishes.
 func TestVisitLanesEquivalence(t *testing.T) {
 	t.Run("prologues", testRunPrologues)
@@ -155,25 +145,22 @@ func TestVisitLanesEquivalence(t *testing.T) {
 	sizes := []int{1, 2, 4, 8, 16}
 	strides := []int64{0, 1, 2, 3, 4, -4, 8, -8, 12, 640, -640, 2048, PageBytes / 16, PageBytes / 8, -PageBytes / 8, PageBytes - 4}
 	var pagesHit [4]int // records whose lanes landed in 1, 2, 3 pages
-	var clamps, midRefines, demotions, pageCrossers, inflations, runs, walkedLanes int
+	var clamps, midRefines, pageCrossers, inflations, runs, walkedLanes int
 
-	for _, cfg := range []struct {
-		gran  int
-		owned bool
-		cap   int64 // in word pages; 0 = unbounded
-	}{{1, false, 0}, {1, true, 0}, {2, false, 0}, {4, true, 0}, {8, false, 0}, {1, false, 6}} {
+	cfgs := []struct {
+		gran int
+		cap  int64 // in word pages; 0 = unbounded
+	}{{1, 0}, {2, 0}, {4, 0}, {8, 0}, {1, 6}}
+	for _, cfg := range cfgs {
 		rng := rand.New(rand.NewSource(int64(17 + cfg.gran)))
 		var walk, twin *Memory
 		for _, m := range []**Memory{&walk, &twin} {
-			*m = New(cfg.gran, shBytes, spanTestGeo())
-			if cfg.owned {
-				(*m).EnableOwnership()
-			}
+			*m = New(cfg.gran, shBytes)
 			(*m).SetCapBytes(cfg.cap * int64(PageBytes/4) * cellBytes)
 		}
 		var scWalk, scTwin SpanCache
 
-		for rec := 0; rec < records/6; rec++ {
+		for rec := 0; rec < records/len(cfgs); rec++ {
 			space, blk := logging.SpaceGlobal, int32(-1)
 			if rng.Intn(4) == 0 {
 				space, blk = logging.SpaceShared, int32(rng.Intn(2))
@@ -216,22 +203,6 @@ func TestVisitLanesEquivalence(t *testing.T) {
 			}
 			walkedLanes += len(lanes)
 
-			// Now and then, the same summary over the same live cells of
-			// both memories, for the walk to demote.
-			if rng.Intn(6) == 0 {
-				lo, n := rng.Intn(32), 1+rng.Intn(32)
-				for _, m := range []*Memory{walk, twin} {
-					reg, off := m.RegionFor(nil, space, blk, lanes[0].Addr)
-					reg.Lock()
-					at, _ := reg.CellRange(off, 1)
-					at = (at + lo) % len(reg.cells) // near the record's first cell
-					hi := min(at+n, len(reg.cells))
-					reg.demoteOverlapping(m, at, hi)
-					reg.Install(SpanSum{Lo: at, Hi: hi, W: SpanLayer{Warp: 1, Mask: ^uint32(0), Clock: vc.Clock(rec + 1), PC: 7, Size: uint8(reg.Gran())}})
-					reg.Unlock()
-				}
-			}
-
 			// The visitor leaves a mark that depends on what it was handed,
 			// and drives the side table both ways.
 			visitor := func(m *Memory, log *[]laneVisit) func(lane int, reg *Region, idx, weight int) {
@@ -251,15 +222,11 @@ func TestVisitLanesEquivalence(t *testing.T) {
 				}
 			}
 			var got, want []laneVisit
-			sums := sumCount(walk)
 			fn := visitor(walk, &got)
 			walk.VisitLanes(&scWalk, space, blk, lanes, size, func(run *Run) {
 				runs++
 				run.Each(func(lane, idx int) { fn(lane, run.Reg, idx, run.Weight) })
 			})
-			if sumCount(walk) < sums {
-				demotions++
-			}
 			for _, ln := range lanes {
 				fn := visitor(twin, &want)
 				twin.SpanCached(&scTwin, space, blk, ln.Addr, size, func(reg *Region, idx, weight int) { fn(ln.Index, reg, idx, weight) })
@@ -294,12 +261,12 @@ func TestVisitLanesEquivalence(t *testing.T) {
 			t.Errorf("%+v: the bounded run evicted nothing", cfg)
 		}
 	}
-	t.Logf("records by pages touched %v, page-crossing lanes %d, clamp visits %d, mid-record refinements %d, walks that demoted a summary %d, read inflations %d, %d runs for %d lanes",
-		pagesHit, pageCrossers, clamps, midRefines, demotions, inflations, runs, walkedLanes)
+	t.Logf("records by pages touched %v, page-crossing lanes %d, clamp visits %d, mid-record refinements %d, read inflations %d, %d runs for %d lanes",
+		pagesHit, pageCrossers, clamps, midRefines, inflations, runs, walkedLanes)
 	if 3*runs > walkedLanes {
 		t.Errorf("%d runs for %d lanes: the walk splits runs that one prologue covers", runs, walkedLanes)
 	}
-	if pagesHit[1] == 0 || pagesHit[2] == 0 || pagesHit[3] == 0 || pageCrossers == 0 || clamps == 0 || midRefines == 0 || demotions == 0 || inflations == 0 {
+	if pagesHit[1] == 0 || pagesHit[2] == 0 || pagesHit[3] == 0 || pageCrossers == 0 || clamps == 0 || midRefines == 0 || inflations == 0 {
 		t.Error("the generator missed one of the shapes above")
 	}
 }
@@ -327,15 +294,8 @@ func testRunPrologues(t *testing.T) {
 			}
 		}},
 		{"a lane that refines", 2, func(lanes []Lane, _ *Memory) { lanes[10].Addr |= 1 }},
-		{"a lane over a summary", 2, func(lanes []Lane, m *Memory) {
-			reg, off := m.RegionFor(nil, logging.SpaceGlobal, -1, lanes[20].Addr)
-			reg.Lock()
-			at, _ := reg.CellRange(off, 1)
-			reg.Install(SpanSum{Lo: at, Hi: at + 1, W: SpanLayer{Warp: 1, Mask: 1, Clock: 1, PC: 7, Size: 4}})
-			reg.Unlock()
-		}},
 	} {
-		m := New(1, 0, spanTestGeo())
+		m := New(1, 0)
 		lanes := make([]Lane, 32)
 		for i := range lanes {
 			lanes[i] = Lane{Index: i, Addr: base + uint64(64*i)}

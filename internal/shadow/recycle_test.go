@@ -6,7 +6,6 @@ import (
 
 	"barracuda/internal/detector"
 	"barracuda/internal/logging"
-	"barracuda/internal/ptvc"
 	"barracuda/internal/shadow"
 	"barracuda/internal/vc"
 )
@@ -30,8 +29,7 @@ const dirtySrc = `.visible .entry k(.param .u64 out)
 
 // tidySrc has thread t of the grid store to word 2t of out and of the page
 // after it, and read the first back: no race, the same cells dirtySrc wrote
-// reached by other threads, and a stride that keeps the records off the
-// span path, which would overwrite a new region's cells unread.
+// reached by other threads, at a two-word stride.
 const tidySrc = `.visible .entry k(.param .u64 out)
 {
 	.reg .u32 %r<8>;
@@ -118,7 +116,7 @@ func TestSlabPoolConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				m := shadow.New(4, 0, ptvc.Geometry{})
+				m := shadow.New(4, 0)
 				for p := 0; p < 3; p++ {
 					m.CellFor(logging.SpaceGlobal, -1, uint64(p)*shadow.PageBytes+uint64(4*g)).SetWrite(vc.Epoch{T: vc.TID(g), C: vc.Clock(i + 1)}, uint32(i+1), false)
 				}

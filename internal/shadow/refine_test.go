@@ -35,11 +35,9 @@ func readersAt(reg *Region, idx int) map[vc.TID]Read {
 // TestRefineReplicatesCells: refinement must hand every byte cell of a
 // word the word cell's exact metadata — epochs, PCs, the atomic bit and,
 // re-keyed in the region's side table, a PRIVATE copy of an inflated read
-// map — rescale the summaries' cell ranges, and move the accounting; and
-// it must happen exactly once.
+// map — and move the accounting; and it must happen exactly once.
 func TestRefineReplicatesCells(t *testing.T) {
-	geo := spanTestGeo()
-	m := New(1, 0, geo)
+	m := New(1, 0)
 
 	// Word 25 (bytes 100..103): a write epoch, then two unordered readers.
 	visits := 0
@@ -61,8 +59,6 @@ func TestRefineReplicatesCells(t *testing.T) {
 	if reg.Gran() != 4 || len(reg.Cells()) != PageBytes/4 {
 		t.Fatalf("fresh page: granule %d, %d cells; want 4, %d", reg.Gran(), len(reg.Cells()), PageBytes/4)
 	}
-	// A summary over words [64, 96): 32 lanes of 4 bytes.
-	reg.Install(SpanSum{Lo: 64, Hi: 96, W: SpanLayer{Warp: 1, Mask: ^uint32(0), Clock: 7, PC: 8, Size: 4}})
 	reg.Unlock()
 	if st := m.Stats(); st.WordRegions != 1 || st.ByteRegions != 0 || st.Refinements != 0 ||
 		st.ResidentBytes != int64(PageBytes/4)*cellBytes {
@@ -98,17 +94,6 @@ func TestRefineReplicatesCells(t *testing.T) {
 	if table := reg.reads; readMaps(reg) != 4 || len(table) != len(cells) || readersAt(reg, 25) != nil {
 		t.Errorf("side table after refinement: %d maps in %d entries, want exactly bytes 100..103 of %d (word index 25 gone)", readMaps(reg), len(table), len(cells))
 	}
-	if sums := reg.Sums(); len(sums) != 1 || sums[0].Lo != 256 || sums[0].Hi != 384 {
-		t.Fatalf("summary range after refinement: %+v, want [256, 384)", sums)
-	}
-	// Demotion after refinement lays the lanes out per byte.
-	reg.DemoteOverlapping(m, 256, 384)
-	for _, b := range []int{256, 259, 260, 383} {
-		want := vc.Epoch{T: geo.TIDOf(1, (b-256)/4), C: 7}
-		if cells[b].W != want || cells[b].WritePC() != 8 {
-			t.Errorf("byte %d after demotion: W=%+v pc=%d, want %+v pc=8", b, cells[b].W, cells[b].WritePC(), want)
-		}
-	}
 	if st := m.Stats(); st.WordRegions != 0 || st.ByteRegions != 1 || st.Refinements != 1 ||
 		st.ResidentBytes != int64(PageBytes)*cellBytes || st.PeakResidentBytes != st.ResidentBytes {
 		t.Fatalf("stats after refinement: %+v", st)
@@ -132,7 +117,7 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 		})
 		return idx
 	}
-	m := New(1, shBytes, spanTestGeo())
+	m := New(1, shBytes)
 	reg, _ := m.RegionFor(nil, logging.SpaceShared, 0, 0)
 	if reg.Gran() != 4 || len(reg.Cells()) != 2 {
 		t.Fatalf("fresh slab: granule %d, %d cells; want 4, 2", reg.Gran(), len(reg.Cells()))
@@ -145,7 +130,7 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 	reg.cells[1].R = vc.Epoch{T: 2, C: 3}
 	m.InflateReads(reg, 1)[9] = Read{C: 4}
 	reg.Unlock()
-	flat := New(1, shBytes, spanTestGeo())
+	flat := New(1, shBytes)
 	walk(flat, 0, 1) // a byte access: byte cells before anything else
 	for _, a := range []struct {
 		addr uint64
@@ -175,20 +160,12 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 		}
 	}
 	reg.Unlock()
-	// A summary may cover the clamp cell (address shBytes maps to it
-	// naturally); an access far past the slab clamps onto that cell and
-	// must demote the summary before observing it.
-	reg.Lock()
-	reg.Install(SpanSum{Lo: shBytes - 1, Hi: shBytes + 1, W: SpanLayer{Warp: 1, Mask: 3, Clock: 5, PC: 6, Size: 1}})
-	reg.Unlock()
-	m.SpanCached(nil, logging.SpaceShared, 0, 500, 1, func(r *Region, idx, _ int) {
-		if c := &r.cells[idx]; c.W.C != 5 || c.WritePC() != 6 {
-			t.Errorf("clamp cell observed before its summary was demoted: %+v", c)
+	// An access far past the slab clamps onto the slab's extra last cell.
+	m.SpanCached(nil, logging.SpaceShared, 0, 500, 1, func(_ *Region, idx, _ int) {
+		if idx != shBytes {
+			t.Errorf("out-of-slab byte visited cell %d, want the clamp cell %d", idx, shBytes)
 		}
 	})
-	if len(reg.Sums()) != 0 {
-		t.Error("summary over the clamp cell survived an out-of-slab access")
-	}
 	// Compaction drops the slab and its side table with it: the slab a
 	// later access allocates starts with no read map.
 	if m.CompactSharedSlab(0) == 0 {
@@ -200,7 +177,7 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 	}
 
 	// A slab with no whole word has nothing to be word-granular about.
-	tiny := New(1, 3, spanTestGeo())
+	tiny := New(1, 3)
 	if r, _ := tiny.RegionFor(nil, logging.SpaceShared, 0, 0); r.Gran() != 1 || len(r.Cells()) != 4 {
 		t.Fatalf("3-byte slab: granule %d, %d cells; want 1, 4", r.Gran(), len(r.Cells()))
 	}
@@ -223,7 +200,7 @@ func TestRegionGranulePerMode(t *testing.T) {
 		{4, 4, PageBytes / 4, 1},
 		{8, 8, PageBytes / 8, 1},
 	} {
-		m := New(tc.gran, 0, spanTestGeo())
+		m := New(tc.gran, 0)
 		r := globalRegion(m, 0)
 		if r.Gran() != tc.wantGran || len(r.Cells()) != tc.wantCells || m.Weight(r) != tc.weight {
 			t.Errorf("granularity %d: granule %d, %d cells, weight %d; want %d, %d, %d",
@@ -255,11 +232,11 @@ func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 					t.Errorf("New(%d, …) built a shadow", gran)
 				}
 			}()
-			New(gran, 0, spanTestGeo())
+			New(gran, 0)
 		}()
 	}
 	for _, gran := range []int{0, 1, 2, 4, 8, 1 << 16} {
-		New(gran, 0, spanTestGeo())
+		New(gran, 0)
 	}
 }
 
@@ -267,7 +244,7 @@ func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 // bounded mode it must make room first — evicting colder regions, never
 // itself (its lock is held) — and leave the accounting exact.
 func TestRefineUnderCap(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	wordPage := int64(PageBytes/4) * cellBytes
 	m.SetCapBytes(5 * wordPage) // one refined page (4) + one word page
 	var cold *Region            // page 0, the coldest

@@ -238,22 +238,10 @@ type Memory struct {
 	sharedMu  sync.Mutex // allocation slow path only
 	shSize    int64
 
-	// geo maps a summary's (warp, lane) ranks back to thread ids when it
-	// is materialized into cells (span.go).
-	geo ptvc.Geometry
-
 	// released is set by Release: the run is over and its slabs are gone.
 	released atomic.Bool
 
-	// Adaptive ownership tier (owner.go). owned gates the per-region
-	// tracking hooks; the counters are fleet-visible diagnostics.
-	owned         bool
-	ownClaims     atomic.Uint64
-	ownPromotions atomic.Uint64
-	ownInflations atomic.Uint64
-	ownFast       atomic.Uint64
-
-	// Bounded shadow (owner.go). capBytes == 0 means unbounded; gen is
+	// Bounded shadow (bound.go). capBytes == 0 means unbounded; gen is
 	// bumped on every eviction/compaction so worker SpanCaches drop
 	// stale region pointers.
 	capBytes       int64
@@ -292,9 +280,8 @@ type Key struct {
 // per cell, a power of two (1 for full generality; 4 and above trade
 // precision for speed) — cell indices are shifts, and New panics on any
 // other granularity, which detector.Validate rejects as an error;
-// sharedBytes is the per-block shared-memory size to preallocate; geo is
-// the launch geometry summaries are materialized with.
-func New(granularity int, sharedBytes int64, geo ptvc.Geometry) *Memory {
+// sharedBytes is the per-block shared-memory size to preallocate.
+func New(granularity int, sharedBytes int64) *Memory {
 	if granularity < 1 {
 		granularity = 1
 	}
@@ -304,7 +291,6 @@ func New(granularity int, sharedBytes int64, geo ptvc.Geometry) *Memory {
 	return &Memory{
 		shift:  uint(bits.TrailingZeros(uint(granularity))),
 		shSize: sharedBytes,
-		geo:    geo,
 		syncs:  make(map[Key]*SyncLoc),
 	}
 }
@@ -402,8 +388,7 @@ func (m *Memory) sharedSlab(block int32) *Region {
 
 // CellFor returns the cell covering (space, block, addr), allocating
 // shadow pages on demand: the inspection entry point of tests and tools.
-// Any summary covering the cell is demoted first and the cell handed out
-// is the region's current one — a word cell while the region is
+// The cell handed out is the region's current one — a word cell while the region is
 // word-granular, the last cell for an address past a shared slab —
 // guarded by the region lock, which CellFor has already released; it is
 // therefore only race-free against concurrent traffic on other regions,
@@ -414,11 +399,7 @@ func (m *Memory) CellFor(space logging.SpaceID, block int32, addr uint64) *Cell 
 	defer reg.Unlock()
 	idx, _ := reg.CellRange(off, 1)
 	idx = min(idx, len(reg.cells)-1)
-	reg.demoteOverlapping(m, idx, idx+1)
 	reg.markLive()
-	// The accessing warp is unknown on this path, so the only safe
-	// ownership transition is straight to shared.
-	reg.inflateOwner(m)
 	return &reg.cells[idx]
 }
 
@@ -515,12 +496,10 @@ func (m *Memory) SpanCached(sc *SpanCache, space logging.SpaceID, block int32, a
 //
 // A run's prologue readies the region before any of its cells is visited:
 // lock it (dropping the one held before, so allocation and the evictor's
-// TryLock run with none held), touch ahead, Fit, demote the summaries the
-// lane overlaps, mark it live, take its weight. The region's owner is
-// fn's business (the detector's ownership verdict). A run
-// ends exactly where a walk of one lane at a time would do something
-// else — at a page change, at a lane that needs refining, at a lane that
-// overlaps a summary — and the rest of the prologue is idempotent, so the
+// TryLock run with none held), touch ahead, Fit, mark it live, take its
+// weight. A run ends exactly where a walk of one lane at a time would do
+// something else — at a page change, at a lane that needs refining — and
+// the rest of the prologue is idempotent, so the
 // visits, their weights, the final state and the reports are those of one
 // walk per lane (TestVisitLanesEquivalence). The touch-ahead loads a word at
 // each end of the first cell of every further lane in the region — both
@@ -576,18 +555,21 @@ func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, l
 				}
 			}
 			off, n := regionOff(space, a), stop-a
-			lo, hi := int(off>>gs), int((off+n-1)>>gs)+1
-			if !ready || gs != m.shift && (!whole || off+n > limit) || len(reg.sums) > 0 && reg.overlaps(lo, hi) {
+			if !ready || gs != m.shift && (!whole || off+n > limit) {
 				out = run.flush(out, fn)
 				m.Fit(reg, whole, off+n)
 				gs, limit = reg.shift, uint64(len(reg.cells))<<reg.shift
-				lo, hi = int(off>>gs), int((off+n-1)>>gs)+1
 				run.Last = len(reg.cells) - 1
-				reg.demoteOverlapping(m, min(lo, run.Last), min(hi, run.Last+1))
 				reg.markLive()
 				run.Weight, ready = m.Weight(reg), true
 			}
-			out = append(out, LaneCells{Lane: ln.Index, Lo: lo, Hi: hi})
+			lo, hi := off>>gs, (off+n-1)>>gs+1
+			if past := uint64(run.Last) + 1; lo > past {
+				// Wholly past a shared slab: every visit is to its clamp
+				// cell, and only their number matters.
+				lo, hi = past, past+hi-lo
+			}
+			out = append(out, LaneCells{Lane: ln.Index, Lo: int(lo), Hi: int(hi)})
 			a = stop
 		}
 	}

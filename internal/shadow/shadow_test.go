@@ -13,7 +13,7 @@ import (
 // the bytes of a word share the word cell until the first sub-word access
 // refines the page.
 func TestGlobalCellIdentity(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	c1 := m.CellFor(logging.SpaceGlobal, -1, 0x10000)
 	c2 := m.CellFor(logging.SpaceGlobal, -1, 0x10000)
 	if c1 != c2 {
@@ -30,7 +30,7 @@ func TestGlobalCellIdentity(t *testing.T) {
 }
 
 func TestGranularity4(t *testing.T) {
-	m := New(4, 0, spanTestGeo())
+	m := New(4, 0)
 	c1 := m.CellFor(logging.SpaceGlobal, -1, 0x10000)
 	c2 := m.CellFor(logging.SpaceGlobal, -1, 0x10003)
 	if c1 != c2 {
@@ -43,7 +43,7 @@ func TestGranularity4(t *testing.T) {
 }
 
 func TestSharedCellPerBlock(t *testing.T) {
-	m := New(1, 128, spanTestGeo())
+	m := New(1, 128)
 	b0 := m.CellFor(logging.SpaceShared, 0, 16)
 	b1 := m.CellFor(logging.SpaceShared, 1, 16)
 	if b0 == b1 {
@@ -56,7 +56,7 @@ func TestSharedCellPerBlock(t *testing.T) {
 }
 
 func TestPageAllocationOnDemand(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	if p := m.Stats().GlobalPages; p != 0 {
 		t.Fatalf("pages = %d before any access", p)
 	}
@@ -71,7 +71,7 @@ func TestPageAllocationOnDemand(t *testing.T) {
 // TestSpanVisitsEachByte: a 4-byte access that is not a whole word
 // refines the page and visits each of its byte cells once.
 func TestSpanVisitsEachByte(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	var visited []*Cell
 	m.SpanCached(nil, logging.SpaceGlobal, -1, 0x10001, 4, func(r *Region, idx, _ int) {
 		visited = append(visited, &r.cells[idx])
@@ -89,7 +89,7 @@ func TestSpanVisitsEachByte(t *testing.T) {
 }
 
 func TestSpanGranularityAligned(t *testing.T) {
-	m := New(4, 0, spanTestGeo())
+	m := New(4, 0)
 	count := 0
 	// An unaligned 4-byte access spanning two words visits both cells.
 	m.SpanCached(nil, logging.SpaceGlobal, -1, 0x10002, 4, func(*Region, int, int) { count++ })
@@ -102,7 +102,7 @@ func TestSpanGranularityAligned(t *testing.T) {
 // table (guarded by the region lock; nothing else is touching this
 // region).
 func TestCellReadInflation(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	reg, _ := m.RegionFor(nil, logging.SpaceGlobal, -1, 0)
 	c := &reg.cells[7]
 	c.R = vc.Epoch{T: 1, C: 5}
@@ -130,7 +130,7 @@ func TestCellReadInflation(t *testing.T) {
 }
 
 func TestConcurrentCellAllocation(t *testing.T) {
-	m := New(1, 64, spanTestGeo())
+	m := New(1, 64)
 	var wg sync.WaitGroup
 	cells := make([]*Cell, 8)
 	for i := 0; i < 8; i++ {
@@ -151,7 +151,7 @@ func TestConcurrentCellAllocation(t *testing.T) {
 func testGeo() ptvc.Geometry { return ptvc.Geometry{WarpSize: 4, BlockSize: 8, Blocks: 2} }
 
 func TestSyncLocBlockScope(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	k := Key{Space: logging.SpaceGlobal, Block: -1, Addr: 0x10000}
 	s := m.SyncFor(k)
 	if m.SyncFor(k) != s {
@@ -175,7 +175,7 @@ func TestSyncLocBlockScope(t *testing.T) {
 }
 
 func TestSyncLocGlobalScope(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	s := m.SyncFor(Key{Addr: 0x20000, Block: -1})
 	g := ptvc.NewGroup(testGeo(), 0, 0xF)
 	s.ReleaseBlock(0, g.Snapshot(0))
@@ -215,7 +215,7 @@ func TestSyncLocGlobalScope(t *testing.T) {
 }
 
 func TestPeekSyncDoesNotCreate(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	k := Key{Addr: 0x30000, Block: -1}
 	if m.PeekSync(k) != nil {
 		t.Error("PeekSync invented a location")

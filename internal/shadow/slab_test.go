@@ -60,7 +60,7 @@ func TestSlabTakeClears(t *testing.T) {
 // region pointer a worker cache kept, panics — it neither allocates a new
 // page nor touches cells another run may own by now.
 func TestReleaseThenUseFailsLoudly(t *testing.T) {
-	m := New(1, 64, spanTestGeo())
+	m := New(1, 64)
 	var sc SpanCache
 	visit := func(space logging.SpaceID, addr uint64) {
 		m.SpanCached(&sc, space, 0, addr, 4, func(*Region, int, int) {})

@@ -20,7 +20,7 @@ func (m *Memory) cellCached(sc *SpanCache, space logging.SpaceID, block int32, a
 // TestStripedPageIdentity: the same address resolves to the same cell no
 // matter which path (cached, uncached, concurrent) found it.
 func TestStripedPageIdentity(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	// Addresses chosen to land in different stripes and pages.
 	addrs := []uint64{0, 1 << pageBits, 7 << pageBits, 63 << pageBits, 64 << pageBits, 1<<40 + 5}
 	for _, a := range addrs {
@@ -41,7 +41,7 @@ func TestStripedPageIdentity(t *testing.T) {
 // TestSpanCacheCrossesPages: a cached worker walking sequentially across
 // a page boundary must get cells from both pages, not stale cache hits.
 func TestSpanCacheCrossesPages(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	var sc SpanCache
 	boundary := uint64(1<<pageBits) - 2
 	var visited []*Cell
@@ -66,7 +66,7 @@ func TestSpanCacheCrossesPages(t *testing.T) {
 // TestSpanCacheSharedBlockSwitch: the shared-slab cache must miss when
 // the block changes.
 func TestSpanCacheSharedBlockSwitch(t *testing.T) {
-	m := New(4, 64, spanTestGeo())
+	m := New(4, 64)
 	var sc SpanCache
 	c0 := m.cellCached(&sc, logging.SpaceShared, 0, 8)
 	c1 := m.cellCached(&sc, logging.SpaceShared, 1, 8)
@@ -82,7 +82,7 @@ func TestSpanCacheSharedBlockSwitch(t *testing.T) {
 // goroutines; under -race this also proves the copy-on-write publication
 // is sound.
 func TestConcurrentStripedAllocation(t *testing.T) {
-	m := New(1, 0, spanTestGeo())
+	m := New(1, 0)
 	const workers = 8
 	const pagesPerWorker = 32
 	cells := make([][]*Cell, workers)
@@ -120,7 +120,7 @@ func TestConcurrentStripedAllocation(t *testing.T) {
 // cells of many fresh regions at the same moment; under -race this also
 // proves the table needs no guard beyond the region lock.
 func TestRegionLockMutualExclusion(t *testing.T) {
-	m := New(4, 0, spanTestGeo())
+	m := New(4, 0)
 	const workers, pages, perWorker = 4, 64, 8
 	var counters [pages]int
 	var wg sync.WaitGroup
