@@ -39,8 +39,8 @@ func (s SpaceID) String() string {
 const (
 	// FlagCoalesced: the active lanes form one contiguous ascending run
 	// by rank — the k-th set bit of Mask accesses Base + k*Size, whatever
-	// gaps the mask has. This is the form the detector's span paths
-	// process under one region lock.
+	// gaps the mask has: a compact record the queue ships with no
+	// address array.
 	FlagCoalesced uint8 = 1 << 0
 	// FlagStrided: the access is lane-affine — lane l accesses
 	// Base + (l - first active lane)*Stride, for any Stride: negative,
