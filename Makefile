@@ -7,7 +7,7 @@ GO ?= go
 # together), so a command is written once, in this file.
 CI_TARGETS := build vet fmt-check one-forward-path one-way-in one-detector one-queue one-rule one-default ci-in-sync loc test race \
 	bench-e2e-smoke vet-smoke vet-fix-smoke artifacts-smoke stress-interp \
-	stress-shadow stress-refine stress-filter stress-drain stress-multiqueue \
+	stress-shadow stress-refine stress-drain stress-multiqueue \
 	stress-failover stress-stream stress-fleet
 
 .PHONY: all bench bench-sim bench-open fuzz-ptx serve ci $(CI_TARGETS)
@@ -80,16 +80,18 @@ one-rule:
 
 # Static pruning and the per-cell shadow walk are the one default path:
 # Instrument prunes unless NoPrune is set, and every memory record takes the
-# walk, with no coalesced-span path or ownership tier beside it. The fields
-# that once switched them (detector.Config's StaticPrune, Ownership and
-# PerCellShadow, instrument.Options.StaticPrune, core.Options' Ownership and
-# PerCellShadow) and the counters of the tier (shadow.MemStats' OwnedFast
-# and Inflations, always 0) stay, read by nothing, only while benchmarks/e2e
-# names them. A non-test Go file outside benchmarks/ that reads one is the
-# switch grown back.
+# walk, with no coalesced-span path or ownership tier beside it; the
+# simulator emits every logged access, with no producer filter. The fields
+# that once switched them (detector.Config's StaticPrune, Ownership,
+# PerCellShadow and ProducerFilter, instrument.Options.StaticPrune,
+# core.Options' Ownership and PerCellShadow, gpusim.LaunchConfig's
+# ProducerFilter and FilterGranularity) and the counters of the tier
+# (shadow.MemStats' OwnedFast and Inflations, always 0) stay, read by
+# nothing, only while benchmarks/e2e names them. A non-test Go file outside
+# benchmarks/ that reads one is the switch grown back.
 one-default:
-	@if grep -nE '\.(StaticPrune|Ownership|PerCellShadow|OwnedFast|Inflations)\b' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*'); then \
-		echo "a non-test Go file outside benchmarks/ reads .StaticPrune, .Ownership, .PerCellShadow, .OwnedFast or .Inflations: static pruning and the per-cell walk are the default path, not a switch"; exit 1; fi
+	@if grep -nE '\.(StaticPrune|Ownership|PerCellShadow|OwnedFast|Inflations|ProducerFilter|FilterGranularity)\b' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*'); then \
+		echo "a non-test Go file outside benchmarks/ reads .StaticPrune, .Ownership, .PerCellShadow, .OwnedFast, .Inflations, .ProducerFilter or .FilterGranularity: static pruning, the per-cell walk and the unfiltered stream are the default path, not a switch"; exit 1; fi
 
 # The workflow is a list of targets and nothing else: its `run:` lines are
 # `make <target>` for exactly CI_TARGETS, in order.
@@ -273,16 +275,6 @@ stress-failover:
 	$(GO) test -race -run 'TestFleetFailoverRetriesElsewhere|TestFleetEndToEndWarmRouting' ./internal/fleet/
 	$(GO) test -race -count=3 -run 'TestFailoverLosesNothingAndReportsMatchSingleNode|TestHeartbeatLossIsSurvivable|TestSlowNodeChangesScheduleNotReports|TestReportDigestInvariantUnderRouting|TestSameSeedSameSchedule' ./internal/fleet/
 
-# The producer-filter correctness stress: the bug suite table's filter
-# rows (sequential and randomized schedules), the loop kernels of
-# internal/detector (a per-thread read, and a broadcast read that only its
-# stride-0 record shows, at Queues 1 and 4 and warp sizes 32 and 5: the
-# only streams the filter drops records from), and the benchmark suite,
-# under the Go race detector where schedules are concurrent.
-stress-filter:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestProducerFilter' ./internal/bugsuite/ ./internal/detector/ ./internal/server/
-	$(GO) test -run 'TestBenchmarkEquivalence/^filter$$' ./internal/bench/
-
 # The streaming-protocol correctness stress: frame-decoder fuzz corpus
 # regression, then stream-vs-JSON report equivalence over the
 # 66-program bug suite, a repair launch and an oversize summary under
@@ -318,7 +310,7 @@ stress-fleet:
 # simulator and the detector threads, at GOMAXPROCS 1, where a producer
 # that waited on a thread unable to run would hang into the timeout, and
 # at GOMAXPROCS 4 under the race detector.
-SCOPE_WITNESS := (TestProducerFilterEquivalence|TestMultiQueueReportEquivalence)/gl-bfs-frontier-racy
+SCOPE_WITNESS := TestMultiQueueReportEquivalence/gl-bfs-frontier-racy
 RING_HANDOFF := TestRingHandoff|TestDetectErrorJoinsDetectorThreads
 
 stress-multiqueue:

@@ -21,7 +21,7 @@
 // -shadow-cap bounds resident shadow memory (LRU eviction, honest
 // degraded-precision reporting); race reports stay byte-identical while
 // no live state is evicted. It and the other detector ablations
-// (-queues, -granularity, -fullvc, -producer-filter), like -profile, run
+// (-queues, -granularity, -fullvc), like -profile, run
 // locally only: a daemon runs one detector, the default configuration, on
 // every job.
 package main
@@ -65,7 +65,6 @@ func main() {
 	flag.Uint64Var(&req.MaxInstrs, "budget", 1<<24, "dynamic warp-instruction budget (0 = unlimited; with -server, the server's default)")
 	flag.IntVar(&req.WarpSize, "warpsize", 0, "simulated warp width (0 = the architecture's 32); smaller widths expose latent warp-size bugs")
 	flag.BoolVar(&o.profile, "profile", false, "run the memory-access profiler instead of the race detector")
-	flag.BoolVar(&cfg.ProducerFilter, "producer-filter", false, "suppress redundant access records at the simulator (producer-side epoch filtering; reports stay byte-identical)")
 	flag.Int64Var(&cfg.ShadowCapBytes, "shadow-cap", 0, "bound resident shadow memory to this many bytes via LRU eviction (0 = unbounded; evicting live state is reported as degraded precision)")
 	flag.BoolVar(&o.verbose, "v", false, "print per-race dynamic counts, PTVC format stats, and the simulator, shadow and transport lines")
 	serverURL := flag.String("server", "", "submit to a barracudad daemon or fleet coordinator at this base URL instead of running locally")
@@ -109,7 +108,7 @@ func main() {
 // ablations, which bind to runOpts.cfg, and -profile.
 var localOnly = map[string]bool{
 	"queues": true, "granularity": true, "fullvc": true,
-	"producer-filter": true, "shadow-cap": true, "profile": true,
+	"shadow-cap": true, "profile": true,
 }
 
 // parseBufs reads -bufs, once, for every road.

@@ -255,6 +255,10 @@ func TestAblationFlagsRunLocallyOnly(t *testing.T) {
 	if out, status := barracuda("-fullvc", "-bench", "hashtable"); status != 2 || !strings.Contains(out, "kernel main: 444 warp instructions, 16 records") {
 		t.Errorf("-fullvc locally: exit %d, printed\n%s", status, out)
 	}
+	// The simulator has no producer filter, so there is no flag for it.
+	if out, _ := barracuda("-producer-filter", "-bench", "hashtable"); !strings.Contains(out, "flag provided but not defined: -producer-filter") || strings.Contains(out, "kernel main") {
+		t.Errorf("-producer-filter: printed\n%s\nwant the undefined-flag error and no run", out)
+	}
 }
 
 func TestBufsFlag(t *testing.T) {

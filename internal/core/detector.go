@@ -342,18 +342,6 @@ func (d *Detector) laneMask(gwid int) uint32 {
 
 // Handle processes one record (the detector's per-event entry point).
 func (w *Worker) Handle(r *logging.Record) {
-	if r.Op == trace.OpFlush {
-		// Producer-side filter flush: Seq suppressed records for this warp
-		// since the last flush. They are provably report-neutral, but they
-		// would have counted toward RecordsSeen and the format histogram, so
-		// merge them back here. The producer flushes before anything that
-		// changes the warp's group format, so the current top format is the
-		// one every suppressed record would have been counted under.
-		w.records.Add(r.Seq)
-		g := w.warp(int(r.Warp)).top()
-		w.hist[g.Format()].Add(r.Seq)
-		return
-	}
 	w.records.Add(1)
 	d := w.d
 	if d.fullVC != nil {

@@ -124,8 +124,8 @@ func TestBenchRecordsClassify(t *testing.T) {
 		want    bool
 	}{{"coalesced", true}, {"strided", false}} {
 		for i, r := range benchRecords(tc.pattern) {
-			if got := r.Coalesced(); got != tc.want {
-				t.Errorf("%s[%d]: Coalesced() = %v, want %v", tc.pattern, i, got, tc.want)
+			if got := r.Flags&logging.FlagCoalesced != 0; got != tc.want {
+				t.Errorf("%s[%d]: FlagCoalesced = %v, want %v", tc.pattern, i, got, tc.want)
 			}
 		}
 	}

@@ -18,7 +18,7 @@ func coalescedRec(op trace.OpKind, warp uint32, base uint64, size uint8, pc uint
 		r.Vals[lane] = uint64(lane)
 	}
 	r.Classify()
-	if !r.Coalesced() {
+	if r.Flags&logging.FlagCoalesced == 0 {
 		panic("coalescedRec: record not coalesced")
 	}
 	return r

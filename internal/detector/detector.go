@@ -71,13 +71,9 @@ type Config struct {
 	// PrecisionDegraded when an eviction discarded live metadata. 0
 	// means unbounded.
 	ShadowCapBytes int64
-	// ProducerFilter enables the simulator's producer-side epoch filter:
-	// per-warp caches suppress provably redundant global-space access
-	// records before they reach the queues, with suppressed counts
-	// reconciled so reports and canonical digests are byte-identical to
-	// an unfiltered run (see gpusim/filter.go for the soundness gates).
-	// False preserves the unfiltered emission path verbatim as the A/B
-	// baseline. Mutually exclusive with FullVC.
+	// ProducerFilter is read by nothing: the simulator emits every logged
+	// access, with no producer-side filter beside it. It stays only while
+	// benchmarks/e2e names it.
 	ProducerFilter bool
 }
 
@@ -137,9 +133,6 @@ func (c Config) Validate() error {
 	}
 	if c.ShadowCapBytes < 0 {
 		return fmt.Errorf("detector: ShadowCapBytes must be >= 0 (0 leaves the shadow unbounded), got %d", c.ShadowCapBytes)
-	}
-	if c.ProducerFilter && c.FullVC {
-		return fmt.Errorf("detector: ProducerFilter and FullVC are mutually exclusive: the filter's suppression argument relies on the compressed-PTVC epoch semantics (and OpFlush reconciliation) the full-VC ablation bypasses")
 	}
 	return nil
 }
@@ -444,8 +437,7 @@ func Launch1D(grid, block int, args []uint64, maxInstrs uint64, warpSize int) gp
 
 // LaunchInto runs the instrumented kernel with sink attached: the sink
 // receives every record the kernel logs and the SIMT stack's branch
-// events. It is the one place a sink meets a launch; the producer filter
-// stays as the caller set it (only DetectObserved turns it on).
+// events. It is the one place a sink meets a launch.
 func (s *Session) LaunchInto(kernelName string, launch gpusim.LaunchConfig, sink gpusim.Sink) (gpusim.Stats, error) {
 	launch.Sink = sink
 	launch.EmitBranchEvents = true
@@ -523,8 +515,6 @@ func (s *Session) DetectObserved(kernelName string, launch gpusim.LaunchConfig, 
 	if err != nil {
 		return nil, err
 	}
-	launch.ProducerFilter = s.cfg.ProducerFilter
-	launch.FilterGranularity = s.cfg.Granularity
 
 	start := time.Now()
 	opts := s.cfg.coreOptions()

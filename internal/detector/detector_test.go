@@ -117,6 +117,31 @@ func TestEndToEndCleanKernel(t *testing.T) {
 	}
 }
 
+// TestLoopWriteRace: every thread stores to global word 0 on each of 16
+// iterations of a barrier-free loop; the write race is reported.
+func TestLoopWriteRace(t *testing.T) {
+	const src = `.visible .entry k(.param .u64 out)
+{
+	.reg .u32 %r<8>;
+	.reg .u64 %rd<4>;
+	.reg .pred %p<2>;
+	ld.param.u64 %rd1, [out];
+	mov.u32 %r1, 0;
+LOOP:
+	st.global.u32 [%rd1], %r1;
+	add.u32 %r1, %r1, 1;
+	setp.lt.u32 %p1, %r1, 16;
+	@%p1 bra LOOP;
+	ret;
+}`
+	s := open(t, src, Config{})
+	out := s.Dev.MustAlloc(4)
+	res := detect(t, s, "k", gpusim.LaunchConfig{Grid: gpusim.D1(1), Block: gpusim.D1(64), Args: []uint64{out}})
+	if !res.Report.HasRaces() {
+		t.Error("intra-loop write race missed")
+	}
+}
+
 const sharedBarrierSrc = `.visible .entry k(.param .u64 out, .param .u32 dobar)
 {
 	.reg .u32 %r<10>;

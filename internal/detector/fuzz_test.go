@@ -11,16 +11,18 @@ import (
 const fuzzBudget = 1 << 14
 
 // FuzzPTX feeds bytes through the whole open path — parse, instrument,
-// load — under the default configuration and under the fast paths, then
-// detects every kernel that opened on a 2×64 launch with a 4 KiB buffer
-// per parameter. Every input must end in an error or a report: no panic,
-// and no launch past its step budget. The seed corpus in
-// testdata/fuzz/FuzzPTX (the vet examples, the vector-load kernel, the
-// two hostile `.shared` declarations, three small benchmark programs, and
-// truncated and garbage inputs) runs with every `go test`.
+// load — under the default configuration and unpruned under the full
+// vector-clock ablation, so hostile input also reaches the instrumenter's
+// unpruned path and the ablation detector, then detects every kernel that
+// opened on a 2×64 launch with a 4 KiB buffer per parameter. Every input
+// must end in an error or a report: no panic, and no launch past its step
+// budget. The seed corpus in testdata/fuzz/FuzzPTX (the vet examples, the
+// vector-load kernel, the two hostile `.shared` declarations, three small
+// benchmark programs, and truncated and garbage inputs) runs with every
+// `go test`.
 func FuzzPTX(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, cfg := range []Config{{}, {StaticPrune: true, Ownership: true, ProducerFilter: true}} {
+		for _, cfg := range []Config{{}, {NoPrune: true, FullVC: true}} {
 			s, err := OpenPTX(string(data), cfg)
 			if err != nil {
 				continue

@@ -74,10 +74,5 @@ func (e *engine) resetBlock(blk *blockState, idx int) {
 		clear(w.regs)
 		clear(w.preds)
 		clear(w.local)
-		// Invalidate the producer-filter caches in O(1): fgen is monotone
-		// over the warpState's lifetime, so stale slots simply never match
-		// again and the slot storage itself is reused across launches.
-		w.fgen++
-		w.fpend = 0
 	}
 }

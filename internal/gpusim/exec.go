@@ -47,21 +47,10 @@ type LaunchConfig struct {
 	// latent bugs in code that assumes 32-thread lockstep.
 	WarpSize int
 
-	// ProducerFilter enables the producer-side epoch filter: each warp
-	// keeps a small direct-mapped cache of recently emitted global-space
-	// access records and suppresses a record when an equivalent one was
-	// already emitted by the same warp in the current synchronization
-	// interval with no intervening global interference (see filter.go for
-	// the exact validity conditions). Suppressed counts are reconciled via
-	// trace.OpFlush records so detector statistics and canonical digests
-	// are byte-identical to an unfiltered run. Only active with a Sink
-	// and EmitBranchEvents set; ignored otherwise.
-	ProducerFilter bool
-
-	// FilterGranularity is the detector's shadow granularity in bytes,
-	// used by the filter's write-suppression gate (lanes of a suppressed
-	// multi-lane write must provably touch disjoint shadow cells so
-	// same-value counters cannot drift). 0 means 1.
+	// ProducerFilter and FilterGranularity are read by nothing: the
+	// simulator emits every logged access, with no producer-side filter
+	// beside it. They stay only while benchmarks/e2e names them.
+	ProducerFilter    bool
 	FilterGranularity int
 }
 
@@ -79,20 +68,15 @@ type Stats struct {
 	Records      uint64      // records emitted to the sink
 	Barriers     uint64      // block barrier episodes completed
 	Divergences  uint64      // dynamic divergent branches
-	Filter       FilterStats // producer-side filter activity (zero when off)
+	Filter       FilterStats // always empty
 }
 
-// FilterStats counts producer-side filter activity. All fields are zero
-// unless LaunchConfig.ProducerFilter was active for the launch.
-type FilterStats struct {
-	Probes  uint64 // dynamic filter-cache probes
-	Hits    uint64 // records suppressed by the dynamic cache
-	Flushes uint64 // OpFlush reconciliation records emitted
-}
+// FilterStats is empty: no producer-side filter exists. It stays, with
+// Suppressed, only while benchmarks/e2e names them.
+type FilterStats struct{}
 
-// Suppressed returns the total number of access records the filter kept
-// off the queue.
-func (f FilterStats) Suppressed() uint64 { return f.Hits }
+// Suppressed returns 0: no record is ever kept off the queue.
+func (FilterStats) Suppressed() uint64 { return 0 }
 
 // stackRole distinguishes SIMT stack entries for If/Else/Fi event emission.
 type stackRole uint8
@@ -124,13 +108,6 @@ type warpState struct {
 	local    []byte   // lane-private local memory, localBytes per lane
 	waiting  bool     // parked at a barrier
 	done     bool
-
-	// Producer-side filter state (see filter.go). fgen is monotone over
-	// the warpState's lifetime — including arena reuse across launches —
-	// so stale cache slots are invalidated by a single increment.
-	fgen   uint64
-	fpend  uint64  // suppressed records not yet reconciled via OpFlush
-	fslots []fslot // dynamic direct-mapped cache (lazy)
 }
 
 type blockState struct {
@@ -156,13 +133,6 @@ type engine struct {
 	rec     logging.Record // scratch record
 	syncSeq uint64         // global ordering for synchronization records
 	check   uint64         // WarpInstrs past which the step loop calls bound
-
-	// Producer-side filter (see filter.go).
-	filtOn       bool
-	fGran        uint64         // shadow granularity for the write gate
-	fWriteEpoch  uint64         // emitted global write/atomic/sync records
-	fAccessEpoch uint64         // emitted global memory records of any kind
-	frec         logging.Record // scratch for OpFlush (must not alias rec)
 }
 
 // Launch runs a kernel to completion and returns execution statistics.
@@ -202,11 +172,6 @@ func (mod *Module) Launch(name string, cfg LaunchConfig) (Stats, error) {
 	e.wpb = (e.bsz + e.ws - 1) / e.ws
 	if e.wpb > MaxBlockWarps {
 		return Stats{}, fmt.Errorf("gpusim: a block of %d threads at warp size %d is %d warps, more than %d", e.bsz, e.ws, e.wpb, MaxBlockWarps)
-	}
-	e.filtOn = cfg.ProducerFilter && cfg.Sink != nil && cfg.EmitBranchEvents
-	e.fGran = uint64(cfg.FilterGranularity)
-	if e.fGran == 0 {
-		e.fGran = 1
 	}
 	if cfg.RandomSched {
 		e.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -360,9 +325,6 @@ func (e *engine) popEntry(w *warpState) {
 	top := w.stack[len(w.stack)-1]
 	w.stack = w.stack[:len(w.stack)-1]
 	if len(w.stack) == 0 {
-		if e.filtOn {
-			e.filterFlush(w) // reconcile suppressed counts at warp exit
-		}
 		w.done = true
 		w.blk.liveWarp--
 		return
@@ -381,12 +343,6 @@ func (e *engine) popEntry(w *warpState) {
 func (e *engine) emitBranch(w *warpState, kind trace.OpKind, mask uint32) {
 	if e.cfg.Sink == nil || !e.cfg.EmitBranchEvents {
 		return
-	}
-	if e.filtOn {
-		// Divergence events split/merge the warp's PTVC groups: flush the
-		// pending suppressed count under the old format and invalidate the
-		// caches before the event reaches the detector.
-		e.filterBump(w)
 	}
 	header(&e.rec, w.gwid, w.blk.idx, kind, mask)
 	e.cfg.Sink.Emit(&e.rec)
@@ -413,14 +369,6 @@ func (e *engine) parkAtBarrier(w *warpState) {
 	}
 	e.stats.Barriers++
 	if e.cfg.Sink != nil && e.cfg.EmitBranchEvents {
-		if e.filtOn {
-			// The release joins every warp's clock block-wide: flush all
-			// pending counts (same block queue, so FIFO delivers them ahead
-			// of the release) and start a fresh generation for each warp.
-			for _, o := range w.blk.warps {
-				e.filterBump(o)
-			}
-		}
 		header(&e.rec, 0, w.blk.idx, trace.OpBarRel, arrived)
 		e.cfg.Sink.Emit(&e.rec)
 		e.stats.Records++

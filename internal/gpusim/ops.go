@@ -507,11 +507,6 @@ func (e *engine) execLog(w *warpState, ci *cInstr, exec uint32) error {
 	if ci.logSkip || e.cfg.Sink == nil || exec == 0 {
 		return nil
 	}
-	if e.filtOn {
-		// The filtered path is a separate function so that with the filter
-		// off this emission path stays the A/B baseline.
-		return e.execLogFiltered(w, ci, exec)
-	}
 	rec := e.logHeader(w, ci, exec)
 	if ci.logBar {
 		e.cfg.Sink.Emit(rec)

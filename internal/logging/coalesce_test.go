@@ -55,9 +55,6 @@ func TestClassifyCoalesced(t *testing.T) {
 			t.Errorf("%s: flags %#x base %d stride %d, want %#x %d %d",
 				tc.name, got, tc.r.Base, tc.r.Stride, tc.flags, tc.base, tc.stride)
 		}
-		if tc.r.Coalesced() != (tc.flags == FlagCoalesced) {
-			t.Errorf("%s: Coalesced() = %v", tc.name, tc.r.Coalesced())
-		}
 		for m := tc.r.Mask; m != 0; m &= m - 1 {
 			if lane := trailing(m); tc.r.LaneAddr(lane) != want.Addrs[lane] {
 				t.Errorf("%s: LaneAddr(%d) = %d, want %d", tc.name, lane, tc.r.LaneAddr(lane), want.Addrs[lane])
@@ -80,7 +77,7 @@ func TestLaneAddrMatchesAddrs(t *testing.T) {
 		rank++
 	}
 	r.Classify()
-	if !r.Coalesced() {
+	if r.Flags&FlagCoalesced == 0 {
 		t.Fatal("contiguous record not classified coalesced")
 	}
 	for lane := 0; lane < WarpWidth; lane++ {
@@ -159,7 +156,7 @@ func TestWireSkipsCoalescedArrays(t *testing.T) {
 	r := mkRecord(trace.OpRead, 4, 0x3, 100, 104)
 	r.Classify()
 	got := send(r)
-	if !got.Coalesced() || got.Base != 100 || got.Mask != 0x3 || got.Op != trace.OpRead {
+	if got.Flags&FlagCoalesced == 0 || got.Base != 100 || got.Mask != 0x3 || got.Op != trace.OpRead {
 		t.Fatalf("header mangled: %+v", got)
 	}
 	if got.Addrs[0] != sentinel || got.Vals[0] != sentinel || bytes() != 8*headerWords {

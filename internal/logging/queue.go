@@ -224,7 +224,7 @@ func (q *Queue) needsVals(r *Record) bool {
 	if r.Flags&FlagCoalesced != 0 {
 		stride = int64(r.Size)
 	}
-	return LanesMayShareCell(r.Base, stride, r.Size, q.gran)
+	return lanesMayShareCell(r.Base, stride, r.Size, q.gran)
 }
 
 // pack copies src's active lanes to the front of dst; unpack undoes it.

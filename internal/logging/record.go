@@ -94,10 +94,6 @@ type Record struct {
 	Vals [WarpWidth]uint64
 }
 
-// Coalesced reports whether the record carries the rank-contiguous
-// compact encoding (FlagCoalesced).
-func (r *Record) Coalesced() bool { return r.Flags&FlagCoalesced != 0 }
-
 // LaneAddr returns the address accessed by a lane: resolved from the
 // header for compact records, the per-lane slot otherwise. The lane must
 // be active (Mask bit set); for inactive lanes of a compact record the
@@ -152,17 +148,14 @@ func (r *Record) Classify() {
 	}
 }
 
-// LanesMayShareCell reports whether two lanes of one access — size bytes
+// lanesMayShareCell reports whether two lanes of one access — size bytes
 // each, neighbouring lanes stride bytes apart starting at base — can
-// touch the same shadow cell of gran bytes. It is the disjointness rule
-// behind both places that must know whether a warp's lanes can meet
-// inside a record: the producer filter (a suppressed write must keep its
-// lanes on pairwise-distinct cells or the same-value count drifts) and
-// the queue (which ships Vals only when they can be compared). It errs
-// towards "may share": lanes are provably apart when the gap clears a
-// whole cell at any alignment, or when every lane starts on a cell
-// boundary and ends before the next lane does.
-func LanesMayShareCell(base uint64, stride int64, size uint8, gran uint64) bool {
+// touch the same shadow cell of gran bytes: the queue ships a write's Vals
+// only when its lanes can meet in a cell, where the same-value filter
+// compares them. It errs towards "may share": lanes are provably apart
+// when the gap clears a whole cell at any alignment, or when every lane
+// starts on a cell boundary and ends before the next lane does.
+func lanesMayShareCell(base uint64, stride int64, size uint8, gran uint64) bool {
 	s, sz := uint64(stride), uint64(size)
 	if stride < 0 {
 		s = -s

@@ -58,7 +58,7 @@ func (b *byteSource) u64() uint64 {
 // drop the Addrs they no longer need.
 func recordFrom(src *byteSource) Record {
 	r := Record{
-		Op: trace.OpKind(src.u8() % uint8(trace.OpFlush+1)), Space: SpaceID(src.u8() % 3),
+		Op: trace.OpKind(src.u8() % uint8(trace.OpEnd+1)), Space: SpaceID(src.u8() % 3),
 		Size: 1 << (src.u8() % 4), Mask: uint32(src.u64()),
 		Warp: uint32(src.u64()), Block: uint32(src.u8()), PC: uint32(src.u64()), Seq: src.u64(),
 	}

@@ -15,6 +15,33 @@ import (
 // timingLine matches the JSON lines whose values are wall-clock readings.
 var timingLine = regexp.MustCompile(`(?m)^\s*"(submitted_at|queue_wait_ms|total_ms|detect_ms)": .*\n`)
 
+// loopReadSrc reads a per-thread global word 32 times in a barrier-free
+// loop, then stores to a word per thread, the same words from both blocks
+// of a two-block launch.
+const loopReadSrc = `.visible .entry k(.param .u64 in, .param .u64 out)
+{
+	.reg .u32 %r<8>;
+	.reg .u64 %rd<8>;
+	.reg .pred %p<2>;
+	ld.param.u64 %rd1, [in];
+	ld.param.u64 %rd2, [out];
+	mov.u32 %r1, %tid.x;
+	shl.b32 %r2, %r1, 2;
+	cvt.u64.u32 %rd3, %r2;
+	add.u64 %rd4, %rd1, %rd3;
+	add.u64 %rd5, %rd2, %rd3;
+	mov.u32 %r3, 0;
+	mov.u32 %r4, 0;
+LOOP:
+	ld.global.u32 %r5, [%rd4];
+	add.u32 %r3, %r3, %r5;
+	add.u32 %r4, %r4, 1;
+	setp.lt.u32 %p1, %r4, 32;
+	@%p1 bra LOOP;
+	st.global.u32 [%rd5], %r3;
+	ret;
+}`
+
 func suiteJob(t *testing.T, name string) JobRequest {
 	t.Helper()
 	for _, bt := range bugsuite.Tests() {

@@ -160,12 +160,19 @@ func TestRefineSharedSlabClamp(t *testing.T) {
 		}
 	}
 	reg.Unlock()
-	// An access far past the slab clamps onto the slab's extra last cell.
-	m.SpanCached(nil, logging.SpaceShared, 0, 500, 1, func(_ *Region, idx, _ int) {
-		if idx != shBytes {
-			t.Errorf("out-of-slab byte visited cell %d, want the clamp cell %d", idx, shBytes)
+	// An access far past the slab clamps onto the slab's extra last cell,
+	// on the walk and through CellFor, up to and past 2^63 (where a cell
+	// index taken as an int before the clamp would be negative).
+	for _, addr := range []uint64{500, 1 << 63, ^uint64(0)} {
+		m.SpanCached(nil, logging.SpaceShared, 0, addr, 1, func(_ *Region, idx, _ int) {
+			if idx != shBytes {
+				t.Errorf("out-of-slab byte %#x visited cell %d, want the clamp cell %d", addr, idx, shBytes)
+			}
+		})
+		if c := m.CellFor(logging.SpaceShared, 0, addr); c != &reg.cells[shBytes] {
+			t.Errorf("CellFor(%#x) is not the clamp cell %d", addr, shBytes)
 		}
-	})
+	}
 	// Compaction drops the slab and its side table with it: the slab a
 	// later access allocates starts with no read map.
 	if m.CompactSharedSlab(0) == 0 {

@@ -73,12 +73,12 @@ func (r *Region) Cells() []Cell { return r.cells }
 // (callers hold the region lock).
 func (r *Region) Gran() int { return 1 << r.shift }
 
-// CellRange maps the byte range [off, off+n) of the region onto its cell
-// indices [lo, hi) at the current granule, unclamped: hi > len(Cells())
-// means the range runs past the region. Call with the region locked,
-// after Fit.
-func (r *Region) CellRange(off uint64, n int) (lo, hi int) {
-	return int(off >> r.shift), int((off+uint64(n)-1)>>r.shift) + 1
+// CellAt returns the index of the cell covering byte off of the region
+// at the current granule, clamped to the last cell (the one out-of-slab
+// shared bytes land on). The clamp is taken in uint64, so no offset gives
+// a negative index. Call with the region locked, after Fit.
+func (r *Region) CellAt(off uint64) int {
+	return int(min(off>>r.shift, uint64(len(r.cells)-1)))
 }
 
 // Weight returns how many configured-granule cells one cell of the

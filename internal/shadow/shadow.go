@@ -397,10 +397,8 @@ func (m *Memory) CellFor(space logging.SpaceID, block int32, addr uint64) *Cell 
 	reg, off := m.RegionFor(nil, space, block, addr)
 	reg.Lock()
 	defer reg.Unlock()
-	idx, _ := reg.CellRange(off, 1)
-	idx = min(idx, len(reg.cells)-1)
 	reg.markLive()
-	return &reg.cells[idx]
+	return &reg.cells[reg.CellAt(off)]
 }
 
 // RegionFor resolves the region covering one address and the address's
@@ -408,7 +406,7 @@ func (m *Memory) CellFor(space logging.SpaceID, block int32, addr uint64) *Cell 
 // when one is supplied — the region-granular lookup every path builds
 // on. The offset is all a caller may compute without the region lock:
 // the cell index depends on the region's granule, which a concurrent
-// refinement changes, so indices come from Region.CellRange under that
+// refinement changes, so indices come from Region.CellAt under that
 // lock.
 func (m *Memory) RegionFor(sc *SpanCache, space logging.SpaceID, block int32, addr uint64) (*Region, uint64) {
 	if space == logging.SpaceShared {
@@ -545,12 +543,11 @@ func (m *Memory) VisitLanes(sc *SpanCache, space logging.SpaceID, block int32, l
 				page = a >> shift
 				reg.Lock()
 				run.Reg, ready = reg, false
-				last := uint64(len(reg.cells) - 1)
 				for _, nx := range lanes[i+1:] {
 					if nx.Addr>>shift != page {
 						break
 					}
-					c := &reg.cells[min(regionOff(space, nx.Addr)>>reg.shift, last)]
+					c := &reg.cells[reg.CellAt(regionOff(space, nx.Addr))]
 					sink += c.W.C + vc.Clock(c.rpc)
 				}
 			}

@@ -13,8 +13,7 @@ func (m *Memory) cellCached(sc *SpanCache, space logging.SpaceID, block int32, a
 	reg, off := m.RegionFor(sc, space, block, addr)
 	reg.Lock()
 	defer reg.Unlock()
-	idx, _ := reg.CellRange(off, 1)
-	return &reg.cells[min(idx, len(reg.cells)-1)]
+	return &reg.cells[reg.CellAt(off)]
 }
 
 // TestStripedPageIdentity: the same address resolves to the same cell no

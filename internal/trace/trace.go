@@ -46,13 +46,6 @@ const (
 	OpElse
 	OpFi
 	OpEnd // end-of-stream sentinel (kernel completed)
-	// OpFlush merges producer-side suppressed-record counts back into the
-	// detector's per-warp statistics: Seq carries the number of records the
-	// simulator's producer filter elided for Warp since the last flush. The
-	// producer emits a flush before any record that can change the warp's
-	// clock or group format, so the count is attributed to the format that
-	// was current when the suppressed records would have been handled.
-	OpFlush
 )
 
 var kindNames = map[OpKind]string{
@@ -60,7 +53,7 @@ var kindNames = map[OpKind]string{
 	OpAcqBlk: "acqBlk", OpRelBlk: "relBlk", OpArBlk: "arBlk",
 	OpAcqGlb: "acqGlb", OpRelGlb: "relGlb", OpArGlb: "arGlb",
 	OpBar: "bar", OpBarRel: "barRel", OpIf: "if", OpElse: "else",
-	OpFi: "fi", OpEnd: "end", OpFlush: "flush",
+	OpFi: "fi", OpEnd: "end",
 }
 
 func (k OpKind) String() string {

@@ -30,12 +30,11 @@
 // bytes remain, so a peer without a field finds trailing bytes and rejects
 // the frame as malformed — it never misreads it.
 //
-// A LAUNCH carries no detector configuration and a SUMMARY no
-// producer-filter counters: the daemon runs one detector, the default
-// configuration, on every job. Version 2 is the protocol without them; a
-// version-1 peer, which sent a flag byte and five varints of
-// configuration on every LAUNCH, fails at the prelude with
-// ErrVersionMismatch.
+// A LAUNCH carries no detector configuration: the daemon runs one
+// detector, the default configuration, on every job. Version 2 is the
+// protocol without it; a version-1 peer, which sent a flag byte and five
+// varints of configuration on every LAUNCH (and two filter counters on
+// every SUMMARY), fails at the prelude with ErrVersionMismatch.
 //
 // Every frame is `type(1) ‖ len(u32 LE) ‖ payload ‖ crc32(u32 LE)`,
 // with the IEEE CRC computed over type+len+payload and len validated
